@@ -1,8 +1,8 @@
-"""PERF — simulator-core benchmark (calendar queue + queued network).
+"""PERF — simulator-core benchmark (fast engine + queued network).
 
 Runs the fine-grained interleaved collective checkpoint (the workload the
 growth seed spent ~28 s of host time on) under the fast engine, the queued
-network model and the in-tree legacy engine/heapq profile, plus a pure
+network model and the in-tree legacy engine profile, plus a pure
 scheduler-churn microbenchmark and queued-model scale points up to the
 4096-rank smoke shape.  Results — wall-clock seconds, processed events,
 events/sec, cross-model read digests and the speedup against the seed
@@ -41,7 +41,7 @@ from repro.cluster.config import ClusterConfig
 ARTIFACT = Path(__file__).resolve().parents[1] / "BENCH_simcore.json"
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 
-#: acceptance floor on the headline speedup vs the seed scheduler/engine
+#: acceptance floor on the headline speedup vs the seed engine
 MIN_SPEEDUP_VS_SEED = 5.0
 
 #: tracing-disabled headline wall-clock of the PR that introduced the
@@ -148,8 +148,7 @@ def suite():
     print(format_table(
         results["rows"],
         columns=["label", "kind", "num_ranks", "network_model", "engine",
-                 "scheduler", "wall_clock_s", "processed_events",
-                 "events_per_sec"],
+                 "wall_clock_s", "processed_events", "events_per_sec"],
         title="simulator-core benchmark"))
     return results
 
@@ -192,30 +191,12 @@ def test_network_models_move_identical_bytes(suite):
     assert by_label["headline-queued"]["sim_elapsed_s"] > 0
 
 
-def test_scheduler_backends_stay_in_the_same_band(suite):
-    """The pure engine microbenchmark: both queue backends process the
-    identical schedule, and neither may collapse relative to the other
-    (the end-to-end speedup lives in the engine/domain path, not the queue
-    — this row guards against a future regression in either backend)."""
-    by_label = {row["label"]: row for row in suite["rows"]}
-    calendar = by_label["churn-calendar"]
-    heapq_row = by_label["churn-heapq"]
-    assert calendar["processed_events"] == heapq_row["processed_events"]
-    assert calendar["events_per_sec"] >= heapq_row["events_per_sec"] / 2.5, (
-        f"calendar {calendar['events_per_sec']}/s vs heapq "
-        f"{heapq_row['events_per_sec']}/s")
-    assert heapq_row["events_per_sec"] >= calendar["events_per_sec"] / 2.5, (
-        f"heapq {heapq_row['events_per_sec']}/s vs calendar "
-        f"{calendar['events_per_sec']}/s")
-
-
 def test_legacy_profile_recorded(suite):
-    """The in-tree legacy engine/heapq row exists for trajectory tracking
-    and moved the same bytes as the fast profile."""
+    """The in-tree legacy engine row exists for trajectory tracking and
+    moved the same bytes as the fast profile."""
     by_label = {row["label"]: row for row in suite["rows"]}
     legacy = by_label["headline-legacy-heapq"]
     assert legacy["engine"] == "legacy"
-    assert legacy["scheduler"] == "heapq"
     assert legacy["read_digest"] == by_label["headline"]["read_digest"]
 
 
@@ -338,8 +319,7 @@ def test_artifact_written_with_populated_columns(suite):
     assert artifact["suite"] == "simcore"
     assert artifact["seed_reference"]["commit"] == SEED_REFERENCE["commit"]
     labels = {row["label"] for row in artifact["rows"]}
-    assert {"headline", "headline-queued", "churn-calendar",
-            "churn-heapq"} <= labels
+    assert {"headline", "headline-queued", "churn-heapq"} <= labels
     for row in artifact["rows"]:
         assert row["wall_clock_s"] >= 0
         assert row["processed_events"] > 0

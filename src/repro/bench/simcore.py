@@ -11,18 +11,17 @@ Three kinds of measurement feed ``BENCH_simcore.json``:
   digest of the final file contents (the cross-``network_model``
   byte-identity witness).
 * **scheduler churn** — a pure engine microbenchmark (no storage stack):
-  a pool of actors sleeping on pseudorandom timeouts, run under both queue
-  backends, isolating calendar-vs-heapq throughput.
+  a pool of actors sleeping on pseudorandom timeouts, isolating the event
+  queue's throughput.
 * **scale points** — larger rank counts under the queued network model,
   including the 4096-rank smoke point the acceptance criteria ask for.
 
 The headline speedup compares the current tree against the growth seed
 (commit ``0473493``).  The seed's event machinery cannot be re-created
-in-tree (``engine="legacy"``/``scheduler="heapq"`` swaps the engine but
-shares today's optimized domain code), so the suite carries a *pinned*
-seed measurement with provenance; set ``REPRO_BENCH_SEED_SRC`` to a
-checkout of the seed's ``src`` directory to re-measure it live on the
-current host instead.
+in-tree (``engine="legacy"`` swaps the engine but shares today's optimized
+domain code), so the suite carries a *pinned* seed measurement with
+provenance; set ``REPRO_BENCH_SEED_SRC`` to a checkout of the seed's ``src``
+directory to re-measure it live on the current host instead.
 """
 
 from __future__ import annotations
@@ -87,14 +86,14 @@ class SimcoreSettings:
     num_metadata_providers: int = 2
     chunk_size: int = 16 * 1024
     seed: int = 0
-    #: event count of the scheduler-churn microbenchmark (per backend)
+    #: event count of the scheduler-churn microbenchmark
     churn_events: int = 200_000
     #: larger points run under ``network_model="queued"``:
     #: (num_ranks, blocks_per_rank, block_size, read_rounds)
     scale_points: Tuple[Tuple[int, int, int, int], ...] = ((512, 16, 4096, 1),)
     #: the completion smoke point (write-only at the largest rank count)
     smoke_point: Optional[Tuple[int, int, int, int]] = (4096, 1, 4096, 0)
-    #: also run the headline point on the in-tree legacy engine + heapq
+    #: also run the headline point on the in-tree legacy engine
     compare_legacy: bool = True
 
     def scaled_down(self) -> "SimcoreSettings":
@@ -134,7 +133,7 @@ def run_collective_io_point(num_ranks: int, blocks_per_rank: int,
     reads of its slice — each asserted against the written payload.  The
     row's ``read_digest`` hashes the final file contents read back by an
     independent client, so two runs moved the same bytes iff their digests
-    match (regardless of ``network_model`` or scheduler).
+    match (regardless of ``network_model``).
 
     The row's ``metrics`` embeds the unified registry snapshot (collected
     *after* the run — pull-based, so it never perturbs the measurement)
@@ -217,8 +216,6 @@ def run_collective_io_point(num_ranks: int, blocks_per_rank: int,
         "num_aggregators": num_aggregators,
         "network_model": config.network_model,
         "engine": config.engine,
-        "scheduler": config.scheduler or ("heapq" if config.engine == "legacy"
-                                          else "calendar"),
         "wall_clock_s": round(wall, 3),
         "sim_elapsed_s": round(cluster.sim.now, 6),
         "processed_events": events,
@@ -244,22 +241,18 @@ def run_collective_io_point(num_ranks: int, blocks_per_rank: int,
 # ----------------------------------------------------------------------
 # scheduler churn microbenchmark
 # ----------------------------------------------------------------------
-def run_scheduler_churn(backend: str, num_events: int = 200_000,
-                        num_actors: int = 64, seed: int = 0) -> Dict[str, object]:
-    """Measure raw queue throughput of one scheduler backend.
+def run_scheduler_churn(num_events: int = 200_000, num_actors: int = 64,
+                        seed: int = 0) -> Dict[str, object]:
+    """Measure raw throughput of the simulator's event queue.
 
     ``num_actors`` concurrent actors sleep on pseudorandom sub-millisecond
     timeouts until ``num_events`` sleeps completed.  Seven out of eight
     delays are zero — the simulator's real event mix, where almost every
     event is an ``Event.succeed`` firing at the current instant and only
     I/O/network completions jump ahead.  The delays come from a named
-    deterministic stream, so both backends process the identical schedule;
-    on this simulator the two stay within noise of each other (the fast
-    engine keeps pending populations in the hundreds, where CPython's
-    C-implemented heap is already cheap), which the suite records rather
-    than hides.
+    deterministic stream, so every run processes the identical schedule.
     """
-    sim = Simulator(seed=seed, scheduler=backend)
+    sim = Simulator(seed=seed)
     delays = sim.rng.stream("bench:churn").uniform(0.0, 1e-3, size=num_events)
     mask = [index for index in range(num_events) if index % 8]
     delays[mask] = 0.0
@@ -277,7 +270,6 @@ def run_scheduler_churn(backend: str, num_events: int = 200_000,
 
     return {
         "kind": "scheduler_churn",
-        "scheduler": backend,
         "num_actors": num_actors,
         "processed_events": sim.processed_events,
         "wall_clock_s": round(wall, 3),
@@ -391,17 +383,14 @@ def run_simcore_suite(settings: SimcoreSettings) -> Dict[str, object]:
     if settings.compare_legacy:
         legacy = run_collective_io_point(
             settings.num_ranks,
-            config=ClusterConfig(engine="legacy", scheduler="heapq",
-                                 latency_digests=True),
+            config=ClusterConfig(engine="legacy", latency_digests=True),
             **point_kwargs)
         legacy["label"] = "headline-legacy-heapq"
         rows.append(legacy)
 
-    for backend in ("calendar", "heapq"):
-        churn = run_scheduler_churn(backend, settings.churn_events,
-                                    seed=settings.seed)
-        churn["label"] = f"churn-{backend}"
-        rows.append(churn)
+    churn = run_scheduler_churn(settings.churn_events, seed=settings.seed)
+    churn["label"] = "churn-heapq"
+    rows.append(churn)
 
     scale_shapes = list(settings.scale_points)
     if settings.smoke_point is not None:

@@ -55,11 +55,7 @@ class Cluster:
     def __init__(self, config: Optional[ClusterConfig] = None,
                  sim: Optional[Simulator] = None, seed: int = 0):
         self.config = config or ClusterConfig()
-        if sim is None:
-            scheduler = self.config.scheduler or (
-                "heapq" if self.config.engine == "legacy" else "calendar")
-            sim = Simulator(seed=seed, scheduler=scheduler)
-        self.sim = sim
+        self.sim = sim if sim is not None else Simulator(seed=seed)
         #: tracer + metrics registry + link telemetry + latency digests +
         #: flight recorder (repro.obs); the tracer is the shared no-op
         #: singleton unless ``config.tracing``

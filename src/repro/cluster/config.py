@@ -26,9 +26,6 @@ class ClusterConfig:
     #: (the seed's event-per-hop resource machinery — kept so perf baselines
     #: can be taken against true seed behaviour).  Timings are identical.
     engine: str = "fast"
-    #: simulator queue backend: ``"calendar"`` or ``"heapq"``; ``None`` picks
-    #: calendar for the fast engine and heapq for the legacy engine
-    scheduler: Optional[str] = None
     #: network cost model: ``"bottleneck"`` (seed full-bisection switch with
     #: half-duplex NICs) or ``"queued"`` (per-link FIFO queues over a two-tier
     #: leaf-switch topology with a CoDel standing-queue signal)

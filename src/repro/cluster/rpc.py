@@ -89,7 +89,7 @@ class RpcTransport:
         # server window: handling overhead plus the handler body
         serve_started = sim.now
         if config.rpc_handling_overhead:
-            yield sim.timeout(config.rpc_handling_overhead)
+            yield sim.sleep(config.rpc_handling_overhead)
         result = yield from handler(*args, **kwargs)
         if self._tracer is not None:
             self._tracer.complete_span(

@@ -124,6 +124,9 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "Scenario":
+        cluster = dict(data["cluster"])
+        # bundles written while the event queue was selectable carry its name
+        cluster.pop("scheduler", None)
         return cls(
             seed=data["seed"],
             num_ranks=data["num_ranks"],
@@ -133,7 +136,7 @@ class Scenario:
             chunk_size=data["chunk_size"],
             num_providers=data["num_providers"],
             num_metadata_providers=data["num_metadata_providers"],
-            cluster=dict(data["cluster"]),
+            cluster=cluster,
             phases=tuple(PhaseSpec(kind=entry["kind"],
                                    workload=dict(entry["workload"]))
                          for entry in data["phases"]),

@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, TYPE_CHECKING
+from typing import Callable, Dict, Iterable, List, Optional, TYPE_CHECKING
 
 from repro.core.regions import Region
 from repro.cluster.rpc import Service
@@ -35,19 +35,20 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class LockMode(enum.Enum):
-    """Lock compatibility modes."""
+    """Lock compatibility modes: two shared locks are compatible,
+    everything else conflicts."""
 
     SHARED = "shared"
     EXCLUSIVE = "exclusive"
 
-    def conflicts_with(self, other: "LockMode") -> bool:
-        """Two shared locks are compatible; everything else conflicts."""
-        return not (self is LockMode.SHARED and other is LockMode.SHARED)
 
-
-@dataclass
+@dataclass(eq=False)
 class LockRequest:
-    """One byte-range lock request (also the token used to release it)."""
+    """One byte-range lock request (also the token used to release it).
+
+    Requests compare by identity: two requests for the same range are still
+    two locks.
+    """
 
     token: int
     file_id: str
@@ -62,12 +63,15 @@ class LockRequest:
     granted_at: float = 0.0
     on_grant: Optional[Callable[["LockRequest"], None]] = field(default=None,
                                                                 repr=False)
+    #: ``region`` and ``mode`` as plain values, read by the conflict scans
+    start: int = field(init=False, repr=False)
+    end: int = field(init=False, repr=False)
+    exclusive: bool = field(init=False, repr=False)
 
-    def conflicts_with(self, other: "LockRequest") -> bool:
-        """True if the two requests cannot be held simultaneously."""
-        return (self.file_id == other.file_id
-                and self.region.overlaps(other.region)
-                and self.mode.conflicts_with(other.mode))
+    def __post_init__(self) -> None:
+        self.start = self.region.offset
+        self.end = self.region.offset + self.region.size
+        self.exclusive = self.mode is LockMode.EXCLUSIVE
 
     @property
     def wait_time(self) -> float:
@@ -75,13 +79,33 @@ class LockRequest:
         return max(0.0, self.granted_at - self.requested_at)
 
 
+def _conflicts(locks: Iterable[LockRequest], start: int, end: int,
+               exclusive: bool) -> bool:
+    """True if a lock on ``[start, end)`` cannot coexist with one of ``locks``
+    (all on the same file): the ranges overlap and either side is exclusive."""
+    for lock in locks:
+        if lock.start < end and start < lock.end and (exclusive
+                                                      or lock.exclusive):
+            return True
+    return False
+
+
 class LockManager:
-    """Pure byte-range lock table with fair FIFO granting."""
+    """Pure byte-range lock table with fair FIFO granting.
+
+    Invariant between calls: every queued request conflicts with a holder or
+    with a request queued before it.  A conflicting request stays a blocker
+    when it moves from the queue to the holders, so blockers only ever
+    disappear through :meth:`release` — which is why a new request is decided
+    on its own and a release re-examines only the waiters it overlaps.
+    """
 
     def __init__(self, manager_id: str = "lockmgr"):
         self.manager_id = manager_id
         self._tokens = itertools.count(1)
-        self._granted: Dict[str, List[LockRequest]] = {}
+        #: file_id -> token -> holder, in grant order
+        self._granted: Dict[str, Dict[int, LockRequest]] = {}
+        #: file_id -> queued requests, in arrival order
         self._waiting: Dict[str, List[LockRequest]] = {}
         self._by_token: Dict[int, LockRequest] = {}
         #: benchmark counters
@@ -89,6 +113,17 @@ class LockManager:
         self.locks_queued: int = 0
 
     # ------------------------------------------------------------------
+    def would_block(self, file_id: str, start: int, end: int,
+                    exclusive: bool) -> bool:
+        """True if a request for ``[start, end)`` arriving now would queue:
+        it conflicts with a holder, or (no barging) with a queued request.
+        An empty range conflicts with nothing."""
+        return start < end and (
+            _conflicts(self._granted.get(file_id, {}).values(),
+                       start, end, exclusive)
+            or _conflicts(self._waiting.get(file_id, ()),
+                          start, end, exclusive))
+
     def request(self, file_id: str, region: Region, mode: LockMode, owner: str,
                 on_grant: Optional[Callable[[LockRequest], None]] = None,
                 ) -> LockRequest:
@@ -103,10 +138,12 @@ class LockManager:
                               region=region, mode=mode, owner=owner,
                               on_grant=on_grant)
         self._by_token[request.token] = request
-        self._waiting.setdefault(file_id, []).append(request)
-        self._dispatch(file_id)
-        if not request.granted:
+        if self.would_block(file_id, request.start, request.end,
+                            request.exclusive):
+            self._waiting.setdefault(file_id, []).append(request)
             self.locks_queued += 1
+        else:
+            self._grant(request)
         return request
 
     def release(self, token: int) -> None:
@@ -117,41 +154,46 @@ class LockManager:
         request.released = True
         del self._by_token[token]
         if request.granted:
-            self._granted[request.file_id].remove(request)
+            del self._granted[request.file_id][token]
         else:
             self._waiting[request.file_id].remove(request)
-        self._dispatch(request.file_id)
+        self._regrant(request.file_id, request.start, request.end)
 
     # ------------------------------------------------------------------
-    def _dispatch(self, file_id: str) -> None:
-        """Grant every queued request allowed by fair FIFO ordering."""
-        waiting = self._waiting.get(file_id, [])
-        granted = self._granted.setdefault(file_id, [])
+    def _grant(self, request: LockRequest) -> None:
+        request.granted = True
+        self._granted.setdefault(request.file_id, {})[request.token] = request
+        self.locks_granted += 1
+        if request.on_grant is not None:
+            request.on_grant(request)
+
+    def _regrant(self, file_id: str, start: int, end: int) -> None:
+        """After ``[start, end)`` was released: grant, in FIFO order, every
+        waiter overlapping it that no holder and no earlier waiter blocks."""
+        waiting = self._waiting.get(file_id)
+        if not waiting:
+            return
+        holders = self._granted.setdefault(file_id, {})
         still_waiting: List[LockRequest] = []
         for request in waiting:
-            blocked = any(request.conflicts_with(holder) for holder in granted)
-            if not blocked:
-                # fairness: do not overtake an earlier conflicting waiter
-                blocked = any(request.conflicts_with(earlier)
-                              for earlier in still_waiting)
-            if blocked:
-                still_waiting.append(request)
+            if (request.start < end and start < request.end
+                    and not _conflicts(holders.values(), request.start,
+                                       request.end, request.exclusive)
+                    and not _conflicts(still_waiting, request.start,
+                                       request.end, request.exclusive)):
+                self._grant(request)
             else:
-                request.granted = True
-                granted.append(request)
-                self.locks_granted += 1
-                if request.on_grant is not None:
-                    request.on_grant(request)
+                still_waiting.append(request)
         self._waiting[file_id] = still_waiting
 
     # ------------------------------------------------------------------
     def held_locks(self, file_id: str) -> List[LockRequest]:
         """Currently granted locks on ``file_id``."""
-        return list(self._granted.get(file_id, []))
+        return list(self._granted.get(file_id, {}).values())
 
     def queued_locks(self, file_id: str) -> List[LockRequest]:
         """Currently waiting requests on ``file_id``."""
-        return list(self._waiting.get(file_id, []))
+        return list(self._waiting.get(file_id, ()))
 
     def is_held(self, token: int) -> bool:
         """True if ``token`` names a granted, unreleased lock."""
@@ -200,15 +242,11 @@ class SimLockService(Service):
     def try_acquire(self, file_id: str, offset: int, size: int, mode: LockMode,
                     owner: str):
         """Non-blocking acquire: returns the token or ``None`` if it conflicts."""
-        probe = LockRequest(token=-1, file_id=file_id, region=Region(offset, size),
-                            mode=mode, owner=owner)
-        conflicts = any(probe.conflicts_with(holder)
-                        for holder in self.manager.held_locks(file_id))
-        conflicts = conflicts or any(probe.conflicts_with(waiter)
-                                     for waiter in self.manager.queued_locks(file_id))
-        if conflicts:
+        region = Region(offset, size)
+        if self.manager.would_block(file_id, offset, offset + size,
+                                    mode is LockMode.EXCLUSIVE):
             return None
-        request = self.manager.request(file_id, Region(offset, size), mode, owner)
+        request = self.manager.request(file_id, region, mode, owner)
         request.requested_at = request.granted_at = self.node.sim.now
         return request.token
         yield  # pragma: no cover - makes this a generator function

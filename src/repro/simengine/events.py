@@ -176,7 +176,7 @@ class Timer(Event):
 
     The timer fires ``fn(*args)`` when processed.  :meth:`cancel` is O(1):
     the queue entry stays where it is and is discarded lazily when the
-    scheduler encounters it, which is what makes generation-invalidated
+    simulator encounters it, which is what makes generation-invalidated
     watchdog timers cheap.
     """
 
@@ -201,7 +201,7 @@ class Timer(Event):
         if self._cancelled or self.callbacks is None:
             return False
         self._cancelled = True
-        self.sim._queue.note_cancel()
+        self.sim._live -= 1
         return True
 
     def _invoke(self, _event: Event) -> None:

@@ -2,37 +2,35 @@
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Optional
 
 from repro.errors import SimulationError
 from repro.simengine.events import AllOf, AnyOf, Event, Timeout, Timer, _Sleep
 from repro.simengine.process import Fanout, Process
 from repro.simengine.rand import DeterministicRNG
-from repro.simengine.scheduler import CalendarQueue, HeapQueue
 
 #: recycled :class:`_Sleep` instances kept per simulator
 _SLEEP_POOL_CAP = 128
+
+_INF = float("inf")
 
 
 class Simulator:
     """Event loop, priority queue and clock of the simulation.
 
-    The simulator owns a queue of ``(time, priority, sequence, event)``
+    The simulator owns a binary heap of ``(time, priority, sequence, event)``
     entries.  ``sequence`` is a monotonically increasing tie-breaker that
     makes the execution order of same-time events deterministic (insertion
-    order), which in turn makes every benchmark run reproducible.
+    order), which in turn makes every benchmark run reproducible.  A
+    cancelled :class:`Timer` stays in the heap and is discarded when it
+    surfaces, so ``Timer.cancel`` is O(1).
 
     Parameters
     ----------
     seed:
         Root seed for :class:`~repro.simengine.rand.DeterministicRNG`.  Every
         component that needs randomness derives a named stream from it.
-    scheduler:
-        Queue backend: ``"calendar"`` (default) uses the calendar/slot
-        scheduler with an O(1)-amortized fast path for events firing at the
-        current instant; ``"heapq"`` uses the seed binary-heap scheduler.
-        Both drain in exactly the same ``(time, priority, sequence)`` order,
-        so results are identical — only wall-clock speed differs.
     """
 
     #: priority used by normal events
@@ -40,17 +38,11 @@ class Simulator:
     #: priority used by urgent (engine-internal) events
     PRIORITY_URGENT = 0
 
-    def __init__(self, seed: int = 0, scheduler: str = "calendar"):
+    def __init__(self, seed: int = 0):
         self._now: float = 0.0
-        if scheduler == "calendar":
-            self._queue = CalendarQueue()
-        elif scheduler == "heapq":
-            self._queue = HeapQueue()
-        else:
-            raise SimulationError(
-                f"unknown scheduler {scheduler!r}; use 'calendar' or 'heapq'")
-        #: name of the active queue backend
-        self.scheduler = scheduler
+        self._heap: list = []
+        #: heap entries not cancelled (``Timer.cancel`` decrements it)
+        self._live: int = 0
         self._seq: int = 0
         self._sleep_pool: list = []
         self.rng = DeterministicRNG(seed)
@@ -94,7 +86,8 @@ class Simulator:
             ev = _Sleep(self, value)
         seq = self._seq
         self._seq = seq + 1
-        self._queue.push(self._now + delay, self.PRIORITY_NORMAL, seq, ev)
+        heappush(self._heap, (self._now + delay, self.PRIORITY_NORMAL, seq, ev))
+        self._live += 1
         return ev
 
     def call_later(self, delay: float, fn: Callable[..., Any], *args: Any) -> Timer:
@@ -135,7 +128,8 @@ class Simulator:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         seq = self._seq
         self._seq = seq + 1
-        self._queue.push(self._now + delay, priority, seq, event)
+        heappush(self._heap, (self._now + delay, priority, seq, event))
+        self._live += 1
 
     def cancel(self, timer: Timer) -> bool:
         """Cancel a :class:`Timer` created by :meth:`call_later`."""
@@ -145,14 +139,25 @@ class Simulator:
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``float('inf')`` if none."""
-        return self._queue.peek()
+        heap = self._heap
+        while heap and heap[0][3]._cancelled:
+            heappop(heap)
+        return heap[0][0] if heap else _INF
+
+    @property
+    def pending(self) -> int:
+        """Number of scheduled events that have not been cancelled."""
+        return self._live
 
     def step(self) -> None:
         """Process exactly one event (advancing the clock to its time)."""
-        queue = self._queue
-        if not queue:
+        if not self._live:
             raise SimulationError("step() on an empty event queue")
-        when, _priority, _seq, event = queue.pop()
+        heap = self._heap
+        when, _priority, _seq, event = heappop(heap)
+        while event._cancelled:
+            when, _priority, _seq, event = heappop(heap)
+        self._live -= 1
         self._now = when
         self.processed_events += 1
 
@@ -190,7 +195,7 @@ class Simulator:
         if stop_event is not None and stop_event.sim is not self:
             raise SimulationError("stop_event belongs to a different simulator")
 
-        while self._queue:
+        while self._live:
             if stop_event is not None and stop_event.processed:
                 break
             if until is not None and self.peek() > until:
@@ -213,7 +218,7 @@ class Simulator:
     def run_all(self, max_events: int = 50_000_000) -> None:
         """Drain the queue completely (with a safety cap on event count)."""
         count = 0
-        while self._queue:
+        while self._live:
             self.step()
             count += 1
             if count > max_events:

@@ -37,11 +37,3 @@ def test_jitter_perturbs_timing_but_not_bytes():
     noisy = _point(network_model="queued", network_jitter=0.3)
     assert calm["read_digest"] == noisy["read_digest"]
     assert calm["sim_elapsed_s"] != noisy["sim_elapsed_s"]
-
-
-def test_scheduler_choice_changes_nothing_observable():
-    calendar = _point(network_model="queued", scheduler="calendar")
-    heapq_run = _point(network_model="queued", scheduler="heapq")
-    assert calendar["read_digest"] == heapq_run["read_digest"]
-    assert calendar["processed_events"] == heapq_run["processed_events"]
-    assert calendar["sim_elapsed_s"] == heapq_run["sim_elapsed_s"]
