@@ -11,9 +11,11 @@ the assertions check.
 from __future__ import annotations
 
 import cProfile
+import json
 import pstats
 import sys
 from contextlib import contextmanager
+from pathlib import Path
 from typing import Dict, List, Sequence
 
 from repro.bench.experiments import ExperimentSettings
@@ -43,6 +45,32 @@ def profiled(title: str = "", top: int = PROFILE_TOP, stream=None):
                   file=out)
         stats = pstats.Stats(profiler, stream=out)
         stats.strip_dirs().sort_stats("cumulative").print_stats(top)
+
+
+def artifact_target(path: Path, smoke: bool) -> Path:
+    """Where a suite's artifact lives: ``path`` itself for a full-size run,
+    the git-ignored sibling ``<stem>.smoke.json`` for a smoke run."""
+    return path.with_name(f"{path.stem}.smoke{path.suffix}") if smoke else path
+
+
+def write_artifact(path: Path, artifact: Dict[str, object]) -> Path:
+    """Write a ``BENCH_*.json`` artifact; returns the path written.
+
+    The committed files at the repository root are full-size (``smoke:
+    false``) measurements, so a ``REPRO_BENCH_SMOKE=1`` run must never land
+    on them: smoke output goes to :func:`artifact_target`'s sibling path,
+    and a smoke artifact refuses to replace any file holding ``smoke:
+    false`` (a full-size artifact copied onto the smoke path, say).
+    """
+    smoke = bool(artifact["smoke"])
+    target = artifact_target(path, smoke)
+    if smoke and target.exists() \
+            and not json.loads(target.read_text()).get("smoke", False):
+        raise RuntimeError(
+            f"refusing to replace the full-size artifact {target} "
+            "with a smoke run")
+    target.write_text(json.dumps(artifact, indent=2) + "\n")
+    return target
 
 
 def quick_settings(client_counts: Sequence[int] = (1, 2, 4, 8)) -> ExperimentSettings:

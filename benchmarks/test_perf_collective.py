@@ -10,7 +10,8 @@ simulated and wall-clock seconds — into ``BENCH_collective.json`` at the
 repository root so future PRs can track the perf trajectory.
 
 Set ``REPRO_BENCH_SMOKE=1`` to run the same shapes on a fraction of the
-work (what CI does on every push).
+work (what CI does on every push); a smoke run writes
+``BENCH_collective.smoke.json`` and leaves the committed artifact alone.
 """
 
 import json
@@ -21,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+from benchmarks.common import artifact_target, write_artifact
 from repro.bench.collective import (
     CollectiveSettings,
     run_collective_suite,
@@ -88,7 +90,7 @@ def suite():
         "control_rpc_reduction_vs_independent": reductions,
         "rows": rows,
     }
-    ARTIFACT.write_text(json.dumps(artifact, indent=2) + "\n")
+    write_artifact(ARTIFACT, artifact)
     print()
     print(format_table(rows, title="collective-write microbenchmark"))
     return results
@@ -164,7 +166,7 @@ def test_rpc_counts_do_not_depend_on_the_network_model(suite):
 
 
 def test_artifact_written_with_populated_columns(suite):
-    artifact = json.loads(ARTIFACT.read_text())
+    artifact = json.loads(artifact_target(ARTIFACT, SMOKE).read_text())
     assert artifact["suite"] == "collective-buffering"
     assert artifact["rows"]
     modes = {row["mode"] for row in artifact["rows"]}

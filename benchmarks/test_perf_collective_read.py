@@ -11,7 +11,8 @@ wall-clock seconds — into ``BENCH_collective_read.json`` at the repository
 root so future PRs can track the perf trajectory.
 
 Set ``REPRO_BENCH_SMOKE=1`` to run the same shapes on a fraction of the
-work (what CI does on every push).
+work (what CI does on every push); a smoke run writes
+``BENCH_collective_read.smoke.json`` and leaves the committed artifact alone.
 """
 
 import json
@@ -22,6 +23,7 @@ from pathlib import Path
 
 import pytest
 
+from benchmarks.common import artifact_target, write_artifact
 from repro.bench.collective_read import (
     CollectiveReadSettings,
     run_collective_read_suite,
@@ -93,7 +95,7 @@ def suite():
         "metadata_rpc_reduction_vs_independent": reductions,
         "rows": rows,
     }
-    ARTIFACT.write_text(json.dumps(artifact, indent=2) + "\n")
+    write_artifact(ARTIFACT, artifact)
     print()
     print(format_table(rows, title="collective-read microbenchmark"))
     return results
@@ -221,7 +223,7 @@ def test_non_resolver_ranks_touch_the_control_plane_zero_times(suite):
 
 
 def test_artifact_written_with_populated_columns(suite):
-    artifact = json.loads(ARTIFACT.read_text())
+    artifact = json.loads(artifact_target(ARTIFACT, SMOKE).read_text())
     assert artifact["suite"] == "collective-read"
     assert artifact["rows"]
     modes = {row["mode"] for row in artifact["rows"]}

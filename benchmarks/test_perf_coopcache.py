@@ -14,7 +14,8 @@ every row into ``BENCH_coopcache.json`` at the repository root so future
 PRs can track the perf trajectory.
 
 Set ``REPRO_BENCH_SMOKE=1`` to run the same shapes on a fraction of the
-work (what CI does on every push).
+work (what CI does on every push); a smoke run writes
+``BENCH_coopcache.smoke.json`` and leaves the committed artifact alone.
 """
 
 import json
@@ -25,6 +26,7 @@ from pathlib import Path
 
 import pytest
 
+from benchmarks.common import artifact_target, write_artifact
 from repro.bench.coopcache import (
     CoopCacheSettings,
     run_coop_cache_suite,
@@ -86,7 +88,7 @@ def suite():
         "server_rpc_reduction_vs_shared": reductions,
         "rows": rows,
     }
-    ARTIFACT.write_text(json.dumps(artifact, indent=2) + "\n")
+    write_artifact(ARTIFACT, artifact)
     print()
     print(format_table(rows, title="cooperative-cache microbenchmark"))
     return results
@@ -193,7 +195,7 @@ def test_peer_accounting_is_conserved(suite):
 
 
 def test_artifact_written_with_populated_columns(suite):
-    artifact = json.loads(ARTIFACT.read_text())
+    artifact = json.loads(artifact_target(ARTIFACT, SMOKE).read_text())
     assert artifact["suite"] == "coopcache"
     assert artifact["rows"]
     assert {row["mode"] for row in artifact["rows"]} == {"shared", "coop"}

@@ -10,7 +10,8 @@ cache hit rate, simulated seconds, wall-clock seconds — into
 perf trajectory.
 
 Set ``REPRO_BENCH_SMOKE=1`` to run the same shapes on a fraction of the
-work (what CI does on every push).
+work (what CI does on every push); a smoke run writes
+``BENCH_metadata.smoke.json`` and leaves the committed artifact alone.
 """
 
 import json
@@ -21,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+from benchmarks.common import artifact_target, write_artifact
 from repro.bench.metadata_path import (
     MODES,
     MetadataPathSettings,
@@ -81,7 +83,7 @@ def suite():
         },
         "rows": rows,
     }
-    ARTIFACT.write_text(json.dumps(artifact, indent=2) + "\n")
+    write_artifact(ARTIFACT, artifact)
     print()
     print(format_table(rows, title="metadata read-path microbenchmark"))
     return by_model
@@ -137,7 +139,7 @@ def test_cached_reads_are_not_slower_in_simulated_time(suite):
 
 
 def test_artifact_written_with_populated_columns(suite):
-    artifact = json.loads(ARTIFACT.read_text())
+    artifact = json.loads(artifact_target(ARTIFACT, SMOKE).read_text())
     assert artifact["suite"] == "metadata-read-path"
     modes = {row["mode"] for row in artifact["rows"]}
     assert modes == set(MODES) | {"region-algebra"}

@@ -13,7 +13,8 @@ both network cost models; cache behaviour and bytes must not depend on
 which one shapes the timing.
 
 Set ``REPRO_BENCH_SMOKE=1`` to run the same shapes on a fraction of the
-work (what CI does on every push).
+work (what CI does on every push); a smoke run writes
+``BENCH_sharedcache.smoke.json`` and leaves the committed artifact alone.
 """
 
 import json
@@ -24,6 +25,7 @@ from pathlib import Path
 
 import pytest
 
+from benchmarks.common import artifact_target, write_artifact
 from repro.bench.metrics import shared_rpc_reduction
 from repro.bench.reporting import format_table
 from repro.bench.sharedcache import (
@@ -91,7 +93,7 @@ def suite():
         "metadata_rpc_reduction_vs_private": reductions,
         "rows": rows,
     }
-    ARTIFACT.write_text(json.dumps(artifact, indent=2) + "\n")
+    write_artifact(ARTIFACT, artifact)
     print()
     print(format_table(rows, title="shared-cache microbenchmark"))
     return results
@@ -220,7 +222,7 @@ def test_cache_behaviour_does_not_depend_on_the_network_model(suite):
 
 
 def test_artifact_written_with_populated_columns(suite):
-    artifact = json.loads(ARTIFACT.read_text())
+    artifact = json.loads(artifact_target(ARTIFACT, SMOKE).read_text())
     assert artifact["suite"] == "sharedcache"
     assert artifact["rows"]
     modes = {row["mode"] for row in artifact["rows"]}

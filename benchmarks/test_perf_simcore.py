@@ -16,7 +16,8 @@ re-measure it live instead — the acceptance assertion applies whenever the
 headline point matches the reference workload (i.e. in full mode).
 
 Set ``REPRO_BENCH_SMOKE=1`` to run the same shapes on a fraction of the
-work (what CI does on every push).
+work (what CI does on every push); a smoke run writes
+``BENCH_simcore.smoke.json`` and leaves the committed artifact alone.
 """
 
 import json
@@ -29,6 +30,7 @@ from pathlib import Path
 
 import pytest
 
+from benchmarks.common import artifact_target, write_artifact
 from repro.bench.reporting import format_table
 from repro.bench.simcore import (
     SEED_REFERENCE,
@@ -143,7 +145,7 @@ def suite():
         "tracing_invariant": results["tracing_invariant"],
         "rows": results["rows"],
     }
-    ARTIFACT.write_text(json.dumps(artifact, indent=2) + "\n")
+    write_artifact(ARTIFACT, artifact)
     print()
     print(format_table(
         results["rows"],
@@ -211,7 +213,7 @@ def test_tracing_perturbs_nothing_and_overhead_recorded(suite):
     assert by_label["headline"]["tracing"] is False
     assert by_label["headline-traced"]["tracing"] is True
     assert suite["tracing_overhead_pct"] is not None
-    artifact = json.loads(ARTIFACT.read_text())
+    artifact = json.loads(artifact_target(ARTIFACT, SMOKE).read_text())
     assert artifact["tracing_overhead_pct"] == suite["tracing_overhead_pct"]
 
 
@@ -315,7 +317,7 @@ def test_tracing_disabled_wall_clock_within_budget(suite):
 
 
 def test_artifact_written_with_populated_columns(suite):
-    artifact = json.loads(ARTIFACT.read_text())
+    artifact = json.loads(artifact_target(ARTIFACT, SMOKE).read_text())
     assert artifact["suite"] == "simcore"
     assert artifact["seed_reference"]["commit"] == SEED_REFERENCE["commit"]
     labels = {row["label"] for row in artifact["rows"]}

@@ -12,7 +12,8 @@ perf trajectory.  A cache-capacity sweep (LRU-bounded metadata caches)
 rides along in the same artifact.
 
 Set ``REPRO_BENCH_SMOKE=1`` to run the same shapes on a fraction of the
-work (what CI does on every push).
+work (what CI does on every push); a smoke run writes
+``BENCH_writepath.smoke.json`` and leaves the committed artifact alone.
 """
 
 import json
@@ -23,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+from benchmarks.common import artifact_target, write_artifact
 from repro.bench.metrics import control_rpc_reduction
 from repro.bench.reporting import format_table
 from repro.bench.writepath import (
@@ -88,7 +90,7 @@ def suite():
         "rows": rows,
         "cache_capacity_sweep": sweep_rows,
     }
-    ARTIFACT.write_text(json.dumps(artifact, indent=2) + "\n")
+    write_artifact(ARTIFACT, artifact)
     print()
     print(format_table(rows, title="write-pipeline microbenchmark"))
     print(format_table(sweep_rows, title="cache capacity sweep"))
@@ -153,7 +155,7 @@ def test_pipelining_does_not_slow_the_write_phase(suite):
 
 
 def test_artifact_written_with_populated_columns(suite):
-    artifact = json.loads(ARTIFACT.read_text())
+    artifact = json.loads(artifact_target(ARTIFACT, SMOKE).read_text())
     assert artifact["suite"] == "write-pipeline"
     modes = {row["mode"] for row in artifact["rows"]}
     assert modes == set(WRITE_MODES)

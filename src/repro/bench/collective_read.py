@@ -219,6 +219,8 @@ def run_collective_read_point(num_ranks: int,
                            for driver in drivers.values()),
         hole_bytes_elided=sum(driver.reader.stats.hole_bytes_elided
                               for driver in drivers.values()),
+        plan_nodes_elided=sum(driver.reader.stats.plan_nodes_elided
+                              for driver in drivers.values()),
         collectives_completed=comms[0].collectives_completed,
         post_metadata_rpcs=post_metadata,
         post_latest_rpcs=post_latest,

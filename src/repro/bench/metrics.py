@@ -277,6 +277,9 @@ class CollectiveReadSample:
     #: never-written bytes shipped as compact hole descriptors instead of
     #: literal zeros (zero-extent elision: the ``exchange_bytes`` drop)
     hole_bytes_elided: int = 0
+    #: plan entries the resolvers did not re-ship because an earlier
+    #: collective had already sent them to the whole group
+    plan_nodes_elided: int = 0
     #: cluster network model the run simulated (timing only, never bytes)
     network_model: str = "bottleneck"
     #: flat RPC round-trip percentile columns (``rpc_latency_p50``...)
@@ -302,6 +305,7 @@ class CollectiveReadSample:
             "metadata_rpcs_per_read": self.metadata_rpcs_per_read,
             "nodes_fetched": self.nodes_fetched,
             "plan_nodes_absorbed": self.plan_nodes_absorbed,
+            "plan_nodes_elided": self.plan_nodes_elided,
             "exchange_bytes": self.exchange_bytes,
             "hole_bytes_elided": self.hole_bytes_elided,
             "collectives_completed": self.collectives_completed,

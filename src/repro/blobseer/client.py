@@ -393,21 +393,27 @@ class BlobClient:
         resolver's :class:`~repro.blobseer.metadata.segment_tree.ReadPlanner`
         trace — resolved lookups of a *published* snapshot, so they are
         permanently valid and inserting them is as safe as fetching them
-        ourselves would have been.  Costs zero RPCs; returns how many entries
-        were absorbed.
+        ourselves would have been.  One collective warms the whole node: the
+        collective's own ``note_collective_read`` opened the shared tier's
+        watermark gate.  Costs zero RPCs; returns how many were absorbed.
         """
         if self.metadata_cache is None and self.shared_cache is None:
             return 0
-        for (offset, size, hint), node in entries:
-            if self.metadata_cache is not None:
-                self.metadata_cache.put(blob_id, offset, size, hint, node)
-            if self.shared_cache is not None:
-                # one collective warms the whole node: the plan resolves a
-                # *published* pinned snapshot, so the watermark gate (fed by
-                # the collective's own note_collective_read) admits it
-                self.shared_cache.publish(blob_id, offset, size, hint, node)
+        self._admit(blob_id, entries)
         self.plan_nodes_absorbed += len(entries)
         return len(entries)
+
+    def _admit(self, blob_id: str, entries) -> None:
+        """Put authoritatively resolved lookups into both cache tiers.
+
+        ``entries`` are ``((offset, size, hint), node-or-None)`` pairs; the
+        shared tier applies its usual watermark gate.
+        """
+        if self.metadata_cache is not None:
+            self.metadata_cache.put_many(blob_id, entries)
+        if self.shared_cache is not None:
+            for (offset, size, hint), node in entries:
+                self.shared_cache.publish(blob_id, offset, size, hint, node)
 
     def offer_read_hint(self, blob_id: str) -> None:
         """Let the next ``version=None`` read start from the known watermark.
@@ -690,7 +696,10 @@ class BlobClient:
                         lambda result: (len(result[0]) + len(result[1]))
                         * node_size,
                         blob.blob_id, shard_requests, True)
-                    self._absorb_prefetched(blob.blob_id, extras)
+                    # extras: lookups the shard resolved speculatively but
+                    # *authoritatively* (it owns their range keys)
+                    self._admit(blob.blob_id, extras)
+                    self.metadata_prefetched_nodes += len(extras)
                 else:
                     nodes = yield from self._rpc(
                         service, "get_nodes",
@@ -781,21 +790,6 @@ class BlobClient:
                     continue
                 results[request] = entry
                 peer_answered.add(request)
-
-    def _absorb_prefetched(self, blob_id: str, extras) -> None:
-        """Insert speculatively prefetched lookups into both cache tiers.
-
-        ``extras`` are ``((offset, size, hint), node-or-None)`` pairs the
-        shard resolved *authoritatively* (it owns their range keys), so
-        they are exactly as trustworthy as requested fetches.  The shared
-        tier applies its usual watermark gate.
-        """
-        for (offset, size, hint), node in extras:
-            if self.metadata_cache is not None:
-                self.metadata_cache.put(blob_id, offset, size, hint, node)
-            if self.shared_cache is not None:
-                self.shared_cache.publish(blob_id, offset, size, hint, node)
-        self.metadata_prefetched_nodes += len(extras)
 
     @staticmethod
     def _assemble(vector: IOVector, fetched: List[Tuple[int, int, bytes]]) -> List[bytes]:

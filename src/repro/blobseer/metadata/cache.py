@@ -109,24 +109,30 @@ class MetadataNodeCache:
     def put(self, blob_id: str, offset: int, size: int, hint: int,
             node: Optional[MetadataNode]) -> None:
         """Record one resolved lookup (``node=None`` caches a negative)."""
-        self._insert((blob_id, offset, size, hint), node)
-        if node is not None and node.key.version != hint:
-            # alias under the node's exact version: any future hint that
-            # resolves through this version hits without a round-trip
-            self._insert((blob_id, offset, size, node.key.version), node)
+        self.put_many(blob_id, (((offset, size, hint), node),))
 
-    def _insert(self, key: HintKey, node: Optional[MetadataNode]) -> None:
-        fresh = key not in self._resolved
-        if not fresh:
-            # re-insert so an overwrite also refreshes the LRU position
-            del self._resolved[key]
-        self._resolved[key] = node
-        if fresh:
-            self.stats.insertions += 1
-            if self.capacity is not None and len(self._resolved) > self.capacity:
-                oldest = next(iter(self._resolved))
-                del self._resolved[oldest]
-                self.stats.evictions += 1
+    def put_many(self, blob_id: str, entries) -> None:
+        """Record ``((offset, size, hint), node-or-None)`` pairs, in order.
+
+        The cache's one insertion routine: an overwrite also refreshes the
+        entry's LRU position, a fresh key may evict the oldest entry.
+        """
+        resolved = self._resolved
+        capacity = self.capacity
+        for (offset, size, hint), node in entries:
+            keys = [(blob_id, offset, size, hint)]
+            if node is not None and node.key.version != hint:
+                # alias under the node's exact version: any future hint that
+                # resolves through this version hits without a round-trip
+                keys.append((blob_id, offset, size, node.key.version))
+            for key in keys:
+                fresh = resolved.pop(key, _ABSENT) is _ABSENT
+                resolved[key] = node
+                if fresh:
+                    self.stats.insertions += 1
+                    if capacity is not None and len(resolved) > capacity:
+                        del resolved[next(iter(resolved))]
+                        self.stats.evictions += 1
 
     def clear(self) -> None:
         """Drop every entry (counters are kept)."""

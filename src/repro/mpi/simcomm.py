@@ -43,7 +43,10 @@ class SharedList(list):
     partition math, write attribution) can be stashed in ``memo`` by the
     first rank and reused by the rest — ``size`` times less host work with
     byte-identical results.  ``memo`` must only ever hold values that are
-    a pure function of the list contents, never rank-specific state.
+    a pure function of what every rank of this collective received
+    identically (the list contents, or another exchange of the same
+    protocol round that hands every rank the same items — the merged
+    read plan is keyed on the closing gather), never rank-specific state.
     """
 
     __slots__ = ("memo",)

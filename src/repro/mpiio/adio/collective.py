@@ -65,10 +65,12 @@ against the segment tree independently — ``N`` ``latest`` round-trips and
    its warm :class:`~repro.blobseer.metadata.cache.MetadataNodeCache` and
    fetches its stripe's chunks — non-resolver ranks spend *zero* metadata
    control RPCs;
-3. scatters the fetched pieces back over ``alltoallv``, piggybacking each
-   resolver's traversal trace so every rank's node cache warms up from the
+3. scatters the fetched pieces back over ``alltoallv``, piggybacking the
+   part of each resolver's traversal trace the group has not been sent by
+   an earlier collective, so every rank's node cache warms up from the
    broadcast plan (subsequent independent reads start warm, again at zero
-   RPC cost); never-written ranges travel as compact *hole descriptors* —
+   RPC cost) and each node crosses the interconnect to the group once;
+   never-written ranges travel as compact *hole descriptors* —
    16 bytes each instead of their literal zero payload — and are
    materialized locally by the receiving rank (zero-extent elision);
 4. shares outcomes in a closing ``allgather``: failures anywhere raise on
@@ -255,6 +257,20 @@ def _shared_memo(gathered, key, compute):
     if value is None:
         value = memo[key] = compute()
     return value
+
+
+def _merge_plans(inbound) -> Dict:
+    """Deduplicate the resolvers' shipped plans into one lookup map.
+
+    ``inbound`` holds the ``(pieces, holes, plan)`` items in source-rank
+    order, so the first resolver to ship a lookup decides its slot and the
+    absorption order is deterministic.
+    """
+    merged: Dict = {}
+    for _pieces, _holes, plan in inbound:
+        for request, node in plan:
+            merged.setdefault(request, node)
+    return merged
 
 
 def _scan_write_gather(gathered) -> Tuple[list, list, list, int, int]:
@@ -593,6 +609,9 @@ class CollectiveReadStats:
     version_rpcs_elided: int = 0
     #: metadata plan entries this rank shipped to its peers
     plan_nodes_shipped: int = 0
+    #: plan entries this rank, as a resolver, did not ship to its peers
+    #: because an earlier collective already sent them to the whole group
+    plan_nodes_elided: int = 0
     #: never-written bytes this rank, as a resolver, shipped as compact
     #: hole descriptors instead of literal zeros (zero-extent elision:
     #: these bytes would have crossed the interconnect without it)
@@ -608,6 +627,7 @@ class CollectiveReadStats:
             "version_rpcs": self.version_rpcs,
             "version_rpcs_elided": self.version_rpcs_elided,
             "plan_nodes_shipped": self.plan_nodes_shipped,
+            "plan_nodes_elided": self.plan_nodes_elided,
             "hole_bytes_elided": self.hole_bytes_elided,
         }
 
@@ -621,12 +641,21 @@ class CollectiveReader(_CollectiveParticipant):
     like the write-side :class:`CollectiveAggregator`.  The resolver set is
     the aggregator set (same count chain, same spread): placement wants the
     same properties on both sides, and one knob keeps the two in agreement.
+
+    The plan broadcast is a delta: each instance remembers, per
+    (communicator, blob), the lookups of every plan the group approved, and
+    a resolver ships a trace entry only when it is not among them.  The
+    memory is what the group *was sent*, not what this rank's cache holds —
+    a resolver's privately cached entries still travel the first time.
     """
 
     def __init__(self, client: "BlobClient",
                  num_resolvers: Optional[int] = None):
         super().__init__(client, num_resolvers)
         self.stats = CollectiveReadStats()
+        #: (communicator, blob) -> lookups every rank of that communicator
+        #: absorbed from approved plans (identical on every rank of it)
+        self._group_known: Dict[Tuple[Communicator, str], set] = {}
 
     # ------------------------------------------------------------------
     def collective_read(self, blob_id: str, vector: IOVector, rank: int,
@@ -737,7 +766,7 @@ class CollectiveReader(_CollectiveParticipant):
                     send = yield from _phase(
                         ctx, self._resolve_stripe(
                             blob_id, pinned, domains[owners.index(rank)],
-                            wanted_full, comm.size, rank),
+                            wanted_full, comm, rank),
                         "collective.read.resolve", rank=rank,
                         version=pinned)
             except Exception as exc:
@@ -787,16 +816,16 @@ class CollectiveReader(_CollectiveParticipant):
         # nodes (all resolved at or below the pin)
         client.note_collective_read(blob_id, pinned)
         # cache warming from the broadcast plan: resolved lookups of the
-        # pinned (published, immutable) snapshot, deduplicated across the
-        # resolvers that shipped them (in source-rank order, so absorption
-        # is deterministic)
+        # pinned (published, immutable) snapshot.  Every resolver ships one
+        # plan to all ranks, so the merge is the same on every rank and is
+        # derived once per collective; from here on the group holds it
         inbound = [item for _source, item in sorted(received.items())]
-        absorbed: Dict = {}
-        for _pieces, _holes, plan in inbound:
-            for request, node in plan:
-                absorbed.setdefault(request, node)
-        if absorbed:
-            client.absorb_plan_nodes(blob_id, list(absorbed.items()))
+        merged = _shared_memo(outcomes, "read_plan",
+                              lambda: _merge_plans(inbound))
+        if merged:
+            client.absorb_plan_nodes(blob_id, merged.items())
+            self._group_known.setdefault((comm, blob_id),
+                                         set()).update(merged)
 
         # hole descriptors materialize locally — the zeros never crossed
         # the interconnect
@@ -814,7 +843,7 @@ class CollectiveReader(_CollectiveParticipant):
     def _resolve_stripe(self, blob_id: str, version: int,
                         domain: Tuple[int, int],
                         wanted_full: List[RegionList],
-                        size: int, rank: int):
+                        comm: Communicator, rank: int):
         """Resolve and fetch one stripe; cut the bytes per destination rank.
 
         One batched :class:`~repro.blobseer.metadata.segment_tree.
@@ -825,8 +854,9 @@ class CollectiveReader(_CollectiveParticipant):
         plan)`` per destination — ``holes`` are the never-written ranges
         within that rank's wanted bytes, shipped as ``(offset, length)``
         descriptors instead of literal zero payloads (zero-extent elision),
-        and ``plan`` is the traversal trace every rank uses to warm its
-        cache (shipped to every rank, wanted bytes or not).
+        and ``plan`` is the part of the traversal trace the group has not
+        been sent before, which every rank uses to warm its cache (shipped
+        to every rank, wanted bytes or not).
         """
         start, end = domain
         send: Dict[int, Tuple[List[Tuple[int, bytes]], list, list]] = {}
@@ -844,8 +874,11 @@ class CollectiveReader(_CollectiveParticipant):
             blob_id, IOVector.for_read(union.as_tuples()), version,
             trace=trace, holes=zero_extents)
         self.stats.stripes_resolved += 1
-        plan = list(trace.items())
-        self.stats.plan_nodes_shipped += len(plan) * (size - 1)
+        known = self._group_known.get((comm, blob_id), ())
+        plan = [entry for entry in trace.items() if entry[0] not in known]
+        self.stats.plan_nodes_shipped += len(plan) * (comm.size - 1)
+        self.stats.plan_nodes_elided += \
+            (len(trace) - len(plan)) * (comm.size - 1)
         hole_list = RegionList(zero_extents).normalized()
         have_holes = len(hole_list) > 0
 

@@ -13,7 +13,9 @@ classifies every leaf value into one of three rule families:
   (``--wall-band``, default 4x — wide enough for cross-host CI,
   tight enough to catch an accidental O(n^2)).  Direction-aware:
   ``events_per_sec``/``speedup_vs_seed`` regress downward, everything
-  else upward.  Improvements never flag.
+  else upward.  Improvements never flag, and a non-positive baseline
+  (a ``tracing_overhead_pct`` that came out negative) has no band to
+  apply: a change from it is reported as a note.
 * **ignore** — provenance that legitimately differs between runs
   (``python`` version, measurement-method strings).
 
@@ -134,16 +136,21 @@ def compare(baseline: Dict, current: Dict, *,
                     regressions.append(
                         f"{path}: {expected!r} != {actual!r}")
                 continue
-            if _matches(path, _HIGHER_IS_BETTER):
-                floor = (expected / wall_band if expected > 0
-                         else expected)
+            if expected <= 0:
+                # a multiplicative band around a non-positive value has no
+                # width (or points the wrong way): nothing to gate against
+                if actual != expected:
+                    notes.append(f"{path}: {expected!r} -> {actual!r} "
+                                 "(non-positive wall-family baseline: "
+                                 "no band to apply)")
+            elif _matches(path, _HIGHER_IS_BETTER):
+                floor = expected / wall_band
                 if actual < floor:
                     regressions.append(
                         f"{path}: {actual!r} below {floor!r} "
                         f"(baseline {expected!r} / band {wall_band})")
             else:
-                ceiling = (expected * wall_band if expected > 0
-                           else expected)
+                ceiling = expected * wall_band
                 if actual > ceiling and actual - expected > 1e-9:
                     regressions.append(
                         f"{path}: {actual!r} above {ceiling!r} "

@@ -17,7 +17,7 @@ log, no sampling, no reservoir — so the digest is:
 
 Percentiles report the *inclusive upper bound* of the bucket holding the
 requested rank (a deterministic over-estimate within the quantization
-bound); ``max`` is tracked exactly.
+bound); ``max`` is tracked exactly and caps every percentile.
 
 :class:`DigestTaps` is the thin write-side facade the instrumented call
 sites hold (``cluster.obs.digests``) — ``None`` when latency digests are
@@ -100,7 +100,8 @@ class LatencyDigest:
                 for index in sorted(self._buckets)}
 
     def percentile(self, q: float) -> float:
-        """Upper bound (seconds) of the bucket holding rank ``ceil(q*n)``."""
+        """Upper bound (seconds) of the bucket holding rank ``ceil(q*n)``,
+        clamped to the exact maximum (the top bucket's edge lies above it)."""
         if not self.count:
             return 0.0
         rank = max(1, math.ceil(q * self.count))
@@ -108,7 +109,7 @@ class LatencyDigest:
         for index in sorted(self._buckets):
             cumulative += self._buckets[index]
             if cumulative >= rank:
-                return bucket_bound(index) / _NS
+                return min(bucket_bound(index), self.max_ns) / _NS
         return self.max_ns / _NS  # pragma: no cover - rank <= count
 
     def mean(self) -> float:

@@ -227,7 +227,13 @@ def collect_deployment(registry: "MetricsRegistry",
 
 def collect_collective(registry: "MetricsRegistry",
                        drivers: Iterable["VersioningDriver"]) -> None:
-    """Collective-buffering and collective-read counters across ranks."""
+    """Collective-buffering and collective-read counters across ranks.
+
+    Every ``snapshot()`` key lands under its own name, so the delta plan
+    broadcast reads off ``collective.read.plan_nodes_shipped`` against
+    ``collective.read.plan_nodes_elided`` (what full shipping would have
+    added), beside ``metadata.client.plan_nodes_absorbed``.
+    """
     for driver in drivers:
         for key, value in driver.aggregator.stats.snapshot().items():
             registry.add(f"collective.write.{key}", value)

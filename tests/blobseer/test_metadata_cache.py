@@ -90,3 +90,49 @@ class TestMetadataNodeCache:
         snap = cache.stats.snapshot()
         assert snap["hits"] == 1 and snap["misses"] == 1
         assert snap["hit_rate"] == 0.5
+
+
+class TestBulkInsert:
+    """``put_many`` is the one insertion routine; ``put`` is its one-entry
+    call, so both spellings must leave the cache in the same state."""
+
+    #: fresh keys, aliases (hint != version), a negative, and overwrites
+    #: of an older entry (the LRU refresh) — 8 distinct keys in all
+    ENTRIES = [
+        ((0, 64, 3), leaf(3)),
+        ((64, 64, 7), leaf(2, offset=64)),      # + alias under version 2
+        ((128, 64, 1), None),
+        ((0, 64, 3), leaf(3)),                  # overwrite: refresh only
+        ((192, 64, 9), leaf(4, offset=192)),    # + alias under version 4
+        ((64, 64, 2), leaf(2, offset=64)),      # overwrites the alias
+        ((256, 64, 5), leaf(5, offset=256)),
+        ((320, 64, 6), None),
+    ]
+
+    @pytest.mark.parametrize("capacity,insertions,evictions", [
+        (None, 8, 0),
+        # the version-2 alias is evicted before its overwrite: fresh again
+        (4, 9, 5),
+    ])
+    def test_bulk_equals_single_puts(self, capacity, insertions, evictions):
+        bulk = MetadataNodeCache(capacity=capacity)
+        bulk.put_many("b", self.ENTRIES)
+        single = MetadataNodeCache(capacity=capacity)
+        for (offset, size, hint), node in self.ENTRIES:
+            single.put("b", offset, size, hint, node)
+        assert list(bulk._resolved.items()) == list(single._resolved.items())
+        assert bulk.stats.snapshot() == single.stats.snapshot()
+        assert bulk.stats.insertions == insertions
+        assert bulk.stats.evictions == evictions
+
+    def test_bounded_bulk_keeps_the_most_recent_keys(self):
+        cache = MetadataNodeCache(capacity=4)
+        cache.put_many("b", self.ENTRIES)
+        assert list(cache._resolved) == [
+            ("b", 192, 64, 4), ("b", 64, 64, 2),
+            ("b", 256, 64, 5), ("b", 320, 64, 6)]
+
+    def test_bulk_accepts_a_dict_items_view(self):
+        cache = MetadataNodeCache()
+        cache.put_many("b", dict(self.ENTRIES[:3]).items())
+        assert len(cache) == 4

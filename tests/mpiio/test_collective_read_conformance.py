@@ -16,8 +16,9 @@ semantics :class:`repro.mpiio.adio.collective.CollectiveReader` promises.
 The suite additionally pins the protocol's contracts: reads concurrent with
 queued (unflushed) writes observe them, reads across versions track every
 collective write round, empty vectors participate, atomic mode bypasses,
-non-resolver ranks spend zero metadata control RPCs, and the plan broadcast
-leaves every rank's cache warm.
+non-resolver ranks spend zero metadata control RPCs, the plan broadcast
+leaves every rank's cache warm, and it is a delta — each plan node reaches
+the group once (re-read, write-then-read and new-version flows).
 """
 
 import random
@@ -26,9 +27,14 @@ import pytest
 
 from repro.mpi.datatypes import BYTE, Indexed
 from repro.mpi.launcher import run_mpi_job
-from repro.mpiio.adio.collective import aggregator_ranks
+from repro.mpiio.adio.collective import (
+    EXTENT_DESCRIPTION_BYTES,
+    aggregator_ranks,
+)
 from repro.mpiio.adio.versioning import VersioningDriver
 from repro.mpiio.file import File
+from repro.obs.registry import MetricsRegistry
+from repro.obs.views import collect_collective
 from repro.vstore.client import VectoredClient
 from tests._oracle import random_pattern, rank_view, serial_oracle
 from tests.mpiio._collective_testlib import make_quick_deployment
@@ -413,3 +419,162 @@ def test_plan_broadcast_leaves_every_cache_warm():
         assert after == before, f"rank {rank} spent RPCs on a warm read"
     for driver in drivers.values():
         assert driver.client.plan_nodes_absorbed > 0
+
+
+# ----------------------------------------------------------------------
+# the plan broadcast is a delta: each node reaches the group once
+# ----------------------------------------------------------------------
+def run_delta_job(steps, *, num_ranks=4, num_resolvers=2, content=None):
+    """Run the generator ``steps(ctx, driver, handle)`` on every rank of one
+    job; every plan a rank absorbs is recorded (as a list of entries) in
+    ``absorbed[rank]``.  Returns ``(results, drivers, absorbed, content)``.
+    """
+    cluster, deployment = make_deployment()
+    content = seed_content(
+        cluster, deployment,
+        [[(0, content)]] if content is not None
+        else random_pattern(23, num_ranks, empty_rank_chance=0.0))
+    drivers, absorbed = {}, {}
+
+    def rank_main(ctx):
+        driver = VersioningDriver(deployment, ctx.node,
+                                  rank_name=f"rank{ctx.rank}",
+                                  write_coalescing=True,
+                                  collective_buffering=True,
+                                  collective_aggregators=num_resolvers)
+        drivers[ctx.rank] = driver
+        plans = absorbed[ctx.rank] = []
+        absorb = driver.client.absorb_plan_nodes
+
+        def recording_absorb(blob_id, entries):
+            plans.append(list(entries))
+            return absorb(blob_id, entries)
+
+        driver.client.absorb_plan_nodes = recording_absorb
+        handle = yield from File.open(driver, PATH, rank=ctx.rank,
+                                      comm=ctx.comm, size_hint=FILE_SIZE)
+        outcome = yield from steps(ctx, driver, handle)
+        yield from handle.close()
+        return outcome
+
+    result = run_mpi_job(cluster, num_ranks, rank_main)
+    return result.results, drivers, absorbed, content
+
+
+def control_rpcs(driver):
+    return driver.client.metadata_read_rpcs, driver.client.latest_rpcs
+
+
+def test_rereading_a_pinned_snapshot_ships_no_plan_entries():
+    """The second ``read_at_all`` of one snapshot finds every trace entry
+    already sent to the group: zero plan entries travel, and the exchange
+    carries the access descriptions and the data pieces only."""
+    num_ranks, num_resolvers = 4, 2
+    written = bytes(range(256)) * (FILE_SIZE // 256)   # no holes anywhere
+
+    def steps(ctx, driver, handle):
+        first = yield from handle.read_at_all(0, FILE_SIZE)
+        mid = driver.reader.stats.snapshot()
+        second = yield from handle.read_at_all(0, FILE_SIZE)
+        return first, second, mid, driver.reader.stats.snapshot()
+
+    results, drivers, absorbed, content = run_delta_job(
+        steps, num_ranks=num_ranks, num_resolvers=num_resolvers,
+        content=written)
+    assert all(first == content and second == content
+               for first, second, _mid, _end in results)
+    mids = [mid for _first, _second, mid, _end in results]
+    ends = [end for _first, _second, _mid, end in results]
+
+    def total(snapshots, key):
+        return sum(snapshot[key] for snapshot in snapshots)
+
+    shipped_first = total(mids, "plan_nodes_shipped")
+    assert shipped_first > 0 and total(mids, "plan_nodes_elided") == 0
+    # read 2 walks the same trace and ships none of it
+    assert total(ends, "plan_nodes_shipped") == shipped_first
+    assert total(ends, "plan_nodes_elided") == shipped_first
+    assert all(len(plans) == 1 for plans in absorbed.values())
+    # ... and the saving is a registry metric beside what was shipped
+    registry = MetricsRegistry()
+    collect_collective(registry, drivers.values())
+    assert registry.get("collective.read.plan_nodes_elided") == shipped_first
+    # one (offset, size) description + the watermark per rank, and one
+    # stripe-sized piece from each resolver to each *other* rank
+    stripe = FILE_SIZE // num_resolvers
+    data_and_descriptors = (
+        num_ranks * (EXTENT_DESCRIPTION_BYTES + 8)
+        + num_resolvers * (num_ranks - 1)
+        * (stripe + EXTENT_DESCRIPTION_BYTES))
+    second_read_bytes = total(ends, "bytes_sent") - total(mids, "bytes_sent")
+    assert second_read_bytes == data_and_descriptors
+    node_size = drivers[0].client.cluster.config.metadata_node_size
+    assert total(mids, "bytes_sent") == \
+        data_and_descriptors + shipped_first * node_size
+
+
+def test_collective_write_then_read_leaves_every_cache_warm():
+    """The aggregators' write-through entries are private, not group-known:
+    the first collective read after a collective write still ships them, so
+    every rank's independent read of any range costs zero metadata RPCs."""
+    num_ranks = 4
+    pattern = random_pattern(31, num_ranks, empty_rank_chance=0.0)
+
+    def steps(ctx, driver, handle):
+        filetype, payload = rank_view(pattern[ctx.rank])
+        handle.set_view(0, BYTE, filetype)
+        yield from handle.write_at_all(0, payload)
+        handle.set_view(0, BYTE, BYTE)
+        collective = yield from handle.read_at_all(0, FILE_SIZE)
+        before = control_rpcs(driver)
+        again = yield from handle.read_at(0, FILE_SIZE)
+        return collective, again, before, control_rpcs(driver)
+
+    results, drivers, _absorbed, content = run_delta_job(
+        steps, num_ranks=num_ranks)
+    state = bytearray(content)
+    for regions in pattern:
+        for offset, payload in regions:
+            state[offset:offset + len(payload)] = payload
+    expected = bytes(state)
+    for rank, (collective, again, before, after) in enumerate(results):
+        assert collective == expected and again == expected
+        assert after == before, f"rank {rank} spent RPCs on a warm read"
+    # the write-through entries did travel: nothing was held back
+    assert all(driver.reader.stats.plan_nodes_elided == 0
+               for driver in drivers.values())
+
+
+def test_a_new_version_ships_only_its_own_lookups():
+    """A version published between two collective reads re-ships nothing
+    the first read's plan carried — only lookups under the new version's
+    hints travel — and every cache still ends warm for the new snapshot."""
+    num_ranks = 4
+    patch = b"\xee" * CHUNK
+
+    def steps(ctx, driver, handle):
+        first = yield from handle.read_at_all(0, FILE_SIZE)
+        # one rank rewrites one chunk; the others participate empty-handed
+        yield from handle.write_at_all(
+            5 * CHUNK, patch if ctx.rank == 1 else b"")
+        second = yield from handle.read_at_all(0, FILE_SIZE)
+        before = control_rpcs(driver)
+        again = yield from handle.read_at(0, FILE_SIZE)
+        return first, second, again, before, control_rpcs(driver)
+
+    results, drivers, absorbed, content = run_delta_job(
+        steps, num_ranks=num_ranks)
+    patched = content[:5 * CHUNK] + patch + content[6 * CHUNK:]
+    for rank, (first, second, again, before, after) in enumerate(results):
+        assert first == content
+        assert second == patched and again == patched
+        assert after == before, f"rank {rank} spent RPCs on a warm read"
+    for rank, plans in absorbed.items():
+        old, new = ({request for request, _node in plan} for plan in plans)
+        assert new and not (old & new), f"rank {rank} was re-sent lookups"
+        # the rewritten chunk's root path and its siblings, not the tree
+        assert len(new) < len(old)
+        pinned_before = max(hint for _offset, _size, hint in old)
+        assert all(hint >= pinned_before for _offset, _size, hint in new)
+    assert sum(driver.reader.stats.plan_nodes_elided
+               for driver in drivers.values()) > 0

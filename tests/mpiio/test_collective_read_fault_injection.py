@@ -281,3 +281,53 @@ def test_failed_collective_read_drops_a_planted_hint():
     for data, latest_delta in result.results:
         assert data == content[:2048]
         assert latest_delta == 1
+
+
+def test_failed_collective_marks_nothing_group_known():
+    """The delta plan broadcast only remembers *approved* plans: the healthy
+    resolver shipped its stripe's plan into the failed collective, yet the
+    healed retry ships every entry again (none elided) — so every rank's
+    cache ends warm and an independent whole-file read costs zero metadata
+    RPCs."""
+    cluster, deployment = make_deployment()
+    content = seed_content(cluster, deployment)
+    fault = TestResolverDiesMidFetch()
+    drivers = {}
+
+    def rank_main(ctx):
+        driver = VersioningDriver(deployment, ctx.node,
+                                  rank_name=f"rank{ctx.rank}",
+                                  write_coalescing=True,
+                                  collective_buffering=True,
+                                  collective_aggregators=NUM_RESOLVERS)
+        drivers[ctx.rank] = driver
+        handle = yield from File.open(driver, PATH, rank=ctx.rank,
+                                      comm=ctx.comm, size_hint=FILE_SIZE)
+        fault._sabotage(ctx.rank, driver)
+        with pytest.raises(Exception):
+            yield from handle.read_at_all(0, FILE_SIZE)
+        shipped_into_failure = driver.reader.stats.plan_nodes_shipped
+        yield from ctx.comm.barrier(ctx.rank)
+        fault._heal(ctx.rank, driver)
+        retry = yield from handle.read_at_all(0, FILE_SIZE)
+        before = driver.client.metadata_read_rpcs
+        again = yield from handle.read_at(0, FILE_SIZE)
+        spent = driver.client.metadata_read_rpcs - before
+        yield from handle.close()
+        return shipped_into_failure, retry, again, spent
+
+    result = run_mpi_job(cluster, NUM_RANKS, rank_main)
+    healthy = [rank for rank in aggregator_ranks(NUM_RANKS, NUM_RESOLVERS)
+               if rank != DOOMED_RANK]
+    for rank, (shipped, retry, again, spent) in enumerate(result.results):
+        assert retry == content and again == content
+        assert spent == 0, f"rank {rank} found its cache cold after the retry"
+        # the partial plan did leave the healthy resolver
+        assert (shipped > 0) == (rank in healthy)
+    for rank, driver in drivers.items():
+        stats = driver.reader.stats
+        assert stats.plan_nodes_elided == 0, f"rank {rank} held entries back"
+    # the healthy resolver shipped its stripe's plan twice, in full
+    for rank in healthy:
+        assert drivers[rank].reader.stats.plan_nodes_shipped \
+            == 2 * result.results[rank][0]

@@ -102,6 +102,28 @@ def test_wall_family_none_transitions_are_notes_not_regressions():
     assert any("speedup_vs_seed" in note for note in report["notes"])
 
 
+def test_non_positive_wall_baseline_has_no_band_to_apply():
+    """A tracing overhead measured as negative (noise around zero) used to
+    get a zero-width band that failed every later run."""
+    baseline = artifact()
+    baseline["tracing_overhead_pct"] = -1.3
+    current = artifact()
+    current["tracing_overhead_pct"] = 6.2
+    report = compare(baseline, current)
+    assert report["status"] == "ok"
+    assert any("tracing_overhead_pct" in note and "no band" in note
+               for note in report["notes"])
+    # same for a zero baseline of the higher-is-better family
+    baseline["rows"][0]["events_per_sec"] = 0
+    assert compare(baseline, current)["status"] == "ok"
+    # an unchanged non-positive value is not worth a note
+    assert compare(baseline, baseline)["notes"] == []
+    # and a positive baseline is still gated
+    baseline["tracing_overhead_pct"] = 1.0
+    current["tracing_overhead_pct"] = 1.0 * DEFAULT_WALL_BAND + 0.5
+    assert compare(baseline, current)["status"] == "regression"
+
+
 def test_ignored_provenance_and_extra_patterns():
     current = artifact()
     current["python"] = "3.12.0"

@@ -72,6 +72,22 @@ def test_max_is_exact_and_percentiles_are_upper_bounds():
     assert quantiles["p99"] <= quantiles["max"] * (1 + 1 / (1 << SUB_BITS))
 
 
+def test_percentiles_never_exceed_the_exact_max():
+    """The top bucket's upper edge lies above the largest sample; a
+    percentile that lands there reports the exact maximum instead (the
+    artifacts used to show p95 6.29 ms beside max 5.78 ms)."""
+    digest = LatencyDigest("d")
+    for value in (1e-3, 2e-3, 5.78e-3):
+        digest.record(value)
+    quantiles = digest.quantiles()
+    assert quantiles["p95"] == quantiles["p99"] == quantiles["max"] == 5.78e-3
+    # lower buckets still report their own upper edge
+    assert 2e-3 <= quantiles["p50"] < quantiles["max"]
+    single = LatencyDigest("one")
+    single.record(5.78e-3)
+    assert single.percentile(0.5) == single.percentile(1.0) == 5.78e-3
+
+
 def test_empty_digest_reports_zeros():
     digest = LatencyDigest("d")
     assert digest.quantiles() == {"count": 0, "p50": 0.0, "p95": 0.0,
