@@ -6,9 +6,13 @@ bytes nobody touches) with finer-grain alternatives.  This ablation compares,
 on identical workloads:
 
 * ``posix-locking``  — covering-extent locks,
-* ``posix-listlock`` — one lock per accessed range,
+* ``posix-listlock`` — locks on the accessed ranges only,
 * ``conflict-detect`` — skip locks when the collective access is disjoint,
 * ``versioning``     — the paper's approach (no locks at all).
+
+All three locking variants pay the same protocol — one lock request, one bulk
+transfer and one release per OST and access — so the rows differ only in what
+the lock covers, i.e. in who has to wait for whom.
 """
 
 from benchmarks.common import quick_settings
@@ -35,8 +39,12 @@ def test_abl2_lock_granularity(benchmark):
         for baseline in ("posix-locking", "posix-listlock", "conflict-detect"):
             assert value("versioning", overlap) > value(baseline, overlap)
 
-    # with disjoint accesses, skipping/fining down locks beats extent locking
-    assert value("conflict-detect", 0.0) > value("posix-locking", 0.0)
-    # under overlap the extent lock's false conflicts on gap bytes make it the
-    # slowest (or tied-slowest) locking variant
-    assert value("posix-listlock", 0.5) >= value("posix-locking", 0.5) * 0.9
+    # with disjoint accesses the extent lock's conflicts are all false:
+    # skipping the locks or narrowing them to the accessed ranges removes the
+    # serialization, a multi-x gain
+    assert value("conflict-detect", 0.0) > 2 * value("posix-locking", 0.0)
+    assert value("posix-listlock", 0.0) > 2 * value("posix-locking", 0.0)
+    # under overlap most conflicts are real: range locks still never lose to
+    # the extent lock, but no locking variant comes near versioning
+    assert value("posix-listlock", 0.5) >= value("posix-locking", 0.5)
+    assert value("versioning", 0.5) > 3 * value("posix-listlock", 0.5)

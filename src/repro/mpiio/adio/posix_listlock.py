@@ -1,10 +1,12 @@
 """List-locking ADIO driver: lock each accessed range instead of the extent.
 
 A finer-grain variant of the locking baseline: instead of the covering
-extent, only the byte ranges actually touched by the access are locked (in a
-global canonical order, so writers cannot deadlock).  This removes the false
-conflicts on unaccessed gap bytes but multiplies the number of lock RPCs —
-the trade-off the lock-granularity ablation (ABL2) quantifies.
+extent, only the byte ranges actually touched by the access are locked.  The
+number of lock RPCs is the same — each OST still gets one request, carrying
+all of the access's ranges on it and granted all-or-nothing, which is also
+what keeps writers from deadlocking — so the variant only removes the false
+conflicts on unaccessed gap bytes; the lock-granularity ablation (ABL2)
+quantifies how much that buys.
 """
 
 from __future__ import annotations

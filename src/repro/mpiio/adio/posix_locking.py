@@ -3,7 +3,7 @@
 This reproduces the baseline the paper evaluates against: MPI atomicity is
 built on top of POSIX atomicity by locking, at the MPI-I/O layer, the
 *smallest contiguous extent covering all regions* of a non-contiguous access
-before issuing the per-region POSIX reads/writes.  As the paper points out,
+before issuing the POSIX reads/writes.  As the paper points out,
 that covering extent also spans unaccessed bytes, so concurrent accesses that
 would not actually conflict still serialize — the cost the versioning
 approach removes.
@@ -69,21 +69,26 @@ class PosixLockingDriver(ADIODriver):
         attributes = yield from self.client.open(path)
         return attributes
 
+    def _lock(self, path: str, vector: IOVector, mode: LockMode, atomic: bool):
+        """In atomic mode, take the MPI-I/O layer (fcntl) lock of the access
+        and account the wait; ``None`` otherwise."""
+        if not atomic:
+            return None
+        handle = yield from self.client.lock_regions(
+            path, self._lock_regions(path, vector, mode), mode,
+            namespace="fcntl")
+        self.lock_wait_time += handle.wait_time
+        return handle
+
+    # while the MPI-I/O layer lock is held the per-request POSIX extent locks
+    # are redundant (nobody else can conflict), so the client skips them —
+    # otherwise the baseline would be charged twice for the same mutual
+    # exclusion — and moves the whole access with one bulk RPC per OST
     def write_vector(self, path: str, vector: IOVector, atomic: bool,
                      rank: int = 0, comm: Optional["Communicator"] = None):
-        """Lock (covering extent), write each region with POSIX writes, unlock."""
+        """Lock (covering extent), write the regions, unlock."""
         self._account_write(vector)
-        handle = None
-        if atomic:
-            before = self.client.cluster.sim.now
-            handle = yield from self.client.lock_regions(
-                path, self._lock_regions(path, vector, LockMode.EXCLUSIVE),
-                LockMode.EXCLUSIVE, namespace="fcntl")
-            self.lock_wait_time += self.client.cluster.sim.now - before
-        # while the MPI-I/O layer lock is held the per-write POSIX extent
-        # locks are redundant (no other writer can conflict), so skip them —
-        # otherwise the baseline would be charged twice for the same mutual
-        # exclusion
+        handle = yield from self._lock(path, vector, LockMode.EXCLUSIVE, atomic)
         written = yield from self.client.write_vector(path, vector,
                                                       _locked=handle is not None)
         if handle is not None:
@@ -92,14 +97,11 @@ class PosixLockingDriver(ADIODriver):
 
     def read_vector(self, path: str, vector: IOVector, atomic: bool,
                     rank: int = 0, comm: Optional["Communicator"] = None):
-        """Lock (shared covering extent) in atomic mode, then POSIX reads."""
+        """Lock (shared covering extent) in atomic mode, read, unlock."""
         self._account_read(vector)
-        handle = None
-        if atomic:
-            handle = yield from self.client.lock_regions(
-                path, self._lock_regions(path, vector, LockMode.SHARED),
-                LockMode.SHARED, namespace="fcntl")
-        pieces = yield from self.client.read_vector(path, vector)
+        handle = yield from self._lock(path, vector, LockMode.SHARED, atomic)
+        pieces = yield from self.client.read_vector(path, vector,
+                                                    _locked=handle is not None)
         if handle is not None:
             yield from self.client.unlock(handle)
         return pieces

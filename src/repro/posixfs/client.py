@@ -11,16 +11,22 @@ file systems:
   fcntl-style advisory locks exposed by :meth:`PosixClient.lock_regions` /
   :meth:`PosixClient.unlock`.
 
-Lock ordering: locks are always acquired in (OST index, offset) order, which
-rules out deadlocks between clients acquiring multiple sub-locks.
+Per-server budget: an access reaches each OST it touches as one lock request
+(every extent it needs there, granted all-or-nothing), one bulk data RPC
+served by one disk I/O, and one release.  A client therefore never holds one
+range of a lock server while waiting for another range of the same server,
+and it visits the servers in ascending OST order: together the two rule out
+deadlocks between clients locking several ranges.  (Acquiring range by range
+in (OST, offset) order does not: a holder of its first range can queue, no
+barging, behind a waiter that its own lock blocks.)
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.core.listio import IOVector
-from repro.core.regions import Region, RegionList
+from repro.core.regions import RegionList
 from repro.errors import FileSystemError, LockNotHeld
 from repro.posixfs.lock_manager import LockMode
 from repro.posixfs.mds import FileAttributes
@@ -106,34 +112,22 @@ class PosixClient:
                      namespace: str = "fcntl"):
         """Acquire byte-range locks covering ``regions`` on every involved OST.
 
-        Locks are taken in (OST index, offset) order; the returned
-        :class:`LockHandle` releases them all.  ``namespace`` separates the
-        advisory (``fcntl``) space used by the MPI-I/O drivers from the file
-        system's internal ``data`` space.
+        The regions are mapped into each OST's object-offset space and every
+        OST gets one request carrying all of its extents, in ascending OST
+        order; the returned :class:`LockHandle` releases them all.
+        ``namespace`` separates the advisory (``fcntl``) space used by the
+        MPI-I/O drivers from the file system's internal ``data`` space.
         """
         attributes = yield from self._attrs(path)
         started = self.cluster.sim.now
-        normalized = regions.normalized()
-        if len(normalized) == 0:
-            return LockHandle([], started, 0.0)
         file_id = f"{namespace}:{path}"
-
-        # group the byte ranges by the OST that owns them, keep global order
-        per_ost: Dict[int, List[Region]] = {}
-        for region in normalized:
-            for piece in attributes.layout.map_region(region):
-                per_ost.setdefault(piece.ost_index, []).append(
-                    Region(piece.file_offset, piece.length))
-
         entries: List[Tuple[int, int]] = []
-        for ost_index in sorted(per_ost):
-            ost = self.deployment.osts[ost_index]
-            ranges = RegionList(per_ost[ost_index]).normalized()
-            for region in ranges:
-                token = yield from self._control(
-                    ost.locks, "acquire", file_id, region.offset, region.size,
-                    mode, self.name)
-                entries.append((ost_index, token))
+        for ost_index, extents in sorted(
+                attributes.layout.object_extents(regions).items()):
+            token = yield from self._control(
+                self.deployment.osts[ost_index].locks, "acquire", file_id,
+                extents, mode, self.name)
+            entries.append((ost_index, token))
 
         handle = LockHandle(entries, self.cluster.sim.now,
                             self.cluster.sim.now - started)
@@ -148,7 +142,7 @@ class PosixClient:
         return handle
 
     def unlock(self, handle: LockHandle):
-        """Release every lock of a handle."""
+        """Release every lock of a handle (one release per OST)."""
         if handle is None:
             raise LockNotHeld("unlock() of a missing handle")
         for ost_index, token in reversed(handle.entries):
@@ -160,106 +154,126 @@ class PosixClient:
     # ------------------------------------------------------------------
     # POSIX data path
     # ------------------------------------------------------------------
-    def write(self, path: str, offset: int, data: bytes, _locked: bool = False):
+    def _transfer(self, attributes: FileAttributes, vector: IOVector,
+                  writing: bool):
+        """Move the bytes of every request of ``vector``: the stripe pieces
+        are grouped by OST and each OST serves its group as one bulk RPC and
+        one disk I/O, all OSTs concurrently.  No locking and no size update
+        — the caller owns both.  Returns one ``bytes`` per read request.
+        """
+        control = self.cluster.config.control_message_size
+        #: ost -> (the ``(object offset, data | size)`` ranges it serves,
+        #:         where each sits: ``(request index, start in the request)``)
+        per_ost: Dict[int, Tuple[list, list]] = {}
+        for index, request in enumerate(vector):
+            for piece in attributes.layout.map_region(request.region):
+                start = piece.file_offset - request.offset
+                ranges, places = per_ost.setdefault(piece.ost_index, ([], []))
+                ranges.append((piece.object_offset,
+                               request.data[start:start + piece.length]
+                               if writing else piece.length))
+                places.append((index, start))
+
+        buffers = [] if writing else [bytearray(request.size)
+                                      for request in vector]
+
+        def serve(ost_index, ranges, places):
+            ost = self.deployment.osts[ost_index]
+            object_id = attributes.object_id(ost_index)
+            if writing:
+                yield from self._rpc(
+                    ost, "write_ranges", sum(len(data) for _, data in ranges),
+                    control, object_id, ranges)
+                return
+            pieces = yield from self._rpc(
+                ost, "read_ranges", control, sum(size for _, size in ranges),
+                object_id, ranges)
+            for (index, start), data in zip(places, pieces):
+                buffers[index][start:start + len(data)] = data
+
+        if per_ost:
+            yield self.cluster.sim.fanout(
+                [serve(ost_index, ranges, places)
+                 for ost_index, (ranges, places) in sorted(per_ost.items())])
+        return [bytes(buffer) for buffer in buffers]
+
+    def _access(self, path: str, vector: IOVector, locked: bool = False):
+        """One POSIX-atomic access: lock what ``vector`` touches in the
+        ``data`` space, transfer, record the new size after a write, unlock.
+
+        ``locked=True`` skips the implicit lock when an upper layer already
+        serialized the access (the locking ADIO drivers do, holding their
+        ``fcntl`` lock, to avoid paying for the same mutual exclusion twice).
+        """
+        attributes = yield from self._attrs(path)
+        writing = vector.is_write
+        handle = None
+        if not locked:
+            handle = yield from self.lock_regions(
+                path, vector.region_list(),
+                LockMode.EXCLUSIVE if writing else LockMode.SHARED,
+                namespace="data")
+        pieces = yield from self._transfer(attributes, vector, writing)
+        if writing:
+            yield from self._control(self.deployment.mds, "update_size",
+                                     path, vector.covering_extent().end)
+            self.bytes_written += vector.total_bytes()
+        else:
+            self.bytes_read += vector.total_bytes()
+        if handle is not None:
+            yield from self.unlock(handle)
+        return pieces
+
+    def write(self, path: str, offset: int, data: bytes):
         """POSIX-atomic contiguous write.
 
         The implicit exclusive extent lock (``data`` namespace) makes the
         write atomic with respect to other contiguous reads/writes — the
         POSIX guarantee the paper says is *not* sufficient for MPI atomicity.
-        ``_locked=True`` skips it when an upper layer already serialized the
-        access (the covering-extent ADIO driver does this to avoid paying the
-        internal lock twice).
         """
         if not data:
             return 0
-        attributes = yield from self._attrs(path)
-        handle = None
-        if not _locked:
-            handle = yield from self.lock_regions(
-                path, RegionList.single(offset, len(data)),
-                LockMode.EXCLUSIVE, namespace="data")
-
-        write_processes = []
-        for piece in attributes.layout.map_region(Region(offset, len(data))):
-            ost = self.deployment.osts[piece.ost_index]
-            payload = data[piece.file_offset - offset:
-                           piece.file_offset - offset + piece.length]
-            write_processes.append(self.cluster.sim.process(
-                self._rpc(ost, "write_range", piece.length,
-                          self.cluster.config.control_message_size,
-                          attributes.object_id(piece.ost_index),
-                          piece.object_offset, payload),
-                name=f"{self.name}:write:{piece.ost_index}"))
-        if write_processes:
-            yield self.cluster.sim.all_of(write_processes)
-
-        yield from self._control(self.deployment.mds, "update_size",
-                                 path, offset + len(data))
-        if handle is not None:
-            yield from self.unlock(handle)
-        self.bytes_written += len(data)
+        yield from self._access(path, IOVector.contiguous_write(offset, data))
         return len(data)
 
-    def read(self, path: str, offset: int, size: int, _locked: bool = False):
+    def read(self, path: str, offset: int, size: int):
         """POSIX-atomic contiguous read."""
         if size == 0:
             return b""
-        attributes = yield from self._attrs(path)
-        handle = None
-        if not _locked:
-            handle = yield from self.lock_regions(
-                path, RegionList.single(offset, size),
-                LockMode.SHARED, namespace="data")
-
-        pieces: List[Tuple[int, bytes]] = []
-
-        def fetch(piece):
-            data = yield from self._rpc(
-                self.deployment.osts[piece.ost_index], "read_range",
-                self.cluster.config.control_message_size, piece.length,
-                attributes.object_id(piece.ost_index), piece.object_offset,
-                piece.length)
-            pieces.append((piece.file_offset, data))
-
-        read_processes = [
-            self.cluster.sim.process(fetch(piece), name=f"{self.name}:read")
-            for piece in attributes.layout.map_region(Region(offset, size))
-        ]
-        if read_processes:
-            yield self.cluster.sim.all_of(read_processes)
-        if handle is not None:
-            yield from self.unlock(handle)
-
-        buffer = bytearray(size)
-        for file_offset, data in pieces:
-            start = file_offset - offset
-            buffer[start:start + len(data)] = data
-        self.bytes_read += size
-        return bytes(buffer)
+        pieces = yield from self._access(
+            path, IOVector.contiguous_read(offset, size))
+        return pieces[0]
 
     # ------------------------------------------------------------------
     # vectored helpers used by the ADIO drivers
     # ------------------------------------------------------------------
     def write_vector(self, path: str, vector: IOVector, _locked: bool = False):
-        """Issue the vector's writes one contiguous POSIX write at a time.
+        """Write the vector's requests.
 
-        No atomicity is guaranteed across the requests — that is exactly the
-        gap the locking ADIO drivers must close with advisory locks.
+        Without a lock held by the caller they go out one contiguous POSIX
+        write at a time and no atomicity is guaranteed across them — exactly
+        the gap the locking ADIO drivers must close with advisory locks.
+        Under the caller's lock (``_locked=True``) nothing can interleave, so
+        the whole vector moves as one access: one bulk RPC per OST.
         """
+        if not all(request.is_write for request in vector):
+            raise FileSystemError("write_vector() needs a write vector")
+        if _locked:
+            yield from self._access(path, vector, locked=True)
+            return vector.total_bytes()
         total = 0
         for request in vector:
-            if not request.is_write:
-                raise FileSystemError("write_vector() needs a write vector")
-            written = yield from self.write(path, request.offset, request.data,
-                                            _locked=_locked)
-            total += written
+            total += yield from self.write(path, request.offset, request.data)
         return total
 
     def read_vector(self, path: str, vector: IOVector, _locked: bool = False):
-        """Issue the vector's reads one contiguous POSIX read at a time."""
+        """Read the vector's requests: one contiguous POSIX read at a time,
+        or as one access under the caller's lock (``_locked=True``)."""
+        if _locked:
+            pieces = yield from self._access(path, vector, locked=True)
+            return pieces
         results: List[bytes] = []
         for request in vector:
-            data = yield from self.read(path, request.offset, request.size,
-                                        _locked=_locked)
+            data = yield from self.read(path, request.offset, request.size)
             results.append(data)
         return results

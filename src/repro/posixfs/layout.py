@@ -3,13 +3,16 @@
 A file with stripe size ``s`` over ``n`` OSTs places byte
 ``offset`` in stripe ``offset // s``; stripe ``k`` lives on OST
 ``k % n`` at object offset ``(k // n) * s + (offset % s)`` — the classic
-RAID-0 / Lustre layout.
+RAID-0 / Lustre layout.  The map is a bijection between file bytes and
+(OST, object offset) pairs, and the stripes a contiguous file range puts on
+one OST are consecutive in its object: the range is *one* contiguous object
+extent per OST.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Dict, Iterable, List
 
 from repro.core.regions import Region, RegionList
 from repro.errors import InvalidRegion
@@ -61,6 +64,29 @@ class StripeLayout:
         for region in regions:
             pieces.extend(self.map_region(region))
         return pieces
+
+    def object_extents(self, regions: Iterable[Region]) -> Dict[int, RegionList]:
+        """Per touched OST, the object byte ranges ``regions`` cover
+        (normalized).  Two sets of file ranges overlap exactly when their
+        object extents overlap on some OST."""
+        size, count = self.stripe_size, self.ost_count
+        per_ost: Dict[int, List[Region]] = {}
+        for region in regions:
+            if region.empty:
+                continue
+            first, last = region.offset // size, (region.end - 1) // size
+            # the region's first stripe on each OST it touches
+            for stripe in range(first, min(last, first + count - 1) + 1):
+                final = last - (last - stripe) % count  # ... and its last
+                start = (stripe // count) * size
+                if stripe == first:
+                    start += region.offset % size
+                end = (final // count) * size \
+                    + ((region.end - 1) % size + 1 if final == last else size)
+                per_ost.setdefault(stripe % count, []).append(
+                    Region(start, end - start))
+        return {ost_index: RegionList(extents).normalized()
+                for ost_index, extents in per_ost.items()}
 
     def osts_for_region(self, region: Region) -> List[int]:
         """Sorted list of distinct OST indices a byte range touches."""

@@ -1,15 +1,21 @@
 """Distributed byte-range lock manager.
 
 Each object storage target runs one :class:`LockManager` instance that
-controls the byte ranges of the stripes it hosts (mirroring Lustre's LDLM,
-where "locks are stored and managed on the storage servers hosting the
-objects they control", as the paper puts it).  Two independent lock spaces
-coexist, distinguished by the ``file_id`` prefix used by the client:
+controls the byte ranges of the objects it hosts, in *object-offset* space
+(mirroring Lustre's LDLM, where "locks are stored and managed on the storage
+servers hosting the objects they control", as the paper puts it).  Two
+independent lock spaces coexist, distinguished by the ``file_id`` prefix
+used by the client:
 
 * ``data:<path>`` — the file system's own extent locks giving POSIX atomicity
   to individual contiguous reads/writes;
 * ``fcntl:<path>`` — the advisory locks exposed to upper layers, which the
   locking ADIO drivers use to make whole non-contiguous MPI accesses atomic.
+
+One request names every extent its owner needs on this server and is granted
+all-or-nothing, so a client never holds one range here while it waits for
+another: hold-and-wait exists only *between* servers, where clients acquire
+in ascending OST order.
 
 Grant policy: FIFO with conflict checks against both granted locks and
 *earlier waiting* requests — i.e. fair queueing, no starvation, no barging.
@@ -24,9 +30,9 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, TYPE_CHECKING
+from typing import Callable, Dict, Iterable, List, Optional, Union, TYPE_CHECKING
 
-from repro.core.regions import Region
+from repro.core.regions import Region, RegionList
 from repro.cluster.rpc import Service
 from repro.errors import LockError, LockNotHeld
 
@@ -44,15 +50,17 @@ class LockMode(enum.Enum):
 
 @dataclass(eq=False)
 class LockRequest:
-    """One byte-range lock request (also the token used to release it).
+    """One lock request over a set of byte ranges (also the token used to
+    release it).
 
-    Requests compare by identity: two requests for the same range are still
+    Requests compare by identity: two requests for the same ranges are still
     two locks.
     """
 
     token: int
     file_id: str
-    region: Region
+    #: the locked byte ranges, normalized (sorted, disjoint, non-empty)
+    extents: RegionList
     mode: LockMode
     owner: str
     granted: bool = False
@@ -63,15 +71,23 @@ class LockRequest:
     granted_at: float = 0.0
     on_grant: Optional[Callable[["LockRequest"], None]] = field(default=None,
                                                                 repr=False)
-    #: ``region`` and ``mode`` as plain values, read by the conflict scans
+    #: hull of ``extents`` and ``mode`` as plain values, read by the
+    #: conflict scans; ``contiguous`` means the hull is the lock
     start: int = field(init=False, repr=False)
     end: int = field(init=False, repr=False)
+    contiguous: bool = field(init=False, repr=False)
     exclusive: bool = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.start = self.region.offset
-        self.end = self.region.offset + self.region.size
+        self.start = self.extents[0].offset
+        self.end = self.extents[-1].end
+        self.contiguous = len(self.extents) == 1
         self.exclusive = self.mode is LockMode.EXCLUSIVE
+
+    @property
+    def region(self) -> Region:
+        """Smallest contiguous range covering every extent."""
+        return Region(self.start, self.end - self.start)
 
     @property
     def wait_time(self) -> float:
@@ -79,13 +95,17 @@ class LockRequest:
         return max(0.0, self.granted_at - self.requested_at)
 
 
-def _conflicts(locks: Iterable[LockRequest], start: int, end: int,
-               exclusive: bool) -> bool:
-    """True if a lock on ``[start, end)`` cannot coexist with one of ``locks``
-    (all on the same file): the ranges overlap and either side is exclusive."""
+def _conflicts(locks: Iterable[LockRequest], request: LockRequest) -> bool:
+    """True if ``request`` cannot coexist with one of ``locks`` (all on the
+    same file): some extents overlap and either side is exclusive.  The hulls
+    are compared first; only two overlapping hulls of which one has holes
+    need the walk over the extents."""
+    start, end, exclusive = request.start, request.end, request.exclusive
     for lock in locks:
-        if lock.start < end and start < lock.end and (exclusive
-                                                      or lock.exclusive):
+        if (lock.start < end and start < lock.end
+                and (exclusive or lock.exclusive)
+                and (lock.contiguous and request.contiguous
+                     or lock.extents.overlaps(request.extents))):
             return True
     return False
 
@@ -113,33 +133,28 @@ class LockManager:
         self.locks_queued: int = 0
 
     # ------------------------------------------------------------------
-    def would_block(self, file_id: str, start: int, end: int,
-                    exclusive: bool) -> bool:
-        """True if a request for ``[start, end)`` arriving now would queue:
-        it conflicts with a holder, or (no barging) with a queued request.
-        An empty range conflicts with nothing."""
-        return start < end and (
-            _conflicts(self._granted.get(file_id, {}).values(),
-                       start, end, exclusive)
-            or _conflicts(self._waiting.get(file_id, ()),
-                          start, end, exclusive))
-
-    def request(self, file_id: str, region: Region, mode: LockMode, owner: str,
+    def request(self, file_id: str, extents: Union[Region, Iterable[Region]],
+                mode: LockMode, owner: str,
                 on_grant: Optional[Callable[[LockRequest], None]] = None,
                 ) -> LockRequest:
-        """Ask for a lock; it is granted immediately when compatible.
+        """Ask for one lock over ``extents`` (a region or several); it is
+        granted immediately when every extent is compatible with the holders
+        and (no barging) with the queued requests.
 
-        When the lock cannot be granted yet the request is queued and
-        ``on_grant`` will be invoked at grant time.
+        Otherwise the whole request is queued — no extent is held meanwhile —
+        and ``on_grant`` will be invoked at grant time.
         """
-        if region.empty:
+        if isinstance(extents, Region):
+            extents = (extents,)
+        extents = RegionList(extents).normalized()
+        if len(extents) == 0:
             raise LockError("cannot lock an empty byte range")
         request = LockRequest(token=next(self._tokens), file_id=file_id,
-                              region=region, mode=mode, owner=owner,
+                              extents=extents, mode=mode, owner=owner,
                               on_grant=on_grant)
         self._by_token[request.token] = request
-        if self.would_block(file_id, request.start, request.end,
-                            request.exclusive):
+        if (_conflicts(self._granted.get(file_id, {}).values(), request)
+                or _conflicts(self._waiting.get(file_id, ()), request)):
             self._waiting.setdefault(file_id, []).append(request)
             self.locks_queued += 1
         else:
@@ -168,8 +183,9 @@ class LockManager:
             request.on_grant(request)
 
     def _regrant(self, file_id: str, start: int, end: int) -> None:
-        """After ``[start, end)`` was released: grant, in FIFO order, every
-        waiter overlapping it that no holder and no earlier waiter blocks."""
+        """After a lock with hull ``[start, end)`` was released: grant, in
+        FIFO order, every waiter whose hull overlaps it (the released lock
+        blocked no other) that no holder and no earlier waiter blocks."""
         waiting = self._waiting.get(file_id)
         if not waiting:
             return
@@ -177,10 +193,8 @@ class LockManager:
         still_waiting: List[LockRequest] = []
         for request in waiting:
             if (request.start < end and start < request.end
-                    and not _conflicts(holders.values(), request.start,
-                                       request.end, request.exclusive)
-                    and not _conflicts(still_waiting, request.start,
-                                       request.end, request.exclusive)):
+                    and not _conflicts(holders.values(), request)
+                    and not _conflicts(still_waiting, request)):
                 self._grant(request)
             else:
                 still_waiting.append(request)
@@ -218,13 +232,14 @@ class SimLockService(Service):
     # ------------------------------------------------------------------
     # RPC handlers (generator methods)
     # ------------------------------------------------------------------
-    def acquire(self, file_id: str, offset: int, size: int, mode: LockMode,
+    def acquire(self, file_id: str, extents: Iterable[Region], mode: LockMode,
                 owner: str):
-        """Acquire a byte-range lock, waiting if it conflicts."""
+        """Acquire one lock over all of ``extents``, waiting while any of
+        them conflicts."""
         sim = self.node.sim
         grant_event = sim.event()
         request = self.manager.request(
-            file_id, Region(offset, size), mode, owner,
+            file_id, extents, mode, owner,
             on_grant=lambda req: grant_event.succeed(req))
         request.requested_at = sim.now
         if not request.granted:
@@ -237,16 +252,4 @@ class SimLockService(Service):
         """Release a previously acquired lock."""
         self.manager.release(token)
         return None
-        yield  # pragma: no cover - makes this a generator function
-
-    def try_acquire(self, file_id: str, offset: int, size: int, mode: LockMode,
-                    owner: str):
-        """Non-blocking acquire: returns the token or ``None`` if it conflicts."""
-        region = Region(offset, size)
-        if self.manager.would_block(file_id, offset, offset + size,
-                                    mode is LockMode.EXCLUSIVE):
-            return None
-        request = self.manager.request(file_id, region, mode, owner)
-        request.requested_at = request.granted_at = self.node.sim.now
-        return request.token
         yield  # pragma: no cover - makes this a generator function

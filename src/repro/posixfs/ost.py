@@ -74,12 +74,16 @@ class SimOST(Service):
     # ------------------------------------------------------------------
     # RPC handlers (generator methods)
     # ------------------------------------------------------------------
-    def write_range(self, object_id: str, offset: int, data: bytes):
-        """Write one stripe piece, charging disk time."""
-        yield from self.node.disk_io(len(data))
-        return self.store.write_range(object_id, offset, data)
+    def write_ranges(self, object_id: str, ranges):
+        """Write every ``(offset, data)`` of one client access to this OST's
+        object, as one disk operation."""
+        yield from self.node.disk_io(sum(len(data) for _offset, data in ranges))
+        return sum(self.store.write_range(object_id, offset, data)
+                   for offset, data in ranges)
 
-    def read_range(self, object_id: str, offset: int, size: int):
-        """Read one stripe piece, charging disk time."""
-        yield from self.node.disk_io(size)
-        return self.store.read_range(object_id, offset, size)
+    def read_ranges(self, object_id: str, ranges):
+        """Read every ``(offset, size)`` of one client access from this OST's
+        object, as one disk operation; one ``bytes`` per range."""
+        yield from self.node.disk_io(sum(size for _offset, size in ranges))
+        return [self.store.read_range(object_id, offset, size)
+                for offset, size in ranges]

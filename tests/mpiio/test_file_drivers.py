@@ -183,6 +183,64 @@ class TestConcurrentAtomicity:
         assert fcntl_locks == 0
         assert stats["locks_granted"] > 0  # only the per-write POSIX locks
 
+    @pytest.mark.parametrize("backend, serializable",
+                             [("nolock", False), ("posix-locking", True)])
+    def test_nolock_driver_tears_what_the_locking_driver_keeps_whole(
+            self, backend, serializable):
+        """Two ranks write the same two regions in opposite orders.  Without
+        an MPI-I/O layer lock a vector still goes out one POSIX write at a
+        time, so each region ends with a different last writer and the
+        checker flags it; under the covering-extent lock the same job is
+        serializable."""
+        environment = make_environment(backend)
+        regions = (0, 8192)
+
+        def pairs_for(rank):
+            order = regions if rank == 0 else reversed(regions)
+            return [(offset, bytes([65 + rank]) * 512) for offset in order]
+
+        def rank_main(ctx):
+            driver = environment.driver_factory(ctx)
+            yield from driver.open("/shared", FILE_SIZE, create=True,
+                                   rank=ctx.rank, comm=ctx.comm)
+            yield from driver.write_vector(
+                "/shared", IOVector.for_write(pairs_for(ctx.rank)), atomic=True)
+            yield from ctx.comm.barrier(ctx.rank)
+            pieces = yield from driver.read_vector(
+                "/shared", IOVector.for_read([(0, FILE_SIZE)]), atomic=True)
+            return pieces[0]
+
+        observed = run_mpi_job(environment.cluster, 2, rank_main).results[0]
+        writes = [VectoredWrite(rank, IOVector.for_write(pairs_for(rank)))
+                  for rank in range(2)]
+        assert check_mpi_atomicity(b"\x00" * FILE_SIZE, writes,
+                                   observed) is serializable
+
+    def test_atomic_read_accounts_its_shared_lock_wait(self):
+        """A reader queued behind an atomic writer reports the wait, as a
+        queued writer does."""
+        environment = make_environment("posix-locking")
+        drivers = {}
+
+        def rank_main(ctx):
+            driver = drivers[ctx.rank] = environment.driver_factory(ctx)
+            yield from driver.open("/shared", FILE_SIZE, create=True,
+                                   rank=ctx.rank, comm=ctx.comm)
+            if ctx.rank == 0:
+                yield from driver.write_vector(
+                    "/shared", IOVector.for_write([(0, b"w" * FILE_SIZE)]),
+                    atomic=True)
+            else:
+                yield ctx.sim.timeout(5 * QUICK.network_latency)
+                yield from driver.read_vector(
+                    "/shared", IOVector.for_read([(100, 50)]), atomic=True)
+
+        run_mpi_job(environment.cluster, 2, rank_main)
+        reader = drivers[1]
+        # at least the writer's disk I/O went by while the reader queued
+        assert reader.lock_wait_time > QUICK.disk_overhead
+        assert reader.lock_wait_time == reader.client.lock_wait_time
+
     def test_posix_backend_without_mpiio_locks_can_violate_atomicity(self):
         """Failure injection: interleaved multi-region writes on the POSIX
         backend are *not* MPI-atomic — the gap the locking drivers must close

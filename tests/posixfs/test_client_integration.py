@@ -1,11 +1,16 @@
 """Integration tests: POSIX client + deployment on a simulated cluster."""
 
+from collections import Counter
+from types import SimpleNamespace
+
 import pytest
 
+from repro.bench.environment import build_environment
 from repro.cluster import Cluster, ClusterConfig
 from repro.core.listio import IOVector
 from repro.core.regions import RegionList
 from repro.errors import FileNotFound
+from repro.mpiio.adio.posix_locking import PosixLockingDriver
 from repro.posixfs import PosixFsDeployment, PosixParallelFS
 from repro.posixfs.lock_manager import LockMode
 
@@ -163,6 +168,115 @@ class TestPosixClient:
             return count
 
         assert run(cluster, scenario()) == 3
+
+
+def rpc_counts(deployment):
+    """method -> RPCs served so far by the deployment's services."""
+    counts = Counter(deployment.mds.calls)
+    for ost in deployment.osts:
+        counts.update(ost.calls)
+        counts.update(ost.locks.calls)
+    return counts
+
+
+class TestPerServerBudget:
+    """An access costs each OST one lock request, one bulk transfer, one disk
+    I/O and one release, whatever its shape."""
+
+    def test_atomic_noncontiguous_write_costs_one_round_per_ost(self):
+        cluster, deployment = make_deployment(num_osts=3, stripe_size=64)
+        driver = PosixLockingDriver(deployment, cluster.add_node("c0"))
+        # 5 regions, 13 stripe pieces, covering extent of 20 stripes
+        vector = IOVector.for_write([(10, b"a" * 100), (300, b"b" * 200),
+                                     (640, b"c" * 64), (900, b"d" * 30),
+                                     (1200, b"e" * 80)])
+
+        def scenario():
+            yield from driver.open("/f", 0, create=True)
+            before = rpc_counts(deployment), cluster.rpc.total_calls
+            yield from driver.write_vector("/f", vector, atomic=True)
+            after = rpc_counts(deployment), cluster.rpc.total_calls
+            pieces = yield from driver.read_vector(
+                "/f", IOVector.for_read([(0, 1280)]), atomic=True)
+            return before, after, pieces[0]
+
+        (before, calls_before), (after, calls_after), content = \
+            run(cluster, scenario())
+        spent = after - before
+        assert spent == {"acquire": 3, "write_ranges": 3, "update_size": 1,
+                         "release": 3}
+        assert calls_after - calls_before == 10
+        expected = bytearray(1280)
+        vector.apply_to(expected)
+        assert content == bytes(expected)
+        disks = [ost.node.disk.operations for ost in deployment.osts]
+        assert disks == [2, 2, 2]  # the write, then the read back
+
+    def test_contiguous_access_over_several_stripes_of_an_ost_is_one_rpc(self):
+        cluster, deployment = make_deployment(num_osts=2, stripe_size=64)
+        client = deployment.client(cluster.add_node("c0"))
+        payload = bytes(range(256)) * 3  # 12 stripes, 6 per OST
+
+        def scenario():
+            yield from client.create("/f", stripe_size=64, stripe_count=2)
+            yield from client.write("/f", 32, payload)
+            written = rpc_counts(deployment)
+            data = yield from client.read("/f", 32, len(payload))
+            return written, rpc_counts(deployment) - written, data
+
+        written, read, data = run(cluster, scenario())
+        assert data == payload
+        assert (written["write_ranges"], written["acquire"],
+                written["release"], written["update_size"]) == (2, 2, 2, 1)
+        assert read == {"acquire": 2, "read_ranges": 2, "release": 2}
+        assert [ost.calls["write_ranges"] for ost in deployment.osts] == [1, 1]
+
+    def test_read_under_a_held_lock_matches_the_per_request_path(self):
+        cluster, deployment = make_deployment(num_osts=3, stripe_size=64)
+        client = deployment.client(cluster.add_node("c0"))
+        content = bytes((7 * index) % 251 for index in range(1500))
+        vector = IOVector.for_read([(1000, 300), (5, 70), (64, 64), (1490, 40),
+                                    (200, 0)])
+
+        def scenario():
+            yield from client.create("/f", stripe_size=64)
+            yield from client.write("/f", 0, content)
+            one_by_one = yield from client.read_vector("/f", vector)
+            handle = yield from client.lock_regions(
+                "/f", RegionList([vector.covering_extent()]), LockMode.SHARED)
+            before = rpc_counts(deployment)
+            in_bulk = yield from client.read_vector("/f", vector, _locked=True)
+            spent = rpc_counts(deployment) - before
+            yield from client.unlock(handle)
+            return one_by_one, in_bulk, spent
+
+        one_by_one, in_bulk, spent = run(cluster, scenario())
+        assert in_bulk == one_by_one == vector.extract_from(
+            content + b"\x00" * 30)
+        assert spent == {"read_ranges": 3}
+
+    def test_same_disk_operations_as_the_versioning_backend(self):
+        pairs = [(rank * 96 * 1024 + region * 160 * 1024, 64 * 1024)
+                 for rank in range(2) for region in range(3)]
+        operations = {}
+        for backend in ("posix-locking", "versioning"):
+            env = build_environment(backend, num_storage_nodes=4,
+                                    stripe_unit=16 * 1024)
+            driver = env.driver_factory(
+                SimpleNamespace(node=env.cluster.add_node("c0"), rank=0))
+
+            def scenario():
+                yield from driver.open("/f", 1024 * 1024, create=True)
+                yield from driver.write_vector(
+                    "/f", IOVector.for_write(
+                        [(offset, b"x" * size) for offset, size in pairs]),
+                    atomic=True)
+                yield from driver.read_vector(
+                    "/f", IOVector.for_read(pairs), atomic=True)
+
+            run(env.cluster, scenario())
+            operations[backend] = env.cluster.stats()["disk_operations"]
+        assert operations["posix-locking"] == operations["versioning"] == 8
 
 
 class TestPosixFacade:

@@ -1,5 +1,7 @@
 """Unit tests for the striping layout."""
 
+import random
+
 import pytest
 
 from repro.core.regions import Region, RegionList
@@ -60,3 +62,47 @@ def test_bytes_never_lost_or_duplicated():
     pieces = layout.map_region(region)
     covered = RegionList([(p.file_offset, p.length) for p in pieces]).normalized()
     assert covered.as_tuples() == [(17, 1000)]
+
+
+def test_contiguous_range_is_one_object_extent_per_ost():
+    layout = StripeLayout(stripe_size=100, ost_count=3)
+    # stripes 2..9: OST 2 gets stripes 2, 5, 8; OST 0 gets 3, 6, 9; OST 1: 4, 7
+    extents = layout.object_extents([Region(250, 720)])
+    assert {ost: extent.as_tuples() for ost, extent in extents.items()} == {
+        2: [(50, 250)], 0: [(100, 270)], 1: [(100, 200)]}
+    assert layout.object_extents([Region(5, 0)]) == {}
+
+
+def test_object_extents_merge_what_is_adjacent_on_the_ost():
+    layout = StripeLayout(stripe_size=100, ost_count=2)
+    # end of stripe 0 and start of stripe 2 are neighbours in OST 0's object
+    extents = layout.object_extents(RegionList([(200, 10), (90, 10)]))
+    assert extents[0].as_tuples() == [(90, 20)] and list(extents) == [0]
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_object_extents_cover_exactly_the_mapped_pieces(seed):
+    """The closed form against the stripe-by-stripe map, and the property the
+    lock servers rely on: file ranges overlap iff object extents overlap on
+    some OST."""
+    rng = random.Random(seed)
+    layout = StripeLayout(stripe_size=rng.randint(1, 40),
+                          ost_count=rng.randint(1, 5))
+
+    def draw():
+        return RegionList([(rng.randrange(400), rng.randrange(0, 150))
+                           for _ in range(rng.randint(1, 4))])
+
+    def by_pieces(regions):
+        per_ost = {}
+        for piece in layout.map_regions(regions):
+            per_ost.setdefault(piece.ost_index, []).append(
+                (piece.object_offset, piece.length))
+        return {ost: RegionList(extents).normalized()
+                for ost, extents in per_ost.items()}
+
+    mine, theirs = draw(), draw()
+    extents, other = layout.object_extents(mine), layout.object_extents(theirs)
+    assert extents == by_pieces(mine) and other == by_pieces(theirs)
+    assert mine.overlaps(theirs) == any(
+        extents[ost].overlaps(other[ost]) for ost in extents if ost in other)

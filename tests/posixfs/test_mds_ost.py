@@ -2,9 +2,10 @@
 
 import pytest
 
+from repro.cluster import Cluster
 from repro.errors import FileExists, FileNotFound, FileSystemError
 from repro.posixfs.mds import MetadataServer
-from repro.posixfs.ost import ObjectStore
+from repro.posixfs.ost import ObjectStore, SimOST
 
 
 class TestMetadataServer:
@@ -96,3 +97,44 @@ class TestObjectStore:
         assert store.bytes_read == 2
         assert store.object_count() == 1
         assert store.stored_bytes() == 4
+
+
+class TestSimOST:
+    """The bulk handlers: every range of an access, one disk operation."""
+
+    def setup_method(self):
+        self.cluster = Cluster()
+        self.node = self.cluster.add_node("ost0", role="ost", with_disk=True)
+        self.ost = SimOST(self.node)
+
+    def run(self, generator):
+        return self.cluster.sim.run(
+            stop_event=self.cluster.sim.process(generator))
+
+    def test_write_ranges_is_one_disk_io_of_the_summed_size(self):
+        disk = self.node.disk
+        written = self.run(self.ost.write_ranges(
+            "obj", [(0, b"aaaa"), (100, b"bb"), (50, b"cccccc")]))
+        assert written == 12
+        assert (disk.operations, disk.bytes_transferred) == (1, 12)
+        assert self.cluster.sim.now == pytest.approx(disk.io_time(12))
+        assert self.ost.store.read_range("obj", 48, 10) \
+            == b"\x00\x00cccccc\x00\x00"
+        assert self.ost.store.object_size("obj") == 102
+
+    def test_write_ranges_applies_in_order(self):
+        self.run(self.ost.write_ranges("obj", [(0, b"aaaa"), (2, b"bbbb")]))
+        assert self.ost.store.read_range("obj", 0, 6) == b"aabbbb"
+
+    def test_read_ranges_round_trips_and_zero_fills_past_the_end(self):
+        self.run(self.ost.write_ranges("obj", [(0, b"abcdef"), (10, b"xy")]))
+        disk = self.node.disk
+        before = (disk.operations, disk.bytes_transferred)
+        pieces = self.run(self.ost.read_ranges(
+            "obj", [(10, 2), (0, 3), (4, 8), (11, 4), (40, 2)]))
+        assert pieces == [b"xy", b"abc", b"ef\x00\x00\x00\x00xy",
+                          b"y\x00\x00\x00", b"\x00\x00"]
+        assert (disk.operations - before[0],
+                disk.bytes_transferred - before[1]) == (1, 19)
+        assert self.run(self.ost.read_ranges("missing", [(0, 3)])) \
+            == [b"\x00\x00\x00"]
