@@ -2,75 +2,30 @@
 
 The benchmarks regenerate the paper's tables/figures on a *quick* scale so
 that ``pytest benchmarks/ --benchmark-only`` finishes in minutes; the
-experiment functions accept larger :class:`ExperimentSettings` for the
-full-size runs recorded in EXPERIMENTS.md.  Absolute throughput values are in
+full-size run at the paper's client counts is ``BENCH_paper.json``
+(``python -m repro.bench run paper``).  Absolute throughput values are in
 simulated MiB/s — only the comparative shapes are meaningful, which is what
 the assertions check.
 """
 
 from __future__ import annotations
 
-import cProfile
-import json
-import pstats
-import sys
-from contextlib import contextmanager
 from pathlib import Path
 from typing import Dict, List, Sequence
 
 from repro.bench.experiments import ExperimentSettings
 from repro.cluster import ClusterConfig
 
-#: how many hotspots ``profiled`` prints (sorted by cumulative time)
-PROFILE_TOP = 25
+#: where the ``test_perf_*.py`` suites write their ``BENCH_*.json``
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
-@contextmanager
-def profiled(title: str = "", top: int = PROFILE_TOP, stream=None):
-    """Run the enclosed block under cProfile; print the top hotspots.
-
-    Used by the ``--profile`` pytest option (see ``conftest.py``), which
-    wraps every benchmark — fixtures included — so the module-scoped suite
-    runs show up in the first test of each file.
-    """
-    profiler = cProfile.Profile()
-    profiler.enable()
-    try:
-        yield profiler
-    finally:
-        profiler.disable()
-        out = stream or sys.stdout
-        if title:
-            print(f"\n--- profile: {title} (top {top} by cumulative) ---",
-                  file=out)
-        stats = pstats.Stats(profiler, stream=out)
-        stats.strip_dirs().sort_stats("cumulative").print_stats(top)
-
-
-def artifact_target(path: Path, smoke: bool) -> Path:
-    """Where a suite's artifact lives: ``path`` itself for a full-size run,
-    the git-ignored sibling ``<stem>.smoke.json`` for a smoke run."""
-    return path.with_name(f"{path.stem}.smoke{path.suffix}") if smoke else path
-
-
-def write_artifact(path: Path, artifact: Dict[str, object]) -> Path:
-    """Write a ``BENCH_*.json`` artifact; returns the path written.
-
-    The committed files at the repository root are full-size (``smoke:
-    false``) measurements, so a ``REPRO_BENCH_SMOKE=1`` run must never land
-    on them: smoke output goes to :func:`artifact_target`'s sibling path,
-    and a smoke artifact refuses to replace any file holding ``smoke:
-    false`` (a full-size artifact copied onto the smoke path, say).
-    """
-    smoke = bool(artifact["smoke"])
-    target = artifact_target(path, smoke)
-    if smoke and target.exists() \
-            and not json.loads(target.read_text()).get("smoke", False):
-        raise RuntimeError(
-            f"refusing to replace the full-size artifact {target} "
-            "with a smoke run")
-    target.write_text(json.dumps(artifact, indent=2) + "\n")
-    return target
+def expected_scan_bytes(workload) -> bytes:
+    """What a shared-scan point's ``read_digest`` must equal, whatever the
+    cache configuration (``repro.bench.scan``)."""
+    return b"".join(workload.expected_pieces(client, round_index)
+                    for client in range(workload.num_clients)
+                    for round_index in range(workload.rounds))
 
 
 def quick_settings(client_counts: Sequence[int] = (1, 2, 4, 8)) -> ExperimentSettings:

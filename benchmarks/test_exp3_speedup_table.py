@@ -11,11 +11,16 @@ point and asserts the shape that produces the paper's band:
   (5.4x at perfbench's 32 ranks);
 * every concurrent point shows a clear win, in or below the band: EXP2's
   tiles conflict only within and between adjacent tile rows, and versioning
-  is itself seek-bound there, so tile-IO stays at 1.7x-2.7x on this scale
-  (``benchmarks/README.md`` has the account and the table this replaced).
+  is itself seek-bound there, so tile-IO stays at 1.0x-2.6x on this scale
+  (``benchmarks/README.md`` has the account).
+
+The same rows at the paper's client counts (1-64) are the committed
+``BENCH_paper.json`` (``python -m repro.bench run paper``).
 """
 
-from benchmarks.common import quick_settings
+import json
+
+from benchmarks.common import REPO_ROOT, quick_settings
 from repro.bench.experiments import run_exp3_speedup_table
 from repro.bench.reporting import format_table
 
@@ -45,3 +50,10 @@ def test_exp3_speedup_table(benchmark):
     rising = [row["speedup"] for row in exp1]
     assert all(low < high for low, high in zip(rising, rising[1:]))
     assert 3.5 <= rising[-1] <= 10.0
+
+    # the committed paper-scale artifact records these very rows
+    recorded = {(row["experiment"], row["clients"]): row for row in
+                json.loads((REPO_ROOT / "BENCH_paper.json").read_text())["rows"]}
+    for row in rows:
+        committed = recorded[row["experiment"], row["clients"]]
+        assert {column: committed[column] for column in row} == row

@@ -13,100 +13,35 @@ in-flight fetch coalescing on the contended zero-stagger point.  Records
 every row into ``BENCH_coopcache.json`` at the repository root so future
 PRs can track the perf trajectory.
 
-Set ``REPRO_BENCH_SMOKE=1`` to run the same shapes on a fraction of the
-work (what CI does on every push); a smoke run writes
-``BENCH_coopcache.smoke.json`` and leaves the committed artifact alone.
+The points, columns and settings are the ``coopcache`` entry of
+``repro.bench.suites.SUITES``; ``benchmarks/README.md`` says how to run it
+at either size.
 """
 
 import json
-import os
-import platform
-from dataclasses import replace
-from pathlib import Path
 
 import pytest
 
-from benchmarks.common import artifact_target, write_artifact
-from repro.bench.coopcache import (
-    CoopCacheSettings,
-    run_coop_cache_suite,
-    suite_rows,
-)
-from repro.bench.metrics import coop_rpc_reduction
-from repro.bench.reporting import format_table
-
-ARTIFACT = Path(__file__).resolve().parents[1] / "BENCH_coopcache.json"
-SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
-
-#: both cost models every suite runs under; with the tier *disabled* the
-#: cache counters must be bit-identical across them (zero behaviour change)
-NETWORK_MODELS = ("bottleneck", "queued")
-
-
-def bench_settings(network_model: str = "bottleneck") -> CoopCacheSettings:
-    settings = CoopCacheSettings()
-    settings = settings.scaled_down() if SMOKE else settings
-    return replace(settings, config=replace(settings.config,
-                                            network_model=network_model))
+from benchmarks.common import REPO_ROOT, expected_scan_bytes
+from repro.bench.scan import scan_workload
+from repro.bench.suites import NETWORK_MODELS, run_suite
 
 
 @pytest.fixture(scope="module")
 def suite():
     """Run every point under both network models; emit the JSON artifact."""
-    settings = bench_settings()
-    results = {model: run_coop_cache_suite(bench_settings(model))
-               for model in NETWORK_MODELS}
-    rows = [row for model in NETWORK_MODELS
-            for row in suite_rows(results[model])]
-
-    reductions = {}
-    for model in NETWORK_MODELS:
-        for num_nodes in settings.node_counts:
-            baseline = results[model][f"n{num_nodes}:shared"].sample
-            coop = results[model][f"n{num_nodes}:coop"].sample
-            reductions[f"{model}:n{num_nodes}"] = {
-                "reduction": coop_rpc_reduction(baseline, coop),
-                "num_nodes": num_nodes,
-            }
-
-    artifact = {
-        "suite": "coopcache",
-        "smoke": SMOKE,
-        "python": platform.python_version(),
-        "settings": {
-            "node_counts": list(settings.node_counts),
-            "ranks_per_node": settings.ranks_per_node,
-            "rounds": settings.rounds,
-            "blocks_per_round": settings.blocks_per_round,
-            "block_size": settings.block_size,
-            "num_providers": settings.num_providers,
-            "num_metadata_providers": settings.num_metadata_providers,
-            "chunk_size": settings.chunk_size,
-            "provider_fraction": settings.provider_fraction,
-        },
-        "network_models": list(NETWORK_MODELS),
-        "server_rpc_reduction_vs_shared": reductions,
-        "rows": rows,
-    }
-    write_artifact(ARTIFACT, artifact)
-    print()
-    print(format_table(rows, title="cooperative-cache microbenchmark"))
-    return results
+    return run_suite("coopcache", out_dir=REPO_ROOT)
 
 
 def test_all_points_read_identical_bytes(suite):
     """Every mode, node count and network model returns byte-identical
     scan data — the cooperative tier and fetch coalescing must never
     change results."""
-    settings = bench_settings()
-    for model, results in suite.items():
-        for key, result in results.items():
-            workload = settings.workload(result.sample.num_clients)
-            expected = b"".join(
-                workload.expected_pieces(client, round_index)
-                for client in range(workload.num_clients)
-                for round_index in range(workload.rounds))
-            assert result.read_digest == expected, f"{model}:{key}"
+    for model, points in suite.points.items():
+        for key, point in points.items():
+            expected = expected_scan_bytes(
+                scan_workload(suite.settings, point["clients"]))
+            assert point["read_digest"] == expected, f"{model}:{key}"
 
 
 def test_coop_tier_beats_the_node_local_ideal(suite):
@@ -114,19 +49,18 @@ def test_coop_tier_beats_the_node_local_ideal(suite):
     cooperative tier pushes authoritative shard RPCs per logical read
     strictly below the node-local shared tier (the ``1/ranks_per_node``
     ideal) — under both network models."""
-    settings = bench_settings()
-    multi = [n for n in settings.node_counts if n >= 2]
+    multi = [n for n in suite.settings.node_counts if n >= 2]
     assert multi, "suite must sweep at least one multi-node point"
-    for model, results in suite.items():
+    for model, points in suite.points.items():
         for num_nodes in multi:
-            baseline = results[f"n{num_nodes}:shared"].sample
-            coop = results[f"n{num_nodes}:coop"].sample
-            assert coop.server_rpcs_per_read \
-                < baseline.server_rpcs_per_read, (
+            baseline = points[f"n{num_nodes}:shared"]
+            coop = points[f"n{num_nodes}:coop"]
+            assert coop["server_rpcs_per_read"] \
+                < baseline["server_rpcs_per_read"], (
                     f"{model}:n{num_nodes}: coop "
-                    f"{coop.server_rpcs_per_read:.3f} vs node-local ideal "
-                    f"{baseline.server_rpcs_per_read:.3f}")
-            assert coop.peer_hits > 0, f"{model}:n{num_nodes}"
+                    f"{coop['server_rpcs_per_read']:.3f} vs node-local ideal "
+                    f"{baseline['server_rpcs_per_read']:.3f}")
+            assert coop["peer_hits"] > 0, f"{model}:n{num_nodes}"
 
 
 def test_coop_per_read_cost_falls_with_node_count(suite):
@@ -134,10 +68,9 @@ def test_coop_per_read_cost_falls_with_node_count(suite):
     per-read shard cost keeps *falling* as nodes are added (roughly one
     fetch per tree node cluster-wide), while the node-local tier's stays
     flat — that widening gap is the tier's reason to exist."""
-    settings = bench_settings()
-    for model, results in suite.items():
-        series = [results[f"n{n}:coop"].sample.server_rpcs_per_read
-                  for n in settings.node_counts]
+    for model, points in suite.points.items():
+        series = [points[f"n{n}:coop"]["server_rpcs_per_read"]
+                  for n in suite.settings.node_counts]
         for smaller, larger in zip(series, series[1:]):
             assert larger < smaller, f"{model}: {series}"
 
@@ -147,55 +80,51 @@ def test_disabled_tier_has_zero_footprint(suite):
     counter moves, and every cache counter is bit-identical across the
     two network cost models (the tier being off, nothing timing-sensitive
     is left in the metadata path)."""
-    settings = bench_settings()
-    for model, results in suite.items():
-        for num_nodes in settings.node_counts:
-            sample = results[f"n{num_nodes}:shared"].sample
+    for model, points in suite.points.items():
+        for num_nodes in suite.settings.node_counts:
+            point = points[f"n{num_nodes}:shared"]
             label = f"{model}:n{num_nodes}"
-            assert sample.probe_rpcs == 0, label
-            assert sample.peer_hits == 0, label
-            assert sample.peer_rejections == 0, label
-            assert sample.probe_misses == 0, label
-            assert sample.read_throughs == 0, label
-            assert sample.coalesced_fetches == 0, label
-    for num_nodes in settings.node_counts:
+            for column in ("probe_rpcs", "peer_hits", "peer_rejections",
+                           "probe_misses", "read_throughs",
+                           "coalesced_fetches"):
+                assert point[column] == 0, f"{label}:{column}"
+    for num_nodes in suite.settings.node_counts:
         key = f"n{num_nodes}:shared"
-        bottleneck = suite["bottleneck"][key]
-        queued = suite["queued"][key]
+        bottleneck = suite.points["bottleneck"][key]
+        queued = suite.points["queued"][key]
         for column in ("server_read_rpcs", "client_metadata_rpcs",
                        "private_hits", "shared_hits", "fetched_lookups"):
-            assert getattr(bottleneck.sample, column) \
-                == getattr(queued.sample, column), f"{key}:{column}"
-        assert bottleneck.read_digest == queued.read_digest, key
+            assert bottleneck[column] == queued[column], f"{key}:{column}"
+        assert bottleneck["read_digest"] == queued["read_digest"], key
 
 
 def test_contended_point_coalesces_in_flight_fetches(suite):
     """With a zero stagger every co-located client misses the same keys in
     the same instant; fetch coalescing must fold the simultaneous missers
     onto in-flight fetches instead of issuing duplicates."""
-    for model, results in suite.items():
-        sample = results["contended:coop"].sample
-        assert sample.coalesced_fetches > 0, model
-        assert sample.peer_hits + sample.probe_misses > 0, model
+    for model, points in suite.points.items():
+        point = points["contended:coop"]
+        assert point["coalesced_fetches"] > 0, model
+        assert point["peer_hits"] + point["probe_misses"] > 0, model
 
 
 def test_peer_accounting_is_conserved(suite):
     """Every lookup the peer services served landed on exactly one client
     as an admitted hit or a watermark rejection (the point runner raises
     on violation; this pins the counters into the artifact contract)."""
-    for model, results in suite.items():
-        for key, result in results.items():
-            sample = result.sample
-            if sample.mode != "coop":
+    for model, points in suite.points.items():
+        for key, point in points.items():
+            if point["mode"] != "coop":
                 continue
-            assert result.coop_stats["served_hits"] \
-                == sample.peer_hits + sample.peer_rejections, f"{model}:{key}"
-            assert sample.probe_rpcs > 0 or sample.num_nodes == 1, \
+            assert point["coop_stats"]["served_hits"] \
+                == point["peer_hits"] + point["peer_rejections"], \
+                f"{model}:{key}"
+            assert point["probe_rpcs"] > 0 or point["nodes"] == 1, \
                 f"{model}:{key}"
 
 
 def test_artifact_written_with_populated_columns(suite):
-    artifact = json.loads(artifact_target(ARTIFACT, SMOKE).read_text())
+    artifact = json.loads(suite.path.read_text())
     assert artifact["suite"] == "coopcache"
     assert artifact["rows"]
     assert {row["mode"] for row in artifact["rows"]} == {"shared", "coop"}

@@ -12,108 +12,43 @@ root so future PRs can track the perf trajectory.  Every point runs under
 both network cost models; cache behaviour and bytes must not depend on
 which one shapes the timing.
 
-Set ``REPRO_BENCH_SMOKE=1`` to run the same shapes on a fraction of the
-work (what CI does on every push); a smoke run writes
-``BENCH_sharedcache.smoke.json`` and leaves the committed artifact alone.
+The points, columns and settings are the ``sharedcache`` entry of
+``repro.bench.suites.SUITES``; ``benchmarks/README.md`` says how to run it
+at either size.
 """
 
 import json
-import os
-import platform
-from dataclasses import replace
-from pathlib import Path
 
 import pytest
 
-from benchmarks.common import artifact_target, write_artifact
-from repro.bench.metrics import shared_rpc_reduction
-from repro.bench.reporting import format_table
-from repro.bench.sharedcache import (
-    SharedCacheSettings,
-    run_shared_cache_suite,
-    suite_rows,
-)
-
-ARTIFACT = Path(__file__).resolve().parents[1] / "BENCH_sharedcache.json"
-SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
+from benchmarks.common import REPO_ROOT, expected_scan_bytes
+from repro.bench.metrics import reduction
+from repro.bench.scan import scan_workload
+from repro.bench.suites import NETWORK_MODELS, run_suite
 
 #: acceptance slack: measured reduction vs the ideal ``ranks_per_node``
 #: factor (staggered co-tenants can land exactly on the ideal; the slack
 #: only guards against harmless bookkeeping shifts below it)
 MIN_FRACTION_OF_IDEAL = 0.8
 
-#: both cost models every suite runs under (the acceptance rows are
-#: re-reported under "queued"; cache behaviour must not depend on the model)
-NETWORK_MODELS = ("bottleneck", "queued")
-
-
-def bench_settings(network_model: str = "bottleneck") -> SharedCacheSettings:
-    settings = SharedCacheSettings()
-    settings = settings.scaled_down() if SMOKE else settings
-    return replace(settings, config=replace(settings.config,
-                                            network_model=network_model))
-
 
 @pytest.fixture(scope="module")
 def suite():
     """Run every point under both network models; emit the JSON artifact."""
-    settings = bench_settings()
-    results = {model: run_shared_cache_suite(bench_settings(model))
-               for model in NETWORK_MODELS}
-    rows = [row for model in NETWORK_MODELS
-            for row in suite_rows(results[model])]
-
-    reductions = {}
-    for model in NETWORK_MODELS:
-        baseline = results[model]["identical:private"].sample
-        for key, result in results[model].items():
-            if key.startswith("identical:shared"):
-                reductions[f"{model}:{key}"] = {
-                    "reduction": shared_rpc_reduction(baseline, result.sample),
-                    "ideal": settings.ranks_per_node,
-                }
-
-    artifact = {
-        "suite": "sharedcache",
-        "smoke": SMOKE,
-        "python": platform.python_version(),
-        "settings": {
-            "num_clients": settings.num_clients,
-            "ranks_per_node": settings.ranks_per_node,
-            "rounds": settings.rounds,
-            "blocks_per_round": settings.blocks_per_round,
-            "block_size": settings.block_size,
-            "num_providers": settings.num_providers,
-            "num_metadata_providers": settings.num_metadata_providers,
-            "chunk_size": settings.chunk_size,
-            "capacity_sweep": list(settings.capacity_sweep),
-            "policies": list(settings.policies),
-        },
-        "network_models": list(NETWORK_MODELS),
-        "metadata_rpc_reduction_vs_private": reductions,
-        "rows": rows,
-    }
-    write_artifact(ARTIFACT, artifact)
-    print()
-    print(format_table(rows, title="shared-cache microbenchmark"))
-    return results
+    return run_suite("sharedcache", out_dir=REPO_ROOT)
 
 
 def test_all_modes_read_identical_bytes(suite):
     """Every cache configuration of one pattern returns byte-identical
     scan data — sharing, eviction and the network model must never change
     results."""
-    settings = bench_settings()
     for pattern in ("identical", "streaming"):
-        workload = settings.workload(pattern)
-        expected = b"".join(
-            workload.expected_pieces(client, round_index)
-            for client in range(settings.num_clients)
-            for round_index in range(workload.rounds))
-        for model, results in suite.items():
-            for key, result in results.items():
-                if result.sample.pattern == pattern:
-                    assert result.read_digest == expected, f"{model}:{key}"
+        expected = expected_scan_bytes(scan_workload(
+            suite.settings, suite.settings.num_clients, pattern))
+        for model, points in suite.points.items():
+            for key, point in points.items():
+                if point["pattern"] == pattern:
+                    assert point["read_digest"] == expected, f"{model}:{key}"
 
 
 def test_shared_tier_beats_the_private_baseline(suite):
@@ -121,47 +56,48 @@ def test_shared_tier_beats_the_private_baseline(suite):
     RPCs per logical read drop strictly below the private baseline and
     approach ``1 / ranks_per_node`` on identical extents — under both
     network models."""
-    settings = bench_settings()
-    for model, results in suite.items():
-        baseline = results["identical:private"].sample
-        shared = results["identical:shared-lru"].sample
-        assert shared.rpcs_per_read < baseline.rpcs_per_read, model
-        reduction = shared_rpc_reduction(baseline, shared)
-        assert reduction >= MIN_FRACTION_OF_IDEAL * settings.ranks_per_node, (
-            f"{model}: only {reduction:.2f}x fewer metadata RPCs per read "
-            f"(placement factor {settings.ranks_per_node})")
+    ranks_per_node = suite.settings.ranks_per_node
+    for model, points in suite.points.items():
+        baseline = points["identical:private"]
+        shared = points["identical:shared-lru"]
+        assert shared["rpcs_per_read"] < baseline["rpcs_per_read"], model
+        ratio = reduction(baseline, shared, "rpcs_per_read")
+        assert ratio >= MIN_FRACTION_OF_IDEAL * ranks_per_node, (
+            f"{model}: only {ratio:.2f}x fewer metadata RPCs per read "
+            f"(placement factor {ranks_per_node})")
 
 
 def test_prefetch_cuts_round_trips_and_reports_the_trade(suite):
     """Speculative child prefetch reduces tree-walk RPCs further and the
     extra shipped nodes (its cost) are visible in the artifact."""
-    for model, results in suite.items():
+    for model, points in suite.points.items():
         for base_key, prefetch_key in (
                 ("identical:private", "identical:private+prefetch"),
                 ("identical:shared-lru", "identical:shared-lru+prefetch")):
-            base = results[base_key].sample
-            prefetched = results[prefetch_key].sample
-            assert prefetched.metadata_rpcs < base.metadata_rpcs, \
+            base = points[base_key]
+            prefetched = points[prefetch_key]
+            assert prefetched["metadata_rpcs"] < base["metadata_rpcs"], \
                 f"{model}:{prefetch_key}"
-            assert prefetched.prefetched_nodes > 0, f"{model}:{prefetch_key}"
-            assert base.prefetched_nodes == 0, f"{model}:{base_key}"
+            assert prefetched["prefetched_nodes"] > 0, \
+                f"{model}:{prefetch_key}"
+            assert base["prefetched_nodes"] == 0, f"{model}:{base_key}"
 
 
 def test_level_pinning_beats_plain_lru_at_equal_capacity(suite):
     """The policy sweep's point: on the streaming pattern under a bounded
     shared tier, pinning the top tree levels must win (fewer fetch RPCs)
     against plain LRU at at least one capacity point."""
-    settings = bench_settings()
-    level_policy = next(policy for policy in settings.policies
+    level_policy = next(policy for policy in suite.settings.policies
                         if policy.startswith("level"))
-    for model, results in suite.items():
+    for model, points in suite.points.items():
         wins = []
-        for capacity in settings.capacity_sweep:
-            lru = results[f"streaming@{capacity}:lru"].sample
-            level = results[f"streaming@{capacity}:{level_policy}"].sample
-            wins.append(level.metadata_rpcs < lru.metadata_rpcs)
+        for capacity in suite.settings.capacity_sweep:
+            lru = points[f"streaming@{capacity}:lru"]
+            level = points[f"streaming@{capacity}:{level_policy}"]
+            wins.append(level["metadata_rpcs"] < lru["metadata_rpcs"])
             # pinning must show up as fewer evictions of reused entries
-            assert level.shared_hits >= lru.shared_hits, f"{model}@{capacity}"
+            assert level["shared_hits"] >= lru["shared_hits"], \
+                f"{model}@{capacity}"
         assert any(wins), \
             f"{model}: level-aware policy never beat LRU in the sweep"
 
@@ -172,36 +108,34 @@ def test_lookup_partition_is_exact(suite):
     partition is built from: every lookup the private tier served or
     missed is accounted, and the shared services saw exactly the lookups
     that fell through the private tier."""
-    for model, results in suite.items():
-        for key, result in results.items():
-            sample = result.sample
+    for model, points in suite.points.items():
+        for key, point in points.items():
             label = f"{model}:{key}"
-            if sample.mode.startswith("private"):
-                assert result.private_tier_lookups == sample.lookups, label
-                assert result.shared_tier_lookups == 0, label
-                assert sample.shared_hits == 0, label
-            elif sample.private_hits or "-only" not in sample.mode:
-                assert result.private_tier_lookups == sample.lookups, label
-                assert result.shared_tier_lookups \
-                    == sample.shared_hits + sample.fetched_lookups, label
+            if point["mode"].startswith("private"):
+                assert point["private_tier_lookups"] == point["lookups"], label
+                assert point["shared_tier_lookups"] == 0, label
+                assert point["shared_hits"] == 0, label
+            elif point["private_hits"] or "-only" not in point["mode"]:
+                assert point["private_tier_lookups"] == point["lookups"], label
+                assert point["shared_tier_lookups"] \
+                    == point["shared_hits"] + point["fetched_lookups"], label
             else:
                 # policy-sweep modes run without a private tier: the shared
                 # services saw every lookup
-                assert result.private_tier_lookups == 0, label
-                assert result.shared_tier_lookups == sample.lookups, label
-            assert sample.fetched_lookups > 0, label
+                assert point["private_tier_lookups"] == 0, label
+                assert point["shared_tier_lookups"] == point["lookups"], label
+            assert point["fetched_lookups"] > 0, label
 
 
 def test_co_located_first_toucher_pays_most_fetches(suite):
     """Placement sanity: in the shared mode the node's stagger-first client
     fetches; later co-tenants ride the shared tier (strictly fewer RPCs
     than the baseline's per-client spend)."""
-    settings = bench_settings()
-    density = settings.ranks_per_node
-    for model, results in suite.items():
-        baseline = results["identical:private"].per_client_rpcs
-        shared = results["identical:shared-lru"].per_client_rpcs
-        for index in range(settings.num_clients):
+    density = suite.settings.ranks_per_node
+    for model, points in suite.points.items():
+        baseline = points["identical:private"]["per_client_rpcs"]
+        shared = points["identical:shared-lru"]["per_client_rpcs"]
+        for index in range(suite.settings.num_clients):
             if index % density:
                 # a co-tenant that never starts first on its node
                 assert shared[index] < baseline[index], f"{model}:{index}"
@@ -211,18 +145,17 @@ def test_cache_behaviour_does_not_depend_on_the_network_model(suite):
     """Hit/miss/fetch/eviction counters are a function of the access
     pattern and the cache configuration, not of the cost model that
     schedules the RPCs underneath them."""
-    for key, bottleneck in suite["bottleneck"].items():
-        queued = suite["queued"][key]
+    for key, bottleneck in suite.points["bottleneck"].items():
+        queued = suite.points["queued"][key]
         for column in ("metadata_rpcs", "latest_rpcs", "private_hits",
                        "shared_hits", "fetched_lookups", "shared_evictions",
                        "prefetched_nodes"):
-            assert getattr(bottleneck.sample, column) \
-                == getattr(queued.sample, column), f"{key}:{column}"
-        assert bottleneck.read_digest == queued.read_digest, key
+            assert bottleneck[column] == queued[column], f"{key}:{column}"
+        assert bottleneck["read_digest"] == queued["read_digest"], key
 
 
 def test_artifact_written_with_populated_columns(suite):
-    artifact = json.loads(artifact_target(ARTIFACT, SMOKE).read_text())
+    artifact = json.loads(suite.path.read_text())
     assert artifact["suite"] == "sharedcache"
     assert artifact["rows"]
     modes = {row["mode"] for row in artifact["rows"]}

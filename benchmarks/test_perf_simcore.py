@@ -15,33 +15,25 @@ on the same host/python via a git worktree; see
 re-measure it live instead — the acceptance assertion applies whenever the
 headline point matches the reference workload (i.e. in full mode).
 
-Set ``REPRO_BENCH_SMOKE=1`` to run the same shapes on a fraction of the
-work (what CI does on every push); a smoke run writes
-``BENCH_simcore.smoke.json`` and leaves the committed artifact alone.
+The points and settings are the ``simcore`` entry of
+``repro.bench.suites.SUITES``; ``benchmarks/README.md`` says how to run it
+at either size (smoke mode records but does not gate the wall-clock
+criteria — it runs a different shape).
 """
 
 import json
 import os
-import platform
 import subprocess
 import sys
-from dataclasses import asdict
-from pathlib import Path
 
 import pytest
 
-from benchmarks.common import artifact_target, write_artifact
-from repro.bench.reporting import format_table
-from repro.bench.simcore import (
-    SEED_REFERENCE,
-    SimcoreSettings,
-    run_collective_io_point,
-    run_simcore_suite,
-)
+from benchmarks.common import REPO_ROOT
+from repro.bench.simcore import SEED_REFERENCE, run_collective_io_point
+from repro.bench.suites import run_suite
 from repro.cluster.config import ClusterConfig
 
-ARTIFACT = Path(__file__).resolve().parents[1] / "BENCH_simcore.json"
-SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
+ARTIFACT = REPO_ROOT / "BENCH_simcore.json"
 
 #: acceptance floor on the headline speedup vs the seed engine
 MIN_SPEEDUP_VS_SEED = 5.0
@@ -84,7 +76,7 @@ print(json.dumps({"wall_clock_s": min(walls)}))
 """
 
 
-def _live_baseline_wall(settings: SimcoreSettings):
+def _live_baseline_wall(settings):
     """Same-host pre-observability headline, or None when unset."""
     baseline_src = os.environ.get("REPRO_BENCH_BASELINE_SRC")
     if not baseline_src:
@@ -121,106 +113,82 @@ def _prior_headline_wall() -> float:
 _PRIOR_HEADLINE_WALL = _prior_headline_wall()
 
 
-def bench_settings() -> SimcoreSettings:
-    settings = SimcoreSettings()
-    return settings.scaled_down() if SMOKE else settings
-
-
 @pytest.fixture(scope="module")
 def suite():
     """Run every point on identical settings; emit the JSON artifact."""
-    settings = bench_settings()
-    results = run_simcore_suite(settings)
+    return run_suite("simcore", out_dir=REPO_ROOT)
 
-    artifact = {
-        "suite": "simcore",
-        "smoke": SMOKE,
-        "python": platform.python_version(),
-        "settings": asdict(settings),
-        "seed_reference": results["seed_reference"],
-        "speedup_vs_seed": results["speedup_vs_seed"],
-        "digests_identical_across_network_models":
-            results["digests_identical_across_network_models"],
-        "tracing_overhead_pct": results["tracing_overhead_pct"],
-        "tracing_invariant": results["tracing_invariant"],
-        "rows": results["rows"],
-    }
-    write_artifact(ARTIFACT, artifact)
-    print()
-    print(format_table(
-        results["rows"],
-        columns=["label", "kind", "num_ranks", "network_model", "engine",
-                 "wall_clock_s", "processed_events", "events_per_sec"],
-        title="simulator-core benchmark"))
-    return results
+
+@pytest.fixture(scope="module")
+def rows(suite):
+    """The suite's rows by label."""
+    return suite.points["bottleneck"]
 
 
 def test_headline_beats_seed_by_5x(suite):
     """The acceptance criterion: >=5x wall-clock on the 64-client collective
     sweep vs the seed scheduler.  Only enforceable when the headline point
     matches the reference workload — smoke mode records but does not gate."""
-    if SMOKE:
-        assert suite["speedup_vs_seed"] is None or suite["speedup_vs_seed"] > 0
+    speedup = suite.artifact["speedup_vs_seed"]
+    if suite.smoke:
+        assert speedup is None or speedup > 0
         return
-    assert suite["speedup_vs_seed"] is not None
-    assert suite["speedup_vs_seed"] >= MIN_SPEEDUP_VS_SEED, (
-        f"headline point only {suite['speedup_vs_seed']:.2f}x faster than the "
-        f"seed reference ({suite['seed_reference']['wall_clock_s_used']} s)")
+    assert speedup is not None
+    assert speedup >= MIN_SPEEDUP_VS_SEED, (
+        f"headline point only {speedup:.2f}x faster than the seed reference "
+        f"({suite.artifact['seed_reference']['wall_clock_s_used']} s)")
 
 
-def test_smoke_point_completes(suite):
+def test_smoke_point_completes(suite, rows):
     """The largest queued-model point ran to completion with sane counters."""
-    settings = bench_settings()
-    scale_rows = [row for row in suite["rows"]
+    scale_rows = [row for label, row in rows.items()
                   if row["kind"] == "collective_io"
-                  and row["label"].startswith("scale-")]
+                  and label.startswith("scale-")]
     largest = max(scale_rows, key=lambda row: row["num_ranks"])
-    assert largest["num_ranks"] == settings.smoke_point[0]
+    assert largest["num_ranks"] == suite.settings.smoke_point[0]
     assert largest["network_model"] == "queued"
     assert largest["processed_events"] > largest["num_ranks"]
     assert largest["wall_clock_s"] > 0
     assert largest["events_per_sec"] > 0
 
 
-def test_network_models_move_identical_bytes(suite):
+def test_network_models_move_identical_bytes(suite, rows):
     """Same workload under bottleneck and queued leaves identical file
     contents — the cost model changes timing, never data."""
-    assert suite["digests_identical_across_network_models"]
-    by_label = {row["label"]: row for row in suite["rows"]}
-    assert by_label["headline"]["read_digest"] \
-        == by_label["headline-queued"]["read_digest"]
+    assert suite.artifact["digests_identical_across_network_models"]
+    assert rows["headline"]["read_digest"] \
+        == rows["headline-queued"]["read_digest"]
     # ...and the queued run simulates a different (not smaller) timeline
-    assert by_label["headline-queued"]["sim_elapsed_s"] > 0
+    assert rows["headline-queued"]["sim_elapsed_s"] > 0
 
 
-def test_legacy_profile_recorded(suite):
+def test_legacy_profile_recorded(rows):
     """The in-tree legacy engine row exists for trajectory tracking and
     moved the same bytes as the fast profile."""
-    by_label = {row["label"]: row for row in suite["rows"]}
-    legacy = by_label["headline-legacy-heapq"]
+    legacy = rows["headline-legacy-heapq"]
     assert legacy["engine"] == "legacy"
-    assert legacy["read_digest"] == by_label["headline"]["read_digest"]
+    assert legacy["read_digest"] == rows["headline"]["read_digest"]
 
 
-def test_tracing_perturbs_nothing_and_overhead_recorded(suite):
+def test_tracing_perturbs_nothing_and_overhead_recorded(suite, rows):
     """The traced headline replays the identical simulation — same bytes,
     same timeline, same event count, same metrics snapshot — and its
     wall-clock overhead lands in the artifact."""
-    assert suite["tracing_invariant"], (
+    assert suite.artifact["tracing_invariant"], (
         "tracing changed the simulation outcome (digest, timeline, event "
         "count or metrics differ between headline and headline-traced)")
-    by_label = {row["label"]: row for row in suite["rows"]}
-    assert by_label["headline"]["tracing"] is False
-    assert by_label["headline-traced"]["tracing"] is True
-    assert suite["tracing_overhead_pct"] is not None
-    artifact = json.loads(artifact_target(ARTIFACT, SMOKE).read_text())
-    assert artifact["tracing_overhead_pct"] == suite["tracing_overhead_pct"]
+    assert rows["headline"]["tracing"] is False
+    assert rows["headline-traced"]["tracing"] is True
+    assert suite.artifact["tracing_overhead_pct"] is not None
+    artifact = json.loads(suite.path.read_text())
+    assert artifact["tracing_overhead_pct"] \
+        == suite.artifact["tracing_overhead_pct"]
 
 
-def test_metrics_snapshot_embedded_in_rows(suite):
+def test_metrics_snapshot_embedded_in_rows(rows):
     """Every collective I/O row carries the unified registry snapshot with
     its partition identities already asserted at collection time."""
-    for row in suite["rows"]:
+    for row in rows.values():
         if row["kind"] != "collective_io":
             continue
         metrics = row["metrics"]
@@ -232,20 +200,17 @@ def test_metrics_snapshot_embedded_in_rows(suite):
         assert metrics["net.bytes"] > 0
 
 
-def test_traced_row_carries_exact_critical_path_breakdown(suite):
+def test_traced_row_carries_exact_critical_path_breakdown(suite, rows):
     """The traced headline embeds the per-operation critical-path report,
     and the six layers sum exactly to each operation's end-to-end time."""
     import math
 
-    traced = next(row for row in suite["rows"]
-                  if row["label"] == "headline-traced")
-    report = traced["critpath"]
+    report = rows["headline-traced"]["critpath"]
     assert report["layers"] == ["client_compute", "deferred_complete_overlap",
                                 "rpc_queueing", "link_transfer",
                                 "shard_service", "coalesce_park"]
     ops = report["operations"]
-    settings = bench_settings()
-    assert ops["file.write_at_all"]["count"] == settings.num_ranks
+    assert ops["file.write_at_all"]["count"] == suite.settings.num_ranks
     for name, entry in ops.items():
         assert math.isclose(entry["attributed_s"], entry["end_to_end_s"],
                             rel_tol=1e-9, abs_tol=1e-12), name
@@ -253,15 +218,13 @@ def test_traced_row_carries_exact_critical_path_breakdown(suite):
                             entry["attributed_s"],
                             rel_tol=1e-9, abs_tol=1e-12), name
     # untraced rows carry no critpath key at all
-    headline = next(row for row in suite["rows"]
-                    if row["label"] == "headline")
-    assert "critpath" not in headline
+    assert "critpath" not in rows["headline"]
 
 
-def test_latency_digest_columns_in_rows_and_metrics(suite):
+def test_latency_digest_columns_in_rows_and_metrics(rows):
     """Collective I/O rows promote the RPC latency digest to flat columns
     and embed the full digest catalog in the metrics snapshot."""
-    for row in suite["rows"]:
+    for row in rows.values():
         if row["kind"] != "collective_io":
             continue
         assert row["rpc_latency_count"] > 0, row["label"]
@@ -274,7 +237,7 @@ def test_latency_digest_columns_in_rows_and_metrics(suite):
                    for key in metrics), row["label"]
 
 
-def test_tracing_disabled_wall_clock_within_budget(suite):
+def test_tracing_disabled_wall_clock_within_budget(suite, rows):
     """Overhead guard: the tracing-disabled headline must stay within 2%
     of the pre-observability baseline.  The strict budget needs a
     same-host baseline — set ``REPRO_BENCH_BASELINE_SRC`` to the ``src``
@@ -283,12 +246,11 @@ def test_tracing_disabled_wall_clock_within_budget(suite):
     ``HOST_DRIFT_ALLOWANCE``).  Wall-clock is noisy, so a miss
     re-measures (min of retries) before failing; smoke mode runs a
     different shape and records without gating."""
-    headline = next(row for row in suite["rows"]
-                    if row["label"] == "headline")
+    headline = rows["headline"]
     assert headline["wall_clock_s"] > 0
-    if SMOKE:
+    if suite.smoke:
         return
-    settings = bench_settings()
+    settings = suite.settings
     live = _live_baseline_wall(settings)
     if live is not None:
         budget = live * TRACING_DISABLED_BUDGET
@@ -317,7 +279,7 @@ def test_tracing_disabled_wall_clock_within_budget(suite):
 
 
 def test_artifact_written_with_populated_columns(suite):
-    artifact = json.loads(artifact_target(ARTIFACT, SMOKE).read_text())
+    artifact = json.loads(suite.path.read_text())
     assert artifact["suite"] == "simcore"
     assert artifact["seed_reference"]["commit"] == SEED_REFERENCE["commit"]
     labels = {row["label"] for row in artifact["rows"]}

@@ -1,6 +1,7 @@
 """Command-line entry point for the experiment harness.
 
-Run any experiment of EXPERIMENTS.md from the shell::
+Run any of the paper's experiments (``benchmarks/README.md``) from the
+shell::
 
     python -m repro.bench exp1 --clients 1,2,4,8 --storage-nodes 8
     python -m repro.bench exp2 --clients 4,16
@@ -11,7 +12,12 @@ Run any experiment of EXPERIMENTS.md from the shell::
     python -m repro.bench fut1 --producers 4 --consumers 2
     python -m repro.bench all
 
-The tables are printed in the same format EXPERIMENTS.md uses.
+``run`` regenerates the perf-suite artifacts — every entry of
+:data:`repro.bench.suites.SUITES`, ``BENCH_paper.json`` (the experiments
+above at the paper's client counts) included::
+
+    python -m repro.bench run all              # full size: BENCH_<suite>.json
+    python -m repro.bench run simcore --smoke  # BENCH_simcore.smoke.json
 
 ``trace`` is the observability entry point — it runs one traced
 collective I/O job and dumps a Perfetto-loadable Chrome trace::
@@ -22,6 +28,7 @@ collective I/O job and dumps a Perfetto-loadable Chrome trace::
 from __future__ import annotations
 
 import argparse
+import json
 from typing import List, Sequence
 
 from repro.bench.experiments import (
@@ -36,6 +43,7 @@ from repro.bench.experiments import (
 )
 from repro.bench.producer_consumer import run_fut1_producer_consumer
 from repro.bench.reporting import format_table
+from repro.bench.suites import SUITES, run_suite
 from repro.bench.tracecmd import add_trace_arguments, run_trace
 
 
@@ -51,9 +59,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("experiment",
                         choices=["exp1", "exp1b", "exp2", "exp3",
                                  "abl1", "abl2", "abl3", "fut1", "all",
-                                 "trace"],
+                                 "trace", "run"],
                         help="which experiment to run ('trace' exports a "
-                             "Chrome trace of one collective I/O job)")
+                             "Chrome trace of one collective I/O job, 'run' "
+                             "writes perf-suite artifacts)")
+    parser.add_argument("suites", nargs="*", metavar="SUITE",
+                        help="with 'run': perf suites to regenerate, or "
+                             f"'all' (choose from {', '.join(SUITES)})")
+    parser.add_argument("--smoke", action="store_true",
+                        help="with 'run': the scaled-down suites, written "
+                             "to BENCH_<suite>.smoke.json (also: "
+                             "REPRO_BENCH_SMOKE=1)")
     parser.add_argument("--clients", type=_int_list, default=[1, 2, 4, 8],
                         help="comma-separated client counts (default: 1,2,4,8)")
     parser.add_argument("--storage-nodes", type=int, default=8,
@@ -125,11 +141,36 @@ def run_experiment(name: str, args: argparse.Namespace) -> List[str]:
     return tables
 
 
+def run_suites(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+    """``run``: regenerate the named suites' artifacts under ``--out``."""
+    names = list(SUITES) if args.suites in ([], ["all"]) else args.suites
+    unknown = [name for name in names if name not in SUITES]
+    if unknown:
+        parser.error(f"unknown suite(s) {unknown}; choose from {list(SUITES)}")
+    for name in names:
+        run = run_suite(name, smoke=args.smoke or None,
+                        out_dir=args.out or ".")
+        rows = run.artifact["rows"]
+        print(format_table(
+            rows, title=f"{run.path} — {SUITES[name].title}",
+            columns=[column for column, value in rows[0].items()
+                     if not isinstance(value, (dict, list))]))
+        for key, value in run.artifact.items():
+            if key not in ("suite", "smoke", "python", "settings",
+                           "network_models", "rows"):
+                print(f"{key}: {json.dumps(value)}")
+        print()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.experiment == "trace":
         run_trace(args)
+        return 0
+    if args.experiment == "run":
+        run_suites(args, parser)
         return 0
     for table in run_experiment(args.experiment, args):
         print(table)

@@ -1,37 +1,45 @@
-"""Collective-write microbenchmark: control RPCs per write vs aggregation.
+"""The measured jobs of the collective-write and collective-read suites.
 
-A :class:`~repro.workloads.collective_checkpoint.CollectiveCheckpointWorkload`
-(per-round collective dumps of interleaved blocks, each round made durable
-with a ``sync``) runs as a real MPI job through the versioning ADIO driver
-in two families of modes:
+Both run a real MPI job through the versioning ADIO driver, once per
+``(rank count, aggregation)`` point (the ``collective`` and
+``collective_read`` entries of :data:`repro.bench.suites.SUITES` explain
+the modes), timed between two barriers:
 
-* ``independent`` — the per-rank coalesced baseline (PR 2): every rank's
-  ``write_at_all`` stages its own vector and the round's ``sync`` commits
-  one snapshot batch *per rank* — ``N`` version tickets, ``N`` metadata
-  builds per round;
-* ``collective-a<A>`` — two-phase collective buffering with ``A``
-  aggregators: the ranks exchange their blocks over the compute
-  interconnect and the round commits as ``A`` stripe batches, so the
-  control traffic per logical write drops by ~``N/A`` (the aggregation
-  factor) while non-aggregator ranks touch the storage control plane zero
-  times.
+* **write** — a
+  :class:`~repro.workloads.collective_checkpoint.CollectiveCheckpointWorkload`:
+  per-round collective dumps of interleaved blocks, each round made durable
+  with a ``sync``.  ``control_rpcs``/``metadata_put_rpcs`` aggregate the
+  write-side control traffic of *all* ranks' clients and ``logical_writes``
+  counts the application-issued collective writes (one per rank per round),
+  so ``control_rpcs_per_write`` compares across aggregation factors.
+* **read** — a :class:`~repro.workloads.collective_read.CollectiveReadWorkload`:
+  per-round collective scans of a sparse dump a seeder published ahead of
+  the job.  ``metadata_rpcs`` and ``latest_rpcs`` are normalized per
+  *logical* read (one per rank per round, however many of them one
+  resolver's stripe walk served); ``plan_nodes_absorbed`` counts cache
+  entries the ranks warmed from broadcast plans, ``plan_nodes_elided`` the
+  entries not re-shipped because an earlier collective had already sent
+  them to the whole group, ``hole_bytes_elided`` the never-written bytes
+  shipped as compact hole descriptors instead of literal zeros.  After the
+  collective rounds every rank issues one *independent* re-read of its
+  first-round blocks: with the broadcast plan absorbed and the refreshed
+  read hint, the collective modes answer it at zero metadata RPCs — the
+  cache-warming signal the ``post_*`` columns record.
 
-Every point records control RPCs per logical write, snapshots, exchange
-traffic, simulated write-phase seconds and host wall-clock into
-``BENCH_collective.json`` (via ``benchmarks/test_perf_collective.py``);
-all modes of one rank count must read back byte-identical file contents,
-which the perf suite asserts.
+``exchange_bytes`` is the MPI-side two-phase traffic the aggregation spends
+instead of control RPCs — it moves over the compute interconnect, not the
+storage control plane, and is reported so the trade is visible.  All modes
+of one rank count must move byte-identical data, which the perf suites
+assert from each point's ``read_digest``.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
-from repro.bench.metrics import CollectiveSample
-from repro.blobseer.deployment import BlobSeerDeployment
-from repro.cluster import Cluster, ClusterConfig
+from repro.bench.harness import deploy, seed_blob
+from repro.bench.metrics import per
 from repro.errors import BenchmarkError
 from repro.mpi.datatypes import BYTE, Indexed
 from repro.mpi.launcher import run_mpi_job
@@ -40,183 +48,232 @@ from repro.mpiio.file import File
 from repro.obs.digest import digest_columns
 from repro.vstore.client import VectoredClient
 from repro.workloads.collective_checkpoint import CollectiveCheckpointWorkload
-
-PATH = "/checkpoint"
-
-
-@dataclass
-class CollectiveSettings:
-    """Workload and deployment knobs of the collective benchmark."""
-
-    rank_counts: Tuple[int, ...] = (4, 8)
-    #: aggregator counts tried per rank count (clamped to the rank count;
-    #: duplicates after clamping are dropped)
-    aggregator_counts: Tuple[int, ...] = (1, 2, 4)
-    rounds: int = 3
-    blocks_per_rank: int = 4
-    block_size: int = 8 * 1024
-    num_providers: int = 4
-    num_metadata_providers: int = 2
-    chunk_size: int = 16 * 1024
-    config: ClusterConfig = field(default_factory=ClusterConfig)
-    seed: int = 0
-
-    def scaled_down(self) -> "CollectiveSettings":
-        """Smoke-mode variant for CI: same shape, a fraction of the work."""
-        return replace(
-            self,
-            rank_counts=(4,),
-            aggregator_counts=(1, 2),
-            rounds=2,
-            blocks_per_rank=2,
-            block_size=2048,
-            num_providers=2,
-            chunk_size=4096,
-        )
-
-    def workload(self, num_ranks: int) -> CollectiveCheckpointWorkload:
-        """The checkpoint workload for one rank count."""
-        return CollectiveCheckpointWorkload(
-            num_ranks=num_ranks,
-            rounds=self.rounds,
-            blocks_per_rank=self.blocks_per_rank,
-            block_size=self.block_size,
-        )
+from repro.workloads.collective_read import CollectiveReadWorkload
 
 
-@dataclass
-class CollectiveResult:
-    """Sample plus the read-back bytes (for cross-mode equality checks)."""
-
-    sample: CollectiveSample
-    read_digest: bytes
-
-
-def _mode_name(num_aggregators: Optional[int]) -> str:
-    return ("independent" if num_aggregators is None
-            else f"collective-a{num_aggregators}")
+def checkpoint_workload(settings, num_ranks: int
+                        ) -> CollectiveCheckpointWorkload:
+    """The collective-write suite's workload for one rank count."""
+    return CollectiveCheckpointWorkload(
+        num_ranks=num_ranks,
+        rounds=settings.rounds,
+        blocks_per_rank=settings.blocks_per_rank,
+        block_size=settings.block_size,
+    )
 
 
-def run_collective_point(num_ranks: int,
-                         num_aggregators: Optional[int],
-                         settings: Optional[CollectiveSettings] = None,
-                         ) -> CollectiveResult:
-    """Run the checkpoint workload once: ``None`` aggregators = baseline."""
-    settings = settings or CollectiveSettings()
+def scan_workload(settings, num_ranks: int) -> CollectiveReadWorkload:
+    """The collective-read suite's workload for one rank count."""
+    return CollectiveReadWorkload(
+        num_ranks=num_ranks,
+        rounds=settings.rounds,
+        blocks_per_rank=settings.blocks_per_rank,
+        block_size=settings.block_size,
+        halo_blocks=settings.halo_blocks,
+        hole_every=settings.hole_every,
+    )
+
+
+def _set_indexed_view(handle, pairs) -> None:
+    """View the file as the ``(offset, length)`` pairs, in order."""
+    handle.set_view(0, BYTE, Indexed([length for _offset, length in pairs],
+                                     [offset for offset, _length in pairs],
+                                     base=BYTE))
+
+
+def _run_timed_job(cluster, deployment, prefix: str, path: str,
+                   num_ranks: int, aggregators: Optional[int], file_size: int,
+                   body, **driver_options):
+    """Run ``body`` on every rank of one MPI job, between two barriers.
+
+    Each rank builds its own :class:`VersioningDriver` (``aggregators=None``
+    is the independent baseline), opens ``path`` collectively and runs
+    ``body(ctx, handle, driver, stop_clock)``; the measured window of a rank
+    runs from the opening barrier to its ``stop_clock()`` call.  Returns the
+    drivers by rank, the job's communicator, the simulated seconds between
+    the first rank's start and the last rank's stop, and the ranks' results.
+    """
     if num_ranks <= 0:
         raise BenchmarkError("num_ranks must be positive")
-    if num_aggregators is not None \
-            and not 1 <= num_aggregators <= num_ranks:
+    if aggregators is not None and not 1 <= aggregators <= num_ranks:
         raise BenchmarkError(
-            f"aggregators must be in 1..{num_ranks}, got {num_aggregators}")
-    wall_started = time.perf_counter()
-
-    # latency digests ride in every point so the artifact carries RPC
-    # percentile columns alongside the counter columns
-    cluster = Cluster(config=settings.config.copy(latency_digests=True),
-                      seed=settings.seed)
-    deployment = BlobSeerDeployment(
-        cluster,
-        num_providers=settings.num_providers,
-        num_metadata_providers=settings.num_metadata_providers,
-        chunk_size=settings.chunk_size,
-        node_prefix="cb",
-    )
-    workload = settings.workload(num_ranks)
+            f"aggregators must be in 1..{num_ranks}, got {aggregators}")
     drivers: Dict[int, VersioningDriver] = {}
-    write_spans: Dict[int, Tuple[float, float]] = {}
+    spans: Dict[int, Tuple[float, float]] = {}
     comms = []
 
     def rank_main(ctx):
         driver = VersioningDriver(
-            deployment, ctx.node, rank_name=f"cb{ctx.rank}",
+            deployment, ctx.node, rank_name=f"{prefix}{ctx.rank}",
             write_coalescing=True,
-            collective_buffering=num_aggregators is not None,
-            collective_aggregators=num_aggregators)
+            collective_buffering=aggregators is not None,
+            collective_aggregators=aggregators, **driver_options)
         drivers[ctx.rank] = driver
         if ctx.rank == 0:
             comms.append(ctx.comm)
-        handle = yield from File.open(driver, PATH, rank=ctx.rank,
-                                      comm=ctx.comm,
-                                      size_hint=workload.file_size)
+        handle = yield from File.open(driver, path, rank=ctx.rank,
+                                      comm=ctx.comm, size_hint=file_size)
         yield from ctx.comm.barrier(ctx.rank)
         started = ctx.sim.now
-        for round_index in range(workload.rounds):
-            pairs = workload.write_pairs(ctx.rank, round_index)
-            blocklengths = [len(payload) for _offset, payload in pairs]
-            displacements = [offset for offset, _payload in pairs]
-            payload = b"".join(payload for _offset, payload in pairs)
-            handle.set_view(0, BYTE,
-                            Indexed(blocklengths, displacements, base=BYTE))
-            yield from handle.write_at_all(0, payload)
-            # a checkpoint round is durable before the next one starts
-            yield from handle.sync()
-        write_spans[ctx.rank] = (started, ctx.sim.now)
+
+        def stop_clock():
+            spans[ctx.rank] = (started, ctx.sim.now)
+
+        result = yield from body(ctx, handle, driver, stop_clock)
         yield from ctx.comm.barrier(ctx.rank)
         yield from handle.close()
+        return result
 
-    run_mpi_job(cluster, num_ranks, rank_main, node_prefix="cb-rank")
-    starts = [span[0] for span in write_spans.values()]
-    ends = [span[1] for span in write_spans.values()]
+    job = run_mpi_job(cluster, num_ranks, rank_main,
+                      node_prefix=f"{prefix}-rank")
+    elapsed = (max(end for _start, end in spans.values())
+               - min(start for start, _end in spans.values()))
+    return drivers, comms[0], elapsed, job.results
+
+
+def run_collective_point(settings, config, *, num_ranks: int,
+                         num_aggregators: Optional[int]):
+    """Run the checkpoint workload once (``None`` aggregators = baseline);
+    returns the artifact row and the file contents read back."""
+    wall_started = time.perf_counter()
+    # latency digests ride in every point so the artifact carries RPC
+    # percentile columns alongside the counter columns
+    cluster, deployment = deploy(settings, config.copy(latency_digests=True),
+                                 "cb")
+    workload = checkpoint_workload(settings, num_ranks)
+
+    def body(ctx, handle, driver, stop_clock):
+        for round_index in range(workload.rounds):
+            pairs = workload.write_pairs(ctx.rank, round_index)
+            _set_indexed_view(handle, [(offset, len(payload))
+                                       for offset, payload in pairs])
+            yield from handle.write_at_all(
+                0, b"".join(payload for _offset, payload in pairs))
+            # a checkpoint round is durable before the next one starts
+            yield from handle.sync()
+        stop_clock()
+
+    drivers, comm, elapsed, _results = _run_timed_job(
+        cluster, deployment, "cb", "/checkpoint", num_ranks, num_aggregators,
+        workload.file_size, body)
 
     # read-back for the cross-mode equality check (fresh client, latest)
     verifier = VectoredClient(deployment, cluster.add_node("cb-verify"),
                               name="cb-verify")
 
     def verify():
-        pieces = yield from verifier.vread(PATH, [(0, workload.file_size)])
+        pieces = yield from verifier.vread("/checkpoint",
+                                           [(0, workload.file_size)])
         return pieces[0]
 
-    process = cluster.sim.process(verify())
-    digest = cluster.sim.run(stop_event=process)
+    digest = cluster.sim.run(stop_event=cluster.sim.process(verify()))
 
     clients = [driver.client for driver in drivers.values()]
-    sample = CollectiveSample(
-        mode=_mode_name(num_aggregators),
-        num_ranks=num_ranks,
-        num_aggregators=num_aggregators or 0,
-        rounds=workload.rounds,
-        logical_writes=sum(client.logical_writes for client in clients),
-        snapshots=sum(client.writes for client in clients),
-        control_rpcs=sum(client.write_control_rpcs for client in clients),
-        metadata_put_rpcs=sum(client.metadata_put_rpcs for client in clients),
-        exchange_bytes=sum(driver.aggregator.stats.bytes_sent
-                           for driver in drivers.values()),
-        collectives_completed=comms[0].collectives_completed,
-        latest_rpcs_elided=sum(client.latest_rpcs_elided
-                               for client in clients),
-        sim_write_s=max(ends) - min(starts) if starts else 0.0,
-        wall_clock_s=time.perf_counter() - wall_started,
-        network_model=settings.config.network_model,
-        rpc_latency=digest_columns(cluster.obs.registry),
-    )
-    return CollectiveResult(sample=sample, read_digest=digest)
+    logical_writes = sum(client.logical_writes for client in clients)
+    snapshots = sum(client.writes for client in clients)
+    control_rpcs = sum(client.write_control_rpcs for client in clients)
+    metadata_put_rpcs = sum(client.metadata_put_rpcs for client in clients)
+    row = {
+        "mode": ("independent" if num_aggregators is None
+                 else f"collective-a{num_aggregators}"),
+        "ranks": num_ranks,
+        "aggregators": num_aggregators or 0,
+        "rounds": workload.rounds,
+        "logical_writes": logical_writes,
+        "snapshots": snapshots,
+        "coalescing_factor": per(logical_writes, snapshots),
+        "control_rpcs": control_rpcs,
+        "metadata_put_rpcs": metadata_put_rpcs,
+        "control_rpcs_per_write": per(control_rpcs + metadata_put_rpcs,
+                                      logical_writes),
+        "exchange_bytes": sum(driver.aggregator.stats.bytes_sent
+                              for driver in drivers.values()),
+        "collectives_completed": comm.collectives_completed,
+        "latest_rpcs_elided": sum(client.latest_rpcs_elided
+                                  for client in clients),
+        "sim_write_s": elapsed,
+        "wall_clock_s": time.perf_counter() - wall_started,
+        "network_model": config.network_model,
+        **digest_columns(cluster.obs.registry),
+    }
+    return row, {"read_digest": digest}
 
 
-def run_collective_suite(settings: Optional[CollectiveSettings] = None,
-                         ) -> Dict[str, CollectiveResult]:
-    """Every (rank count, mode) point on identical settings.
+def run_collective_read_point(settings, config, *, num_ranks: int,
+                              num_resolvers: Optional[int]):
+    """Run the scan workload once (``None`` resolvers = baseline); returns
+    the artifact row, the scans' bytes and the per-rank counters."""
+    wall_started = time.perf_counter()
+    cluster, deployment = deploy(settings, config.copy(latency_digests=True),
+                                 "cr")
+    workload = scan_workload(settings, num_ranks)
 
-    Keys are ``"N<ranks>:<mode>"``; each rank count gets the independent
-    baseline plus one collective point per distinct clamped aggregator
-    count.
-    """
-    settings = settings or CollectiveSettings()
-    results: Dict[str, CollectiveResult] = {}
-    for num_ranks in settings.rank_counts:
-        results[f"N{num_ranks}:independent"] = run_collective_point(
-            num_ranks, None, settings)
-        seen = set()
-        for count in settings.aggregator_counts:
-            clamped = min(count, num_ranks)
-            if clamped in seen:
-                continue
-            seen.add(clamped)
-            results[f"N{num_ranks}:{_mode_name(clamped)}"] = \
-                run_collective_point(num_ranks, clamped, settings)
-    return results
+    # the dump the scans read: published once, ahead of the MPI job
+    seed_blob(cluster, deployment, settings, "cr-seed", "/scan",
+              workload.file_size, workload.seed_pairs())
 
+    #: rank -> (metadata RPCs, ``latest`` RPCs) spent in the collective phase
+    post_marks: Dict[int, Tuple[int, int]] = {}
 
-def suite_rows(results: Dict[str, CollectiveResult]) -> List[Dict[str, object]]:
-    """The suite's samples as artifact/table rows (insertion order)."""
-    return [result.sample.as_row() for result in results.values()]
+    def body(ctx, handle, driver, stop_clock):
+        scans: List[bytes] = []
+        for round_index in range(workload.rounds):
+            pairs = workload.read_pairs(ctx.rank, round_index)
+            _set_indexed_view(handle, pairs)
+            data = yield from handle.read_at_all(
+                0, sum(size for _offset, size in pairs))
+            scans.append(data)
+        stop_clock()
+        # the cache-warming probe: one independent re-read per rank
+        client = driver.client
+        post_marks[ctx.rank] = (client.metadata_read_rpcs,
+                                client.latest_rpcs)
+        handle.set_view(0, BYTE, BYTE)
+        first = workload.read_pairs(ctx.rank, 0)[0]
+        probe = yield from handle.read_at(first[0], first[1])
+        scans.append(probe)
+        return scans
+
+    drivers, comm, elapsed, results = _run_timed_job(
+        cluster, deployment, "cr", "/scan", num_ranks, num_resolvers,
+        workload.file_size, body, collective_reads=num_resolvers is not None)
+
+    clients = [driver.client for driver in drivers.values()]
+    readers = [driver.reader.stats for driver in drivers.values()]
+    logical_reads = num_ranks * workload.rounds
+    metadata_rpcs = sum(marks[0] for marks in post_marks.values())
+    latest_rpcs = sum(marks[1] for marks in post_marks.values())
+    row = {
+        "mode": ("independent" if num_resolvers is None
+                 else f"collective-r{num_resolvers}"),
+        "ranks": num_ranks,
+        "resolvers": num_resolvers or 0,
+        "rounds": workload.rounds,
+        "logical_reads": logical_reads,
+        "metadata_rpcs": metadata_rpcs,
+        "latest_rpcs": latest_rpcs,
+        "metadata_rpcs_per_read": per(metadata_rpcs + latest_rpcs,
+                                      logical_reads),
+        "nodes_fetched": sum(client.metadata_nodes_fetched
+                             for client in clients),
+        "plan_nodes_absorbed": sum(client.plan_nodes_absorbed
+                                   for client in clients),
+        "plan_nodes_elided": sum(stats.plan_nodes_elided
+                                 for stats in readers),
+        "exchange_bytes": sum(stats.bytes_sent for stats in readers),
+        "hole_bytes_elided": sum(stats.hole_bytes_elided
+                                 for stats in readers),
+        "collectives_completed": comm.collectives_completed,
+        "post_metadata_rpcs": sum(client.metadata_read_rpcs
+                                  for client in clients) - metadata_rpcs,
+        "post_latest_rpcs": sum(client.latest_rpcs
+                                for client in clients) - latest_rpcs,
+        "sim_read_s": elapsed,
+        "wall_clock_s": time.perf_counter() - wall_started,
+        "network_model": config.network_model,
+        **digest_columns(cluster.obs.registry),
+    }
+    return row, {
+        "read_digest": b"".join(b"".join(scans) for scans in results),
+        "per_rank_rpcs": post_marks,
+    }

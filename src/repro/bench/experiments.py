@@ -1,10 +1,11 @@
 """Experiment definitions regenerating every figure/table of the evaluation.
 
-Each ``run_*`` function sweeps the parameters of one experiment of DESIGN.md
-(EXP1, EXP1b, EXP2, EXP3, ABL1, ABL2, ABL3, FUT1) and returns the rows of the
-corresponding table/figure.  The benchmark files under ``benchmarks/`` call
-these functions with "quick" parameters (so the suite stays fast) and print
-the rows; EXPERIMENTS.md records a full-size run next to the paper's numbers.
+Each ``run_*`` function sweeps the parameters of one experiment of
+``benchmarks/README.md`` (EXP1, EXP1b, EXP2, EXP3, ABL1, ABL2, ABL3, FUT1) and
+returns the rows of the corresponding table/figure.  The benchmark files under
+``benchmarks/`` call these functions with "quick" parameters (so the suite
+stays fast) and print the rows; ``BENCH_paper.json`` records EXP1/EXP2 at the
+paper's client counts next to the paper's 3.5x-10x band.
 
 The paper reports *shapes*, not absolute values we could match on different
 hardware: the versioning backend keeps scaling with the number of concurrent
@@ -177,31 +178,53 @@ def run_exp2_tile_io(settings: Optional[ExperimentSettings] = None,
 # ----------------------------------------------------------------------
 # EXP3 — the headline speedup table (3.5x .. 10x)
 # ----------------------------------------------------------------------
+#: the aggregated-throughput improvement the paper reports
+PAPER_BAND = (3.5, 10)
+
+
+def speedup_rows(experiment: str, source: List[Dict[str, object]],
+                 ) -> List[Dict[str, object]]:
+    """Versioning over locking at every client count both backends ran."""
+    by_clients: Dict[int, Dict[str, Dict[str, object]]] = {}
+    for row in source:
+        by_clients.setdefault(row["clients"], {})[row["backend"]] = row
+    rows: List[Dict[str, object]] = []
+    for clients, per_backend in sorted(by_clients.items()):
+        if "versioning" not in per_backend or "posix-locking" not in per_backend:
+            continue
+        ours = per_backend["versioning"]["throughput_mib_s"]
+        baseline = per_backend["posix-locking"]["throughput_mib_s"]
+        rows.append({
+            "experiment": experiment,
+            "clients": clients,
+            "versioning_mib_s": ours,
+            "lustre_locking_mib_s": baseline,
+            "speedup": ours / baseline if baseline else float("inf"),
+        })
+    return rows
+
+
 def run_exp3_speedup_table(settings: Optional[ExperimentSettings] = None,
                            ) -> List[Dict[str, object]]:
     """Speedup of versioning over locking across both experiments' setups."""
     settings = settings or ExperimentSettings()
-    rows: List[Dict[str, object]] = []
+    return (speedup_rows("EXP1", run_exp1_overlap_scalability(settings))
+            + speedup_rows("EXP2", run_exp2_tile_io(settings)))
 
-    exp1 = run_exp1_overlap_scalability(settings)
-    exp2 = run_exp2_tile_io(settings)
-    for experiment, source in (("EXP1", exp1), ("EXP2", exp2)):
-        by_clients: Dict[int, Dict[str, Dict[str, object]]] = {}
-        for row in source:
-            by_clients.setdefault(row["clients"], {})[row["backend"]] = row
-        for clients, per_backend in sorted(by_clients.items()):
-            if "versioning" not in per_backend or "posix-locking" not in per_backend:
-                continue
-            ours = per_backend["versioning"]["throughput_mib_s"]
-            baseline = per_backend["posix-locking"]["throughput_mib_s"]
-            rows.append({
-                "experiment": experiment,
-                "clients": clients,
-                "versioning_mib_s": ours,
-                "lustre_locking_mib_s": baseline,
-                "speedup": ours / baseline if baseline else float("inf"),
-            })
-    return rows
+
+def run_paper_point(settings, config: ClusterConfig, *, experiment: str,
+                    clients: int):
+    """One ``BENCH_paper.json`` row (no extras): an EXP3 row at one client
+    count, plus whether its speedup falls in the paper's band."""
+    started = time.perf_counter()
+    sweep = {"EXP1": run_exp1_overlap_scalability,
+             "EXP2": run_exp2_tile_io}[experiment]
+    shape = {**vars(settings), "client_counts": (clients,)}
+    (row,) = speedup_rows(experiment,
+                          sweep(ExperimentSettings(config=config, **shape)))
+    low, high = PAPER_BAND
+    return {**row, "in_paper_band": low <= row["speedup"] <= high,
+            "wall_clock_s": time.perf_counter() - started}, {}
 
 
 # ----------------------------------------------------------------------

@@ -19,28 +19,92 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.bench.environment import ExperimentEnvironment
 from repro.bench.metrics import ThroughputSample
+from repro.blobseer.deployment import BlobSeerDeployment
+from repro.cluster import Cluster
 from repro.core.atomicity import VectoredWrite, check_mpi_atomicity
 from repro.core.listio import IOVector
 from repro.errors import BenchmarkError
 from repro.mpi.datatypes import BYTE, Indexed
 from repro.mpi.launcher import MPIContext, run_mpi_job
 from repro.mpiio.file import AccessMode, File
+from repro.vstore.client import VectoredClient
 
 #: a per-rank workload: rank index -> list of (file offset, payload) pairs
 PairsForRank = Callable[[int], Sequence[Tuple[int, bytes]]]
 
 
+def deploy(settings, config, prefix: str):
+    """A fresh cluster and the BlobSeer deployment one perf-suite point
+    runs on; ``prefix`` names the nodes (custody hashes and RNG streams are
+    keyed by node name, so every suite keeps its own)."""
+    cluster = Cluster(config=config)
+    deployment = BlobSeerDeployment(
+        cluster,
+        num_providers=settings.num_providers,
+        num_metadata_providers=settings.num_metadata_providers,
+        chunk_size=settings.chunk_size,
+        node_prefix=prefix,
+    )
+    return cluster, deployment
+
+
+def seed_blob(cluster, deployment, settings, name: str, path: str,
+              file_size: int, pairs, **client_options) -> int:
+    """Publish the dump a read suite scans, ahead of its clients, from a
+    client on a node of its own; returns the published version."""
+    seeder = VectoredClient(deployment, cluster.add_node(name), name=name,
+                            **client_options)
+
+    def seed():
+        yield from seeder.create_blob(path, file_size,
+                                      chunk_size=settings.chunk_size)
+        receipt = yield from seeder.vwrite_and_wait(path, pairs)
+        return receipt.version
+
+    return cluster.sim.run(
+        stop_event=cluster.sim.process(seed(), name=name))
+
+
 def drive_processes(cluster, processes, name: str = "bench-driver") -> None:
     """Run the simulation until every process in ``processes`` finished.
 
-    The shared scaffolding of the client-level microbenchmark suites
-    (metadata read path, write pipeline): spawn one process per simulated
-    client, wrap them in a driver that joins them, run to the driver.
+    The shared scaffolding of the client-level perf suites: spawn one
+    process per simulated client, wrap them in a driver that joins them,
+    run to the driver.
     """
     def driver():
         yield cluster.sim.all_of(processes)
     process = cluster.sim.process(driver(), name=name)
     cluster.sim.run(stop_event=process)
+
+
+def start_clients(settings, config, prefix: str, file_size: int,
+                  **client_options):
+    """The setup the write-then-read suites share: a fresh deployment, one
+    client per node of its own, and the BLOB created.
+
+    Returns ``(cluster, clients, blob_id, drive)`` where ``drive(phase,
+    body)`` runs ``body(rank)`` on every rank concurrently to completion.
+    """
+    cluster, deployment = deploy(settings, config, prefix)
+    ranks = range(settings.num_clients)
+    clients = [VectoredClient(deployment,
+                              cluster.add_node(f"{prefix}-client{rank}"),
+                              name=f"{prefix}{rank}", **client_options)
+               for rank in ranks]
+    blob_id = f"{prefix}-blob"
+    setup = cluster.sim.process(clients[0].create_blob(blob_id, file_size),
+                                name=f"{prefix}-setup")
+    cluster.sim.run(stop_event=setup)
+
+    def drive(phase: str, body) -> None:
+        drive_processes(
+            cluster,
+            [cluster.sim.process(body(rank), name=f"{prefix}-{phase}{rank}")
+             for rank in ranks],
+            name=f"{prefix}-driver")
+
+    return cluster, clients, blob_id, drive
 
 
 def cache_totals(clients) -> Tuple[int, int]:

@@ -4,35 +4,27 @@ The paper's argument only holds while metadata overhead stays small (the ABL3
 ablation measures exactly that), so this module benchmarks the segment-tree
 *read* hot path in isolation: an EXP1-style set of clients writes overlapped
 non-contiguous regions, then every client reads its regions back several
-times from the published snapshots.  The same harness runs three client
-configurations:
+times from the published snapshots, in each of the client configurations of
+:data:`MODES` (explained in the ``metadata`` entry of
+:data:`repro.bench.suites.SUITES`).
 
-* ``baseline`` — no cache, one ``get_node`` RPC per tree node (the read path
-  before this subsystem existed);
-* ``batched`` — no cache, one batched ``get_nodes`` RPC per metadata shard
-  per tree level;
-* ``cached-batched`` — batching plus the client-side immutable-node cache
-  (the default production path; repeat reads are warm).
-
-Every run yields a :class:`~repro.bench.metrics.MetadataPathSample` whose
-rows land in ``BENCH_metadata.json`` so successive PRs accumulate a perf
-trajectory.  A region-algebra microbenchmark (pure wall clock, no simulation)
-rides along because ``RegionList`` ops sit under every read-frontier entry.
+``metadata_rpcs`` counts the round-trips the clients spent resolving
+segment-tree nodes, ``cache_hits``/``cache_misses`` come from the
+client-side node caches, ``sim_elapsed_s`` is the simulated time the read
+phase occupied.  A region-algebra microbenchmark (pure wall clock, no
+simulation) rides along because ``RegionList`` ops sit under every
+read-frontier entry.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
-from repro.bench.harness import cache_totals, drive_processes
-from repro.bench.metrics import MetadataPathSample
-from repro.blobseer.deployment import BlobSeerDeployment
-from repro.cluster import Cluster, ClusterConfig
+from repro.bench.harness import cache_totals, start_clients
+from repro.bench.metrics import per
 from repro.core.regions import Region, RegionList
 from repro.errors import BenchmarkError
-from repro.vstore.client import VectoredClient
 from repro.workloads.overlap_stress import OverlapStressWorkload
 
 #: client options of every benchmarked metadata read-path configuration.
@@ -49,92 +41,27 @@ MODES: Dict[str, Dict[str, bool]] = {
 }
 
 
-@dataclass
-class MetadataPathSettings:
-    """Workload and deployment knobs of one benchmark point."""
-
-    num_clients: int = 8
-    regions_per_client: int = 8
-    region_size: int = 16 * 1024
-    overlap_fraction: float = 0.5
-    read_repeats: int = 5
-    num_providers: int = 4
-    num_metadata_providers: int = 2
-    chunk_size: int = 4 * 1024
-    config: ClusterConfig = field(default_factory=ClusterConfig)
-    seed: int = 0
-
-    def scaled_down(self) -> "MetadataPathSettings":
-        """Smoke-mode variant for CI: same shape, a fraction of the work."""
-        return MetadataPathSettings(
-            num_clients=max(2, self.num_clients // 2),
-            regions_per_client=max(2, self.regions_per_client // 2),
-            region_size=max(2048, self.region_size // 4),
-            overlap_fraction=self.overlap_fraction,
-            read_repeats=max(3, self.read_repeats - 2),
-            num_providers=2,
-            num_metadata_providers=self.num_metadata_providers,
-            chunk_size=max(1024, self.chunk_size // 2),
-            config=self.config,
-            seed=self.seed,
-        )
-
-
-@dataclass
-class MetadataPathResult:
-    """Sample plus the bytes every read returned (for cross-mode equality)."""
-
-    sample: MetadataPathSample
-    read_digest: Tuple[bytes, ...]
-
-
-def run_metadata_path_point(mode: str,
-                            settings: Optional[MetadataPathSettings] = None,
-                            ) -> MetadataPathResult:
-    """Run the overlapped write → repeated read workload in one client mode."""
+def run_metadata_path_point(settings, config, *, mode: str):
+    """Run the overlapped write → repeated read workload in one client mode;
+    returns the artifact row and the bytes every read returned."""
     if mode not in MODES:
         raise BenchmarkError(f"unknown mode {mode!r}; choose from {sorted(MODES)}")
-    settings = settings or MetadataPathSettings()
-    options = MODES[mode]
     wall_started = time.perf_counter()
-
-    cluster = Cluster(config=settings.config, seed=settings.seed)
-    deployment = BlobSeerDeployment(
-        cluster,
-        num_providers=settings.num_providers,
-        num_metadata_providers=settings.num_metadata_providers,
-        chunk_size=settings.chunk_size,
-        node_prefix="perf",
-    )
     workload = OverlapStressWorkload(
         num_clients=settings.num_clients,
         regions_per_client=settings.regions_per_client,
         region_size=settings.region_size,
         overlap_fraction=settings.overlap_fraction,
     )
-    clients: List[VectoredClient] = [
-        VectoredClient(deployment, cluster.add_node(f"perf-client{rank}"),
-                       name=f"perf{rank}", **options)
-        for rank in range(settings.num_clients)
-    ]
-    blob_id = "perf-blob"
-
-    def drive(processes):
-        drive_processes(cluster, processes, name="perf-driver")
-
-    # setup: create the BLOB once
-    setup = cluster.sim.process(
-        clients[0].create_blob(blob_id, workload.file_size), name="perf-setup")
-    cluster.sim.run(stop_event=setup)
+    cluster, clients, blob_id, drive = start_clients(
+        settings, config, "perf", workload.file_size, **MODES[mode])
 
     # write phase: every client writes its overlapped vector concurrently
     def write_rank(rank):
-        receipt = yield from clients[rank].vwrite_and_wait(
+        yield from clients[rank].vwrite_and_wait(
             blob_id, list(workload.client_pairs(rank)))
-        return receipt
 
-    drive([cluster.sim.process(write_rank(rank), name=f"perf-write{rank}")
-           for rank in range(settings.num_clients)])
+    drive("write", write_rank)
 
     # read phase: every client re-reads its regions from the latest snapshot
     read_results: Dict[Tuple[int, int], List[bytes]] = {}
@@ -147,35 +74,28 @@ def run_metadata_path_point(mode: str,
             read_results[(rank, repeat)] = pieces
 
     read_sim_started = cluster.sim.now
-    drive([cluster.sim.process(read_rank(rank), name=f"perf-read{rank}")
-           for rank in range(settings.num_clients)])
+    drive("read", read_rank)
     sim_elapsed = cluster.sim.now - read_sim_started
 
     cache_hits, cache_misses = cache_totals(clients)
-
-    sample = MetadataPathSample(
-        mode=mode,
-        num_clients=settings.num_clients,
-        reads=settings.num_clients * settings.read_repeats,
-        metadata_rpcs=sum(client.metadata_read_rpcs for client in clients),
-        nodes_fetched=sum(client.metadata_nodes_fetched for client in clients),
-        cache_hits=cache_hits,
-        cache_misses=cache_misses,
-        sim_elapsed_s=sim_elapsed,
-        wall_clock_s=time.perf_counter() - wall_started,
-        network_model=settings.config.network_model,
-    )
-    digest = tuple(b"".join(read_results[key])
-                   for key in sorted(read_results))
-    return MetadataPathResult(sample=sample, read_digest=digest)
-
-
-def run_metadata_path_suite(settings: Optional[MetadataPathSettings] = None,
-                            modes: Sequence[str] = tuple(MODES),
-                            ) -> Dict[str, MetadataPathResult]:
-    """Run every requested mode on identical settings (fresh deployment each)."""
-    settings = settings or MetadataPathSettings()
-    return {mode: run_metadata_path_point(mode, settings) for mode in modes}
+    reads = settings.num_clients * settings.read_repeats
+    metadata_rpcs = sum(client.metadata_read_rpcs for client in clients)
+    row = {
+        "mode": mode,
+        "clients": settings.num_clients,
+        "reads": reads,
+        "metadata_rpcs": metadata_rpcs,
+        "rpcs_per_read": per(metadata_rpcs, reads),
+        "nodes_fetched": sum(client.metadata_nodes_fetched for client in clients),
+        "cache_hits": cache_hits,
+        "cache_misses": cache_misses,
+        "cache_hit_rate": per(cache_hits, cache_hits + cache_misses),
+        "sim_elapsed_s": sim_elapsed,
+        "wall_clock_s": time.perf_counter() - wall_started,
+        "network_model": config.network_model,
+    }
+    return row, {"read_digest": tuple(b"".join(read_results[key])
+                                      for key in sorted(read_results))}
 
 
 # ----------------------------------------------------------------------

@@ -1,0 +1,226 @@
+"""The measured job of the two metadata-cache suites: independent scans.
+
+A :class:`~repro.workloads.shared_scan.SharedScanWorkload` — independent
+clients scanning a dump that a seeder published ahead of them — runs with
+``ranks_per_node`` clients packed on each compute node.  The shared-cache
+suite varies the cache configuration at a fixed cluster size, the
+cooperative-cache suite varies the node count at a fixed configuration;
+both are this one job, and ``repro.bench.suites`` picks the columns each
+of them records.
+
+Clients start staggered (``stagger_s`` of simulated time apart, as
+independent analysis processes do): a node's first scan publishes into the
+shared tier before its co-tenants look up, which is what the tier exploits —
+perfectly simultaneous cold misses would each fetch on their own, exactly
+like a real shared cache without request coalescing (``stagger_s=0`` is the
+cooperative suite's contended point, where coalescing is what is measured).
+
+``latest`` is resolved once per client up front (reported separately), so
+the per-read columns isolate the segment-tree walk.  The seeder publishes
+with ``shared_metadata_cache=False``, so it never enrolls in the
+cooperative directory and the scan clients are the tiers' only
+participants.  ``server_read_rpcs`` counts **server-side** handler
+invocations (``deployment.stats()``), not client issue events: provider
+read-throughs fetch from the shards on a prober's behalf, and a
+client-side count would miss them.
+
+Every point checks its own counters against independently counted totals
+(:func:`_check_conservation`) and returns the scans' bytes, which the perf
+suites compare across every mode, node count and network model.
+"""
+
+from __future__ import annotations
+
+import time
+from typing import Dict, List, Optional, Tuple
+
+from repro.bench.harness import deploy, drive_processes, seed_blob
+from repro.bench.metrics import per
+from repro.errors import BenchmarkError
+from repro.vstore.client import VectoredClient
+from repro.workloads.shared_scan import SharedScanWorkload
+
+PATH = "/dump"
+
+#: simulated seconds between consecutive clients' scan starts
+STAGGER_S = 0.05
+
+
+def scan_workload(settings, num_clients: int,
+                  pattern: str = "identical") -> SharedScanWorkload:
+    """The scan one point of either suite runs."""
+    return SharedScanWorkload(
+        num_clients=num_clients,
+        rounds=settings.rounds,
+        blocks_per_round=settings.blocks_per_round,
+        block_size=settings.block_size,
+        pattern=pattern,
+    )
+
+
+def run_scan_point(settings, config, *, prefix: str, mode: str,
+                   num_clients: int, pattern: str = "identical",
+                   shared: bool = True, cooperative: bool = False,
+                   policy: str = "lru", capacity: Optional[int] = None,
+                   prefetch: bool = False, private_cache: bool = True,
+                   provider_fraction: float = 0.5,
+                   stagger_s: float = STAGGER_S):
+    """Run the scan once in one cache configuration at one cluster size;
+    returns every measured value (each suite's entry picks its columns) and
+    what no artifact records: the scans' bytes, independently counted totals.
+
+    ``shared=False`` is the private baseline; ``private_cache=False`` drops
+    the per-client tier too (the shared-cache policy sweep, so eviction in
+    the *shared* tier is what the numbers measure); ``cooperative=True``
+    adds the cross-node peer tier on top of the shared one, with
+    ``provider_fraction`` of the (node, blob) pairings in the provider role.
+    """
+    wall_started = time.perf_counter()
+    cluster, deployment = deploy(
+        settings,
+        config.copy(ranks_per_node=settings.ranks_per_node,
+                    shared_metadata_cache=shared,
+                    shared_cache_policy=policy,
+                    shared_cache_capacity=capacity,
+                    metadata_prefetch=prefetch,
+                    cooperative_cache=cooperative,
+                    coop_provider_fraction=provider_fraction),
+        prefix)
+    workload = scan_workload(settings, num_clients, pattern)
+
+    # the dump the scans read: published once, ahead of the clients, by a
+    # client outside both cache tiers (so it never joins the directory)
+    pinned = seed_blob(cluster, deployment, settings, f"{prefix}-seed", PATH,
+                       workload.file_size, [(0, workload.expected_contents())],
+                       shared_metadata_cache=False)
+    # shard reads spent publishing don't belong to the scan being measured
+    server_rpcs_seeded = deployment.stats()["metadata_read_rpcs"]
+
+    # rank->node placement: ranks_per_node clients share each compute node
+    nodes = cluster.place_ranks(f"{prefix}-rank", num_clients)
+    clients = [
+        VectoredClient(deployment, nodes[index], name=f"{prefix}{index}",
+                       enable_metadata_cache=private_cache)
+        for index in range(num_clients)
+    ]
+
+    scans: Dict[Tuple[int, int], List[bytes]] = {}
+    finished: List[float] = []
+
+    def read_client(index):
+        client = clients[index]
+        # independent processes never start in lockstep; the stagger gives
+        # a node's first toucher time to publish into the shared tier
+        yield cluster.sim.timeout(index * stagger_s)
+        for round_index in range(workload.rounds):
+            pairs = workload.read_pairs(index, round_index)
+            pieces = yield from client.vread(PATH, pairs, pinned)
+            scans[(index, round_index)] = pieces
+        finished.append(cluster.sim.now)
+
+    read_started = cluster.sim.now
+    drive_processes(
+        cluster,
+        [cluster.sim.process(read_client(index), name=f"{prefix}-read{index}")
+         for index in range(num_clients)],
+        name=f"{prefix}-driver")
+
+    def total(attribute: str) -> int:
+        return sum(getattr(client, attribute) for client in clients)
+
+    caches = [client.metadata_cache for client in clients
+              if client.metadata_cache is not None]
+    shared_stats = deployment.shared_cache_stats()
+    coop_stats = deployment.coop_stats()
+    logical_reads = num_clients * workload.rounds
+    values = {
+        "mode": mode,
+        "pattern": pattern,
+        "policy": policy if shared else "-",
+        "capacity": capacity,
+        "nodes": num_clients // settings.ranks_per_node,
+        "ranks_per_node": settings.ranks_per_node,
+        "clients": num_clients,
+        "rounds": workload.rounds,
+        "logical_reads": logical_reads,
+        "metadata_rpcs": total("metadata_read_rpcs"),
+        "latest_rpcs": total("latest_rpcs"),
+        "server_read_rpcs": (deployment.stats()["metadata_read_rpcs"]
+                             - server_rpcs_seeded),
+        "probe_rpcs": total("peer_probe_rpcs"),
+        "peer_hits": total("peer_cache_hits"),
+        "peer_rejections": total("peer_rejections"),
+        "probe_misses": total("peer_probe_misses"),
+        "read_throughs": coop_stats["read_throughs"],
+        "unavailable_probes": coop_stats["unavailable_probes"],
+        "coalesced_fetches": shared_stats["coalesced_fetches"],
+        "private_hits": sum(cache.stats.hits for cache in caches),
+        "shared_hits": total("shared_cache_hits"),
+        "fetched_lookups": total("metadata_lookup_fetches"),
+        "shared_evictions": shared_stats["evictions"],
+        "shared_rejections": (shared_stats["unpublished_rejections"]
+                              + shared_stats["capacity_rejections"]),
+        "prefetched_nodes": total("metadata_prefetched_nodes"),
+        "sim_read_s": max(finished) - read_started,
+        "wall_clock_s": time.perf_counter() - wall_started,
+        "network_model": config.network_model,
+    }
+    lookups = (values["private_hits"] + values["shared_hits"]
+               + values["peer_hits"] + values["fetched_lookups"])
+    values.update(
+        client_metadata_rpcs=values["metadata_rpcs"],
+        lookups=lookups,
+        rpcs_per_read=per(values["metadata_rpcs"], logical_reads),
+        server_rpcs_per_read=per(values["server_read_rpcs"], logical_reads),
+        shared_hit_rate=per(values["shared_hits"], lookups),
+        peer_hit_rate=per(values["peer_hits"], lookups),
+    )
+    # not artifact columns: the bytes and the independently counted totals
+    extras = {
+        "read_digest": b"".join(b"".join(scans[key]) for key in sorted(scans)),
+        "per_client_rpcs": {index: client.metadata_read_rpcs
+                            for index, client in enumerate(clients)},
+        "private_tier_lookups": sum(cache.stats.lookups for cache in caches),
+        "shared_tier_lookups": shared_stats["hits"] + shared_stats["misses"],
+        "coop_stats": coop_stats,
+    }
+    _check_conservation({**values, **extras}, private_cache, shared,
+                        cooperative)
+    return values, extras
+
+
+def _check_conservation(values: Dict[str, object], private_cache: bool,
+                        shared: bool, cooperative: bool) -> None:
+    """Cross-check the point's counters against independent sources.
+
+    Every deduplicated lookup is a private hit, a shared hit, a peer hit
+    or a fetch: the private tier's own hit+miss counters must equal that
+    partition when a private cache exists, and — without the cooperative
+    tier, whose probes re-enter the shared services — the shared services'
+    hit+miss counters must equal the lookups that fell through the private
+    tier (all of them, when it is absent).  The scan clients being the
+    directory's only probers, every lookup a peer service served must land
+    on exactly one client as an admitted hit or a watermark rejection.
+    """
+    lookups = values["lookups"]
+    if private_cache and values["private_tier_lookups"] != lookups:
+        raise BenchmarkError(
+            f"lookup partition broken: {values['private_tier_lookups']} "
+            f"private-tier lookups vs {lookups} partitioned")
+    if shared and not cooperative:
+        fell_through = lookups - values["private_hits"]
+        if values["shared_tier_lookups"] != fell_through:
+            raise BenchmarkError(
+                f"lookup partition broken: {values['shared_tier_lookups']} "
+                f"shared-tier lookups vs {fell_through} that fell through")
+    if cooperative:
+        accounted = values["peer_hits"] + values["peer_rejections"]
+        if values["coop_stats"]["served_hits"] != accounted:
+            raise BenchmarkError(
+                f"peer tier leaked answers: services served "
+                f"{values['coop_stats']['served_hits']} hits but clients "
+                f"account for {accounted}")
+    elif values["peer_hits"] or values["probe_rpcs"] \
+            or values["read_throughs"]:
+        raise BenchmarkError(
+            "cooperative counters moved with the tier disabled")

@@ -32,7 +32,6 @@ import os
 import subprocess
 import sys
 import time
-from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.blobseer.deployment import BlobSeerDeployment
@@ -71,44 +70,6 @@ SEED_REFERENCE: Dict[str, object] = {
 #: Workload shape the pinned reference was measured on.  ``speedup_vs_seed``
 #: is only reported when the suite's headline point matches this shape.
 _REFERENCE_SHAPE = (64, 256, 1024, 3, 16)
-
-
-@dataclass
-class SimcoreSettings:
-    """Workload and deployment knobs of the simulator-core benchmark."""
-
-    num_ranks: int = 64
-    blocks_per_rank: int = 256
-    block_size: int = 1024
-    read_rounds: int = 3
-    num_aggregators: int = 16
-    num_providers: int = 8
-    num_metadata_providers: int = 2
-    chunk_size: int = 16 * 1024
-    seed: int = 0
-    #: event count of the scheduler-churn microbenchmark
-    churn_events: int = 200_000
-    #: larger points run under ``network_model="queued"``:
-    #: (num_ranks, blocks_per_rank, block_size, read_rounds)
-    scale_points: Tuple[Tuple[int, int, int, int], ...] = ((512, 16, 4096, 1),)
-    #: the completion smoke point (write-only at the largest rank count)
-    smoke_point: Optional[Tuple[int, int, int, int]] = (4096, 1, 4096, 0)
-    #: also run the headline point on the in-tree legacy engine
-    compare_legacy: bool = True
-
-    def scaled_down(self) -> "SimcoreSettings":
-        """Smoke-mode variant for CI: same shapes, a fraction of the work."""
-        return replace(
-            self,
-            num_ranks=16,
-            blocks_per_rank=16,
-            read_rounds=1,
-            num_aggregators=4,
-            num_providers=4,
-            churn_events=20_000,
-            scale_points=((64, 4, 2048, 1),),
-            smoke_point=(128, 1, 2048, 0),
-        )
 
 
 # ----------------------------------------------------------------------
@@ -320,7 +281,7 @@ print(json.dumps({"wall_clock_s": round(time.perf_counter() - started, 3),
 """
 
 
-def measure_seed_reference(settings: SimcoreSettings) -> Optional[Dict[str, object]]:
+def measure_seed_reference(settings) -> Optional[Dict[str, object]]:
     """Re-measure the seed on this host, if ``REPRO_BENCH_SEED_SRC`` is set.
 
     The variable must point at the ``src`` directory of a checkout of the
@@ -342,71 +303,56 @@ def measure_seed_reference(settings: SimcoreSettings) -> Optional[Dict[str, obje
 
 
 # ----------------------------------------------------------------------
-# suite
+# suite plan and headline (the ``simcore`` entry of repro.bench.suites)
 # ----------------------------------------------------------------------
-def run_simcore_suite(settings: SimcoreSettings) -> Dict[str, object]:
-    """Run every simulator-core point; return rows plus derived metrics."""
-    rows: List[Dict[str, object]] = []
-    point_kwargs = dict(
-        blocks_per_rank=settings.blocks_per_rank,
-        block_size=settings.block_size,
-        read_rounds=settings.read_rounds,
-        num_aggregators=settings.num_aggregators,
+def run_simcore_point(settings, config, *, churn_events: Optional[int] = None,
+                      overrides: Optional[Dict[str, object]] = None,
+                      **shape):
+    """One suite row (no extras): a collective I/O point of ``shape`` under
+    ``config`` with ``overrides`` applied, or the churn microbenchmark."""
+    if churn_events is not None:
+        return run_scheduler_churn(churn_events, seed=settings.seed), {}
+    # latency digests ride in every point — the headline *and* its traced
+    # twin — so the tracing invariant keeps comparing identical metric sets
+    return run_collective_io_point(
+        config=config.copy(latency_digests=True, **(overrides or {})),
         num_providers=settings.num_providers,
         num_metadata_providers=settings.num_metadata_providers,
-        chunk_size=settings.chunk_size,
-        seed=settings.seed,
-    )
+        chunk_size=settings.chunk_size, seed=settings.seed, **shape), {}
 
-    # latency digests ride in *both* the headline and its traced twin so
-    # the tracing invariant keeps comparing identical metric sets
-    headline = run_collective_io_point(
-        settings.num_ranks, config=ClusterConfig(latency_digests=True),
-        **point_kwargs)
-    headline["label"] = "headline"
-    rows.append(headline)
 
-    traced = run_collective_io_point(
-        settings.num_ranks,
-        config=ClusterConfig(tracing=True, latency_digests=True),
-        **point_kwargs)
-    traced["label"] = "headline-traced"
-    rows.append(traced)
-
-    queued = run_collective_io_point(
-        settings.num_ranks,
-        config=ClusterConfig(network_model="queued", latency_digests=True),
-        **point_kwargs)
-    queued["label"] = "headline-queued"
-    rows.append(queued)
-
+def simcore_plan(settings) -> List[Tuple[str, Dict[str, object]]]:
+    """The suite's ordered ``(label, point)`` list."""
+    headline = dict(num_ranks=settings.num_ranks,
+                    blocks_per_rank=settings.blocks_per_rank,
+                    block_size=settings.block_size,
+                    read_rounds=settings.read_rounds,
+                    num_aggregators=settings.num_aggregators)
+    plan = [
+        ("headline", headline),
+        ("headline-traced", dict(headline, overrides={"tracing": True})),
+        ("headline-queued", dict(headline,
+                                 overrides={"network_model": "queued"})),
+    ]
     if settings.compare_legacy:
-        legacy = run_collective_io_point(
-            settings.num_ranks,
-            config=ClusterConfig(engine="legacy", latency_digests=True),
-            **point_kwargs)
-        legacy["label"] = "headline-legacy-heapq"
-        rows.append(legacy)
+        plan.append(("headline-legacy-heapq",
+                     dict(headline, overrides={"engine": "legacy"})))
+    plan.append(("churn-heapq", {"churn_events": settings.churn_events}))
+    for ranks, blocks, block_size, rounds in (*settings.scale_points,
+                                              settings.smoke_point):
+        plan.append((f"scale-{ranks}", dict(
+            num_ranks=ranks, blocks_per_rank=blocks, block_size=block_size,
+            read_rounds=rounds, num_aggregators=max(1, ranks // 4),
+            overrides={"network_model": "queued"})))
+    return plan
 
-    churn = run_scheduler_churn(settings.churn_events, seed=settings.seed)
-    churn["label"] = "churn-heapq"
-    rows.append(churn)
 
-    scale_shapes = list(settings.scale_points)
-    if settings.smoke_point is not None:
-        scale_shapes.append(settings.smoke_point)
-    for ranks, blocks, bsize, rounds in scale_shapes:
-        point = run_collective_io_point(
-            ranks, blocks, bsize, rounds,
-            num_aggregators=max(1, ranks // 4),
-            config=ClusterConfig(network_model="queued",
-                                 latency_digests=True),
-            num_providers=settings.num_providers,
-            num_metadata_providers=settings.num_metadata_providers,
-            chunk_size=settings.chunk_size, seed=settings.seed)
-        point["label"] = f"scale-{ranks}"
-        rows.append(point)
-
+def simcore_headline(settings, rows: Dict[str, Dict[str, object]],
+                     ) -> Dict[str, object]:
+    """The artifact's derived block: seed speedup and the tracing invariant."""
+    headline = rows["headline"]
+    traced = rows["headline-traced"]
+    queued = rows["headline-queued"]
     shape = (settings.num_ranks, settings.blocks_per_rank,
              settings.block_size, settings.read_rounds,
              settings.num_aggregators)
@@ -415,12 +361,10 @@ def run_simcore_suite(settings: SimcoreSettings) -> Dict[str, object]:
     comparable = shape == _REFERENCE_SHAPE or live is not None
     speedup = (round(seed_wall / headline["wall_clock_s"], 2)
                if comparable and headline["wall_clock_s"] > 0 else None)
-
     overhead = (round((traced["wall_clock_s"] - headline["wall_clock_s"])
                       / headline["wall_clock_s"] * 100, 1)
                 if headline["wall_clock_s"] > 0 else None)
     return {
-        "rows": rows,
         "seed_reference": {
             **SEED_REFERENCE,
             "source": "live" if live else "pinned",

@@ -1,0 +1,445 @@
+"""The perf suites as one table, and the one runner that turns an entry into
+its ``BENCH_<name>.json`` artifact.
+
+How a suite is described, run and written is decided here and nowhere else:
+:data:`SUITES` maps a suite's name (its artifact's file stem) to a
+:class:`Suite`, and :func:`run_suite` loops network models × plan, builds
+each row once, assembles ``{suite, smoke, python, settings, network_models,
+<headline>, rows}`` and hands it to
+:func:`~repro.bench.artifacts.write_artifact`.  ``python -m repro.bench run
+[SUITE…|all] [--smoke]`` and ``benchmarks/test_perf_*.py`` both end here;
+the measured jobs themselves live in the modules imported below.
+"""
+
+from __future__ import annotations
+
+import platform
+from dataclasses import dataclass
+from pathlib import Path
+from types import SimpleNamespace
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
+
+from repro.bench.artifacts import smoke_requested, write_artifact
+from repro.bench.collective import (run_collective_point,
+                                    run_collective_read_point)
+from repro.bench.experiments import PAPER_BAND, run_paper_point
+from repro.bench.metadata_path import (MODES, run_metadata_path_point,
+                                       run_region_algebra_microbench)
+from repro.bench.metrics import reduction
+from repro.bench.scan import run_scan_point
+from repro.bench.simcore import (run_simcore_point, simcore_headline,
+                                 simcore_plan)
+from repro.bench.writepath import (WRITE_MODES, run_cache_capacity_sweep,
+                                   run_write_path_point)
+from repro.cluster import ClusterConfig
+
+#: the cost models a suite runs under unless its entry says otherwise (they
+#: shape timing, never bytes or RPC counts — the perf suites assert it)
+NETWORK_MODELS = ("bottleneck", "queued")
+
+Plan = List[Tuple[str, Dict[str, object]]]
+
+
+@dataclass(frozen=True)
+class Suite:
+    """One entry of :data:`SUITES`: everything that tells two suites apart."""
+
+    title: str  #: the artifact's ``suite`` field
+    about: str  #: what is measured and what the labels mean
+    #: full-size settings (the artifact's ``settings`` block) and what a
+    #: smoke run replaces in them: same shape, less work
+    settings: Mapping[str, object]
+    smoke: Mapping[str, object]
+    #: settings -> ordered ``(label, point kwargs)``
+    plan: Callable[[SimpleNamespace], Plan]
+    #: ``point(settings, config, **kwargs)`` -> ``(row, extras)``: the
+    #: artifact row and what no artifact records (read-back bytes, ...)
+    point: Callable[..., Tuple[Dict[str, object], Dict[str, object]]]
+    #: the row's columns where two suites share one point function
+    columns: Optional[Tuple[str, ...]] = None
+    label_column: Optional[str] = None  #: row column recording the label
+    network_models: Tuple[str, ...] = NETWORK_MODELS
+    #: the headline ``(artifact key, column, rule)``: ``rule(label, values,
+    #: settings)`` names a point's entry as ``(entry key, baseline label,
+    #: extra fields or None)``, or returns ``None`` for no entry
+    reduction: Optional[Tuple[str, str, Callable]] = None
+    #: ``extras(settings, points, rows)`` -> more top-level artifact keys
+    #: (may also append rows that no network model owns)
+    extras: Optional[Callable[..., Dict[str, object]]] = None
+    unrecorded: Tuple[str, ...] = ()  #: settings the artifact never recorded
+
+
+# ----------------------------------------------------------------------
+# plans and baseline rules
+# ----------------------------------------------------------------------
+def _mode_plan(modes) -> Callable[[SimpleNamespace], Plan]:
+    return lambda settings: [(mode, {"mode": mode}) for mode in modes]
+
+
+def _vs_mode(baseline: str):
+    return lambda label, values, settings: (label, baseline, None)
+
+
+def _aggregation_plan(counts: str, kwarg: str, tag: str):
+    """Per rank count: the independent baseline, then one collective point
+    per distinct aggregator count after clamping to the rank count."""
+    def plan(settings) -> Plan:
+        points: Plan = []
+        for ranks in settings.rank_counts:
+            points.append((f"N{ranks}:independent",
+                           {"num_ranks": ranks, kwarg: None}))
+            for count in dict.fromkeys(min(count, ranks)
+                                       for count in getattr(settings, counts)):
+                points.append((f"N{ranks}:collective-{tag}{count}",
+                               {"num_ranks": ranks, kwarg: count}))
+        return points
+    return plan
+
+
+def _vs_independent(count_column: str):
+    """Collective points against their rank count's independent baseline;
+    the ideal is the aggregation factor ``N/A``."""
+    def rule(label, values, settings):
+        if values[count_column]:
+            return (label, f"N{values['ranks']}:independent",
+                    {"ideal": values["ranks"] / values[count_column]})
+    return rule
+
+
+def _sharedcache_plan(settings) -> Plan:
+    clients = {"prefix": "sc", "num_clients": settings.num_clients}
+    plan: Plan = [
+        (f"identical:{mode}", dict(clients, mode=mode, **options))
+        for mode, options in (
+            ("private", {"shared": False}),
+            ("shared-lru", {}),
+            ("private+prefetch", {"shared": False, "prefetch": True}),
+            ("shared-lru+prefetch", {"prefetch": True}))
+    ]
+    for capacity in settings.capacity_sweep:
+        for policy in settings.policies:
+            plan.append((f"streaming@{capacity}:{policy}", dict(
+                clients, mode=f"shared-{policy}@{capacity}-only",
+                pattern="streaming", policy=policy, capacity=capacity,
+                private_cache=False)))
+    return plan
+
+
+def _vs_private(label, values, settings):
+    if label.startswith("identical:shared"):
+        return label, "identical:private", {"ideal": settings.ranks_per_node}
+
+
+def _coopcache_plan(settings) -> Plan:
+    def point(nodes, mode, **options):
+        return dict(prefix="cc", mode=mode, cooperative=mode == "coop",
+                    num_clients=nodes * settings.ranks_per_node,
+                    provider_fraction=settings.provider_fraction, **options)
+    plan: Plan = [(f"n{nodes}:{mode}", point(nodes, mode))
+                  for nodes in settings.node_counts
+                  for mode in ("shared", "coop")]
+    plan.append(("contended:coop",
+                 point(settings.node_counts[-1], "coop", stagger_s=0.0)))
+    return plan
+
+
+def _vs_shared(label, values, settings):
+    key, _, mode = label.partition(":")
+    if mode == "coop" and key != "contended":
+        return key, f"{key}:shared", {"num_nodes": values["nodes"]}
+
+
+def _paper_plan(settings) -> Plan:
+    return [(f"{experiment}:c{clients}",
+             {"experiment": experiment, "clients": clients})
+            for experiment in ("EXP1", "EXP2")
+            for clients in settings.client_counts]
+
+
+def _region_algebra_row(settings, points, rows) -> Dict[str, object]:
+    rows.append(run_region_algebra_microbench())
+    return {}
+
+
+def _capacity_sweep(settings, points, rows) -> Dict[str, object]:
+    return {"cache_capacity_sweep": run_cache_capacity_sweep(
+        settings, ClusterConfig(),
+        unbounded=points["bottleneck"]["pipelined-coalesced"])}
+
+
+# ----------------------------------------------------------------------
+# the table
+# ----------------------------------------------------------------------
+SUITES: Dict[str, Suite] = {
+    "metadata": Suite(
+        title="metadata-read-path",
+        about="""Segment-tree read hot path.  baseline = no cache, one
+        ``get_node`` RPC per tree node (the read path before the subsystem);
+        batched = no cache, one ``get_nodes`` RPC per shard per tree level;
+        cached-batched = plus the client-side immutable-node cache (the
+        production path; repeat reads are warm).  Headline: metadata RPCs vs
+        baseline.  A region-algebra wall-clock row rides along.""",
+        settings=dict(num_clients=8, regions_per_client=8,
+                      region_size=16 * 1024, overlap_fraction=0.5,
+                      read_repeats=5, num_providers=4,
+                      num_metadata_providers=2, chunk_size=4 * 1024),
+        smoke=dict(num_clients=4, regions_per_client=4, region_size=4096,
+                   read_repeats=3, num_providers=2, chunk_size=2048),
+        unrecorded=("num_providers",),
+        plan=_mode_plan(MODES),
+        point=run_metadata_path_point,
+        reduction=("rpc_reduction_vs_baseline", "metadata_rpcs",
+                   _vs_mode("baseline")),
+        extras=_region_algebra_row,
+    ),
+    "writepath": Suite(
+        title="write-pipeline",
+        about="""Write-side control plane.  baseline = every write blocks
+        through allocate -> uploads -> ticket -> sequential per-shard
+        ``put_nodes`` -> complete -> publication wait; pipelined = one
+        snapshot per write, but the ticket overlaps the uploads, ``put_nodes``
+        go out in parallel, completions are deferred (one barrier joins them)
+        and the writer write-through-populates its cache;
+        pipelined-coalesced = additionally one merged snapshot batch per
+        client.  Headline: control RPCs per logical write vs baseline.  An
+        LRU capacity sweep of the coalesced path (``None`` = unbounded) rides
+        along as ``cache_capacity_sweep``.""",
+        settings=dict(num_clients=6, writes_per_client=6, regions_per_write=4,
+                      region_size=8 * 1024, hole_size=1024, read_repeats=3,
+                      num_providers=4, num_metadata_providers=2,
+                      chunk_size=16 * 1024,
+                      cache_capacities=(16, 64, 256, None)),
+        smoke=dict(num_clients=3, writes_per_client=3, regions_per_write=2,
+                   region_size=2048, hole_size=512, read_repeats=2,
+                   num_providers=2, chunk_size=4096,
+                   cache_capacities=(8, 32, None)),
+        unrecorded=("cache_capacities",),
+        plan=_mode_plan(WRITE_MODES),
+        point=run_write_path_point,
+        reduction=("control_rpc_reduction_vs_baseline",
+                   "control_rpcs_per_write", _vs_mode("baseline")),
+        extras=_capacity_sweep,
+    ),
+    "collective": Suite(
+        title="collective-buffering",
+        about="""Collective checkpoint dumps.  N<ranks>:independent = the
+        per-rank coalesced baseline: every round's ``sync`` commits one
+        snapshot batch per rank (N tickets, N metadata builds);
+        N<ranks>:collective-a<A> = two-phase buffering: the ranks exchange
+        blocks over the interconnect and the round commits as A stripe
+        batches, non-aggregators never touching the control plane.  Headline:
+        control RPCs per logical write vs independent, next to the ideal
+        N/A.""",
+        settings=dict(rank_counts=(4, 8), aggregator_counts=(1, 2, 4),
+                      rounds=3, blocks_per_rank=4, block_size=8 * 1024,
+                      num_providers=4, num_metadata_providers=2,
+                      chunk_size=16 * 1024),
+        smoke=dict(rank_counts=(4,), aggregator_counts=(1, 2), rounds=2,
+                   blocks_per_rank=2, block_size=2048, num_providers=2,
+                   chunk_size=4096),
+        plan=_aggregation_plan("aggregator_counts", "num_aggregators", "a"),
+        point=run_collective_point,
+        reduction=("control_rpc_reduction_vs_independent",
+                   "control_rpcs_per_write", _vs_independent("aggregators")),
+    ),
+    "collective_read": Suite(
+        title="collective-read",
+        about="""Collective scans of a sparse dump.  N<ranks>:independent =
+        every rank pays one ``latest`` plus its own batched tree walk per
+        round; N<ranks>:collective-r<R> = the group pins one snapshot (one
+        ``latest`` per round, none once a hint is planted) and R resolvers
+        walk the union extent once, scattering data + plan; non-resolvers
+        never touch the control plane.  Headline: metadata RPCs (tree walk +
+        ``latest``) per logical read vs independent, next to the ideal
+        N/R.""",
+        settings=dict(rank_counts=(4, 8), resolver_counts=(1, 2, 4), rounds=3,
+                      blocks_per_rank=4, block_size=8 * 1024, halo_blocks=1,
+                      hole_every=4, num_providers=4, num_metadata_providers=2,
+                      chunk_size=16 * 1024),
+        smoke=dict(rank_counts=(4,), resolver_counts=(1, 2), rounds=2,
+                   blocks_per_rank=2, block_size=2048, num_providers=2,
+                   chunk_size=4096),
+        plan=_aggregation_plan("resolver_counts", "num_resolvers", "r"),
+        point=run_collective_read_point,
+        reduction=("metadata_rpc_reduction_vs_independent",
+                   "metadata_rpcs_per_read", _vs_independent("resolvers")),
+    ),
+    "sharedcache": Suite(
+        title="sharedcache",
+        about="""Scans by cache configuration.  identical:private =
+        per-client caches only (co-located clients re-fetch identical
+        upper-tree nodes); identical:shared-<policy> = plus the node's shared
+        tier (only a node's first toucher fetches: RPCs per read approach
+        1/ranks_per_node); ...+prefetch = speculative child prefetch on the
+        frontier fetches (fewer round-trip levels, more nodes on the wire);
+        streaming@<capacity>:<policy> = the eviction-policy sweep: streaming
+        under a small shared capacity, shared tier only, where level-pinning
+        beats plain LRU.  Headline: metadata RPCs per read vs
+        identical:private, next to the ideal ranks_per_node.""",
+        settings=dict(num_clients=8, ranks_per_node=4, rounds=4,
+                      blocks_per_round=8, block_size=8 * 1024,
+                      num_providers=4, num_metadata_providers=2,
+                      chunk_size=8 * 1024, capacity_sweep=(24, 48),
+                      policies=("lru", "slru", "level:3")),
+        smoke=dict(num_clients=4, ranks_per_node=2, rounds=3,
+                   blocks_per_round=4, block_size=4096, num_providers=2,
+                   chunk_size=4096, capacity_sweep=(16,)),
+        plan=_sharedcache_plan,
+        point=run_scan_point,
+        columns=("mode", "pattern", "policy", "capacity", "clients",
+                 "ranks_per_node", "rounds", "logical_reads", "metadata_rpcs",
+                 "rpcs_per_read", "latest_rpcs", "lookups", "private_hits",
+                 "shared_hits", "fetched_lookups", "shared_hit_rate",
+                 "shared_evictions", "shared_rejections", "prefetched_nodes",
+                 "sim_read_s", "wall_clock_s", "network_model"),
+        reduction=("metadata_rpc_reduction_vs_private", "rpcs_per_read",
+                   _vs_private),
+    ),
+    "coopcache": Suite(
+        title="coopcache",
+        about="""The identical scan while the node count grows.
+        n<nodes>:shared = the node-local tier alone: each node's first
+        toucher fetches every tree node, so shard RPCs per read stay flat at
+        1/ranks_per_node; n<nodes>:coop = the cooperative tier on top: a
+        shared-tier miss first probes the extent's custodian peer, so about
+        one node fetches each tree node cluster-wide and the per-read cost
+        keeps falling; contended:coop = the largest coop point with a zero
+        stagger, where fetch coalescing folds the simultaneous missers.
+        Headline: authoritative shard RPCs per read vs shared.""",
+        settings=dict(node_counts=(1, 2, 4, 8), ranks_per_node=4, rounds=3,
+                      blocks_per_round=8, block_size=8 * 1024,
+                      num_providers=4, num_metadata_providers=2,
+                      chunk_size=8 * 1024, provider_fraction=0.5),
+        smoke=dict(node_counts=(1, 2), ranks_per_node=2, rounds=2,
+                   blocks_per_round=4, block_size=4096, num_providers=2,
+                   chunk_size=4096),
+        plan=_coopcache_plan,
+        point=run_scan_point,
+        columns=("mode", "nodes", "ranks_per_node", "clients", "rounds",
+                 "logical_reads", "server_read_rpcs", "server_rpcs_per_read",
+                 "client_metadata_rpcs", "probe_rpcs", "peer_hits",
+                 "peer_hit_rate", "peer_rejections", "probe_misses",
+                 "read_throughs", "unavailable_probes", "coalesced_fetches",
+                 "lookups", "private_hits", "shared_hits", "fetched_lookups",
+                 "sim_read_s", "wall_clock_s", "network_model"),
+        label_column="point",
+        reduction=("server_rpc_reduction_vs_shared", "server_rpcs_per_read",
+                   _vs_shared),
+    ),
+    "simcore": Suite(
+        title="simcore",
+        about="""Host cost of the simulator.  headline = the interleaved
+        collective checkpoint the growth seed spent ~28 s on; -traced /
+        -queued / -legacy-heapq = the same point with tracing on, under the
+        queued network, on the legacy engine; churn-heapq = the event queue
+        alone; scale-<ranks> = queued points up to the 4096-rank completion
+        shape.  Rows pick their own network model, hence one pass.  Headline:
+        wall clock vs the pinned seed measurement, tracing overhead and the
+        tracing / network-model invariants.""",
+        settings=dict(num_ranks=64, blocks_per_rank=256, block_size=1024,
+                      read_rounds=3, num_aggregators=16, num_providers=8,
+                      num_metadata_providers=2, chunk_size=16 * 1024, seed=0,
+                      churn_events=200_000,
+                      scale_points=((512, 16, 4096, 1),),
+                      smoke_point=(4096, 1, 4096, 0), compare_legacy=True),
+        smoke=dict(num_ranks=16, blocks_per_rank=16, read_rounds=1,
+                   num_aggregators=4, num_providers=4, churn_events=20_000,
+                   scale_points=((64, 4, 2048, 1),),
+                   smoke_point=(128, 1, 2048, 0)),
+        plan=simcore_plan,
+        point=run_simcore_point,
+        label_column="label",
+        network_models=("bottleneck",),
+        extras=lambda settings, points, rows: simcore_headline(
+            settings, points["bottleneck"]),
+    ),
+    "paper": Suite(
+        title="paper",
+        about="""The paper's comparison at its client counts: EXP1
+        (overlapped writes) and EXP2 (MPI-tile-IO), versioning vs Lustre-like
+        locking, one row per (experiment, clients) with the speedup and
+        whether it falls in the paper's band — recorded, not asserted.""",
+        settings=dict(client_counts=(1, 2, 4, 8, 16, 32, 64),
+                      num_storage_nodes=8, stripe_unit=64 * 1024,
+                      num_metadata_providers=2, regions_per_client=8,
+                      region_size=64 * 1024, overlap_fraction=0.5,
+                      tile_elements_x=64, tile_elements_y=64, element_size=32,
+                      tile_overlap=8),
+        smoke=dict(client_counts=(1, 2, 4, 8)),
+        plan=_paper_plan,
+        point=run_paper_point,
+        network_models=("bottleneck",),
+        extras=lambda settings, points, rows: {"paper_band": list(PAPER_BAND)},
+    ),
+}
+
+
+# ----------------------------------------------------------------------
+# the runner
+# ----------------------------------------------------------------------
+@dataclass
+class SuiteRun:
+    """What :func:`run_suite` hands back to its caller."""
+
+    smoke: bool
+    settings: SimpleNamespace
+    #: network model -> label -> everything the point measured: its row
+    #: plus its extras
+    points: Dict[str, Dict[str, Dict[str, object]]]
+    artifact: Dict[str, object]
+    path: Path  #: where the artifact was written
+
+
+def run_suite(name: str, smoke: Optional[bool] = None,
+              out_dir: Path = Path(".")) -> SuiteRun:
+    """Run every point of one suite and write ``BENCH_<name>.json``.
+
+    ``smoke=None`` follows ``REPRO_BENCH_SMOKE``; a smoke run lands on
+    ``BENCH_<name>.smoke.json`` (see :mod:`repro.bench.artifacts`).
+    """
+    suite = SUITES[name]
+    if smoke is None:
+        smoke = smoke_requested()
+    settings = SimpleNamespace(**{**suite.settings,
+                                  **(suite.smoke if smoke else {})})
+    points: Dict[str, Dict[str, Dict[str, object]]] = {}
+    rows: List[Dict[str, object]] = []
+    for model in suite.network_models:
+        config = ClusterConfig(network_model=model)
+        points[model] = {}
+        for label, kwargs in suite.plan(settings):
+            row, extras = suite.point(settings, config, **kwargs)
+            points[model][label] = {**row, **extras}
+            if suite.columns:
+                row = {column: row[column] for column in suite.columns}
+            if suite.label_column:
+                row[suite.label_column] = label
+            rows.append(row)
+
+    artifact: Dict[str, object] = {
+        "suite": suite.title,
+        "smoke": smoke,
+        "python": platform.python_version(),
+        "settings": {key: value for key, value in vars(settings).items()
+                     if key not in suite.unrecorded},
+    }
+    if len(suite.network_models) > 1:
+        artifact["network_models"] = list(suite.network_models)
+    if suite.reduction:
+        key, column, rule = suite.reduction
+        artifact[key] = entries = {}
+        for model, by_label in points.items():
+            for label, values in by_label.items():
+                named = rule(label, values, settings)
+                if named is None:
+                    continue
+                entry, baseline, extra = named
+                ratio = reduction(by_label[baseline], values, column)
+                entries[f"{model}:{entry}"] = ratio if extra is None \
+                    else {"reduction": ratio, **extra}
+    if suite.extras:
+        artifact.update(suite.extras(settings, points, rows))
+    artifact["rows"] = rows
+    path = write_artifact(Path(out_dir) / f"BENCH_{name}.json", artifact)
+    return SuiteRun(smoke=smoke, settings=settings, points=points,
+                    artifact=artifact, path=path)

@@ -31,14 +31,15 @@ def run_trace(args: argparse.Namespace) -> Dict[str, object]:
     """
     from repro.bench.simcore import run_collective_io_point
 
+    out = args.out or "trace_collective.json"
     config = ClusterConfig(network_model=args.network, tracing=True)
     row = run_collective_io_point(
         args.ranks, args.blocks, args.block_size, args.read_rounds,
         num_aggregators=args.aggregators or max(1, args.ranks // 4),
-        config=config, seed=args.seed, trace_path=args.out)
+        config=config, seed=args.seed, trace_path=out)
 
     summary = {
-        "out": args.out,
+        "out": out,
         "num_ranks": args.ranks,
         "network_model": args.network,
         "sim_elapsed_s": row["sim_elapsed_s"],
@@ -46,7 +47,7 @@ def run_trace(args: argparse.Namespace) -> Dict[str, object]:
         "read_digest": row["read_digest"],
     }
     if args.validate:
-        with open(args.out) as handle:
+        with open(out) as handle:
             problems = validate_chrome_trace(handle.read())
         summary["validation_problems"] = problems
         if problems:
@@ -74,8 +75,10 @@ def add_trace_arguments(parser: argparse.ArgumentParser) -> None:
                        default="queued",
                        help="network model; 'queued' adds per-link lanes "
                             "(default: queued)")
-    group.add_argument("--out", default="trace_collective.json",
-                       help="output path (default: trace_collective.json)")
+    group.add_argument("--out", default=None,
+                       help="trace: output path (default: "
+                            "trace_collective.json); run: directory the "
+                            "artifacts go to (default: .)")
     group.add_argument("--validate", action="store_true",
                        help="check the dumped trace against the "
                             "trace-event schema and fail on problems")

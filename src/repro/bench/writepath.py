@@ -5,18 +5,8 @@ The read-path suite (:mod:`repro.bench.metadata_path`) measures how cheap
 got.  A queued-small-writes workload (checkpoint-style trains of small
 vectored writes per client, see
 :class:`~repro.workloads.queued_writes.QueuedWritesWorkload`) runs through
-three write-path configurations:
-
-* ``baseline`` — the pre-subsystem write path: every write blocks through
-  allocate → uploads → ticket → sequential per-shard ``put_nodes`` →
-  complete → publication wait;
-* ``pipelined`` — one snapshot per write, but the ticket RPC overlaps the
-  uploads, the per-shard ``put_nodes`` go out in parallel, completions are
-  deferred off the critical path (joined by one barrier), and the writer
-  write-through-populates its metadata cache;
-* ``pipelined-coalesced`` — additionally queues each client's writes in a
-  :class:`~repro.blobseer.writepath.coalescer.WriteCoalescer` and commits
-  them as one merged snapshot batch per client.
+the write-path configurations of :data:`WRITE_MODES` (explained in the
+``writepath`` entry of :data:`repro.bench.suites.SUITES`).
 
 After the writes, every client reads its span back several times; the first
 read measures the write-through-population effect (warm cache with zero
@@ -24,23 +14,21 @@ read-side fetches for self-written nodes), the repeats measure the steady
 state.  All modes must return byte-identical data — client spans are
 disjoint, so the contents are independent of cross-client commit order.
 
-A cache-capacity sweep rides along (ROADMAP: eviction policy sweep): the
-same workload runs with LRU-bounded metadata caches of increasing capacity,
-recording hit rate and evictions per capacity in the artifact.
+``control_rpcs`` counts the write-side control-plane round-trips
+(``allocate``, ``assign_ticket``, ``complete``, publication waits) and
+``metadata_put_rpcs`` the per-shard ``put_nodes`` round-trips; both are
+normalized per *logical* write — the unit the application issued, however
+many of them one snapshot coalesced.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
-from repro.bench.harness import cache_totals, drive_processes
-from repro.bench.metrics import WritePathSample
-from repro.blobseer.deployment import BlobSeerDeployment
-from repro.cluster import Cluster, ClusterConfig
+from repro.bench.harness import cache_totals, start_clients
+from repro.bench.metrics import per
 from repro.errors import BenchmarkError
-from repro.vstore.client import VectoredClient
 from repro.workloads.queued_writes import QueuedWritesWorkload
 
 #: client/commit configuration of every benchmarked write-path mode
@@ -54,108 +42,30 @@ WRITE_MODES: Dict[str, Dict[str, bool]] = {
 }
 
 
-@dataclass
-class WritePathSettings:
-    """Workload and deployment knobs of one benchmark point."""
+def run_write_path_point(settings, config, *, mode: str, **client_options):
+    """Run the queued-writes → read-back workload in one write-path mode;
+    returns the artifact row and the bytes every read returned.
 
-    num_clients: int = 6
-    writes_per_client: int = 6
-    regions_per_write: int = 4
-    region_size: int = 8 * 1024
-    hole_size: int = 1024
-    read_repeats: int = 3
-    num_providers: int = 4
-    num_metadata_providers: int = 2
-    chunk_size: int = 16 * 1024
-    #: LRU capacities of the cache sweep (``None`` = unbounded reference)
-    cache_capacities: Tuple[Optional[int], ...] = (16, 64, 256, None)
-    config: ClusterConfig = field(default_factory=ClusterConfig)
-    seed: int = 0
-
-    def scaled_down(self) -> "WritePathSettings":
-        """Smoke-mode variant for CI: same shape, a fraction of the work."""
-        return replace(
-            self,
-            num_clients=max(2, self.num_clients // 2),
-            writes_per_client=max(3, self.writes_per_client // 2),
-            regions_per_write=max(2, self.regions_per_write // 2),
-            region_size=max(2048, self.region_size // 4),
-            hole_size=min(self.hole_size, 512),
-            read_repeats=max(2, self.read_repeats - 1),
-            num_providers=2,
-            chunk_size=max(4096, self.chunk_size // 4),
-            cache_capacities=(8, 32, None),
-        )
-
-    def workload(self) -> QueuedWritesWorkload:
-        """The queued-small-writes workload these settings describe."""
-        return QueuedWritesWorkload(
-            num_clients=self.num_clients,
-            writes_per_client=self.writes_per_client,
-            regions_per_write=self.regions_per_write,
-            region_size=self.region_size,
-            hole_size=self.hole_size,
-        )
-
-
-@dataclass
-class WritePathResult:
-    """Sample plus the bytes every read returned (for cross-mode equality)."""
-
-    sample: WritePathSample
-    read_digest: Tuple[bytes, ...]
-
-
-#: sentinel: "no per-point capacity override, honour the cluster config"
-_NO_CAPACITY_OVERRIDE = object()
-
-
-def run_write_path_point(mode: str,
-                         settings: Optional[WritePathSettings] = None,
-                         cache_capacity: object = _NO_CAPACITY_OVERRIDE,
-                         ) -> WritePathResult:
-    """Run the queued-writes → read-back workload in one write-path mode.
-
-    ``cache_capacity`` (sweep points only) overrides the clients' metadata
-    cache capacity — including an explicit ``None`` for forced-unbounded;
-    when omitted, the clients follow ``settings.config`` like production
-    clients would.
+    ``client_options`` (the capacity sweep passes
+    ``metadata_cache_capacity``, including an explicit ``None`` for
+    forced-unbounded) override what the clients would otherwise take from
+    ``config`` like production clients do.
     """
     if mode not in WRITE_MODES:
         raise BenchmarkError(f"unknown mode {mode!r}; choose from {sorted(WRITE_MODES)}")
-    settings = settings or WritePathSettings()
     spec = WRITE_MODES[mode]
-    coalesce = spec["coalesce"]
     wall_started = time.perf_counter()
-
-    cluster = Cluster(config=settings.config, seed=settings.seed)
-    deployment = BlobSeerDeployment(
-        cluster,
-        num_providers=settings.num_providers,
-        num_metadata_providers=settings.num_metadata_providers,
-        chunk_size=settings.chunk_size,
-        node_prefix="wp",
+    workload = QueuedWritesWorkload(
+        num_clients=settings.num_clients,
+        writes_per_client=settings.writes_per_client,
+        regions_per_write=settings.regions_per_write,
+        region_size=settings.region_size,
+        hole_size=settings.hole_size,
     )
-    workload = settings.workload()
-    client_options = {}
-    if cache_capacity is not _NO_CAPACITY_OVERRIDE:
-        client_options["metadata_cache_capacity"] = cache_capacity
-    clients: List[VectoredClient] = [
-        VectoredClient(deployment, cluster.add_node(f"wp-client{rank}"),
-                       name=f"wp{rank}",
-                       write_pipelining=spec["write_pipelining"],
-                       write_through_cache=spec["write_through_cache"],
-                       **client_options)
-        for rank in range(settings.num_clients)
-    ]
-    blob_id = "wp-blob"
-
-    def drive(processes):
-        drive_processes(cluster, processes, name="wp-driver")
-
-    setup = cluster.sim.process(
-        clients[0].create_blob(blob_id, workload.file_size), name="wp-setup")
-    cluster.sim.run(stop_event=setup)
+    cluster, clients, blob_id, drive = start_clients(
+        settings, config, "wp", workload.file_size,
+        write_pipelining=spec["write_pipelining"],
+        write_through_cache=spec["write_through_cache"], **client_options)
 
     # write phase: every client issues its train of small writes; its last
     # committed snapshot version is kept for the read-your-writes read-back
@@ -163,7 +73,7 @@ def run_write_path_point(mode: str,
 
     def write_rank(rank):
         client = clients[rank]
-        if coalesce:
+        if spec["coalesce"]:
             # queue the whole train, commit it as one snapshot at the barrier
             for pairs in workload.client_write_vectors(rank):
                 yield from client.vwrite_queued(blob_id, pairs)
@@ -183,95 +93,88 @@ def run_write_path_point(mode: str,
                 own_version[rank] = receipt.version
 
     write_sim_started = cluster.sim.now
-    drive([cluster.sim.process(write_rank(rank), name=f"wp-write{rank}")
-           for rank in range(settings.num_clients)])
+    drive("write", write_rank)
     sim_write_elapsed = cluster.sim.now - write_sim_started
 
     # read-back phase: first read measures write-through warmth, the repeats
     # the steady state; all reads return the client's whole span
     read_results: Dict[Tuple[int, int], List[bytes]] = {}
 
-    def read_rank(rank, repeat):
-        # read-your-writes: each client reads its span at its own last
-        # committed version (spans are disjoint, so the bytes match every
-        # mode's final contents regardless of cross-client ticket order)
-        pieces = yield from clients[rank].vread(
-            blob_id, workload.read_pairs(rank), version=own_version[rank])
-        read_results[(rank, repeat)] = pieces
+    def read_round(repeat):
+        def read_rank(rank):
+            # read-your-writes: each client reads its span at its own last
+            # committed version (spans are disjoint, so the bytes match
+            # every mode's final contents regardless of cross-client ticket
+            # order)
+            pieces = yield from clients[rank].vread(
+                blob_id, workload.read_pairs(rank), version=own_version[rank])
+            read_results[(rank, repeat)] = pieces
+        drive(f"read{repeat}.", read_rank)
 
     read_sim_started = cluster.sim.now
     hits_before, misses_before = cache_totals(clients)
-    drive([cluster.sim.process(read_rank(rank, 0), name=f"wp-read{rank}.0")
-           for rank in range(settings.num_clients)])
+    read_round(0)
     hits_after, misses_after = cache_totals(clients)
     first_hits = hits_after - hits_before
     first_lookups = first_hits + (misses_after - misses_before)
-
     for repeat in range(1, settings.read_repeats):
-        drive([cluster.sim.process(read_rank(rank, repeat),
-                                   name=f"wp-read{rank}.{repeat}")
-               for rank in range(settings.num_clients)])
+        read_round(repeat)
     sim_read_elapsed = cluster.sim.now - read_sim_started
 
     hits, misses = cache_totals(clients)
-    evictions = sum(client.metadata_cache.stats.evictions for client in clients
-                    if client.metadata_cache is not None)
-
-    sample = WritePathSample(
-        mode=mode,
-        num_clients=settings.num_clients,
-        logical_writes=sum(client.logical_writes for client in clients),
-        snapshots=sum(client.writes for client in clients),
-        control_rpcs=sum(client.write_control_rpcs for client in clients),
-        metadata_put_rpcs=sum(client.metadata_put_rpcs for client in clients),
-        cache_primed_nodes=sum(client.cache_primed_nodes for client in clients),
-        first_read_cache_hit_rate=(first_hits / first_lookups
-                                   if first_lookups else 0.0),
-        read_cache_hit_rate=(hits / (hits + misses) if (hits + misses) else 0.0),
-        cache_evictions=evictions,
-        sim_write_s=sim_write_elapsed,
-        sim_read_s=sim_read_elapsed,
-        wall_clock_s=time.perf_counter() - wall_started,
-        network_model=settings.config.network_model,
-    )
-    digest = tuple(b"".join(read_results[key]) for key in sorted(read_results))
-    return WritePathResult(sample=sample, read_digest=digest)
-
-
-def run_write_path_suite(settings: Optional[WritePathSettings] = None,
-                         modes: Sequence[str] = tuple(WRITE_MODES),
-                         ) -> Dict[str, WritePathResult]:
-    """Run every requested mode on identical settings (fresh deployment each)."""
-    settings = settings or WritePathSettings()
-    return {mode: run_write_path_point(mode, settings) for mode in modes}
+    logical_writes = sum(client.logical_writes for client in clients)
+    snapshots = sum(client.writes for client in clients)
+    control_rpcs = sum(client.write_control_rpcs for client in clients)
+    metadata_put_rpcs = sum(client.metadata_put_rpcs for client in clients)
+    row = {
+        "mode": mode,
+        "clients": settings.num_clients,
+        "logical_writes": logical_writes,
+        "snapshots": snapshots,
+        "coalescing_factor": per(logical_writes, snapshots),
+        "control_rpcs": control_rpcs,
+        "metadata_put_rpcs": metadata_put_rpcs,
+        "control_rpcs_per_write": per(control_rpcs + metadata_put_rpcs,
+                                      logical_writes),
+        "cache_primed_nodes": sum(client.cache_primed_nodes
+                                  for client in clients),
+        "first_read_cache_hit_rate": per(first_hits, first_lookups),
+        "read_cache_hit_rate": per(hits, hits + misses),
+        "cache_evictions": sum(client.metadata_cache.stats.evictions
+                               for client in clients
+                               if client.metadata_cache is not None),
+        "sim_write_s": sim_write_elapsed,
+        "sim_read_s": sim_read_elapsed,
+        "wall_clock_s": time.perf_counter() - wall_started,
+        "network_model": config.network_model,
+    }
+    return row, {"read_digest": tuple(b"".join(read_results[key])
+                                      for key in sorted(read_results))}
 
 
-def run_cache_capacity_sweep(settings: Optional[WritePathSettings] = None,
-                             unbounded: Optional[WritePathResult] = None,
+#: the columns a capacity-sweep row keeps of its point
+SWEEP_COLUMNS = ("first_read_cache_hit_rate", "read_cache_hit_rate",
+                 "cache_evictions", "cache_primed_nodes", "wall_clock_s")
+
+
+def run_cache_capacity_sweep(settings, config, unbounded: Dict[str, object],
                              ) -> List[Dict[str, object]]:
     """Hit rate / evictions vs LRU capacity on the pipelined-coalesced path.
 
     One row per capacity in ``settings.cache_capacities`` (``None`` =
-    unbounded), each measured on a fresh deployment of the same workload.
-    Pass the suite's own pipelined-coalesced result as ``unbounded`` to
-    reuse it for the unbounded row instead of re-running that point.
+    unbounded), each measured on a fresh deployment of the same workload;
+    the suite's own pipelined-coalesced point is the ``unbounded`` row.
     """
-    settings = settings or WritePathSettings()
     rows: List[Dict[str, object]] = []
     for capacity in settings.cache_capacities:
-        if capacity is None and unbounded is not None:
-            result = unbounded
-        else:
-            result = run_write_path_point("pipelined-coalesced", settings,
-                                          cache_capacity=capacity)
-        sample = result.sample
+        row = unbounded
+        if capacity is not None:
+            row, _read_back = run_write_path_point(
+                settings, config, mode="pipelined-coalesced",
+                metadata_cache_capacity=capacity)
         rows.append({
             "mode": "cache-sweep",
             "capacity": capacity if capacity is not None else "unbounded",
-            "first_read_cache_hit_rate": sample.first_read_cache_hit_rate,
-            "read_cache_hit_rate": sample.read_cache_hit_rate,
-            "cache_evictions": sample.cache_evictions,
-            "cache_primed_nodes": sample.cache_primed_nodes,
-            "wall_clock_s": sample.wall_clock_s,
+            **{column: row[column] for column in SWEEP_COLUMNS},
         })
     return rows

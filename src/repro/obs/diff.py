@@ -15,7 +15,12 @@ classifies every leaf value into one of three rule families:
   ``events_per_sec``/``speedup_vs_seed`` regress downward, everything
   else upward.  Improvements never flag, and a non-positive baseline
   (a ``tracing_overhead_pct`` that came out negative) has no band to
-  apply: a change from it is reported as a note.
+  apply: a change from it is reported as a note.  So is a value beyond
+  the band whose baseline *timing* ran for less than
+  :data:`MIN_GATED_WALL_S` — the ``wall_clock_s`` of the same row, or for
+  a value derived outside any row the longest ``wall_clock_s`` among the
+  baseline's rows: a 4x band around ~10 ms of smoke-suite wall clock is
+  scheduler noise, not a gate (host time is ``perfbench``'s job).
 * **ignore** — provenance that legitimately differs between runs
   (``python`` version, measurement-method strings).
 
@@ -32,12 +37,16 @@ import fnmatch
 import json
 from typing import Dict, List, Optional, Sequence
 
-__all__ = ["DEFAULT_WALL_BAND", "DEFAULT_WALL_PATTERNS",
+__all__ = ["DEFAULT_WALL_BAND", "MIN_GATED_WALL_S", "DEFAULT_WALL_PATTERNS",
            "DEFAULT_IGNORE_PATTERNS", "flatten", "compare",
            "compare_files", "write_report"]
 
 #: default multiplicative tolerance for wall-clock-family values
 DEFAULT_WALL_BAND = 4.0
+
+#: a wall-family value can only regress when the baseline timing behind it
+#: ran at least this long; below it, leaving the band is a note
+MIN_GATED_WALL_S = 1.0
 
 #: dotted-path patterns treated as host-wall-clock-derived (banded)
 DEFAULT_WALL_PATTERNS = (
@@ -104,6 +113,20 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _timing_behind(path: str, flat: Dict[str, object]) -> Optional[float]:
+    """Baseline wall-clock seconds a wall-family value was derived from:
+    its row's ``wall_clock_s`` (itself, for that column), else the longest
+    ``wall_clock_s`` of any row; ``None`` when the baseline records none."""
+    row = path.rpartition(".")[0]
+    sibling = flat.get(f"{row}.wall_clock_s" if row else "wall_clock_s")
+    if _is_number(sibling):
+        return sibling
+    timings = [value for key, value in flat.items()
+               if key.startswith("rows[") and key.endswith("].wall_clock_s")
+               and _is_number(value)]
+    return max(timings, default=None)
+
+
 def compare(baseline: Dict, current: Dict, *,
             wall_band: float = DEFAULT_WALL_BAND,
             wall_patterns: Sequence[str] = DEFAULT_WALL_PATTERNS,
@@ -143,18 +166,25 @@ def compare(baseline: Dict, current: Dict, *,
                     notes.append(f"{path}: {expected!r} -> {actual!r} "
                                  "(non-positive wall-family baseline: "
                                  "no band to apply)")
-            elif _matches(path, _HIGHER_IS_BETTER):
-                floor = expected / wall_band
-                if actual < floor:
-                    regressions.append(
-                        f"{path}: {actual!r} below {floor!r} "
-                        f"(baseline {expected!r} / band {wall_band})")
+                continue
+            if _matches(path, _HIGHER_IS_BETTER):
+                limit = expected / wall_band
+                beyond = actual < limit
+                how = (f"below {limit!r} "
+                       f"(baseline {expected!r} / band {wall_band})")
             else:
-                ceiling = expected * wall_band
-                if actual > ceiling and actual - expected > 1e-9:
-                    regressions.append(
-                        f"{path}: {actual!r} above {ceiling!r} "
-                        f"(baseline {expected!r} x band {wall_band})")
+                limit = expected * wall_band
+                beyond = actual > limit and actual - expected > 1e-9
+                how = (f"above {limit!r} "
+                       f"(baseline {expected!r} x band {wall_band})")
+            if beyond:
+                timing = _timing_behind(path, base_flat)
+                if timing is not None and timing < MIN_GATED_WALL_S:
+                    notes.append(f"{path}: {actual!r} {how}; not gated: the "
+                                 f"baseline timing behind it is {timing!r} s "
+                                 f"(< {MIN_GATED_WALL_S} s)")
+                else:
+                    regressions.append(f"{path}: {actual!r} {how}")
             continue
         # exact family: simulation-derived values must match bit for bit
         if expected != actual or type(expected) is not type(actual):

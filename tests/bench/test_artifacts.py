@@ -1,11 +1,12 @@
-"""The one artifact writer of the ``benchmarks/test_perf_*.py`` suites:
-smoke output never lands on a committed full-size ``BENCH_*.json``."""
+"""The one artifact writer behind ``python -m repro.bench run`` and the
+``benchmarks/test_perf_*.py`` suites: smoke output never lands on a
+committed full-size ``BENCH_*.json``."""
 
 import json
 
 import pytest
 
-from benchmarks.common import artifact_target, write_artifact
+from repro.bench.artifacts import artifact_target, write_artifact
 
 
 def test_full_size_run_writes_the_named_path(tmp_path):

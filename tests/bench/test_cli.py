@@ -1,5 +1,7 @@
 """Tests for the ``python -m repro.bench`` command-line interface."""
 
+import json
+
 import pytest
 
 from repro.bench.cli import build_parser, main, run_experiment, settings_from_args
@@ -62,3 +64,22 @@ class TestExecution:
         assert exit_code == 0
         output = capsys.readouterr().out
         assert "speedup" in output
+
+
+class TestRunSuites:
+    def test_run_writes_the_smoke_artifact_under_out(self, tmp_path, capsys):
+        assert main(["run", "metadata", "--smoke",
+                     "--out", str(tmp_path)]) == 0
+        written = tmp_path / "BENCH_metadata.smoke.json"
+        artifact = json.loads(written.read_text())
+        assert artifact["suite"] == "metadata-read-path"
+        assert artifact["smoke"] is True
+        assert not (tmp_path / "BENCH_metadata.json").exists()
+        output = capsys.readouterr().out
+        assert str(written) in output
+        assert "rpc_reduction_vs_baseline" in output
+
+    def test_unknown_suite_rejected(self, tmp_path):
+        with pytest.raises(SystemExit):
+            main(["run", "nope", "--smoke", "--out", str(tmp_path)])
+        assert not list(tmp_path.iterdir())

@@ -1,7 +1,7 @@
 """Tests for the experiment definitions (tiny parameter sets).
 
 These are correctness tests of the sweep functions — the real, larger runs
-live in ``benchmarks/`` and in EXPERIMENTS.md.
+live in ``benchmarks/`` and in ``BENCH_paper.json``.
 """
 
 import pytest

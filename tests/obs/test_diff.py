@@ -7,6 +7,7 @@ import pytest
 from repro.obs.cli import main
 from repro.obs.diff import (
     DEFAULT_WALL_BAND,
+    MIN_GATED_WALL_S,
     compare,
     compare_files,
     flatten,
@@ -122,6 +123,47 @@ def test_non_positive_wall_baseline_has_no_band_to_apply():
     baseline["tracing_overhead_pct"] = 1.0
     current["tracing_overhead_pct"] = 1.0 * DEFAULT_WALL_BAND + 0.5
     assert compare(baseline, current)["status"] == "regression"
+
+
+def test_sub_second_baseline_timings_are_not_gated():
+    """Smoke suites time ~10 ms points: a 4x band around that is scheduler
+    noise, so leaving it is a note — for the timing itself, for a rate
+    derived from it in the same row, and for a top-level value derived
+    from rows that all ran below the floor."""
+    baseline = artifact()
+    baseline["tracing_overhead_pct"] = 5.0
+    # a pinned reference timing is not a row of this run
+    baseline["seed_reference"] = {"wall_clock_s": 27.94}
+    for row, wall in zip(baseline["rows"], (0.012, 0.02)):
+        row["wall_clock_s"] = wall
+    assert max(row["wall_clock_s"] for row in baseline["rows"]) \
+        < MIN_GATED_WALL_S
+    current = artifact()
+    current["tracing_overhead_pct"] = 90.0
+    current["seed_reference"] = {"wall_clock_s": 27.94}
+    current["rows"][0]["wall_clock_s"] = 0.9
+    current["rows"][0]["events_per_sec"] = 50
+    current["rows"][1]["wall_clock_s"] = 0.02
+    report = compare(baseline, current)
+    assert report["status"] == "ok"
+    for name in ("rows[headline].wall_clock_s", "rows[headline].events_per_sec",
+                 "tracing_overhead_pct"):
+        assert any(note.startswith(name) and "not gated" in note
+                   for note in report["notes"]), name
+    # one row at or above the floor is gated again, and so is what no row owns
+    baseline["rows"][1]["wall_clock_s"] = MIN_GATED_WALL_S
+    current["rows"][1]["wall_clock_s"] = MIN_GATED_WALL_S * 5
+    report = compare(baseline, current)
+    assert any(line.startswith("rows[headline-queued].wall_clock_s")
+               for line in report["regressions"])
+    assert any(line.startswith("tracing_overhead_pct")
+               for line in report["regressions"])
+    assert not any("rows[headline]." in line
+                   for line in report["regressions"])
+    # simulation-derived values stay exact however short the run was
+    current["rows"][0]["sim_elapsed_s"] = 0.126
+    assert any("sim_elapsed_s" in line
+               for line in compare(baseline, current)["regressions"])
 
 
 def test_ignored_provenance_and_extra_patterns():
