@@ -24,9 +24,11 @@ invocations (``deployment.stats()``), not client issue events: provider
 read-throughs fetch from the shards on a prober's behalf, and a
 client-side count would miss them.
 
-Every point checks its own counters against independently counted totals
-(:func:`_check_conservation`) and returns the scans' bytes, which the perf
-suites compare across every mode, node count and network model.
+Every point checks its clients' metadata tier chains — each lookup
+answered by exactly one tier, every shared service's count matched by its
+clients' (:mod:`repro.blobseer.metadata.tiers`) — and returns the scans'
+bytes, which the perf suites compare across every mode, node count and
+network model.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.bench.harness import deploy, drive_processes, seed_blob
 from repro.bench.metrics import per
+from repro.blobseer.metadata.tiers import partition_problems, wire_problems
 from repro.errors import BenchmarkError
 from repro.vstore.client import VectoredClient
 from repro.workloads.shared_scan import SharedScanWorkload
@@ -125,11 +128,11 @@ def run_scan_point(settings, config, *, prefix: str, mode: str,
          for index in range(num_clients)],
         name=f"{prefix}-driver")
 
-    def total(attribute: str) -> int:
-        return sum(getattr(client, attribute) for client in clients)
+    chains = [client.tiers for client in clients]
 
-    caches = [client.metadata_cache for client in clients
-              if client.metadata_cache is not None]
+    def total(tier: str, counter: str) -> int:
+        return sum(chain.count(tier, counter) for chain in chains)
+
     shared_stats = deployment.shared_cache_stats()
     coop_stats = deployment.coop_stats()
     logical_reads = num_clients * workload.rounds
@@ -143,30 +146,29 @@ def run_scan_point(settings, config, *, prefix: str, mode: str,
         "clients": num_clients,
         "rounds": workload.rounds,
         "logical_reads": logical_reads,
-        "metadata_rpcs": total("metadata_read_rpcs"),
-        "latest_rpcs": total("latest_rpcs"),
+        "metadata_rpcs": total("shards", "read_rpcs"),
+        "latest_rpcs": sum(client.latest_rpcs for client in clients),
         "server_read_rpcs": (deployment.stats()["metadata_read_rpcs"]
                              - server_rpcs_seeded),
-        "probe_rpcs": total("peer_probe_rpcs"),
-        "peer_hits": total("peer_cache_hits"),
-        "peer_rejections": total("peer_rejections"),
-        "probe_misses": total("peer_probe_misses"),
+        "probe_rpcs": total("peers", "probe_rpcs"),
+        "peer_hits": total("peers", "hits"),
+        "peer_rejections": total("peers", "rejections"),
+        "probe_misses": total("peers", "probe_misses"),
         "read_throughs": coop_stats["read_throughs"],
         "unavailable_probes": coop_stats["unavailable_probes"],
         "coalesced_fetches": shared_stats["coalesced_fetches"],
-        "private_hits": sum(cache.stats.hits for cache in caches),
-        "shared_hits": total("shared_cache_hits"),
-        "fetched_lookups": total("metadata_lookup_fetches"),
+        "private_hits": total("private", "hits"),
+        "shared_hits": total("node", "hits"),
+        "fetched_lookups": sum(chain.fetched_lookups for chain in chains),
         "shared_evictions": shared_stats["evictions"],
         "shared_rejections": (shared_stats["unpublished_rejections"]
                               + shared_stats["capacity_rejections"]),
-        "prefetched_nodes": total("metadata_prefetched_nodes"),
+        "prefetched_nodes": total("shards", "prefetched_nodes"),
         "sim_read_s": max(finished) - read_started,
         "wall_clock_s": time.perf_counter() - wall_started,
         "network_model": config.network_model,
     }
-    lookups = (values["private_hits"] + values["shared_hits"]
-               + values["peer_hits"] + values["fetched_lookups"])
+    lookups = sum(chain.lookups for chain in chains)
     values.update(
         client_metadata_rpcs=values["metadata_rpcs"],
         lookups=lookups,
@@ -178,49 +180,16 @@ def run_scan_point(settings, config, *, prefix: str, mode: str,
     # not artifact columns: the bytes and the independently counted totals
     extras = {
         "read_digest": b"".join(b"".join(scans[key]) for key in sorted(scans)),
-        "per_client_rpcs": {index: client.metadata_read_rpcs
-                            for index, client in enumerate(clients)},
-        "private_tier_lookups": sum(cache.stats.lookups for cache in caches),
+        "per_client_rpcs": {index: chain.count("shards", "read_rpcs")
+                            for index, chain in enumerate(chains)},
+        "private_tier_lookups": total("private", "lookups"),
         "shared_tier_lookups": shared_stats["hits"] + shared_stats["misses"],
         "coop_stats": coop_stats,
     }
-    _check_conservation({**values, **extras}, private_cache, shared,
-                        cooperative)
+    # the scan clients are the tiers' only participants (the seeder stays
+    # outside both), so the shared services' counts must reconcile too
+    problems = partition_problems(chains) + wire_problems(chains)
+    if problems:
+        raise BenchmarkError("metadata tier accounting broken: "
+                             + "; ".join(problems))
     return values, extras
-
-
-def _check_conservation(values: Dict[str, object], private_cache: bool,
-                        shared: bool, cooperative: bool) -> None:
-    """Cross-check the point's counters against independent sources.
-
-    Every deduplicated lookup is a private hit, a shared hit, a peer hit
-    or a fetch: the private tier's own hit+miss counters must equal that
-    partition when a private cache exists, and — without the cooperative
-    tier, whose probes re-enter the shared services — the shared services'
-    hit+miss counters must equal the lookups that fell through the private
-    tier (all of them, when it is absent).  The scan clients being the
-    directory's only probers, every lookup a peer service served must land
-    on exactly one client as an admitted hit or a watermark rejection.
-    """
-    lookups = values["lookups"]
-    if private_cache and values["private_tier_lookups"] != lookups:
-        raise BenchmarkError(
-            f"lookup partition broken: {values['private_tier_lookups']} "
-            f"private-tier lookups vs {lookups} partitioned")
-    if shared and not cooperative:
-        fell_through = lookups - values["private_hits"]
-        if values["shared_tier_lookups"] != fell_through:
-            raise BenchmarkError(
-                f"lookup partition broken: {values['shared_tier_lookups']} "
-                f"shared-tier lookups vs {fell_through} that fell through")
-    if cooperative:
-        accounted = values["peer_hits"] + values["peer_rejections"]
-        if values["coop_stats"]["served_hits"] != accounted:
-            raise BenchmarkError(
-                f"peer tier leaked answers: services served "
-                f"{values['coop_stats']['served_hits']} hits but clients "
-                f"account for {accounted}")
-    elif values["peer_hits"] or values["probe_rpcs"] \
-            or values["read_throughs"]:
-        raise BenchmarkError(
-            "cooperative counters moved with the tier disabled")

@@ -43,16 +43,13 @@ from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.blobseer.blob import BlobDescriptor
 from repro.blobseer.chunk import ChunkKeyFactory
-from repro.blobseer.metadata.cache import MetadataNodeCache
-from repro.blobseer.metadata.coopcache import PEER_MISS
-from repro.blobseer.metadata.segment_tree import NodeRequest, ReadPlanner
-from repro.blobseer.metadata.sharedcache import FETCH_FAILED
-from repro.blobseer.metadata.store import PartitionedMetadataStore
+from repro.blobseer.metadata.segment_tree import ReadPlanner
+from repro.blobseer.metadata.tiers import UNSET, build_chain
 from repro.blobseer.writepath.batch import WriteReceipt
 from repro.blobseer.writepath.engine import PipelinedCommitEngine
 from repro.core.listio import IOVector
 from repro.core.regions import Region, RegionList
-from repro.errors import StorageError, VersionNotFound
+from repro.errors import VersionNotFound
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.blobseer.deployment import BlobSeerDeployment
@@ -60,35 +57,31 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["BlobClient", "WriteReceipt"]
 
-#: sentinel distinguishing "capacity not given" (fall back to the cluster
-#: config) from an explicit ``None`` (force an unbounded cache)
-_UNSET_CAPACITY = object()
-
-#: sentinel for boolean options that fall back to the cluster config
-_UNSET = object()
-
 
 class BlobClient:
     """Client-side access to a :class:`~repro.blobseer.deployment.BlobSeerDeployment`.
 
-    The metadata read path is optimized by default: an immutable-node cache
-    (:class:`~repro.blobseer.metadata.cache.MetadataNodeCache`) answers
-    repeated lookups locally, and the remaining lookups of each tree level
-    are shipped as one batched ``get_nodes`` RPC per metadata shard.  Both
-    optimizations can be switched off (``enable_metadata_cache=False`` /
-    ``metadata_batching=False``) to measure the one-RPC-per-node baseline.
+    Metadata lookups fold over the client's tier chain (``tiers``, a
+    :class:`~repro.blobseer.metadata.tiers.MetadataTierChain`): a private
+    cache of immutable nodes, optionally the compute node's shared pool and
+    the cooperative peers beyond it, then the shards, one batched
+    ``get_nodes`` RPC per shard and tree level.  The keyword arguments only
+    shape that list (:func:`~repro.blobseer.metadata.tiers.build_chain`):
+    ``shared_metadata_cache``, ``cooperative_cache``, ``metadata_prefetch``
+    and ``metadata_cache_capacity`` default to the cluster config (an
+    explicit ``metadata_cache_capacity=None`` forces an unbounded private
+    cache even against a bounded cluster default), while
+    ``enable_metadata_cache=False`` / ``metadata_batching=False`` replay
+    the one-RPC-per-node baseline the metadata suite measures against.
 
     The write path is symmetric: commits route through a
     :class:`~repro.blobseer.writepath.engine.PipelinedCommitEngine` that
     overlaps the version-ticket RPC with the chunk uploads, ships the
-    per-shard ``put_nodes`` RPCs in parallel, and write-through-populates the
-    metadata cache with the nodes it just published.  ``write_pipelining=
+    per-shard ``put_nodes`` RPCs in parallel, and write-through-populates
+    the chain with the nodes it just published.  ``write_pipelining=
     False`` restores the serialized pre-subsystem write path and
-    ``write_through_cache=False`` disables the cache priming, again for
-    baseline measurements.  ``metadata_cache_capacity`` bounds the node
-    cache (LRU); when not given it falls back to the cluster-wide
-    ``ClusterConfig.metadata_cache_capacity``, and an explicit ``None``
-    forces an unbounded cache even against a bounded cluster default.
+    ``write_through_cache=False`` disables the priming, again for baseline
+    measurements.
     """
 
     #: queued-write coalescer; ``None`` on the stock client (the vectored
@@ -98,14 +91,12 @@ class BlobClient:
 
     def __init__(self, deployment: "BlobSeerDeployment", node: "Node",
                  name: Optional[str] = None, *,
-                 metadata_cache: Optional[MetadataNodeCache] = None,
                  enable_metadata_cache: bool = True,
                  metadata_batching: bool = True,
-                 metadata_cache_capacity: object = _UNSET_CAPACITY,
-                 shared_metadata_cache: object = _UNSET,
-                 metadata_prefetch: object = _UNSET,
-                 cooperative_cache: object = _UNSET,
-                 fetch_coalescing: object = _UNSET,
+                 metadata_cache_capacity: object = UNSET,
+                 shared_metadata_cache: object = UNSET,
+                 metadata_prefetch: object = UNSET,
+                 cooperative_cache: object = UNSET,
                  write_pipelining: bool = True,
                  write_through_cache: bool = True):
         self.deployment = deployment
@@ -114,61 +105,14 @@ class BlobClient:
         self.name = name or f"client:{node.name}"
         self._chunk_keys = ChunkKeyFactory(self.name)
         self._descriptors: Dict[str, BlobDescriptor] = {}
-        if metadata_cache_capacity is _UNSET_CAPACITY:
-            metadata_cache_capacity = self.cluster.config.metadata_cache_capacity
-        if metadata_cache is not None:
-            self.metadata_cache: Optional[MetadataNodeCache] = metadata_cache
-        elif enable_metadata_cache:
-            self.metadata_cache = MetadataNodeCache(capacity=metadata_cache_capacity)
-        else:
-            self.metadata_cache = None
-        self.metadata_batching = metadata_batching
-        if shared_metadata_cache is _UNSET:
-            shared_metadata_cache = self.cluster.config.shared_metadata_cache
-        if metadata_prefetch is _UNSET:
-            metadata_prefetch = self.cluster.config.metadata_prefetch
-        #: the node-local shared cache tier this client attaches to (one
-        #: service per compute node, discovered through the deployment;
-        #: ``None`` keeps the pre-subsystem private-cache-only behaviour)
-        if shared_metadata_cache:
-            self.shared_cache = deployment.node_cache(node)
-            self.shared_cache.attach(self.name)
-        else:
-            self.shared_cache = None
-        #: speculative child prefetch: a frontier ``get_nodes`` also returns
-        #: the children of each resolved inner node (and the base version of
-        #: partially-covered leaves) that the shard can answer
-        #: authoritatively, shaving whole levels of round-trips.  Prefetch
-        #: rides on the *batched* fetch RPC, so it is normalized off when
-        #: ``metadata_batching=False`` (the one-RPC-per-node baseline) —
-        #: the resolved flag stays introspectable instead of silently inert
-        self.metadata_prefetch = bool(metadata_prefetch) and metadata_batching
-        if cooperative_cache is _UNSET:
-            cooperative_cache = self.cluster.config.cooperative_cache
-        #: cross-node cooperative tier: on a shared-tier miss, probe the
-        #: responsible peer node's pool over a real RPC before falling back
-        #: to the authoritative shards (:mod:`repro.blobseer.metadata.
-        #: coopcache`).  Effective only with a shared tier to route through
-        #: and batched fetches to fan the probes out on; enabling it
-        #: enrolls this compute node in the deployment's coop directory
-        self.cooperative_cache = (bool(cooperative_cache)
-                                  and self.shared_cache is not None
-                                  and metadata_batching)
-        self.coop_peer = (deployment.coop_peer(node)
-                          if self.cooperative_cache else None)
-        if fetch_coalescing is _UNSET:
-            fetch_coalescing = self.cluster.config.fetch_coalescing
-        if fetch_coalescing is None:
-            # follow the cooperative knob: the coalescing timeline change
-            # (waiters park instead of fetching) only engages alongside the
-            # tier it was built for, so cooperative-off configurations stay
-            # byte- and counter-identical to the pre-subsystem behaviour
-            fetch_coalescing = self.cooperative_cache
-        #: park simultaneous missers for one key on the leader's sim event
-        #: (needs the shared tier's node-local in-flight table)
-        self.fetch_coalescing = (bool(fetch_coalescing)
-                                 and self.shared_cache is not None
-                                 and metadata_batching)
+        #: the metadata tier chain every lookup of this client folds over
+        self.tiers = build_chain(
+            self, private=enable_metadata_cache,
+            capacity=metadata_cache_capacity,
+            node_shared=shared_metadata_cache, batching=metadata_batching,
+            prefetch=metadata_prefetch, cooperative=cooperative_cache)
+        #: the private tier's node cache (``None`` without one)
+        self.metadata_cache = self.tiers.find("private")
         self.write_pipelining = write_pipelining
         self.write_through_cache = write_through_cache
         #: the commit engine every write of this client routes through
@@ -194,8 +138,8 @@ class BlobClient:
         #: logical vectored writes accepted (equals ``writes`` unless a
         #: coalescer merged several of them into one snapshot)
         self.logical_writes: int = 0
-        #: metadata read-path counters (RPC round-trips and nodes used)
-        self.metadata_read_rpcs: int = 0
+        #: metadata nodes this client's read traversals used, whichever
+        #: tier supplied them
         self.metadata_nodes_fetched: int = 0
         #: ``latest`` round-trips actually issued to the version manager
         self.latest_rpcs: int = 0
@@ -210,28 +154,6 @@ class BlobClient:
         self.cache_primed_nodes: int = 0
         #: ``latest`` round-trips elided because a read consumed a hint
         self.latest_rpcs_elided: int = 0
-        #: shared-tier (node-local) lookups answered after a private miss
-        self.shared_cache_hits: int = 0
-        #: deduplicated lookups neither cache tier answered (fetched over
-        #: RPCs); with the tier hit counters this partitions every
-        #: traversal's lookups exactly — the invariant the placement
-        #: property suite pins
-        self.metadata_lookup_fetches: int = 0
-        #: extra nodes received through speculative child prefetch
-        self.metadata_prefetched_nodes: int = 0
-        #: lookups a cooperative peer node answered (admitted through this
-        #: node's own watermark gate); part of the lookup partition
-        self.peer_cache_hits: int = 0
-        #: peer answers refused by the receiving-side watermark gate (the
-        #: lookup then fell back to the authoritative shards)
-        self.peer_rejections: int = 0
-        #: probed lookups the peer could not answer
-        self.peer_probe_misses: int = 0
-        #: cooperative probe RPCs issued (one per responsible peer per level)
-        self.peer_probe_rpcs: int = 0
-        #: upstream fetches avoided by parking on an in-flight co-tenant
-        #: fetch for the same key
-        self.coalesced_fetches: int = 0
         #: per-rank span context (``None`` unless the cluster traces) — the
         #: single attribute test every instrumented site guards on
         tracer = self.cluster.obs.tracer
@@ -343,25 +265,23 @@ class BlobClient:
     def note_published(self, blob_id: str, version: int) -> None:
         """Record that ``version`` is known to be published (hint table).
 
-        The observation is forwarded to the node-local shared cache: its
-        admission gate opens for a version only once *some* co-located
-        client saw it published.
+        The observation is forwarded to the tier chain: a gated tier's
+        admission opens for a version only once *some* client it serves
+        saw it published.
         """
         if version > self.version_hints.get(blob_id, 0):
             self.version_hints[blob_id] = version
-        if self.shared_cache is not None:
-            self.shared_cache.note_published(blob_id, version)
+        self.tiers.note_published(blob_id, version)
 
     def detach(self) -> None:
-        """Detach from the node-local shared cache (process teardown).
+        """Detach from the node-local shared cache (process teardown);
+        later reads fold over what is left of the chain."""
+        self.tiers.detach()
 
-        Published entries this client contributed stay resident for the
-        node's other tenants — that is safe precisely because the shared
-        tier never admitted anything from an unpublished version.
-        """
-        if self.shared_cache is not None:
-            self.shared_cache.detach(self.name)
-            self.shared_cache = None
+    @property
+    def metadata_read_rpcs(self) -> int:
+        """Metadata read round-trips this client issued to the shards."""
+        return self.tiers.count("shards", "read_rpcs")
 
     def note_collective_commit(self, blob_id: str, version: int) -> None:
         """Absorb a collective write's published watermark.
@@ -397,23 +317,10 @@ class BlobClient:
         collective's own ``note_collective_read`` opened the shared tier's
         watermark gate.  Costs zero RPCs; returns how many were absorbed.
         """
-        if self.metadata_cache is None and self.shared_cache is None:
+        if not self.tiers.admit(blob_id, entries):
             return 0
-        self._admit(blob_id, entries)
         self.plan_nodes_absorbed += len(entries)
         return len(entries)
-
-    def _admit(self, blob_id: str, entries) -> None:
-        """Put authoritatively resolved lookups into both cache tiers.
-
-        ``entries`` are ``((offset, size, hint), node-or-None)`` pairs; the
-        shared tier applies its usual watermark gate.
-        """
-        if self.metadata_cache is not None:
-            self.metadata_cache.put_many(blob_id, entries)
-        if self.shared_cache is not None:
-            for (offset, size, hint), node in entries:
-                self.shared_cache.publish(blob_id, offset, size, hint, node)
 
     def offer_read_hint(self, blob_id: str) -> None:
         """Let the next ``version=None`` read start from the known watermark.
@@ -586,210 +493,20 @@ class BlobClient:
     # ------------------------------------------------------------------
     def _resolve_metadata(self, blob: BlobDescriptor, version: int, regions,
                           trace: Optional[Dict] = None):
-        """Resolve a read's segment-tree traversal against the metadata shards.
+        """Resolve a read's segment-tree traversal through the tier chain.
 
-        The traversal advances one tree level at a time.  On the optimized
-        path every level's cache misses are grouped by metadata shard and
-        fetched with one batched ``get_nodes`` RPC per shard, issued in
-        parallel — O(levels × shards) round-trips.  With
-        ``metadata_batching=False`` each node costs its own ``get_node`` RPC
-        (the pre-optimization baseline the perf suite measures against).
-        Cache hits skip the wire entirely.
-
-        With ``fetch_coalescing`` each level's misses first fold into the
-        node-local in-flight table (simultaneous missers share one fetch),
-        and with ``cooperative_cache`` the fetches this client leads probe
-        the responsible peer node's cache before falling back to the
-        authoritative shards.
+        The traversal advances one tree level at a time; each level's
+        deduplicated lookups fold over ``self.tiers``, which decides who
+        answers, who keeps the answer and which counter moves.
         """
-        planner = ReadPlanner(blob, version, regions,
-                              cache=self.metadata_cache,
-                              shared=self.shared_cache, trace=trace)
+        planner = ReadPlanner(blob, version, regions, trace=trace)
         while not planner.done:
-            requests = planner.pending()
-            results: Dict[NodeRequest, object] = {}
-            peer_answered: set = set()
-            led: List[NodeRequest] = []
-            parked: List[Tuple[NodeRequest, object]] = []
-            if requests and self.fetch_coalescing:
-                # split this level's misses into fetches this client will
-                # lead and fetches already in flight on this node for the
-                # same key — parked lookups share the leader's result and
-                # never touch the wire
-                for request in requests:
-                    leader, _owner, event = self.shared_cache.coalesce(
-                        self.cluster.sim, blob.blob_id, *request)
-                    if leader:
-                        led.append(request)
-                    else:
-                        self.coalesced_fetches += 1
-                        self.shared_cache.stats.coalesced_fetches += 1
-                        parked.append((request, event))
-                fetchable = led
-            else:
-                fetchable = list(requests)
-            try:
-                if fetchable and self.cooperative_cache:
-                    yield from self._probe_peers(blob, fetchable, results,
-                                                 peer_answered)
-                remaining = [request for request in fetchable
-                             if request not in results]
-                yield from self._fetch_authoritative(blob, planner, remaining,
-                                                     results)
-            except BaseException:
-                # never leave this node's parked waiters hanging on a fetch
-                # that died with this client
-                for request in led:
-                    self.shared_cache.coalesce_abort(blob.blob_id, *request)
-                raise
-            # resolve this client's leads before waiting on parked events:
-            # the reverse order could park forever behind our own unresolved
-            # leads
-            for request in led:
-                self.shared_cache.coalesce_resolve(blob.blob_id, *request,
-                                                   results[request])
-            for request, event in parked:
-                ctx = self.trace_ctx
-                park_span = None if ctx is None else ctx.begin(
-                    "meta.park", cat="wait", blob=blob.blob_id,
-                    key=list(request))
-                try:
-                    value = yield event
-                finally:
-                    if park_span is not None:
-                        ctx.finish(park_span)
-                if value is FETCH_FAILED:
-                    raise StorageError(
-                        f"coalesced metadata fetch {request} for blob "
-                        f"{blob.blob_id!r} failed at its leader")
-                results[request] = value
-            planner.advance(results, peer_answered)
+            results = yield from self.tiers.resolve(blob.blob_id,
+                                                    planner.pending())
+            planner.advance(results)
         plan = planner.plan()
-        self.metadata_read_rpcs += plan.metadata_rpcs
         self.metadata_nodes_fetched += plan.nodes_fetched
-        self.shared_cache_hits += plan.shared_hits
-        self.peer_cache_hits += plan.peer_hits
-        self.metadata_lookup_fetches += plan.requests_fetched
         return plan
-
-    def _fetch_authoritative(self, blob: BlobDescriptor, planner, requests,
-                             results) -> None:
-        """Fetch one level's unresolved lookups from the metadata shards."""
-        config = self.cluster.config
-        node_size = config.metadata_node_size
-        request_size = config.metadata_request_size
-        if requests and self.metadata_batching:
-            by_shard = self.deployment.metadata_store.group_by_shard(
-                blob.blob_id, requests)
-
-            def fetch_shard(index, shard_requests):
-                service = self.deployment.metadata_providers[index]
-                if self.metadata_prefetch:
-                    # the shard also resolves the children it owns of
-                    # every inner node it returns (and the base version
-                    # of partially-covered leaves) — extra response
-                    # bytes, priced from the actual result, for whole
-                    # levels of saved round-trips
-                    nodes, extras = yield from self._rpc(
-                        service, "get_nodes",
-                        len(shard_requests) * request_size,
-                        lambda result: (len(result[0]) + len(result[1]))
-                        * node_size,
-                        blob.blob_id, shard_requests, True)
-                    # extras: lookups the shard resolved speculatively but
-                    # *authoritatively* (it owns their range keys)
-                    self._admit(blob.blob_id, extras)
-                    self.metadata_prefetched_nodes += len(extras)
-                else:
-                    nodes = yield from self._rpc(
-                        service, "get_nodes",
-                        len(shard_requests) * request_size,
-                        len(shard_requests) * node_size,
-                        blob.blob_id, shard_requests)
-                for request, node in zip(shard_requests, nodes):
-                    results[request] = node
-
-            yield self.cluster.sim.fanout(
-                [fetch_shard(index, shard_requests)
-                 for index, shard_requests in sorted(by_shard.items())])
-            planner.metadata_rpcs += len(by_shard)
-        elif requests:
-            shard_count = len(self.deployment.metadata_providers)
-            for request in requests:
-                offset, size, hint = request
-                index = PartitionedMetadataStore.partition_index(
-                    blob.blob_id, offset, size, shard_count)
-                service = self.deployment.metadata_providers[index]
-                node = yield from self._rpc(
-                    service, "get_node", request_size, node_size,
-                    blob.blob_id, offset, size, hint)
-                results[request] = node
-                planner.metadata_rpcs += 1
-
-    def _probe_peers(self, blob: BlobDescriptor, requests, results,
-                     peer_answered) -> None:
-        """Ask responsible peers about this level's misses before the shards.
-
-        Routes every pending lookup through the cooperative directory
-        (custody hash, provider fallback when this node is custodian) and
-        fans one ``probe`` RPC out per target peer.  Answers pass through
-        *this* node's watermark gate before being trusted: a peer whose
-        claimed version this client has never observed published is
-        rejected (``peer_rejections``) and the lookup falls back to the
-        authoritative shard.
-        """
-        directory = self.deployment.coop_directory
-        groups: Dict[str, tuple] = {}
-        for request in requests:
-            offset, size, _hint = request
-            target = directory.route(self.node.name, blob.blob_id, offset,
-                                     size)
-            if target is None:
-                continue
-            groups.setdefault(target.node.name, (target, []))[1].append(
-                request)
-        if not groups:
-            return
-        config = self.cluster.config
-        node_size = config.metadata_node_size
-        request_size = config.metadata_request_size
-        control_size = config.control_message_size
-
-        def response_size(answer):
-            # a dead peer (None) or an all-miss answer still costs a
-            # control message; hits ship one node each
-            if not answer:
-                return control_size
-            hits = sum(1 for entry in answer if entry is not PEER_MISS)
-            return max(hits * node_size, control_size)
-
-        specs = []
-        ordered = []
-        watermark = self.shared_cache.watermark(blob.blob_id)
-        for _name, (target, probe_requests) in sorted(groups.items()):
-            specs.append((target, "probe",
-                          len(probe_requests) * request_size, response_size,
-                          (blob.blob_id, list(probe_requests), watermark)))
-            ordered.append(probe_requests)
-        self.peer_probe_rpcs += len(specs)
-        answers = yield from self._rpc_batch(specs, name="rpc.coop_probe")
-        for probe_requests, answer in zip(ordered, answers):
-            if answer is None:
-                # dead peer: treat the whole probe as a miss
-                self.peer_probe_misses += len(probe_requests)
-                continue
-            for request, entry in zip(probe_requests, answer):
-                if entry is PEER_MISS:
-                    self.peer_probe_misses += 1
-                    continue
-                _offset, _size, hint = request
-                if hint > self.shared_cache.watermark(blob.blob_id):
-                    # admission gate on the *receiving* side: never trust
-                    # a version this node has not itself observed published
-                    self.peer_rejections += 1
-                    continue
-                results[request] = entry
-                peer_answered.add(request)
 
     @staticmethod
     def _assemble(vector: IOVector, fetched: List[Tuple[int, int, bytes]]) -> List[bytes]:

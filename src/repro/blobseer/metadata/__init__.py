@@ -17,13 +17,20 @@ versioning principle the paper relies on to eliminate locking.
   at-or-before version resolution, plus hash partitioning over several
   metadata providers;
 * :mod:`repro.blobseer.metadata.provider` — the metadata provider service;
-* :mod:`repro.blobseer.metadata.cache` — the client-side cache of immutable
-  nodes and resolved version hints used by the read hot path;
-* :mod:`repro.blobseer.metadata.sharedcache` — the node-local *shared* cache
-  tier co-located clients attach to (admission gated on the published
-  watermark);
+* :mod:`repro.blobseer.metadata.tiers` — the metadata tier chain: the one
+  protocol every place that can answer a lookup implements, the ordered
+  list a client folds its reads over (built in
+  :func:`~repro.blobseer.metadata.tiers.build_chain`), and the N-tier
+  lookup partition identity;
+* :mod:`repro.blobseer.metadata.cache` — the private cache of immutable
+  nodes and resolved version hints (the chain's first tier);
+* :mod:`repro.blobseer.metadata.sharedcache` — the node-local *shared* pool
+  co-located clients attach to (admission gated on the published
+  watermark) and its in-flight fetch table;
+* :mod:`repro.blobseer.metadata.coopcache` — roles, custody routing and the
+  probe service of the cooperative cross-node tier;
 * :mod:`repro.blobseer.metadata.policy` — pluggable eviction policies for
-  the shared tier (LRU, segmented LRU, level-aware top-level pinning).
+  the shared pool (LRU, segmented LRU, level-aware top-level pinning).
 """
 
 from repro.blobseer.metadata.cache import CacheStats, MetadataNodeCache
@@ -34,7 +41,7 @@ from repro.blobseer.metadata.policy import (
     SegmentedLRUPolicy,
     make_policy,
 )
-from repro.blobseer.metadata.sharedcache import NodeCacheService, SharedCacheStats
+from repro.blobseer.metadata.sharedcache import NodeCacheService
 from repro.blobseer.metadata.nodes import ChildRef, LeafSegment, MetadataNode, NodeKey
 from repro.blobseer.metadata.store import MetadataStore, PartitionedMetadataStore
 from repro.blobseer.metadata.provider import SimMetadataProvider
@@ -55,7 +62,6 @@ __all__ = [
     "CacheStats",
     "MetadataNodeCache",
     "NodeCacheService",
-    "SharedCacheStats",
     "EvictionPolicy",
     "LRUPolicy",
     "SegmentedLRUPolicy",

@@ -24,7 +24,6 @@ the number of entries when set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from repro.blobseer.metadata.nodes import MetadataNode
@@ -36,36 +35,35 @@ HintKey = Tuple[str, int, int, int]
 _ABSENT = object()
 
 
-@dataclass
 class CacheStats:
-    """Hit/miss counters surfaced through the benchmark harness."""
+    """The counters of one metadata tier, as one of its users sees it.
 
-    hits: int = 0
-    misses: int = 0
-    insertions: int = 0
-    evictions: int = 0
+    Every tier counts the ``lookups`` it was asked and the ``hits`` it
+    answered; ``extra`` names the counters only some tiers keep
+    (insertions, gate rejections, probe RPCs, ...), all starting at zero.
+    """
+
+    def __init__(self, **extra: int):
+        self.lookups = 0
+        self.hits = 0
+        vars(self).update(extra)
 
     @property
-    def lookups(self) -> int:
-        """Total lookups served (hits + misses)."""
-        return self.hits + self.misses
+    def misses(self) -> int:
+        """Lookups the tier could not answer."""
+        return self.lookups - self.hits
 
     @property
     def hit_rate(self) -> float:
-        """Fraction of lookups answered from the cache (0.0 when unused)."""
+        """Fraction of lookups answered by the tier (0.0 when unused)."""
         if not self.lookups:
             return 0.0
         return self.hits / self.lookups
 
     def snapshot(self) -> Dict[str, float]:
         """Plain-dict form for JSON benchmark artifacts."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "insertions": self.insertions,
-            "evictions": self.evictions,
-            "hit_rate": self.hit_rate,
-        }
+        return {**vars(self), "misses": self.misses,
+                "hit_rate": self.hit_rate}
 
 
 class MetadataNodeCache:
@@ -79,7 +77,7 @@ class MetadataNodeCache:
         if capacity is not None and capacity <= 0:
             raise ValueError(f"capacity must be positive or None, got {capacity}")
         self.capacity = capacity
-        self.stats = CacheStats()
+        self.stats = CacheStats(insertions=0, evictions=0)
         # hint map: insertion order doubles as LRU order (move-to-end on hit)
         self._resolved: Dict[HintKey, Optional[MetadataNode]] = {}
 
@@ -95,9 +93,9 @@ class MetadataNodeCache:
         miss; counts one hit or miss per call.
         """
         key = (blob_id, offset, size, hint)
+        self.stats.lookups += 1
         value = self._resolved.get(key, _ABSENT)
         if value is _ABSENT:
-            self.stats.misses += 1
             return False, None
         self.stats.hits += 1
         if self.capacity is not None:

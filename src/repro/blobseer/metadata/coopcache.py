@@ -46,10 +46,11 @@ identity is preserved by construction.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Dict, List, Optional, TYPE_CHECKING
 
-from repro.blobseer.metadata.sharedcache import FETCH_FAILED, NodeCacheService
-from repro.blobseer.metadata.store import PartitionedMetadataStore
+from repro.blobseer.metadata.cache import CacheStats
+from repro.blobseer.metadata.sharedcache import NodeCacheService
+from repro.blobseer.metadata.tiers import PEER_MISS, Coalescing, ShardTier
 from repro.cluster.rpc import Service
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -59,20 +60,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: the cooperative node roles
 PROVIDER = "provider"
 SAMPLER = "sampler"
-
-
-class _Miss:
-    """Wire marker for "this peer has no answer" (distinct from a cached
-    negative result, which is a genuine answer of ``None``)."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "<PEER_MISS>"
-
-
-#: singleton miss marker used in probe responses
-PEER_MISS = _Miss()
 
 
 def _stable_fraction(tag: str) -> float:
@@ -109,32 +96,6 @@ def custodian_index(blob_id: str, offset: int, size: int,
     return int.from_bytes(digest[:4], "little") % participant_count
 
 
-class PeerCacheStats:
-    """Counters of one node's cooperative peer service."""
-
-    def __init__(self):
-        #: probed keys answered from this node (pool or read-through)
-        self.served_hits: int = 0
-        #: probed keys this node could not answer
-        self.served_misses: int = 0
-        #: authoritative shard fetches performed on behalf of probers
-        self.read_throughs: int = 0
-        #: probe RPCs answered "unavailable" because the service was dead
-        self.unavailable_probes: int = 0
-
-    @property
-    def served_lookups(self) -> int:
-        return self.served_hits + self.served_misses
-
-    def snapshot(self) -> Dict[str, int]:
-        return {
-            "served_hits": self.served_hits,
-            "served_misses": self.served_misses,
-            "read_throughs": self.read_throughs,
-            "unavailable_probes": self.unavailable_probes,
-        }
-
-
 class PeerCacheService(Service):
     """The cooperative face of one compute node's shared cache pool.
 
@@ -144,14 +105,30 @@ class PeerCacheService(Service):
     the node's own tenants share.
     """
 
+    #: RPC handlers run untraced: a parked read-through opens no span
+    trace_ctx = None
+
     def __init__(self, node: "Node", pool: NodeCacheService,
                  directory: "CoopDirectory"):
         super().__init__(node, name=f"coopcache:{node.name}")
         self.pool = pool
         self.directory = directory
-        self.stats = PeerCacheStats()
+        self.cluster = directory.cluster
+        self.deployment = directory.deployment
+        #: probed keys this node was asked (``lookups``) and answered from
+        #: its pool or by read-through (``hits``); authoritative shard
+        #: fetches performed on behalf of probers; probe RPCs answered
+        #: "unavailable" because the service was dead
+        self.stats = CacheStats(read_throughs=0, unavailable_probes=0)
         #: fault-injection hook: a dead service answers "unavailable"
         self.alive = True
+        #: the provider role's read-through is a client's fold led as
+        #: ``"service"``: coalesced through this node's in-flight table (a
+        #: storm of probers missing on one key costs one upstream fetch),
+        #: then one ``get_node`` round-trip to the owning shard
+        self.upstream = Coalescing(
+            self, pool, [ShardTier(self, batching=False)], role="service",
+            on_lead=self._keep)
 
     # ------------------------------------------------------------------
     def kill(self) -> None:
@@ -192,76 +169,43 @@ class PeerCacheService(Service):
         pool.note_published(blob_id, watermark)
         read_through = self.role(blob_id) == PROVIDER
         results: List[object] = []
-        for offset, size, hint in requests:
-            hit, node = pool.peek(blob_id, offset, size, hint)
+        for request in requests:
+            self.stats.lookups += 1
+            hit, node = pool.peek(blob_id, *request)
             if hit:
-                self.stats.served_hits += 1
+                self.stats.hits += 1
                 results.append(node)
                 continue
             if read_through:
                 # provider read-through: fetch authoritatively on the
-                # prober's behalf, admit into our own pool, answer
-                answer = yield from self._read_through(
-                    blob_id, offset, size, hint)
-                if answer is not PEER_MISS:
-                    self.stats.served_hits += 1
-                    results.append(answer)
+                # prober's behalf and answer.  A failed fetch, or one a
+                # local tenant already leads (answering "miss" — one
+                # redundant shard RPC for the prober — is the price of
+                # never parking a handler behind a client), degrades to a
+                # miss: the prober falls back to the shard itself
+                try:
+                    answers, _declined = yield from self.upstream.lookup(
+                        blob_id, [request])
+                except Exception:
+                    answers = {}
+                if answers:
+                    self.stats.hits += 1
+                    results.append(answers[request])
                     continue
-            self.stats.served_misses += 1
             results.append(PEER_MISS)
         return results
 
-    def _read_through(self, blob_id: str, offset: int, size: int, hint: int):
-        """Authoritative fetch on behalf of a prober (providers only).
+    def _keep(self, blob_id: str, fetched) -> None:
+        """Admit what this provider fetched itself into its own pool —
+        gated, but the prober's watermark was noted at probe start, so a
+        probe for a published snapshot always passes."""
+        self.stats.read_throughs += len(fetched)
+        for (offset, size, hint), node in fetched.items():
+            self.pool.publish(blob_id, offset, size, hint, node)
 
-        Coalesced through this node's in-flight table, so a storm of
-        probers missing on the same key still costs one upstream fetch.
-        A failed fetch degrades to a miss: the prober falls back to the
-        shard itself.
-        """
-        pool = self.pool
-        sim = self.directory.cluster.sim
-        leader, owner, event = pool.coalesce(sim, blob_id, offset, size,
-                                             hint, owner="service")
-        if not leader:
-            if owner != "service":
-                # a local tenant is already fetching this key: answering
-                # "miss" (one redundant shard RPC for the prober) is the
-                # price of never closing a cross-node wait cycle — an RPC
-                # handler may only park on fetches that resolve through a
-                # direct shard RPC
-                return PEER_MISS
-            pool.stats.coalesced_fetches += 1
-            value = yield event
-            if value is FETCH_FAILED:
-                return PEER_MISS
-            return value
-        try:
-            node = yield from self._fetch_authoritative(
-                blob_id, offset, size, hint)
-        except Exception:
-            pool.coalesce_abort(blob_id, offset, size, hint)
-            return PEER_MISS
-        self.stats.read_throughs += 1
-        # gated admission: the prober's watermark was noted at probe start,
-        # so a probe for a published snapshot always passes its own gate
-        pool.publish(blob_id, offset, size, hint, node)
-        pool.coalesce_resolve(blob_id, offset, size, hint, node)
-        return node
-
-    def _fetch_authoritative(self, blob_id: str, offset: int, size: int,
-                             hint: int):
-        deployment = self.directory.deployment
-        shard_count = len(deployment.metadata_providers)
-        shard = deployment.metadata_providers[
-            PartitionedMetadataStore.partition_index(
-                blob_id, offset, size, shard_count)]
-        config = self.directory.cluster.config
-        node = yield from self.directory.cluster.rpc.call(
-            self.node, shard, "get_node",
-            config.metadata_request_size, config.metadata_node_size,
-            blob_id, offset, size, hint)
-        return node
+    def _rpc(self, service, method, request_bytes, response_bytes, *args):
+        return self.cluster.rpc.call(self.node, service, method,
+                                     request_bytes, response_bytes, *args)
 
 
 class CoopDirectory:
@@ -324,12 +268,14 @@ class CoopDirectory:
 
     def stats(self) -> Dict[str, int]:
         """Aggregate peer-serving counters over every member service."""
-        totals = {"served_hits": 0, "served_misses": 0, "read_throughs": 0,
-                  "unavailable_probes": 0}
-        for service in self.services.values():
-            snapshot = service.stats.snapshot()
-            for key in totals:
-                totals[key] += snapshot[key]
+        stats = [service.stats for service in self.services.values()]
+        totals = {
+            "served_hits": sum(entry.hits for entry in stats),
+            "served_misses": sum(entry.misses for entry in stats),
+            "read_throughs": sum(entry.read_throughs for entry in stats),
+            "unavailable_probes": sum(entry.unavailable_probes
+                                      for entry in stats),
+        }
         totals["services"] = len(self.services)
         totals["probe_rpcs"] = sum(service.calls.get("probe", 0)
                                    for service in self.services.values())

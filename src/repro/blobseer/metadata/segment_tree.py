@@ -21,7 +21,7 @@ them directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.blobseer.blob import BlobDescriptor
 from repro.blobseer.chunk import ChunkKey
@@ -29,10 +29,6 @@ from repro.blobseer.metadata.nodes import ChildRef, LeafSegment, MetadataNode, N
 from repro.core.listio import IOVector
 from repro.core.regions import Region, RegionList
 from repro.errors import InvalidRegion
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.blobseer.metadata.cache import MetadataNodeCache
-    from repro.blobseer.metadata.sharedcache import NodeCacheService
 
 
 # ----------------------------------------------------------------------
@@ -243,27 +239,16 @@ class ReadExtent:
 class ReadPlan:
     """Result of :func:`plan_read`: extents plus metadata-traffic accounting.
 
-    ``nodes_fetched`` counts every node the traversal *used* (whether it came
-    from the metadata store or a client-side cache); ``cache_hits`` /
-    ``cache_misses`` break lookups down when a cache was consulted, and
-    ``metadata_rpcs`` is filled by callers that issue real (batched) RPCs.
+    ``nodes_fetched`` counts every node the traversal *used*, whoever
+    supplied it; ``metadata_rpcs`` is filled by :func:`plan_read` from its
+    callbacks.  Which cache tier answered which lookup is the business of
+    whoever resolves the levels (:mod:`repro.blobseer.metadata.tiers`).
     """
 
     extents: List[ReadExtent]
     nodes_fetched: int
     levels: int
-    cache_hits: int = 0
-    cache_misses: int = 0
     metadata_rpcs: int = 0
-    #: lookups the node-local *shared* tier answered after a private miss
-    shared_hits: int = 0
-    #: lookups a cooperative peer node's pool answered after both local
-    #: tiers missed (:mod:`repro.blobseer.metadata.coopcache`)
-    peer_hits: int = 0
-    #: lookups no tier answered (shipped to the metadata providers);
-    #: ``cache_hits + shared_hits + peer_hits + requests_fetched``
-    #: partitions the traversal's deduplicated lookups exactly
-    requests_fetched: int = 0
 
     def chunk_bytes(self) -> int:
         """Bytes that must be fetched from data providers."""
@@ -285,36 +270,29 @@ GetNodes = Callable[[Sequence[NodeRequest]], Sequence[Optional[MetadataNode]]]
 class ReadPlanner:
     """Level-by-level traversal of a snapshot's segment tree.
 
-    The planner externalizes the node fetches of :func:`plan_read` so callers
-    decide *how* each frontier level's lookups are satisfied: the simulated
-    client groups them by metadata shard and issues one batched RPC per shard
-    per level (O(levels × shards) round-trips instead of O(nodes)), while unit
-    tests drive it with plain callbacks.  A :class:`MetadataNodeCache` short-
-    circuits lookups whose result the client has already seen — immutable
-    nodes make every cached answer permanently valid.  ``shared`` plugs a
-    second, node-local tier (:class:`~repro.blobseer.metadata.sharedcache.
-    NodeCacheService`) consulted on a private miss: hits there are promoted
-    into the private cache, and freshly fetched results are offered back so
-    co-located clients amortize one fetch across the whole node.
+    The planner is a pure traversal: it names each frontier level's
+    deduplicated lookups and consumes their results, and the caller decides
+    *how* they are satisfied — the simulated client folds them over its
+    metadata tier chain (caches first, then one batched RPC per shard per
+    level: O(levels × shards) round-trips instead of O(nodes)), while unit
+    tests and :func:`plan_read` drive it with plain callbacks.
 
     Protocol::
 
-        planner = ReadPlanner(blob, version, regions, cache=cache)
+        planner = ReadPlanner(blob, version, regions)
         while not planner.done:
-            requests = planner.pending()          # cache misses of this level
-            results = ... fetch them somehow ...  # {request: node-or-None}
+            requests = planner.pending()          # this level's lookups
+            results = ... resolve them somehow ...  # {request: node-or-None}
             planner.advance(results)
         plan = planner.plan()
 
     ``trace`` (optional) collects every resolved lookup the traversal
-    consumed — ``{(offset, size, hint): node-or-None}``, cache hits
-    included.  The collective read path ships a resolver's trace to its peer
-    ranks so their caches warm up without ever touching the metadata shards.
+    consumed — ``{(offset, size, hint): node-or-None}``.  The collective
+    read path ships a resolver's trace to its peer ranks so their caches
+    warm up without ever touching the metadata shards.
     """
 
     def __init__(self, blob: BlobDescriptor, version: int, regions: RegionList,
-                 cache: Optional["MetadataNodeCache"] = None,
-                 shared: Optional["NodeCacheService"] = None,
                  trace: Optional[Dict[NodeRequest,
                                       Optional[MetadataNode]]] = None):
         wanted = regions.normalized()
@@ -322,25 +300,12 @@ class ReadPlanner:
             blob.validate_access(region.offset, region.size)
         self.blob = blob
         self.version = version
-        self.cache = cache
-        self.shared = shared
         self.trace = trace
         self.extents: List[ReadExtent] = []
         self.nodes_fetched = 0
         self.levels = 0
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.metadata_rpcs = 0
-        self.shared_hits = 0
-        self.peer_hits = 0
-        self.requests_fetched = 0
-        # frontier entries: (offset, size, version_hint, wanted RegionList)
-        self._frontier: List[Tuple[int, int, int, RegionList]] = []
-        if len(wanted) > 0:
-            self._frontier.append((0, blob.capacity, version, wanted))
-        self._cached_level: Dict[NodeRequest, Optional[MetadataNode]] = {}
-        self._pending: List[NodeRequest] = []
-        self._scan_frontier()
+        self._enter([(0, blob.capacity, version, wanted)]
+                    if len(wanted) > 0 else [])
 
     # ------------------------------------------------------------------
     @property
@@ -349,48 +314,32 @@ class ReadPlanner:
         return not self._frontier
 
     def pending(self) -> List[NodeRequest]:
-        """This level's lookups that the cache could not answer (deduped)."""
+        """This level's lookups, deduplicated, in frontier order."""
         return list(self._pending)
 
-    def advance(self, fetched: Dict[NodeRequest, Optional[MetadataNode]],
-                peer_answered=frozenset()) -> None:
-        """Consume one frontier level using cached plus freshly fetched nodes.
+    def _enter(self, frontier: List[Tuple[int, int, int, RegionList]]) -> None:
+        # frontier entries: (offset, size, version_hint, wanted RegionList)
+        self._frontier = frontier
+        self._pending = list(dict.fromkeys(
+            [entry[:3] for entry in frontier]))
 
-        ``peer_answered`` names the subset of this level's pending requests
-        whose results came from a cooperative peer node rather than the
-        authoritative shards — they count as ``peer_hits`` instead of
-        ``requests_fetched`` (the partition identity stays exact), but are
-        stored and re-offered exactly like fetched results.
-        """
+    def advance(self,
+                resolved: Dict[NodeRequest, Optional[MetadataNode]]) -> None:
+        """Consume one frontier level given all of its lookups' results."""
         if self.done:
             raise InvalidRegion("advance() called on a finished read plan")
-        missing = [request for request in self._pending if request not in fetched]
+        missing = [request for request in self._pending
+                   if request not in resolved]
         if missing:
             raise InvalidRegion(
                 f"advance() is missing results for {missing[:3]}"
                 f"{'...' if len(missing) > 3 else ''}")
-        answered = sum(1 for request in self._pending
-                       if request in peer_answered)
-        self.peer_hits += answered
-        self.requests_fetched += len(self._pending) - answered
-        for request in self._pending:
-            if self.cache is not None:
-                self.cache.put(self.blob.blob_id, *request, fetched[request])
-            if self.shared is not None:
-                # offer the fresh result to the node-local tier so the next
-                # co-located traversal skips the RPC; the service's
-                # watermark gate decides admission
-                self.shared.publish(self.blob.blob_id, *request,
-                                    fetched[request])
 
         self.levels += 1
         next_frontier: List[Tuple[int, int, int, RegionList]] = []
         for offset, size, hint, sub_wanted in self._frontier:
             request = (offset, size, hint)
-            if request in self._cached_level:
-                node = self._cached_level[request]
-            else:
-                node = fetched[request]
+            node = resolved[request]
             if self.trace is not None:
                 self.trace[request] = node
             if node is None:
@@ -416,8 +365,7 @@ class ReadPlanner:
                     if len(child_wanted) > 0:
                         next_frontier.append((child.offset, child.size,
                                               child.version_hint, child_wanted))
-        self._frontier = next_frontier
-        self._scan_frontier()
+        self._enter(next_frontier)
 
     def plan(self) -> ReadPlan:
         """The finished plan (extents sorted by file offset)."""
@@ -425,51 +373,12 @@ class ReadPlanner:
             raise InvalidRegion("plan() called before the traversal finished")
         self.extents.sort(key=lambda extent: extent.offset)
         return ReadPlan(extents=self.extents, nodes_fetched=self.nodes_fetched,
-                        levels=self.levels, cache_hits=self.cache_hits,
-                        cache_misses=self.cache_misses,
-                        metadata_rpcs=self.metadata_rpcs,
-                        shared_hits=self.shared_hits,
-                        peer_hits=self.peer_hits,
-                        requests_fetched=self.requests_fetched)
-
-    # ------------------------------------------------------------------
-    def _scan_frontier(self) -> None:
-        """Split the new frontier's lookups into cache hits and pending misses."""
-        self._cached_level = {}
-        self._pending = []
-        seen: set = set()
-        for offset, size, hint, _ in self._frontier:
-            request = (offset, size, hint)
-            if request in seen:
-                continue
-            seen.add(request)
-            if self.cache is not None:
-                found, node = self.cache.get(self.blob.blob_id, offset, size, hint)
-                if found:
-                    self._cached_level[request] = node
-                    self.cache_hits += 1
-                    continue
-                self.cache_misses += 1
-            if self.shared is not None:
-                # second tier: the node-local shared pool a co-located rank
-                # may already have filled.  A shared hit is promoted into
-                # the private cache so this client's repeats stay local.
-                found, node = self.shared.get(self.blob.blob_id, offset,
-                                              size, hint)
-                if found:
-                    self._cached_level[request] = node
-                    self.shared_hits += 1
-                    if self.cache is not None:
-                        self.cache.put(self.blob.blob_id, offset, size, hint,
-                                       node)
-                    continue
-            self._pending.append(request)
+                        levels=self.levels)
 
 
 def plan_read(blob: BlobDescriptor, version: int, regions: RegionList,
               get_node: Optional[GetNode] = None, *,
-              get_nodes: Optional[GetNodes] = None,
-              cache: Optional["MetadataNodeCache"] = None) -> ReadPlan:
+              get_nodes: Optional[GetNodes] = None) -> ReadPlan:
     """Resolve which chunks supply every byte of ``regions`` at ``version``.
 
     Parameters
@@ -484,9 +393,6 @@ def plan_read(blob: BlobDescriptor, version: int, regions: RegionList,
         with the requests).  Exactly one of ``get_node`` / ``get_nodes`` must
         be given; ``metadata_rpcs`` then counts callback invocations (one per
         level) for the batched form and one per lookup for the scalar form.
-    cache:
-        Optional :class:`MetadataNodeCache`; lookups it answers are not
-        forwarded to the callback, and every fetched result is inserted.
 
     The traversal proceeds level by level from the root; shadowed subtrees are
     followed through their version hints, and partially-covered leaves recurse
@@ -495,25 +401,24 @@ def plan_read(blob: BlobDescriptor, version: int, regions: RegionList,
     """
     if (get_node is None) == (get_nodes is None):
         raise InvalidRegion("plan_read() needs exactly one of get_node/get_nodes")
-    planner = ReadPlanner(blob, version, regions, cache=cache)
+    planner = ReadPlanner(blob, version, regions)
+    metadata_rpcs = 0
     while not planner.done:
         requests = planner.pending()
-        results: Dict[NodeRequest, Optional[MetadataNode]] = {}
-        if requests:
-            if get_nodes is not None:
-                nodes = list(get_nodes(requests))
-                if len(nodes) != len(requests):
-                    raise InvalidRegion(
-                        f"get_nodes returned {len(nodes)} results for "
-                        f"{len(requests)} requests")
-                results = dict(zip(requests, nodes))
-                planner.metadata_rpcs += 1
-            else:
-                for request in requests:
-                    results[request] = get_node(*request)
-                    planner.metadata_rpcs += 1
-        planner.advance(results)
-    return planner.plan()
+        if get_nodes is not None:
+            nodes = list(get_nodes(requests))
+            if len(nodes) != len(requests):
+                raise InvalidRegion(
+                    f"get_nodes returned {len(nodes)} results for "
+                    f"{len(requests)} requests")
+            metadata_rpcs += 1
+        else:
+            nodes = [get_node(*request) for request in requests]
+            metadata_rpcs += len(requests)
+        planner.advance(dict(zip(requests, nodes)))
+    plan = planner.plan()
+    plan.metadata_rpcs = metadata_rpcs
+    return plan
 
 
 def _resolve_leaf(node: MetadataNode, leaf_offset: int, wanted: RegionList,

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
+from repro.blobseer.metadata.cache import CacheStats
 from repro.blobseer.metadata.policy import EvictionPolicy, make_policy
 from repro.errors import StorageError
 
@@ -57,51 +58,6 @@ _ABSENT = object()
 #: an unhandled simulator-level error, while waiters that do see the
 #: sentinel re-raise (or fall back) themselves.
 FETCH_FAILED = object()
-
-
-class SharedCacheStats:
-    """Counters of one node's shared tier (surfaced in benchmark artifacts)."""
-
-    def __init__(self):
-        self.hits: int = 0
-        self.misses: int = 0
-        self.insertions: int = 0
-        self.evictions: int = 0
-        #: publications refused because the entry's version hint exceeded
-        #: the node's published watermark (the safety gate; see module doc)
-        self.unpublished_rejections: int = 0
-        #: admissions declined because capacity was exhausted (a policy may
-        #: decline rather than evict — e.g. fully pinned level-aware caches)
-        self.capacity_rejections: int = 0
-        #: upstream fetches avoided because a simultaneous misser for the
-        #: same key was already in flight on this node (the waiter parked
-        #: on the leader's sim event instead of fetching)
-        self.coalesced_fetches: int = 0
-
-    @property
-    def lookups(self) -> int:
-        """Total lookups served (hits + misses)."""
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups answered from the shared tier."""
-        if not self.lookups:
-            return 0.0
-        return self.hits / self.lookups
-
-    def snapshot(self) -> Dict[str, float]:
-        """Plain-dict form for JSON benchmark artifacts."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "insertions": self.insertions,
-            "evictions": self.evictions,
-            "unpublished_rejections": self.unpublished_rejections,
-            "capacity_rejections": self.capacity_rejections,
-            "coalesced_fetches": self.coalesced_fetches,
-            "hit_rate": self.hit_rate,
-        }
 
 
 class NodeCacheService:
@@ -124,7 +80,18 @@ class NodeCacheService:
         self.node_name = node_name
         self.capacity = capacity
         self.policy: EvictionPolicy = make_policy(policy)
-        self.stats = SharedCacheStats()
+        #: on top of lookups/hits/insertions/evictions:
+        #: ``unpublished_rejections`` — publications refused because the
+        #: entry's version hint exceeded the node's published watermark
+        #: (the safety gate; see module doc); ``capacity_rejections`` —
+        #: admissions declined because capacity was exhausted (a policy
+        #: may decline rather than evict, e.g. fully pinned level-aware
+        #: caches); ``coalesced_fetches`` — upstream fetches avoided
+        #: because a simultaneous misser for the same key parked on the
+        #: leader's sim event instead of fetching
+        self.stats = CacheStats(insertions=0, evictions=0,
+                                unpublished_rejections=0,
+                                capacity_rejections=0, coalesced_fetches=0)
         self._entries: Dict[HintKey, Optional["MetadataNode"]] = {}
         #: newest *published* version this node has observed, per BLOB —
         #: the admission gate (fed by attached clients' note_published)
@@ -172,9 +139,9 @@ class NodeCacheService:
             hint: int) -> Tuple[bool, Optional["MetadataNode"]]:
         """Shared-tier lookup: ``(True, node_or_None)`` on a hit."""
         key = (blob_id, offset, size, hint)
+        self.stats.lookups += 1
         value = self._entries.get(key, _ABSENT)
         if value is _ABSENT:
-            self.stats.misses += 1
             return False, None
         self.stats.hits += 1
         self.policy.record_hit(key)
@@ -204,35 +171,31 @@ class NodeCacheService:
     # ------------------------------------------------------------------
     def coalesce(self, sim, blob_id: str, offset: int, size: int, hint: int,
                  owner: str = "client"):
-        """Join (or lead) the in-flight upstream fetch for one key.
+        """Join (or lead) the in-flight upstream fetch for one key (the
+        table behind :class:`~repro.blobseer.metadata.tiers.Coalescing`).
 
-        Returns ``(leader, leading_owner, event)``.  The first misser for a
-        key becomes the leader: it receives a fresh pending event it MUST
-        later settle through :meth:`coalesce_resolve` (success) or
-        :meth:`coalesce_abort` (failure) after performing the fetch itself.
-        Every simultaneous misser for the same key — a co-tenant rank or a
-        remote prober routed through this node — gets ``leader=False`` and
-        may park on the leader's event, whose value is the fetched node
-        (possibly ``None`` for a negative result) or :data:`FETCH_FAILED`.
-
-        ``owner`` tags who leads (``"client"`` for a rank's own level
-        fetch, ``"service"`` for a cooperative read-through) — RPC probe
-        handlers only park on *service*-led fetches, which always resolve
-        through a direct shard RPC; parking a handler on a client-led
-        fetch could close a cross-node wait cycle (two clients each
-        leading a key while their probes park on each other's).  A caller
-        that decides not to park simply ignores the event; only callers
-        that do park record the avoided fetch
-        (``stats.coalesced_fetches``).
+        The first misser leads, ``(True, None)``, and MUST settle the
+        fetch through :meth:`coalesce_resolve` or :meth:`coalesce_abort`.
+        A simultaneous misser gets ``(False, event)`` and parks on the
+        leader's event, whose value is the fetched node (``None`` for a
+        negative result) or :data:`FETCH_FAILED`; the avoided fetch is
+        counted here.  ``owner`` tags who asks: an RPC handler
+        (``"service"``) may only park on service-led fetches, which always
+        resolve through a direct shard RPC — parked behind a ``"client"``
+        it could close a cross-node wait cycle (two clients each leading a
+        key while their probes park on each other's) — so it gets
+        ``(False, None)``: neither lead nor park.
         """
         key = (blob_id, offset, size, hint)
         entry = self._inflight.get(key)
-        if entry is not None:
-            leading_owner, event = entry
-            return False, leading_owner, event
-        event = sim.event()
-        self._inflight[key] = (owner, event)
-        return True, owner, event
+        if entry is None:
+            self._inflight[key] = (owner, sim.event())
+            return True, None
+        leading_owner, event = entry
+        if owner == "service" and leading_owner != "service":
+            return False, None
+        self.stats.coalesced_fetches += 1
+        return False, event
 
     def coalesce_resolve(self, blob_id: str, offset: int, size: int,
                          hint: int, node: Optional["MetadataNode"]) -> None:

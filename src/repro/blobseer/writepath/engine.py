@@ -25,10 +25,13 @@ sequential per-shard ``put_nodes`` loop — which is the baseline the
 ``BENCH_writepath.json`` suite measures against.
 
 Write-through cache population rides on the commit: the writer just built
-every node of the new snapshot, so inserting them into its own
-:class:`~repro.blobseer.metadata.cache.MetadataNodeCache` costs no RPC and
-makes its read-after-write traversals start warm (the published root and all
-touched inner nodes hit on their exact-version keys).
+every node of the new snapshot, so offering them to its own metadata tier
+chain costs no RPC and makes its read-after-write traversals start warm (the
+published root and all touched inner nodes hit on their exact-version keys).
+The tiers that die with the client are primed before ``complete`` — cached
+entries only become observable once the snapshot is published, and published
+nodes are immutable — the gated ones only once ``complete`` reports the
+version published.
 """
 
 from __future__ import annotations
@@ -216,9 +219,14 @@ class PipelinedCommitEngine:
         if store_span is not None:
             ctx.end(store_span)
 
-        # 5b. write-through cache population: the writer keeps what it built
-        if client.write_through_cache and client.metadata_cache is not None:
-            self._prime_cache(blob, nodes)
+        # 5b. write-through cache population: the writer keeps what it
+        #     built, under each node's exact-version key
+        primed = None
+        if client.write_through_cache:
+            primed = [((node.key.offset, node.key.size, node.key.version),
+                       node) for node in nodes]
+            if client.tiers.prime(blob_id, primed):
+                client.cache_primed_nodes += len(nodes)
 
         # 6. completion -> in-order publication at the version manager
         if defer_complete and self.pipelining:
@@ -229,14 +237,14 @@ class PipelinedCommitEngine:
                     "commit.complete", cat="write", parent=span,
                     flow=True, version=version)
                 complete_gen = self._traced_complete(
-                    blob_id, version, nodes, ctx, complete_span)
+                    blob_id, version, primed, ctx, complete_span)
             else:
-                complete_gen = self._complete(blob_id, version, nodes=nodes)
+                complete_gen = self._complete(blob_id, version, primed)
             process = sim.process(complete_gen,
                                   name=f"{client.name}:complete:v{version}")
             self._inflight.setdefault(blob_id, []).append(process)
         else:
-            yield from self._complete(blob_id, version, nodes=nodes,
+            yield from self._complete(blob_id, version, primed,
                                       trace_parent=span)
 
         client.bytes_written += vector.total_bytes()
@@ -258,11 +266,11 @@ class PipelinedCommitEngine:
             finished_at=sim.now,
         )
 
-    def _traced_complete(self, blob_id: str, version: int, nodes, ctx, span):
+    def _traced_complete(self, blob_id: str, version: int, primed, ctx, span):
         """Run a deferred ``complete`` under its flow span (closed exactly
         when the background process finishes, success or not)."""
         try:
-            result = yield from self._complete(blob_id, version, nodes=nodes,
+            result = yield from self._complete(blob_id, version, primed,
                                                trace_parent=span)
         finally:
             ctx.end(span)
@@ -346,30 +354,25 @@ class PipelinedCommitEngine:
             by_shard.setdefault(index, []).append(node)
         return by_shard
 
-    def _complete(self, blob_id: str, version: int, nodes=None,
+    def _complete(self, blob_id: str, version: int, primed=None,
                   trace_parent=None):
         """Report completion; remember the returned publication watermark.
 
         When the returned watermark already covers this commit's version,
-        the write-through nodes are additionally offered to the node-local
-        shared cache — co-located readers then start warm without any of
-        them fetching.  A watermark still below ``version`` (an earlier
-        ticket in flight) skips the offer: the shared tier must never hold
-        a version the node has not seen published, and the nodes will be
-        admitted the first time any co-tenant fetches them after
-        publication.
+        the write-through entries (``primed``) are additionally offered to
+        the chain's gated tiers — co-located readers then start warm
+        without any of them fetching.  A watermark still below ``version``
+        (an earlier ticket in flight) skips the offer: a tier that outlives
+        this client must never hold a version nobody has seen published,
+        and the nodes will be admitted the first time any co-tenant fetches
+        them after publication.
         """
         latest = yield from self._wcontrol(
             self.client.deployment.version_manager, "complete", blob_id,
             version, trace_parent=trace_parent)
         self.client.note_published(blob_id, latest)
-        client = self.client
-        if (nodes and client.write_through_cache
-                and client.shared_cache is not None and latest >= version):
-            for node in nodes:
-                client.shared_cache.publish(
-                    blob_id, node.key.offset, node.key.size,
-                    node.key.version, node)
+        if primed and latest >= version:
+            self.client.tiers.admit_published(blob_id, primed)
         return latest
 
     def _store_nodes(self, blob: "BlobDescriptor", nodes: List["MetadataNode"],
@@ -398,17 +401,3 @@ class PipelinedCommitEngine:
                     deployment.metadata_providers[index], "put_nodes",
                     len(shard_nodes) * node_size, control_size, shard_nodes,
                     trace_parent=trace_parent)
-
-    def _prime_cache(self, blob: "BlobDescriptor",
-                     nodes: List["MetadataNode"]) -> None:
-        """Insert the just-published nodes under their exact-version keys.
-
-        Cached entries only become observable once the snapshot is published
-        (readers resolve a version before traversing), and published nodes
-        are immutable — so priming before ``complete`` is safe.
-        """
-        cache = self.client.metadata_cache
-        for node in nodes:
-            cache.put(blob.blob_id, node.key.offset, node.key.size,
-                      node.key.version, node)
-        self.client.cache_primed_nodes += len(nodes)

@@ -103,18 +103,16 @@ class ClusterConfig:
     #: cache (:mod:`repro.blobseer.metadata.coopcache`) over a real
     #: simulated RPC before falling back to the authoritative shards.
     #: Requires ``shared_metadata_cache``; off by default so every
-    #: existing configuration is byte- and counter-identical
+    #: existing configuration is byte- and counter-identical.  With it,
+    #: simultaneous missers for the same metadata node on one compute node
+    #: park on one sim event and share a single upstream fetch
+    #: (``coalesced_fetches`` stat)
     cooperative_cache: bool = False
     #: fraction of (node, blob) pairs whose stable role hash elects the
     #: node a **provider** (read-through custodian converging on a full
     #: replica of its key slice); the rest are **samplers** (serve only
     #: what their custody-aligned slice already holds)
     coop_provider_fraction: float = 0.5
-    #: whether simultaneous missers for the same metadata node park on one
-    #: sim event and share a single upstream fetch (``coalesced_fetches``
-    #: stat).  ``None`` follows ``cooperative_cache``, which keeps the
-    #: cooperative-off timeline untouched; set True/False to force
-    fetch_coalescing: Optional[bool] = None
     #: record causal spans (file op → collective phase → coalescer batch →
     #: commit stage → RPC → link) plus per-link telemetry on the queued
     #: network model, exportable as Chrome trace-event JSON

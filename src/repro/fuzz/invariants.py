@@ -10,8 +10,8 @@ means the invariant held).  They encode the contracts the suites in
   for concurrent atomic writers, fault windows masked);
 * ``version_monotonicity`` — every assigned ticket published, in order,
   nothing pending, aborts exactly matching the injected faults;
-* ``stats_partition``      — the metrics registry's partition identities
-  (lookup partition, shared-cache partition, cross-surface fall-through)
+* ``stats_partition``      — the checks the metrics registry's collectors
+  report (per-client lookup partition, shared services vs their clients)
   hold over all clients (:func:`repro.obs.views.collect_all`);
 * ``no_hang``              — the run finished inside its event budget and
   never deadlocked;
@@ -19,10 +19,10 @@ means the invariant held).  They encode the contracts the suites in
   rank (nobody hung, nobody silently succeeded), the doomed rank saw the
   original ``StorageError``, the post-fault probe phase succeeded — and
   no phase failed *without* an injected fault;
-* ``coop_tier``            — cooperative peer-cache conservation: peer
-  counters are zero without the tier; with it, served hits equal admitted
-  plus rejected on the client side and every client's lookup partition
-  (private + shared + peer + fetched) stays exact;
+* ``coop_tier``            — metadata tier conservation straight off the
+  clients' chains: every client's lookup partition stays exact tier by
+  tier, and what each shared service counted (node pools' lookups, peer
+  services' served hits) equals what its clients account for;
 * ``snapshot_stability``   — two independent fresh-client read-backs of
   the latest snapshot return identical bytes.
 """
@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.blobseer.metadata.tiers import partition_problems, wire_problems
 from repro.fuzz.injectors import Injector, death_injector_for_phase
 from repro.fuzz.oracle import MaskedOracle
 from repro.fuzz.scenario import (
@@ -274,51 +275,14 @@ def check_stats_partition(ctx: RunContext) -> List[str]:
 
 
 def check_coop_tier(ctx: RunContext) -> List[str]:
-    """Cooperative-tier conservation, stronger (per-client) than the
-    registry identities.
-
-    With the tier never enrolled every peer counter must be zero.  With it
-    on, the peer services' served hits must equal the clients' admitted
-    peer hits plus their watermark rejections (every answer accounted once
-    on both sides of the wire), and each client's private-tier lookups
-    must partition exactly into private hits + shared hits + peer hits +
-    fetches — a killed peer daemon or a storm of coalesced probers may
-    cost extra RPCs, never a lost or double-counted lookup.
-    """
+    """Metadata tier conservation, read off the chains rather than the
+    registry: a killed peer daemon or a storm of coalesced probers may
+    cost extra RPCs, never a lost or double-counted lookup."""
     if not ctx.finished or ctx.deployment is None:
         return []
-    anomalies: List[str] = []
-    clients = list(ctx.all_clients)
-    client_hits = sum(client.peer_cache_hits for client in clients)
-    rejections = sum(client.peer_rejections for client in clients)
-    probe_rpcs = sum(client.peer_probe_rpcs for client in clients)
-    directory = ctx.deployment.coop_directory
-    if directory is None:
-        if client_hits or rejections or probe_rpcs:
-            anomalies.append(
-                "coop_tier: peer counters nonzero without a cooperative "
-                f"directory (hits={client_hits} rejections={rejections} "
-                f"probes={probe_rpcs})")
-        return anomalies
-    stats = ctx.deployment.coop_stats()
-    if stats["served_hits"] != client_hits + rejections:
-        anomalies.append(
-            f"coop_tier: peers served {stats['served_hits']} hits but "
-            f"clients admitted {client_hits} + rejected {rejections}")
-    for client in clients:
-        cache = client.metadata_cache
-        if cache is None:
-            continue
-        parts = (cache.stats.hits + client.shared_cache_hits
-                 + client.peer_cache_hits + client.metadata_lookup_fetches)
-        if cache.stats.lookups != parts:
-            anomalies.append(
-                f"coop_tier: client {client.name} lookup partition broken: "
-                f"{cache.stats.lookups} lookups != {cache.stats.hits} "
-                f"private + {client.shared_cache_hits} shared + "
-                f"{client.peer_cache_hits} peer + "
-                f"{client.metadata_lookup_fetches} fetched")
-    return anomalies
+    chains = [client.tiers for client in ctx.all_clients]
+    return [f"coop_tier: {problem}"
+            for problem in partition_problems(chains) + wire_problems(chains)]
 
 
 def check_snapshot_stability(ctx: RunContext) -> List[str]:

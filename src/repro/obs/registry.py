@@ -7,15 +7,15 @@ their plain integer counters, and :mod:`repro.obs.views` materializes them
 into a registry at collection time — so the registry costs nothing while
 the simulation runs.
 
-Partition identities (``lookups == private_hits + shared_hits +
-fetched_lookups`` and friends) register on the same object and are
-re-checked against the collected values by :meth:`MetricsRegistry.
-assert_identities` — every bench suite calls it on every row.
+The collectors' consistency checks (the metadata lookup partition and
+friends) are reported on the same object and raised by
+:meth:`MetricsRegistry.assert_identities` — every bench suite calls it on
+every row.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.obs.digest import LatencyDigest
 
@@ -99,17 +99,17 @@ class TimeWeightedSeries:
 
 
 class IdentityViolation(AssertionError):
-    """A registered partition identity does not hold on collected values."""
+    """A reported consistency check does not hold on collected values."""
 
 
 class MetricsRegistry:
-    """Flat registry of named instruments plus partition identities."""
+    """Flat registry of named instruments plus reported check outcomes."""
 
     def __init__(self, clock: Optional[Callable[[], float]] = None):
         self._clock = clock or (lambda: 0.0)
         self._metrics: Dict[str, object] = {}
-        #: ``(label, total_name, part_names)`` checked by assert_identities
-        self._identities: List[Tuple[str, str, Tuple[str, ...]]] = []
+        #: check label -> the problems it found (see :meth:`report`)
+        self._reported: Dict[str, List[str]] = {}
 
     # ------------------------------------------------------------------
     def _get(self, name: str, factory):
@@ -169,37 +169,21 @@ class MetricsRegistry:
         return metric.value
 
     # ------------------------------------------------------------------
-    def register_identity(self, label: str, total: str,
-                          parts: Sequence[str]) -> None:
-        """Declare ``total == sum(parts)`` over collected values.
+    def report(self, label: str, problems: Sequence[str]) -> None:
+        """Record what a consistency check over the values being collected
+        found (nothing, when it held).
 
-        Re-registering a label replaces its previous declaration, so
-        collectors may register on every collection pass without piling
-        up duplicates.
+        Re-reporting a label replaces its previous outcome, so collectors
+        may report on every collection pass without piling up duplicates.
         """
-        entry = (label, total, tuple(parts))
-        for i, (existing, _, _) in enumerate(self._identities):
-            if existing == label:
-                self._identities[i] = entry
-                return
-        self._identities.append(entry)
+        self._reported[label] = list(problems)
 
     def check_identities(self) -> List[str]:
-        """Return one description per violated identity (empty when all
-        hold; identities whose total metric was never collected are
-        vacuously true)."""
-        problems = []
-        for label, total, parts in self._identities:
-            if total not in self._metrics:
-                continue
-            expected = self.get(total)
-            actual = sum(self.get(part, 0) for part in parts)
-            if expected != actual:
-                detail = " + ".join(
-                    f"{part}={self.get(part, 0)}" for part in parts)
-                problems.append(
-                    f"{label}: {total}={expected} != {detail} (={actual})")
-        return problems
+        """One description per problem the reported checks found (empty
+        when all held)."""
+        return [f"{label}: {problem}"
+                for label, problems in self._reported.items()
+                for problem in problems]
 
     def assert_identities(self) -> None:
         problems = self.check_identities()

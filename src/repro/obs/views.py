@@ -16,37 +16,30 @@ Here the two live apart as ``metadata.server.read_rpcs`` and
 old ambiguous keys to their canonical server-side names for consumers
 migrating off the legacy dicts.
 
-Partition identities re-asserted against the registry (see
-:meth:`~repro.obs.registry.MetricsRegistry.assert_identities`):
+Lookup accounting re-asserted against the registry (see
+:meth:`~repro.obs.registry.MetricsRegistry.assert_identities`), for
+whatever metadata tier chains the collected clients run
+(:mod:`repro.blobseer.metadata.tiers`):
 
-* ``metadata.cache.lookups == metadata.cache.hits +
-  cache.shared.client_hits + cache.peer.client_hits +
-  metadata.client.fetched_lookups`` — every private-tier lookup is
-  answered by exactly one of the private cache, the node's shared tier,
-  a cooperative peer node, or a provider fetch (registered only when
-  every collected client runs a private cache; the peer part is 0 with
-  the cooperative tier disabled);
-* ``cache.shared.lookups == cache.shared.hits + cache.shared.misses`` —
-  the shared services' own partition (remote peer probes use the
-  stat-free ``peek`` path, so they never perturb it);
-* ``cache.peer.served_lookups == cache.peer.served_hits +
-  cache.peer.served_misses`` — the cooperative peer services' own
-  partition;
-* ``cache.shared.lookups == cache.shared.client_hits +
-  cache.peer.client_hits + metadata.client.fetched_lookups`` — the
-  *cross-surface* check: the lookups the shared services served must
-  equal the lookups the clients say fell through their private tier
-  (registered by :func:`collect_all` only when the caller attests that
-  every client attached to the deployment was collected);
-* ``cache.peer.served_hits == cache.peer.client_hits +
-  cache.peer.rejections`` — every answer a peer service served was
-  either admitted by the receiving client's watermark gate or rejected
-  by it (same attestation, cooperative tier present).
+* ``metadata.lookup_partition`` — per client, every lookup handed to its
+  chain was answered by exactly one tier or parked on a co-tenant's fetch,
+  and each tier saw exactly what fell through the tiers above it
+  (:func:`~repro.blobseer.metadata.tiers.partition_problems`);
+* ``metadata.tier_services`` — the *cross-surface* check: what each
+  service shared between clients counted equals what the tiers fronting
+  it say they asked of it — the node pools' lookups, the peer services'
+  served hits (admitted or rejected by the receiving watermark gate;
+  remote probes use the stat-free ``peek`` path, so they never perturb a
+  pool's own count).  Reported by :func:`collect_all` only when the
+  caller attests that every client attached to the deployment was
+  collected (:func:`~repro.blobseer.metadata.tiers.wire_problems`).
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, TYPE_CHECKING
+
+from repro.blobseer.metadata.tiers import partition_problems, wire_problems
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.blobseer.client import BlobClient
@@ -93,23 +86,36 @@ DEPRECATED_STAT_ALIASES: Dict[str, str] = {
 # ----------------------------------------------------------------------
 # per-surface collectors
 # ----------------------------------------------------------------------
+#: ``metadata.cache.<counter>``: present only when a collected client
+#: has a private tier
+_PRIVATE_COUNTERS = ("lookups", "hits", "misses", "insertions", "evictions")
+
+#: where the other tiers' per-client counters land, 0 for a tier the
+#: client's list lacks: (name, tier, counter)
+_TIER_COUNTERS = (
+    ("cache.shared.client_hits", "node", "hits"),
+    ("cache.peer.client_hits", "peers", "hits"),
+    ("cache.peer.rejections", "peers", "rejections"),
+    ("cache.peer.probe_misses", "peers", "probe_misses"),
+    ("cache.peer.probe_rpcs", "peers", "probe_rpcs"),
+    ("metadata.client.coalesced_fetches", "coalesce", "parked"),
+    ("metadata.client.read_rpcs", "shards", "read_rpcs"),
+    ("metadata.client.prefetched_nodes", "shards", "prefetched_nodes"),
+)
+
+
 def collect_clients(registry: "MetricsRegistry",
                     clients: Iterable["BlobClient"]) -> None:
-    """Client-side counters: data volume, control RPCs, cache tiers.
-
-    Registers the private-tier lookup partition identity when every
-    collected client runs a private metadata cache (without one the
-    private-tier counters cannot partition anything).
+    """Client-side counters: data volume, control RPCs, and what each tier
+    of the client's metadata chain counted; reports the lookup partition.
     """
     clients = list(clients)
-    all_private = bool(clients)
     for client in clients:
         registry.add("client.bytes_written", client.bytes_written)
         registry.add("client.bytes_read", client.bytes_read)
         registry.add("client.writes", client.writes)
         registry.add("client.reads", client.reads)
         registry.add("client.logical_writes", client.logical_writes)
-        registry.add("metadata.client.read_rpcs", client.metadata_read_rpcs)
         registry.add("metadata.client.nodes_fetched",
                      client.metadata_nodes_fetched)
         registry.add("metadata.client.put_rpcs", client.metadata_put_rpcs)
@@ -120,28 +126,16 @@ def collect_clients(registry: "MetricsRegistry",
                      client.plan_nodes_absorbed)
         registry.add("metadata.client.cache_primed_nodes",
                      client.cache_primed_nodes)
-        registry.add("metadata.client.prefetched_nodes",
-                     client.metadata_prefetched_nodes)
         registry.add("metadata.client.write_control_rpcs",
                      client.write_control_rpcs)
-        registry.add("cache.shared.client_hits", client.shared_cache_hits)
-        registry.add("metadata.client.fetched_lookups",
-                     client.metadata_lookup_fetches)
-        registry.add("cache.peer.client_hits", client.peer_cache_hits)
-        registry.add("cache.peer.rejections", client.peer_rejections)
-        registry.add("cache.peer.probe_misses", client.peer_probe_misses)
-        registry.add("cache.peer.probe_rpcs", client.peer_probe_rpcs)
-        registry.add("metadata.client.coalesced_fetches",
-                     client.coalesced_fetches)
-        cache = client.metadata_cache
-        if cache is None:
-            all_private = False
-            continue
-        registry.add("metadata.cache.lookups", cache.stats.lookups)
-        registry.add("metadata.cache.hits", cache.stats.hits)
-        registry.add("metadata.cache.misses", cache.stats.misses)
-        registry.add("metadata.cache.insertions", cache.stats.insertions)
-        registry.add("metadata.cache.evictions", cache.stats.evictions)
+        chain = client.tiers
+        if chain.find("private") is not None:
+            for counter in _PRIVATE_COUNTERS:
+                registry.add(f"metadata.cache.{counter}",
+                             chain.count("private", counter))
+        for name, tier, counter in _TIER_COUNTERS:
+            registry.add(name, chain.count(tier, counter))
+        registry.add("metadata.client.fetched_lookups", chain.fetched_lookups)
         coalescer = client.coalescer
         if coalescer is not None:
             for key, value in coalescer.stats.snapshot().items():
@@ -149,15 +143,8 @@ def collect_clients(registry: "MetricsRegistry",
                     registry.set("coalescer.coalescing_factor", value)
                 else:
                     registry.add(f"coalescer.{key}", value)
-    if all_private:
-        # the peer part is 0 without the cooperative tier, so the identity
-        # reduces to the original three-way partition when it is disabled
-        registry.register_identity(
-            "metadata.lookup_partition",
-            total="metadata.cache.lookups",
-            parts=("metadata.cache.hits", "cache.shared.client_hits",
-                   "cache.peer.client_hits",
-                   "metadata.client.fetched_lookups"))
+    registry.report("metadata.lookup_partition", partition_problems(
+        [client.tiers for client in clients]))
 
 
 def collect_shared_cache(registry: "MetricsRegistry",
@@ -177,20 +164,11 @@ def collect_shared_cache(registry: "MetricsRegistry",
                  totals["coalesced_fetches"])
     registry.set("cache.shared.services", totals["services"])
     registry.set("cache.shared.entries", totals["entries"])
-    registry.register_identity(
-        "cache.shared.partition",
-        total="cache.shared.lookups",
-        parts=("cache.shared.hits", "cache.shared.misses"))
 
 
 def collect_coop_cache(registry: "MetricsRegistry",
                        deployment: "BlobSeerDeployment") -> None:
-    """Cooperative cross-node tier totals across every peer service.
-
-    Remote probes answer through the stat-free ``peek`` path, so the
-    shared tier's own hit/miss partition is untouched — the peer services
-    carry their own served-lookup partition, registered here.
-    """
+    """Cooperative cross-node tier totals across every peer service."""
     totals = deployment.coop_stats()
     registry.add("cache.peer.served_hits", totals["served_hits"])
     registry.add("cache.peer.served_misses", totals["served_misses"])
@@ -201,10 +179,6 @@ def collect_coop_cache(registry: "MetricsRegistry",
                  totals["unavailable_probes"])
     registry.add("cache.peer.served_probe_rpcs", totals["probe_rpcs"])
     registry.set("cache.peer.services", totals["services"])
-    registry.register_identity(
-        "cache.peer.partition",
-        total="cache.peer.served_lookups",
-        parts=("cache.peer.served_hits", "cache.peer.served_misses"))
 
 
 def collect_deployment(registry: "MetricsRegistry",
@@ -290,11 +264,10 @@ def collect_all(registry: "MetricsRegistry", *,
     """Collect every surface handed in; returns the registry for chaining.
 
     ``complete_clients=True`` attests that ``clients`` holds *every*
-    client that attached to ``deployment`` — only then can the
-    cross-surface fall-through identity (shared-tier lookups == client
-    lookups that missed their private tier) be registered, since a
-    missing client would contribute shared-tier lookups with no matching
-    client-side counters.
+    client that attached to ``deployment`` — only then can the shared
+    services' own counts be reconciled with the tiers fronting them, since
+    a missing client would have been served with no matching client-side
+    counters.
     """
     clients = list(clients)
     drivers = list(drivers)
@@ -310,26 +283,9 @@ def collect_all(registry: "MetricsRegistry", *,
         collect_deployment(registry, deployment)
     if cluster is not None:
         collect_cluster(registry, cluster)
-    if complete_clients and deployment is not None and clients \
-            and all(client.shared_cache is not None for client in clients):
-        # without a shared tier a private miss skips straight to the
-        # provider fetch, so there is no fall-through to partition.  The
-        # peer part is 0 when the cooperative tier is off, reducing to
-        # the original two-way fall-through
-        registry.register_identity(
-            "cache.shared.fallthrough",
-            total="cache.shared.lookups",
-            parts=("cache.shared.client_hits",
-                   "cache.peer.client_hits",
-                   "metadata.client.fetched_lookups"))
-        if deployment.coop_directory is not None:
-            # cross-surface check on the cooperative tier itself: every
-            # lookup a peer service answered was either admitted by the
-            # receiving client's watermark gate or rejected by it
-            registry.register_identity(
-                "cache.peer.crosscheck",
-                total="cache.peer.served_hits",
-                parts=("cache.peer.client_hits", "cache.peer.rejections"))
+    if complete_clients and deployment is not None:
+        registry.report("metadata.tier_services", wire_problems(
+            [client.tiers for client in clients]))
     return registry
 
 

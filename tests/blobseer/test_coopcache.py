@@ -30,6 +30,7 @@ from repro.blobseer.metadata.coopcache import (
 )
 from repro.blobseer.metadata.nodes import MetadataNode, NodeKey
 from repro.blobseer.metadata.sharedcache import FETCH_FAILED
+from repro.blobseer.metadata.tiers import Tier
 from repro.cluster import Cluster, ClusterConfig
 from repro.vstore.client import VectoredClient
 
@@ -80,6 +81,25 @@ def finish(generator, send):
 def make_node(version=1, offset=0, size=64, blob=BLOB):
     return MetadataNode(key=NodeKey(blob, version, offset, size),
                         is_leaf=True, segments=(), base_version=0)
+
+
+class FakeShards(Tier):
+    """A terminal tier standing in for the metadata shards: answers every
+    lookup with ``node`` (or raises ``error``) without touching the wire."""
+
+    name = "shards"
+
+    def __init__(self, node=None, error=None):
+        self.node = node
+        self.error = error
+        self.fetches = []
+
+    def lookup(self, blob_id, requests):
+        self.fetches.extend((blob_id, *request) for request in requests)
+        if self.error is not None:
+            raise self.error
+        return {request: self.node for request in requests}, []
+        yield  # pragma: no cover - generator shape
 
 
 class TestRoles:
@@ -203,13 +223,13 @@ class TestProbe:
         answer = complete(service.probe(BLOB, [(0, 64, 1)], watermark=1))
         assert answer is None
         assert service.stats.unavailable_probes == 1
-        assert service.stats.served_lookups == 0
+        assert service.stats.lookups == 0
 
     def test_sampler_miss_is_a_peer_miss(self):
         _, service = self._sampler_service()
         answer = complete(service.probe(BLOB, [(0, 64, 1)], watermark=1))
         assert answer == [PEER_MISS]
-        assert service.stats.served_misses == 1
+        assert service.stats.misses == 1
         assert service.stats.read_throughs == 0
 
     def test_pool_hit_is_served_stat_free(self):
@@ -224,7 +244,7 @@ class TestProbe:
         hits, misses = pool.stats.hits, pool.stats.misses
         answer = complete(service.probe(BLOB, [(0, 64, 1)], watermark=1))
         assert answer == [node]
-        assert service.stats.served_hits == 1
+        assert service.stats.hits == 1
         assert (pool.stats.hits, pool.stats.misses) == (hits, misses)
 
     def test_probe_watermark_feeds_the_receiving_gate(self):
@@ -240,7 +260,7 @@ class TestProbe:
         pool.publish(BLOB, 0, 64, 1, None)
         answer = complete(service.probe(BLOB, [(0, 64, 1)], watermark=1))
         assert answer == [None]
-        assert service.stats.served_hits == 1
+        assert service.stats.hits == 1
 
     def _provider_service(self):
         cluster, deployment, nodes = build(coop_provider_fraction=1.0)
@@ -250,19 +270,13 @@ class TestProbe:
     def test_provider_reads_through_and_admits_gated(self):
         cluster, service = self._provider_service()
         node = make_node()
-        fetches = []
-
-        def fake_fetch(blob_id, offset, size, hint):
-            fetches.append((blob_id, offset, size, hint))
-            return node
-            yield  # pragma: no cover - generator shape
-
-        service._fetch_authoritative = fake_fetch
+        shards = FakeShards(node)
+        service.upstream.inner = [shards]
         answer = complete(service.probe(BLOB, [(0, 64, 1)], watermark=1))
         assert answer == [node]
-        assert fetches == [(BLOB, 0, 64, 1)]
+        assert shards.fetches == [(BLOB, 0, 64, 1)]
         assert service.stats.read_throughs == 1
-        assert service.stats.served_hits == 1
+        assert service.stats.hits == 1
         # admitted through the gate the prober's watermark opened
         found, cached = service.pool.peek(BLOB, 0, 64, 1)
         assert found and cached is node
@@ -270,23 +284,20 @@ class TestProbe:
 
     def test_failed_read_through_degrades_to_a_miss(self):
         cluster, service = self._provider_service()
-
-        def dying_fetch(blob_id, offset, size, hint):
-            raise RuntimeError("shard unreachable")
-            yield  # pragma: no cover - generator shape
-
-        service._fetch_authoritative = dying_fetch
+        service.upstream.inner = [
+            FakeShards(error=RuntimeError("shard unreachable"))]
         answer = complete(service.probe(BLOB, [(0, 64, 1)], watermark=1))
         assert answer == [PEER_MISS]
-        assert service.stats.served_misses == 1
+        assert service.stats.misses == 1
         assert not service.pool._inflight  # aborted, never leaked
 
     def test_read_through_parks_on_a_service_led_fetch(self):
         cluster, service = self._provider_service()
         node = make_node()
-        leader, _owner, event = service.pool.coalesce(
+        leader, _event = service.pool.coalesce(
             cluster.sim, BLOB, 0, 64, 1, owner="service")
         assert leader
+        _owner, event = service.pool._inflight[(BLOB, 0, 64, 1)]
         generator = service.probe(BLOB, [(0, 64, 1)], watermark=1)
         parked_on = next(generator)  # the probe parked instead of fetching
         assert parked_on is event
@@ -337,13 +348,14 @@ class TestEndToEnd:
             return pieces
 
         assert run(cluster, main()) == [b"p" * 16 * CHUNK]
-        assert cold.peer_cache_hits > 0
-        assert cold.metadata_lookup_fetches == 0
-        assert cold.peer_probe_rpcs > 0
+        assert cold.tiers.count("peers", "hits") > 0
+        assert cold.tiers.fetched_lookups == 0
+        assert cold.tiers.count("peers", "probe_rpcs") > 0
         stats = deployment.coop_stats()
-        assert stats["served_hits"] \
-            == cold.peer_cache_hits + cold.peer_rejections \
-            + warm.peer_cache_hits + warm.peer_rejections
+        assert stats["served_hits"] == sum(
+            client.tiers.count("peers", "hits")
+            + client.tiers.count("peers", "rejections")
+            for client in (cold, warm))
 
     def test_dead_peer_costs_rpcs_never_bytes(self):
         cluster, deployment, nodes = build(coop_provider_fraction=1.0)
@@ -363,8 +375,8 @@ class TestEndToEnd:
             return pieces
 
         assert run(cluster, main()) == [b"d" * 16 * CHUNK]
-        assert reader.peer_cache_hits == 0
-        assert reader.metadata_lookup_fetches > 0  # authoritative fallback
+        assert reader.tiers.count("peers", "hits") == 0
+        assert reader.tiers.fetched_lookups > 0  # authoritative fallback
         assert deployment.coop_stats()["unavailable_probes"] > 0
 
     def test_disabled_tier_has_no_directory_and_no_counters(self):
@@ -383,9 +395,8 @@ class TestEndToEnd:
         run(cluster, main())
         assert deployment.coop_directory is None
         for reader in readers:
-            assert reader.coop_peer is None
-            assert reader.peer_probe_rpcs == 0
-            assert reader.peer_cache_hits == 0
+            assert reader.tiers.find("peers") is None
+            assert reader.tiers.find("coalesce") is None
 
     @pytest.mark.parametrize("placement_seed", [0, 1, 2])
     def test_any_placement_reads_byte_identically_coop_on_and_off(
@@ -447,10 +458,8 @@ class TestEndToEnd:
                     yield from self._scan(client)
 
             run(cluster, main())
-            return ([(client.peer_cache_hits, client.peer_rejections,
-                      client.peer_probe_rpcs, client.peer_probe_misses,
-                      client.metadata_lookup_fetches)
-                     for client in clients],
+            return ([vars(tier.stats) for client in clients
+                     for tier in client.tiers.tiers],
                     deployment.coop_stats(), cluster.sim.now)
 
         assert one_run() == one_run()

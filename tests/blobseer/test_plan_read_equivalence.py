@@ -6,7 +6,8 @@ a read through
 
 * the scalar ``get_node`` callback with no cache (the baseline),
 * the batched per-level ``get_nodes`` callback,
-* the batched callback with a shared warm :class:`MetadataNodeCache`
+* the metadata tier chain ``[private, store]`` — the fold the simulated
+  client runs, here over a warm private tier shared across the reads
 
 must produce byte-identical extent lists — same offsets, lengths, chunks,
 chunk offsets and providers.  The cache may only remove round-trips, never
@@ -17,14 +18,21 @@ from hypothesis import given, settings, strategies as st
 
 from repro.blobseer.blob import BlobDescriptor
 from repro.blobseer.chunk import ChunkKey
-from repro.blobseer.metadata.cache import MetadataNodeCache
+from repro.blobseer.metadata.cache import CacheStats
 from repro.blobseer.metadata.segment_tree import (
+    ReadPlanner,
     build_leaf_segments,
     build_write_metadata,
     plan_read,
     split_vector_into_pieces,
 )
 from repro.blobseer.metadata.store import MetadataStore
+from repro.blobseer.metadata.tiers import (
+    MetadataTierChain,
+    PrivateTier,
+    Tier,
+    partition_problems,
+)
 from repro.core.listio import IOVector
 from repro.core.regions import RegionList
 
@@ -72,6 +80,40 @@ def populate(history):
     return store
 
 
+class StoreTier(Tier):
+    """The terminal tier of a simulator-free chain: one level's lookups
+    answered straight from ``store``, one round-trip per batch."""
+
+    name = "store"
+    terminal = True
+
+    def __init__(self, store):
+        self.store = store
+        self.stats = CacheStats(read_rpcs=0)
+
+    def lookup(self, blob_id, requests):
+        self.stats.lookups += len(requests)
+        self.stats.hits += len(requests)
+        self.stats.read_rpcs += 1
+        return dict(zip(requests, self.store.get_nodes(blob_id, requests))), []
+        yield  # a generator like every non-resident tier; it never waits
+
+
+def plan_through(chain, version, regions):
+    """Plan a read by folding each level over ``chain`` (no simulator: no
+    tier of it ever yields)."""
+    planner = ReadPlanner(BLOB, version, regions)
+    while not planner.done:
+        level = chain.resolve(BLOB.blob_id, planner.pending())
+        try:
+            next(level)
+        except StopIteration as resolved:
+            planner.advance(resolved.value)
+        else:
+            raise AssertionError("a simulator-free chain waited")
+    return planner.plan()
+
+
 def extent_tuples(plan):
     return [(e.offset, e.length, e.chunk, e.chunk_offset, e.provider_id)
             for e in plan.extents]
@@ -88,15 +130,16 @@ def test_batched_and_cached_plans_match_baseline(history, data):
     def get_nodes(requests):
         return store.get_nodes(BLOB.blob_id, requests)
 
-    cache = MetadataNodeCache()
+    shards = StoreTier(store)
+    chain = MetadataTierChain([PrivateTier(), shards])
     for _ in range(data.draw(st.integers(1, 3))):
         version = data.draw(st.integers(0, len(history)))
         regions = data.draw(read_accesses())
 
         baseline = plan_read(BLOB, version, regions, get_node)
         batched = plan_read(BLOB, version, regions, get_nodes=get_nodes)
-        cached = plan_read(BLOB, version, regions, get_nodes=get_nodes,
-                           cache=cache)
+        rpcs = shards.stats.read_rpcs
+        cached = plan_through(chain, version, regions)
 
         expected = extent_tuples(baseline)
         assert extent_tuples(batched) == expected
@@ -106,6 +149,9 @@ def test_batched_and_cached_plans_match_baseline(history, data):
         # batching collapses round-trips to at most one per level
         assert batched.metadata_rpcs <= batched.levels
         assert batched.metadata_rpcs <= baseline.metadata_rpcs
+        # the private tier only ever removes round-trips
+        assert shards.stats.read_rpcs - rpcs <= batched.metadata_rpcs
+    assert partition_problems([chain]) == []
 
 
 @settings(max_examples=40, deadline=None)
@@ -114,15 +160,16 @@ def test_warm_cache_answers_repeat_reads_without_lookups(history, access):
     store = populate(history)
     version = len(history)
 
-    def get_nodes(requests):
-        return store.get_nodes(BLOB.blob_id, requests)
-
-    cache = MetadataNodeCache()
-    cold = plan_read(BLOB, version, access, get_nodes=get_nodes, cache=cache)
-    warm = plan_read(BLOB, version, access, get_nodes=get_nodes, cache=cache)
+    cache, shards = PrivateTier(), StoreTier(store)
+    chain = MetadataTierChain([cache, shards])
+    cold = plan_through(chain, version, access)
+    hits, misses = cache.stats.hits, cache.stats.misses
+    rpcs = shards.stats.read_rpcs
+    warm = plan_through(chain, version, access)
 
     assert extent_tuples(warm) == extent_tuples(cold)
     # the repeat read resolves every node from the cache: zero RPCs
-    assert warm.metadata_rpcs == 0
-    assert warm.cache_misses == 0
-    assert warm.cache_hits > 0
+    assert shards.stats.read_rpcs == rpcs
+    assert cache.stats.misses == misses
+    assert cache.stats.hits > hits
+    assert partition_problems([chain]) == []

@@ -144,7 +144,7 @@ class TestProviderAuthority:
             process = cluster.sim.process(main())
             cluster.sim.run(stop_event=process)
             results[prefetch] = (process.value, client.metadata_read_rpcs,
-                                 client.metadata_prefetched_nodes,
+                                 client.tiers.count("shards", "prefetched_nodes"),
                                  deployment.stats())
 
         assert results[True][0] == results[False][0]

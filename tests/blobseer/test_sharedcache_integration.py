@@ -62,8 +62,8 @@ class TestCoLocatedSharing:
         pieces = run(cluster, main())
         assert pieces == [b"x" * 64 * 1024]
         assert second.metadata_read_rpcs == 0
-        assert second.metadata_lookup_fetches == 0
-        assert second.shared_cache_hits > 0
+        assert second.tiers.fetched_lookups == 0
+        assert second.tiers.count("node", "hits") > 0
         assert_gate_invariant(deployment)
 
     def test_clients_on_different_nodes_do_not_share(self):
@@ -78,8 +78,8 @@ class TestCoLocatedSharing:
             yield from other.vread(BLOB, [(0, CHUNK)], 1)
 
         run(cluster, main())
-        assert other.shared_cache_hits == 0
-        assert other.metadata_lookup_fetches > 0
+        assert other.tiers.count("node", "hits") == 0
+        assert other.tiers.fetched_lookups > 0
         assert len(deployment.node_caches) == 2
 
     def test_write_through_publication_warms_co_tenants(self):
@@ -99,7 +99,7 @@ class TestCoLocatedSharing:
         pieces = run(cluster, main())
         assert pieces == [b"z" * 32 * 1024]
         assert reader.metadata_read_rpcs == 0
-        assert reader.shared_cache_hits > 0
+        assert reader.tiers.count("node", "hits") > 0
         assert_gate_invariant(deployment)
 
     def test_detach_keeps_published_entries_for_the_next_tenant(self):
@@ -122,6 +122,32 @@ class TestCoLocatedSharing:
 
         assert run(cluster, phase2()) == [b"k" * CHUNK]
         assert successor.metadata_read_rpcs == 0
+
+    def test_detached_client_reads_cold_from_the_shards(self):
+        """RED-FIRST: detaching used to clear the shared cache but leave
+        the coalescing and cooperative stages routed through it, so the
+        next cold read died on the missing pool.  A detached client reads
+        through what is left of its chain: private cache, then shards."""
+        cluster, deployment = build(cooperative_cache=True)
+        writer = VectoredClient(deployment, cluster.add_node("cn0"),
+                                name="w")
+        reader = VectoredClient(deployment, cluster.add_node("cn1"),
+                                name="r")
+
+        def seed():
+            yield from writer.create_blob(BLOB, FILE_SIZE)
+            yield from writer.vwrite_and_wait(BLOB, [(0, b"d" * 4 * CHUNK)])
+
+        run(cluster, seed())
+        reader.detach()
+
+        def cold_read():
+            pieces = yield from reader.vread(BLOB, [(0, 4 * CHUNK)], 1)
+            return pieces
+
+        assert run(cluster, cold_read()) == [b"d" * 4 * CHUNK]
+        assert reader.metadata_read_rpcs > 0
+        assert deployment.node_caches["cn1"].stats.lookups == 0
 
 
 class TestDeathBeforePublication:
@@ -336,6 +362,6 @@ class TestCollectiveWarmsTheNode:
 
         assert run(cluster, main()) == [b"c" * CHUNK]
         assert bystander.metadata_read_rpcs == 0
-        assert bystander.shared_cache_hits > 0
+        assert bystander.tiers.count("node", "hits") > 0
         assert participant.plan_nodes_absorbed > 0
         assert_gate_invariant(deployment)

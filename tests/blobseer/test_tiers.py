@@ -1,0 +1,228 @@
+"""The metadata tier chain: one fold, one identity, any configured list.
+
+* every list shape the stack configures today resolves the same bytes and
+  satisfies the one N-tier lookup partition
+  (:func:`~repro.blobseer.metadata.tiers.partition_problems`) plus the
+  shared services' conservation
+  (:func:`~repro.blobseer.metadata.tiers.wire_problems`);
+* the payoff: a tier the stack has never heard of, defined here, is
+  consulted, admitted to and covered by the same identity once it sits in
+  the list — and the chain is indifferent to what a key names, so caching
+  immutable *chunk* ranges is a list too.
+"""
+
+import pytest
+
+from repro.blobseer.deployment import BlobSeerDeployment
+from repro.blobseer.metadata.cache import CacheStats
+from repro.blobseer.metadata.tiers import (
+    MetadataTierChain,
+    Tier,
+    partition_problems,
+    wire_problems,
+)
+from repro.cluster import Cluster, ClusterConfig
+from repro.obs.registry import MetricsRegistry
+from repro.obs.views import collect_all
+from repro.vstore.client import VectoredClient
+
+BLOB = "tier-blob"
+CHUNK = 4096
+FILE_SIZE = 64 * CHUNK
+PAYLOAD = bytes(range(256)) * (16 * CHUNK // 256)
+
+
+class MemoryTier(Tier):
+    """A resident tier the stack does not ship: a plain dict."""
+
+    name = "memory"
+    resident = True
+
+    def __init__(self):
+        self.stats = CacheStats()
+        self.entries = {}
+
+    def get(self, blob_id, offset, size, hint):
+        self.stats.lookups += 1
+        key = (blob_id, offset, size, hint)
+        if key not in self.entries:
+            return False, None
+        self.stats.hits += 1
+        return True, self.entries[key]
+
+    def admit(self, blob_id, entries):
+        for request, value in entries:
+            self.entries[(blob_id, *request)] = value
+
+
+def run(cluster, generator):
+    process = cluster.sim.process(generator)
+    cluster.sim.run(stop_event=process)
+    return process.value
+
+
+def deploy(**config):
+    cluster = Cluster(config=ClusterConfig(**config))
+    deployment = BlobSeerDeployment(cluster, num_providers=2,
+                                    num_metadata_providers=2,
+                                    chunk_size=CHUNK)
+    seeder = VectoredClient(deployment, cluster.add_node("seed"), name="seed",
+                            shared_metadata_cache=False)
+
+    def seed():
+        yield from seeder.create_blob(BLOB, FILE_SIZE)
+        yield from seeder.vwrite_and_wait(BLOB, [(0, PAYLOAD)])
+
+    run(cluster, seed())
+    return cluster, deployment, seeder
+
+
+SHAPES = {
+    "shards-only": (dict(), dict(enable_metadata_cache=False),
+                    ["shards"]),
+    "private": (dict(), dict(), ["private", "shards"]),
+    "node-only": (dict(shared_metadata_cache=True),
+                  dict(enable_metadata_cache=False), ["node", "shards"]),
+    "private+node": (dict(shared_metadata_cache=True), dict(),
+                     ["private", "node", "shards"]),
+    "peers": (dict(shared_metadata_cache=True, cooperative_cache=True,
+                   coop_provider_fraction=1.0), dict(),
+              ["private", "node", "coalesce", "peers", "shards"]),
+    "peers-killed-daemon": (
+        dict(shared_metadata_cache=True, cooperative_cache=True,
+             coop_provider_fraction=1.0), dict(),
+        ["private", "node", "coalesce", "peers", "shards"]),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_every_configured_shape_reads_right_and_partitions(shape):
+    config, client_options, expected = SHAPES[shape]
+    cluster, deployment, seeder = deploy(**config)
+    nodes = [cluster.add_node(f"cn{index}") for index in range(3)]
+    # two tenants per node; all start at once, so co-tenants miss together
+    clients = [VectoredClient(deployment, nodes[index % 3],
+                              name=f"c{index}", **client_options)
+               for index in range(6)]
+    for client in clients:
+        assert [tier.name for tier in client.tiers.tiers] == expected
+    if shape == "peers-killed-daemon":
+        deployment.coop_directory.services["cn1"].kill()
+    reads = {}
+
+    def reader(index):
+        for round_index in range(2):
+            offset = ((index + round_index) % 3) * 4 * CHUNK
+            pieces = yield from clients[index].vread(
+                BLOB, [(offset, 4 * CHUNK)], 1)
+            reads[(index, round_index)] = (offset, pieces[0])
+
+    processes = [cluster.sim.process(reader(index)) for index in range(6)]
+
+    def join():
+        yield cluster.sim.all_of(processes)
+
+    run(cluster, join())
+    assert len(reads) == 12
+    for offset, data in reads.values():
+        assert data == PAYLOAD[offset:offset + 4 * CHUNK]
+
+    chains = [client.tiers for client in clients + [seeder]]
+    assert partition_problems(chains) == []
+    assert wire_problems(chains) == []
+    assert sum(chain.lookups for chain in chains) > 0
+    registry = collect_all(MetricsRegistry(), cluster=cluster,
+                           deployment=deployment, clients=clients + [seeder],
+                           complete_clients=True)
+    assert registry.check_identities() == []
+    if "coalesce" in expected:
+        assert registry.get("metadata.client.coalesced_fetches") > 0
+        assert registry.get("cache.peer.probe_rpcs") > 0
+    if shape == "peers-killed-daemon":
+        assert deployment.coop_stats()["unavailable_probes"] > 0
+
+
+def test_a_broken_count_is_named_by_tier():
+    cluster, deployment, _seeder = deploy(shared_metadata_cache=True)
+    client = VectoredClient(deployment, cluster.add_node("cn0"), name="c")
+    run(cluster, client.vread(BLOB, [(0, 4 * CHUNK)], 1))
+    assert partition_problems([client.tiers]) == []
+    client.tiers.find("node").stats.hits += 1
+    problems = partition_problems([client.tiers])
+    assert problems and all(problem.startswith("c:") for problem in problems)
+    assert any("'shards'" in problem for problem in problems)
+
+
+def test_an_unknown_tier_dropped_into_the_list_just_works():
+    """The payoff: nothing outside this file knows ``MemoryTier``, yet in
+    the list it is consulted, offered every resolved lookup, answers the
+    repeat read, and the partition identity covers it."""
+    cluster, deployment, _seeder = deploy()
+    client = VectoredClient(deployment, cluster.add_node("cn0"), name="c",
+                            enable_metadata_cache=False)
+    memory = MemoryTier()
+    client.tiers.order.insert(0, memory)
+    assert [tier.name for tier in client.tiers.tiers] == ["memory", "shards"]
+
+    cold = run(cluster, client.vread(BLOB, [(0, 8 * CHUNK)], 1))
+    assert memory.stats.lookups > 0 and memory.stats.hits == 0
+    assert len(memory.entries) == memory.stats.lookups
+    rpcs = client.metadata_read_rpcs
+    warm = run(cluster, client.vread(BLOB, [(0, 8 * CHUNK)], 1))
+    assert warm == cold == [PAYLOAD[:8 * CHUNK]]
+    assert client.metadata_read_rpcs == rpcs
+    assert memory.stats.hits == memory.stats.lookups // 2
+    assert partition_problems([client.tiers]) == []
+    memory.stats.lookups += 1
+    assert partition_problems([client.tiers]) != []
+
+
+def test_chunk_ranges_are_a_list_too():
+    """Not built, only shown: a chain does not care what its keys name.
+    Immutable chunk ranges ``(chunk, offset, length)`` resolved through
+    ``[memory, data providers]`` are cached by the same fold and counted
+    by the same identity."""
+    cluster, deployment, seeder = deploy()
+    node = cluster.add_node("cn0")
+
+    class ChunkSource(Tier):
+        name = "providers"
+        terminal = True
+
+        def __init__(self):
+            self.stats = CacheStats()
+
+        def lookup(self, provider_id, requests):
+            pieces = yield from cluster.rpc.call(
+                node, deployment.data_provider(provider_id),
+                "get_chunk_ranges", 64,
+                sum(length for _chunk, _offset, length in requests),
+                list(requests))
+            self.stats.lookups += len(requests)
+            self.stats.hits += len(requests)
+            return dict(zip(requests, pieces)), []
+
+    # which chunk ranges hold the first leaves: resolved once, by the seeder
+    trace = {}
+    run(cluster, seeder._vectored_read(
+        BLOB, seeder._as_read_vector([(0, 4 * CHUNK)]), 1, trace=trace))
+    wanted = {}
+    for (offset, _size, _hint), leaf in trace.items():
+        if leaf is not None and leaf.is_leaf:
+            for segment in leaf.segments:
+                wanted.setdefault(segment.provider_id, []).append(
+                    (offset + segment.rel_offset,
+                     (segment.chunk, segment.chunk_offset, segment.length)))
+    assert wanted
+
+    source = ChunkSource()
+    chain = MetadataTierChain([MemoryTier(), source], name="chunks")
+    for _round in range(2):
+        for provider_id, ranges in sorted(wanted.items()):
+            resolved = run(cluster, chain.resolve(
+                provider_id, [key for _offset, key in ranges]))
+            for offset, key in ranges:
+                assert resolved[key] == PAYLOAD[offset:offset + key[2]]
+    assert source.stats.lookups == chain.fetched_lookups == chain.lookups // 2
+    assert chain.count("memory", "hits") == chain.lookups // 2
+    assert partition_problems([chain]) == []

@@ -318,8 +318,8 @@ def test_stats_partition_holds_on_a_real_run():
 
 def test_stats_partition_flags_tampered_lookup_counter():
     client, ctx = partition_ctx()
-    # phantom misses raise lookups without raising any partition part
-    client.metadata_cache.stats.misses += 7
+    # phantom lookups: counted by the tier, answered by nobody
+    client.metadata_cache.stats.lookups += 7
     anomalies = check_stats_partition(ctx)
     assert any("lookup_partition" in entry for entry in anomalies)
 

@@ -14,6 +14,8 @@ Each seed is the lowest one whose scenario *fires* the named injector —
 dormant arms don't regress anything.
 """
 
+from pathlib import Path
+
 import pytest
 
 from repro.fuzz.generator import generate_scenario
@@ -47,3 +49,19 @@ def test_pinned_seeds_replay_byte_identically():
         scenario = generate_scenario(seed)
         assert run_line(execute_scenario(scenario)) \
             == run_line(execute_scenario(scenario)), f"seed {seed}"
+
+
+#: ``python -m repro.fuzz --max-runs 200 --seed-base 0`` as recorded at an
+#: earlier commit; CI sweeps the whole range and ``cmp``s against it
+RECORD = (Path(__file__).resolve().parents[2] / "benchmarks" / "baselines"
+          / "fuzz_runs_seeds_0_199.ndjson")
+
+
+def test_pinned_seeds_match_the_cross_commit_record():
+    """Replay across commits, not just within one: the hostile seeds must
+    reproduce their recorded line — events, simulated time, digest — byte
+    for byte.  A change that means to move a timeline re-records the file."""
+    recorded = RECORD.read_text().splitlines()
+    for seed in PINNED:
+        assert run_line(execute_scenario(generate_scenario(seed))) \
+            == recorded[seed], f"seed {seed}"

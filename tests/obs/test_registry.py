@@ -59,31 +59,25 @@ def test_series_mean_is_sim_time_weighted():
     assert series.samples == 2
 
 
-def test_identities_check_assert_and_vacuous():
+def test_reported_checks_surface_in_check_and_assert():
     registry = MetricsRegistry()
-    registry.register_identity("parts", total="total", parts=("p1", "p2"))
-    # total never collected: vacuously true
+    # nothing reported: vacuously true
     assert registry.check_identities() == []
-    registry.add("total", 5)
-    registry.add("p1", 2)
-    registry.add("p2", 3)
+    registry.report("parts", [])
     assert registry.check_identities() == []
     registry.assert_identities()
-    registry.add("p2", 1)
+    registry.report("other", ["5 != 2 + 4"])
     problems = registry.check_identities()
-    assert len(problems) == 1 and "parts" in problems[0]
+    assert problems == ["other: 5 != 2 + 4"]
     with pytest.raises(IdentityViolation):
         registry.assert_identities()
 
 
-def test_identity_reregistration_replaces_by_label():
+def test_rereporting_replaces_by_label():
     registry = MetricsRegistry()
-    registry.register_identity("same", total="t", parts=("a",))
-    registry.register_identity("same", total="t", parts=("a", "b"))
-    registry.add("t", 3)
-    registry.add("a", 1)
-    registry.add("b", 2)
-    # only the latest declaration is checked — one entry, and it holds
+    registry.report("same", ["stale problem"])
+    registry.report("same", [])
+    # only the latest outcome counts — and it held
     assert registry.check_identities() == []
 
 

@@ -47,22 +47,34 @@ def test_collect_all_holds_identities_and_totals():
         sum(client.bytes_written for client in clients)
     assert registry.get("metadata.cache.lookups") == \
         sum(client.metadata_cache.stats.lookups for client in clients)
-    # the identities of the module docstring are all registered (the
-    # cooperative crosscheck joins them only when the tier is deployed)
-    labels = {label for label, _, _ in registry._identities}
-    assert labels == {"metadata.lookup_partition", "cache.shared.partition",
-                      "cache.shared.fallthrough", "cache.peer.partition"}
+    # the checks of the module docstring were both run
+    assert set(registry._reported) == {"metadata.lookup_partition",
+                                       "metadata.tier_services"}
     assert deployment.coop_directory is None
 
 
-def test_fallthrough_identity_skipped_without_shared_tier():
+def test_service_check_catches_an_unaccounted_pool_lookup():
+    """The cross-surface check: a node pool that served a lookup no
+    collected client accounts for is flagged — but only when the caller
+    attests the client set is complete."""
+    cluster, deployment, clients = run_workload(shared_cache=True)
+    clients[0].tiers.find("node").pool.get("/vw", 0, 4096, 1)
+    partial = collect_all(MetricsRegistry(), deployment=deployment,
+                          clients=clients)
+    assert partial.check_identities() == []
+    registry = collect_all(MetricsRegistry(), deployment=deployment,
+                           clients=clients, complete_clients=True)
+    problems = registry.check_identities()
+    assert len(problems) == 1 and "metadata.tier_services" in problems[0]
+
+
+def test_service_check_is_vacuous_without_shared_tier():
     cluster, deployment, clients = run_workload(shared_cache=False)
     registry = collect_all(MetricsRegistry(), cluster=cluster,
                            deployment=deployment, clients=clients,
                            complete_clients=True)
     assert registry.check_identities() == []
-    labels = {label for label, _, _ in registry._identities}
-    assert "cache.shared.fallthrough" not in labels
+    assert registry._reported["metadata.tier_services"] == []
 
 
 def test_server_and_client_metadata_counters_live_apart():
@@ -106,15 +118,29 @@ def test_deployment_metrics_method_is_the_shim():
     assert "storage.providers" in mine
 
 
-def test_collect_clients_skips_partition_without_private_cache():
+def test_lookup_partition_holds_without_a_private_cache():
+    """The partition is stated over whatever tiers the chain has: with no
+    private cache every lookup falls straight through to the shards."""
     cluster = Cluster(seed=3)
     deployment = BlobSeerDeployment(cluster, num_providers=1,
                                     num_metadata_providers=1,
                                     chunk_size=4096, node_prefix="np")
     client = VectoredClient(deployment, cluster.add_node("np-app"),
                             name="np-app", enable_metadata_cache=False)
+
+    def scenario():
+        yield from client.create_blob("/np", 16 * 1024)
+        yield from client.vwrite_and_wait("/np", [(0, b"n" * 8192)])
+        yield from client.vread("/np", [(0, 8192)])
+
+    cluster.sim.run(stop_event=cluster.sim.process(scenario()))
     registry = MetricsRegistry()
     collect_clients(registry, [client])
-    labels = {label for label, _, _ in registry._identities}
-    assert "metadata.lookup_partition" not in labels
+    assert registry.check_identities() == []
     assert "metadata.cache.lookups" not in registry
+    assert registry.get("metadata.client.fetched_lookups") \
+        == client.tiers.lookups > 0
+    client.tiers.find("shards").stats.lookups += 1
+    collect_clients(registry, [client])
+    assert any("metadata.lookup_partition" in problem
+               for problem in registry.check_identities())
