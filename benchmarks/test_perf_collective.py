@@ -21,7 +21,7 @@ import pytest
 from benchmarks.common import REPO_ROOT
 from repro.bench.collective import checkpoint_workload
 from repro.bench.metrics import reduction
-from repro.bench.suites import NETWORK_MODELS, run_suite
+from repro.bench.suites import run_suite
 
 #: acceptance slack: measured reduction vs the ideal aggregation factor N/A
 #: (the protocol achieves the ideal exactly on this workload; the slack only
@@ -31,70 +31,54 @@ MIN_FRACTION_OF_IDEAL = 0.8
 
 @pytest.fixture(scope="module")
 def suite():
-    """Run every point under both network models; emit the JSON artifact."""
+    """Run every point; emit the JSON artifact."""
     return run_suite("collective", out_dir=REPO_ROOT)
 
 
 def test_all_modes_read_identical_bytes(suite):
     """The conformance core, repeated at benchmark scale: every mode of one
-    rank count leaves byte-identical file contents — under *both* network
-    models (the cost model shapes timing, never data)."""
+    rank count leaves byte-identical file contents."""
     for num_ranks in suite.settings.rank_counts:
         expected = checkpoint_workload(suite.settings,
                                        num_ranks).expected_contents()
-        for model, points in suite.points.items():
-            for key, point in points.items():
-                if key.startswith(f"N{num_ranks}:"):
-                    assert point["read_digest"] == expected, f"{model}:{key}"
+        for key, point in suite.points.items():
+            if key.startswith(f"N{num_ranks}:"):
+                assert point["read_digest"] == expected, key
 
 
 def test_control_rpcs_drop_by_the_aggregation_factor(suite):
-    """The acceptance criterion: reduction ~= N/A at every collective point,
-    re-reported under the queued model as well."""
-    for model, points in suite.points.items():
-        for key, point in points.items():
-            if not point["aggregators"]:
-                continue
-            baseline = points[f"N{point['ranks']}:independent"]
-            ratio = reduction(baseline, point, "control_rpcs_per_write")
-            ideal = point["ranks"] / point["aggregators"]
-            assert ratio >= MIN_FRACTION_OF_IDEAL * ideal, (
-                f"{model}:{key}: only {ratio:.2f}x fewer control RPCs "
-                f"per write (aggregation factor {ideal:.2f})")
+    """The acceptance criterion: reduction ~= N/A at every collective point."""
+    points = suite.points
+    for key, point in points.items():
+        if not point["aggregators"]:
+            continue
+        baseline = points[f"N{point['ranks']}:independent"]
+        ratio = reduction(baseline, point, "control_rpcs_per_write")
+        ideal = point["ranks"] / point["aggregators"]
+        assert ratio >= MIN_FRACTION_OF_IDEAL * ideal, (
+            f"{key}: only {ratio:.2f}x fewer control RPCs "
+            f"per write (aggregation factor {ideal:.2f})")
 
 
 def test_aggregation_folds_snapshots_per_round(suite):
     """N ranks, A aggregators, R rounds -> A snapshots per round, with the
     logical write count unchanged."""
-    for model, points in suite.points.items():
-        for key, point in points.items():
-            baseline = points[f"N{point['ranks']}:independent"]
-            assert point["logical_writes"] \
-                == baseline["logical_writes"], f"{model}:{key}"
-            writers = point["aggregators"] or point["ranks"]
-            assert point["snapshots"] \
-                == writers * point["rounds"], f"{model}:{key}"
+    points = suite.points
+    for key, point in points.items():
+        baseline = points[f"N{point['ranks']}:independent"]
+        assert point["logical_writes"] == baseline["logical_writes"], key
+        writers = point["aggregators"] or point["ranks"]
+        assert point["snapshots"] == writers * point["rounds"], key
 
 
 def test_exchange_traffic_is_reported_for_collective_modes(suite):
     """The aggregation trade — MPI exchange instead of control RPCs — must
     be visible in the artifact, not hidden."""
-    for model, points in suite.points.items():
-        for key, point in points.items():
-            if point["aggregators"]:
-                assert point["exchange_bytes"] > 0, f"{model}:{key}"
-            else:
-                assert point["exchange_bytes"] == 0, f"{model}:{key}"
-
-
-def test_rpc_counts_do_not_depend_on_the_network_model(suite):
-    """The control-plane story — RPCs, snapshots, exchange bytes — is a
-    function of the protocol, not of the cost model underneath it."""
-    for key, bottleneck in suite.points["bottleneck"].items():
-        queued = suite.points["queued"][key]
-        for column in ("logical_writes", "snapshots", "control_rpcs",
-                       "metadata_put_rpcs", "exchange_bytes"):
-            assert bottleneck[column] == queued[column], f"{key}:{column}"
+    for key, point in suite.points.items():
+        if point["aggregators"]:
+            assert point["exchange_bytes"] > 0, key
+        else:
+            assert point["exchange_bytes"] == 0, key
 
 
 def test_artifact_written_with_populated_columns(suite):
@@ -104,8 +88,6 @@ def test_artifact_written_with_populated_columns(suite):
     modes = {row["mode"] for row in artifact["rows"]}
     assert "independent" in modes
     assert any(mode.startswith("collective-a") for mode in modes)
-    assert {row["network_model"] for row in artifact["rows"]} \
-        == set(NETWORK_MODELS)
     for row in artifact["rows"]:
         assert row["logical_writes"] > 0
         assert row["control_rpcs"] > 0

@@ -22,7 +22,7 @@ import pytest
 from benchmarks.common import REPO_ROOT
 from repro.bench.collective import scan_workload
 from repro.bench.metrics import reduction
-from repro.bench.suites import NETWORK_MODELS, run_suite
+from repro.bench.suites import run_suite
 from repro.mpiio.adio.collective import aggregator_ranks
 
 #: acceptance slack: measured reduction vs the ideal resolver factor N/R
@@ -34,7 +34,7 @@ MIN_FRACTION_OF_IDEAL = 0.8
 
 @pytest.fixture(scope="module")
 def suite():
-    """Run every point under both network models; emit the JSON artifact."""
+    """Run every point; emit the JSON artifact."""
     return run_suite("collective_read", out_dir=REPO_ROOT)
 
 
@@ -42,11 +42,10 @@ def test_all_modes_read_identical_bytes(suite):
     """The conformance core, repeated at benchmark scale: every mode of one
     rank count returns byte-identical scan data."""
     for num_ranks in suite.settings.rank_counts:
-        digests = {f"{model}:{key}": point["read_digest"]
-                   for model, points in suite.points.items()
-                   for key, point in points.items()
+        digests = {key: point["read_digest"]
+                   for key, point in suite.points.items()
                    if key.startswith(f"N{num_ranks}:")}
-        reference = digests[f"bottleneck:N{num_ranks}:independent"]
+        reference = digests[f"N{num_ranks}:independent"]
         workload = scan_workload(suite.settings, num_ranks)
         content = workload.expected_contents()
         expected_parts = []
@@ -65,44 +64,40 @@ def test_all_modes_read_identical_bytes(suite):
 
 
 def test_metadata_rpcs_drop_by_the_resolver_factor(suite):
-    """The acceptance criterion: reduction >~ N/R at every collective point,
-    re-reported under the queued model as well."""
-    for model, points in suite.points.items():
-        for key, point in points.items():
-            if not point["resolvers"]:
-                continue
-            baseline = points[f"N{point['ranks']}:independent"]
-            ratio = reduction(baseline, point, "metadata_rpcs_per_read")
-            ideal = point["ranks"] / point["resolvers"]
-            assert ratio >= MIN_FRACTION_OF_IDEAL * ideal, (
-                f"{model}:{key}: only {ratio:.2f}x fewer metadata RPCs "
-                f"per read (resolver factor {ideal:.2f})")
+    """The acceptance criterion: reduction >~ N/R at every collective point."""
+    points = suite.points
+    for key, point in points.items():
+        if not point["resolvers"]:
+            continue
+        baseline = points[f"N{point['ranks']}:independent"]
+        ratio = reduction(baseline, point, "metadata_rpcs_per_read")
+        ideal = point["ranks"] / point["resolvers"]
+        assert ratio >= MIN_FRACTION_OF_IDEAL * ideal, (
+            f"{key}: only {ratio:.2f}x fewer metadata RPCs "
+            f"per read (resolver factor {ideal:.2f})")
 
 
 def test_one_latest_rpc_per_cold_collective_at_most(suite):
     """The version pin concentrates ``latest`` on the lead resolver: at most
     one round-trip per collective round (and zero once hints are planted),
     against one per rank per round for the baseline."""
-    for model, points in suite.points.items():
-        for key, point in points.items():
-            if point["resolvers"]:
-                assert point["latest_rpcs"] <= point["rounds"], f"{model}:{key}"
-            else:
-                assert point["latest_rpcs"] \
-                    == point["ranks"] * point["rounds"], f"{model}:{key}"
+    for key, point in suite.points.items():
+        if point["resolvers"]:
+            assert point["latest_rpcs"] <= point["rounds"], key
+        else:
+            assert point["latest_rpcs"] == point["ranks"] * point["rounds"], key
 
 
 def test_exchange_traffic_is_reported_for_collective_modes(suite):
     """The aggregation trade — MPI exchange instead of control RPCs — must
     be visible in the artifact, not hidden."""
-    for model, points in suite.points.items():
-        for key, point in points.items():
-            if point["resolvers"]:
-                assert point["exchange_bytes"] > 0, f"{model}:{key}"
-                assert point["plan_nodes_absorbed"] > 0, f"{model}:{key}"
-            else:
-                assert point["exchange_bytes"] == 0, f"{model}:{key}"
-                assert point["plan_nodes_absorbed"] == 0, f"{model}:{key}"
+    for key, point in suite.points.items():
+        if point["resolvers"]:
+            assert point["exchange_bytes"] > 0, key
+            assert point["plan_nodes_absorbed"] > 0, key
+        else:
+            assert point["exchange_bytes"] == 0, key
+            assert point["plan_nodes_absorbed"] == 0, key
 
 
 def test_zero_extents_travel_as_hole_descriptors(suite):
@@ -112,44 +107,37 @@ def test_zero_extents_travel_as_hole_descriptors(suite):
     drop recorded per row."""
     assert suite.settings.hole_every > 0, \
         "the sweep must exercise a sparse dump"
-    for model, points in suite.points.items():
-        for key, point in points.items():
-            if point["resolvers"]:
-                assert point["hole_bytes_elided"] > 0, f"{model}:{key}"
-            else:
-                assert point["hole_bytes_elided"] == 0, f"{model}:{key}"
+    for key, point in suite.points.items():
+        if point["resolvers"]:
+            assert point["hole_bytes_elided"] > 0, key
+        else:
+            assert point["hole_bytes_elided"] == 0, key
 
 
 def test_plan_broadcast_makes_the_post_collective_read_free(suite):
     """After the collective rounds, one independent re-read per rank costs
     zero metadata RPCs in the collective modes (absorbed plan + refreshed
     hint) — while the baseline still pays a ``latest`` per rank."""
-    for model, points in suite.points.items():
-        for key, point in points.items():
-            if point["resolvers"]:
-                assert point["post_metadata_rpcs"] == 0, f"{model}:{key}"
-                assert point["post_latest_rpcs"] == 0, f"{model}:{key}"
-            else:
-                assert point["post_latest_rpcs"] \
-                    == point["ranks"], f"{model}:{key}"
+    for key, point in suite.points.items():
+        if point["resolvers"]:
+            assert point["post_metadata_rpcs"] == 0, key
+            assert point["post_latest_rpcs"] == 0, key
+        else:
+            assert point["post_latest_rpcs"] == point["ranks"], key
 
 
 def test_non_resolver_ranks_touch_the_control_plane_zero_times(suite):
     """The criterion's per-rank half: outside the resolver set, every rank's
     collective-phase metadata and ``latest`` counters are exactly zero."""
-    for model, points in suite.points.items():
-        for key, point in points.items():
-            if not point["resolvers"]:
-                continue
-            owners = set(aggregator_ranks(point["ranks"],
-                                          point["resolvers"]))
-            for rank, (metadata, latest) in point["per_rank_rpcs"].items():
-                if rank not in owners:
-                    assert metadata == 0, \
-                        f"{model}:{key}: rank {rank} walked the tree"
-                    assert latest == 0, \
-                        f"{model}:{key}: rank {rank} asked for latest"
-            assert point["metadata_rpcs"] > 0, f"{model}:{key}"
+    for key, point in suite.points.items():
+        if not point["resolvers"]:
+            continue
+        owners = set(aggregator_ranks(point["ranks"], point["resolvers"]))
+        for rank, (metadata, latest) in point["per_rank_rpcs"].items():
+            if rank not in owners:
+                assert metadata == 0, f"{key}: rank {rank} walked the tree"
+                assert latest == 0, f"{key}: rank {rank} asked for latest"
+        assert point["metadata_rpcs"] > 0, key
 
 
 def test_artifact_written_with_populated_columns(suite):
@@ -159,8 +147,6 @@ def test_artifact_written_with_populated_columns(suite):
     modes = {row["mode"] for row in artifact["rows"]}
     assert "independent" in modes
     assert any(mode.startswith("collective-r") for mode in modes)
-    assert {row["network_model"] for row in artifact["rows"]} \
-        == set(NETWORK_MODELS)
     for row in artifact["rows"]:
         assert row["logical_reads"] > 0
         assert row["metadata_rpcs"] > 0

@@ -21,7 +21,7 @@ import pytest
 from benchmarks.common import REPO_ROOT
 from repro.bench.metadata_path import MODES
 from repro.bench.metrics import reduction
-from repro.bench.suites import NETWORK_MODELS, run_suite
+from repro.bench.suites import run_suite
 
 #: acceptance threshold: warm-cache path vs uncached baseline round-trips
 MIN_RPC_REDUCTION = 5.0
@@ -29,56 +29,45 @@ MIN_RPC_REDUCTION = 5.0
 
 @pytest.fixture(scope="module")
 def suite():
-    """Run all modes under both network models; emit the JSON artifact."""
+    """Run all modes; emit the JSON artifact."""
     return run_suite("metadata", out_dir=REPO_ROOT)
 
 
 def test_all_modes_read_identical_bytes(suite):
-    """Every mode — and every network model — returns the same bytes."""
-    baseline = suite.points["bottleneck"]["baseline"]["read_digest"]
-    for model, points in suite.points.items():
-        for mode in MODES:
-            assert points[mode]["read_digest"] == baseline, f"{model}:{mode}"
+    baseline = suite.points["baseline"]["read_digest"]
+    for mode in MODES:
+        assert suite.points[mode]["read_digest"] == baseline, mode
 
 
 def test_batching_collapses_round_trips(suite):
     """One RPC per shard per level beats one RPC per node on cold reads alone."""
-    for model, points in suite.points.items():
-        assert points["batched"]["metadata_rpcs"] \
-            < points["baseline"]["metadata_rpcs"] / 2, model
+    points = suite.points
+    assert points["batched"]["metadata_rpcs"] \
+        < points["baseline"]["metadata_rpcs"] / 2
 
 
 def test_warm_cache_rpc_reduction_at_least_5x(suite):
-    """The acceptance criterion: >= 5x fewer metadata round-trips — under
-    both network models (RPC counts are protocol, not cost-model)."""
-    for model, points in suite.points.items():
-        ratio = reduction(points["baseline"], points["cached-batched"],
-                          "metadata_rpcs")
-        assert ratio >= MIN_RPC_REDUCTION, (
-            f"{model}: only {ratio:.1f}x fewer metadata RPCs "
-            f"({points['baseline']['metadata_rpcs']} -> "
-            f"{points['cached-batched']['metadata_rpcs']})")
-
-
-def test_rpc_counts_do_not_depend_on_the_network_model(suite):
-    for mode in MODES:
-        bottleneck = suite.points["bottleneck"][mode]
-        queued = suite.points["queued"][mode]
-        for column in ("metadata_rpcs", "cache_hits", "cache_misses"):
-            assert bottleneck[column] == queued[column], f"{mode}:{column}"
+    """The acceptance criterion: >= 5x fewer metadata round-trips."""
+    points = suite.points
+    ratio = reduction(points["baseline"], points["cached-batched"],
+                      "metadata_rpcs")
+    assert ratio >= MIN_RPC_REDUCTION, (
+        f"only {ratio:.1f}x fewer metadata RPCs "
+        f"({points['baseline']['metadata_rpcs']} -> "
+        f"{points['cached-batched']['metadata_rpcs']})")
 
 
 def test_warm_cache_hit_rate_is_high(suite):
-    points = suite.points["bottleneck"]
+    points = suite.points
     assert points["cached-batched"]["cache_hit_rate"] > 0.5
     # uncached modes must report a zero (not misleading) hit rate
     assert points["baseline"]["cache_hit_rate"] == 0.0
 
 
 def test_cached_reads_are_not_slower_in_simulated_time(suite):
-    for model, points in suite.points.items():
-        assert points["cached-batched"]["sim_elapsed_s"] \
-            <= points["baseline"]["sim_elapsed_s"] * 1.05, model
+    points = suite.points
+    assert points["cached-batched"]["sim_elapsed_s"] \
+        <= points["baseline"]["sim_elapsed_s"] * 1.05
 
 
 def test_artifact_written_with_populated_columns(suite):
@@ -93,8 +82,5 @@ def test_artifact_written_with_populated_columns(suite):
         assert row["metadata_rpcs"] > 0
         assert row["wall_clock_s"] > 0
         assert "cache_hit_rate" in row and "sim_elapsed_s" in row
-    assert {row.get("network_model") for row in artifact["rows"]} \
-        >= set(NETWORK_MODELS)
-    for model in NETWORK_MODELS:
-        assert artifact["rpc_reduction_vs_baseline"][f"{model}:cached-batched"] \
-            >= MIN_RPC_REDUCTION
+    assert artifact["rpc_reduction_vs_baseline"]["cached-batched"] \
+        >= MIN_RPC_REDUCTION

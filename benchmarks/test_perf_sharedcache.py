@@ -8,9 +8,7 @@ strictly below the private baseline and approaching ``1 / ranks_per_node``
 on identical extents, the level-pinning policy beating plain LRU at equal
 capacity, byte-identical data everywhere, and the exact lookup partition —
 and records every row into ``BENCH_sharedcache.json`` at the repository
-root so future PRs can track the perf trajectory.  Every point runs under
-both network cost models; cache behaviour and bytes must not depend on
-which one shapes the timing.
+root so future PRs can track the perf trajectory.
 
 The points, columns and settings are the ``sharedcache`` entry of
 ``repro.bench.suites.SUITES``; ``benchmarks/README.md`` says how to run it
@@ -24,7 +22,7 @@ import pytest
 from benchmarks.common import REPO_ROOT, expected_scan_bytes
 from repro.bench.metrics import reduction
 from repro.bench.scan import scan_workload
-from repro.bench.suites import NETWORK_MODELS, run_suite
+from repro.bench.suites import run_suite
 
 #: acceptance slack: measured reduction vs the ideal ``ranks_per_node``
 #: factor (staggered co-tenants can land exactly on the ideal; the slack
@@ -34,53 +32,47 @@ MIN_FRACTION_OF_IDEAL = 0.8
 
 @pytest.fixture(scope="module")
 def suite():
-    """Run every point under both network models; emit the JSON artifact."""
+    """Run every point; emit the JSON artifact."""
     return run_suite("sharedcache", out_dir=REPO_ROOT)
 
 
 def test_all_modes_read_identical_bytes(suite):
     """Every cache configuration of one pattern returns byte-identical
-    scan data — sharing, eviction and the network model must never change
-    results."""
+    scan data — sharing and eviction must never change results."""
     for pattern in ("identical", "streaming"):
         expected = expected_scan_bytes(scan_workload(
             suite.settings, suite.settings.num_clients, pattern))
-        for model, points in suite.points.items():
-            for key, point in points.items():
-                if point["pattern"] == pattern:
-                    assert point["read_digest"] == expected, f"{model}:{key}"
+        for key, point in suite.points.items():
+            if point["pattern"] == pattern:
+                assert point["read_digest"] == expected, key
 
 
 def test_shared_tier_beats_the_private_baseline(suite):
     """The acceptance criterion: with multiple ranks per node, metadata
     RPCs per logical read drop strictly below the private baseline and
-    approach ``1 / ranks_per_node`` on identical extents — under both
-    network models."""
+    approach ``1 / ranks_per_node`` on identical extents."""
     ranks_per_node = suite.settings.ranks_per_node
-    for model, points in suite.points.items():
-        baseline = points["identical:private"]
-        shared = points["identical:shared-lru"]
-        assert shared["rpcs_per_read"] < baseline["rpcs_per_read"], model
-        ratio = reduction(baseline, shared, "rpcs_per_read")
-        assert ratio >= MIN_FRACTION_OF_IDEAL * ranks_per_node, (
-            f"{model}: only {ratio:.2f}x fewer metadata RPCs per read "
-            f"(placement factor {ranks_per_node})")
+    baseline = suite.points["identical:private"]
+    shared = suite.points["identical:shared-lru"]
+    assert shared["rpcs_per_read"] < baseline["rpcs_per_read"]
+    ratio = reduction(baseline, shared, "rpcs_per_read")
+    assert ratio >= MIN_FRACTION_OF_IDEAL * ranks_per_node, (
+        f"only {ratio:.2f}x fewer metadata RPCs per read "
+        f"(placement factor {ranks_per_node})")
 
 
 def test_prefetch_cuts_round_trips_and_reports_the_trade(suite):
     """Speculative child prefetch reduces tree-walk RPCs further and the
     extra shipped nodes (its cost) are visible in the artifact."""
-    for model, points in suite.points.items():
-        for base_key, prefetch_key in (
-                ("identical:private", "identical:private+prefetch"),
-                ("identical:shared-lru", "identical:shared-lru+prefetch")):
-            base = points[base_key]
-            prefetched = points[prefetch_key]
-            assert prefetched["metadata_rpcs"] < base["metadata_rpcs"], \
-                f"{model}:{prefetch_key}"
-            assert prefetched["prefetched_nodes"] > 0, \
-                f"{model}:{prefetch_key}"
-            assert base["prefetched_nodes"] == 0, f"{model}:{base_key}"
+    for base_key, prefetch_key in (
+            ("identical:private", "identical:private+prefetch"),
+            ("identical:shared-lru", "identical:shared-lru+prefetch")):
+        base = suite.points[base_key]
+        prefetched = suite.points[prefetch_key]
+        assert prefetched["metadata_rpcs"] < base["metadata_rpcs"], \
+            prefetch_key
+        assert prefetched["prefetched_nodes"] > 0, prefetch_key
+        assert base["prefetched_nodes"] == 0, base_key
 
 
 def test_level_pinning_beats_plain_lru_at_equal_capacity(suite):
@@ -89,17 +81,14 @@ def test_level_pinning_beats_plain_lru_at_equal_capacity(suite):
     against plain LRU at at least one capacity point."""
     level_policy = next(policy for policy in suite.settings.policies
                         if policy.startswith("level"))
-    for model, points in suite.points.items():
-        wins = []
-        for capacity in suite.settings.capacity_sweep:
-            lru = points[f"streaming@{capacity}:lru"]
-            level = points[f"streaming@{capacity}:{level_policy}"]
-            wins.append(level["metadata_rpcs"] < lru["metadata_rpcs"])
-            # pinning must show up as fewer evictions of reused entries
-            assert level["shared_hits"] >= lru["shared_hits"], \
-                f"{model}@{capacity}"
-        assert any(wins), \
-            f"{model}: level-aware policy never beat LRU in the sweep"
+    wins = []
+    for capacity in suite.settings.capacity_sweep:
+        lru = suite.points[f"streaming@{capacity}:lru"]
+        level = suite.points[f"streaming@{capacity}:{level_policy}"]
+        wins.append(level["metadata_rpcs"] < lru["metadata_rpcs"])
+        # pinning must show up as fewer evictions of reused entries
+        assert level["shared_hits"] >= lru["shared_hits"], capacity
+    assert any(wins), "level-aware policy never beat LRU in the sweep"
 
 
 def test_lookup_partition_is_exact(suite):
@@ -108,23 +97,21 @@ def test_lookup_partition_is_exact(suite):
     partition is built from: every lookup the private tier served or
     missed is accounted, and the shared services saw exactly the lookups
     that fell through the private tier."""
-    for model, points in suite.points.items():
-        for key, point in points.items():
-            label = f"{model}:{key}"
-            if point["mode"].startswith("private"):
-                assert point["private_tier_lookups"] == point["lookups"], label
-                assert point["shared_tier_lookups"] == 0, label
-                assert point["shared_hits"] == 0, label
-            elif point["private_hits"] or "-only" not in point["mode"]:
-                assert point["private_tier_lookups"] == point["lookups"], label
-                assert point["shared_tier_lookups"] \
-                    == point["shared_hits"] + point["fetched_lookups"], label
-            else:
-                # policy-sweep modes run without a private tier: the shared
-                # services saw every lookup
-                assert point["private_tier_lookups"] == 0, label
-                assert point["shared_tier_lookups"] == point["lookups"], label
-            assert point["fetched_lookups"] > 0, label
+    for label, point in suite.points.items():
+        if point["mode"].startswith("private"):
+            assert point["private_tier_lookups"] == point["lookups"], label
+            assert point["shared_tier_lookups"] == 0, label
+            assert point["shared_hits"] == 0, label
+        elif point["private_hits"] or "-only" not in point["mode"]:
+            assert point["private_tier_lookups"] == point["lookups"], label
+            assert point["shared_tier_lookups"] \
+                == point["shared_hits"] + point["fetched_lookups"], label
+        else:
+            # policy-sweep modes run without a private tier: the shared
+            # services saw every lookup
+            assert point["private_tier_lookups"] == 0, label
+            assert point["shared_tier_lookups"] == point["lookups"], label
+        assert point["fetched_lookups"] > 0, label
 
 
 def test_co_located_first_toucher_pays_most_fetches(suite):
@@ -132,26 +119,12 @@ def test_co_located_first_toucher_pays_most_fetches(suite):
     fetches; later co-tenants ride the shared tier (strictly fewer RPCs
     than the baseline's per-client spend)."""
     density = suite.settings.ranks_per_node
-    for model, points in suite.points.items():
-        baseline = points["identical:private"]["per_client_rpcs"]
-        shared = points["identical:shared-lru"]["per_client_rpcs"]
-        for index in range(suite.settings.num_clients):
-            if index % density:
-                # a co-tenant that never starts first on its node
-                assert shared[index] < baseline[index], f"{model}:{index}"
-
-
-def test_cache_behaviour_does_not_depend_on_the_network_model(suite):
-    """Hit/miss/fetch/eviction counters are a function of the access
-    pattern and the cache configuration, not of the cost model that
-    schedules the RPCs underneath them."""
-    for key, bottleneck in suite.points["bottleneck"].items():
-        queued = suite.points["queued"][key]
-        for column in ("metadata_rpcs", "latest_rpcs", "private_hits",
-                       "shared_hits", "fetched_lookups", "shared_evictions",
-                       "prefetched_nodes"):
-            assert bottleneck[column] == queued[column], f"{key}:{column}"
-        assert bottleneck["read_digest"] == queued["read_digest"], key
+    baseline = suite.points["identical:private"]["per_client_rpcs"]
+    shared = suite.points["identical:shared-lru"]["per_client_rpcs"]
+    for index in range(suite.settings.num_clients):
+        if index % density:
+            # a co-tenant that never starts first on its node
+            assert shared[index] < baseline[index], index
 
 
 def test_artifact_written_with_populated_columns(suite):
@@ -163,8 +136,6 @@ def test_artifact_written_with_populated_columns(suite):
     assert any(mode.startswith("shared-") for mode in modes)
     patterns = {row["pattern"] for row in artifact["rows"]}
     assert patterns == {"identical", "streaming"}
-    assert {row["network_model"] for row in artifact["rows"]} \
-        == set(NETWORK_MODELS)
     for row in artifact["rows"]:
         assert row["logical_reads"] > 0
         assert row["metadata_rpcs"] > 0
@@ -172,8 +143,5 @@ def test_artifact_written_with_populated_columns(suite):
         assert "rpcs_per_read" in row and "shared_hit_rate" in row
     reductions = artifact["metadata_rpc_reduction_vs_private"]
     assert reductions
-    for model in NETWORK_MODELS:
-        assert any(
-            entry["reduction"] >= MIN_FRACTION_OF_IDEAL * entry["ideal"]
-            for key, entry in reductions.items()
-            if key.startswith(f"{model}:"))
+    assert any(entry["reduction"] >= MIN_FRACTION_OF_IDEAL * entry["ideal"]
+               for entry in reductions.values())

@@ -1,12 +1,12 @@
-"""PERF — simulator-core benchmark (fast engine + queued network).
+"""PERF — simulator-core benchmark (both network models).
 
 Runs the fine-grained interleaved collective checkpoint (the workload the
-growth seed spent ~28 s of host time on) under the fast engine, the queued
-network model and the in-tree legacy engine profile, plus a pure
-scheduler-churn microbenchmark and queued-model scale points up to the
-4096-rank smoke shape.  Results — wall-clock seconds, processed events,
-events/sec, cross-model read digests and the speedup against the seed
-reference — land in ``BENCH_simcore.json`` at the repository root.
+growth seed spent ~28 s of host time on) under the bottleneck and the queued
+network model, plus a pure scheduler-churn microbenchmark and queued-model
+scale points up to the 4096-rank smoke shape.  Results — wall-clock seconds,
+processed events, events/sec, cross-model read digests and the speedup
+against the seed reference — land in ``BENCH_simcore.json`` at the
+repository root.
 
 The seed comparison uses a pinned measurement of commit ``0473493`` (taken
 on the same host/python via a git worktree; see
@@ -119,12 +119,6 @@ def suite():
     return run_suite("simcore", out_dir=REPO_ROOT)
 
 
-@pytest.fixture(scope="module")
-def rows(suite):
-    """The suite's rows by label."""
-    return suite.points["bottleneck"]
-
-
 def test_headline_beats_seed_by_5x(suite):
     """The acceptance criterion: >=5x wall-clock on the 64-client collective
     sweep vs the seed scheduler.  Only enforceable when the headline point
@@ -139,9 +133,9 @@ def test_headline_beats_seed_by_5x(suite):
         f"({suite.artifact['seed_reference']['wall_clock_s_used']} s)")
 
 
-def test_smoke_point_completes(suite, rows):
+def test_smoke_point_completes(suite):
     """The largest queued-model point ran to completion with sane counters."""
-    scale_rows = [row for label, row in rows.items()
+    scale_rows = [row for label, row in suite.points.items()
                   if row["kind"] == "collective_io"
                   and label.startswith("scale-")]
     largest = max(scale_rows, key=lambda row: row["num_ranks"])
@@ -152,43 +146,35 @@ def test_smoke_point_completes(suite, rows):
     assert largest["events_per_sec"] > 0
 
 
-def test_network_models_move_identical_bytes(suite, rows):
+def test_network_models_move_identical_bytes(suite):
     """Same workload under bottleneck and queued leaves identical file
     contents — the cost model changes timing, never data."""
     assert suite.artifact["digests_identical_across_network_models"]
-    assert rows["headline"]["read_digest"] \
-        == rows["headline-queued"]["read_digest"]
+    assert suite.points["headline"]["read_digest"] \
+        == suite.points["headline-queued"]["read_digest"]
     # ...and the queued run simulates a different (not smaller) timeline
-    assert rows["headline-queued"]["sim_elapsed_s"] > 0
+    assert suite.points["headline-queued"]["sim_elapsed_s"] > 0
 
 
-def test_legacy_profile_recorded(rows):
-    """The in-tree legacy engine row exists for trajectory tracking and
-    moved the same bytes as the fast profile."""
-    legacy = rows["headline-legacy-heapq"]
-    assert legacy["engine"] == "legacy"
-    assert legacy["read_digest"] == rows["headline"]["read_digest"]
-
-
-def test_tracing_perturbs_nothing_and_overhead_recorded(suite, rows):
+def test_tracing_perturbs_nothing_and_overhead_recorded(suite):
     """The traced headline replays the identical simulation — same bytes,
     same timeline, same event count, same metrics snapshot — and its
     wall-clock overhead lands in the artifact."""
     assert suite.artifact["tracing_invariant"], (
         "tracing changed the simulation outcome (digest, timeline, event "
         "count or metrics differ between headline and headline-traced)")
-    assert rows["headline"]["tracing"] is False
-    assert rows["headline-traced"]["tracing"] is True
+    assert suite.points["headline"]["tracing"] is False
+    assert suite.points["headline-traced"]["tracing"] is True
     assert suite.artifact["tracing_overhead_pct"] is not None
     artifact = json.loads(suite.path.read_text())
     assert artifact["tracing_overhead_pct"] \
         == suite.artifact["tracing_overhead_pct"]
 
 
-def test_metrics_snapshot_embedded_in_rows(rows):
+def test_metrics_snapshot_embedded_in_rows(suite):
     """Every collective I/O row carries the unified registry snapshot with
     its partition identities already asserted at collection time."""
-    for row in rows.values():
+    for row in suite.points.values():
         if row["kind"] != "collective_io":
             continue
         metrics = row["metrics"]
@@ -200,12 +186,12 @@ def test_metrics_snapshot_embedded_in_rows(rows):
         assert metrics["net.bytes"] > 0
 
 
-def test_traced_row_carries_exact_critical_path_breakdown(suite, rows):
+def test_traced_row_carries_exact_critical_path_breakdown(suite):
     """The traced headline embeds the per-operation critical-path report,
     and the six layers sum exactly to each operation's end-to-end time."""
     import math
 
-    report = rows["headline-traced"]["critpath"]
+    report = suite.points["headline-traced"]["critpath"]
     assert report["layers"] == ["client_compute", "deferred_complete_overlap",
                                 "rpc_queueing", "link_transfer",
                                 "shard_service", "coalesce_park"]
@@ -218,13 +204,13 @@ def test_traced_row_carries_exact_critical_path_breakdown(suite, rows):
                             entry["attributed_s"],
                             rel_tol=1e-9, abs_tol=1e-12), name
     # untraced rows carry no critpath key at all
-    assert "critpath" not in rows["headline"]
+    assert "critpath" not in suite.points["headline"]
 
 
-def test_latency_digest_columns_in_rows_and_metrics(rows):
+def test_latency_digest_columns_in_rows_and_metrics(suite):
     """Collective I/O rows promote the RPC latency digest to flat columns
     and embed the full digest catalog in the metrics snapshot."""
-    for row in rows.values():
+    for row in suite.points.values():
         if row["kind"] != "collective_io":
             continue
         assert row["rpc_latency_count"] > 0, row["label"]
@@ -237,7 +223,7 @@ def test_latency_digest_columns_in_rows_and_metrics(rows):
                    for key in metrics), row["label"]
 
 
-def test_tracing_disabled_wall_clock_within_budget(suite, rows):
+def test_tracing_disabled_wall_clock_within_budget(suite):
     """Overhead guard: the tracing-disabled headline must stay within 2%
     of the pre-observability baseline.  The strict budget needs a
     same-host baseline — set ``REPRO_BENCH_BASELINE_SRC`` to the ``src``
@@ -246,7 +232,7 @@ def test_tracing_disabled_wall_clock_within_budget(suite, rows):
     ``HOST_DRIFT_ALLOWANCE``).  Wall-clock is noisy, so a miss
     re-measures (min of retries) before failing; smoke mode runs a
     different shape and records without gating."""
-    headline = rows["headline"]
+    headline = suite.points["headline"]
     assert headline["wall_clock_s"] > 0
     if suite.smoke:
         return

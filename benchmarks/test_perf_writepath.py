@@ -22,7 +22,7 @@ import pytest
 
 from benchmarks.common import REPO_ROOT
 from repro.bench.metrics import reduction
-from repro.bench.suites import NETWORK_MODELS, run_suite
+from repro.bench.suites import run_suite
 from repro.bench.writepath import WRITE_MODES
 
 #: acceptance threshold: coalesced+pipelined vs baseline control round-trips
@@ -32,51 +32,39 @@ MIN_CONTROL_RPC_REDUCTION = 2.0
 
 @pytest.fixture(scope="module")
 def suite():
-    """Run all modes under both network models; emit the JSON artifact."""
+    """Run all modes; emit the JSON artifact."""
     return run_suite("writepath", out_dir=REPO_ROOT)
 
 
 def test_all_modes_read_identical_bytes(suite):
-    """Every mode — and every network model — returns the same bytes."""
-    baseline = suite.points["bottleneck"]["baseline"]["read_digest"]
-    for model, points in suite.points.items():
-        for mode in WRITE_MODES:
-            assert points[mode]["read_digest"] == baseline, f"{model}:{mode}"
+    baseline = suite.points["baseline"]["read_digest"]
+    for mode in WRITE_MODES:
+        assert suite.points[mode]["read_digest"] == baseline, mode
 
 
 def test_coalescing_folds_writes_into_fewer_snapshots(suite):
-    for model, points in suite.points.items():
-        baseline = points["baseline"]
-        coalesced = points["pipelined-coalesced"]
-        assert baseline["coalescing_factor"] == 1.0, model
-        assert points["pipelined"]["coalescing_factor"] == 1.0, model
-        assert coalesced["coalescing_factor"] > 1.5, model
-        assert coalesced["logical_writes"] == baseline["logical_writes"], model
-        assert coalesced["snapshots"] < baseline["snapshots"], model
+    points = suite.points
+    baseline = points["baseline"]
+    coalesced = points["pipelined-coalesced"]
+    assert baseline["coalescing_factor"] == 1.0
+    assert points["pipelined"]["coalescing_factor"] == 1.0
+    assert coalesced["coalescing_factor"] > 1.5
+    assert coalesced["logical_writes"] == baseline["logical_writes"]
+    assert coalesced["snapshots"] < baseline["snapshots"]
 
 
 def test_control_rpc_reduction_at_least_2x(suite):
-    """The acceptance criterion: >= 2x fewer control round-trips per write —
-    under both network models (RPC counts are protocol, not cost-model)."""
-    for model, points in suite.points.items():
-        ratio = reduction(points["baseline"], points["pipelined-coalesced"],
-                          "control_rpcs_per_write")
-        assert ratio >= MIN_CONTROL_RPC_REDUCTION, (
-            f"{model}: only {ratio:.2f}x fewer control RPCs per write")
-
-
-def test_rpc_counts_do_not_depend_on_the_network_model(suite):
-    for mode in WRITE_MODES:
-        bottleneck = suite.points["bottleneck"][mode]
-        queued = suite.points["queued"][mode]
-        for column in ("logical_writes", "snapshots", "control_rpcs",
-                       "metadata_put_rpcs"):
-            assert bottleneck[column] == queued[column], f"{mode}:{column}"
+    """The acceptance criterion: >= 2x fewer control round-trips per write."""
+    points = suite.points
+    ratio = reduction(points["baseline"], points["pipelined-coalesced"],
+                      "control_rpcs_per_write")
+    assert ratio >= MIN_CONTROL_RPC_REDUCTION, (
+        f"only {ratio:.2f}x fewer control RPCs per write")
 
 
 def test_write_through_cache_is_warm_from_the_first_read(suite):
     """Write-through population: read-after-write hits before any fetch."""
-    points = suite.points["bottleneck"]
+    points = suite.points
     assert points["baseline"]["first_read_cache_hit_rate"] == 0.0
     assert points["pipelined"]["first_read_cache_hit_rate"] > 0.0
     # a coalesced writer published its whole span in one snapshot, so its
@@ -85,10 +73,10 @@ def test_write_through_cache_is_warm_from_the_first_read(suite):
 
 
 def test_pipelining_does_not_slow_the_write_phase(suite):
-    for model, points in suite.points.items():
-        for mode in ("pipelined", "pipelined-coalesced"):
-            assert points[mode]["sim_write_s"] \
-                <= points["baseline"]["sim_write_s"] * 1.05, f"{model}:{mode}"
+    points = suite.points
+    for mode in ("pipelined", "pipelined-coalesced"):
+        assert points[mode]["sim_write_s"] \
+            <= points["baseline"]["sim_write_s"] * 1.05, mode
 
 
 def test_artifact_written_with_populated_columns(suite):
@@ -101,11 +89,8 @@ def test_artifact_written_with_populated_columns(suite):
         assert row["control_rpcs"] > 0
         assert row["wall_clock_s"] > 0
         assert "coalescing_factor" in row and "first_read_cache_hit_rate" in row
-    assert {row["network_model"] for row in artifact["rows"]} \
-        == set(NETWORK_MODELS)
-    for model in NETWORK_MODELS:
-        assert artifact["control_rpc_reduction_vs_baseline"][
-            f"{model}:pipelined-coalesced"] >= MIN_CONTROL_RPC_REDUCTION
+    assert artifact["control_rpc_reduction_vs_baseline"][
+        "pipelined-coalesced"] >= MIN_CONTROL_RPC_REDUCTION
     sweep = artifact["cache_capacity_sweep"]
     assert len(sweep) >= 2
     capacities = [row["capacity"] for row in sweep]

@@ -6,7 +6,7 @@ Scientific Applications".
 The package provides:
 
 * :mod:`repro.simengine` — a deterministic discrete-event simulation engine
-  (generator-based processes, resources, simulated time);
+  (generator-based processes, events, simulated time);
 * :mod:`repro.cluster` — a simulated cluster: nodes, disks, network links and
   an RPC transport with a message cost model;
 * :mod:`repro.core` — byte-region algebra and the MPI-atomicity checker;

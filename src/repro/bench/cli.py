@@ -156,8 +156,7 @@ def run_suites(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Non
             columns=[column for column, value in rows[0].items()
                      if not isinstance(value, (dict, list))]))
         for key, value in run.artifact.items():
-            if key not in ("suite", "smoke", "python", "settings",
-                           "network_models", "rows"):
+            if key not in ("suite", "smoke", "python", "settings", "rows"):
                 print(f"{key}: {json.dumps(value)}")
         print()
 

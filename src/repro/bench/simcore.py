@@ -17,9 +17,8 @@ Three kinds of measurement feed ``BENCH_simcore.json``:
   including the 4096-rank smoke point the acceptance criteria ask for.
 
 The headline speedup compares the current tree against the growth seed
-(commit ``0473493``).  The seed's event machinery cannot be re-created
-in-tree (``engine="legacy"`` swaps the engine but shares today's optimized
-domain code), so the suite carries a *pinned* seed measurement with
+(commit ``0473493``).  The seed's event machinery and domain code are not
+kept in-tree, so the suite carries a *pinned* seed measurement with
 provenance; set ``REPRO_BENCH_SEED_SRC`` to a checkout of the seed's ``src``
 directory to re-measure it live on the current host instead.
 """
@@ -176,7 +175,6 @@ def run_collective_io_point(num_ranks: int, blocks_per_rank: int,
         "read_rounds": read_rounds,
         "num_aggregators": num_aggregators,
         "network_model": config.network_model,
-        "engine": config.engine,
         "wall_clock_s": round(wall, 3),
         "sim_elapsed_s": round(cluster.sim.now, 6),
         "processed_events": events,
@@ -333,11 +331,8 @@ def simcore_plan(settings) -> List[Tuple[str, Dict[str, object]]]:
         ("headline-traced", dict(headline, overrides={"tracing": True})),
         ("headline-queued", dict(headline,
                                  overrides={"network_model": "queued"})),
+        ("churn-heapq", {"churn_events": settings.churn_events}),
     ]
-    if settings.compare_legacy:
-        plan.append(("headline-legacy-heapq",
-                     dict(headline, overrides={"engine": "legacy"})))
-    plan.append(("churn-heapq", {"churn_events": settings.churn_events}))
     for ranks, blocks, block_size, rounds in (*settings.scale_points,
                                               settings.smoke_point):
         plan.append((f"scale-{ranks}", dict(

@@ -3,12 +3,18 @@ its ``BENCH_<name>.json`` artifact.
 
 How a suite is described, run and written is decided here and nowhere else:
 :data:`SUITES` maps a suite's name (its artifact's file stem) to a
-:class:`Suite`, and :func:`run_suite` loops network models × plan, builds
-each row once, assembles ``{suite, smoke, python, settings, network_models,
-<headline>, rows}`` and hands it to
+:class:`Suite`, and :func:`run_suite` walks the plan on one default
+:class:`~repro.cluster.ClusterConfig`, builds each row once, assembles
+``{suite, smoke, python, settings, <headline>, rows}`` and hands it to
 :func:`~repro.bench.artifacts.write_artifact`.  ``python -m repro.bench run
 [SUITE…|all] [--smoke]`` and ``benchmarks/test_perf_*.py`` both end here;
 the measured jobs themselves live in the modules imported below.
+
+Every published number is taken under the ``"bottleneck"`` network model —
+the paper's one-switch Grid'5000 cluster, and what ``perfbench`` runs.  The
+``"queued"`` model shapes timing, never bytes or RPC counts
+(``tests/cluster/test_network_model_identity.py`` pins that per job shape);
+only simcore's own plan selects it, per row.
 """
 
 from __future__ import annotations
@@ -33,10 +39,6 @@ from repro.bench.writepath import (WRITE_MODES, run_cache_capacity_sweep,
                                    run_write_path_point)
 from repro.cluster import ClusterConfig
 
-#: the cost models a suite runs under unless its entry says otherwise (they
-#: shape timing, never bytes or RPC counts — the perf suites assert it)
-NETWORK_MODELS = ("bottleneck", "queued")
-
 Plan = List[Tuple[str, Dict[str, object]]]
 
 
@@ -58,13 +60,12 @@ class Suite:
     #: the row's columns where two suites share one point function
     columns: Optional[Tuple[str, ...]] = None
     label_column: Optional[str] = None  #: row column recording the label
-    network_models: Tuple[str, ...] = NETWORK_MODELS
     #: the headline ``(artifact key, column, rule)``: ``rule(label, values,
     #: settings)`` names a point's entry as ``(entry key, baseline label,
     #: extra fields or None)``, or returns ``None`` for no entry
     reduction: Optional[Tuple[str, str, Callable]] = None
     #: ``extras(settings, points, rows)`` -> more top-level artifact keys
-    #: (may also append rows that no network model owns)
+    #: (may also append rows that no plan point owns)
     extras: Optional[Callable[..., Dict[str, object]]] = None
     unrecorded: Tuple[str, ...] = ()  #: settings the artifact never recorded
 
@@ -164,7 +165,7 @@ def _region_algebra_row(settings, points, rows) -> Dict[str, object]:
 def _capacity_sweep(settings, points, rows) -> Dict[str, object]:
     return {"cache_capacity_sweep": run_cache_capacity_sweep(
         settings, ClusterConfig(),
-        unbounded=points["bottleneck"]["pipelined-coalesced"])}
+        unbounded=points["pipelined-coalesced"])}
 
 
 # ----------------------------------------------------------------------
@@ -330,18 +331,17 @@ SUITES: Dict[str, Suite] = {
         title="simcore",
         about="""Host cost of the simulator.  headline = the interleaved
         collective checkpoint the growth seed spent ~28 s on; -traced /
-        -queued / -legacy-heapq = the same point with tracing on, under the
-        queued network, on the legacy engine; churn-heapq = the event queue
-        alone; scale-<ranks> = queued points up to the 4096-rank completion
-        shape.  Rows pick their own network model, hence one pass.  Headline:
-        wall clock vs the pinned seed measurement, tracing overhead and the
-        tracing / network-model invariants.""",
+        -queued = the same point with tracing on, under the queued network;
+        churn-heapq = the event queue alone; scale-<ranks> = queued points up
+        to the 4096-rank completion shape.  Rows pick their own network
+        model.  Headline: wall clock vs the pinned seed measurement, tracing
+        overhead and the tracing / network-model invariants.""",
         settings=dict(num_ranks=64, blocks_per_rank=256, block_size=1024,
                       read_rounds=3, num_aggregators=16, num_providers=8,
                       num_metadata_providers=2, chunk_size=16 * 1024, seed=0,
                       churn_events=200_000,
                       scale_points=((512, 16, 4096, 1),),
-                      smoke_point=(4096, 1, 4096, 0), compare_legacy=True),
+                      smoke_point=(4096, 1, 4096, 0)),
         smoke=dict(num_ranks=16, blocks_per_rank=16, read_rounds=1,
                    num_aggregators=4, num_providers=4, churn_events=20_000,
                    scale_points=((64, 4, 2048, 1),),
@@ -349,9 +349,8 @@ SUITES: Dict[str, Suite] = {
         plan=simcore_plan,
         point=run_simcore_point,
         label_column="label",
-        network_models=("bottleneck",),
         extras=lambda settings, points, rows: simcore_headline(
-            settings, points["bottleneck"]),
+            settings, points),
     ),
     "paper": Suite(
         title="paper",
@@ -368,7 +367,6 @@ SUITES: Dict[str, Suite] = {
         smoke=dict(client_counts=(1, 2, 4, 8)),
         plan=_paper_plan,
         point=run_paper_point,
-        network_models=("bottleneck",),
         extras=lambda settings, points, rows: {"paper_band": list(PAPER_BAND)},
     ),
 }
@@ -383,9 +381,8 @@ class SuiteRun:
 
     smoke: bool
     settings: SimpleNamespace
-    #: network model -> label -> everything the point measured: its row
-    #: plus its extras
-    points: Dict[str, Dict[str, Dict[str, object]]]
+    #: label -> everything the point measured: its row plus its extras
+    points: Dict[str, Dict[str, object]]
     artifact: Dict[str, object]
     path: Path  #: where the artifact was written
 
@@ -402,19 +399,17 @@ def run_suite(name: str, smoke: Optional[bool] = None,
         smoke = smoke_requested()
     settings = SimpleNamespace(**{**suite.settings,
                                   **(suite.smoke if smoke else {})})
-    points: Dict[str, Dict[str, Dict[str, object]]] = {}
+    config = ClusterConfig()
+    points: Dict[str, Dict[str, object]] = {}
     rows: List[Dict[str, object]] = []
-    for model in suite.network_models:
-        config = ClusterConfig(network_model=model)
-        points[model] = {}
-        for label, kwargs in suite.plan(settings):
-            row, extras = suite.point(settings, config, **kwargs)
-            points[model][label] = {**row, **extras}
-            if suite.columns:
-                row = {column: row[column] for column in suite.columns}
-            if suite.label_column:
-                row[suite.label_column] = label
-            rows.append(row)
+    for label, kwargs in suite.plan(settings):
+        row, extras = suite.point(settings, config, **kwargs)
+        points[label] = {**row, **extras}
+        if suite.columns:
+            row = {column: row[column] for column in suite.columns}
+        if suite.label_column:
+            row[suite.label_column] = label
+        rows.append(row)
 
     artifact: Dict[str, object] = {
         "suite": suite.title,
@@ -423,20 +418,17 @@ def run_suite(name: str, smoke: Optional[bool] = None,
         "settings": {key: value for key, value in vars(settings).items()
                      if key not in suite.unrecorded},
     }
-    if len(suite.network_models) > 1:
-        artifact["network_models"] = list(suite.network_models)
     if suite.reduction:
         key, column, rule = suite.reduction
         artifact[key] = entries = {}
-        for model, by_label in points.items():
-            for label, values in by_label.items():
-                named = rule(label, values, settings)
-                if named is None:
-                    continue
-                entry, baseline, extra = named
-                ratio = reduction(by_label[baseline], values, column)
-                entries[f"{model}:{entry}"] = ratio if extra is None \
-                    else {"reduction": ratio, **extra}
+        for label, values in points.items():
+            named = rule(label, values, settings)
+            if named is None:
+                continue
+            entry, baseline, extra = named
+            ratio = reduction(points[baseline], values, column)
+            entries[entry] = ratio if extra is None \
+                else {"reduction": ratio, **extra}
     if suite.extras:
         artifact.update(suite.extras(settings, points, rows))
     artifact["rows"] = rows

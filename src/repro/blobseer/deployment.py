@@ -186,31 +186,14 @@ class BlobSeerDeployment:
         self.data_provider(provider_id).store.recover()
         self.provider_manager.manager.mark_recovered(provider_id)
 
-    def metrics(self, registry=None):
-        """Canonical registry view of the storage-side statistics.
-
-        Returns a :class:`~repro.obs.registry.MetricsRegistry` (the one
-        passed in, or a fresh one) populated by
-        :func:`repro.obs.views.collect_deployment` — the replacement for
-        keying on the ambiguous legacy names of :meth:`stats`.
-        """
-        from repro.obs.registry import MetricsRegistry
-        from repro.obs.views import collect_deployment
-
-        registry = registry if registry is not None else MetricsRegistry()
-        collect_deployment(registry, self)
-        return registry
-
     def stats(self) -> dict:
         """Aggregate storage-side statistics for benchmark reports.
 
-        .. deprecated:: kept for existing artifact consumers.  The
-           ``metadata_read_rpcs`` / ``metadata_put_rpcs`` keys here count
-           **server-side** handler invocations, although clients expose
-           same-named fields counting client-side issue events — use
-           :meth:`metrics` (``metadata.server.*`` vs ``metadata.client.*``
-           names, see :data:`repro.obs.views.DEPRECATED_STAT_ALIASES`)
-           for the unambiguous view.
+        The ``metadata_read_rpcs`` / ``metadata_put_rpcs`` keys count
+        **server-side** handler invocations, although clients expose
+        same-named fields counting client-side issue events;
+        :func:`repro.obs.views.collect_deployment` files them in a metrics
+        registry under unambiguous ``metadata.server.*`` names.
         """
         stores = [service.store for service in self.data_providers.values()]
         get_node_rpcs = sum(provider.calls.get("get_node", 0)

@@ -52,11 +52,6 @@ class WritePiece:
     chunk: Optional[ChunkKey] = None
     provider_id: Optional[str] = None
 
-    @property
-    def abs_offset(self) -> int:
-        """Absolute byte offset of the piece in the BLOB."""
-        return self.leaf_offset + self.rel_offset
-
 
 def split_vector_into_pieces(blob: BlobDescriptor, vector: IOVector) -> List[WritePiece]:
     """Split a write vector into chunk-aligned pieces (one future chunk each).

@@ -129,22 +129,6 @@ class SimDataProvider(Service):
             yield from self.node.disk_io(len(data))
         return data
 
-    def get_chunk_range(self, key: ChunkKey, offset: int, length: int):
-        """Return ``length`` bytes of ``key`` starting at ``offset``.
-
-        Fine-grain sub-chunk reads are part of BlobSeer's interface; only the
-        requested bytes are charged to the disk and shipped back.
-        """
-        data = self.store.get_chunk(key)
-        piece = data[offset:offset + length]
-        if len(piece) != length:
-            raise ChunkNotFound(
-                f"range [{offset}, {offset + length}) outside chunk {key} "
-                f"of size {len(data)}")
-        if self.persist_to_disk:
-            yield from self.node.disk_io(length)
-        return piece
-
     def get_chunk_ranges(self, requests):
         """Serve a batch of ``(key, offset, length)`` range reads in one request."""
         requests = list(requests)

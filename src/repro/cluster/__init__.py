@@ -6,11 +6,11 @@ processes placed on :class:`~repro.cluster.node.Node` instances.  Time is
 charged for:
 
 * network transfers — per-message latency plus ``size / bandwidth``, with the
-  sender's and receiver's NICs modelled as FIFO resources so that concurrent
+  sender's and receiver's NICs modelled as FIFO queues so that concurrent
   transfers through the same node queue up (this is what makes a single
   storage server a bottleneck and striping beneficial);
 * disk I/O — per-operation overhead plus ``size / disk_bandwidth``, with one
-  disk resource per storage node;
+  FIFO disk queue per storage node;
 * service handlers — whatever the handler itself yields (e.g. lock waiting).
 
 The defaults approximate the Grid'5000 nodes used in the paper (GbE network,

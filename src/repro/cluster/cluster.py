@@ -71,7 +71,7 @@ class Cluster:
         elif self.config.network_model == "bottleneck":
             self.network = Network(self.sim, self.config.network_latency,
                                    self.config.network_bandwidth,
-                                   engine=self.config.engine, obs=self.obs)
+                                   obs=self.obs)
         else:
             raise SimulationError(
                 f"unknown network_model {self.config.network_model!r}; "
@@ -88,8 +88,7 @@ class Cluster:
         disk = None
         if with_disk:
             disk = Disk(self.sim, self.config.disk_bandwidth,
-                        self.config.disk_overhead, name=f"disk:{name}",
-                        engine=self.config.engine)
+                        self.config.disk_overhead, name=f"disk:{name}")
         node = Node(self.sim, name, self.network, disk=disk, role=role)
         self.nodes[name] = node
         return node

@@ -21,16 +21,12 @@ GiB = 1024 * MiB
 class ClusterConfig:
     """Hardware parameters of the simulated cluster."""
 
-    #: simulation engine profile: ``"fast"`` (analytic FIFO reservations, a
-    #: couple of pooled scheduler events per transfer/IO) or ``"legacy"``
-    #: (the seed's event-per-hop resource machinery — kept so perf baselines
-    #: can be taken against true seed behaviour).  Timings are identical.
-    engine: str = "fast"
     #: network cost model: ``"bottleneck"`` (seed full-bisection switch with
     #: half-duplex NICs) or ``"queued"`` (per-link FIFO queues over a two-tier
     #: leaf-switch topology with a CoDel standing-queue signal)
     network_model: str = "bottleneck"
-    #: queued model: nodes per leaf switch (grouped in creation order)
+    #: queued model: nodes per leaf switch (grouped in the order nodes first
+    #: take part in a transfer, see ``QueuedNetwork.switch_of``)
     nodes_per_switch: int = 16
     #: queued model: one-way latency between switches; ``None`` = 2.5x the
     #: intra-switch ``network_latency``

@@ -12,8 +12,11 @@ Two switchable models (``ClusterConfig.network_model``):
 
 * :class:`QueuedNetwork` (``"queued"``) — per-link FIFO queues carrying
   transmission + propagation delay over an explicit two-tier topology: nodes
-  are grouped ``nodes_per_switch`` per leaf switch (in creation order, which
-  matches the dense block placement of :func:`~repro.cluster.cluster.placement_map`);
+  are grouped ``nodes_per_switch`` per leaf switch in the order they *first
+  take part in a transfer* (see :meth:`QueuedNetwork.switch_of`; this is not
+  node-creation order, so it matches the dense block placement of
+  :func:`~repro.cluster.cluster.placement_map` only when ranks first talk in
+  rank order — a known model defect, ROADMAP item 1);
   same-switch transfers pay NIC egress + propagation + NIC ingress, and
   cross-switch transfers additionally queue on the shared switch uplinks.
   NICs are full duplex here.  Every link runs a CoDel-style standing-queue
@@ -23,19 +26,18 @@ Two switchable models (``ClusterConfig.network_model``):
   way ECN marks would feed a transport).
 
 Both models account FIFO queueing *analytically*: a link keeps a ``free_at``
-scalar and each transfer reserves ``[max(now, free_at), ...+tx]`` in arrival
-order, which yields exactly the same completion times as the seed's
-event-per-hop :class:`~repro.simengine.Resource` machinery with a small
-constant number of pooled scheduler events per transfer.  The original
-machinery is kept under ``engine="legacy"`` so perf baselines can be taken
-against the true seed behaviour.
+scalar and each transfer reserves a slot at the instant it reaches the link.
+The contract (pinned by ``tests/cluster/test_fifo_reservation.py`` against a
+sorted-by-arrival reference) is first-come first-served, work-conserving
+service: in arrival order — ties broken by reservation order — a transfer
+starts at ``max(arrival, previous finish)`` and finishes ``nbytes /
+bandwidth`` later, at a small constant number of pooled scheduler events per
+transfer.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional, TYPE_CHECKING
-
-from repro.simengine import Resource
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.config import ClusterConfig
@@ -47,7 +49,7 @@ class NIC:
     """A node's network interface: a FIFO queue with fixed bandwidth."""
 
     __slots__ = ("sim", "bandwidth", "name", "free_at",
-                 "bytes_transferred", "busy_time", "_port")
+                 "bytes_transferred", "busy_time")
 
     def __init__(self, sim: "Simulator", bandwidth: float, name: str):
         self.sim = sim
@@ -57,13 +59,12 @@ class NIC:
         self.free_at: float = 0.0
         self.bytes_transferred: int = 0
         self.busy_time: float = 0.0
-        self._port: Optional[Resource] = None
 
     def reserve(self, nbytes: int) -> float:
         """Reserve the next FIFO transmission slot; returns its finish time.
 
-        Reservations made in arrival order produce the same schedule as an
-        event-per-hop FIFO resource, without the grant/release events.
+        Called at the instant the message reaches the NIC, so slots are
+        handed out in arrival order: start = max(now, previous finish).
         """
         tx = nbytes / self.bandwidth
         now = self.sim.now
@@ -74,20 +75,6 @@ class NIC:
         self.bytes_transferred += nbytes
         return done
 
-    def occupy(self, nbytes: int):
-        """Legacy generator occupying the NIC for the serialization time."""
-        if self._port is None:
-            self._port = Resource(self.sim, capacity=1)
-        request = self._port.request()
-        yield request
-        start = self.sim.now
-        try:
-            yield self.sim.timeout(nbytes / self.bandwidth)
-        finally:
-            self.busy_time += self.sim.now - start
-            self._port.release(request)
-        self.bytes_transferred += nbytes
-
 
 class Network:
     """Switch-based cluster network connecting every node to every other."""
@@ -95,7 +82,7 @@ class Network:
     model = "bottleneck"
 
     def __init__(self, sim: "Simulator", latency: float, bandwidth: float,
-                 engine: str = "fast", obs=None):
+                 obs=None):
         if latency < 0:
             raise ValueError("latency must be non-negative")
         if bandwidth <= 0:
@@ -103,7 +90,6 @@ class Network:
         self.sim = sim
         self.latency = float(latency)
         self.bandwidth = float(bandwidth)
-        self.engine = engine
         self._nics: Dict[str, NIC] = {}
         #: span recorder when the cluster traces (None when disabled, the
         #: zero-cost guard every transfer checks once)
@@ -125,10 +111,6 @@ class Network:
                                               name=f"nic:{node_name}")
         return nic
 
-    def transfer_time(self, nbytes: int) -> float:
-        """Unloaded end-to-end time for a message of ``nbytes``."""
-        return self.latency + 2 * (nbytes / self.bandwidth)
-
     def transfer(self, src: "Node", dst: "Node", nbytes: int,
                  trace_parent: Optional[int] = None):
         """Generator moving ``nbytes`` from ``src`` to ``dst``.
@@ -136,55 +118,48 @@ class Network:
         Local (same-node) transfers cost nothing: services co-located with
         their client short-circuit the network, as a real loopback would.
         ``trace_parent`` is the span id the NIC-occupation spans attach to
-        when the cluster traces (the legacy engine path is the untraced
-        seed-compatibility baseline and records no spans).
+        when the cluster traces.
         """
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
         if src.name == dst.name:
             return
-        if self.engine == "legacy":
-            yield from self.nic(src.name).occupy(nbytes)
-            yield self.sim.timeout(self.latency)
-            yield from self.nic(dst.name).occupy(nbytes)
+        sim = self.sim
+        tracer = self.tracer
+        digests = self.digests
+        # Sender NIC: reserved in initiation order, then one sleep to the
+        # moment the message has fully arrived at the receiver NIC's queue.
+        src_nic = self.nic(src.name)
+        if self._observed:
+            now = sim.now
+            start = max(src_nic.free_at, now)
+            src_done = src_nic.reserve(nbytes)
+            if tracer is not None:
+                tracer.complete_span(
+                    "net.tx", "net", ("link", src_nic.name),
+                    start, src_done, parent_id=trace_parent,
+                    args={"bytes": nbytes})
+            if digests is not None:
+                digests.link(src_nic.name, start - now)
         else:
-            sim = self.sim
-            tracer = self.tracer
-            digests = self.digests
-            # Sender NIC: reserved in initiation order (the legacy resource
-            # enqueued at the same instant), then one sleep to the moment the
-            # message has fully arrived at the receiver NIC's queue.
-            src_nic = self.nic(src.name)
-            if self._observed:
-                now = sim.now
-                start = max(src_nic.free_at, now)
-                src_done = src_nic.reserve(nbytes)
-                if tracer is not None:
-                    tracer.complete_span(
-                        "net.tx", "net", ("link", src_nic.name),
-                        start, src_done, parent_id=trace_parent,
-                        args={"bytes": nbytes})
-                if digests is not None:
-                    digests.link(src_nic.name, start - now)
-            else:
-                src_done = src_nic.reserve(nbytes)
-            yield sim.sleep(src_done + self.latency - sim.now)
-            # Receiver NIC: reserved in arrival order.
-            dst_nic = self.nic(dst.name)
-            if self._observed:
-                now = sim.now
-                start = max(dst_nic.free_at, now)
-                dst_done = dst_nic.reserve(nbytes)
-                if tracer is not None:
-                    tracer.complete_span(
-                        "net.rx", "net", ("link", dst_nic.name),
-                        start, dst_done, parent_id=trace_parent,
-                        args={"bytes": nbytes})
-                if digests is not None:
-                    digests.link(dst_nic.name, start - now)
-            else:
-                dst_done = dst_nic.reserve(nbytes)
-            yield sim.sleep(dst_done - sim.now)
+            src_done = src_nic.reserve(nbytes)
+        yield sim.sleep(src_done + self.latency - sim.now)
+        # Receiver NIC: reserved in arrival order.
+        dst_nic = self.nic(dst.name)
+        if self._observed:
+            now = sim.now
+            start = max(dst_nic.free_at, now)
+            dst_done = dst_nic.reserve(nbytes)
+            if tracer is not None:
+                tracer.complete_span(
+                    "net.rx", "net", ("link", dst_nic.name),
+                    start, dst_done, parent_id=trace_parent,
+                    args={"bytes": nbytes})
+            if digests is not None:
+                digests.link(dst_nic.name, start - now)
+        else:
+            dst_done = dst_nic.reserve(nbytes)
+        yield sim.sleep(dst_done - sim.now)
         self.bytes_transferred += nbytes
         self.messages += 1
 
@@ -304,7 +279,11 @@ class QueuedNetwork:
 
     # ------------------------------------------------------------------
     def switch_of(self, node_name: str) -> int:
-        """Leaf-switch index of a node (assigned in node-creation order)."""
+        """Leaf-switch index of a node, assigned on its *first transfer*.
+
+        Only :meth:`transfer` calls this, so whoever talks first shares
+        switch 0 — not node-creation order (model defect, ROADMAP item 1).
+        """
         switch = self._switch_of.get(node_name)
         if switch is None:
             switch = len(self._switch_of) // self.nodes_per_switch
@@ -318,20 +297,11 @@ class QueuedNetwork:
                                      self.codel_target, self.codel_interval)
         return link
 
-    def nic(self, node_name: str) -> Link:
-        """The egress link of ``node_name`` (kept for API compatibility)."""
-        return self._link(self._egress, node_name, self.bandwidth,
-                          f"egress:{node_name}")
-
     def _propagation(self) -> float:
         if self._jitter_stream is None:
             return self.latency
         return self.latency * (1.0 + float(
             self._jitter_stream.uniform(-self.jitter, self.jitter)))
-
-    def transfer_time(self, nbytes: int) -> float:
-        """Unloaded same-switch end-to-end time for a message of ``nbytes``."""
-        return self.latency + 2 * (nbytes / self.bandwidth)
 
     def _reserve(self, link: Link, nbytes: int,
                  trace_parent: Optional[int]) -> float:
@@ -402,21 +372,3 @@ class QueuedNetwork:
 
         self.bytes_transferred += nbytes
         self.messages += 1
-
-    # ------------------------------------------------------------------
-    def links(self) -> list:
-        """Every link created so far (egress, ingress, up- and downlinks)."""
-        return (list(self._egress.values()) + list(self._ingress.values())
-                + list(self._uplinks.values()) + list(self._downlinks.values()))
-
-    def codel_stats(self) -> dict:
-        """Aggregate CoDel signal over all links (for benchmark reports)."""
-        links = self.links()
-        marks = sum(link.codel_marks for link in links)
-        worst = max((link.max_standing_delay for link in links), default=0.0)
-        return {
-            "links": len(links),
-            "codel_marks": marks,
-            "max_standing_delay": worst,
-            "cross_switch_messages": self.cross_switch_messages,
-        }

@@ -24,10 +24,6 @@ class ProcessInterrupted(SimulationError):
         self.cause = cause
 
 
-class DeadlockError(SimulationError):
-    """The simulator ran out of events while processes were still waiting."""
-
-
 class StorageError(ReproError):
     """Base class of storage-backend errors (BlobSeer, vstore, posixfs)."""
 

@@ -45,12 +45,12 @@ def _chance(stream, probability: float) -> bool:
 
 def _sample_cluster(stream) -> dict:
     """ClusterConfig overrides on top of the QUICK base profile."""
-    engine = "legacy" if _chance(stream, 0.15) else "fast"
-    # one draw that once picked a queue backend: still consumed, so every
-    # later field, and with it every pinned seed, replays unchanged
+    # two draws that once picked an engine profile and a queue backend:
+    # still consumed, so every later field, and with it every pinned seed,
+    # replays unchanged
+    stream.uniform(0.0, 1.0)
     stream.integers(0, 3)
     overrides = {
-        "engine": engine,
         "network_model": "queued" if _chance(stream, 0.3) else "bottleneck",
         "tracing": _chance(stream, 0.15),
     }

@@ -12,9 +12,7 @@ Naming fixes a long-standing drift: ``BlobSeerDeployment.stats()`` reports
 ``get_nodes`` handler invocations) while ``BlobClient.metadata_read_rpcs``
 counts **client-side** issue events — same key, different quantities.
 Here the two live apart as ``metadata.server.read_rpcs`` and
-``metadata.client.read_rpcs``; :data:`DEPRECATED_STAT_ALIASES` maps the
-old ambiguous keys to their canonical server-side names for consumers
-migrating off the legacy dicts.
+``metadata.client.read_rpcs``.
 
 Lookup accounting re-asserted against the registry (see
 :meth:`~repro.obs.registry.MetricsRegistry.assert_identities`), for
@@ -51,7 +49,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.registry import MetricsRegistry
 
 __all__ = [
-    "DEPRECATED_STAT_ALIASES",
     "collect_all",
     "collect_clients",
     "collect_cluster",
@@ -61,14 +58,14 @@ __all__ = [
     "collect_deployment",
     "collect_link_telemetry",
     "collect_shared_cache",
-    "deprecated_stats_view",
 ]
 
-#: legacy ``BlobSeerDeployment.stats()`` keys → canonical registry names.
-#: The legacy ``metadata_read_rpcs`` (and friends) were *server-side*
-#: handler counts despite sharing their name with the client-side fields
-#: of :class:`~repro.blobseer.client.BlobClient`.
-DEPRECATED_STAT_ALIASES: Dict[str, str] = {
+#: ``BlobSeerDeployment.stats()`` keys → the registry names
+#: :func:`collect_deployment` files them under.  ``metadata_read_rpcs``
+#: (and friends) are *server-side* handler counts despite sharing their
+#: name with the client-side fields of
+#: :class:`~repro.blobseer.client.BlobClient`.
+_DEPLOYMENT_STAT_NAMES: Dict[str, str] = {
     "metadata_read_rpcs": "metadata.server.read_rpcs",
     "metadata_batched_rpcs": "metadata.server.batched_read_rpcs",
     "metadata_put_rpcs": "metadata.server.put_rpcs",
@@ -189,12 +186,11 @@ def collect_deployment(registry: "MetricsRegistry",
     # point-in-time quantities are gauges; everything else accumulates
     gauges = {"metadata_nodes", "providers", "chunks", "stored_bytes",
               "load_imbalance"}
-    for legacy, canonical in DEPRECATED_STAT_ALIASES.items():
-        value = stats[legacy]
-        if legacy in gauges:
-            registry.set(canonical, value)
+    for key, name in _DEPLOYMENT_STAT_NAMES.items():
+        if key in gauges:
+            registry.set(name, stats[key])
         else:
-            registry.add(canonical, value)
+            registry.add(name, stats[key])
     collect_shared_cache(registry, deployment)
     collect_coop_cache(registry, deployment)
 
@@ -287,10 +283,3 @@ def collect_all(registry: "MetricsRegistry", *,
         registry.report("metadata.tier_services", wire_problems(
             [client.tiers for client in clients]))
     return registry
-
-
-def deprecated_stats_view(registry: "MetricsRegistry") -> Dict[str, object]:
-    """Legacy ``deployment.stats()``-shaped dict read back from a
-    registry — the bridge for consumers still keyed on the old names."""
-    return {legacy: registry.get(canonical, 0)
-            for legacy, canonical in DEPRECATED_STAT_ALIASES.items()}

@@ -8,7 +8,9 @@ a fixed seed and fixed process creation order.
 
 The rest of the repro package uses this engine to model the cluster on which
 the storage services and the MPI ranks execute, charging time for network
-transfers, disk I/O and lock waiting.
+transfers, disk I/O and lock waiting.  Contended devices (NICs, links, disks)
+are not engine objects: the cluster models them as analytic FIFO queues
+(:mod:`repro.cluster.network`, :mod:`repro.cluster.disk`).
 
 Public surface
 --------------
@@ -20,10 +22,6 @@ Public surface
 :class:`Process`        a running generator; itself an event (fires on return)
 :class:`AllOf`          condition event: fires when all children fired
 :class:`AnyOf`          condition event: fires when any child fired
-:class:`Resource`       FIFO resource with finite capacity (e.g. a disk)
-:class:`PriorityResource`  resource whose queue is ordered by priority
-:class:`Store`          FIFO queue of Python objects (e.g. a message queue)
-:class:`Container`      counter of continuous capacity (e.g. buffer space)
 :class:`DeterministicRNG`  seeded random streams derived from a root seed
 =====================  ======================================================
 """
@@ -31,13 +29,6 @@ Public surface
 from repro.simengine.events import Event, Timeout, Timer, AllOf, AnyOf, Condition
 from repro.simengine.simulator import Simulator
 from repro.simengine.process import Fanout, Process
-from repro.simengine.resources import (
-    Resource,
-    PriorityResource,
-    Store,
-    Container,
-    Request,
-)
 from repro.simengine.rand import DeterministicRNG
 
 __all__ = [
@@ -50,10 +41,5 @@ __all__ = [
     "AnyOf",
     "Condition",
     "Process",
-    "Resource",
-    "PriorityResource",
-    "Store",
-    "Container",
-    "Request",
     "DeterministicRNG",
 ]

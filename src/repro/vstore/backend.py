@@ -85,27 +85,6 @@ class VersioningBackend:
         return self._run(self.client.vread(blob_id, access, version))
 
     # ------------------------------------------------------------------
-    # queued writes (the write-pipeline coalescing interface)
-    # ------------------------------------------------------------------
-    def queue_vwrite(self, blob_id: str,
-                     access: Union[IOVector, Sequence[Tuple[int, bytes]]]):
-        """Stage a vectored write for a later coalesced commit.
-
-        Queued writes are invisible until :meth:`flush` publishes them — all
-        writes queued in between become *one* snapshot (one allocation, one
-        version ticket, one metadata build).  Returns the
-        :class:`~repro.blobseer.writepath.batch.StagedWrite` handle.
-        """
-        return self._run(self.client.vwrite_queued(blob_id, access))
-
-    def flush(self, blob_id: Optional[str] = None) -> List[WriteReceipt]:
-        """Commit and publish queued writes (the coalescer's barrier).
-
-        Returns the receipts of the snapshot batches this flush produced.
-        """
-        return self._run(self.client.vbarrier(blob_id))
-
-    # ------------------------------------------------------------------
     # classic contiguous interface (stock BlobSeer semantics)
     # ------------------------------------------------------------------
     def write(self, blob_id: str, offset: int, data: bytes) -> WriteReceipt:

@@ -22,7 +22,6 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.core.listio import IOVector
 from repro.errors import BenchmarkError
 from repro.workloads.domain import DomainDecomposition
 
@@ -96,10 +95,6 @@ class GhostCellSimulation:
                     "region/row mismatch: the dump regions must be one row each")
             pairs.append((region.offset, raw[index * row_bytes:(index + 1) * row_bytes]))
         return pairs
-
-    def rank_dump_vector(self, rank: int) -> IOVector:
-        """The rank's dump as a write vector."""
-        return IOVector.for_write(self.rank_dump_pairs(rank))
 
     def expected_file_content(self) -> bytes:
         """The bytes the shared snapshot file must contain after all dumps.

@@ -108,16 +108,6 @@ class QueuedWritesWorkload:
             raise BenchmarkError(f"rank {rank} out of range")
         return [(rank * self.client_span, self.client_span)]
 
-    def expected_client_bytes(self, rank: int) -> bytes:
-        """Reference content of a client's span after all its writes."""
-        span = bytearray(self.client_span)
-        base = rank * self.client_span
-        for write_index in range(self.writes_per_client):
-            for offset, payload in self.write_pairs(rank, write_index):
-                rel = offset - base
-                span[rel:rel + len(payload)] = payload
-        return bytes(span)
-
     def total_write_bytes(self) -> int:
         """Payload bytes issued by all clients together."""
         return self.num_clients * self.slots_per_client * self.region_size

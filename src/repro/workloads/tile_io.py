@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from repro.core.listio import IOVector
 from repro.core.regions import RegionList
 from repro.errors import BenchmarkError
 from repro.mpi.datatypes import BasicType, Datatype, Subarray
@@ -109,10 +108,6 @@ class TileIOWorkload:
         value = (rank + 1) % 256
         return [(region.offset, bytes([value]) * region.size)
                 for region in self.rank_regions(rank)]
-
-    def rank_vector(self, rank: int) -> IOVector:
-        """The write vector of ``rank``'s tile."""
-        return IOVector.for_write(self.rank_pairs(rank))
 
     def has_overlaps(self) -> bool:
         """True when adjacent tiles share border elements."""

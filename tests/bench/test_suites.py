@@ -43,6 +43,21 @@ def test_smoke_run_has_the_committed_artifacts_shape(name, smoke_runs):
     assert row_shapes(artifact) == row_shapes(committed)
 
 
+@pytest.mark.parametrize("name", SUITES)
+def test_points_are_keyed_by_plan_label_alone(name, smoke_runs):
+    """One cluster configuration per suite: no network-model level in
+    ``points``, no model prefix on the headline entries."""
+    suite, run = SUITES[name], smoke_runs(name)
+    assert list(run.points) == [label for label, _ in suite.plan(run.settings)]
+    assert "network_models" not in run.artifact
+    if suite.reduction:
+        key, column, _rule = suite.reduction
+        assert run.artifact[key], "the headline names at least one point"
+        for entry in run.artifact[key]:
+            assert not entry.startswith(("bottleneck:", "queued:")), entry
+        assert all(column in values for values in run.points.values())
+
+
 def simulated_values(artifact):
     """Every leaf value except the host-wall-clock family."""
     return {path: value for path, value in flatten(artifact).items()

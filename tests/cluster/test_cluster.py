@@ -31,6 +31,10 @@ class TestClusterBuilding:
         with pytest.raises(SimulationError):
             make_cluster().node("missing")
 
+    def test_engine_knob_is_gone_not_ignored(self):
+        with pytest.raises(TypeError):
+            ClusterConfig(engine="fast")
+
     def test_add_nodes_names(self):
         cluster = make_cluster()
         nodes = cluster.add_nodes("client", 3)

@@ -5,10 +5,10 @@ from repro.cluster.cluster import Cluster
 from repro.cluster.config import ClusterConfig
 from repro.obs.registry import MetricsRegistry
 from repro.obs.views import (
-    DEPRECATED_STAT_ALIASES,
+    _DEPLOYMENT_STAT_NAMES,
     collect_all,
     collect_clients,
-    deprecated_stats_view,
+    collect_deployment,
 )
 from repro.vstore.client import VectoredClient
 
@@ -92,30 +92,18 @@ def test_server_and_client_metadata_counters_live_apart():
     assert "metadata.client.read_rpcs" in registry
 
 
-def test_deprecated_stats_view_round_trips_legacy_keys():
-    cluster, deployment, clients = run_workload()
-    registry = collect_all(MetricsRegistry(), cluster=cluster,
-                           deployment=deployment, clients=clients)
-    legacy = deprecated_stats_view(registry)
-    stats = deployment.stats()
-    assert set(legacy) == set(DEPRECATED_STAT_ALIASES)
-    for key in legacy:
-        assert legacy[key] == stats[key], key
-
-
-def test_deployment_metrics_method_is_the_shim():
+def test_collect_deployment_files_every_storage_side_stat():
     _cluster, deployment, _clients = run_workload()
-    registry = deployment.metrics()
+    registry = MetricsRegistry()
+    collect_deployment(registry, deployment)
     stats = deployment.stats()
-    assert registry.get("metadata.server.put_rpcs") == \
-        stats["metadata_put_rpcs"]
-    shared = registry.get("cache.shared.lookups")
-    assert shared == stats["shared_cache"]["hits"] \
-        + stats["shared_cache"]["misses"]
-    # collecting into a caller-provided registry accumulates there
-    mine = MetricsRegistry()
-    assert deployment.metrics(mine) is mine
-    assert "storage.providers" in mine
+    scalars = {key for key, value in stats.items()
+               if not isinstance(value, dict)}
+    assert scalars == set(_DEPLOYMENT_STAT_NAMES)
+    for key, name in _DEPLOYMENT_STAT_NAMES.items():
+        assert registry.get(name) == stats[key], key
+    assert registry.get("cache.shared.lookups") \
+        == stats["shared_cache"]["hits"] + stats["shared_cache"]["misses"]
 
 
 def test_lookup_partition_holds_without_a_private_cache():
