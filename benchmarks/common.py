@@ -1,22 +1,19 @@
-"""Shared settings and helpers for the benchmark suite.
+"""Shared helpers for the benchmark suite.
 
-The benchmarks regenerate the paper's tables/figures on a *quick* scale so
-that ``pytest benchmarks/ --benchmark-only`` finishes in minutes; the
-full-size run at the paper's client counts is ``BENCH_paper.json``
-(``python -m repro.bench run paper``).  Absolute throughput values are in
-simulated MiB/s — only the comparative shapes are meaningful, which is what
-the assertions check.
+Every file here runs one entry of ``repro.bench.suites.SUITES`` once, from a
+module-scoped fixture, and asserts its acceptance shape on ``suite.points``:
+``test_perf_*.py`` the repo's own perf suites, ``test_paper.py`` and
+``test_ablations.py`` the paper's tables/figures.  Absolute throughput values
+are in simulated MiB/s — only the comparative shapes are meaningful, which
+is what the assertions check.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, List, Sequence
+from typing import Dict, Iterable
 
-from repro.bench.experiments import ExperimentSettings
-from repro.cluster import ClusterConfig
-
-#: where the ``test_perf_*.py`` suites write their ``BENCH_*.json``
+#: where the suites write their ``BENCH_*.json``
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -28,25 +25,7 @@ def expected_scan_bytes(workload) -> bytes:
                     for round_index in range(workload.rounds))
 
 
-def quick_settings(client_counts: Sequence[int] = (1, 2, 4, 8)) -> ExperimentSettings:
-    """Benchmark-suite settings: small but large enough to show the shapes."""
-    return ExperimentSettings(
-        client_counts=tuple(client_counts),
-        num_storage_nodes=8,
-        stripe_unit=64 * 1024,
-        num_metadata_providers=2,
-        regions_per_client=8,
-        region_size=64 * 1024,
-        overlap_fraction=0.5,
-        tile_elements_x=64,
-        tile_elements_y=64,
-        element_size=32,
-        tile_overlap=8,
-        config=ClusterConfig(),
-    )
-
-
-def curves_by_backend(rows: List[Dict[str, object]],
+def curves_by_backend(rows: Iterable[Dict[str, object]],
                       value: str = "throughput_mib_s") -> Dict[str, Dict[int, float]]:
     """Pivot experiment rows into per-backend curves keyed by client count."""
     curves: Dict[str, Dict[int, float]] = {}

@@ -74,13 +74,6 @@ def scan_workload(settings, num_ranks: int) -> CollectiveReadWorkload:
     )
 
 
-def _set_indexed_view(handle, pairs) -> None:
-    """View the file as the ``(offset, length)`` pairs, in order."""
-    handle.set_view(0, BYTE, Indexed([length for _offset, length in pairs],
-                                     [offset for offset, _length in pairs],
-                                     base=BYTE))
-
-
 def _run_timed_job(cluster, deployment, prefix: str, path: str,
                    num_ranks: int, aggregators: Optional[int], file_size: int,
                    body, **driver_options):
@@ -145,8 +138,8 @@ def run_collective_point(settings, config, *, num_ranks: int,
     def body(ctx, handle, driver, stop_clock):
         for round_index in range(workload.rounds):
             pairs = workload.write_pairs(ctx.rank, round_index)
-            _set_indexed_view(handle, [(offset, len(payload))
-                                       for offset, payload in pairs])
+            handle.set_view(filetype=Indexed.of_extents(
+                (offset, len(payload)) for offset, payload in pairs))
             yield from handle.write_at_all(
                 0, b"".join(payload for _offset, payload in pairs))
             # a checkpoint round is durable before the next one starts
@@ -219,7 +212,7 @@ def run_collective_read_point(settings, config, *, num_ranks: int,
         scans: List[bytes] = []
         for round_index in range(workload.rounds):
             pairs = workload.read_pairs(ctx.rank, round_index)
-            _set_indexed_view(handle, pairs)
+            handle.set_view(filetype=Indexed.of_extents(pairs))
             data = yield from handle.read_at_all(
                 0, sum(size for _offset, size in pairs))
             scans.append(data)

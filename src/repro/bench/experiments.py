@@ -1,333 +1,188 @@
-"""Experiment definitions regenerating every figure/table of the evaluation.
+"""The paper's experiments and ablations as suite points.
 
-Each ``run_*`` function sweeps the parameters of one experiment of
-``benchmarks/README.md`` (EXP1, EXP1b, EXP2, EXP3, ABL1, ABL2, ABL3, FUT1) and
-returns the rows of the corresponding table/figure.  The benchmark files under
-``benchmarks/`` call these functions with "quick" parameters (so the suite
-stays fast) and print the rows; ``BENCH_paper.json`` records EXP1/EXP2 at the
-paper's client counts next to the paper's 3.5x-10x band.
+Every function here is a *point* of :data:`repro.bench.suites.SUITES` —
+``point(settings, config, **kwargs) -> (row, extras)`` — so one runner
+(``run_suite``) sweeps them, the ``paper`` entry recording EXP1/EXP2 next to
+the paper's 3.5x-10x band and the ``ablations`` entry EXP1b, ABL1-3 and FUT1
+(``benchmarks/README.md`` lists what each label varies).  Each point builds a
+fresh environment with the default node names and seed, so a row depends on
+its own parameters only.
 
 The paper reports *shapes*, not absolute values we could match on different
 hardware: the versioning backend keeps scaling with the number of concurrent
 writers while the locking baseline stays flat (serialized), yielding 3.5x-10x
-higher aggregated throughput.  The assertions in ``benchmarks/`` check those
-shapes.
+higher aggregated throughput.  ``benchmarks/test_paper.py`` and
+``benchmarks/test_ablations.py`` assert those shapes.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Optional, Tuple
 
 from repro.bench.environment import build_environment
 from repro.bench.harness import RunResult, run_atomic_write_job
-from repro.bench.metrics import ThroughputSample, speedup
+from repro.bench.metrics import MiB
+from repro.bench.producer_consumer import run_fut1_point
 from repro.cluster import ClusterConfig
 from repro.workloads.overlap_stress import OverlapStressWorkload
 from repro.workloads.tile_io import TileIOWorkload
 
+#: the aggregated-throughput improvement the paper reports
+PAPER_BAND = (3.5, 10)
 
-#: hardware parameters shared by every experiment (absolute scale only)
-DEFAULT_CONFIG = ClusterConfig()
-
-
-@dataclass
-class ExperimentSettings:
-    """Knobs shared by the sweep functions.
-
-    The default ``client_counts`` now reach toward the paper-scale runs
-    (the simulator spends far fewer host cycles per operation than it did
-    at seed time); every sweep row records the host wall-clock the point
-    cost (``wall_clock_s``), so simulator host-cost regressions show up in
-    the artifacts next to the simulated metrics.  The benchmark suite under
-    ``benchmarks/`` still passes smaller counts for CI-speed runs.
-    """
-
-    client_counts: Sequence[int] = (1, 2, 4, 8, 16, 32, 64)
-    num_storage_nodes: int = 8
-    stripe_unit: int = 64 * 1024
-    num_metadata_providers: int = 2
-    config: ClusterConfig = field(default_factory=lambda: DEFAULT_CONFIG.copy())
-    seed: int = 0
-
-    # EXP1 workload shape
-    regions_per_client: int = 8
-    region_size: int = 64 * 1024
-    overlap_fraction: float = 0.5
-
-    # EXP2 workload shape (per-process tile)
-    tile_elements_x: int = 64
-    tile_elements_y: int = 64
-    element_size: int = 32
-    tile_overlap: int = 8
+#: what each experiment's row reports of one overlapped-write measurement
+_EXP1_COLUMNS = ("experiment", "backend", "clients", "regions_per_client",
+                 "region_kib", "overlap", "total_mib", "elapsed_s",
+                 "throughput_mib_s", "lock_wait_s", "wall_clock_s")
+OVERLAP_COLUMNS = {
+    "EXP1": _EXP1_COLUMNS,
+    "EXP1b": _EXP1_COLUMNS,
+    "ABL1": ("experiment", "providers", "clients", "allocation",
+             "throughput_mib_s", "load_imbalance", "wall_clock_s"),
+    "ABL2": ("experiment", "backend", "clients", "overlap",
+             "throughput_mib_s", "lock_wait_s", "wall_clock_s"),
+    "ABL3": ("experiment", "clients", "regions_per_client", "publish_cost_ms",
+             "metadata_nodes", "throughput_mib_s", "wall_clock_s"),
+}
 
 
-def _run_point(backend: str, num_clients: int, pairs_for_rank, file_size: int,
-               settings: ExperimentSettings, publish_cost: float = 0.0,
-               allocation: str = "round_robin",
-               num_storage_nodes: Optional[int] = None,
-               ) -> Tuple[RunResult, float]:
-    """Build a fresh environment and run one (backend, clients) point.
+def _run_point(settings, config: ClusterConfig, backend: str, num_clients: int,
+               pairs_for_rank, file_size: int, num_storage_nodes: int,
+               **deployment) -> Tuple[RunResult, float]:
+    """Build a fresh environment and run one atomic-mode write job on it.
 
     Returns the run result plus the host wall-clock seconds the point cost
-    — the simulator-cost axis every sweep row records.
+    — the simulator-cost axis every row records.
     """
     started = time.perf_counter()
     environment = build_environment(
         backend,
-        num_storage_nodes=num_storage_nodes or settings.num_storage_nodes,
+        num_storage_nodes=num_storage_nodes,
         stripe_unit=settings.stripe_unit,
         num_metadata_providers=settings.num_metadata_providers,
-        publish_cost=publish_cost,
-        allocation=allocation,
-        config=settings.config,
-        seed=settings.seed,
+        config=config,
+        **deployment,
     )
     result = run_atomic_write_job(environment, num_clients, pairs_for_rank,
                                   file_size=file_size, atomic=True)
     return result, time.perf_counter() - started
 
 
-# ----------------------------------------------------------------------
-# EXP1 — scalability of concurrent overlapped non-contiguous writes
-# ----------------------------------------------------------------------
-def run_exp1_overlap_scalability(settings: Optional[ExperimentSettings] = None,
-                                 backends: Sequence[str] = ("versioning",
-                                                            "posix-locking"),
-                                 overlap_fraction: Optional[float] = None,
-                                 ) -> List[Dict[str, object]]:
-    """Aggregated throughput vs number of clients, overlapped accesses (Fig. A)."""
-    settings = settings or ExperimentSettings()
-    fraction = settings.overlap_fraction if overlap_fraction is None else overlap_fraction
-    rows: List[Dict[str, object]] = []
-    for num_clients in settings.client_counts:
-        workload = OverlapStressWorkload(
-            num_clients=num_clients,
-            regions_per_client=settings.regions_per_client,
-            region_size=settings.region_size,
-            overlap_fraction=fraction,
-        )
-        for backend in backends:
-            result, wall = _run_point(backend, num_clients,
-                                      workload.client_pairs,
-                                      workload.file_size, settings)
-            rows.append({
-                "experiment": "EXP1" if fraction > 0 else "EXP1b",
-                "backend": backend,
-                "clients": num_clients,
-                "regions_per_client": workload.regions_per_client,
-                "region_kib": workload.region_size // 1024,
-                "overlap": fraction,
-                "total_mib": result.total_bytes / (1024 * 1024),
-                "elapsed_s": result.write_elapsed,
-                "throughput_mib_s": result.throughput_mib,
-                "lock_wait_s": result.lock_wait_time,
-                "wall_clock_s": wall,
-            })
-    return rows
+def run_overlap_point(settings, config: ClusterConfig, *, experiment: str,
+                      backend: str, clients: int,
+                      overlap: Optional[float] = None,
+                      providers: Optional[int] = None,
+                      regions_per_client: Optional[int] = None,
+                      region_size: Optional[int] = None,
+                      publish_cost: float = 0.0,
+                      allocation: str = "round_robin"):
+    """Concurrent overlapped non-contiguous writes, one backend, one client
+    count: EXP1 (Fig. A) as is, and every experiment that varies one thing
+    about it — ``overlap`` (EXP1b's disjoint control, ABL2), the data
+    ``providers`` (ABL1), ``regions_per_client`` of ``region_size`` and the
+    per-snapshot ``publish_cost`` (ABL3).  ``None`` keeps the suite's setting;
+    the row is the experiment's :data:`OVERLAP_COLUMNS`.
+    """
+    def setting(value, name):
+        return getattr(settings, name) if value is None else value
+
+    overlap = setting(overlap, "overlap_fraction")
+    providers = setting(providers, "num_storage_nodes")
+    workload = OverlapStressWorkload(
+        num_clients=clients,
+        regions_per_client=setting(regions_per_client, "regions_per_client"),
+        region_size=setting(region_size, "region_size"),
+        overlap_fraction=overlap,
+    )
+    result, wall = _run_point(settings, config, backend, clients,
+                              workload.client_pairs, workload.file_size,
+                              providers, allocation=allocation,
+                              publish_cost=publish_cost)
+    stats = result.storage_stats
+    measured = {
+        "experiment": experiment,
+        "backend": backend,
+        "clients": clients,
+        "providers": providers,
+        "allocation": allocation,
+        "regions_per_client": workload.regions_per_client,
+        "region_kib": workload.region_size // 1024,
+        "overlap": overlap,
+        "publish_cost_ms": publish_cost * 1000,
+        "total_mib": result.total_bytes / MiB,
+        "elapsed_s": result.write_elapsed,
+        "throughput_mib_s": result.throughput_mib,
+        "lock_wait_s": result.lock_wait_time,
+        "load_imbalance": stats.get("load_imbalance", 1.0),
+        "metadata_nodes": stats.get("metadata_nodes", 0),
+        "wall_clock_s": wall,
+    }
+    return {column: measured[column]
+            for column in OVERLAP_COLUMNS[experiment]}, {}
 
 
-def run_exp1b_nonoverlapping(settings: Optional[ExperimentSettings] = None,
-                             backends: Sequence[str] = ("versioning",
-                                                        "posix-locking",
-                                                        "conflict-detect"),
-                             ) -> List[Dict[str, object]]:
-    """EXP1b: same sweep with disjoint accesses (conflict-detection's use case)."""
-    return run_exp1_overlap_scalability(settings, backends, overlap_fraction=0.0)
-
-
-# ----------------------------------------------------------------------
-# EXP2 — MPI-tile-IO
-# ----------------------------------------------------------------------
-def run_exp2_tile_io(settings: Optional[ExperimentSettings] = None,
-                     backends: Sequence[str] = ("versioning", "posix-locking"),
-                     ) -> List[Dict[str, object]]:
-    """Aggregated MPI-tile-IO write throughput vs number of clients (Fig. B)."""
-    settings = settings or ExperimentSettings()
-    base = TileIOWorkload(
+def run_tile_point(settings, config: ClusterConfig, *, backend: str,
+                   clients: int):
+    """EXP2 (Fig. B): the MPI-tile-IO write phase on a near-square grid of
+    ``clients`` overlapping tiles, one backend."""
+    workload = TileIOWorkload(
         nr_tiles_x=1, nr_tiles_y=1,
         sz_tile_x=settings.tile_elements_x, sz_tile_y=settings.tile_elements_y,
         sz_element=settings.element_size,
         overlap_x=settings.tile_overlap, overlap_y=settings.tile_overlap,
-    )
-    rows: List[Dict[str, object]] = []
-    for num_clients in settings.client_counts:
-        workload = base.scaled_to(num_clients)
-        for backend in backends:
-            result, wall = _run_point(backend, workload.num_processes,
-                                      workload.rank_pairs, workload.file_size,
-                                      settings)
-            rows.append({
-                "experiment": "EXP2",
-                "backend": backend,
-                "clients": workload.num_processes,
-                "tile_grid": f"{workload.nr_tiles_x}x{workload.nr_tiles_y}",
-                "tile_elements": f"{workload.sz_tile_x}x{workload.sz_tile_y}",
-                "element_bytes": workload.sz_element,
-                "overlap_elements": workload.overlap_x,
-                "total_mib": result.total_bytes / (1024 * 1024),
-                "elapsed_s": result.write_elapsed,
-                "throughput_mib_s": result.throughput_mib,
-                "lock_wait_s": result.lock_wait_time,
-                "wall_clock_s": wall,
-            })
-    return rows
-
-
-# ----------------------------------------------------------------------
-# EXP3 — the headline speedup table (3.5x .. 10x)
-# ----------------------------------------------------------------------
-#: the aggregated-throughput improvement the paper reports
-PAPER_BAND = (3.5, 10)
-
-
-def speedup_rows(experiment: str, source: List[Dict[str, object]],
-                 ) -> List[Dict[str, object]]:
-    """Versioning over locking at every client count both backends ran."""
-    by_clients: Dict[int, Dict[str, Dict[str, object]]] = {}
-    for row in source:
-        by_clients.setdefault(row["clients"], {})[row["backend"]] = row
-    rows: List[Dict[str, object]] = []
-    for clients, per_backend in sorted(by_clients.items()):
-        if "versioning" not in per_backend or "posix-locking" not in per_backend:
-            continue
-        ours = per_backend["versioning"]["throughput_mib_s"]
-        baseline = per_backend["posix-locking"]["throughput_mib_s"]
-        rows.append({
-            "experiment": experiment,
-            "clients": clients,
-            "versioning_mib_s": ours,
-            "lustre_locking_mib_s": baseline,
-            "speedup": ours / baseline if baseline else float("inf"),
-        })
-    return rows
-
-
-def run_exp3_speedup_table(settings: Optional[ExperimentSettings] = None,
-                           ) -> List[Dict[str, object]]:
-    """Speedup of versioning over locking across both experiments' setups."""
-    settings = settings or ExperimentSettings()
-    return (speedup_rows("EXP1", run_exp1_overlap_scalability(settings))
-            + speedup_rows("EXP2", run_exp2_tile_io(settings)))
+    ).scaled_to(clients)
+    result, wall = _run_point(settings, config, backend,
+                              workload.num_processes, workload.rank_pairs,
+                              workload.file_size, settings.num_storage_nodes)
+    return {
+        "experiment": "EXP2",
+        "backend": backend,
+        "clients": workload.num_processes,
+        "tile_grid": f"{workload.nr_tiles_x}x{workload.nr_tiles_y}",
+        "tile_elements": f"{workload.sz_tile_x}x{workload.sz_tile_y}",
+        "element_bytes": workload.sz_element,
+        "overlap_elements": workload.overlap_x,
+        "total_mib": result.total_bytes / MiB,
+        "elapsed_s": result.write_elapsed,
+        "throughput_mib_s": result.throughput_mib,
+        "lock_wait_s": result.lock_wait_time,
+        "wall_clock_s": wall,
+    }, {}
 
 
 def run_paper_point(settings, config: ClusterConfig, *, experiment: str,
                     clients: int):
-    """One ``BENCH_paper.json`` row (no extras): an EXP3 row at one client
-    count, plus whether its speedup falls in the paper's band."""
+    """One ``BENCH_paper.json`` row — EXP3, the headline table: versioning
+    over Lustre-like locking at one client count of EXP1 or EXP2, and whether
+    that speedup falls in the paper's band.  The extras are the two backends'
+    own rows, keyed by backend."""
     started = time.perf_counter()
-    sweep = {"EXP1": run_exp1_overlap_scalability,
-             "EXP2": run_exp2_tile_io}[experiment]
-    shape = {**vars(settings), "client_counts": (clients,)}
-    (row,) = speedup_rows(experiment,
-                          sweep(ExperimentSettings(config=config, **shape)))
+    point = (run_tile_point if experiment == "EXP2"
+             else partial(run_overlap_point, experiment=experiment))
+    rows = {backend: point(settings, config, backend=backend,
+                           clients=clients)[0]
+            for backend in ("versioning", "posix-locking")}
+    ours = rows["versioning"]["throughput_mib_s"]
+    baseline = rows["posix-locking"]["throughput_mib_s"]
+    speedup = ours / baseline if baseline else float("inf")
     low, high = PAPER_BAND
-    return {**row, "in_paper_band": low <= row["speedup"] <= high,
-            "wall_clock_s": time.perf_counter() - started}, {}
+    return {
+        "experiment": experiment,
+        "clients": rows["versioning"]["clients"],
+        "versioning_mib_s": ours,
+        "lustre_locking_mib_s": baseline,
+        "speedup": speedup,
+        "in_paper_band": low <= speedup <= high,
+        "wall_clock_s": time.perf_counter() - started,
+    }, rows
 
 
-# ----------------------------------------------------------------------
-# ABL1 — striping: number of data providers
-# ----------------------------------------------------------------------
-def run_abl1_striping(settings: Optional[ExperimentSettings] = None,
-                      provider_counts: Sequence[int] = (1, 2, 4, 8, 16),
-                      num_clients: int = 8,
-                      allocation: str = "round_robin",
-                      ) -> List[Dict[str, object]]:
-    """Versioning throughput vs number of data providers (design principle 2)."""
-    settings = settings or ExperimentSettings()
-    workload = OverlapStressWorkload(
-        num_clients=num_clients,
-        regions_per_client=settings.regions_per_client,
-        region_size=settings.region_size,
-        overlap_fraction=settings.overlap_fraction,
-    )
-    rows: List[Dict[str, object]] = []
-    for providers in provider_counts:
-        result, wall = _run_point("versioning", num_clients,
-                                  workload.client_pairs,
-                                  workload.file_size, settings,
-                                  allocation=allocation,
-                                  num_storage_nodes=providers)
-        stats = result.storage_stats
-        rows.append({
-            "experiment": "ABL1",
-            "providers": providers,
-            "clients": num_clients,
-            "allocation": allocation,
-            "throughput_mib_s": result.throughput_mib,
-            "load_imbalance": stats.get("load_imbalance", 1.0),
-            "wall_clock_s": wall,
-        })
-    return rows
-
-
-# ----------------------------------------------------------------------
-# ABL2 — locking granularity
-# ----------------------------------------------------------------------
-def run_abl2_lock_granularity(settings: Optional[ExperimentSettings] = None,
-                              num_clients: int = 8,
-                              overlaps: Sequence[float] = (0.0, 0.5),
-                              ) -> List[Dict[str, object]]:
-    """Covering-extent vs per-range locks vs conflict detection vs versioning."""
-    settings = settings or ExperimentSettings()
-    backends = ("posix-locking", "posix-listlock", "conflict-detect", "versioning")
-    rows: List[Dict[str, object]] = []
-    for overlap in overlaps:
-        workload = OverlapStressWorkload(
-            num_clients=num_clients,
-            regions_per_client=settings.regions_per_client,
-            region_size=settings.region_size,
-            overlap_fraction=overlap,
-        )
-        for backend in backends:
-            result, wall = _run_point(backend, num_clients,
-                                      workload.client_pairs,
-                                      workload.file_size, settings)
-            rows.append({
-                "experiment": "ABL2",
-                "backend": backend,
-                "clients": num_clients,
-                "overlap": overlap,
-                "throughput_mib_s": result.throughput_mib,
-                "lock_wait_s": result.lock_wait_time,
-                "wall_clock_s": wall,
-            })
-    return rows
-
-
-# ----------------------------------------------------------------------
-# ABL3 — metadata / publication overhead of the versioning approach
-# ----------------------------------------------------------------------
-def run_abl3_metadata_overhead(settings: Optional[ExperimentSettings] = None,
-                               num_clients: int = 8,
-                               regions_per_client_values: Sequence[int] = (1, 8, 64),
-                               publish_costs: Sequence[float] = (0.0, 1e-3),
-                               ) -> List[Dict[str, object]]:
-    """Cost of snapshot publication vs number of regions per vectored write."""
-    settings = settings or ExperimentSettings()
-    rows: List[Dict[str, object]] = []
-    for regions_per_client in regions_per_client_values:
-        workload = OverlapStressWorkload(
-            num_clients=num_clients,
-            regions_per_client=regions_per_client,
-            region_size=max(4096, settings.region_size // regions_per_client),
-            overlap_fraction=settings.overlap_fraction,
-        )
-        for publish_cost in publish_costs:
-            result, wall = _run_point("versioning", num_clients,
-                                      workload.client_pairs,
-                                      workload.file_size, settings,
-                                      publish_cost=publish_cost)
-            stats = result.storage_stats
-            rows.append({
-                "experiment": "ABL3",
-                "clients": num_clients,
-                "regions_per_client": regions_per_client,
-                "publish_cost_ms": publish_cost * 1000,
-                "metadata_nodes": stats.get("metadata_nodes", 0),
-                "throughput_mib_s": result.throughput_mib,
-                "wall_clock_s": wall,
-            })
-    return rows
+def run_ablation_point(settings, config: ClusterConfig, *, experiment: str,
+                       **kwargs):
+    """A point of the ``ablations`` entry: FUT1's mixed read/write job, or
+    the overlapped-write job for every other label."""
+    if experiment == "FUT1":
+        return run_fut1_point(settings, config, **kwargs)
+    return run_overlap_point(settings, config, experiment=experiment, **kwargs)

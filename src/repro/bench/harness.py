@@ -15,7 +15,7 @@ between the two barriers), the metric the paper plots.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.bench.environment import ExperimentEnvironment
 from repro.bench.metrics import ThroughputSample
@@ -24,7 +24,7 @@ from repro.cluster import Cluster
 from repro.core.atomicity import VectoredWrite, check_mpi_atomicity
 from repro.core.listio import IOVector
 from repro.errors import BenchmarkError
-from repro.mpi.datatypes import BYTE, Indexed
+from repro.mpi.datatypes import Indexed
 from repro.mpi.launcher import MPIContext, run_mpi_job
 from repro.mpiio.file import AccessMode, File
 from repro.vstore.client import VectoredClient
@@ -148,15 +148,6 @@ class RunResult:
         return self.sample.throughput_mib
 
 
-def _rank_view_and_payload(pairs: Sequence[Tuple[int, bytes]]):
-    """Turn (offset, payload) pairs into an Indexed filetype + flat buffer."""
-    ordered = sorted(pairs, key=lambda pair: pair[0])
-    blocklengths = [len(data) for _, data in ordered]
-    displacements = [offset for offset, _ in ordered]
-    payload = b"".join(data for _, data in ordered)
-    return Indexed(blocklengths, displacements, base=BYTE), payload
-
-
 def run_atomic_write_job(environment: ExperimentEnvironment,
                          num_clients: int,
                          pairs_for_rank: PairsForRank,
@@ -180,9 +171,10 @@ def run_atomic_write_job(environment: ExperimentEnvironment,
             comm=ctx.comm, size_hint=file_size)
         handle.set_atomicity(atomic)
 
-        pairs = list(pairs_for_rank(ctx.rank))
-        filetype, payload = _rank_view_and_payload(pairs)
-        handle.set_view(displacement=0, etype=BYTE, filetype=filetype)
+        pairs = sorted(pairs_for_rank(ctx.rank), key=lambda pair: pair[0])
+        handle.set_view(filetype=Indexed.of_extents(
+            (offset, len(data)) for offset, data in pairs))
+        payload = b"".join(data for _offset, data in pairs)
 
         yield from ctx.comm.barrier(ctx.rank)
         started = ctx.sim.now
@@ -248,7 +240,12 @@ def verify_job_atomicity(environment: ExperimentEnvironment,
                          num_clients: int,
                          pairs_for_rank: PairsForRank,
                          result: RunResult) -> bool:
-    """Check that the file left behind by a run satisfies MPI atomicity."""
+    """Check that the file left behind by a run satisfies MPI atomicity.
+
+    Exact but factorial (:mod:`repro.core.atomicity`): once 11 or more ranks
+    form one conflict group — a chain of overlapping neighbours is one — it
+    raises :class:`~repro.errors.CheckerBudgetExceeded` instead of answering.
+    """
     observed = read_back_file(environment, result.path, result.file_size)
     writes = [VectoredWrite(rank, IOVector.for_write(list(pairs_for_rank(rank))))
               for rank in range(num_clients)]

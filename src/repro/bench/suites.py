@@ -7,8 +7,10 @@ How a suite is described, run and written is decided here and nowhere else:
 :class:`~repro.cluster.ClusterConfig`, builds each row once, assembles
 ``{suite, smoke, python, settings, <headline>, rows}`` and hands it to
 :func:`~repro.bench.artifacts.write_artifact`.  ``python -m repro.bench run
-[SUITE…|all] [--smoke]`` and ``benchmarks/test_perf_*.py`` both end here;
-the measured jobs themselves live in the modules imported below.
+[SUITE…|all] [--smoke]`` and every file under ``benchmarks/`` end here — the
+paper's experiments and ablations are the ``paper`` and ``ablations``
+entries, not a runner of their own; the measured jobs themselves live in the
+modules imported below.
 
 Every published number is taken under the ``"bottleneck"`` network model —
 the paper's one-switch Grid'5000 cluster, and what ``perfbench`` runs.  The
@@ -28,7 +30,8 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple
 from repro.bench.artifacts import smoke_requested, write_artifact
 from repro.bench.collective import (run_collective_point,
                                     run_collective_read_point)
-from repro.bench.experiments import PAPER_BAND, run_paper_point
+from repro.bench.experiments import (PAPER_BAND, run_ablation_point,
+                                     run_paper_point)
 from repro.bench.metadata_path import (MODES, run_metadata_path_point,
                                        run_region_algebra_microbench)
 from repro.bench.metrics import reduction
@@ -157,6 +160,36 @@ def _paper_plan(settings) -> Plan:
             for clients in settings.client_counts]
 
 
+def _ablations_plan(settings) -> Plan:
+    def job(**varied):
+        """EXP1's job on the versioning backend, one thing varied."""
+        return {"backend": "versioning", "clients": settings.num_clients,
+                **varied}
+    plan: Plan = [(f"EXP1b:{backend}:c{clients}",
+                   job(experiment="EXP1b", backend=backend, clients=clients,
+                       overlap=0.0))
+                  for clients in settings.exp1b_client_counts
+                  for backend in ("versioning", "posix-locking",
+                                  "conflict-detect")]
+    plan += [(f"ABL1:p{providers}", job(experiment="ABL1", providers=providers))
+             for providers in settings.provider_counts]
+    plan += [(f"ABL2:{backend}:o{overlap}",
+              job(experiment="ABL2", backend=backend, overlap=overlap))
+             for overlap in settings.overlaps
+             for backend in ("posix-locking", "posix-listlock",
+                             "conflict-detect", "versioning")]
+    # ABL3 splits one region's bytes into more pieces, 4 KiB at the least
+    plan += [(f"ABL3:r{regions}:pc{cost * 1000:g}",
+              job(experiment="ABL3", regions_per_client=regions,
+                  region_size=max(4096, settings.region_size // regions),
+                  publish_cost=cost))
+             for regions in settings.regions_per_client_values
+             for cost in settings.publish_costs]
+    plan += [(f"FUT1:{backend}", {"experiment": "FUT1", "backend": backend})
+             for backend in ("versioning", "posix-locking")]
+    return plan
+
+
 def _region_algebra_row(settings, points, rows) -> Dict[str, object]:
     rows.append(run_region_algebra_microbench())
     return {}
@@ -171,6 +204,14 @@ def _capacity_sweep(settings, points, rows) -> Dict[str, object]:
 # ----------------------------------------------------------------------
 # the table
 # ----------------------------------------------------------------------
+#: the paper's deployment and EXP1 access shape, and EXP2's per-process
+#: tile: written here once, for the ``paper`` and ``ablations`` entries
+PAPER_SHAPE = dict(num_storage_nodes=8, stripe_unit=64 * 1024,
+                   num_metadata_providers=2, regions_per_client=8,
+                   region_size=64 * 1024, overlap_fraction=0.5)
+TILE_SHAPE = dict(tile_elements_x=64, tile_elements_y=64, element_size=32,
+                  tile_overlap=8)
+
 SUITES: Dict[str, Suite] = {
     "metadata": Suite(
         title="metadata-read-path",
@@ -358,16 +399,36 @@ SUITES: Dict[str, Suite] = {
         (overlapped writes) and EXP2 (MPI-tile-IO), versioning vs Lustre-like
         locking, one row per (experiment, clients) with the speedup and
         whether it falls in the paper's band — recorded, not asserted.""",
-        settings=dict(client_counts=(1, 2, 4, 8, 16, 32, 64),
-                      num_storage_nodes=8, stripe_unit=64 * 1024,
-                      num_metadata_providers=2, regions_per_client=8,
-                      region_size=64 * 1024, overlap_fraction=0.5,
-                      tile_elements_x=64, tile_elements_y=64, element_size=32,
-                      tile_overlap=8),
+        settings=dict(client_counts=(1, 2, 4, 8, 16, 32, 64), **PAPER_SHAPE,
+                      **TILE_SHAPE),
         smoke=dict(client_counts=(1, 2, 4, 8)),
         plan=_paper_plan,
         point=run_paper_point,
         extras=lambda settings, points, rows: {"paper_band": list(PAPER_BAND)},
+    ),
+    "ablations": Suite(
+        title="ablations",
+        about="""What the paper's comparison rests on, one thing varied at a
+        time about EXP1's job.  EXP1b:<backend>:c<clients> = the disjoint
+        control (overlap 0), where conflict detection may skip the locks;
+        ABL1:p<providers> = striping over more data providers;
+        ABL2:<backend>:o<overlap> = what the lock covers (covering extent,
+        accessed ranges, nothing when disjoint) vs versioning;
+        ABL3:r<regions>:pc<ms> = versioning's own cost: metadata nodes per
+        vectored write and an artificial per-snapshot publication cost;
+        FUT1:<backend> = producers dumping while consumers read.  Rows keep
+        each experiment's own columns; shapes are asserted by
+        ``benchmarks/test_ablations.py``, no headline is derived.""",
+        settings=dict(**PAPER_SHAPE, num_clients=8,
+                      exp1b_client_counts=(2, 4, 8),
+                      provider_counts=(1, 2, 4, 8), overlaps=(0.0, 0.5),
+                      regions_per_client_values=(1, 8, 64),
+                      publish_costs=(0.0, 1e-3), num_producers=4,
+                      num_consumers=2, iterations=3),
+        smoke=dict(exp1b_client_counts=(4,), provider_counts=(1, 8),
+                   iterations=1),
+        plan=_ablations_plan,
+        point=run_ablation_point,
     ),
 }
 

@@ -71,6 +71,8 @@ def add_trace_arguments(parser: argparse.ArgumentParser) -> None:
                        help="collective read-back rounds (default: 1)")
     group.add_argument("--aggregators", type=int, default=None,
                        help="aggregator/resolver ranks (default: ranks/4)")
+    group.add_argument("--seed", type=int, default=0,
+                       help="simulation seed (default: 0)")
     group.add_argument("--network", choices=["bottleneck", "queued"],
                        default="queued",
                        help="network model; 'queued' adds per-link lanes "

@@ -220,15 +220,6 @@ class Link:
             self._next_mark = now + self.codel_interval / (self._episode_marks ** 0.5)
         return done
 
-    def stats(self) -> dict:
-        return {
-            "name": self.name,
-            "bytes": self.bytes_transferred,
-            "busy_time": self.busy_time,
-            "codel_marks": self.codel_marks,
-            "max_standing_delay": self.max_standing_delay,
-        }
-
 
 class QueuedNetwork:
     """Per-link FIFO network over a two-tier (leaf switch) topology."""
@@ -275,7 +266,6 @@ class QueuedNetwork:
                           or self.digests is not None)
         self.bytes_transferred: int = 0
         self.messages: int = 0
-        self.cross_switch_messages: int = 0
 
     # ------------------------------------------------------------------
     def switch_of(self, node_name: str) -> int:
@@ -362,7 +352,6 @@ class QueuedNetwork:
             down_done = (self._reserve(downlink, nbytes, trace_parent)
                          if observed else downlink.reserve(nbytes))
             yield sim.sleep(down_done + self._propagation() / 2 - sim.now)
-            self.cross_switch_messages += 1
 
         ingress = self._link(self._ingress, dst.name, self.bandwidth,
                              f"ingress:{dst.name}")

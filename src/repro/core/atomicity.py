@@ -17,20 +17,28 @@ suite:
 * :func:`check_mpi_atomicity` — the boolean/raising wrapper used by tests and
   by the property-based atomicity suite.
 
-The search is exact.  Its cost is bounded by pruning on a per-byte
-"candidate writer" analysis before falling back to permutation search over
-the (usually tiny) set of mutually conflicting writes.
+The search is exact and exhaustive: the writes are split into conflict
+groups (connected components of the overlap graph — groups commute, so only
+orders within a group matter) and every permutation of a group is replayed
+until one matches the observed bytes the group touches.  That is factorial in
+the group size: up to 10 mutually conflicting writes are always enumerated
+(10! = 3.6 M replays at worst); a larger group whose permutation count exceeds
+``max_group_permutations`` (every group of 11 or more under the default
+budget) raises :class:`~repro.errors.CheckerBudgetExceeded` — "cannot
+decide", never :class:`~repro.errors.AtomicityViolation`.
+``perfbench/atomicity.py`` is the polynomial checker for larger jobs.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.listio import IOVector
 from repro.core.regions import RegionList
-from repro.errors import AtomicityViolation
+from repro.errors import AtomicityViolation, CheckerBudgetExceeded
 
 
 @dataclass(frozen=True)
@@ -119,8 +127,10 @@ def find_serialization(initial: bytes, writes: Sequence[VectoredWrite],
 
     The search decomposes the writes into conflict groups (connected
     components of the overlap graph); non-conflicting groups commute, so only
-    intra-group orders are enumerated.  ``max_group_permutations`` guards
-    against pathological inputs (it raises rather than silently truncating).
+    intra-group orders are enumerated.  A group of more than 10 writes with
+    more than ``max_group_permutations`` orders raises
+    :class:`~repro.errors.CheckerBudgetExceeded` rather than silently
+    truncating the search or reporting a violation it has not shown.
     """
     if not writes:
         return [] if bytes(observed) == bytes(initial) else None
@@ -130,15 +140,12 @@ def find_serialization(initial: bytes, writes: Sequence[VectoredWrite],
 
     chosen_orders: List[List[int]] = []
     for group in groups:
-        if len(group) > 10:
-            permutation_count = 1
-            for factor in range(2, len(group) + 1):
-                permutation_count *= factor
-                if permutation_count > max_group_permutations:
-                    raise AtomicityViolation(
-                        f"conflict group of {len(group)} writes exceeds the "
-                        f"permutation budget ({max_group_permutations}); "
-                        "reduce the workload used with the exact checker")
+        if len(group) > 10 \
+                and math.factorial(len(group)) > max_group_permutations:
+            raise CheckerBudgetExceeded(
+                f"conflict group of {len(group)} writes exceeds the "
+                f"permutation budget ({max_group_permutations}); "
+                "reduce the workload used with the exact checker")
 
         solution: Optional[Tuple[int, ...]] = None
         for permutation in itertools.permutations(group):
@@ -189,6 +196,9 @@ def check_mpi_atomicity(initial: bytes, writes: Sequence[VectoredWrite],
     raise_on_violation:
         When True, raise :class:`~repro.errors.AtomicityViolation` with a
         diagnostic message instead of returning False.
+
+    Whatever the flag, an undecidable input (see :func:`find_serialization`)
+    raises :class:`~repro.errors.CheckerBudgetExceeded`.
     """
     observed = bytes(observed)
     initial = bytes(initial)

@@ -81,20 +81,6 @@ def event_budget(scenario: Scenario) -> int:
     return 2_000_000 + 600_000 * scenario.num_ranks
 
 
-def _rank_view(pairs):
-    """Indexed filetype + flat payload for one rank's disjoint regions."""
-    blocklengths = [len(payload) for _offset, payload in pairs]
-    displacements = [offset for offset, _payload in pairs]
-    payload = b"".join(payload for _offset, payload in pairs)
-    return Indexed(blocklengths, displacements, base=BYTE), payload
-
-
-def _read_view(regions):
-    blocklengths = [size for _offset, size in regions]
-    displacements = [offset for offset, _size in regions]
-    return Indexed(blocklengths, displacements, base=BYTE), sum(blocklengths)
-
-
 def execute_scenario(scenario: Scenario, *, tracing: Optional[bool] = None,
                      trace_path: Optional[str] = None,
                      flight_path: Optional[str] = None,
@@ -199,9 +185,11 @@ def execute_scenario(scenario: Scenario, *, tracing: Optional[bool] = None,
                         pairs = phase_write_pairs(phase, mpi.rank,
                                                   scenario.num_ranks)
                         if pairs:
-                            filetype, payload = _rank_view(pairs)
-                            handle.set_view(0, BYTE, filetype)
-                            yield from handle.write_at_all(0, payload)
+                            handle.set_view(filetype=Indexed.of_extents(
+                                (offset, len(payload))
+                                for offset, payload in pairs))
+                            yield from handle.write_at_all(0, b"".join(
+                                payload for _offset, payload in pairs))
                         else:
                             yield from handle.write_at_all(0, b"")
                     elif phase.kind == "atomic_write":
@@ -218,9 +206,10 @@ def execute_scenario(scenario: Scenario, *, tracing: Optional[bool] = None,
                         regions = phase_read_regions(phase, mpi.rank,
                                                      scenario.num_ranks)
                         if regions:
-                            filetype, total = _read_view(regions)
-                            handle.set_view(0, BYTE, filetype)
-                            data = yield from handle.read_at_all(0, total)
+                            handle.set_view(
+                                filetype=Indexed.of_extents(regions))
+                            data = yield from handle.read_at_all(
+                                0, sum(size for _offset, size in regions))
                         else:
                             data = yield from handle.read_at_all(0, 0)
                         ctx.phase_reads[index][mpi.rank] = data

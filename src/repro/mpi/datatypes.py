@@ -23,7 +23,7 @@ after (lower bound 0, as produced by these constructors).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from repro.core.regions import Region, RegionList
 from repro.errors import DatatypeError
@@ -188,6 +188,14 @@ class Indexed(Datatype):
             raise DatatypeError("negative block length")
         if any(disp < 0 for disp in self.displacements):
             raise DatatypeError("negative displacement")
+
+    @classmethod
+    def of_extents(cls, extents: Iterable[Tuple[int, int]]) -> "Indexed":
+        """The byte filetype selecting ``(offset, length)`` extents, in the
+        order given — what a rank's list of file regions becomes as a view."""
+        extents = list(extents)
+        return cls([length for _offset, length in extents],
+                   [offset for offset, _length in extents], base=BYTE)
 
     @property
     def size(self) -> int:

@@ -70,7 +70,7 @@ def _add_job_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--ranks", type=int, default=8,
                         help="MPI ranks (default %(default)s)")
     parser.add_argument("--network", default="queued",
-                        choices=("simple", "queued"),
+                        choices=("bottleneck", "queued"),
                         help="network model (default %(default)s)")
     parser.add_argument("--seed", type=int, default=0,
                         help="cluster seed (default %(default)s)")

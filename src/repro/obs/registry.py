@@ -9,8 +9,13 @@ the simulation runs.
 
 The collectors' consistency checks (the metadata lookup partition and
 friends) are reported on the same object and raised by
-:meth:`MetricsRegistry.assert_identities` — every bench suite calls it on
-every row.
+:meth:`MetricsRegistry.assert_identities`.  Who asks: the ``simcore``
+suite's collective-I/O rows and ``perfbench`` call it on every run; the
+fuzzer's ``stats_partition`` checker reads the same list through
+:meth:`MetricsRegistry.check_identities`; the scan suites
+(``repro.bench.scan``) call the two underlying functions,
+``tiers.partition_problems`` / ``wire_problems``, directly; the other
+suites collect no registry.
 """
 
 from __future__ import annotations

@@ -4,66 +4,32 @@ import json
 
 import pytest
 
-from repro.bench.cli import build_parser, main, run_experiment, settings_from_args
+from repro.bench.cli import build_parser, main
 
 
 class TestParser:
-    def test_defaults(self):
-        args = build_parser().parse_args(["exp1"])
-        assert args.experiment == "exp1"
-        assert args.clients == [1, 2, 4, 8]
-        assert args.storage_nodes == 8
+    def test_the_commands_are_run_and_trace(self):
+        assert "{run,trace}" in build_parser().format_usage()
+        args = build_parser().parse_args(["run", "paper", "ablations"])
+        assert (args.command, args.suites) == ("run", ["paper", "ablations"])
+        assert build_parser().parse_args(["trace", "--seed", "3"]).seed == 3
 
-    def test_client_list_parsing(self):
-        args = build_parser().parse_args(["exp2", "--clients", "2,4,16"])
-        assert args.clients == [2, 4, 16]
-
-    def test_unknown_experiment_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["nope"])
-
-    def test_settings_from_args(self):
-        args = build_parser().parse_args(
-            ["exp1", "--clients", "1,2", "--region-kib", "16",
-             "--overlap", "0.25", "--storage-nodes", "3"])
-        settings = settings_from_args(args)
-        assert settings.client_counts == (1, 2)
-        assert settings.region_size == 16 * 1024
-        assert settings.overlap_fraction == 0.25
-        assert settings.num_storage_nodes == 3
-
-
-class TestExecution:
-    def _args(self, name, extra=()):
-        return build_parser().parse_args(
-            [name, "--clients", "1,2", "--storage-nodes", "2",
-             "--regions-per-client", "2", "--region-kib", "8", *extra])
-
-    def test_exp1_tables(self):
-        args = self._args("exp1")
-        tables = run_experiment("exp1", args)
-        assert len(tables) == 1
-        assert "EXP1" in tables[0]
-        assert "versioning" in tables[0]
-
-    def test_abl1_tables(self):
-        args = self._args("abl1", ["--providers", "1,2"])
-        tables = run_experiment("abl1", args)
-        assert "ABL1" in tables[0]
-
-    def test_fut1_tables(self):
-        args = self._args("fut1", ["--producers", "2", "--consumers", "1",
-                                   "--iterations", "1"])
-        tables = run_experiment("fut1", args)
-        assert "FUT1" in tables[0]
-        assert "posix-locking" in tables[0]
-
-    def test_main_prints_tables(self, capsys):
-        exit_code = main(["exp3", "--clients", "1,2", "--storage-nodes", "2",
-                          "--regions-per-client", "2", "--region-kib", "8"])
-        assert exit_code == 0
-        output = capsys.readouterr().out
-        assert "speedup" in output
+    @pytest.mark.parametrize("argv", [
+        ["nope"],
+        ["exp1"], ["exp3"], ["abl1"], ["fut1"], ["all"],
+        ["run", "paper", "--clients", "1,2"],
+        ["run", "ablations", "--providers", "1,2"],
+        ["run", "ablations", "--producers", "2"],
+        ["run", "paper", "--storage-nodes", "2", "--region-kib", "8"],
+    ])
+    def test_experiment_subcommands_and_knobs_are_gone_not_ignored(
+            self, argv, capsys):
+        """What an experiment runs is its suite-table entry: the old
+        per-experiment subcommands and flags are argparse errors."""
+        with pytest.raises(SystemExit) as caught:
+            main(argv)
+        assert caught.value.code == 2
+        assert "error:" in capsys.readouterr().err
 
 
 class TestRunSuites:
@@ -78,6 +44,21 @@ class TestRunSuites:
         output = capsys.readouterr().out
         assert str(written) in output
         assert "rpc_reduction_vs_baseline" in output
+
+    def test_run_ablations_prints_one_table_per_experiment(self, tmp_path,
+                                                           capsys):
+        assert main(["run", "ablations", "--smoke",
+                     "--out", str(tmp_path)]) == 0
+        artifact = json.loads(
+            (tmp_path / "BENCH_ablations.smoke.json").read_text())
+        assert artifact["smoke"] is True
+        assert {row["experiment"] for row in artifact["rows"]} \
+            == {"EXP1b", "ABL1", "ABL2", "ABL3", "FUT1"}
+        output = capsys.readouterr().out
+        # each experiment's own columns head a table of its own
+        for column in ("region_kib", "load_imbalance", "lock_wait_s",
+                       "metadata_nodes", "consumer_read_latency_s"):
+            assert column in output
 
     def test_unknown_suite_rejected(self, tmp_path):
         with pytest.raises(SystemExit):

@@ -7,7 +7,7 @@ from repro.bench.harness import run_atomic_write_job, verify_job_atomicity
 from repro.bench.metrics import ThroughputSample, scaling_efficiency, speedup
 from repro.bench.reporting import format_series, format_table
 from repro.cluster import ClusterConfig
-from repro.errors import BenchmarkError
+from repro.errors import BenchmarkError, CheckerBudgetExceeded
 from repro.workloads.overlap_stress import OverlapStressWorkload
 
 QUICK = ClusterConfig(network_latency=1e-5, disk_overhead=1e-4)
@@ -119,6 +119,17 @@ class TestHarness:
         result = run_atomic_write_job(environment, 3, workload.client_pairs,
                                       workload.file_size, atomic=True)
         assert verify_job_atomicity(environment, 3, workload.client_pairs, result)
+
+    def test_verification_limit_is_a_typed_cannot_decide(self):
+        """A chain of 11 overlapping ranks is one conflict group: beyond the
+        exact checker, which says so instead of blaming the backend."""
+        workload = self._workload(11)
+        environment = build_environment("versioning", num_storage_nodes=3,
+                                        stripe_unit=4096, config=QUICK)
+        result = run_atomic_write_job(environment, 11, workload.client_pairs,
+                                      workload.file_size, atomic=True)
+        with pytest.raises(CheckerBudgetExceeded):
+            verify_job_atomicity(environment, 11, workload.client_pairs, result)
 
     def test_locking_backend_reports_lock_wait(self):
         workload = self._workload(4)

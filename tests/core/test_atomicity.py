@@ -10,7 +10,7 @@ from repro.core.atomicity import (
     interleaving_example,
 )
 from repro.core.listio import IOVector
-from repro.errors import AtomicityViolation
+from repro.errors import AtomicityViolation, CheckerBudgetExceeded
 
 
 def write(writer_id, pairs):
@@ -122,6 +122,22 @@ class TestCheckMpiAtomicity:
         with pytest.raises(AtomicityViolation):
             check_mpi_atomicity(b"\x00" * 4, writes, b"ABAB",
                                 raise_on_violation=True)
+
+    @pytest.mark.parametrize("raise_on_violation", [False, True])
+    def test_undecidable_is_not_reported_as_a_violation(self, raise_on_violation):
+        """11 identical-extent writers leave a perfectly serial outcome; 11!
+        orders is over the budget, and "cannot decide" is its own error."""
+        writes = [write(writer, [(0, bytes([65 + writer]) * 4)])
+                  for writer in range(11)]
+        observed = apply_writes(b"\x00" * 4, writes)
+        with pytest.raises(CheckerBudgetExceeded, match="group of 11") as caught:
+            check_mpi_atomicity(b"\x00" * 4, writes, observed,
+                                raise_on_violation=raise_on_violation)
+        assert not isinstance(caught.value, AtomicityViolation)
+        # ten writers are inside the limit, and a larger budget decides eleven
+        assert check_mpi_atomicity(b"\x00" * 4, writes[1:], observed)
+        assert find_serialization(b"\x00" * 4, writes, observed,
+                                  max_group_permutations=40_000_000) is not None
 
     def test_three_writers_some_order(self):
         writes = [

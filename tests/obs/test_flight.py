@@ -8,6 +8,8 @@ count, metrics snapshot).
 
 import json
 
+import pytest
+
 from repro.cluster.config import ClusterConfig
 from repro.obs.flight import DEFAULT_FLIGHT_CAPACITY, FlightRecorder
 
@@ -85,3 +87,17 @@ def test_cluster_wires_recorder_by_default_and_config_disables_it():
     assert disabled.obs.flight is None
     sized = Cluster(config=ClusterConfig(flight_capacity=16), seed=0)
     assert sized.obs.flight.capacity == 16
+
+
+def test_cli_dumps_under_either_network_model_and_no_other(tmp_path, capsys):
+    from repro.obs.cli import main
+    out = tmp_path / "flight.json"
+    assert main(["flight", "--ranks", "4", "--network", "bottleneck",
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["entries"]
+    assert '"network": "bottleneck"' in capsys.readouterr().out
+    # "simple" was never a ClusterConfig.network_model: argparse rejects it
+    with pytest.raises(SystemExit):
+        main(["flight", "--ranks", "4", "--network", "simple",
+              "--out", str(out)])
+    assert "invalid choice: 'simple'" in capsys.readouterr().err
