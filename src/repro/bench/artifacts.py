@@ -37,5 +37,6 @@ def write_artifact(path: Path, artifact: Dict[str, object]) -> Path:
         raise RuntimeError(
             f"refusing to replace the full-size artifact {target} "
             "with a smoke run")
+    target.parent.mkdir(parents=True, exist_ok=True)
     target.write_text(json.dumps(artifact, indent=2) + "\n")
     return target

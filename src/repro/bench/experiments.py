@@ -23,7 +23,7 @@ from typing import Optional, Tuple
 
 from repro.bench.environment import build_environment
 from repro.bench.harness import RunResult, run_atomic_write_job
-from repro.bench.metrics import MiB
+from repro.bench.metrics import MiB, per
 from repro.bench.producer_consumer import run_fut1_point
 from repro.cluster import ClusterConfig
 from repro.workloads.overlap_stress import OverlapStressWorkload
@@ -37,7 +37,7 @@ _EXP1_COLUMNS = ("experiment", "backend", "clients", "regions_per_client",
                  "region_kib", "overlap", "total_mib", "elapsed_s",
                  "throughput_mib_s", "lock_wait_s", "wall_clock_s")
 OVERLAP_COLUMNS = {
-    "EXP1": _EXP1_COLUMNS,
+    "EXP1": _EXP1_COLUMNS + ("disk_ios_per_write",),
     "EXP1b": _EXP1_COLUMNS,
     "ABL1": ("experiment", "providers", "clients", "allocation",
              "throughput_mib_s", "load_imbalance", "wall_clock_s"),
@@ -68,6 +68,12 @@ def _run_point(settings, config: ClusterConfig, backend: str, num_clients: int,
     result = run_atomic_write_job(environment, num_clients, pairs_for_rank,
                                   file_size=file_size, atomic=True)
     return result, time.perf_counter() - started
+
+
+def _disk_ios_per_write(result: RunResult) -> float:
+    """Disk I/Os the storage nodes paid per rank-write (a job is one write
+    per rank) — the mechanism behind a small-piece workload's throughput."""
+    return per(result.cluster_stats["disk_operations"], result.num_clients)
 
 
 def run_overlap_point(settings, config: ClusterConfig, *, experiment: str,
@@ -115,6 +121,7 @@ def run_overlap_point(settings, config: ClusterConfig, *, experiment: str,
         "elapsed_s": result.write_elapsed,
         "throughput_mib_s": result.throughput_mib,
         "lock_wait_s": result.lock_wait_time,
+        "disk_ios_per_write": _disk_ios_per_write(result),
         "load_imbalance": stats.get("load_imbalance", 1.0),
         "metadata_nodes": stats.get("metadata_nodes", 0),
         "wall_clock_s": wall,
@@ -148,6 +155,7 @@ def run_tile_point(settings, config: ClusterConfig, *, backend: str,
         "elapsed_s": result.write_elapsed,
         "throughput_mib_s": result.throughput_mib,
         "lock_wait_s": result.lock_wait_time,
+        "disk_ios_per_write": _disk_ios_per_write(result),
         "wall_clock_s": wall,
     }, {}
 
@@ -175,6 +183,10 @@ def run_paper_point(settings, config: ClusterConfig, *, experiment: str,
         "lustre_locking_mib_s": baseline,
         "speedup": speedup,
         "in_paper_band": low <= speedup <= high,
+        "versioning_disk_ios_per_write":
+            rows["versioning"]["disk_ios_per_write"],
+        "locking_disk_ios_per_write":
+            rows["posix-locking"]["disk_ios_per_write"],
         "wall_clock_s": time.perf_counter() - started,
     }, rows
 

@@ -47,7 +47,6 @@ from repro.blobseer.metadata.store import MetadataStore, PartitionedMetadataStor
 from repro.blobseer.metadata.provider import SimMetadataProvider
 from repro.blobseer.metadata.segment_tree import (
     build_write_metadata,
-    leaf_pieces_for_vector,
     overlay_segments,
 )
 
@@ -68,6 +67,5 @@ __all__ = [
     "LevelAwarePolicy",
     "make_policy",
     "build_write_metadata",
-    "leaf_pieces_for_vector",
     "overlay_segments",
 ]

@@ -53,8 +53,9 @@ class LeafSegment:
     chunk:
         Key of the chunk holding the bytes.
     chunk_offset:
-        Offset of the piece inside the chunk payload (pieces written by one
-        request share a chunk when they fall in the same leaf).
+        Offset of the piece inside the chunk payload: 0 as written (every
+        piece is a chunk of its own), nonzero only for what survives of a
+        piece whose head a later request of the same vector overwrote.
     provider_id:
         The data provider holding the chunk (kept in metadata so readers know
         where to fetch from, exactly as BlobSeer's metadata does).

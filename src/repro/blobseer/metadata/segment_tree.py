@@ -38,10 +38,13 @@ from repro.errors import InvalidRegion
 class WritePiece:
     """One chunk-aligned piece of a write request's payload.
 
-    A piece never crosses a chunk boundary, so it becomes exactly one stored
-    chunk.  ``request_index`` preserves the order of the originating
-    :class:`~repro.core.listio.IORequest`\\ s so that intra-vector overlaps are
-    resolved "last request wins".
+    A piece never crosses a chunk boundary and becomes exactly one stored
+    chunk under its own :class:`ChunkKey`; ``provider_id`` is the provider of
+    the stripe unit the piece was packed into
+    (:func:`pack_pieces_into_stripe_units`), so small pieces of one write
+    share a provider without sharing a chunk.  ``request_index`` preserves
+    the order of the originating :class:`~repro.core.listio.IORequest`\\ s so
+    that intra-vector overlaps are resolved "last request wins".
     """
 
     leaf_offset: int
@@ -89,6 +92,29 @@ def split_vector_into_pieces(blob: BlobDescriptor, vector: IOVector) -> List[Wri
             consumed += length
             cursor = piece_end
     return pieces
+
+
+def pack_pieces_into_stripe_units(pieces: Sequence[WritePiece], chunk_size: int,
+                                  ) -> Tuple[List[int], List[int]]:
+    """Pack a write's pieces, in vector order, into stripe units.
+
+    A stripe unit is what gets *placed*: consecutive pieces join the current
+    unit while its total stays ≤ ``chunk_size``, otherwise a new unit opens,
+    so a chunk-sized piece is its own unit and a noncontiguous write of many
+    small pieces reaches few providers with one large I/O each instead of
+    every provider with a small one.  Returns ``(unit_of_piece, unit_sizes)``:
+    the unit index of every piece and the byte total of every unit.  Pieces
+    stay separate chunks — a unit is a placement group, nothing else.
+    """
+    unit_of_piece: List[int] = []
+    unit_sizes: List[int] = []
+    for piece in pieces:
+        if unit_sizes and unit_sizes[-1] + piece.length <= chunk_size:
+            unit_sizes[-1] += piece.length
+        else:
+            unit_sizes.append(piece.length)
+        unit_of_piece.append(len(unit_sizes) - 1)
+    return unit_of_piece, unit_sizes
 
 
 def overlay_segments(existing: Sequence[LeafSegment],
@@ -154,14 +180,6 @@ def build_leaf_segments(blob: BlobDescriptor,
         by_leaf[piece.leaf_offset] = overlay_segments(
             by_leaf.get(piece.leaf_offset, []), segment)
     return by_leaf
-
-
-def leaf_pieces_for_vector(blob: BlobDescriptor, vector: IOVector) -> Dict[int, int]:
-    """Map leaf offset -> bytes written into it by ``vector`` (a sizing helper)."""
-    counts: Dict[int, int] = {}
-    for piece in split_vector_into_pieces(blob, vector):
-        counts[piece.leaf_offset] = counts.get(piece.leaf_offset, 0) + piece.length
-    return counts
 
 
 def build_write_metadata(blob: BlobDescriptor, version: int, base_version: int,

@@ -99,13 +99,6 @@ class SimDataProvider(Service):
     # ------------------------------------------------------------------
     # RPC handlers (generator methods)
     # ------------------------------------------------------------------
-    def put_chunk(self, key: ChunkKey, data: bytes):
-        """Store ``data`` under ``key``, charging local disk time."""
-        if self.persist_to_disk:
-            yield from self.node.disk_io(len(data))
-        self.store.put_chunk(key, data)
-        return len(data)
-
     def put_chunks(self, items):
         """Store a batch of ``(key, data)`` pairs in one request.
 
@@ -121,13 +114,6 @@ class SimDataProvider(Service):
         for key, data in items:
             self.store.put_chunk(key, data)
         return total
-
-    def get_chunk(self, key: ChunkKey):
-        """Return the payload of ``key``, charging local disk time."""
-        data = self.store.get_chunk(key)
-        if self.persist_to_disk:
-            yield from self.node.disk_io(len(data))
-        return data
 
     def get_chunk_ranges(self, requests):
         """Serve a batch of ``(key, offset, length)`` range reads in one request."""

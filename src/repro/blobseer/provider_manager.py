@@ -1,10 +1,13 @@
 """The provider manager: chunk placement / load balancing.
 
 The provider manager is the control-plane service that writers contact to
-learn *where* to put each new chunk.  The paper's second design principle —
+learn *where* to put what they write.  The paper's second design principle —
 data striping with a load-balancing allocation strategy that spreads writes
 over the storage elements in a round-robin fashion — is implemented by the
-pluggable :class:`AllocationStrategy` classes below.
+pluggable :class:`AllocationStrategy` classes below.  What they place is the
+*stripe unit*: a chunk-sized piece, or the run of smaller pieces of one write
+the client packed up to a chunk (``pack_pieces_into_stripe_units``); the
+``sizes`` they see are unit sizes, one provider is chosen per unit.
 """
 
 from __future__ import annotations
@@ -20,12 +23,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class AllocationStrategy:
-    """Strategy interface: choose a provider for each chunk of a write."""
+    """Strategy interface: choose a provider for each stripe unit of a write."""
 
     name = "abstract"
 
     def select(self, providers: Sequence[str], sizes: Sequence[int],
-               load: Dict[str, int]) -> List[str]:
+               load: Dict[str, int], writer: Optional[str] = None) -> List[str]:
         """Return one provider id per entry of ``sizes``.
 
         Parameters
@@ -33,37 +36,47 @@ class AllocationStrategy:
         providers:
             Identifiers of the currently alive providers.
         sizes:
-            Sizes (bytes) of the chunks about to be written.
+            Sizes (bytes) of the stripe units about to be written.
         load:
             Cumulative bytes already allocated to each provider.
+        writer:
+            Name of the writing client, when it gave one.
         """
         raise NotImplementedError
 
 
 class RoundRobinAllocation(AllocationStrategy):
-    """Cycle through providers in a fixed order (the paper's default)."""
+    """Cycle through providers in a fixed order (the paper's default).
+
+    A writer's first write starts at the shared cursor and each later one
+    resumes after that writer's own last unit, so which of two concurrent
+    writers' requests arrives first does not decide where either lands
+    (and, with few units per write, which disks a later read queues on).
+    """
 
     name = "round_robin"
 
     def __init__(self) -> None:
         self._cursor = 0
+        self._resume: Dict[str, int] = {}
 
     def select(self, providers: Sequence[str], sizes: Sequence[int],
-               load: Dict[str, int]) -> List[str]:
-        chosen: List[str] = []
-        for _ in sizes:
-            chosen.append(providers[self._cursor % len(providers)])
-            self._cursor += 1
-        return chosen
+               load: Dict[str, int], writer: Optional[str] = None) -> List[str]:
+        start = self._resume.get(writer, self._cursor)
+        self._cursor += len(sizes)
+        if writer is not None:
+            self._resume[writer] = start + len(sizes)
+        return [providers[(start + unit) % len(providers)]
+                for unit in range(len(sizes))]
 
 
 class LoadBalancedAllocation(AllocationStrategy):
-    """Greedily place each chunk on the provider with the fewest bytes so far."""
+    """Greedily place each unit on the provider with the fewest bytes so far."""
 
     name = "load_balanced"
 
     def select(self, providers: Sequence[str], sizes: Sequence[int],
-               load: Dict[str, int]) -> List[str]:
+               load: Dict[str, int], writer: Optional[str] = None) -> List[str]:
         running = {provider: load.get(provider, 0) for provider in providers}
         chosen: List[str] = []
         for size in sizes:
@@ -82,7 +95,7 @@ class RandomAllocation(AllocationStrategy):
         self._rng = rng or DeterministicRNG(seed)
 
     def select(self, providers: Sequence[str], sizes: Sequence[int],
-               load: Dict[str, int]) -> List[str]:
+               load: Dict[str, int], writer: Optional[str] = None) -> List[str]:
         # placement shapes which providers hold data — workload-scoped,
         # so toggling cost-only streams (network jitter) never moves it
         stream = self._rng.scope(SCOPE_WORKLOAD).stream("allocation")
@@ -141,12 +154,14 @@ class ProviderManager:
         return [provider for provider in self._providers if self._alive[provider]]
 
     # ------------------------------------------------------------------
-    def allocate(self, sizes: Sequence[int]) -> List[str]:
-        """Pick a provider for each chunk size, updating the load table."""
+    def allocate(self, sizes: Sequence[int],
+                 writer: Optional[str] = None) -> List[str]:
+        """Pick a provider for each unit size, updating the load table."""
         alive = self.alive_providers
         if not alive:
             raise ProviderUnavailable("no alive data providers to allocate on")
-        chosen = self.strategy.select(alive, sizes, dict(self.allocated_bytes))
+        chosen = self.strategy.select(alive, sizes, dict(self.allocated_bytes),
+                                      writer)
         if len(chosen) != len(sizes):
             raise ProviderUnavailable(
                 f"strategy {self.strategy.name} returned {len(chosen)} targets "
@@ -171,9 +186,9 @@ class SimProviderManager(Service):
         super().__init__(node, name="provider-manager")
         self.manager = manager or ProviderManager()
 
-    def allocate(self, sizes: Sequence[int]):
+    def allocate(self, sizes: Sequence[int], writer: Optional[str] = None):
         """RPC handler: allocate providers for ``sizes`` (control-plane only)."""
-        chosen = self.manager.allocate(sizes)
+        chosen = self.manager.allocate(sizes, writer)
         return chosen
         yield  # pragma: no cover - makes this a generator function
 

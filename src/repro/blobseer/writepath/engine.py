@@ -14,6 +14,13 @@ protocol allows:
   :meth:`PipelinedCommitEngine.drain` joins the in-flight completions (the
   coalescer's barrier does this before waiting for publication).
 
+Placement is by *stripe unit*, not by piece: a write's pieces are packed, in
+vector order, into units of at most one chunk, the provider manager places
+the units, and each provider receives its units' pieces in one ``put_chunks``
+RPC — one disk I/O.  Every write creates new immutable chunks whose location
+no file offset dictates, so a write of many small pieces reaches the disks as
+few large requests, which an update-in-place striped file cannot do.
+
 Correctness does not move: metadata nodes are always stored *before*
 ``complete`` is issued, and the version manager still publishes strictly in
 ticket order, so deferring a completion can delay publication but never
@@ -41,6 +48,7 @@ from typing import Dict, List, TYPE_CHECKING
 from repro.blobseer.metadata.segment_tree import (
     build_leaf_segments,
     build_write_metadata,
+    pack_pieces_into_stripe_units,
     split_vector_into_pieces,
 )
 from repro.blobseer.metadata.store import PartitionedMetadataStore
@@ -131,23 +139,27 @@ class PipelinedCommitEngine:
         # 1. chunk-aligned decomposition
         pieces = split_vector_into_pieces(blob, vector)
 
-        # 2. placement (control-plane RPC to the provider manager)
-        sizes = [piece.length for piece in pieces]
+        # 2. placement (control-plane RPC to the provider manager): what is
+        #    placed is the stripe unit, and every piece follows its unit
+        unit_of_piece, unit_sizes = pack_pieces_into_stripe_units(
+            pieces, blob.chunk_size)
         providers = yield from self._wcontrol(
-            deployment.provider_manager, "allocate", sizes, trace_parent=span)
+            deployment.provider_manager, "allocate", unit_sizes, client.name,
+            trace_parent=span)
 
         # 3. fully parallel, uncoordinated chunk uploads — one batched RPC
         #    per destination provider
         per_provider: Dict[str, list] = {}
-        for piece, provider_id in zip(pieces, providers):
+        for piece, unit in zip(pieces, unit_of_piece):
             piece.chunk = client._chunk_keys.next_key()
-            piece.provider_id = provider_id
-            per_provider.setdefault(provider_id, []).append(piece)
+            piece.provider_id = providers[unit]
+            per_provider.setdefault(piece.provider_id, []).append(piece)
         upload_span = None
         if span is not None and per_provider:
             upload_span = ctx.begin_detached(
                 "commit.upload", cat="write", parent=span,
-                pieces=len(pieces), providers=len(per_provider))
+                pieces=len(pieces), units=len(unit_sizes),
+                providers=len(per_provider))
         upload_calls = []
         for provider_id, provider_pieces in sorted(per_provider.items()):
             service = deployment.data_provider(provider_id)

@@ -91,6 +91,8 @@ class Cluster:
                         self.config.disk_overhead, name=f"disk:{name}")
         node = Node(self.sim, name, self.network, disk=disk, role=role)
         self.nodes[name] = node
+        if self.config.network_model == "queued":
+            self.network.add_node(name)
         return node
 
     def add_nodes(self, prefix: str, count: int, role: str = "compute",

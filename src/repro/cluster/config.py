@@ -25,8 +25,7 @@ class ClusterConfig:
     #: half-duplex NICs) or ``"queued"`` (per-link FIFO queues over a two-tier
     #: leaf-switch topology with a CoDel standing-queue signal)
     network_model: str = "bottleneck"
-    #: queued model: nodes per leaf switch (grouped in the order nodes first
-    #: take part in a transfer, see ``QueuedNetwork.switch_of``)
+    #: queued model: nodes per leaf switch (filled in node-creation order)
     nodes_per_switch: int = 16
     #: queued model: one-way latency between switches; ``None`` = 2.5x the
     #: intra-switch ``network_latency``

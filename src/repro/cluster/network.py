@@ -12,11 +12,9 @@ Two switchable models (``ClusterConfig.network_model``):
 
 * :class:`QueuedNetwork` (``"queued"``) — per-link FIFO queues carrying
   transmission + propagation delay over an explicit two-tier topology: nodes
-  are grouped ``nodes_per_switch`` per leaf switch in the order they *first
-  take part in a transfer* (see :meth:`QueuedNetwork.switch_of`; this is not
-  node-creation order, so it matches the dense block placement of
-  :func:`~repro.cluster.cluster.placement_map` only when ranks first talk in
-  rank order — a known model defect, ROADMAP item 1);
+  are grouped ``nodes_per_switch`` per leaf switch in node-creation order
+  (:meth:`QueuedNetwork.add_node`), which is the dense block placement of
+  :func:`~repro.cluster.cluster.placement_map` whoever talks first;
   same-switch transfers pay NIC egress + propagation + NIC ingress, and
   cross-switch transfers additionally queue on the shared switch uplinks.
   NICs are full duplex here.  Every link runs a CoDel-style standing-queue
@@ -268,17 +266,16 @@ class QueuedNetwork:
         self.messages: int = 0
 
     # ------------------------------------------------------------------
-    def switch_of(self, node_name: str) -> int:
-        """Leaf-switch index of a node, assigned on its *first transfer*.
+    def add_node(self, node_name: str) -> None:
+        """Plug a new node into the next free leaf-switch port
+        (:meth:`Cluster.add_node <repro.cluster.cluster.Cluster.add_node>`
+        calls this, so switches fill in node-creation order)."""
+        self._switch_of[node_name] = (len(self._switch_of)
+                                      // self.nodes_per_switch)
 
-        Only :meth:`transfer` calls this, so whoever talks first shares
-        switch 0 — not node-creation order (model defect, ROADMAP item 1).
-        """
-        switch = self._switch_of.get(node_name)
-        if switch is None:
-            switch = len(self._switch_of) // self.nodes_per_switch
-            self._switch_of[node_name] = switch
-        return switch
+    def switch_of(self, node_name: str) -> int:
+        """Leaf-switch index of a node."""
+        return self._switch_of[node_name]
 
     def _link(self, table: Dict, key, bandwidth: float, name: str) -> Link:
         link = table.get(key)

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.bench.artifacts import artifact_target, write_artifact
+from repro.bench.cli import main
 
 
 def test_full_size_run_writes_the_named_path(tmp_path):
@@ -38,3 +39,12 @@ def test_smoke_run_refuses_to_replace_a_full_size_file(tmp_path):
     with pytest.raises(RuntimeError, match="full-size"):
         write_artifact(path, {"suite": "x", "smoke": True, "rows": []})
     assert json.loads(misplaced.read_text())["smoke"] is False
+
+
+def test_run_creates_a_nested_out_directory_that_does_not_exist(tmp_path):
+    """``run --out new/dir`` used to finish the first suite and then lose
+    the measurement to a ``FileNotFoundError``."""
+    out = tmp_path / "new_dir" / "nested"
+    assert main(["run", "metadata", "--smoke", "--out", str(out)]) == 0
+    written = out / "BENCH_metadata.smoke.json"
+    assert json.loads(written.read_text())["smoke"] is True

@@ -8,7 +8,6 @@ from repro.blobseer.metadata.nodes import ChildRef, LeafSegment, MetadataNode, N
 from repro.blobseer.metadata.segment_tree import (
     build_leaf_segments,
     build_write_metadata,
-    leaf_pieces_for_vector,
     overlay_segments,
     plan_read,
     split_vector_into_pieces,
@@ -165,11 +164,6 @@ class TestSplitVector:
     def test_read_vector_rejected(self):
         with pytest.raises(InvalidRegion):
             split_vector_into_pieces(BLOB, IOVector.for_read([(0, 4)]))
-
-    def test_leaf_pieces_for_vector_counts(self):
-        vector = IOVector.for_write([(0, b"a" * 70), (130, b"b" * 10)])
-        counts = leaf_pieces_for_vector(BLOB, vector)
-        assert counts == {0: 64, 64: 6, 128: 10}
 
 
 class TestOverlaySegments:

@@ -93,6 +93,30 @@ class TestNetworkModel:
         # on the receiver NIC
         assert max(finish) >= 3.0
 
+    def test_queued_switches_fill_in_node_creation_order(self):
+        """A job whose highest rank talks first still has ranks 0-15 on
+        switch 0: the topology is ``placement_map``'s dense blocks, not
+        first-come first-served."""
+        cluster = make_cluster(network_model="queued", nodes_per_switch=16)
+        ranks = cluster.place_ranks("r", 32)
+        arrived = []
+
+        def last_rank_talks_first():
+            yield from cluster.network.transfer(ranks[31], ranks[0], 10)
+            arrived.append(cluster.now)
+            yield from cluster.network.transfer(ranks[31], ranks[16], 10)
+            arrived.append(cluster.now)
+
+        cluster.sim.process(last_rank_talks_first())
+        cluster.run()
+        assert [cluster.network.switch_of(node.name) for node in ranks] \
+            == [0] * 16 + [1] * 16
+        # and the transfers saw that topology: 31 -> 0 crossed switches
+        # (uplink, 2.5x latency, downlink), 31 -> 16 stayed on one
+        same_switch = 0.01 + 0.001 + 0.01
+        assert arrived[0] == pytest.approx(same_switch + 2 * 0.0025 + 0.0025)
+        assert arrived[1] - arrived[0] == pytest.approx(same_switch)
+
     def test_network_counters(self):
         cluster = make_cluster()
         a, b = cluster.add_node("a"), cluster.add_node("b")
