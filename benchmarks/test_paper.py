@@ -18,15 +18,21 @@ recomputed per measured point:
 
 * EXP1: the locking curve is flat — one covering-extent holder at a time,
   whatever the client count — while versioning scales, so the speedup rises
-  strictly with the clients and enters the band at 8 (5.3x at 64);
+  strictly with the clients and is in the band from 4 up (3.6x, 9.7x at 64);
 * EXP2: a rank-write is 64 rows of 2 KiB, which the versioning backend
   places as two 64 KiB stripe units — 2 disk I/Os per write
   (``versioning_disk_ios_per_write``) where the in-place baseline pays one
   per OST its file offsets fix (``locking_disk_ios_per_write``, 8 from 16
   clients up) — so tile-IO is in the band at 4 clients (4.0x) and from 16 up
-  (4.5x-5.5x).  Below it: 8 clients (3.3x — the 2x4 grid's four tile rows
+  (5.5x-7.5x).  Below it: 8 clients (3.3x — the 2x4 grid's four tile rows
   nearly double what locking got from two, 25 -> 43 MiB/s) and 1-2 clients,
   where the win is bounded by the concurrency itself (1.0x, 2.0x);
+* both: a provider is an append-only log, so appends that queue at a busy
+  disk go down as one sequential run (``Disk.append``) — from 16 clients up
+  a rank-write costs at most 2 disk I/Os on either experiment (EXP1: 2.0 at
+  16, 0.75 at 64 — it is 8 regions), under 2 from 32, and the share
+  of disk time that is per-I/O overhead (``*_disk_overhead_share``) falls
+  with the clients on versioning while the in-place baseline keeps paying it.
   ``benchmarks/README.md`` has the account.
 
 All three read the ``paper`` entry of ``repro.bench.suites.SUITES``, run once
@@ -97,6 +103,30 @@ def test_exp2_places_a_tile_write_as_two_stripe_units(suite):
                if row["clients"] >= 16)
 
 
+def test_queued_appends_go_down_as_runs(suite):
+    """The other mechanism as a value: a provider's disk serves the appends
+    queued at it as one sequential run.  A lone client never meets a busy
+    disk, so both backends pay the same overhead share; from 16 clients up a
+    rank-write costs at most 2 disk I/Os on either experiment (under 2 from
+    32) and versioning's share is under half the baseline's, which writes in
+    place."""
+    for experiment in ("EXP1", "EXP2"):
+        rows = [row for row in suite.artifact["rows"]
+                if row["experiment"] == experiment]
+        assert rows[0]["clients"] == 1
+        assert rows[0]["versioning_disk_overhead_share"] \
+            == pytest.approx(rows[0]["locking_disk_overhead_share"])
+        shares = [row["versioning_disk_overhead_share"] for row in rows
+                  if row["clients"] >= 4]
+        assert all(low >= high for low, high in zip(shares, shares[1:]))
+        for row in rows:
+            if row["clients"] >= 16:
+                assert row["versioning_disk_ios_per_write"] \
+                    <= (2.0 if row["clients"] == 16 else 1.5), row
+                assert row["versioning_disk_overhead_share"] \
+                    < 0.5 * row["locking_disk_overhead_share"], row
+
+
 def test_exp3_speedup_table(suite):
     rows = suite.artifact["rows"]
     speedups = [row["speedup"] for row in rows if row["clients"] >= 2]
@@ -111,13 +141,14 @@ def test_exp3_speedup_table(suite):
     # locking serializes: its curve is flat within 15 % ...
     locking = [row["lustre_locking_mib_s"] for row in exp1]
     assert max(locking) - min(locking) <= 0.15 * max(locking)
-    # ... so the speedup rises with every doubling and reaches the paper's
-    # band at 8 clients
+    # ... so the speedup rises with every doubling and is inside the paper's
+    # band at every client count from 4 up
     rising = [row["speedup"] for row in exp1]
     assert all(low < high for low, high in zip(rising, rising[1:]))
-    (at_eight,) = [row for row in exp1 if row["clients"] == 8]
-    assert 3.5 <= at_eight["speedup"] <= 10.0
-    assert at_eight["in_paper_band"]
+    for row in exp1:
+        if row["clients"] >= 4:
+            assert 3.5 <= row["speedup"] <= 10.0, row
+            assert row["in_paper_band"], row
 
 
 def test_rows_are_the_committed_ones_at_either_size(suite, committed):

@@ -37,7 +37,7 @@ _EXP1_COLUMNS = ("experiment", "backend", "clients", "regions_per_client",
                  "region_kib", "overlap", "total_mib", "elapsed_s",
                  "throughput_mib_s", "lock_wait_s", "wall_clock_s")
 OVERLAP_COLUMNS = {
-    "EXP1": _EXP1_COLUMNS + ("disk_ios_per_write",),
+    "EXP1": _EXP1_COLUMNS + ("disk_ios_per_write", "disk_overhead_share"),
     "EXP1b": _EXP1_COLUMNS,
     "ABL1": ("experiment", "providers", "clients", "allocation",
              "throughput_mib_s", "load_imbalance", "wall_clock_s"),
@@ -74,6 +74,14 @@ def _disk_ios_per_write(result: RunResult) -> float:
     """Disk I/Os the storage nodes paid per rank-write (a job is one write
     per rank) — the mechanism behind a small-piece workload's throughput."""
     return per(result.cluster_stats["disk_operations"], result.num_clients)
+
+
+def _disk_overhead_share(result: RunResult, config: ClusterConfig) -> float:
+    """Share of the storage nodes' disk time that was per-I/O overhead, not
+    bytes moving: how far a backend sits from the disks' bandwidth bound."""
+    stats = result.cluster_stats
+    overhead = stats["disk_operations"] * config.disk_overhead
+    return overhead / stats["disk_busy_s"] if overhead else 0.0
 
 
 def run_overlap_point(settings, config: ClusterConfig, *, experiment: str,
@@ -122,6 +130,7 @@ def run_overlap_point(settings, config: ClusterConfig, *, experiment: str,
         "throughput_mib_s": result.throughput_mib,
         "lock_wait_s": result.lock_wait_time,
         "disk_ios_per_write": _disk_ios_per_write(result),
+        "disk_overhead_share": _disk_overhead_share(result, config),
         "load_imbalance": stats.get("load_imbalance", 1.0),
         "metadata_nodes": stats.get("metadata_nodes", 0),
         "wall_clock_s": wall,
@@ -156,6 +165,7 @@ def run_tile_point(settings, config: ClusterConfig, *, backend: str,
         "throughput_mib_s": result.throughput_mib,
         "lock_wait_s": result.lock_wait_time,
         "disk_ios_per_write": _disk_ios_per_write(result),
+        "disk_overhead_share": _disk_overhead_share(result, config),
         "wall_clock_s": wall,
     }, {}
 
@@ -187,6 +197,10 @@ def run_paper_point(settings, config: ClusterConfig, *, experiment: str,
             rows["versioning"]["disk_ios_per_write"],
         "locking_disk_ios_per_write":
             rows["posix-locking"]["disk_ios_per_write"],
+        "versioning_disk_overhead_share":
+            rows["versioning"]["disk_overhead_share"],
+        "locking_disk_overhead_share":
+            rows["posix-locking"]["disk_overhead_share"],
         "wall_clock_s": time.perf_counter() - started,
     }, rows
 

@@ -32,7 +32,7 @@ class DataProviderStore:
     # ------------------------------------------------------------------
     def put_chunk(self, key: ChunkKey, data: bytes) -> None:
         """Store an immutable chunk.  Re-putting the same key is idempotent."""
-        self._ensure_alive()
+        self.ensure_alive()
         existing = self._chunks.get(key)
         if existing is not None and existing != data:
             raise ProviderUnavailable(
@@ -43,7 +43,7 @@ class DataProviderStore:
 
     def get_chunk(self, key: ChunkKey) -> bytes:
         """Fetch a chunk payload."""
-        self._ensure_alive()
+        self.ensure_alive()
         try:
             data = self._chunks[key]
         except KeyError:
@@ -72,7 +72,8 @@ class DataProviderStore:
         """Clear the crashed flag (chunks survive, as on a restarted node)."""
         self.failed = False
 
-    def _ensure_alive(self) -> None:
+    def ensure_alive(self) -> None:
+        """Raise :class:`ProviderUnavailable` if the provider is down."""
         if self.failed:
             raise ProviderUnavailable(f"provider {self.provider_id} is down")
 
@@ -105,18 +106,31 @@ class SimDataProvider(Service):
         Clients group the chunks of one write by destination provider and
         ship each group as a single RPC (as the BlobSeer client library
         does), so many small pieces do not pay one disk/network round trip
-        each.  The provider appends the batch with a single disk operation.
+        each.
+
+        Chunks are immutable and no file offset pins them, so the provider
+        is an append-only log: the batch is one ``Disk.append``, which an
+        idle disk serves as one I/O and a busy one streams down in the same
+        sequential run as whatever else is queued (``cluster/disk.py``).  A
+        provider that is down refuses on arrival and reserves nothing; one
+        that dies while the batch waits fails it — ``put_chunk`` checks
+        again — so exactly the batches not yet acknowledged are lost.
         """
+        self.store.ensure_alive()
         items = list(items)
         total = sum(len(data) for _key, data in items)
         if self.persist_to_disk and total:
-            yield from self.node.disk_io(total)
+            yield from self.node.disk_append(total)
         for key, data in items:
             self.store.put_chunk(key, data)
         return total
 
     def get_chunk_ranges(self, requests):
-        """Serve a batch of ``(key, offset, length)`` range reads in one request."""
+        """Serve a batch of ``(key, offset, length)`` range reads in one request.
+
+        Liveness is checked like ``put_chunks``: on arrival (``get_chunk``),
+        before any disk time is reserved, and again after the wait.
+        """
         requests = list(requests)
         pieces = []
         total = 0
@@ -131,4 +145,5 @@ class SimDataProvider(Service):
             total += length
         if self.persist_to_disk and total:
             yield from self.node.disk_io(total)
+            self.store.ensure_alive()
         return pieces

@@ -17,9 +17,11 @@ protocol allows:
 Placement is by *stripe unit*, not by piece: a write's pieces are packed, in
 vector order, into units of at most one chunk, the provider manager places
 the units, and each provider receives its units' pieces in one ``put_chunks``
-RPC — one disk I/O.  Every write creates new immutable chunks whose location
-no file offset dictates, so a write of many small pieces reaches the disks as
-few large requests, which an update-in-place striped file cannot do.
+RPC — one append to the provider's log, at most one disk I/O.  Every write
+creates new immutable chunks whose location no file offset dictates, so a
+write of many small pieces reaches the disks as few large requests, and
+requests queued at a busy disk as one sequential run (``Disk.append``),
+which an update-in-place striped file cannot do.
 
 Correctness does not move: metadata nodes are always stored *before*
 ``complete`` is issued, and the version manager still publishes strictly in

@@ -146,4 +146,5 @@ class Cluster:
             "rpc_calls": self.rpc.total_calls,
             "disk_bytes": sum(disk.bytes_transferred for disk in disks),
             "disk_operations": sum(disk.operations for disk in disks),
+            "disk_busy_s": sum(disk.busy_time for disk in disks),
         }

@@ -36,5 +36,11 @@ class Node:
             return
         yield from self.disk.io(nbytes)
 
+    def disk_append(self, nbytes: int):
+        """Generator appending to the local disk's log (no-op without one)."""
+        if self.disk is None:
+            return
+        yield from self.disk.append(nbytes)
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Node {self.name} role={self.role}>"

@@ -3,8 +3,12 @@
 import pytest
 
 from repro.blobseer import BlobSeerDeployment
+from repro.blobseer.chunk import ChunkKey
 from repro.cluster import Cluster, ClusterConfig
+from repro.core.atomicity import VectoredWrite, check_mpi_atomicity
+from repro.core.listio import IOVector
 from repro.errors import ProviderUnavailable
+from repro.vstore.client import VectoredClient
 
 
 def make_deployment(num_providers=3):
@@ -110,3 +114,91 @@ class TestProviderFailure:
         assert first == 1 and late == 3
         assert latest == 1          # version 2 never completed, 3 is held back
         assert early == b"first"    # published data remains readable
+
+
+class TestProviderLog:
+    """``put_chunks`` is a ``Disk.append``: what a crash does to a queue."""
+
+    def test_a_provider_that_is_down_reserves_no_disk_time(self):
+        cluster, deployment = make_deployment(num_providers=1)
+        provider = deployment.data_provider("bs-data0")
+        key = ChunkKey("w", 0)
+        run(cluster, provider.put_chunks([(key, b"x" * 64)]))
+        disk = provider.node.disk
+        reserved = (disk.operations, disk.free_at, disk.busy_time)
+        deployment.fail_provider("bs-data0")
+        with pytest.raises(ProviderUnavailable):
+            run(cluster, provider.put_chunks([(ChunkKey("w", 1), b"y" * 64)]))
+        with pytest.raises(ProviderUnavailable):
+            run(cluster, provider.get_chunk_ranges([(key, 0, 64)]))
+        assert (disk.operations, disk.free_at, disk.busy_time) == reserved
+
+    def test_a_crash_inside_a_run_fails_the_members_not_yet_down(self):
+        """Six writers' chunks queue behind a long I/O on the one provider,
+        so they go down as one log run; the provider dies after the run's
+        second member is down."""
+        writers, chunk, step, blob_size = 6, 64 * 1024, 16 * 1024, 256 * 1024
+        cluster = Cluster(config=ClusterConfig(), seed=3)
+        deployment = BlobSeerDeployment(cluster, num_providers=1,
+                                        num_metadata_providers=1,
+                                        chunk_size=chunk)
+        clients = [VectoredClient(deployment, cluster.add_node(f"w{rank}"),
+                                  name=f"w{rank}")
+                   for rank in range(writers)]
+        run(cluster, clients[0].create_blob("b", blob_size))
+        disk = deployment.data_provider("bs-data0").node.disk
+        operations = disk.operations
+        head = 4 * 1024 * 1024
+        run_starts = cluster.now + disk.io_time(head)
+        die_at = run_starts + disk.overhead + 2.5 * chunk / disk.bandwidth
+        published = {}
+
+        def access(rank):
+            # neighbouring writers overlap by 48 KiB
+            return [(rank * step, bytes([rank + 1]) * chunk)]
+
+        def writer(rank):
+            try:
+                receipt = yield from clients[rank].vwrite_and_wait(
+                    "b", access(rank))
+            except ProviderUnavailable:
+                published[rank] = None
+            else:
+                published[rank] = receipt.version
+
+        def kill():
+            yield cluster.sim.timeout(die_at - cluster.now)
+            deployment.fail_provider("bs-data0")
+
+        cluster.sim.process(disk.io(head))
+        cluster.sim.process(kill())
+        for rank in range(writers):
+            cluster.sim.process(writer(rank))
+        cluster.sim.run_all()
+        # the long I/O, then every writer's chunk in one run
+        assert disk.operations - operations == 2
+
+        survivors = sorted(rank for rank, version in published.items()
+                           if version is not None)
+        assert len(published) == writers and len(survivors) == 2
+        store = deployment.data_provider("bs-data0").store
+        assert store.bytes_written == 2 * chunk
+        manager = deployment.version_manager.manager
+        assert manager.tickets_aborted == writers - 2
+
+        # the provider restarts with its log intact: a fresh client reads a
+        # state the survivors alone explain, in some serial order
+        deployment.recover_provider("bs-data0")
+        reader = VectoredClient(deployment, cluster.add_node("reader"))
+        (observed,) = run(cluster, reader.vread("b", [(0, blob_size)]))
+        check_mpi_atomicity(
+            bytes(blob_size),
+            [VectoredWrite(rank, IOVector.for_write(access(rank)))
+             for rank in survivors],
+            observed, raise_on_violation=True)
+        assert set(observed) <= {0} | {rank + 1 for rank in survivors}
+
+        # the aborted tickets were released: a following write publishes
+        receipt = run(cluster, reader.vwrite_and_wait("b", [(0, b"after")]))
+        assert receipt.version == writers + 1
+        assert run(cluster, reader.vread("b", [(0, 5)])) == [b"after"]

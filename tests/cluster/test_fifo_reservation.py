@@ -8,6 +8,13 @@ were issued), start each at ``max(arrival, previous finish)``, finish it one
 service time later.  Seeded scripts draw arrival times from a coarse grid so
 simultaneous arrivals are common; every quantity is a dyadic rational, so
 the comparison is exact.
+
+``Disk.append`` — log runs — is checked the same way on scripts that mix the
+two kinds: against its own reference, and against the FIFO one, which no
+request may finish later than.  Ties stay in those scripts: ``append`` keeps
+no timer, so an append that arrives at the instant a run starts is not an
+event-order race — the run has started and the append opens the next one —
+and every property below is asserted for such arrivals too.
 """
 
 import random
@@ -35,10 +42,35 @@ def fifo_finish_times(jobs):
     return finish
 
 
-def random_script(rng):
+def log_finish_times(jobs):
+    """The reference model of a disk serving both kinds: ``jobs`` is
+    ``[(arrival, nbytes, kind)]`` in issue order; returns each job's finish
+    time and the number of device operations.  In arrival order, an append
+    joins the queue's tail — streaming its bytes behind it, no overhead — if
+    that tail is a run of appends which has not started; any other request
+    starts one operation of its own."""
+    finish = [0.0] * len(jobs)
+    free_at = 0.0
+    open_until = None  # start of the run at the tail; None if it is an io
+    operations = 0
+    for index in sorted(range(len(jobs)), key=lambda i: (jobs[i][0], i)):
+        arrival, nbytes, kind = jobs[index]
+        if kind == "append" and open_until is not None and arrival < open_until:
+            free_at += nbytes / DISK_BANDWIDTH
+        else:
+            start = max(arrival, free_at)
+            free_at = start + DISK_OVERHEAD + nbytes / DISK_BANDWIDTH
+            operations += 1
+            open_until = start if kind == "append" else None
+        finish[index] = free_at
+    return finish, operations
+
+
+def random_script(rng, grid=0.25):
     """``[(issue time, nbytes)]`` sorted by issue time: bursts, ties, gaps."""
     count = rng.randint(2, 12)
-    script = [(rng.randrange(0, 16) * 0.25, rng.randrange(1, 9) * 128)
+    script = [(rng.randrange(0, int(4 / grid)) * grid,
+               rng.randrange(1, 9) * 128)
               for _ in range(count)]
     return sorted(script, key=lambda job: job[0])
 
@@ -77,6 +109,98 @@ def test_disk_io_is_fifo_by_arrival(seed):
          for issue, nbytes in script])
     assert disk.operations == len(script)
     assert disk.bytes_transferred == sum(nbytes for _, nbytes in script)
+
+
+def run_on_disk(script, kinds):
+    """Run ``script`` on one fresh disk, job ``i`` through ``Disk.<kinds[i]>``;
+    returns the disk and the finish times."""
+    cluster = make_cluster("bottleneck")
+    disk = cluster.add_node("s0", with_disk=True).disk
+    finished = run_script(
+        cluster, script,
+        lambda index, nbytes: getattr(disk, kinds[index])(nbytes))
+    return disk, finished
+
+
+def run_mixed_script(seed, append_share, grid):
+    """A script whose jobs are appends with probability ``append_share``.
+    On the coarse ``grid`` simultaneous arrivals are common; on the one as
+    fine as the overhead, arrivals at the instant a run starts are."""
+    rng = random.Random(seed)
+    script = random_script(rng, grid)
+    kinds = ["append" if rng.random() < append_share else "io"
+             for _ in script]
+    disk, finished = run_on_disk(script, kinds)
+    return script, kinds, disk, finished
+
+
+MIXED = pytest.mark.parametrize(
+    "seed, append_share, grid",
+    [(seed, share, grid) for seed in SEEDS for share in (0.5, 1.0)
+     for grid in (0.25, DISK_OVERHEAD)])
+
+
+@MIXED
+def test_no_request_finishes_later_than_under_fifo(seed, append_share, grid):
+    script, _kinds, _disk, finished = run_mixed_script(seed, append_share, grid)
+    fifo = fifo_finish_times(
+        [(issue, DISK_OVERHEAD + nbytes / DISK_BANDWIDTH)
+         for issue, nbytes in script])
+    assert all(ours <= theirs for ours, theirs in zip(finished, fifo))
+    # and the device finishes requests in the order they arrived, across
+    # kinds (``script`` is sorted by arrival, ties in issue order)
+    assert all(first < second for first, second in zip(finished, finished[1:]))
+
+
+@MIXED
+def test_disk_appends_go_down_as_runs(seed, append_share, grid):
+    script, kinds, disk, finished = run_mixed_script(seed, append_share, grid)
+    expected, operations = log_finish_times(
+        [(issue, nbytes, kind) for (issue, nbytes), kind in zip(script, kinds)])
+    assert finished == expected
+    # device work is exact: one overhead per io and per run, every byte once
+    total = sum(nbytes for _, nbytes in script)
+    assert disk.operations == operations
+    assert kinds.count("io") <= operations <= len(script)
+    assert disk.bytes_transferred == total
+    assert disk.busy_time == operations * DISK_OVERHEAD + total / DISK_BANDWIDTH
+
+
+def test_the_scripts_do_form_runs():
+    """The dominance above is not vacuous: over the seeds, all-append scripts
+    save operations, and appends do arrive at the instant the device frees."""
+    saved = tied = 0
+    for seed in SEEDS:
+        script, _kinds, disk, finished = run_mixed_script(
+            seed, 1.0, DISK_OVERHEAD)
+        saved += len(script) - disk.operations
+        tied += sum(1 for issue, _ in script if issue in finished)
+    assert saved >= len(SEEDS)
+    assert tied >= 10
+
+
+def test_appends_behind_a_busy_disk_share_one_overhead():
+    """An io holds the device until 1.0625; three appends queue meanwhile and
+    go down as one run, each done with its own last byte; an io that arrives
+    behind the run closes it, so the next append opens a second run — which
+    the last append, arriving at the instant that run starts, is too late
+    for."""
+    script = [(0.0, 512), (0.25, 128), (0.5, 256), (0.5, 128), (0.75, 128),
+              (0.75, 256), (2.4375, 128)]
+    kinds = ["io", "append", "append", "append", "io", "append", "append"]
+    disk, finished = run_on_disk(script, kinds)
+    assert finished == [1.0625, 1.375, 1.875, 2.125, 2.4375, 3.0, 3.3125]
+    assert disk.operations == 5
+
+
+@pytest.mark.parametrize("nbytes", [0, 128, 1024])
+def test_a_lone_append_is_a_lone_io(nbytes):
+    finished = {}
+    for kind in ("io", "append"):
+        disk, finished[kind] = run_on_disk([(0.75, nbytes)], [kind])
+        assert (disk.operations, disk.busy_time) \
+            == (1, DISK_OVERHEAD + nbytes / DISK_BANDWIDTH)
+    assert finished["append"] == finished["io"]
 
 
 @pytest.mark.parametrize("network_model", ["bottleneck", "queued"])
