@@ -5,8 +5,8 @@ and aggregated resolution at several rank counts and resolver factors with
 one shared harness, asserts the acceptance shape (metadata control RPCs per
 logical collective read reduced by ~the resolver factor ``N/R`` versus the
 per-rank baseline, non-resolver ranks at exactly zero, byte-identical data
-in every mode, warm caches after the plan broadcast), and records every row
-— metadata RPCs, ``latest`` RPCs, exchange traffic, simulated and
+in every mode, a cheap post-collective independent read), and records every
+row — metadata RPCs, ``latest`` RPCs, exchange traffic, simulated and
 wall-clock seconds — into ``BENCH_collective_read.json`` at the repository
 root so future PRs can track the perf trajectory.
 
@@ -94,10 +94,8 @@ def test_exchange_traffic_is_reported_for_collective_modes(suite):
     for key, point in suite.points.items():
         if point["resolvers"]:
             assert point["exchange_bytes"] > 0, key
-            assert point["plan_nodes_absorbed"] > 0, key
         else:
             assert point["exchange_bytes"] == 0, key
-            assert point["plan_nodes_absorbed"] == 0, key
 
 
 def test_zero_extents_travel_as_hole_descriptors(suite):
@@ -114,14 +112,18 @@ def test_zero_extents_travel_as_hole_descriptors(suite):
             assert point["hole_bytes_elided"] == 0, key
 
 
-def test_plan_broadcast_makes_the_post_collective_read_free(suite):
-    """After the collective rounds, one independent re-read per rank costs
-    zero metadata RPCs in the collective modes (absorbed plan + refreshed
-    hint) — while the baseline still pays a ``latest`` per rank."""
+def test_the_post_collective_read_needs_no_latest_and_a_short_walk(suite):
+    """After the collective rounds, one independent re-read per rank asks
+    for no ``latest`` in the collective modes (the refreshed hint) — the
+    baseline still pays one per rank — and its tree walk, each rank's own
+    now that the scatter carries no plan, is recorded and costs no more
+    than the independent mode's collective-phase walks."""
     for key, point in suite.points.items():
         if point["resolvers"]:
-            assert point["post_metadata_rpcs"] == 0, key
+            baseline = suite.points[f"N{point['ranks']}:independent"]
             assert point["post_latest_rpcs"] == 0, key
+            assert 0 < point["post_metadata_rpcs"] \
+                <= baseline["metadata_rpcs"], key
         else:
             assert point["post_latest_rpcs"] == point["ranks"], key
 

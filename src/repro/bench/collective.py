@@ -16,19 +16,20 @@ the modes), timed between two barriers:
   per-round collective scans of a sparse dump a seeder published ahead of
   the job.  ``metadata_rpcs`` and ``latest_rpcs`` are normalized per
   *logical* read (one per rank per round, however many of them one
-  resolver's stripe walk served); ``plan_nodes_absorbed`` counts cache
-  entries the ranks warmed from broadcast plans, ``plan_nodes_elided`` the
-  entries not re-shipped because an earlier collective had already sent
-  them to the whole group, ``hole_bytes_elided`` the never-written bytes
-  shipped as compact hole descriptors instead of literal zeros.  After the
-  collective rounds every rank issues one *independent* re-read of its
-  first-round blocks: with the broadcast plan absorbed and the refreshed
-  read hint, the collective modes answer it at zero metadata RPCs — the
-  cache-warming signal the ``post_*`` columns record.
+  resolver's stripe walk served); ``hole_bytes_elided`` counts the
+  never-written bytes shipped as compact hole descriptors instead of
+  literal zeros.  After the collective rounds every rank issues one
+  *independent* re-read of its first-round blocks, recorded in the
+  ``post_*`` columns: the refreshed read hint spares the collective modes
+  the ``latest`` round-trip, and the tree walk is each rank's own — warm on
+  a resolver for its own stripe, cold elsewhere (the scatter carries no
+  metadata), and still well under one independent round's walks.
 
 ``exchange_bytes`` is the MPI-side two-phase traffic the aggregation spends
-instead of control RPCs — it moves over the compute interconnect, not the
-storage control plane, and is reported so the trade is visible.  All modes
+instead of control RPCs — encoded access descriptions plus the shuffled
+blocks (write) or the scattered pieces and hole descriptors (read).  It
+moves over the compute interconnect, not the storage control plane, and is
+reported so the trade is visible.  All modes
 of one rank count must move byte-identical data, which the perf suites
 assert from each point's ``read_digest``.
 """
@@ -217,7 +218,7 @@ def run_collective_read_point(settings, config, *, num_ranks: int,
                 0, sum(size for _offset, size in pairs))
             scans.append(data)
         stop_clock()
-        # the cache-warming probe: one independent re-read per rank
+        # the post-collective probe: one independent re-read per rank
         client = driver.client
         post_marks[ctx.rank] = (client.metadata_read_rpcs,
                                 client.latest_rpcs)
@@ -249,10 +250,6 @@ def run_collective_read_point(settings, config, *, num_ranks: int,
                                       logical_reads),
         "nodes_fetched": sum(client.metadata_nodes_fetched
                              for client in clients),
-        "plan_nodes_absorbed": sum(client.plan_nodes_absorbed
-                                   for client in clients),
-        "plan_nodes_elided": sum(stats.plan_nodes_elided
-                                 for stats in readers),
         "exchange_bytes": sum(stats.bytes_sent for stats in readers),
         "hole_bytes_elided": sum(stats.hole_bytes_elided
                                  for stats in readers),

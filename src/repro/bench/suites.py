@@ -269,7 +269,8 @@ SUITES: Dict[str, Suite] = {
         snapshot batch per rank (N tickets, N metadata builds);
         N<ranks>:collective-a<A> = two-phase buffering: the ranks exchange
         blocks over the interconnect and the round commits as A stripe
-        batches, non-aggregators never touching the control plane.  Headline:
+        batches of contiguous runs, non-aggregators never touching the
+        control plane.  Headline:
         control RPCs per logical write vs independent, next to the ideal
         N/A.""",
         settings=dict(rank_counts=(4, 8), aggregator_counts=(1, 2, 4),
@@ -290,10 +291,10 @@ SUITES: Dict[str, Suite] = {
         every rank pays one ``latest`` plus its own batched tree walk per
         round; N<ranks>:collective-r<R> = the group pins one snapshot (one
         ``latest`` per round, none once a hint is planted) and R resolvers
-        walk the union extent once, scattering data + plan; non-resolvers
-        never touch the control plane.  Headline: metadata RPCs (tree walk +
-        ``latest``) per logical read vs independent, next to the ideal
-        N/R.""",
+        walk the union extent once, scattering pieces and hole descriptors;
+        non-resolvers never touch the control plane.  Headline: metadata RPCs
+        (tree walk + ``latest``) per logical read vs independent, next to the
+        ideal N/R.""",
         settings=dict(rank_counts=(4, 8), resolver_counts=(1, 2, 4), rounds=3,
                       blocks_per_rank=4, block_size=8 * 1024, halo_blocks=1,
                       hole_every=4, num_providers=4, num_metadata_providers=2,

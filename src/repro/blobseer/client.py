@@ -143,9 +143,6 @@ class BlobClient:
         self.metadata_nodes_fetched: int = 0
         #: ``latest`` round-trips actually issued to the version manager
         self.latest_rpcs: int = 0
-        #: metadata nodes absorbed from a collective read's shipped plan
-        #: (cache entries that cost MPI exchange bytes instead of RPCs)
-        self.plan_nodes_absorbed: int = 0
         #: write-path counters: control-plane round-trips (allocate, ticket,
         #: complete, publication waits), per-shard put_nodes round-trips and
         #: nodes self-inserted into the cache by write-through population
@@ -306,22 +303,6 @@ class BlobClient:
         """
         self.note_collective_commit(blob_id, version)
 
-    def absorb_plan_nodes(self, blob_id: str, entries) -> int:
-        """Insert metadata nodes shipped by a collective read's resolver.
-
-        ``entries`` are ``((offset, size, hint), node-or-None)`` pairs from a
-        resolver's :class:`~repro.blobseer.metadata.segment_tree.ReadPlanner`
-        trace — resolved lookups of a *published* snapshot, so they are
-        permanently valid and inserting them is as safe as fetching them
-        ourselves would have been.  One collective warms the whole node: the
-        collective's own ``note_collective_read`` opened the shared tier's
-        watermark gate.  Costs zero RPCs; returns how many were absorbed.
-        """
-        if not self.tiers.admit(blob_id, entries):
-            return 0
-        self.plan_nodes_absorbed += len(entries)
-        return len(entries)
-
     def offer_read_hint(self, blob_id: str) -> None:
         """Let the next ``version=None`` read start from the known watermark.
 
@@ -422,15 +403,12 @@ class BlobClient:
 
     def _vectored_read(self, blob_id: str, vector: IOVector,
                        version: Optional[int] = None, *,
-                       trace: Optional[Dict] = None,
                        holes: Optional[List[Region]] = None):
         """Read the vector's ranges from one published snapshot.
 
-        ``trace`` (optional) collects the metadata lookups the read resolved
-        — the hook collective-read resolvers use to ship their traversal to
-        peer ranks for cache warming.  ``holes`` (optional) collects the
-        never-written ranges the plan zero-filled, so a collective resolver
-        can ship them as compact descriptors instead of literal zero bytes.
+        ``holes`` (optional) collects the never-written ranges the plan
+        zero-filled, so a collective resolver can ship them as compact
+        descriptors instead of literal zero bytes.
         """
         blob = yield from self._descriptor(blob_id)
         if version is None:
@@ -454,8 +432,7 @@ class BlobClient:
             self.note_published(blob_id, version)
 
         regions = vector.region_list()
-        plan = yield from self._resolve_metadata(blob, version, regions,
-                                                 trace=trace)
+        plan = yield from self._resolve_metadata(blob, version, regions)
 
         # parallel chunk-range fetches — one batched RPC per data provider
         fetched: List[Tuple[int, int, bytes]] = []
@@ -491,15 +468,14 @@ class BlobClient:
         return results
 
     # ------------------------------------------------------------------
-    def _resolve_metadata(self, blob: BlobDescriptor, version: int, regions,
-                          trace: Optional[Dict] = None):
+    def _resolve_metadata(self, blob: BlobDescriptor, version: int, regions):
         """Resolve a read's segment-tree traversal through the tier chain.
 
         The traversal advances one tree level at a time; each level's
         deduplicated lookups fold over ``self.tiers``, which decides who
         answers, who keeps the answer and which counter moves.
         """
-        planner = ReadPlanner(blob, version, regions, trace=trace)
+        planner = ReadPlanner(blob, version, regions)
         while not planner.done:
             results = yield from self.tiers.resolve(blob.blob_id,
                                                     planner.pending())

@@ -299,21 +299,17 @@ class ReadPlanner:
             planner.advance(results)
         plan = planner.plan()
 
-    ``trace`` (optional) collects every resolved lookup the traversal
-    consumed — ``{(offset, size, hint): node-or-None}``.  The collective
-    read path ships a resolver's trace to its peer ranks so their caches
-    warm up without ever touching the metadata shards.
+    What a traversal resolved is remembered by the tiers that answered it,
+    not by the planner: a collective-read resolver walks its stripe through
+    its own chain and ships the resulting bytes, never the walk.
     """
 
-    def __init__(self, blob: BlobDescriptor, version: int, regions: RegionList,
-                 trace: Optional[Dict[NodeRequest,
-                                      Optional[MetadataNode]]] = None):
+    def __init__(self, blob: BlobDescriptor, version: int, regions: RegionList):
         wanted = regions.normalized()
         for region in wanted:
             blob.validate_access(region.offset, region.size)
         self.blob = blob
         self.version = version
-        self.trace = trace
         self.extents: List[ReadExtent] = []
         self.nodes_fetched = 0
         self.levels = 0
@@ -351,10 +347,7 @@ class ReadPlanner:
         self.levels += 1
         next_frontier: List[Tuple[int, int, int, RegionList]] = []
         for offset, size, hint, sub_wanted in self._frontier:
-            request = (offset, size, hint)
-            node = resolved[request]
-            if self.trace is not None:
-                self.trace[request] = node
+            node = resolved[(offset, size, hint)]
             if node is None:
                 for region in sub_wanted:
                     self.extents.append(ReadExtent(region.offset, region.size))

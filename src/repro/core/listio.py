@@ -10,6 +10,7 @@ buffers.  Both storage backends and every ADIO driver consume them.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -162,38 +163,25 @@ class IOVector:
     def coalesced(self) -> "IOVector":
         """Merge adjacent/overlapping *write* requests into larger ones.
 
-        Later requests win on overlapping bytes, matching :meth:`apply_to`.
-        Read vectors are returned with ranges normalized.
+        One request per maximal contiguous run of touched bytes — the runs
+        are ``region_list().normalized()``, gaps stay gaps.  Later requests
+        win on overlapping bytes, matching :meth:`apply_to`.  Read vectors
+        are returned with ranges normalized.
         """
-        if not self._requests:
-            return IOVector()
+        runs = self.region_list().normalized()
         if self.is_read:
-            ranges = self.region_list().normalized()
-            return IOVector.for_read([(r.offset, r.size) for r in ranges])
-
-        extent = self.covering_extent()
-        if extent.empty:
-            return IOVector()
-        buffer = bytearray(extent.size)
-        mask = bytearray(extent.size)
+            return IOVector.for_read(runs.as_tuples())
+        starts = [run.offset for run in runs]
+        buffers = [bytearray(run.size) for run in runs]
         for req in self._requests:
             if req.size == 0:
                 continue
-            start = req.offset - extent.offset
-            buffer[start:start + req.size] = req.data  # type: ignore[arg-type]
-            mask[start:start + req.size] = b"\x01" * req.size
-
-        pieces: List[Tuple[int, bytes]] = []
-        run_start: Optional[int] = None
-        for index in range(extent.size + 1):
-            covered = index < extent.size and mask[index]
-            if covered and run_start is None:
-                run_start = index
-            elif not covered and run_start is not None:
-                pieces.append((extent.offset + run_start,
-                               bytes(buffer[run_start:index])))
-                run_start = None
-        return IOVector.for_write(pieces)
+            # the runs are the union of the requests, so each request lies
+            # inside exactly one of them
+            index = bisect_right(starts, req.offset) - 1
+            start = req.offset - starts[index]
+            buffers[index][start:start + req.size] = req.data  # type: ignore[arg-type]
+        return IOVector.for_write(list(zip(starts, buffers)))
 
     def apply_to(self, content: bytearray) -> None:
         """Apply the write vector in request order onto ``content`` in place.

@@ -107,8 +107,7 @@ class ResolverDeath(Injector):
         client = driver.client
         injector = self
 
-        def dying_read(blob_id, vector, version=None, trace=None,
-                       holes=None):
+        def dying_read(blob_id, vector, version=None, holes=None):
             del client._vectored_read
             injector.fired = True
             raise StorageError("fuzz: resolver died mid-fetch")

@@ -44,9 +44,7 @@ class SharedList(list):
     first rank and reused by the rest — ``size`` times less host work with
     byte-identical results.  ``memo`` must only ever hold values that are
     a pure function of what every rank of this collective received
-    identically (the list contents, or another exchange of the same
-    protocol round that hands every rank the same items — the merged
-    read plan is keyed on the closing gather), never rank-specific state.
+    identically (the list contents), never rank-specific state.
     """
 
     __slots__ = ("memo",)

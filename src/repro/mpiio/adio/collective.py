@@ -11,12 +11,14 @@ separately costs one version ticket plus one copy-on-write metadata build
    ``num_aggregators`` contiguous, chunk-aligned stripes;
 2. exchanges the *data* (one ``alltoallv``) so each stripe's pieces land on
    the one aggregator rank that owns it;
-3. has each aggregator merge its pieces — sorted by source rank, so overlaps
-   resolve exactly as a serial application of the ranks' writes in rank
-   order — and stage the merged stripe in its
+3. has each aggregator assemble its file domain — the pieces applied in
+   source-rank order, so overlaps resolve exactly as a serial application of
+   the ranks' writes in rank order, onto one buffer per contiguous run of
+   written bytes (holes stay holes) — and stage those runs in its
    :class:`~repro.blobseer.writepath.coalescer.WriteCoalescer`, committing
    the whole group's collective as ``num_aggregators`` snapshot batches (one
-   ``allocate``, one ticket, one metadata build each) instead of ``N``;
+   ``allocate``, one ticket, one metadata build each) instead of ``N``, each
+   of one chunk per stripe unit however small the ranks' blocks were;
 4. shares the published watermark back with every rank in the closing
    ``allgather``, so each participant's client learns — at zero RPC cost —
    a published version containing its own data (read-your-writes without a
@@ -52,7 +54,8 @@ The read side (:class:`CollectiveReader`) is the mirror image: on a
 against the segment tree independently — ``N`` ``latest`` round-trips and
 ``N`` tree walks for one logical access.  The collective read instead
 
-1. allgathers the ranks' access descriptions plus their publication
+1. allgathers the ranks' access descriptions (strided runs run-length
+   encoded, as on the write side) plus their publication
    watermarks, pinning ONE snapshot version for the whole group: the maximum
    of every rank's watermark and consumed one-shot read hint, topped by a
    single ``latest`` RPC issued by the lead resolver only when it held no
@@ -62,21 +65,20 @@ against the segment tree independently — ``N`` ``latest`` round-trips and
    ``num_aggregators`` *resolver* ranks (same config/heuristic as the write
    side); each resolver runs one batched
    :class:`~repro.blobseer.metadata.segment_tree.ReadPlanner` walk through
-   its warm :class:`~repro.blobseer.metadata.cache.MetadataNodeCache` and
-   fetches its stripe's chunks — non-resolver ranks spend *zero* metadata
-   control RPCs;
-3. scatters the fetched pieces back over ``alltoallv``, piggybacking the
-   part of each resolver's traversal trace the group has not been sent by
-   an earlier collective, so every rank's node cache warms up from the
-   broadcast plan (subsequent independent reads start warm, again at zero
-   RPC cost) and each node crosses the interconnect to the group once;
-   never-written ranges travel as compact *hole descriptors* —
-   16 bytes each instead of their literal zero payload — and are
-   materialized locally by the receiving rank (zero-extent elision);
+   its :class:`~repro.blobseer.metadata.cache.MetadataNodeCache` (warm
+   from its own walk on every later round of the same snapshot) and fetches
+   its stripe's chunks — non-resolver ranks spend *zero* metadata control
+   RPCs;
+3. scatters bytes and nothing else over ``alltoallv``: each rank receives
+   the pieces of its wanted ranges, and never-written ranges travel as
+   compact *hole descriptors* — 16 bytes each instead of their literal zero
+   payload — materialized locally by the receiving rank (zero-extent
+   elision).  A resolver's traversal stays in its own cache: shipping it to
+   every rank is O(ranks x resolvers x nodes) of traffic that only spared a
+   later *independent* re-read one cold walk;
 4. shares outcomes in a closing ``allgather``: failures anywhere raise on
-   every rank (nobody hangs in a half-entered collective), caches are only
-   populated from complete, group-approved plans, and on success every rank
-   refreshes its one-shot read hint at the pinned version.
+   every rank (nobody hangs in a half-entered collective), and on success
+   every rank refreshes its one-shot read hint at the pinned version.
 """
 
 from __future__ import annotations
@@ -99,8 +101,54 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: that still demonstrates the aggregation win)
 DEFAULT_RANKS_PER_AGGREGATOR = 4
 
-#: wire size of one serialized ``(offset, size)`` access description entry
+#: wire size of one serialized ``(offset, size)`` access description entry;
+#: a strided run ``(offset, size, stride, count)`` costs two of them
 EXTENT_DESCRIPTION_BYTES = 16
+
+
+def encode_extents(extents: List[Tuple[int, int]]) -> List[Tuple[int, ...]]:
+    """Run-length encode one rank's access description for the allgather.
+
+    Three or more consecutive extents of equal size at a constant stride —
+    what a vector or subarray filetype flattens to — become one ``(offset,
+    size, stride, count)`` entry; any other extent stays ``(offset, size)``,
+    so an irregular list is exchanged, and priced, exactly as it is.
+    """
+    encoded: List[Tuple[int, ...]] = []
+    index, total = 0, len(extents)
+    while index < total:
+        offset, size = extents[index]
+        stop = index + 1
+        stride = extents[stop][0] - offset if stop < total else 0
+        while stop < total and extents[stop] == (
+                offset + (stop - index) * stride, size):
+            stop += 1
+        if stop - index >= 3:
+            encoded.append((offset, size, stride, stop - index))
+            index = stop
+        else:
+            encoded.append((offset, size))
+            index += 1
+    return encoded
+
+
+def expand_extents(encoded) -> List[Tuple[int, int]]:
+    """The ``(offset, size)`` extents :func:`encode_extents` was given."""
+    extents: List[Tuple[int, int]] = []
+    for entry in encoded:
+        if len(entry) == 2:
+            extents.append(entry)
+        else:
+            offset, size, stride, count = entry
+            extents.extend((offset + index * stride, size)
+                           for index in range(count))
+    return extents
+
+
+def _encoded_bytes(encoded) -> int:
+    """Wire size of an encoded description: 16 B a lone extent, 32 B a run."""
+    return sum(EXTENT_DESCRIPTION_BYTES * (len(entry) // 2)
+               for entry in encoded)
 
 
 def resolve_aggregator_count(size: int, configured: Optional[int] = None) -> int:
@@ -195,8 +243,9 @@ class CollectiveStats:
         }
 
 
-def _piece_bytes(piece: Tuple[int, int, bytes]) -> int:
-    """Wire size of one exchanged piece (payload plus a small header).
+def _piece_bytes(piece: Tuple) -> int:
+    """Wire size of one exchanged piece (its last field, the payload, plus
+    a small header).
 
     The header is one ``(offset, size)`` descriptor — the same
     :data:`EXTENT_DESCRIPTION_BYTES` a standalone extent description
@@ -205,18 +254,18 @@ def _piece_bytes(piece: Tuple[int, int, bytes]) -> int:
     their materialized size (pinned by the exact-accounting regression
     test over ``Communicator.bytes_moved``).
     """
-    return len(piece[2]) + EXTENT_DESCRIPTION_BYTES
+    return len(piece[-1]) + EXTENT_DESCRIPTION_BYTES
 
 
 def _description_bytes(contributions: Dict[int, Tuple],
                        per_entry_extra: int = 0) -> int:
     """Wire size of one opening allgather's access descriptions.
 
-    Healthy entries cost one :data:`EXTENT_DESCRIPTION_BYTES` per extent
-    (plus ``per_entry_extra`` fixed bytes per rank — the read side's
-    watermark), failure reports a flat 64.
+    Healthy entries cost their encoded description (plus
+    ``per_entry_extra`` fixed bytes per rank — the read side's watermark),
+    failure reports a flat 64.
     """
-    return sum(EXTENT_DESCRIPTION_BYTES * len(entry[1]) + per_entry_extra
+    return sum(_encoded_bytes(entry[1]) + per_entry_extra
                if entry[0] == "ok" else 64
                for entry in contributions.values())
 
@@ -259,29 +308,18 @@ def _shared_memo(gathered, key, compute):
     return value
 
 
-def _merge_plans(inbound) -> Dict:
-    """Deduplicate the resolvers' shipped plans into one lookup map.
+def _scan_gather(gathered) -> Tuple[list, list, int, int, int]:
+    """One pass over an opening gather: errors, extents, version pin, hull.
 
-    ``inbound`` holds the ``(pieces, holes, plan)`` items in source-rank
-    order, so the first resolver to ship a lookup decides its slot and the
-    absorption order is deterministic.
-    """
-    merged: Dict = {}
-    for _pieces, _holes, plan in inbound:
-        for request, node in plan:
-            merged.setdefault(request, node)
-    return merged
-
-
-def _scan_write_gather(gathered) -> Tuple[list, list, list, int, int]:
-    """One pass over the opening gather: errors, extents, data hull.
-
-    Returns ``(early_errors, extents_by_rank, data_extents, lo, hi)``;
-    ``lo``/``hi`` are 0 when no rank brought data bytes.
+    Returns ``(early_errors, extents_by_rank, pinned, lo, hi)``.  ``hi`` is
+    0 exactly when no rank brought data bytes; ``pinned`` is the maximum
+    watermark the healthy ranks of a *read* brought (0 on the write side,
+    whose entries carry none; meaningless, but safe, when any rank reported
+    an error).
     """
     early_errors: list = []
     extents_by_rank: list = []
-    data_extents: list = []
+    pinned = 0
     lo = None
     hi = 0
     for entry in gathered:
@@ -289,17 +327,19 @@ def _scan_write_gather(gathered) -> Tuple[list, list, list, int, int]:
             early_errors.append(entry[1])
             extents_by_rank.append(())
             continue
-        extents = entry[1]
+        extents = expand_extents(entry[1])
         extents_by_rank.append(extents)
+        for floor in entry[2:]:
+            if floor > pinned:
+                pinned = floor
         for offset, size in extents:
             if size:
-                data_extents.append((offset, size))
                 if lo is None or offset < lo:
                     lo = offset
                 end = offset + size
                 if end > hi:
                     hi = end
-    return early_errors, extents_by_rank, data_extents, lo or 0, hi
+    return early_errors, extents_by_rank, pinned, lo or 0, hi
 
 
 def _plan_write_partition(size: int, count: int, lo: int, hi: int,
@@ -320,39 +360,6 @@ def _plan_write_partition(size: int, count: int, lo: int, hi: int,
         if first is not None:
             attributed[_domain_index(first, domains, domain_ends)] += 1
     return owners, domains, domain_ends, attributed
-
-
-def _scan_read_gather(gathered) -> Tuple[list, list, int, list, int, int]:
-    """One pass over a read collective's opening gather.
-
-    Returns ``(early_errors, extents_by_rank, pinned, data_extents, lo,
-    hi)``; ``pinned`` is the maximum watermark the healthy ranks brought
-    (meaningless, but safe, when any rank reported an error).
-    """
-    early_errors: list = []
-    extents_by_rank: list = []
-    data_extents: list = []
-    pinned = 0
-    lo = None
-    hi = 0
-    for entry in gathered:
-        if entry[0] == "err":
-            early_errors.append(entry[1])
-            extents_by_rank.append(())
-            continue
-        extents = entry[1]
-        extents_by_rank.append(extents)
-        if entry[2] > pinned:
-            pinned = entry[2]
-        for offset, size in extents:
-            if size:
-                data_extents.append((offset, size))
-                if lo is None or offset < lo:
-                    lo = offset
-                end = offset + size
-                if end > hi:
-                    hi = end
-    return early_errors, extents_by_rank, pinned, data_extents, lo or 0, hi
 
 
 class _CollectiveParticipant:
@@ -427,8 +434,8 @@ class CollectiveAggregator(_CollectiveParticipant):
         try:
             if client.coalescer.pending_writes(blob_id):
                 yield from client.coalescer.flush(blob_id)
-            opening = ("ok", [(request.offset, request.size)
-                              for request in vector])
+            opening = ("ok", encode_extents(
+                [(request.offset, request.size) for request in vector]))
         except Exception as exc:
             failure = exc
             opening = ("err", f"rank {rank}: {exc!r}")
@@ -439,14 +446,13 @@ class CollectiveAggregator(_CollectiveParticipant):
         # actual entry count, not a flat guess, and counted into the stats
         ctx = client.trace_ctx
         if opening[0] == "ok":
-            self.stats.bytes_sent += \
-                EXTENT_DESCRIPTION_BYTES * len(opening[1])
+            self.stats.bytes_sent += _encoded_bytes(opening[1])
         gathered = yield from _phase(
             ctx, comm.allgather(rank, opening,
                                 payload_bytes=_description_bytes),
             "collective.write.describe", rank=rank)
-        early_errors, extents_by_rank, data_extents, lo, hi = _shared_memo(
-            gathered, "write_scan", lambda: _scan_write_gather(gathered))
+        early_errors, extents_by_rank, _pinned, lo, hi = _shared_memo(
+            gathered, "scan", lambda: _scan_gather(gathered))
         if early_errors:
             # another rank's phase-0 flush may have published while ours
             # failed; a pre-collective hint is not trustworthy after a
@@ -457,7 +463,7 @@ class CollectiveAggregator(_CollectiveParticipant):
             raise MPIIOError(
                 "collective write aborted before the exchange: "
                 + "; ".join(early_errors))
-        if not data_extents:
+        if not hi:
             # collectively zero bytes (empty vectors, or only zero-size
             # requests): nothing to exchange or commit anywhere
             self.stats.collectives += 1
@@ -509,8 +515,9 @@ class CollectiveAggregator(_CollectiveParticipant):
                                           for piece in pieces)),
             "collective.write.exchange_data", rank=rank)
 
-        # phase 3 (aggregators): merge in (source rank, sequence) order —
-        # the serial rank-order application — and commit via the coalescer
+        # phase 3 (aggregators): assemble the stripe in (source rank,
+        # sequence) order — the serial rank-order application — and commit
+        # its contiguous runs via the coalescer
         closing = ("ok", 0)
         if failure is not None:
             closing = ("err", f"rank {rank}: {failure!r}")
@@ -553,28 +560,37 @@ class CollectiveAggregator(_CollectiveParticipant):
     def _commit_stripe(self, blob_id: str,
                        received: Dict[int, List[Tuple[int, int, bytes]]],
                        attributed_writes: int, self_rank: int):
-        """Merge the received pieces and publish them as one snapshot batch.
+        """Assemble the stripe and publish it as one snapshot batch.
 
-        Pieces are ordered by (source rank, sequence): within one
-        :class:`~repro.core.listio.IOVector` later requests win on
-        overlapping bytes, so the merged stripe equals applying the ranks'
+        The received pieces are applied in (source rank, sequence) order
+        onto one buffer per maximal contiguous run of the stripe's written
+        bytes (:meth:`~repro.core.listio.IOVector.coalesced`: later requests
+        win on overlapping bytes, so the result equals applying the ranks'
         accesses serially in rank order — the resolution the conformance
-        suite pins.  Returns the published version (0 if the stripe was
-        empty).
+        suite pins; holes stay holes, nothing is zero-filled).  Those runs,
+        not the pieces, are what the coalescer stages: every layer below
+        sees one chunk per stripe unit however small the ranks' blocks
+        were.  Returns the published version (0 if the stripe was empty).
         """
         pieces = [(source, sequence, offset, data)
-                  for source, items in sorted(received.items())
+                  for source, items in received.items()
                   for sequence, offset, data in items
                   if data]
         if not pieces:
             return 0
-        pieces.sort(key=lambda piece: (piece[0], piece[1], piece[2]))
+        pieces.sort(key=lambda piece: piece[:3])
         self.stats.bytes_received += sum(
-            _piece_bytes((sequence, offset, data))
-            for source, sequence, offset, data in pieces
-            if source != self_rank)
+            _piece_bytes(piece) for piece in pieces
+            if piece[0] != self_rank)
         stripe_vector = IOVector.for_write(
-            [(offset, data) for _source, _sequence, offset, data in pieces])
+            [(offset, data) for _source, _sequence, offset, data in pieces]
+        ).coalesced()
+        # the run buffers replace the pieces: release this rank's receive
+        # buffers now rather than when the collective returns (holding both
+        # through the commit is a dump's worth of extra peak memory)
+        del pieces
+        for items in received.values():
+            items.clear()
         coalescer = self.client.coalescer
         staged = yield from coalescer.enqueue(blob_id, stripe_vector,
                                               logical_writes=attributed_writes)
@@ -597,7 +613,7 @@ class CollectiveReadStats:
     #: collective reads this rank participated in
     collectives: int = 0
     #: exchange bytes this rank contributed: access descriptions (phase 1)
-    #: plus data pieces and plan nodes shipped to other ranks (phase 3)
+    #: plus data pieces and hole descriptors shipped to other ranks (phase 3)
     bytes_sent: int = 0
     #: payload bytes this rank received from other ranks
     bytes_received: int = 0
@@ -607,11 +623,6 @@ class CollectiveReadStats:
     version_rpcs: int = 0
     #: lead-resolver version resolutions served by a consumed read hint
     version_rpcs_elided: int = 0
-    #: metadata plan entries this rank shipped to its peers
-    plan_nodes_shipped: int = 0
-    #: plan entries this rank, as a resolver, did not ship to its peers
-    #: because an earlier collective already sent them to the whole group
-    plan_nodes_elided: int = 0
     #: never-written bytes this rank, as a resolver, shipped as compact
     #: hole descriptors instead of literal zeros (zero-extent elision:
     #: these bytes would have crossed the interconnect without it)
@@ -626,8 +637,6 @@ class CollectiveReadStats:
             "stripes_resolved": self.stripes_resolved,
             "version_rpcs": self.version_rpcs,
             "version_rpcs_elided": self.version_rpcs_elided,
-            "plan_nodes_shipped": self.plan_nodes_shipped,
-            "plan_nodes_elided": self.plan_nodes_elided,
             "hole_bytes_elided": self.hole_bytes_elided,
         }
 
@@ -642,20 +651,16 @@ class CollectiveReader(_CollectiveParticipant):
     the aggregator set (same count chain, same spread): placement wants the
     same properties on both sides, and one knob keeps the two in agreement.
 
-    The plan broadcast is a delta: each instance remembers, per
-    (communicator, blob), the lookups of every plan the group approved, and
-    a resolver ships a trace entry only when it is not among them.  The
-    memory is what the group *was sent*, not what this rank's cache holds —
-    a resolver's privately cached entries still travel the first time.
+    The exchange moves bytes only: a resolver's metadata traversal warms its
+    own cache (so it walks a snapshot cold once, whatever the round count)
+    and is never shipped — the other ranks do not touch the control plane
+    inside a collective and have no use for it there.
     """
 
     def __init__(self, client: "BlobClient",
                  num_resolvers: Optional[int] = None):
         super().__init__(client, num_resolvers)
         self.stats = CollectiveReadStats()
-        #: (communicator, blob) -> lookups every rank of that communicator
-        #: absorbed from approved plans (identical on every rank of it)
-        self._group_known: Dict[Tuple[Communicator, str], set] = {}
 
     # ------------------------------------------------------------------
     def collective_read(self, blob_id: str, vector: IOVector, rank: int,
@@ -669,7 +674,6 @@ class CollectiveReader(_CollectiveParticipant):
         of the protocol failed.
         """
         client = self.client
-        node_size = client.cluster.config.metadata_node_size
         failure: Optional[BaseException] = None
         owners: List[int] = []
         floor = 0
@@ -695,9 +699,9 @@ class CollectiveReader(_CollectiveParticipant):
                 else:
                     client.latest_rpcs_elided += 1
                     self.stats.version_rpcs_elided += 1
-            opening = ("ok",
-                       [(request.offset, request.size) for request in vector],
-                       floor)
+            opening = ("ok", encode_extents(
+                [(request.offset, request.size) for request in vector]),
+                floor)
         except Exception as exc:
             failure = exc
             opening = ("err", f"rank {rank}: {exc!r}")
@@ -707,8 +711,7 @@ class CollectiveReader(_CollectiveParticipant):
         # learns that the collective already died)
         ctx = client.trace_ctx
         if opening[0] == "ok":
-            self.stats.bytes_sent += \
-                EXTENT_DESCRIPTION_BYTES * len(opening[1]) + 8
+            self.stats.bytes_sent += _encoded_bytes(opening[1]) + 8
         gathered = yield from _phase(
             ctx, comm.allgather(
                 rank, opening,
@@ -719,9 +722,8 @@ class CollectiveReader(_CollectiveParticipant):
         # version (watermarks and hints only ever record published ones),
         # so the maximum is published too — and at least as new as every
         # rank's own commits
-        early_errors, extents_by_rank, pinned, data_extents, lo, hi = \
-            _shared_memo(gathered, "read_scan",
-                         lambda: _scan_read_gather(gathered))
+        early_errors, extents_by_rank, pinned, lo, hi = _shared_memo(
+            gathered, "scan", lambda: _scan_gather(gathered))
         if early_errors:
             # a rank that failed before consuming its hint must not keep it:
             # a peer's phase-0 barrier may have published in the meantime
@@ -731,7 +733,7 @@ class CollectiveReader(_CollectiveParticipant):
             raise MPIIOError(
                 "collective read aborted before the exchange: "
                 + "; ".join(early_errors))
-        if not data_extents:
+        if not hi:
             # collectively zero bytes: nothing to resolve or ship anywhere,
             # but the group still synchronized on the pinned version
             self.stats.collectives += 1
@@ -744,7 +746,7 @@ class CollectiveReader(_CollectiveParticipant):
         # empty-handed and reports through the closing phase, so its peers
         # never hang mid-collective.  Non-resolver ranks ship nothing at
         # all — the exchange is sparse on their side.
-        send: Dict[int, Tuple[List[Tuple[int, bytes]], list, list]] = {}
+        send: Dict[int, Tuple[List[Tuple[int, bytes]], list]] = {}
         if failure is None:
             try:
                 blob = yield from client._descriptor(blob_id)
@@ -766,22 +768,20 @@ class CollectiveReader(_CollectiveParticipant):
                     send = yield from _phase(
                         ctx, self._resolve_stripe(
                             blob_id, pinned, domains[owners.index(rank)],
-                            wanted_full, comm, rank),
+                            wanted_full, rank),
                         "collective.read.resolve", rank=rank,
                         version=pinned)
             except Exception as exc:
                 failure = exc
                 send = {}
 
-        # phase 3: scatter fetched pieces (and the plan trace) to the ranks.
+        # phase 3: scatter the fetched pieces to the ranks that want them.
         # Never-written ranges travel as (offset, length) hole descriptors —
         # 16 bytes each — instead of their literal zero payload
         def item_bytes(item):
-            pieces, piece_holes, plan = item
-            return (sum(len(data) + EXTENT_DESCRIPTION_BYTES
-                        for _offset, data in pieces)
-                    + len(piece_holes) * EXTENT_DESCRIPTION_BYTES
-                    + len(plan) * node_size)
+            pieces, piece_holes = item
+            return (sum(_piece_bytes(piece) for piece in pieces)
+                    + len(piece_holes) * EXTENT_DESCRIPTION_BYTES)
 
         self.stats.bytes_sent += sum(item_bytes(item)
                                      for destination, item in send.items()
@@ -790,7 +790,7 @@ class CollectiveReader(_CollectiveParticipant):
             ctx, comm.alltoallv_sparse(rank, send, sizeof=item_bytes),
             "collective.read.scatter", rank=rank)
 
-        # phase 4: share outcomes; only a group-approved plan touches caches
+        # phase 4: share outcomes
         closing = ("ok", pinned)
         if failure is not None:
             closing = ("err", f"rank {rank}: {failure!r}")
@@ -810,30 +810,17 @@ class CollectiveReader(_CollectiveParticipant):
         self.stats.bytes_received += sum(
             item_bytes(item) for source, item in received.items()
             if source != rank)
-        # the group pin is a published version every rank must remember
-        # *before* absorbing the plan: recording it re-plants the one-shot
-        # hint and opens the shared tier's watermark gate for the plan's
-        # nodes (all resolved at or below the pin)
+        # the group pin is a published version every rank remembers:
+        # recording it re-plants the one-shot hint
         client.note_collective_read(blob_id, pinned)
-        # cache warming from the broadcast plan: resolved lookups of the
-        # pinned (published, immutable) snapshot.  Every resolver ships one
-        # plan to all ranks, so the merge is the same on every rank and is
-        # derived once per collective; from here on the group holds it
-        inbound = [item for _source, item in sorted(received.items())]
-        merged = _shared_memo(outcomes, "read_plan",
-                              lambda: _merge_plans(inbound))
-        if merged:
-            client.absorb_plan_nodes(blob_id, merged.items())
-            self._group_known.setdefault((comm, blob_id),
-                                         set()).update(merged)
 
         # hole descriptors materialize locally — the zeros never crossed
         # the interconnect
         fetched = [(offset, len(data), data)
-                   for pieces, _holes, _plan in inbound
+                   for pieces, _holes in received.values()
                    for offset, data in pieces]
         fetched.extend((offset, length, b"\x00" * length)
-                       for _pieces, piece_holes, _plan in inbound
+                       for _pieces, piece_holes in received.values()
                        for offset, length in piece_holes)
         results = client._assemble(vector, fetched)
         self.stats.collectives += 1
@@ -842,24 +829,22 @@ class CollectiveReader(_CollectiveParticipant):
     # ------------------------------------------------------------------
     def _resolve_stripe(self, blob_id: str, version: int,
                         domain: Tuple[int, int],
-                        wanted_full: List[RegionList],
-                        comm: Communicator, rank: int):
+                        wanted_full: List[RegionList], rank: int):
         """Resolve and fetch one stripe; cut the bytes per destination rank.
 
         One batched :class:`~repro.blobseer.metadata.segment_tree.
         ReadPlanner` walk over the union of every rank's wanted bytes within
         the stripe (each metadata node resolved once however many ranks want
         it), one parallel chunk fetch, then per-rank extraction.  Returns
-        the ``send`` map for the sparse data exchange: ``(pieces, holes,
-        plan)`` per destination — ``holes`` are the never-written ranges
-        within that rank's wanted bytes, shipped as ``(offset, length)``
-        descriptors instead of literal zero payloads (zero-extent elision),
-        and ``plan`` is the part of the traversal trace the group has not
-        been sent before, which every rank uses to warm its cache (shipped
-        to every rank, wanted bytes or not).
+        the ``send`` map for the sparse data exchange: ``(pieces, holes)``
+        for each destination that wants bytes of this stripe — ``holes`` are
+        the never-written ranges within that rank's wanted bytes, shipped as
+        ``(offset, length)`` descriptors instead of literal zero payloads
+        (zero-extent elision).  The walk warms this resolver's own cache and
+        goes nowhere else.
         """
         start, end = domain
-        send: Dict[int, Tuple[List[Tuple[int, bytes]], list, list]] = {}
+        send: Dict[int, Tuple[List[Tuple[int, bytes]], list]] = {}
         if end <= start:
             return send
         stripe = Region(start, end - start)
@@ -868,22 +853,18 @@ class CollectiveReader(_CollectiveParticipant):
         if len(union) == 0:
             return send
 
-        trace: Dict = {}
         zero_extents: List[Region] = []
         pieces = yield from self.client._vectored_read(
             blob_id, IOVector.for_read(union.as_tuples()), version,
-            trace=trace, holes=zero_extents)
+            holes=zero_extents)
         self.stats.stripes_resolved += 1
-        known = self._group_known.get((comm, blob_id), ())
-        plan = [entry for entry in trace.items() if entry[0] not in known]
-        self.stats.plan_nodes_shipped += len(plan) * (comm.size - 1)
-        self.stats.plan_nodes_elided += \
-            (len(trace) - len(plan)) * (comm.size - 1)
         hole_list = RegionList(zero_extents).normalized()
         have_holes = len(hole_list) > 0
 
         buffers = list(zip(union, pieces))
         for destination, wanted in enumerate(wanted_by_rank):
+            if len(wanted) == 0:
+                continue
             cut: List[Tuple[int, bytes]] = []
             cut_holes: List[Tuple[int, int]] = []
             index = 0
@@ -911,5 +892,5 @@ class CollectiveReader(_CollectiveParticipant):
             if destination != rank:
                 self.stats.hole_bytes_elided += sum(length for _offset, length
                                                     in cut_holes)
-            send[destination] = (cut, cut_holes, plan)
+            send[destination] = (cut, cut_holes)
         return send

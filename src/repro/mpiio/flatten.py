@@ -14,7 +14,7 @@ representation every ADIO driver consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.listio import IOVector
 from repro.core.regions import Region, RegionList
@@ -29,6 +29,11 @@ class FileView:
     displacement: int = 0
     etype: Datatype = BYTE
     filetype: Datatype = field(default_factory=lambda: BYTE)
+    #: the last ``(offset, nbytes)`` access flattened under this view, with
+    #: its regions: a restart reads back through the view the dump was
+    #: written through.  ``set_view`` installs a new object, which drops it.
+    _last_access: Optional[Tuple[Tuple[int, int], RegionList]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.displacement < 0:
@@ -56,7 +61,14 @@ def flatten_view_access(view: FileView, offset_etypes: int,
         raise MPIIOError(f"negative access size {nbytes}")
     if nbytes == 0:
         return RegionList()
+    access = (offset_etypes, nbytes)
+    if view._last_access is None or view._last_access[0] != access:
+        view._last_access = (access, _flatten(view, offset_etypes, nbytes))
+    return view._last_access[1]
 
+
+def _flatten(view: FileView, offset_etypes: int, nbytes: int) -> RegionList:
+    """The regions of a valid, non-empty access (uncached)."""
     skip_bytes = offset_etypes * view.etype.size
     tile_regions = view.filetype.flatten()
     tile_data_bytes = view.filetype.size

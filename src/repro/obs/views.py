@@ -119,8 +119,6 @@ def collect_clients(registry: "MetricsRegistry",
         registry.add("metadata.client.latest_rpcs", client.latest_rpcs)
         registry.add("metadata.client.latest_rpcs_elided",
                      client.latest_rpcs_elided)
-        registry.add("metadata.client.plan_nodes_absorbed",
-                     client.plan_nodes_absorbed)
         registry.add("metadata.client.cache_primed_nodes",
                      client.cache_primed_nodes)
         registry.add("metadata.client.write_control_rpcs",
@@ -199,10 +197,11 @@ def collect_collective(registry: "MetricsRegistry",
                        drivers: Iterable["VersioningDriver"]) -> None:
     """Collective-buffering and collective-read counters across ranks.
 
-    Every ``snapshot()`` key lands under its own name, so the delta plan
-    broadcast reads off ``collective.read.plan_nodes_shipped`` against
-    ``collective.read.plan_nodes_elided`` (what full shipping would have
-    added), beside ``metadata.client.plan_nodes_absorbed``.
+    Every ``snapshot()`` key lands under its own name:
+    ``collective.{write,read}.bytes_sent`` is the exchange traffic each side
+    spends (encoded descriptions plus pieces and hole descriptors),
+    ``collective.read.hole_bytes_elided`` what the descriptors kept off
+    the interconnect.
     """
     for driver in drivers:
         for key, value in driver.aggregator.stats.snapshot().items():

@@ -333,35 +333,3 @@ class TestConcurrentWriters:
         assert common
         for version in common:
             assert truth[version] == truth_private[version], version
-
-
-class TestCollectiveWarmsTheNode:
-    def test_absorbed_plan_reaches_the_shared_tier(self):
-        """absorb_plan_nodes (the collective read broadcast) populates the
-        shared tier, so one collective warms the whole node — co-tenants
-        that never participated read at zero RPCs."""
-        cluster, deployment = build()
-        node = cluster.add_node("cn0")
-        participant = VectoredClient(deployment, node, name="p")
-        bystander = VectoredClient(deployment, node, name="b")
-        seeder = VectoredClient(deployment, cluster.add_node("seed"),
-                                name="s", shared_metadata_cache=False)
-
-        def main():
-            yield from seeder.create_blob(BLOB, FILE_SIZE)
-            yield from seeder.vwrite_and_wait(BLOB, [(0, b"c" * CHUNK)])
-            # a resolver elsewhere shipped its trace; the participant
-            # absorbs it exactly as the collective read protocol does
-            trace = {}
-            yield from seeder._vectored_read(
-                BLOB, seeder._as_read_vector([(0, CHUNK)]), 1, trace=trace)
-            participant.note_collective_read(BLOB, 1)
-            participant.absorb_plan_nodes(BLOB, list(trace.items()))
-            pieces = yield from bystander.vread(BLOB, [(0, CHUNK)], 1)
-            return pieces
-
-        assert run(cluster, main()) == [b"c" * CHUNK]
-        assert bystander.metadata_read_rpcs == 0
-        assert bystander.tiers.count("node", "hits") > 0
-        assert participant.plan_nodes_absorbed > 0
-        assert_gate_invariant(deployment)

@@ -203,16 +203,15 @@ def test_chunk_ranges_are_a_list_too():
             return dict(zip(requests, pieces)), []
 
     # which chunk ranges hold the first leaves: resolved once, by the seeder
-    trace = {}
-    run(cluster, seeder._vectored_read(
-        BLOB, seeder._as_read_vector([(0, 4 * CHUNK)]), 1, trace=trace))
+    blob = run(cluster, seeder.open_blob(BLOB))
+    plan = run(cluster, seeder._resolve_metadata(
+        blob, 1, seeder._as_read_vector([(0, 4 * CHUNK)]).region_list()))
     wanted = {}
-    for (offset, _size, _hint), leaf in trace.items():
-        if leaf is not None and leaf.is_leaf:
-            for segment in leaf.segments:
-                wanted.setdefault(segment.provider_id, []).append(
-                    (offset + segment.rel_offset,
-                     (segment.chunk, segment.chunk_offset, segment.length)))
+    for extent in plan.extents:
+        if not extent.is_zero:
+            wanted.setdefault(extent.provider_id, []).append(
+                (extent.offset,
+                 (extent.chunk, extent.chunk_offset, extent.length)))
     assert wanted
 
     source = ChunkSource()

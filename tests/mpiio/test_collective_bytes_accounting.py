@@ -1,4 +1,4 @@
-"""Exact ``Communicator.bytes_moved`` accounting of a collective read.
+"""Exact ``Communicator.bytes_moved`` accounting of the collectives.
 
 The collective-read scatter ships never-written ranges as compact
 ``(offset, length)`` hole descriptors — :data:`EXTENT_DESCRIPTION_BYTES`
@@ -8,13 +8,26 @@ read is recomputed from the raw exchanged items with a reference formula
 and must equal, byte for byte, what the communicator charged into
 ``bytes_moved``.  A regression to literal-zero shipping (or any drift in
 the descriptor constant) breaks the equality immediately.
+
+The opening allgather of both sides carries run-length encoded access
+descriptions — 32 bytes for a strided run, 16 for a lone extent — and is
+pinned the same way: the encoded list is what is exchanged *and* what is
+priced.
 """
+
+import random
 
 import pytest
 
+from repro.mpi.datatypes import BYTE, Vector
 from repro.mpi.launcher import run_mpi_job
 from repro.mpi.simcomm import Communicator
-from repro.mpiio.adio.collective import EXTENT_DESCRIPTION_BYTES
+from repro.mpiio.adio.collective import (
+    EXTENT_DESCRIPTION_BYTES,
+    _encoded_bytes,
+    encode_extents,
+    expand_extents,
+)
 from repro.mpiio.adio.versioning import VersioningDriver
 from repro.mpiio.file import File
 
@@ -52,43 +65,39 @@ def charge_log(monkeypatch):
     return log
 
 
-def _item_wire_bytes(item, node_size):
+def _item_wire_bytes(item):
     """Reference price of one scatter item: payload pieces with a
-    16-byte header each, 16 bytes per hole descriptor, ``node_size``
-    per piggybacked plan node."""
-    pieces, piece_holes, plan = item
+    16-byte header each, 16 bytes per hole descriptor — and nothing else
+    (the scatter carries no metadata plan)."""
+    pieces, piece_holes = item
     return (sum(len(data) + EXTENT_DESCRIPTION_BYTES
                 for _offset, data in pieces)
-            + len(piece_holes) * EXTENT_DESCRIPTION_BYTES
-            + len(plan) * node_size)
+            + len(piece_holes) * EXTENT_DESCRIPTION_BYTES)
 
 
-def _reference_bottleneck(contributions, node_size,
-                          pricer=_item_wire_bytes):
+def _reference_bottleneck(contributions, pricer=_item_wire_bytes):
     """The sparse alltoallv cost model, reimplemented independently."""
     load = [0] * NUM_RANKS
     for src in range(NUM_RANKS):
         for dst, item in contributions[src].items():
             if dst == src:
                 continue
-            nbytes = pricer(item, node_size)
+            nbytes = pricer(item)
             load[src] += nbytes
             load[dst] += nbytes
     return max(load)
 
 
-def _item_literal_bytes(item, node_size):
+def _item_literal_bytes(item):
     """Counterfactual price with holes shipped as literal zeros."""
-    pieces, piece_holes, plan = item
+    pieces, piece_holes = item
     return (sum(len(data) + EXTENT_DESCRIPTION_BYTES
                 for _offset, data in pieces)
-            + sum(length for _offset, length in piece_holes)
-            + len(plan) * node_size)
+            + sum(length for _offset, length in piece_holes))
 
 
 def test_collective_read_bytes_moved_exact(charge_log):
     cluster, deployment = make_quick_deployment(chunk_size=CHUNK)
-    node_size = cluster.config.metadata_node_size
     marks = {}
 
     def rank_main(ctx):
@@ -134,19 +143,18 @@ def test_collective_read_bytes_moved_exact(charge_log):
     assert describe_bytes == NUM_RANKS * (EXTENT_DESCRIPTION_BYTES + 8)
 
     # phase 3: the charge must equal the descriptor-priced bottleneck
-    assert scatter_bytes == _reference_bottleneck(scatter_contribs,
-                                                  node_size)
+    assert scatter_bytes == _reference_bottleneck(scatter_contribs)
 
     # the scenario genuinely exercised hole elision: each rank's block is
     # three-quarters never-written, and shipping those zeros literally
     # would have cost strictly more than the descriptor pricing did
     hole_bytes = sum(length
                      for send_map in scatter_contribs.values()
-                     for _pieces, holes, _plan in send_map.values()
+                     for _pieces, holes in send_map.values()
                      for _offset, length in holes)
     assert hole_bytes >= (NUM_RANKS - 1) * (BLOCK - WRITE)
     assert scatter_bytes < _reference_bottleneck(
-        scatter_contribs, node_size, pricer=_item_literal_bytes)
+        scatter_contribs, pricer=_item_literal_bytes)
 
     # phase 4: the closing allgather uses the default 64-byte estimate
     assert closing_bytes == 64 * NUM_RANKS
@@ -154,3 +162,103 @@ def test_collective_read_bytes_moved_exact(charge_log):
     # and nothing else was charged into bytes_moved inside the window
     assert end_bytes - start_bytes == \
         describe_bytes + scatter_bytes + closing_bytes
+
+
+# ----------------------------------------------------------------------
+# the describe phase ships strided runs
+# ----------------------------------------------------------------------
+def test_a_strided_access_is_one_run_and_an_irregular_one_is_itself():
+    strided = [(4096 + index * 65536, 1024) for index in range(256)]
+    assert encode_extents(strided) == [(4096, 1024, 65536, 256)]
+    assert _encoded_bytes(encode_extents(strided)) \
+        == 2 * EXTENT_DESCRIPTION_BYTES
+    # equal sizes at uneven strides, equal strides at uneven sizes, and a
+    # two-element "run": none of them is a run
+    irregular = [(0, 8), (16, 8), (40, 8), (64, 4), (80, 8), (96, 2)]
+    assert encode_extents(irregular) == irregular
+    assert _encoded_bytes(irregular) \
+        == EXTENT_DESCRIPTION_BYTES * len(irregular)
+    # a run embedded between lone extents, zero-size entries, descending
+    # and zero strides all survive the round trip
+    mixed = ([(5, 3)] + [(100 + 10 * index, 4) for index in range(5)]
+             + [(7, 0), (900, 4), (800, 4), (700, 4), (3, 1), (3, 1), (3, 1)])
+    assert encode_extents(mixed) == [(5, 3), (100, 4, 10, 5), (7, 0),
+                                     (900, 4, -100, 3), (3, 1, 0, 3)]
+    assert expand_extents(encode_extents(mixed)) == mixed
+    assert encode_extents([]) == [] == expand_extents([])
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_encoding_round_trips_and_never_costs_more(seed):
+    rng = random.Random(seed)
+    extents = []
+    while len(extents) < 60:
+        if rng.random() < 0.4:
+            offset, size = rng.randrange(10_000), rng.randrange(0, 50)
+            stride = rng.randrange(-64, 256)
+            extents.extend((offset + index * stride, size)
+                           for index in range(rng.randint(2, 9))
+                           if offset + index * stride >= 0)
+        else:
+            extents.append((rng.randrange(10_000), rng.randrange(0, 50)))
+    encoded = encode_extents(extents)
+    assert expand_extents(encoded) == extents
+    assert _encoded_bytes(encoded) <= EXTENT_DESCRIPTION_BYTES * len(extents)
+    assert all(len(entry) == 2 or entry[3] >= 3 for entry in encoded)
+
+
+def test_collective_write_bytes_moved_exact(charge_log):
+    """Interleaved quarter-chunk blocks, one aggregator: each rank's
+    description is one 32-byte run, the exchange is the other three ranks'
+    pieces at payload + 16 bytes each, and ``bytes_sent`` counts exactly
+    what the communicator charged."""
+    block, blocks = CHUNK // 4, 4
+    cluster, deployment = make_quick_deployment(chunk_size=CHUNK)
+    drivers, marks = {}, {}
+
+    def rank_main(ctx):
+        driver = VersioningDriver(deployment, ctx.node,
+                                  rank_name=f"acct{ctx.rank}",
+                                  write_coalescing=True,
+                                  collective_buffering=True,
+                                  collective_aggregators=1)
+        drivers[ctx.rank] = driver
+        handle = yield from File.open(driver, "/acct", rank=ctx.rank,
+                                      comm=ctx.comm, size_hint=FILE_SIZE)
+        handle.set_view(ctx.rank * block, BYTE,
+                        Vector(blocks, block, NUM_RANKS * block, BYTE))
+        yield from ctx.comm.barrier(ctx.rank)
+        marks.setdefault("start", (ctx.comm.bytes_moved, len(charge_log)))
+        yield from handle.write_at_all(
+            0, bytes([ctx.rank + 1]) * (blocks * block))
+        yield from ctx.comm.barrier(ctx.rank)
+        marks.setdefault("end", (ctx.comm.bytes_moved, len(charge_log)))
+        yield from handle.close()
+
+    run_mpi_job(cluster, NUM_RANKS, rank_main, node_prefix="acct-rank")
+
+    start_bytes, start_idx = marks["start"]
+    end_bytes, end_idx = marks["end"]
+    charged = [entry for entry in charge_log[start_idx:end_idx]
+               if entry[0] != "barrier"]
+    assert [op for op, _, _ in charged] == \
+        ["allgather", "alltoallv", "allgather"]
+    (_, describe_bytes, describe_contribs) = charged[0]
+    (_, exchange_bytes, _) = charged[1]
+    (_, closing_bytes, _) = charged[2]
+
+    # the encoded list is what was exchanged, not only what was priced
+    for rank, entry in describe_contribs.items():
+        assert entry == ("ok", [(rank * block, block, NUM_RANKS * block,
+                                 blocks)])
+    assert describe_bytes == NUM_RANKS * 2 * EXTENT_DESCRIPTION_BYTES
+    # rank 0 aggregates: three ranks ship four pieces each to it
+    pieces = (NUM_RANKS - 1) * blocks * (block + EXTENT_DESCRIPTION_BYTES)
+    assert exchange_bytes == pieces
+    assert closing_bytes == 64 * NUM_RANKS
+    assert end_bytes - start_bytes == \
+        describe_bytes + exchange_bytes + closing_bytes
+    stats = [driver.aggregator.stats for driver in drivers.values()]
+    assert sum(entry.bytes_sent for entry in stats) \
+        == describe_bytes + pieces
+    assert sum(entry.bytes_received for entry in stats) == pieces

@@ -21,6 +21,7 @@ semantics :mod:`repro.mpiio.adio.collective` promises.
 
 import pytest
 
+from repro.core.regions import RegionList
 from repro.errors import MPIIOError
 from repro.mpi.datatypes import BYTE
 from repro.mpi.launcher import run_mpi_job
@@ -187,6 +188,49 @@ def test_collective_commits_one_batch_per_active_aggregator():
         if rank not in owners:
             assert driver.client.write_control_rpcs == 0
             assert driver.client.metadata_put_rpcs == 0
+
+
+def test_overlapping_ranks_resolve_in_rank_order():
+    """Every rank's block covers the next two ranks' starts: assembling the
+    stripe must leave, on each overlapped byte, the highest rank's data —
+    the serial application in rank order."""
+    num_ranks = 4
+    pattern = [[(rank * CHUNK + 100, bytes([rank + 1]) * (3 * CHUNK))]
+               for rank in range(num_ranks)]
+    collective, _deployment, _drivers = write_collective(pattern, 2)
+    assert collective == serial_oracle(pattern)
+    for rank in range(1, num_ranks):
+        assert collective[rank * CHUNK + 100] == rank + 1
+        assert collective[rank * CHUNK + 99] == rank
+
+
+def test_an_aggregator_commits_the_runs_of_its_stripe_not_the_pieces():
+    """Interleaved sub-chunk blocks, overlaps and gaps: the dump stores the
+    union of the written regions — no byte twice, no zero fill — cut into
+    the chunk-aligned pieces of that union, however many pieces the ranks
+    shipped."""
+    num_ranks, block = 4, CHUNK // 4
+    # dense: 32 interleaved quarter-chunk blocks tile [0, 8 KiB) exactly
+    pattern = [[((k * num_ranks + rank) * block, bytes([rank + 1]) * block)
+                for k in range(8)]
+               for rank in range(num_ranks)]
+    # sparse: an overlap inside one chunk, a write across a chunk boundary
+    pattern[0].append((10 * CHUNK + 100, b"\xa0" * 300))
+    pattern[1].append((10 * CHUNK + 300, b"\xa1" * 300))
+    pattern[2].append((12 * CHUNK - 50, b"\xa2" * 100))
+    collective, deployment, _drivers = write_collective(pattern, 2)
+    assert collective == serial_oracle(pattern)
+
+    shipped = [(offset, len(payload))
+               for pairs in pattern for offset, payload in pairs]
+    union = RegionList(shipped).normalized()
+    assert union.as_tuples() == [(0, 8 * CHUNK), (10 * CHUNK + 100, 500),
+                                 (12 * CHUNK - 50, 100)]
+    stats = deployment.stats()
+    assert stats["stored_bytes"] == union.total_bytes() \
+        < sum(size for _offset, size in shipped)
+    assert stats["chunks"] == sum(len(run.chunk_aligned_pieces(CHUNK))
+                                  for run in union) == 11 < len(shipped)
 
 
 def test_collective_write_then_read_elides_the_latest_rpc():

@@ -16,9 +16,10 @@ semantics :class:`repro.mpiio.adio.collective.CollectiveReader` promises.
 The suite additionally pins the protocol's contracts: reads concurrent with
 queued (unflushed) writes observe them, reads across versions track every
 collective write round, empty vectors participate, atomic mode bypasses,
-non-resolver ranks spend zero metadata control RPCs, the plan broadcast
-leaves every rank's cache warm, and it is a delta — each plan node reaches
-the group once (re-read, write-then-read and new-version flows).
+non-resolver ranks spend zero metadata control RPCs, the scatter carries
+pieces and hole descriptors and nothing else (exact byte accounting at 4 and
+at 64 ranks), and a resolver walks a snapshot cold once — its own cache, not
+a shipped plan, keeps the later rounds at zero metadata RPCs.
 """
 
 import random
@@ -27,14 +28,14 @@ import pytest
 
 from repro.mpi.datatypes import BYTE, Indexed
 from repro.mpi.launcher import run_mpi_job
+from repro.core.regions import Region, RegionList
 from repro.mpiio.adio.collective import (
     EXTENT_DESCRIPTION_BYTES,
     aggregator_ranks,
+    partition_file_domain,
 )
 from repro.mpiio.adio.versioning import VersioningDriver
 from repro.mpiio.file import File
-from repro.obs.registry import MetricsRegistry
-from repro.obs.views import collect_collective
 from repro.vstore.client import VectoredClient
 from tests._oracle import random_pattern, rank_view, serial_oracle
 from tests.mpiio._collective_testlib import make_quick_deployment
@@ -386,55 +387,18 @@ def test_collective_read_skips_the_redundant_closing_barrier():
     assert comms[0].bytes_moved > 0
 
 
-def test_plan_broadcast_leaves_every_cache_warm():
-    """After one collective read, every rank's next *independent* read of
-    any collectively-covered region costs zero metadata RPCs: the absorbed
-    plan answers the tree walk and the refreshed hint elides ``latest``."""
-    num_ranks = 4
-    cluster, deployment = make_deployment()
-    content = seed_content(cluster, deployment,
-                           random_pattern(17, num_ranks,
-                                          empty_rank_chance=0.0))
-    drivers = {}
-
-    def rank_main(ctx):
-        driver = VersioningDriver(deployment, ctx.node,
-                                  rank_name=f"rank{ctx.rank}",
-                                  collective_buffering=True,
-                                  collective_aggregators=2)
-        drivers[ctx.rank] = driver
-        handle = yield from File.open(driver, PATH, rank=ctx.rank,
-                                      comm=ctx.comm, size_hint=FILE_SIZE)
-        collective = yield from handle.read_at_all(0, FILE_SIZE)
-        before = (driver.client.metadata_read_rpcs, driver.client.latest_rpcs)
-        again = yield from handle.read_at(ctx.rank * 1024, 2048)
-        after = (driver.client.metadata_read_rpcs, driver.client.latest_rpcs)
-        yield from handle.close()
-        return collective, again, before, after
-
-    result = run_mpi_job(cluster, num_ranks, rank_main)
-    for rank, (collective, again, before, after) in enumerate(result.results):
-        assert collective == content
-        assert again == content[rank * 1024:rank * 1024 + 2048]
-        assert after == before, f"rank {rank} spent RPCs on a warm read"
-    for driver in drivers.values():
-        assert driver.client.plan_nodes_absorbed > 0
-
-
 # ----------------------------------------------------------------------
-# the plan broadcast is a delta: each node reaches the group once
+# the scatter moves bytes and nothing else
 # ----------------------------------------------------------------------
-def run_delta_job(steps, *, num_ranks=4, num_resolvers=2, content=None):
+def run_rounds_job(steps, *, num_ranks=4, num_resolvers=2, seed_regions=None):
     """Run the generator ``steps(ctx, driver, handle)`` on every rank of one
-    job; every plan a rank absorbs is recorded (as a list of entries) in
-    ``absorbed[rank]``.  Returns ``(results, drivers, absorbed, content)``.
-    """
+    job over seeded contents; returns ``(results, drivers, content)``."""
     cluster, deployment = make_deployment()
     content = seed_content(
         cluster, deployment,
-        [[(0, content)]] if content is not None
+        [seed_regions] if seed_regions is not None
         else random_pattern(23, num_ranks, empty_rank_chance=0.0))
-    drivers, absorbed = {}, {}
+    drivers = {}
 
     def rank_main(ctx):
         driver = VersioningDriver(deployment, ctx.node,
@@ -443,14 +407,6 @@ def run_delta_job(steps, *, num_ranks=4, num_resolvers=2, content=None):
                                   collective_buffering=True,
                                   collective_aggregators=num_resolvers)
         drivers[ctx.rank] = driver
-        plans = absorbed[ctx.rank] = []
-        absorb = driver.client.absorb_plan_nodes
-
-        def recording_absorb(blob_id, entries):
-            plans.append(list(entries))
-            return absorb(blob_id, entries)
-
-        driver.client.absorb_plan_nodes = recording_absorb
         handle = yield from File.open(driver, PATH, rank=ctx.rank,
                                       comm=ctx.comm, size_hint=FILE_SIZE)
         outcome = yield from steps(ctx, driver, handle)
@@ -458,66 +414,120 @@ def run_delta_job(steps, *, num_ranks=4, num_resolvers=2, content=None):
         return outcome
 
     result = run_mpi_job(cluster, num_ranks, rank_main)
-    return result.results, drivers, absorbed, content
+    return result.results, drivers, content
 
 
 def control_rpcs(driver):
     return driver.client.metadata_read_rpcs, driver.client.latest_rpcs
 
 
-def test_rereading_a_pinned_snapshot_ships_no_plan_entries():
-    """The second ``read_at_all`` of one snapshot finds every trace entry
-    already sent to the group: zero plan entries travel, and the exchange
-    carries the access descriptions and the data pieces only."""
-    num_ranks, num_resolvers = 4, 2
-    written = bytes(range(256)) * (FILE_SIZE // 256)   # no holes anywhere
+@pytest.mark.parametrize("num_ranks,num_resolvers", [(4, 2), (64, 16)])
+def test_exchange_bytes_are_descriptions_pieces_and_holes_exactly(
+        num_ranks, num_resolvers):
+    """``bytes_sent`` over the group is the encoded descriptions plus, for
+    every (resolver, other rank) pair, payload + 16 B per piece and 16 B per
+    hole descriptor — recomputed here from the region algebra alone.  A
+    shipped plan (or any other stowaway) breaks the equality."""
+    block = 32
+    blocks_per_rank = (FILE_SIZE // 2) // (num_ranks * block)
+    assert blocks_per_rank >= 3, "the strided part must encode as one run"
+    # the dump is sparse: three written runs, holes between and after them
+    written = RegionList([(0, 3000), (5000, 4000), (9500, 2500)])
+    seed_regions = [(region.offset, bytes([7 + index]) * region.size)
+                    for index, region in enumerate(written)]
+    # per rank: interleaved blocks at a constant stride over the first half
+    # (one run on the wire) and one lone extent in the second half
+    read_pattern = [
+        [((k * num_ranks + rank) * block, block)
+         for k in range(blocks_per_rank)]
+        + [(FILE_SIZE // 2 + rank * 100, 60)]
+        for rank in range(num_ranks)]
 
     def steps(ctx, driver, handle):
-        first = yield from handle.read_at_all(0, FILE_SIZE)
-        mid = driver.reader.stats.snapshot()
-        second = yield from handle.read_at_all(0, FILE_SIZE)
-        return first, second, mid, driver.reader.stats.snapshot()
+        filetype, total = read_view(read_pattern[ctx.rank])
+        handle.set_view(0, BYTE, filetype)
+        data = yield from handle.read_at_all(0, total)
+        return data
 
-    results, drivers, absorbed, content = run_delta_job(
+    results, drivers, content = run_rounds_job(
         steps, num_ranks=num_ranks, num_resolvers=num_resolvers,
-        content=written)
-    assert all(first == content and second == content
-               for first, second, _mid, _end in results)
-    mids = [mid for _first, _second, mid, _end in results]
-    ends = [end for _first, _second, _mid, end in results]
+        seed_regions=seed_regions)
+    assert results == expected_reads(content, read_pattern)
 
-    def total(snapshots, key):
-        return sum(snapshot[key] for snapshot in snapshots)
+    # phase 1: a 32 B run + a 16 B lone extent + the 8 B watermark per rank
+    expected = num_ranks * (3 * EXTENT_DESCRIPTION_BYTES + 8)
+    # phase 3: what each resolver cuts for each *other* rank
+    lo = min(offset for regions in read_pattern for offset, _size in regions)
+    hi = max(offset + size
+             for regions in read_pattern for offset, size in regions)
+    owners = aggregator_ranks(num_ranks, num_resolvers)
+    domains = partition_file_domain(lo, hi, num_resolvers, CHUNK)
+    hole_bytes = 0
+    for owner, (start, end) in zip(owners, domains):
+        stripe = Region(start, end - start)
+        for rank, regions in enumerate(read_pattern):
+            if rank == owner:
+                continue
+            for wanted in RegionList(regions).normalized().clip(stripe):
+                wanted = RegionList((wanted,))
+                pieces = wanted.intersection(written)
+                holes = wanted.subtract(written)
+                expected += (pieces.total_bytes()
+                             + EXTENT_DESCRIPTION_BYTES
+                             * (len(pieces) + len(holes)))
+                hole_bytes += holes.total_bytes()
+    stats = [driver.reader.stats for driver in drivers.values()]
+    assert sum(entry.bytes_sent for entry in stats) == expected
+    assert sum(entry.hole_bytes_elided for entry in stats) == hole_bytes > 0
+    # every scattered byte was received by exactly one other rank
+    descriptions = num_ranks * (3 * EXTENT_DESCRIPTION_BYTES + 8)
+    assert sum(entry.bytes_received for entry in stats) \
+        == expected - descriptions
 
-    shipped_first = total(mids, "plan_nodes_shipped")
-    assert shipped_first > 0 and total(mids, "plan_nodes_elided") == 0
-    # read 2 walks the same trace and ships none of it
-    assert total(ends, "plan_nodes_shipped") == shipped_first
-    assert total(ends, "plan_nodes_elided") == shipped_first
-    assert all(len(plans) == 1 for plans in absorbed.values())
-    # ... and the saving is a registry metric beside what was shipped
-    registry = MetricsRegistry()
-    collect_collective(registry, drivers.values())
-    assert registry.get("collective.read.plan_nodes_elided") == shipped_first
-    # one (offset, size) description + the watermark per rank, and one
-    # stripe-sized piece from each resolver to each *other* rank
-    stripe = FILE_SIZE // num_resolvers
-    data_and_descriptors = (
-        num_ranks * (EXTENT_DESCRIPTION_BYTES + 8)
-        + num_resolvers * (num_ranks - 1)
-        * (stripe + EXTENT_DESCRIPTION_BYTES))
-    second_read_bytes = total(ends, "bytes_sent") - total(mids, "bytes_sent")
-    assert second_read_bytes == data_and_descriptors
-    node_size = drivers[0].client.cluster.config.metadata_node_size
-    assert total(mids, "bytes_sent") == \
-        data_and_descriptors + shipped_first * node_size
+
+def test_a_resolver_walks_a_snapshot_cold_once():
+    """Rounds 2 and 3 of the same pinned snapshot cost the resolvers zero
+    metadata read RPCs — their own round-1 walk filled their own caches —
+    and the non-resolvers never touch the control plane at all."""
+    num_ranks, num_resolvers, rounds = 4, 2, 3
+
+    def steps(ctx, driver, handle):
+        marks = [control_rpcs(driver)]
+        scans = []
+        for _round in range(rounds):
+            data = yield from handle.read_at_all(0, FILE_SIZE)
+            scans.append(data)
+            marks.append(control_rpcs(driver))
+        return scans, marks
+
+    results, drivers, content = run_rounds_job(
+        steps, num_ranks=num_ranks, num_resolvers=num_resolvers)
+    owners = aggregator_ranks(num_ranks, num_resolvers)
+    for rank, (scans, marks) in enumerate(results):
+        assert scans == [content] * rounds
+        metadata = [after[0] - before[0]
+                    for before, after in zip(marks, marks[1:])]
+        if rank in owners:
+            assert metadata[0] > 0, f"resolver {rank} never walked"
+            assert metadata[1:] == [0] * (rounds - 1), \
+                f"resolver {rank} re-walked a snapshot it had resolved"
+        else:
+            assert metadata == [0] * rounds
+            assert marks[-1][1] == 0, f"rank {rank} asked for latest"
+    # one ``latest`` for the whole job: the lead resolver's, in round 1
+    assert sum(driver.client.latest_rpcs for driver in drivers.values()) == 1
+    assert all(driver.reader.stats.stripes_resolved
+               == (rounds if rank in owners else 0)
+               for rank, driver in drivers.items())
 
 
-def test_collective_write_then_read_leaves_every_cache_warm():
-    """The aggregators' write-through entries are private, not group-known:
-    the first collective read after a collective write still ships them, so
-    every rank's independent read of any range costs zero metadata RPCs."""
-    num_ranks = 4
+def test_collective_write_then_read_then_independent_read():
+    """After ``write_at_all`` + ``read_at_all`` every rank's independent
+    re-read returns the collective's bytes and needs no ``latest`` (the
+    refreshed one-shot hint); the tree walk is the rank's own — warm on an
+    aggregator/resolver for its own stripe, a recorded cold walk elsewhere.
+    """
+    num_ranks, num_resolvers = 4, 2
     pattern = random_pattern(31, num_ranks, empty_rank_chance=0.0)
 
     def steps(ctx, driver, handle):
@@ -530,51 +540,55 @@ def test_collective_write_then_read_leaves_every_cache_warm():
         again = yield from handle.read_at(0, FILE_SIZE)
         return collective, again, before, control_rpcs(driver)
 
-    results, drivers, _absorbed, content = run_delta_job(
-        steps, num_ranks=num_ranks)
+    results, _drivers, content = run_rounds_job(
+        steps, num_ranks=num_ranks, num_resolvers=num_resolvers)
     state = bytearray(content)
     for regions in pattern:
         for offset, payload in regions:
             state[offset:offset + len(payload)] = payload
     expected = bytes(state)
+    owners = aggregator_ranks(num_ranks, num_resolvers)
     for rank, (collective, again, before, after) in enumerate(results):
         assert collective == expected and again == expected
-        assert after == before, f"rank {rank} spent RPCs on a warm read"
-    # the write-through entries did travel: nothing was held back
-    assert all(driver.reader.stats.plan_nodes_elided == 0
-               for driver in drivers.values())
+        assert after[1] == before[1], f"rank {rank} asked for latest"
+        if rank not in owners:
+            assert before[0] == 0, f"rank {rank} walked inside a collective"
+            assert after[0] > 0, "a bystander's own read walks cold"
 
 
-def test_a_new_version_ships_only_its_own_lookups():
-    """A version published between two collective reads re-ships nothing
-    the first read's plan carried — only lookups under the new version's
-    hints travel — and every cache still ends warm for the new snapshot."""
+def test_a_new_version_costs_its_resolver_only_the_new_lookups():
+    """A version published between two collective reads is walked by the
+    resolvers alone, and their caches still answer everything the new
+    snapshot shares with the old one: the second walk fetches what the
+    rewrite replaced on the way to the root, not the tree."""
     num_ranks = 4
     patch = b"\xee" * CHUNK
 
+    def fetched(driver):
+        return driver.client.tiers.fetched_lookups
+
     def steps(ctx, driver, handle):
         first = yield from handle.read_at_all(0, FILE_SIZE)
+        cold = (control_rpcs(driver), fetched(driver))
         # one rank rewrites one chunk; the others participate empty-handed
         yield from handle.write_at_all(
             5 * CHUNK, patch if ctx.rank == 1 else b"")
         second = yield from handle.read_at_all(0, FILE_SIZE)
-        before = control_rpcs(driver)
-        again = yield from handle.read_at(0, FILE_SIZE)
-        return first, second, again, before, control_rpcs(driver)
+        return first, second, cold, (control_rpcs(driver), fetched(driver))
 
-    results, drivers, absorbed, content = run_delta_job(
-        steps, num_ranks=num_ranks)
+    results, _drivers, content = run_rounds_job(steps, num_ranks=num_ranks)
     patched = content[:5 * CHUNK] + patch + content[6 * CHUNK:]
-    for rank, (first, second, again, before, after) in enumerate(results):
-        assert first == content
-        assert second == patched and again == patched
-        assert after == before, f"rank {rank} spent RPCs on a warm read"
-    for rank, plans in absorbed.items():
-        old, new = ({request for request, _node in plan} for plan in plans)
-        assert new and not (old & new), f"rank {rank} was re-sent lookups"
-        # the rewritten chunk's root path and its siblings, not the tree
-        assert len(new) < len(old)
-        pinned_before = max(hint for _offset, _size, hint in old)
-        assert all(hint >= pinned_before for _offset, _size, hint in new)
-    assert sum(driver.reader.stats.plan_nodes_elided
-               for driver in drivers.values()) > 0
+    owners = aggregator_ranks(num_ranks, 2)
+    for rank, (first, second, cold, after) in enumerate(results):
+        assert first == content and second == patched
+        (cold_rpcs, cold_fetched), (rpcs, total_fetched) = cold, after
+        assert rpcs[1] == cold_rpcs[1], f"rank {rank} asked for latest again"
+        if rank not in owners:
+            assert rpcs[0] == 0 and total_fetched == 0
+    new_lookups = [results[rank][3][1] - results[rank][2][1]
+                   for rank in owners]
+    cold_lookups = [results[rank][2][1] for rank in owners]
+    # the first resolver also aggregated the patch: write-through primed
+    # its cache with the new nodes; the second meets a new root only
+    assert new_lookups[0] == 0
+    assert 0 < new_lookups[1] < cold_lookups[1]

@@ -6,8 +6,9 @@ back-end, so its death is the interesting failure.  Windows:
 * *mid-fetch* — the resolver dies resolving/fetching its stripe (a dead
   metadata shard or data provider under it).  It must enter the data
   exchange empty-handed and report through the closing phase: every rank
-  raises instead of hanging, no rank's cache is populated from the partial
-  plan, and the version-manager state is untouched (reads own no tickets).
+  raises instead of hanging, no rank's cache holds anything but its own
+  traversal, and the version-manager state is untouched (reads own no
+  tickets).
 
 * *mid-broadcast* — the resolver dies between the opening exchange and the
   scatter (partition/stripe-cutting work).  Same containment contract.
@@ -20,8 +21,9 @@ back-end, so its death is the interesting failure.  Windows:
   fetch); the resolvers' work must not strand anyone.
 
 In every case the group must make progress afterwards: once the fault
-heals, the same ranks run a fresh collective read that succeeds — and a
-stale read hint never survives a failed collective.
+heals, the same ranks run a fresh collective read that succeeds, a
+following independent read returns the same bytes — and a stale read hint
+never survives a failed collective.
 """
 
 import pytest
@@ -94,9 +96,8 @@ def run_collective_read_with_sabotage(sabotage, heal):
         except Exception as exc:
             outcome = type(exc).__name__
         # observed *between* the failed collective and the healed retry:
-        # nothing of the partial plan may have reached this rank's cache
+        # nothing but a rank's own traversal may be in its cache
         cache_state = (len(driver.client.metadata_cache),
-                       driver.client.plan_nodes_absorbed,
                        PATH in driver.client._read_hints)
         yield from ctx.comm.barrier(ctx.rank)
         heal(ctx.rank, driver)
@@ -118,15 +119,15 @@ def assert_contained_failure(deployment, content, outcomes, cache_states,
     """The shared containment contract of every injected fault."""
     assert outcomes[doomed] == doomed_error
     assert all(outcome != "ok" for outcome in outcomes)
-    # caches were not poisoned with the partial plan, hints did not survive
+    # nothing of the failed collective reached a peer's cache, hints did
+    # not survive
     healthy_resolvers = set(aggregator_ranks(NUM_RANKS, NUM_RESOLVERS)) \
         - {doomed}
-    for rank, (cache_len, absorbed, hint_pending) in enumerate(cache_states):
-        assert absorbed == 0, f"rank {rank} absorbed a partial plan"
+    for rank, (cache_len, hint_pending) in enumerate(cache_states):
         assert not hint_pending, f"rank {rank} kept a hint past the failure"
         if rank not in healthy_resolvers:
             # only a surviving resolver's own traversal may have cached
-            assert cache_len == 0, f"rank {rank} cached partial-plan nodes"
+            assert cache_len == 0, f"rank {rank} cached a peer's nodes"
     # reads own no tickets: the version manager never saw the failure
     manager = deployment.version_manager.manager
     assert manager.pending_versions(PATH) == []
@@ -140,7 +141,7 @@ class TestResolverDiesMidFetch:
         if rank != DOOMED_RANK:
             return
 
-        def dying_read(blob_id, vector, version=None, trace=None, holes=None):
+        def dying_read(blob_id, vector, version=None, holes=None):
             raise StorageError("resolver died mid-fetch")
             yield  # pragma: no cover - generator shape
 
@@ -261,7 +262,7 @@ def test_failed_collective_read_drops_a_planted_hint():
         yield from handle.read_at_all(0, 1024)
         assert PATH in driver.client._read_hints
         if ctx.rank == DOOMED_RANK:
-            def dying_read(blob_id, vector, version=None, trace=None):
+            def dying_read(blob_id, vector, version=None, holes=None):
                 raise StorageError("resolver died")
                 yield  # pragma: no cover - generator shape
             driver.client._vectored_read = dying_read
@@ -283,16 +284,15 @@ def test_failed_collective_read_drops_a_planted_hint():
         assert latest_delta == 1
 
 
-def test_failed_collective_marks_nothing_group_known():
-    """The delta plan broadcast only remembers *approved* plans: the healthy
-    resolver shipped its stripe's plan into the failed collective, yet the
-    healed retry ships every entry again (none elided) — so every rank's
-    cache ends warm and an independent whole-file read costs zero metadata
-    RPCs."""
+def test_healed_retry_and_a_following_independent_read_return_the_bytes():
+    """A failed collective leaves nothing behind that a retry could trip
+    over: the healed ``read_at_all`` returns the file, and so does every
+    rank's following ``read_at`` — without a ``latest`` round-trip (the
+    retry re-planted the hint) and, on the ranks that resolved nothing,
+    with a cold tree walk of their own, recorded here."""
     cluster, deployment = make_deployment()
     content = seed_content(cluster, deployment)
     fault = TestResolverDiesMidFetch()
-    drivers = {}
 
     def rank_main(ctx):
         driver = VersioningDriver(deployment, ctx.node,
@@ -300,34 +300,28 @@ def test_failed_collective_marks_nothing_group_known():
                                   write_coalescing=True,
                                   collective_buffering=True,
                                   collective_aggregators=NUM_RESOLVERS)
-        drivers[ctx.rank] = driver
+        client = driver.client
         handle = yield from File.open(driver, PATH, rank=ctx.rank,
                                       comm=ctx.comm, size_hint=FILE_SIZE)
         fault._sabotage(ctx.rank, driver)
         with pytest.raises(Exception):
             yield from handle.read_at_all(0, FILE_SIZE)
-        shipped_into_failure = driver.reader.stats.plan_nodes_shipped
         yield from ctx.comm.barrier(ctx.rank)
         fault._heal(ctx.rank, driver)
         retry = yield from handle.read_at_all(0, FILE_SIZE)
-        before = driver.client.metadata_read_rpcs
+        before = (client.metadata_read_rpcs, client.latest_rpcs)
         again = yield from handle.read_at(0, FILE_SIZE)
-        spent = driver.client.metadata_read_rpcs - before
+        spent = (client.metadata_read_rpcs - before[0],
+                 client.latest_rpcs - before[1])
         yield from handle.close()
-        return shipped_into_failure, retry, again, spent
+        return retry, again, before[0], spent
 
     result = run_mpi_job(cluster, NUM_RANKS, rank_main)
-    healthy = [rank for rank in aggregator_ranks(NUM_RANKS, NUM_RESOLVERS)
-               if rank != DOOMED_RANK]
-    for rank, (shipped, retry, again, spent) in enumerate(result.results):
+    resolvers = aggregator_ranks(NUM_RANKS, NUM_RESOLVERS)
+    for rank, (retry, again, in_collectives, spent) in \
+            enumerate(result.results):
         assert retry == content and again == content
-        assert spent == 0, f"rank {rank} found its cache cold after the retry"
-        # the partial plan did leave the healthy resolver
-        assert (shipped > 0) == (rank in healthy)
-    for rank, driver in drivers.items():
-        stats = driver.reader.stats
-        assert stats.plan_nodes_elided == 0, f"rank {rank} held entries back"
-    # the healthy resolver shipped its stripe's plan twice, in full
-    for rank in healthy:
-        assert drivers[rank].reader.stats.plan_nodes_shipped \
-            == 2 * result.results[rank][0]
+        assert spent[1] == 0, f"rank {rank} lost the retry's read hint"
+        if rank not in resolvers:
+            assert in_collectives == 0
+            assert spent[0] > 0, f"rank {rank}: whose walk warmed its cache?"

@@ -90,3 +90,36 @@ class TestSubarrayView:
         vector = build_write_vector(view, 1, b"xyz")
         assert vector.region_list().as_tuples() == [(1, 1), (4, 2)]
         assert [request.data for request in vector] == [b"x", b"yz"]
+
+
+class TestLastAccessMemo:
+    """A view remembers its last flattened access (one entry)."""
+
+    def test_repeating_an_access_returns_the_same_regions(self):
+        view = FileView(displacement=64, filetype=Vector(4, 2, 8, BYTE))
+        first = flatten_view_access(view, 2, 12)
+        assert flatten_view_access(view, 2, 12) is first
+        assert first == flatten_view_access(
+            FileView(displacement=64, filetype=Vector(4, 2, 8, BYTE)), 2, 12)
+
+    def test_a_different_access_replaces_the_entry(self):
+        view = FileView(filetype=Vector(4, 2, 8, BYTE))
+        first = flatten_view_access(view, 0, 8)
+        other = flatten_view_access(view, 2, 8)
+        assert other != first
+        again = flatten_view_access(view, 0, 8)
+        assert again == first and again is not first
+
+    def test_a_new_view_starts_empty_and_compares_equal(self):
+        view = FileView(filetype=Vector(4, 2, 8, BYTE))
+        flatten_view_access(view, 0, 8)
+        fresh = FileView(filetype=Vector(4, 2, 8, BYTE))
+        assert fresh._last_access is None
+        assert fresh == view
+
+    def test_invalid_and_empty_accesses_are_not_remembered(self):
+        view = FileView(filetype=Vector(4, 2, 8, BYTE))
+        with pytest.raises(MPIIOError):
+            flatten_view_access(view, -1, 8)
+        assert len(flatten_view_access(view, 0, 0)) == 0
+        assert view._last_access is None
