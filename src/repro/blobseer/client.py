@@ -493,15 +493,25 @@ class BlobClient:
         needs the slice of extents its range intersects — found with a bisect
         instead of scanning the full extent list per request, which turned a
         whole-file verify read into an O(requests x extents) quadratic walk.
+        A request one extent covers whole (every block of a collective read)
+        is that extent's slice.
         """
         extents = sorted(fetched, key=lambda item: item[0])
         ends = [offset + length for offset, length, _data in extents]
         results: List[bytes] = []
         for request in vector:
-            buffer = bytearray(request.size)
             req_start = request.offset
             req_end = req_start + request.size
             index = bisect_right(ends, req_start)
+            if index < len(extents) and ends[index] >= req_end \
+                    and extents[index][0] <= req_start:
+                # one extent covers the whole request: its slice is the
+                # answer, no scratch buffer to fill and copy out of
+                offset, _length, data = extents[index]
+                results.append(bytes(data[req_start - offset:
+                                          req_end - offset]))
+                continue
+            buffer = bytearray(request.size)
             while index < len(extents):
                 offset, length, data = extents[index]
                 if offset >= req_end:

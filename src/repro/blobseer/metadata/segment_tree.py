@@ -44,13 +44,15 @@ class WritePiece:
     (:func:`pack_pieces_into_stripe_units`), so small pieces of one write
     share a provider without sharing a chunk.  ``request_index`` preserves
     the order of the originating :class:`~repro.core.listio.IORequest`\\ s so
-    that intra-vector overlaps are resolved "last request wins".
+    that intra-vector overlaps are resolved "last request wins".  ``data`` is
+    the payload until the piece is uploaded; the commit engine drops it then
+    (metadata needs the placement, not the bytes).
     """
 
     leaf_offset: int
     rel_offset: int
     length: int
-    data: bytes
+    data: Optional[bytes]
     request_index: int
     chunk: Optional[ChunkKey] = None
     provider_id: Optional[str] = None
@@ -115,6 +117,28 @@ def pack_pieces_into_stripe_units(pieces: Sequence[WritePiece], chunk_size: int,
             unit_sizes.append(piece.length)
         unit_of_piece.append(len(unit_sizes) - 1)
     return unit_of_piece, unit_sizes
+
+
+def stripe_unit_sizes(extents: Sequence[Tuple[int, int]],
+                      chunk_size: int) -> List[int]:
+    """The stripe-unit sizes of a write of ``extents``, before its bytes exist.
+
+    What :func:`split_vector_into_pieces` + :func:`pack_pieces_into_stripe_units`
+    give a vector of those ``(offset, size)`` requests: a writer that knows a
+    write's shape ahead of its payload (a collective aggregator, from the
+    access descriptions) can have it placed while the bytes still travel.
+    """
+    unit_sizes: List[int] = []
+    for offset, size in extents:
+        end = offset + size
+        while offset < end:
+            length = min(offset - offset % chunk_size + chunk_size, end) - offset
+            if unit_sizes and unit_sizes[-1] + length <= chunk_size:
+                unit_sizes[-1] += length
+            else:
+                unit_sizes.append(length)
+            offset += length
+    return unit_sizes
 
 
 def overlay_segments(existing: Sequence[LeafSegment],

@@ -13,7 +13,7 @@ the intermediate snapshots nobody was promised.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.listio import IOVector
 from repro.errors import StorageError
@@ -51,6 +51,33 @@ class WriteReceipt:
                 f"in {self.elapsed:.6f}s>")
 
 
+@dataclass
+class AheadWrite:
+    """A write placed whole and uploaded part by part, ahead of its commit.
+
+    Its writer knew the write's shape before it held the bytes (a collective
+    aggregator reads it off the access descriptions) and had every part
+    placed by one ``allocate``: ``placed[k]`` is part ``k``'s ``(unit_sizes,
+    providers)`` — the stripe units it declared and where they go.
+    ``stagings`` are the commit engine's background processes uploading the
+    parts that have arrived; the last part is the commit's own vector.
+    """
+
+    placed: List[Tuple[List[int], List[str]]]
+    stagings: list = field(default_factory=list)
+
+
+def require_payload(vector: IOVector,
+                    ahead: Optional[AheadWrite] = None) -> None:
+    """Reject a write with nothing to publish.
+
+    ``vector`` must carry payload requests — or be empty when every part of
+    the write that arrived was already staged ``ahead``.
+    """
+    if not (vector.is_write if len(vector) else ahead and ahead.stagings):
+        raise StorageError("a vectored write needs at least one payload request")
+
+
 def merge_write_vectors(vectors: Sequence[IOVector]) -> IOVector:
     """Concatenate write vectors in order into one vector (later writes win).
 
@@ -86,6 +113,11 @@ class StagedWrite:
     #: behalf of several MPI ranks attributes their logical writes here, so
     #: per-write normalization stays honest across multi-rank batches.
     logical_writes: int = 1
+    #: the placement, and the parts already uploading, of a write whose
+    #: writer staged it part by part — a collective aggregator, round by
+    #: round while the rest of its stripe was still arriving (``vector`` is
+    #: the last part, and may be empty).  Always the first write of its queue.
+    ahead: Optional[AheadWrite] = None
 
     def __post_init__(self) -> None:
         if self.logical_writes < 0:
@@ -131,8 +163,16 @@ class WriteBatch:
         return sum(write.logical_writes for write in self.staged)
 
     def merged_vector(self) -> IOVector:
-        """The batch as one write vector (queue order, later writes win)."""
-        return merge_write_vectors([write.vector for write in self.staged])
+        """The batch as one write vector (queue order, later writes win).
+
+        Empty when every write of the batch was staged wholly ahead.
+        """
+        vectors = [write.vector for write in self.staged if len(write.vector)]
+        return merge_write_vectors(vectors) if vectors else IOVector()
+
+    def ahead(self) -> Optional[AheadWrite]:
+        """The parts uploaded ahead: only a queue's first write has any."""
+        return self.staged[0].ahead
 
     def total_bytes(self) -> int:
         """Payload bytes over all staged writes (before overlap resolution)."""

@@ -22,7 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, TYPE_CHECKING
 
-from repro.blobseer.writepath.batch import StagedWrite, WriteBatch
+from repro.blobseer.writepath.batch import (
+    StagedWrite,
+    WriteBatch,
+    require_payload,
+)
 from repro.core.listio import IOVector
 from repro.errors import StorageError
 
@@ -171,7 +175,7 @@ class WriteCoalescer:
 
     # ------------------------------------------------------------------
     def enqueue(self, blob_id: str, vector: IOVector, *,
-                logical_writes: int = 1):
+                logical_writes: int = 1, ahead=None):
         """Queue one vectored write; auto-flush if a batch bound is crossed.
 
         Generator method (validation may fetch the BLOB descriptor, an
@@ -180,10 +184,16 @@ class WriteCoalescer:
         ``receipt`` is filled when the batch commits.  ``logical_writes``
         attributes how many application writes the vector represents (a
         collective aggregator stages merged stripes on behalf of whole rank
-        groups).
+        groups); ``ahead`` is the
+        :class:`~repro.blobseer.writepath.batch.AheadWrite` of a write whose
+        earlier parts are uploading already, ``vector`` being its last part
+        (possibly nothing).  Such a write must open its queue: the parts
+        staged ahead resolve overlaps as the batch's first bytes.
         """
-        if not vector.is_write or len(vector) == 0:
-            raise StorageError("a vectored write needs at least one payload request")
+        require_payload(vector, ahead)
+        if ahead is not None and self._pending.get(blob_id):
+            raise StorageError(
+                "a write staged ahead cannot join writes queued before it")
         # validate now, like an immediate write would: an out-of-range
         # request must fail at its own call site, not poison the whole
         # merged batch at some later flush point
@@ -193,7 +203,8 @@ class WriteCoalescer:
                 blob.validate_access(request.offset, request.size)
         staged = StagedWrite(blob_id=blob_id, vector=vector,
                              index=self.stats.staged_writes,
-                             logical_writes=logical_writes)
+                             logical_writes=logical_writes,
+                             ahead=ahead)
         queue_was_empty = not self._pending.get(blob_id)
         self._pending.setdefault(blob_id, []).append(staged)
         self._pending_bytes[blob_id] = \
@@ -300,7 +311,7 @@ class WriteCoalescer:
                     blob=key, writes=len(batch), bytes=batch.total_bytes())
             try:
                 receipt = yield from self.client.writepath.commit(
-                    key, batch.merged_vector(),
+                    key, batch.merged_vector(), ahead=batch.ahead(),
                     logical_writes=batch.logical_writes, defer_complete=True,
                     trace_parent=batch_span)
             except Exception:

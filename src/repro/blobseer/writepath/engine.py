@@ -1,11 +1,29 @@
 """The pipelined commit engine: one write batch → one published snapshot.
 
 The engine owns the commit protocol of a :class:`~repro.blobseer.client.
-BlobClient`.  In pipelined mode (the default) it overlaps everything the
-protocol allows:
+BlobClient`, in two halves.  :meth:`~PipelinedCommitEngine.stage` puts the
+bytes down — split into chunk-aligned pieces, pack into stripe units,
+``allocate``, ``put_chunks`` — and hands back the placed pieces, payloads
+dropped; :meth:`~PipelinedCommitEngine.publish` turns placed pieces into a
+snapshot — ticket, copy-on-write metadata, ``complete``.
+:meth:`~PipelinedCommitEngine.commit` is the two composed, and what every
+independent write runs.  A writer whose data arrives over time but whose
+shape is known — a collective aggregator, one exchange round after another
+— has the whole write placed first (:meth:`~PipelinedCommitEngine.
+place_ahead`, the write's one ``allocate``), starts
+:meth:`~PipelinedCommitEngine.stage_ahead` on each part as it has it and
+names that :class:`~repro.blobseer.writepath.batch.AheadWrite` in the one
+``commit`` that ends the write: staging costs no ticket and no further
+placement, so however many parts were uploaded ahead there is one
+``allocate``, one ticket, one metadata build over all their pieces, one
+``complete``, one snapshot.
 
-* the version ticket is requested *concurrently* with the chunk uploads —
-  the ticket round-trip disappears behind the (much heavier) data transfers;
+In pipelined mode (the default) the engine overlaps everything the protocol
+allows:
+
+* the version ticket is requested *concurrently* with the chunk uploads of
+  the commit's own ``stage`` — the ticket round-trip disappears behind the
+  (much heavier) data transfers;
 * the per-shard ``put_nodes`` RPCs are issued in parallel, mirroring the
   batched read path, instead of one blocking round-trip per shard;
 * a batch commit may *defer* its ``complete`` RPC: the call is launched as a
@@ -45,7 +63,7 @@ version published.
 
 from __future__ import annotations
 
-from typing import Dict, List, TYPE_CHECKING
+from typing import Dict, List, Optional, TYPE_CHECKING
 
 from repro.blobseer.metadata.segment_tree import (
     build_leaf_segments,
@@ -54,9 +72,12 @@ from repro.blobseer.metadata.segment_tree import (
     split_vector_into_pieces,
 )
 from repro.blobseer.metadata.store import PartitionedMetadataStore
-from repro.blobseer.writepath.batch import WriteReceipt
+from repro.blobseer.writepath.batch import (
+    AheadWrite,
+    WriteReceipt,
+    require_payload,
+)
 from repro.core.listio import IOVector
-from repro.errors import StorageError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.blobseer.blob import BlobDescriptor
@@ -95,10 +116,15 @@ class PipelinedCommitEngine:
 
     # ------------------------------------------------------------------
     def commit(self, blob_id: str, vector: IOVector, *,
+               ahead: Optional[AheadWrite] = None,
                logical_writes: int = 1, defer_complete: bool = False,
                trace_parent=None):
         """Commit one write vector (possibly a merged batch) as one snapshot.
 
+        :meth:`stage` and :meth:`publish` composed.  ``ahead`` is a write
+        :meth:`place_ahead` placed: the parts :meth:`stage_ahead` uploaded
+        while the rest was still arriving belong to the same snapshot, and
+        ``vector`` — its last part — may be empty when there are any.
         ``logical_writes`` records how many queued application writes the
         vector coalesces; ``defer_complete`` (pipelined mode only) launches
         the ``complete`` RPC as a background process so the caller can start
@@ -110,11 +136,8 @@ class PipelinedCommitEngine:
         mainline, so none of them may touch the context's span stack.
         """
         client = self.client
-        sim = client.cluster.sim
-        deployment = client.deployment
-        if not vector.is_write or len(vector) == 0:
-            raise StorageError("a vectored write needs at least one payload request")
-        started_at = sim.now
+        require_payload(vector, ahead)
+        started_at = client.cluster.sim.now
         ctx = client.trace_ctx
         span = None
         if ctx is not None:
@@ -123,31 +146,64 @@ class PipelinedCommitEngine:
                 parent=trace_parent if trace_parent is not None else ctx.current,
                 blob=blob_id, logical_writes=logical_writes)
         try:
-            receipt = yield from self._commit_body(
-                blob_id, vector, logical_writes, defer_complete,
-                started_at, ctx, span)
+            pieces, ticket = [], None
+            if len(vector):
+                pieces, ticket = yield from self.stage(
+                    blob_id, vector, placed=ahead and ahead.placed[-1],
+                    take_ticket=self.pipelining, trace_parent=span)
+            if ahead is not None and ahead.stagings:
+                earlier = yield from self._join_ahead(blob_id, ahead, ticket)
+                pieces = earlier + pieces
+                # every staging numbered its own requests from 0: overlaps
+                # resolve in the order the parts were staged, the commit's
+                # own vector (and whatever the batch queued behind it) last
+                for order, piece in enumerate(pieces):
+                    piece.request_index = order
+            receipt = yield from self.publish(
+                blob_id, pieces, ticket, logical_writes, defer_complete,
+                started_at, span)
         finally:
             if span is not None:
                 ctx.end(span)
         return receipt
 
-    def _commit_body(self, blob_id: str, vector: IOVector, logical_writes,
-                     defer_complete, started_at, ctx, span):
+    def _allocate(self, unit_sizes: List[int], trace_parent=None):
+        """Placement: one control-plane RPC to the provider manager."""
+        providers = yield from self._wcontrol(
+            self.client.deployment.provider_manager, "allocate", unit_sizes,
+            self.client.name, trace_parent=trace_parent)
+        return providers
+
+    def stage(self, blob_id: str, vector: IOVector, *, placed=None,
+              take_ticket: bool = False, trace_parent=None):
+        """Steps 1-3 of a commit: split, place and upload ``vector``.
+
+        ``placed`` is the ``(unit_sizes, providers)`` :meth:`place_ahead`
+        obtained for this part of a write; a vector that is not the part
+        declared (a peer of the collective failed to deliver its bytes), or
+        that was never declared, is placed here.  Returns ``(pieces,
+        ticket)``: the placed pieces, their payload references dropped now
+        that the providers hold the bytes, and — with ``take_ticket`` — the
+        ``(version, base_version)`` of a ticket requested *concurrently*
+        with the uploads (released again if an upload fails), else ``None``.
+        """
         client = self.client
         sim = client.cluster.sim
         deployment = client.deployment
+        ctx = client.trace_ctx
         blob = yield from client._descriptor(blob_id)
 
         # 1. chunk-aligned decomposition
         pieces = split_vector_into_pieces(blob, vector)
 
-        # 2. placement (control-plane RPC to the provider manager): what is
-        #    placed is the stripe unit, and every piece follows its unit
+        # 2. placement: what is placed is the stripe unit, and every piece
+        #    follows its unit
         unit_of_piece, unit_sizes = pack_pieces_into_stripe_units(
             pieces, blob.chunk_size)
-        providers = yield from self._wcontrol(
-            deployment.provider_manager, "allocate", unit_sizes, client.name,
-            trace_parent=span)
+        if placed is not None and placed[0] == unit_sizes:
+            providers = placed[1]
+        else:
+            providers = yield from self._allocate(unit_sizes, trace_parent)
 
         # 3. fully parallel, uncoordinated chunk uploads — one batched RPC
         #    per destination provider
@@ -157,9 +213,9 @@ class PipelinedCommitEngine:
             piece.provider_id = providers[unit]
             per_provider.setdefault(piece.provider_id, []).append(piece)
         upload_span = None
-        if span is not None and per_provider:
+        if ctx is not None and per_provider:
             upload_span = ctx.begin_detached(
-                "commit.upload", cat="write", parent=span,
+                "commit.upload", cat="write", parent=trace_parent,
                 pieces=len(pieces), units=len(unit_sizes),
                 providers=len(per_provider))
         upload_calls = []
@@ -172,13 +228,14 @@ class PipelinedCommitEngine:
                             client.cluster.config.control_message_size, payload,
                             trace_parent=upload_span))
 
-        # 4. version ticket — overlapped with the uploads when pipelining
-        #    (the ticket is a tiny control message; the uploads dominate)
-        if self.pipelining:
+        # 4a. the version ticket, overlapped with the uploads (the ticket is
+        #     a tiny control message; the uploads dominate)
+        ticket = None
+        if take_ticket:
             uploads = sim.fanout(upload_calls)
             ticket_process = sim.process(
                 self._wcontrol(deployment.version_manager, "assign_ticket",
-                               blob_id, trace_parent=span),
+                               blob_id, trace_parent=trace_parent),
                 name=f"{client.name}:ticket")
             try:
                 yield sim.all_of([uploads, ticket_process])
@@ -188,19 +245,90 @@ class PipelinedCommitEngine:
                 # would stall behind a write that can never complete
                 yield from self._release_ticket(blob_id, ticket_process)
                 raise
-            # the join covers uploads *and* the (tiny) ticket round-trip;
-            # the upload RPCs carry the exact per-provider intervals
-            if upload_span is not None:
-                ctx.end(upload_span)
-            version, base_version = ticket_process.value
-        else:
-            if upload_calls:
-                yield sim.fanout(upload_calls)
-            if upload_span is not None:
-                ctx.end(upload_span)
-            version, base_version = yield from self._wcontrol(
-                deployment.version_manager, "assign_ticket", blob_id,
+            ticket = ticket_process.value
+        elif upload_calls:
+            yield sim.fanout(upload_calls)
+        # with a ticket the join covers uploads *and* the (tiny) ticket
+        # round-trip; the upload RPCs carry the exact per-provider intervals
+        if upload_span is not None:
+            ctx.end(upload_span)
+        for piece in pieces:
+            piece.data = None
+        return pieces, ticket
+
+    def place_ahead(self, unit_sizes: List[List[int]], trace_parent=None):
+        """Place a whole write before its bytes are here: one ``allocate``.
+
+        ``unit_sizes[k]`` declares the stripe units of the write's part
+        ``k`` (:func:`~repro.blobseer.metadata.segment_tree.
+        stripe_unit_sizes` of its extents).  Returns the
+        :class:`~repro.blobseer.writepath.batch.AheadWrite` to
+        :meth:`stage_ahead` every part but the last through and to name in
+        the :meth:`commit` that carries the last: however many parts upload
+        ahead, the write costs the control RPCs of a single commit.
+        """
+        providers = yield from self._allocate(
+            [size for part in unit_sizes for size in part], trace_parent)
+        placed, start = [], 0
+        for part in unit_sizes:
+            placed.append((part, providers[start:start + len(part)]))
+            start += len(part)
+        return AheadWrite(placed)
+
+    def stage_ahead(self, blob_id: str, vector: IOVector, ahead: AheadWrite,
+                    part: int, *, trace_parent=None) -> None:
+        """Start :meth:`stage` on part ``part`` of ``ahead`` in the background.
+
+        The process never fails — nobody may be waiting when an upload dies,
+        and an unobserved failure would stop the simulator: its value is the
+        staged pieces or the exception, and :meth:`commit` raises the latter.
+        It holds no ticket.
+        """
+        def contained():
+            try:
+                pieces, _ticket = yield from self.stage(
+                    blob_id, vector, placed=ahead.placed[part],
+                    trace_parent=trace_parent)
+            except Exception as exc:
+                return exc
+            return pieces
+
+        ahead.stagings.append(self.client.cluster.sim.process(
+            contained(), name=f"{self.client.name}:stage"))
+
+    def _join_ahead(self, blob_id: str, ahead: AheadWrite, ticket):
+        """The pieces of ``ahead``'s stagings, in order, once all are done.
+
+        If one of them failed the snapshot cannot be built: release
+        ``ticket`` (if the commit already holds one) and raise its error.
+        """
+        yield self.client.cluster.sim.all_of(ahead.stagings)
+        pieces = []
+        for process in ahead.stagings:
+            if isinstance(process.value, Exception):
+                if ticket is not None:
+                    yield from self._abort_version(blob_id, ticket[0])
+                raise process.value
+            pieces.extend(process.value)
+        return pieces
+
+    def publish(self, blob_id: str, pieces, ticket, logical_writes,
+                defer_complete, started_at, span):
+        """Steps 4-6 of a commit: ticket, metadata over ``pieces``, complete.
+
+        ``ticket`` is what :meth:`stage` returned; ``None`` requests one now.
+        """
+        client = self.client
+        sim = client.cluster.sim
+        ctx = client.trace_ctx
+        blob = yield from client._descriptor(blob_id)
+
+        # 4b. version ticket, if the uploads did not bring one
+        if ticket is None:
+            ticket = yield from self._wcontrol(
+                client.deployment.version_manager, "assign_ticket", blob_id,
                 trace_parent=span)
+        version, base_version = ticket
 
         # 5. copy-on-write metadata, batched per metadata shard.  Any
         #    failure past this point holds an assigned ticket, so the error
@@ -261,7 +389,8 @@ class PipelinedCommitEngine:
             yield from self._complete(blob_id, version, primed,
                                       trace_parent=span)
 
-        client.bytes_written += vector.total_bytes()
+        bytes_written = sum(piece.length for piece in pieces)
+        client.bytes_written += bytes_written
         client.writes += 1
         client.logical_writes += logical_writes
         # this commit outdates any read hint planted earlier: a default read
@@ -272,7 +401,7 @@ class PipelinedCommitEngine:
         return WriteReceipt(
             blob_id=blob_id,
             version=version,
-            bytes_written=vector.total_bytes(),
+            bytes_written=bytes_written,
             chunks=len(pieces),
             metadata_nodes=len(nodes),
             logical_writes=logical_writes,

@@ -27,11 +27,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class _Collective:
     """State of one in-flight collective operation (one generation)."""
 
-    def __init__(self, size: int):
-        self.size = size
+    __slots__ = ("contributions", "event", "result", "taken")
+
+    def __init__(self):
         self.contributions: Dict[int, Any] = {}
         self.event: Optional["Event"] = None
         self.result: Any = None
+        #: ranks that have left with the result; the slot dies with the last
+        self.taken = 0
 
 
 class SharedList(list):
@@ -63,8 +66,11 @@ class Communicator:
         self.cluster = cluster
         self.size = size
         self.name = name
-        self._pending: Dict[str, List[_Collective]] = {}
-        self._generation: Dict[str, List[int]] = {}
+        #: op -> generation -> state, for the generations some rank is
+        #: still inside; a finished one is dropped (with its contributions
+        #: and result — a data shuffle's worth of payload) by the last rank
+        #: to leave it
+        self._pending: Dict[str, Dict[int, _Collective]] = {}
         #: per-rank counters of how many collectives each rank entered
         self._rank_counts: Dict[str, Dict[int, int]] = {}
         #: total collectives completed (benchmark metric)
@@ -100,32 +106,32 @@ class Communicator:
         generation = counts.get(rank, 0)
         counts[rank] = generation + 1
 
-        pending = self._pending.setdefault(op, [])
-        while len(pending) <= generation:
-            pending.append(_Collective(self.size))
-        collective = pending[generation]
-
-        if rank in collective.contributions:
-            raise MPIError(
-                f"rank {rank} entered {op} generation {generation} twice")
+        pending = self._pending.setdefault(op, {})
+        collective = pending.get(generation)
+        if collective is None:
+            collective = pending[generation] = _Collective()
         collective.contributions[rank] = contribution
 
         if len(collective.contributions) < self.size:
             if collective.event is None:
                 collective.event = self.cluster.sim.event()
             yield collective.event
-            return collective.result
-
-        # last arrival: perform the operation, charge its cost, wake the others
-        collective.result = finalize(collective.contributions)
-        if callable(payload_bytes):
-            payload_bytes = payload_bytes(collective.contributions)
-        if self.size > 1:
-            self.bytes_moved += payload_bytes
-            yield self.cluster.sim.timeout(self._cost(payload_bytes))
-        self.collectives_completed += 1
-        if collective.event is not None:
-            collective.event.succeed(collective.result)
+        else:
+            # last arrival: perform the operation, charge its cost, wake
+            # the others
+            collective.result = finalize(collective.contributions)
+            if callable(payload_bytes):
+                payload_bytes = payload_bytes(collective.contributions)
+            collective.contributions = None
+            if self.size > 1:
+                self.bytes_moved += payload_bytes
+                yield self.cluster.sim.timeout(self._cost(payload_bytes))
+            self.collectives_completed += 1
+            if collective.event is not None:
+                collective.event.succeed(collective.result)
+        collective.taken += 1
+        if collective.taken == self.size:
+            del pending[generation]
         return collective.result
 
     # ------------------------------------------------------------------

@@ -9,16 +9,34 @@ separately costs one version ticket plus one copy-on-write metadata build
 1. exchanges the ranks' access *descriptions* (one ``allgather`` of region
    lists) so everyone can compute the same partition of the file domain into
    ``num_aggregators`` contiguous, chunk-aligned stripes;
-2. exchanges the *data* (one ``alltoallv``) so each stripe's pieces land on
-   the one aggregator rank that owns it;
-3. has each aggregator assemble its file domain — the pieces applied in
-   source-rank order, so overlaps resolve exactly as a serial application of
-   the ranks' writes in rank order, onto one buffer per contiguous run of
-   written bytes (holes stay holes) — and stage those runs in its
-   :class:`~repro.blobseer.writepath.coalescer.WriteCoalescer`, committing
-   the whole group's collective as ``num_aggregators`` snapshot batches (one
-   ``allocate``, one ticket, one metadata build each) instead of ``N``, each
-   of one chunk per stripe unit however small the ranks' blocks were;
+2. exchanges the *data* in rounds, as ROMIO does with its collective
+   buffer: every stripe is cut at absolute chunk multiples into sub-stripes
+   of whole *stripe rows* (data providers x chunk size — one unit per disk)
+   — the fewest rows for which what the aggregators send one disk in a round
+   is a run worth the disk's positioning time (:func:`_round_bytes`; every
+   factor is known to every rank, so all derive the same round count and
+   nobody sets one) — and round ``k`` is one sparse ``alltoallv`` landing
+   the pieces of every stripe's ``k``-th sub-stripe on the aggregator rank
+   that owns it;
+3. has each aggregator assemble the sub-stripe it just received — the pieces
+   applied in source-rank order, so overlaps resolve exactly as a serial
+   application of the ranks' writes in rank order (rounds partition the
+   file, so no overlap crosses one), onto one buffer per contiguous run of
+   written bytes (holes stay holes) — and *stage* those runs (split, pack
+   into stripe units, ``put_chunks``) as a background process while the
+   group exchanges round ``k + 1``: the disks work from the first round on
+   instead of idling through the whole shuffle.  Where the units go is
+   settled when the first sub-stripe goes ahead: the descriptions say what
+   every sub-stripe will hold, so one ``allocate`` places the whole stripe.
+   The last round's runs go to the aggregator's
+   :class:`~repro.blobseer.writepath.coalescer.WriteCoalescer` together
+   with the stagings still in flight, and one commit uploads them (its
+   ticket request riding along), joins the rest and publishes the whole
+   stripe: the group's collective is ``num_aggregators`` snapshot batches
+   (one ``allocate``, one ticket, one metadata build, one ``complete``
+   each) instead of ``N``, each of one chunk per stripe unit however small
+   the ranks' blocks were.  A stripe of one round is the same loop run
+   once: a single shuffle;
 4. shares the published watermark back with every rank in the closing
    ``allgather``, so each participant's client learns — at zero RPC cost —
    a published version containing its own data (read-your-writes without a
@@ -29,20 +47,28 @@ control-plane round-trips on the collective — the traffic that remains is
 MPI-internal exchange, which moves over the compute interconnect instead of
 hammering the storage control plane.
 
-Failure containment: any phase that fails on one rank (a dead provider under
-an aggregator's commit, a validation error while merging) is reported
-through the closing exchange instead of being raised mid-protocol, so the
-surviving ranks never hang in a half-entered collective.  A failed
-aggregator discards its staged stripe (the group already observed the
-failure; silently retrying it at the next flush point would resurrect a
-write the application saw fail), releases its ticket through the commit
-engine's abort/rollback path, and every rank raises — with no torn snapshot
-left behind and publication never stalled for bystanders.  Like MPI itself,
-a *failed* collective leaves the file state undefined within the access
-range: stripes whose aggregators succeeded are durably published (each one
-a complete, internally consistent snapshot), only the failed parts are
-absent — the guarantees are snapshot integrity and group progress, not
-all-or-nothing application of the collective.
+Failure containment: what one rank alone contributes to the partition (its
+descriptor, its aggregator setting) is resolved before the opening exchange
+and a failure there stops the collective in it; past it every rank knows the
+round count, and anything that fails on one rank in round ``k`` (a dead
+provider under a staging upload, a validation error, a bad cut) is reported
+through the closing exchange instead of being raised mid-protocol — the rank
+enters the remaining rounds empty-handed, so the surviving ranks never hang
+in a half-entered collective.  A staging that ran ahead holds no ticket and
+never fails in the background: its error surfaces when the commit joins it.
+An aggregator a failed peer left short of bytes still publishes what did
+arrive: a sub-stripe that is not the one described is placed on its own.
+A failed aggregator discards its staged stripe (the group already observed
+the failure; silently retrying it at the next flush point would resurrect a
+write the application saw fail; chunks already uploaded stay unreferenced),
+releases its ticket through the commit engine's abort/rollback path, and
+every rank raises — with no torn snapshot left behind and publication never
+stalled for bystanders.  Like MPI itself, a *failed* collective leaves the
+file state undefined within the access range: stripes whose aggregators
+succeeded are durably published (each one a complete, internally consistent
+snapshot), only the failed parts are absent — the guarantees are snapshot
+integrity and group progress, not all-or-nothing application of the
+collective.
 
 In MPI *atomic* mode the collective path is bypassed: splitting one rank's
 access across several stripe snapshots could let a concurrent reader observe
@@ -85,8 +111,10 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Dict, List, NamedTuple, Optional, Tuple, TYPE_CHECKING
 
+from repro.blobseer.metadata.segment_tree import stripe_unit_sizes
+from repro.blobseer.writepath.batch import AheadWrite
 from repro.core.listio import IOVector
 from repro.core.regions import Region, RegionList
 from repro.errors import MPIIOError
@@ -257,6 +285,11 @@ def _piece_bytes(piece: Tuple) -> int:
     return len(piece[-1]) + EXTENT_DESCRIPTION_BYTES
 
 
+def _priced_bytes(item: Tuple) -> int:
+    """Wire size of one data-exchange item: its sender priced it already."""
+    return item[0]
+
+
 def _description_bytes(contributions: Dict[int, Tuple],
                        per_entry_extra: int = 0) -> int:
     """Wire size of one opening allgather's access descriptions.
@@ -342,14 +375,62 @@ def _scan_gather(gathered) -> Tuple[list, list, int, int, int]:
     return early_errors, extents_by_rank, pinned, lo or 0, hi
 
 
+def _scan_outcomes(outcomes) -> Tuple[list, int]:
+    """A closing gather's error reports and, if there are none, the highest
+    version an aggregator published."""
+    errors = [entry[1] for entry in outcomes if entry[0] == "err"]
+    return errors, 0 if errors else max(entry[1] for entry in outcomes)
+
+
+def _round_bytes(providers: int, chunk_size: int, count: int, config) -> int:
+    """Bytes of one aggregator's stripe exchanged — and uploaded — per round.
+
+    Whole stripe rows (``providers`` x ``chunk_size``: one unit per disk),
+    the fewest that make a round worth a disk's while: what the ``count``
+    aggregators send one disk in a round queues up as one sequential run,
+    and that run should stream for at least as long as the disk takes to
+    position for it — a dump too small for that gains nothing from
+    uploading early and pays one I/O overhead per extra round, so it comes
+    out as a single round.  Every factor is known to every rank alike.
+    """
+    positioning_bytes = config.disk_overhead * config.disk_bandwidth
+    rows = max(1, -(-int(positioning_bytes) // (count * chunk_size)))
+    return providers * chunk_size * rows
+
+
+class _WritePlan(NamedTuple):
+    """What every rank derives alike from one collective write's descriptions."""
+
+    #: the aggregator ranks, one per stripe
+    owners: List[int]
+    #: logical writes attributed to each stripe's commit
+    attributed: List[int]
+    #: exchange rounds: the most sub-stripes any one stripe is cut into
+    rounds: int
+    #: the sub-stripes' end offsets in file order — one ``bisect`` places a
+    #: request — and, of each, the aggregator rank, the round it is exchanged
+    #: in and the stripe units its written bytes will be staged as
+    edges: List[int]
+    edge_owner: List[int]
+    edge_round: List[int]
+    edge_units: List[List[int]]
+
+
 def _plan_write_partition(size: int, count: int, lo: int, hi: int,
-                          chunk_size: int, extents_by_rank) -> Tuple[
-                              List[int], List[Tuple[int, int]], List[int], List[int]]:
-    """Aggregator owners, stripe domains and write attribution for one job.
+                          chunk_size: int, row: int,
+                          extents_by_rank) -> _WritePlan:
+    """Aggregator owners, write attribution and exchange rounds of one job.
 
     Each rank's one logical write is attributed to the aggregator owning its
     first data byte, so the attributions sum to the number of data-bearing
     ranks however the stripes slice them.
+
+    Every stripe is cut, at absolute chunk multiples, into sub-stripes of
+    ``row`` bytes; an aggregator's ``k``-th sub-stripe is exchanged in round
+    ``k``.  What a sub-stripe will hold is known before any byte moves — the
+    union of the described extents inside it — and with it the stripe units
+    the aggregator will stage it as, which is what lets one ``allocate``
+    place a whole stripe ahead of its data.
     """
     owners = aggregator_ranks(size, count)
     domains = partition_file_domain(lo, hi, count, chunk_size)
@@ -359,7 +440,41 @@ def _plan_write_partition(size: int, count: int, lo: int, hi: int,
         first = next((offset for offset, size in extents if size), None)
         if first is not None:
             attributed[_domain_index(first, domains, domain_ends)] += 1
-    return owners, domains, domain_ends, attributed
+    # the written bytes as maximal runs: what the aggregators' assembled
+    # sub-stripes will consist of
+    written: List[List[int]] = []
+    for offset, length in sorted(extent for extents in extents_by_rank
+                                 for extent in extents if extent[1]):
+        if written and offset <= written[-1][1]:
+            written[-1][1] = max(written[-1][1], offset + length)
+        else:
+            written.append([offset, offset + length])
+    edges: List[int] = []
+    edge_owner: List[int] = []
+    edge_round: List[int] = []
+    edge_units: List[List[int]] = []
+    run = 0
+    for owner, (start, end) in zip(owners, domains):
+        cursor = start - start % chunk_size
+        round_index = 0
+        while start < end:
+            cursor += row
+            stop = min(cursor, end)
+            inside = []
+            while run < len(written) and written[run][0] < stop:
+                first = max(written[run][0], start)
+                inside.append((first, min(written[run][1], stop) - first))
+                if written[run][1] > stop:
+                    break
+                run += 1
+            edges.append(stop)
+            edge_owner.append(owner)
+            edge_round.append(round_index)
+            edge_units.append(stripe_unit_sizes(inside, chunk_size))
+            start = stop
+            round_index += 1
+    return _WritePlan(owners, attributed, max(edge_round) + 1, edges,
+                      edge_owner, edge_round, edge_units)
 
 
 class _CollectiveParticipant:
@@ -430,10 +545,16 @@ class CollectiveAggregator(_CollectiveParticipant):
         failure: Optional[BaseException] = None
 
         # phase 0 (local): writes this rank queued earlier in program order
-        # must take their tickets before the group's stripe commits do
+        # must take their tickets before the group's stripe commits do.  What
+        # the partition needs from this rank alone is fetched here too, so a
+        # rank that cannot get it stops the collective before any exchange
+        # round is entered: past the opening allgather every rank can derive
+        # the round count
         try:
             if client.coalescer.pending_writes(blob_id):
                 yield from client.coalescer.flush(blob_id)
+            blob = yield from client._descriptor(blob_id)
+            count = self.resolved_count(comm.size)
             opening = ("ok", encode_extents(
                 [(request.offset, request.size) for request in vector]))
         except Exception as exc:
@@ -469,64 +590,77 @@ class CollectiveAggregator(_CollectiveParticipant):
             self.stats.collectives += 1
             return 0
 
-        # partition + piece splitting must not raise mid-protocol either: a
-        # rank failing here (a descriptor fetch against a dead manager, a
-        # bad aggregator setting) still enters the exchange empty-handed and
-        # reports through the closing phase, so its peers never hang
-        owners: List[int] = []
-        send: Dict[int, List[Tuple[int, int, bytes]]] = {}
-        try:
-            blob = yield from client._descriptor(blob_id)
-            count = self.resolved_count(comm.size)
-            owners, domains, domain_ends, attributed = _shared_memo(
-                gathered, ("write_plan", count, blob.chunk_size),
-                lambda: _plan_write_partition(comm.size, count, lo, hi,
-                                              blob.chunk_size,
-                                              extents_by_rank))
+        # pure arithmetic over what every rank received identically: it
+        # cannot fail on one rank alone
+        row = _round_bytes(len(client.deployment.data_providers),
+                           blob.chunk_size, count, client.cluster.config)
+        plan = _shared_memo(
+            gathered, ("write_plan", count, blob.chunk_size, row),
+            lambda: _plan_write_partition(comm.size, count, lo, hi,
+                                          blob.chunk_size, row,
+                                          extents_by_rank))
+        rounds = plan.rounds
 
-            # phase 2: ship every piece to the aggregator owning its stripe
-            # (a sparse exchange — most ranks only touch a few stripes)
-            for sequence, request in enumerate(vector):
-                if request.size == 0:
-                    continue
-                start, end = request.offset, request.offset + request.size
-                index = _domain_index(start, domains, domain_ends)
-                while start < end:
-                    cut = min(end, domains[index][1])
-                    data = request.data[start - request.offset:
-                                        cut - request.offset]
-                    send.setdefault(owners[index], []).append(
-                        (sequence, start, data))
-                    start = cut
-                    index += 1
+        # cutting must not raise mid-protocol: a rank failing here (or in
+        # any round below) still enters every exchange round empty-handed
+        # and reports through the closing phase, so its peers never hang
+        try:
+            sends = self._cut_rounds(vector, plan)
         except Exception as exc:
             failure = exc
-            owners = []
-            send = {}
-        # pieces addressed to this rank itself are a local copy, not traffic
-        self.stats.bytes_sent += sum(_piece_bytes(piece)
-                                     for destination, pieces in send.items()
-                                     for piece in pieces
-                                     if destination != rank)
-        received = yield from _phase(
-            ctx, comm.alltoallv_sparse(
-                rank, send,
-                sizeof=lambda pieces: sum(_piece_bytes(piece)
-                                          for piece in pieces)),
-            "collective.write.exchange_data", rank=rank)
+            sends = [{} for _round in range(rounds)]
 
-        # phase 3 (aggregators): assemble the stripe in (source rank,
-        # sequence) order — the serial rank-order application — and commit
-        # its contiguous runs via the coalescer
+        # phases 2-3, one sub-stripe per round: ship every piece of the
+        # round to the aggregator owning its sub-stripe (a sparse exchange —
+        # most ranks only touch a few stripes); the aggregator assembles the
+        # sub-stripe and, while the group exchanges the next round, uploads
+        # it.  The last round's runs stay in hand: they are what the commit
+        # uploads itself, its ticket request riding along
+        stripe = plan.owners.index(rank) if rank in plan.owners else None
+        ahead: Optional[AheadWrite] = None
+        runs: Optional[IOVector] = None
+        parent = ctx.current if ctx is not None else None
+        for index in range(rounds):
+            # each send list is priced once, here, for the stats, the cost
+            # model and the receiver; pieces addressed to this rank itself
+            # are a local copy, not traffic
+            send = {destination: (sum(map(_piece_bytes, pieces)), pieces)
+                    for destination, pieces in sends[index].items()}
+            sends[index] = None
+            self.stats.bytes_sent += sum(
+                nbytes for destination, (nbytes, _pieces) in send.items()
+                if destination != rank)
+            received = yield from _phase(
+                ctx, comm.alltoallv_sparse(rank, send, sizeof=_priced_bytes),
+                "collective.write.exchange_data", rank=rank, round=index)
+            if failure is None and stripe is not None:
+                try:
+                    runs = self._assemble(received, rank)
+                    if runs is not None and index + 1 < rounds:
+                        if ahead is None:
+                            # the first bytes to go ahead of the commit:
+                            # have the whole stripe placed, so that no
+                            # later round — nor the commit — asks again
+                            ahead = yield from _phase(
+                                ctx, client.writepath.place_ahead(
+                                    self._stripe_units(plan, rank)),
+                                "collective.write.place", rank=rank)
+                        client.writepath.stage_ahead(
+                            blob_id, runs, ahead, index, trace_parent=parent)
+                        runs = None
+                except Exception as exc:
+                    failure = exc
+
+        # phase 3 (aggregators): publish the whole stripe — every round's
+        # uploads — as one snapshot via the coalescer
         closing = ("ok", 0)
         if failure is not None:
             closing = ("err", f"rank {rank}: {failure!r}")
-        elif rank in owners:
+        elif runs is not None or ahead is not None:
             try:
                 version = yield from _phase(
-                    ctx, self._commit_stripe(
-                        blob_id, received, attributed[owners.index(rank)],
-                        rank),
+                    ctx, self._commit_stripe(blob_id, runs or IOVector(),
+                                             ahead, plan.attributed[stripe]),
                     "collective.write.commit_stripe", rank=rank)
                 closing = ("ok", version)
             except Exception as exc:
@@ -540,7 +674,8 @@ class CollectiveAggregator(_CollectiveParticipant):
         outcomes = yield from _phase(
             ctx, comm.allgather(rank, closing),
             "collective.write.closing", rank=rank)
-        errors = [entry[1] for entry in outcomes if entry[0] == "err"]
+        errors, watermark = _shared_memo(
+            outcomes, "closing", lambda: _scan_outcomes(outcomes))
         if errors:
             # surviving aggregators' stripes are durably published, so any
             # hint planted before this collective now names a version that
@@ -550,50 +685,94 @@ class CollectiveAggregator(_CollectiveParticipant):
             if failure is not None:
                 raise failure
             raise MPIIOError("collective write failed: " + "; ".join(errors))
-        watermark = max(entry[1] for entry in outcomes)
         if watermark:
             client.note_collective_commit(blob_id, watermark)
         self.stats.collectives += 1
         return vector.total_bytes()
 
     # ------------------------------------------------------------------
-    def _commit_stripe(self, blob_id: str,
-                       received: Dict[int, List[Tuple[int, int, bytes]]],
-                       attributed_writes: int, self_rank: int):
-        """Assemble the stripe and publish it as one snapshot batch.
+    @staticmethod
+    def _stripe_units(plan: _WritePlan, rank: int) -> List[List[int]]:
+        """Per round, the stripe units of aggregator ``rank``'s sub-stripe
+        (none for a round its stripe is too short for)."""
+        units: List[List[int]] = [[] for _round in range(plan.rounds)]
+        for owner, round_index, edge_units in zip(
+                plan.edge_owner, plan.edge_round, plan.edge_units):
+            if owner == rank:
+                units[round_index] = edge_units
+        return units
 
-        The received pieces are applied in (source rank, sequence) order
-        onto one buffer per maximal contiguous run of the stripe's written
-        bytes (:meth:`~repro.core.listio.IOVector.coalesced`: later requests
-        win on overlapping bytes, so the result equals applying the ranks'
-        accesses serially in rank order — the resolution the conformance
-        suite pins; holes stay holes, nothing is zero-filled).  Those runs,
-        not the pieces, are what the coalescer stages: every layer below
-        sees one chunk per stripe unit however small the ranks' blocks
-        were.  Returns the published version (0 if the stripe was empty).
+    @staticmethod
+    def _cut_rounds(vector: IOVector, plan: _WritePlan
+                    ) -> List[Dict[int, List[Tuple[int, int, bytes]]]]:
+        """This rank's pieces per exchange round and destination aggregator.
+
+        A request is cut wherever it crosses a sub-stripe edge (stripe edges
+        included); one ``bisect`` finds its first sub-stripe.  Within one
+        destination's list the ``(sequence, offset, data)`` pieces ascend.
         """
-        pieces = [(source, sequence, offset, data)
-                  for source, items in received.items()
-                  for sequence, offset, data in items
-                  if data]
-        if not pieces:
-            return 0
-        pieces.sort(key=lambda piece: piece[:3])
+        edges, edge_owner, edge_round = \
+            plan.edges, plan.edge_owner, plan.edge_round
+        sends: List[Dict[int, list]] = [{} for _round in range(plan.rounds)]
+        for sequence, request in enumerate(vector):
+            if request.size == 0:
+                continue
+            start, end = request.offset, request.offset + request.size
+            index = bisect_right(edges, start)
+            if end <= edges[index]:
+                # the common case: the request crosses no edge
+                sends[edge_round[index]].setdefault(
+                    edge_owner[index], []).append(
+                        (sequence, start, request.data))
+                continue
+            while start < end:
+                cut = min(end, edges[index])
+                data = request.data[start - request.offset:
+                                    cut - request.offset]
+                sends[edge_round[index]].setdefault(
+                    edge_owner[index], []).append((sequence, start, data))
+                start = cut
+                index += 1
+        return sends
+
+    def _assemble(self, received: Dict[int, Tuple[int, list]],
+                  self_rank: int) -> Optional[IOVector]:
+        """One sub-stripe's received pieces as contiguous runs.
+
+        The pieces are applied in (source rank, sequence) order — each
+        source's list already ascends — onto one buffer per maximal
+        contiguous run of written bytes
+        (:meth:`~repro.core.listio.IOVector.coalesced`: later requests win on
+        overlapping bytes, so the result equals applying the ranks' accesses
+        serially in rank order — the resolution the conformance suite pins;
+        rounds partition the file, so no overlap crosses one; holes stay
+        holes, nothing is zero-filled).  Those runs, not the pieces, are
+        what gets stored: every layer below sees one chunk per stripe unit
+        however small the ranks' blocks were.  ``None`` if nothing arrived.
+        """
+        pairs = [(offset, data)
+                 for source in sorted(received)
+                 for _sequence, offset, data in received[source][1]]
+        if not pairs:
+            return None
         self.stats.bytes_received += sum(
-            _piece_bytes(piece) for piece in pieces
-            if piece[0] != self_rank)
-        stripe_vector = IOVector.for_write(
-            [(offset, data) for _source, _sequence, offset, data in pieces]
-        ).coalesced()
+            nbytes for source, (nbytes, _pieces) in received.items()
+            if source != self_rank)
+        runs = IOVector.for_write(pairs).coalesced()
         # the run buffers replace the pieces: release this rank's receive
-        # buffers now rather than when the collective returns (holding both
-        # through the commit is a dump's worth of extra peak memory)
-        del pieces
-        for items in received.values():
-            items.clear()
+        # buffers now rather than when the collective returns
+        for _nbytes, pieces in received.values():
+            pieces.clear()
+        return runs
+
+    def _commit_stripe(self, blob_id: str, runs: IOVector,
+                       ahead: Optional[AheadWrite], attributed_writes: int):
+        """Publish the stripe — ``runs`` plus the sub-stripes uploading
+        ``ahead``, if any were — as one snapshot batch; returns the
+        published version."""
         coalescer = self.client.coalescer
-        staged = yield from coalescer.enqueue(blob_id, stripe_vector,
-                                              logical_writes=attributed_writes)
+        staged = yield from coalescer.enqueue(
+            blob_id, runs, logical_writes=attributed_writes, ahead=ahead)
         yield from coalescer.barrier(blob_id)
         self.stats.stripes_committed += 1
         self.stats.attributed_writes += attributed_writes

@@ -234,3 +234,39 @@ class TestMetadataReadPathModes:
                 == fast_client.metadata_read_rpcs)
         # warm second pass means a real hit rate
         assert fast_client.metadata_cache.stats.hit_rate > 0.4
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_assemble_scatters_disjoint_extents_into_each_request(seed):
+    """``_assemble`` against the obvious reference (paint every extent onto
+    a file image, slice the requests out): requests one extent covers whole
+    take the slice fast path, requests spanning extents or reaching into
+    gaps the buffer path, and both must agree with the image."""
+    import random
+    from repro.blobseer.client import BlobClient
+    from repro.core.listio import IOVector
+
+    rng = random.Random(seed)
+    size = 4096
+    image = bytearray(size)
+    fetched, cursor = [], 0
+    while cursor < size - 64:
+        cursor += rng.choice([0, 0, rng.randint(1, 40)])     # maybe a gap
+        length = rng.randint(1, 300)
+        if cursor + length > size:
+            break
+        data = bytes(rng.randrange(1, 256) for _ in range(length))
+        image[cursor:cursor + length] = data
+        fetched.append((cursor, length, data))
+        cursor += length
+    rng.shuffle(fetched)
+    pairs = [(rng.randrange(size - 400), rng.randint(0, 400))
+             for _ in range(30)]
+    # and some requests exactly inside one extent, edges included
+    for offset, length, _data in fetched[:10]:
+        start = offset + rng.randint(0, length - 1)
+        pairs.append((start, rng.randint(0, offset + length - start)))
+    results = BlobClient._assemble(IOVector.for_read(pairs), fetched)
+    assert results == [bytes(image[offset:offset + length])
+                       for offset, length in pairs]
+    assert all(type(result) is bytes for result in results)

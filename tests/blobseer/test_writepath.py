@@ -1,8 +1,16 @@
 """Unit and integration tests of the write-pipeline subsystem."""
 
+import random
+
 import pytest
 
+from repro.blobseer.blob import BlobDescriptor
 from repro.blobseer.deployment import BlobSeerDeployment
+from repro.blobseer.metadata.segment_tree import (
+    pack_pieces_into_stripe_units,
+    split_vector_into_pieces,
+    stripe_unit_sizes,
+)
 from repro.blobseer.writepath import (
     StagedWrite,
     WriteBatch,
@@ -112,6 +120,189 @@ class TestPipelinedCommit:
         assert client.metadata_put_rpcs >= 1
         assert client.writes == 1
         assert client.logical_writes == 1
+
+
+class TestStagedAhead:
+    """``stage`` / ``publish``: parts uploaded ahead join one snapshot."""
+
+    PARTS = [[(0, b"a" * 300)], [(700, b"b" * 500), (1500, b"c" * 20)],
+             [(2048, b"d" * 1000)]]
+
+    @classmethod
+    def place(cls, engine):
+        """Declare ``PARTS``' shape: one ``allocate`` places all three."""
+        ahead = yield from engine.place_ahead(
+            [stripe_unit_sizes([(offset, len(data)) for offset, data in part],
+                               CHUNK) for part in cls.PARTS])
+        return ahead
+
+    def test_declared_units_are_the_ones_a_vector_splits_and_packs_into(self):
+        blob = BlobDescriptor.create(BLOB, BLOB_SIZE, CHUNK)
+        rng = random.Random(5)
+        for _case in range(50):
+            cuts = sorted(rng.sample(range(BLOB_SIZE), 2 * rng.randint(1, 9)))
+            extents = [(start, end - start)
+                       for start, end in zip(cuts[::2], cuts[1::2])]
+            pieces = split_vector_into_pieces(blob, IOVector.for_write(
+                [(offset, b"x" * size) for offset, size in extents]))
+            assert stripe_unit_sizes(extents, CHUNK) == \
+                pack_pieces_into_stripe_units(pieces, CHUNK)[1]
+
+    def test_parts_staged_ahead_publish_as_the_single_commit_would(self):
+        """...and cost its control RPCs: allocate, ticket, complete."""
+        contents, receipts = {}, {}
+        for ahead_parts in (None, 2, 3):
+            cluster, deployment, client = make_client()
+            engine = client.writepath
+
+            def write():
+                ahead = None
+                if ahead_parts is not None:
+                    ahead = yield from self.place(engine)
+                    for index, part in enumerate(self.PARTS[:ahead_parts]):
+                        engine.stage_ahead(BLOB, IOVector.for_write(part),
+                                           ahead, index)
+                rest = [pair for part in self.PARTS[ahead_parts or 0:]
+                        for pair in part]
+                receipt = yield from engine.commit(
+                    BLOB, IOVector.for_write(rest), ahead=ahead)
+                return receipt
+
+            receipts[ahead_parts] = run(cluster, write())
+            contents[ahead_parts] = run(
+                cluster, client.vread(BLOB, [(0, BLOB_SIZE)]))[0]
+            manager = deployment.version_manager.manager
+            assert manager.tickets_assigned == 1
+            assert manager.latest_published(BLOB) == 1
+            assert client.write_control_rpcs == 3
+        assert contents[2] == contents[None] and contents[3] == contents[None]
+        for receipt in receipts.values():
+            assert (receipt.bytes_written, receipt.chunks,
+                    receipt.metadata_nodes) == (
+                receipts[None].bytes_written, receipts[None].chunks,
+                receipts[None].metadata_nodes)
+
+    def test_a_part_that_is_not_what_was_declared_places_itself(self):
+        """A peer that failed to deliver leaves a part short of its
+        description: the slice reserved for it no longer fits, so the staging
+        asks again rather than misplace (one extra ``allocate``)."""
+        cluster, deployment, client = make_client()
+        engine = client.writepath
+
+        def write():
+            ahead = yield from self.place(engine)
+            engine.stage_ahead(BLOB, IOVector.for_write(self.PARTS[0]),
+                               ahead, 0)
+            engine.stage_ahead(BLOB, IOVector.for_write(self.PARTS[1][:1]),
+                               ahead, 1)
+            receipt = yield from engine.commit(
+                BLOB, IOVector.for_write(self.PARTS[2]), ahead=ahead)
+            return receipt
+
+        receipt = run(cluster, write())
+        assert receipt.bytes_written == 300 + 500 + 1000
+        assert client.write_control_rpcs == 4
+        assert run(cluster, client.vread(BLOB, [(700, 500)]))[0] == b"b" * 500
+
+    def test_parts_resolve_overlaps_in_the_order_they_were_staged(self):
+        """Each staging numbers its requests from 0; the commit renumbers
+        the joined pieces, so a later part — and a write queued behind the
+        one staged ahead, riding the same batch — wins the bytes it shares
+        with an earlier one."""
+        cluster, _, client = make_client()
+        engine, coalescer = client.writepath, client.coalescer
+        parts = [[(0, b"a" * 40), (100, b"a" * 40)], [(20, b"b" * 100)]]
+
+        def write():
+            ahead = yield from engine.place_ahead(
+                [stripe_unit_sizes([(offset, len(data))
+                                    for offset, data in part], CHUNK)
+                 for part in parts])
+            engine.stage_ahead(BLOB, IOVector.for_write(parts[0]), ahead, 0)
+            yield from coalescer.enqueue(
+                BLOB, IOVector.for_write(parts[1]), ahead=ahead)
+            yield from coalescer.enqueue(
+                BLOB, IOVector.for_write([(110, b"c" * 20)]))
+            yield from coalescer.barrier(BLOB)
+
+        run(cluster, write())
+        assert client.writes == 1
+        assert run(cluster, client.vread(BLOB, [(0, 140)]))[0] == \
+            b"a" * 20 + b"b" * 90 + b"c" * 20 + b"a" * 10
+
+    def test_a_write_staged_ahead_must_open_its_queue(self):
+        cluster, _, client = make_client()
+
+        def write():
+            yield from client.coalescer.enqueue(
+                BLOB, IOVector.for_write([(0, b"x" * 8)]))
+            ahead = yield from self.place(client.writepath)
+            yield from client.coalescer.enqueue(
+                BLOB, IOVector.for_write(self.PARTS[2]), ahead=ahead)
+
+        with pytest.raises(StorageError, match="queued before"):
+            run(cluster, write())
+
+    def test_stage_returns_placed_pieces_without_their_payload(self):
+        cluster, deployment, client = make_client()
+        pieces, ticket = run(cluster, client.writepath.stage(
+            BLOB, IOVector.for_write(self.PARTS[1])))
+        assert ticket is None
+        assert deployment.version_manager.manager.tickets_assigned == 0
+        assert [piece.length for piece in pieces] == [68, 256, 176, 20]
+        for piece in pieces:
+            assert piece.data is None
+            stored = deployment.data_provider(piece.provider_id).store
+            assert len(stored.get_chunk(piece.chunk)) == piece.length
+
+    def test_a_staging_that_dies_fails_the_commit_not_the_simulator(self):
+        """Nobody waits on a staging while it runs; its failure is a value
+        until the commit joins it — which then releases the ticket it had
+        taken alongside its own upload."""
+        cluster, deployment, client = make_client()
+        engine = client.writepath
+        real_stage = engine.stage
+        calls = []
+
+        def dying_stage(blob_id, vector, **kwargs):
+            calls.append(len(calls))
+            if len(calls) == 2:
+                raise StorageError("provider lost under the second part")
+            staged = yield from real_stage(blob_id, vector, **kwargs)
+            return staged
+
+        engine.stage = dying_stage
+
+        def write():
+            ahead = yield from self.place(engine)
+            for index, part in enumerate(self.PARTS[:2]):
+                engine.stage_ahead(BLOB, IOVector.for_write(part), ahead,
+                                   index)
+            # far longer than any upload: the failure sits unobserved
+            yield cluster.sim.timeout(1.0)
+            assert isinstance(ahead.stagings[1].value, StorageError)
+            yield from engine.commit(
+                BLOB, IOVector.for_write(self.PARTS[2]), ahead=ahead)
+
+        with pytest.raises(StorageError, match="second part"):
+            run(cluster, write())
+        manager = deployment.version_manager.manager
+        assert (manager.tickets_assigned, manager.tickets_aborted) == (1, 1)
+        assert manager.pending_versions(BLOB) == []
+
+    def test_a_commit_needs_a_payload_here_or_ahead(self):
+        cluster, _, client = make_client()
+        with pytest.raises(StorageError):
+            run(cluster, client.writepath.commit(BLOB, IOVector()))
+        with pytest.raises(StorageError):
+            run(cluster, client.coalescer.enqueue(BLOB, IOVector()))
+
+        def nothing_arrived():
+            ahead = yield from self.place(client.writepath)
+            yield from client.writepath.commit(BLOB, IOVector(), ahead=ahead)
+
+        with pytest.raises(StorageError):
+            run(cluster, nothing_arrived())
 
 
 class TestWriteThroughCache:

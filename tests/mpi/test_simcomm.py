@@ -89,6 +89,40 @@ class TestCollectives:
         assert len(log) == 3
         assert log[0][1] < log[1][1] < log[2][1]
 
+    def test_a_finished_collective_is_released(self):
+        """The communicator keeps a generation only while some rank is still
+        inside it: the contributions go when the result is built, the slot —
+        and with it the shuffled payload — when the last rank has left."""
+        import gc
+        import weakref
+
+        cluster = make_cluster()
+        comms, payloads, held_mid_flight = [], [], []
+
+        class Payload:
+            """Stands in for a piece list (bytes cannot be weakly referenced)."""
+
+        def rank_main(ctx):
+            comms.append(ctx.comm)
+            for _round in range(3):
+                item = Payload()
+                payloads.append(weakref.ref(item))
+                inbox = yield from ctx.comm.alltoallv_sparse(
+                    ctx.rank, {(ctx.rank + 1) % ctx.size: item})
+                assert list(inbox) == [(ctx.rank - 1) % ctx.size]
+                del item, inbox
+                # early leavers see later ones still inside their generation
+                held_mid_flight.append(
+                    sum(len(slots) for slots in ctx.comm._pending.values()))
+                yield ctx.sim.timeout((ctx.rank + 1) * 0.01)
+            yield from ctx.comm.barrier(ctx.rank)
+
+        run_mpi_job(cluster, 3, rank_main)
+        assert max(held_mid_flight) >= 1
+        assert all(not slots for slots in comms[0]._pending.values())
+        gc.collect()
+        assert [ref() for ref in payloads] == [None] * 9
+
     def test_alltoallv_delivers_personalized_items(self):
         cluster = make_cluster()
 

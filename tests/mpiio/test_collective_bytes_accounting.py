@@ -207,12 +207,15 @@ def test_encoding_round_trips_and_never_costs_more(seed):
     assert all(len(entry) == 2 or entry[3] >= 3 for entry in encoded)
 
 
-def test_collective_write_bytes_moved_exact(charge_log):
-    """Interleaved quarter-chunk blocks, one aggregator: each rank's
-    description is one 32-byte run, the exchange is the other three ranks'
-    pieces at payload + 16 bytes each, and ``bytes_sent`` counts exactly
+@pytest.mark.parametrize("block", [CHUNK // 4, 640])
+def test_collective_write_bytes_moved_exact(charge_log, block):
+    """Interleaved blocks, one aggregator: each rank's description is one
+    32-byte run, the exchange runs once per stripe row of the aggregator's
+    domain and moves the other three ranks' pieces — cut where a block
+    straddles a row edge (the 640-byte blocks do, the quarter-chunk ones
+    never) — at payload + 16 bytes each, and ``bytes_sent`` counts exactly
     what the communicator charged."""
-    block, blocks = CHUNK // 4, 4
+    blocks = 4
     cluster, deployment = make_quick_deployment(chunk_size=CHUNK)
     drivers, marks = {}, {}
 
@@ -241,19 +244,30 @@ def test_collective_write_bytes_moved_exact(charge_log):
     end_bytes, end_idx = marks["end"]
     charged = [entry for entry in charge_log[start_idx:end_idx]
                if entry[0] != "barrier"]
+    row = len(deployment.data_providers) * CHUNK
+    rounds = -(-NUM_RANKS * blocks * block // row)
+    assert rounds > 1
     assert [op for op, _, _ in charged] == \
-        ["allgather", "alltoallv", "allgather"]
+        ["allgather"] + ["alltoallv"] * rounds + ["allgather"]
     (_, describe_bytes, describe_contribs) = charged[0]
-    (_, exchange_bytes, _) = charged[1]
-    (_, closing_bytes, _) = charged[2]
+    exchange_bytes = sum(nbytes for _, nbytes, _ in charged[1:-1])
+    (_, closing_bytes, _) = charged[-1]
 
     # the encoded list is what was exchanged, not only what was priced
     for rank, entry in describe_contribs.items():
         assert entry == ("ok", [(rank * block, block, NUM_RANKS * block,
                                  blocks)])
     assert describe_bytes == NUM_RANKS * 2 * EXTENT_DESCRIPTION_BYTES
-    # rank 0 aggregates: three ranks ship four pieces each to it
-    pieces = (NUM_RANKS - 1) * blocks * (block + EXTENT_DESCRIPTION_BYTES)
+    # rank 0 aggregates: three ranks ship four blocks each to it, a block
+    # that crosses k row edges as k + 1 pieces
+    pieces = 0
+    for rank in range(1, NUM_RANKS):
+        for index in range(blocks):
+            first = (index * NUM_RANKS + rank) * block
+            cuts = (first + block - 1) // row - first // row
+            pieces += block + (cuts + 1) * EXTENT_DESCRIPTION_BYTES
+    assert (pieces > (NUM_RANKS - 1) * blocks
+            * (block + EXTENT_DESCRIPTION_BYTES)) == (block == 640)
     assert exchange_bytes == pieces
     assert closing_bytes == 64 * NUM_RANKS
     assert end_bytes - start_bytes == \

@@ -470,11 +470,17 @@ def test_partition_boundaries_stay_chunk_aligned_for_misaligned_extents():
         assert end == start
 
 
-def test_collective_write_skips_the_redundant_closing_barrier():
+@pytest.mark.parametrize("pattern,multi_row", [
+    # the aggregator's domain fits one stripe row (3 providers x 1 KiB)
+    ([[(100, b"a" * 900)], [(700, b"b" * 2000)]], False),
+    # a domain of several rows: one data exchange per row
+    (random_pattern(29, 2, empty_rank_chance=0.0), True),
+], ids=["one-row", "multi-row"])
+def test_collective_write_skips_the_redundant_closing_barrier(pattern,
+                                                              multi_row):
     """The aggregator protocol ends in a group-wide exchange; the File
     layer must not charge a second rendezvous on top of it."""
     num_ranks = 2
-    pattern = random_pattern(29, num_ranks, empty_rank_chance=0.0)
     cluster, deployment = make_deployment()
     comms = []
 
@@ -494,7 +500,12 @@ def test_collective_write_skips_the_redundant_closing_barrier():
         yield from handle.close()
 
     run_mpi_job(cluster, num_ranks, rank_main)
-    # open barrier (1) + describe allgather + data alltoallv + closing
-    # allgather (3) — and nothing else
-    assert comms[0].collectives_completed == 4
+    lo = min(offset for pairs in pattern for offset, _data in pairs)
+    hi = max(offset + len(data) for pairs in pattern for offset, data in pairs)
+    row = len(deployment.data_providers) * CHUNK
+    rounds = -(-(hi - lo // CHUNK * CHUNK) // row)
+    assert (rounds > 1) == multi_row
+    # open barrier (1) + describe allgather + one data alltoallv per stripe
+    # row of the aggregator's domain + closing allgather — and nothing else
+    assert comms[0].collectives_completed == 3 + rounds
     assert read_back(cluster, deployment) == serial_oracle(pattern)

@@ -16,14 +16,25 @@ control plane, so its death is the interesting failure.  Two windows:
   on every rank instead of hanging in a half-entered collective, and must
   leave the version manager completely clean.
 
-In both cases the surviving ranks' own queued writes must still flush and
+* *mid-round* — the exchange runs once per stripe row of the aggregators'
+  domains (three rounds here: 8 KiB domains over 3 providers x 1 KiB), each
+  aggregator uploading one round's sub-stripe while the next is exchanged.
+  Whatever dies in round *k* — a staging upload, the cut of a rank's
+  pieces — the rank still enters every later round empty-handed and reports
+  through the closing exchange; a staging that ran ahead holds no ticket,
+  the commit's own (final) upload releases the one it took.
+
+In every case the surviving ranks' own queued writes must still flush and
 publish afterwards — one dead aggregator never stalls the group's progress
 at the storage layer.
 """
 
+import itertools
+
 import pytest
 
-from repro.errors import StorageError
+from repro.core.listio import IOVector
+from repro.errors import MPIIOError, ProviderUnavailable, StorageError
 from repro.mpi.launcher import run_mpi_job
 from repro.mpiio.adio.collective import aggregator_ranks
 from repro.mpiio.adio.versioning import VersioningDriver
@@ -37,6 +48,9 @@ NUM_RANKS = 4
 NUM_AGGREGATORS = 2
 #: with 4 ranks and 2 aggregators the owners are ranks 0 and 2
 DOOMED_RANK = aggregator_ranks(NUM_RANKS, NUM_AGGREGATORS)[1]
+#: exchange rounds of one collective: each aggregator's 8 KiB domain over
+#: stripe rows of 3 providers x 1 KiB
+ROUNDS = 3
 
 
 def make_deployment():
@@ -67,15 +81,18 @@ def read_back(cluster, deployment):
     return read_back_latest(cluster, deployment, PATH, FILE_SIZE)
 
 
-def run_collective_with_sabotage(sabotage):
-    """Run one collective write; ``sabotage(rank, driver)`` may break ranks.
+def run_collective_with_sabotage(sabotage, vector_of=None):
+    """Run one collective write; ``sabotage(rank, driver)`` may break ranks
+    (``vector_of(rank)`` overrides what a rank writes).
 
     Each rank catches the collective's failure, then (to prove the group
     survives) queues an independent write of its first block's first 16
-    bytes at a recognizable fill and syncs it.
+    bytes at a recognizable fill and syncs it.  ``result.rendezvous`` is the
+    number of collectives the job had completed when rank 0 left the write.
     """
     cluster, deployment = make_deployment()
     drivers = {}
+    rendezvous = []
 
     def rank_main(ctx):
         driver = VersioningDriver(deployment, ctx.node,
@@ -90,10 +107,12 @@ def run_collective_with_sabotage(sabotage):
         outcome = "ok"
         try:
             yield from driver.write_vector_all(
-                PATH, _vector(ctx.rank), atomic=False, rank=ctx.rank,
-                comm=ctx.comm)
+                PATH, (vector_of or _vector)(ctx.rank), atomic=False,
+                rank=ctx.rank, comm=ctx.comm)
         except Exception as exc:
             outcome = type(exc).__name__
+        if ctx.rank == 0:
+            rendezvous.append(ctx.comm.collectives_completed)
         # the group must still make progress: every rank publishes an
         # independent write after the failed collective
         yield from ctx.comm.barrier(ctx.rank)
@@ -103,11 +122,11 @@ def run_collective_with_sabotage(sabotage):
         return outcome
 
     result = run_mpi_job(cluster, NUM_RANKS, rank_main)
+    result.rendezvous = rendezvous[0]
     return cluster, deployment, drivers, result
 
 
 def _vector(rank):
-    from repro.core.listio import IOVector
     return IOVector.for_write(block_pairs(rank))
 
 
@@ -232,11 +251,53 @@ class TestAggregatorDiesMidExchange:
         assert content == bytes(expected)
 
 
-def test_failed_collective_does_not_block_later_collectives():
-    """After a mid-commit failure the same group can run a fresh collective
-    (the monkeypatched engine is healed first) and it publishes normally."""
+def _break_store_nodes(deployment, driver):
+    """The doomed aggregator loses a metadata shard mid-commit."""
+    def broken_store_nodes(blob, nodes, trace_parent=None):
+        raise StorageError("transient shard failure")
+        yield  # pragma: no cover - generator shape
+    driver.client.writepath._store_nodes = broken_store_nodes
+
+    def heal():
+        del driver.client.writepath._store_nodes
+    return heal
+
+
+def _kill_provider_under_a_round_upload(deployment, driver):
+    """A data provider dies as the third upload batch reaches it: some
+    aggregator's round upload — placed there before the crash — is lost."""
+    provider = deployment.data_provider("bs-data1")
+    real_put_chunks = provider.put_chunks
+    arrivals = itertools.count()
+
+    def dying_put_chunks(items):
+        if next(arrivals) == 2:
+            deployment.fail_provider("bs-data1")
+        stored = yield from real_put_chunks(items)
+        return stored
+
+    provider.put_chunks = dying_put_chunks
+
+    def heal():
+        del provider.put_chunks
+        deployment.recover_provider("bs-data1")
+    return heal
+
+
+@pytest.mark.parametrize("fault,lost_stripes", [
+    (_break_store_nodes, 1),
+    # both aggregators have a round's upload in flight at the dead provider
+    (_kill_provider_under_a_round_upload, 2),
+])
+def test_failed_collective_does_not_block_later_collectives(fault,
+                                                            lost_stripes):
+    """After a failed collective — an aggregator dying mid-commit, or a
+    provider dying under one round's staging upload — the same group can run
+    a fresh collective (the fault is healed first) and it publishes
+    normally."""
     cluster, deployment = make_deployment()
-    drivers = {}
+    heals = []
+    failures = {}
 
     def rank_main(ctx):
         driver = VersioningDriver(deployment, ctx.node,
@@ -244,30 +305,31 @@ def test_failed_collective_does_not_block_later_collectives():
                                   write_coalescing=True,
                                   collective_buffering=True,
                                   collective_aggregators=NUM_AGGREGATORS)
-        drivers[ctx.rank] = driver
         handle = yield from File.open(driver, PATH, rank=ctx.rank,
                                       comm=ctx.comm, size_hint=FILE_SIZE)
         if ctx.rank == DOOMED_RANK:
-            def broken_store_nodes(blob, nodes, trace_parent=None):
-                raise StorageError("transient shard failure")
-                yield  # pragma: no cover - generator shape
-            driver.client.writepath._store_nodes = broken_store_nodes
-        with pytest.raises(Exception):
+            heals.append(fault(deployment, driver))
+        with pytest.raises((StorageError, MPIIOError)) as raised:
             yield from driver.write_vector_all(
                 PATH, _vector(ctx.rank), atomic=False, rank=ctx.rank,
                 comm=ctx.comm)
+        failures[ctx.rank] = raised.value
         yield from ctx.comm.barrier(ctx.rank)
         if ctx.rank == DOOMED_RANK:
-            del driver.client.writepath._store_nodes  # the fault heals
+            heals.pop()()  # the fault heals
+        yield from ctx.comm.barrier(ctx.rank)
         yield from driver.write_vector_all(
             PATH, _vector(ctx.rank), atomic=False, rank=ctx.rank,
             comm=ctx.comm)
         yield from handle.close()
 
     run_mpi_job(cluster, NUM_RANKS, rank_main)
+    # every rank raised; the ones whose own part was healthy got the report
+    assert len(failures) == NUM_RANKS
+    assert any(type(error) is MPIIOError for error in failures.values())
     manager = deployment.version_manager.manager
     assert manager.pending_versions(PATH) == []
-    assert manager.tickets_aborted == 1
+    assert manager.tickets_aborted == lost_stripes
     # the retried collective produced the full expected contents
     content = read_back(cluster, deployment)
     expected = bytearray(FILE_SIZE)
@@ -277,13 +339,120 @@ def test_failed_collective_does_not_block_later_collectives():
     assert content == bytes(expected)
 
 
+class TestFailureInOneRound:
+    """Whatever dies in round k of R, the group finishes all R rounds."""
+
+    @pytest.mark.parametrize("failing_round", range(ROUNDS))
+    def test_staging_failure_is_contained_and_holds_no_ticket(
+            self, failing_round):
+        """The doomed aggregator's ``failing_round``-th upload dies: rounds
+        0 and 1 are staged ahead (no ticket is theirs to hold), round 2 is
+        the commit's own upload.  A lost staging costs the commit the ticket
+        it had requested alongside its own upload, released again; here the
+        commit's own upload dies before it asks for one.  Nothing is pending
+        either way, and the other aggregator's stripe publishes whole."""
+        def sabotage(rank, driver):
+            if rank != DOOMED_RANK:
+                return
+            engine = driver.client.writepath
+            real_stage = engine.stage
+            calls = itertools.count()
+
+            def dying_stage(blob_id, vector, **kwargs):
+                if next(calls) == failing_round:
+                    raise ProviderUnavailable("provider lost under upload")
+                staged = yield from real_stage(blob_id, vector, **kwargs)
+                return staged
+
+            engine.stage = dying_stage
+
+        cluster, deployment, drivers, result = \
+            run_collective_with_sabotage(sabotage)
+
+        assert result.results[DOOMED_RANK] == "ProviderUnavailable"
+        assert [outcome for rank, outcome in enumerate(result.results)
+                if rank != DOOMED_RANK] == ["MPIIOError"] * (NUM_RANKS - 1)
+        # nobody left the protocol early: open barrier, describe, one
+        # exchange per round, closing
+        assert result.rendezvous == 3 + ROUNDS
+
+        manager = deployment.version_manager.manager
+        assert manager.tickets_aborted == (failing_round < ROUNDS - 1)
+        assert manager.pending_versions(PATH) == []
+        doomed = drivers[DOOMED_RANK]
+        assert doomed.client.coalescer.pending_writes(PATH) == 0
+        assert doomed.aggregator.stats.stripes_committed == 0
+        survivor = drivers[aggregator_ranks(NUM_RANKS, NUM_AGGREGATORS)[0]]
+        assert survivor.aggregator.stats.stripes_committed == 1
+
+        content = read_back(cluster, deployment)
+        survivors = bytearray(expected_surviving_content(FILE_SIZE // 2))
+        for rank in range(NUM_RANKS):
+            survivors[rank * 16:(rank + 1) * 16] = bytes([97 + rank]) * 16
+        assert content == bytes(survivors)
+
+    def test_validation_error_fails_the_sub_stripe_that_holds_it(self):
+        """Rank 1's last block reaches past the end of the BLOB.  Nothing
+        checks a peer's access before the exchange; the aggregator whose
+        final sub-stripe receives the piece fails to stage it and reports,
+        the rounds it staged ahead are dropped with it."""
+        def vector_of(rank):
+            pairs = block_pairs(rank)
+            if rank == 1:
+                pairs = pairs[:-1] + [(FILE_SIZE - 256, b"!" * 512)]
+            return IOVector.for_write(pairs)
+
+        cluster, deployment, drivers, result = \
+            run_collective_with_sabotage(lambda rank, driver: None,
+                                         vector_of=vector_of)
+        assert result.results[DOOMED_RANK] == "OutOfBounds"
+        assert [outcome for rank, outcome in enumerate(result.results)
+                if rank != DOOMED_RANK] == ["MPIIOError"] * (NUM_RANKS - 1)
+        assert result.rendezvous == 3 + ROUNDS
+        manager = deployment.version_manager.manager
+        assert manager.pending_versions(PATH) == []
+        assert drivers[DOOMED_RANK].client.coalescer.pending_writes(PATH) == 0
+        assert [drivers[rank].aggregator.stats.stripes_committed
+                for rank in aggregator_ranks(NUM_RANKS, NUM_AGGREGATORS)] \
+            == [1, 0]
+
+    @pytest.mark.parametrize("doomed", [1, DOOMED_RANK],
+                             ids=["plain-rank", "aggregator"])
+    def test_cut_failure_enters_every_round_empty_handed(self, doomed):
+        """A rank that dies cutting its pieces at the round edges ships
+        nothing in any round — and still shows up for each of them."""
+        def sabotage(rank, driver):
+            if rank == doomed:
+                def dying_cut(*_args):
+                    raise StorageError("cut died")
+                driver.aggregator._cut_rounds = dying_cut
+
+        cluster, deployment, drivers, result = \
+            run_collective_with_sabotage(sabotage)
+        assert result.results[doomed] == "StorageError"
+        assert all(outcome == "MPIIOError"
+                   for rank, outcome in enumerate(result.results)
+                   if rank != doomed)
+        assert result.rendezvous == 3 + ROUNDS
+        manager = deployment.version_manager.manager
+        assert manager.tickets_aborted == 0
+        assert manager.pending_versions(PATH) == []
+        # an aggregator that failed commits nothing; every healthy one
+        # publishes its stripe of the healthy ranks' pieces
+        committed = [drivers[rank].aggregator.stats.stripes_committed
+                     for rank in aggregator_ranks(NUM_RANKS, NUM_AGGREGATORS)]
+        assert committed == [1, 0 if doomed == DOOMED_RANK else 1]
+        # non-aggregators never touched the control plane for it
+        for rank in (1, 3):
+            assert drivers[rank].aggregator.stats.stripes_committed == 0
+
+
 class TestPartitionPhaseFailure:
     """Failures between the opening exchange and the data exchange."""
 
     def test_invalid_aggregator_count_fails_at_construction(self):
         """A bad setting must die before any collective is entered — one
         rank failing mid-protocol would strand its peers."""
-        from repro.errors import MPIIOError
         cluster, deployment = make_deployment()
         with pytest.raises(MPIIOError):
             VersioningDriver(deployment, cluster.add_node("bad"),
@@ -291,10 +460,13 @@ class TestPartitionPhaseFailure:
                              collective_aggregators=0)
 
     def test_partition_failure_reports_on_every_rank_instead_of_hanging(self):
-        """A rank that dies computing the file-domain partition still enters
-        the data exchange empty-handed and reports through the closing
-        phase; its peers raise instead of blocking forever."""
+        """What the partition needs from one rank alone (its aggregator
+        setting, the descriptor) is resolved before the opening exchange: a
+        rank that dies there reports in it, so the whole group stops before
+        the first exchange round — nobody has to guess a round count, and
+        nobody blocks forever."""
         cluster, deployment = make_deployment()
+        comms = []
 
         def rank_main(ctx):
             driver = VersioningDriver(deployment, ctx.node,
@@ -302,6 +474,7 @@ class TestPartitionPhaseFailure:
                                       write_coalescing=True,
                                       collective_buffering=True,
                                       collective_aggregators=NUM_AGGREGATORS)
+            comms.append(ctx.comm)
             if ctx.rank == DOOMED_RANK:
                 def dying_count(size):
                     raise StorageError("partition phase died")
@@ -321,17 +494,19 @@ class TestPartitionPhaseFailure:
         result = run_mpi_job(cluster, NUM_RANKS, rank_main)
         assert result.results[DOOMED_RANK] == "StorageError"
         assert all(outcome != "ok" for outcome in result.results)
-        # the healthy aggregator's stripe published; nothing stalled or tore
+        # open barrier + the opening allgather, and not one exchange round
+        assert comms[0].collectives_completed == 2
+        # nothing was committed, so nothing stalled or tore
         manager = deployment.version_manager.manager
         assert manager.pending_versions(PATH) == []
         assert manager.tickets_aborted == 0
+        assert manager.latest_published(PATH) == 0
 
 
 def test_aggregator_requires_a_coalescer_client():
     """The exported CollectiveAggregator fails fast on a client without a
     write coalescer instead of stranding peers mid-protocol later."""
     from repro.blobseer.client import BlobClient
-    from repro.errors import MPIIOError
     from repro.mpiio.adio.collective import CollectiveAggregator
     cluster, deployment = make_deployment()
     bare = BlobClient(deployment, cluster.add_node("bare"))
