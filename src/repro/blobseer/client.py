@@ -27,8 +27,14 @@ vectored writes and commit them as *one* merged snapshot batch — one
 flush/barrier.
 
 Read protocol: resolve the requested ranges against the snapshot's segment
-tree (shadowed subtrees are followed to older versions), then fetch the
-resolved chunk extents from the data providers in parallel.
+tree (shadowed subtrees are followed to older versions), slice the extents
+of chunks this client itself uploaded out of its
+:class:`~repro.blobseer.chunk_cache.ChunkCache` — an uploaded chunk is
+immutable, so the writer's copy is the chunk — and fetch the rest from the
+data providers in parallel; a read with nothing left issues no data RPC.
+It follows that a writer still reads its own bytes back while their provider
+is down (as long as the cache holds them), whereas any other client — a
+restarted job included — gets ``ProviderUnavailable`` for the same range.
 
 The stock BlobSeer API exposes only *contiguous* :meth:`BlobClient.write` /
 :meth:`BlobClient.read`; the non-contiguous extension of the paper is the
@@ -43,6 +49,7 @@ from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.blobseer.blob import BlobDescriptor
 from repro.blobseer.chunk import ChunkKeyFactory
+from repro.blobseer.chunk_cache import ChunkCache
 from repro.blobseer.metadata.segment_tree import ReadPlanner
 from repro.blobseer.metadata.tiers import UNSET, build_chain
 from repro.blobseer.writepath.batch import WriteReceipt
@@ -113,6 +120,8 @@ class BlobClient:
             prefetch=metadata_prefetch, cooperative=cooperative_cache)
         #: the private tier's node cache (``None`` without one)
         self.metadata_cache = self.tiers.find("private")
+        #: payloads of the chunks this client uploaded, for its own reads
+        self.chunk_cache = ChunkCache()
         self.write_pipelining = write_pipelining
         self.write_through_cache = write_through_cache
         #: the commit engine every write of this client routes through
@@ -141,6 +150,9 @@ class BlobClient:
         #: metadata nodes this client's read traversals used, whichever
         #: tier supplied them
         self.metadata_nodes_fetched: int = 0
+        #: read extents requested from the data providers (the ones the
+        #: chunk cache did not hold)
+        self.extents_fetched: int = 0
         #: ``latest`` round-trips actually issued to the version manager
         self.latest_rpcs: int = 0
         #: write-path counters: control-plane round-trips (allocate, ticket,
@@ -434,14 +446,21 @@ class BlobClient:
         regions = vector.region_list()
         plan = yield from self._resolve_metadata(blob, version, regions)
 
-        # parallel chunk-range fetches — one batched RPC per data provider
+        # extents of chunks this client uploaded come out of its cache; the
+        # rest are parallel chunk-range fetches — one batched RPC per data
+        # provider
         fetched: List[Tuple[int, int, bytes]] = []
         per_provider: Dict[str, list] = {}
+        own_chunk = self.chunk_cache.read
         for extent in plan.extents:
             if extent.is_zero:
                 if holes is not None:
                     holes.append(Region(extent.offset, extent.length))
                 fetched.append((extent.offset, extent.length, b"\x00" * extent.length))
+                continue
+            data = own_chunk(extent.chunk, extent.chunk_offset, extent.length)
+            if data is not None:
+                fetched.append((extent.offset, extent.length, data))
             else:
                 per_provider.setdefault(extent.provider_id, []).append(extent)
 
@@ -450,6 +469,7 @@ class BlobClient:
             requests = [(extent.chunk, extent.chunk_offset, extent.length)
                         for extent in extents]
             total = sum(extent.length for extent in extents)
+            self.extents_fetched += len(extents)
             pieces = yield from self._rpc(
                 service, "get_chunk_ranges",
                 self.cluster.config.control_message_size, total, requests)

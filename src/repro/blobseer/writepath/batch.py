@@ -61,10 +61,14 @@ class AheadWrite:
     providers)`` — the stripe units it declared and where they go.
     ``stagings`` are the commit engine's background processes uploading the
     parts that have arrived; the last part is the commit's own vector.
+    ``abandoned`` is set when the write's commit fails or its writer gives
+    it up: what its stagings upload from then on is not kept in the client's
+    chunk cache.
     """
 
     placed: List[Tuple[List[int], List[str]]]
     stagings: list = field(default_factory=list)
+    abandoned: bool = False
 
 
 def require_payload(vector: IOVector,

@@ -58,7 +58,10 @@ published root and all touched inner nodes hit on their exact-version keys).
 The tiers that die with the client are primed before ``complete`` — cached
 entries only become observable once the snapshot is published, and published
 nodes are immutable — the gated ones only once ``complete`` reports the
-version published.
+version published.  The data rides along the same way: ``stage`` hands every
+payload it uploaded to the client's
+:class:`~repro.blobseer.chunk_cache.ChunkCache`, and a commit that fails
+takes them out again (:meth:`~PipelinedCommitEngine.forget`).
 """
 
 from __future__ import annotations
@@ -145,8 +148,8 @@ class PipelinedCommitEngine:
                 "commit", cat="write",
                 parent=trace_parent if trace_parent is not None else ctx.current,
                 blob=blob_id, logical_writes=logical_writes)
+        pieces, ticket = [], None
         try:
-            pieces, ticket = [], None
             if len(vector):
                 pieces, ticket = yield from self.stage(
                     blob_id, vector, placed=ahead and ahead.placed[-1],
@@ -162,10 +165,32 @@ class PipelinedCommitEngine:
             receipt = yield from self.publish(
                 blob_id, pieces, ticket, logical_writes, defer_complete,
                 started_at, span)
+        except Exception:
+            # no snapshot will reference what this commit uploaded
+            self.forget(pieces, ahead)
+            raise
         finally:
             if span is not None:
                 ctx.end(span)
         return receipt
+
+    def forget(self, pieces=(), ahead: Optional[AheadWrite] = None) -> None:
+        """Drop the chunk-cache entries of uploads no snapshot will reference.
+
+        ``pieces`` are staged pieces of a commit that failed; ``ahead`` is a
+        write given up whole — its finished stagings' pieces go now, the
+        parts still uploading as they land (:meth:`stage_ahead`).
+        """
+        if ahead is not None:
+            ahead.abandoned = True
+            pieces = list(pieces)
+            for process in ahead.stagings:
+                if not (process.is_alive
+                        or isinstance(process.value, Exception)):
+                    pieces.extend(process.value)
+        discard = self.client.chunk_cache.discard
+        for piece in pieces:
+            discard(piece.chunk)
 
     def _allocate(self, unit_sizes: List[int], trace_parent=None):
         """Placement: one control-plane RPC to the provider manager."""
@@ -182,8 +207,9 @@ class PipelinedCommitEngine:
         obtained for this part of a write; a vector that is not the part
         declared (a peer of the collective failed to deliver its bytes), or
         that was never declared, is placed here.  Returns ``(pieces,
-        ticket)``: the placed pieces, their payload references dropped now
-        that the providers hold the bytes, and — with ``take_ticket`` — the
+        ticket)``: the placed pieces, their payloads handed over to the
+        client's chunk cache now that the providers hold the bytes (a stage
+        that fails keeps nothing), and — with ``take_ticket`` — the
         ``(version, base_version)`` of a ticket requested *concurrently*
         with the uploads (released again if an upload fails), else ``None``.
         """
@@ -252,7 +278,12 @@ class PipelinedCommitEngine:
         # round-trip; the upload RPCs carry the exact per-provider intervals
         if upload_span is not None:
             ctx.end(upload_span)
+        # the providers hold the bytes and will never change them: the
+        # client keeps its reference (what ``put_chunk`` stored, not a copy)
+        # for its own reads
+        keep = client.chunk_cache.put
         for piece in pieces:
+            keep(piece.chunk, bytes(piece.data))
             piece.data = None
         return pieces, ticket
 
@@ -291,6 +322,8 @@ class PipelinedCommitEngine:
                     trace_parent=trace_parent)
             except Exception as exc:
                 return exc
+            if ahead.abandoned:
+                self.forget(pieces)
             return pieces
 
         ahead.stagings.append(self.client.cluster.sim.process(

@@ -60,15 +60,15 @@ An aggregator a failed peer left short of bytes still publishes what did
 arrive: a sub-stripe that is not the one described is placed on its own.
 A failed aggregator discards its staged stripe (the group already observed
 the failure; silently retrying it at the next flush point would resurrect a
-write the application saw fail; chunks already uploaded stay unreferenced),
-releases its ticket through the commit engine's abort/rollback path, and
-every rank raises — with no torn snapshot left behind and publication never
-stalled for bystanders.  Like MPI itself, a *failed* collective leaves the
-file state undefined within the access range: stripes whose aggregators
-succeeded are durably published (each one a complete, internally consistent
-snapshot), only the failed parts are absent — the guarantees are snapshot
-integrity and group progress, not all-or-nothing application of the
-collective.
+write the application saw fail; chunks already uploaded stay unreferenced
+and leave the client's chunk cache), releases its ticket through the commit
+engine's abort/rollback path, and every rank raises — with no torn snapshot
+left behind and publication never stalled for bystanders.  Like MPI itself,
+a *failed* collective leaves the file state undefined within the access
+range: stripes whose aggregators succeeded are durably published (each one a
+complete, internally consistent snapshot), only the failed parts are absent
+— the guarantees are snapshot integrity and group progress, not
+all-or-nothing application of the collective.
 
 In MPI *atomic* mode the collective path is bypassed: splitting one rank's
 access across several stripe snapshots could let a concurrent reader observe
@@ -669,6 +669,9 @@ class CollectiveAggregator(_CollectiveParticipant):
                 # staged would resurrect it at an unrelated later flush
                 yield from client.coalescer.discard(blob_id)
                 closing = ("err", f"aggregator rank {rank}: {exc!r}")
+        if failure is not None and ahead is not None:
+            # nor will any snapshot reference what went ahead of the commit
+            client.writepath.forget(ahead=ahead)
 
         # phase 4: share outcomes and the published watermark
         outcomes = yield from _phase(

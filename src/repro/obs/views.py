@@ -30,7 +30,11 @@ whatever metadata tier chains the collected clients run
   remote probes use the stat-free ``peek`` path, so they never perturb a
   pool's own count).  Reported by :func:`collect_all` only when the
   caller attests that every client attached to the deployment was
-  collected (:func:`~repro.blobseer.metadata.tiers.wire_problems`).
+  collected (:func:`~repro.blobseer.metadata.tiers.wire_problems`);
+* ``cache.chunk.lookup_partition`` — per client, every non-zero read extent
+  was looked up in the client's chunk cache exactly once and either served
+  from it or requested from a data provider:
+  ``lookups = hits + extents_fetched``.
 """
 
 from __future__ import annotations
@@ -87,6 +91,9 @@ _DEPLOYMENT_STAT_NAMES: Dict[str, str] = {
 #: has a private tier
 _PRIVATE_COUNTERS = ("lookups", "hits", "misses", "insertions", "evictions")
 
+#: ``cache.chunk.<counter>``: the client's cache of its own uploads
+_CHUNK_COUNTERS = ("lookups", "hits", "bytes_served", "evictions")
+
 #: where the other tiers' per-client counters land, 0 for a tier the
 #: client's list lacks: (name, tier, counter)
 _TIER_COUNTERS = (
@@ -103,10 +110,12 @@ _TIER_COUNTERS = (
 
 def collect_clients(registry: "MetricsRegistry",
                     clients: Iterable["BlobClient"]) -> None:
-    """Client-side counters: data volume, control RPCs, and what each tier
-    of the client's metadata chain counted; reports the lookup partition.
+    """Client-side counters: data volume, control RPCs, what each tier of
+    the client's metadata chain counted and what its chunk cache did
+    (``cache.chunk.*``); reports both lookup partitions.
     """
     clients = list(clients)
+    chunk_problems = []
     for client in clients:
         registry.add("client.bytes_written", client.bytes_written)
         registry.add("client.bytes_read", client.bytes_read)
@@ -131,6 +140,17 @@ def collect_clients(registry: "MetricsRegistry",
         for name, tier, counter in _TIER_COUNTERS:
             registry.add(name, chain.count(tier, counter))
         registry.add("metadata.client.fetched_lookups", chain.fetched_lookups)
+        chunks = client.chunk_cache
+        for counter in _CHUNK_COUNTERS:
+            registry.add(f"cache.chunk.{counter}",
+                         getattr(chunks.stats, counter))
+        registry.add("cache.chunk.resident_bytes", chunks.resident_bytes)
+        registry.add("cache.chunk.extents_fetched", client.extents_fetched)
+        if chunks.stats.lookups != chunks.stats.hits + client.extents_fetched:
+            chunk_problems.append(
+                f"{client.name}: {chunks.stats.lookups} chunk lookups != "
+                f"{chunks.stats.hits} hits + {client.extents_fetched} "
+                "extents sent to providers")
         coalescer = client.coalescer
         if coalescer is not None:
             for key, value in coalescer.stats.snapshot().items():
@@ -140,6 +160,7 @@ def collect_clients(registry: "MetricsRegistry",
                     registry.add(f"coalescer.{key}", value)
     registry.report("metadata.lookup_partition", partition_problems(
         [client.tiers for client in clients]))
+    registry.report("cache.chunk.lookup_partition", chunk_problems)
 
 
 def collect_shared_cache(registry: "MetricsRegistry",

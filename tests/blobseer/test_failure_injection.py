@@ -43,22 +43,52 @@ class TestProviderFailure:
         assert total == 1024 // 64
 
     def test_reads_of_old_data_fail_when_its_provider_dies(self):
+        """Read through a second client — what a restarted job is: the
+        writer's own copy of its chunks died with it."""
         cluster, deployment = make_deployment(num_providers=2)
-        client = deployment.client(cluster.add_node("c0"))
+        writer = deployment.client(cluster.add_node("c0"))
+        restarted = deployment.client(cluster.add_node("c1"))
 
         def write_phase():
-            yield from client.create_blob("b", size=256)
-            yield from client.write("b", 0, b"y" * 256)
+            yield from writer.create_blob("b", size=256)
+            yield from writer.write("b", 0, b"y" * 256)
 
         run(cluster, write_phase())
         deployment.fail_provider("bs-data0")
 
         def read_phase():
-            data = yield from client.read("b", 0, 256)
+            data = yield from restarted.read("b", 0, 256)
             return data
 
         with pytest.raises(ProviderUnavailable):
             run(cluster, read_phase())
+
+    def test_writer_reads_its_own_bytes_while_their_provider_is_down(self):
+        """An uploaded chunk is immutable, so the writer's copy is the
+        chunk: it serves the writer, and nobody else, without the provider."""
+        cluster, deployment = make_deployment(num_providers=2)
+        writer = deployment.client(cluster.add_node("c0"))
+        other = deployment.client(cluster.add_node("c1"))
+
+        def write_phase():
+            yield from writer.create_blob("b", size=256)
+            yield from writer.write("b", 0, b"y" * 256)
+
+        run(cluster, write_phase())
+        deployment.fail_provider("bs-data0")
+        deployment.fail_provider("bs-data1")
+        calls = cluster.stats()["rpc_calls"]
+
+        def read_through(client):
+            data = yield from client.read("b", 0, 256)
+            return data
+
+        assert run(cluster, read_through(writer)) == b"y" * 256
+        # version lookup only: the tree is primed, the bytes are held
+        assert cluster.stats()["rpc_calls"] == calls + 1
+        assert writer.extents_fetched == 0
+        with pytest.raises(ProviderUnavailable):
+            run(cluster, read_through(other))
 
     def test_recovered_provider_serves_its_chunks_again(self):
         cluster, deployment = make_deployment(num_providers=2)

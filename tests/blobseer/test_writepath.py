@@ -289,6 +289,11 @@ class TestStagedAhead:
         manager = deployment.version_manager.manager
         assert (manager.tickets_assigned, manager.tickets_aborted) == (1, 1)
         assert manager.pending_versions(BLOB) == []
+        # the part staged ahead (2 chunks) and the commit's own (4) were
+        # uploaded and kept; the abort dropped both from the chunk cache
+        assert sum(provider.store.chunk_count()
+                   for provider in deployment.data_providers.values()) == 6
+        assert client.chunk_cache.resident_bytes == 0
 
     def test_a_commit_needs_a_payload_here_or_ahead(self):
         cluster, _, client = make_client()

@@ -384,6 +384,11 @@ class TestFailureInOneRound:
         assert doomed.aggregator.stats.stripes_committed == 0
         survivor = drivers[aggregator_ranks(NUM_RANKS, NUM_AGGREGATORS)[0]]
         assert survivor.aggregator.stats.stripes_committed == 1
+        # the rounds that did upload left the doomed client's chunk cache
+        # with the stripe: it holds the 16 bytes it published afterwards
+        assert doomed.client.chunk_cache.resident_bytes == 16
+        assert survivor.client.chunk_cache.resident_bytes \
+            == FILE_SIZE // 2 + 16
 
         content = read_back(cluster, deployment)
         survivors = bytearray(expected_surviving_content(FILE_SIZE // 2))
@@ -415,6 +420,49 @@ class TestFailureInOneRound:
         assert [drivers[rank].aggregator.stats.stripes_committed
                 for rank in aggregator_ranks(NUM_RANKS, NUM_AGGREGATORS)] \
             == [1, 0]
+
+    @pytest.mark.parametrize("failing_round", range(1, ROUNDS))
+    def test_an_aggregator_giving_up_forgets_what_went_ahead(
+            self, failing_round):
+        """The doomed aggregator cannot assemble round ``failing_round``: it
+        never reaches a commit, so nothing aborts — the sub-stripes already
+        uploaded, and the ones still uploading when it gives up, leave its
+        chunk cache all the same."""
+        landed_after_giving_up = []
+
+        def sabotage(rank, driver):
+            if rank != DOOMED_RANK:
+                return
+            aggregator, engine = driver.aggregator, driver.client.writepath
+            real_assemble, real_forget = aggregator._assemble, engine.forget
+            calls = itertools.count()
+
+            def dying_assemble(received, self_rank):
+                if next(calls) == failing_round:
+                    raise StorageError("assembly died")
+                return real_assemble(received, self_rank)
+
+            def watched_forget(pieces=(), ahead=None):
+                if ahead is None:
+                    landed_after_giving_up.append(len(pieces))
+                real_forget(pieces, ahead)
+
+            aggregator._assemble = dying_assemble
+            engine.forget = watched_forget
+
+        cluster, deployment, drivers, result = \
+            run_collective_with_sabotage(sabotage)
+        assert result.results[DOOMED_RANK] == "StorageError"
+        assert result.rendezvous == 3 + ROUNDS
+        manager = deployment.version_manager.manager
+        assert manager.tickets_aborted == 0
+        assert manager.pending_versions(PATH) == []
+        doomed = drivers[DOOMED_RANK]
+        assert doomed.aggregator.stats.stripes_committed == 0
+        assert doomed.client.chunk_cache.resident_bytes == 16
+        # every round that went ahead was still on its way to the disks (a
+        # stripe row is three chunks) and dropped its chunks as it landed
+        assert landed_after_giving_up == [3] * failing_round
 
     @pytest.mark.parametrize("doomed", [1, DOOMED_RANK],
                              ids=["plain-rank", "aggregator"])

@@ -47,10 +47,31 @@ def test_collect_all_holds_identities_and_totals():
         sum(client.bytes_written for client in clients)
     assert registry.get("metadata.cache.lookups") == \
         sum(client.metadata_cache.stats.lookups for client in clients)
-    # the checks of the module docstring were both run
+    # every writer read its own 4096 bytes back out of its chunk cache
+    assert registry.get("cache.chunk.lookups") \
+        == registry.get("cache.chunk.hits") == len(clients)
+    assert registry.get("cache.chunk.bytes_served") == 4096 * len(clients)
+    assert registry.get("cache.chunk.resident_bytes") == \
+        sum(client.chunk_cache.resident_bytes for client in clients)
+    assert registry.get("cache.chunk.extents_fetched") == 0
+    assert registry.get("cache.chunk.evictions") == 0
+    # the checks of the module docstring were all run
     assert set(registry._reported) == {"metadata.lookup_partition",
-                                       "metadata.tier_services"}
+                                       "metadata.tier_services",
+                                       "cache.chunk.lookup_partition"}
     assert deployment.coop_directory is None
+
+
+def test_chunk_partition_catches_an_extent_nobody_served():
+    """``lookups = hits + extents sent to providers``, per client."""
+    cluster, _deployment, clients = run_workload(shared_cache=False)
+    clients[0].chunk_cache.stats.lookups += 1
+    registry = MetricsRegistry()
+    collect_clients(registry, clients)
+    problems = registry.check_identities()
+    assert len(problems) == 1
+    assert "cache.chunk.lookup_partition" in problems[0]
+    assert clients[0].name in problems[0]
 
 
 def test_service_check_catches_an_unaccounted_pool_lookup():
