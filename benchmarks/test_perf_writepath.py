@@ -3,7 +3,7 @@
 Runs the queued-small-writes workload through the three write-path
 configurations of :mod:`repro.bench.writepath` with one shared harness,
 asserts the acceptance shape (>= 2x fewer control-plane round-trips per
-logical write for the pipelined+coalesced path vs the serialized baseline,
+logical write for the pipelined+coalesced path vs the blocking baseline,
 write-through cache warmth from the very first read, byte-identical
 read-back in every mode), and records every row — control RPCs, coalescing
 factor, cache hit rates, simulated and wall-clock seconds — into

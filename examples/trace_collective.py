@@ -8,7 +8,7 @@ produce byte-identical artifacts.  This walkthrough:
 1. runs an 8-rank ``write_at_all`` + ``read_at_all`` job under the queued
    network model with ``ClusterConfig(tracing=True)``;
 2. walks the causal span tree — file operation → collective phase →
-   coalescer batch → commit stage → per-shard RPC → network link;
+   commit → commit stage → per-shard RPC → network link;
 3. collects the unified metrics registry and checks its partition
    identities;
 4. dumps a Chrome trace-event JSON you can open at

@@ -9,7 +9,9 @@ times from the published snapshots, in each of the client configurations of
 :data:`repro.bench.suites.SUITES`).
 
 ``metadata_rpcs`` counts the round-trips the clients spent resolving
-segment-tree nodes, ``cache_hits``/``cache_misses`` come from the
+segment-tree nodes, ``lookups`` the deduplicated node lookups their
+traversals asked for — what a read path paying one ``get_node`` round-trip
+per lookup would have issued — ``cache_hits``/``cache_misses`` come from the
 client-side node caches, ``sim_elapsed_s`` is the simulated time the read
 phase occupied.  A region-algebra microbenchmark (pure wall clock, no
 simulation) rides along because ``RegionList`` ops sit under every
@@ -32,11 +34,8 @@ from repro.workloads.overlap_stress import OverlapStressWorkload
 #: path, so the write phase must not pre-warm the caches (the write-pipeline
 #: suite measures that effect separately).
 MODES: Dict[str, Dict[str, bool]] = {
-    "baseline": {"enable_metadata_cache": False, "metadata_batching": False,
-                 "write_through_cache": False},
-    "batched": {"enable_metadata_cache": False, "metadata_batching": True,
-                "write_through_cache": False},
-    "cached-batched": {"enable_metadata_cache": True, "metadata_batching": True,
+    "batched": {"enable_metadata_cache": False, "write_through_cache": False},
+    "cached-batched": {"enable_metadata_cache": True,
                        "write_through_cache": False},
 }
 
@@ -84,6 +83,7 @@ def run_metadata_path_point(settings, config, *, mode: str):
         "mode": mode,
         "clients": settings.num_clients,
         "reads": reads,
+        "lookups": sum(client.tiers.lookups for client in clients),
         "metadata_rpcs": metadata_rpcs,
         "rpcs_per_read": per(metadata_rpcs, reads),
         "nodes_fetched": sum(client.metadata_nodes_fetched for client in clients),

@@ -34,7 +34,7 @@ from repro.bench.experiments import (PAPER_BAND, run_ablation_point,
                                      run_paper_point)
 from repro.bench.metadata_path import (MODES, run_metadata_path_point,
                                        run_region_algebra_microbench)
-from repro.bench.metrics import reduction
+from repro.bench.metrics import per, reduction
 from repro.bench.scan import run_scan_point
 from repro.bench.simcore import (run_simcore_point, simcore_headline,
                                  simcore_plan)
@@ -190,9 +190,13 @@ def _ablations_plan(settings) -> Plan:
     return plan
 
 
-def _region_algebra_row(settings, points, rows) -> Dict[str, object]:
+def _metadata_headline(settings, points, rows) -> Dict[str, object]:
+    """Each mode's lookups per metadata RPC — a per-node read path pays one
+    ``get_node`` per lookup — and the region-algebra row."""
     rows.append(run_region_algebra_microbench())
-    return {}
+    return {"rpc_reduction_vs_per_node": {
+        mode: per(values["lookups"], values["metadata_rpcs"])
+        for mode, values in points.items()}}
 
 
 def _capacity_sweep(settings, points, rows) -> Dict[str, object]:
@@ -215,12 +219,12 @@ TILE_SHAPE = dict(tile_elements_x=64, tile_elements_y=64, element_size=32,
 SUITES: Dict[str, Suite] = {
     "metadata": Suite(
         title="metadata-read-path",
-        about="""Segment-tree read hot path.  baseline = no cache, one
-        ``get_node`` RPC per tree node (the read path before the subsystem);
-        batched = no cache, one ``get_nodes`` RPC per shard per tree level;
-        cached-batched = plus the client-side immutable-node cache (the
-        production path; repeat reads are warm).  Headline: metadata RPCs vs
-        baseline.  A region-algebra wall-clock row rides along.""",
+        about="""Segment-tree read hot path.  batched = no cache, one
+        ``get_nodes`` RPC per shard per tree level; cached-batched = plus the
+        client-side immutable-node cache (the production path; repeat reads
+        are warm).  Headline: each row's ``lookups`` per ``metadata_rpcs`` —
+        how many times fewer round-trips than one ``get_node`` per lookup.
+        A region-algebra wall-clock row rides along.""",
         settings=dict(num_clients=8, regions_per_client=8,
                       region_size=16 * 1024, overlap_fraction=0.5,
                       read_repeats=5, num_providers=4,
@@ -230,22 +234,19 @@ SUITES: Dict[str, Suite] = {
         unrecorded=("num_providers",),
         plan=_mode_plan(MODES),
         point=run_metadata_path_point,
-        reduction=("rpc_reduction_vs_baseline", "metadata_rpcs",
-                   _vs_mode("baseline")),
-        extras=_region_algebra_row,
+        extras=_metadata_headline,
     ),
     "writepath": Suite(
         title="write-pipeline",
         about="""Write-side control plane.  baseline = every write blocks
-        through allocate -> uploads -> ticket -> sequential per-shard
-        ``put_nodes`` -> complete -> publication wait; pipelined = one
-        snapshot per write, but the ticket overlaps the uploads, ``put_nodes``
-        go out in parallel, completions are deferred (one barrier joins them)
-        and the writer write-through-populates its cache;
-        pipelined-coalesced = additionally one merged snapshot batch per
-        client.  Headline: control RPCs per logical write vs baseline.  An
-        LRU capacity sweep of the coalesced path (``None`` = unbounded) rides
-        along as ``cache_capacity_sweep``.""",
+        until it is published (its ``complete``, then a publication wait)
+        and writes nothing through to its cache; pipelined = one snapshot
+        per write, but completions are deferred (one barrier joins them) and
+        the writer write-through-populates its cache; pipelined-coalesced =
+        additionally one merged snapshot batch per client.  Headline:
+        control RPCs per logical write vs baseline.  An LRU capacity sweep of
+        the coalesced path (``None`` = unbounded) rides along as
+        ``cache_capacity_sweep``.""",
         settings=dict(num_clients=6, writes_per_client=6, regions_per_write=4,
                       region_size=8 * 1024, hole_size=1024, read_repeats=3,
                       num_providers=4, num_metadata_providers=2,

@@ -31,14 +31,13 @@ from repro.bench.metrics import per
 from repro.errors import BenchmarkError
 from repro.workloads.queued_writes import QueuedWritesWorkload
 
-#: client/commit configuration of every benchmarked write-path mode
-WRITE_MODES: Dict[str, Dict[str, bool]] = {
-    "baseline": {"write_pipelining": False, "write_through_cache": False,
-                 "coalesce": False},
-    "pipelined": {"write_pipelining": True, "write_through_cache": True,
-                  "coalesce": False},
-    "pipelined-coalesced": {"write_pipelining": True, "write_through_cache": True,
-                            "coalesce": True},
+#: how every benchmarked write-path mode commits a client's train of writes,
+#: and whether the writer write-through-populates its cache
+WRITE_MODES: Dict[str, Dict[str, object]] = {
+    "baseline": {"commits": "blocking", "write_through_cache": False},
+    "pipelined": {"commits": "deferred", "write_through_cache": True},
+    "pipelined-coalesced": {"commits": "coalesced",
+                            "write_through_cache": True},
 }
 
 
@@ -64,7 +63,6 @@ def run_write_path_point(settings, config, *, mode: str, **client_options):
     )
     cluster, clients, blob_id, drive = start_clients(
         settings, config, "wp", workload.file_size,
-        write_pipelining=spec["write_pipelining"],
         write_through_cache=spec["write_through_cache"], **client_options)
 
     # write phase: every client issues its train of small writes; its last
@@ -73,13 +71,13 @@ def run_write_path_point(settings, config, *, mode: str, **client_options):
 
     def write_rank(rank):
         client = clients[rank]
-        if spec["coalesce"]:
+        if spec["commits"] == "coalesced":
             # queue the whole train, commit it as one snapshot at the barrier
             for pairs in workload.client_write_vectors(rank):
                 yield from client.vwrite_queued(blob_id, pairs)
             receipts = yield from client.vbarrier(blob_id)
             own_version[rank] = receipts[-1].version
-        elif spec["write_pipelining"]:
+        elif spec["commits"] == "deferred":
             # one snapshot per write, completions pipelined across writes
             for pairs in workload.client_write_vectors(rank):
                 yield from client.vwrite_queued(blob_id, pairs)
@@ -87,7 +85,7 @@ def run_write_path_point(settings, config, *, mode: str, **client_options):
                 own_version[rank] = receipts[-1].version
             yield from client.vbarrier(blob_id)
         else:
-            # the pre-subsystem path: fully blocking, wait per write
+            # fully blocking: every write waits for its own publication
             for pairs in workload.client_write_vectors(rank):
                 receipt = yield from client.vwrite_and_wait(blob_id, pairs)
                 own_version[rank] = receipt.version

@@ -12,7 +12,7 @@ Write protocol (one vectored write = one snapshot):
 3. upload all pieces to their data providers **in parallel and with no
    coordination with other writers** — this is the heavy, fully parallel part;
 4. obtain a version ticket from the version manager (small RPC, overlapped
-   with step 3 on the default pipelined path);
+   with step 3);
 5. build the copy-on-write metadata nodes for the new snapshot and store them
    on the metadata providers (batched per shard, shipped in parallel);
 6. report completion; the version manager publishes snapshots in ticket
@@ -20,7 +20,7 @@ Write protocol (one vectored write = one snapshot):
 
 The commit machinery lives in :mod:`repro.blobseer.writepath`: the
 :class:`~repro.blobseer.writepath.engine.PipelinedCommitEngine` executes
-steps 2-6 (with or without overlap), and a
+steps 2-6, overlapping what the protocol allows, and a
 :class:`~repro.blobseer.writepath.coalescer.WriteCoalescer` can queue several
 vectored writes and commit them as *one* merged snapshot batch — one
 ``allocate``, one ticket, one metadata build — behind an explicit
@@ -78,17 +78,14 @@ class BlobClient:
     and ``metadata_cache_capacity`` default to the cluster config (an
     explicit ``metadata_cache_capacity=None`` forces an unbounded private
     cache even against a bounded cluster default), while
-    ``enable_metadata_cache=False`` / ``metadata_batching=False`` replay
-    the one-RPC-per-node baseline the metadata suite measures against.
+    ``enable_metadata_cache=False`` drops the private tier.
 
     The write path is symmetric: commits route through a
     :class:`~repro.blobseer.writepath.engine.PipelinedCommitEngine` that
     overlaps the version-ticket RPC with the chunk uploads, ships the
     per-shard ``put_nodes`` RPCs in parallel, and write-through-populates
-    the chain with the nodes it just published.  ``write_pipelining=
-    False`` restores the serialized pre-subsystem write path and
-    ``write_through_cache=False`` disables the priming, again for baseline
-    measurements.
+    the chain with the nodes it just published (``write_through_cache=
+    False`` disables the priming).
     """
 
     #: queued-write coalescer; ``None`` on the stock client (the vectored
@@ -99,12 +96,10 @@ class BlobClient:
     def __init__(self, deployment: "BlobSeerDeployment", node: "Node",
                  name: Optional[str] = None, *,
                  enable_metadata_cache: bool = True,
-                 metadata_batching: bool = True,
                  metadata_cache_capacity: object = UNSET,
                  shared_metadata_cache: object = UNSET,
                  metadata_prefetch: object = UNSET,
                  cooperative_cache: object = UNSET,
-                 write_pipelining: bool = True,
                  write_through_cache: bool = True):
         self.deployment = deployment
         self.cluster = deployment.cluster
@@ -116,13 +111,12 @@ class BlobClient:
         self.tiers = build_chain(
             self, private=enable_metadata_cache,
             capacity=metadata_cache_capacity,
-            node_shared=shared_metadata_cache, batching=metadata_batching,
-            prefetch=metadata_prefetch, cooperative=cooperative_cache)
+            node_shared=shared_metadata_cache, prefetch=metadata_prefetch,
+            cooperative=cooperative_cache)
         #: the private tier's node cache (``None`` without one)
         self.metadata_cache = self.tiers.find("private")
         #: payloads of the chunks this client uploaded, for its own reads
         self.chunk_cache = ChunkCache()
-        self.write_pipelining = write_pipelining
         self.write_through_cache = write_through_cache
         #: the commit engine every write of this client routes through
         self.writepath = PipelinedCommitEngine(self)

@@ -167,9 +167,8 @@ class BlobSeerDeployment:
         """Create a client bound to ``node`` (typically an MPI rank's node).
 
         ``client_options`` forward to :class:`BlobClient` (e.g.
-        ``enable_metadata_cache`` / ``metadata_batching`` for the metadata
-        read-path benchmarks, ``write_pipelining`` / ``write_through_cache``
-        for the write-path ones).
+        ``enable_metadata_cache`` for the metadata read-path benchmarks,
+        ``write_through_cache`` for the write-path ones).
         """
         self._client_counter += 1
         return BlobClient(self, node, name or f"blobclient{self._client_counter}",

@@ -289,10 +289,10 @@ class ShardTier(Tier):
 
     Batched, a level's lookups cost one ``get_nodes`` RPC per responsible
     shard, issued in parallel — O(levels x shards) round-trips; unbatched,
-    each lookup costs its own ``get_node`` round-trip (the baseline the
-    metadata suite measures against, and what a provider's read-through
-    issues for its one key).  With ``prefetch`` a shard also resolves the
-    children it owns of every inner node it returns (and the base version
+    each lookup costs its own ``get_node`` round-trip (what a peer
+    service's read-through issues for its one key).  With ``prefetch``
+    (batched only) a shard also resolves the children it owns of every
+    inner node it returns (and the base version
     of partially-covered leaves) — extra response bytes, priced from the
     actual result, for whole levels of saved round-trips; those extras go
     to ``admit_extras`` the moment the shard's response arrives.
@@ -490,18 +490,17 @@ class MetadataTierChain:
 
 
 def build_chain(owner, *, private: bool = True, capacity=UNSET,
-                node_shared=UNSET, batching: bool = True, prefetch=UNSET,
+                node_shared=UNSET, prefetch=UNSET,
                 cooperative=UNSET) -> MetadataTierChain:
     """The one place a client's tier list is assembled.
 
     ``owner`` is the client (its node, deployment and RPC helpers);
-    arguments left :data:`UNSET` follow the cluster config.  The replay
-    flags only shape the list: ``private=False`` / ``batching=False`` are
-    the pre-optimization baselines the metadata suite measures against.
-    Prefetch rides on the batched fetch RPC and the cooperative tier needs
-    a pool to route through and batches to fan its probes out on, so both
-    are off without them; coalescing engages with the cooperative tier,
-    which keeps every cooperative-off timeline untouched.
+    arguments left :data:`UNSET` follow the cluster config, and they only
+    shape the list: ``private=False`` drops the private tier.  The shards
+    are always asked in batches, one ``get_nodes`` RPC per shard and tree
+    level.  The cooperative tier needs a pool to route through, so it is
+    off without one; coalescing engages with the cooperative tier, which
+    keeps every cooperative-off timeline untouched.
     """
     config = owner.cluster.config
 
@@ -518,11 +517,9 @@ def build_chain(owner, *, private: bool = True, capacity=UNSET,
         pool = owner.deployment.node_cache(owner.node)
         order.append(NodeTier(pool, owner.name))
     shards = ShardTier(
-        owner, batching=batching,
-        prefetch=batching and bool(setting(prefetch, "metadata_prefetch")),
+        owner, prefetch=bool(setting(prefetch, "metadata_prefetch")),
         admit_extras=chain.admit)
-    if pool is not None and batching \
-            and setting(cooperative, "cooperative_cache"):
+    if pool is not None and setting(cooperative, "cooperative_cache"):
         order.append(Coalescing(owner, pool, [PeerTier(owner, pool), shards]))
     else:
         order.append(shards)

@@ -24,10 +24,6 @@ metadata read path removed per-node ``get_node`` round-trips:
   :class:`~repro.blobseer.metadata.cache.MetadataNodeCache` and records the
   published version in the client's version-hint table — read-after-write is
   warm from the very first read.
-
-Everything stays switchable (``write_pipelining=False`` reproduces the
-serialized pre-subsystem write path) so the ``BENCH_writepath.json``
-microbenchmarks can measure the old and the new paths side by side.
 """
 
 from repro.blobseer.writepath.batch import (

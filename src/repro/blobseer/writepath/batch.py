@@ -34,8 +34,8 @@ class WriteReceipt:
         self.bytes_written = bytes_written
         self.chunks = chunks
         self.metadata_nodes = metadata_nodes
-        #: how many queued vectored writes this snapshot coalesced (1 = no
-        #: coalescing)
+        #: how many application writes this snapshot carries: a coalesced
+        #: batch's queued writes, a collective stripe's ranks (1 = neither)
         self.logical_writes = logical_writes
         self.started_at = started_at
         self.finished_at = finished_at
@@ -112,21 +112,6 @@ class StagedWrite:
     vector: IOVector
     index: int
     receipt: Optional[WriteReceipt] = None
-    #: how many *application* writes this staged vector represents.  1 for a
-    #: plain queued write; a collective aggregator staging a merged stripe on
-    #: behalf of several MPI ranks attributes their logical writes here, so
-    #: per-write normalization stays honest across multi-rank batches.
-    logical_writes: int = 1
-    #: the placement, and the parts already uploading, of a write whose
-    #: writer staged it part by part — a collective aggregator, round by
-    #: round while the rest of its stripe was still arriving (``vector`` is
-    #: the last part, and may be empty).  Always the first write of its queue.
-    ahead: Optional[AheadWrite] = None
-
-    def __post_init__(self) -> None:
-        if self.logical_writes < 0:
-            raise StorageError(
-                f"logical_writes must be non-negative, got {self.logical_writes}")
 
     @property
     def committed(self) -> bool:
@@ -159,24 +144,12 @@ class WriteBatch:
                     f"batch for {self.blob_id!r}")
 
     def __len__(self) -> int:
+        """Application writes the batch coalesces."""
         return len(self.staged)
 
-    @property
-    def logical_writes(self) -> int:
-        """Application writes the batch coalesces (>= its staged count)."""
-        return sum(write.logical_writes for write in self.staged)
-
     def merged_vector(self) -> IOVector:
-        """The batch as one write vector (queue order, later writes win).
-
-        Empty when every write of the batch was staged wholly ahead.
-        """
-        vectors = [write.vector for write in self.staged if len(write.vector)]
-        return merge_write_vectors(vectors) if vectors else IOVector()
-
-    def ahead(self) -> Optional[AheadWrite]:
-        """The parts uploaded ahead: only a queue's first write has any."""
-        return self.staged[0].ahead
+        """The batch as one write vector (queue order, later writes win)."""
+        return merge_write_vectors([write.vector for write in self.staged])
 
     def total_bytes(self) -> int:
         """Payload bytes over all staged writes (before overlap resolution)."""

@@ -19,7 +19,7 @@ the hook MPI ``sync``/``close``/atomic-mode calls use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, TYPE_CHECKING
 
 from repro.blobseer.writepath.batch import (
@@ -46,7 +46,6 @@ class CoalescerStats:
     auto_flushes: int = 0
     delay_flushes: int = 0
     delay_flush_failures: int = 0
-    discarded_writes: int = 0
 
     @property
     def coalescing_factor(self) -> float:
@@ -57,17 +56,7 @@ class CoalescerStats:
 
     def snapshot(self) -> Dict[str, float]:
         """Plain-dict form for JSON benchmark artifacts."""
-        return {
-            "staged_writes": self.staged_writes,
-            "batches": self.batches,
-            "coalesced_writes": self.coalesced_writes,
-            "coalesced_bytes": self.coalesced_bytes,
-            "auto_flushes": self.auto_flushes,
-            "delay_flushes": self.delay_flushes,
-            "delay_flush_failures": self.delay_flush_failures,
-            "discarded_writes": self.discarded_writes,
-            "coalescing_factor": self.coalescing_factor,
-        }
+        return {**asdict(self), "coalescing_factor": self.coalescing_factor}
 
 
 class WriteCoalescer:
@@ -174,26 +163,15 @@ class WriteCoalescer:
             >= self.max_batch_bytes
 
     # ------------------------------------------------------------------
-    def enqueue(self, blob_id: str, vector: IOVector, *,
-                logical_writes: int = 1, ahead=None):
+    def enqueue(self, blob_id: str, vector: IOVector):
         """Queue one vectored write; auto-flush if a batch bound is crossed.
 
         Generator method (validation may fetch the BLOB descriptor, an
         auto-flush issues RPCs).  Returns the
         :class:`~repro.blobseer.writepath.batch.StagedWrite` handle, whose
-        ``receipt`` is filled when the batch commits.  ``logical_writes``
-        attributes how many application writes the vector represents (a
-        collective aggregator stages merged stripes on behalf of whole rank
-        groups); ``ahead`` is the
-        :class:`~repro.blobseer.writepath.batch.AheadWrite` of a write whose
-        earlier parts are uploading already, ``vector`` being its last part
-        (possibly nothing).  Such a write must open its queue: the parts
-        staged ahead resolve overlaps as the batch's first bytes.
+        ``receipt`` is filled when the batch commits.
         """
-        require_payload(vector, ahead)
-        if ahead is not None and self._pending.get(blob_id):
-            raise StorageError(
-                "a write staged ahead cannot join writes queued before it")
+        require_payload(vector)
         # validate now, like an immediate write would: an out-of-range
         # request must fail at its own call site, not poison the whole
         # merged batch at some later flush point
@@ -202,9 +180,7 @@ class WriteCoalescer:
             if request.size:
                 blob.validate_access(request.offset, request.size)
         staged = StagedWrite(blob_id=blob_id, vector=vector,
-                             index=self.stats.staged_writes,
-                             logical_writes=logical_writes,
-                             ahead=ahead)
+                             index=self.stats.staged_writes)
         queue_was_empty = not self._pending.get(blob_id)
         self._pending.setdefault(blob_id, []).append(staged)
         self._pending_bytes[blob_id] = \
@@ -268,7 +244,7 @@ class WriteCoalescer:
         """Commit the queued writes (of one BLOB, or all) as merged snapshots.
 
         One batch per BLOB: one ``allocate``, one ticket, one merged metadata
-        build, one (deferred, when pipelining) ``complete``.  Returns the
+        build, one deferred ``complete``.  Returns the
         commit receipts.  Publication may still be in flight afterwards —
         use :meth:`barrier` for read-after-write.
 
@@ -311,9 +287,8 @@ class WriteCoalescer:
                     blob=key, writes=len(batch), bytes=batch.total_bytes())
             try:
                 receipt = yield from self.client.writepath.commit(
-                    key, batch.merged_vector(), ahead=batch.ahead(),
-                    logical_writes=batch.logical_writes, defer_complete=True,
-                    trace_parent=batch_span)
+                    key, batch.merged_vector(), logical_writes=len(batch),
+                    defer_complete=True, trace_parent=batch_span)
             except Exception:
                 # the batch stays staged (retryable); keep its latency bound
                 # with backed-off retries — slowing under a persistent fault,
@@ -345,34 +320,10 @@ class WriteCoalescer:
             self._last_version[key] = max(
                 receipt.version, self._last_version.get(key, 0))
             self.stats.batches += 1
-            self.stats.coalesced_writes += batch.logical_writes
+            self.stats.coalesced_writes += len(batch)
             self.stats.coalesced_bytes += receipt.bytes_written
             receipts.append(receipt)
         return receipts
-
-    def discard(self, blob_id: str):
-        """Drop a BLOB's queued-but-uncommitted writes without committing them.
-
-        The hook for callers that *own* the staged data and know it must not
-        be retried — e.g. a collective aggregator whose stripe commit failed
-        after the group already reported the collective as failed.
-
-        Generator method: a flush of the BLOB may have its commit round-trips
-        in flight (the batch stays in the queue until they return), and
-        popping the queue under it would corrupt the byte accounting and
-        mislabel committed writes as dropped — so discard waits that flush
-        out and only drops what genuinely never committed.  Returns the
-        dropped staged writes.
-        """
-        while blob_id in self._flush_gates:
-            yield self._flush_gates[blob_id]
-        dropped = self._pending.pop(blob_id, [])
-        self._pending_bytes.pop(blob_id, None)
-        self._invalidate_watchdog(blob_id)
-        # a fresh batch after the discard starts with a clean retry budget
-        self._flush_failures.pop(blob_id, None)
-        self.stats.discarded_writes += len(dropped)
-        return dropped
 
     def barrier(self, blob_id: Optional[str] = None):
         """Flush, join deferred completions, wait for publication.

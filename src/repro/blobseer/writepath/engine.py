@@ -18,8 +18,7 @@ placement, so however many parts were uploaded ahead there is one
 ``allocate``, one ticket, one metadata build over all their pieces, one
 ``complete``, one snapshot.
 
-In pipelined mode (the default) the engine overlaps everything the protocol
-allows:
+The engine overlaps everything the protocol allows:
 
 * the version ticket is requested *concurrently* with the chunk uploads of
   the commit's own ``stage`` — the ticket round-trip disappears behind the
@@ -45,11 +44,6 @@ Correctness does not move: metadata nodes are always stored *before*
 ``complete`` is issued, and the version manager still publishes strictly in
 ticket order, so deferring a completion can delay publication but never
 reorder it.
-
-With ``write_pipelining=False`` on the client the engine reproduces the
-pre-subsystem write path exactly — sequential control round-trips and a
-sequential per-shard ``put_nodes`` loop — which is the baseline the
-``BENCH_writepath.json`` suite measures against.
 
 Write-through cache population rides on the commit: the writer just built
 every node of the new snapshot, so offering them to its own metadata tier
@@ -98,11 +92,6 @@ class PipelinedCommitEngine:
         self._inflight: Dict[str, List["Process"]] = {}
 
     # ------------------------------------------------------------------
-    @property
-    def pipelining(self) -> bool:
-        """Whether commits overlap their control RPCs (client-configured)."""
-        return self.client.write_pipelining
-
     def outstanding(self, blob_id: str = None) -> int:
         """Deferred ``complete`` RPCs not yet joined by :meth:`drain`."""
         if blob_id is not None:
@@ -128,12 +117,14 @@ class PipelinedCommitEngine:
         :meth:`place_ahead` placed: the parts :meth:`stage_ahead` uploaded
         while the rest was still arriving belong to the same snapshot, and
         ``vector`` — its last part — may be empty when there are any.
-        ``logical_writes`` records how many queued application writes the
-        vector coalesces; ``defer_complete`` (pipelined mode only) launches
-        the ``complete`` RPC as a background process so the caller can start
-        its next batch immediately — callers must eventually :meth:`drain`.
+        ``logical_writes`` records how many application writes the vector
+        carries (a coalesced batch, a collective stripe); ``defer_complete``
+        launches the ``complete`` RPC as a background process so the caller
+        can start its next batch immediately — callers must eventually
+        :meth:`drain`.
 
-        ``trace_parent`` is the caller's span (a coalescer batch, usually).
+        ``trace_parent`` is the caller's span (a coalescer batch, say; the
+        rank's current mainline span when ``None``).
         The commit span and its stage spans are all *detached* — commits
         may overlap each other (deferred completes) and overlap the rank
         mainline, so none of them may touch the context's span stack.
@@ -153,13 +144,13 @@ class PipelinedCommitEngine:
             if len(vector):
                 pieces, ticket = yield from self.stage(
                     blob_id, vector, placed=ahead and ahead.placed[-1],
-                    take_ticket=self.pipelining, trace_parent=span)
+                    take_ticket=True, trace_parent=span)
             if ahead is not None and ahead.stagings:
                 earlier = yield from self._join_ahead(blob_id, ahead, ticket)
                 pieces = earlier + pieces
                 # every staging numbered its own requests from 0: overlaps
                 # resolve in the order the parts were staged, the commit's
-                # own vector (and whatever the batch queued behind it) last
+                # own vector last
                 for order, piece in enumerate(pieces):
                     piece.request_index = order
             receipt = yield from self.publish(
@@ -404,7 +395,7 @@ class PipelinedCommitEngine:
                 client.cache_primed_nodes += len(nodes)
 
         # 6. completion -> in-order publication at the version manager
-        if defer_complete and self.pipelining:
+        if defer_complete:
             if span is not None:
                 # the deferred complete outlives the commit span by design:
                 # flow-linked (causal, exempt from interval nesting)
@@ -553,27 +544,16 @@ class PipelinedCommitEngine:
 
     def _store_nodes(self, blob: "BlobDescriptor", nodes: List["MetadataNode"],
                      trace_parent=None):
-        """Ship the new snapshot's nodes, one ``put_nodes`` RPC per shard.
-
-        Pipelined mode issues the per-shard RPCs in parallel (mirroring the
-        batched read path); baseline mode loops them sequentially, which is
-        what the write path did before this subsystem existed.
-        """
+        """Ship the new snapshot's nodes: one ``put_nodes`` RPC per shard,
+        all in parallel (mirroring the batched read path)."""
         client = self.client
         deployment = client.deployment
         by_shard = self._group_by_shard(nodes)
         node_size = client.cluster.config.metadata_node_size
         control_size = client.cluster.config.control_message_size
         client.metadata_put_rpcs += len(by_shard)
-        if self.pipelining:
-            yield client.cluster.sim.fanout(
-                [client._rpc(deployment.metadata_providers[index], "put_nodes",
-                             len(shard_nodes) * node_size, control_size,
-                             shard_nodes, trace_parent=trace_parent)
-                 for index, shard_nodes in sorted(by_shard.items())])
-        else:
-            for index, shard_nodes in sorted(by_shard.items()):
-                yield from client._rpc(
-                    deployment.metadata_providers[index], "put_nodes",
-                    len(shard_nodes) * node_size, control_size, shard_nodes,
-                    trace_parent=trace_parent)
+        yield client.cluster.sim.fanout(
+            [client._rpc(deployment.metadata_providers[index], "put_nodes",
+                         len(shard_nodes) * node_size, control_size,
+                         shard_nodes, trace_parent=trace_parent)
+             for index, shard_nodes in sorted(by_shard.items())])

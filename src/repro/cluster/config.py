@@ -108,8 +108,8 @@ class ClusterConfig:
     #: replica of its key slice); the rest are **samplers** (serve only
     #: what their custody-aligned slice already holds)
     coop_provider_fraction: float = 0.5
-    #: record causal spans (file op → collective phase → coalescer batch →
-    #: commit stage → RPC → link) plus per-link telemetry on the queued
+    #: record causal spans (file op → collective phase → commit → commit
+    #: stage → RPC → link) plus per-link telemetry on the queued
     #: network model, exportable as Chrome trace-event JSON
     #: (:mod:`repro.obs`).  Timestamps come from the simulation clock only,
     #: so tracing never changes simulated behaviour and traces are

@@ -1,4 +1,4 @@
-"""Two-phase collective buffering over the write coalescer.
+"""Two-phase collective buffering on the versioning backend.
 
 Thakur, Gropp & Lusk's classic optimization, transplanted onto the paper's
 versioning backend: on a collective write every rank holds a (possibly
@@ -28,11 +28,11 @@ separately costs one version ticket plus one copy-on-write metadata build
    instead of idling through the whole shuffle.  Where the units go is
    settled when the first sub-stripe goes ahead: the descriptions say what
    every sub-stripe will hold, so one ``allocate`` places the whole stripe.
-   The last round's runs go to the aggregator's
-   :class:`~repro.blobseer.writepath.coalescer.WriteCoalescer` together
+   The last round's runs go straight to the aggregator's
+   :class:`~repro.blobseer.writepath.engine.PipelinedCommitEngine` together
    with the stagings still in flight, and one commit uploads them (its
    ticket request riding along), joins the rest and publishes the whole
-   stripe: the group's collective is ``num_aggregators`` snapshot batches
+   stripe: the group's collective is ``num_aggregators`` snapshots
    (one ``allocate``, one ticket, one metadata build, one ``complete``
    each) instead of ``N``, each of one chunk per stripe unit however small
    the ranks' blocks were.  A stripe of one round is the same loop run
@@ -58,12 +58,13 @@ in a half-entered collective.  A staging that ran ahead holds no ticket and
 never fails in the background: its error surfaces when the commit joins it.
 An aggregator a failed peer left short of bytes still publishes what did
 arrive: a sub-stripe that is not the one described is placed on its own.
-A failed aggregator discards its staged stripe (the group already observed
-the failure; silently retrying it at the next flush point would resurrect a
-write the application saw fail; chunks already uploaded stay unreferenced
-and leave the client's chunk cache), releases its ticket through the commit
-engine's abort/rollback path, and every rank raises — with no torn snapshot
-left behind and publication never stalled for bystanders.  Like MPI itself,
+A stripe never enters the client's write queue, so a failed one is gone for
+good (the group already observed the failure; a later flush point must not
+resurrect a write the application saw fail): chunks already uploaded stay
+unreferenced and leave the client's chunk cache, the ticket is released
+through the commit engine's abort/rollback path, and every rank raises —
+with no torn snapshot left behind and publication never stalled for
+bystanders.  Like MPI itself,
 a *failed* collective leaves the file state undefined within the access
 range: stripes whose aggregators succeeded are durably published (each one a
 complete, internally consistent snapshot), only the failed parts are absent
@@ -110,7 +111,7 @@ against the segment tree independently — ``N`` ``latest`` round-trips and
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, List, NamedTuple, Optional, Tuple, TYPE_CHECKING
 
 from repro.blobseer.metadata.segment_tree import stripe_unit_sizes
@@ -262,13 +263,7 @@ class CollectiveStats:
 
     def snapshot(self) -> Dict[str, int]:
         """Plain-dict form for benchmark artifacts."""
-        return {
-            "collectives": self.collectives,
-            "bytes_sent": self.bytes_sent,
-            "bytes_received": self.bytes_received,
-            "stripes_committed": self.stripes_committed,
-            "attributed_writes": self.attributed_writes,
-        }
+        return asdict(self)
 
 
 def _piece_bytes(piece: Tuple) -> int:
@@ -308,7 +303,7 @@ def _phase(ctx, gen, name: str, **args):
 
     The collective protocols execute in the rank's sequential mainline, so
     phase spans use the context's stack — anything they trigger deeper down
-    (coalescer batches, commits, RPCs) parents under the phase naturally.
+    (commits, RPCs) parents under the phase naturally.
     ``ctx is None`` (tracing disabled) is a pure passthrough.
     """
     if ctx is None:
@@ -521,13 +516,6 @@ class CollectiveAggregator(_CollectiveParticipant):
 
     def __init__(self, client: "BlobClient",
                  num_aggregators: Optional[int] = None):
-        if client.coalescer is None:
-            # fail fast: stripe commits stage through the coalescer, and a
-            # missing one surfacing mid-protocol (in a failure handler, no
-            # less) would strand the peer ranks in a half-entered collective
-            raise MPIIOError(
-                "CollectiveAggregator needs a client with a write coalescer "
-                "(e.g. VectoredClient)")
         super().__init__(client, num_aggregators)
         self.stats = CollectiveStats()
 
@@ -551,7 +539,8 @@ class CollectiveAggregator(_CollectiveParticipant):
         # round is entered: past the opening allgather every rank can derive
         # the round count
         try:
-            if client.coalescer.pending_writes(blob_id):
+            if client.coalescer is not None \
+                    and client.coalescer.pending_writes(blob_id):
                 yield from client.coalescer.flush(blob_id)
             blob = yield from client._descriptor(blob_id)
             count = self.resolved_count(comm.size)
@@ -652,7 +641,7 @@ class CollectiveAggregator(_CollectiveParticipant):
                     failure = exc
 
         # phase 3 (aggregators): publish the whole stripe — every round's
-        # uploads — as one snapshot via the coalescer
+        # uploads — as one snapshot
         closing = ("ok", 0)
         if failure is not None:
             closing = ("err", f"rank {rank}: {failure!r}")
@@ -665,9 +654,6 @@ class CollectiveAggregator(_CollectiveParticipant):
                 closing = ("ok", version)
             except Exception as exc:
                 failure = exc
-                # the group will observe this failure; keeping the stripe
-                # staged would resurrect it at an unrelated later flush
-                yield from client.coalescer.discard(blob_id)
                 closing = ("err", f"aggregator rank {rank}: {exc!r}")
         if failure is not None and ahead is not None:
             # nor will any snapshot reference what went ahead of the commit
@@ -771,18 +757,20 @@ class CollectiveAggregator(_CollectiveParticipant):
     def _commit_stripe(self, blob_id: str, runs: IOVector,
                        ahead: Optional[AheadWrite], attributed_writes: int):
         """Publish the stripe — ``runs`` plus the sub-stripes uploading
-        ``ahead``, if any were — as one snapshot batch; returns the
-        published version."""
-        coalescer = self.client.coalescer
-        staged = yield from coalescer.enqueue(
-            blob_id, runs, logical_writes=attributed_writes, ahead=ahead)
-        yield from coalescer.barrier(blob_id)
+        ``ahead``, if any were — as one snapshot; returns its version once
+        it is published."""
+        writepath = self.client.writepath
+        receipt = yield from writepath.commit(
+            blob_id, runs, ahead=ahead, logical_writes=attributed_writes,
+            defer_complete=True)
+        yield from writepath.drain(blob_id)
+        # the deferred complete usually reported the stripe published
+        # already; only an earlier ticket still in flight costs a wait
+        if receipt.version > self.client.version_hints.get(blob_id, 0):
+            yield from self.client.wait_published(blob_id, receipt.version)
         self.stats.stripes_committed += 1
         self.stats.attributed_writes += attributed_writes
-        # the version comes from the staged write's own receipt: a client
-        # batch bound may have auto-flushed the stripe already, in which
-        # case the barrier commits nothing new and returns no receipts
-        return staged.version
+        return receipt.version
 
 
 # ----------------------------------------------------------------------
@@ -812,15 +800,7 @@ class CollectiveReadStats:
 
     def snapshot(self) -> Dict[str, int]:
         """Plain-dict form for benchmark artifacts."""
-        return {
-            "collectives": self.collectives,
-            "bytes_sent": self.bytes_sent,
-            "bytes_received": self.bytes_received,
-            "stripes_resolved": self.stripes_resolved,
-            "version_rpcs": self.version_rpcs,
-            "version_rpcs_elided": self.version_rpcs_elided,
-            "hole_bytes_elided": self.hole_bytes_elided,
-        }
+        return asdict(self)
 
 
 class CollectiveReader(_CollectiveParticipant):

@@ -60,7 +60,7 @@ class VersioningDriver(ADIODriver):
     both directions unless reads are explicitly switched off.
 
     Remaining keyword options forward to
-    :class:`~repro.vstore.client.VectoredClient` (e.g. ``write_pipelining``,
+    :class:`~repro.vstore.client.VectoredClient` (e.g.
     ``write_through_cache``, ``coalesce_max_writes``,
     ``coalesce_max_delay``).
     """

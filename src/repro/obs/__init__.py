@@ -4,7 +4,7 @@ All pieces are driven by the *simulation* clock (never wall time, so
 every artifact is byte-stable across runs and usable as replay evidence):
 
 * :mod:`repro.obs.trace` — causal spans threaded through the stack
-  (``File.write_at_all`` → collective exchange phases → coalescer batch →
+  (``File.write_at_all`` → collective phases → commit →
   commit-engine stages → per-shard RPC → network link transfer),
   exportable as Chrome trace-event JSON (:mod:`repro.obs.export`).
 * :mod:`repro.obs.registry` — a central :class:`MetricsRegistry`

@@ -43,7 +43,7 @@ class TestRunSuites:
         assert not (tmp_path / "BENCH_metadata.json").exists()
         output = capsys.readouterr().out
         assert str(written) in output
-        assert "rpc_reduction_vs_baseline" in output
+        assert "rpc_reduction_vs_per_node" in output
 
     def test_run_ablations_prints_one_table_per_experiment(self, tmp_path,
                                                            capsys):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.blobseer import BlobSeerDeployment
+from repro.blobseer.metadata.tiers import ShardTier
 from repro.cluster import Cluster, ClusterConfig
 from repro.errors import VersionNotFound
 
@@ -189,14 +190,19 @@ class TestConcurrentWriters:
 
 
 class TestMetadataReadPathModes:
-    """The cached/batched read path and the per-node baseline agree byte-for-byte."""
+    """The cached and uncached read paths, and a per-node shard tier, agree
+    byte-for-byte."""
 
     PAIRS = [(0, b"a" * 100), (150, b"b" * 40), (400, b"c" * 200)]
     READS = [(0, 120), (140, 60), (380, 240), (900, 100)]
 
-    def _read_all(self, **client_options):
+    def _read_all(self, per_node=False, **client_options):
         cluster, deployment = make_deployment(chunk_size=64)
         client = deployment.client(cluster.add_node("c0"), **client_options)
+        if per_node:
+            # one ``get_node`` round-trip per lookup: the read path the
+            # metadata suite's headline counts its round-trips against
+            client.tiers.order[-1] = ShardTier(client, batching=False)
 
         def scenario():
             yield from client.create_blob("data", size=1024)
@@ -213,18 +219,32 @@ class TestMetadataReadPathModes:
         return run(cluster, scenario()), client, deployment
 
     def test_all_modes_read_identical_bytes(self):
-        baseline, base_client, _ = self._read_all(
-            enable_metadata_cache=False, metadata_batching=False)
-        for options in ({"enable_metadata_cache": False},
-                        {"metadata_batching": False},
-                        {}):
-            content, client, _ = self._read_all(**options)
-            assert content == baseline
-            assert client.metadata_read_rpcs <= base_client.metadata_read_rpcs
+        uncached, base_client, _ = self._read_all(enable_metadata_cache=False)
+        content, client, _ = self._read_all()
+        assert content == uncached
+        assert client.metadata_read_rpcs < base_client.metadata_read_rpcs
+
+    def test_a_per_node_shard_tier_pays_one_get_node_per_lookup(self):
+        """What the batched headline divides by: the same lookups through
+        ``ShardTier(batching=False)`` cost exactly one ``get_node`` each,
+        and read the same bytes."""
+        batched, batched_client, _ = self._read_all(
+            enable_metadata_cache=False)
+        per_node, client, deployment = self._read_all(
+            per_node=True, enable_metadata_cache=False)
+        assert per_node == batched
+        lookups = client.tiers.lookups
+        assert lookups == batched_client.tiers.lookups
+        assert client.metadata_read_rpcs == lookups \
+            > batched_client.metadata_read_rpcs
+        get_node_rpcs = sum(provider.calls.get("get_node", 0)
+                            for provider in deployment.metadata_providers)
+        assert get_node_rpcs == lookups
+        assert deployment.stats()["metadata_batched_rpcs"] == 0
 
     def test_batching_and_cache_cut_round_trips(self):
         _, base_client, base_deployment = self._read_all(
-            enable_metadata_cache=False, metadata_batching=False)
+            enable_metadata_cache=False)
         _, fast_client, fast_deployment = self._read_all()
         assert base_client.metadata_read_rpcs > fast_client.metadata_read_rpcs
         # the client-side counter agrees with the service-side accounting

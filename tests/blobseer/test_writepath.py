@@ -91,27 +91,6 @@ class TestPipelinedCommit:
         pieces = run(cluster, client.vread(BLOB, [(0, 300), (900, 50)]))
         assert pieces == [b"p" * 300, b"q" * 50]
 
-    def test_pipelined_and_baseline_store_identical_bytes(self):
-        vectors = [[(0, b"a" * 100), (500, b"b" * 400)],
-                   [(50, b"c" * 200)],
-                   [(450, b"d" * 100), (3000, b"e" * 700)]]
-        contents = {}
-        for pipelining in (False, True):
-            cluster, _, client = make_client(write_pipelining=pipelining)
-            for pairs in vectors:
-                run(cluster, client.vwrite_and_wait(BLOB, pairs))
-            contents[pipelining] = run(
-                cluster, client.vread(BLOB, [(0, BLOB_SIZE)]))[0]
-        assert contents[False] == contents[True]
-
-    def test_pipelined_write_is_not_slower(self):
-        elapsed = {}
-        for pipelining in (False, True):
-            cluster, _, client = make_client(write_pipelining=pipelining)
-            receipt = run(cluster, client.vwrite(BLOB, [(0, b"z" * 1024)]))
-            elapsed[pipelining] = receipt.elapsed
-        assert elapsed[True] <= elapsed[False]
-
     def test_write_control_rpc_counters(self):
         cluster, _, client = make_client()
         run(cluster, client.vwrite_and_wait(BLOB, [(0, b"x" * 64)]))
@@ -206,42 +185,28 @@ class TestStagedAhead:
 
     def test_parts_resolve_overlaps_in_the_order_they_were_staged(self):
         """Each staging numbers its requests from 0; the commit renumbers
-        the joined pieces, so a later part — and a write queued behind the
-        one staged ahead, riding the same batch — wins the bytes it shares
-        with an earlier one."""
+        the joined pieces, so a later part — and the commit's own vector,
+        which comes last — wins the bytes it shares with an earlier one."""
         cluster, _, client = make_client()
-        engine, coalescer = client.writepath, client.coalescer
-        parts = [[(0, b"a" * 40), (100, b"a" * 40)], [(20, b"b" * 100)]]
+        engine = client.writepath
+        parts = [[(0, b"a" * 40), (100, b"a" * 40)], [(20, b"b" * 100)],
+                 [(110, b"c" * 20)]]
 
         def write():
             ahead = yield from engine.place_ahead(
                 [stripe_unit_sizes([(offset, len(data))
                                     for offset, data in part], CHUNK)
                  for part in parts])
-            engine.stage_ahead(BLOB, IOVector.for_write(parts[0]), ahead, 0)
-            yield from coalescer.enqueue(
-                BLOB, IOVector.for_write(parts[1]), ahead=ahead)
-            yield from coalescer.enqueue(
-                BLOB, IOVector.for_write([(110, b"c" * 20)]))
-            yield from coalescer.barrier(BLOB)
+            for index, part in enumerate(parts[:2]):
+                engine.stage_ahead(BLOB, IOVector.for_write(part), ahead,
+                                   index)
+            yield from engine.commit(
+                BLOB, IOVector.for_write(parts[2]), ahead=ahead)
 
         run(cluster, write())
         assert client.writes == 1
         assert run(cluster, client.vread(BLOB, [(0, 140)]))[0] == \
             b"a" * 20 + b"b" * 90 + b"c" * 20 + b"a" * 10
-
-    def test_a_write_staged_ahead_must_open_its_queue(self):
-        cluster, _, client = make_client()
-
-        def write():
-            yield from client.coalescer.enqueue(
-                BLOB, IOVector.for_write([(0, b"x" * 8)]))
-            ahead = yield from self.place(client.writepath)
-            yield from client.coalescer.enqueue(
-                BLOB, IOVector.for_write(self.PARTS[2]), ahead=ahead)
-
-        with pytest.raises(StorageError, match="queued before"):
-            run(cluster, write())
 
     def test_stage_returns_placed_pieces_without_their_payload(self):
         cluster, deployment, client = make_client()
@@ -791,36 +756,6 @@ class TestFlushWatchdogRaces:
         assert client.writes == 1
         assert client.coalescer.stats.batches == 1
         assert client.coalescer.pending_bytes(BLOB) == 0
-        assert deployment.version_manager.manager.latest_published(BLOB) == 1
-
-    def test_discard_waits_out_an_inflight_flush(self):
-        """discard() must not pop a batch whose commit round-trips are in
-        flight — those writes are about to publish, not to be dropped."""
-        cluster, deployment, client = make_client()
-        outcome = {}
-
-        def flusher():
-            yield from client.vwrite_queued(BLOB, [(0, b"keep" * 4)])
-            yield from client.vflush(BLOB)
-
-        def discarder():
-            yield cluster.sim.timeout(1e-4)  # inside the commit's RPC window
-            dropped = yield from client.coalescer.discard(BLOB)
-            outcome["dropped"] = dropped
-
-        processes = [cluster.sim.process(flusher()),
-                     cluster.sim.process(discarder())]
-
-        def driver():
-            yield cluster.sim.all_of(processes)
-            yield cluster.sim.timeout(0.1)  # let the deferred complete land
-
-        cluster.sim.run(stop_event=cluster.sim.process(driver()))
-        # the discard waited for the commit, then found nothing to drop
-        assert outcome["dropped"] == []
-        assert client.coalescer.stats.discarded_writes == 0
-        assert client.coalescer.pending_bytes(BLOB) == 0
-        assert client.writes == 1
         assert deployment.version_manager.manager.latest_published(BLOB) == 1
 
     def test_watchdog_retries_back_off_and_recover_on_their_own(self):

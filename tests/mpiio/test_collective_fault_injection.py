@@ -6,10 +6,10 @@ control plane, so its death is the interesting failure.  Two windows:
 * *mid-commit* — the aggregator took its version ticket and fails while
   storing the stripe's metadata.  The commit engine must roll the partial
   nodes back and release the ticket (``VersionManager.abort``), the
-  aggregator must discard the staged stripe (the group saw the failure;
-  silently retrying it later would resurrect a write the application
-  believes failed), the surviving aggregator's stripe must still publish,
-  and no reader may ever observe a torn snapshot.
+  stripe must never have entered the aggregator's write queue (the group
+  saw the failure; a later flush point retrying it would resurrect a write
+  the application believes failed), the surviving aggregator's stripe must
+  still publish, and no reader may ever observe a torn snapshot.
 
 * *mid-exchange* — the aggregator dies before any ticket exists (its local
   flush ahead of the exchange fails).  The protocol must report the failure
@@ -162,10 +162,12 @@ class TestAggregatorDiesMidCommit:
         assert manager.tickets_aborted == 1
         assert manager.pending_versions(PATH) == []
 
-        # the staged stripe was discarded, not left for a silent retry
-        doomed = drivers[DOOMED_RANK]
-        assert doomed.client.coalescer.pending_writes(PATH) == 0
-        assert doomed.client.coalescer.stats.discarded_writes == 1
+        # the failed stripe never entered the queue, so the later sync had
+        # nothing of it to retry: the one write the doomed client staged,
+        # and the one its sync published, is its post-failure 16 bytes
+        stats = drivers[DOOMED_RANK].client.coalescer.stats
+        assert (stats.staged_writes, stats.coalesced_writes,
+                stats.coalesced_bytes) == (1, 1, 16)
 
         # no torn snapshot: the surviving stripe is fully there, the dead
         # stripe reads as never written (its predecessor's zeros), and the
@@ -551,12 +553,33 @@ class TestPartitionPhaseFailure:
         assert manager.latest_published(PATH) == 0
 
 
-def test_aggregator_requires_a_coalescer_client():
-    """The exported CollectiveAggregator fails fast on a client without a
-    write coalescer instead of stranding peers mid-protocol later."""
+def test_aggregator_runs_on_a_plain_blob_client():
+    """A stripe commit needs the client's commit engine and nothing else:
+    ranks holding stock ``BlobClient``s (no write queue) run the collective
+    and land the serial application of their writes."""
     from repro.blobseer.client import BlobClient
     from repro.mpiio.adio.collective import CollectiveAggregator
+    from tests._oracle import random_pattern, serial_oracle
+
+    pattern = random_pattern(31, NUM_RANKS, file_size=FILE_SIZE)
     cluster, deployment = make_deployment()
-    bare = BlobClient(deployment, cluster.add_node("bare"))
-    with pytest.raises(MPIIOError):
-        CollectiveAggregator(bare)
+    aggregators = {}
+
+    def rank_main(ctx):
+        client = BlobClient(deployment, ctx.node, name=f"bare{ctx.rank}")
+        assert client.coalescer is None
+        aggregators[ctx.rank] = aggregator = CollectiveAggregator(
+            client, num_aggregators=NUM_AGGREGATORS)
+        if ctx.rank == 0:
+            yield from client.create_blob(PATH, FILE_SIZE, chunk_size=CHUNK)
+        yield from ctx.comm.barrier(ctx.rank)
+        pairs = pattern[ctx.rank]
+        yield from aggregator.collective_write(
+            PATH, IOVector.for_write(pairs) if pairs else IOVector(),
+            ctx.rank, ctx.comm)
+
+    run_mpi_job(cluster, NUM_RANKS, rank_main)
+    assert read_back(cluster, deployment) == serial_oracle(pattern, FILE_SIZE)
+    assert sum(aggregator.stats.stripes_committed
+               for aggregator in aggregators.values()) \
+        == deployment.version_manager.manager.latest_published(PATH) > 0

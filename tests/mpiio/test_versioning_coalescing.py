@@ -133,11 +133,11 @@ def test_coalescing_spends_fewer_control_rpcs_for_small_write_trains():
 
 def test_read_fences_when_publication_lags_behind_own_commit():
     """Read-your-writes when another writer holds an earlier ticket: the
-    client's committed batch is unpublished (its inline ``complete`` saw a
+    client's committed batch is unpublished (its joined ``complete`` saw a
     lagging watermark), so the read must fence and wait — never serve a
     snapshot older than the client's own flushed write."""
     cluster, deployment, driver_factory = make_environment(
-        write_coalescing=True, write_pipelining=False, coalesce_max_writes=1)
+        write_coalescing=True, coalesce_max_writes=1)
     blocker = deployment.client(cluster.add_node("blocker"), name="blocker")
 
     def staller():
@@ -157,6 +157,14 @@ def test_read_fences_when_publication_lags_behind_own_commit():
         # coalesce_max_writes=1 auto-flushes immediately: our write commits
         # with the later ticket but cannot publish until the staller does
         yield from handle.write_at(0, b"hello!")
+        # join the deferred complete: nothing is queued or in flight any
+        # more, only the committed batch's publication lags behind
+        client = driver.client
+        yield from client.writepath.drain("/f")
+        assert client.coalescer.pending_writes("/f") == 0
+        assert client.writepath.outstanding("/f") == 0
+        assert client.coalescer.last_committed_version("/f") \
+            > client.version_hints.get("/f", 0)
         data = yield from handle.read_at(0, 6)
         yield from handle.close()
         return data

@@ -2,8 +2,8 @@
 
 A 64-rank ``write_at_all`` + ``read_at_all`` under the queued network
 model must export a schema-valid Chrome trace whose causal chains span at
-least five layers (File op → collective phase → coalescer batch → commit
-stage → per-shard RPC → network link), with every span attributed to the
+least five layers (File op → collective phase → commit → commit stage →
+per-shard RPC → network link), with every span attributed to the
 rank/node/shard/link it executed on — and running the identical workload
 with tracing disabled must change nothing observable.
 """
@@ -116,15 +116,21 @@ def test_traced_collective_exports_valid_deep_trace(tmp_path):
     names = {span.name for span in tracer.spans}
     for expected in ("file.write_at_all", "file.read_at_all",
                      "collective.write.exchange_data",
-                     "collective.read.resolve", "coalescer.batch",
-                     "commit", "commit.upload", "net.link"):
+                     "collective.read.resolve", "commit", "commit.upload",
+                     "net.link"):
         assert expected in names, f"missing layer span {expected}"
+    # a stripe goes straight to the commit engine, never through the queue
+    by_id = {span.span_id: span for span in tracer.spans}
+    commits = [span for span in tracer.spans if span.name == "commit"]
+    assert len(commits) == AGGREGATORS
+    assert {by_id[span.parent_id].name for span in commits} \
+        == {"collective.write.commit_stripe"}
+    assert "coalescer.batch" not in names
     # every lane group the instrumentation emits is present
     assert {span.lane[0] for span in tracer.spans} == \
         {"rank", "shard", "link"}
 
     # interval nesting: every finished non-flow child inside its parent
-    by_id = {span.span_id: span for span in tracer.spans}
     for span in tracer.spans:
         if not span.parent_id or span.flow or span.end is None:
             continue

@@ -153,3 +153,24 @@ def test_lookup_partition_holds_without_a_private_cache():
     collect_clients(registry, [client])
     assert any("metadata.lookup_partition" in problem
                for problem in registry.check_identities())
+
+
+def test_stats_snapshots_keep_their_keys_and_order():
+    """The collectors and perfbench read these snapshots key by key: each is
+    its dataclass's fields in declaration order, the coalescer's followed by
+    its ``coalescing_factor`` gauge."""
+    from repro.blobseer.writepath import CoalescerStats
+    from repro.mpiio.adio.collective import (CollectiveReadStats,
+                                             CollectiveStats)
+    coalescer = CoalescerStats(batches=2, coalesced_writes=5).snapshot()
+    assert list(coalescer) == [
+        "staged_writes", "batches", "coalesced_writes", "coalesced_bytes",
+        "auto_flushes", "delay_flushes", "delay_flush_failures",
+        "coalescing_factor"]
+    assert coalescer["coalescing_factor"] == 2.5
+    assert list(CollectiveStats(stripes_committed=3).snapshot().items()) == [
+        ("collectives", 0), ("bytes_sent", 0), ("bytes_received", 0),
+        ("stripes_committed", 3), ("attributed_writes", 0)]
+    assert list(CollectiveReadStats().snapshot()) == [
+        "collectives", "bytes_sent", "bytes_received", "stripes_resolved",
+        "version_rpcs", "version_rpcs_elided", "hole_bytes_elided"]
