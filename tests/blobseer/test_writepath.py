@@ -91,6 +91,44 @@ class TestPipelinedCommit:
         pieces = run(cluster, client.vread(BLOB, [(0, 300), (900, 50)]))
         assert pieces == [b"p" * 300, b"q" * 50]
 
+    @staticmethod
+    def write_train(client, vectors, pipelined):
+        """Commit one snapshot per vector the way the write-path benchmark's
+        modes do: the baseline blocks on every publication, the pipelined
+        train flushes each write and waits once, at its closing barrier."""
+        for pairs in vectors:
+            if pipelined:
+                yield from client.vwrite_queued(BLOB, pairs)
+                yield from client.vflush(BLOB)
+            else:
+                yield from client.vwrite_and_wait(BLOB, pairs)
+        if pipelined:
+            yield from client.vbarrier(BLOB)
+
+    def test_pipelined_and_baseline_store_identical_bytes(self):
+        vectors = [[(0, b"a" * 100), (500, b"b" * 400)],
+                   [(50, b"c" * 200)],
+                   [(450, b"d" * 100), (3000, b"e" * 700)]]
+        contents = {}
+        for pipelined in (False, True):
+            cluster, deployment, client = make_client()
+            run(cluster, self.write_train(client, vectors, pipelined))
+            assert deployment.version_manager.manager.latest_published(
+                BLOB) == len(vectors)
+            contents[pipelined] = run(
+                cluster, client.vread(BLOB, [(0, BLOB_SIZE)]))[0]
+        assert contents[False] == contents[True]
+
+    def test_pipelined_write_is_not_slower(self):
+        vectors = [[(offset, b"z" * 1024)] for offset in (0, 1024, 2048)]
+        elapsed = {}
+        for pipelined in (False, True):
+            cluster, _, client = make_client()
+            started = cluster.sim.now
+            run(cluster, self.write_train(client, vectors, pipelined))
+            elapsed[pipelined] = cluster.sim.now - started
+        assert elapsed[True] <= elapsed[False]
+
     def test_write_control_rpc_counters(self):
         cluster, _, client = make_client()
         run(cluster, client.vwrite_and_wait(BLOB, [(0, b"x" * 64)]))
