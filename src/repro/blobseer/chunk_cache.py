@@ -16,8 +16,11 @@ in two ways: least recently used first once the payload bytes held pass
 aborted and no snapshot will reference them.
 
 Left out on purpose: fill-on-read, and a node-shared or cooperative chunk
-tier.  No measured workload re-reads bytes it did not write, and a tier that
-hands one client another's bytes first needs a cost for the local copy.
+tier — although the ``shared_scan`` benchmark's 64 readers, 8 per compute
+node, do re-read bytes another client wrote (the seeder's 4 MiB dump).
+ROADMAP.md parks such a tier as an additive subsystem, and the model has no
+cost for a local copy, so a tier that hands one client another's bytes
+would serve them for free until it gets one.
 """
 
 from __future__ import annotations

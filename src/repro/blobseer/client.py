@@ -500,15 +500,17 @@ class BlobClient:
 
     @staticmethod
     def _assemble(vector: IOVector, fetched: List[Tuple[int, int, bytes]]) -> List[bytes]:
-        """Scatter fetched extents back into one buffer per vector request.
+        """Cut fetched extents back into one ``bytes`` per vector request.
 
-        Fetched extents never overlap each other (the read plan partitions
-        the wanted ranges), so after sorting them by offset each request only
-        needs the slice of extents its range intersects — found with a bisect
-        instead of scanning the full extent list per request, which turned a
-        whole-file verify read into an O(requests x extents) quadratic walk.
-        A request one extent covers whole (every block of a collective read)
-        is that extent's slice.
+        The fetched extents, zero extents included, tile the wanted ranges
+        (the read plan partitions them), so after sorting them by offset
+        each request is the concatenation of the slices of the extents its
+        range intersects — found with a bisect instead of scanning the full
+        extent list per request, which turned a whole-file verify read into
+        an O(requests x extents) quadratic walk.  A request one extent
+        covers whole (every block of a collective read) is that extent's
+        slice; a gap between extents, which a read plan never leaves,
+        would read as zeros.
         """
         extents = sorted(fetched, key=lambda item: item[0])
         ends = [offset + length for offset, length, _data in extents]
@@ -525,17 +527,20 @@ class BlobClient:
                 results.append(bytes(data[req_start - offset:
                                           req_end - offset]))
                 continue
-            buffer = bytearray(request.size)
+            pieces = []
+            cursor = req_start
             while index < len(extents):
                 offset, length, data = extents[index]
                 if offset >= req_end:
                     break
-                lo = max(req_start, offset)
-                hi = min(req_end, offset + length)
-                if hi > lo:
-                    src_start = lo - offset
-                    buffer[lo - req_start:hi - req_start] = \
-                        data[src_start:src_start + (hi - lo)]
+                if offset > cursor:
+                    pieces.append(bytes(offset - cursor))
+                    cursor = offset
+                stop = min(req_end, offset + length)
+                pieces.append(data[cursor - offset:stop - offset])
+                cursor = stop
                 index += 1
-            results.append(bytes(buffer))
+            if cursor < req_end:
+                pieces.append(bytes(req_end - cursor))
+            results.append(b"".join(pieces))
         return results

@@ -27,7 +27,7 @@ from repro.blobseer.blob import BlobDescriptor
 from repro.blobseer.chunk import ChunkKey
 from repro.blobseer.metadata.nodes import ChildRef, LeafSegment, MetadataNode, NodeKey
 from repro.core.listio import IOVector
-from repro.core.regions import Region, RegionList
+from repro.core.regions import RegionList
 from repro.errors import InvalidRegion
 
 
@@ -303,6 +303,10 @@ NodeRequest = Tuple[int, int, int]
 
 GetNodes = Callable[[Sequence[NodeRequest]], Sequence[Optional[MetadataNode]]]
 
+#: a frontier entry's wanted bytes: ``(start, end)`` runs, sorted, disjoint
+#: and non-adjacent — a normalized :class:`RegionList` as plain integers
+Runs = Tuple[Tuple[int, int], ...]
+
 
 class ReadPlanner:
     """Level-by-level traversal of a snapshot's segment tree.
@@ -313,6 +317,11 @@ class ReadPlanner:
     metadata tier chain (caches first, then one batched RPC per shard per
     level: O(levels × shards) round-trips instead of O(nodes)), while unit
     tests and :func:`plan_read` drive it with plain callbacks.
+
+    The walk is the hottest domain code of a read, so it runs on plain
+    integers: each frontier entry carries the bytes it still has to resolve
+    as :data:`Runs`, which stay inside the entry's subtree, and the entries
+    of one level partition the bytes not yet resolved to an extent.
 
     Protocol::
 
@@ -329,16 +338,17 @@ class ReadPlanner:
     """
 
     def __init__(self, blob: BlobDescriptor, version: int, regions: RegionList):
-        wanted = regions.normalized()
-        for region in wanted:
+        runs = []
+        for region in regions.normalized():
             blob.validate_access(region.offset, region.size)
+            runs.append((region.offset, region.offset + region.size))
         self.blob = blob
         self.version = version
         self.extents: List[ReadExtent] = []
         self.nodes_fetched = 0
         self.levels = 0
-        self._enter([(0, blob.capacity, version, wanted)]
-                    if len(wanted) > 0 else [])
+        self._enter([((0, blob.capacity, version), tuple(runs))]
+                    if runs else [])
 
     # ------------------------------------------------------------------
     @property
@@ -350,11 +360,11 @@ class ReadPlanner:
         """This level's lookups, deduplicated, in frontier order."""
         return list(self._pending)
 
-    def _enter(self, frontier: List[Tuple[int, int, int, RegionList]]) -> None:
-        # frontier entries: (offset, size, version_hint, wanted RegionList)
+    def _enter(self, frontier: List[Tuple[NodeRequest, Runs]]) -> None:
+        # frontier entries: ((offset, size, version_hint), wanted runs)
         self._frontier = frontier
         self._pending = list(dict.fromkeys(
-            [entry[:3] for entry in frontier]))
+            [request for request, _runs in frontier]))
 
     def advance(self,
                 resolved: Dict[NodeRequest, Optional[MetadataNode]]) -> None:
@@ -369,32 +379,43 @@ class ReadPlanner:
                 f"{'...' if len(missing) > 3 else ''}")
 
         self.levels += 1
-        next_frontier: List[Tuple[int, int, int, RegionList]] = []
-        for offset, size, hint, sub_wanted in self._frontier:
-            node = resolved[(offset, size, hint)]
+        extents = self.extents
+        next_frontier: List[Tuple[NodeRequest, Runs]] = []
+        push = next_frontier.append
+        for request, runs in self._frontier:
+            node = resolved[request]
             if node is None:
-                for region in sub_wanted:
-                    self.extents.append(ReadExtent(region.offset, region.size))
+                for start, end in runs:
+                    extents.append(ReadExtent(start, end - start))
                 continue
             self.nodes_fetched += 1
             if node.is_leaf:
-                leaf_extents, leftover = _resolve_leaf(node, offset, sub_wanted)
-                self.extents.extend(leaf_extents)
-                if len(leftover) > 0:
+                offset, size, _hint = request
+                leftover = _sweep_leaf(node.segments, offset, runs, extents)
+                if leftover:
                     if node.base_version is None:
-                        for region in leftover:
-                            self.extents.append(
-                                ReadExtent(region.offset, region.size))
+                        for start, end in leftover:
+                            extents.append(ReadExtent(start, end - start))
                     else:
-                        next_frontier.append((offset, size, node.base_version,
-                                              leftover))
+                        push(((offset, size, node.base_version), leftover))
             else:
+                first, last = runs[0][0], runs[-1][1]
                 for child in (node.left, node.right):
-                    child_region = Region(child.offset, child.size)
-                    child_wanted = sub_wanted.clip(child_region)
-                    if len(child_wanted) > 0:
-                        next_frontier.append((child.offset, child.size,
-                                              child.version_hint, child_wanted))
+                    low = child.offset
+                    high = low + child.size
+                    if first >= high or last <= low:
+                        continue
+                    if first >= low and last <= high:
+                        clipped = runs
+                    elif len(runs) == 1:  # the common case: one run, clamped
+                        clipped = ((first if first > low else low,
+                                    last if last < high else high),)
+                    else:  # clipping only shrinks or drops runs
+                        clipped = tuple((max(start, low), min(end, high))
+                                        for start, end in runs
+                                        if start < high and end > low)
+                    if clipped:
+                        push(((low, child.size, child.version_hint), clipped))
         self._enter(next_frontier)
 
     def plan(self) -> ReadPlan:
@@ -451,50 +472,41 @@ def plan_read(blob: BlobDescriptor, version: int, regions: RegionList,
     return plan
 
 
-def _resolve_leaf(node: MetadataNode, leaf_offset: int, wanted: RegionList,
-                  ) -> Tuple[List[ReadExtent], RegionList]:
-    """Map wanted bytes of one leaf onto its segments; return leftovers.
+def _sweep_leaf(segments: Sequence[LeafSegment], leaf_offset: int, runs: Runs,
+                extents: List[ReadExtent]) -> Runs:
+    """Map one leaf's wanted runs onto its segments; return the leftovers.
 
-    ``wanted`` is normalized and ``node.segments`` is sorted and disjoint, so
-    one synchronized sweep resolves everything in O(|wanted| + |segments|) —
-    the covered regions and the leftover holes fall out of the same pass with
-    no intermediate subtraction.
+    ``runs`` and ``segments`` are both sorted and disjoint, so one
+    synchronized sweep appends an extent per covered piece to ``extents``
+    and collects the holes in O(|runs| + |segments|), no subtraction.
     """
-    extents: List[ReadExtent] = []
-    leftover: List[Region] = []
-    segments = node.segments
+    leftover = []
     count = len(segments)
-    base = 0  # first segment that may still overlap the current region
-    for region in wanted:
-        cursor = region.offset
-        end = region.end
+    base = 0  # first segment that may still overlap the current run
+    for cursor, end in runs:
         while base < count and leaf_offset + segments[base].rel_end <= cursor:
             base += 1
         index = base
         while cursor < end and index < count:
             segment = segments[index]
             seg_start = leaf_offset + segment.rel_offset
-            seg_end = leaf_offset + segment.rel_end
             if seg_start >= end:
                 break
+            seg_end = leaf_offset + segment.rel_end
             if seg_start > cursor:
-                leftover.append(Region(cursor, seg_start - cursor))
+                leftover.append((cursor, seg_start))
                 cursor = seg_start
-            take_end = min(seg_end, end)
+            take_end = seg_end if seg_end < end else end
             if take_end > cursor:
-                delta = cursor - seg_start
                 extents.append(ReadExtent(
-                    offset=cursor,
-                    length=take_end - cursor,
-                    chunk=segment.chunk,
-                    chunk_offset=segment.chunk_offset + delta,
-                    provider_id=segment.provider_id,
-                ))
+                    cursor, take_end - cursor, segment.chunk,
+                    segment.chunk_offset + cursor - seg_start,
+                    segment.provider_id))
                 cursor = take_end
             if seg_end <= end:
                 index += 1
             else:
                 break
         if cursor < end:
-            leftover.append(Region(cursor, end - cursor))
-    return extents, RegionList._from_normalized(leftover)
+            leftover.append((cursor, end))
+    return tuple(leftover)
