@@ -16,11 +16,8 @@ in two ways: least recently used first once the payload bytes held pass
 aborted and no snapshot will reference them.
 
 Left out on purpose: fill-on-read, and a node-shared or cooperative chunk
-tier — although the ``shared_scan`` benchmark's 64 readers, 8 per compute
-node, do re-read bytes another client wrote (the seeder's 4 MiB dump).
-ROADMAP.md parks such a tier as an additive subsystem, and the model has no
-cost for a local copy, so a tier that hands one client another's bytes
-would serve them for free until it gets one.
+tier, though ``shared_scan``'s readers re-read the seeder's dump: ROADMAP.md
+parks it as an additive subsystem, and the model has no local-copy cost yet.
 """
 
 from __future__ import annotations

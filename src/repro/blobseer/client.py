@@ -500,17 +500,15 @@ class BlobClient:
 
     @staticmethod
     def _assemble(vector: IOVector, fetched: List[Tuple[int, int, bytes]]) -> List[bytes]:
-        """Cut fetched extents back into one ``bytes`` per vector request.
+        """Scatter fetched extents back into one buffer per vector request.
 
-        The fetched extents, zero extents included, tile the wanted ranges
-        (the read plan partitions them), so after sorting them by offset
-        each request is the concatenation of the slices of the extents its
-        range intersects — found with a bisect instead of scanning the full
-        extent list per request, which turned a whole-file verify read into
-        an O(requests x extents) quadratic walk.  A request one extent
-        covers whole (every block of a collective read) is that extent's
-        slice; a gap between extents, which a read plan never leaves,
-        would read as zeros.
+        Fetched extents never overlap each other (the read plan partitions
+        the wanted ranges), so after sorting them by offset each request only
+        needs the slice of extents its range intersects — found with a bisect
+        instead of scanning the full extent list per request, which turned a
+        whole-file verify read into an O(requests x extents) quadratic walk.
+        A request one extent covers whole (every block of a collective read)
+        is that extent's slice.
         """
         extents = sorted(fetched, key=lambda item: item[0])
         ends = [offset + length for offset, length, _data in extents]
@@ -527,20 +525,17 @@ class BlobClient:
                 results.append(bytes(data[req_start - offset:
                                           req_end - offset]))
                 continue
-            pieces = []
-            cursor = req_start
+            buffer = bytearray(request.size)
             while index < len(extents):
                 offset, length, data = extents[index]
                 if offset >= req_end:
                     break
-                if offset > cursor:
-                    pieces.append(bytes(offset - cursor))
-                    cursor = offset
-                stop = min(req_end, offset + length)
-                pieces.append(data[cursor - offset:stop - offset])
-                cursor = stop
+                lo = max(req_start, offset)
+                hi = min(req_end, offset + length)
+                if hi > lo:
+                    src_start = lo - offset
+                    buffer[lo - req_start:hi - req_start] = \
+                        data[src_start:src_start + (hi - lo)]
                 index += 1
-            if cursor < req_end:
-                pieces.append(bytes(req_end - cursor))
-            results.append(b"".join(pieces))
+            results.append(bytes(buffer))
         return results

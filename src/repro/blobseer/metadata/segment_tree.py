@@ -303,8 +303,7 @@ NodeRequest = Tuple[int, int, int]
 
 GetNodes = Callable[[Sequence[NodeRequest]], Sequence[Optional[MetadataNode]]]
 
-#: a frontier entry's wanted bytes: ``(start, end)`` runs, sorted, disjoint
-#: and non-adjacent — a normalized :class:`RegionList` as plain integers
+#: a frontier entry's wanted bytes as ``(start, end)`` runs (:class:`ReadPlanner`)
 Runs = Tuple[Tuple[int, int], ...]
 
 
@@ -318,10 +317,10 @@ class ReadPlanner:
     level: O(levels × shards) round-trips instead of O(nodes)), while unit
     tests and :func:`plan_read` drive it with plain callbacks.
 
-    The walk is the hottest domain code of a read, so it runs on plain
-    integers: each frontier entry carries the bytes it still has to resolve
-    as :data:`Runs`, which stay inside the entry's subtree, and the entries
-    of one level partition the bytes not yet resolved to an extent.
+    The walk runs on plain integers, as it is a read's hottest domain code:
+    a frontier entry's wanted bytes are :data:`Runs` — sorted, disjoint,
+    non-adjacent (a normalized :class:`RegionList`) and inside the entry's
+    subtree — and one level's entries partition the bytes still unresolved.
 
     Protocol::
 
@@ -338,17 +337,15 @@ class ReadPlanner:
     """
 
     def __init__(self, blob: BlobDescriptor, version: int, regions: RegionList):
-        runs = []
-        for region in regions.normalized():
-            blob.validate_access(region.offset, region.size)
-            runs.append((region.offset, region.offset + region.size))
+        runs = tuple((region.offset, region.end) for region in regions.normalized())
+        for start, end in runs:
+            blob.validate_access(start, end - start)
         self.blob = blob
         self.version = version
         self.extents: List[ReadExtent] = []
         self.nodes_fetched = 0
         self.levels = 0
-        self._enter([((0, blob.capacity, version), tuple(runs))]
-                    if runs else [])
+        self._enter([((0, blob.capacity, version), runs)] if runs else [])
 
     # ------------------------------------------------------------------
     @property
@@ -384,38 +381,34 @@ class ReadPlanner:
         push = next_frontier.append
         for request, runs in self._frontier:
             node = resolved[request]
-            if node is None:
-                for start, end in runs:
+            if node is None or node.is_leaf:
+                if node is not None:
+                    self.nodes_fetched += 1
+                    offset, size, _hint = request
+                    runs = _sweep_leaf(node.segments, offset, runs, extents)
+                    if runs and node.base_version is not None:
+                        push(((offset, size, node.base_version), runs))
+                        continue
+                for start, end in runs:  # never written: reads as zeros
                     extents.append(ReadExtent(start, end - start))
                 continue
             self.nodes_fetched += 1
-            if node.is_leaf:
-                offset, size, _hint = request
-                leftover = _sweep_leaf(node.segments, offset, runs, extents)
-                if leftover:
-                    if node.base_version is None:
-                        for start, end in leftover:
-                            extents.append(ReadExtent(start, end - start))
-                    else:
-                        push(((offset, size, node.base_version), leftover))
-            else:
-                first, last = runs[0][0], runs[-1][1]
-                for child in (node.left, node.right):
-                    low = child.offset
-                    high = low + child.size
-                    if first >= high or last <= low:
-                        continue
-                    if first >= low and last <= high:
-                        clipped = runs
-                    elif len(runs) == 1:  # the common case: one run, clamped
-                        clipped = ((first if first > low else low,
-                                    last if last < high else high),)
-                    else:  # clipping only shrinks or drops runs
-                        clipped = tuple((max(start, low), min(end, high))
-                                        for start, end in runs
-                                        if start < high and end > low)
-                    if clipped:
-                        push(((low, child.size, child.version_hint), clipped))
+            first, last = runs[0][0], runs[-1][1]
+            for child in (node.left, node.right):
+                low, high = child.offset, child.offset + child.size
+                if first >= high or last <= low:
+                    continue
+                if first >= low and last <= high:
+                    clipped = runs
+                elif len(runs) == 1:  # the common case: one run, clamped
+                    clipped = ((first if first > low else low,
+                                last if last < high else high),)
+                else:  # clipping only shrinks or drops runs
+                    clipped = tuple((max(start, low), min(end, high))
+                                    for start, end in runs
+                                    if start < high and end > low)
+                if clipped:
+                    push(((low, child.size, child.version_hint), clipped))
         self._enter(next_frontier)
 
     def plan(self) -> ReadPlan:

@@ -382,8 +382,6 @@ class MetadataTierChain:
         self.detached: List[Tier] = []
         #: deduplicated lookups handed to :meth:`resolve`
         self.lookups = 0
-        # the copy of ``order`` that :meth:`_split` last sorted by role
-        self._split_from: Optional[List[Tier]] = None
 
     @property
     def tiers(self) -> List[Tier]:
@@ -415,53 +413,39 @@ class MetadataTierChain:
                 + sum(_parked(tier) for tier in tiers))
 
     # ------------------------------------------------------------------
-    def _split(self) -> None:
-        """Sort ``order`` by role once per change of the list (it is built
-        up after construction, may be edited in place, and :meth:`detach`
-        replaces it): each resident tier's ``get`` with the ``admit``\\ s
-        of the resident tiers above it, the non-resident tiers, and the
-        resident takers of each admission gate."""
-        if self._split_from == self.order:
-            return
-        order = list(self.order)
-        resident = [tier for tier in order if tier.resident]
-        self._probes = [(tier.get, [upper.admit for upper in resident[:depth]])
-                        for depth, tier in enumerate(resident)]
-        self._remote = [tier for tier in order if not tier.resident]
-        self._takers = {gated: [tier for tier in resident
-                                if tier.gated == gated]
-                        for gated in (False, True)}
-        self._split_from = order
-
     def resolve(self, blob_id: str, requests: Sequence[NodeRequest]):
         """One tree level's lookups → ``{request: node-or-None}`` (generator)."""
         self.lookups += len(requests)
-        self._split()
-        probes = self._probes
+        resident = [tier for tier in self.order if tier.resident]
+        gets = [tier.get for tier in resident]
         results: Resolved = {}
         pending: List[NodeRequest] = []
         for request in requests:
             offset, size, hint = request
-            for get, uppers in probes:
+            depth = 0
+            for get in gets:
                 found, node = get(blob_id, offset, size, hint)
                 if found:
                     # promote: this owner's repeats stay in the tiers above
-                    for admit in uppers:
-                        admit(blob_id, ((request, node),))
+                    for upper in resident[:depth]:
+                        upper.admit(blob_id, ((request, node),))
                     results[request] = node
                     break
+                depth += 1
             else:
                 pending.append(request)
         if pending:
-            fetched = yield from fold(self._remote, blob_id, pending)
+            fetched = yield from fold(
+                [tier for tier in self.order if not tier.resident],
+                blob_id, pending)
             self.admit(blob_id,
                        [(request, fetched[request]) for request in pending])
             results.update(fetched)
         return results
 
     def _offer(self, blob_id: str, entries, gated: bool) -> int:
-        self._split()
-        takers = self._takers[gated]
+        takers = [tier for tier in self.order
+                  if tier.resident and tier.gated == gated]
         for tier in takers:
             tier.admit(blob_id, entries)
         return len(takers)

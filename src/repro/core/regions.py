@@ -103,6 +103,16 @@ class Region:
             return Region(start if start >= 0 else 0, 0)
         return Region(start, end - start)
 
+    def union_extent(self, other: "Region") -> "Region":
+        """Smallest contiguous region covering both (may include gap bytes)."""
+        if self.empty:
+            return other
+        if other.empty:
+            return self
+        start = min(self.offset, other.offset)
+        end = max(self.end, other.end)
+        return Region(start, end - start)
+
     def subtract(self, other: "Region") -> Tuple["Region", ...]:
         """The parts of this region not covered by ``other`` (0, 1 or 2 pieces)."""
         if not self.overlaps(other):
@@ -117,6 +127,14 @@ class Region:
     def shift(self, delta: int) -> "Region":
         """A copy of the region moved by ``delta`` bytes."""
         return Region(self.offset + delta, self.size)
+
+    def split_at(self, offset: int) -> Tuple["Region", "Region"]:
+        """Split at absolute byte ``offset`` (must lie inside the region)."""
+        if not (self.offset < offset < self.end):
+            raise InvalidRegion(
+                f"split point {offset} outside the interior of {self}")
+        return (Region(self.offset, offset - self.offset),
+                Region(offset, self.end - offset))
 
     def chunk_aligned_pieces(self, chunk_size: int) -> Tuple["Region", ...]:
         """Split the region at every multiple of ``chunk_size``.
@@ -496,3 +514,19 @@ class RegionList:
     def single(cls, offset: int, size: int) -> "RegionList":
         """A list holding one region."""
         return cls([Region(offset, size)])
+
+
+def pairwise_overlap_matrix(region_lists: Sequence[RegionList]) -> List[List[bool]]:
+    """Symmetric boolean matrix: entry ``[i][j]`` is True if lists i, j overlap.
+
+    Used by the conflict-detection ADIO driver (related work [9] in the paper)
+    to decide which concurrent accesses actually need mutual exclusion.
+    """
+    count = len(region_lists)
+    matrix = [[False] * count for _ in range(count)]
+    for i in range(count):
+        for j in range(i + 1, count):
+            conflict = region_lists[i].overlaps(region_lists[j])
+            matrix[i][j] = conflict
+            matrix[j][i] = conflict
+    return matrix
