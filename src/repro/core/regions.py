@@ -20,35 +20,28 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.errors import InvalidRegion
 
-#: region count above which sort-based set operations switch to the
-#: vectorized (numpy) kernel; below it plain-Python merges win
-_VECTOR_THRESHOLD = 64
 
+def _coalesce(pairs: List[Tuple[int, int]]) -> List["Region"]:
+    """Coalesce non-empty ``(start, end)`` pairs into canonical Regions.
 
-def _coalesce_runs(starts: np.ndarray, ends: np.ndarray) -> List["Region"]:
-    """Coalesce sorted ``[start, end)`` interval arrays into canonical Regions.
-
-    ``starts`` must already be sorted ascending; overlapping *and* adjacent
-    intervals merge, matching the linear-merge semantics of
-    :meth:`RegionList.union`.  One running-maximum pass finds run boundaries
-    without any per-interval Python work.
+    The pairs are sorted in place; overlapping *and* adjacent intervals
+    merge, matching the linear-merge semantics of :meth:`RegionList.union`.
     """
-    if len(starts) == 0:
+    if not pairs:
         return []
-    running = np.maximum.accumulate(ends)
-    breaks = np.empty(len(starts), dtype=bool)
-    breaks[0] = True
-    np.greater(starts[1:], running[:-1], out=breaks[1:])
-    head = np.flatnonzero(breaks)
-    tail = np.append(head[1:], len(starts)) - 1
-    run_starts = starts[head].tolist()
-    run_ends = running[tail].tolist()
-    return [Region(int(start), int(end - start))
-            for start, end in zip(run_starts, run_ends)]
+    pairs.sort()
+    merged: List[Region] = []
+    run_start, run_end = pairs[0]
+    for start, end in pairs:
+        if start > run_end:
+            merged.append(Region(run_start, run_end - run_start))
+            run_start, run_end = start, end
+        elif end > run_end:
+            run_end = end
+    merged.append(Region(run_start, run_end - run_start))
+    return merged
 
 
 @dataclass(frozen=True, order=True)
@@ -103,16 +96,6 @@ class Region:
             return Region(start if start >= 0 else 0, 0)
         return Region(start, end - start)
 
-    def union_extent(self, other: "Region") -> "Region":
-        """Smallest contiguous region covering both (may include gap bytes)."""
-        if self.empty:
-            return other
-        if other.empty:
-            return self
-        start = min(self.offset, other.offset)
-        end = max(self.end, other.end)
-        return Region(start, end - start)
-
     def subtract(self, other: "Region") -> Tuple["Region", ...]:
         """The parts of this region not covered by ``other`` (0, 1 or 2 pieces)."""
         if not self.overlaps(other):
@@ -127,14 +110,6 @@ class Region:
     def shift(self, delta: int) -> "Region":
         """A copy of the region moved by ``delta`` bytes."""
         return Region(self.offset + delta, self.size)
-
-    def split_at(self, offset: int) -> Tuple["Region", "Region"]:
-        """Split at absolute byte ``offset`` (must lie inside the region)."""
-        if not (self.offset < offset < self.end):
-            raise InvalidRegion(
-                f"split point {offset} outside the interior of {self}")
-        return (Region(self.offset, offset - self.offset),
-                Region(offset, self.end - offset))
 
     def chunk_aligned_pieces(self, chunk_size: int) -> Tuple["Region", ...]:
         """Split the region at every multiple of ``chunk_size``.
@@ -175,7 +150,9 @@ class RegionList:
     the canonical form can never change), and the algebraic operations below
     produce their results directly in canonical form via single-pass merges —
     a collective read clips and unions every rank's list per stripe, so both
-    properties matter there.
+    properties matter there.  :meth:`normalized` and :meth:`union_all` share
+    one plain-Python kernel whatever the list size: sort the ``(start, end)``
+    pairs, then sweep them into canonical regions.
     """
 
     __slots__ = ("_regions", "_normalized")
@@ -277,35 +254,8 @@ class RegionList:
         if self.is_normalized():
             self._normalized = self
             return self
-        if len(self._regions) >= _VECTOR_THRESHOLD:
-            starts = np.fromiter((r.offset for r in self._regions),
-                                 dtype=np.int64, count=len(self._regions))
-            sizes = np.fromiter((r.size for r in self._regions),
-                                dtype=np.int64, count=len(self._regions))
-            keep = sizes > 0
-            starts, sizes = starts[keep], sizes[keep]
-            order = np.argsort(starts, kind="stable")
-            starts = starts[order]
-            ends = starts + sizes[order]
-            result = RegionList._from_normalized(_coalesce_runs(starts, ends))
-            self._normalized = result
-            return result
-        non_empty = sorted(
-            (region for region in self._regions if not region.empty),
-            key=lambda region: (region.offset, region.end),
-        )
-        if not non_empty:
-            result = RegionList._from_normalized(())
-        else:
-            merged: List[Region] = [non_empty[0]]
-            for region in non_empty[1:]:
-                last = merged[-1]
-                if region.offset <= last.end:
-                    if region.end > last.end:
-                        merged[-1] = Region(last.offset, region.end - last.offset)
-                else:
-                    merged.append(region)
-            result = RegionList._from_normalized(merged)
+        result = RegionList._from_normalized(
+            _coalesce([(r.offset, r.end) for r in self._regions if r.size]))
         self._normalized = result
         return result
 
@@ -339,36 +289,15 @@ class RegionList:
         """Normalized union of many region lists in one pass.
 
         Replaces the O(n²) ``result = result.union(lst)`` accumulation that
-        dominated collective-read planning: all offsets are gathered into flat
-        arrays, sorted once, and coalesced with a running-maximum sweep.
-        Small inputs stay on the pairwise linear merge, which wins below the
-        vector threshold.
+        dominated collective-read planning: every region's ``(start, end)``
+        pair is gathered into one list, sorted once, and coalesced in a
+        single sweep.
         """
         sources = [lst for lst in lists if lst._regions]
-        if not sources:
-            return cls._from_normalized(())
         if len(sources) == 1:
             return sources[0].normalized()
-        total = sum(len(lst._regions) for lst in sources)
-        if total < _VECTOR_THRESHOLD:
-            result = sources[0]
-            for other in sources[1:]:
-                result = result.union(other)
-            return result.normalized()
-        starts = np.empty(total, dtype=np.int64)
-        sizes = np.empty(total, dtype=np.int64)
-        index = 0
-        for lst in sources:
-            for region in lst._regions:
-                starts[index] = region.offset
-                sizes[index] = region.size
-                index += 1
-        keep = sizes > 0
-        starts, sizes = starts[keep], sizes[keep]
-        order = np.argsort(starts, kind="stable")
-        starts = starts[order]
-        ends = starts + sizes[order]
-        return cls._from_normalized(_coalesce_runs(starts, ends))
+        return cls._from_normalized(_coalesce(
+            [(r.offset, r.end) for lst in sources for r in lst._regions if r.size]))
 
     def intersection(self, other: "RegionList") -> "RegionList":
         """Normalized set of bytes present in both region sets (linear merge)."""
@@ -514,19 +443,3 @@ class RegionList:
     def single(cls, offset: int, size: int) -> "RegionList":
         """A list holding one region."""
         return cls([Region(offset, size)])
-
-
-def pairwise_overlap_matrix(region_lists: Sequence[RegionList]) -> List[List[bool]]:
-    """Symmetric boolean matrix: entry ``[i][j]`` is True if lists i, j overlap.
-
-    Used by the conflict-detection ADIO driver (related work [9] in the paper)
-    to decide which concurrent accesses actually need mutual exclusion.
-    """
-    count = len(region_lists)
-    matrix = [[False] * count for _ in range(count)]
-    for i in range(count):
-        for j in range(i + 1, count):
-            conflict = region_lists[i].overlaps(region_lists[j])
-            matrix[i][j] = conflict
-            matrix[j][i] = conflict
-    return matrix

@@ -17,14 +17,19 @@ jitter on or off can never change a single workload byte — that invariant
 is pinned by a regression test — and the fuzzer drawing one more or one
 less sample can never perturb the bytes or timelines of the scenarios it
 generates (pinned by the fuzz RNG-isolation suite).
+
+numpy is imported when the first stream is created, not with this module:
+a simulation that never draws (no jitter, no random placement, no fuzzing)
+never loads it.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Dict
+from typing import TYPE_CHECKING, Dict
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 #: conventional per-subsystem scopes (see module docstring)
 SCOPE_WORKLOAD = "workload"
@@ -76,6 +81,8 @@ class DeterministicRNG:
         so adding new streams never perturbs existing ones.
         """
         if name not in self._streams:
+            import numpy as np
+
             digest = hashlib.sha256(f"{self.seed}:{name}".encode()).digest()
             child_seed = int.from_bytes(digest[:8], "little")
             self._streams[name] = np.random.default_rng(child_seed)

@@ -9,9 +9,6 @@
 * :mod:`repro.workloads.tile_io` — Experiment 2: a faithful re-implementation
   of the MPI-tile-IO benchmark (dense 2-D tile grid with overlapping tile
   borders);
-* :mod:`repro.workloads.ghost_cells` — a small iterative stencil simulation
-  (2-D heat diffusion) whose ranks dump their overlapping subdomains every
-  iteration; used by the examples and the producer/consumer experiment;
 * :mod:`repro.workloads.queued_writes` — trains of small back-to-back
   vectored writes per rank (checkpoint-style), the pattern the write-pipeline
   benchmarks coalesce;
@@ -36,7 +33,6 @@ from repro.workloads.collective_checkpoint import CollectiveCheckpointWorkload
 from repro.workloads.collective_read import CollectiveReadWorkload
 from repro.workloads.shared_scan import SharedScanWorkload
 from repro.workloads.tile_io import TileIOWorkload
-from repro.workloads.ghost_cells import GhostCellSimulation
 from repro.workloads.random_vectored import RandomVectoredWorkload
 
 __all__ = [
@@ -48,6 +44,5 @@ __all__ = [
     "CollectiveReadWorkload",
     "SharedScanWorkload",
     "TileIOWorkload",
-    "GhostCellSimulation",
     "RandomVectoredWorkload",
 ]

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-import numpy as np
-
 from repro.core.regions import Region, RegionList
 from repro.errors import BenchmarkError
 from repro.mpi.datatypes import BasicType, Datatype, Subarray

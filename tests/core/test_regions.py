@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.regions import Region, RegionList, pairwise_overlap_matrix
+from repro.core.regions import Region, RegionList
 from repro.errors import InvalidRegion
 
 
@@ -51,10 +51,6 @@ class TestRegion:
         assert Region(0, 10).intersect(Region(5, 10)) == Region(5, 5)
         assert Region(0, 10).intersect(Region(20, 5)).empty
 
-    def test_union_extent(self):
-        assert Region(0, 10).union_extent(Region(20, 5)) == Region(0, 25)
-        assert Region(0, 0).union_extent(Region(20, 5)) == Region(20, 5)
-
     def test_subtract_middle_hole(self):
         pieces = Region(0, 100).subtract(Region(40, 20))
         assert pieces == (Region(0, 40), Region(60, 40))
@@ -67,15 +63,6 @@ class TestRegion:
 
     def test_shift(self):
         assert Region(5, 10).shift(100) == Region(105, 10)
-
-    def test_split_at(self):
-        left, right = Region(0, 10).split_at(4)
-        assert left == Region(0, 4)
-        assert right == Region(4, 6)
-        with pytest.raises(InvalidRegion):
-            Region(0, 10).split_at(0)
-        with pytest.raises(InvalidRegion):
-            Region(0, 10).split_at(10)
 
     def test_chunk_aligned_pieces(self):
         pieces = Region(5, 20).chunk_aligned_pieces(8)
@@ -178,16 +165,3 @@ class TestRegionList:
 
     def test_single_constructor(self):
         assert RegionList.single(5, 10).as_tuples() == [(5, 10)]
-
-
-def test_pairwise_overlap_matrix():
-    lists = [
-        RegionList([(0, 10)]),
-        RegionList([(5, 10)]),
-        RegionList([(100, 10)]),
-    ]
-    matrix = pairwise_overlap_matrix(lists)
-    assert matrix[0][1] and matrix[1][0]
-    assert not matrix[0][2] and not matrix[2][0]
-    assert not matrix[1][2]
-    assert not any(matrix[i][i] for i in range(3))

@@ -67,10 +67,16 @@ def byte_set_of(region_list):
 # ----------------------------------------------------------------------
 # strategies
 # ----------------------------------------------------------------------
-regions_strategy = st.lists(
-    st.tuples(st.integers(0, UNIVERSE - 1), st.integers(0, 64)),
-    min_size=0, max_size=12,
-).map(lambda pairs: RegionList([Region(o, s) for o, s in pairs]))
+def region_lists(max_size):
+    return st.lists(
+        st.tuples(st.integers(0, UNIVERSE - 1), st.integers(0, 64)),
+        min_size=0, max_size=max_size,
+    ).map(lambda pairs: RegionList([Region(o, s) for o, s in pairs]))
+
+
+regions_strategy = region_lists(12)
+#: long enough to exercise normalization and many-list unions at scale
+many_regions_strategy = region_lists(200)
 
 
 @settings(max_examples=200, deadline=None)
@@ -107,14 +113,26 @@ def test_overlaps_matches_byte_model(a, b):
 
 
 @settings(max_examples=100, deadline=None)
-@given(a=regions_strategy)
+@given(a=many_regions_strategy)
 def test_normalized_matches_old_reference_and_is_memoized(a):
     norm = a.normalized()
     assert list(norm) == reference_normalized(a.regions)
+    assert byte_set_of(norm) == as_byte_set(a.regions)
+    assert norm.is_normalized()
     # memoized: repeated calls return the identical instance,
     # and normalizing a canonical list is the identity
     assert a.normalized() is norm
     assert norm.normalized() is norm
+
+
+@settings(max_examples=100, deadline=None)
+@given(lists=st.lists(many_regions_strategy, min_size=1, max_size=8))
+def test_union_all_matches_old_reference_and_byte_model(lists):
+    new = RegionList.union_all(lists)
+    every_region = [region for lst in lists for region in lst]
+    assert list(new) == reference_normalized(every_region)
+    assert byte_set_of(new) == as_byte_set(every_region)
+    assert new.is_normalized()
 
 
 @settings(max_examples=100, deadline=None)
