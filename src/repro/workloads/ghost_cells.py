@@ -13,6 +13,9 @@ The numerical part is intentionally simple (NumPy vectorized 5-point
 stencil); the point of the class is to produce realistic, correct dump
 vectors and to let examples and tests verify the file contents against the
 in-memory state.
+
+The :mod:`repro.workloads` package does not import this module, so NumPy
+stays off the import path of a simulation run; import it by its full name.
 """
 
 from __future__ import annotations

@@ -165,3 +165,43 @@ class TestRegionList:
 
     def test_single_constructor(self):
         assert RegionList.single(5, 10).as_tuples() == [(5, 10)]
+
+
+def _byte_runs(covered):
+    """Maximal runs of a byte set, as ``(offset, size)`` tuples."""
+    runs = []
+    for byte in sorted(covered):
+        if runs and runs[-1][0] + runs[-1][1] == byte:
+            runs[-1] = (runs[-1][0], runs[-1][1] + 1)
+        else:
+            runs.append((byte, 1))
+    return runs
+
+
+def _mixed_regions(count, stride=10):
+    """``count`` regions in reverse order: adjacent, overlapping, gapped and
+    empty neighbours in turn."""
+    sizes = (stride, stride + 5, 4, 0)
+    return [(stride * i, sizes[i % 4]) for i in reversed(range(count))]
+
+
+@pytest.mark.parametrize("count", [63, 64, 65, 200])
+def test_normalized_many_regions_matches_byte_model(count):
+    tuples = _mixed_regions(count)
+    covered = {b for offset, size in tuples for b in range(offset, offset + size)}
+    norm = RegionList(tuples).normalized()
+    assert norm.is_normalized()
+    assert norm.as_tuples() == _byte_runs(covered)
+
+
+@pytest.mark.parametrize("count", [63, 64, 65, 200])
+def test_union_all_many_regions_matches_pairwise_union(count):
+    lists = [RegionList(_mixed_regions(count, stride))
+             for stride in (7, 10, 13)]
+    folded = RegionList()
+    for lst in lists:
+        folded = folded.union(lst)
+    covered = {b for lst in lists for r in lst for b in range(r.offset, r.end)}
+    result = RegionList.union_all(lists)
+    assert result == folded
+    assert result.as_tuples() == _byte_runs(covered)

@@ -26,6 +26,7 @@ def load_example(name):
 @pytest.mark.parametrize("name", [
     "quickstart",
     "producer_consumer",
+    "ghost_cell_simulation",
     "tile_io_comparison",
     "trace_collective",
     "critpath_report",
@@ -40,4 +41,5 @@ def test_example_runs(name, capsys):
 
 def test_examples_directory_is_complete():
     present = {path.stem for path in EXAMPLES_DIR.glob("*.py")}
-    assert {"quickstart", "tile_io_comparison", "producer_consumer"} <= present
+    assert {"quickstart", "ghost_cell_simulation", "tile_io_comparison",
+            "producer_consumer"} <= present
