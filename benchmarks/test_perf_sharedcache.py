@@ -1,14 +1,14 @@
 """PERF — node-local shared metadata cache microbenchmarks.
 
 Runs the independent-scan workload with several clients packed per compute
-node under every cache configuration (private baseline, shared tier,
-speculative prefetch, and the eviction-policy sweep under small capacities),
-asserts the acceptance shape — metadata control RPCs per logical read
-strictly below the private baseline and approaching ``1 / ranks_per_node``
-on identical extents, the level-pinning policy beating plain LRU at equal
-capacity, byte-identical data everywhere, and the exact lookup partition —
-and records every row into ``BENCH_sharedcache.json`` at the repository
-root so future PRs can track the perf trajectory.
+node under every cache configuration (private baseline, shared tier, and
+the shared tier alone under small capacities), asserts the acceptance
+shape — metadata control RPCs per logical read strictly below the private
+baseline and approaching ``1 / ranks_per_node`` on identical extents, a
+bounded pool's eviction rule beating plain LRU at equal capacity,
+byte-identical data everywhere, and the exact lookup partition — and
+records every row into ``BENCH_sharedcache.json`` at the repository root so
+future PRs can track the perf trajectory.
 
 The points, columns and settings are the ``sharedcache`` entry of
 ``repro.bench.suites.SUITES``; ``benchmarks/README.md`` says how to run it
@@ -21,8 +21,10 @@ import pytest
 
 from benchmarks.common import REPO_ROOT, expected_scan_bytes
 from repro.bench.metrics import reduction
-from repro.bench.scan import scan_workload
-from repro.bench.suites import run_suite
+from repro.bench.scan import run_scan_point, scan_workload
+from repro.bench.suites import SUITES, run_suite
+from repro.blobseer.metadata.sharedcache import NodeCacheService
+from repro.cluster import ClusterConfig
 
 #: acceptance slack: measured reduction vs the ideal ``ranks_per_node``
 #: factor (staggered co-tenants can land exactly on the ideal; the slack
@@ -53,7 +55,7 @@ def test_shared_tier_beats_the_private_baseline(suite):
     approach ``1 / ranks_per_node`` on identical extents."""
     ranks_per_node = suite.settings.ranks_per_node
     baseline = suite.points["identical:private"]
-    shared = suite.points["identical:shared-lru"]
+    shared = suite.points["identical:shared"]
     assert shared["rpcs_per_read"] < baseline["rpcs_per_read"]
     ratio = reduction(baseline, shared, "rpcs_per_read")
     assert ratio >= MIN_FRACTION_OF_IDEAL * ranks_per_node, (
@@ -61,34 +63,35 @@ def test_shared_tier_beats_the_private_baseline(suite):
         f"(placement factor {ranks_per_node})")
 
 
-def test_prefetch_cuts_round_trips_and_reports_the_trade(suite):
-    """Speculative child prefetch reduces tree-walk RPCs further and the
-    extra shipped nodes (its cost) are visible in the artifact."""
-    for base_key, prefetch_key in (
-            ("identical:private", "identical:private+prefetch"),
-            ("identical:shared-lru", "identical:shared-lru+prefetch")):
-        base = suite.points[base_key]
-        prefetched = suite.points[prefetch_key]
-        assert prefetched["metadata_rpcs"] < base["metadata_rpcs"], \
-            prefetch_key
-        assert prefetched["prefetched_nodes"] > 0, prefetch_key
-        assert base["prefetched_nodes"] == 0, base_key
+def test_mean_read_latency_sees_the_shared_tier(suite):
+    """``sim_read_s`` is mostly the clients' start stagger; the mean
+    latency of one scan call is where the shared tier shows."""
+    baseline = suite.points["identical:private"]
+    shared = suite.points["identical:shared"]
+    assert shared["sim_read_mean_ms"] < baseline["sim_read_mean_ms"]
+    for label, point in suite.points.items():
+        assert 0 < point["sim_read_mean_ms"] < 1e3 * point["sim_read_s"], \
+            label
 
 
-def test_level_pinning_beats_plain_lru_at_equal_capacity(suite):
-    """The policy sweep's point: on the streaming pattern under a bounded
-    shared tier, pinning the top tree levels must win (fewer fetch RPCs)
-    against plain LRU at at least one capacity point."""
-    level_policy = next(policy for policy in suite.settings.policies
-                        if policy.startswith("level"))
-    wins = []
+def test_keeping_the_top_levels_beats_plain_lru(suite, monkeypatch):
+    """The row that justifies the pool's one eviction rule: on the
+    streaming pattern under a bounded shared tier, the rule (keep the top
+    tree levels, shed the deepest entry first) makes strictly fewer shard
+    RPCs than the same scan whose full pool sheds its least recently used
+    entry, and reads the same bytes."""
+    plan = dict(SUITES["sharedcache"].plan(suite.settings))
+    monkeypatch.setattr(NodeCacheService, "_victim",
+                        lambda service: next(iter(service._entries)))
     for capacity in suite.settings.capacity_sweep:
-        lru = suite.points[f"streaming@{capacity}:lru"]
-        level = suite.points[f"streaming@{capacity}:{level_policy}"]
-        wins.append(level["metadata_rpcs"] < lru["metadata_rpcs"])
-        # pinning must show up as fewer evictions of reused entries
-        assert level["shared_hits"] >= lru["shared_hits"], capacity
-    assert any(wins), "level-aware policy never beat LRU in the sweep"
+        label = f"streaming@{capacity}"
+        kept = suite.points[label]
+        lru, lru_extras = run_scan_point(suite.settings, ClusterConfig(),
+                                         **plan[label])
+        assert lru_extras["read_digest"] == kept["read_digest"], label
+        assert kept["metadata_rpcs"] < lru["metadata_rpcs"], label
+        assert kept["shared_hits"] > lru["shared_hits"], label
+        assert kept["sim_read_mean_ms"] < lru["sim_read_mean_ms"], label
 
 
 def test_lookup_partition_is_exact(suite):
@@ -107,7 +110,7 @@ def test_lookup_partition_is_exact(suite):
             assert point["shared_tier_lookups"] \
                 == point["shared_hits"] + point["fetched_lookups"], label
         else:
-            # policy-sweep modes run without a private tier: the shared
+            # bounded-pool modes run without a private tier: the shared
             # services saw every lookup
             assert point["private_tier_lookups"] == 0, label
             assert point["shared_tier_lookups"] == point["lookups"], label
@@ -120,7 +123,7 @@ def test_co_located_first_toucher_pays_most_fetches(suite):
     than the baseline's per-client spend)."""
     density = suite.settings.ranks_per_node
     baseline = suite.points["identical:private"]["per_client_rpcs"]
-    shared = suite.points["identical:shared-lru"]["per_client_rpcs"]
+    shared = suite.points["identical:shared"]["per_client_rpcs"]
     for index in range(suite.settings.num_clients):
         if index % density:
             # a co-tenant that never starts first on its node
@@ -132,8 +135,7 @@ def test_artifact_written_with_populated_columns(suite):
     assert artifact["suite"] == "sharedcache"
     assert artifact["rows"]
     modes = {row["mode"] for row in artifact["rows"]}
-    assert "private" in modes
-    assert any(mode.startswith("shared-") for mode in modes)
+    assert {"private", "shared"} <= modes
     patterns = {row["pattern"] for row in artifact["rows"]}
     assert patterns == {"identical", "streaming"}
     for row in artifact["rows"]:
@@ -141,6 +143,7 @@ def test_artifact_written_with_populated_columns(suite):
         assert row["metadata_rpcs"] > 0
         assert row["wall_clock_s"] > 0
         assert "rpcs_per_read" in row and "shared_hit_rate" in row
+        assert row["sim_read_mean_ms"] > 0
     reductions = artifact["metadata_rpc_reduction_vs_private"]
     assert reductions
     assert any(entry["reduction"] >= MIN_FRACTION_OF_IDEAL * entry["ideal"]

@@ -64,30 +64,29 @@ def scan_workload(settings, num_clients: int,
 def run_scan_point(settings, config, *, prefix: str, mode: str,
                    num_clients: int, pattern: str = "identical",
                    shared: bool = True, cooperative: bool = False,
-                   policy: str = "lru", capacity: Optional[int] = None,
-                   prefetch: bool = False, private_cache: bool = True,
-                   provider_fraction: float = 0.5,
+                   capacity: Optional[int] = None, private_cache: bool = True,
                    stagger_s: float = STAGGER_S):
     """Run the scan once in one cache configuration at one cluster size;
     returns every measured value (each suite's entry picks its columns) and
     what no artifact records: the scans' bytes, independently counted totals.
 
     ``shared=False`` is the private baseline; ``private_cache=False`` drops
-    the per-client tier too (the shared-cache policy sweep, so eviction in
-    the *shared* tier is what the numbers measure); ``cooperative=True``
-    adds the cross-node peer tier on top of the shared one, with
-    ``provider_fraction`` of the (node, blob) pairings in the provider role.
+    the per-client tier too (the bounded-pool points, so eviction in the
+    *shared* tier is what the numbers measure); ``cooperative=True`` adds
+    the cross-node peer tier on top of the shared one.
+
+    ``sim_read_s`` runs from the scan start to the last client's finish, so
+    at the default stagger it is mostly the stagger itself;
+    ``sim_read_mean_ms`` is the mean simulated latency of one ``vread``
+    call, the column a cache shows up in.
     """
     wall_started = time.perf_counter()
     cluster, deployment = deploy(
         settings,
         config.copy(ranks_per_node=settings.ranks_per_node,
                     shared_metadata_cache=shared,
-                    shared_cache_policy=policy,
                     shared_cache_capacity=capacity,
-                    metadata_prefetch=prefetch,
-                    cooperative_cache=cooperative,
-                    coop_provider_fraction=provider_fraction),
+                    cooperative_cache=cooperative),
         prefix)
     workload = scan_workload(settings, num_clients, pattern)
 
@@ -109,17 +108,21 @@ def run_scan_point(settings, config, *, prefix: str, mode: str,
 
     scans: Dict[Tuple[int, int], List[bytes]] = {}
     finished: List[float] = []
+    latencies: List[float] = []
 
     def read_client(index):
         client = clients[index]
+        sim = cluster.sim
         # independent processes never start in lockstep; the stagger gives
         # a node's first toucher time to publish into the shared tier
-        yield cluster.sim.timeout(index * stagger_s)
+        yield sim.timeout(index * stagger_s)
         for round_index in range(workload.rounds):
             pairs = workload.read_pairs(index, round_index)
+            started = sim.now
             pieces = yield from client.vread(PATH, pairs, pinned)
+            latencies.append(sim.now - started)
             scans[(index, round_index)] = pieces
-        finished.append(cluster.sim.now)
+        finished.append(sim.now)
 
     read_started = cluster.sim.now
     drive_processes(
@@ -139,7 +142,6 @@ def run_scan_point(settings, config, *, prefix: str, mode: str,
     values = {
         "mode": mode,
         "pattern": pattern,
-        "policy": policy if shared else "-",
         "capacity": capacity,
         "nodes": num_clients // settings.ranks_per_node,
         "ranks_per_node": settings.ranks_per_node,
@@ -163,8 +165,8 @@ def run_scan_point(settings, config, *, prefix: str, mode: str,
         "shared_evictions": shared_stats["evictions"],
         "shared_rejections": (shared_stats["unpublished_rejections"]
                               + shared_stats["capacity_rejections"]),
-        "prefetched_nodes": total("shards", "prefetched_nodes"),
         "sim_read_s": max(finished) - read_started,
+        "sim_read_mean_ms": 1e3 * sum(latencies) / len(latencies),
         "wall_clock_s": time.perf_counter() - wall_started,
         "network_model": config.network_model,
     }

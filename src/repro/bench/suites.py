@@ -112,33 +112,25 @@ def _vs_independent(count_column: str):
 
 def _sharedcache_plan(settings) -> Plan:
     clients = {"prefix": "sc", "num_clients": settings.num_clients}
-    plan: Plan = [
-        (f"identical:{mode}", dict(clients, mode=mode, **options))
-        for mode, options in (
-            ("private", {"shared": False}),
-            ("shared-lru", {}),
-            ("private+prefetch", {"shared": False, "prefetch": True}),
-            ("shared-lru+prefetch", {"prefetch": True}))
-    ]
-    for capacity in settings.capacity_sweep:
-        for policy in settings.policies:
-            plan.append((f"streaming@{capacity}:{policy}", dict(
-                clients, mode=f"shared-{policy}@{capacity}-only",
-                pattern="streaming", policy=policy, capacity=capacity,
-                private_cache=False)))
+    plan: Plan = [("identical:private", dict(clients, mode="private",
+                                             shared=False)),
+                  ("identical:shared", dict(clients, mode="shared"))]
+    plan += [(f"streaming@{capacity}", dict(
+        clients, mode=f"shared@{capacity}-only", pattern="streaming",
+        capacity=capacity, private_cache=False))
+        for capacity in settings.capacity_sweep]
     return plan
 
 
 def _vs_private(label, values, settings):
-    if label.startswith("identical:shared"):
+    if label == "identical:shared":
         return label, "identical:private", {"ideal": settings.ranks_per_node}
 
 
 def _coopcache_plan(settings) -> Plan:
     def point(nodes, mode, **options):
         return dict(prefix="cc", mode=mode, cooperative=mode == "coop",
-                    num_clients=nodes * settings.ranks_per_node,
-                    provider_fraction=settings.provider_fraction, **options)
+                    num_clients=nodes * settings.ranks_per_node, **options)
     plan: Plan = [(f"n{nodes}:{mode}", point(nodes, mode))
                   for nodes in settings.node_counts
                   for mode in ("shared", "coop")]
@@ -312,30 +304,30 @@ SUITES: Dict[str, Suite] = {
         title="sharedcache",
         about="""Scans by cache configuration.  identical:private =
         per-client caches only (co-located clients re-fetch identical
-        upper-tree nodes); identical:shared-<policy> = plus the node's shared
-        tier (only a node's first toucher fetches: RPCs per read approach
-        1/ranks_per_node); ...+prefetch = speculative child prefetch on the
-        frontier fetches (fewer round-trip levels, more nodes on the wire);
-        streaming@<capacity>:<policy> = the eviction-policy sweep: streaming
-        under a small shared capacity, shared tier only, where level-pinning
-        beats plain LRU.  Headline: metadata RPCs per read vs
-        identical:private, next to the ideal ranks_per_node.""",
+        upper-tree nodes); identical:shared = plus the node's shared tier
+        (only a node's first toucher fetches: RPCs per read approach
+        1/ranks_per_node); streaming@<capacity> = streaming under a small
+        shared capacity, shared tier only, where the pool's eviction rule
+        (keep the top tree levels, shed the deepest entry first) decides
+        what stays resident.  sim_read_mean_ms is the mean latency of one
+        scan call; sim_read_s is mostly the clients' start stagger.
+        Headline: metadata RPCs per read vs identical:private, next to the
+        ideal ranks_per_node.""",
         settings=dict(num_clients=8, ranks_per_node=4, rounds=4,
                       blocks_per_round=8, block_size=8 * 1024,
                       num_providers=4, num_metadata_providers=2,
-                      chunk_size=8 * 1024, capacity_sweep=(24, 48),
-                      policies=("lru", "slru", "level:3")),
+                      chunk_size=8 * 1024, capacity_sweep=(24, 48)),
         smoke=dict(num_clients=4, ranks_per_node=2, rounds=3,
                    blocks_per_round=4, block_size=4096, num_providers=2,
                    chunk_size=4096, capacity_sweep=(16,)),
         plan=_sharedcache_plan,
         point=run_scan_point,
-        columns=("mode", "pattern", "policy", "capacity", "clients",
-                 "ranks_per_node", "rounds", "logical_reads", "metadata_rpcs",
-                 "rpcs_per_read", "latest_rpcs", "lookups", "private_hits",
-                 "shared_hits", "fetched_lookups", "shared_hit_rate",
-                 "shared_evictions", "shared_rejections", "prefetched_nodes",
-                 "sim_read_s", "wall_clock_s", "network_model"),
+        columns=("mode", "pattern", "capacity", "clients", "ranks_per_node",
+                 "rounds", "logical_reads", "metadata_rpcs", "rpcs_per_read",
+                 "latest_rpcs", "lookups", "private_hits", "shared_hits",
+                 "fetched_lookups", "shared_hit_rate", "shared_evictions",
+                 "shared_rejections", "sim_read_s", "sim_read_mean_ms",
+                 "wall_clock_s", "network_model"),
         reduction=("metadata_rpc_reduction_vs_private", "rpcs_per_read",
                    _vs_private),
     ),
@@ -349,11 +341,13 @@ SUITES: Dict[str, Suite] = {
         one node fetches each tree node cluster-wide and the per-read cost
         keeps falling; contended:coop = the largest coop point with a zero
         stagger, where fetch coalescing folds the simultaneous missers.
+        sim_read_mean_ms is the mean latency of one scan call; sim_read_s
+        is mostly the clients' start stagger.
         Headline: authoritative shard RPCs per read vs shared.""",
         settings=dict(node_counts=(1, 2, 4, 8), ranks_per_node=4, rounds=3,
                       blocks_per_round=8, block_size=8 * 1024,
                       num_providers=4, num_metadata_providers=2,
-                      chunk_size=8 * 1024, provider_fraction=0.5),
+                      chunk_size=8 * 1024),
         smoke=dict(node_counts=(1, 2), ranks_per_node=2, rounds=2,
                    blocks_per_round=4, block_size=4096, num_providers=2,
                    chunk_size=4096),
@@ -365,7 +359,8 @@ SUITES: Dict[str, Suite] = {
                  "peer_hit_rate", "peer_rejections", "probe_misses",
                  "read_throughs", "unavailable_probes", "coalesced_fetches",
                  "lookups", "private_hits", "shared_hits", "fetched_lookups",
-                 "sim_read_s", "wall_clock_s", "network_model"),
+                 "sim_read_s", "sim_read_mean_ms", "wall_clock_s",
+                 "network_model"),
         label_column="point",
         reduction=("server_rpc_reduction_vs_shared", "server_rpcs_per_read",
                    _vs_shared),

@@ -72,10 +72,11 @@ class BlobClient:
     :class:`~repro.blobseer.metadata.tiers.MetadataTierChain`): a private
     cache of immutable nodes, optionally the compute node's shared pool and
     the cooperative peers beyond it, then the shards, one batched
-    ``get_nodes`` RPC per shard and tree level.  The keyword arguments only
-    shape that list (:func:`~repro.blobseer.metadata.tiers.build_chain`):
-    ``shared_metadata_cache``, ``cooperative_cache``, ``metadata_prefetch``
-    and ``metadata_cache_capacity`` default to the cluster config (an
+    ``get_nodes`` RPC per shard and tree level, for exactly the lookups the
+    walk issues.  The keyword arguments only shape that list
+    (:func:`~repro.blobseer.metadata.tiers.build_chain`):
+    ``shared_metadata_cache``, ``cooperative_cache`` and
+    ``metadata_cache_capacity`` default to the cluster config (an
     explicit ``metadata_cache_capacity=None`` forces an unbounded private
     cache even against a bounded cluster default), while
     ``enable_metadata_cache=False`` drops the private tier.
@@ -98,7 +99,6 @@ class BlobClient:
                  enable_metadata_cache: bool = True,
                  metadata_cache_capacity: object = UNSET,
                  shared_metadata_cache: object = UNSET,
-                 metadata_prefetch: object = UNSET,
                  cooperative_cache: object = UNSET,
                  write_through_cache: bool = True):
         self.deployment = deployment
@@ -111,8 +111,7 @@ class BlobClient:
         self.tiers = build_chain(
             self, private=enable_metadata_cache,
             capacity=metadata_cache_capacity,
-            node_shared=shared_metadata_cache, prefetch=metadata_prefetch,
-            cooperative=cooperative_cache)
+            node_shared=shared_metadata_cache, cooperative=cooperative_cache)
         #: the private tier's node cache (``None`` without one)
         self.metadata_cache = self.tiers.find("private")
         #: payloads of the chunks this client uploaded, for its own reads

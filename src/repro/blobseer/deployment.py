@@ -63,16 +63,12 @@ class BlobSeerDeployment:
         self.provider_manager = SimProviderManager(
             pm_node, ProviderManager(strategy=make_strategy(allocation)))
 
-        # metadata providers (hash partitioned shards); each shard knows its
-        # own index so it can answer speculative child prefetches only for
-        # range keys it authoritatively owns
+        # metadata providers (hash partitioned shards)
         self.metadata_providers: List[SimMetadataProvider] = []
         for index in range(num_metadata_providers):
             node = cluster.add_node(f"{node_prefix}-meta{index}", role="metadata")
             self.metadata_providers.append(
-                SimMetadataProvider(node, MetadataStore(store_id=node.name),
-                                    shard_index=index,
-                                    shard_count=num_metadata_providers))
+                SimMetadataProvider(node, MetadataStore(store_id=node.name)))
         self.metadata_store = PartitionedMetadataStore(
             [provider.store for provider in self.metadata_providers])
 
@@ -100,30 +96,24 @@ class BlobSeerDeployment:
     def node_cache(self, node: "Node") -> "NodeCacheService":
         """The shared metadata cache service of one compute node.
 
-        Created on first use with the cluster config's capacity/policy
-        knobs; every client placed on ``node`` that enables
-        ``shared_metadata_cache`` attaches to the same instance, which is
-        what lets co-located ranks amortize metadata fetches.
+        Created on first use with the cluster config's capacity; every
+        client placed on ``node`` that enables ``shared_metadata_cache``
+        attaches to the same instance, which is what lets co-located ranks
+        amortize metadata fetches.
         """
         if node.name not in self.node_caches:
-            config = self.cluster.config
             self.node_caches[node.name] = NodeCacheService(
-                node.name,
-                capacity=config.shared_cache_capacity,
-                policy=config.shared_cache_policy)
+                node.name, capacity=self.cluster.config.shared_cache_capacity)
         return self.node_caches[node.name]
 
     def coop_peer(self, node: "Node") -> "PeerCacheService":
         """Enroll ``node`` in the cooperative cross-node tier (idempotent).
 
         Creates the :class:`~repro.blobseer.metadata.coopcache.CoopDirectory`
-        on first use with the cluster config's ``coop_provider_fraction``
-        and exposes the node's shared pool to its peers.
+        on first use and exposes the node's shared pool to its peers.
         """
         if self.coop_directory is None:
-            self.coop_directory = CoopDirectory(
-                self,
-                provider_fraction=self.cluster.config.coop_provider_fraction)
+            self.coop_directory = CoopDirectory(self)
         return self.coop_directory.register(node, self.node_cache(node))
 
     def coop_stats(self) -> dict:
@@ -201,8 +191,6 @@ class BlobSeerDeployment:
                              for provider in self.metadata_providers)
         put_nodes_rpcs = sum(provider.calls.get("put_nodes", 0)
                              for provider in self.metadata_providers)
-        prefetched = sum(provider.nodes_prefetched
-                         for provider in self.metadata_providers)
         return {
             "providers": len(stores),
             "chunks": sum(store.chunk_count() for store in stores),
@@ -210,7 +198,6 @@ class BlobSeerDeployment:
             "metadata_nodes": self.metadata_store.node_count(),
             "metadata_read_rpcs": get_node_rpcs + get_nodes_rpcs,
             "metadata_batched_rpcs": get_nodes_rpcs,
-            "metadata_prefetched_nodes": prefetched,
             "metadata_put_rpcs": put_nodes_rpcs,
             "snapshots_published": self.version_manager.manager.snapshots_published,
             "tickets_assigned": self.version_manager.manager.tickets_assigned,

@@ -26,21 +26,13 @@ versioning principle the paper relies on to eliminate locking.
   nodes and resolved version hints (the chain's first tier);
 * :mod:`repro.blobseer.metadata.sharedcache` — the node-local *shared* pool
   co-located clients attach to (admission gated on the published
-  watermark) and its in-flight fetch table;
+  watermark; a bounded pool keeps the top tree levels) and its in-flight
+  fetch table;
 * :mod:`repro.blobseer.metadata.coopcache` — roles, custody routing and the
-  probe service of the cooperative cross-node tier;
-* :mod:`repro.blobseer.metadata.policy` — pluggable eviction policies for
-  the shared pool (LRU, segmented LRU, level-aware top-level pinning).
+  probe service of the cooperative cross-node tier.
 """
 
 from repro.blobseer.metadata.cache import CacheStats, MetadataNodeCache
-from repro.blobseer.metadata.policy import (
-    EvictionPolicy,
-    LevelAwarePolicy,
-    LRUPolicy,
-    SegmentedLRUPolicy,
-    make_policy,
-)
 from repro.blobseer.metadata.sharedcache import NodeCacheService
 from repro.blobseer.metadata.nodes import ChildRef, LeafSegment, MetadataNode, NodeKey
 from repro.blobseer.metadata.store import MetadataStore, PartitionedMetadataStore
@@ -61,11 +53,6 @@ __all__ = [
     "CacheStats",
     "MetadataNodeCache",
     "NodeCacheService",
-    "EvictionPolicy",
-    "LRUPolicy",
-    "SegmentedLRUPolicy",
-    "LevelAwarePolicy",
-    "make_policy",
     "build_write_metadata",
     "overlay_segments",
 ]

@@ -61,6 +61,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 PROVIDER = "provider"
 SAMPLER = "sampler"
 
+#: share of (node, blob) pairs whose role hash elects the node a provider
+PROVIDER_FRACTION = 0.5
+
 
 def _stable_fraction(tag: str) -> float:
     """A stable hash of ``tag`` mapped into ``[0, 1)`` (SHA-256, like the
@@ -69,16 +72,16 @@ def _stable_fraction(tag: str) -> float:
     return int.from_bytes(digest[:4], "little") / 2 ** 32
 
 
-def role_for(node_name: str, blob_id: str,
-             provider_fraction: float = 0.5) -> str:
+def role_for(node_name: str, blob_id: str) -> str:
     """The cooperative role of ``node_name`` for ``blob_id``.
 
     Pure and deterministic: derived from a stable hash of
     ``(node_name, blob_id)`` alone — no RNG stream, no coordination, the
     same answer on every node, every process and every replay.
+    :data:`PROVIDER_FRACTION` of the pairs are providers.
     """
     if _stable_fraction(f"coop-role:{node_name}:{blob_id}") \
-            < provider_fraction:
+            < PROVIDER_FRACTION:
         return PROVIDER
     return SAMPLER
 
@@ -143,8 +146,7 @@ class PeerCacheService(Service):
 
     def role(self, blob_id: str) -> str:
         """This node's role for ``blob_id`` (see :func:`role_for`)."""
-        return role_for(self.node.name, blob_id,
-                        self.directory.provider_fraction)
+        return role_for(self.node.name, blob_id)
 
     # ------------------------------------------------------------------
     # RPC handler (generator method)
@@ -217,11 +219,9 @@ class CoopDirectory:
     whole tier coordination-free.
     """
 
-    def __init__(self, deployment: "BlobSeerDeployment",
-                 provider_fraction: float = 0.5):
+    def __init__(self, deployment: "BlobSeerDeployment"):
         self.deployment = deployment
         self.cluster = deployment.cluster
-        self.provider_fraction = provider_fraction
         self.services: Dict[str, PeerCacheService] = {}
         self._sorted_names: Optional[List[str]] = None
 
@@ -261,8 +261,8 @@ class CoopDirectory:
             return self.services[custodian]
         for step in range(1, len(participants)):
             candidate = participants[(slot + step) % len(participants)]
-            if candidate != prober and role_for(
-                    candidate, blob_id, self.provider_fraction) == PROVIDER:
+            if candidate != prober \
+                    and role_for(candidate, blob_id) == PROVIDER:
                 return self.services[candidate]
         return None
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Iterable, Optional, TYPE_CHECKING
 
 from repro.blobseer.metadata.nodes import MetadataNode
-from repro.blobseer.metadata.store import MetadataStore, PartitionedMetadataStore
+from repro.blobseer.metadata.store import MetadataStore
 from repro.cluster.rpc import Service
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -19,22 +19,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class SimMetadataProvider(Service):
-    """A metadata shard deployed on a cluster node.
+    """A metadata shard deployed on a cluster node."""
 
-    ``shard_index``/``shard_count`` tell the provider which slice of the
-    hash partition it owns — what lets it answer *speculative* child
-    prefetches authoritatively (a foreign range key missing from this shard
-    lives elsewhere; only owned keys may be answered, negatives included).
-    """
-
-    def __init__(self, node: "Node", store: Optional[MetadataStore] = None,
-                 shard_index: int = 0, shard_count: int = 1):
+    def __init__(self, node: "Node", store: Optional[MetadataStore] = None):
         super().__init__(node, name=f"metadata:{node.name}")
         self.store = store or MetadataStore(store_id=node.name)
-        self.shard_index = shard_index
-        self.shard_count = shard_count
-        #: extra nodes shipped through speculative prefetch (observability)
-        self.nodes_prefetched: int = 0
 
     # ------------------------------------------------------------------
     # RPC handlers (generator methods)
@@ -58,28 +47,14 @@ class SimMetadataProvider(Service):
         return self.store.get_at_or_before(blob_id, offset, size, version)
         yield  # pragma: no cover - makes this a generator function
 
-    def get_nodes(self, blob_id: str, requests, prefetch: bool = False):
+    def get_nodes(self, blob_id: str, requests):
         """Batched at-or-before lookups of one read-frontier level.
 
         ``requests`` is a list of ``(offset, size, version_hint)`` tuples; the
-        response is aligned with it (``None`` entries for never-written
-        ranges).  One such RPC replaces one :meth:`get_node` round-trip per
-        node, collapsing a level's metadata traffic for this shard into a
-        single exchange.
-
-        With ``prefetch`` the shard additionally resolves, for every inner
-        node it returns, the child lookups the traversal will issue next —
-        but only those whose range key this shard owns — and returns
-        ``(nodes, extras)`` instead of the plain list.  The caller pays the
-        extra response bytes; the saved level round-trips are the trade.
+        response is a list aligned with it (``None`` entries for
+        never-written ranges).  One such RPC replaces one :meth:`get_node`
+        round-trip per node, collapsing a level's metadata traffic for this
+        shard into a single exchange.
         """
-        nodes = self.store.get_nodes(blob_id, requests)
-        if not prefetch:
-            return nodes
-        extras = self.store.prefetch_candidates(
-            blob_id, nodes, owns=lambda offset, size:
-            PartitionedMetadataStore.partition_index(
-                blob_id, offset, size, self.shard_count) == self.shard_index)
-        self.nodes_prefetched += len(extras)
-        return nodes, extras
+        return self.store.get_nodes(blob_id, requests)
         yield  # pragma: no cover - makes this a generator function

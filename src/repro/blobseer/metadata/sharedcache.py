@@ -29,10 +29,19 @@ shared-memory segment (or a node-local daemon reached over loopback), whose
 cost is negligible against the 100 µs-scale network round-trip a metadata
 RPC costs — exactly the trade the subsystem exists to exploit.
 
-Eviction is pluggable (:mod:`repro.blobseer.metadata.policy`): plain LRU,
-segmented LRU, or the level-aware policy that pins the top tree levels
-every traversal shares.  Per-tier statistics (hits/misses/insertions/
-evictions plus gate rejections) feed the benchmark harness.
+**A bounded pool has one eviction rule: keep the top of the tree.**  A
+key's ``size`` is the byte span of the tree node it resolves; the root of a
+BLOB's segment tree spans the whole capacity and each level halves it, so
+the span alone says how deep an entry sits.  Every traversal of a BLOB
+passes through the same upper nodes, so the top :data:`PIN_LEVELS` levels
+are pinned, and a victim is the deepest unpinned entry, least recently used
+first within its level.  When everything resident is pinned the rule falls
+back to the least recently used entry; if that is the newcomer itself, the
+admission is declined (``capacity_rejections``).  A hit, a remote peek and
+an overwrite each refresh recency.  An unbounded pool (``capacity=None``)
+evicts nothing, so it keeps no recency order at all.  Per-tier statistics
+(hits/misses/insertions/evictions plus gate rejections) feed the benchmark
+harness.
 """
 
 from __future__ import annotations
@@ -40,7 +49,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.blobseer.metadata.cache import CacheStats
-from repro.blobseer.metadata.policy import EvictionPolicy, make_policy
 from repro.errors import StorageError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -48,6 +56,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: cache key of one at-or-before lookup (same shape as the private cache)
 HintKey = Tuple[str, int, int, int]
+
+#: tree levels a bounded pool evicts last (root = level 0)
+PIN_LEVELS = 3
 
 #: sentinel distinguishing "not cached" from a cached negative (None) result
 _ABSENT = object()
@@ -63,36 +74,36 @@ FETCH_FAILED = object()
 class NodeCacheService:
     """The shared metadata cache of one simulated compute node.
 
-    ``capacity`` bounds the entry count (``None`` = unbounded); ``policy``
-    is an eviction-policy spec (see
-    :func:`repro.blobseer.metadata.policy.make_policy`) or instance.
+    ``capacity`` bounds the entry count (``None`` = unbounded); a full
+    pool evicts by the one rule of the module docstring.
     Clients attach with :meth:`attach` and detach with :meth:`detach`; the
     entry pool deliberately survives detaches — immutable published nodes
     stay valid for the next tenant, which is the whole point of node-local
     sharing (and safe precisely because of the admission gate).
     """
 
-    def __init__(self, node_name: str, capacity: Optional[int] = None,
-                 policy="lru"):
+    def __init__(self, node_name: str, capacity: Optional[int] = None):
         if capacity is not None and capacity <= 0:
             raise StorageError(
                 f"capacity must be positive or None, got {capacity}")
         self.node_name = node_name
         self.capacity = capacity
-        self.policy: EvictionPolicy = make_policy(policy)
         #: on top of lookups/hits/insertions/evictions:
         #: ``unpublished_rejections`` — publications refused because the
         #: entry's version hint exceeded the node's published watermark
         #: (the safety gate; see module doc); ``capacity_rejections`` —
-        #: admissions declined because capacity was exhausted (a policy
-        #: may decline rather than evict, e.g. fully pinned level-aware
-        #: caches); ``coalesced_fetches`` — upstream fetches avoided
+        #: admissions declined because a full pool's rule picked the
+        #: newcomer itself; ``coalesced_fetches`` — upstream fetches avoided
         #: because a simultaneous misser for the same key parked on the
         #: leader's sim event instead of fetching
         self.stats = CacheStats(insertions=0, evictions=0,
                                 unpublished_rejections=0,
                                 capacity_rejections=0, coalesced_fetches=0)
+        #: the pool; while bounded its order is recency, least recent first
         self._entries: Dict[HintKey, Optional["MetadataNode"]] = {}
+        #: while bounded, the largest node span admitted per BLOB: the root
+        #: span once the root is in, which every traversal resolves first
+        self._root_span: Dict[str, int] = {}
         #: newest *published* version this node has observed, per BLOB —
         #: the admission gate (fed by attached clients' note_published)
         self._watermarks: Dict[str, int] = {}
@@ -144,7 +155,7 @@ class NodeCacheService:
         if value is _ABSENT:
             return False, None
         self.stats.hits += 1
-        self.policy.record_hit(key)
+        self._touch(key, value)
         return True, value
 
     def peek(self, blob_id: str, offset: int, size: int,
@@ -154,17 +165,29 @@ class NodeCacheService:
         Identical to :meth:`get` except hit/miss counters stay untouched:
         the cross-surface fall-through identity equates this service's
         lookups with its local tenants' private-cache misses, and a remote
-        peer probe is neither.  Recency is still refreshed
-        (:meth:`~repro.blobseer.metadata.policy.EvictionPolicy.record_peek`)
-        — an entry hot enough to be probed from another node is worth
+        peer probe is neither.  Recency is still refreshed, like a hit —
+        an entry hot enough to be probed from another node is worth
         keeping resident.
         """
         key = (blob_id, offset, size, hint)
         value = self._entries.get(key, _ABSENT)
         if value is _ABSENT:
             return False, None
-        self.policy.record_peek(key)
+        self._touch(key, value)
         return True, value
+
+    def _touch(self, key: HintKey, value) -> None:
+        """Make ``key`` the most recently used entry of a bounded pool."""
+        if self.capacity is not None:
+            del self._entries[key]
+            self._entries[key] = value
+
+    def pinned(self, key: HintKey) -> bool:
+        """Whether a bounded pool's ``key`` is in the top :data:`PIN_LEVELS`
+        levels of its BLOB's tree: its span is at most ``PIN_LEVELS - 1``
+        halvings below the root's."""
+        blob_id, _offset, size, _hint = key
+        return size << (PIN_LEVELS - 1) >= self._root_span[blob_id]
 
     # ------------------------------------------------------------------
     # in-flight fetch coalescing
@@ -236,38 +259,43 @@ class NodeCacheService:
     def _insert(self, key: HintKey, node: Optional["MetadataNode"]) -> bool:
         if key in self._entries:
             self._entries[key] = node
-            self.policy.record_hit(key)
+            self._touch(key, node)
             return True
         self._entries[key] = node
-        self.policy.record_insert(key)
         self.stats.insertions += 1
-        if self.capacity is not None and len(self._entries) > self.capacity:
-            victim = self.policy.select_victim()
-            if victim is None:  # pragma: no cover - defensive (policies
-                # always return a key they hold); decline the admission
-                del self._entries[key]
-                self.policy.record_remove(key)
-                self.stats.insertions -= 1
-                self.stats.capacity_rejections += 1
-                return False
-            del self._entries[victim]
-            self.policy.record_remove(victim)
-            if victim == key:
-                # the policy chose the newcomer itself (everything else is
-                # pinned): the admission is declined, not an eviction, and
-                # the insertion is rolled back so the counters reconcile
-                self.stats.insertions -= 1
-                self.stats.capacity_rejections += 1
-                return False
-            self.stats.evictions += 1
+        if self.capacity is None:
+            return True
+        blob_id, _offset, size, _hint = key
+        if size > self._root_span.get(blob_id, 0):
+            self._root_span[blob_id] = size
+        if len(self._entries) <= self.capacity:
+            return True
+        victim = self._victim()
+        del self._entries[victim]
+        if victim == key:
+            # the rule chose the newcomer itself (everything else is
+            # pinned): the admission is declined, not an eviction, and
+            # the insertion is rolled back so the counters reconcile
+            self.stats.insertions -= 1
+            self.stats.capacity_rejections += 1
+            return False
+        self.stats.evictions += 1
         return True
 
+    def _victim(self) -> HintKey:
+        """The entry a full pool sheds: the deepest unpinned one, least
+        recently used first within a level; the least recently used entry
+        when everything is pinned."""
+        victim = None
+        for key in self._entries:  # least recently used first
+            if not self.pinned(key) and (victim is None or key[2] < victim[2]):
+                victim = key
+        return next(iter(self._entries)) if victim is None else victim
+
     def clear(self) -> None:
-        """Drop every entry (watermarks and counters are kept)."""
-        for key in list(self._entries):
-            self.policy.record_remove(key)
+        """Drop every entry (watermarks, root spans and counters are kept)."""
         self._entries.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<NodeCacheService {self.node_name} entries={len(self)} "
-                f"policy={self.policy.name} hits={self.stats.hits}>")
+                f"capacity={self.capacity} hits={self.stats.hits}>")

@@ -101,44 +101,6 @@ class MetadataStore:
         return [self.get_at_or_before(blob_id, offset, size, hint)
                 for offset, size, hint in requests]
 
-    def prefetch_candidates(self, blob_id: str,
-                            nodes: Sequence[Optional[MetadataNode]],
-                            owns=None) -> List[Tuple[Tuple[int, int, int],
-                                                     Optional[MetadataNode]]]:
-        """Speculative follow-up lookups for a batch of resolved nodes.
-
-        For each resolved *inner* node, the lookups its traversal will issue
-        next are its two child references; for a *leaf* with a base version,
-        it is the at-or-before lookup of that base version (same range key,
-        so always this shard).  Only lookups this shard can answer
-        *authoritatively* are included: ``owns(offset, size)`` must confirm
-        the range key hashes here, because a miss in this shard's map for a
-        foreign key means "stored elsewhere", not "never written" — shipping
-        it as a negative entry would poison every cache it lands in.
-
-        Returns deduplicated ``((offset, size, hint), node-or-None)`` pairs.
-        """
-        extras: Dict[Tuple[int, int, int], Optional[MetadataNode]] = {}
-        for node in nodes:
-            if node is None:
-                continue
-            if node.is_leaf:
-                if node.base_version is None:
-                    continue
-                candidates = [(node.key.offset, node.key.size,
-                               node.base_version)]
-            else:
-                candidates = [(child.offset, child.size, child.version_hint)
-                              for child in (node.left, node.right)]
-            for offset, size, hint in candidates:
-                if owns is not None and not owns(offset, size):
-                    continue
-                request = (offset, size, hint)
-                if request not in extras:
-                    extras[request] = self.get_at_or_before(blob_id, offset,
-                                                            size, hint)
-        return list(extras.items())
-
     def get_exact(self, key: NodeKey) -> MetadataNode:
         """Node with exactly this key (raises if absent)."""
         node = self.get_at_or_before(key.blob_id, key.offset, key.size, key.version)

@@ -18,12 +18,13 @@ its recency order follows the traversal's; a hit is promoted into the
 resident tiers above it.  Any other tier costs simulated time and takes one
 tree level's residual misses as a batch (:meth:`Tier.lookup`, a generator)
 — the peers answer what their pools hold, the *terminal* shards answer
-everything left.  :class:`Coalescing` wraps the tiers below it:
-simultaneous missers of one key on one compute node share the leader's
-fetch.  Once a level is resolved every key no resident tier answered is
-offered to all of them (:meth:`MetadataTierChain.admit`); a *gated* tier —
-one that outlives its clients — admits only at or below the published
-watermark it was told, so a writer's own nodes reach it only through
+everything left and ship no node they were not asked for.
+:class:`Coalescing` wraps the tiers below it: simultaneous missers of one
+key on one compute node share the leader's fetch.  Once a level is
+resolved every key no resident tier answered is offered to all of them
+(:meth:`MetadataTierChain.admit`); a *gated* tier — one that outlives its
+clients — admits only at or below the published watermark it was told, so
+a writer's own nodes reach it only through
 :meth:`MetadataTierChain.admit_published`.
 
 Each tier counts its own ``lookups`` and ``hits``
@@ -290,24 +291,16 @@ class ShardTier(Tier):
     Batched, a level's lookups cost one ``get_nodes`` RPC per responsible
     shard, issued in parallel — O(levels x shards) round-trips; unbatched,
     each lookup costs its own ``get_node`` round-trip (what a peer
-    service's read-through issues for its one key).  With ``prefetch``
-    (batched only) a shard also resolves the children it owns of every
-    inner node it returns (and the base version
-    of partially-covered leaves) — extra response bytes, priced from the
-    actual result, for whole levels of saved round-trips; those extras go
-    to ``admit_extras`` the moment the shard's response arrives.
+    service's read-through issues for its one key).
     """
 
     name = "shards"
     terminal = True
 
-    def __init__(self, owner, batching: bool = True, prefetch: bool = False,
-                 admit_extras: Optional[Callable] = None):
+    def __init__(self, owner, batching: bool = True):
         self.owner = owner
         self.batching = batching
-        self.prefetch = prefetch
-        self.admit_extras = admit_extras
-        self.stats = CacheStats(read_rpcs=0, prefetched_nodes=0)
+        self.stats = CacheStats(read_rpcs=0)
 
     def lookup(self, blob_id, requests):
         owner, stats = self.owner, self.stats
@@ -321,23 +314,11 @@ class ShardTier(Tier):
                 blob_id, requests)
 
             def fetch_shard(index, shard_requests):
-                if self.prefetch:
-                    nodes, extras = yield from owner._rpc(
-                        shards[index], "get_nodes",
-                        len(shard_requests) * request_size,
-                        lambda result: (len(result[0]) + len(result[1]))
-                        * node_size,
-                        blob_id, shard_requests, True)
-                    # extras: lookups the shard resolved speculatively but
-                    # *authoritatively* (it owns their range keys)
-                    self.admit_extras(blob_id, extras)
-                    stats.prefetched_nodes += len(extras)
-                else:
-                    nodes = yield from owner._rpc(
-                        shards[index], "get_nodes",
-                        len(shard_requests) * request_size,
-                        len(shard_requests) * node_size,
-                        blob_id, shard_requests)
+                nodes = yield from owner._rpc(
+                    shards[index], "get_nodes",
+                    len(shard_requests) * request_size,
+                    len(shard_requests) * node_size,
+                    blob_id, shard_requests)
                 hits.update(zip(shard_requests, nodes))
 
             yield owner.cluster.sim.fanout(
@@ -490,17 +471,17 @@ class MetadataTierChain:
 
 
 def build_chain(owner, *, private: bool = True, capacity=UNSET,
-                node_shared=UNSET, prefetch=UNSET,
-                cooperative=UNSET) -> MetadataTierChain:
+                node_shared=UNSET, cooperative=UNSET) -> MetadataTierChain:
     """The one place a client's tier list is assembled.
 
     ``owner`` is the client (its node, deployment and RPC helpers);
     arguments left :data:`UNSET` follow the cluster config, and they only
     shape the list: ``private=False`` drops the private tier.  The shards
     are always asked in batches, one ``get_nodes`` RPC per shard and tree
-    level.  The cooperative tier needs a pool to route through, so it is
-    off without one; coalescing engages with the cooperative tier, which
-    keeps every cooperative-off timeline untouched.
+    level, for exactly the lookups the walk issues.  The cooperative tier
+    needs a pool to route through, so it is off without one; coalescing
+    engages with the cooperative tier, which keeps every cooperative-off
+    timeline untouched.
     """
     config = owner.cluster.config
 
@@ -516,9 +497,7 @@ def build_chain(owner, *, private: bool = True, capacity=UNSET,
     if setting(node_shared, "shared_metadata_cache"):
         pool = owner.deployment.node_cache(owner.node)
         order.append(NodeTier(pool, owner.name))
-    shards = ShardTier(
-        owner, prefetch=bool(setting(prefetch, "metadata_prefetch")),
-        admit_extras=chain.admit)
+    shards = ShardTier(owner)
     if pool is not None and setting(cooperative, "cooperative_cache"):
         order.append(Coalescing(owner, pool, [PeerTier(owner, pool), shards]))
     else:

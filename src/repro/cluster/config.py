@@ -83,19 +83,14 @@ class ClusterConfig:
     #: Off by default so single-rank-per-node baselines stay unchanged;
     #: individual clients can override (``shared_metadata_cache=``)
     shared_metadata_cache: bool = False
-    #: entry bound of each node's shared cache (``None`` = unbounded)
+    #: entry bound of each node's shared cache (``None`` = unbounded).  A
+    #: full pool keeps the top tree levels and evicts the deepest entry,
+    #: least recently used first (:mod:`repro.blobseer.metadata.sharedcache`)
     shared_cache_capacity: Optional[int] = None
-    #: eviction policy of the shared tier: ``"lru"``, ``"slru"``/``"2q"``,
-    #: or ``"level"``/``"level:K"`` (pin the top K tree levels)
-    shared_cache_policy: str = "lru"
-    #: whether metadata fetches speculatively prefetch the children of
-    #: resolved inner nodes (and leaf base versions) the answering shard
-    #: owns — fewer round-trip levels for slightly more node traffic.
-    #: Individual clients can override (``metadata_prefetch=``)
-    metadata_prefetch: bool = False
     #: whether compute nodes cooperate across the node boundary: on a
     #: shared-tier miss the client probes the responsible peer node's
-    #: cache (:mod:`repro.blobseer.metadata.coopcache`) over a real
+    #: cache (:mod:`repro.blobseer.metadata.coopcache`, half the (node,
+    #: blob) pairs in the read-through provider role) over a real
     #: simulated RPC before falling back to the authoritative shards.
     #: Requires ``shared_metadata_cache``; off by default so every
     #: existing configuration is byte- and counter-identical.  With it,
@@ -103,11 +98,6 @@ class ClusterConfig:
     #: park on one sim event and share a single upstream fetch
     #: (``coalesced_fetches`` stat)
     cooperative_cache: bool = False
-    #: fraction of (node, blob) pairs whose stable role hash elects the
-    #: node a **provider** (read-through custodian converging on a full
-    #: replica of its key slice); the rest are **samplers** (serve only
-    #: what their custody-aligned slice already holds)
-    coop_provider_fraction: float = 0.5
     #: record causal spans (file op → collective phase → commit → commit
     #: stage → RPC → link) plus per-link telemetry on the queued
     #: network model, exportable as Chrome trace-event JSON

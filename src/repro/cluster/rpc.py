@@ -63,9 +63,9 @@ class RpcTransport:
         to the caller after the response transfer completes.
         ``response_bytes`` may be a callable evaluated on the handler's
         result — the hook for responses whose wire size only the server
-        knows (e.g. speculative metadata prefetches riding on a batched
-        fetch), mirroring the callable payload sizing of the simulated
-        collectives.
+        knows (e.g. a cooperative peer probe, sized by how many lookups
+        the peer could answer), mirroring the callable payload sizing of
+        the simulated collectives.
 
         ``_trace_parent`` (keyword-only, never forwarded to the handler) is
         the span id the request/response link transfers attach to when the

@@ -47,7 +47,8 @@ def _sample_cluster(stream) -> dict:
     """ClusterConfig overrides on top of the QUICK base profile."""
     # two draws that once picked an engine profile and a queue backend:
     # still consumed, so every later field, and with it every pinned seed,
-    # replays unchanged
+    # replays unchanged.  So are the retired draws further down (an
+    # eviction policy, a metadata-prefetch coin, a coop provider fraction)
     stream.uniform(0.0, 1.0)
     stream.integers(0, 3)
     overrides = {
@@ -63,18 +64,15 @@ def _sample_cluster(stream) -> dict:
         overrides["shared_metadata_cache"] = True
         overrides["shared_cache_capacity"] = _choice(
             stream, [None, 8, 16, 32, 64])
-        overrides["shared_cache_policy"] = _choice(
-            stream, ["lru", "slru", "2q", "level:2"])
+        stream.integers(0, 4)  # retired: eviction policy
     if _chance(stream, 0.4):
         overrides["metadata_cache_capacity"] = int(stream.integers(4, 65))
-    if _chance(stream, 0.25):
-        overrides["metadata_prefetch"] = True
+    stream.uniform(0.0, 1.0)  # retired: metadata-prefetch coin
     # cooperative cross-node tier (rides on the shared tier).  Appended at
     # the END of this stream: pre-cooperative seeds replay unchanged
     if overrides.get("shared_metadata_cache") and _chance(stream, 0.5):
         overrides["cooperative_cache"] = True
-        overrides["coop_provider_fraction"] = _choice(
-            stream, [0.25, 0.5, 0.75])
+        stream.integers(0, 3)  # retired: coop provider fraction
     return overrides
 
 

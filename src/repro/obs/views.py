@@ -73,7 +73,6 @@ _DEPLOYMENT_STAT_NAMES: Dict[str, str] = {
     "metadata_read_rpcs": "metadata.server.read_rpcs",
     "metadata_batched_rpcs": "metadata.server.batched_read_rpcs",
     "metadata_put_rpcs": "metadata.server.put_rpcs",
-    "metadata_prefetched_nodes": "metadata.server.prefetched_nodes",
     "metadata_nodes": "metadata.server.nodes",
     "providers": "storage.providers",
     "chunks": "storage.chunks",
@@ -104,7 +103,6 @@ _TIER_COUNTERS = (
     ("cache.peer.probe_rpcs", "peers", "probe_rpcs"),
     ("metadata.client.coalesced_fetches", "coalesce", "parked"),
     ("metadata.client.read_rpcs", "shards", "read_rpcs"),
-    ("metadata.client.prefetched_nodes", "shards", "prefetched_nodes"),
 )
 
 

@@ -1,7 +1,7 @@
 """Node-local shared-cache workload: independent readers on shared nodes.
 
-The access shapes that separate the cache tiers and eviction policies of the
-node-local shared metadata cache:
+The access shapes that separate the cache tiers of the node-local shared
+metadata cache and exercise its eviction rule:
 
 ``identical``
     Every client reads the *same* section of the dump in every round (a
@@ -15,8 +15,9 @@ node-local shared metadata cache:
     Every client scans its *own* fresh section each round and never revisits
     a leaf — zero leaf reuse, but every traversal still descends through the
     same upper tree levels.  Under a small shared-cache capacity this is the
-    pattern that separates eviction policies: plain LRU lets the leaf stream
-    flush the shared upper levels, the level-aware policy pins them.
+    pattern the pool's eviction rule is for: plain LRU would let the leaf
+    stream flush the shared upper levels, the rule keeps them and sheds the
+    deepest entries first.
 
 Contents are deterministic (a per-block byte pattern), so every read's
 expected bytes are known in closed form and all cache configurations must

@@ -21,6 +21,7 @@ import random
 import pytest
 
 from repro.blobseer.deployment import BlobSeerDeployment
+from repro.blobseer.metadata import coopcache
 from repro.blobseer.metadata.coopcache import (
     PEER_MISS,
     PROVIDER,
@@ -37,6 +38,18 @@ from repro.vstore.client import VectoredClient
 BLOB = "coop-blob"
 FILE_SIZE = 1 << 20
 CHUNK = 4096
+
+
+@pytest.fixture
+def all_providers(monkeypatch):
+    """Every (node, blob) pair in the provider role."""
+    monkeypatch.setattr(coopcache, "PROVIDER_FRACTION", 1.0)
+
+
+@pytest.fixture
+def all_samplers(monkeypatch):
+    """Every (node, blob) pair in the sampler role."""
+    monkeypatch.setattr(coopcache, "PROVIDER_FRACTION", 0.0)
 
 
 def build(num_nodes=3, **config_overrides):
@@ -110,17 +123,23 @@ class TestRoles:
                 assert first in (PROVIDER, SAMPLER)
                 assert all(role_for(node, blob) == first for _ in range(5))
 
-    def test_fraction_bounds(self):
+    def test_half_the_pairs_are_providers(self):
+        assert coopcache.PROVIDER_FRACTION == 0.5
         names = [f"cn{index}" for index in range(64)]
-        assert all(role_for(name, BLOB, 0.0) == SAMPLER for name in names)
-        assert all(role_for(name, BLOB, 1.0) == PROVIDER for name in names)
-        roles = {role_for(name, BLOB, 0.5) for name in names}
-        assert roles == {PROVIDER, SAMPLER}  # both roles actually occur
+        roles = [role_for(name, BLOB) for name in names]
+        assert 16 <= roles.count(PROVIDER) <= 48  # both roles really occur
+
+    def test_fraction_bounds(self, monkeypatch):
+        names = [f"cn{index}" for index in range(64)]
+        monkeypatch.setattr(coopcache, "PROVIDER_FRACTION", 0.0)
+        assert all(role_for(name, BLOB) == SAMPLER for name in names)
+        monkeypatch.setattr(coopcache, "PROVIDER_FRACTION", 1.0)
+        assert all(role_for(name, BLOB) == PROVIDER for name in names)
 
     def test_roles_differ_per_blob(self):
         # one node is not globally a provider: the role re-rolls per blob
         blobs = [f"blob{index}" for index in range(64)]
-        roles = {role_for("cn0", blob, 0.5) for blob in blobs}
+        roles = {role_for("cn0", blob) for blob in blobs}
         assert roles == {PROVIDER, SAMPLER}
 
     def test_custody_is_stable_and_in_range(self):
@@ -143,7 +162,7 @@ class TestRoles:
         before = {name: repr(stream.bit_generator.state)
                   for name, stream in rng._streams.items()}
         for index in range(200):
-            role_for(nodes[index % 3].name, f"blob{index}", 0.5)
+            role_for(nodes[index % 3].name, f"blob{index}")
             custodian_index(f"blob{index}", index * 64, 64, 3)
             directory.route(nodes[index % 3].name, BLOB, index * 64, 64)
         after = {name: repr(stream.bit_generator.state)
@@ -173,8 +192,9 @@ class TestRouting:
                     assert target is None \
                         or target.node.name != prober
 
-    def test_self_custodian_falls_back_to_a_ring_provider(self):
-        _, deployment, nodes = build(coop_provider_fraction=1.0)
+    def test_self_custodian_falls_back_to_a_ring_provider(self,
+                                                          all_providers):
+        _, deployment, nodes = build()
         enroll(deployment, nodes)
         directory = deployment.coop_directory
         participants = directory.participants()
@@ -188,8 +208,9 @@ class TestRouting:
             assert target is directory.services[expected]
             break
 
-    def test_self_custodian_with_no_providers_goes_to_the_shards(self):
-        _, deployment, nodes = build(coop_provider_fraction=0.0)
+    def test_self_custodian_with_no_providers_goes_to_the_shards(
+            self, all_samplers):
+        _, deployment, nodes = build()
         enroll(deployment, nodes)
         directory = deployment.coop_directory
         participants = directory.participants()
@@ -206,15 +227,24 @@ class TestRouting:
         assert deployment.coop_directory.participants() == ["cn0"]
 
 
-class TestProbe:
-    def _sampler_service(self, **overrides):
-        overrides.setdefault("coop_provider_fraction", 0.0)
-        cluster, deployment, nodes = build(**overrides)
-        services = enroll(deployment, nodes)
-        return cluster, services[0]
+@pytest.fixture
+def sampler(all_samplers):
+    """``(cluster, one enrolled peer service)``, every node a sampler."""
+    cluster, deployment, nodes = build()
+    return cluster, enroll(deployment, nodes)[0]
 
-    def test_dead_service_answers_unavailable_and_drops_its_pool(self):
-        cluster, service = self._sampler_service()
+
+@pytest.fixture
+def provider(all_providers):
+    """``(cluster, one enrolled peer service)``, every node a provider."""
+    cluster, deployment, nodes = build()
+    return cluster, enroll(deployment, nodes)[0]
+
+
+class TestProbe:
+    def test_dead_service_answers_unavailable_and_drops_its_pool(
+            self, sampler):
+        cluster, service = sampler
         pool = service.pool
         pool.note_published(BLOB, 1)
         pool.publish(BLOB, 0, 64, 1, make_node())
@@ -225,18 +255,18 @@ class TestProbe:
         assert service.stats.unavailable_probes == 1
         assert service.stats.lookups == 0
 
-    def test_sampler_miss_is_a_peer_miss(self):
-        _, service = self._sampler_service()
+    def test_sampler_miss_is_a_peer_miss(self, sampler):
+        _, service = sampler
         answer = complete(service.probe(BLOB, [(0, 64, 1)], watermark=1))
         assert answer == [PEER_MISS]
         assert service.stats.misses == 1
         assert service.stats.read_throughs == 0
 
-    def test_pool_hit_is_served_stat_free(self):
+    def test_pool_hit_is_served_stat_free(self, sampler):
         """A remote probe must not count as a pool lookup: the local
         fall-through identity equates pool lookups with the node's own
         tenants' private misses, and a probe is neither."""
-        _, service = self._sampler_service()
+        _, service = sampler
         pool = service.pool
         pool.note_published(BLOB, 1)
         node = make_node()
@@ -247,14 +277,14 @@ class TestProbe:
         assert service.stats.hits == 1
         assert (pool.stats.hits, pool.stats.misses) == (hits, misses)
 
-    def test_probe_watermark_feeds_the_receiving_gate(self):
-        _, service = self._sampler_service()
+    def test_probe_watermark_feeds_the_receiving_gate(self, sampler):
+        _, service = sampler
         assert service.pool.watermark(BLOB) == 0
         complete(service.probe(BLOB, [(0, 64, 7)], watermark=7))
         assert service.pool.watermark(BLOB) == 7
 
-    def test_cached_negative_is_an_answer_not_a_miss(self):
-        _, service = self._sampler_service()
+    def test_cached_negative_is_an_answer_not_a_miss(self, sampler):
+        _, service = sampler
         pool = service.pool
         pool.note_published(BLOB, 1)
         pool.publish(BLOB, 0, 64, 1, None)
@@ -262,13 +292,8 @@ class TestProbe:
         assert answer == [None]
         assert service.stats.hits == 1
 
-    def _provider_service(self):
-        cluster, deployment, nodes = build(coop_provider_fraction=1.0)
-        services = enroll(deployment, nodes)
-        return cluster, services[0]
-
-    def test_provider_reads_through_and_admits_gated(self):
-        cluster, service = self._provider_service()
+    def test_provider_reads_through_and_admits_gated(self, provider):
+        cluster, service = provider
         node = make_node()
         shards = FakeShards(node)
         service.upstream.inner = [shards]
@@ -282,8 +307,8 @@ class TestProbe:
         assert found and cached is node
         assert not service.pool._inflight  # leader resolved its entry
 
-    def test_failed_read_through_degrades_to_a_miss(self):
-        cluster, service = self._provider_service()
+    def test_failed_read_through_degrades_to_a_miss(self, provider):
+        cluster, service = provider
         service.upstream.inner = [
             FakeShards(error=RuntimeError("shard unreachable"))]
         answer = complete(service.probe(BLOB, [(0, 64, 1)], watermark=1))
@@ -291,8 +316,8 @@ class TestProbe:
         assert service.stats.misses == 1
         assert not service.pool._inflight  # aborted, never leaked
 
-    def test_read_through_parks_on_a_service_led_fetch(self):
-        cluster, service = self._provider_service()
+    def test_read_through_parks_on_a_service_led_fetch(self, provider):
+        cluster, service = provider
         node = make_node()
         leader, _event = service.pool.coalesce(
             cluster.sim, BLOB, 0, 64, 1, owner="service")
@@ -305,19 +330,19 @@ class TestProbe:
         assert service.pool.stats.coalesced_fetches == 1
         assert service.stats.read_throughs == 0  # the leader's fetch, not ours
 
-    def test_parked_read_through_survives_a_failed_leader(self):
-        cluster, service = self._provider_service()
+    def test_parked_read_through_survives_a_failed_leader(self, provider):
+        cluster, service = provider
         service.pool.coalesce(cluster.sim, BLOB, 0, 64, 1, owner="service")
         generator = service.probe(BLOB, [(0, 64, 1)], watermark=1)
         next(generator)
         assert finish(generator, FETCH_FAILED) == [PEER_MISS]
 
-    def test_read_through_never_parks_on_a_client_led_fetch(self):
+    def test_read_through_never_parks_on_a_client_led_fetch(self, provider):
         """Cycle prevention: an RPC handler parked behind a *client*-led
         fetch could close a cross-node wait cycle (two clients each
         leading a key while their probes park on each other); the handler
         must answer "miss" instead."""
-        cluster, service = self._provider_service()
+        cluster, service = provider
         service.pool.coalesce(cluster.sim, BLOB, 0, 64, 1, owner="client")
         answer = complete(service.probe(BLOB, [(0, 64, 1)], watermark=1))
         assert answer == [PEER_MISS]
@@ -329,11 +354,11 @@ class TestEndToEnd:
         pieces = yield from client.vread(BLOB, [(0, size)], 1)
         return pieces
 
-    def test_remote_peer_answers_a_cold_node(self):
+    def test_remote_peer_answers_a_cold_node(self, all_providers):
         """With every node a provider, a cold node's first reader resolves
         the whole walk over peer probes — zero authoritative fetches of
         its own."""
-        cluster, deployment, nodes = build(coop_provider_fraction=1.0)
+        cluster, deployment, nodes = build()
         seeder = VectoredClient(deployment, cluster.add_node("seed"),
                                 name="s", shared_metadata_cache=False)
         warm = VectoredClient(deployment, nodes[0], name="warm")
@@ -357,8 +382,8 @@ class TestEndToEnd:
             + client.tiers.count("peers", "rejections")
             for client in (cold, warm))
 
-    def test_dead_peer_costs_rpcs_never_bytes(self):
-        cluster, deployment, nodes = build(coop_provider_fraction=1.0)
+    def test_dead_peer_costs_rpcs_never_bytes(self, all_providers):
+        cluster, deployment, nodes = build()
         seeder = VectoredClient(deployment, cluster.add_node("seed"),
                                 name="s", shared_metadata_cache=False)
         reader = VectoredClient(deployment, nodes[0], name="r")
@@ -409,8 +434,7 @@ class TestEndToEnd:
                      for _ in range(5)]
 
         def run_mode(cooperative):
-            cluster, deployment, nodes = build(
-                cooperative_cache=cooperative, coop_provider_fraction=0.5)
+            cluster, deployment, nodes = build(cooperative_cache=cooperative)
             seeder = VectoredClient(deployment, cluster.add_node("seed"),
                                     name="s", shared_metadata_cache=False)
             clients = [
@@ -444,7 +468,7 @@ class TestEndToEnd:
         same counters everywhere — roles and custody are replay-stable."""
 
         def one_run():
-            cluster, deployment, nodes = build(coop_provider_fraction=0.5)
+            cluster, deployment, nodes = build()
             seeder = VectoredClient(deployment, cluster.add_node("seed"),
                                     name="s", shared_metadata_cache=False)
             clients = [VectoredClient(deployment, node, name=f"r{index}")

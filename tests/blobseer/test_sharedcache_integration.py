@@ -333,3 +333,34 @@ class TestConcurrentWriters:
         assert common
         for version in common:
             assert truth[version] == truth_private[version], version
+
+
+class TestBoundedPool:
+    def test_streaming_co_tenants_keep_the_top_levels_resident(self):
+        """Co-tenants each streaming fresh leaves through a small pool:
+        the root and the two levels under it stay resident while the
+        leaf stream is evicted around them."""
+        cluster, deployment = build(shared_cache_capacity=8)
+        seeder = VectoredClient(deployment, cluster.add_node("seed"),
+                                name="s", shared_metadata_cache=False)
+        node = cluster.add_node("cn0")
+        readers = [VectoredClient(deployment, node, name=f"r{index}",
+                                  enable_metadata_cache=False)
+                   for index in range(2)]
+
+        def main():
+            yield from seeder.create_blob(BLOB, FILE_SIZE)
+            yield from seeder.vwrite_and_wait(BLOB, [(0, b"s" * 64 * CHUNK)])
+            for round_index in range(4):
+                for index, reader in enumerate(readers):
+                    offset = (2 * round_index + index) * 8 * CHUNK
+                    pieces = yield from reader.vread(
+                        BLOB, [(offset, 8 * CHUNK)], 1)
+                    assert pieces == [b"s" * 8 * CHUNK]
+
+        run(cluster, main())
+        pool = deployment.node_caches["cn0"]
+        assert pool.stats.evictions > 0
+        for level in range(3):
+            assert (BLOB, 0, FILE_SIZE >> level, 1) in pool._entries, level
+        assert_gate_invariant(deployment)

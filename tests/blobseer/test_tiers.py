@@ -14,10 +14,12 @@
 import pytest
 
 from repro.blobseer.deployment import BlobSeerDeployment
+from repro.blobseer.metadata import coopcache
 from repro.blobseer.metadata.cache import CacheStats
 from repro.blobseer.metadata.tiers import (
     MetadataTierChain,
     Tier,
+    build_chain,
     partition_problems,
     wire_problems,
 )
@@ -85,19 +87,20 @@ SHAPES = {
                   dict(enable_metadata_cache=False), ["node", "shards"]),
     "private+node": (dict(shared_metadata_cache=True), dict(),
                      ["private", "node", "shards"]),
-    "peers": (dict(shared_metadata_cache=True, cooperative_cache=True,
-                   coop_provider_fraction=1.0), dict(),
-              ["private", "node", "coalesce", "peers", "shards"]),
+    "peers": (dict(shared_metadata_cache=True, cooperative_cache=True),
+              dict(), ["private", "node", "coalesce", "peers", "shards"]),
     "peers-killed-daemon": (
-        dict(shared_metadata_cache=True, cooperative_cache=True,
-             coop_provider_fraction=1.0), dict(),
+        dict(shared_metadata_cache=True, cooperative_cache=True), dict(),
         ["private", "node", "coalesce", "peers", "shards"]),
 }
 
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))
-def test_every_configured_shape_reads_right_and_partitions(shape):
+def test_every_configured_shape_reads_right_and_partitions(shape,
+                                                           monkeypatch):
     config, client_options, expected = SHAPES[shape]
+    # every peer a read-through provider: the deepest cooperative path
+    monkeypatch.setattr(coopcache, "PROVIDER_FRACTION", 1.0)
     cluster, deployment, seeder = deploy(**config)
     nodes = [cluster.add_node(f"cn{index}") for index in range(3)]
     # two tenants per node; all start at once, so co-tenants miss together
@@ -151,6 +154,35 @@ def test_a_broken_count_is_named_by_tier():
     problems = partition_problems([client.tiers])
     assert problems and all(problem.startswith("c:") for problem in problems)
     assert any("'shards'" in problem for problem in problems)
+
+
+def test_prefetch_is_gone_not_ignored():
+    """The shards answer exactly what a walk asks for: a client or a chain
+    told to prefetch fails loudly instead of reading without it."""
+    cluster, deployment, _seeder = deploy()
+    node = cluster.add_node("cn0")
+    with pytest.raises(TypeError):
+        VectoredClient(deployment, node, name="c", metadata_prefetch=True)
+    client = VectoredClient(deployment, node, name="c")
+    with pytest.raises(TypeError):
+        build_chain(client, prefetch=True)
+
+
+def test_a_shard_answers_a_list_aligned_with_its_requests():
+    cluster, deployment, _seeder = deploy()
+    # the root and two written leaves; version 0 and the tail are unwritten
+    requests = [(0, FILE_SIZE, 1), (0, CHUNK, 1), (15 * CHUNK, CHUNK, 1),
+                (0, CHUNK, 0), (FILE_SIZE - CHUNK, CHUNK, 1)]
+    found = 0
+    for provider in deployment.metadata_providers:
+        handler = provider.get_nodes(BLOB, requests)
+        with pytest.raises(StopIteration) as stop:
+            next(handler)
+        assert stop.value.value == [
+            provider.store.get_at_or_before(BLOB, *request)
+            for request in requests]
+        found += sum(node is not None for node in stop.value.value)
+    assert found == 3
 
 
 def test_an_unknown_tier_dropped_into_the_list_just_works():

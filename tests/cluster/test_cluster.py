@@ -35,6 +35,15 @@ class TestClusterBuilding:
         with pytest.raises(TypeError):
             ClusterConfig(engine="fast")
 
+    @pytest.mark.parametrize("name,value", [("shared_cache_policy", "lru"),
+                                            ("metadata_prefetch", True),
+                                            ("coop_provider_fraction", 0.5)])
+    def test_metadata_cache_knobs_are_gone_not_ignored(self, name, value):
+        with pytest.raises(TypeError):
+            ClusterConfig(**{name: value})
+        with pytest.raises(TypeError):
+            ClusterConfig().copy(**{name: value})
+
     def test_add_nodes_names(self):
         cluster = make_cluster()
         nodes = cluster.add_nodes("client", 3)

@@ -50,7 +50,7 @@ def test_jitter_perturbs_timing_but_not_bytes():
 
 
 SCAN_COLUMNS = ("metadata_rpcs", "latest_rpcs", "private_hits", "shared_hits",
-                "fetched_lookups", "shared_evictions", "prefetched_nodes",
+                "fetched_lookups", "shared_evictions", "shared_rejections",
                 "server_read_rpcs", "client_metadata_rpcs")
 
 #: (suite entry, plan label at smoke size, the columns the protocol — not
@@ -67,9 +67,9 @@ JOB_SHAPES = [
       "exchange_bytes")),
     ("collective_read", "N4:collective-r2",
      ("metadata_rpcs", "latest_rpcs", "exchange_bytes")),
-    # the scan job twice: a prefetching point and an evicting one
-    ("sharedcache", "identical:shared-lru+prefetch", SCAN_COLUMNS),
-    ("sharedcache", "streaming@16:lru", SCAN_COLUMNS),
+    # the scan job twice: a sharing point and an evicting one
+    ("sharedcache", "identical:shared", SCAN_COLUMNS),
+    ("sharedcache", "streaming@16", SCAN_COLUMNS),
 ]
 
 

@@ -8,10 +8,13 @@ every workload, hot-spot windows actually confine).
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
+from repro.cluster import ClusterConfig
 from repro.fuzz.generator import MAX_PHASES, MAX_RANKS, generate_scenario
+from repro.fuzz.runner import execute_scenario
 from repro.fuzz.scenario import (
     INJECTOR_KINDS,
     PHASE_KINDS,
@@ -46,6 +49,20 @@ def test_from_dict_drops_the_scheduler_key_of_old_bundles():
     old_bundle = json.loads(scenario.canonical_json())
     old_bundle["cluster"]["scheduler"] = "heapq"
     assert Scenario.from_dict(old_bundle) == scenario
+
+
+@pytest.mark.parametrize("name,value", [("shared_cache_policy", "lru"),
+                                        ("metadata_prefetch", True),
+                                        ("coop_provider_fraction", 0.25)])
+def test_bundle_naming_a_removed_knob_fails_loudly(name, value):
+    """A triage bundle written while the eviction policy, metadata
+    prefetch or the coop provider fraction were knobs does not replay
+    silently without them: the scenario loads, running it raises."""
+    scenario = generate_scenario(19)
+    old_bundle = json.loads(scenario.canonical_json())
+    old_bundle["cluster"][name] = value
+    with pytest.raises(TypeError):
+        execute_scenario(Scenario.from_dict(old_bundle))
 
 
 def test_scenarios_differ_across_seeds():
@@ -126,6 +143,28 @@ def test_cluster_overrides_stay_in_vocabulary():
         assert "engine" not in cluster
         assert "scheduler" not in cluster
         assert cluster["network_model"] in ("bottleneck", "queued")
+        assert set(cluster) <= set(ClusterConfig.__dataclass_fields__)
         if cluster.get("shared_metadata_cache"):
-            assert cluster["shared_cache_policy"] in ("lru", "slru", "2q",
-                                                      "level:2")
+            assert cluster["shared_cache_capacity"] in (None, 8, 16, 32, 64)
+
+
+#: ``python -m repro.fuzz --max-runs 200 --seed-base 0``, as committed
+RECORD = (Path(__file__).resolve().parents[2] / "benchmarks" / "baselines"
+          / "fuzz_runs_seeds_0_199.ndjson")
+
+
+def test_retired_draws_are_still_consumed():
+    """The generator still consumes the draws that once picked an eviction
+    policy, a metadata-prefetch coin and a coop provider fraction, so
+    every recorded seed still maps to the scenario shape it was recorded
+    with — a dropped draw would shift every later field of the stream."""
+    lines = RECORD.read_text().splitlines()
+    assert len(lines) == 200
+    for line in lines:
+        recorded = json.loads(line)
+        scenario = generate_scenario(recorded["seed"])
+        assert (scenario.num_ranks, scenario.num_aggregators,
+                [phase.kind for phase in scenario.phases],
+                [injector.kind for injector in scenario.injectors]) \
+            == (recorded["num_ranks"], recorded["num_aggregators"],
+                recorded["phases"], recorded["injectors"]), recorded["seed"]

@@ -65,3 +65,22 @@ def test_pinned_seeds_match_the_cross_commit_record():
     for seed in PINNED:
         assert run_line(execute_scenario(generate_scenario(seed))) \
             == recorded[seed], f"seed {seed}"
+
+
+#: seeds whose recorded bytes (``read_digest``) moved when the bounded
+#: shared pool lost its eviction policies to the one level rule: a bounded
+#: pool, then an atomic_write phase of overlapping regions, where the
+#: timing picks which serial order wins — the oracle must accept it
+EVICTION_PINNED = (70, 172)
+
+
+@pytest.mark.parametrize("seed", EVICTION_PINNED)
+def test_bounded_pool_seed_stays_clean_and_recorded(seed):
+    scenario = generate_scenario(seed)
+    assert scenario.cluster.get("shared_cache_capacity") is not None
+    assert any(phase.kind == "atomic_write"
+               and phase.workload["family"] == "overlap"
+               for phase in scenario.phases)
+    result = execute_scenario(scenario)
+    assert not result.flagged, result.all_anomalies()
+    assert run_line(result) == RECORD.read_text().splitlines()[seed]
