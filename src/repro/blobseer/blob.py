@@ -23,7 +23,7 @@ def _round_up_power_of_two(value: int) -> int:
     return result
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class BlobDescriptor:
     """Static description of a BLOB.
 

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(slots=True, unsafe_hash=True, order=True)
 class ChunkKey:
     """Globally unique, client-generated identifier of one stored chunk."""
 

@@ -252,7 +252,7 @@ def build_write_metadata(blob: BlobDescriptor, version: int, base_version: int,
 # ----------------------------------------------------------------------
 # read-side planning
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ReadExtent:
     """One resolved piece of a snapshot read.
 

@@ -41,7 +41,7 @@ from repro.core.regions import RegionList
 from repro.errors import AtomicityViolation, CheckerBudgetExceeded
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class VectoredWrite:
     """A concurrent vectored write issued by one writer.
 

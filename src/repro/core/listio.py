@@ -18,12 +18,15 @@ from repro.core.regions import Region, RegionList
 from repro.errors import InvalidRegion
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class IORequest:
     """A single element of a vectored access: one byte range, one buffer.
 
     ``data`` is ``None`` for read requests (the buffer is produced by the
     backend) and a ``bytes`` payload of exactly ``size`` bytes for writes.
+    Immutable by convention; slotted rather than frozen, like
+    :class:`~repro.core.regions.Region`, because frozen construction
+    measured about 2.5x slower on the per-piece paths.
     """
 
     offset: int

@@ -908,7 +908,7 @@ class CollectiveReader(_CollectiveParticipant):
         # empty-handed and reports through the closing phase, so its peers
         # never hang mid-collective.  Non-resolver ranks ship nothing at
         # all — the exchange is sparse on their side.
-        send: Dict[int, Tuple[List[Tuple[int, bytes]], list]] = {}
+        send: Dict[int, Tuple[int, List[Tuple[int, bytes]], list]] = {}
         if failure is None:
             try:
                 blob = yield from client._descriptor(blob_id)
@@ -939,17 +939,14 @@ class CollectiveReader(_CollectiveParticipant):
 
         # phase 3: scatter the fetched pieces to the ranks that want them.
         # Never-written ranges travel as (offset, length) hole descriptors —
-        # 16 bytes each — instead of their literal zero payload
-        def item_bytes(item):
-            pieces, piece_holes = item
-            return (sum(_piece_bytes(piece) for piece in pieces)
-                    + len(piece_holes) * EXTENT_DESCRIPTION_BYTES)
-
-        self.stats.bytes_sent += sum(item_bytes(item)
+        # 16 bytes each — instead of their literal zero payload; each item
+        # was priced once by its resolver, for the stats, the cost model and
+        # the receiver
+        self.stats.bytes_sent += sum(item[0]
                                      for destination, item in send.items()
                                      if destination != rank)
         received = yield from _phase(
-            ctx, comm.alltoallv_sparse(rank, send, sizeof=item_bytes),
+            ctx, comm.alltoallv_sparse(rank, send, sizeof=_priced_bytes),
             "collective.read.scatter", rank=rank)
 
         # phase 4: share outcomes
@@ -970,8 +967,7 @@ class CollectiveReader(_CollectiveParticipant):
             raise MPIIOError("collective read failed: " + "; ".join(errors))
 
         self.stats.bytes_received += sum(
-            item_bytes(item) for source, item in received.items()
-            if source != rank)
+            item[0] for source, item in received.items() if source != rank)
         # the group pin is a published version every rank remembers:
         # recording it re-plants the one-shot hint
         client.note_collective_read(blob_id, pinned)
@@ -979,10 +975,10 @@ class CollectiveReader(_CollectiveParticipant):
         # hole descriptors materialize locally — the zeros never crossed
         # the interconnect
         fetched = [(offset, len(data), data)
-                   for pieces, _holes in received.values()
+                   for _price, pieces, _holes in received.values()
                    for offset, data in pieces]
         fetched.extend((offset, length, b"\x00" * length)
-                       for _pieces, piece_holes in received.values()
+                       for _price, _pieces, piece_holes in received.values()
                        for offset, length in piece_holes)
         results = client._assemble(vector, fetched)
         self.stats.collectives += 1
@@ -998,15 +994,16 @@ class CollectiveReader(_CollectiveParticipant):
         ReadPlanner` walk over the union of every rank's wanted bytes within
         the stripe (each metadata node resolved once however many ranks want
         it), one parallel chunk fetch, then per-rank extraction.  Returns
-        the ``send`` map for the sparse data exchange: ``(pieces, holes)``
-        for each destination that wants bytes of this stripe — ``holes`` are
-        the never-written ranges within that rank's wanted bytes, shipped as
-        ``(offset, length)`` descriptors instead of literal zero payloads
-        (zero-extent elision).  The walk warms this resolver's own cache and
+        the ``send`` map for the sparse data exchange: ``(price, pieces,
+        holes)`` for each destination that wants bytes of this stripe —
+        ``holes`` are the never-written ranges within that rank's wanted
+        bytes, shipped as ``(offset, length)`` descriptors instead of literal
+        zero payloads (zero-extent elision), and ``price`` is the item's wire
+        size, computed once here.  The walk warms this resolver's own cache and
         goes nowhere else.
         """
         start, end = domain
-        send: Dict[int, Tuple[List[Tuple[int, bytes]], list]] = {}
+        send: Dict[int, Tuple[int, List[Tuple[int, bytes]], list]] = {}
         if end <= start:
             return send
         stripe = Region(start, end - start)
@@ -1054,5 +1051,7 @@ class CollectiveReader(_CollectiveParticipant):
             if destination != rank:
                 self.stats.hole_bytes_elided += sum(length for _offset, length
                                                     in cut_holes)
-            send[destination] = (cut, cut_holes)
+            send[destination] = (
+                sum(map(_piece_bytes, cut))
+                + len(cut_holes) * EXTENT_DESCRIPTION_BYTES, cut, cut_holes)
         return send

@@ -18,7 +18,7 @@ from repro.core.regions import Region, RegionList
 from repro.errors import InvalidRegion
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class StripePiece:
     """One stripe-aligned piece of a file byte range."""
 
@@ -28,7 +28,7 @@ class StripePiece:
     file_offset: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class StripeLayout:
     """Striping parameters of one file."""
 

@@ -66,10 +66,11 @@ def charge_log(monkeypatch):
 
 
 def _item_wire_bytes(item):
-    """Reference price of one scatter item: payload pieces with a
-    16-byte header each, 16 bytes per hole descriptor — and nothing else
-    (the scatter carries no metadata plan)."""
-    pieces, piece_holes = item
+    """Reference price of one scatter item ``(price, pieces, holes)``,
+    recomputed from what it ships and ignoring the sender's ``price``:
+    payload pieces with a 16-byte header each, 16 bytes per hole
+    descriptor — and nothing else (the scatter carries no metadata plan)."""
+    _price, pieces, piece_holes = item
     return (sum(len(data) + EXTENT_DESCRIPTION_BYTES
                 for _offset, data in pieces)
             + len(piece_holes) * EXTENT_DESCRIPTION_BYTES)
@@ -90,7 +91,7 @@ def _reference_bottleneck(contributions, pricer=_item_wire_bytes):
 
 def _item_literal_bytes(item):
     """Counterfactual price with holes shipped as literal zeros."""
-    pieces, piece_holes = item
+    _price, pieces, piece_holes = item
     return (sum(len(data) + EXTENT_DESCRIPTION_BYTES
                 for _offset, data in pieces)
             + sum(length for _offset, length in piece_holes))
@@ -98,7 +99,7 @@ def _item_literal_bytes(item):
 
 def test_collective_read_bytes_moved_exact(charge_log):
     cluster, deployment = make_quick_deployment(chunk_size=CHUNK)
-    marks = {}
+    drivers, marks = {}, {}
 
     def rank_main(ctx):
         driver = VersioningDriver(deployment, ctx.node,
@@ -106,6 +107,7 @@ def test_collective_read_bytes_moved_exact(charge_log):
                                   write_coalescing=True,
                                   collective_buffering=True,
                                   collective_aggregators=1)
+        drivers[ctx.rank] = driver
         handle = yield from File.open(driver, "/acct", rank=ctx.rank,
                                       comm=ctx.comm, size_hint=FILE_SIZE)
         payload = bytes([ctx.rank + 1]) * WRITE
@@ -142,15 +144,29 @@ def test_collective_read_bytes_moved_exact(charge_log):
                for entry in describe_contribs.values())
     assert describe_bytes == NUM_RANKS * (EXTENT_DESCRIPTION_BYTES + 8)
 
-    # phase 3: the charge must equal the descriptor-priced bottleneck
+    # phase 3: every resolver priced each item as what it actually ships,
+    # and the charge must equal the descriptor-priced bottleneck
+    items = [item for send_map in scatter_contribs.values()
+             for item in send_map.values()]
+    assert items
+    assert [item[0] for item in items] == list(map(_item_wire_bytes, items))
     assert scatter_bytes == _reference_bottleneck(scatter_contribs)
+    # the per-rank stats count the same bytes: what left for another rank
+    # (plus the opening description) and what arrived from one
+    shipped = sum(_item_wire_bytes(item)
+                  for src, send_map in scatter_contribs.items()
+                  for dst, item in send_map.items() if dst != src)
+    stats = [driver.reader.stats for driver in drivers.values()]
+    assert sum(entry.bytes_sent for entry in stats) \
+        == describe_bytes + shipped
+    assert sum(entry.bytes_received for entry in stats) == shipped
 
     # the scenario genuinely exercised hole elision: each rank's block is
     # three-quarters never-written, and shipping those zeros literally
     # would have cost strictly more than the descriptor pricing did
     hole_bytes = sum(length
                      for send_map in scatter_contribs.values()
-                     for _pieces, holes in send_map.values()
+                     for _price, _pieces, holes in send_map.values()
                      for _offset, length in holes)
     assert hole_bytes >= (NUM_RANKS - 1) * (BLOCK - WRITE)
     assert scatter_bytes < _reference_bottleneck(
