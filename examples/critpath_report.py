@@ -14,8 +14,8 @@ exact float equality.  This walkthrough:
 2. extracts one ``file.write_at_all``'s critical path segment by segment;
 3. prints the aggregated per-operation layer breakdown
    (:func:`repro.obs.critpath.operation_report`) — the same report the
-   traced simcore bench row embeds and ``python -m repro.obs critpath``
-   dumps;
+   traced simcore bench row embeds and ``python -m repro.bench trace``
+   writes beside its trace as ``<out stem>.critpath.json``;
 4. shows the RPC latency digest the same run collected.
 
 Run it with::

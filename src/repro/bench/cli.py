@@ -11,7 +11,8 @@ per-experiment flags::
     python -m repro.bench run simcore --smoke  # BENCH_simcore.smoke.json
 
 ``trace`` is the observability entry point — it runs one traced
-collective I/O job and dumps a Perfetto-loadable Chrome trace::
+collective I/O job and dumps a Perfetto-loadable Chrome trace, with the
+job's critical-path report beside it (``<out stem>.critpath.json``)::
 
     python -m repro.bench trace --ranks 8 --out trace_collective.json --validate
 """

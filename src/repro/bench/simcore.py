@@ -1,12 +1,12 @@
-"""Simulator-core benchmark: engine throughput and end-to-end speedup.
+"""Simulator-core benchmark: engine throughput and end-to-end invariants.
 
 Three kinds of measurement feed ``BENCH_simcore.json``:
 
 * **collective I/O points** — the fine-grained interleaved collective
   checkpoint (every rank writes ``blocks_per_rank`` blocks of
   ``block_size`` bytes at stride ``num_ranks * block_size``, then reads its
-  slice back ``read_rounds`` times through ``read_at_all``), the workload on
-  which the seed tree spent almost all of its host time.  Each point records
+  slice back ``read_rounds`` times through ``read_at_all``), a workload
+  whose host time is almost all simulator and domain code.  Each point records
   wall-clock seconds, processed simulator events, events/sec and a SHA-256
   digest of the final file contents (the cross-``network_model``
   byte-identity witness).
@@ -16,20 +16,15 @@ Three kinds of measurement feed ``BENCH_simcore.json``:
 * **scale points** — larger rank counts under the queued network model,
   including the 4096-rank smoke point the acceptance criteria ask for.
 
-The headline speedup compares the current tree against the growth seed
-(commit ``0473493``).  The seed's event machinery and domain code are not
-kept in-tree, so the suite carries a *pinned* seed measurement with
-provenance; set ``REPRO_BENCH_SEED_SRC`` to a checkout of the seed's ``src``
-directory to re-measure it live on the current host instead.
+The derived block checks that the bottleneck and queued network models
+move the same bytes and that tracing leaves the simulation untouched.
+Wall-clock columns are recorded for ``obs diff``'s banded comparison;
+host time itself is judged by ``perfbench``.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-import os
-import subprocess
-import sys
 import time
 from typing import Dict, List, Optional, Tuple
 
@@ -40,7 +35,7 @@ from repro.mpi.datatypes import BYTE, Indexed
 from repro.mpi.launcher import run_mpi_job
 from repro.mpiio.adio.versioning import VersioningDriver
 from repro.mpiio.file import File
-from repro.obs.critpath import operation_report
+from repro.obs.critpath import dump_report, operation_report
 from repro.obs.digest import digest_columns
 from repro.obs.export import dump_chrome_trace
 from repro.obs.views import collect_all
@@ -48,27 +43,6 @@ from repro.simengine.simulator import Simulator
 from repro.vstore.client import VectoredClient
 
 PATH = "/simcore"
-
-#: Pinned measurement of the growth seed (commit 0473493) on the headline
-#: workload, taken with a git worktree of that commit on the same host,
-#: python and methodology (min of interleaved runs) as the current-tree
-#: number it was compared against (1.76 s, i.e. ~15x).  ``processed_events``
-#: differs from the current tree because the seed's bottleneck network and
-#: dense exchanges schedule a different (smaller) event population — the
-#: workload results are byte-identical.
-SEED_REFERENCE: Dict[str, object] = {
-    "commit": "0473493",
-    "workload": ("collective_io num_ranks=64 blocks_per_rank=256 "
-                 "block_size=1024 read_rounds=3 num_aggregators=16"),
-    "wall_clock_s": 27.94,
-    "processed_events": 10456,
-    "method": ("min of 2 interleaved runs, git worktree of the seed commit, "
-               "same host/python as the current-tree measurement"),
-}
-
-#: Workload shape the pinned reference was measured on.  ``speedup_vs_seed``
-#: is only reported when the suite's headline point matches this shape.
-_REFERENCE_SHAPE = (64, 256, 1024, 3, 16)
 
 
 # ----------------------------------------------------------------------
@@ -82,7 +56,6 @@ def run_collective_io_point(num_ranks: int, blocks_per_rank: int,
                             chunk_size: int = 16 * 1024,
                             seed: int = 0,
                             trace_path: Optional[str] = None,
-                            flight_path: Optional[str] = None,
                             critpath_path: Optional[str] = None,
                             ) -> Dict[str, object]:
     """Run one interleaved collective write/read point; return its row.
@@ -99,9 +72,7 @@ def run_collective_io_point(num_ranks: int, blocks_per_rank: int,
     *after* the run — pull-based, so it never perturbs the measurement)
     with every partition identity re-asserted.  ``trace_path`` dumps the
     run's Chrome trace and ``critpath_path`` its per-operation
-    critical-path layer breakdown when ``config.tracing`` is on;
-    ``flight_path`` dumps the flight-recorder ring (available whenever
-    the recorder is enabled, tracing or not).
+    critical-path layer breakdown when ``config.tracing`` is on.
     """
     stride = num_ranks * block_size
     file_size = blocks_per_rank * stride
@@ -163,8 +134,6 @@ def run_collective_io_point(num_ranks: int, blocks_per_rank: int,
     if trace_path and cluster.obs.tracing:
         dump_chrome_trace(cluster.obs.tracer, trace_path,
                           telemetry=cluster.obs.link_telemetry)
-    if flight_path and cluster.obs.flight is not None:
-        cluster.obs.flight.dump(flight_path)
 
     events = cluster.sim.processed_events
     row: Dict[str, object] = {
@@ -188,12 +157,9 @@ def run_collective_io_point(num_ranks: int, blocks_per_rank: int,
         # ``metrics``): RPC round-trip latency of the whole run
         row.update(digest_columns(registry))
     if cluster.obs.tracing:
-        report = operation_report(cluster.obs.tracer)
-        row["critpath"] = report
-        if critpath_path:
-            with open(critpath_path, "w") as handle:
-                json.dump(report, handle, indent=1, sort_keys=True)
-                handle.write("\n")
+        row["critpath"] = (dump_report(cluster.obs.tracer, critpath_path)
+                           if critpath_path
+                           else operation_report(cluster.obs.tracer))
     return row
 
 
@@ -234,70 +200,6 @@ def run_scheduler_churn(num_events: int = 200_000, num_actors: int = 64,
         "wall_clock_s": round(wall, 3),
         "events_per_sec": round(sim.processed_events / wall) if wall > 0 else 0,
     }
-
-
-# ----------------------------------------------------------------------
-# seed reference (pinned or live)
-# ----------------------------------------------------------------------
-_SEED_SCRIPT = r"""
-import json, sys, time
-from repro.cluster.cluster import Cluster
-from repro.blobseer.deployment import BlobSeerDeployment
-from repro.mpiio.file import File
-from repro.mpiio.adio.versioning import VersioningDriver
-from repro.mpi.launcher import run_mpi_job
-from repro.mpi.datatypes import BYTE, Indexed
-
-ranks, blocks, bsize, rounds, agg = (int(arg) for arg in sys.argv[1:6])
-stride = ranks * bsize
-file_size = blocks * stride
-cluster = Cluster(seed=0)
-deployment = BlobSeerDeployment(cluster, num_providers=8,
-                                num_metadata_providers=2, chunk_size=16 * 1024,
-                                node_prefix="sc")
-
-def rank_main(ctx):
-    driver = VersioningDriver(deployment, ctx.node, rank_name=f"sc{ctx.rank}",
-                              write_coalescing=True, collective_buffering=True,
-                              collective_aggregators=agg)
-    handle = yield from File.open(driver, "/simcore", rank=ctx.rank,
-                                  comm=ctx.comm, size_hint=file_size)
-    displacements = [index * stride + ctx.rank * bsize for index in range(blocks)]
-    handle.set_view(0, BYTE, Indexed([bsize] * blocks, displacements, base=BYTE))
-    payload = bytes([(ctx.rank + 1) % 251]) * (blocks * bsize)
-    yield from handle.write_at_all(0, payload)
-    yield from handle.sync()
-    for _ in range(rounds):
-        data = yield from handle.read_at_all(0, blocks * bsize)
-        assert data == payload
-    yield from handle.close()
-
-started = time.perf_counter()
-run_mpi_job(cluster, ranks, rank_main, node_prefix="sc-rank")
-print(json.dumps({"wall_clock_s": round(time.perf_counter() - started, 3),
-                  "processed_events": cluster.sim.processed_events}))
-"""
-
-
-def measure_seed_reference(settings) -> Optional[Dict[str, object]]:
-    """Re-measure the seed on this host, if ``REPRO_BENCH_SEED_SRC`` is set.
-
-    The variable must point at the ``src`` directory of a checkout of the
-    seed commit (e.g. a git worktree).  Returns the live measurement row, or
-    ``None`` when the variable is unset (callers fall back to the pinned
-    :data:`SEED_REFERENCE`).
-    """
-    seed_src = os.environ.get("REPRO_BENCH_SEED_SRC")
-    if not seed_src:
-        return None
-    env = dict(os.environ, PYTHONPATH=seed_src)
-    result = subprocess.run(
-        [sys.executable, "-c", _SEED_SCRIPT,
-         str(settings.num_ranks), str(settings.blocks_per_rank),
-         str(settings.block_size), str(settings.read_rounds),
-         str(settings.num_aggregators)],
-        env=env, capture_output=True, text=True, check=True)
-    return json.loads(result.stdout.strip().splitlines()[-1])
 
 
 # ----------------------------------------------------------------------
@@ -342,30 +244,17 @@ def simcore_plan(settings) -> List[Tuple[str, Dict[str, object]]]:
     return plan
 
 
-def simcore_headline(settings, rows: Dict[str, Dict[str, object]],
+def simcore_headline(rows: Dict[str, Dict[str, object]],
                      ) -> Dict[str, object]:
-    """The artifact's derived block: seed speedup and the tracing invariant."""
+    """The artifact's derived block: the cross-model digest check and the
+    tracing invariant."""
     headline = rows["headline"]
     traced = rows["headline-traced"]
     queued = rows["headline-queued"]
-    shape = (settings.num_ranks, settings.blocks_per_rank,
-             settings.block_size, settings.read_rounds,
-             settings.num_aggregators)
-    live = measure_seed_reference(settings)
-    seed_wall = float((live or SEED_REFERENCE)["wall_clock_s"])
-    comparable = shape == _REFERENCE_SHAPE or live is not None
-    speedup = (round(seed_wall / headline["wall_clock_s"], 2)
-               if comparable and headline["wall_clock_s"] > 0 else None)
     overhead = (round((traced["wall_clock_s"] - headline["wall_clock_s"])
                       / headline["wall_clock_s"] * 100, 1)
                 if headline["wall_clock_s"] > 0 else None)
     return {
-        "seed_reference": {
-            **SEED_REFERENCE,
-            "source": "live" if live else "pinned",
-            "wall_clock_s_used": seed_wall,
-        },
-        "speedup_vs_seed": speedup,
         "digests_identical_across_network_models":
             headline["read_digest"] == queued["read_digest"],
         # tracing must not perturb the simulation: the traced headline

@@ -368,11 +368,10 @@ SUITES: Dict[str, Suite] = {
     "simcore": Suite(
         title="simcore",
         about="""Host cost of the simulator.  headline = the interleaved
-        collective checkpoint the growth seed spent ~28 s on; -traced /
-        -queued = the same point with tracing on, under the queued network;
-        churn-heapq = the event queue alone; scale-<ranks> = queued points up
-        to the 4096-rank completion shape.  Rows pick their own network
-        model.  Headline: wall clock vs the pinned seed measurement, tracing
+        collective checkpoint; -traced / -queued = the same point with
+        tracing on, under the queued network; churn-heapq = the event queue
+        alone; scale-<ranks> = queued points up to the 4096-rank completion
+        shape.  Rows pick their own network model.  Headline: tracing
         overhead and the tracing / network-model invariants.""",
         settings=dict(num_ranks=64, blocks_per_rank=256, block_size=1024,
                       read_rounds=3, num_aggregators=16, num_providers=8,
@@ -387,8 +386,7 @@ SUITES: Dict[str, Suite] = {
         plan=simcore_plan,
         point=run_simcore_point,
         label_column="label",
-        extras=lambda settings, points, rows: simcore_headline(
-            settings, points),
+        extras=lambda settings, points, rows: simcore_headline(points),
     ),
     "paper": Suite(
         title="paper",

@@ -7,7 +7,13 @@ timeline as Chrome trace-event JSON — loadable in Perfetto
 (https://ui.perfetto.dev) or ``chrome://tracing``, one lane per rank,
 node, shard and link.
 
-The trace is driven purely by the simulation clock, so the file is
+Beside the trace it writes the run's per-operation critical-path layer
+breakdown (:func:`repro.obs.critpath.operation_report`) as
+``<out stem>.critpath.json``: for every operation, where its end-to-end
+simulated time went, split over the six layers of
+:data:`repro.obs.critpath.LAYERS`.
+
+Both files are driven purely by the simulation clock, so they are
 byte-stable across hosts and repeat runs: diffing two exports answers
 "did this change move the timeline" exactly.
 """
@@ -15,6 +21,7 @@ byte-stable across hosts and repeat runs: diffing two exports answers
 from __future__ import annotations
 
 import argparse
+import os
 from typing import Dict
 
 from repro.cluster.config import ClusterConfig
@@ -22,24 +29,28 @@ from repro.obs.export import validate_chrome_trace
 
 
 def run_trace(args: argparse.Namespace) -> Dict[str, object]:
-    """Run one traced collective I/O point and dump its Chrome trace.
+    """Run one traced collective I/O point; dump its Chrome trace and its
+    critical-path report.
 
-    Returns a small summary dict (also printed): span count, lane
-    groups, deepest causal chain and — with ``--validate`` — the schema
-    check's verdict.  Raises on validation problems so CI smoke runs
-    fail loudly.
+    Returns a small summary dict (also printed): the two output paths,
+    the run's simulated time, event count and read digest and — with
+    ``--validate`` — the trace schema check's verdict.  Raises on
+    validation problems so CI smoke runs fail loudly.
     """
     from repro.bench.simcore import run_collective_io_point
 
     out = args.out or "trace_collective.json"
+    critpath = os.path.splitext(out)[0] + ".critpath.json"
     config = ClusterConfig(network_model=args.network, tracing=True)
     row = run_collective_io_point(
         args.ranks, args.blocks, args.block_size, args.read_rounds,
         num_aggregators=args.aggregators or max(1, args.ranks // 4),
-        config=config, seed=args.seed, trace_path=out)
+        config=config, seed=args.seed, trace_path=out,
+        critpath_path=critpath)
 
     summary = {
         "out": out,
+        "critpath": critpath,
         "num_ranks": args.ranks,
         "network_model": args.network,
         "sim_elapsed_s": row["sim_elapsed_s"],

@@ -56,16 +56,14 @@ class Cluster:
                  sim: Optional[Simulator] = None, seed: int = 0):
         self.config = config or ClusterConfig()
         self.sim = sim if sim is not None else Simulator(seed=seed)
-        #: tracer + metrics registry + link telemetry + latency digests +
-        #: flight recorder (repro.obs); the tracer is the shared no-op
-        #: singleton unless ``config.tracing``
+        #: tracer + metrics registry + link telemetry + latency digests
+        #: (repro.obs); the tracer is the shared no-op singleton unless
+        #: ``config.tracing``
         self.obs = Observability(
             self.sim, tracing=self.config.tracing,
             link_telemetry=self.config.tracing
             and self.config.network_model == "queued",
-            latency_digests=self.config.latency_digests,
-            flight_recorder=self.config.flight_recorder,
-            flight_capacity=self.config.flight_capacity)
+            latency_digests=self.config.latency_digests)
         if self.config.network_model == "queued":
             self.network = QueuedNetwork(self.sim, self.config, obs=self.obs)
         elif self.config.network_model == "bottleneck":

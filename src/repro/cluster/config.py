@@ -9,7 +9,7 @@ approaches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 
@@ -113,14 +113,6 @@ class ClusterConfig:
     #: columns can ride in headline (untraced) bench rows; disabled (the
     #: default) costs one attribute test per instrumented site
     latency_digests: bool = False
-    #: keep an always-on bounded ring buffer of recent RPC/operation
-    #: events (:mod:`repro.obs.flight`) for post-hoc triage without full
-    #: tracing.  On by default: the recorder only appends to a deque and
-    #: never touches the simulation clock, events or registry, so it is
-    #: behaviour-neutral (pinned by test)
-    flight_recorder: bool = True
-    #: flight recorder ring capacity, in entries
-    flight_capacity: int = 4096
 
     def copy(self, **overrides) -> "ClusterConfig":
         """A copy of the config with selected fields replaced."""

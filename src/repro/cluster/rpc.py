@@ -52,7 +52,6 @@ class RpcTransport:
         obs = cluster.obs
         self._tracer = obs.tracer if obs.tracer.enabled else None
         self._digests = obs.digests
-        self._flight = obs.flight
 
     def call(self, caller: "Node", service: Service, method: str,
              request_bytes: int, response_bytes, *args: Any,
@@ -104,8 +103,6 @@ class RpcTransport:
             trace_parent=_trace_parent)
         if self._digests is not None:
             self._digests.rpc(method, sim.now - started)
-        if self._flight is not None:
-            self._flight.record(started, sim.now, "rpc", service.name, method)
         return result
 
 

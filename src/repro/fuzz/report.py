@@ -8,11 +8,10 @@ stderr only.
 
 A flagged run additionally gets ``<out>/flagged/seed_<seed>/`` holding the
 full scenario blueprint, the resolved cluster config, the anomaly list, a
-Chrome trace from a traced re-execution (tracing is behaviour-neutral, so
-the trace shows exactly the flagged timeline), the re-execution's
-flight-recorder ring (``flight.json``) and its critical-path layer
-breakdown (``critpath.json``) — everything triage needs to replay and
-inspect the failure.
+Chrome trace from a traced re-execution of the seed (tracing is
+behaviour-neutral, so the trace shows exactly the flagged timeline) and
+that re-execution's critical-path layer breakdown (``critpath.json``) —
+everything triage needs to replay and inspect the failure.
 """
 
 from __future__ import annotations
@@ -74,12 +73,11 @@ def dump_flagged(result: RunResult, out_dir: str) -> str:
                    "dormant": result.dormant},
                   handle, indent=2, sort_keys=True)
     # traced re-execution: tracing never changes simulated behaviour, so
-    # the trace, flight ring and critical-path breakdown show the flagged
-    # run's exact timeline
+    # the trace and critical-path breakdown show the flagged run's exact
+    # timeline
     try:
         execute_scenario(result.scenario, tracing=True,
                          trace_path=os.path.join(run_dir, "trace.json"),
-                         flight_path=os.path.join(run_dir, "flight.json"),
                          critpath_path=os.path.join(run_dir,
                                                     "critpath.json"))
     except Exception as exc:

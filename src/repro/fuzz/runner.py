@@ -83,7 +83,6 @@ def event_budget(scenario: Scenario) -> int:
 
 def execute_scenario(scenario: Scenario, *, tracing: Optional[bool] = None,
                      trace_path: Optional[str] = None,
-                     flight_path: Optional[str] = None,
                      critpath_path: Optional[str] = None,
                      max_events: Optional[int] = None) -> RunResult:
     """Run one scenario under the full checker bank.
@@ -91,9 +90,7 @@ def execute_scenario(scenario: Scenario, *, tracing: Optional[bool] = None,
     ``tracing=True`` forces span recording regardless of the sampled
     config (tracing is proven behaviour-neutral, so flagged runs can be
     re-executed with it to produce a Chrome trace at ``trace_path`` and
-    a critical-path layer report at ``critpath_path``).  ``flight_path``
-    dumps the always-on flight recorder's ring — available even on runs
-    that never traced.
+    a critical-path layer report at ``critpath_path``).
     """
     overrides = dict(QUICK_BASE)
     overrides.update(scenario.cluster)
@@ -339,10 +336,8 @@ def execute_scenario(scenario: Scenario, *, tracing: Optional[bool] = None,
     if config.tracing and trace_path is not None:
         dump_chrome_trace(cluster.obs.tracer, trace_path,
                           telemetry=cluster.obs.link_telemetry)
-    if flight_path is not None and cluster.obs.flight is not None:
-        cluster.obs.flight.dump(flight_path)
     # last: the critical-path analysis may raise on pathological traces
-    # (deadlocked ranks leave partial spans); the dumps above still land
+    # (deadlocked ranks leave partial spans); the trace above still lands
     if config.tracing and critpath_path is not None:
         dump_report(cluster.obs.tracer, critpath_path)
     return result

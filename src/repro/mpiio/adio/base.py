@@ -29,8 +29,8 @@ class ADIODriver:
     #: its operation spans in; ``None`` (the default) means no tracing —
     #: drivers whose backend traces expose their client's context instead
     trace_context = None
-    #: the cluster's :class:`~repro.obs.Observability` (digest taps, flight
-    #: recorder) the File layer taps per operation; ``None`` (the default)
+    #: the cluster's :class:`~repro.obs.Observability` (digest taps) the
+    #: File layer taps per operation; ``None`` (the default)
     #: means no cluster behind the driver — cluster-backed drivers expose
     #: their client's handle instead
     observability = None

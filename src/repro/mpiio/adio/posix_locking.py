@@ -47,7 +47,7 @@ class PosixLockingDriver(ADIODriver):
     # ------------------------------------------------------------------
     @property
     def observability(self):
-        """The cluster's observability handle (digests, flight recorder)."""
+        """The cluster's observability handle (latency digests)."""
         return self.client.cluster.obs
 
     # ------------------------------------------------------------------

@@ -102,7 +102,7 @@ class VersioningDriver(ADIODriver):
 
     @property
     def observability(self):
-        """The cluster's observability handle (digests, flight recorder)."""
+        """The cluster's observability handle (latency digests)."""
         return self.client.cluster.obs
 
     # ------------------------------------------------------------------

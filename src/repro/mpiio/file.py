@@ -204,14 +204,13 @@ class File:
         """Open the observation bracket of one file operation.
 
         Roots the mainline span (when the backend traces) and notes the
-        operation start for the latency digest and flight recorder taps.
-        Returns an opaque token for :meth:`_end_op` — ``None`` when every
-        channel is disabled, which is what the disabled path pays.
+        operation start for the latency digest tap.  Returns an opaque
+        token for :meth:`_end_op` — ``None`` when both channels are
+        disabled, which is what the default configuration pays.
         """
         ctx = self.driver.trace_context
         obs = self.driver.observability
-        if ctx is None and (obs is None or (obs.digests is None
-                                            and obs.flight is None)):
+        if ctx is None and (obs is None or obs.digests is None):
             return None
         span = None
         if ctx is not None:
@@ -221,19 +220,14 @@ class File:
         return (name, span, ctx, obs, started)
 
     def _end_op(self, token) -> None:
-        """Close the bracket: finish the span, feed the digest/flight taps."""
+        """Close the bracket: finish the span, feed the digest tap."""
         if token is None:
             return
         name, span, ctx, obs, started = token
         if span is not None:
             ctx.finish(span)
-        if obs is not None:
-            now = obs.sim.now
-            if obs.digests is not None:
-                obs.digests.op(name, now - started)
-            if obs.flight is not None:
-                obs.flight.record(started, now, "op", f"rank{self.rank}",
-                                  name)
+        if obs is not None and obs.digests is not None:
+            obs.digests.op(name, obs.sim.now - started)
 
     # ------------------------------------------------------------------
     def _ensure_open(self) -> None:

@@ -17,34 +17,28 @@ every artifact is byte-stable across runs and usable as replay evidence):
 * :mod:`repro.obs.digest` — deterministic fixed-log-bucket latency
   histograms (p50/p95/p99/max) tapped from RPC round-trips, link queue
   delays and File-layer operations.
-* :mod:`repro.obs.flight` — an always-on bounded ring buffer of recent
-  RPC/operation events, cheap enough to default on, dumped into fuzzer
-  triage bundles.
 * :mod:`repro.obs.critpath` — span-DAG critical-path extraction with
   exact per-layer time attribution.
 * :mod:`repro.obs.diff` — cross-run artifact comparison with per-metric
   tolerance bands (``python -m repro.obs diff``).
 
+A run has one record, its span trace: ``python -m repro.bench trace``
+writes it as Chrome trace JSON together with the critical-path report.
 Tracing and digests are **zero-cost when disabled**: every call site
 guards on a plain attribute (``if ctx is not None`` / ``if digests is
 not None``), and the default :class:`~repro.cluster.config.ClusterConfig`
-leaves them off.  The flight recorder defaults *on* — its per-event cost
-is one deque append, and the behaviour-neutrality test pins that runs
-with the recorder off are bit-identical.
+leaves them off.
 """
 
 from repro.obs.critpath import (LAYERS, SpanDag, critical_path,
                                 layer_breakdown, operation_report)
 from repro.obs.digest import DigestTaps, LatencyDigest, digest_columns
-from repro.obs.flight import DEFAULT_FLIGHT_CAPACITY, FlightRecorder
 from repro.obs.linktel import LinkTelemetry
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Span, TraceContext, Tracer
 
 __all__ = [
-    "DEFAULT_FLIGHT_CAPACITY",
     "DigestTaps",
-    "FlightRecorder",
     "LAYERS",
     "LatencyDigest",
     "LinkTelemetry",
@@ -63,7 +57,7 @@ __all__ = [
 
 
 class Observability:
-    """Per-cluster holder of tracer, registry, telemetry, digests, flight.
+    """Per-cluster holder of tracer, registry, telemetry and digests.
 
     Created by :class:`~repro.cluster.cluster.Cluster` from the
     observability knobs on :class:`~repro.cluster.config.ClusterConfig`;
@@ -71,16 +65,12 @@ class Observability:
     nothing until collected), while the tracer, link telemetry and digest
     taps only materialize when enabled — disabled runs hold the shared
     :data:`NULL_TRACER` / ``None``, which is what every instrumented call
-    site guards on.  The flight recorder is independent of tracing and on
-    by default; it never touches the registry, so enabling it cannot
-    perturb metrics snapshots.
+    site guards on.
     """
 
     def __init__(self, sim, tracing: bool = False,
                  link_telemetry: bool = None,
-                 latency_digests: bool = False,
-                 flight_recorder: bool = True,
-                 flight_capacity: int = DEFAULT_FLIGHT_CAPACITY):
+                 latency_digests: bool = False):
         self.sim = sim
         self.registry = MetricsRegistry(clock=lambda: sim.now)
         self.tracer = Tracer(clock=lambda: sim.now) if tracing \
@@ -88,8 +78,6 @@ class Observability:
         sample_links = tracing if link_telemetry is None else link_telemetry
         self.link_telemetry = LinkTelemetry(sim) if sample_links else None
         self.digests = DigestTaps(self.registry) if latency_digests else None
-        self.flight = FlightRecorder(flight_capacity) if flight_recorder \
-            else None
 
     @property
     def tracing(self) -> bool:

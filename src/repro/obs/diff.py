@@ -12,8 +12,8 @@ classifies every leaf value into one of three rule families:
   only regress when they worsen beyond a multiplicative band
   (``--wall-band``, default 4x — wide enough for cross-host CI,
   tight enough to catch an accidental O(n^2)).  Direction-aware:
-  ``events_per_sec``/``speedup_vs_seed`` regress downward, everything
-  else upward.  Improvements never flag, and a non-positive baseline
+  ``events_per_sec`` regresses downward, everything else upward.
+  Improvements never flag, and a non-positive baseline
   (a ``tracing_overhead_pct`` that came out negative) has no band to
   apply: a change from it is reported as a note.  So is a value beyond
   the band whose baseline *timing* ran for less than
@@ -22,7 +22,7 @@ classifies every leaf value into one of three rule families:
   baseline's rows: a 4x band around ~10 ms of smoke-suite wall clock is
   scheduler noise, not a gate (host time is ``perfbench``'s job).
 * **ignore** — provenance that legitimately differs between runs
-  (``python`` version, measurement-method strings).
+  (the ``python`` version).
 
 ``BENCH_*`` artifacts key their ``rows`` list by each row's ``label``
 before flattening, so a reordered artifact still compares row-to-row
@@ -53,20 +53,17 @@ DEFAULT_WALL_PATTERNS = (
     "*wall_clock_s*",
     "*wall_clock*",
     "*events_per_sec",
-    "*speedup_vs_seed",
     "*tracing_overhead_pct",
 )
 
 #: dotted-path patterns never compared (run provenance)
 DEFAULT_IGNORE_PATTERNS = (
     "python",
-    "*seed_reference.method",
-    "*seed_reference.source",
 )
 
 #: higher is better for these (regress downward); the rest of the wall
 #: family regresses upward
-_HIGHER_IS_BETTER = ("*events_per_sec", "*speedup_vs_seed")
+_HIGHER_IS_BETTER = ("*events_per_sec",)
 
 
 def _rows_by_label(rows: List) -> Optional[Dict[str, object]]:

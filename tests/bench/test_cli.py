@@ -1,6 +1,7 @@
 """Tests for the ``python -m repro.bench`` command-line interface."""
 
 import json
+import math
 
 import pytest
 
@@ -64,3 +65,25 @@ class TestRunSuites:
         with pytest.raises(SystemExit):
             main(["run", "nope", "--smoke", "--out", str(tmp_path)])
         assert not list(tmp_path.iterdir())
+
+
+class TestTrace:
+    @pytest.mark.parametrize("network", ["bottleneck", "queued"])
+    def test_trace_writes_the_critical_path_report_beside_it(
+            self, network, tmp_path, capsys):
+        out = tmp_path / "job.json"
+        assert main(["trace", "--ranks", "4", "--blocks", "2",
+                     "--network", network, "--out", str(out),
+                     "--validate"]) == 0
+        assert json.loads(out.read_text())["traceEvents"]
+        critpath = tmp_path / "job.critpath.json"
+        assert f"critpath: {critpath}" in capsys.readouterr().out
+        report = json.loads(critpath.read_text())
+        assert len(report["layers"]) == 6
+        operations = report["operations"]
+        assert operations["file.write_at_all"]["count"] == 4
+        for name, entry in operations.items():
+            assert set(entry["layers"]) == set(report["layers"])
+            assert math.isclose(sum(entry["layers"].values()),
+                                entry["end_to_end_s"],
+                                rel_tol=1e-9, abs_tol=1e-12), name

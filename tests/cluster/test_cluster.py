@@ -44,6 +44,20 @@ class TestClusterBuilding:
         with pytest.raises(TypeError):
             ClusterConfig().copy(**{name: value})
 
+    @pytest.mark.parametrize("suffix,value", [("recorder", False),
+                                              ("capacity", 16)])
+    def test_flight_ring_knobs_are_gone_not_ignored(self, suffix, value):
+        """A run's one record is its span trace: the ring buffer that sat
+        beside it is gone, and so are both of its knobs."""
+        name = f"flight_{suffix}"
+        with pytest.raises(TypeError):
+            ClusterConfig(**{name: value})
+        with pytest.raises(TypeError):
+            ClusterConfig().copy(**{name: value})
+
+    def test_observability_holds_no_flight_ring(self):
+        assert not hasattr(Cluster().obs, "flight")
+
     def test_add_nodes_names(self):
         cluster = make_cluster()
         nodes = cluster.add_nodes("client", 3)

@@ -97,7 +97,7 @@ class TestCollectives:
         import weakref
 
         cluster = make_cluster()
-        comms, payloads, held_mid_flight = [], [], []
+        comms, payloads, held_mid_round = [], [], []
 
         class Payload:
             """Stands in for a piece list (bytes cannot be weakly referenced)."""
@@ -112,13 +112,13 @@ class TestCollectives:
                 assert list(inbox) == [(ctx.rank - 1) % ctx.size]
                 del item, inbox
                 # early leavers see later ones still inside their generation
-                held_mid_flight.append(
+                held_mid_round.append(
                     sum(len(slots) for slots in ctx.comm._pending.values()))
                 yield ctx.sim.timeout((ctx.rank + 1) * 0.01)
             yield from ctx.comm.barrier(ctx.rank)
 
         run_mpi_job(cluster, 3, rank_main)
-        assert max(held_mid_flight) >= 1
+        assert max(held_mid_round) >= 1
         assert all(not slots for slots in comms[0]._pending.values())
         gc.collect()
         assert [ref() for ref in payloads] == [None] * 9

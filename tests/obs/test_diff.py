@@ -27,7 +27,7 @@ def artifact():
              "processed_events": 7000, "wall_clock_s": 2.0,
              "events_per_sec": 3500, "read_digest": "abc"},
         ],
-        "speedup_vs_seed": 15.0,
+        "events_per_sec": 4250,
         "tracing_invariant": True,
     }
 
@@ -90,17 +90,18 @@ def test_throughput_family_regresses_downward_only():
     faster = artifact()
     faster["rows"][0]["events_per_sec"] = 10 ** 9
     assert compare(artifact(), faster)["status"] == "ok"
+    # a value derived outside any row is gated the same way
     dropped = artifact()
-    dropped["speedup_vs_seed"] = 15.0 / (DEFAULT_WALL_BAND * 2)
+    dropped["events_per_sec"] = 4250 / (DEFAULT_WALL_BAND * 2)
     assert compare(artifact(), dropped)["status"] == "regression"
 
 
 def test_wall_family_none_transitions_are_notes_not_regressions():
     baseline = artifact()
-    baseline["speedup_vs_seed"] = None
+    baseline["events_per_sec"] = None
     report = compare(baseline, artifact())
     assert report["status"] == "ok"
-    assert any("speedup_vs_seed" in note for note in report["notes"])
+    assert any(note.startswith("events_per_sec") for note in report["notes"])
 
 
 def test_non_positive_wall_baseline_has_no_band_to_apply():
@@ -132,15 +133,15 @@ def test_sub_second_baseline_timings_are_not_gated():
     from rows that all ran below the floor."""
     baseline = artifact()
     baseline["tracing_overhead_pct"] = 5.0
-    # a pinned reference timing is not a row of this run
-    baseline["seed_reference"] = {"wall_clock_s": 27.94}
+    # a timing outside the rows is not a row of this run
+    baseline["reference"] = {"wall_clock_s": 27.94}
     for row, wall in zip(baseline["rows"], (0.012, 0.02)):
         row["wall_clock_s"] = wall
     assert max(row["wall_clock_s"] for row in baseline["rows"]) \
         < MIN_GATED_WALL_S
     current = artifact()
     current["tracing_overhead_pct"] = 90.0
-    current["seed_reference"] = {"wall_clock_s": 27.94}
+    current["reference"] = {"wall_clock_s": 27.94}
     current["rows"][0]["wall_clock_s"] = 0.9
     current["rows"][0]["events_per_sec"] = 50
     current["rows"][1]["wall_clock_s"] = 0.02
@@ -233,6 +234,18 @@ def test_compare_files_and_write_report_round_trip(tmp_path):
     assert json.loads(out.read_text()) == report
 
 
-def test_unknown_cli_command_rejected():
-    with pytest.raises(SystemExit):
-        main(["bogus"])
+@pytest.mark.parametrize("command", ["bogus", "flight", "critpath"])
+def test_unknown_cli_command_rejected(command, capsys):
+    """``diff`` is the only subcommand: a traced run and its critical-path
+    report come from ``python -m repro.bench trace``."""
+    with pytest.raises(SystemExit) as caught:
+        main([command, "--ranks", "4", "--out", "x.json"])
+    assert caught.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+def test_help_lists_only_diff(capsys):
+    with pytest.raises(SystemExit) as caught:
+        main(["--help"])
+    assert caught.value.code == 0
+    assert "{diff}" in capsys.readouterr().out

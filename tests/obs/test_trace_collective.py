@@ -206,12 +206,6 @@ def test_disabled_tracing_is_invisible_and_identical():
     assert cluster.rpc._digests is None
     assert cluster.network.digests is None
     assert cluster.rpc._tracer is None
-    # the flight recorder *is* on by default — cached on the transport,
-    # fed by real traffic, and (per the identity assertions below)
-    # observationally silent
-    assert cluster.obs.flight is not None
-    assert cluster.rpc._flight is cluster.obs.flight
-    assert cluster.obs.flight.recorded > 0
     # identical simulation outcome, byte for byte
     assert untraced["digest"] == traced["digest"]
     assert untraced["sim_elapsed"] == traced["sim_elapsed"]
@@ -224,3 +218,24 @@ def test_disabled_tracing_is_invisible_and_identical():
                         for key, value in untraced["metrics"].items()
                         if not key.startswith("net.link.")}
     assert untraced_metrics == traced_metrics
+
+
+def test_default_cluster_file_ops_take_the_untapped_path():
+    """With tracing and digests off — the default config — a file
+    operation opens no observation bracket at all."""
+    cluster = Cluster(seed=0)
+    deployment = BlobSeerDeployment(cluster, num_providers=2,
+                                    num_metadata_providers=1,
+                                    chunk_size=1024, node_prefix="df")
+    tokens = []
+
+    def rank_main(ctx):
+        driver = VersioningDriver(deployment, ctx.node, rank_name="df0")
+        handle = yield from File.open(driver, PATH, rank=ctx.rank,
+                                      comm=ctx.comm, size_hint=1024)
+        tokens.append(handle._begin_op("file.write_at", 0, 8))
+        yield from handle.write_at(0, b"untapped")
+        yield from handle.close()
+
+    run_mpi_job(cluster, 1, rank_main, node_prefix="df-rank")
+    assert tokens == [None]
