@@ -45,6 +45,7 @@ internal vectored machinery defined here.
 from __future__ import annotations
 
 from bisect import bisect_right
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.blobseer.blob import BlobDescriptor
@@ -55,7 +56,6 @@ from repro.blobseer.metadata.tiers import UNSET, build_chain
 from repro.blobseer.writepath.batch import WriteReceipt
 from repro.blobseer.writepath.engine import PipelinedCommitEngine
 from repro.core.listio import IOVector
-from repro.core.regions import Region, RegionList
 from repro.errors import VersionNotFound
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -408,12 +408,12 @@ class BlobClient:
 
     def _vectored_read(self, blob_id: str, vector: IOVector,
                        version: Optional[int] = None, *,
-                       holes: Optional[List[Region]] = None):
+                       holes: Optional[List[Tuple[int, int]]] = None):
         """Read the vector's ranges from one published snapshot.
 
         ``holes`` (optional) collects the never-written ranges the plan
-        zero-filled, so a collective resolver can ship them as compact
-        descriptors instead of literal zero bytes.
+        zero-filled, as ``(start, end)`` runs, so a collective resolver can
+        ship them as compact descriptors instead of literal zero bytes.
         """
         blob = yield from self._descriptor(blob_id)
         if version is None:
@@ -448,7 +448,7 @@ class BlobClient:
         for extent in plan.extents:
             if extent.is_zero:
                 if holes is not None:
-                    holes.append(Region(extent.offset, extent.length))
+                    holes.append((extent.offset, extent.offset + extent.length))
                 fetched.append((extent.offset, extent.length, b"\x00" * extent.length))
                 continue
             data = own_chunk(extent.chunk, extent.chunk_offset, extent.length)
@@ -509,7 +509,7 @@ class BlobClient:
         A request one extent covers whole (every block of a collective read)
         is that extent's slice.
         """
-        extents = sorted(fetched, key=lambda item: item[0])
+        extents = sorted(fetched, key=itemgetter(0))
         ends = [offset + length for offset, length, _data in extents]
         results: List[bytes] = []
         for request in vector:

@@ -13,39 +13,91 @@ module provides the two value types used everywhere:
 
 Both types are immutable by convention, so they can be hashed, shared
 between simulated processes, and used as dictionary keys without defensive
-copies.  :class:`Region` is a slotted dataclass rather than a frozen one: a
-collective checkpoint builds ~100k of them per run, and frozen construction
-(every field stored through ``object.__setattr__``) measured about 2.5x
-slower.  Nothing assigns to a region's fields after construction.
+copies.  :class:`Region` is a slotted dataclass rather than a frozen one:
+the per-piece paths build tens of thousands of them per run, and frozen
+construction (every field stored through ``object.__setattr__``) measured
+about 2.5x slower.  Nothing assigns to a region's fields after construction.
+
+Where one object per block is too many — the collective exchange handles
+one 1 KiB block per rank per stripe — the same algebra runs on canonical
+*runs*, sorted disjoint non-adjacent ``(start, end)`` integer pairs
+(:func:`canonical_runs`, :func:`clip_runs`, :func:`coalesce_runs`).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import InvalidRegion
 
 
-def _coalesce(pairs: List[Tuple[int, int]]) -> List["Region"]:
-    """Coalesce non-empty ``(start, end)`` pairs into canonical Regions.
+#: marker in :attr:`RegionList._normalized` for a list that is its own
+#: canonical form (a self-reference would make every canonical list a
+#: reference cycle only the cyclic GC frees)
+_CANONICAL = object()
+
+
+def coalesce_runs(pairs: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
+    """Coalesce non-empty ``(start, end)`` pairs into canonical runs.
 
     The pairs are sorted in place; overlapping *and* adjacent intervals
     merge, matching the linear-merge semantics of :meth:`RegionList.union`.
+    The result is sorted, disjoint and non-adjacent — the plain-integer form
+    of a normalized :class:`RegionList`, which the collective paths carry
+    instead of one :class:`Region` per block.
     """
     if not pairs:
         return []
     pairs.sort()
-    merged: List[Region] = []
+    merged: List[Tuple[int, int]] = []
     run_start, run_end = pairs[0]
     for start, end in pairs:
         if start > run_end:
-            merged.append(Region(run_start, run_end - run_start))
+            merged.append((run_start, run_end))
             run_start, run_end = start, end
         elif end > run_end:
             run_end = end
-    merged.append(Region(run_start, run_end - run_start))
+    merged.append((run_start, run_end))
     return merged
+
+
+def canonical_runs(extents: Iterable[Tuple[int, int]]) -> List[Tuple[int, int]]:
+    """The canonical ``(start, end)`` runs of ``(offset, size)`` extents
+    given in any order (empty extents dropped)."""
+    return coalesce_runs([(offset, offset + size)
+                          for offset, size in extents if size])
+
+
+def clip_runs(runs: Sequence[Tuple[int, int]], start: int,
+              end: int) -> List[Tuple[int, int]]:
+    """Canonical ``runs`` clipped to ``[start, end)``, still canonical.
+
+    A bisect finds the first run that can reach past ``start``; runs fully
+    inside the bounds are reused, only the (at most two) boundary runs are
+    clamped.
+    """
+    if end <= start:
+        return []
+    index = bisect_left(runs, (start,))
+    if index and runs[index - 1][1] > start:
+        index -= 1
+    clipped: List[Tuple[int, int]] = []
+    for run in islice(runs, index, None):
+        run_start, run_end = run
+        if run_start >= end:
+            break
+        if run_start < start or run_end > end:
+            run = (max(run_start, start), min(run_end, end))
+        clipped.append(run)
+    return clipped
+
+
+def _coalesce(pairs: List[Tuple[int, int]]) -> List["Region"]:
+    """:func:`coalesce_runs` as canonical Regions."""
+    return [Region(start, end - start) for start, end in coalesce_runs(pairs)]
 
 
 @dataclass(slots=True, unsafe_hash=True, order=True)
@@ -151,11 +203,10 @@ class RegionList:
 
     :meth:`normalized` is memoized on the instance (the type is immutable, so
     the canonical form can never change), and the algebraic operations below
-    produce their results directly in canonical form via single-pass merges —
-    a collective read clips and unions every rank's list per stripe, so both
-    properties matter there.  :meth:`normalized` and :meth:`union_all` share
-    one plain-Python kernel whatever the list size: sort the ``(start, end)``
-    pairs, then sweep them into canonical regions.
+    produce their results directly in canonical form via single-pass merges.
+    :meth:`normalized` and :meth:`union_all` share one plain-Python kernel
+    whatever the list size, :func:`coalesce_runs`: sort the ``(start, end)``
+    pairs, then sweep them into canonical runs.
     """
 
     __slots__ = ("_regions", "_normalized")
@@ -169,14 +220,16 @@ class RegionList:
                 offset, size = region
                 converted.append(Region(int(offset), int(size)))
         self._regions: Tuple[Region, ...] = tuple(converted)
-        self._normalized: Optional["RegionList"] = None
+        #: the canonical form once known: another list, or
+        #: :data:`_CANONICAL` when this list is canonical itself
+        self._normalized: Optional[object] = None
 
     @classmethod
     def _from_normalized(cls, regions: Sequence[Region]) -> "RegionList":
         """Wrap regions already known to be in canonical form (no re-check)."""
         instance = cls.__new__(cls)
         instance._regions = tuple(regions)
-        instance._normalized = instance
+        instance._normalized = _CANONICAL
         return instance
 
     # ------------------------------------------------------------------
@@ -252,10 +305,13 @@ class RegionList:
     # ------------------------------------------------------------------
     def normalized(self) -> "RegionList":
         """Canonical form: sorted, coalesced, empties removed (memoized)."""
-        if self._normalized is not None:
-            return self._normalized
+        normalized = self._normalized
+        if normalized is _CANONICAL:
+            return self
+        if normalized is not None:
+            return normalized
         if self.is_normalized():
-            self._normalized = self
+            self._normalized = _CANONICAL
             return self
         result = RegionList._from_normalized(
             _coalesce([(r.offset, r.end) for r in self._regions if r.size]))
@@ -387,7 +443,7 @@ class RegionList:
     def clip(self, bounds: Region) -> "RegionList":
         """Regions clipped to ``bounds`` (pieces outside are dropped)."""
         regions = self._regions
-        if self._normalized is self:
+        if self._normalized is _CANONICAL:
             # canonical fast path: the regions are sorted and disjoint, so
             # only a bisected window can overlap the bounds; regions fully
             # inside are reused untouched and only the (at most two)

@@ -112,12 +112,13 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
+from operator import itemgetter
 from typing import Dict, List, NamedTuple, Optional, Tuple, TYPE_CHECKING
 
 from repro.blobseer.metadata.segment_tree import stripe_unit_sizes
 from repro.blobseer.writepath.batch import AheadWrite
 from repro.core.listio import IOVector
-from repro.core.regions import Region, RegionList
+from repro.core.regions import canonical_runs, clip_runs, coalesce_runs
 from repro.errors import MPIIOError
 from repro.mpi.simcomm import Communicator
 
@@ -266,9 +267,9 @@ class CollectiveStats:
         return asdict(self)
 
 
-def _piece_bytes(piece: Tuple) -> int:
-    """Wire size of one exchanged piece (its last field, the payload, plus
-    a small header).
+def _pieces_bytes(pieces: List[Tuple]) -> int:
+    """Wire size of a list of exchanged pieces: each piece's last field,
+    the payload, plus a small header.
 
     The header is one ``(offset, size)`` descriptor — the same
     :data:`EXTENT_DESCRIPTION_BYTES` a standalone extent description
@@ -277,12 +278,54 @@ def _piece_bytes(piece: Tuple) -> int:
     their materialized size (pinned by the exact-accounting regression
     test over ``Communicator.bytes_moved``).
     """
-    return len(piece[-1]) + EXTENT_DESCRIPTION_BYTES
+    return (sum([len(piece[-1]) for piece in pieces])
+            + EXTENT_DESCRIPTION_BYTES * len(pieces))
 
 
 def _priced_bytes(item: Tuple) -> int:
     """Wire size of one data-exchange item: its sender priced it already."""
     return item[0]
+
+
+def join_pieces(pairs: List[Tuple[int, bytes]]) -> List[Tuple[int, bytes]]:
+    """``(offset, data)`` pieces, in application order, as one ``(offset,
+    bytes)`` buffer per maximal contiguous run of written bytes.
+
+    The same runs :meth:`IOVector.coalesced <repro.core.listio.IOVector.
+    coalesced>` builds — overlapping and adjacent pieces merge, empty ones
+    vanish, gaps stay gaps, later pieces win on overlapping bytes — without
+    a request object per piece: the pieces are sorted by offset and each run
+    is one ``b"".join`` of them.  Only a run in which two pieces overlap is
+    painted piece by piece, in application order, onto a scratch buffer.
+    """
+    ordered = sorted((offset, index, data)
+                     for index, (offset, data) in enumerate(pairs) if data)
+    runs: List[Tuple[int, bytes]] = []
+    first, total = 0, len(ordered)
+    while first < total:
+        start, _index, data = ordered[first]
+        end = start + len(data)
+        overlapping = False
+        stop = first + 1
+        while stop < total:
+            offset, _index, data = ordered[stop]
+            if offset > end:
+                break
+            if offset < end:
+                overlapping = True
+            end = max(end, offset + len(data))
+            stop += 1
+        if not overlapping:
+            runs.append((start, b"".join(
+                [piece[2] for piece in ordered[first:stop]])))
+        else:
+            buffer = bytearray(end - start)
+            for offset, _index, data in sorted(ordered[first:stop],
+                                               key=itemgetter(1)):
+                buffer[offset - start:offset - start + len(data)] = data
+            runs.append((start, bytes(buffer)))
+        first = stop
+    return runs
 
 
 def _description_bytes(contributions: Dict[int, Tuple],
@@ -613,7 +656,7 @@ class CollectiveAggregator(_CollectiveParticipant):
             # each send list is priced once, here, for the stats, the cost
             # model and the receiver; pieces addressed to this rank itself
             # are a local copy, not traffic
-            send = {destination: (sum(map(_piece_bytes, pieces)), pieces)
+            send = {destination: (_pieces_bytes(pieces), pieces)
                     for destination, pieces in sends[index].items()}
             sends[index] = None
             self.stats.bytes_sent += sum(
@@ -729,15 +772,15 @@ class CollectiveAggregator(_CollectiveParticipant):
         """One sub-stripe's received pieces as contiguous runs.
 
         The pieces are applied in (source rank, sequence) order — each
-        source's list already ascends — onto one buffer per maximal
-        contiguous run of written bytes
-        (:meth:`~repro.core.listio.IOVector.coalesced`: later requests win on
-        overlapping bytes, so the result equals applying the ranks' accesses
-        serially in rank order — the resolution the conformance suite pins;
-        rounds partition the file, so no overlap crosses one; holes stay
-        holes, nothing is zero-filled).  Those runs, not the pieces, are
-        what gets stored: every layer below sees one chunk per stripe unit
-        however small the ranks' blocks were.  ``None`` if nothing arrived.
+        source's list already ascends — as one buffer per maximal
+        contiguous run of written bytes (:func:`join_pieces`: later pieces
+        win on overlapping bytes, so the result equals applying the ranks'
+        accesses serially in rank order — the resolution the conformance
+        suite pins; rounds partition the file, so no overlap crosses one;
+        holes stay holes, nothing is zero-filled).  Those runs, not the
+        pieces, are what gets stored: every layer below sees one chunk per
+        stripe unit however small the ranks' blocks were.  ``None`` if
+        nothing arrived.
         """
         pairs = [(offset, data)
                  for source in sorted(received)
@@ -747,7 +790,7 @@ class CollectiveAggregator(_CollectiveParticipant):
         self.stats.bytes_received += sum(
             nbytes for source, (nbytes, _pieces) in received.items()
             if source != self_rank)
-        runs = IOVector.for_write(pairs).coalesced()
+        runs = IOVector.for_write(join_pieces(pairs))
         # the run buffers replace the pieces: release this rank's receive
         # buffers now rather than when the collective returns
         for _nbytes, pieces in received.values():
@@ -917,15 +960,12 @@ class CollectiveReader(_CollectiveParticipant):
                     lambda: partition_file_domain(lo, hi, len(owners),
                                                   blob.chunk_size))
                 if rank in owners:
-                    # the normalized per-rank wanted lists are identical for
-                    # every resolver — derive them once per collective, then
-                    # each resolver clips them to its own stripe
+                    # the per-rank wanted runs are identical for every
+                    # resolver — derive them once per collective, then each
+                    # resolver clips them to its own stripe
                     wanted_full = _shared_memo(
                         gathered, "read_wanted",
-                        lambda: [RegionList.from_tuples(
-                                     [(offset, length)
-                                      for offset, length in extents if length]
-                                 ).normalized()
+                        lambda: [canonical_runs(extents)
                                  for extents in extents_by_rank])
                     send = yield from _phase(
                         ctx, self._resolve_stripe(
@@ -972,86 +1012,110 @@ class CollectiveReader(_CollectiveParticipant):
         # recording it re-plants the one-shot hint
         client.note_collective_read(blob_id, pinned)
 
-        # hole descriptors materialize locally — the zeros never crossed
-        # the interconnect
-        fetched = [(offset, len(data), data)
-                   for _price, pieces, _holes in received.values()
-                   for offset, data in pieces]
-        fetched.extend((offset, length, b"\x00" * length)
-                       for _price, _pieces, piece_holes in received.values()
-                       for offset, length in piece_holes)
-        results = client._assemble(vector, fetched)
+        results = self._scatter(vector, received)
         self.stats.collectives += 1
         return results
+
+    def _scatter(self, vector: IOVector,
+                 received: Dict[int, Tuple[int, list, list]]) -> List[bytes]:
+        """One ``bytes`` per request of ``vector`` out of the received
+        pieces and hole descriptors.
+
+        The resolvers cut the pieces on this rank's canonical runs, so a
+        request that is a run of its own (inside one stripe, no holes — every
+        block of an interleaved access) arrives as exactly one piece starting
+        at its offset, and is that piece.  Any other shape goes through the
+        client's general scatter, the hole descriptors materialized locally —
+        the zeros never crossed the interconnect.
+        """
+        by_offset = {offset: data
+                     for _price, pieces, _holes in received.values()
+                     for offset, data in pieces}
+        results: List[bytes] = []
+        for request in vector:
+            data = by_offset.get(request.offset)
+            if data is None or len(data) != request.size:
+                break
+            results.append(data)
+        else:
+            return results
+        fetched = [(offset, len(data), data)
+                   for offset, data in by_offset.items()]
+        fetched.extend((offset, length, b"\x00" * length)
+                       for _price, _pieces, holes in received.values()
+                       for offset, length in holes)
+        return self.client._assemble(vector, fetched)
 
     # ------------------------------------------------------------------
     def _resolve_stripe(self, blob_id: str, version: int,
                         domain: Tuple[int, int],
-                        wanted_full: List[RegionList], rank: int):
+                        wanted_full: List[List[Tuple[int, int]]], rank: int):
         """Resolve and fetch one stripe; cut the bytes per destination rank.
 
         One batched :class:`~repro.blobseer.metadata.segment_tree.
         ReadPlanner` walk over the union of every rank's wanted bytes within
         the stripe (each metadata node resolved once however many ranks want
-        it), one parallel chunk fetch, then per-rank extraction.  Returns
-        the ``send`` map for the sparse data exchange: ``(price, pieces,
-        holes)`` for each destination that wants bytes of this stripe —
-        ``holes`` are the never-written ranges within that rank's wanted
-        bytes, shipped as ``(offset, length)`` descriptors instead of literal
-        zero payloads (zero-extent elision), and ``price`` is the item's wire
-        size, computed once here.  The walk warms this resolver's own cache and
-        goes nowhere else.
+        it), one parallel chunk fetch, then per-rank extraction — all of it
+        on canonical ``(start, end)`` runs.  Returns the ``send`` map for the
+        sparse data exchange: ``(price, pieces, holes)`` for each destination
+        that wants bytes of this stripe — ``holes`` are the never-written
+        ranges within that rank's wanted bytes, shipped as ``(offset,
+        length)`` descriptors instead of literal zero payloads (zero-extent
+        elision), and ``price`` is the item's wire size, computed once here.
+        The walk warms this resolver's own cache and goes nowhere else.
         """
         start, end = domain
         send: Dict[int, Tuple[int, List[Tuple[int, bytes]], list]] = {}
-        if end <= start:
-            return send
-        stripe = Region(start, end - start)
-        wanted_by_rank = [full.clip(stripe) for full in wanted_full]
-        union = RegionList.union_all(wanted_by_rank)
-        if len(union) == 0:
+        wanted_by_rank = [clip_runs(full, start, end) for full in wanted_full]
+        union = coalesce_runs([run for wanted in wanted_by_rank
+                               for run in wanted])
+        if not union:
             return send
 
-        zero_extents: List[Region] = []
+        zero_extents: List[Tuple[int, int]] = []
         pieces = yield from self.client._vectored_read(
-            blob_id, IOVector.for_read(union.as_tuples()), version,
-            holes=zero_extents)
+            blob_id, IOVector.for_read([(run_start, run_end - run_start)
+                                        for run_start, run_end in union]),
+            version, holes=zero_extents)
         self.stats.stripes_resolved += 1
-        hole_list = RegionList(zero_extents).normalized()
-        have_holes = len(hole_list) > 0
+        holes = coalesce_runs(zero_extents)
 
-        buffers = list(zip(union, pieces))
         for destination, wanted in enumerate(wanted_by_rank):
-            if len(wanted) == 0:
+            if not wanted:
                 continue
             cut: List[Tuple[int, bytes]] = []
             cut_holes: List[Tuple[int, int]] = []
             index = 0
-            for region in wanted:
-                # a wanted region is contained in exactly one union region
-                # (the union covers it and both lists are normalized), and
-                # both lists are sorted — one monotonic sweep finds it
-                while buffers[index][0].end < region.end:
+            for run_start, run_end in wanted:
+                # a wanted run is contained in exactly one union run (the
+                # union covers it and both lists are canonical), and both
+                # lists are sorted — one monotonic sweep finds it
+                while union[index][1] < run_end:
                     index += 1
-                source, data = buffers[index]
-                if not have_holes:
-                    # common case (fully written range): the whole region
+                base = union[index][0]
+                data = pieces[index]
+                if not holes:
+                    # common case (fully written range): the whole run
                     # cuts straight out of its union buffer
-                    offset = region.offset - source.offset
-                    cut.append((region.offset,
-                                data[offset:offset + region.size]))
+                    cut.append((run_start, data[run_start - base:
+                                                run_end - base]))
                     continue
-                holes_here = hole_list.clip(region)
-                for hole in holes_here:
-                    cut_holes.append((hole.offset, hole.size))
-                for part in RegionList((region,)).subtract(holes_here):
-                    offset = part.offset - source.offset
-                    cut.append((part.offset,
-                                data[offset:offset + part.size]))
+                # holes within the run travel as descriptors, the written
+                # parts between them as payload
+                cursor = run_start
+                for hole_start, hole_end in clip_runs(holes, run_start,
+                                                      run_end):
+                    if hole_start > cursor:
+                        cut.append((cursor, data[cursor - base:
+                                                 hole_start - base]))
+                    cut_holes.append((hole_start, hole_end - hole_start))
+                    cursor = hole_end
+                if cursor < run_end:
+                    cut.append((cursor, data[cursor - base:run_end - base]))
             if destination != rank:
                 self.stats.hole_bytes_elided += sum(length for _offset, length
                                                     in cut_holes)
             send[destination] = (
-                sum(map(_piece_bytes, cut))
+                _pieces_bytes(cut)
                 + len(cut_holes) * EXTENT_DESCRIPTION_BYTES, cut, cut_holes)
         return send

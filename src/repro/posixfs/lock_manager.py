@@ -69,6 +69,7 @@ class LockRequest:
     #: service wrapper; used by the benchmark harness to report wait times)
     requested_at: float = 0.0
     granted_at: float = 0.0
+    #: called once, at grant time, then dropped
     on_grant: Optional[Callable[["LockRequest"], None]] = field(default=None,
                                                                 repr=False)
     #: hull of ``extents`` and ``mode`` as plain values, read by the
@@ -179,8 +180,13 @@ class LockManager:
         request.granted = True
         self._granted.setdefault(request.file_id, {})[request.token] = request
         self.locks_granted += 1
-        if request.on_grant is not None:
-            request.on_grant(request)
+        on_grant = request.on_grant
+        if on_grant is not None:
+            # a grant fires once; dropping the callback also breaks the
+            # cycle request -> callback -> grant event -> request that a
+            # waiting service would otherwise leave for the cyclic GC
+            request.on_grant = None
+            on_grant(request)
 
     def _regrant(self, file_id: str, start: int, end: int) -> None:
         """After a lock with hull ``[start, end)`` was released: grant, in
