@@ -36,8 +36,8 @@ recomputed per measured point:
   ``benchmarks/README.md`` has the account.
 
 All three read the ``paper`` entry of ``repro.bench.suites.SUITES``, run once
-per session: 1-64 clients at full size (regenerating ``BENCH_paper.json``),
-1-8 under ``REPRO_BENCH_SMOKE=1``.
+per session: 1-64 clients at full size (regenerating ``BENCH_paper.json``);
+``python -m repro.bench run paper --smoke`` runs 1-8.
 """
 
 import json
@@ -158,7 +158,4 @@ def test_rows_are_the_committed_ones_at_either_size(suite, committed):
                 for row in committed["rows"]}
     for row in suite.artifact["rows"]:
         expected = recorded[row["experiment"], row["clients"]]
-        assert {column: value for column, value in row.items()
-                if column != "wall_clock_s"} \
-            == {column: value for column, value in expected.items()
-                if column != "wall_clock_s"}
+        assert row == expected

@@ -111,7 +111,6 @@ def test_artifact_written_with_populated_columns(suite):
     for row in artifact["rows"]:
         assert row["logical_reads"] > 0
         assert row["server_read_rpcs"] > 0
-        assert row["wall_clock_s"] > 0
         assert "server_rpcs_per_read" in row and "peer_hit_rate" in row
     reductions = artifact["server_rpc_reduction_vs_shared"]
     assert reductions

@@ -1,10 +1,9 @@
 """PERF — simulator-core benchmark (both network models).
 
 Runs the fine-grained interleaved collective checkpoint under the
-bottleneck and the queued network model, plus a pure scheduler-churn
-microbenchmark and queued-model scale points up to the 4096-rank smoke
-shape.  Results — wall-clock seconds, processed events, events/sec,
-cross-model read digests, the tracing invariant and its overhead — land in
+bottleneck and the queued network model, plus queued-model scale points up
+to the 4096-rank smoke shape.  Results — simulated seconds, processed
+events, cross-model read digests and the tracing invariant — land in
 ``BENCH_simcore.json`` at the repository root.  The tests assert the
 simulated invariants; host time is ``perfbench``'s to judge.
 
@@ -36,8 +35,6 @@ def test_smoke_point_completes(suite):
     assert largest["num_ranks"] == suite.settings.smoke_point[0]
     assert largest["network_model"] == "queued"
     assert largest["processed_events"] > largest["num_ranks"]
-    assert largest["wall_clock_s"] > 0
-    assert largest["events_per_sec"] > 0
 
 
 def test_network_models_move_identical_bytes(suite):
@@ -50,19 +47,15 @@ def test_network_models_move_identical_bytes(suite):
     assert suite.points["headline-queued"]["sim_elapsed_s"] > 0
 
 
-def test_tracing_perturbs_nothing_and_overhead_recorded(suite):
+def test_tracing_perturbs_nothing(suite):
     """The traced headline replays the identical simulation — same bytes,
-    same timeline, same event count, same metrics snapshot — and its
-    wall-clock overhead lands in the artifact."""
+    same timeline, same event count, same metrics snapshot.  Its host-time
+    overhead is ``perfbench``'s ``obs.tracing_overhead_pct``."""
     assert suite.artifact["tracing_invariant"], (
         "tracing changed the simulation outcome (digest, timeline, event "
         "count or metrics differ between headline and headline-traced)")
     assert suite.points["headline"]["tracing"] is False
     assert suite.points["headline-traced"]["tracing"] is True
-    assert suite.artifact["tracing_overhead_pct"] is not None
-    artifact = json.loads(suite.path.read_text())
-    assert artifact["tracing_overhead_pct"] \
-        == suite.artifact["tracing_overhead_pct"]
 
 
 def test_metrics_snapshot_embedded_in_rows(suite):
@@ -121,8 +114,6 @@ def test_artifact_written_with_populated_columns(suite):
     artifact = json.loads(suite.path.read_text())
     assert artifact["suite"] == "simcore"
     labels = {row["label"] for row in artifact["rows"]}
-    assert {"headline", "headline-queued", "churn-heapq"} <= labels
+    assert {"headline", "headline-queued"} <= labels
     for row in artifact["rows"]:
-        assert row["wall_clock_s"] >= 0
         assert row["processed_events"] > 0
-        assert row["events_per_sec"] >= 0

@@ -10,16 +10,8 @@ full-size artifact copied onto the smoke path, say).
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 from typing import Dict
-
-
-def smoke_requested() -> bool:
-    """Whether ``REPRO_BENCH_SMOKE`` asks for the scaled-down suites (what CI
-    runs on every push); ``python -m repro.bench run --smoke`` is the same
-    switch on the command line."""
-    return os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 
 
 def artifact_target(path: Path, smoke: bool) -> Path:

@@ -44,8 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
                              f"'all' (choose from {', '.join(SUITES)})")
     parser.add_argument("--smoke", action="store_true",
                         help="with 'run': the scaled-down suites, written "
-                             "to BENCH_<suite>.smoke.json (also: "
-                             "REPRO_BENCH_SMOKE=1)")
+                             "to BENCH_<suite>.smoke.json")
     add_trace_arguments(parser)
     return parser
 
@@ -62,15 +61,14 @@ def run_suites(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Non
     if unknown:
         parser.error(f"unknown suite(s) {unknown}; choose from {list(SUITES)}")
     for name in names:
-        run = run_suite(name, smoke=args.smoke or None,
-                        out_dir=args.out or ".")
+        run = run_suite(name, smoke=args.smoke, out_dir=args.out or ".")
         print(f"{run.path} — {SUITES[name].title}")
         # one table per run of rows that share their scalar columns
         for columns, rows in groupby(run.artifact["rows"],
                                      key=_scalar_columns):
             print(format_table(list(rows), columns=columns))
         for key, value in run.artifact.items():
-            if key not in ("suite", "smoke", "python", "settings", "rows"):
+            if key not in ("suite", "smoke", "settings", "rows"):
                 print(f"{key}: {json.dumps(value)}")
         print()
 

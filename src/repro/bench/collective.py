@@ -36,7 +36,6 @@ assert from each point's ``read_digest``.
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List, Optional, Tuple
 
 from repro.bench.harness import deploy, seed_blob
@@ -129,7 +128,6 @@ def run_collective_point(settings, config, *, num_ranks: int,
                          num_aggregators: Optional[int]):
     """Run the checkpoint workload once (``None`` aggregators = baseline);
     returns the artifact row and the file contents read back."""
-    wall_started = time.perf_counter()
     # latency digests ride in every point so the artifact carries RPC
     # percentile columns alongside the counter columns
     cluster, deployment = deploy(settings, config.copy(latency_digests=True),
@@ -186,7 +184,6 @@ def run_collective_point(settings, config, *, num_ranks: int,
         "latest_rpcs_elided": sum(client.latest_rpcs_elided
                                   for client in clients),
         "sim_write_s": elapsed,
-        "wall_clock_s": time.perf_counter() - wall_started,
         "network_model": config.network_model,
         **digest_columns(cluster.obs.registry),
     }
@@ -197,7 +194,6 @@ def run_collective_read_point(settings, config, *, num_ranks: int,
                               num_resolvers: Optional[int]):
     """Run the scan workload once (``None`` resolvers = baseline); returns
     the artifact row, the scans' bytes and the per-rank counters."""
-    wall_started = time.perf_counter()
     cluster, deployment = deploy(settings, config.copy(latency_digests=True),
                                  "cr")
     workload = scan_workload(settings, num_ranks)
@@ -259,7 +255,6 @@ def run_collective_read_point(settings, config, *, num_ranks: int,
         "post_latest_rpcs": sum(client.latest_rpcs
                                 for client in clients) - latest_rpcs,
         "sim_read_s": elapsed,
-        "wall_clock_s": time.perf_counter() - wall_started,
         "network_model": config.network_model,
         **digest_columns(cluster.obs.registry),
     }

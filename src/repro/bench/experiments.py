@@ -17,9 +17,8 @@ higher aggregated throughput.  ``benchmarks/test_paper.py`` and
 
 from __future__ import annotations
 
-import time
 from functools import partial
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro.bench.environment import build_environment
 from repro.bench.harness import RunResult, run_atomic_write_job
@@ -35,28 +34,23 @@ PAPER_BAND = (3.5, 10)
 #: what each experiment's row reports of one overlapped-write measurement
 _EXP1_COLUMNS = ("experiment", "backend", "clients", "regions_per_client",
                  "region_kib", "overlap", "total_mib", "elapsed_s",
-                 "throughput_mib_s", "lock_wait_s", "wall_clock_s")
+                 "throughput_mib_s", "lock_wait_s")
 OVERLAP_COLUMNS = {
     "EXP1": _EXP1_COLUMNS + ("disk_ios_per_write", "disk_overhead_share"),
     "EXP1b": _EXP1_COLUMNS,
     "ABL1": ("experiment", "providers", "clients", "allocation",
-             "throughput_mib_s", "load_imbalance", "wall_clock_s"),
+             "throughput_mib_s", "load_imbalance"),
     "ABL2": ("experiment", "backend", "clients", "overlap",
-             "throughput_mib_s", "lock_wait_s", "wall_clock_s"),
+             "throughput_mib_s", "lock_wait_s"),
     "ABL3": ("experiment", "clients", "regions_per_client", "publish_cost_ms",
-             "metadata_nodes", "throughput_mib_s", "wall_clock_s"),
+             "metadata_nodes", "throughput_mib_s"),
 }
 
 
 def _run_point(settings, config: ClusterConfig, backend: str, num_clients: int,
                pairs_for_rank, file_size: int, num_storage_nodes: int,
-               **deployment) -> Tuple[RunResult, float]:
-    """Build a fresh environment and run one atomic-mode write job on it.
-
-    Returns the run result plus the host wall-clock seconds the point cost
-    — the simulator-cost axis every row records.
-    """
-    started = time.perf_counter()
+               **deployment) -> RunResult:
+    """Build a fresh environment and run one atomic-mode write job on it."""
     environment = build_environment(
         backend,
         num_storage_nodes=num_storage_nodes,
@@ -65,9 +59,8 @@ def _run_point(settings, config: ClusterConfig, backend: str, num_clients: int,
         config=config,
         **deployment,
     )
-    result = run_atomic_write_job(environment, num_clients, pairs_for_rank,
-                                  file_size=file_size, atomic=True)
-    return result, time.perf_counter() - started
+    return run_atomic_write_job(environment, num_clients, pairs_for_rank,
+                                file_size=file_size, atomic=True)
 
 
 def _disk_ios_per_write(result: RunResult) -> float:
@@ -110,10 +103,10 @@ def run_overlap_point(settings, config: ClusterConfig, *, experiment: str,
         region_size=setting(region_size, "region_size"),
         overlap_fraction=overlap,
     )
-    result, wall = _run_point(settings, config, backend, clients,
-                              workload.client_pairs, workload.file_size,
-                              providers, allocation=allocation,
-                              publish_cost=publish_cost)
+    result = _run_point(settings, config, backend, clients,
+                        workload.client_pairs, workload.file_size,
+                        providers, allocation=allocation,
+                        publish_cost=publish_cost)
     stats = result.storage_stats
     measured = {
         "experiment": experiment,
@@ -133,7 +126,6 @@ def run_overlap_point(settings, config: ClusterConfig, *, experiment: str,
         "disk_overhead_share": _disk_overhead_share(result, config),
         "load_imbalance": stats.get("load_imbalance", 1.0),
         "metadata_nodes": stats.get("metadata_nodes", 0),
-        "wall_clock_s": wall,
     }
     return {column: measured[column]
             for column in OVERLAP_COLUMNS[experiment]}, {}
@@ -149,9 +141,9 @@ def run_tile_point(settings, config: ClusterConfig, *, backend: str,
         sz_element=settings.element_size,
         overlap_x=settings.tile_overlap, overlap_y=settings.tile_overlap,
     ).scaled_to(clients)
-    result, wall = _run_point(settings, config, backend,
-                              workload.num_processes, workload.rank_pairs,
-                              workload.file_size, settings.num_storage_nodes)
+    result = _run_point(settings, config, backend,
+                        workload.num_processes, workload.rank_pairs,
+                        workload.file_size, settings.num_storage_nodes)
     return {
         "experiment": "EXP2",
         "backend": backend,
@@ -166,7 +158,6 @@ def run_tile_point(settings, config: ClusterConfig, *, backend: str,
         "lock_wait_s": result.lock_wait_time,
         "disk_ios_per_write": _disk_ios_per_write(result),
         "disk_overhead_share": _disk_overhead_share(result, config),
-        "wall_clock_s": wall,
     }, {}
 
 
@@ -176,7 +167,6 @@ def run_paper_point(settings, config: ClusterConfig, *, experiment: str,
     over Lustre-like locking at one client count of EXP1 or EXP2, and whether
     that speedup falls in the paper's band.  The extras are the two backends'
     own rows, keyed by backend."""
-    started = time.perf_counter()
     point = (run_tile_point if experiment == "EXP2"
              else partial(run_overlap_point, experiment=experiment))
     rows = {backend: point(settings, config, backend=backend,
@@ -201,7 +191,6 @@ def run_paper_point(settings, config: ClusterConfig, *, experiment: str,
             rows["versioning"]["disk_overhead_share"],
         "locking_disk_overhead_share":
             rows["posix-locking"]["disk_overhead_share"],
-        "wall_clock_s": time.perf_counter() - started,
     }, rows
 
 

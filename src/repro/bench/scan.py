@@ -33,7 +33,6 @@ network model.
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List, Optional, Tuple
 
 from repro.bench.harness import deploy, drive_processes, seed_blob
@@ -80,7 +79,6 @@ def run_scan_point(settings, config, *, prefix: str, mode: str,
     ``sim_read_mean_ms`` is the mean simulated latency of one ``vread``
     call, the column a cache shows up in.
     """
-    wall_started = time.perf_counter()
     cluster, deployment = deploy(
         settings,
         config.copy(ranks_per_node=settings.ranks_per_node,
@@ -167,7 +165,6 @@ def run_scan_point(settings, config, *, prefix: str, mode: str,
                               + shared_stats["capacity_rejections"]),
         "sim_read_s": max(finished) - read_started,
         "sim_read_mean_ms": 1e3 * sum(latencies) / len(latencies),
-        "wall_clock_s": time.perf_counter() - wall_started,
         "network_model": config.network_model,
     }
     lookups = sum(chain.lookups for chain in chains)

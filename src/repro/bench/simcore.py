@@ -1,31 +1,25 @@
-"""Simulator-core benchmark: engine throughput and end-to-end invariants.
+"""Simulator-core benchmark: end-to-end invariants of the collective path.
 
-Three kinds of measurement feed ``BENCH_simcore.json``:
+Two kinds of point feed ``BENCH_simcore.json``:
 
 * **collective I/O points** — the fine-grained interleaved collective
   checkpoint (every rank writes ``blocks_per_rank`` blocks of
   ``block_size`` bytes at stride ``num_ranks * block_size``, then reads its
   slice back ``read_rounds`` times through ``read_at_all``), a workload
   whose host time is almost all simulator and domain code.  Each point records
-  wall-clock seconds, processed simulator events, events/sec and a SHA-256
-  digest of the final file contents (the cross-``network_model``
-  byte-identity witness).
-* **scheduler churn** — a pure engine microbenchmark (no storage stack):
-  a pool of actors sleeping on pseudorandom timeouts, isolating the event
-  queue's throughput.
+  simulated seconds, processed simulator events and a SHA-256 digest of the
+  final file contents (the cross-``network_model`` byte-identity witness).
 * **scale points** — larger rank counts under the queued network model,
   including the 4096-rank smoke point the acceptance criteria ask for.
 
 The derived block checks that the bottleneck and queued network models
 move the same bytes and that tracing leaves the simulation untouched.
-Wall-clock columns are recorded for ``obs diff``'s banded comparison;
-host time itself is judged by ``perfbench``.
+Host time is judged by ``perfbench``.
 """
 
 from __future__ import annotations
 
 import hashlib
-import time
 from typing import Dict, List, Optional, Tuple
 
 from repro.blobseer.deployment import BlobSeerDeployment
@@ -39,7 +33,6 @@ from repro.obs.critpath import dump_report, operation_report
 from repro.obs.digest import digest_columns
 from repro.obs.export import dump_chrome_trace
 from repro.obs.views import collect_all
-from repro.simengine.simulator import Simulator
 from repro.vstore.client import VectoredClient
 
 PATH = "/simcore"
@@ -108,9 +101,7 @@ def run_collective_io_point(num_ranks: int, blocks_per_rank: int,
                     f"rank {ctx.rank}: collective read returned wrong bytes")
         yield from handle.close()
 
-    wall_started = time.perf_counter()
     run_mpi_job(cluster, num_ranks, rank_main, node_prefix="sc-rank")
-    wall = time.perf_counter() - wall_started
 
     verifier = VectoredClient(deployment, cluster.add_node("sc-verify"),
                               name="sc-verify")
@@ -135,7 +126,6 @@ def run_collective_io_point(num_ranks: int, blocks_per_rank: int,
         dump_chrome_trace(cluster.obs.tracer, trace_path,
                           telemetry=cluster.obs.link_telemetry)
 
-    events = cluster.sim.processed_events
     row: Dict[str, object] = {
         "kind": "collective_io",
         "num_ranks": num_ranks,
@@ -144,10 +134,8 @@ def run_collective_io_point(num_ranks: int, blocks_per_rank: int,
         "read_rounds": read_rounds,
         "num_aggregators": num_aggregators,
         "network_model": config.network_model,
-        "wall_clock_s": round(wall, 3),
         "sim_elapsed_s": round(cluster.sim.now, 6),
-        "processed_events": events,
-        "events_per_sec": round(events / wall) if wall > 0 else 0,
+        "processed_events": cluster.sim.processed_events,
         "read_digest": hashlib.sha256(content).hexdigest(),
         "tracing": config.tracing,
         "metrics": registry.snapshot(),
@@ -164,54 +152,13 @@ def run_collective_io_point(num_ranks: int, blocks_per_rank: int,
 
 
 # ----------------------------------------------------------------------
-# scheduler churn microbenchmark
-# ----------------------------------------------------------------------
-def run_scheduler_churn(num_events: int = 200_000, num_actors: int = 64,
-                        seed: int = 0) -> Dict[str, object]:
-    """Measure raw throughput of the simulator's event queue.
-
-    ``num_actors`` concurrent actors sleep on pseudorandom sub-millisecond
-    timeouts until ``num_events`` sleeps completed.  Seven out of eight
-    delays are zero — the simulator's real event mix, where almost every
-    event is an ``Event.succeed`` firing at the current instant and only
-    I/O/network completions jump ahead.  The delays come from a named
-    deterministic stream, so every run processes the identical schedule.
-    """
-    sim = Simulator(seed=seed)
-    delays = sim.rng.stream("bench:churn").uniform(0.0, 1e-3, size=num_events)
-    mask = [index for index in range(num_events) if index % 8]
-    delays[mask] = 0.0
-    share = num_events // num_actors
-
-    def actor(start: int) -> object:
-        for index in range(start, start + share):
-            yield sim.timeout(float(delays[index]))
-
-    for actor_index in range(num_actors):
-        sim.process(actor(actor_index * share))
-    wall_started = time.perf_counter()
-    sim.run_all()
-    wall = time.perf_counter() - wall_started
-
-    return {
-        "kind": "scheduler_churn",
-        "num_actors": num_actors,
-        "processed_events": sim.processed_events,
-        "wall_clock_s": round(wall, 3),
-        "events_per_sec": round(sim.processed_events / wall) if wall > 0 else 0,
-    }
-
-
-# ----------------------------------------------------------------------
 # suite plan and headline (the ``simcore`` entry of repro.bench.suites)
 # ----------------------------------------------------------------------
-def run_simcore_point(settings, config, *, churn_events: Optional[int] = None,
+def run_simcore_point(settings, config, *,
                       overrides: Optional[Dict[str, object]] = None,
                       **shape):
     """One suite row (no extras): a collective I/O point of ``shape`` under
-    ``config`` with ``overrides`` applied, or the churn microbenchmark."""
-    if churn_events is not None:
-        return run_scheduler_churn(churn_events, seed=settings.seed), {}
+    ``config`` with ``overrides`` applied."""
     # latency digests ride in every point — the headline *and* its traced
     # twin — so the tracing invariant keeps comparing identical metric sets
     return run_collective_io_point(
@@ -233,7 +180,6 @@ def simcore_plan(settings) -> List[Tuple[str, Dict[str, object]]]:
         ("headline-traced", dict(headline, overrides={"tracing": True})),
         ("headline-queued", dict(headline,
                                  overrides={"network_model": "queued"})),
-        ("churn-heapq", {"churn_events": settings.churn_events}),
     ]
     for ranks, blocks, block_size, rounds in (*settings.scale_points,
                                               settings.smoke_point):
@@ -251,15 +197,11 @@ def simcore_headline(rows: Dict[str, Dict[str, object]],
     headline = rows["headline"]
     traced = rows["headline-traced"]
     queued = rows["headline-queued"]
-    overhead = (round((traced["wall_clock_s"] - headline["wall_clock_s"])
-                      / headline["wall_clock_s"] * 100, 1)
-                if headline["wall_clock_s"] > 0 else None)
     return {
         "digests_identical_across_network_models":
             headline["read_digest"] == queued["read_digest"],
         # tracing must not perturb the simulation: the traced headline
         # replays the identical timeline, event count, bytes and metrics
-        "tracing_overhead_pct": overhead,
         "tracing_invariant": (
             traced["read_digest"] == headline["read_digest"]
             and traced["sim_elapsed_s"] == headline["sim_elapsed_s"]

@@ -5,7 +5,7 @@ How a suite is described, run and written is decided here and nowhere else:
 :data:`SUITES` maps a suite's name (its artifact's file stem) to a
 :class:`Suite`, and :func:`run_suite` walks the plan on one default
 :class:`~repro.cluster.ClusterConfig`, builds each row once, assembles
-``{suite, smoke, python, settings, <headline>, rows}`` and hands it to
+``{suite, smoke, settings, <headline>, rows}`` and hands it to
 :func:`~repro.bench.artifacts.write_artifact`.  ``python -m repro.bench run
 [SUITE…|all] [--smoke]`` and every file under ``benchmarks/`` end here — the
 paper's experiments and ablations are the ``paper`` and ``ablations``
@@ -21,19 +21,17 @@ only simcore's own plan selects it, per row.
 
 from __future__ import annotations
 
-import platform
 from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
-from repro.bench.artifacts import smoke_requested, write_artifact
+from repro.bench.artifacts import write_artifact
 from repro.bench.collective import (run_collective_point,
                                     run_collective_read_point)
 from repro.bench.experiments import (PAPER_BAND, run_ablation_point,
                                      run_paper_point)
-from repro.bench.metadata_path import (MODES, run_metadata_path_point,
-                                       run_region_algebra_microbench)
+from repro.bench.metadata_path import MODES, run_metadata_path_point
 from repro.bench.metrics import per, reduction
 from repro.bench.scan import run_scan_point
 from repro.bench.simcore import (run_simcore_point, simcore_headline,
@@ -67,8 +65,7 @@ class Suite:
     #: settings)`` names a point's entry as ``(entry key, baseline label,
     #: extra fields or None)``, or returns ``None`` for no entry
     reduction: Optional[Tuple[str, str, Callable]] = None
-    #: ``extras(settings, points, rows)`` -> more top-level artifact keys
-    #: (may also append rows that no plan point owns)
+    #: ``extras(settings, points)`` -> more top-level artifact keys
     extras: Optional[Callable[..., Dict[str, object]]] = None
     unrecorded: Tuple[str, ...] = ()  #: settings the artifact never recorded
 
@@ -182,16 +179,15 @@ def _ablations_plan(settings) -> Plan:
     return plan
 
 
-def _metadata_headline(settings, points, rows) -> Dict[str, object]:
+def _metadata_headline(settings, points) -> Dict[str, object]:
     """Each mode's lookups per metadata RPC — a per-node read path pays one
-    ``get_node`` per lookup — and the region-algebra row."""
-    rows.append(run_region_algebra_microbench())
+    ``get_node`` per lookup."""
     return {"rpc_reduction_vs_per_node": {
         mode: per(values["lookups"], values["metadata_rpcs"])
         for mode, values in points.items()}}
 
 
-def _capacity_sweep(settings, points, rows) -> Dict[str, object]:
+def _capacity_sweep(settings, points) -> Dict[str, object]:
     return {"cache_capacity_sweep": run_cache_capacity_sweep(
         settings, ClusterConfig(),
         unbounded=points["pipelined-coalesced"])}
@@ -215,8 +211,7 @@ SUITES: Dict[str, Suite] = {
         ``get_nodes`` RPC per shard per tree level; cached-batched = plus the
         client-side immutable-node cache (the production path; repeat reads
         are warm).  Headline: each row's ``lookups`` per ``metadata_rpcs`` —
-        how many times fewer round-trips than one ``get_node`` per lookup.
-        A region-algebra wall-clock row rides along.""",
+        how many times fewer round-trips than one ``get_node`` per lookup.""",
         settings=dict(num_clients=8, regions_per_client=8,
                       region_size=16 * 1024, overlap_fraction=0.5,
                       read_repeats=5, num_providers=4,
@@ -327,7 +322,7 @@ SUITES: Dict[str, Suite] = {
                  "latest_rpcs", "lookups", "private_hits", "shared_hits",
                  "fetched_lookups", "shared_hit_rate", "shared_evictions",
                  "shared_rejections", "sim_read_s", "sim_read_mean_ms",
-                 "wall_clock_s", "network_model"),
+                 "network_model"),
         reduction=("metadata_rpc_reduction_vs_private", "rpcs_per_read",
                    _vs_private),
     ),
@@ -359,34 +354,31 @@ SUITES: Dict[str, Suite] = {
                  "peer_hit_rate", "peer_rejections", "probe_misses",
                  "read_throughs", "unavailable_probes", "coalesced_fetches",
                  "lookups", "private_hits", "shared_hits", "fetched_lookups",
-                 "sim_read_s", "sim_read_mean_ms", "wall_clock_s",
-                 "network_model"),
+                 "sim_read_s", "sim_read_mean_ms", "network_model"),
         label_column="point",
         reduction=("server_rpc_reduction_vs_shared", "server_rpcs_per_read",
                    _vs_shared),
     ),
     "simcore": Suite(
         title="simcore",
-        about="""Host cost of the simulator.  headline = the interleaved
+        about="""The simulator end to end.  headline = the interleaved
         collective checkpoint; -traced / -queued = the same point with
-        tracing on, under the queued network; churn-heapq = the event queue
-        alone; scale-<ranks> = queued points up to the 4096-rank completion
-        shape.  Rows pick their own network model.  Headline: tracing
-        overhead and the tracing / network-model invariants.""",
+        tracing on, under the queued network; scale-<ranks> = queued points
+        up to the 4096-rank completion shape.  Rows pick their own network
+        model.  Headline: the tracing / network-model invariants.""",
         settings=dict(num_ranks=64, blocks_per_rank=256, block_size=1024,
                       read_rounds=3, num_aggregators=16, num_providers=8,
                       num_metadata_providers=2, chunk_size=16 * 1024, seed=0,
-                      churn_events=200_000,
                       scale_points=((512, 16, 4096, 1),),
                       smoke_point=(4096, 1, 4096, 0)),
         smoke=dict(num_ranks=16, blocks_per_rank=16, read_rounds=1,
-                   num_aggregators=4, num_providers=4, churn_events=20_000,
+                   num_aggregators=4, num_providers=4,
                    scale_points=((64, 4, 2048, 1),),
                    smoke_point=(128, 1, 2048, 0)),
         plan=simcore_plan,
         point=run_simcore_point,
         label_column="label",
-        extras=lambda settings, points, rows: simcore_headline(points),
+        extras=lambda settings, points: simcore_headline(points),
     ),
     "paper": Suite(
         title="paper",
@@ -399,7 +391,7 @@ SUITES: Dict[str, Suite] = {
         smoke=dict(client_counts=(1, 2, 4, 8)),
         plan=_paper_plan,
         point=run_paper_point,
-        extras=lambda settings, points, rows: {"paper_band": list(PAPER_BAND)},
+        extras=lambda settings, points: {"paper_band": list(PAPER_BAND)},
     ),
     "ablations": Suite(
         title="ablations",
@@ -443,16 +435,14 @@ class SuiteRun:
     path: Path  #: where the artifact was written
 
 
-def run_suite(name: str, smoke: Optional[bool] = None,
+def run_suite(name: str, smoke: bool = False,
               out_dir: Path = Path(".")) -> SuiteRun:
     """Run every point of one suite and write ``BENCH_<name>.json``.
 
-    ``smoke=None`` follows ``REPRO_BENCH_SMOKE``; a smoke run lands on
-    ``BENCH_<name>.smoke.json`` (see :mod:`repro.bench.artifacts`).
+    A smoke run lands on ``BENCH_<name>.smoke.json`` (see
+    :mod:`repro.bench.artifacts`).
     """
     suite = SUITES[name]
-    if smoke is None:
-        smoke = smoke_requested()
     settings = SimpleNamespace(**{**suite.settings,
                                   **(suite.smoke if smoke else {})})
     config = ClusterConfig()
@@ -470,7 +460,6 @@ def run_suite(name: str, smoke: Optional[bool] = None,
     artifact: Dict[str, object] = {
         "suite": suite.title,
         "smoke": smoke,
-        "python": platform.python_version(),
         "settings": {key: value for key, value in vars(settings).items()
                      if key not in suite.unrecorded},
     }
@@ -486,7 +475,7 @@ def run_suite(name: str, smoke: Optional[bool] = None,
             entries[entry] = ratio if extra is None \
                 else {"reduction": ratio, **extra}
     if suite.extras:
-        artifact.update(suite.extras(settings, points, rows))
+        artifact.update(suite.extras(settings, points))
     artifact["rows"] = rows
     path = write_artifact(Path(out_dir) / f"BENCH_{name}.json", artifact)
     return SuiteRun(smoke=smoke, settings=settings, points=points,

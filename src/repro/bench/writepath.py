@@ -23,7 +23,6 @@ many of them one snapshot coalesced.
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List, Tuple
 
 from repro.bench.harness import cache_totals, start_clients
@@ -53,7 +52,6 @@ def run_write_path_point(settings, config, *, mode: str, **client_options):
     if mode not in WRITE_MODES:
         raise BenchmarkError(f"unknown mode {mode!r}; choose from {sorted(WRITE_MODES)}")
     spec = WRITE_MODES[mode]
-    wall_started = time.perf_counter()
     workload = QueuedWritesWorkload(
         num_clients=settings.num_clients,
         writes_per_client=settings.writes_per_client,
@@ -143,7 +141,6 @@ def run_write_path_point(settings, config, *, mode: str, **client_options):
                                if client.metadata_cache is not None),
         "sim_write_s": sim_write_elapsed,
         "sim_read_s": sim_read_elapsed,
-        "wall_clock_s": time.perf_counter() - wall_started,
         "network_model": config.network_model,
     }
     return row, {"read_digest": tuple(b"".join(read_results[key])
@@ -152,7 +149,7 @@ def run_write_path_point(settings, config, *, mode: str, **client_options):
 
 #: the columns a capacity-sweep row keeps of its point
 SWEEP_COLUMNS = ("first_read_cache_hit_rate", "read_cache_hit_rate",
-                 "cache_evictions", "cache_primed_nodes", "wall_clock_s")
+                 "cache_evictions", "cache_primed_nodes")
 
 
 def run_cache_capacity_sweep(settings, config, unbounded: Dict[str, object],

@@ -19,8 +19,8 @@ every artifact is byte-stable across runs and usable as replay evidence):
   delays and File-layer operations.
 * :mod:`repro.obs.critpath` — span-DAG critical-path extraction with
   exact per-layer time attribution.
-* :mod:`repro.obs.diff` — cross-run artifact comparison with per-metric
-  tolerance bands (``python -m repro.obs diff``).
+* :mod:`repro.obs.diff` — exact cross-run artifact comparison that names
+  every key that moved (``python -m repro.obs diff``).
 
 A run has one record, its span trace: ``python -m repro.bench trace``
 writes it as Chrome trace JSON together with the critical-path report.

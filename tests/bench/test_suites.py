@@ -2,13 +2,12 @@
 emits the committed artifact's shape, deterministically, on the smoke path."""
 
 import json
-from fnmatch import fnmatch
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from repro.bench.suites import SUITES, run_suite
-from repro.obs.diff import DEFAULT_WALL_PATTERNS, flatten
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -28,7 +27,7 @@ def smoke_runs(tmp_path_factory):
 
 def row_shapes(artifact):
     """The distinct column sets among an artifact's rows (one per kind of
-    row: simcore's traced/untraced/churn rows, metadata's algebra row)."""
+    row: simcore's traced/untraced rows, writepath's sweep rows)."""
     return {frozenset(row) for row in artifact["rows"]}
 
 
@@ -58,20 +57,15 @@ def test_points_are_keyed_by_plan_label_alone(name, smoke_runs):
         assert all(column in values for values in run.points.values())
 
 
-def simulated_values(artifact):
-    """Every leaf value except the host-wall-clock family."""
-    return {path: value for path, value in flatten(artifact).items()
-            if not any(fnmatch(path, pattern)
-                       for pattern in DEFAULT_WALL_PATTERNS)}
-
-
 @pytest.mark.parametrize("name", SUITES)
-def test_two_runs_agree_on_everything_but_wall_clock(name, smoke_runs,
-                                                     tmp_path):
-    first = smoke_runs(name).artifact
-    second = run_suite(name, smoke=True, out_dir=tmp_path).artifact
-    assert simulated_values(first) == simulated_values(second)
-    assert len(simulated_values(first)) > len(first["rows"])
+def test_two_smoke_runs_write_byte_identical_files(name, smoke_runs,
+                                                   tmp_path):
+    """Two smoke runs write byte-identical files: an artifact carries the
+    simulated clock only, so CI can gate the committed ones with
+    ``git diff``."""
+    first = smoke_runs(name).path
+    second = run_suite(name, smoke=True, out_dir=tmp_path).path
+    assert second.read_bytes() == first.read_bytes()
 
 
 @pytest.mark.parametrize("name", SUITES)
@@ -84,3 +78,24 @@ def test_smoke_run_lands_on_the_smoke_path_only(name, smoke_runs):
     with pytest.raises(RuntimeError, match="full-size"):
         run_suite(name, smoke=True, out_dir=run.path.parent)
     assert json.loads(run.path.read_text())["smoke"] is False
+
+
+class _Sized(Exception):
+    """Carries the settings of the first point a suite ran."""
+
+
+def test_smoke_environment_variable_does_not_change_the_size(monkeypatch,
+                                                             tmp_path):
+    """``run_suite`` is full-size unless called with ``smoke=True``: no
+    environment variable (``REPRO_BENCH_SMOKE`` included) scales it down."""
+    def point(settings, config, **kwargs):
+        raise _Sized(settings)
+
+    monkeypatch.setenv("REPRO_BENCH_SMOKE", "1")
+    monkeypatch.setitem(SUITES, "metadata",
+                        replace(SUITES["metadata"], point=point))
+    with pytest.raises(_Sized) as sized:
+        run_suite("metadata", out_dir=tmp_path)
+    settings = sized.value.args[0]
+    assert vars(settings) == dict(SUITES["metadata"].settings)
+    assert not list(tmp_path.iterdir())
