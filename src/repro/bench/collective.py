@@ -40,13 +40,13 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.bench.harness import deploy, seed_blob
 from repro.bench.metrics import per
+from repro.blobseer.client import BlobClient
 from repro.errors import BenchmarkError
 from repro.mpi.datatypes import BYTE, Indexed
 from repro.mpi.launcher import run_mpi_job
 from repro.mpiio.adio.versioning import VersioningDriver
 from repro.mpiio.file import File
 from repro.obs.digest import digest_columns
-from repro.vstore.client import VectoredClient
 from repro.workloads.collective_checkpoint import CollectiveCheckpointWorkload
 from repro.workloads.collective_read import CollectiveReadWorkload
 
@@ -150,8 +150,8 @@ def run_collective_point(settings, config, *, num_ranks: int,
         workload.file_size, body)
 
     # read-back for the cross-mode equality check (fresh client, latest)
-    verifier = VectoredClient(deployment, cluster.add_node("cb-verify"),
-                              name="cb-verify")
+    verifier = BlobClient(deployment, cluster.add_node("cb-verify"),
+                          name="cb-verify")
 
     def verify():
         pieces = yield from verifier.vread("/checkpoint",

@@ -19,6 +19,7 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.bench.environment import ExperimentEnvironment
 from repro.bench.metrics import ThroughputSample
+from repro.blobseer.client import BlobClient
 from repro.blobseer.deployment import BlobSeerDeployment
 from repro.cluster import Cluster
 from repro.core.atomicity import VectoredWrite, check_mpi_atomicity
@@ -27,7 +28,6 @@ from repro.errors import BenchmarkError
 from repro.mpi.datatypes import Indexed
 from repro.mpi.launcher import MPIContext, run_mpi_job
 from repro.mpiio.file import AccessMode, File
-from repro.vstore.client import VectoredClient
 
 #: a per-rank workload: rank index -> list of (file offset, payload) pairs
 PairsForRank = Callable[[int], Sequence[Tuple[int, bytes]]]
@@ -52,8 +52,8 @@ def seed_blob(cluster, deployment, settings, name: str, path: str,
               file_size: int, pairs, **client_options) -> int:
     """Publish the dump a read suite scans, ahead of its clients, from a
     client on a node of its own; returns the published version."""
-    seeder = VectoredClient(deployment, cluster.add_node(name), name=name,
-                            **client_options)
+    seeder = BlobClient(deployment, cluster.add_node(name), name=name,
+                        **client_options)
 
     def seed():
         yield from seeder.create_blob(path, file_size,
@@ -88,9 +88,9 @@ def start_clients(settings, config, prefix: str, file_size: int,
     """
     cluster, deployment = deploy(settings, config, prefix)
     ranks = range(settings.num_clients)
-    clients = [VectoredClient(deployment,
-                              cluster.add_node(f"{prefix}-client{rank}"),
-                              name=f"{prefix}{rank}", **client_options)
+    clients = [BlobClient(deployment,
+                          cluster.add_node(f"{prefix}-client{rank}"),
+                          name=f"{prefix}{rank}", **client_options)
                for rank in ranks]
     blob_id = f"{prefix}-blob"
     setup = cluster.sim.process(clients[0].create_blob(blob_id, file_size),

@@ -37,9 +37,9 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.bench.harness import deploy, drive_processes, seed_blob
 from repro.bench.metrics import per
+from repro.blobseer.client import BlobClient
 from repro.blobseer.metadata.tiers import partition_problems, wire_problems
 from repro.errors import BenchmarkError
-from repro.vstore.client import VectoredClient
 from repro.workloads.shared_scan import SharedScanWorkload
 
 PATH = "/dump"
@@ -99,8 +99,8 @@ def run_scan_point(settings, config, *, prefix: str, mode: str,
     # rank->node placement: ranks_per_node clients share each compute node
     nodes = cluster.place_ranks(f"{prefix}-rank", num_clients)
     clients = [
-        VectoredClient(deployment, nodes[index], name=f"{prefix}{index}",
-                       enable_metadata_cache=private_cache)
+        BlobClient(deployment, nodes[index], name=f"{prefix}{index}",
+                   enable_metadata_cache=private_cache)
         for index in range(num_clients)
     ]
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import hashlib
 from typing import Dict, List, Optional, Tuple
 
+from repro.blobseer.client import BlobClient
 from repro.blobseer.deployment import BlobSeerDeployment
 from repro.cluster.cluster import Cluster
 from repro.cluster.config import ClusterConfig
@@ -33,7 +34,6 @@ from repro.obs.critpath import dump_report, operation_report
 from repro.obs.digest import digest_columns
 from repro.obs.export import dump_chrome_trace
 from repro.obs.views import collect_all
-from repro.vstore.client import VectoredClient
 
 PATH = "/simcore"
 
@@ -103,8 +103,8 @@ def run_collective_io_point(num_ranks: int, blocks_per_rank: int,
 
     run_mpi_job(cluster, num_ranks, rank_main, node_prefix="sc-rank")
 
-    verifier = VectoredClient(deployment, cluster.add_node("sc-verify"),
-                              name="sc-verify")
+    verifier = BlobClient(deployment, cluster.add_node("sc-verify"),
+                          name="sc-verify")
 
     def read_back():
         pieces = yield from verifier.vread(PATH, [(0, file_size)])

@@ -24,8 +24,9 @@ this package reproduces component by component — consists of:
   client's metadata cache.
 
 The stock BlobSeer interface only supports *contiguous* reads and writes; the
-paper's contribution — the non-contiguous, MPI-atomic extension — lives in
-:mod:`repro.vstore`, as a subclass of the client defined here.
+paper's contribution — the non-contiguous, MPI-atomic extension — is the
+client's ``vwrite``/``vread`` pair, and :mod:`repro.vstore` wraps it in a
+blocking facade.
 """
 
 from repro.blobseer.blob import BlobDescriptor, BlobId

@@ -20,11 +20,10 @@ Write protocol (one vectored write = one snapshot):
 
 The commit machinery lives in :mod:`repro.blobseer.writepath`: the
 :class:`~repro.blobseer.writepath.engine.PipelinedCommitEngine` executes
-steps 2-6, overlapping what the protocol allows, and a
+steps 2-6, overlapping what the protocol allows, and every client's
 :class:`~repro.blobseer.writepath.coalescer.WriteCoalescer` can queue several
 vectored writes and commit them as *one* merged snapshot batch — one
-``allocate``, one ticket, one metadata build — behind an explicit
-flush/barrier.
+``allocate``, one ticket, one metadata build — at the next flush/barrier.
 
 Read protocol: resolve the requested ranges against the snapshot's segment
 tree (shadowed subtrees are followed to older versions), slice the extents
@@ -36,17 +35,21 @@ It follows that a writer still reads its own bytes back while their provider
 is down (as long as the cache holds them), whereas any other client — a
 restarted job included — gets ``ProviderUnavailable`` for the same range.
 
-The stock BlobSeer API exposes only *contiguous* :meth:`BlobClient.write` /
-:meth:`BlobClient.read`; the non-contiguous extension of the paper is the
-:class:`repro.vstore.client.VectoredClient` subclass, which reuses the
-internal vectored machinery defined here.
+Besides the stock BlobSeer pair of *contiguous* :meth:`BlobClient.write` /
+:meth:`BlobClient.read`, the client carries the paper's non-contiguous
+extension: List-I/O style :meth:`BlobClient.vwrite` / :meth:`BlobClient.vread`
+carry a whole non-contiguous access in one call and publish it as one
+snapshot, so concurrent overlapping accesses never interleave (MPI
+atomicity) with no locking anywhere; :meth:`BlobClient.vwrite_queued` /
+:meth:`BlobClient.vflush` / :meth:`BlobClient.vbarrier` are the coalescer's
+queued interface.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from operator import itemgetter
-from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING, Union
 
 from repro.blobseer.blob import BlobDescriptor
 from repro.blobseer.chunk import ChunkKeyFactory
@@ -54,15 +57,19 @@ from repro.blobseer.chunk_cache import ChunkCache
 from repro.blobseer.metadata.segment_tree import ReadPlanner
 from repro.blobseer.metadata.tiers import UNSET, build_chain
 from repro.blobseer.writepath.batch import WriteReceipt
+from repro.blobseer.writepath.coalescer import WriteCoalescer
 from repro.blobseer.writepath.engine import PipelinedCommitEngine
 from repro.core.listio import IOVector
-from repro.errors import VersionNotFound
+from repro.errors import StorageError, VersionNotFound
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.blobseer.deployment import BlobSeerDeployment
     from repro.cluster.node import Node
 
 __all__ = ["BlobClient", "WriteReceipt"]
+
+WritePairs = Sequence[Tuple[int, bytes]]
+ReadPairs = Sequence[Tuple[int, int]]
 
 
 class BlobClient:
@@ -89,11 +96,6 @@ class BlobClient:
     False`` disables the priming).
     """
 
-    #: queued-write coalescer; ``None`` on the stock client (the vectored
-    #: subclass attaches one), checked by ``_vectored_write`` so immediate
-    #: commits never overtake writes queued earlier in program order
-    coalescer = None
-
     def __init__(self, deployment: "BlobSeerDeployment", node: "Node",
                  name: Optional[str] = None, *,
                  enable_metadata_cache: bool = True,
@@ -119,6 +121,9 @@ class BlobClient:
         self.write_through_cache = write_through_cache
         #: the commit engine every write of this client routes through
         self.writepath = PipelinedCommitEngine(self)
+        #: the queue :meth:`vwrite_queued` stages writes in until a flush
+        #: point (see :class:`~repro.blobseer.writepath.coalescer.WriteCoalescer`)
+        self.coalescer = WriteCoalescer(self)
         #: newest snapshot version this client knows to be published, per
         #: BLOB (fed by completion/publication responses; lets barriers and
         #: read-after-write paths skip redundant wait round-trips)
@@ -337,8 +342,6 @@ class BlobClient:
         """
         if self.writepath.outstanding(blob_id):
             return True
-        if self.coalescer is None:
-            return False
         return bool(self.coalescer.pending_writes(blob_id)
                     or self.coalescer.last_committed_version(blob_id)
                     > self.version_hints.get(blob_id, 0))
@@ -385,7 +388,99 @@ class BlobClient:
         return pieces[0]
 
     # ------------------------------------------------------------------
-    # vectored machinery (exposed publicly by repro.vstore.VectoredClient)
+    # the paper's non-contiguous (vectored) interface
+    # ------------------------------------------------------------------
+    @staticmethod
+    def _as_write_vector(access: Union[IOVector, WritePairs]) -> IOVector:
+        if isinstance(access, IOVector):
+            if not access.is_write:
+                raise StorageError("vwrite() needs a write vector")
+            return access
+        return IOVector.for_write(access)
+
+    @staticmethod
+    def _as_read_vector(access: Union[IOVector, ReadPairs]) -> IOVector:
+        if isinstance(access, IOVector):
+            if not access.is_read:
+                raise StorageError("vread() needs a read vector")
+            return access
+        return IOVector.for_read(access)
+
+    def vwrite(self, blob_id: str, access: Union[IOVector, WritePairs]):
+        """Atomically write a set of non-contiguous regions as one snapshot.
+
+        ``access`` is either an :class:`~repro.core.listio.IOVector` or a
+        plain ``[(offset, payload), ...]`` list.  Returns a
+        :class:`WriteReceipt` whose ``version`` names the snapshot this
+        write produced.
+        """
+        receipt = yield from self._vectored_write(
+            blob_id, self._as_write_vector(access))
+        return receipt
+
+    def vread(self, blob_id: str, access: Union[IOVector, ReadPairs],
+              version: Optional[int] = None):
+        """Read a set of non-contiguous regions from one published snapshot.
+
+        Returns one ``bytes`` object per requested range, all taken from the
+        same consistent snapshot (the latest published one by default).
+
+        A default read may consume a one-shot hint planted at this client's
+        own last barrier or collective commit instead of asking the version
+        manager for ``latest`` — it then observes everything this client
+        synchronized on, but not writes another client published *after*
+        that fence.  When cross-client freshness beyond the last fence
+        matters, pass an explicit version (e.g. from :meth:`latest_version`
+        or ``wait_published``) — those paths always round-trip.
+        """
+        pieces = yield from self._vectored_read(
+            blob_id, self._as_read_vector(access), version)
+        return pieces
+
+    def vwrite_and_wait(self, blob_id: str, access: Union[IOVector, WritePairs]):
+        """Like :meth:`vwrite`, then block until the snapshot is published.
+
+        MPI-I/O write calls in atomic mode return once their effects are
+        visible to subsequent reads, so the ADIO driver uses this variant.
+        """
+        receipt = yield from self.vwrite(blob_id, access)
+        yield from self.wait_published(blob_id, receipt.version)
+        return receipt
+
+    def vwrite_queued(self, blob_id: str, access: Union[IOVector, WritePairs]):
+        """Stage an atomic vectored write for a later coalesced commit.
+
+        The write stays invisible to every reader until :meth:`vflush` /
+        :meth:`vbarrier` commits its batch; queue order is preserved, so the
+        eventual snapshot equals applying the queued writes serially.
+        Returns the :class:`~repro.blobseer.writepath.batch.StagedWrite`
+        handle (its ``receipt`` is filled at flush time).
+        """
+        staged = yield from self.coalescer.enqueue(
+            blob_id, self._as_write_vector(access))
+        return staged
+
+    def vflush(self, blob_id: Optional[str] = None):
+        """Commit queued writes as merged snapshot batches (one per BLOB).
+
+        Returns the commit receipts.  Publication of the batches may still
+        be in flight; use :meth:`vbarrier` when subsequent reads must see
+        the queued writes.
+        """
+        receipts = yield from self.coalescer.flush(blob_id)
+        return receipts
+
+    def vbarrier(self, blob_id: Optional[str] = None):
+        """Flush queued writes and wait until they are published (readable).
+
+        The explicit atomic barrier of the write pipeline: after it returns,
+        every write queued before the call is visible to any reader.
+        """
+        receipts = yield from self.coalescer.barrier(blob_id)
+        return receipts
+
+    # ------------------------------------------------------------------
+    # vectored machinery
     # ------------------------------------------------------------------
     def _vectored_write(self, blob_id: str, vector: IOVector):
         """Write a whole vector as one snapshot (the paper's atomic unit).
@@ -401,7 +496,7 @@ class BlobClient:
         issued earlier in program order, so they must take their ticket
         before this one does.
         """
-        if self.coalescer is not None and self.coalescer.pending_writes(blob_id):
+        if self.coalescer.pending_writes(blob_id):
             yield from self.coalescer.flush(blob_id)
         receipt = yield from self.writepath.commit(blob_id, vector)
         return receipt

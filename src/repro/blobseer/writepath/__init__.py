@@ -11,8 +11,10 @@ metadata read path removed per-node ``get_node`` round-trips:
   one ``allocate``, one version ticket, one merged copy-on-write metadata
   build.  Queue order is preserved, so a coalesced batch equals the serial
   application of its writes — the MPI-atomic unit simply grows from one
-  vector to one batch.  An explicit :meth:`~WriteCoalescer.barrier` restores
-  write-visible semantics wherever the application needs them.
+  vector to one batch.  A queue is committed only at MPI's flush points
+  (``sync``, ``close``, a conflicting access), where
+  :meth:`~WriteCoalescer.flush` or :meth:`~WriteCoalescer.barrier` runs;
+  nothing flushes it by size or by age.
 * :class:`~repro.blobseer.writepath.engine.PipelinedCommitEngine` executes a
   commit with overlap: the version ticket is acquired *while* chunk uploads
   are in flight, the per-shard ``put_nodes`` RPCs go out in parallel, and

@@ -10,8 +10,9 @@ the workload or network streams of the simulations they describe.
 
 Hostility is sampled *after* the phases so its preconditions can be
 checked against what actually exists (an aggregator death needs a
-collective write with at least two aggregators; a straggler needs a
-disjoint independent-write phase whose bytes are flush-order-independent).
+collective write with at least two aggregators, a resolver death a
+collective read).  A roll that once drew the retired straggler draws
+nothing, so the seeds that never rolled it still map to the same scenario.
 When a death injector is placed, a disjoint probe phase is appended so the
 run also proves the group makes progress after the failure.
 """
@@ -194,28 +195,7 @@ def generate_scenario(seed: int) -> Scenario:
                 phases.append(_probe_phase(fault_stream,
                                            seed * 1009 + 7919))
         elif roll < 0.8:
-            # straggler: needs a disjoint (checkpoint) independent write
-            targets = [i for i, p in enumerate(phases)
-                       if p.kind == "independent_write"
-                       and p.workload["family"] == "checkpoint"]
-            if not targets and _chance(fault_stream, 0.7):
-                phases.insert(0, PhaseSpec(
-                    kind="independent_write",
-                    workload=_sample_workload(fault_stream, "checkpoint",
-                                              num_ranks, seed * 1009 + 31)))
-                for i, injector in enumerate(injectors):
-                    injectors[i] = InjectorSpec(kind=injector.kind,
-                                                phase=injector.phase + 1,
-                                                params=injector.params)
-                targets = [0]
-            if targets:
-                target = _choice(fault_stream, targets)
-                injectors.append(InjectorSpec(
-                    kind="straggler", phase=target,
-                    params={"rank": int(fault_stream.integers(0, num_ranks)),
-                            "max_delay": 0.005,
-                            "delay": round(
-                                float(fault_stream.uniform(0.03, 0.1)), 4)}))
+            pass  # retired: straggler
         else:
             injectors.append(InjectorSpec(
                 kind="cache_thrash", phase=0,

@@ -11,11 +11,6 @@ Each injector mirrors a sabotage idiom from the fault-injection suites:
 * :class:`ResolverDeath` — one-shot ``_vectored_read`` failure on the
   doomed rank during a collective read: every rank must raise instead of
   hanging, and no version-manager state may change (reads own no tickets).
-* :class:`Straggler` — no patch at all: the runner makes the doomed rank
-  sleep past its ``coalesce_max_delay`` after queueing, so the flush
-  watchdog publishes its writes out of rank order.  Only armed on
-  disjoint (checkpoint) phases, where bytes are flush-order-independent;
-  liveness is the watchdog's ``delay_flushes`` counter.
 * :class:`CacheThrash` — a background adversary client with a tiny
   metadata cache issuing random reads (fuzz-scope RNG) throughout the
   job, churning the shared cache tier under the ranks' feet.
@@ -64,9 +59,6 @@ class Injector:
 
     def disarm(self, rank: int, driver) -> None:
         """Heal any dormant patch at the end of the target phase."""
-
-    def observe(self, drivers) -> None:
-        """Post-run liveness from stats (for patchless injectors)."""
 
 
 class AggregatorDeath(Injector):
@@ -123,28 +115,6 @@ class ResolverDeath(Injector):
             del client.__dict__["_vectored_read"]
 
 
-class Straggler(Injector):
-    """Patchless: the runner sleeps the doomed rank; liveness via stats."""
-
-    @property
-    def rank(self) -> int:
-        return self.spec.params["rank"]
-
-    @property
-    def delay(self) -> float:
-        return self.spec.params["delay"]
-
-    @property
-    def max_delay(self) -> float:
-        return self.spec.params["max_delay"]
-
-    def observe(self, drivers) -> None:
-        driver = drivers.get(self.rank)
-        if driver is not None and driver.client.coalescer is not None \
-                and driver.client.coalescer.stats.delay_flushes >= 1:
-            self.fired = True
-
-
 class CacheThrash(Injector):
     """Marker for the runner's background adversary process."""
 
@@ -196,7 +166,6 @@ class ProviderDeath(Injector):
 _KINDS = {
     "aggregator_death": AggregatorDeath,
     "resolver_death": ResolverDeath,
-    "straggler": Straggler,
     "cache_thrash": CacheThrash,
     "hot_spot": HotSpot,
     "provider_death": ProviderDeath,

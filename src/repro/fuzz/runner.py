@@ -23,11 +23,12 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.blobseer.client import BlobClient
 from repro.blobseer.deployment import BlobSeerDeployment
 from repro.cluster.cluster import Cluster
 from repro.cluster.config import ClusterConfig
 from repro.errors import SimulationError
-from repro.fuzz.injectors import CacheThrash, Straggler, build_injectors
+from repro.fuzz.injectors import CacheThrash, build_injectors
 from repro.fuzz.invariants import RunContext, run_checkers
 from repro.fuzz.scenario import (
     Scenario,
@@ -41,7 +42,6 @@ from repro.mpiio.file import File
 from repro.obs.critpath import dump_report
 from repro.obs.export import dump_chrome_trace
 from repro.simengine.rand import SCOPE_FUZZ
-from repro.vstore.client import VectoredClient
 
 #: the shared file every scenario exercises
 PATH = "/fuzz"
@@ -106,8 +106,6 @@ def execute_scenario(scenario: Scenario, *, tracing: Optional[bool] = None,
         chunk_size=scenario.chunk_size)
 
     injectors = build_injectors(scenario.injectors)
-    straggler = next((i for i in injectors if isinstance(i, Straggler)),
-                     None)
     thrash = next((i for i in injectors if isinstance(i, CacheThrash)),
                   None)
 
@@ -124,8 +122,8 @@ def execute_scenario(scenario: Scenario, *, tracing: Optional[bool] = None,
     # ------------------------------------------------------------------
     # blob creation (so the adversary can read from simulated t=0)
     # ------------------------------------------------------------------
-    setup = VectoredClient(deployment, cluster.add_node("fuzz-setup"),
-                           name="fuzz-setup")
+    setup = BlobClient(deployment, cluster.add_node("fuzz-setup"),
+                       name="fuzz-setup")
     ctx.all_clients.append(setup)
 
     def setup_main():
@@ -143,14 +141,11 @@ def execute_scenario(scenario: Scenario, *, tracing: Optional[bool] = None,
     def rank_main(mpi):
         if mpi.rank == 0:
             comms.append(mpi.comm)
-        options = {}
-        if straggler is not None and mpi.rank == straggler.rank:
-            options["coalesce_max_delay"] = straggler.max_delay
         driver = VersioningDriver(
             deployment, mpi.node, rank_name=f"rank{mpi.rank}",
             write_coalescing=True, collective_buffering=True,
             collective_reads=True,
-            collective_aggregators=scenario.num_aggregators, **options)
+            collective_aggregators=scenario.num_aggregators)
         drivers[mpi.rank] = driver
         handle = yield from File.open(driver, PATH, rank=mpi.rank,
                                       comm=mpi.comm,
@@ -167,12 +162,6 @@ def execute_scenario(scenario: Scenario, *, tracing: Optional[bool] = None,
                                                   scenario.num_ranks)
                         for offset, payload in pairs:
                             yield from handle.write_at(offset, payload)
-                        if straggler is not None \
-                                and straggler.phase == index \
-                                and mpi.rank == straggler.rank:
-                            # outlast the flush watchdog: the queued writes
-                            # publish early, out of rank order
-                            yield mpi.sim.sleep(straggler.delay)
                         # rank-order publication, as the serial oracle
                         for turn in range(mpi.size):
                             if turn == mpi.rank:
@@ -242,7 +231,7 @@ def execute_scenario(scenario: Scenario, *, tracing: Optional[bool] = None,
                                ranks_per_node=scenario.ranks_per_node)
 
     if thrash is not None:
-        adversary = VectoredClient(
+        adversary = BlobClient(
             deployment, cluster.add_node("fuzz-adversary"),
             name="fuzz-adversary", metadata_cache_capacity=2)
         ctx.all_clients.append(adversary)
@@ -294,7 +283,7 @@ def execute_scenario(scenario: Scenario, *, tracing: Optional[bool] = None,
     # ------------------------------------------------------------------
     if ctx.finished and not ctx.execution_anomalies:
         for attempt in range(2):
-            verify = VectoredClient(
+            verify = BlobClient(
                 deployment, cluster.add_node(f"fuzz-verify{attempt}"),
                 name=f"fuzz-verify{attempt}")
             ctx.all_clients.append(verify)
@@ -312,9 +301,6 @@ def execute_scenario(scenario: Scenario, *, tracing: Optional[bool] = None,
                 ctx.execution_anomalies.append(
                     f"read-back {attempt} failed: {exc}")
                 break
-
-    for injector in injectors:
-        injector.observe(drivers)
 
     anomalies = run_checkers(ctx)
 

@@ -14,8 +14,7 @@ Workload families (``PhaseSpec.workload["family"]``):
   ranks, optional hot-spot window;
 * ``"checkpoint"`` — :class:`~repro.workloads.collective_checkpoint.
   CollectiveCheckpointWorkload` (one round): interleaved disjoint blocks,
-  the pattern whose bytes are order-independent (required under straggler
-  injection, where flush order is perturbed);
+  the pattern whose bytes are order-independent;
 * ``"overlap"``    — :class:`~repro.workloads.overlap_stress.
   OverlapStressWorkload`: deliberately overlapping neighbour regions, the
   paper's Experiment-1 hostility;
@@ -47,8 +46,8 @@ WRITE_KINDS = ("independent_write", "collective_write", "atomic_write")
 READ_KINDS = ("collective_read", "independent_read", "peer_miss_storm")
 
 #: injector kinds (see :mod:`repro.fuzz.injectors`)
-INJECTOR_KINDS = ("aggregator_death", "resolver_death", "straggler",
-                  "cache_thrash", "hot_spot", "provider_death")
+INJECTOR_KINDS = ("aggregator_death", "resolver_death", "cache_thrash",
+                  "hot_spot", "provider_death")
 
 
 @dataclass(frozen=True)

@@ -582,8 +582,7 @@ class CollectiveAggregator(_CollectiveParticipant):
         # round is entered: past the opening allgather every rank can derive
         # the round count
         try:
-            if client.coalescer is not None \
-                    and client.coalescer.pending_writes(blob_id):
+            if client.coalescer.pending_writes(blob_id):
                 yield from client.coalescer.flush(blob_id)
             blob = yield from client._descriptor(blob_id)
             count = self.resolved_count(comm.size)
@@ -891,8 +890,7 @@ class CollectiveReader(_CollectiveParticipant):
         try:
             count = self.resolved_count(comm.size)
             owners = aggregator_ranks(comm.size, count)
-            if client.coalescer is not None \
-                    and client.has_unpublished_state(blob_id):
+            if client.has_unpublished_state(blob_id):
                 yield from client.coalescer.barrier(blob_id)
             hint = client.take_read_hint(blob_id)
             floor = max(hint or 0, client.version_hints.get(blob_id, 0))

@@ -18,11 +18,11 @@ from __future__ import annotations
 
 from typing import Optional, TYPE_CHECKING
 
+from repro.blobseer.client import BlobClient
 from repro.core.listio import IOVector
 from repro.errors import MPIIOError
 from repro.mpiio.adio.base import ADIODriver
 from repro.mpiio.adio.collective import CollectiveAggregator, CollectiveReader
-from repro.vstore.client import VectoredClient
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.blobseer.deployment import BlobSeerDeployment
@@ -60,9 +60,8 @@ class VersioningDriver(ADIODriver):
     both directions unless reads are explicitly switched off.
 
     Remaining keyword options forward to
-    :class:`~repro.vstore.client.VectoredClient` (e.g.
-    ``write_through_cache``, ``coalesce_max_writes``,
-    ``coalesce_max_delay``).
+    :class:`~repro.blobseer.client.BlobClient` (e.g.
+    ``write_through_cache``, ``metadata_cache_capacity``).
     """
 
     name = "versioning"
@@ -82,9 +81,9 @@ class VersioningDriver(ADIODriver):
         self.collective_reads = (collective_buffering
                                  if collective_reads is None
                                  else collective_reads)
-        self.client = VectoredClient(deployment, node,
-                                     name=rank_name or f"adio:{node.name}",
-                                     **client_options)
+        self.client = BlobClient(deployment, node,
+                                 name=rank_name or f"adio:{node.name}",
+                                 **client_options)
         #: two-phase exchange engine for ``write_at_all`` (always built; it
         #: only acts when ``collective_buffering`` routes a call through it)
         self.aggregator = CollectiveAggregator(

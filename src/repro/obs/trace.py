@@ -14,7 +14,7 @@ Each rank's operations are sequential within its own simulated process, so
 a per-actor :class:`TraceContext` keeps a *stack* of open spans and parents
 new ones under the top by default.  Anything that executes concurrently
 within a rank (upload fanouts, the pipelined ticket process, deferred
-completes, watchdog flushes) must **not** touch the stack: those sites use
+completes) must **not** touch the stack: those sites use
 :meth:`TraceContext.begin_detached` / :meth:`TraceContext.wrap` with an
 explicit parent.  A detached span whose interval may outlive its parent
 (a deferred complete) is marked ``flow=True`` — causally linked, but

@@ -149,13 +149,11 @@ def collect_clients(registry: "MetricsRegistry",
                 f"{client.name}: {chunks.stats.lookups} chunk lookups != "
                 f"{chunks.stats.hits} hits + {client.extents_fetched} "
                 "extents sent to providers")
-        coalescer = client.coalescer
-        if coalescer is not None:
-            for key, value in coalescer.stats.snapshot().items():
-                if key == "coalescing_factor":
-                    registry.set("coalescer.coalescing_factor", value)
-                else:
-                    registry.add(f"coalescer.{key}", value)
+        for key, value in client.coalescer.stats.snapshot().items():
+            if key == "coalescing_factor":
+                registry.set("coalescer.coalescing_factor", value)
+            else:
+                registry.add(f"coalescer.{key}", value)
     registry.report("metadata.lookup_partition", partition_problems(
         [client.tiers for client in clients]))
     registry.report("cache.chunk.lookup_partition", chunk_problems)

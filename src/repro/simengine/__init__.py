@@ -26,7 +26,7 @@ Public surface
 =====================  ======================================================
 """
 
-from repro.simengine.events import Event, Timeout, Timer, AllOf, AnyOf, Condition
+from repro.simengine.events import Event, Timeout, AllOf, AnyOf, Condition
 from repro.simengine.simulator import Simulator
 from repro.simengine.process import Fanout, Process
 from repro.simengine.rand import DeterministicRNG
@@ -36,7 +36,6 @@ __all__ = [
     "Event",
     "Fanout",
     "Timeout",
-    "Timer",
     "AllOf",
     "AnyOf",
     "Condition",

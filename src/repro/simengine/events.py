@@ -48,9 +48,6 @@ class Event:
 
     __slots__ = ("sim", "callbacks", "_value", "_ok", "_defused")
 
-    #: class-level default; only :class:`Timer` instances can flip this
-    _cancelled = False
-
     def __init__(self, sim: "Simulator"):
         self.sim = sim
         self.callbacks: Optional[List[Callable[["Event"], None]]] = []
@@ -169,43 +166,6 @@ class _Sleep(Event):
         self._value = value
         self._ok = True
         self._defused = False
-
-
-class Timer(Event):
-    """A cancellable one-shot timer (see :meth:`Simulator.call_later`).
-
-    The timer fires ``fn(*args)`` when processed.  :meth:`cancel` is O(1):
-    the queue entry stays where it is and is discarded lazily when the
-    simulator encounters it, which is what makes generation-invalidated
-    watchdog timers cheap.
-    """
-
-    __slots__ = ("_fn", "_args", "_cancelled")
-
-    def __init__(self, sim: "Simulator", fn: Callable[..., Any], args: tuple = ()):
-        super().__init__(sim)
-        self._fn = fn
-        self._args = args
-        self._cancelled = False
-        self._ok = True
-        self._value = None
-        self.callbacks.append(self._invoke)
-
-    @property
-    def active(self) -> bool:
-        """True while the timer is scheduled and not cancelled."""
-        return not self._cancelled and self.callbacks is not None
-
-    def cancel(self) -> bool:
-        """Cancel the timer; returns False if already fired or cancelled."""
-        if self._cancelled or self.callbacks is None:
-            return False
-        self._cancelled = True
-        self.sim._live -= 1
-        return True
-
-    def _invoke(self, _event: Event) -> None:
-        self._fn(*self._args)
 
 
 class Condition(Event):

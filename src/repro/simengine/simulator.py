@@ -6,7 +6,7 @@ from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Optional
 
 from repro.errors import SimulationError
-from repro.simengine.events import AllOf, AnyOf, Event, Timeout, Timer, _Sleep
+from repro.simengine.events import AllOf, AnyOf, Event, Timeout, _Sleep
 from repro.simengine.process import Fanout, Process
 from repro.simengine.rand import DeterministicRNG
 
@@ -22,9 +22,8 @@ class Simulator:
     The simulator owns a binary heap of ``(time, priority, sequence, event)``
     entries.  ``sequence`` is a monotonically increasing tie-breaker that
     makes the execution order of same-time events deterministic (insertion
-    order), which in turn makes every benchmark run reproducible.  A
-    cancelled :class:`Timer` stays in the heap and is discarded when it
-    surfaces, so ``Timer.cancel`` is O(1).
+    order), which in turn makes every benchmark run reproducible.  Nothing
+    leaves the heap except by being processed: every entry is pending work.
 
     Parameters
     ----------
@@ -41,8 +40,6 @@ class Simulator:
     def __init__(self, seed: int = 0):
         self._now: float = 0.0
         self._heap: list = []
-        #: heap entries not cancelled (``Timer.cancel`` decrements it)
-        self._live: int = 0
         self._seq: int = 0
         self._sleep_pool: list = []
         self.rng = DeterministicRNG(seed)
@@ -87,16 +84,7 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         heappush(self._heap, (self._now + delay, self.PRIORITY_NORMAL, seq, ev))
-        self._live += 1
         return ev
-
-    def call_later(self, delay: float, fn: Callable[..., Any], *args: Any) -> Timer:
-        """Run ``fn(*args)`` after ``delay`` time units; returns a cancellable
-        :class:`Timer`.  ``timer.cancel()`` is O(1) (lazy removal), which
-        makes frequently re-armed watchdogs cheap."""
-        timer = Timer(self, fn, args)
-        self.schedule(timer, delay=delay)
-        return timer
 
     def process(self, generator: Generator, name: Optional[str] = None) -> Process:
         """Start running ``generator`` as a simulated process."""
@@ -129,35 +117,23 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         heappush(self._heap, (self._now + delay, priority, seq, event))
-        self._live += 1
-
-    def cancel(self, timer: Timer) -> bool:
-        """Cancel a :class:`Timer` created by :meth:`call_later`."""
-        if not isinstance(timer, Timer):
-            raise SimulationError("only Timer events (call_later) can be cancelled")
-        return timer.cancel()
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``float('inf')`` if none."""
         heap = self._heap
-        while heap and heap[0][3]._cancelled:
-            heappop(heap)
         return heap[0][0] if heap else _INF
 
     @property
     def pending(self) -> int:
-        """Number of scheduled events that have not been cancelled."""
-        return self._live
+        """Number of scheduled events."""
+        return len(self._heap)
 
     def step(self) -> None:
         """Process exactly one event (advancing the clock to its time)."""
-        if not self._live:
-            raise SimulationError("step() on an empty event queue")
         heap = self._heap
+        if not heap:
+            raise SimulationError("step() on an empty event queue")
         when, _priority, _seq, event = heappop(heap)
-        while event._cancelled:
-            when, _priority, _seq, event = heappop(heap)
-        self._live -= 1
         self._now = when
         self.processed_events += 1
 
@@ -195,7 +171,7 @@ class Simulator:
         if stop_event is not None and stop_event.sim is not self:
             raise SimulationError("stop_event belongs to a different simulator")
 
-        while self._live:
+        while self._heap:
             if stop_event is not None and stop_event.processed:
                 break
             if until is not None and self.peek() > until:
@@ -218,7 +194,7 @@ class Simulator:
     def run_all(self, max_events: int = 50_000_000) -> None:
         """Drain the queue completely (with a safety cap on event count)."""
         count = 0
-        while self._live:
+        while self._heap:
             self.step()
             count += 1
             if count > max_events:

@@ -9,7 +9,7 @@ so single-client applications (the quickstart, the producer/consumer example)
 never have to write generator code.
 
 Benchmarks and multi-writer experiments do *not* use this facade — they place
-many :class:`~repro.vstore.client.VectoredClient` instances on distinct
+many :class:`~repro.blobseer.client.BlobClient` instances on distinct
 compute nodes of a shared cluster so that their operations genuinely overlap
 in simulated time.
 """
@@ -19,11 +19,10 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.blobseer.blob import BlobDescriptor
-from repro.blobseer.client import WriteReceipt
+from repro.blobseer.client import BlobClient, WriteReceipt
 from repro.blobseer.deployment import BlobSeerDeployment
 from repro.cluster import Cluster, ClusterConfig
 from repro.core.listio import IOVector
-from repro.vstore.client import VectoredClient
 
 
 class VersioningBackend:
@@ -43,8 +42,8 @@ class VersioningBackend:
             publish_cost=publish_cost,
         )
         self._client_node = self.cluster.add_node("facade-client", role="compute")
-        self.client = VectoredClient(self.deployment, self._client_node,
-                                     name="facade")
+        self.client = BlobClient(self.deployment, self._client_node,
+                                 name="facade")
 
     # ------------------------------------------------------------------
     def _run(self, generator):

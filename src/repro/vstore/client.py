@@ -1,139 +1,13 @@
-"""Vectored (List-I/O) client: non-contiguous MPI-atomic reads and writes.
+"""The vectored (List-I/O) client under its historical name.
 
-This is the access-interface extension of the paper: a single call describes
-a complex non-contiguous access, the write path uploads all chunks without
-any coordination, and the snapshot publication of the version manager orders
-whole vectored writes — so the overlapped regions of concurrent writes always
-contain data from exactly one writer (MPI atomicity), with no locking
-anywhere.
+The paper's non-contiguous, MPI-atomic ``vwrite``/``vread`` primitives and
+the coalescer's queued interface are methods of
+:class:`~repro.blobseer.client.BlobClient`; ``VectoredClient`` is that
+class, kept importable from here.
 """
 
-from __future__ import annotations
-
-from typing import Optional, Sequence, Tuple, Union
-
 from repro.blobseer.client import BlobClient
-from repro.blobseer.writepath import WriteCoalescer
-from repro.core.listio import IOVector
-from repro.errors import StorageError
 
-WritePairs = Sequence[Tuple[int, bytes]]
-ReadPairs = Sequence[Tuple[int, int]]
+VectoredClient = BlobClient
 
-
-class VectoredClient(BlobClient):
-    """BlobSeer client extended with the paper's non-contiguous primitives.
-
-    On top of the immediate :meth:`vwrite`/:meth:`vread` pair, the vectored
-    client exposes the write-pipeline subsystem's *queued* interface: writes
-    staged with :meth:`vwrite_queued` are coalesced into one snapshot batch
-    per BLOB when :meth:`vflush`/:meth:`vbarrier` runs.  ``coalesce_max_
-    writes`` / ``coalesce_max_bytes`` bound a batch (crossing either flushes
-    automatically) and ``coalesce_max_delay`` bounds how long a queued write
-    may wait before a watchdog flushes it (simulated seconds); by default
-    batches grow until an explicit flush.
-    """
-
-    def __init__(self, *args, coalesce_max_writes: Optional[int] = None,
-                 coalesce_max_bytes: Optional[int] = None,
-                 coalesce_max_delay: Optional[float] = None, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.coalescer = WriteCoalescer(
-            self, max_batch_writes=coalesce_max_writes,
-            max_batch_bytes=coalesce_max_bytes,
-            flush_max_delay=coalesce_max_delay)
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _as_write_vector(access: Union[IOVector, WritePairs]) -> IOVector:
-        if isinstance(access, IOVector):
-            if not access.is_write:
-                raise StorageError("vwrite() needs a write vector")
-            return access
-        return IOVector.for_write(access)
-
-    @staticmethod
-    def _as_read_vector(access: Union[IOVector, ReadPairs]) -> IOVector:
-        if isinstance(access, IOVector):
-            if not access.is_read:
-                raise StorageError("vread() needs a read vector")
-            return access
-        return IOVector.for_read(access)
-
-    # ------------------------------------------------------------------
-    def vwrite(self, blob_id: str, access: Union[IOVector, WritePairs]):
-        """Atomically write a set of non-contiguous regions as one snapshot.
-
-        ``access`` is either an :class:`~repro.core.listio.IOVector` or a
-        plain ``[(offset, payload), ...]`` list.  Returns a
-        :class:`~repro.blobseer.client.WriteReceipt` whose ``version`` names
-        the snapshot this write produced.
-        """
-        vector = self._as_write_vector(access)
-        receipt = yield from self._vectored_write(blob_id, vector)
-        return receipt
-
-    def vread(self, blob_id: str, access: Union[IOVector, ReadPairs],
-              version: Optional[int] = None):
-        """Read a set of non-contiguous regions from one published snapshot.
-
-        Returns one ``bytes`` object per requested range, all taken from the
-        same consistent snapshot (the latest published one by default).
-
-        A default read may consume a one-shot hint planted at this client's
-        own last barrier or collective commit instead of asking the version
-        manager for ``latest`` — it then observes everything this client
-        synchronized on, but not writes another client published *after*
-        that fence.  When cross-client freshness beyond the last fence
-        matters, pass an explicit version (e.g. from
-        :meth:`~repro.blobseer.client.BlobClient.latest_version` or
-        ``wait_published``) — those paths always round-trip.
-        """
-        vector = self._as_read_vector(access)
-        pieces = yield from self._vectored_read(blob_id, vector, version)
-        return pieces
-
-    def vwrite_and_wait(self, blob_id: str, access: Union[IOVector, WritePairs]):
-        """Like :meth:`vwrite`, then block until the snapshot is published.
-
-        MPI-I/O write calls in atomic mode return once their effects are
-        visible to subsequent reads, so the ADIO driver uses this variant.
-        """
-        receipt = yield from self.vwrite(blob_id, access)
-        yield from self.wait_published(blob_id, receipt.version)
-        return receipt
-
-    # ------------------------------------------------------------------
-    # queued writes (the write-pipeline subsystem's coalescing interface)
-    # ------------------------------------------------------------------
-    def vwrite_queued(self, blob_id: str, access: Union[IOVector, WritePairs]):
-        """Stage an atomic vectored write for a later coalesced commit.
-
-        The write stays invisible to every reader until :meth:`vflush` /
-        :meth:`vbarrier` commits its batch; queue order is preserved, so the
-        eventual snapshot equals applying the queued writes serially.
-        Returns the :class:`~repro.blobseer.writepath.batch.StagedWrite`
-        handle (its ``receipt`` is filled at flush time).
-        """
-        vector = self._as_write_vector(access)
-        staged = yield from self.coalescer.enqueue(blob_id, vector)
-        return staged
-
-    def vflush(self, blob_id: Optional[str] = None):
-        """Commit queued writes as merged snapshot batches (one per BLOB).
-
-        Returns the commit receipts.  Publication of the batches may still
-        be in flight; use :meth:`vbarrier` when subsequent reads must see
-        the queued writes.
-        """
-        receipts = yield from self.coalescer.flush(blob_id)
-        return receipts
-
-    def vbarrier(self, blob_id: Optional[str] = None):
-        """Flush queued writes and wait until they are published (readable).
-
-        The explicit atomic barrier of the write pipeline: after it returns,
-        every write queued before the call is visible to any reader.
-        """
-        receipts = yield from self.coalescer.barrier(blob_id)
-        return receipts
+__all__ = ["VectoredClient"]

@@ -380,37 +380,6 @@ class TestCoalescer:
         assert data == bytes(expected)
         assert client.coalescer.stats.coalescing_factor == 3.0
 
-    def test_max_batch_writes_auto_flushes(self):
-        cluster, _, client = make_client()
-        client.coalescer.max_batch_writes = 2
-
-        def scenario():
-            yield from client.vwrite_queued(BLOB, [(0, b"a" * 10)])
-            assert client.coalescer.pending_writes(BLOB) == 1
-            yield from client.vwrite_queued(BLOB, [(20, b"b" * 10)])
-            # the second enqueue crossed the bound and flushed the batch
-            assert client.coalescer.pending_writes(BLOB) == 0
-            yield from client.vbarrier(BLOB)
-
-        run(cluster, scenario())
-        assert client.coalescer.stats.auto_flushes == 1
-        assert client.writes == 1
-        assert client.logical_writes == 2
-
-    def test_max_batch_bytes_auto_flushes(self):
-        cluster, _, client = make_client()
-        client.coalescer.max_batch_bytes = 64
-
-        def scenario():
-            yield from client.vwrite_queued(BLOB, [(0, b"a" * 40)])
-            assert client.coalescer.pending_writes(BLOB) == 1
-            yield from client.vwrite_queued(BLOB, [(100, b"b" * 40)])
-            assert client.coalescer.pending_writes(BLOB) == 0
-            yield from client.vbarrier(BLOB)
-
-        run(cluster, scenario())
-        assert client.writes == 1
-
     def test_barrier_without_queued_writes_is_a_noop(self):
         cluster, _, client = make_client()
         receipts = run(cluster, client.vbarrier(BLOB))
@@ -454,6 +423,163 @@ class TestCoalescer:
         # the queued write took the earlier ticket; the later direct write wins
         assert data == b"new"
         assert client.writes == 2 and client.logical_writes == 2
+
+
+class TestFlushPoints:
+    """The queue commits at MPI's flush points only: no write count, byte
+    volume or elapsed time flushes it behind the rank's back."""
+
+    def test_no_write_count_flushes_the_queue(self):
+        cluster, _, client = make_client()
+
+        def scenario():
+            for index in range(64):
+                yield from client.vwrite_queued(
+                    BLOB, [(index * 8, bytes([index]) * 8)])
+            assert client.coalescer.pending_writes(BLOB) == 64
+            assert client.writes == 0
+            yield from client.vbarrier(BLOB)
+
+        run(cluster, scenario())
+        assert client.coalescer.stats.batches == 1
+        assert client.coalescer.stats.coalesced_writes == 64
+        assert client.writes == 1 and client.logical_writes == 64
+
+    def test_no_byte_volume_flushes_the_queue(self):
+        cluster, deployment, client = make_client()
+
+        def scenario():
+            yield from client.vwrite_queued(BLOB, [(0, b"a" * 2048)])
+            yield from client.vwrite_queued(BLOB, [(2048, b"b" * 2048)])
+            assert client.coalescer.pending_writes(BLOB) == 2
+            assert deployment.version_manager.manager.latest_published(
+                BLOB) == 0
+            yield from client.vbarrier(BLOB)
+
+        run(cluster, scenario())
+        assert client.writes == 1
+        assert client.coalescer.stats.coalesced_bytes == BLOB_SIZE
+
+    def test_a_quiet_producer_batch_waits_for_its_flush_point(self):
+        """However long the producer stays quiet, nothing publishes until
+        it reaches a flush point."""
+        cluster, deployment, client = make_client()
+        manager = deployment.version_manager.manager
+
+        def producer():
+            yield from client.vwrite_queued(BLOB, [(0, b"tick")])
+            yield cluster.sim.timeout(10.0)
+            assert manager.latest_published(BLOB) == 0
+            assert client.coalescer.pending_writes(BLOB) == 1
+            yield from client.vbarrier(BLOB)
+
+        run(cluster, producer())
+        assert manager.latest_published(BLOB) == 1
+        assert run(cluster, client.vread(BLOB, [(0, 4)])) == [b"tick"]
+
+    def test_flush_commits_the_whole_accumulated_batch(self):
+        cluster, deployment, client = make_client()
+
+        def producer():
+            for step in range(3):
+                yield from client.vwrite_queued(
+                    BLOB, [(step * 16, bytes([65 + step]) * 16)])
+                yield cluster.sim.timeout(0.01)
+            yield from client.vbarrier(BLOB)
+
+        run(cluster, producer())
+        assert deployment.version_manager.manager.latest_published(BLOB) == 1
+        assert client.coalescer.stats.batches == 1
+        assert client.coalescer.stats.coalesced_writes == 3
+        assert run(cluster, client.vread(BLOB, [(0, 48)])) \
+            == [b"A" * 16 + b"B" * 16 + b"C" * 16]
+
+    def test_each_flush_starts_a_fresh_batch(self):
+        cluster, deployment, client = make_client()
+
+        def producer():
+            yield from client.vwrite_queued(BLOB, [(0, b"one")])
+            first = yield from client.vflush(BLOB)
+            yield from client.vwrite_queued(BLOB, [(16, b"two")])
+            assert client.coalescer.pending_writes(BLOB) == 1
+            second = yield from client.vbarrier(BLOB)
+            return first, second
+
+        first, second = run(cluster, producer())
+        assert [receipt.version for receipt in first] == [1]
+        assert [receipt.version for receipt in second] == [2]
+        assert deployment.version_manager.manager.latest_published(BLOB) == 2
+        assert run(cluster, client.vread(BLOB, [(0, 3), (16, 3)])) \
+            == [b"one", b"two"]
+
+    def test_a_second_flush_finds_nothing_left_to_commit(self):
+        cluster, deployment, client = make_client()
+
+        def scenario():
+            yield from client.vwrite_queued(BLOB, [(0, b"once" * 4)])
+            first = yield from client.vflush(BLOB)
+            second = yield from client.vflush(BLOB)
+            yield from client.vbarrier(BLOB)
+            return first, second
+
+        first, second = run(cluster, scenario())
+        assert len(first) == 1 and second == []
+        assert client.writes == 1
+        assert client.coalescer.stats.batches == 1
+        assert deployment.version_manager.manager.latest_published(BLOB) == 1
+
+    def test_a_write_queued_during_a_commit_waits_for_the_next_flush(self):
+        """Writes staged in an in-flight commit leave the queue with it; a
+        write queued while that commit's RPCs are in flight stays queued."""
+        cluster, _, client = make_client()
+
+        def first_batch():
+            for index in range(3):
+                yield from client.vwrite_queued(
+                    BLOB, [(index * 16, bytes([65 + index]) * 16)])
+            yield from client.vflush(BLOB)
+
+        def late_write():
+            yield cluster.sim.timeout(1e-4)  # inside the commit's RPC window
+            yield from client.vwrite_queued(BLOB, [(256, b"late" * 4)])
+
+        processes = [cluster.sim.process(first_batch()),
+                     cluster.sim.process(late_write())]
+
+        def driver():
+            yield cluster.sim.all_of(processes)
+            yield cluster.sim.timeout(0.1)
+
+        cluster.sim.run(stop_event=cluster.sim.process(driver()))
+        assert client.coalescer.pending_writes(BLOB) == 1
+        assert client.writes == 1
+        assert client.coalescer.stats.coalesced_writes == 3
+        run(cluster, client.vbarrier(BLOB))
+        assert client.writes == 2
+        assert run(cluster, client.vread(BLOB, [(256, 16)])) == [b"late" * 4]
+
+    def test_a_global_flush_commits_one_batch_per_blob(self):
+        cluster, _, client = make_client()
+        other = "wp-other"
+
+        def scenario():
+            yield from client.create_blob(other, BLOB_SIZE, chunk_size=CHUNK)
+            yield from client.vwrite_queued(BLOB, [(0, b"mine")])
+            yield from client.vwrite_queued(other, [(0, b"them")])
+            yield from client.vflush(BLOB)
+            assert client.coalescer.pending_writes(BLOB) == 0
+            assert client.coalescer.pending_writes(other) == 1
+            yield from client.vwrite_queued(BLOB, [(8, b"more")])
+            receipts = yield from client.vbarrier()
+            return receipts
+
+        receipts = run(cluster, scenario())
+        assert sorted(receipt.blob_id for receipt in receipts) \
+            == sorted([BLOB, other])
+        assert client.coalescer.pending_writes() == 0
+        assert run(cluster, client.vread(other, [(0, 4)])) == [b"them"]
+        assert run(cluster, client.vread(BLOB, [(0, 4), (8, 4)])) \
+            == [b"mine", b"more"]
 
 
 class TestCommitFailureRecovery:
@@ -593,87 +719,6 @@ class TestCacheCapacityConfig:
         assert unbounded.metadata_cache.capacity is None
 
 
-class TestFlushMaxDelay:
-    """The coalescer's time-based flush bound (publication-latency SLO)."""
-
-    def test_slow_producer_batch_publishes_within_the_bound(self):
-        """A queued write flushes after flush_max_delay with no explicit
-        flush — the bound FUT1's producer/consumer pattern needs."""
-        cluster, deployment, client = make_client(coalesce_max_delay=0.05)
-        observations = {}
-
-        def producer():
-            yield from client.vwrite_queued(BLOB, [(0, b"tick")])
-            # the producer goes quiet: no flush, no barrier, no size bound
-            yield cluster.sim.timeout(10.0)
-
-        def checker():
-            manager = deployment.version_manager.manager
-            yield cluster.sim.timeout(0.049)
-            observations["before_deadline"] = manager.latest_published(BLOB)
-            yield cluster.sim.timeout(0.151)  # deadline + commit round-trips
-            observations["after_deadline"] = manager.latest_published(BLOB)
-
-        check = cluster.sim.process(checker())
-        cluster.sim.process(producer())
-        cluster.sim.run(stop_event=check)
-        assert observations["before_deadline"] == 0  # no early flush
-        assert observations["after_deadline"] == 1   # published within bound
-        assert client.coalescer.stats.delay_flushes == 1
-        assert client.coalescer.pending_writes(BLOB) == 0
-
-    def test_delay_flush_commits_the_whole_accumulated_batch(self):
-        cluster, deployment, client = make_client(coalesce_max_delay=0.05)
-
-        def producer():
-            # three writes inside one delay window -> one merged snapshot
-            for step in range(3):
-                yield from client.vwrite_queued(
-                    BLOB, [(step * 16, bytes([65 + step]) * 16)])
-                yield cluster.sim.timeout(0.01)
-            yield cluster.sim.timeout(0.3)
-
-        run(cluster, producer())
-        assert deployment.version_manager.manager.latest_published(BLOB) == 1
-        assert client.coalescer.stats.delay_flushes == 1
-        assert client.coalescer.stats.batches == 1
-        assert client.coalescer.stats.coalesced_writes == 3
-        assert run(cluster, client.vread(BLOB, [(0, 48)])) \
-            == [b"A" * 16 + b"B" * 16 + b"C" * 16]
-
-    def test_explicit_flush_cancels_the_timer_and_rearms_for_the_next_batch(self):
-        cluster, deployment, client = make_client(coalesce_max_delay=0.05)
-        observations = {}
-
-        def producer():
-            yield from client.vwrite_queued(BLOB, [(0, b"one")])
-            yield cluster.sim.timeout(0.01)
-            yield from client.vflush(BLOB)          # beats the timer
-            yield from client.vwrite_queued(BLOB, [(16, b"two")])
-            # the second batch gets its own full window measured from its
-            # first write (t=0.01+commit), not from the stale first timer
-            yield cluster.sim.timeout(10.0)
-
-        def checker():
-            manager = deployment.version_manager.manager
-            yield cluster.sim.timeout(0.055)
-            # the first timer (armed at t=0) must not cut batch 2 short
-            observations["after_stale_deadline"] = client.coalescer.pending_writes(BLOB)
-            yield cluster.sim.timeout(0.2)
-            observations["published"] = manager.latest_published(BLOB)
-
-        check = cluster.sim.process(checker())
-        cluster.sim.process(producer())
-        cluster.sim.run(stop_event=check)
-        assert observations["after_stale_deadline"] == 1
-        assert observations["published"] == 2
-        assert client.coalescer.stats.delay_flushes == 1
-
-    def test_rejects_non_positive_delay(self):
-        with pytest.raises(StorageError):
-            make_client(coalesce_max_delay=0.0)
-
-
 class TestReadHints:
     """vread(version=None) consumes piggybacked watermarks (elided latest RPC)."""
 
@@ -735,126 +780,6 @@ class TestReadHints:
         assert run(cluster, scenario()) == b"BBBB"
         assert client.latest_rpcs_elided == 0
 
-
-class TestFlushWatchdogRaces:
-    def test_watchdog_firing_during_an_explicit_flush_does_not_double_commit(self):
-        """The staged batch stays queued while its commit's RPCs are in
-        flight; a timer expiring in that window must not flush it again."""
-        cluster, deployment, client = make_client(coalesce_max_delay=0.05)
-
-        def scenario():
-            yield from client.vwrite_queued(BLOB, [(0, b"once" * 4)])
-            # start the explicit flush just before the deadline: its commit
-            # round-trips span t=0.05, where the armed timer fires
-            yield cluster.sim.timeout(0.049)
-            yield from client.vflush(BLOB)
-            yield cluster.sim.timeout(0.3)
-
-        run(cluster, scenario())
-        assert client.writes == 1
-        assert client.coalescer.stats.batches == 1
-        assert client.coalescer.pending_bytes(BLOB) == 0
-        assert deployment.version_manager.manager.latest_published(BLOB) == 1
-
-    def test_failed_explicit_flush_rearms_the_latency_bound(self):
-        """A failed flush keeps the batch staged *and* keeps its max-delay
-        bound: once the fault clears, the watchdog publishes it."""
-        cluster, deployment, client = make_client(coalesce_max_delay=0.05)
-        run(cluster, client.vwrite_queued(BLOB, [(0, b"bounce")]))
-        for provider_id in list(deployment.data_providers):
-            deployment.fail_provider(provider_id)
-        with pytest.raises(Exception):
-            run(cluster, client.vflush(BLOB))
-        for provider_id in list(deployment.data_providers):
-            deployment.recover_provider(provider_id)
-
-        def wait_out():
-            yield cluster.sim.timeout(0.3)
-
-        run(cluster, wait_out())
-        assert deployment.version_manager.manager.latest_published(BLOB) >= 1
-        assert client.coalescer.pending_writes(BLOB) == 0
-
-    def test_explicit_flush_during_a_watchdog_commit_does_not_double_commit(self):
-        """The reverse race: the watchdog's commit is in flight when an
-        explicit flush arrives — it must wait, not re-commit the batch."""
-        cluster, deployment, client = make_client(coalesce_max_delay=0.05)
-
-        def scenario():
-            yield from client.vwrite_queued(BLOB, [(0, b"once" * 4)])
-            # the watchdog fires at t=0.05 and starts its commit; this
-            # explicit flush lands inside the commit's round-trips
-            yield cluster.sim.timeout(0.051)
-            receipts = yield from client.vflush(BLOB)
-            yield cluster.sim.timeout(0.3)
-            return receipts
-
-        receipts = run(cluster, scenario())
-        assert receipts == []  # nothing left for the explicit flush
-        assert client.writes == 1
-        assert client.coalescer.stats.batches == 1
-        assert client.coalescer.pending_bytes(BLOB) == 0
-        assert deployment.version_manager.manager.latest_published(BLOB) == 1
-
-    def test_watchdog_retries_back_off_and_recover_on_their_own(self):
-        """Persistent failure slows the retry rate (no fixed-period RPC
-        spam), but the queue still publishes by itself once the backend
-        recovers — no explicit flush needed."""
-        cluster, deployment, client = make_client(coalesce_max_delay=0.01)
-        run(cluster, client.vwrite_queued(BLOB, [(0, b"stuck")]))
-        for provider_id in list(deployment.data_providers):
-            deployment.fail_provider(provider_id)
-
-        def wait_through_outage():
-            yield cluster.sim.timeout(2.0)  # room for ~200 naive retries
-
-        run(cluster, wait_through_outage())
-        # exponential backoff: far fewer attempts than one per base period
-        assert 2 <= client.coalescer.stats.delay_flushes <= 12
-        assert client.coalescer.stats.delay_flush_failures \
-            == client.coalescer.stats.delay_flushes
-        assert client.coalescer.pending_writes(BLOB) == 1  # still staged
-
-        for provider_id in list(deployment.data_providers):
-            deployment.recover_provider(provider_id)
-
-        def wait_for_retry():
-            # the next backed-off retry (at most 64x the base delay away)
-            # publishes without any explicit flush
-            yield cluster.sim.timeout(1.0)
-
-        run(cluster, wait_for_retry())
-        assert client.coalescer.pending_writes(BLOB) == 0
-        assert deployment.version_manager.manager.latest_published(BLOB) >= 1
-        assert run(cluster, client.vread(BLOB, [(0, 5)])) == [b"stuck"]
-
-    def test_batch_bound_ignores_a_batch_already_committing(self):
-        """Writes staged in an in-flight commit must not count toward the
-        next batch's size bound (no premature undersized snapshots)."""
-        cluster, deployment, client = make_client(coalesce_max_writes=4)
-
-        def first_batch():
-            for index in range(3):
-                yield from client.vwrite_queued(
-                    BLOB, [(index * 16, bytes([65 + index]) * 16)])
-            yield from client.vflush(BLOB)
-
-        def late_write():
-            yield cluster.sim.timeout(1e-4)  # inside the commit's RPC window
-            yield from client.vwrite_queued(BLOB, [(256, b"late" * 4)])
-
-        processes = [cluster.sim.process(first_batch()),
-                     cluster.sim.process(late_write())]
-
-        def driver():
-            yield cluster.sim.all_of(processes)
-            yield cluster.sim.timeout(0.1)
-
-        cluster.sim.run(stop_event=cluster.sim.process(driver()))
-        # the late write alone (1 < 4) must not have auto-flushed
-        assert client.coalescer.stats.auto_flushes == 0
-        assert client.coalescer.pending_writes(BLOB) == 1
-        assert client.writes == 1
 
     def test_hint_never_serves_older_than_an_observed_watermark(self):
         """Monotonic reads: after this client observes a newer published

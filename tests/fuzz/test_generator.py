@@ -78,7 +78,7 @@ def test_structural_validity_over_a_seed_range():
         assert 1 <= scenario.num_aggregators <= scenario.num_ranks
         assert scenario.ranks_per_node in (1, 2)
         assert scenario.chunk_size in (512, 1024, 2048)
-        assert 1 <= len(scenario.phases) <= MAX_PHASES + 2  # + probe/straggler
+        assert 1 <= len(scenario.phases) <= MAX_PHASES + 2  # + probe/storm
         assert scenario.phases[0].is_write
         assert scenario.file_size % scenario.chunk_size == 0
         for phase in scenario.phases:
@@ -86,6 +86,13 @@ def test_structural_validity_over_a_seed_range():
             assert workload_file_size(phase.workload, scenario.num_ranks) \
                 <= scenario.file_size
             build_workload(phase.workload, scenario.num_ranks)  # materializes
+
+
+def test_no_seed_draws_the_retired_straggler():
+    assert "straggler" not in INJECTOR_KINDS
+    for seed in SEEDS:
+        kinds = [injector.kind for injector in generate_scenario(seed).injectors]
+        assert "straggler" not in kinds
 
 
 def test_injector_constraints_over_a_seed_range():
@@ -104,13 +111,6 @@ def test_injector_constraints_over_a_seed_range():
             elif injector.kind == "resolver_death":
                 assert phase.kind == "collective_read"
                 assert injector.phase + 1 < len(scenario.phases)
-            elif injector.kind == "straggler":
-                # only disjoint checkpoint phases: bytes must be
-                # flush-order-independent under the watchdog
-                assert phase.kind == "independent_write"
-                assert phase.workload["family"] == "checkpoint"
-                assert injector.params["delay"] \
-                    > injector.params["max_delay"]
             elif injector.kind == "hot_spot":
                 assert phase.is_write
                 window = phase.workload["window"]

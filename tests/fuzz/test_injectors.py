@@ -6,12 +6,14 @@ to trigger — and assert both that it fired and that the run still judges
 clean (the containment contracts absorb the injected hostility).
 """
 
+import pytest
+
+from repro.errors import BenchmarkError
 from repro.fuzz.injectors import (
     AggregatorDeath,
     CacheThrash,
     HotSpot,
     ResolverDeath,
-    Straggler,
     build_injectors,
     death_injector_for_phase,
 )
@@ -37,19 +39,22 @@ def test_build_injectors_maps_kinds():
                           params={"rank": 0}),
              InjectorSpec(kind="resolver_death", phase=1,
                           params={"rank": 0}),
-             InjectorSpec(kind="straggler", phase=0,
-                          params={"rank": 1, "max_delay": 0.005,
-                                  "delay": 0.05}),
              InjectorSpec(kind="cache_thrash", phase=0,
                           params={"reads": 4, "max_size": 256}),
              InjectorSpec(kind="hot_spot", phase=0,
                           params={"window": [0, 1024]})]
     injectors = build_injectors(specs)
     assert [type(injector) for injector in injectors] == [
-        AggregatorDeath, ResolverDeath, Straggler, CacheThrash, HotSpot]
+        AggregatorDeath, ResolverDeath, CacheThrash, HotSpot]
     assert death_injector_for_phase(injectors, 0) is injectors[0]
     assert death_injector_for_phase(injectors, 1) is injectors[1]
     assert death_injector_for_phase(injectors, 2) is None
+
+
+def test_retired_straggler_kind_is_rejected():
+    with pytest.raises(BenchmarkError, match="straggler"):
+        InjectorSpec(kind="straggler", phase=0,
+                     params={"rank": 1, "max_delay": 0.005, "delay": 0.05})
 
 
 def test_aggregator_death_fires_aborts_and_contains():
@@ -77,30 +82,6 @@ def test_resolver_death_fires_and_contains():
                                 params={"rank": DOOMED})])
     result = run_clean(scenario)
     assert result.fired == ["resolver_death"]
-
-
-def test_straggler_trips_the_flush_watchdog():
-    scenario = make_scenario(
-        num_ranks=NUM_RANKS, num_aggregators=NUM_AGGREGATORS,
-        phases=[checkpoint_phase("independent_write")],
-        injectors=[InjectorSpec(kind="straggler", phase=0,
-                                params={"rank": 1, "max_delay": 0.005,
-                                        "delay": 0.05})])
-    result = run_clean(scenario)
-    assert result.fired == ["straggler"]
-
-
-def test_straggler_does_not_change_checkpoint_bytes():
-    phases = [checkpoint_phase("independent_write")]
-    base = make_scenario(num_ranks=NUM_RANKS,
-                         num_aggregators=NUM_AGGREGATORS, phases=phases)
-    slowed = make_scenario(
-        num_ranks=NUM_RANKS, num_aggregators=NUM_AGGREGATORS, phases=phases,
-        injectors=[InjectorSpec(kind="straggler", phase=0,
-                                params={"rank": 2, "max_delay": 0.005,
-                                        "delay": 0.08})])
-    # disjoint blocks: watchdog-perturbed flush order may not change bytes
-    assert run_clean(base).read_digest == run_clean(slowed).read_digest
 
 
 def test_cache_thrash_adversary_runs_alongside_the_job():

@@ -4,8 +4,7 @@ The first 2000-seed sweep of the finished fuzzer came back clean, so —
 per the fuzzer's landing contract — these pin the lowest seeds whose
 generated scenarios exercise each injected-hostility path that flagged
 while the fuzzer itself was being brought up (mis-masked death windows,
-watchdog flushes racing rank-order publication, adversary reads against
-half-published versions).  If a future change reintroduces any of those
+adversary reads against half-published versions).  If a future change reintroduces any of those
 bugs, the matching seed flags again right here, with full replay:
 
     python -m repro.fuzz --replay <seed>
@@ -24,7 +23,6 @@ from repro.fuzz.runner import execute_scenario
 
 #: seed -> the injector kind the scenario is pinned to fire
 PINNED = {
-    1: "straggler",          # watchdog flush out of rank order
     3: "cache_thrash",       # adversary churn against live metadata
     14: "provider_death",    # peer daemon dies under a peer-miss storm
     19: "aggregator_death",  # torn stripe commit, one ticket aborted

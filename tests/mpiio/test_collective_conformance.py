@@ -388,46 +388,40 @@ class TestPartitionAlgebra:
             partition_file_domain(10, 10, 2, align=64)
 
 
-def test_collective_survives_client_batch_bounds():
-    """Client-side batch bounds (one write a batch, a 0.1 ms delay) bound
-    the application's queued writes, not the collective: a stripe never
-    enters the queue, so no bound can flush it behind the aggregator's back,
-    and the job publishes exactly what the unbounded driver publishes."""
+def test_collective_stripes_never_enter_the_client_queue():
+    """A collective is a flush point of its own: a stripe never enters a
+    client's write queue, so nothing is left staged for a later flush and
+    the job publishes exactly the serial application of its pattern."""
     num_ranks = 4
     pattern = random_pattern(17, num_ranks, empty_rank_chance=0.0)
-    outcomes = []
-    for bounds in ({}, {"coalesce_max_writes": 1,
-                        "coalesce_max_delay": 1e-4}):
-        cluster, deployment = make_deployment()
-        drivers = {}
+    cluster, deployment = make_deployment()
+    drivers = {}
 
-        def rank_main(ctx):
-            driver = VersioningDriver(deployment, ctx.node,
-                                      rank_name=f"rank{ctx.rank}",
-                                      write_coalescing=True,
-                                      collective_buffering=True,
-                                      collective_aggregators=2, **bounds)
-            drivers[ctx.rank] = driver
-            handle = yield from File.open(driver, PATH, rank=ctx.rank,
-                                          comm=ctx.comm, size_hint=FILE_SIZE)
-            filetype, payload = rank_view(pattern[ctx.rank])
-            handle.set_view(0, BYTE, filetype)
-            yield from handle.write_at_all(0, payload)
-            yield from handle.close()
+    def rank_main(ctx):
+        driver = VersioningDriver(deployment, ctx.node,
+                                  rank_name=f"rank{ctx.rank}",
+                                  write_coalescing=True,
+                                  collective_buffering=True,
+                                  collective_aggregators=2)
+        drivers[ctx.rank] = driver
+        handle = yield from File.open(driver, PATH, rank=ctx.rank,
+                                      comm=ctx.comm, size_hint=FILE_SIZE)
+        filetype, payload = rank_view(pattern[ctx.rank])
+        handle.set_view(0, BYTE, filetype)
+        yield from handle.write_at_all(0, payload)
+        yield from handle.close()
 
-        run_mpi_job(cluster, num_ranks, rank_main)
-        manager = deployment.version_manager.manager
-        assert manager.pending_versions(PATH) == []
-        for driver in drivers.values():
-            assert driver.client.coalescer.stats.staged_writes == 0
-            # every rank learned the watermark through the closing exchange
-            assert driver.client.version_hints.get(PATH) \
-                == manager.latest_published(PATH)
-        outcomes.append((read_back(cluster, deployment),
-                         manager.latest_published(PATH)))
-    assert outcomes[1] == outcomes[0]
-    assert outcomes[0][0] == serial_oracle(pattern)
-    assert outcomes[0][1] == 2
+    run_mpi_job(cluster, num_ranks, rank_main)
+    manager = deployment.version_manager.manager
+    assert manager.pending_versions(PATH) == []
+    for driver in drivers.values():
+        assert driver.client.coalescer.stats.staged_writes == 0
+        assert driver.client.coalescer.pending_writes() == 0
+        # every rank learned the watermark through the closing exchange
+        assert driver.client.version_hints.get(PATH) \
+            == manager.latest_published(PATH)
+    assert read_back(cluster, deployment) == serial_oracle(pattern)
+    assert manager.latest_published(PATH) == 2
 
 
 def test_atomic_reads_bypass_hints_planted_by_earlier_collectives():

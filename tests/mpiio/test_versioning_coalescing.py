@@ -137,7 +137,7 @@ def test_read_fences_when_publication_lags_behind_own_commit():
     lagging watermark), so the read must fence and wait — never serve a
     snapshot older than the client's own flushed write."""
     cluster, deployment, driver_factory = make_environment(
-        write_coalescing=True, coalesce_max_writes=1)
+        write_coalescing=True)
     blocker = deployment.client(cluster.add_node("blocker"), name="blocker")
 
     def staller():
@@ -154,12 +154,13 @@ def test_read_fences_when_publication_lags_behind_own_commit():
                                       comm=ctx.comm, size_hint=FILE_SIZE)
         cluster.sim.process(staller())
         yield ctx.sim.timeout(0.001)  # let the staller take its ticket
-        # coalesce_max_writes=1 auto-flushes immediately: our write commits
-        # with the later ticket but cannot publish until the staller does
+        # flushing right after the write commits it with the later ticket,
+        # but it cannot publish until the staller does
         yield from handle.write_at(0, b"hello!")
+        client = driver.client
+        yield from client.vflush("/f")
         # join the deferred complete: nothing is queued or in flight any
         # more, only the committed batch's publication lags behind
-        client = driver.client
         yield from client.writepath.drain("/f")
         assert client.coalescer.pending_writes("/f") == 0
         assert client.writepath.outstanding("/f") == 0

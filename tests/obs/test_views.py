@@ -165,7 +165,6 @@ def test_stats_snapshots_keep_their_keys_and_order():
     coalescer = CoalescerStats(batches=2, coalesced_writes=5).snapshot()
     assert list(coalescer) == [
         "staged_writes", "batches", "coalesced_writes", "coalesced_bytes",
-        "auto_flushes", "delay_flushes", "delay_flush_failures",
         "coalescing_factor"]
     assert coalescer["coalescing_factor"] == 2.5
     assert list(CollectiveStats(stripes_committed=3).snapshot().items()) == [

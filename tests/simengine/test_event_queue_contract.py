@@ -2,11 +2,9 @@
 
 Simulation results are a function of the order events are processed in, so
 the queue has one job: hand events back in exactly ``(time, priority, seq)``
-order, with a cancelled :class:`Timer` never delivered.  The model is the
-obvious implementation — a list kept sorted, cancellation by removal — and
-any interleaving of schedule / step / cancel / peek must agree with it on
-what is delivered, when, what ``peek`` answers and how many events are
-pending.
+order.  The model is the obvious implementation — a list kept sorted — and
+any interleaving of schedule / step / peek must agree with it on what is
+delivered, when, what ``peek`` answers and how many events are pending.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -22,9 +20,7 @@ DELAYS = st.one_of(
 OPS = st.lists(
     st.one_of(
         st.tuples(st.just("event"), DELAYS, st.integers(0, 1)),
-        st.tuples(st.just("timer"), DELAYS),
         st.tuples(st.just("step")),
-        st.tuples(st.just("cancel"), st.integers(0, 2 ** 30)),
         st.tuples(st.just("peek")),
     ),
     max_size=200,
@@ -35,47 +31,29 @@ OPS = st.lists(
 @given(OPS)
 def test_queue_agrees_with_sorted_list_model(ops):
     sim = Simulator()
-    #: the model: (time, priority, seq, tag) of every live entry, sorted
+    #: the model: (time, priority, seq, tag) of every scheduled entry
     model = []
-    #: tag -> (model entry, Timer) for timers that can still be cancelled
-    timers = {}
     delivered = []
     seq = 0
-
-    def deliver(tag):
-        delivered.append((sim.now, tag))
 
     for op in ops:
         if op[0] == "event":
             _, delay, priority = op
             event = sim.event()
             event._ok, event._value = True, None
-            event.callbacks.append(lambda _event, tag=seq: deliver(tag))
+            event.callbacks.append(
+                lambda _event, tag=seq: delivered.append((sim.now, tag)))
             sim.schedule(event, delay=delay, priority=priority)
             model.append((sim.now + delay, priority, seq, seq))
-            seq += 1
-        elif op[0] == "timer":
-            entry = (sim.now + op[1], Simulator.PRIORITY_NORMAL, seq, seq)
-            timers[seq] = (entry, sim.call_later(op[1], deliver, seq))
-            model.append(entry)
             seq += 1
         elif op[0] == "step":
             if not model:
                 continue
             model.sort()
             when, _priority, _seq, tag = model.pop(0)
-            timers.pop(tag, None)
             sim.step()
             assert delivered[-1] == (when, tag)
             assert sim.now == when
-        elif op[0] == "cancel":
-            if not timers:
-                continue
-            tag = sorted(timers)[op[1] % len(timers)]
-            entry, timer = timers.pop(tag)
-            model.remove(entry)
-            assert timer.cancel()
-            assert not timer.cancel()  # second cancel is a no-op
         else:  # peek
             assert sim.peek() == (min(model)[0] if model else float("inf"))
         assert sim.pending == len(model)
@@ -88,24 +66,26 @@ def test_queue_agrees_with_sorted_list_model(ops):
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.lists(st.tuples(DELAYS, st.booleans()), min_size=1, max_size=40))
-def test_process_workload_never_runs_a_cancelled_timer(plan):
-    """End-to-end: processes, timeouts and re-armed timers — a cancelled
-    timer never fires, every other one fires exactly at its deadline."""
+@given(st.lists(st.tuples(DELAYS, DELAYS), min_size=1, max_size=40))
+def test_process_timeouts_fire_exactly_at_their_deadlines(plan):
+    """End-to-end: processes sleeping on timeouts wake exactly at their
+    deadlines, in deadline order, and leave nothing pending."""
     sim = Simulator()
-    fired = []
+    woke = []
     expected = {}
-    timers = []
+
+    def sleeper(tag, delay):
+        yield sim.timeout(delay)
+        woke.append((sim.now, tag))
 
     def driver():
-        for index, (delay, cancel_previous) in enumerate(plan):
-            timers.append(sim.call_later(
-                delay, lambda tag=index: fired.append((tag, sim.now))))
+        for index, (delay, pause) in enumerate(plan):
+            sim.process(sleeper(index, delay))
             expected[index] = sim.now + delay
-            if cancel_previous and len(timers) >= 2 and timers[-2].cancel():
-                del expected[index - 1]
-            yield sim.timeout(delay / 3)
+            yield sim.timeout(pause)
 
     sim.process(driver())
     sim.run_all()
-    assert dict(fired) == expected and len(fired) == len(expected)
+    assert dict((tag, when) for when, tag in woke) == expected
+    assert [when for when, _tag in woke] == sorted(expected.values())
+    assert sim.pending == 0 and sim.peek() == float("inf")
