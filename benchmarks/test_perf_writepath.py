@@ -65,8 +65,10 @@ def test_control_rpc_reduction_at_least_2x(suite):
 def test_write_through_cache_is_warm_from_the_first_read(suite):
     """Write-through population: read-after-write hits before any fetch."""
     points = suite.points
-    assert points["baseline"]["first_read_cache_hit_rate"] == 0.0
-    assert points["pipelined"]["first_read_cache_hit_rate"] > 0.0
+    # without write-through, the first read's only hits are the base-chain
+    # links its own leaf lookups brought back; write-through adds the rest
+    assert 0.0 < points["baseline"]["first_read_cache_hit_rate"] \
+        < points["pipelined"]["first_read_cache_hit_rate"]
     # a coalesced writer published its whole span in one snapshot, so its
     # first read-back traversal runs almost entirely out of its own cache
     assert points["pipelined-coalesced"]["first_read_cache_hit_rate"] > 0.5

@@ -54,7 +54,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING, Union
 from repro.blobseer.blob import BlobDescriptor
 from repro.blobseer.chunk import ChunkKeyFactory
 from repro.blobseer.chunk_cache import ChunkCache
-from repro.blobseer.metadata.segment_tree import ReadPlanner
+from repro.blobseer.metadata.segment_tree import ReadPlanner, leaf_runs
 from repro.blobseer.metadata.tiers import UNSET, build_chain
 from repro.blobseer.writepath.batch import WriteReceipt
 from repro.blobseer.writepath.coalescer import WriteCoalescer
@@ -79,8 +79,10 @@ class BlobClient:
     :class:`~repro.blobseer.metadata.tiers.MetadataTierChain`): a private
     cache of immutable nodes, optionally the compute node's shared pool and
     the cooperative peers beyond it, then the shards, one batched
-    ``get_nodes`` RPC per shard and tree level, for exactly the lookups the
-    walk issues.  The keyword arguments only shape that list
+    ``get_nodes`` RPC per shard and tree level.  A leaf lookup carries the
+    runs the walk wants of that leaf, and its shard answers the leaf's
+    base-version chain in the same round trip, so the walk's next levels
+    hit the private tier.  The keyword arguments only shape that list
     (:func:`~repro.blobseer.metadata.tiers.build_chain`):
     ``shared_metadata_cache``, ``cooperative_cache`` and
     ``metadata_cache_capacity`` default to the cluster config (an
@@ -581,12 +583,14 @@ class BlobClient:
 
         The traversal advances one tree level at a time; each level's
         deduplicated lookups fold over ``self.tiers``, which decides who
-        answers, who keeps the answer and which counter moves.
+        answers, who keeps the answer and which counter moves.  The runs
+        wanted of each leaf lookup go along, so a shard answers the leaf's
+        base chain in the same round trip.
         """
         planner = ReadPlanner(blob, version, regions)
         while not planner.done:
-            results = yield from self.tiers.resolve(blob.blob_id,
-                                                    planner.pending())
+            results = yield from self.tiers.resolve(
+                blob.blob_id, planner.pending(), leaf_runs(planner))
             planner.advance(results)
         plan = planner.plan()
         self.metadata_nodes_fetched += plan.nodes_fetched

@@ -46,6 +46,7 @@ identity is preserved by construction.
 from __future__ import annotations
 
 import hashlib
+from functools import lru_cache
 from typing import Dict, List, Optional, TYPE_CHECKING
 
 from repro.blobseer.metadata.cache import CacheStats
@@ -86,13 +87,15 @@ def role_for(node_name: str, blob_id: str) -> str:
     return SAMPLER
 
 
+@lru_cache(maxsize=1 << 16)
 def custodian_index(blob_id: str, offset: int, size: int,
                     participant_count: int) -> int:
     """The ring slot responsible for one lookup range.
 
     The version hint is deliberately excluded so every version of a range
     key colocates on one custodian — at-or-before answers for different
-    hints usually resolve to the same immutable node.
+    hints usually resolve to the same immutable node.  A pure hash, so
+    memoized.
     """
     digest = hashlib.sha256(
         f"coop-custody:{blob_id}:{offset}:{size}".encode()).digest()

@@ -47,14 +47,17 @@ class SimMetadataProvider(Service):
         return self.store.get_at_or_before(blob_id, offset, size, version)
         yield  # pragma: no cover - makes this a generator function
 
-    def get_nodes(self, blob_id: str, requests):
+    def get_nodes(self, blob_id: str, requests, wanted=None):
         """Batched at-or-before lookups of one read-frontier level.
 
-        ``requests`` is a list of ``(offset, size, version_hint)`` tuples; the
-        response is a list aligned with it (``None`` entries for
-        never-written ranges).  One such RPC replaces one :meth:`get_node`
-        round-trip per node, collapsing a level's metadata traffic for this
+        ``requests`` is a list of ``(offset, size, version_hint)`` tuples;
+        the response is ``(nodes, links)``: the nodes aligned with it
+        (``None`` entries for never-written ranges), then the base-chain
+        links of every leaf lookup ``wanted`` names runs for
+        (:meth:`~repro.blobseer.metadata.store.MetadataStore.get_nodes`).
+        One such RPC replaces one :meth:`get_node` round-trip per node and
+        per base version, collapsing a level's metadata traffic for this
         shard into a single exchange.
         """
-        return self.store.get_nodes(blob_id, requests)
+        return self.store.get_nodes(blob_id, requests, wanted)
         yield  # pragma: no cover - makes this a generator function

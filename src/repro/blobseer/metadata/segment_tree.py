@@ -306,6 +306,11 @@ GetNodes = Callable[[Sequence[NodeRequest]], Sequence[Optional[MetadataNode]]]
 #: a frontier entry's wanted bytes as ``(start, end)`` runs (:class:`ReadPlanner`)
 Runs = Tuple[Tuple[int, int], ...]
 
+#: wire size of one serialized ``(offset, size)`` extent description: a run
+#: a reader ships with a leaf lookup, or an entry of a collective access
+#: description (a strided run ``(offset, size, stride, count)`` costs two)
+EXTENT_DESCRIPTION_BYTES = 16
+
 
 class ReadPlanner:
     """Level-by-level traversal of a snapshot's segment tree.
@@ -463,6 +468,42 @@ def plan_read(blob: BlobDescriptor, version: int, regions: RegionList,
     plan = planner.plan()
     plan.metadata_rpcs = metadata_rpcs
     return plan
+
+
+def leaf_runs(planner: ReadPlanner) -> Dict[NodeRequest, Runs]:
+    """The wanted runs of the current level's leaf-sized lookups.
+
+    What a reader ships with each leaf lookup so that the shard can answer
+    the leaf's :func:`base_chain` in the same round trip.
+    """
+    leaf_size = planner.blob.chunk_size
+    return {request: runs for request, runs in planner._frontier
+            if request[1] == leaf_size}
+
+
+def base_chain(node: Optional[MetadataNode], runs: Runs,
+               get_node: GetNode) -> List[Tuple[NodeRequest,
+                                                Optional[MetadataNode]]]:
+    """The lookups a read walk issues after reaching leaf ``node`` for ``runs``.
+
+    Follows the leaf's ``base_version`` chain exactly as
+    :meth:`ReadPlanner.advance` does: sweep the runs over the leaf's own
+    segments and look the leftovers up at the base version, until the runs
+    are covered, the base is ``None`` or the range was never written.
+    ``get_node`` is one at-or-before lookup.  Returns the chain's
+    ``((offset, size, base_version), node-or-None)`` pairs in walk order.
+    """
+    links: List[Tuple[NodeRequest, Optional[MetadataNode]]] = []
+    extents: List[ReadExtent] = []  # the walk's business, not the chain's
+    while node is not None:
+        key = node.key
+        runs = _sweep_leaf(node.segments, key.offset, runs, extents)
+        if not runs or node.base_version is None:
+            break
+        request = (key.offset, key.size, node.base_version)
+        node = get_node(*request)
+        links.append((request, node))
+    return links
 
 
 def _sweep_leaf(segments: Sequence[LeafSegment], leaf_offset: int, runs: Runs,

@@ -9,20 +9,30 @@ whose version does not exceed the requested snapshot, which is how shadowed
 :class:`PartitionedMetadataStore` spreads range keys over several shards by
 hashing, mirroring BlobSeer's DHT-organized metadata providers; the client
 uses the partition map to know which metadata provider to contact for each
-node, and the simulation charges one RPC per node accordingly.
+node and asks each shard for one read-frontier level's lookups in one RPC.
+The hash leaves out the version, so every version of a range key lives on
+one shard: a shard can follow a leaf's base-version chain itself and answer
+it in the round trip that fetches the leaf (:meth:`MetadataStore.get_nodes`).
 """
 
 from __future__ import annotations
 
 import bisect
 import hashlib
+from functools import lru_cache, partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.blobseer.metadata.nodes import MetadataNode, NodeKey
+from repro.blobseer.metadata.segment_tree import NodeRequest, Runs, base_chain
 from repro.errors import VersionNotFound
 
 
 RangeKey = Tuple[str, int, int]
+
+#: what :meth:`MetadataStore.get_nodes` answers: the nodes aligned with the
+#: lookups, and the base-chain links as ``(lookup, node-or-None)`` pairs
+Answer = Tuple[List[Optional[MetadataNode]],
+               List[Tuple[NodeRequest, Optional[MetadataNode]]]]
 
 
 class MetadataStore:
@@ -88,18 +98,33 @@ class MetadataStore:
         self.nodes_read += 1
         return self._nodes[range_key][index - 1]
 
-    def get_nodes(self, blob_id: str,
-                  requests: Sequence[Tuple[int, int, int]],
-                  ) -> List[Optional[MetadataNode]]:
+    def get_nodes(self, blob_id: str, requests: Sequence[NodeRequest],
+                  wanted: Optional[Sequence[Optional[Runs]]] = None,
+                  ) -> Answer:
         """Batched at-or-before lookups: one ``(offset, size, hint)`` each.
 
-        The result list is aligned with ``requests``.  This is the store-side
-        half of the per-level batched fetch: a reading client ships one whole
-        frontier level's lookups for this shard in a single RPC instead of one
-        RPC per node.
+        Returns ``(nodes, links)``; ``nodes`` is aligned with ``requests``.
+        This is the store-side half of the per-level batched fetch: a
+        reading client ships one whole frontier level's lookups for this
+        shard in a single RPC instead of one RPC per node.
+
+        ``wanted``, aligned with ``requests`` when given, names the runs the
+        reader still wants of a leaf lookup (``None`` for the others).  All
+        versions of a leaf's range key live on this shard, so for each such
+        lookup the shard follows the leaf's base chain itself: ``links``
+        holds exactly the lookups the reader's walk would issue next for
+        those runs, with their answers
+        (:func:`~repro.blobseer.metadata.segment_tree.base_chain`).
         """
-        return [self.get_at_or_before(blob_id, offset, size, hint)
-                for offset, size, hint in requests]
+        nodes = [self.get_at_or_before(blob_id, offset, size, hint)
+                 for offset, size, hint in requests]
+        links: List[Tuple[NodeRequest, Optional[MetadataNode]]] = []
+        if wanted is not None:
+            get_node = partial(self.get_at_or_before, blob_id)
+            for node, runs in zip(nodes, wanted):
+                if runs:
+                    links += base_chain(node, runs, get_node)
+        return nodes, links
 
     def get_exact(self, key: NodeKey) -> MetadataNode:
         """Node with exactly this key (raises if absent)."""
@@ -128,8 +153,9 @@ class PartitionedMetadataStore:
         self.shards = list(shards)
 
     @staticmethod
+    @lru_cache(maxsize=1 << 16)
     def partition_index(blob_id: str, offset: int, size: int, shard_count: int) -> int:
-        """Stable shard index for a range key."""
+        """Stable shard index for a range key (a pure hash, so memoized)."""
         digest = hashlib.sha256(f"{blob_id}:{offset}:{size}".encode()).digest()
         return int.from_bytes(digest[:4], "little") % shard_count
 
@@ -149,12 +175,20 @@ class PartitionedMetadataStore:
         return self.shard_for(blob_id, offset, size).get_at_or_before(
             blob_id, offset, size, version)
 
-    def get_nodes(self, blob_id: str,
-                  requests: Sequence[Tuple[int, int, int]],
-                  ) -> List[Optional[MetadataNode]]:
-        """Batched at-or-before lookups, each routed to its shard."""
-        return [self.get_at_or_before(blob_id, offset, size, hint)
-                for offset, size, hint in requests]
+    def get_nodes(self, blob_id: str, requests: Sequence[NodeRequest],
+                  wanted: Optional[Sequence[Optional[Runs]]] = None,
+                  ) -> Answer:
+        """Batched lookups, each routed to its shard
+        (:meth:`MetadataStore.get_nodes`)."""
+        nodes: List[Optional[MetadataNode]] = []
+        links: List[Tuple[NodeRequest, Optional[MetadataNode]]] = []
+        for index, request in enumerate(requests):
+            shard = self.shard_for(blob_id, request[0], request[1])
+            shard_nodes, shard_links = shard.get_nodes(
+                blob_id, [request], None if wanted is None else [wanted[index]])
+            nodes += shard_nodes
+            links += shard_links
+        return nodes, links
 
     def group_by_shard(self, blob_id: str,
                        requests: Sequence[Tuple[int, int, int]],

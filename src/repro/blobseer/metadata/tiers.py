@@ -18,13 +18,16 @@ its recency order follows the traversal's; a hit is promoted into the
 resident tiers above it.  Any other tier costs simulated time and takes one
 tree level's residual misses as a batch (:meth:`Tier.lookup`, a generator)
 — the peers answer what their pools hold, the *terminal* shards answer
-everything left and ship no node they were not asked for.
+everything left and ship only what the walk will ask next for the runs it
+named: with a leaf lookup the walk names the runs it wants of that leaf
+(``wanted``), and the shard answers the leaf's base chain in the same round
+trip.
 :class:`Coalescing` wraps the tiers below it: simultaneous missers of one
 key on one compute node share the leader's fetch.  Once a level is
-resolved every key no resident tier answered is offered to all of them
-(:meth:`MetadataTierChain.admit`); a *gated* tier — one that outlives its
-clients — admits only at or below the published watermark it was told, so
-a writer's own nodes reach it only through
+resolved every entry it fetched — chain links included — is offered to
+all of them (:meth:`MetadataTierChain.admit`); a *gated* tier — one that
+outlives its clients — admits only at or below the published watermark it
+was told, so a writer's own nodes reach it only through
 :meth:`MetadataTierChain.admit_published`.
 
 Each tier counts its own ``lookups`` and ``hits``
@@ -39,6 +42,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.blobseer.metadata.cache import CacheStats, MetadataNodeCache
 from repro.blobseer.metadata.nodes import MetadataNode
+from repro.blobseer.metadata.segment_tree import EXTENT_DESCRIPTION_BYTES, Runs
 from repro.blobseer.metadata.sharedcache import FETCH_FAILED, NodeCacheService
 from repro.blobseer.metadata.store import PartitionedMetadataStore
 from repro.errors import StorageError
@@ -46,6 +50,8 @@ from repro.errors import StorageError
 #: one at-or-before lookup: (offset, size, version hint)
 NodeRequest = Tuple[int, int, int]
 Resolved = Dict[NodeRequest, Optional[MetadataNode]]
+#: the runs a walk wants of its leaf lookups (shipped to the shards)
+Wanted = Optional[Dict[NodeRequest, Runs]]
 
 #: "not given": follow the cluster config (``None`` is a real capacity —
 #: it forces an unbounded cache against a bounded cluster default)
@@ -77,8 +83,12 @@ class Tier:
         """Resident tiers: ``(found, node_or_None)`` for one key."""
         raise NotImplementedError
 
-    def lookup(self, blob_id: str, requests: Sequence[NodeRequest]):
-        """Other tiers (generator): ``(hits, residual misses)``."""
+    def lookup(self, blob_id: str, requests: Sequence[NodeRequest],
+               wanted: Wanted = None):
+        """Other tiers (generator): ``(hits, residual misses)``.
+
+        ``hits`` may hold more keys than were asked: the lookups a terminal
+        tier answered ahead of the walk for the runs ``wanted`` named."""
         raise NotImplementedError
 
     def admit(self, blob_id: str, entries) -> None:
@@ -159,7 +169,7 @@ class Coalescing(Tier):
         #: somebody else led
         self.stats = CacheStats(parked=0)
 
-    def lookup(self, blob_id, requests):
+    def lookup(self, blob_id, requests, wanted=None):
         pool = self.pool
         sim = self.owner.cluster.sim
         led: List[NodeRequest] = []
@@ -177,7 +187,7 @@ class Coalescing(Tier):
         self.stats.lookups += len(requests)
         self.stats.parked += len(parked)
         try:
-            results = yield from fold(self.inner, blob_id, led)
+            results = yield from fold(self.inner, blob_id, led, wanted)
             if self.on_lead is not None and results:
                 self.on_lead(blob_id, results)
         except BaseException:
@@ -227,7 +237,7 @@ class PeerTier(Tier):
         self.directory = owner.deployment.coop_peer(owner.node).directory
         self.stats = CacheStats(rejections=0, probe_misses=0, probe_rpcs=0)
 
-    def lookup(self, blob_id, requests):
+    def lookup(self, blob_id, requests, wanted=None):
         owner, stats = self.owner, self.stats
         stats.lookups += len(requests)
         directory = self.directory
@@ -292,6 +302,12 @@ class ShardTier(Tier):
     shard, issued in parallel — O(levels x shards) round-trips; unbatched,
     each lookup costs its own ``get_node`` round-trip (what a peer
     service's read-through issues for its one key).
+
+    A batched leaf lookup carries the runs ``wanted`` names for it
+    (:data:`EXTENT_DESCRIPTION_BYTES` each), and the shard answers it with
+    the leaf's base chain as well: the links come back as extra hits under
+    exactly the keys the walk will look up next, one node size each on the
+    wire.  Unbatched lookups stay plain at-or-before lookups.
     """
 
     name = "shards"
@@ -302,7 +318,7 @@ class ShardTier(Tier):
         self.batching = batching
         self.stats = CacheStats(read_rpcs=0)
 
-    def lookup(self, blob_id, requests):
+    def lookup(self, blob_id, requests, wanted=None):
         owner, stats = self.owner, self.stats
         config = owner.cluster.config
         node_size = config.metadata_node_size
@@ -313,13 +329,22 @@ class ShardTier(Tier):
             by_shard = owner.deployment.metadata_store.group_by_shard(
                 blob_id, requests)
 
+            def answer_size(answer):
+                nodes, links = answer
+                return (len(nodes) + len(links)) * node_size
+
             def fetch_shard(index, shard_requests):
-                nodes = yield from owner._rpc(
-                    shards[index], "get_nodes",
-                    len(shard_requests) * request_size,
-                    len(shard_requests) * node_size,
-                    blob_id, shard_requests)
+                request_bytes = len(shard_requests) * request_size
+                runs = None
+                if wanted:
+                    runs = [wanted.get(request) for request in shard_requests]
+                    request_bytes += EXTENT_DESCRIPTION_BYTES * sum(
+                        len(leaf) for leaf in runs if leaf)
+                nodes, links = yield from owner._rpc(
+                    shards[index], "get_nodes", request_bytes, answer_size,
+                    blob_id, shard_requests, runs)
                 hits.update(zip(shard_requests, nodes))
+                hits.update(links)
 
             yield owner.cluster.sim.fanout(
                 [fetch_shard(index, shard_requests)
@@ -340,14 +365,14 @@ class ShardTier(Tier):
 
 
 def fold(tiers: Sequence[Tier], blob_id: str,
-         requests: Sequence[NodeRequest]):
+         requests: Sequence[NodeRequest], wanted: Wanted = None):
     """Resolve ``requests`` through non-resident ``tiers`` in order
     (generator): each tier sees what the ones before it could not answer."""
     results: Resolved = {}
     for tier in tiers:
         if not requests:
             break
-        hits, requests = yield from tier.lookup(blob_id, requests)
+        hits, requests = yield from tier.lookup(blob_id, requests, wanted)
         results.update(hits)
     return results
 
@@ -394,8 +419,16 @@ class MetadataTierChain:
                 + sum(_parked(tier) for tier in tiers))
 
     # ------------------------------------------------------------------
-    def resolve(self, blob_id: str, requests: Sequence[NodeRequest]):
-        """One tree level's lookups → ``{request: node-or-None}`` (generator)."""
+    def resolve(self, blob_id: str, requests: Sequence[NodeRequest],
+                wanted: Wanted = None):
+        """One tree level's lookups → ``{request: node-or-None}`` (generator).
+
+        ``wanted`` maps leaf lookups to the runs the walk wants of them; the
+        shards answer those leaves' base chains along, and every fetched
+        entry is admitted, so the walk's next levels find the chain in the
+        resident tiers.  A chain with no resident tier could keep no link,
+        so it asks for none.
+        """
         self.lookups += len(requests)
         resident = [tier for tier in self.order if tier.resident]
         gets = [tier.get for tier in resident]
@@ -418,9 +451,13 @@ class MetadataTierChain:
         if pending:
             fetched = yield from fold(
                 [tier for tier in self.order if not tier.resident],
-                blob_id, pending)
-            self.admit(blob_id,
-                       [(request, fetched[request]) for request in pending])
+                blob_id, pending, wanted if resident else None)
+            entries = [(request, fetched[request]) for request in pending]
+            if len(fetched) > len(pending):  # the base-chain links
+                asked = set(pending)
+                entries += [entry for entry in fetched.items()
+                            if entry[0] not in asked]
+            self.admit(blob_id, entries)
             results.update(fetched)
         return results
 
@@ -478,7 +515,8 @@ def build_chain(owner, *, private: bool = True, capacity=UNSET,
     arguments left :data:`UNSET` follow the cluster config, and they only
     shape the list: ``private=False`` drops the private tier.  The shards
     are always asked in batches, one ``get_nodes`` RPC per shard and tree
-    level, for exactly the lookups the walk issues.  The cooperative tier
+    level, for the lookups the walk issues plus the base chains of the
+    leaves among them (:class:`ShardTier`).  The cooperative tier
     needs a pool to route through, so it is off without one; coalescing
     engages with the cooperative tier, which keeps every cooperative-off
     timeline untouched.

@@ -115,7 +115,10 @@ from dataclasses import asdict, dataclass
 from operator import itemgetter
 from typing import Dict, List, NamedTuple, Optional, Tuple, TYPE_CHECKING
 
-from repro.blobseer.metadata.segment_tree import stripe_unit_sizes
+from repro.blobseer.metadata.segment_tree import (
+    EXTENT_DESCRIPTION_BYTES,
+    stripe_unit_sizes,
+)
 from repro.blobseer.writepath.batch import AheadWrite
 from repro.core.listio import IOVector
 from repro.core.regions import canonical_runs, clip_runs, coalesce_runs
@@ -130,10 +133,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: ``cb_nodes`` to the node count; with one rank per node this is a stand-in
 #: that still demonstrates the aggregation win)
 DEFAULT_RANKS_PER_AGGREGATOR = 4
-
-#: wire size of one serialized ``(offset, size)`` access description entry;
-#: a strided run ``(offset, size, stride, count)`` costs two of them
-EXTENT_DESCRIPTION_BYTES = 16
 
 
 def encode_extents(extents: List[Tuple[int, int]]) -> List[Tuple[int, ...]]:

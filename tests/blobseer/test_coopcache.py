@@ -107,7 +107,7 @@ class FakeShards(Tier):
         self.error = error
         self.fetches = []
 
-    def lookup(self, blob_id, requests):
+    def lookup(self, blob_id, requests, wanted=None):
         self.fetches.extend((blob_id, *request) for request in requests)
         if self.error is not None:
             raise self.error

@@ -115,13 +115,14 @@ class TestMetadataStore:
         requests = [(0, 64, 5), (128, 64, 5), (64, 64, 5), (192, 64, 0)]
         # routed across shards, results aligned with request order;
         # never-written (128) and too-old-hint (192 at hint 0) come back None
+        # (no runs wanted: no base-chain links)
         assert partitioned.get_nodes("b", requests) == \
-            [nodes[0], None, nodes[1], None]
+            ([nodes[0], None, nodes[1], None], [])
         # the per-shard form (what one get_nodes RPC executes) agrees
         for shard in shards:
-            assert shard.get_nodes("b", requests[:2]) == [
+            assert shard.get_nodes("b", requests[:2]) == ([
                 shard.get_at_or_before("b", 0, 64, 5),
-                shard.get_at_or_before("b", 128, 64, 5)]
+                shard.get_at_or_before("b", 128, 64, 5)], [])
 
     def test_group_by_shard_partitions_consistently(self):
         partitioned = PartitionedMetadataStore([MetadataStore("m0"), MetadataStore("m1")])

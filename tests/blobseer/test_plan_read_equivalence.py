@@ -7,13 +7,16 @@ a read through
 * the scalar ``get_node`` callback with no cache (the baseline),
 * the batched per-level ``get_nodes`` callback,
 * the metadata tier chain ``[private, store]`` — the fold the simulated
-  client runs, here over a warm private tier shared across the reads
+  client runs, here over a warm private tier shared across the reads,
+* the same chain with the leaf runs shipped along, so that the store
+  answers each leaf lookup with its base chain (what a metadata shard does)
 
 must produce byte-identical extent lists — same offsets, lengths, chunks,
-chunk offsets and providers.  The cache may only remove round-trips, never
-change what a snapshot reads.
+chunk offsets and providers.  The cache and the chain prefixes may only
+remove round-trips, never change what a snapshot reads.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.blobseer.blob import BlobDescriptor
@@ -23,6 +26,7 @@ from repro.blobseer.metadata.segment_tree import (
     ReadPlanner,
     build_leaf_segments,
     build_write_metadata,
+    leaf_runs,
     plan_read,
     split_vector_into_pieces,
 )
@@ -35,6 +39,11 @@ from repro.blobseer.metadata.tiers import (
 )
 from repro.core.listio import IOVector
 from repro.core.regions import RegionList
+from tests.blobseer.test_read_walk_transcript import (
+    SEEDS,
+    build_history,
+    wanted_lists,
+)
 
 CHUNK = 32
 BLOB = BlobDescriptor.create("equiv", size=16 * CHUNK, chunk_size=CHUNK)
@@ -82,7 +91,8 @@ def populate(history):
 
 class StoreTier(Tier):
     """The terminal tier of a simulator-free chain: one level's lookups
-    answered straight from ``store``, one round-trip per batch."""
+    answered straight from ``store``, one round-trip per batch, with the
+    base chains of the leaves ``wanted`` names runs for."""
 
     name = "store"
     terminal = True
@@ -91,20 +101,24 @@ class StoreTier(Tier):
         self.store = store
         self.stats = CacheStats(read_rpcs=0)
 
-    def lookup(self, blob_id, requests):
+    def lookup(self, blob_id, requests, wanted=None):
         self.stats.lookups += len(requests)
         self.stats.hits += len(requests)
         self.stats.read_rpcs += 1
-        return dict(zip(requests, self.store.get_nodes(blob_id, requests))), []
+        nodes, links = self.store.get_nodes(
+            blob_id, requests,
+            None if wanted is None else [wanted.get(r) for r in requests])
+        return {**dict(zip(requests, nodes)), **dict(links)}, []
         yield  # a generator like every non-resident tier; it never waits
 
 
-def plan_through(chain, version, regions):
+def plan_through(chain, version, regions, blob=BLOB, chained=False):
     """Plan a read by folding each level over ``chain`` (no simulator: no
-    tier of it ever yields)."""
-    planner = ReadPlanner(BLOB, version, regions)
+    tier of it ever yields); ``chained`` ships the leaf runs along."""
+    planner = ReadPlanner(blob, version, regions)
     while not planner.done:
-        level = chain.resolve(BLOB.blob_id, planner.pending())
+        level = chain.resolve(blob.blob_id, planner.pending(),
+                              leaf_runs(planner) if chained else None)
         try:
             next(level)
         except StopIteration as resolved:
@@ -128,10 +142,12 @@ def test_batched_and_cached_plans_match_baseline(history, data):
         return store.get_at_or_before(BLOB.blob_id, offset, size, hint)
 
     def get_nodes(requests):
-        return store.get_nodes(BLOB.blob_id, requests)
+        return store.get_nodes(BLOB.blob_id, requests)[0]
 
     shards = StoreTier(store)
     chain = MetadataTierChain([PrivateTier(), shards])
+    chain_shards = StoreTier(store)
+    prefixed = MetadataTierChain([PrivateTier(), chain_shards])
     for _ in range(data.draw(st.integers(1, 3))):
         version = data.draw(st.integers(0, len(history)))
         regions = data.draw(read_accesses())
@@ -140,18 +156,60 @@ def test_batched_and_cached_plans_match_baseline(history, data):
         batched = plan_read(BLOB, version, regions, get_nodes=get_nodes)
         rpcs = shards.stats.read_rpcs
         cached = plan_through(chain, version, regions)
+        chain_rpcs = chain_shards.stats.read_rpcs
+        chained = plan_through(prefixed, version, regions, chained=True)
 
         expected = extent_tuples(baseline)
         assert extent_tuples(batched) == expected
         assert extent_tuples(cached) == expected
+        assert extent_tuples(chained) == expected
         assert batched.nodes_fetched == baseline.nodes_fetched
         assert cached.nodes_fetched == baseline.nodes_fetched
+        assert chained.nodes_fetched == baseline.nodes_fetched
+        assert chained.levels == baseline.levels
         # batching collapses round-trips to at most one per level
         assert batched.metadata_rpcs <= batched.levels
         assert batched.metadata_rpcs <= baseline.metadata_rpcs
-        # the private tier only ever removes round-trips
+        # the private tier and the chain prefixes only ever remove
+        # round-trips
         assert shards.stats.read_rpcs - rpcs <= batched.metadata_rpcs
-    assert partition_problems([chain]) == []
+        assert chain_shards.stats.read_rpcs - chain_rpcs \
+            <= batched.metadata_rpcs
+    assert partition_problems([chain, prefixed]) == []
+
+
+def plan_fields(plan):
+    return extent_tuples(plan), plan.levels, plan.nodes_fetched
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_chain_prefixes_plan_like_the_plain_walk_on_chain_heavy_histories(
+        seed):
+    """The transcript's histories (deep partial-leaf base chains): a store
+    that answers every leaf lookup with its chain prefix gives the plain
+    walk's plan, and a cold read reaches it at most once per tree level —
+    every chain level after the leaf's is a private-tier hit."""
+    blob, store, versions = build_history(seed)
+    depth = (blob.capacity // blob.chunk_size).bit_length() - 1
+    levels = rounds = 0
+    for version in range(versions + 1):
+        for runs in wanted_lists(seed * 100 + version, blob):
+            regions = RegionList(runs)
+            plain = plan_read(
+                blob, version, regions,
+                lambda *request: store.get_at_or_before(blob.blob_id,
+                                                        *request))
+            shards = StoreTier(store)
+            chain = MetadataTierChain([PrivateTier(), shards])
+            chained = plan_through(chain, version, regions, blob,
+                                   chained=True)
+            assert plan_fields(chained) == plan_fields(plain)
+            assert shards.stats.read_rpcs <= depth + 1
+            assert partition_problems([chain]) == []
+            levels += plain.levels
+            rounds += shards.stats.read_rpcs
+    # the histories' chains are real: shipping them saves round trips
+    assert rounds < levels
 
 
 @settings(max_examples=40, deadline=None)

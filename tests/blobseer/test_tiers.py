@@ -16,6 +16,7 @@ import pytest
 from repro.blobseer.deployment import BlobSeerDeployment
 from repro.blobseer.metadata import coopcache
 from repro.blobseer.metadata.cache import CacheStats
+from repro.blobseer.metadata.segment_tree import EXTENT_DESCRIPTION_BYTES
 from repro.blobseer.metadata.tiers import (
     MetadataTierChain,
     Tier,
@@ -157,8 +158,9 @@ def test_a_broken_count_is_named_by_tier():
 
 
 def test_prefetch_is_gone_not_ignored():
-    """The shards answer exactly what a walk asks for: a client or a chain
-    told to prefetch fails loudly instead of reading without it."""
+    """The shards answer what a walk asks for and what it will ask next for
+    the runs it named, nothing speculative: a client or a chain told to
+    prefetch fails loudly instead of reading without it."""
     cluster, deployment, _seeder = deploy()
     node = cluster.add_node("cn0")
     with pytest.raises(TypeError):
@@ -178,11 +180,121 @@ def test_a_shard_answers_a_list_aligned_with_its_requests():
         handler = provider.get_nodes(BLOB, requests)
         with pytest.raises(StopIteration) as stop:
             next(handler)
-        assert stop.value.value == [
-            provider.store.get_at_or_before(BLOB, *request)
-            for request in requests]
-        found += sum(node is not None for node in stop.value.value)
+        nodes, links = stop.value.value
+        assert nodes == [provider.store.get_at_or_before(BLOB, *request)
+                         for request in requests]
+        assert links == []  # no runs wanted, no base chain shipped
+        found += sum(node is not None for node in nodes)
     assert found == 3
+
+
+def chained_leaf(**config):
+    """A deployment whose first leaf carries a base-version chain: five
+    partial writes after the seed, each leaving the rest of the leaf to
+    the version before it.  Returns ``(cluster, deployment, version)``."""
+    cluster, deployment, seeder = deploy(**config)
+
+    def rewrite():
+        for index in range(5):
+            yield from seeder.vwrite_and_wait(
+                BLOB, [(index * 512, bytes([index + 1]) * 256)])
+
+    run(cluster, rewrite())
+    return cluster, deployment, 6
+
+
+def expected_leaf(version):
+    data = bytearray(PAYLOAD[:CHUNK])
+    for index in range(version - 1):
+        data[index * 512:index * 512 + 256] = bytes([index + 1]) * 256
+    return bytes(data)
+
+
+def spy_on_get_nodes(client):
+    """Record ``(request bytes, response bytes, args, answer)`` of every
+    ``get_nodes`` RPC ``client`` issues."""
+    calls = []
+    rpc = client._rpc
+
+    def recording(service, method, request_bytes, response_bytes, *args,
+                  **kwargs):
+        answer = yield from rpc(service, method, request_bytes,
+                                response_bytes, *args, **kwargs)
+        if method == "get_nodes":
+            calls.append((request_bytes, response_bytes(answer), args,
+                          answer))
+        return answer
+
+    client._rpc = recording
+    return calls
+
+
+def test_a_leaf_lookup_ships_its_runs_and_gets_its_base_chain_back():
+    """The wire cost of a chained leaf read: ``metadata_request_size`` per
+    lookup plus ``EXTENT_DESCRIPTION_BYTES`` per wanted run up,
+    ``metadata_node_size`` per lookup *and* per link down — and every
+    chain level after the leaf's is answered by the private tier."""
+    cluster, deployment, version = chained_leaf()
+    config = cluster.config
+    client = VectoredClient(deployment, cluster.add_node("cn0"), name="c")
+    calls = spy_on_get_nodes(client)
+    pieces = run(cluster, client.vread(BLOB, [(0, 100), (300, CHUNK)],
+                                       version))
+    wanted_bytes = expected_leaf(version) + PAYLOAD[CHUNK:2 * CHUNK]
+    assert pieces == [wanted_bytes[:100], wanted_bytes[300:300 + CHUNK]]
+
+    links = runs = 0
+    for request_bytes, response_bytes, args, answer in calls:
+        _blob, requests, wanted = args
+        nodes, chain = answer
+        wanted_runs = sum(len(leaf) for leaf in wanted or () if leaf)
+        assert request_bytes == (config.metadata_request_size * len(requests)
+                                 + EXTENT_DESCRIPTION_BYTES * wanted_runs)
+        assert response_bytes == config.metadata_node_size * (
+            len(requests) + len(chain))
+        links += len(chain)
+        runs += wanted_runs
+    assert config.metadata_request_size == 32
+    assert EXTENT_DESCRIPTION_BYTES == 16
+    assert config.metadata_node_size == 512
+    # leaf 0 wants two runs, leaf 1 (seeded whole, no chain) one; leaf 0's
+    # chain runs from version 5 down to the seed's version 1
+    assert runs == 3 and links == version - 1
+    # 64 leaves: the shards see the seven levels of one root-to-leaf
+    # descent, and the five chain levels after it are private-tier hits
+    assert client.metadata_read_rpcs == len(calls) <= 7 * 2
+    assert client.tiers.count("private", "hits") == version - 1
+    assert partition_problems([client.tiers]) == []
+
+
+def test_links_pass_the_node_pool_gate_and_spare_a_co_tenant_the_shards():
+    cluster, deployment, version = chained_leaf(shared_metadata_cache=True)
+    node = cluster.add_node("cn0")
+    first = VectoredClient(deployment, node, name="first")
+    second = VectoredClient(deployment, node, name="second")
+    assert run(cluster, first.vread(BLOB, [(0, CHUNK)], version)) == [
+        expected_leaf(version)]
+    assert first.metadata_read_rpcs > 0
+    # the co-tenant finds the descent, the leaf and its chain in the pool
+    assert run(cluster, second.vread(BLOB, [(0, CHUNK)], version)) == [
+        expected_leaf(version)]
+    assert second.metadata_read_rpcs == 0
+    assert second.tiers.count("node", "hits") > version - 1
+
+    # a pool that has seen only version 3 published: of a version-6 leaf
+    # and its chain (hints 5..1), only the links at or below 3 get in
+    other = VectoredClient(deployment, cluster.add_node("cn1"), name="other",
+                           enable_metadata_cache=False)
+    other.note_published(BLOB, 3)
+    leaf = (0, CHUNK, version)
+    resolved = run(cluster, other.tiers.resolve(BLOB, [leaf],
+                                                {leaf: ((0, CHUNK),)}))
+    hints = sorted(hint for _offset, _size, hint in resolved)
+    assert hints == [1, 2, 3, 4, 5, version]
+    pool = deployment.node_cache(other.node)
+    for hint in hints:
+        assert pool.peek(BLOB, 0, CHUNK, hint)[0] == (hint <= 3)
+    assert pool.stats.unpublished_rejections == 3
 
 
 def test_an_unknown_tier_dropped_into_the_list_just_works():
@@ -224,7 +336,7 @@ def test_chunk_ranges_are_a_list_too():
         def __init__(self):
             self.stats = CacheStats()
 
-        def lookup(self, provider_id, requests):
+        def lookup(self, provider_id, requests, wanted=None):
             pieces = yield from cluster.rpc.call(
                 node, deployment.data_provider(provider_id),
                 "get_chunk_ranges", 64,
