@@ -4,8 +4,7 @@ Runs the independent-scan workload with several clients packed per compute
 node under every cache configuration (private baseline, shared tier, and
 the shared tier alone under small capacities), asserts the acceptance
 shape — metadata control RPCs per logical read strictly below the private
-baseline and approaching ``1 / ranks_per_node`` on identical extents, a
-bounded pool's eviction rule beating plain LRU at equal capacity,
+baseline and approaching ``1 / ranks_per_node`` on identical extents,
 byte-identical data everywhere, and the exact lookup partition — and
 records every row into ``BENCH_sharedcache.json`` at the repository root so
 future PRs can track the perf trajectory.
@@ -23,7 +22,6 @@ from benchmarks.common import REPO_ROOT, expected_scan_bytes
 from repro.bench.metrics import reduction
 from repro.bench.scan import run_scan_point, scan_workload
 from repro.bench.suites import SUITES, run_suite
-from repro.blobseer.metadata.sharedcache import NodeCacheService
 from repro.cluster import ClusterConfig
 
 #: acceptance slack: measured reduction vs the ideal ``ranks_per_node``
@@ -72,26 +70,6 @@ def test_mean_read_latency_sees_the_shared_tier(suite):
     for label, point in suite.points.items():
         assert 0 < point["sim_read_mean_ms"] < 1e3 * point["sim_read_s"], \
             label
-
-
-def test_keeping_the_top_levels_beats_plain_lru(suite, monkeypatch):
-    """The row that justifies the pool's one eviction rule: on the
-    streaming pattern under a bounded shared tier, the rule (keep the top
-    tree levels, shed the deepest entry first) makes strictly fewer shard
-    RPCs than the same scan whose full pool sheds its least recently used
-    entry, and reads the same bytes."""
-    plan = dict(SUITES["sharedcache"].plan(suite.settings))
-    monkeypatch.setattr(NodeCacheService, "_victim",
-                        lambda service: next(iter(service._entries)))
-    for capacity in suite.settings.capacity_sweep:
-        label = f"streaming@{capacity}"
-        kept = suite.points[label]
-        lru, lru_extras = run_scan_point(suite.settings, ClusterConfig(),
-                                         **plan[label])
-        assert lru_extras["read_digest"] == kept["read_digest"], label
-        assert kept["metadata_rpcs"] < lru["metadata_rpcs"], label
-        assert kept["shared_hits"] > lru["shared_hits"], label
-        assert kept["sim_read_mean_ms"] < lru["sim_read_mean_ms"], label
 
 
 def test_lookup_partition_is_exact(suite):

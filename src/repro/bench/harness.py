@@ -14,6 +14,7 @@ between the two barriers), the metric the paper plots.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Sequence, Tuple
 
@@ -197,7 +198,8 @@ def run_atomic_write_job(environment: ExperimentEnvironment,
     write_elapsed = max(ends) - min(starts) if starts else 0.0
     total_bytes = sum(job.results)
 
-    lock_wait = sum(getattr(driver, "lock_wait_time", 0.0) for driver in drivers)
+    lock_wait = math.fsum(getattr(driver, "lock_wait_time", 0.0)
+                          for driver in drivers)
 
     return RunResult(
         backend=environment.backend,

@@ -20,6 +20,7 @@ The row reports both the producer and the consumer throughput; it is the
 
 from __future__ import annotations
 
+import math
 from typing import List
 
 from repro.bench.environment import build_environment
@@ -99,7 +100,7 @@ def run_fut1_point(settings, config, *, backend: str):
 
     produced = workload.bytes_per_client * iterations * num_producers
     producer_elapsed = max(produce_spans)
-    mean_read_latency = sum(consume_latencies) / len(consume_latencies)
+    mean_read_latency = math.fsum(consume_latencies) / len(consume_latencies)
     return {
         "experiment": "FUT1",
         "backend": backend,

@@ -1,28 +1,23 @@
-"""The measured job of the two metadata-cache suites: independent scans.
+"""The measured job of the shared-cache suite: independent scans.
 
 A :class:`~repro.workloads.shared_scan.SharedScanWorkload` — independent
 clients scanning a dump that a seeder published ahead of them — runs with
-``ranks_per_node`` clients packed on each compute node.  The shared-cache
-suite varies the cache configuration at a fixed cluster size, the
-cooperative-cache suite varies the node count at a fixed configuration;
-both are this one job, and ``repro.bench.suites`` picks the columns each
-of them records.
+``ranks_per_node`` clients packed on each compute node, in one cache
+configuration per point; ``repro.bench.suites`` picks the columns the
+suite records.
 
 Clients start staggered (``stagger_s`` of simulated time apart, as
 independent analysis processes do): a node's first scan publishes into the
 shared tier before its co-tenants look up, which is what the tier exploits —
-perfectly simultaneous cold misses would each fetch on their own, exactly
-like a real shared cache without request coalescing (``stagger_s=0`` is the
-cooperative suite's contended point, where coalescing is what is measured).
+perfectly simultaneous cold misses each fetch on their own, exactly like a
+real shared cache without request coalescing.
 
 ``latest`` is resolved once per client up front (reported separately), so
-the per-read columns isolate the segment-tree walk.  The seeder publishes
-with ``shared_metadata_cache=False``, so it never enrolls in the
-cooperative directory and the scan clients are the tiers' only
-participants.  ``server_read_rpcs`` counts **server-side** handler
-invocations (``deployment.stats()``), not client issue events: provider
-read-throughs fetch from the shards on a prober's behalf, and a
-client-side count would miss them.
+the per-read columns isolate the leaf walk.  The seeder publishes with
+``shared_metadata_cache=False``, so the scan clients are the shared tier's
+only participants.  ``server_read_rpcs`` counts **server-side** handler
+invocations (``deployment.stats()``), the check on the clients' own
+``metadata_rpcs``.
 
 Every point checks its clients' metadata tier chains — each lookup
 answered by exactly one tier, every shared service's count matched by its
@@ -62,7 +57,7 @@ def scan_workload(settings, num_clients: int,
 
 def run_scan_point(settings, config, *, prefix: str, mode: str,
                    num_clients: int, pattern: str = "identical",
-                   shared: bool = True, cooperative: bool = False,
+                   shared: bool = True,
                    capacity: Optional[int] = None, private_cache: bool = True,
                    stagger_s: float = STAGGER_S):
     """Run the scan once in one cache configuration at one cluster size;
@@ -71,8 +66,7 @@ def run_scan_point(settings, config, *, prefix: str, mode: str,
 
     ``shared=False`` is the private baseline; ``private_cache=False`` drops
     the per-client tier too (the bounded-pool points, so eviction in the
-    *shared* tier is what the numbers measure); ``cooperative=True`` adds
-    the cross-node peer tier on top of the shared one.
+    *shared* tier is what the numbers measure).
 
     ``sim_read_s`` runs from the scan start to the last client's finish, so
     at the default stagger it is mostly the stagger itself;
@@ -83,13 +77,12 @@ def run_scan_point(settings, config, *, prefix: str, mode: str,
         settings,
         config.copy(ranks_per_node=settings.ranks_per_node,
                     shared_metadata_cache=shared,
-                    shared_cache_capacity=capacity,
-                    cooperative_cache=cooperative),
+                    shared_cache_capacity=capacity),
         prefix)
     workload = scan_workload(settings, num_clients, pattern)
 
     # the dump the scans read: published once, ahead of the clients, by a
-    # client outside both cache tiers (so it never joins the directory)
+    # client outside the shared tier
     pinned = seed_blob(cluster, deployment, settings, f"{prefix}-seed", PATH,
                        workload.file_size, [(0, workload.expected_contents())],
                        shared_metadata_cache=False)
@@ -135,13 +128,11 @@ def run_scan_point(settings, config, *, prefix: str, mode: str,
         return sum(chain.count(tier, counter) for chain in chains)
 
     shared_stats = deployment.shared_cache_stats()
-    coop_stats = deployment.coop_stats()
     logical_reads = num_clients * workload.rounds
     values = {
         "mode": mode,
         "pattern": pattern,
         "capacity": capacity,
-        "nodes": num_clients // settings.ranks_per_node,
         "ranks_per_node": settings.ranks_per_node,
         "clients": num_clients,
         "rounds": workload.rounds,
@@ -150,31 +141,20 @@ def run_scan_point(settings, config, *, prefix: str, mode: str,
         "latest_rpcs": sum(client.latest_rpcs for client in clients),
         "server_read_rpcs": (deployment.stats()["metadata_read_rpcs"]
                              - server_rpcs_seeded),
-        "probe_rpcs": total("peers", "probe_rpcs"),
-        "peer_hits": total("peers", "hits"),
-        "peer_rejections": total("peers", "rejections"),
-        "probe_misses": total("peers", "probe_misses"),
-        "read_throughs": coop_stats["read_throughs"],
-        "unavailable_probes": coop_stats["unavailable_probes"],
-        "coalesced_fetches": shared_stats["coalesced_fetches"],
         "private_hits": total("private", "hits"),
         "shared_hits": total("node", "hits"),
         "fetched_lookups": sum(chain.fetched_lookups for chain in chains),
         "shared_evictions": shared_stats["evictions"],
-        "shared_rejections": (shared_stats["unpublished_rejections"]
-                              + shared_stats["capacity_rejections"]),
+        "shared_rejections": shared_stats["unpublished_rejections"],
         "sim_read_s": max(finished) - read_started,
         "sim_read_mean_ms": 1e3 * sum(latencies) / len(latencies),
         "network_model": config.network_model,
     }
     lookups = sum(chain.lookups for chain in chains)
     values.update(
-        client_metadata_rpcs=values["metadata_rpcs"],
         lookups=lookups,
         rpcs_per_read=per(values["metadata_rpcs"], logical_reads),
-        server_rpcs_per_read=per(values["server_read_rpcs"], logical_reads),
         shared_hit_rate=per(values["shared_hits"], lookups),
-        peer_hit_rate=per(values["peer_hits"], lookups),
     )
     # not artifact columns: the bytes and the independently counted totals
     extras = {
@@ -183,10 +163,9 @@ def run_scan_point(settings, config, *, prefix: str, mode: str,
                             for index, chain in enumerate(chains)},
         "private_tier_lookups": total("private", "lookups"),
         "shared_tier_lookups": shared_stats["hits"] + shared_stats["misses"],
-        "coop_stats": coop_stats,
     }
-    # the scan clients are the tiers' only participants (the seeder stays
-    # outside both), so the shared services' counts must reconcile too
+    # the scan clients are the shared tier's only participants (the seeder
+    # stays outside it), so the shared services' counts must reconcile too
     problems = partition_problems(chains) + wire_problems(chains)
     if problems:
         raise BenchmarkError("metadata tier accounting broken: "

@@ -124,24 +124,6 @@ def _vs_private(label, values, settings):
         return label, "identical:private", {"ideal": settings.ranks_per_node}
 
 
-def _coopcache_plan(settings) -> Plan:
-    def point(nodes, mode, **options):
-        return dict(prefix="cc", mode=mode, cooperative=mode == "coop",
-                    num_clients=nodes * settings.ranks_per_node, **options)
-    plan: Plan = [(f"n{nodes}:{mode}", point(nodes, mode))
-                  for nodes in settings.node_counts
-                  for mode in ("shared", "coop")]
-    plan.append(("contended:coop",
-                 point(settings.node_counts[-1], "coop", stagger_s=0.0)))
-    return plan
-
-
-def _vs_shared(label, values, settings):
-    key, _, mode = label.partition(":")
-    if mode == "coop" and key != "contended":
-        return key, f"{key}:shared", {"num_nodes": values["nodes"]}
-
-
 def _paper_plan(settings) -> Plan:
     return [(f"{experiment}:c{clients}",
              {"experiment": experiment, "clients": clients})
@@ -208,7 +190,7 @@ SUITES: Dict[str, Suite] = {
     "metadata": Suite(
         title="metadata-read-path",
         about="""Segment-tree read hot path.  batched = no cache, one
-        ``get_nodes`` RPC per shard per tree level; cached-batched = plus the
+        ``get_nodes`` RPC per shard per walk round; cached-batched = plus the
         client-side immutable-node cache (the production path; repeat reads
         are warm).  Headline: each row's ``lookups`` per ``metadata_rpcs`` —
         how many times fewer round-trips than one ``get_node`` per lookup.""",
@@ -299,12 +281,11 @@ SUITES: Dict[str, Suite] = {
         title="sharedcache",
         about="""Scans by cache configuration.  identical:private =
         per-client caches only (co-located clients re-fetch identical
-        upper-tree nodes); identical:shared = plus the node's shared tier
-        (only a node's first toucher fetches: RPCs per read approach
+        leaves); identical:shared = plus the node's shared tier (only a
+        node's first toucher fetches: RPCs per read approach
         1/ranks_per_node); streaming@<capacity> = streaming under a small
-        shared capacity, shared tier only, where the pool's eviction rule
-        (keep the top tree levels, shed the deepest entry first) decides
-        what stays resident.  sim_read_mean_ms is the mean latency of one
+        shared capacity, shared tier only, where the pool's plain LRU
+        decides what stays resident.  sim_read_mean_ms is the mean latency of one
         scan call; sim_read_s is mostly the clients' start stagger.
         Headline: metadata RPCs per read vs identical:private, next to the
         ideal ranks_per_node.""",
@@ -325,39 +306,6 @@ SUITES: Dict[str, Suite] = {
                  "network_model"),
         reduction=("metadata_rpc_reduction_vs_private", "rpcs_per_read",
                    _vs_private),
-    ),
-    "coopcache": Suite(
-        title="coopcache",
-        about="""The identical scan while the node count grows.
-        n<nodes>:shared = the node-local tier alone: each node's first
-        toucher fetches every tree node, so shard RPCs per read stay flat at
-        1/ranks_per_node; n<nodes>:coop = the cooperative tier on top: a
-        shared-tier miss first probes the extent's custodian peer, so about
-        one node fetches each tree node cluster-wide and the per-read cost
-        keeps falling; contended:coop = the largest coop point with a zero
-        stagger, where fetch coalescing folds the simultaneous missers.
-        sim_read_mean_ms is the mean latency of one scan call; sim_read_s
-        is mostly the clients' start stagger.
-        Headline: authoritative shard RPCs per read vs shared.""",
-        settings=dict(node_counts=(1, 2, 4, 8), ranks_per_node=4, rounds=3,
-                      blocks_per_round=8, block_size=8 * 1024,
-                      num_providers=4, num_metadata_providers=2,
-                      chunk_size=8 * 1024),
-        smoke=dict(node_counts=(1, 2), ranks_per_node=2, rounds=2,
-                   blocks_per_round=4, block_size=4096, num_providers=2,
-                   chunk_size=4096),
-        plan=_coopcache_plan,
-        point=run_scan_point,
-        columns=("mode", "nodes", "ranks_per_node", "clients", "rounds",
-                 "logical_reads", "server_read_rpcs", "server_rpcs_per_read",
-                 "client_metadata_rpcs", "probe_rpcs", "peer_hits",
-                 "peer_hit_rate", "peer_rejections", "probe_misses",
-                 "read_throughs", "unavailable_probes", "coalesced_fetches",
-                 "lookups", "private_hits", "shared_hits", "fetched_lookups",
-                 "sim_read_s", "sim_read_mean_ms", "network_model"),
-        label_column="point",
-        reduction=("server_rpc_reduction_vs_shared", "server_rpcs_per_read",
-                   _vs_shared),
     ),
     "simcore": Suite(
         title="simcore",

@@ -25,8 +25,9 @@ steps 2-6, overlapping what the protocol allows, and every client's
 vectored writes and commit them as *one* merged snapshot batch — one
 ``allocate``, one ticket, one metadata build — at the next flush/barrier.
 
-Read protocol: resolve the requested ranges against the snapshot's segment
-tree (shadowed subtrees are followed to older versions), slice the extents
+Read protocol: resolve the requested ranges against the snapshot's leaves —
+each touched leaf looked up at the read version, a partially covered one
+followed down its base chain, all in one round trip — slice the extents
 of chunks this client itself uploaded out of its
 :class:`~repro.blobseer.chunk_cache.ChunkCache` — an uploaded chunk is
 immutable, so the writer's copy is the chunk — and fetch the rest from the
@@ -54,7 +55,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING, Union
 from repro.blobseer.blob import BlobDescriptor
 from repro.blobseer.chunk import ChunkKeyFactory
 from repro.blobseer.chunk_cache import ChunkCache
-from repro.blobseer.metadata.segment_tree import ReadPlanner, leaf_runs
+from repro.blobseer.metadata.segment_tree import ReadPlanner
 from repro.blobseer.metadata.tiers import UNSET, build_chain
 from repro.blobseer.writepath.batch import WriteReceipt
 from repro.blobseer.writepath.coalescer import WriteCoalescer
@@ -77,24 +78,24 @@ class BlobClient:
 
     Metadata lookups fold over the client's tier chain (``tiers``, a
     :class:`~repro.blobseer.metadata.tiers.MetadataTierChain`): a private
-    cache of immutable nodes, optionally the compute node's shared pool and
-    the cooperative peers beyond it, then the shards, one batched
-    ``get_nodes`` RPC per shard and tree level.  A leaf lookup carries the
-    runs the walk wants of that leaf, and its shard answers the leaf's
-    base-version chain in the same round trip, so the walk's next levels
-    hit the private tier.  The keyword arguments only shape that list
+    cache of immutable nodes, optionally the compute node's shared pool,
+    then the shards, one batched ``get_nodes`` RPC per shard and walk
+    round.  A read looks every leaf it touches up at the read version, each
+    lookup carrying the runs the walk wants of that leaf, and the shard
+    answers the leaf's base-version chain in the same round trip, so a cold
+    read costs one round trip and the walk's later rounds hit the private
+    tier.  The keyword arguments only shape that list
     (:func:`~repro.blobseer.metadata.tiers.build_chain`):
-    ``shared_metadata_cache``, ``cooperative_cache`` and
-    ``metadata_cache_capacity`` default to the cluster config (an
-    explicit ``metadata_cache_capacity=None`` forces an unbounded private
-    cache even against a bounded cluster default), while
-    ``enable_metadata_cache=False`` drops the private tier.
+    ``shared_metadata_cache`` and ``metadata_cache_capacity`` default to
+    the cluster config (an explicit ``metadata_cache_capacity=None`` forces
+    an unbounded private cache even against a bounded cluster default),
+    while ``enable_metadata_cache=False`` drops the private tier.
 
     The write path is symmetric: commits route through a
     :class:`~repro.blobseer.writepath.engine.PipelinedCommitEngine` that
     overlaps the version-ticket RPC with the chunk uploads, ships the
     per-shard ``put_nodes`` RPCs in parallel, and write-through-populates
-    the chain with the nodes it just published (``write_through_cache=
+    the chain with the leaves it just published (``write_through_cache=
     False`` disables the priming).
     """
 
@@ -103,7 +104,6 @@ class BlobClient:
                  enable_metadata_cache: bool = True,
                  metadata_cache_capacity: object = UNSET,
                  shared_metadata_cache: object = UNSET,
-                 cooperative_cache: object = UNSET,
                  write_through_cache: bool = True):
         self.deployment = deployment
         self.cluster = deployment.cluster
@@ -115,7 +115,7 @@ class BlobClient:
         self.tiers = build_chain(
             self, private=enable_metadata_cache,
             capacity=metadata_cache_capacity,
-            node_shared=shared_metadata_cache, cooperative=cooperative_cache)
+            node_shared=shared_metadata_cache)
         #: the private tier's node cache (``None`` without one)
         self.metadata_cache = self.tiers.find("private")
         #: payloads of the chunks this client uploaded, for its own reads
@@ -579,18 +579,18 @@ class BlobClient:
 
     # ------------------------------------------------------------------
     def _resolve_metadata(self, blob: BlobDescriptor, version: int, regions):
-        """Resolve a read's segment-tree traversal through the tier chain.
+        """Resolve a read's leaves at ``version`` through the tier chain.
 
-        The traversal advances one tree level at a time; each level's
-        deduplicated lookups fold over ``self.tiers``, which decides who
+        Each round of the :class:`~repro.blobseer.metadata.segment_tree.
+        ReadPlanner` walk folds over ``self.tiers``, which decides who
         answers, who keeps the answer and which counter moves.  The runs
-        wanted of each leaf lookup go along, so a shard answers the leaf's
-        base chain in the same round trip.
+        wanted of each leaf go along, so a shard answers the leaf's base
+        chain in the same round trip: a cold read costs one round trip.
         """
         planner = ReadPlanner(blob, version, regions)
         while not planner.done:
             results = yield from self.tiers.resolve(
-                blob.blob_id, planner.pending(), leaf_runs(planner))
+                blob.blob_id, planner.pending(), planner.wanted())
             planner.advance(results)
         plan = planner.plan()
         self.metadata_nodes_fetched += plan.nodes_fetched

@@ -16,7 +16,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, TYPE_CHECKING
 
 from repro.blobseer.client import BlobClient
-from repro.blobseer.metadata.coopcache import CoopDirectory, PeerCacheService
 from repro.blobseer.metadata.provider import SimMetadataProvider
 from repro.blobseer.metadata.sharedcache import NodeCacheService
 from repro.blobseer.metadata.store import MetadataStore, PartitionedMetadataStore
@@ -76,10 +75,6 @@ class BlobSeerDeployment:
         #: created on first attachment (see :meth:`node_cache`)
         self.node_caches: Dict[str, "NodeCacheService"] = {}
 
-        #: the cooperative cross-node tier's membership directory, created
-        #: when the first cooperative client attaches (see :meth:`coop_peer`)
-        self.coop_directory: Optional[CoopDirectory] = None
-
         # data providers
         self.data_providers: Dict[str, SimDataProvider] = {}
         for index in range(num_providers):
@@ -106,28 +101,10 @@ class BlobSeerDeployment:
                 node.name, capacity=self.cluster.config.shared_cache_capacity)
         return self.node_caches[node.name]
 
-    def coop_peer(self, node: "Node") -> "PeerCacheService":
-        """Enroll ``node`` in the cooperative cross-node tier (idempotent).
-
-        Creates the :class:`~repro.blobseer.metadata.coopcache.CoopDirectory`
-        on first use and exposes the node's shared pool to its peers.
-        """
-        if self.coop_directory is None:
-            self.coop_directory = CoopDirectory(self)
-        return self.coop_directory.register(node, self.node_cache(node))
-
-    def coop_stats(self) -> dict:
-        """Aggregate cooperative-tier counters (zeros when never enabled)."""
-        if self.coop_directory is None:
-            return {"served_hits": 0, "served_misses": 0, "read_throughs": 0,
-                    "unavailable_probes": 0, "services": 0, "probe_rpcs": 0}
-        return self.coop_directory.stats()
-
     def shared_cache_stats(self) -> dict:
         """Aggregate shared-tier counters over every node's service."""
         totals = {"hits": 0, "misses": 0, "insertions": 0, "evictions": 0,
-                  "unpublished_rejections": 0, "capacity_rejections": 0,
-                  "coalesced_fetches": 0}
+                  "unpublished_rejections": 0}
         for service in self.node_caches.values():
             attached = service.attached
             if len(set(attached)) != len(attached):
@@ -185,8 +162,6 @@ class BlobSeerDeployment:
         registry under unambiguous ``metadata.server.*`` names.
         """
         stores = [service.store for service in self.data_providers.values()]
-        get_node_rpcs = sum(provider.calls.get("get_node", 0)
-                            for provider in self.metadata_providers)
         get_nodes_rpcs = sum(provider.calls.get("get_nodes", 0)
                              for provider in self.metadata_providers)
         put_nodes_rpcs = sum(provider.calls.get("put_nodes", 0)
@@ -196,12 +171,10 @@ class BlobSeerDeployment:
             "chunks": sum(store.chunk_count() for store in stores),
             "stored_bytes": sum(store.stored_bytes() for store in stores),
             "metadata_nodes": self.metadata_store.node_count(),
-            "metadata_read_rpcs": get_node_rpcs + get_nodes_rpcs,
-            "metadata_batched_rpcs": get_nodes_rpcs,
+            "metadata_read_rpcs": get_nodes_rpcs,
             "metadata_put_rpcs": put_nodes_rpcs,
             "snapshots_published": self.version_manager.manager.snapshots_published,
             "tickets_assigned": self.version_manager.manager.tickets_assigned,
             "load_imbalance": self.provider_manager.manager.load_imbalance(),
             "shared_cache": self.shared_cache_stats(),
-            "coop_cache": self.coop_stats(),
         }

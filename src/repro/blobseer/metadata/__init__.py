@@ -12,7 +12,8 @@ versioning principle the paper relies on to eliminate locking.
 
 * :mod:`repro.blobseer.metadata.nodes` — node / segment value types;
 * :mod:`repro.blobseer.metadata.segment_tree` — pure functions building the
-  new nodes of a (possibly non-contiguous) write and planning versioned reads;
+  new nodes of a (possibly non-contiguous) write and planning versioned reads
+  (from the snapshot's leaves and their base chains);
 * :mod:`repro.blobseer.metadata.store` — the metadata node store with
   at-or-before version resolution, plus hash partitioning over several
   metadata providers;
@@ -26,10 +27,7 @@ versioning principle the paper relies on to eliminate locking.
   nodes and resolved version hints (the chain's first tier);
 * :mod:`repro.blobseer.metadata.sharedcache` — the node-local *shared* pool
   co-located clients attach to (admission gated on the published
-  watermark; a bounded pool keeps the top tree levels) and its in-flight
-  fetch table;
-* :mod:`repro.blobseer.metadata.coopcache` — roles, custody routing and the
-  probe service of the cooperative cross-node tier.
+  watermark; a bounded pool is plain LRU).
 """
 
 from repro.blobseer.metadata.cache import CacheStats, MetadataNodeCache

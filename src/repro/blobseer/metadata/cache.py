@@ -1,20 +1,22 @@
 """Client-side cache of versioned metadata nodes.
 
-Metadata nodes are immutable and version hints are only ever followed for
+Metadata nodes are immutable and lookups are only ever made for
 *published* snapshots, so the result of an at-or-before lookup
-``(blob, offset, size, hint) -> node-or-None`` can never change once it has
-been observed: publication of snapshot ``v`` requires every write with a
-ticket ``<= v`` to have stored its metadata first, and all hints reachable
-from a published snapshot are ``<= v``.  That makes cached entries valid
-forever — including negative entries (``None`` = "range never written as of
-that hint"), which spare the client a round-trip for zero-filled holes.
+``(blob, offset, size, version) -> node-or-None`` can never change once it
+has been observed: publication of snapshot ``v`` requires every write with
+a ticket ``<= v`` to have stored its metadata first, and every base version
+a leaf of a published snapshot names is ``<= v``.  That makes cached
+entries valid forever — including negative entries (``None`` = "leaf never
+written as of that version"), which spare the client a round-trip for
+zero-filled holes.
 
 One map backs the cache, keyed by the full lookup ``(blob, offset, size,
-hint)``.  A node fetched under hint ``h`` is additionally inserted under its
-exact version ``(blob, offset, size, node.version)`` — traversals of other
-read versions route through that exact hint, so the alias lets them share
-the cached node.  Alias entries are ordinary entries: under a bounded cache
-each occupies one slot and is evicted on its own LRU schedule.
+version)``.  A read looks its leaves up at the read version, so an entry
+answers reads of that version only; a node fetched under version ``h`` is
+additionally inserted under its exact version ``(blob, offset, size,
+node.version)``, which is what a base-chain link (and a read of exactly
+that snapshot) asks.  Alias entries are ordinary entries: under a bounded
+cache each occupies one slot and is evicted on its own LRU schedule.
 
 Eviction is LRU over that map (entries refresh their position on every hit
 and overwrite) and is off by default: a metadata node costs a few hundred

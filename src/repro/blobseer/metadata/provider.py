@@ -42,22 +42,16 @@ class SimMetadataProvider(Service):
         return self.store.remove_nodes(keys)
         yield  # pragma: no cover - makes this a generator function
 
-    def get_node(self, blob_id: str, offset: int, size: int, version: int):
-        """At-or-before lookup of one node."""
-        return self.store.get_at_or_before(blob_id, offset, size, version)
-        yield  # pragma: no cover - makes this a generator function
-
     def get_nodes(self, blob_id: str, requests, wanted=None):
-        """Batched at-or-before lookups of one read-frontier level.
+        """Batched at-or-before lookups of one read-walk round.
 
-        ``requests`` is a list of ``(offset, size, version_hint)`` tuples;
-        the response is ``(nodes, links)``: the nodes aligned with it
-        (``None`` entries for never-written ranges), then the base-chain
-        links of every leaf lookup ``wanted`` names runs for
+        ``requests`` is a list of ``(offset, size, version)`` tuples; the
+        response is ``(nodes, links)``: the nodes aligned with it (``None``
+        entries for never-written ranges), then the base-chain links of
+        every leaf lookup ``wanted`` names runs for
         (:meth:`~repro.blobseer.metadata.store.MetadataStore.get_nodes`).
-        One such RPC replaces one :meth:`get_node` round-trip per node and
-        per base version, collapsing a level's metadata traffic for this
-        shard into a single exchange.
+        One such RPC answers every leaf of a read this shard holds, and
+        their base versions, in a single exchange.
         """
         return self.store.get_nodes(blob_id, requests, wanted)
         yield  # pragma: no cover - makes this a generator function

@@ -11,7 +11,9 @@ and a vectored access, these functions compute
   copy-on-write path up to the root — the *shadowing* of Rodeh that the paper
   cites), and
 * the read plan of a versioned snapshot: which chunks (or zero ranges) supply
-  every requested byte.
+  every requested byte, found from the snapshot's leaves and their base
+  chains (the interior nodes a write publishes are never read back, see
+  :class:`ReadPlanner`).
 
 The BlobSeer client and the vstore vectored client feed these functions with
 real payloads and charge simulated time around them; the unit tests exercise
@@ -276,10 +278,12 @@ class ReadExtent:
 class ReadPlan:
     """Result of :func:`plan_read`: extents plus metadata-traffic accounting.
 
-    ``nodes_fetched`` counts every node the traversal *used*, whoever
-    supplied it; ``metadata_rpcs`` is filled by :func:`plan_read` from its
-    callbacks.  Which cache tier answered which lookup is the business of
-    whoever resolves the levels (:mod:`repro.blobseer.metadata.tiers`).
+    ``nodes_fetched`` counts every leaf node the walk *used*, whoever
+    supplied it, and ``levels`` its rounds (the leaves, then one per link
+    of the longest base chain); ``metadata_rpcs`` is filled by
+    :func:`plan_read` from its callbacks.  Which cache tier answered which
+    lookup is the business of whoever resolves the rounds
+    (:mod:`repro.blobseer.metadata.tiers`).
     """
 
     extents: List[ReadExtent]
@@ -298,7 +302,7 @@ class ReadPlan:
 
 GetNode = Callable[[int, int, int], Optional[MetadataNode]]
 
-#: one at-or-before lookup a frontier level needs: (offset, size, version hint)
+#: one at-or-before lookup a walk round needs: (offset, size, version)
 NodeRequest = Tuple[int, int, int]
 
 GetNodes = Callable[[Sequence[NodeRequest]], Sequence[Optional[MetadataNode]]]
@@ -313,32 +317,43 @@ EXTENT_DESCRIPTION_BYTES = 16
 
 
 class ReadPlanner:
-    """Level-by-level traversal of a snapshot's segment tree.
+    """The read walk of a snapshot: its leaves, then their base chains.
 
-    The planner is a pure traversal: it names each frontier level's
-    deduplicated lookups and consumes their results, and the caller decides
-    *how* they are satisfied — the simulated client folds them over its
-    metadata tier chain (caches first, then one batched RPC per shard per
-    level: O(levels × shards) round-trips instead of O(nodes)), while unit
-    tests and :func:`plan_read` drive it with plain callbacks.
+    Every version of a range key lives on one shard, every ticket's base is
+    its predecessor, and a failed write's nodes are rolled back before its
+    ticket is aborted, so the node snapshot ``version``'s tree reaches for a
+    leaf is the newest stored node of that leaf's range at or before
+    ``version``.  The walk therefore starts at the leaves: its first round
+    asks one ``(leaf_offset, chunk_size, version)`` lookup per leaf the read
+    touches, each carrying the runs wanted of that leaf, and every later
+    round looks a partially covered leaf's leftovers up at its
+    ``base_version``.  Interior nodes are written (the copy-on-write path
+    the paper charges a write for) but never read.
+
+    The planner is a pure walk: it names each round's deduplicated lookups
+    and consumes their results, and the caller decides *how* they are
+    satisfied — the simulated client folds them over its metadata tier
+    chain (caches first, then one batched RPC per shard, which answers each
+    leaf's base chain along, :meth:`wanted`), while unit tests and
+    :func:`plan_read` drive it with plain callbacks.
 
     The walk runs on plain integers, as it is a read's hottest domain code:
     a frontier entry's wanted bytes are :data:`Runs` — sorted, disjoint,
     non-adjacent (a normalized :class:`RegionList`) and inside the entry's
-    subtree — and one level's entries partition the bytes still unresolved.
+    leaf — and one round's entries partition the bytes still unresolved.
 
     Protocol::
 
         planner = ReadPlanner(blob, version, regions)
         while not planner.done:
-            requests = planner.pending()          # this level's lookups
+            requests = planner.pending()          # this round's lookups
             results = ... resolve them somehow ...  # {request: node-or-None}
             planner.advance(results)
         plan = planner.plan()
 
-    What a traversal resolved is remembered by the tiers that answered it,
-    not by the planner: a collective-read resolver walks its stripe through
-    its own chain and ships the resulting bytes, never the walk.
+    What a walk resolved is remembered by the tiers that answered it, not
+    by the planner: a collective-read resolver walks its stripe through its
+    own chain and ships the resulting bytes, never the walk.
     """
 
     def __init__(self, blob: BlobDescriptor, version: int, regions: RegionList):
@@ -350,7 +365,19 @@ class ReadPlanner:
         self.extents: List[ReadExtent] = []
         self.nodes_fetched = 0
         self.levels = 0
-        self._enter([((0, blob.capacity, version), runs)] if runs else [])
+        chunk_size = blob.chunk_size
+        by_leaf: Dict[int, List[Tuple[int, int]]] = {}
+        for start, end in runs:
+            leaf = start - start % chunk_size
+            while start < end:
+                stop = min(end, leaf + chunk_size)
+                by_leaf.setdefault(leaf, []).append((start, stop))
+                start = leaf = leaf + chunk_size
+        #: ((leaf_offset, chunk_size, version), wanted runs), one per leaf
+        #: still unresolved, so the round's lookups are distinct
+        self._frontier: List[Tuple[NodeRequest, Runs]] = [
+            ((leaf, chunk_size, version), tuple(leaf_runs))
+            for leaf, leaf_runs in by_leaf.items()]
 
     # ------------------------------------------------------------------
     @property
@@ -359,21 +386,21 @@ class ReadPlanner:
         return not self._frontier
 
     def pending(self) -> List[NodeRequest]:
-        """This level's lookups, deduplicated, in frontier order."""
-        return list(self._pending)
+        """This round's lookups, in frontier order."""
+        return [request for request, _runs in self._frontier]
 
-    def _enter(self, frontier: List[Tuple[NodeRequest, Runs]]) -> None:
-        # frontier entries: ((offset, size, version_hint), wanted runs)
-        self._frontier = frontier
-        self._pending = list(dict.fromkeys(
-            [request for request, _runs in frontier]))
+    def wanted(self) -> Dict[NodeRequest, Runs]:
+        """This round's lookups with the runs each wants of its leaf: what
+        a reader ships so that the shard answers the leaf's
+        :func:`base_chain` in the same round trip."""
+        return dict(self._frontier)
 
     def advance(self,
                 resolved: Dict[NodeRequest, Optional[MetadataNode]]) -> None:
-        """Consume one frontier level given all of its lookups' results."""
+        """Consume one round given all of its lookups' results."""
         if self.done:
             raise InvalidRegion("advance() called on a finished read plan")
-        missing = [request for request in self._pending
+        missing = [request for request, _runs in self._frontier
                    if request not in resolved]
         if missing:
             raise InvalidRegion(
@@ -383,38 +410,19 @@ class ReadPlanner:
         self.levels += 1
         extents = self.extents
         next_frontier: List[Tuple[NodeRequest, Runs]] = []
-        push = next_frontier.append
         for request, runs in self._frontier:
             node = resolved[request]
-            if node is None or node.is_leaf:
-                if node is not None:
-                    self.nodes_fetched += 1
-                    offset, size, _hint = request
-                    runs = _sweep_leaf(node.segments, offset, runs, extents)
-                    if runs and node.base_version is not None:
-                        push(((offset, size, node.base_version), runs))
-                        continue
-                for start, end in runs:  # never written: reads as zeros
-                    extents.append(ReadExtent(start, end - start))
-                continue
-            self.nodes_fetched += 1
-            first, last = runs[0][0], runs[-1][1]
-            for child in (node.left, node.right):
-                low, high = child.offset, child.offset + child.size
-                if first >= high or last <= low:
+            if node is not None:
+                self.nodes_fetched += 1
+                offset, size, _version = request
+                runs = _sweep_leaf(node.segments, offset, runs, extents)
+                if runs and node.base_version is not None:
+                    next_frontier.append(
+                        ((offset, size, node.base_version), runs))
                     continue
-                if first >= low and last <= high:
-                    clipped = runs
-                elif len(runs) == 1:  # the common case: one run, clamped
-                    clipped = ((first if first > low else low,
-                                last if last < high else high),)
-                else:  # clipping only shrinks or drops runs
-                    clipped = tuple((max(start, low), min(end, high))
-                                    for start, end in runs
-                                    if start < high and end > low)
-                if clipped:
-                    push(((low, child.size, child.version_hint), clipped))
-        self._enter(next_frontier)
+            for start, end in runs:  # never written: reads as zeros
+                extents.append(ReadExtent(start, end - start))
+        self._frontier = next_frontier
 
     def plan(self) -> ReadPlan:
         """The finished plan (extents sorted by file offset)."""
@@ -433,20 +441,20 @@ def plan_read(blob: BlobDescriptor, version: int, regions: RegionList,
     Parameters
     ----------
     get_node:
-        Callback ``(offset, size, version_hint) -> MetadataNode | None``
+        Callback ``(offset, size, version) -> MetadataNode | None``
         implementing one at-or-before lookup (``None`` = range never written
         as of that version, i.e. zero-filled).
     get_nodes:
-        Batched alternative: ``[(offset, size, hint), ...] -> [node | None,
-        ...]`` answering one whole frontier level at a time (results aligned
+        Batched alternative: ``[(offset, size, version), ...] -> [node |
+        None, ...]`` answering one whole round at a time (results aligned
         with the requests).  Exactly one of ``get_node`` / ``get_nodes`` must
         be given; ``metadata_rpcs`` then counts callback invocations (one per
-        level) for the batched form and one per lookup for the scalar form.
+        round) for the batched form and one per lookup for the scalar form.
 
-    The traversal proceeds level by level from the root; shadowed subtrees are
-    followed through their version hints, and partially-covered leaves recurse
-    into their base version — the mechanism that makes every published
-    snapshot a complete, immutable image.
+    The walk is :class:`ReadPlanner`'s: every touched leaf at ``version``
+    first, then partially-covered leaves recurse into their base version —
+    the mechanism that makes every published snapshot a complete, immutable
+    image.
     """
     if (get_node is None) == (get_nodes is None):
         raise InvalidRegion("plan_read() needs exactly one of get_node/get_nodes")
@@ -468,17 +476,6 @@ def plan_read(blob: BlobDescriptor, version: int, regions: RegionList,
     plan = planner.plan()
     plan.metadata_rpcs = metadata_rpcs
     return plan
-
-
-def leaf_runs(planner: ReadPlanner) -> Dict[NodeRequest, Runs]:
-    """The wanted runs of the current level's leaf-sized lookups.
-
-    What a reader ships with each leaf lookup so that the shard can answer
-    the leaf's :func:`base_chain` in the same round trip.
-    """
-    leaf_size = planner.blob.chunk_size
-    return {request: runs for request, runs in planner._frontier
-            if request[1] == leaf_size}
 
 
 def base_chain(node: Optional[MetadataNode], runs: Runs,

@@ -3,16 +3,19 @@
 The store maps the *range key* ``(blob id, offset, size)`` to the list of
 versions that created a node for that range.  The central query —
 :meth:`MetadataStore.get_at_or_before` — returns the newest node of a range
-whose version does not exceed the requested snapshot, which is how shadowed
-(untouched) subtrees are resolved during versioned reads.
+whose version does not exceed the requested snapshot.  Every ticket's base
+is its predecessor and a failed write's nodes are removed before its ticket
+is aborted, so for a leaf that node *is* the one the snapshot's tree
+reaches: a read looks its leaves up directly at the read version
+(:class:`~repro.blobseer.metadata.segment_tree.ReadPlanner`).
 
 :class:`PartitionedMetadataStore` spreads range keys over several shards by
 hashing, mirroring BlobSeer's DHT-organized metadata providers; the client
 uses the partition map to know which metadata provider to contact for each
-node and asks each shard for one read-frontier level's lookups in one RPC.
-The hash leaves out the version, so every version of a range key lives on
-one shard: a shard can follow a leaf's base-version chain itself and answer
-it in the round trip that fetches the leaf (:meth:`MetadataStore.get_nodes`).
+leaf and asks each shard for one walk round's lookups in one RPC.  The hash
+leaves out the version, so every version of a range key lives on one
+shard: a shard can follow a leaf's base-version chain itself and answer it
+in the round trip that fetches the leaf (:meth:`MetadataStore.get_nodes`).
 """
 
 from __future__ import annotations
@@ -101,12 +104,12 @@ class MetadataStore:
     def get_nodes(self, blob_id: str, requests: Sequence[NodeRequest],
                   wanted: Optional[Sequence[Optional[Runs]]] = None,
                   ) -> Answer:
-        """Batched at-or-before lookups: one ``(offset, size, hint)`` each.
+        """Batched at-or-before lookups: one ``(offset, size, version)`` each.
 
         Returns ``(nodes, links)``; ``nodes`` is aligned with ``requests``.
-        This is the store-side half of the per-level batched fetch: a
-        reading client ships one whole frontier level's lookups for this
-        shard in a single RPC instead of one RPC per node.
+        This is the store-side half of the batched fetch: a reading client
+        ships one walk round's lookups for this shard in a single RPC
+        instead of one RPC per leaf.
 
         ``wanted``, aligned with ``requests`` when given, names the runs the
         reader still wants of a leaf lookup (``None`` for the others).  All
@@ -195,7 +198,7 @@ class PartitionedMetadataStore:
                        ) -> Dict[int, List[Tuple[int, int, int]]]:
         """Partition lookups by responsible shard index (request order kept).
 
-        Shared by the simulated client so that one frontier level becomes one
+        Shared by the simulated client so that one walk round becomes one
         batched RPC per shard.
         """
         by_shard: Dict[int, List[Tuple[int, int, int]]] = {}

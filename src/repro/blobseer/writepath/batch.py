@@ -23,12 +23,12 @@ class WriteReceipt:
     """What a committed vectored write (or write batch) returns to its caller."""
 
     __slots__ = ("blob_id", "version", "bytes_written", "chunks", "metadata_nodes",
-                 "logical_writes", "started_at", "finished_at")
+                 "logical_writes", "started_at", "finished_at", "leaves")
 
     def __init__(self, blob_id: str, version: int, bytes_written: int,
                  chunks: int, metadata_nodes: int,
                  started_at: float, finished_at: float,
-                 logical_writes: int = 1):
+                 logical_writes: int = 1, leaves=()):
         self.blob_id = blob_id
         self.version = version
         self.bytes_written = bytes_written
@@ -39,6 +39,9 @@ class WriteReceipt:
         self.logical_writes = logical_writes
         self.started_at = started_at
         self.finished_at = finished_at
+        #: the write-through entries ``((offset, size, version), leaf)`` the
+        #: commit primed its tiers with (empty without write-through)
+        self.leaves = leaves
 
     @property
     def elapsed(self) -> float:

@@ -46,9 +46,11 @@ ticket order, so deferring a completion can delay publication but never
 reorder it.
 
 Write-through cache population rides on the commit: the writer just built
-every node of the new snapshot, so offering them to its own metadata tier
-chain costs no RPC and makes its read-after-write traversals start warm (the
-published root and all touched inner nodes hit on their exact-version keys).
+every leaf of the new snapshot, so offering them to its own metadata tier
+chain costs no RPC, and its read-after-write of that snapshot finds every
+leaf on its exact-version key.  The receipt hands the entries back
+(``WriteReceipt.leaves``), so a collective aggregator can re-key them under
+the group's watermark.
 The tiers that die with the client are primed before ``complete`` — cached
 entries only become observable once the snapshot is published, and published
 nodes are immutable — the gated ones only once ``complete`` reports the
@@ -385,14 +387,15 @@ class PipelinedCommitEngine:
         if store_span is not None:
             ctx.end(store_span)
 
-        # 5b. write-through cache population: the writer keeps what it
-        #     built, under each node's exact-version key
+        # 5b. write-through cache population: the writer keeps the leaves
+        #     it built, under their exact-version keys — a read looks up
+        #     leaves only, so the interior nodes are written, never cached
         primed = None
         if client.write_through_cache:
-            primed = [((node.key.offset, node.key.size, node.key.version),
-                       node) for node in nodes]
+            primed = [((node.key.offset, node.key.size, version), node)
+                      for node in nodes if node.is_leaf]
             if client.tiers.prime(blob_id, primed):
-                client.cache_primed_nodes += len(nodes)
+                client.cache_primed_nodes += len(primed)
 
         # 6. completion -> in-order publication at the version manager
         if defer_complete:
@@ -431,6 +434,7 @@ class PipelinedCommitEngine:
             logical_writes=logical_writes,
             started_at=started_at,
             finished_at=sim.now,
+            leaves=primed or (),
         )
 
     def _traced_complete(self, blob_id: str, version: int, primed, ctx, span):

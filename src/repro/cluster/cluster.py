@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Sequence
 
 from repro.cluster.config import ClusterConfig
@@ -144,5 +145,5 @@ class Cluster:
             "rpc_calls": self.rpc.total_calls,
             "disk_bytes": sum(disk.bytes_transferred for disk in disks),
             "disk_operations": sum(disk.operations for disk in disks),
-            "disk_busy_s": sum(disk.busy_time for disk in disks),
+            "disk_busy_s": math.fsum(disk.busy_time for disk in disks),
         }

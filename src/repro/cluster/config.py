@@ -84,19 +84,13 @@ class ClusterConfig:
     #: individual clients can override (``shared_metadata_cache=``)
     shared_metadata_cache: bool = False
     #: entry bound of each node's shared cache (``None`` = unbounded).  A
-    #: full pool keeps the top tree levels and evicts the deepest entry,
-    #: least recently used first (:mod:`repro.blobseer.metadata.sharedcache`)
+    #: full pool evicts its least recently used entry
+    #: (:mod:`repro.blobseer.metadata.sharedcache`)
     shared_cache_capacity: Optional[int] = None
-    #: whether compute nodes cooperate across the node boundary: on a
-    #: shared-tier miss the client probes the responsible peer node's
-    #: cache (:mod:`repro.blobseer.metadata.coopcache`, half the (node,
-    #: blob) pairs in the read-through provider role) over a real
-    #: simulated RPC before falling back to the authoritative shards.
-    #: Requires ``shared_metadata_cache``; off by default so every
-    #: existing configuration is byte- and counter-identical.  With it,
-    #: simultaneous missers for the same metadata node on one compute node
-    #: park on one sim event and share a single upstream fetch
-    #: (``coalesced_fetches`` stat)
+    #: accepted and ignored: the cooperative cross-node metadata tier it
+    #: switched on is gone (a read costs one round trip, and peers only
+    #: slowed it down).  It stays a field because perfbench's frozen
+    #: ``shared_scan`` workload still sets it
     cooperative_cache: bool = False
     #: record causal spans (file op → collective phase → commit → commit
     #: stage → RPC → link) plus per-link telemetry on the queued

@@ -62,8 +62,8 @@ class RpcTransport:
         to the caller after the response transfer completes.
         ``response_bytes`` may be a callable evaluated on the handler's
         result — the hook for responses whose wire size only the server
-        knows (e.g. a cooperative peer probe, sized by how many lookups
-        the peer could answer), mirroring the callable payload sizing of
+        knows (e.g. a metadata shard's answer, sized by how many base-chain
+        links it ships along), mirroring the callable payload sizing of
         the simulated collectives.
 
         ``_trace_parent`` (keyword-only, never forwarded to the handler) is

@@ -12,7 +12,9 @@ Hostility is sampled *after* the phases so its preconditions can be
 checked against what actually exists (an aggregator death needs a
 collective write with at least two aggregators, a resolver death a
 collective read).  A roll that once drew the retired straggler draws
-nothing, so the seeds that never rolled it still map to the same scenario.
+nothing, so the seeds that never rolled it still map to the same scenario;
+the retired cooperative tier's draws (its coin, a peer-miss storm phase, a
+peer-daemon death) are still consumed and discarded.
 When a death injector is placed, a disjoint probe phase is appended so the
 run also proves the group makes progress after the failure.
 """
@@ -49,7 +51,8 @@ def _sample_cluster(stream) -> dict:
     # two draws that once picked an engine profile and a queue backend:
     # still consumed, so every later field, and with it every pinned seed,
     # replays unchanged.  So are the retired draws further down (an
-    # eviction policy, a metadata-prefetch coin, a coop provider fraction)
+    # eviction policy, a metadata-prefetch coin, the cooperative tier's
+    # coin and provider fraction)
     stream.uniform(0.0, 1.0)
     stream.integers(0, 3)
     overrides = {
@@ -69,12 +72,11 @@ def _sample_cluster(stream) -> dict:
     if _chance(stream, 0.4):
         overrides["metadata_cache_capacity"] = int(stream.integers(4, 65))
     stream.uniform(0.0, 1.0)  # retired: metadata-prefetch coin
-    # cooperative cross-node tier (rides on the shared tier).  Appended at
-    # the END of this stream: pre-cooperative seeds replay unchanged
+    retired_coop = False
     if overrides.get("shared_metadata_cache") and _chance(stream, 0.5):
-        overrides["cooperative_cache"] = True
+        retired_coop = True
         stream.integers(0, 3)  # retired: coop provider fraction
-    return overrides
+    return overrides, retired_coop
 
 
 def _sample_workload(stream, family: str, num_ranks: int,
@@ -119,7 +121,7 @@ def generate_scenario(seed: int) -> Scenario:
     chunk_size = int(_choice(cluster_stream, [512, 1024, 2048]))
     num_providers = int(cluster_stream.integers(2, 5))
     num_metadata_providers = int(cluster_stream.integers(1, 4))
-    cluster = _sample_cluster(cluster_stream)
+    cluster, retired_coop = _sample_cluster(cluster_stream)
 
     # ------------------------------------------------------------------
     # phases: writes first (reads only make sense over written bytes)
@@ -202,23 +204,14 @@ def generate_scenario(seed: int) -> Scenario:
                 params={"reads": int(fault_stream.integers(4, 13)),
                         "max_size": int(fault_stream.integers(64, 2049))}))
 
-    # cooperative-tier hostility, appended at the END of the hostility
-    # stream so pre-cooperative seeds replay unchanged: a peer-miss storm
-    # (every rank reads the identical extent at once), optionally with one
-    # peer daemon killed under it
-    if cluster.get("cooperative_cache") and _chance(fault_stream, 0.6):
-        storm_index = len(phases)
-        phases.append(PhaseSpec(
-            kind="peer_miss_storm",
-            workload={"family": "storm",
-                      "pieces": int(fault_stream.integers(2, 7)),
-                      "piece_size": int(_choice(fault_stream,
-                                                [512, 1024, 2048]))}))
-        compute_nodes = -(-num_ranks // ranks_per_node)
-        if compute_nodes >= 2 and _chance(fault_stream, 0.5):
-            injectors.append(InjectorSpec(
-                kind="provider_death", phase=storm_index,
-                params={"victim": int(fault_stream.integers(0, 16))}))
+    # retired: the cooperative tier's peer-miss storm phase and its
+    # peer-daemon death, still drawn so the stream stays aligned
+    if retired_coop and _chance(fault_stream, 0.6):
+        fault_stream.integers(2, 7)
+        _choice(fault_stream, [512, 1024, 2048])
+        if -(-num_ranks // ranks_per_node) >= 2 \
+                and _chance(fault_stream, 0.5):
+            fault_stream.integers(0, 16)
 
     # file extent: the union of everything any phase touches
     file_size = max(workload_file_size(phase.workload, num_ranks)

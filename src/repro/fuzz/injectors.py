@@ -17,10 +17,6 @@ Each injector mirrors a sabotage idiom from the fault-injection suites:
 * :class:`HotSpot` — generation-time: the target phase's workload was
   confined to a narrow window, concentrating cross-rank overlap.  Nothing
   to arm; live by construction.
-* :class:`ProviderDeath` — one cooperative peer-cache daemon dies (pool
-  dropped, probes answered "unavailable") at the start of a peer-miss
-  storm and never comes back: the tier must degrade to the authoritative
-  fallback with zero byte divergence.
 
 A patch that never fires (e.g. the doomed aggregator's stripe was empty)
 is healed at phase end and reported as *dormant*, never as an anomaly —
@@ -136,39 +132,11 @@ class HotSpot(Injector):
         self.fired = True
 
 
-class ProviderDeath(Injector):
-    """Kill one compute node's cooperative peer-cache daemon.
-
-    Armed once by rank 0 at the start of the target (peer-miss-storm)
-    phase: the victim service answers every later probe "unavailable" and
-    its pool's memory dies with it.  Deliberately never healed, and
-    ``expects_phase_failure`` stays False — losing a peer must cost only
-    RPCs (probers fall back to the authoritative shards), never bytes, so
-    the phase and every later read must still succeed byte-identically.
-    """
-
-    def arm(self, rank: int, driver) -> None:
-        if rank != 0 or self.fired:
-            return
-        directory = driver.client.deployment.coop_directory
-        if directory is None:
-            return  # tier never enrolled (coop sampled off): dormant
-        participants = directory.participants()
-        if not participants:
-            return
-        victim = participants[self.spec.params["victim"] % len(participants)]
-        service = directory.services[victim]
-        if service.alive:
-            service.kill()
-            self.fired = True
-
-
 _KINDS = {
     "aggregator_death": AggregatorDeath,
     "resolver_death": ResolverDeath,
     "cache_thrash": CacheThrash,
     "hot_spot": HotSpot,
-    "provider_death": ProviderDeath,
 }
 
 

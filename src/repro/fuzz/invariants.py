@@ -1,6 +1,6 @@
 """The fuzzer's invariant checkers: what every run is judged against.
 
-Seven checkers, each a pure function of a completed run's observations
+Six checkers, each a pure function of a completed run's observations
 (:class:`RunContext`), each returning a list of anomaly strings (empty
 means the invariant held).  They encode the contracts the suites in
 ``tests/`` pin one scenario at a time:
@@ -19,10 +19,6 @@ means the invariant held).  They encode the contracts the suites in
   rank (nobody hung, nobody silently succeeded), the doomed rank saw the
   original ``StorageError``, the post-fault probe phase succeeded — and
   no phase failed *without* an injected fault;
-* ``coop_tier``            — metadata tier conservation straight off the
-  clients' chains: every client's lookup partition stays exact tier by
-  tier, and what each shared service counted (node pools' lookups, peer
-  services' served hits) equals what its clients account for;
 * ``snapshot_stability``   — two independent fresh-client read-backs of
   the latest snapshot return identical bytes.
 """
@@ -32,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.blobseer.metadata.tiers import partition_problems, wire_problems
 from repro.fuzz.injectors import Injector, death_injector_for_phase
 from repro.fuzz.oracle import MaskedOracle
 from repro.fuzz.scenario import (
@@ -45,7 +40,7 @@ from repro.obs.views import collect_all
 
 #: checker names, in evaluation order
 CHECKER_NAMES = ("no_hang", "clean_fault", "byte_identity",
-                 "version_monotonicity", "stats_partition", "coop_tier",
+                 "version_monotonicity", "stats_partition",
                  "snapshot_stability")
 
 
@@ -274,17 +269,6 @@ def check_stats_partition(ctx: RunContext) -> List[str]:
             for problem in registry.check_identities()]
 
 
-def check_coop_tier(ctx: RunContext) -> List[str]:
-    """Metadata tier conservation, read off the chains rather than the
-    registry: a killed peer daemon or a storm of coalesced probers may
-    cost extra RPCs, never a lost or double-counted lookup."""
-    if not ctx.finished or ctx.deployment is None:
-        return []
-    chains = [client.tiers for client in ctx.all_clients]
-    return [f"coop_tier: {problem}"
-            for problem in partition_problems(chains) + wire_problems(chains)]
-
-
 def check_snapshot_stability(ctx: RunContext) -> List[str]:
     if not ctx.finished or len(ctx.final_reads) < 2:
         return []
@@ -304,7 +288,6 @@ CHECKERS = {
     "byte_identity": check_byte_identity,
     "version_monotonicity": check_version_monotonicity,
     "stats_partition": check_stats_partition,
-    "coop_tier": check_coop_tier,
     "snapshot_stability": check_snapshot_stability,
 }
 

@@ -199,8 +199,7 @@ def execute_scenario(scenario: Scenario, *, tracing: Optional[bool] = None,
                         else:
                             data = yield from handle.read_at_all(0, 0)
                         ctx.phase_reads[index][mpi.rank] = data
-                    elif phase.kind in ("independent_read",
-                                        "peer_miss_storm"):
+                    elif phase.kind == "independent_read":
                         regions = phase_read_regions(phase, mpi.rank,
                                                      scenario.num_ranks)
                         pieces = []

@@ -17,12 +17,7 @@ Workload families (``PhaseSpec.workload["family"]``):
   the pattern whose bytes are order-independent;
 * ``"overlap"``    — :class:`~repro.workloads.overlap_stress.
   OverlapStressWorkload`: deliberately overlapping neighbour regions, the
-  paper's Experiment-1 hostility;
-* ``"storm"``      — :class:`~repro.workloads.shared_scan.
-  SharedScanWorkload` (identical pattern, one round): every rank reads
-  the *same* extent in the same disjoint slices — maximal cross-rank
-  metadata overlap, the cooperative peer tier's worst concurrency case
-  (used by ``peer_miss_storm`` phases).
+  paper's Experiment-1 hostility.
 """
 
 from __future__ import annotations
@@ -35,19 +30,16 @@ from repro.errors import BenchmarkError
 from repro.workloads.collective_checkpoint import CollectiveCheckpointWorkload
 from repro.workloads.overlap_stress import OverlapStressWorkload
 from repro.workloads.random_vectored import RandomVectoredWorkload
-from repro.workloads.shared_scan import SharedScanWorkload
 
-#: phase kinds the runner executes (``peer_miss_storm`` is an independent
-#: read with a storm-family workload: every rank misses on the same keys
-#: at once, hammering the cooperative tier's probe and coalescing paths)
+#: phase kinds the runner executes
 PHASE_KINDS = ("independent_write", "collective_write", "atomic_write",
-               "collective_read", "independent_read", "peer_miss_storm")
+               "collective_read", "independent_read")
 WRITE_KINDS = ("independent_write", "collective_write", "atomic_write")
-READ_KINDS = ("collective_read", "independent_read", "peer_miss_storm")
+READ_KINDS = ("collective_read", "independent_read")
 
 #: injector kinds (see :mod:`repro.fuzz.injectors`)
 INJECTOR_KINDS = ("aggregator_death", "resolver_death", "cache_thrash",
-                  "hot_spot", "provider_death")
+                  "hot_spot")
 
 
 @dataclass(frozen=True)
@@ -178,12 +170,6 @@ def build_workload(workload: Mapping, num_ranks: int):
             regions_per_client=workload["regions_per_client"],
             region_size=workload["region_size"],
             overlap_fraction=workload["overlap_fraction"])
-    if family == "storm":
-        return SharedScanWorkload(
-            num_clients=max(num_ranks, 1), rounds=1,
-            blocks_per_round=workload["pieces"],
-            block_size=workload["piece_size"],
-            pattern="identical")
     raise BenchmarkError(f"unknown workload family {family!r}")
 
 
@@ -218,10 +204,6 @@ def phase_read_regions(phase: PhaseSpec, rank: int,
     if isinstance(obj, CollectiveCheckpointWorkload):
         return [(offset, len(payload))
                 for offset, payload in obj.write_pairs(rank, 0)]
-    if isinstance(obj, SharedScanWorkload):
-        # storm: the identical full extent, sliced — for every rank
-        return [(index * obj.block_size, obj.block_size)
-                for index in range(obj.blocks_per_round)]
     return [(region.offset, region.size)
             for region in obj.client_regions(rank)]
 

@@ -41,6 +41,9 @@ separately costs one version ticket plus one copy-on-write metadata build
    ``allgather``, so each participant's client learns — at zero RPC cost —
    a published version containing its own data (read-your-writes without a
    ``latest`` round-trip, and write-through warmth on the aggregators).
+   When the aggregators' versions are exactly the consecutive run ending at
+   that watermark, each aggregator also keys its stripe's leaves under it:
+   a read pinned there then finds every leaf in the resolver's cache.
 
 The aggregators talk to the version manager; the other ranks spend *zero*
 control-plane round-trips on the collective — the traffic that remains is
@@ -93,9 +96,10 @@ against the segment tree independently — ``N`` ``latest`` round-trips and
    side); each resolver runs one batched
    :class:`~repro.blobseer.metadata.segment_tree.ReadPlanner` walk through
    its :class:`~repro.blobseer.metadata.cache.MetadataNodeCache` (warm
-   from its own walk on every later round of the same snapshot) and fetches
-   its stripe's chunks — non-resolver ranks spend *zero* metadata control
-   RPCs;
+   from its own walk on every later round of the same snapshot, and from
+   its own stripe commit when the pin is that write's group watermark) and
+   fetches its stripe's chunks — non-resolver ranks spend *zero* metadata
+   control RPCs;
 3. scatters bytes and nothing else over ``alltoallv``: each rank receives
    the pieces of its wanted ranges, and never-written ranges travel as
    compact *hole descriptors* — 16 bytes each instead of their literal zero
@@ -412,11 +416,17 @@ def _scan_gather(gathered) -> Tuple[list, list, int, int, int]:
     return early_errors, extents_by_rank, pinned, lo or 0, hi
 
 
-def _scan_outcomes(outcomes) -> Tuple[list, int]:
-    """A closing gather's error reports and, if there are none, the highest
-    version an aggregator published."""
+def _scan_outcomes(outcomes) -> Tuple[list, int, bool]:
+    """A closing gather's error reports, and, if there are none, the highest
+    version an aggregator published and whether the aggregators' versions
+    are exactly the consecutive run ending there."""
     errors = [entry[1] for entry in outcomes if entry[0] == "err"]
-    return errors, 0 if errors else max(entry[1] for entry in outcomes)
+    if errors:
+        return errors, 0, False
+    versions = sorted(entry[1] for entry in outcomes if entry[1])
+    watermark = versions[-1] if versions else 0
+    return errors, watermark, versions == list(
+        range(watermark - len(versions) + 1, watermark + 1))
 
 
 def _round_bytes(providers: int, chunk_size: int, count: int, config) -> int:
@@ -684,15 +694,17 @@ class CollectiveAggregator(_CollectiveParticipant):
         # phase 3 (aggregators): publish the whole stripe — every round's
         # uploads — as one snapshot
         closing = ("ok", 0)
+        leaves = ()
         if failure is not None:
             closing = ("err", f"rank {rank}: {failure!r}")
         elif runs is not None or ahead is not None:
             try:
-                version = yield from _phase(
+                receipt = yield from _phase(
                     ctx, self._commit_stripe(blob_id, runs or IOVector(),
                                              ahead, plan.attributed[stripe]),
                     "collective.write.commit_stripe", rank=rank)
-                closing = ("ok", version)
+                closing = ("ok", receipt.version)
+                leaves = receipt.leaves
             except Exception as exc:
                 failure = exc
                 closing = ("err", f"aggregator rank {rank}: {exc!r}")
@@ -704,7 +716,7 @@ class CollectiveAggregator(_CollectiveParticipant):
         outcomes = yield from _phase(
             ctx, comm.allgather(rank, closing),
             "collective.write.closing", rank=rank)
-        errors, watermark = _shared_memo(
+        errors, watermark, gapless = _shared_memo(
             outcomes, "closing", lambda: _scan_outcomes(outcomes))
         if errors:
             # surviving aggregators' stripes are durably published, so any
@@ -717,6 +729,14 @@ class CollectiveAggregator(_CollectiveParticipant):
             raise MPIIOError("collective write failed: " + "; ".join(errors))
         if watermark:
             client.note_collective_commit(blob_id, watermark)
+        if leaves and gapless:
+            # the stripes are chunk-aligned and disjoint, and no other
+            # writer's ticket fits between the group's versions: the newest
+            # node of this stripe's leaves at or before the watermark is
+            # this aggregator's own, which is what a read pinned there asks
+            client.tiers.admit(blob_id, [((offset, size, watermark), node)
+                                         for (offset, size, _version), node
+                                         in leaves])
         self.stats.collectives += 1
         return vector.total_bytes()
 
@@ -798,7 +818,7 @@ class CollectiveAggregator(_CollectiveParticipant):
     def _commit_stripe(self, blob_id: str, runs: IOVector,
                        ahead: Optional[AheadWrite], attributed_writes: int):
         """Publish the stripe — ``runs`` plus the sub-stripes uploading
-        ``ahead``, if any were — as one snapshot; returns its version once
+        ``ahead``, if any were — as one snapshot; returns its receipt once
         it is published."""
         writepath = self.client.writepath
         receipt = yield from writepath.commit(
@@ -811,7 +831,7 @@ class CollectiveAggregator(_CollectiveParticipant):
             yield from self.client.wait_published(blob_id, receipt.version)
         self.stats.stripes_committed += 1
         self.stats.attributed_writes += attributed_writes
-        return receipt.version
+        return receipt
 
 
 # ----------------------------------------------------------------------

@@ -24,8 +24,9 @@ attributed to exactly one of six named layers:
     the server-side window of an RPC (``rpc.serve``): per-RPC handling
     overhead plus the handler body's own time.
 ``coalesce_park``
-    time parked on another client's in-flight metadata fetch
-    (``meta.park`` wait spans from the fetch-coalescing table).
+    self time of ``wait`` spans.  Only the metadata fetch-coalescing table
+    emitted them (a rank parked on another's in-flight fetch), and it is
+    gone: the layer reads 0, and stays so the reporting tuple is stable.
 
 The walk is backward-greedy: inside a span's window it repeatedly picks
 the child whose (clipped) end is latest, attributes the gap above it to
@@ -75,7 +76,6 @@ DEFAULT_OPERATIONS = (
     "file.write_at",
     "file.read_at",
     "commit",
-    "rpc.coop_probe",
 )
 
 

@@ -8,8 +8,8 @@ of the queued network); these collectors materialize them into a
 nothing while the simulation executes.
 
 Naming fixes a long-standing drift: ``BlobSeerDeployment.stats()`` reports
-``metadata_read_rpcs`` counted **server-side** (``get_node`` +
-``get_nodes`` handler invocations) while ``BlobClient.metadata_read_rpcs``
+``metadata_read_rpcs`` counted **server-side** (``get_nodes`` handler
+invocations) while ``BlobClient.metadata_read_rpcs``
 counts **client-side** issue events — same key, different quantities.
 Here the two live apart as ``metadata.server.read_rpcs`` and
 ``metadata.client.read_rpcs``.
@@ -20,17 +20,15 @@ whatever metadata tier chains the collected clients run
 (:mod:`repro.blobseer.metadata.tiers`):
 
 * ``metadata.lookup_partition`` — per client, every lookup handed to its
-  chain was answered by exactly one tier or parked on a co-tenant's fetch,
-  and each tier saw exactly what fell through the tiers above it
+  chain was answered by exactly one tier, and each tier saw exactly what
+  fell through the tiers above it
   (:func:`~repro.blobseer.metadata.tiers.partition_problems`);
 * ``metadata.tier_services`` — the *cross-surface* check: what each
   service shared between clients counted equals what the tiers fronting
-  it say they asked of it — the node pools' lookups, the peer services'
-  served hits (admitted or rejected by the receiving watermark gate;
-  remote probes use the stat-free ``peek`` path, so they never perturb a
-  pool's own count).  Reported by :func:`collect_all` only when the
-  caller attests that every client attached to the deployment was
-  collected (:func:`~repro.blobseer.metadata.tiers.wire_problems`);
+  it say they asked of it — the node pools' lookups.  Reported by
+  :func:`collect_all` only when the caller attests that every client
+  attached to the deployment was collected
+  (:func:`~repro.blobseer.metadata.tiers.wire_problems`);
 * ``cache.chunk.lookup_partition`` — per client, every non-zero read extent
   was looked up in the client's chunk cache exactly once and either served
   from it or requested from a data provider:
@@ -58,7 +56,6 @@ __all__ = [
     "collect_cluster",
     "collect_collective",
     "collect_comms",
-    "collect_coop_cache",
     "collect_deployment",
     "collect_link_telemetry",
     "collect_shared_cache",
@@ -71,7 +68,6 @@ __all__ = [
 #: :class:`~repro.blobseer.client.BlobClient`.
 _DEPLOYMENT_STAT_NAMES: Dict[str, str] = {
     "metadata_read_rpcs": "metadata.server.read_rpcs",
-    "metadata_batched_rpcs": "metadata.server.batched_read_rpcs",
     "metadata_put_rpcs": "metadata.server.put_rpcs",
     "metadata_nodes": "metadata.server.nodes",
     "providers": "storage.providers",
@@ -97,11 +93,6 @@ _CHUNK_COUNTERS = ("lookups", "hits", "bytes_served", "evictions")
 #: client's list lacks: (name, tier, counter)
 _TIER_COUNTERS = (
     ("cache.shared.client_hits", "node", "hits"),
-    ("cache.peer.client_hits", "peers", "hits"),
-    ("cache.peer.rejections", "peers", "rejections"),
-    ("cache.peer.probe_misses", "peers", "probe_misses"),
-    ("cache.peer.probe_rpcs", "peers", "probe_rpcs"),
-    ("metadata.client.coalesced_fetches", "coalesce", "parked"),
     ("metadata.client.read_rpcs", "shards", "read_rpcs"),
 )
 
@@ -170,27 +161,8 @@ def collect_shared_cache(registry: "MetricsRegistry",
     registry.add("cache.shared.evictions", totals["evictions"])
     registry.add("cache.shared.unpublished_rejections",
                  totals["unpublished_rejections"])
-    registry.add("cache.shared.capacity_rejections",
-                 totals["capacity_rejections"])
-    registry.add("cache.shared.coalesced_fetches",
-                 totals["coalesced_fetches"])
     registry.set("cache.shared.services", totals["services"])
     registry.set("cache.shared.entries", totals["entries"])
-
-
-def collect_coop_cache(registry: "MetricsRegistry",
-                       deployment: "BlobSeerDeployment") -> None:
-    """Cooperative cross-node tier totals across every peer service."""
-    totals = deployment.coop_stats()
-    registry.add("cache.peer.served_hits", totals["served_hits"])
-    registry.add("cache.peer.served_misses", totals["served_misses"])
-    registry.add("cache.peer.served_lookups",
-                 totals["served_hits"] + totals["served_misses"])
-    registry.add("cache.peer.read_throughs", totals["read_throughs"])
-    registry.add("cache.peer.unavailable_probes",
-                 totals["unavailable_probes"])
-    registry.add("cache.peer.served_probe_rpcs", totals["probe_rpcs"])
-    registry.set("cache.peer.services", totals["services"])
 
 
 def collect_deployment(registry: "MetricsRegistry",
@@ -207,7 +179,6 @@ def collect_deployment(registry: "MetricsRegistry",
         else:
             registry.add(name, stats[key])
     collect_shared_cache(registry, deployment)
-    collect_coop_cache(registry, deployment)
 
 
 def collect_collective(registry: "MetricsRegistry",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, TYPE_CHECKING
 
 from repro.errors import FileSystemError
@@ -54,5 +55,6 @@ class PosixFsDeployment:
             "files": self.mds.server.file_count(),
             "locks_granted": sum(ost.locks.manager.locks_granted for ost in self.osts),
             "locks_queued": sum(ost.locks.manager.locks_queued for ost in self.osts),
-            "lock_wait_time": sum(ost.locks.total_wait_time for ost in self.osts),
+            "lock_wait_time": math.fsum(ost.locks.total_wait_time
+                                        for ost in self.osts),
         }

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.blobseer import BlobSeerDeployment
-from repro.blobseer.metadata.tiers import ShardTier
 from repro.cluster import Cluster, ClusterConfig
 from repro.errors import VersionNotFound
 
@@ -190,19 +189,14 @@ class TestConcurrentWriters:
 
 
 class TestMetadataReadPathModes:
-    """The cached and uncached read paths, and a per-node shard tier, agree
-    byte-for-byte."""
+    """The cached and uncached read paths agree byte-for-byte."""
 
     PAIRS = [(0, b"a" * 100), (150, b"b" * 40), (400, b"c" * 200)]
     READS = [(0, 120), (140, 60), (380, 240), (900, 100)]
 
-    def _read_all(self, per_node=False, **client_options):
+    def _read_all(self, **client_options):
         cluster, deployment = make_deployment(chunk_size=64)
         client = deployment.client(cluster.add_node("c0"), **client_options)
-        if per_node:
-            # one ``get_node`` round-trip per lookup: the read path the
-            # metadata suite's headline counts its round-trips against
-            client.tiers.order[-1] = ShardTier(client, batching=False)
 
         def scenario():
             yield from client.create_blob("data", size=1024)
@@ -224,23 +218,34 @@ class TestMetadataReadPathModes:
         assert content == uncached
         assert client.metadata_read_rpcs < base_client.metadata_read_rpcs
 
-    def test_a_per_node_shard_tier_pays_one_get_node_per_lookup(self):
-        """What the batched headline divides by: the same lookups through
-        ``ShardTier(batching=False)`` cost exactly one ``get_node`` each,
-        and read the same bytes."""
-        batched, batched_client, _ = self._read_all(
-            enable_metadata_cache=False)
-        per_node, client, deployment = self._read_all(
-            per_node=True, enable_metadata_cache=False)
-        assert per_node == batched
-        lookups = client.tiers.lookups
-        assert lookups == batched_client.tiers.lookups
-        assert client.metadata_read_rpcs == lookups \
-            > batched_client.metadata_read_rpcs
-        get_node_rpcs = sum(provider.calls.get("get_node", 0)
-                            for provider in deployment.metadata_providers)
-        assert get_node_rpcs == lookups
-        assert deployment.stats()["metadata_batched_rpcs"] == 0
+    def test_a_cold_read_costs_one_round_per_shard_at_most(self):
+        """Every leaf a read touches is looked up at the read version in
+        one round, and the shards ship the base chains along: a cold
+        reader pays at most one ``get_nodes`` per shard per read, however
+        deep the tree or the chains, and reads the writer's bytes."""
+        cluster, deployment = make_deployment(chunk_size=64)
+        writer = deployment.client(cluster.add_node("w"))
+
+        def write():
+            yield from writer.create_blob("data", size=1024)
+            for offset, payload in self.PAIRS:
+                receipt = yield from writer.write("data", offset, payload)
+                yield from writer.wait_published("data", receipt.version)
+            return receipt.version
+
+        version = run(cluster, write())
+        shards = len(deployment.metadata_providers)
+        for offset, size in self.READS:
+            reader = deployment.client(cluster.add_node(f"r{offset}"))
+            content = run(cluster, reader.read("data", offset, size,
+                                               version=version))
+            expected = bytearray(size)
+            for start, payload in self.PAIRS:
+                for index, byte in enumerate(payload):
+                    if offset <= start + index < offset + size:
+                        expected[start + index - offset] = byte
+            assert content == bytes(expected)
+            assert 0 < reader.metadata_read_rpcs <= shards
 
     def test_batching_and_cache_cut_round_trips(self):
         _, base_client, base_deployment = self._read_all(

@@ -6,6 +6,7 @@ from repro.blobseer.blob import BlobDescriptor
 from repro.blobseer.chunk import ChunkKey
 from repro.blobseer.metadata.nodes import ChildRef, LeafSegment, MetadataNode, NodeKey
 from repro.blobseer.metadata.segment_tree import (
+    ReadPlanner,
     build_leaf_segments,
     build_write_metadata,
     overlay_segments,
@@ -314,8 +315,111 @@ class TestPlanRead:
         assert plan.zero_bytes() == 0
 
     def test_metadata_accounting(self):
+        """The walk reads leaves only: one round for the leaf at the read
+        version, one more per base version a partial leaf falls back to."""
         reader = _StoreReader(BLOB)
         reader.write(1, 0, IOVector.for_write([(0, b"a" * 8)]))
         plan = plan_read(BLOB, 1, RegionList([(0, 8)]), reader.get_node)
-        assert plan.nodes_fetched >= BLOB.tree_depth + 1
-        assert plan.levels >= BLOB.tree_depth + 1
+        assert (plan.nodes_fetched, plan.levels, plan.metadata_rpcs) \
+            == (1, 1, 1)
+        reader.write(2, 1, IOVector.for_write([(4, b"b" * 2)]))
+        plan = plan_read(BLOB, 2, RegionList([(0, 8)]), reader.get_node)
+        assert (plan.nodes_fetched, plan.levels, plan.metadata_rpcs) \
+            == (2, 2, 2)
+        assert plan.chunk_bytes() == 8
+
+
+class TestReadPlanner:
+    """The walk's first round is every touched leaf at the read version,
+    with that leaf's clipped runs; later rounds are base versions."""
+
+    @pytest.mark.parametrize("regions,expected", [
+        # one run inside one leaf
+        ([(10, 5)], {(0, 64, 3): ((10, 15),)}),
+        # a run crossing two leaf boundaries is clipped per leaf
+        ([(60, 80)], {(0, 64, 3): ((60, 64),), (64, 64, 3): ((64, 128),),
+                      (128, 64, 3): ((128, 140),)}),
+        # two runs of one leaf stay one lookup, in order
+        ([(40, 4), (2, 3)], {(0, 64, 3): ((2, 5), (40, 44))}),
+        # adjacent and overlapping runs normalize into one
+        ([(0, 10), (10, 6), (12, 8)], {(0, 64, 3): ((0, 20),)}),
+        # untouched leaves between two runs are never asked
+        ([(0, 1), (448, 64)], {(0, 64, 3): ((0, 1),),
+                               (448, 64, 3): ((448, 512),)}),
+    ])
+    def test_the_first_round_is_the_touched_leaves_at_the_read_version(
+            self, regions, expected):
+        planner = ReadPlanner(BLOB, 3, RegionList(regions))
+        assert planner.pending() == sorted(expected)
+        assert planner.wanted() == expected
+
+    def test_an_empty_read_asks_nothing(self):
+        planner = ReadPlanner(BLOB, 3, RegionList([(5, 0)]))
+        assert planner.done and planner.pending() == []
+        assert planner.plan().extents == []
+
+    def test_a_partial_leaf_asks_its_base_version_for_the_leftovers(self):
+        reader = _StoreReader(BLOB)
+        reader.write(1, 0, IOVector.for_write([(0, b"a" * 64)]))
+        reader.write(2, 1, IOVector.for_write([(8, b"b" * 8)]))
+        planner = ReadPlanner(BLOB, 2, RegionList([(0, 32)]))
+        planner.advance({(0, 64, 2): reader.get_node(0, 64, 2)})
+        assert planner.wanted() == {(0, 64, 1): ((0, 8), (16, 32))}
+        planner.advance({(0, 64, 1): reader.get_node(0, 64, 1)})
+        assert planner.done
+        chunks = [(e.offset, e.length, e.chunk.writer)
+                  for e in planner.plan().extents]
+        assert chunks == [(0, 8, "wv1"), (8, 8, "wv2"), (16, 16, "wv1")]
+
+    def test_a_covered_leaf_ends_its_walk(self):
+        reader = _StoreReader(BLOB)
+        reader.write(1, 0, IOVector.for_write([(0, b"a" * 64)]))
+        reader.write(2, 1, IOVector.for_write([(0, b"b" * 16)]))
+        planner = ReadPlanner(BLOB, 2, RegionList([(4, 8)]))
+        planner.advance({(0, 64, 2): reader.get_node(0, 64, 2)})
+        assert planner.done and planner.nodes_fetched == 1
+
+    def test_a_never_written_leaf_reads_as_zeros(self):
+        planner = ReadPlanner(BLOB, 2, RegionList([(70, 10), (100, 4)]))
+        planner.advance({(64, 64, 2): None})
+        assert planner.done and planner.nodes_fetched == 0
+        assert [(e.offset, e.length, e.is_zero)
+                for e in planner.plan().extents] \
+            == [(70, 10, True), (100, 4, True)]
+
+    def test_a_leaf_without_base_zero_fills_its_leftovers(self):
+        key = NodeKey(BLOB.blob_id, 1, 0, 64)
+        node = MetadataNode(key, True, segments=(seg(0, 8),),
+                            base_version=None)
+        planner = ReadPlanner(BLOB, 1, RegionList([(0, 16)]))
+        planner.advance({(0, 64, 1): node})
+        assert planner.done
+        assert [(e.offset, e.length, e.is_zero)
+                for e in planner.plan().extents] \
+            == [(0, 8, False), (8, 8, True)]
+
+    def test_a_one_leaf_blob_reads_its_root_as_the_leaf(self):
+        blob = BlobDescriptor.create("tiny", size=64, chunk_size=64)
+        reader = _StoreReader(blob)
+        reader.write(1, 0, IOVector.for_write([(0, b"a" * 64)]))
+        reader.write(2, 1, IOVector.for_write([(32, b"b" * 8)]))
+        plan = plan_read(blob, 2, RegionList([(0, 64)]), reader.get_node)
+        assert [(e.offset, e.length, e.chunk.writer) for e in plan.extents] \
+            == [(0, 32, "wv1"), (32, 8, "wv2"), (40, 24, "wv1")]
+        assert (plan.nodes_fetched, plan.levels) == (2, 2)
+
+    def test_advance_needs_every_result_of_the_round(self):
+        planner = ReadPlanner(BLOB, 1, RegionList([(0, 128)]))
+        with pytest.raises(InvalidRegion):
+            planner.advance({(0, 64, 1): None})
+
+    def test_a_finished_walk_takes_no_more_rounds(self):
+        planner = ReadPlanner(BLOB, 1, RegionList([(0, 8)]))
+        planner.advance({(0, 64, 1): None})
+        with pytest.raises(InvalidRegion):
+            planner.advance({})
+
+    def test_plan_before_the_walk_finished_is_refused(self):
+        planner = ReadPlanner(BLOB, 1, RegionList([(0, 8)]))
+        with pytest.raises(InvalidRegion):
+            planner.plan()

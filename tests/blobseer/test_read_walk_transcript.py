@@ -4,13 +4,15 @@ The property tests check that a read plan yields the right *bytes*; the
 metadata tier chain, its cache admissions and the RPCs it issues depend on
 more than that — on which lookups each level names and in which order.
 This module pins that order: for fixed-seed write histories it records,
-per read, every level's ``ReadPlanner.pending()`` list, then ``levels``,
-``nodes_fetched`` and every extent of the finished plan.
+per read, every round's ``ReadPlanner.pending()`` list (the touched leaves
+at the read version, then the base versions of the partially covered
+ones), then ``levels``, ``nodes_fetched`` and every extent of the finished
+plan.
 
 The histories are built to reach every branch of the walk: deep
 partial-leaf base-version chains (many small writes into a few hot
 leaves), multi-run wanted lists (overlapping and adjacent runs that
-normalize together, empty runs that vanish), never-written ranges, inner
+normalize together, empty runs that vanish), never-written ranges, leaf
 lookups that resolve to ``None`` and leaves whose ``base_version`` is
 ``None``.
 
@@ -51,7 +53,7 @@ def build_history(seed):
     blob = BlobDescriptor.create(f"walk{seed}", size=leaves * chunk,
                                  chunk_size=chunk)
     # writes stay below ``written`` so the top of the blob is never
-    # written: inner lookups there resolve to None
+    # written: leaf lookups there resolve to None
     written = max(chunk, blob.capacity * rng.choice([1, 2, 3]) // 4)
     # most writes hit a window of two leaves: long base-version chains
     hot = rng.randrange(0, written, chunk)

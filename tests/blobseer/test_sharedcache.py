@@ -7,16 +7,15 @@ crashed co-tenant's pre-publication write-through state from poisoning every
 later reader on the node (aborted tickets publish empty, so a stale entry
 under that version would serve rolled-back nodes).
 
-A bounded pool's eviction rule — keep the top tree levels, shed the deepest
-entry, least recently used first — is pinned case by case and against a
-reference model of the rule.
+A bounded pool is plain LRU, pinned case by case and against a reference
+model.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.blobseer.metadata.nodes import MetadataNode, NodeKey
-from repro.blobseer.metadata.sharedcache import PIN_LEVELS, NodeCacheService
+from repro.blobseer.metadata.sharedcache import NodeCacheService
 from repro.errors import StorageError
 
 
@@ -136,26 +135,48 @@ class TestEviction:
         found, _ = service.get("b", 0, 64, 1)
         assert not found  # the LRU entry left
 
-    def test_full_pool_keeps_the_root_resident(self):
-        service = NodeCacheService("n0", capacity=2)
-        service.note_published("b", 1)
-        root = make_node(size=ROOT)
-        service.publish("b", 0, ROOT, 1, root)
-        for offset in (0, 64, 128, 192):
-            service.publish("b", offset, 64, 1, make_node(offset=offset))
-        found, cached = service.get("b", 0, ROOT, 1)
-        assert found and cached is root
+    def test_full_pool_sheds_the_root_like_any_entry(self):
+        """No level is kept over another: reads look leaves up only, so
+        an interior entry is as evictable as a leaf."""
+        service = bounded(2, (0, ROOT), (0, 64))
+        assert service.publish("b", 64, 64, 1, make_node(offset=64))
+        assert not resident(service, 0, ROOT)
+        assert resident(service, 0, 64) and resident(service, 64, 64)
+        assert service.stats.insertions - service.stats.evictions \
+            == len(service) == 2
 
-    def test_declined_admission_rolls_its_insertion_back(self):
-        """When everything resident is pinned and the rule picks the
-        newcomer itself, the decline must not leave a phantom insertion —
-        insertions - evictions always reconciles with resident entries."""
-        service = bounded(2, (0, ROOT), (0, ROOT // 2))
-        # both residents are pinned top levels; a leaf newcomer is declined
-        assert not service.publish("b", 0, 64, 1, make_node())
-        assert service.stats.capacity_rejections == 1
+    def test_an_alias_takes_its_own_slot(self):
+        """A node fetched under a newer hint is kept under its exact
+        version too; in a one-entry pool the alias, admitted last, is the
+        one that stays."""
+        service = NodeCacheService("n0", capacity=1)
+        service.note_published("b", 9)
+        assert service.publish("b", 0, 64, 9, make_node(version=4))
+        assert list(service._entries) == [("b", 0, 64, 4)]
+        assert (service.stats.insertions, service.stats.evictions) == (2, 1)
+
+    def test_eviction_crosses_blobs(self):
+        """One pool per node, one recency order: a BLOB's entries are no
+        safer than another's."""
+        service = NodeCacheService("n0", capacity=2)
+        for blob in ("a", "b"):
+            service.note_published(blob, 1)
+        service.publish("a", 0, 64, 1, make_node(blob="a"))
+        service.publish("b", 0, 64, 1, make_node(blob="b"))
+        service.publish("b", 64, 64, 1, make_node(offset=64, blob="b"))
+        assert sorted(service._entries) == [("b", 0, 64, 1), ("b", 64, 64, 1)]
+
+    def test_an_overwrite_is_no_insertion(self):
+        service = bounded(2, (0, 64), (64, 64))
+        service.publish("b", 0, 64, 1, make_node())
+        assert (service.stats.insertions, service.stats.evictions) == (2, 0)
+        assert list(service._entries) == [("b", 64, 64, 1), ("b", 0, 64, 1)]
+
+    def test_a_rejected_entry_leaves_the_pool_as_it_was(self):
+        service = bounded(2, (0, 64), (64, 64))
+        assert not service.publish("b", 128, 64, 5, make_node(offset=128))
+        assert list(service._entries) == [("b", 0, 64, 1), ("b", 64, 64, 1)]
         assert service.stats.evictions == 0
-        assert service.stats.insertions == len(service) == 2
 
     def test_bad_capacity_rejected(self):
         with pytest.raises(StorageError):
@@ -168,110 +189,38 @@ class TestEviction:
             NodeCacheService("n0", capacity=8, policy="lru")
 
 
-class TestLevelRule:
-    """The top :data:`PIN_LEVELS` tree levels stay; the deepest entry goes."""
-
-    def test_root_span_is_learned_and_pins_the_top_levels(self):
-        assert PIN_LEVELS == 3
-        service = bounded(8, (0, ROOT))
-        assert service.pinned(("b", 0, ROOT, 1))
-        assert service.pinned(("b", 0, ROOT // 2, 1))
-        assert service.pinned(("b", 0, ROOT // 4, 1))
-        assert not service.pinned(("b", 0, ROOT // 8, 1))
-
-    def test_victims_are_deepest_first(self):
-        service = bounded(4, (0, ROOT), (0, ROOT // 8), (0, ROOT // 32),
-                          (0, ROOT // 16))
-        service.publish("b", 128, ROOT // 8, 1,
-                        make_node(offset=128, size=ROOT // 8))
-        assert not resident(service, 0, ROOT // 32)
-        assert resident(service, 0, ROOT // 16)
-        assert resident(service, 0, ROOT // 8)
-
-    def test_pinned_entries_survive_unpinned_ones(self):
-        service = bounded(4, (0, ROOT), (0, ROOT // 2), (0, ROOT // 4),
-                          (0, ROOT // 8))
-        # the root is the least recently used, but pinned: the one
-        # unpinned entry leaves instead
-        service.publish("b", 512, ROOT // 2, 1,
-                        make_node(offset=512, size=ROOT // 2))
-        assert not resident(service, 0, ROOT // 8)
-        assert all(resident(service, 0, size)
-                   for size in (ROOT, ROOT // 2, ROOT // 4))
-
-    def test_lru_breaks_ties_within_a_level(self):
-        service = bounded(3, (0, ROOT), (0, 128), (128, 128))
-        service.get("b", 0, 128, 1)
-        service.publish("b", 256, 128, 1, make_node(offset=256, size=128))
-        assert not resident(service, 128, 128)
-        assert resident(service, 0, 128) and resident(service, 256, 128)
-
-    def test_falls_back_to_lru_when_everything_is_pinned(self):
-        service = bounded(2, (0, ROOT), (0, ROOT // 2))
-        # all three entries are pinned: shed the least recently used one
-        # rather than refuse to make room
-        assert service.publish("b", 512, ROOT // 2, 1,
-                               make_node(offset=512, size=ROOT // 2))
-        assert not resident(service, 0, ROOT)
-        assert service.stats.evictions == 1
-
-    def test_per_blob_root_spans(self):
-        service = bounded(8, (0, ROOT), blob="big")
-        service.note_published("small", 1)
-        service.publish("small", 0, 64, 1, make_node(size=64, blob="small"))
-        assert service.pinned(("big", 0, ROOT, 1))
-        # 64 is "small"'s root (the largest span seen for that BLOB)
-        assert service.pinned(("small", 0, 64, 1))
-        assert not service.pinned(("big", 0, 64, 1))
-
-    def test_root_span_is_the_largest_span_seen(self):
-        service = bounded(8, (0, 64))
-        assert service.pinned(("b", 0, 64, 1))
-        service.publish("b", 0, ROOT, 1, make_node(size=ROOT))
-        assert not service.pinned(("b", 0, 64, 1))
-
-
 class TestRecency:
-    """Least recently used first among a level's unpinned entries."""
+    """Least recently used first."""
 
-    LEAVES = ((0, ROOT), (0, 64), (64, 64))
+    LEAVES = ((0, 64), (64, 64))
 
     def test_victim_is_least_recently_used(self):
-        service = bounded(3, *self.LEAVES)
+        service = bounded(2, *self.LEAVES)
         service.publish("b", 128, 64, 1, make_node(offset=128))
         assert not resident(service, 0, 64)
         assert resident(service, 64, 64) and resident(service, 128, 64)
 
     def test_hit_refreshes_recency(self):
-        service = bounded(3, *self.LEAVES)
+        service = bounded(2, *self.LEAVES)
         service.get("b", 0, 64, 1)
         service.publish("b", 128, 64, 1, make_node(offset=128))
         assert resident(service, 0, 64)
         assert not resident(service, 64, 64)
 
     def test_evicted_entry_is_forgotten(self):
-        service = bounded(3, *self.LEAVES)
+        service = bounded(2, *self.LEAVES)
         service.publish("b", 128, 64, 1, make_node(offset=128))
         service.publish("b", 192, 64, 1, make_node(offset=192))
         assert service.stats.evictions == 2
         assert sorted(service._entries) == [
-            ("b", 0, ROOT, 1), ("b", 128, 64, 1), ("b", 192, 64, 1)]
+            ("b", 128, 64, 1), ("b", 192, 64, 1)]
 
     def test_reinsert_refreshes_recency(self):
-        service = bounded(3, *self.LEAVES)
+        service = bounded(2, *self.LEAVES)
         service.publish("b", 0, 64, 1, make_node())
         service.publish("b", 128, 64, 1, make_node(offset=128))
         assert resident(service, 0, 64)
         assert not resident(service, 64, 64)
-
-    def test_peek_refreshes_recency_like_a_hit(self):
-        service = bounded(3, *self.LEAVES)
-        hits = service.stats.hits
-        assert service.peek("b", 0, 64, 1)[0]
-        service.publish("b", 128, 64, 1, make_node(offset=128))
-        assert resident(service, 0, 64)
-        assert not resident(service, 64, 64)
-        assert service.stats.hits == hits  # stat-free all the same
 
     def test_unbounded_pool_keeps_no_recency_order(self):
         service = NodeCacheService("n0")
@@ -280,43 +229,23 @@ class TestRecency:
             service.publish("b", offset, size, 1,
                             make_node(offset=offset, size=size))
         service.get("b", 0, 64, 1)
-        service.peek("b", 0, ROOT, 1)
         assert list(service._entries) == [("b", offset, size, 1)
                                           for offset, size in self.LEAVES]
-        assert service._root_span == {}
         assert service.stats.evictions == 0
 
 
-#: the eviction rule as a reference model, over a list in recency order
-def model_victim(order, root_span):
-    unpinned = [key for key in order
-                if key[2] << (PIN_LEVELS - 1) < root_span[key[0]]]
-    if not unpinned:
-        return order[0]
-    deepest = min(key[2] for key in unpinned)
-    return next(key for key in unpinned if key[2] == deepest)
-
-
 def model_publish(model, key, capacity):
-    """Mirror of one admission; returns whether it was admitted."""
-    order, root_span, stats = model
+    """Mirror of one admission into a plain LRU list."""
+    order, stats = model
     if key in order:
         order.remove(key)
         order.append(key)
-        return True
+        return
     order.append(key)
     stats["insertions"] += 1
-    root_span[key[0]] = max(root_span.get(key[0], 0), key[2])
-    if len(order) <= capacity:
-        return True
-    victim = model_victim(order, root_span)
-    order.remove(victim)
-    if victim == key:
-        stats["insertions"] -= 1
-        stats["capacity_rejections"] += 1
-        return False
-    stats["evictions"] += 1
-    return True
+    if len(order) > capacity:
+        order.pop(0)
+        stats["evictions"] += 1
 
 
 #: lookup keys of a 1024-byte tree, all levels down to 64-byte leaves
@@ -327,33 +256,28 @@ TREE_KEYS = [(blob, offset, size, 1) for blob in ("a", "b")
 
 @settings(max_examples=200, deadline=None)
 @given(capacity=st.integers(1, 16),
-       operations=st.lists(st.tuples(st.sampled_from(["insert", "get",
-                                                      "peek"]),
+       operations=st.lists(st.tuples(st.sampled_from(["insert", "get"]),
                                      st.sampled_from(TREE_KEYS)),
                            min_size=20, max_size=120))
 def test_bounded_pool_matches_the_reference_model(capacity, operations):
     service = NodeCacheService("n0", capacity=capacity)
     for blob in ("a", "b"):
         service.note_published(blob, 1)
-    model = ([], {}, {"insertions": 0, "evictions": 0,
-                      "capacity_rejections": 0, "hits": 0, "lookups": 0})
-    order, _root_span, stats = model
+    model = ([], {"insertions": 0, "evictions": 0, "hits": 0, "lookups": 0})
+    order, stats = model
     for operation, key in operations:
         if operation == "insert":
             assert service.publish(*key, make_node(
-                offset=key[1], size=key[2], blob=key[0])) \
-                == model_publish(model, key, capacity)
+                offset=key[1], size=key[2], blob=key[0]))
+            model_publish(model, key, capacity)
         else:
             found = key in order
             if found:
                 order.remove(key)
                 order.append(key)
-            if operation == "get":
-                stats["lookups"] += 1
-                stats["hits"] += found
-                assert service.get(*key)[0] == found
-            else:
-                assert service.peek(*key)[0] == found
+            stats["lookups"] += 1
+            stats["hits"] += found
+            assert service.get(*key)[0] == found
         assert list(service._entries) == order
     for name, value in stats.items():
         assert getattr(service.stats, name) == value, name

@@ -336,10 +336,9 @@ class TestConcurrentWriters:
 
 
 class TestBoundedPool:
-    def test_streaming_co_tenants_keep_the_top_levels_resident(self):
+    def test_streaming_co_tenants_keep_the_newest_leaves_resident(self):
         """Co-tenants each streaming fresh leaves through a small pool:
-        the root and the two levels under it stay resident while the
-        leaf stream is evicted around them."""
+        plain LRU keeps the last read's leaves and nothing else."""
         cluster, deployment = build(shared_cache_capacity=8)
         seeder = VectoredClient(deployment, cluster.add_node("seed"),
                                 name="s", shared_metadata_cache=False)
@@ -361,6 +360,6 @@ class TestBoundedPool:
         run(cluster, main())
         pool = deployment.node_caches["cn0"]
         assert pool.stats.evictions > 0
-        for level in range(3):
-            assert (BLOB, 0, FILE_SIZE >> level, 1) in pool._entries, level
+        assert sorted(pool._entries) == [(BLOB, leaf * CHUNK, CHUNK, 1)
+                                         for leaf in range(56, 64)]
         assert_gate_invariant(deployment)

@@ -14,7 +14,6 @@
 import pytest
 
 from repro.blobseer.deployment import BlobSeerDeployment
-from repro.blobseer.metadata import coopcache
 from repro.blobseer.metadata.cache import CacheStats
 from repro.blobseer.metadata.segment_tree import EXTENT_DESCRIPTION_BYTES
 from repro.blobseer.metadata.tiers import (
@@ -88,20 +87,16 @@ SHAPES = {
                   dict(enable_metadata_cache=False), ["node", "shards"]),
     "private+node": (dict(shared_metadata_cache=True), dict(),
                      ["private", "node", "shards"]),
-    "peers": (dict(shared_metadata_cache=True, cooperative_cache=True),
-              dict(), ["private", "node", "coalesce", "peers", "shards"]),
-    "peers-killed-daemon": (
-        dict(shared_metadata_cache=True, cooperative_cache=True), dict(),
-        ["private", "node", "coalesce", "peers", "shards"]),
+    # the field is accepted and ignored: no peer tier joins the list
+    "cooperative-inert": (dict(shared_metadata_cache=True,
+                               cooperative_cache=True), dict(),
+                          ["private", "node", "shards"]),
 }
 
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))
-def test_every_configured_shape_reads_right_and_partitions(shape,
-                                                           monkeypatch):
+def test_every_configured_shape_reads_right_and_partitions(shape):
     config, client_options, expected = SHAPES[shape]
-    # every peer a read-through provider: the deepest cooperative path
-    monkeypatch.setattr(coopcache, "PROVIDER_FRACTION", 1.0)
     cluster, deployment, seeder = deploy(**config)
     nodes = [cluster.add_node(f"cn{index}") for index in range(3)]
     # two tenants per node; all start at once, so co-tenants miss together
@@ -109,9 +104,7 @@ def test_every_configured_shape_reads_right_and_partitions(shape,
                               name=f"c{index}", **client_options)
                for index in range(6)]
     for client in clients:
-        assert [tier.name for tier in client.tiers.tiers] == expected
-    if shape == "peers-killed-daemon":
-        deployment.coop_directory.services["cn1"].kill()
+        assert [tier.name for tier in client.tiers.order] == expected
     reads = {}
 
     def reader(index):
@@ -139,11 +132,43 @@ def test_every_configured_shape_reads_right_and_partitions(shape,
                            deployment=deployment, clients=clients + [seeder],
                            complete_clients=True)
     assert registry.check_identities() == []
-    if "coalesce" in expected:
-        assert registry.get("metadata.client.coalesced_fetches") > 0
-        assert registry.get("cache.peer.probe_rpcs") > 0
-    if shape == "peers-killed-daemon":
-        assert deployment.coop_stats()["unavailable_probes"] > 0
+
+
+@pytest.mark.parametrize("shared,num_nodes", [(True, 2), (True, 3),
+                                               (False, 3)])
+def test_the_cooperative_flag_changes_nothing(shared, num_nodes):
+    """``cooperative_cache`` is accepted for old configurations and does
+    nothing: any placement reads the same bytes at the same simulated
+    times, with the same events and the same counters, flag on or off."""
+    def job(cooperative):
+        cluster, deployment, seeder = deploy(
+            shared_metadata_cache=shared, cooperative_cache=cooperative)
+        nodes = [cluster.add_node(f"cn{index}") for index in range(num_nodes)]
+        clients = [VectoredClient(deployment, nodes[index % num_nodes],
+                                  name=f"c{index}") for index in range(6)]
+        reads = {}
+
+        def reader(index):
+            for round_index in range(2):
+                offset = ((index + round_index) % 3) * 4 * CHUNK
+                pieces = yield from clients[index].vread(
+                    BLOB, [(offset, 4 * CHUNK)], 1)
+                reads[(index, round_index)] = (cluster.sim.now, pieces[0])
+
+        processes = [cluster.sim.process(reader(index)) for index in range(6)]
+
+        def join():
+            yield cluster.sim.all_of(processes)
+
+        run(cluster, join())
+        registry = collect_all(MetricsRegistry(), cluster=cluster,
+                               deployment=deployment,
+                               clients=clients + [seeder],
+                               complete_clients=True)
+        return (reads, cluster.sim.processed_events,
+                sorted(registry.snapshot().items()))
+
+    assert job(True) == job(False)
 
 
 def test_a_broken_count_is_named_by_tier():
@@ -232,8 +257,9 @@ def spy_on_get_nodes(client):
 def test_a_leaf_lookup_ships_its_runs_and_gets_its_base_chain_back():
     """The wire cost of a chained leaf read: ``metadata_request_size`` per
     lookup plus ``EXTENT_DESCRIPTION_BYTES`` per wanted run up,
-    ``metadata_node_size`` per lookup *and* per link down — and every
-    chain level after the leaf's is answered by the private tier."""
+    ``metadata_node_size`` per lookup *and* per link down — and the read
+    costs one round trip: every chain level after the leaf's is answered by
+    the private tier."""
     cluster, deployment, version = chained_leaf()
     config = cluster.config
     client = VectoredClient(deployment, cluster.add_node("cn0"), name="c")
@@ -260,9 +286,10 @@ def test_a_leaf_lookup_ships_its_runs_and_gets_its_base_chain_back():
     # leaf 0 wants two runs, leaf 1 (seeded whole, no chain) one; leaf 0's
     # chain runs from version 5 down to the seed's version 1
     assert runs == 3 and links == version - 1
-    # 64 leaves: the shards see the seven levels of one root-to-leaf
-    # descent, and the five chain levels after it are private-tier hits
-    assert client.metadata_read_rpcs == len(calls) <= 7 * 2
+    # the two leaves are looked up at the read version in one round (one
+    # RPC per shard holding one), and the five chain levels after it are
+    # private-tier hits
+    assert client.metadata_read_rpcs == len(calls) <= 2
     assert client.tiers.count("private", "hits") == version - 1
     assert partition_problems([client.tiers]) == []
 
@@ -275,7 +302,7 @@ def test_links_pass_the_node_pool_gate_and_spare_a_co_tenant_the_shards():
     assert run(cluster, first.vread(BLOB, [(0, CHUNK)], version)) == [
         expected_leaf(version)]
     assert first.metadata_read_rpcs > 0
-    # the co-tenant finds the descent, the leaf and its chain in the pool
+    # the co-tenant finds the leaf and its chain in the pool
     assert run(cluster, second.vread(BLOB, [(0, CHUNK)], version)) == [
         expected_leaf(version)]
     assert second.metadata_read_rpcs == 0
@@ -293,7 +320,7 @@ def test_links_pass_the_node_pool_gate_and_spare_a_co_tenant_the_shards():
     assert hints == [1, 2, 3, 4, 5, version]
     pool = deployment.node_cache(other.node)
     for hint in hints:
-        assert pool.peek(BLOB, 0, CHUNK, hint)[0] == (hint <= 3)
+        assert pool.get(BLOB, 0, CHUNK, hint)[0] == (hint <= 3)
     assert pool.stats.unpublished_rejections == 3
 
 
@@ -306,7 +333,7 @@ def test_an_unknown_tier_dropped_into_the_list_just_works():
                             enable_metadata_cache=False)
     memory = MemoryTier()
     client.tiers.order.insert(0, memory)
-    assert [tier.name for tier in client.tiers.tiers] == ["memory", "shards"]
+    assert [tier.name for tier in client.tiers.order] == ["memory", "shards"]
 
     cold = run(cluster, client.vread(BLOB, [(0, 8 * CHUNK)], 1))
     assert memory.stats.lookups > 0 and memory.stats.hits == 0
@@ -344,7 +371,7 @@ def test_chunk_ranges_are_a_list_too():
                 list(requests))
             self.stats.lookups += len(requests)
             self.stats.hits += len(requests)
-            return dict(zip(requests, pieces)), []
+            return dict(zip(requests, pieces))
 
     # which chunk ranges hold the first leaves: resolved once, by the seeder
     blob = run(cluster, seeder.open_blob(BLOB))

@@ -314,11 +314,33 @@ class TestStagedAhead:
 
 
 class TestWriteThroughCache:
-    def test_writer_cache_is_primed_with_published_nodes(self):
+    def test_writer_cache_is_primed_with_its_leaves_only(self):
+        """A read looks up leaves only, so the writer keeps its leaves and
+        none of the interior nodes it published."""
         cluster, _, client = make_client()
         receipt = run(cluster, client.vwrite_and_wait(BLOB, [(0, b"w" * 600)]))
-        assert client.cache_primed_nodes == receipt.metadata_nodes
-        assert len(client.metadata_cache) >= receipt.metadata_nodes
+        assert client.cache_primed_nodes == len(receipt.leaves) \
+            < receipt.metadata_nodes
+        assert all(node.is_leaf and hint == receipt.version
+                   for (_offset, _size, hint), node in receipt.leaves)
+        assert len(client.metadata_cache) == len(receipt.leaves)
+
+    def test_the_receipt_hands_back_exactly_the_stored_leaves(self):
+        cluster, deployment, client = make_client()
+        receipt = run(cluster, client.vwrite_and_wait(
+            BLOB, [(0, b"w" * 600), (5 * CHUNK + 3, b"x" * 10)]))
+        stored = sorted(
+            node.key for shard in deployment.metadata_store.shards
+            for nodes in shard._nodes.values() for node in nodes
+            if node.is_leaf and node.key.version == receipt.version)
+        assert sorted(node.key for _key, node in receipt.leaves) == stored
+        assert sorted(key for key, _node in receipt.leaves) == [
+            (key.offset, key.size, key.version) for key in stored]
+
+    def test_without_write_through_the_receipt_carries_no_leaves(self):
+        cluster, _, client = make_client(write_through_cache=False)
+        receipt = run(cluster, client.vwrite_and_wait(BLOB, [(0, b"w" * 600)]))
+        assert receipt.leaves == ()
 
     def test_read_after_write_hits_from_the_first_read(self):
         cluster, _, client = make_client()

@@ -51,12 +51,10 @@ def test_jitter_perturbs_timing_but_not_bytes():
 
 SCAN_COLUMNS = ("metadata_rpcs", "latest_rpcs", "private_hits", "shared_hits",
                 "fetched_lookups", "shared_evictions", "shared_rejections",
-                "server_read_rpcs", "client_metadata_rpcs")
+                "server_read_rpcs")
 
 #: (suite entry, plan label at smoke size, the columns the protocol — not
 #: the cost model — decides); ``read_digest`` is compared on every point.
-#: Cooperative-cache points are absent on purpose: their peer and
-#: coalescing counters depend on who misses first, i.e. on timing
 JOB_SHAPES = [
     ("metadata", "cached-batched",
      ("metadata_rpcs", "cache_hits", "cache_misses")),

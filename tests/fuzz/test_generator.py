@@ -155,9 +155,11 @@ RECORD = (Path(__file__).resolve().parents[2] / "benchmarks" / "baselines"
 
 def test_retired_draws_are_still_consumed():
     """The generator still consumes the draws that once picked an eviction
-    policy, a metadata-prefetch coin and a coop provider fraction, so
-    every recorded seed still maps to the scenario shape it was recorded
-    with — a dropped draw would shift every later field of the stream."""
+    policy, a metadata-prefetch coin, the cooperative tier (its coin and
+    provider fraction, a peer-miss storm phase and a peer-daemon death),
+    so every recorded seed still maps to the scenario shape it was
+    recorded with — a dropped draw would shift every later field of the
+    stream."""
     lines = RECORD.read_text().splitlines()
     assert len(lines) == 200
     for line in lines:

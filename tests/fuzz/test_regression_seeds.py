@@ -24,7 +24,6 @@ from repro.fuzz.runner import execute_scenario
 #: seed -> the injector kind the scenario is pinned to fire
 PINNED = {
     3: "cache_thrash",       # adversary churn against live metadata
-    14: "provider_death",    # peer daemon dies under a peer-miss storm
     19: "aggregator_death",  # torn stripe commit, one ticket aborted
     108: "resolver_death",   # collective read dies, no ticket touched
 }
@@ -66,9 +65,9 @@ def test_pinned_seeds_match_the_cross_commit_record():
 
 
 #: seeds whose recorded bytes (``read_digest``) moved when the bounded
-#: shared pool lost its eviction policies to the one level rule: a bounded
-#: pool, then an atomic_write phase of overlapping regions, where the
-#: timing picks which serial order wins — the oracle must accept it
+#: shared pool's eviction changed: a bounded pool, then an atomic_write
+#: phase of overlapping regions, where the timing picks which serial order
+#: wins — the oracle must accept it
 EVICTION_PINNED = (70, 172)
 
 

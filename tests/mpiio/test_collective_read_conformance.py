@@ -29,8 +29,10 @@ import pytest
 from repro.mpi.datatypes import BYTE, Indexed
 from repro.mpi.launcher import run_mpi_job
 from repro.core.regions import Region, RegionList
+from repro.errors import StorageError
 from repro.mpiio.adio.collective import (
     EXTENT_DESCRIPTION_BYTES,
+    _scan_outcomes,
     aggregator_ranks,
     partition_file_domain,
 )
@@ -556,13 +558,18 @@ def test_collective_write_then_read_then_independent_read():
             assert after[0] > 0, "a bystander's own read walks cold"
 
 
-def test_a_new_version_costs_its_resolver_only_the_new_lookups():
+def test_a_new_version_costs_its_resolver_one_round_of_its_leaves():
     """A version published between two collective reads is walked by the
-    resolvers alone, and their caches still answer everything the new
-    snapshot shares with the old one: the second walk fetches what the
-    rewrite replaced on the way to the root, not the tree."""
+    resolvers alone, each in one ``get_nodes`` round (at most one RPC per
+    shard), fetching at most its stripe's leaves.  Reads look leaves up at
+    the read version, so nothing cached under the old version answers the
+    new one — what the root-down descent reused across versions (the
+    interior nodes a rewrite left alone) the leaf walk trades for one round
+    trip; only the patched leaf, keyed under the group's watermark by the
+    aggregator that wrote it, is a hit."""
     num_ranks = 4
     patch = b"\xee" * CHUNK
+    leaves_per_stripe = FILE_SIZE // CHUNK // 2
 
     def fetched(driver):
         return driver.client.tiers.fetched_lookups
@@ -576,19 +583,244 @@ def test_a_new_version_costs_its_resolver_only_the_new_lookups():
         second = yield from handle.read_at_all(0, FILE_SIZE)
         return first, second, cold, (control_rpcs(driver), fetched(driver))
 
-    results, _drivers, content = run_rounds_job(steps, num_ranks=num_ranks)
+    results, drivers, content = run_rounds_job(steps, num_ranks=num_ranks)
     patched = content[:5 * CHUNK] + patch + content[6 * CHUNK:]
     owners = aggregator_ranks(num_ranks, 2)
+    shards = len(drivers[0].client.deployment.metadata_providers)
     for rank, (first, second, cold, after) in enumerate(results):
         assert first == content and second == patched
         (cold_rpcs, cold_fetched), (rpcs, total_fetched) = cold, after
         assert rpcs[1] == cold_rpcs[1], f"rank {rank} asked for latest again"
         if rank not in owners:
             assert rpcs[0] == 0 and total_fetched == 0
+            continue
+        assert 0 < rpcs[0] - cold_rpcs[0] <= shards, rank
+        assert total_fetched - cold_fetched <= leaves_per_stripe, rank
     new_lookups = [results[rank][3][1] - results[rank][2][1]
                    for rank in owners]
-    cold_lookups = [results[rank][2][1] for rank in owners]
-    # the first resolver also aggregated the patch: write-through primed
-    # its cache with the new nodes; the second meets a new root only
-    assert new_lookups[0] == 0
-    assert 0 < new_lookups[1] < cold_lookups[1]
+    # the first resolver also aggregated the patch: its leaf is the one
+    # already keyed under the watermark; the second fetches its stripe
+    assert new_lookups == [leaves_per_stripe - 1, leaves_per_stripe]
+
+
+@pytest.mark.parametrize("outcomes,expected", [
+    # two aggregators published back to back; bystanders report 0
+    ([("ok", 7), ("ok", 0), ("ok", 8), ("ok", 0)], ([], 8, True)),
+    # the order the aggregators report in does not matter
+    ([("ok", 9), ("ok", 7), ("ok", 8)], ([], 9, True)),
+    # a lone aggregator is a run of one
+    ([("ok", 0), ("ok", 4)], ([], 4, True)),
+    # another writer's ticket fell between the group's versions
+    ([("ok", 7), ("ok", 9)], ([], 9, False)),
+    # nobody published (collectively nothing to write)
+    ([("ok", 0), ("ok", 0)], ([], 0, True)),
+    # any error: no watermark, nothing keyed
+    ([("ok", 7), ("err", "rank 1: boom"), ("ok", 8)],
+     (["rank 1: boom"], 0, False)),
+])
+def test_closing_outcomes_name_the_watermark_and_whether_the_run_is_gapless(
+        outcomes, expected):
+    assert _scan_outcomes(outcomes) == expected
+
+
+@pytest.mark.parametrize("num_resolvers", [1, 2, 4])
+def test_a_collective_write_leaves_its_reads_at_the_watermark_warm(
+        num_resolvers):
+    """``write_at_all`` over the whole file, then three ``read_at_all`` at
+    the group's watermark: each aggregator keyed its stripe's leaves under
+    the watermark, the read stripes are the write stripes, so the
+    resolvers spend no metadata read RPC at all."""
+    num_ranks, rounds = 4, 3
+    pattern = [[(offset, bytes([rank + 1]) * 256)
+                for offset in range(rank * 256, FILE_SIZE, num_ranks * 256)]
+               for rank in range(num_ranks)]
+
+    def steps(ctx, driver, handle):
+        filetype, payload = rank_view(pattern[ctx.rank])
+        handle.set_view(0, BYTE, filetype)
+        yield from handle.write_at_all(0, payload)
+        handle.set_view(0, BYTE, BYTE)
+        before = control_rpcs(driver)
+        scans = []
+        for _round in range(rounds):
+            scans.append((yield from handle.read_at_all(0, FILE_SIZE)))
+        return scans, before, control_rpcs(driver)
+
+    results, drivers, _content = run_rounds_job(
+        steps, num_ranks=num_ranks, num_resolvers=num_resolvers)
+    expected = serial_oracle(pattern, FILE_SIZE)
+    for rank, (scans, before, after) in enumerate(results):
+        assert scans == [expected] * rounds
+        assert after[0] == before[0], f"rank {rank} fetched metadata"
+    owners = aggregator_ranks(num_ranks, num_resolvers)
+    assert all(drivers[rank].aggregator.stats.stripes_committed == 1
+               and drivers[rank].reader.stats.stripes_resolved == rounds
+               for rank in owners)
+
+
+def test_the_watermark_keys_reach_a_co_tenant_through_the_node_pool():
+    """Two ranks per compute node, the node pool on: after ``write_at_all``
+    each non-aggregator's independent read at the watermark finds its own
+    node's aggregator stripe in the pool — whichever aggregator published
+    below the watermark too — and fetches only the other stripe."""
+    from dataclasses import replace
+
+    from repro.blobseer.deployment import BlobSeerDeployment
+    from repro.cluster import Cluster
+    from tests.mpiio._collective_testlib import QUICK
+
+    num_ranks, num_aggregators = 4, 2
+    leaves_per_stripe = FILE_SIZE // CHUNK // num_aggregators
+    cluster = Cluster(config=replace(QUICK, ranks_per_node=2,
+                                     shared_metadata_cache=True), seed=3)
+    deployment = BlobSeerDeployment(cluster, num_providers=3,
+                                    num_metadata_providers=2,
+                                    chunk_size=CHUNK)
+    content = seed_content(cluster, deployment, [[(0, b"\x01" * FILE_SIZE)]])
+    pattern = [[(offset, bytes([rank + 2]) * 256)
+                for offset in range(rank * 256, FILE_SIZE, num_ranks * 256)]
+               for rank in range(num_ranks)]
+
+    def rank_main(ctx):
+        driver = VersioningDriver(deployment, ctx.node,
+                                  rank_name=f"rank{ctx.rank}",
+                                  write_coalescing=True,
+                                  collective_buffering=True,
+                                  collective_aggregators=num_aggregators)
+        handle = yield from File.open(driver, PATH, rank=ctx.rank,
+                                      comm=ctx.comm, size_hint=FILE_SIZE)
+        filetype, payload = rank_view(pattern[ctx.rank])
+        handle.set_view(0, BYTE, filetype)
+        yield from handle.write_at_all(0, payload)
+        # the aggregators key their leaves as they leave the collective; a
+        # co-tenant leaving it at the same instant could look first
+        yield from ctx.comm.barrier(ctx.rank)
+        handle.set_view(0, BYTE, BYTE)
+        data = yield from handle.read_at(0, FILE_SIZE)
+        yield from handle.close()
+        tiers = driver.client.tiers
+        return (ctx.node.name, data, tiers.count("node", "hits"),
+                tiers.count("shards", "hits"))
+
+    result = run_mpi_job(cluster, num_ranks, rank_main)
+    assert content == b"\x01" * FILE_SIZE
+    expected = serial_oracle(pattern, FILE_SIZE)
+    owners = aggregator_ranks(num_ranks, num_aggregators)
+    nodes = [node for node, _data, _hits, _fetched in result.results]
+    assert nodes[0] == nodes[1] != nodes[2] == nodes[3]
+    for rank, (_node, data, pool_hits, fetched) in enumerate(result.results):
+        assert data == expected
+        if rank not in owners:
+            assert (pool_hits, fetched) \
+                == (leaves_per_stripe, leaves_per_stripe), rank
+
+
+def test_a_failed_collective_write_keys_nothing_under_its_versions():
+    """An aggregator loses a metadata shard mid-commit: the collective
+    fails on every rank, and the surviving aggregator's cache holds its
+    leaves under their own version only — nothing re-keyed under a
+    watermark the group never agreed on — while reads stay right."""
+    num_ranks, num_resolvers = 4, 2
+    owners = aggregator_ranks(num_ranks, num_resolvers)
+    pattern = [[(offset, bytes([rank + 1]) * 256)
+                for offset in range(rank * 256, FILE_SIZE, num_ranks * 256)]
+               for rank in range(num_ranks)]
+
+    def steps(ctx, driver, handle):
+        client = driver.client
+        if ctx.rank == owners[1]:
+            def broken_store_nodes(blob, nodes, trace_parent=None):
+                del client.writepath._store_nodes
+                raise StorageError("metadata shard lost mid-commit")
+                yield  # pragma: no cover - generator shape
+
+            client.writepath._store_nodes = broken_store_nodes
+        filetype, payload = rank_view(pattern[ctx.rank])
+        handle.set_view(0, BYTE, filetype)
+        try:
+            yield from handle.write_at_all(0, payload)
+        except Exception as exc:
+            failed = type(exc).__name__
+        else:
+            failed = None
+        keys = {key: node.key.version
+                for key, node in client.metadata_cache._resolved.items()
+                if node is not None}
+        handle.set_view(0, BYTE, BYTE)
+        data = yield from handle.read_at_all(0, FILE_SIZE)
+        return failed, keys, data
+
+    results, _drivers, content = run_rounds_job(
+        steps, num_ranks=num_ranks, num_resolvers=num_resolvers)
+    assert all(failed is not None for failed, _keys, _data in results)
+    survivor_keys = results[owners[0]][1]
+    assert survivor_keys and all(key[3] == version
+                                 for key, version in survivor_keys.items())
+    # the survivor's stripe published; the doomed stripe rolled back
+    low, high = partition_file_domain(0, FILE_SIZE, num_resolvers, CHUNK)[0]
+    expected = bytearray(content)
+    expected[low:high] = serial_oracle(pattern, FILE_SIZE)[low:high]
+    assert all(data == bytes(expected) for _failed, _keys, data in results)
+
+
+def test_an_outside_ticket_inside_the_group_run_re_indexes_nothing():
+    """An independent writer's ticket lands between the two aggregators'
+    versions, on the first aggregator's stripe.  The group's versions are
+    then no consecutive run, so no aggregator keys its leaves under the
+    watermark (there the outsider's leaf is the newest), and every read
+    returns the outsider's bytes where it wrote last."""
+    num_ranks, num_resolvers = 4, 2
+    outside = (3 * CHUNK, b"\x99" * CHUNK)
+    pattern = [[(offset, bytes([rank + 1]) * 256)
+                for offset in range(rank * 256, FILE_SIZE, num_ranks * 256)]
+               for rank in range(num_ranks)]
+    owners = aggregator_ranks(num_ranks, num_resolvers)
+    seen = {}
+
+    def steps(ctx, driver, handle):
+        client = driver.client
+        manager = client.deployment.version_manager.manager
+        base = manager.latest_published(PATH)
+        if ctx.rank == owners[1]:
+            # the second aggregator commits only once the first aggregator
+            # published and an outsider wrote after it
+            outsider = client.deployment.client(
+                client.cluster.add_node("outsider"), name="outsider")
+            commit = client.writepath.commit
+
+            def late_commit(*args, **kwargs):
+                while manager.latest_published(PATH) < base + 1:
+                    yield client.cluster.sim.timeout(1e-4)
+                yield from outsider.vwrite_and_wait(PATH, [outside])
+                return (yield from commit(*args, **kwargs))
+
+            client.writepath.commit = late_commit
+        filetype, payload = rank_view(pattern[ctx.rank])
+        handle.set_view(0, BYTE, filetype)
+        yield from handle.write_at_all(0, payload)
+        handle.set_view(0, BYTE, BYTE)
+        watermark = client.version_hints[PATH]
+        seen[ctx.rank] = (base, watermark, sorted(
+            key for key in client.metadata_cache._resolved
+            if key[3] == watermark))
+        scans = []
+        for _round in range(3):
+            scans.append((yield from handle.read_at_all(0, FILE_SIZE)))
+        again = yield from handle.read_at(0, FILE_SIZE)
+        return scans, again
+
+    results, drivers, _content = run_rounds_job(
+        steps, num_ranks=num_ranks, num_resolvers=num_resolvers)
+    expected = bytearray(serial_oracle(pattern, FILE_SIZE))
+    expected[outside[0]:outside[0] + CHUNK] = outside[1]
+    for rank, (scans, again) in enumerate(results):
+        assert scans == [bytes(expected)] * 3 and again == bytes(expected)
+    base, watermark, first_keys = seen[owners[0]]
+    assert watermark == base + 3  # aggregator, outsider, aggregator
+    # the first aggregator's leaves stay under their own version only; the
+    # second's exact-version keys are its write-through, nothing re-keyed
+    assert first_keys == []
+    second_cache = drivers[owners[1]].client.metadata_cache._resolved
+    assert seen[owners[1]][2] and all(
+        second_cache[key].key.version == watermark
+        for key in seen[owners[1]][2])

@@ -59,7 +59,6 @@ def test_collect_all_holds_identities_and_totals():
     assert set(registry._reported) == {"metadata.lookup_partition",
                                        "metadata.tier_services",
                                        "cache.chunk.lookup_partition"}
-    assert deployment.coop_directory is None
 
 
 def test_chunk_partition_catches_an_extent_nobody_served():
