@@ -33,7 +33,7 @@ def main() -> None:
             environment = build_environment(backend, num_storage_nodes=8)
             result = run_atomic_write_job(environment, workload.num_processes,
                                           workload.rank_pairs,
-                                          workload.file_size, atomic=True)
+                                          workload.file_size)
             curves[backend][clients] = result.throughput_mib
             atomic_ok = verify_job_atomicity(environment, workload.num_processes,
                                              workload.rank_pairs, result)

@@ -226,7 +226,7 @@ def run_collective_read_point(settings, config, *, num_ranks: int,
 
     drivers, comm, elapsed, results = _run_timed_job(
         cluster, deployment, "cr", "/scan", num_ranks, num_resolvers,
-        workload.file_size, body, collective_reads=num_resolvers is not None)
+        workload.file_size, body)
 
     clients = [driver.client for driver in drivers.values()]
     readers = [driver.reader.stats for driver in drivers.values()]

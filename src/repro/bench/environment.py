@@ -64,7 +64,6 @@ def build_environment(backend: str,
                       num_storage_nodes: int = 8,
                       stripe_unit: int = 64 * 1024,
                       num_metadata_providers: int = 2,
-                      allocation: str = "round_robin",
                       publish_cost: float = 0.0,
                       config: Optional[ClusterConfig] = None,
                       seed: int = 0) -> ExperimentEnvironment:
@@ -81,7 +80,6 @@ def build_environment(backend: str,
             num_providers=num_storage_nodes,
             num_metadata_providers=num_metadata_providers,
             chunk_size=stripe_unit,
-            allocation=allocation,
             publish_cost=publish_cost,
         )
 

@@ -38,8 +38,8 @@ _EXP1_COLUMNS = ("experiment", "backend", "clients", "regions_per_client",
 OVERLAP_COLUMNS = {
     "EXP1": _EXP1_COLUMNS + ("disk_ios_per_write", "disk_overhead_share"),
     "EXP1b": _EXP1_COLUMNS,
-    "ABL1": ("experiment", "providers", "clients", "allocation",
-             "throughput_mib_s", "load_imbalance"),
+    "ABL1": ("experiment", "providers", "clients", "throughput_mib_s",
+             "load_imbalance"),
     "ABL2": ("experiment", "backend", "clients", "overlap",
              "throughput_mib_s", "lock_wait_s"),
     "ABL3": ("experiment", "clients", "regions_per_client", "publish_cost_ms",
@@ -60,7 +60,7 @@ def _run_point(settings, config: ClusterConfig, backend: str, num_clients: int,
         **deployment,
     )
     return run_atomic_write_job(environment, num_clients, pairs_for_rank,
-                                file_size=file_size, atomic=True)
+                                file_size=file_size)
 
 
 def _disk_ios_per_write(result: RunResult) -> float:
@@ -83,8 +83,7 @@ def run_overlap_point(settings, config: ClusterConfig, *, experiment: str,
                       providers: Optional[int] = None,
                       regions_per_client: Optional[int] = None,
                       region_size: Optional[int] = None,
-                      publish_cost: float = 0.0,
-                      allocation: str = "round_robin"):
+                      publish_cost: float = 0.0):
     """Concurrent overlapped non-contiguous writes, one backend, one client
     count: EXP1 (Fig. A) as is, and every experiment that varies one thing
     about it — ``overlap`` (EXP1b's disjoint control, ABL2), the data
@@ -105,15 +104,13 @@ def run_overlap_point(settings, config: ClusterConfig, *, experiment: str,
     )
     result = _run_point(settings, config, backend, clients,
                         workload.client_pairs, workload.file_size,
-                        providers, allocation=allocation,
-                        publish_cost=publish_cost)
+                        providers, publish_cost=publish_cost)
     stats = result.storage_stats
     measured = {
         "experiment": experiment,
         "backend": backend,
         "clients": clients,
         "providers": providers,
-        "allocation": allocation,
         "regions_per_client": workload.regions_per_client,
         "region_kib": workload.region_size // 1024,
         "overlap": overlap,

@@ -124,7 +124,6 @@ class RunResult:
 
     backend: str
     num_clients: int
-    atomic: bool
     total_bytes: int
     write_elapsed: float
     job_elapsed: float
@@ -153,11 +152,10 @@ def run_atomic_write_job(environment: ExperimentEnvironment,
                          num_clients: int,
                          pairs_for_rank: PairsForRank,
                          file_size: int,
-                         atomic: bool = True,
-                         collective: bool = True,
                          path: str = "/shared/output",
                          ) -> RunResult:
-    """Execute the write phase of one experiment and measure it."""
+    """Execute the write phase of one experiment and measure it: every rank
+    writes its access in atomic mode with one ``write_at_all``."""
     if num_clients <= 0:
         raise BenchmarkError("num_clients must be positive")
     cluster = environment.cluster
@@ -170,7 +168,7 @@ def run_atomic_write_job(environment: ExperimentEnvironment,
         handle = yield from File.open(
             driver, path, AccessMode.default_write(), rank=ctx.rank,
             comm=ctx.comm, size_hint=file_size)
-        handle.set_atomicity(atomic)
+        handle.set_atomicity(True)
 
         pairs = sorted(pairs_for_rank(ctx.rank), key=lambda pair: pair[0])
         handle.set_view(filetype=Indexed.of_extents(
@@ -179,10 +177,7 @@ def run_atomic_write_job(environment: ExperimentEnvironment,
 
         yield from ctx.comm.barrier(ctx.rank)
         started = ctx.sim.now
-        if collective:
-            written = yield from handle.write_at_all(0, payload)
-        else:
-            written = yield from handle.write_at(0, payload)
+        written = yield from handle.write_at_all(0, payload)
         finished = ctx.sim.now
         write_spans[ctx.rank] = (started, finished)
         yield from ctx.comm.barrier(ctx.rank)
@@ -204,7 +199,6 @@ def run_atomic_write_job(environment: ExperimentEnvironment,
     return RunResult(
         backend=environment.backend,
         num_clients=num_clients,
-        atomic=atomic,
         total_bytes=total_bytes,
         write_elapsed=write_elapsed,
         job_elapsed=job.elapsed,

@@ -7,8 +7,8 @@ this package reproduces component by component — consists of:
 * **data providers** (:mod:`repro.blobseer.provider`): store fixed-size,
   immutable chunks;
 * **a provider manager** (:mod:`repro.blobseer.provider_manager`): tells
-  writers which providers to place new chunks on (round-robin /
-  load-balanced allocation — the paper's *data striping* principle);
+  writers which providers to place new chunks on (round-robin allocation —
+  the paper's *data striping* principle);
 * **metadata providers** (:mod:`repro.blobseer.metadata`): a distributed
   store of the versioned segment-tree nodes that describe each snapshot
   (shadowing / copy-on-write — the paper's *versioning* principle);
@@ -34,14 +34,7 @@ from repro.blobseer.chunk import ChunkKey
 from repro.blobseer.client import BlobClient
 from repro.blobseer.deployment import BlobSeerDeployment
 from repro.blobseer.provider import DataProviderStore, SimDataProvider
-from repro.blobseer.provider_manager import (
-    AllocationStrategy,
-    LoadBalancedAllocation,
-    ProviderManager,
-    RandomAllocation,
-    RoundRobinAllocation,
-    SimProviderManager,
-)
+from repro.blobseer.provider_manager import ProviderManager, SimProviderManager
 from repro.blobseer.version_manager import SimVersionManager, VersionManager
 from repro.blobseer.writepath import (
     PipelinedCommitEngine,
@@ -60,10 +53,6 @@ __all__ = [
     "BlobSeerDeployment",
     "DataProviderStore",
     "SimDataProvider",
-    "AllocationStrategy",
-    "RoundRobinAllocation",
-    "LoadBalancedAllocation",
-    "RandomAllocation",
     "ProviderManager",
     "SimProviderManager",
     "VersionManager",

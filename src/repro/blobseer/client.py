@@ -203,27 +203,6 @@ class BlobClient:
             ctx.end(span)
         return result
 
-    def _rpc_batch(self, calls, name="rpc.batch"):
-        """Concurrent RPC fan-out through :meth:`RpcTransport.call_batch`.
-
-        When tracing, the whole batch gets one detached span whose id is
-        threaded into every member call, so all the batch's request and
-        response link transfers attach to the span the caller sees — the
-        attribution the ``call_batch`` trace regression test pins.
-        """
-        ctx = self.trace_ctx
-        if ctx is None:
-            results = yield from self.cluster.rpc.call_batch(self.node, calls)
-            return results
-        span = ctx.begin_detached(name, cat="rpc", parent=ctx.current,
-                                  calls=len(calls))
-        try:
-            results = yield from self.cluster.rpc.call_batch(
-                self.node, calls, _trace_parent=span.span_id)
-        finally:
-            ctx.end(span)
-        return results
-
     def _control(self, service, method, *args, trace_parent=None):
         size = self.cluster.config.control_message_size
         result = yield from self._rpc(service, method, size, size, *args,

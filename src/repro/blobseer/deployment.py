@@ -20,11 +20,7 @@ from repro.blobseer.metadata.provider import SimMetadataProvider
 from repro.blobseer.metadata.sharedcache import NodeCacheService
 from repro.blobseer.metadata.store import MetadataStore, PartitionedMetadataStore
 from repro.blobseer.provider import DataProviderStore, SimDataProvider
-from repro.blobseer.provider_manager import (
-    ProviderManager,
-    SimProviderManager,
-    make_strategy,
-)
+from repro.blobseer.provider_manager import SimProviderManager
 from repro.blobseer.version_manager import SimVersionManager, VersionManager
 from repro.errors import ProviderUnavailable, StorageError
 
@@ -38,10 +34,8 @@ class BlobSeerDeployment:
 
     def __init__(self, cluster: "Cluster", num_providers: int = 4,
                  num_metadata_providers: int = 1, chunk_size: int = 64 * 1024,
-                 allocation: str = "round_robin",
                  publish_cost: float = 0.0,
-                 node_prefix: str = "bs",
-                 persist_to_disk: Optional[bool] = None):
+                 node_prefix: str = "bs"):
         if num_providers <= 0:
             raise ProviderUnavailable("a deployment needs at least one data provider")
         if num_metadata_providers <= 0:
@@ -49,8 +43,6 @@ class BlobSeerDeployment:
 
         self.cluster = cluster
         self.chunk_size = chunk_size
-        persist = (cluster.config.persist_to_disk
-                   if persist_to_disk is None else persist_to_disk)
 
         # version manager
         vm_node = cluster.add_node(f"{node_prefix}-vmgr", role="version-manager")
@@ -59,8 +51,7 @@ class BlobSeerDeployment:
 
         # provider manager
         pm_node = cluster.add_node(f"{node_prefix}-pmgr", role="provider-manager")
-        self.provider_manager = SimProviderManager(
-            pm_node, ProviderManager(strategy=make_strategy(allocation)))
+        self.provider_manager = SimProviderManager(pm_node)
 
         # metadata providers (hash partitioned shards)
         self.metadata_providers: List[SimMetadataProvider] = []
@@ -79,9 +70,8 @@ class BlobSeerDeployment:
         self.data_providers: Dict[str, SimDataProvider] = {}
         for index in range(num_providers):
             node = cluster.add_node(f"{node_prefix}-data{index}", role="data-provider",
-                                    with_disk=persist)
-            service = SimDataProvider(node, DataProviderStore(node.name),
-                                      persist_to_disk=persist)
+                                    with_disk=True)
+            service = SimDataProvider(node, DataProviderStore(node.name))
             self.data_providers[service.provider_id] = service
             self.provider_manager.manager.register(service.provider_id)
 

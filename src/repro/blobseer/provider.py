@@ -81,16 +81,14 @@ class DataProviderStore:
 class SimDataProvider(Service):
     """A data provider deployed on a cluster node.
 
-    The handlers charge disk time when the cluster is configured with
-    ``persist_to_disk=True`` (the default); the RPC transport separately
-    charges network time proportional to the chunk size.
+    The handlers charge disk time for the bytes they store or serve; the
+    RPC transport separately charges network time proportional to the
+    chunk size.
     """
 
-    def __init__(self, node: "Node", store: Optional[DataProviderStore] = None,
-                 persist_to_disk: bool = True):
+    def __init__(self, node: "Node", store: Optional[DataProviderStore] = None):
         super().__init__(node, name=f"provider:{node.name}")
         self.store = store or DataProviderStore(provider_id=node.name)
-        self.persist_to_disk = persist_to_disk
 
     @property
     def provider_id(self) -> str:
@@ -119,7 +117,7 @@ class SimDataProvider(Service):
         self.store.ensure_alive()
         items = list(items)
         total = sum(len(data) for _key, data in items)
-        if self.persist_to_disk and total:
+        if total:
             yield from self.node.disk_append(total)
         for key, data in items:
             self.store.put_chunk(key, data)
@@ -143,7 +141,7 @@ class SimDataProvider(Service):
                     f"of size {len(data)}")
             pieces.append(piece)
             total += length
-        if self.persist_to_disk and total:
+        if total:
             yield from self.node.disk_io(total)
             self.store.ensure_alive()
         return pieces

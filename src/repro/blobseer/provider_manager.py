@@ -3,11 +3,11 @@
 The provider manager is the control-plane service that writers contact to
 learn *where* to put what they write.  The paper's second design principle —
 data striping with a load-balancing allocation strategy that spreads writes
-over the storage elements in a round-robin fashion — is implemented by the
-pluggable :class:`AllocationStrategy` classes below.  What they place is the
-*stripe unit*: a chunk-sized piece, or the run of smaller pieces of one write
-the client packed up to a chunk (``pack_pieces_into_stripe_units``); the
-``sizes`` they see are unit sizes, one provider is chosen per unit.
+over the storage elements in a round-robin fashion — is
+:meth:`ProviderManager.allocate`.  What it places is the *stripe unit*: a
+chunk-sized piece, or the run of smaller pieces of one write the client
+packed up to a chunk (``pack_pieces_into_stripe_units``); the ``sizes`` it
+sees are unit sizes, one provider is chosen per unit.
 """
 
 from __future__ import annotations
@@ -16,119 +16,29 @@ from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
 
 from repro.cluster.rpc import Service
 from repro.errors import ProviderUnavailable
-from repro.simengine.rand import SCOPE_WORKLOAD, DeterministicRNG
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.node import Node
 
 
-class AllocationStrategy:
-    """Strategy interface: choose a provider for each stripe unit of a write."""
+class ProviderManager:
+    """Pure allocation bookkeeping shared by the simulated service.
 
-    name = "abstract"
-
-    def select(self, providers: Sequence[str], sizes: Sequence[int],
-               load: Dict[str, int], writer: Optional[str] = None) -> List[str]:
-        """Return one provider id per entry of ``sizes``.
-
-        Parameters
-        ----------
-        providers:
-            Identifiers of the currently alive providers.
-        sizes:
-            Sizes (bytes) of the stripe units about to be written.
-        load:
-            Cumulative bytes already allocated to each provider.
-        writer:
-            Name of the writing client, when it gave one.
-        """
-        raise NotImplementedError
-
-
-class RoundRobinAllocation(AllocationStrategy):
-    """Cycle through providers in a fixed order (the paper's default).
-
-    A writer's first write starts at the shared cursor and each later one
-    resumes after that writer's own last unit, so which of two concurrent
-    writers' requests arrives first does not decide where either lands
-    (and, with few units per write, which disks a later read queues on).
+    Units cycle through the alive providers in registration order (the
+    paper's round-robin).  A writer's first write starts at the shared
+    cursor and each later one resumes after that writer's own last unit,
+    so which of two concurrent writers' requests arrives first does not
+    decide where either lands (and, with few units per write, which disks
+    a later read queues on).
     """
 
-    name = "round_robin"
-
     def __init__(self) -> None:
-        self._cursor = 0
-        self._resume: Dict[str, int] = {}
-
-    def select(self, providers: Sequence[str], sizes: Sequence[int],
-               load: Dict[str, int], writer: Optional[str] = None) -> List[str]:
-        start = self._resume.get(writer, self._cursor)
-        self._cursor += len(sizes)
-        if writer is not None:
-            self._resume[writer] = start + len(sizes)
-        return [providers[(start + unit) % len(providers)]
-                for unit in range(len(sizes))]
-
-
-class LoadBalancedAllocation(AllocationStrategy):
-    """Greedily place each unit on the provider with the fewest bytes so far."""
-
-    name = "load_balanced"
-
-    def select(self, providers: Sequence[str], sizes: Sequence[int],
-               load: Dict[str, int], writer: Optional[str] = None) -> List[str]:
-        running = {provider: load.get(provider, 0) for provider in providers}
-        chosen: List[str] = []
-        for size in sizes:
-            target = min(providers, key=lambda provider: (running[provider], provider))
-            chosen.append(target)
-            running[target] += size
-        return chosen
-
-
-class RandomAllocation(AllocationStrategy):
-    """Uniform random placement (a baseline for the striping ablation)."""
-
-    name = "random"
-
-    def __init__(self, rng: Optional[DeterministicRNG] = None, seed: int = 0):
-        self._rng = rng or DeterministicRNG(seed)
-
-    def select(self, providers: Sequence[str], sizes: Sequence[int],
-               load: Dict[str, int], writer: Optional[str] = None) -> List[str]:
-        # placement shapes which providers hold data — workload-scoped,
-        # so toggling cost-only streams (network jitter) never moves it
-        stream = self._rng.scope(SCOPE_WORKLOAD).stream("allocation")
-        return [providers[int(stream.integers(0, len(providers)))] for _ in sizes]
-
-
-STRATEGIES = {
-    RoundRobinAllocation.name: RoundRobinAllocation,
-    LoadBalancedAllocation.name: LoadBalancedAllocation,
-    RandomAllocation.name: RandomAllocation,
-}
-
-
-def make_strategy(name: str, **kwargs) -> AllocationStrategy:
-    """Instantiate a strategy by name (``round_robin``, ``load_balanced``, ``random``)."""
-    try:
-        factory = STRATEGIES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown allocation strategy {name!r}; "
-            f"choose from {sorted(STRATEGIES)}") from None
-    return factory(**kwargs)
-
-
-class ProviderManager:
-    """Pure allocation bookkeeping shared by the simulated service."""
-
-    def __init__(self, strategy: Optional[AllocationStrategy] = None):
-        self.strategy = strategy or RoundRobinAllocation()
         self._providers: List[str] = []
         self._alive: Dict[str, bool] = {}
         #: cumulative bytes allocated per provider (allocation-time estimate)
         self.allocated_bytes: Dict[str, int] = {}
+        self._cursor = 0
+        self._resume: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
     def register(self, provider_id: str) -> None:
@@ -160,12 +70,12 @@ class ProviderManager:
         alive = self.alive_providers
         if not alive:
             raise ProviderUnavailable("no alive data providers to allocate on")
-        chosen = self.strategy.select(alive, sizes, dict(self.allocated_bytes),
-                                      writer)
-        if len(chosen) != len(sizes):
-            raise ProviderUnavailable(
-                f"strategy {self.strategy.name} returned {len(chosen)} targets "
-                f"for {len(sizes)} chunks")
+        start = self._resume.get(writer, self._cursor)
+        self._cursor += len(sizes)
+        if writer is not None:
+            self._resume[writer] = start + len(sizes)
+        chosen = [alive[(start + unit) % len(alive)]
+                  for unit in range(len(sizes))]
         for provider, size in zip(chosen, sizes):
             self.allocated_bytes[provider] = self.allocated_bytes.get(provider, 0) + size
         return chosen
@@ -182,9 +92,9 @@ class ProviderManager:
 class SimProviderManager(Service):
     """The provider manager deployed as a cluster service."""
 
-    def __init__(self, node: "Node", manager: Optional[ProviderManager] = None):
+    def __init__(self, node: "Node"):
         super().__init__(node, name="provider-manager")
-        self.manager = manager or ProviderManager()
+        self.manager = ProviderManager()
 
     def allocate(self, sizes: Sequence[int], writer: Optional[str] = None):
         """RPC handler: allocate providers for ``sizes`` (control-plane only)."""

@@ -23,20 +23,11 @@ class ClusterConfig:
 
     #: network cost model: ``"bottleneck"`` (seed full-bisection switch with
     #: half-duplex NICs) or ``"queued"`` (per-link FIFO queues over a two-tier
-    #: leaf-switch topology with a CoDel standing-queue signal)
+    #: leaf-switch topology; its switch links run at fixed multiples of the
+    #: NIC latency and bandwidth, see :mod:`repro.cluster.network`)
     network_model: str = "bottleneck"
     #: queued model: nodes per leaf switch (filled in node-creation order)
     nodes_per_switch: int = 16
-    #: queued model: one-way latency between switches; ``None`` = 2.5x the
-    #: intra-switch ``network_latency``
-    cross_switch_latency: Optional[float] = None
-    #: queued model: bandwidth of each switch uplink/downlink; ``None`` = 4x
-    #: the NIC ``network_bandwidth``
-    switch_bandwidth: Optional[float] = None
-    #: queued model: CoDel target standing-queue delay (seconds)
-    codel_target: float = 1e-3
-    #: queued model: CoDel observation interval (seconds)
-    codel_interval: float = 20e-3
     #: queued model: fractional uniform jitter applied to propagation
     #: latency (0 disables).  Drawn from the ``network`` RNG scope, so it
     #: never perturbs workload bytes
@@ -58,19 +49,10 @@ class ClusterConfig:
     #: size in bytes of one (offset, size, version hint) entry in a batched
     #: metadata lookup request
     metadata_request_size: int = 32
-    #: whether storage services persist chunk/object payloads to their disk
-    #: (True charges disk time on the data path; False models memory-backed
-    #: providers, as BlobSeer deployments on Grid'5000 often used)
-    persist_to_disk: bool = True
     #: default LRU capacity (entries) of the client-side metadata node
     #: caches; ``None`` keeps them unbounded.  Individual clients can
     #: override this per instance (``metadata_cache_capacity=``)
     metadata_cache_capacity: Optional[int] = None
-    #: default aggregator count for two-phase collective buffering (ROMIO's
-    #: ``cb_nodes``).  ``None`` picks one aggregator per four ranks; drivers
-    #: can override per instance (``collective_aggregators=``).  The count is
-    #: always clamped to the communicator size
-    collective_aggregators: Optional[int] = None
     #: default rank->node placement density of MPI jobs: how many rank
     #: processes share one compute node.  1 reproduces the paper's
     #: one-process-per-node Grid'5000 placement; larger values model

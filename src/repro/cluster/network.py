@@ -16,12 +16,11 @@ Two switchable models (``ClusterConfig.network_model``):
   (:meth:`QueuedNetwork.add_node`), which is the dense block placement of
   :func:`~repro.cluster.cluster.placement_map` whoever talks first;
   same-switch transfers pay NIC egress + propagation + NIC ingress, and
-  cross-switch transfers additionally queue on the shared switch uplinks.
-  NICs are full duplex here.  Every link runs a CoDel-style standing-queue
-  detector: when the queueing delay a reservation experiences stays above
-  ``codel_target`` for longer than ``codel_interval``, the link records a
-  *mark* (no packets are dropped — the signal feeds the stats/reports, the
-  way ECN marks would feed a transport).
+  cross-switch transfers additionally queue on the shared switch uplinks,
+  which carry :data:`SWITCH_BANDWIDTH_FACTOR` times the NIC bandwidth and
+  pay :data:`CROSS_SWITCH_LATENCY_FACTOR` times the one-way latency
+  between the switches.  NICs are full duplex here.  Every link is the
+  same :class:`NIC` FIFO queue.
 
 Both models account FIFO queueing *analytically*: a link keeps a ``free_at``
 scalar and each transfer reserves a slot at the instant it reaches the link.
@@ -43,8 +42,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simengine import Simulator
 
 
+#: queued model: a switch uplink/downlink carries this many NICs' bandwidth
+SWITCH_BANDWIDTH_FACTOR = 4.0
+#: queued model: the switch-to-switch hop's latency, in one-way NIC latencies
+CROSS_SWITCH_LATENCY_FACTOR = 2.5
+
+
 class NIC:
-    """A node's network interface: a FIFO queue with fixed bandwidth."""
+    """A FIFO transmission queue with fixed bandwidth: a node's network
+    interface, or one switch uplink/downlink of the queued model."""
 
     __slots__ = ("sim", "bandwidth", "name", "free_at",
                  "bytes_transferred", "busy_time")
@@ -162,63 +168,6 @@ class Network:
         self.messages += 1
 
 
-class Link:
-    """One FIFO transmission queue of the queued model, with a CoDel signal."""
-
-    __slots__ = ("sim", "bandwidth", "name", "free_at", "bytes_transferred",
-                 "busy_time", "codel_target", "codel_interval", "codel_marks",
-                 "max_standing_delay", "_above_since", "_next_mark",
-                 "_episode_marks")
-
-    def __init__(self, sim: "Simulator", bandwidth: float, name: str,
-                 codel_target: float, codel_interval: float):
-        self.sim = sim
-        self.bandwidth = float(bandwidth)
-        self.name = name
-        self.free_at: float = 0.0
-        self.bytes_transferred: int = 0
-        self.busy_time: float = 0.0
-        self.codel_target = float(codel_target)
-        self.codel_interval = float(codel_interval)
-        #: standing-queue episodes flagged (the "ECN mark" counter)
-        self.codel_marks: int = 0
-        #: worst queueing delay any reservation experienced
-        self.max_standing_delay: float = 0.0
-        self._above_since: Optional[float] = None
-        self._next_mark: float = 0.0
-        self._episode_marks: int = 0
-
-    def reserve(self, nbytes: int) -> float:
-        """Reserve the next FIFO slot; returns its finish time."""
-        tx = nbytes / self.bandwidth
-        now = self.sim.now
-        free_at = self.free_at
-        start = free_at if free_at > now else now
-        done = start + tx
-        self.free_at = done
-        self.busy_time += tx
-        self.bytes_transferred += nbytes
-
-        # CoDel-style standing-queue detection on the sojourn (queueing)
-        # delay this reservation experiences.
-        standing = start - now
-        if standing > self.max_standing_delay:
-            self.max_standing_delay = standing
-        if standing <= self.codel_target:
-            self._above_since = None
-            self._episode_marks = 0
-        elif self._above_since is None:
-            self._above_since = now
-            self._next_mark = now + self.codel_interval
-        elif now >= self._next_mark:
-            # Delay stayed above target for a full interval: mark, then mark
-            # again on CoDel's sqrt-shrinking schedule while it persists.
-            self.codel_marks += 1
-            self._episode_marks += 1
-            self._next_mark = now + self.codel_interval / (self._episode_marks ** 0.5)
-        return done
-
-
 class QueuedNetwork:
     """Per-link FIFO network over a two-tier (leaf switch) topology."""
 
@@ -233,24 +182,18 @@ class QueuedNetwork:
         self.latency = float(config.network_latency)
         self.bandwidth = float(config.network_bandwidth)
         self.nodes_per_switch = max(1, int(config.nodes_per_switch))
-        self.cross_switch_latency = (
-            config.cross_switch_latency if config.cross_switch_latency is not None
-            else 2.5 * self.latency)
-        self.switch_bandwidth = (
-            config.switch_bandwidth if config.switch_bandwidth is not None
-            else 4.0 * self.bandwidth)
-        self.codel_target = config.codel_target
-        self.codel_interval = config.codel_interval
+        self.uplink_latency = CROSS_SWITCH_LATENCY_FACTOR * self.latency
+        self.uplink_bandwidth = SWITCH_BANDWIDTH_FACTOR * self.bandwidth
         #: fractional uniform jitter on propagation latency, drawn from the
         #: network RNG scope so workload streams are never perturbed
         self.jitter = float(config.network_jitter)
         self._jitter_stream = (
             sim.rng.scope("network").stream("jitter") if self.jitter else None)
 
-        self._egress: Dict[str, Link] = {}
-        self._ingress: Dict[str, Link] = {}
-        self._uplinks: Dict[int, Link] = {}
-        self._downlinks: Dict[int, Link] = {}
+        self._egress: Dict[str, NIC] = {}
+        self._ingress: Dict[str, NIC] = {}
+        self._uplinks: Dict[int, NIC] = {}
+        self._downlinks: Dict[int, NIC] = {}
         self._switch_of: Dict[str, int] = {}
         #: span recorder / per-link sampler when the cluster observes its
         #: links; ``_observed`` is the single boolean every reservation
@@ -277,11 +220,10 @@ class QueuedNetwork:
         """Leaf-switch index of a node."""
         return self._switch_of[node_name]
 
-    def _link(self, table: Dict, key, bandwidth: float, name: str) -> Link:
+    def _link(self, table: Dict, key, bandwidth: float, name: str) -> NIC:
         link = table.get(key)
         if link is None:
-            link = table[key] = Link(self.sim, bandwidth, name,
-                                     self.codel_target, self.codel_interval)
+            link = table[key] = NIC(self.sim, bandwidth, name)
         return link
 
     def _propagation(self) -> float:
@@ -290,7 +232,7 @@ class QueuedNetwork:
         return self.latency * (1.0 + float(
             self._jitter_stream.uniform(-self.jitter, self.jitter)))
 
-    def _reserve(self, link: Link, nbytes: int,
+    def _reserve(self, link: NIC, nbytes: int,
                  trace_parent: Optional[int]) -> float:
         """Reserve on an *observed* link: identical schedule to a plain
         ``link.reserve``, plus one telemetry sample and/or one link span
@@ -338,14 +280,14 @@ class QueuedNetwork:
         else:
             # Hop 1: to the leaf switch, then queue on its shared uplink.
             yield sim.sleep(egress_done + self._propagation() / 2 - sim.now)
-            uplink = self._link(self._uplinks, src_switch, self.switch_bandwidth,
+            uplink = self._link(self._uplinks, src_switch, self.uplink_bandwidth,
                                 f"uplink:sw{src_switch}")
             up_done = (self._reserve(uplink, nbytes, trace_parent) if observed
                        else uplink.reserve(nbytes))
-            yield sim.sleep(up_done + self.cross_switch_latency - sim.now)
+            yield sim.sleep(up_done + self.uplink_latency - sim.now)
             # Hop 2: down through the destination switch's shared downlink.
             downlink = self._link(self._downlinks, dst_switch,
-                                  self.switch_bandwidth, f"downlink:sw{dst_switch}")
+                                  self.uplink_bandwidth, f"downlink:sw{dst_switch}")
             down_done = (self._reserve(downlink, nbytes, trace_parent)
                          if observed else downlink.reserve(nbytes))
             yield sim.sleep(down_done + self._propagation() / 2 - sim.now)

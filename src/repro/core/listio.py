@@ -10,7 +10,6 @@ buffers.  Both storage backends and every ADIO driver consume them.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -162,29 +161,6 @@ class IOVector:
     def sorted_by_offset(self) -> "IOVector":
         """Requests re-ordered by offset (stable)."""
         return IOVector(sorted(self._requests, key=lambda req: (req.offset, req.size)))
-
-    def coalesced(self) -> "IOVector":
-        """Merge adjacent/overlapping *write* requests into larger ones.
-
-        One request per maximal contiguous run of touched bytes — the runs
-        are ``region_list().normalized()``, gaps stay gaps.  Later requests
-        win on overlapping bytes, matching :meth:`apply_to`.  Read vectors
-        are returned with ranges normalized.
-        """
-        runs = self.region_list().normalized()
-        if self.is_read:
-            return IOVector.for_read(runs.as_tuples())
-        starts = [run.offset for run in runs]
-        buffers = [bytearray(run.size) for run in runs]
-        for req in self._requests:
-            if req.size == 0:
-                continue
-            # the runs are the union of the requests, so each request lies
-            # inside exactly one of them
-            index = bisect_right(starts, req.offset) - 1
-            start = req.offset - starts[index]
-            buffers[index][start:start + req.size] = req.data  # type: ignore[arg-type]
-        return IOVector.for_write(list(zip(starts, buffers)))
 
     def apply_to(self, content: bytearray) -> None:
         """Apply the write vector in request order onto ``content`` in place.

@@ -204,9 +204,9 @@ class RegionList:
     :meth:`normalized` is memoized on the instance (the type is immutable, so
     the canonical form can never change), and the algebraic operations below
     produce their results directly in canonical form via single-pass merges.
-    :meth:`normalized` and :meth:`union_all` share one plain-Python kernel
-    whatever the list size, :func:`coalesce_runs`: sort the ``(start, end)``
-    pairs, then sweep them into canonical runs.
+    :meth:`normalized` runs one plain-Python kernel whatever the list size,
+    :func:`coalesce_runs`: sort the ``(start, end)`` pairs, then sweep them
+    into canonical runs.
     """
 
     __slots__ = ("_regions", "_normalized")
@@ -343,21 +343,6 @@ class RegionList:
                 merged.append(region)
         return RegionList._from_normalized(merged)
 
-    @classmethod
-    def union_all(cls, lists: Sequence["RegionList"]) -> "RegionList":
-        """Normalized union of many region lists in one pass.
-
-        Replaces the O(n²) ``result = result.union(lst)`` accumulation that
-        dominated collective-read planning: every region's ``(start, end)``
-        pair is gathered into one list, sorted once, and coalesced in a
-        single sweep.
-        """
-        sources = [lst for lst in lists if lst._regions]
-        if len(sources) == 1:
-            return sources[0].normalized()
-        return cls._from_normalized(_coalesce(
-            [(r.offset, r.end) for lst in sources for r in lst._regions if r.size]))
-
     def intersection(self, other: "RegionList") -> "RegionList":
         """Normalized set of bytes present in both region sets (linear merge)."""
         a = self.normalized()._regions
@@ -439,45 +424,6 @@ class RegionList:
     def shift(self, delta: int) -> "RegionList":
         """Every region moved by ``delta`` bytes (order preserved)."""
         return RegionList(region.shift(delta) for region in self._regions)
-
-    def clip(self, bounds: Region) -> "RegionList":
-        """Regions clipped to ``bounds`` (pieces outside are dropped)."""
-        regions = self._regions
-        if self._normalized is _CANONICAL:
-            # canonical fast path: the regions are sorted and disjoint, so
-            # only a bisected window can overlap the bounds; regions fully
-            # inside are reused untouched and only the (at most two)
-            # boundary regions are clamped.  Clipping a canonical list only
-            # shrinks/drops runs, so the result is still canonical.
-            b_start, b_end = bounds.offset, bounds.end
-            if b_end <= b_start or not regions:
-                return RegionList._from_normalized(())
-            lo, hi = 0, len(regions)
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if regions[mid].end <= b_start:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            clipped: List[Region] = []
-            for region in regions[lo:]:
-                offset = region.offset
-                if offset >= b_end:
-                    break
-                end = region.end
-                start = offset if offset > b_start else b_start
-                stop = end if end < b_end else b_end
-                if start == offset and stop == end:
-                    clipped.append(region)
-                elif stop > start:
-                    clipped.append(Region(start, stop - start))
-            return RegionList._from_normalized(clipped)
-        clipped = []
-        for region in regions:
-            piece = region.intersect(bounds)
-            if not piece.empty:
-                clipped.append(piece)
-        return RegionList(clipped)
 
     def chunk_aligned(self, chunk_size: int) -> "RegionList":
         """Every region split on ``chunk_size`` boundaries (order preserved)."""

@@ -144,7 +144,6 @@ def execute_scenario(scenario: Scenario, *, tracing: Optional[bool] = None,
         driver = VersioningDriver(
             deployment, mpi.node, rank_name=f"rank{mpi.rank}",
             write_coalescing=True, collective_buffering=True,
-            collective_reads=True,
             collective_aggregators=scenario.num_aggregators)
         drivers[mpi.rank] = driver
         handle = yield from File.open(driver, PATH, rank=mpi.rank,

@@ -294,11 +294,12 @@ def join_pieces(pairs: List[Tuple[int, bytes]]) -> List[Tuple[int, bytes]]:
     """``(offset, data)`` pieces, in application order, as one ``(offset,
     bytes)`` buffer per maximal contiguous run of written bytes.
 
-    The same runs :meth:`IOVector.coalesced <repro.core.listio.IOVector.
-    coalesced>` builds — overlapping and adjacent pieces merge, empty ones
-    vanish, gaps stay gaps, later pieces win on overlapping bytes — without
-    a request object per piece: the pieces are sorted by offset and each run
-    is one ``b"".join`` of them.  Only a run in which two pieces overlap is
+    The runs are the normalized regions of the pieces — overlapping and
+    adjacent pieces merge, empty ones vanish, gaps stay gaps — and later
+    pieces win on overlapping bytes, as in serial application
+    (:meth:`IOVector.apply_to <repro.core.listio.IOVector.apply_to>`).  No
+    request object is built per piece: the pieces are sorted by offset and
+    each run is one ``b"".join`` of them.  Only a run in which two pieces overlap is
     painted piece by piece, in application order, onto a scratch buffer.
     """
     ordered = sorted((offset, index, data)
@@ -528,10 +529,9 @@ class _CollectiveParticipant:
     """Shared owner-count plumbing of both collective protocol sides.
 
     The write aggregators and the read resolvers of one job must pick the
-    *same* owner ranks from the same override/fallback chain (driver
-    override → ``ClusterConfig.collective_aggregators`` → the 1-per-4
-    heuristic) — the partition math assumes it — so the chain lives here
-    exactly once.
+    *same* owner ranks from the same hint/fallback chain (the driver's
+    ``collective_aggregators`` → the 1-per-4 heuristic) — the partition
+    math assumes it — so the chain lives here exactly once.
     """
 
     def __init__(self, client: "BlobClient",
@@ -544,17 +544,14 @@ class _CollectiveParticipant:
                 f"collective aggregator count must be positive, "
                 f"got {num_aggregators}")
         self.client = client
-        #: explicit per-driver override; ``None`` falls back to
-        #: ``ClusterConfig.collective_aggregators``, then the heuristic.
-        #: Like ROMIO hints, the value must agree across the ranks of a job.
+        #: the driver's ``cb_nodes`` hint; ``None`` falls back to the
+        #: heuristic.  Like ROMIO hints, the value must agree across the
+        #: ranks of a job.
         self.num_aggregators = num_aggregators
 
     def resolved_count(self, size: int) -> int:
         """Owner (aggregator/resolver) count for a ``size``-rank job."""
-        configured = self.num_aggregators
-        if configured is None:
-            configured = self.client.cluster.config.collective_aggregators
-        return resolve_aggregator_count(size, configured)
+        return resolve_aggregator_count(size, self.num_aggregators)
 
 
 class CollectiveAggregator(_CollectiveParticipant):

@@ -39,25 +39,21 @@ class VersioningDriver(ADIODriver):
     read, and before any atomic-mode write (which must serialize behind
     them in ticket order).
 
-    ``collective_buffering`` routes non-atomic ``write_at_all`` calls
-    through two-phase collective buffering
+    ``collective_buffering`` routes non-atomic collective calls of both
+    directions through the aggregators.  ``write_at_all`` runs two-phase
+    collective buffering
     (:class:`~repro.mpiio.adio.collective.CollectiveAggregator`): the ranks
     exchange their pieces so ``collective_aggregators`` ranks commit the
     whole group's access as that many merged stripe batches — one version
     ticket and one metadata build each — instead of one commit per rank.
-    The aggregator count falls back to
-    ``ClusterConfig.collective_aggregators``, then to one per four ranks.
-
-    ``collective_reads`` routes non-atomic ``read_at_all`` calls through
-    aggregated metadata resolution
+    The aggregator count is ROMIO's ``cb_nodes`` hint; ``None`` picks one
+    per four ranks.  ``read_at_all`` runs aggregated metadata resolution
     (:class:`~repro.mpiio.adio.collective.CollectiveReader`): the same
     ``collective_aggregators`` ranks act as resolvers, pin one snapshot
     version for the group (one ``latest`` RPC — or none, when a read hint
     is pending), walk the segment tree once for the union extent and
     scatter the fetched pieces back, so non-resolver ranks spend zero
-    metadata control RPCs.  ``None`` (the default) follows
-    ``collective_buffering``, so a collectively-buffered driver aggregates
-    both directions unless reads are explicitly switched off.
+    metadata control RPCs.
 
     Remaining keyword options forward to
     :class:`~repro.blobseer.client.BlobClient` (e.g.
@@ -72,15 +68,11 @@ class VersioningDriver(ADIODriver):
                  write_coalescing: bool = False,
                  collective_buffering: bool = False,
                  collective_aggregators: Optional[int] = None,
-                 collective_reads: Optional[bool] = None,
                  **client_options):
         super().__init__()
         self.deployment = deployment
         self.write_coalescing = write_coalescing
         self.collective_buffering = collective_buffering
-        self.collective_reads = (collective_buffering
-                                 if collective_reads is None
-                                 else collective_reads)
         self.client = BlobClient(deployment, node,
                                  name=rank_name or f"adio:{node.name}",
                                  **client_options)
@@ -89,7 +81,7 @@ class VersioningDriver(ADIODriver):
         self.aggregator = CollectiveAggregator(
             self.client, num_aggregators=collective_aggregators)
         #: aggregated-resolution engine for ``read_at_all`` (always built;
-        #: it only acts when ``collective_reads`` routes a call through it)
+        #: it only acts when ``collective_buffering`` routes a call through it)
         self.reader = CollectiveReader(
             self.client, num_resolvers=collective_aggregators)
 
@@ -158,12 +150,16 @@ class VersioningDriver(ADIODriver):
         """True exactly when the aggregated path handles the collective.
 
         Every exit of :meth:`~repro.mpiio.adio.collective.
-        CollectiveAggregator.collective_write` passes through a group-wide
-        exchange, so the File layer's closing barrier would be a second,
-        redundant rendezvous.
+        CollectiveAggregator.collective_write` and of
+        :meth:`~repro.mpiio.adio.collective.CollectiveReader.collective_read`
+        passes through a group-wide exchange, so the File layer's closing
+        barrier would be a second, redundant rendezvous.
         """
         return self.collective_buffering and not atomic \
             and comm is not None and comm.size > 1
+
+    #: ``collective_buffering`` routes both directions alike
+    read_all_synchronizes = write_all_synchronizes
 
     def read_vector_all(self, path: str, vector: IOVector, atomic: bool,
                         rank: int = 0, comm: Optional["Communicator"] = None):
@@ -184,17 +180,6 @@ class VersioningDriver(ADIODriver):
         pieces = yield from self.reader.collective_read(
             path, vector, rank, comm)
         return pieces
-
-    def read_all_synchronizes(self, atomic: bool,
-                              comm: Optional["Communicator"]) -> bool:
-        """True exactly when the aggregated path handles the collective.
-
-        Every exit of :meth:`~repro.mpiio.adio.collective.CollectiveReader.
-        collective_read` passes through a group-wide exchange, so the File
-        layer's closing barrier would be a second, redundant rendezvous.
-        """
-        return self.collective_reads and not atomic \
-            and comm is not None and comm.size > 1
 
     def read_vector(self, path: str, vector: IOVector, atomic: bool,
                     rank: int = 0, comm: Optional["Communicator"] = None):

@@ -12,8 +12,8 @@ every artifact is byte-stable across runs and usable as replay evidence):
   stable dotted names; :mod:`repro.obs.views` absorbs the stack's
   scattered stats surfaces into it and re-asserts their partition
   identities.
-* :mod:`repro.obs.linktel` — per-link utilization / queueing / CoDel
-  timelines sampled on the ``"queued"`` network model's link events.
+* :mod:`repro.obs.linktel` — per-link utilization / queueing timelines
+  sampled on the ``"queued"`` network model's link events.
 * :mod:`repro.obs.digest` — deterministic fixed-log-bucket latency
   histograms (p50/p95/p99/max) tapped from RPC round-trips, link queue
   delays and File-layer operations.

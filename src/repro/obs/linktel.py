@@ -1,16 +1,15 @@
 """Per-link telemetry sampled on the queued network model's link events.
 
-Every :meth:`Link.reserve` under an observed network appends one sample:
-the reservation instant, how long the transfer will sit behind the link's
-FIFO backlog (the *standing queue* CoDel watches), the bytes requested and
-the link's cumulative counters.  Sampling happens on events the simulation
-already processes — no extra events, no polling process — so enabling it
-never perturbs the timeline.
+Every link reservation under an observed network appends one sample: the
+reservation instant, how long the transfer will sit behind the link's FIFO
+backlog, the bytes requested and the link's cumulative counters.  Sampling
+happens on events the simulation already processes — no extra events, no
+polling process — so enabling it never perturbs the timeline.
 
 The samples feed three consumers: utilization / queue-depth summaries per
 link (:meth:`LinkTelemetry.report`), ``net.link.*`` registry metrics
-(:func:`repro.obs.views.collect_network`), and per-link counter tracks in
-the Chrome trace export (:func:`repro.obs.export.to_chrome_trace`).
+(:func:`repro.obs.views.collect_link_telemetry`), and per-link counter
+tracks in the Chrome trace export (:func:`repro.obs.export.to_chrome_trace`).
 """
 
 from __future__ import annotations
@@ -30,8 +29,6 @@ class LinkSample(NamedTuple):
     #: cumulative link counters *after* the reservation
     bytes_transferred: int
     busy_time: float
-    codel_marks: int
-    max_standing_delay: float
 
 
 class LinkTelemetry:
@@ -45,7 +42,7 @@ class LinkTelemetry:
                nbytes: int) -> None:
         self.samples.setdefault(link.name, []).append(LinkSample(
             now, queue_delay, nbytes, link.bytes_transferred,
-            link.busy_time, link.codel_marks, link.max_standing_delay))
+            link.busy_time))
 
     # ------------------------------------------------------------------
     def utilization(self, name: str) -> float:
@@ -71,8 +68,6 @@ class LinkTelemetry:
                 "utilization": round(self.utilization(name), 6),
                 "max_queue_delay_s": round(max(delays), 9),
                 "mean_queue_delay_s": round(sum(delays) / len(delays), 9),
-                "codel_marks": last.codel_marks,
-                "max_standing_delay_s": round(last.max_standing_delay, 9),
             }
         return out
 
@@ -83,7 +78,6 @@ class LinkTelemetry:
             "links": len(report),
             "reservations": sum(r["reservations"] for r in report.values()),
             "bytes": sum(r["bytes"] for r in report.values()),
-            "codel_marks": sum(r["codel_marks"] for r in report.values()),
             "max_queue_delay_s": max(
                 (r["max_queue_delay_s"] for r in report.values()),
                 default=0.0),

@@ -227,7 +227,6 @@ def collect_link_telemetry(registry: "MetricsRegistry",
     registry.set("net.link.links", totals["links"])
     registry.add("net.link.reservations", totals["reservations"])
     registry.add("net.link.bytes", totals["bytes"])
-    registry.add("net.link.codel_marks", totals["codel_marks"])
     registry.set("net.link.max_queue_delay_s", totals["max_queue_delay_s"])
     for name in sorted(telemetry.samples):
         registry.set(f"net.link.{name}.utilization",

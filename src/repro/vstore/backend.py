@@ -29,7 +29,7 @@ class VersioningBackend:
     """Single-client, synchronous entry point to the paper's storage backend."""
 
     def __init__(self, num_providers: int = 4, num_metadata_providers: int = 1,
-                 chunk_size: int = 64 * 1024, allocation: str = "round_robin",
+                 chunk_size: int = 64 * 1024,
                  config: Optional[ClusterConfig] = None, seed: int = 0,
                  publish_cost: float = 0.0):
         self.cluster = Cluster(config=config, seed=seed)
@@ -38,7 +38,6 @@ class VersioningBackend:
             num_providers=num_providers,
             num_metadata_providers=num_metadata_providers,
             chunk_size=chunk_size,
-            allocation=allocation,
             publish_cost=publish_cost,
         )
         self._client_node = self.cluster.add_node("facade-client", role="compute")

@@ -102,7 +102,7 @@ class TestHarness:
         environment = build_environment(backend, num_storage_nodes=3,
                                         stripe_unit=4096, config=QUICK)
         result = run_atomic_write_job(environment, 3, workload.client_pairs,
-                                      workload.file_size, atomic=True)
+                                      workload.file_size)
         assert result.backend == backend
         assert result.num_clients == 3
         assert result.total_bytes == workload.total_bytes
@@ -117,7 +117,7 @@ class TestHarness:
         environment = build_environment(backend, num_storage_nodes=3,
                                         stripe_unit=4096, config=QUICK)
         result = run_atomic_write_job(environment, 3, workload.client_pairs,
-                                      workload.file_size, atomic=True)
+                                      workload.file_size)
         assert verify_job_atomicity(environment, 3, workload.client_pairs, result)
 
     def test_verification_limit_is_a_typed_cannot_decide(self):
@@ -127,7 +127,7 @@ class TestHarness:
         environment = build_environment("versioning", num_storage_nodes=3,
                                         stripe_unit=4096, config=QUICK)
         result = run_atomic_write_job(environment, 11, workload.client_pairs,
-                                      workload.file_size, atomic=True)
+                                      workload.file_size)
         with pytest.raises(CheckerBudgetExceeded):
             verify_job_atomicity(environment, 11, workload.client_pairs, result)
 
@@ -136,13 +136,13 @@ class TestHarness:
         environment = build_environment("posix-locking", num_storage_nodes=3,
                                         stripe_unit=4096, config=QUICK)
         result = run_atomic_write_job(environment, 4, workload.client_pairs,
-                                      workload.file_size, atomic=True)
+                                      workload.file_size)
         assert result.lock_wait_time > 0
         # the versioning backend never waits on locks
         environment_v = build_environment("versioning", num_storage_nodes=3,
                                           stripe_unit=4096, config=QUICK)
         result_v = run_atomic_write_job(environment_v, 4, workload.client_pairs,
-                                        workload.file_size, atomic=True)
+                                        workload.file_size)
         assert result_v.lock_wait_time == 0
 
     def test_versioning_beats_locking_under_overlapping_concurrency(self):
@@ -153,7 +153,7 @@ class TestHarness:
             environment = build_environment(backend, num_storage_nodes=4,
                                             stripe_unit=4096, config=QUICK)
             result = run_atomic_write_job(environment, 4, workload.client_pairs,
-                                          workload.file_size, atomic=True)
+                                          workload.file_size)
             throughputs[backend] = result.sample.throughput
         assert throughputs["versioning"] > throughputs["posix-locking"]
 

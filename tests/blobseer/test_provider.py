@@ -4,13 +4,7 @@ import pytest
 
 from repro.blobseer.chunk import ChunkKey, ChunkKeyFactory
 from repro.blobseer.provider import DataProviderStore
-from repro.blobseer.provider_manager import (
-    LoadBalancedAllocation,
-    ProviderManager,
-    RandomAllocation,
-    RoundRobinAllocation,
-    make_strategy,
-)
+from repro.blobseer.provider_manager import ProviderManager
 from repro.errors import ChunkNotFound, ProviderUnavailable
 
 
@@ -73,46 +67,27 @@ class TestDataProviderStore:
         assert store.bytes_read == 4
 
 
-class TestAllocationStrategies:
+def manager_of(*providers):
+    manager = ProviderManager()
+    for provider in providers:
+        manager.register(provider)
+    return manager
+
+
+class TestRoundRobinAllocation:
     def test_round_robin_cycles(self):
-        strategy = RoundRobinAllocation()
-        chosen = strategy.select(["a", "b", "c"], [1] * 7, {})
+        chosen = manager_of("a", "b", "c").allocate([1] * 7)
         assert chosen == ["a", "b", "c", "a", "b", "c", "a"]
 
     def test_round_robin_continues_across_calls(self):
-        strategy = RoundRobinAllocation()
-        strategy.select(["a", "b"], [1], {})
-        assert strategy.select(["a", "b"], [1], {}) == ["b"]
-
-    def test_load_balanced_prefers_least_loaded(self):
-        strategy = LoadBalancedAllocation()
-        chosen = strategy.select(["a", "b"], [10, 10, 10], {"a": 100, "b": 0})
-        assert chosen == ["b", "b", "b"][:1] + chosen[1:]
-        assert chosen[0] == "b"
-
-    def test_load_balanced_spreads_equal_load(self):
-        strategy = LoadBalancedAllocation()
-        chosen = strategy.select(["a", "b"], [10, 10, 10, 10], {})
-        assert sorted(chosen) == ["a", "a", "b", "b"]
-
-    def test_random_is_deterministic_per_seed(self):
-        a = RandomAllocation(seed=5).select(["a", "b", "c"], [1] * 20, {})
-        b = RandomAllocation(seed=5).select(["a", "b", "c"], [1] * 20, {})
-        assert a == b
-
-    def test_make_strategy(self):
-        assert make_strategy("round_robin").name == "round_robin"
-        assert make_strategy("load_balanced").name == "load_balanced"
-        assert make_strategy("random").name == "random"
-        with pytest.raises(ValueError):
-            make_strategy("nope")
+        manager = manager_of("a", "b")
+        manager.allocate([1])
+        assert manager.allocate([1]) == ["b"]
 
 
 class TestProviderManager:
     def test_allocation_updates_load(self):
-        manager = ProviderManager(RoundRobinAllocation())
-        manager.register("a")
-        manager.register("b")
+        manager = manager_of("a", "b")
         chosen = manager.allocate([100, 200, 300])
         assert chosen == ["a", "b", "a"]
         assert manager.allocated_bytes["a"] == 400
@@ -123,9 +98,7 @@ class TestProviderManager:
             ProviderManager().allocate([1])
 
     def test_failed_provider_excluded(self):
-        manager = ProviderManager(RoundRobinAllocation())
-        manager.register("a")
-        manager.register("b")
+        manager = manager_of("a", "b")
         manager.mark_failed("a")
         assert manager.alive_providers == ["b"]
         assert manager.allocate([1, 1]) == ["b", "b"]
@@ -137,9 +110,7 @@ class TestProviderManager:
             ProviderManager().mark_recovered("ghost")
 
     def test_load_imbalance_metric(self):
-        manager = ProviderManager(RoundRobinAllocation())
-        manager.register("a")
-        manager.register("b")
+        manager = manager_of("a", "b")
         assert manager.load_imbalance() == 1.0
         manager.allocate([100, 100])
         assert manager.load_imbalance() == pytest.approx(1.0)

@@ -15,7 +15,7 @@ from repro.blobseer.metadata.segment_tree import (
     pack_pieces_into_stripe_units,
     split_vector_into_pieces,
 )
-from repro.blobseer.provider_manager import RoundRobinAllocation
+from repro.blobseer.provider_manager import ProviderManager
 from repro.cluster import Cluster, ClusterConfig
 from repro.core.listio import IOVector
 from repro.vstore.client import VectoredClient
@@ -109,11 +109,11 @@ def tile_pairs(base, fill):
             for row in range(ROWS)]
 
 
-def deploy(allocation="round_robin"):
+def deploy():
     cluster = Cluster(config=ClusterConfig(), seed=1)
     deployment = BlobSeerDeployment(cluster, num_providers=8,
                                     num_metadata_providers=2,
-                                    chunk_size=CHUNK, allocation=allocation)
+                                    chunk_size=CHUNK)
     client = VectoredClient(deployment, cluster.add_node("compute"),
                             name="tile-writer")
     run(cluster, client.create_blob(BLOB, 4 * ROWS * 16 * KiB,
@@ -168,21 +168,6 @@ class TestEnginePlacesUnits:
             "bs-data0": 1, "bs-data1": 1, "bs-data2": 2, "bs-data3": 2,
             "bs-data4": 1, "bs-data5": 1}
 
-    @pytest.mark.parametrize("allocation", ["load_balanced", "random"])
-    def test_every_strategy_is_handed_units(self, allocation):
-        cluster, deployment, client = deploy(allocation)
-        pairs = tile_pairs(0, fill=1)
-        run(cluster, client.vwrite_and_wait(BLOB, pairs))
-        calls = put_chunks_calls(deployment)
-        # two units: at most two providers, whichever the strategy picks
-        assert 1 <= len(calls) <= 2 and set(calls.values()) == {1}
-        placed = deployment.provider_manager.manager.allocated_bytes
-        assert sorted(size for size in placed.values() if size) in (
-            [128 * KiB], [64 * KiB, 64 * KiB])
-        regions = [(offset, len(data)) for offset, data in pairs]
-        assert run(cluster, client.vread(BLOB, regions)) \
-            == [data for _offset, data in pairs]
-
 
 class TestRoundRobinResumesPerWriter:
     @pytest.mark.parametrize("second_round", [("w0", "w1"), ("w1", "w0")])
@@ -191,14 +176,14 @@ class TestRoundRobinResumesPerWriter:
         """Two writers of two units each, whose second requests race: with
         one shared cursor the loser of the race would swap providers with
         the winner (and a later read would queue on other disks)."""
-        providers = [f"p{index}" for index in range(8)]
-        strategy = RoundRobinAllocation()
-        placed = {writer: [strategy.select(providers, [CHUNK, CHUNK], {}, writer)]
+        manager = ProviderManager()
+        for index in range(8):
+            manager.register(f"p{index}")
+        placed = {writer: [manager.allocate([CHUNK, CHUNK], writer)]
                   for writer in ("w0", "w1")}
         for writer in second_round:
-            placed[writer].append(
-                strategy.select(providers, [CHUNK, CHUNK], {}, writer))
+            placed[writer].append(manager.allocate([CHUNK, CHUNK], writer))
         assert placed == {"w0": [["p0", "p1"], ["p2", "p3"]],
                           "w1": [["p2", "p3"], ["p4", "p5"]]}
         # a newcomer starts where the shared cursor stands: after all 8 units
-        assert strategy.select(providers, [CHUNK], {}, "w2") == ["p0"]
+        assert manager.allocate([CHUNK], "w2") == ["p0"]

@@ -1,13 +1,13 @@
 """Property: the analytic ``free_at`` queues are first-come first-served.
 
-``NIC.reserve``, ``Link.reserve`` and ``Disk.io`` keep one scalar and hand
-out slots at the instant a request reaches the device.  The contract their
-module docstrings state is checked here against a reference that knows
-nothing about events: sort the requests by arrival (ties in the order they
-were issued), start each at ``max(arrival, previous finish)``, finish it one
-service time later.  Seeded scripts draw arrival times from a coarse grid so
-simultaneous arrivals are common; every quantity is a dyadic rational, so
-the comparison is exact.
+``NIC.reserve`` (every link of either network model) and ``Disk.io`` keep
+one scalar and hand out slots at the instant a request reaches the device.
+The contract their module docstrings state is checked here against a
+reference that knows nothing about events: sort the requests by arrival
+(ties in the order they were issued), start each at ``max(arrival, previous
+finish)``, finish it one service time later.  Seeded scripts draw arrival
+times from a coarse grid so simultaneous arrivals are common; every
+quantity is a dyadic rational, so the comparison is exact.
 
 ``Disk.append`` — log runs — is checked the same way on scripts that mix the
 two kinds: against its own reference, and against the FIFO one, which no
@@ -207,8 +207,8 @@ def test_a_lone_append_is_a_lone_io(nbytes):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_fan_in_transfers_are_fifo_on_every_hop(seed, network_model):
     """Few senders, one receiver: a transfer queues on its sender's NIC (the
-    bottleneck model's ``NIC.reserve``) or egress link (the queued model's
-    ``Link.reserve``), propagates, then queues on the receiver's."""
+    bottleneck model) or egress link (the queued model), propagates, then
+    queues on the receiver's."""
     rng = random.Random(seed)
     script = random_script(rng)
     cluster = make_cluster(network_model)
@@ -231,3 +231,20 @@ def test_fan_in_transfers_are_fifo_on_every_hop(seed, network_model):
         [(sent[index] + LATENCY, service[index])
          for index in range(len(script))])
     assert cluster.network.messages == len(script)
+
+
+@pytest.mark.parametrize("nodes_per_switch,finish", [
+    # NIC out, one latency, NIC in
+    (2, 512 / NET_BANDWIDTH + LATENCY + 512 / NET_BANDWIDTH),
+    # ... plus the uplink and downlink at 4x the NIC bandwidth and the
+    # switch-to-switch hop at 2.5x the latency
+    (1, 2 * 512 / NET_BANDWIDTH + 2 * 512 / (4 * NET_BANDWIDTH)
+     + LATENCY + 2.5 * LATENCY),
+])
+def test_a_lone_queued_transfer_pays_each_hop_once(nodes_per_switch, finish):
+    cluster = Cluster(config=ClusterConfig(
+        network_model="queued", nodes_per_switch=nodes_per_switch,
+        network_latency=LATENCY, network_bandwidth=NET_BANDWIDTH))
+    src, dst = cluster.add_nodes("n", 2)
+    assert run_script(cluster, [(0.0, 512)], lambda _index, nbytes:
+                      cluster.network.transfer(src, dst, nbytes)) == [finish]

@@ -1,7 +1,5 @@
 """Unit tests for List-I/O vectored access descriptors."""
 
-import random
-
 import pytest
 
 from repro.core.listio import IORequest, IOVector
@@ -78,65 +76,6 @@ class TestIOVector:
         data = b"0123456789"
         vec = IOVector.for_read([(0, 3), (8, 4)])
         assert vec.extract_from(data) == [b"012", b"89\x00\x00"]
-
-    def test_coalesced_write_merges_adjacent(self):
-        vec = IOVector.for_write([(0, b"ab"), (2, b"cd"), (10, b"ef")])
-        merged = vec.coalesced()
-        assert merged.region_list().as_tuples() == [(0, 4), (10, 2)]
-        assert merged[0].data == b"abcd"
-
-    def test_coalesced_write_later_request_wins(self):
-        vec = IOVector.for_write([(0, b"AAAA"), (2, b"BB")])
-        merged = vec.coalesced()
-        assert merged[0].data == b"AABB"
-
-    def test_coalesced_read_normalizes(self):
-        vec = IOVector.for_read([(10, 5), (0, 5), (12, 5)])
-        merged = vec.coalesced()
-        assert merged.region_list().as_tuples() == [(0, 5), (10, 7)]
-
-    def test_coalesced_empty(self):
-        assert len(IOVector().coalesced()) == 0
-
-    @pytest.mark.parametrize("seed", range(40))
-    def test_coalesced_equals_serial_application(self, seed):
-        """Overlaps, gaps, adjacency and zero-size requests: the coalesced
-        vector writes the same bytes as the original, its requests are the
-        normalized regions, and no byte outside them is touched."""
-        rng = random.Random(seed)
-        span = 4096
-        pairs = []
-        for _index in range(rng.randint(1, 40)):
-            size = rng.choice([0, 0, 1, 7, 64, 300, rng.randint(1, 600)])
-            offset = rng.randrange(span - size)
-            if pairs and rng.random() < 0.3:    # force exact adjacency
-                offset = min(pairs[-1][0] + len(pairs[-1][1]), span - size)
-            pairs.append((offset, bytes(rng.randrange(1, 256)
-                                        for _byte in range(size))))
-        vector = IOVector.for_write(pairs)
-        merged = vector.coalesced()
-
-        regions = vector.region_list().normalized()
-        assert merged.region_list() == regions
-        assert merged.region_list().is_normalized()
-        assert all(request.is_write for request in merged)
-
-        expected = bytearray(span)
-        vector.apply_to(expected)
-        # applied onto a marker-filled canvas: written bytes equal the
-        # serial application, every other byte still holds the marker
-        canvas = bytearray(b"\xee" * span)
-        merged.apply_to(canvas)
-        assert len(canvas) == span
-        covered = bytearray(span)
-        for region in regions:
-            covered[region.offset:region.end] = b"\x01" * region.size
-        for index in range(span):
-            assert canvas[index] == (expected[index] if covered[index]
-                                     else 0xEE), index
-
-    def test_coalesced_only_zero_size_requests(self):
-        assert len(IOVector.for_write([(5, b""), (9, b"")]).coalesced()) == 0
 
     def test_sorted_by_offset(self):
         vec = IOVector.for_write([(10, b"a"), (0, b"b")])

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.regions import Region, RegionList
+from repro.core.regions import (Region, RegionList, canonical_runs, clip_runs,
+                                coalesce_runs)
 from repro.errors import InvalidRegion
 
 
@@ -150,9 +151,9 @@ class TestRegionList:
         assert RegionList([(0, 5), (10, 5)]).shift(100).as_tuples() == \
             [(100, 5), (110, 5)]
 
-    def test_clip(self):
-        rl = RegionList([(0, 10), (20, 10), (40, 10)])
-        assert rl.clip(Region(5, 30)).as_tuples() == [(5, 5), (20, 10)]
+    def test_clip_runs(self):
+        runs = canonical_runs([(0, 10), (20, 10), (40, 10)])
+        assert clip_runs(runs, 5, 35) == [(5, 10), (20, 30)]
 
     def test_chunk_aligned(self):
         rl = RegionList([(5, 10)]).chunk_aligned(8)
@@ -195,13 +196,14 @@ def test_normalized_many_regions_matches_byte_model(count):
 
 
 @pytest.mark.parametrize("count", [63, 64, 65, 200])
-def test_union_all_many_regions_matches_pairwise_union(count):
+def test_coalesce_runs_many_regions_matches_pairwise_union(count):
     lists = [RegionList(_mixed_regions(count, stride))
              for stride in (7, 10, 13)]
     folded = RegionList()
     for lst in lists:
         folded = folded.union(lst)
     covered = {b for lst in lists for r in lst for b in range(r.offset, r.end)}
-    result = RegionList.union_all(lists)
-    assert result == folded
-    assert result.as_tuples() == _byte_runs(covered)
+    result = [(start, end - start) for start, end in coalesce_runs(
+        [(r.offset, r.end) for lst in lists for r in lst if r.size])]
+    assert result == folded.as_tuples()
+    assert result == _byte_runs(covered)

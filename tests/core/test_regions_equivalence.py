@@ -9,7 +9,8 @@ and against a byte-set model that is obviously correct.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.regions import Region, RegionList
+from repro.core.regions import (Region, RegionList, canonical_runs, clip_runs,
+                                coalesce_runs)
 
 UNIVERSE = 512  # keep the byte-set model small and fast
 
@@ -127,9 +128,11 @@ def test_normalized_matches_old_reference_and_is_memoized(a):
 
 @settings(max_examples=100, deadline=None)
 @given(lists=st.lists(many_regions_strategy, min_size=1, max_size=8))
-def test_union_all_matches_old_reference_and_byte_model(lists):
-    new = RegionList.union_all(lists)
+def test_coalesce_runs_matches_old_reference_and_byte_model(lists):
     every_region = [region for lst in lists for region in lst]
+    new = RegionList.from_tuples(
+        (start, end - start) for start, end in coalesce_runs(
+            [(r.offset, r.end) for r in every_region if r.size]))
     assert list(new) == reference_normalized(every_region)
     assert byte_set_of(new) == as_byte_set(every_region)
     assert new.is_normalized()
@@ -138,8 +141,10 @@ def test_union_all_matches_old_reference_and_byte_model(lists):
 @settings(max_examples=100, deadline=None)
 @given(a=regions_strategy, bounds=st.tuples(st.integers(0, UNIVERSE - 1),
                                             st.integers(0, 128)))
-def test_clip_matches_byte_model(a, bounds):
+def test_clip_runs_matches_byte_model(a, bounds):
     region = Region(*bounds)
-    clipped = a.normalized().clip(region)
+    clipped = RegionList.from_tuples(
+        (start, end - start) for start, end in clip_runs(
+            canonical_runs(a.as_tuples()), region.offset, region.end))
     assert byte_set_of(clipped) == byte_set_of(a) & as_byte_set([region])
     assert clipped.is_normalized()

@@ -2,7 +2,7 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.regions import Region, RegionList
+from repro.core.regions import Region, RegionList, canonical_runs, clip_runs
 
 
 regions = st.builds(Region,
@@ -82,8 +82,10 @@ def test_shift_preserves_structure(rl, delta):
 
 
 @given(region_lists, regions)
-def test_clip_stays_inside_bounds(rl, bounds):
-    clipped = rl.clip(bounds)
+def test_clip_runs_stay_inside_bounds(rl, bounds):
+    clipped = RegionList.from_tuples(
+        (start, end - start) for start, end in clip_runs(
+            canonical_runs(rl.as_tuples()), bounds.offset, bounds.end))
     for region in clipped:
         assert bounds.contains_region(region)
     assert clipped.covered_bytes() == rl.normalized().intersection(

@@ -150,8 +150,8 @@ def test_three_write_modes_produce_identical_bytes(seed, num_ranks,
 ])
 def test_write_modes_conform_under_queued_network(seed, num_ranks,
                                                   num_aggregators):
-    """The same gate under ``network_model="queued"``: per-link FIFO queues,
-    switch tiers and CoDel shape timing only — every write mode still lands
+    """The same gate under ``network_model="queued"``: per-link FIFO queues
+    and switch tiers shape timing only — every write mode still lands
     exactly the oracle bytes."""
     pattern = random_pattern(seed * 101 + num_ranks, num_ranks)
     expected = serial_oracle(pattern)

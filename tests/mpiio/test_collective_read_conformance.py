@@ -125,8 +125,7 @@ def run_read_job(read_pattern, *, collective, num_resolvers=None,
         driver = VersioningDriver(deployment, ctx.node,
                                   rank_name=f"rank{ctx.rank}",
                                   write_coalescing=True,
-                                  collective_buffering=True,
-                                  collective_reads=collective,
+                                  collective_buffering=collective,
                                   collective_aggregators=num_resolvers)
         drivers[ctx.rank] = driver
         handle = yield from File.open(driver, PATH, rank=ctx.rank,
@@ -470,7 +469,8 @@ def test_exchange_bytes_are_descriptions_pieces_and_holes_exactly(
         for rank, regions in enumerate(read_pattern):
             if rank == owner:
                 continue
-            for wanted in RegionList(regions).normalized().clip(stripe):
+            for wanted in RegionList(regions).normalized().intersection(
+                    RegionList((stripe,))):
                 wanted = RegionList((wanted,))
                 pieces = wanted.intersection(written)
                 holes = wanted.subtract(written)

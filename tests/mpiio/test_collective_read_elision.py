@@ -39,7 +39,7 @@ def run_sparse_collective(seed_pairs, read_pairs_for_rank, file_size,
         driver = VersioningDriver(
             deployment, ctx.node, rank_name=f"el{ctx.rank}",
             write_coalescing=True, collective_buffering=True,
-            collective_reads=True, collective_aggregators=num_resolvers)
+            collective_aggregators=num_resolvers)
         drivers[ctx.rank] = driver
         handle = yield from File.open(driver, PATH, rank=ctx.rank,
                                       comm=ctx.comm, size_hint=file_size)

@@ -2,16 +2,20 @@
 replace.
 
 * :func:`~repro.mpiio.adio.collective.join_pieces` must build exactly the
-  runs ``IOVector.for_write(pairs).coalesced()`` builds — later pieces win
-  on overlapping bytes, adjacent pieces merge, empty pieces vanish;
+  runs the Region-based :func:`coalesced` builds — later pieces win on
+  overlapping bytes, adjacent pieces merge, empty pieces vanish — and write
+  the bytes their serial application writes;
 * a view's flattened runs (``build_read_vector``, ``flatten_view_access``)
   must equal the Region flattening they replaced, kept here as
   :func:`region_flatten`, for every filetype kind, with a displacement and
   an etype offset that starts mid-tile.
 """
 
+import random
+from bisect import bisect_right
 from typing import List
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.listio import IOVector
@@ -24,6 +28,25 @@ from repro.mpiio.flatten import (FileView, build_read_vector,
 # ----------------------------------------------------------------------
 # the write-side piece join
 # ----------------------------------------------------------------------
+def coalesced(vector: IOVector) -> IOVector:
+    """The Region-based piece join :func:`join_pieces` replaced (reference):
+    one write request per maximal contiguous run of touched bytes — the
+    runs are ``region_list().normalized()``, gaps stay gaps — with later
+    requests winning on overlapping bytes, as :meth:`IOVector.apply_to`."""
+    runs = vector.region_list().normalized()
+    starts = [run.offset for run in runs]
+    buffers = [bytearray(run.size) for run in runs]
+    for req in vector:
+        if req.size == 0:
+            continue
+        # the runs are the union of the requests, so each request lies
+        # inside exactly one of them
+        index = bisect_right(starts, req.offset) - 1
+        start = req.offset - starts[index]
+        buffers[index][start:start + req.size] = req.data
+    return IOVector.for_write(list(zip(starts, buffers)))
+
+
 pieces = st.lists(
     st.tuples(st.integers(0, 120),
               st.integers(0, 24).flatmap(
@@ -34,7 +57,7 @@ pieces = st.lists(
 @settings(max_examples=300, deadline=None)
 @given(pieces)
 def test_join_pieces_is_the_coalesced_write_vector(pairs):
-    reference = IOVector.for_write(pairs).coalesced() if pairs else IOVector()
+    reference = coalesced(IOVector.for_write(pairs)) if pairs else IOVector()
     assert join_pieces(pairs) == [(request.offset, request.data)
                                   for request in reference]
 
@@ -49,6 +72,47 @@ def test_join_pieces_cases():
         (0, b"aaaXXb")]
     assert join_pieces([(0, b"aaaa"), (0, b"bb")]) == [(0, b"bbaa")]
     assert join_pieces([]) == []
+
+
+def test_join_pieces_of_only_empty_pieces():
+    assert join_pieces([(5, b""), (9, b"")]) == []
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_join_pieces_equals_serial_application(seed):
+    """Overlaps, gaps, adjacency and zero-size pieces: the joined runs
+    write the same bytes as the pieces in order, they are the normalized
+    regions, and no byte outside them is touched."""
+    rng = random.Random(seed)
+    span = 4096
+    pairs = []
+    for _index in range(rng.randint(1, 40)):
+        size = rng.choice([0, 0, 1, 7, 64, 300, rng.randint(1, 600)])
+        offset = rng.randrange(span - size)
+        if pairs and rng.random() < 0.3:    # force exact adjacency
+            offset = min(pairs[-1][0] + len(pairs[-1][1]), span - size)
+        pairs.append((offset, bytes(rng.randrange(1, 256)
+                                    for _byte in range(size))))
+    vector = IOVector.for_write(pairs)
+    merged = IOVector.for_write(join_pieces(pairs))
+
+    regions = vector.region_list().normalized()
+    assert merged.region_list() == regions
+    assert merged.region_list().is_normalized()
+
+    expected = bytearray(span)
+    vector.apply_to(expected)
+    # applied onto a marker-filled canvas: written bytes equal the
+    # serial application, every other byte still holds the marker
+    canvas = bytearray(b"\xee" * span)
+    merged.apply_to(canvas)
+    assert len(canvas) == span
+    covered = bytearray(span)
+    for region in regions:
+        covered[region.offset:region.end] = b"\x01" * region.size
+    for index in range(span):
+        assert canvas[index] == (expected[index] if covered[index]
+                                 else 0xEE), index
 
 
 # ----------------------------------------------------------------------
