@@ -64,13 +64,17 @@ class AheadWrite:
     providers)`` — the stripe units it declared and where they go.
     ``stagings`` are the commit engine's background processes uploading the
     parts that have arrived; the last part is the commit's own vector.
-    ``abandoned`` is set when the write's commit fails or its writer gives
-    it up: what its stagings upload from then on is not kept in the client's
-    chunk cache.
+    ``parts[k]`` is the event staging ``k`` fires with its placed pieces
+    before its upload starts (or with the error that kept it from placing
+    them) — what the commit builds the metadata from while the bytes are on
+    their way.  ``abandoned`` is set when the write's commit fails or its
+    writer gives it up: what its stagings upload from then on is not kept in
+    the client's chunk cache.
     """
 
     placed: List[Tuple[List[int], List[str]]]
     stagings: list = field(default_factory=list)
+    parts: list = field(default_factory=list)
     abandoned: bool = False
 
 

@@ -25,6 +25,10 @@ The engine overlaps everything the protocol allows:
   (much heavier) data transfers;
 * the per-shard ``put_nodes`` RPCs are issued in parallel, mirroring the
   batched read path, instead of one blocking round-trip per shard;
+* a write placed ahead stores its metadata while its parts upload: a
+  staging fires its part's placed pieces before its upload starts, so the
+  commit builds and stores the nodes once it holds the ticket and every
+  part is placed, then joins the uploads;
 * a batch commit may *defer* its ``complete`` RPC: the call is launched as a
   background process and the next batch starts immediately, so back-to-back
   writes pipeline ``assign_ticket``/``complete`` across snapshots.
@@ -40,10 +44,14 @@ write of many small pieces reaches the disks as few large requests, and
 requests queued at a busy disk as one sequential run (``Disk.append``),
 which an update-in-place striped file cannot do.
 
-Correctness does not move: metadata nodes are always stored *before*
-``complete`` is issued, and the version manager still publishes strictly in
-ticket order, so deferring a completion can delay publication but never
-reorder it.
+Correctness does not move: metadata nodes and chunks are always stored
+*before* ``complete`` is issued, and the version manager still publishes
+strictly in ticket order, so deferring a completion can delay publication
+but never reorder it.  An independent commit stores its nodes only once its
+uploads are in, although the protocol would let it overlap them as a write
+placed ahead does: its commit returning earlier lets the writer's next write
+draw its ticket earlier, which reorders tickets among concurrent writers
+(``benchmarks/README.md`` has what that cost the EXP1 and EXP2 reads).
 
 Write-through cache population rides on the commit: the writer just built
 every leaf of the new snapshot, so offering them to its own metadata tier
@@ -118,7 +126,9 @@ class PipelinedCommitEngine:
         :meth:`stage` and :meth:`publish` composed.  ``ahead`` is a write
         :meth:`place_ahead` placed: the parts :meth:`stage_ahead` uploaded
         while the rest was still arriving belong to the same snapshot, and
-        ``vector`` — its last part — may be empty when there are any.
+        ``vector`` — its last part — may be empty when there are any; when
+        there are, ``vector`` is staged ahead too, and the snapshot's
+        metadata is stored while the parts upload.
         ``logical_writes`` records how many application writes the vector
         carries (a coalesced batch, a collective stripe); ``defer_complete``
         launches the ``complete`` RPC as a background process so the caller
@@ -143,21 +153,17 @@ class PipelinedCommitEngine:
                 blob=blob_id, logical_writes=logical_writes)
         pieces, ticket = [], None
         try:
-            if len(vector):
+            if len(vector) and ahead is not None and ahead.stagings:
+                # the write's last part goes ahead like the others did
+                self.stage_ahead(blob_id, vector, ahead,
+                                 len(ahead.placed) - 1, trace_parent=span)
+            elif len(vector):
                 pieces, ticket = yield from self.stage(
                     blob_id, vector, placed=ahead and ahead.placed[-1],
                     take_ticket=True, trace_parent=span)
-            if ahead is not None and ahead.stagings:
-                earlier = yield from self._join_ahead(blob_id, ahead, ticket)
-                pieces = earlier + pieces
-                # every staging numbered its own requests from 0: overlaps
-                # resolve in the order the parts were staged, the commit's
-                # own vector last
-                for order, piece in enumerate(pieces):
-                    piece.request_index = order
             receipt = yield from self.publish(
                 blob_id, pieces, ticket, logical_writes, defer_complete,
-                started_at, span)
+                started_at, span, ahead)
         except Exception:
             # no snapshot will reference what this commit uploaded
             self.forget(pieces, ahead)
@@ -193,7 +199,7 @@ class PipelinedCommitEngine:
         return providers
 
     def stage(self, blob_id: str, vector: IOVector, *, placed=None,
-              take_ticket: bool = False, trace_parent=None):
+              take_ticket: bool = False, trace_parent=None, placing=None):
         """Steps 1-3 of a commit: split, place and upload ``vector``.
 
         ``placed`` is the ``(unit_sizes, providers)`` :meth:`place_ahead`
@@ -205,6 +211,8 @@ class PipelinedCommitEngine:
         that fails keeps nothing), and — with ``take_ticket`` — the
         ``(version, base_version)`` of a ticket requested *concurrently*
         with the uploads (released again if an upload fails), else ``None``.
+        ``placing``, if given, is an event fired with the pieces the moment
+        they are placed, before any upload is issued.
         """
         client = self.client
         sim = client.cluster.sim
@@ -231,6 +239,8 @@ class PipelinedCommitEngine:
             piece.chunk = client._chunk_keys.next_key()
             piece.provider_id = providers[unit]
             per_provider.setdefault(piece.provider_id, []).append(piece)
+        if placing is not None:
+            placing.succeed(pieces)
         upload_span = None
         if ctx is not None and per_provider:
             upload_span = ctx.begin_detached(
@@ -306,86 +316,112 @@ class PipelinedCommitEngine:
         The process never fails — nobody may be waiting when an upload dies,
         and an unobserved failure would stop the simulator: its value is the
         staged pieces or the exception, and :meth:`commit` raises the latter.
-        It holds no ticket.
+        It holds no ticket.  It places the part at the instant it starts and
+        fires ``ahead.parts[part]`` with the placed pieces — or with the
+        exception, if the part failed before it was placed — so the commit
+        can build the metadata while the bytes are still on their way.
         """
+        placing = self.client.cluster.sim.event()
+
         def contained():
             try:
                 pieces, _ticket = yield from self.stage(
                     blob_id, vector, placed=ahead.placed[part],
-                    trace_parent=trace_parent)
+                    trace_parent=trace_parent, placing=placing)
             except Exception as exc:
+                if not placing.triggered:
+                    placing.succeed(exc)
                 return exc
             if ahead.abandoned:
                 self.forget(pieces)
             return pieces
 
+        ahead.parts.append(placing)
         ahead.stagings.append(self.client.cluster.sim.process(
             contained(), name=f"{self.client.name}:stage"))
 
-    def _join_ahead(self, blob_id: str, ahead: AheadWrite, ticket):
-        """The pieces of ``ahead``'s stagings, in order, once all are done.
+    def _pieces_of(self, events):
+        """The pieces ``events`` carry, in order, once every one has fired.
 
-        If one of them failed the snapshot cannot be built: release
-        ``ticket`` (if the commit already holds one) and raise its error.
+        The events are :meth:`stage_ahead`'s stagings or placements, whose
+        value is the pieces or the exception that stopped them; the first
+        exception is raised.
         """
-        yield self.client.cluster.sim.all_of(ahead.stagings)
+        yield self.client.cluster.sim.all_of(events)
         pieces = []
-        for process in ahead.stagings:
-            if isinstance(process.value, Exception):
-                if ticket is not None:
-                    yield from self._abort_version(blob_id, ticket[0])
-                raise process.value
-            pieces.extend(process.value)
+        for event in events:
+            if isinstance(event.value, Exception):
+                raise event.value
+            pieces.extend(event.value)
         return pieces
 
     def publish(self, blob_id: str, pieces, ticket, logical_writes,
-                defer_complete, started_at, span):
+                defer_complete, started_at, span,
+                ahead: Optional[AheadWrite] = None):
         """Steps 4-6 of a commit: ticket, metadata over ``pieces``, complete.
 
         ``ticket`` is what :meth:`stage` returned; ``None`` requests one now.
+        With ``ahead``'s stagings the pieces are theirs: the ticket is
+        requested once the last part is placed, the metadata is built and
+        stored as soon as every part is, and ``complete`` waits for the
+        uploads as well.
         """
         client = self.client
         sim = client.cluster.sim
         ctx = client.trace_ctx
         blob = yield from client._descriptor(blob_id)
-
-        # 4b. version ticket, if the uploads did not bring one
-        if ticket is None:
-            ticket = yield from self._wcontrol(
-                client.deployment.version_manager, "assign_ticket", blob_id,
-                trace_parent=span)
-        version, base_version = ticket
-
-        # 5. copy-on-write metadata, batched per metadata shard.  Any
-        #    failure past this point holds an assigned ticket, so the error
-        #    paths must release it (after undoing partially stored nodes) or
-        #    publication would stall for every later writer.
+        stagings = ahead.stagings if ahead is not None else ()
+        nodes = None
         try:
-            leaf_segments = build_leaf_segments(blob, pieces)
-            nodes = build_write_metadata(blob, version, base_version, leaf_segments)
-        except Exception:
-            # nothing was stored yet: releasing the ticket is always safe
-            yield from self._abort_version(blob_id, version)
-            raise
-        store_span = None
-        if span is not None:
-            store_span = ctx.begin_detached(
-                "commit.put_nodes", cat="write", parent=span,
-                nodes=len(nodes), version=version)
-        try:
+            # 4b. version ticket, if the uploads did not bring one; it rides
+            #     along with the last part's upload (a part that cannot be
+            #     placed takes none)
+            if stagings:
+                yield from self._pieces_of(ahead.parts[-1:])
+            if ticket is None:
+                ticket = yield from self._wcontrol(
+                    client.deployment.version_manager, "assign_ticket",
+                    blob_id, trace_parent=span)
+            version, base_version = ticket
+            if stagings:
+                pieces = yield from self._pieces_of(ahead.parts)
+                # every staging numbered its own requests from 0: overlaps
+                # resolve in the order the parts were staged, the commit's
+                # own vector last
+                for order, piece in enumerate(pieces):
+                    piece.request_index = order
+
+            # 5. copy-on-write metadata, batched per metadata shard
+            nodes = build_write_metadata(blob, version, base_version,
+                                         build_leaf_segments(blob, pieces))
+            store_span = None
+            if span is not None:
+                store_span = ctx.begin_detached(
+                    "commit.put_nodes", cat="write", parent=span,
+                    nodes=len(nodes), version=version)
             yield from self._store_nodes(blob, nodes, trace_parent=store_span)
+            if store_span is not None:
+                ctx.end(store_span)
+            if stagings:
+                # the bytes, too, are stored before the snapshot publishes
+                yield from self._pieces_of(stagings)
         except Exception:
-            # a partially stored node set must never become reachable
-            # through later snapshots' at-or-before lookups: roll it back,
-            # then release the ticket.  If the rollback itself fails (a
-            # metadata shard is down) leave the ticket assigned — a stalled
-            # publication is recoverable, a torn snapshot is not.
-            rolled_back = yield from self._rollback_metadata(blob, nodes)
-            if rolled_back:
-                yield from self._abort_version(blob_id, version)
+            if stagings:
+                # no upload outlives the commit that failed
+                yield sim.all_of(stagings)
+            # a ticket held past this point must be released or publication
+            # would stall for every later writer — but a partially stored
+            # node set must never become reachable through later snapshots'
+            # at-or-before lookups: roll it back first.  If the rollback
+            # itself fails (a metadata shard is down) leave the ticket
+            # assigned — a stalled publication is recoverable, a torn
+            # snapshot is not.
+            rolled_back = True
+            if nodes is not None:
+                rolled_back = yield from self._rollback_metadata(blob, nodes)
+            if ticket is not None and rolled_back:
+                yield from self._abort_version(blob_id, ticket[0])
             raise
-        if store_span is not None:
-            ctx.end(store_span)
 
         # 5b. write-through cache population: the writer keeps the leaves
         #     it built, under their exact-version keys — a read looks up

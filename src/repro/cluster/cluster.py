@@ -62,8 +62,7 @@ class Cluster:
         #: ``config.tracing``
         self.obs = Observability(
             self.sim, tracing=self.config.tracing,
-            link_telemetry=self.config.tracing
-            and self.config.network_model == "queued",
+            network_model=self.config.network_model,
             latency_digests=self.config.latency_digests)
         if self.config.network_model == "queued":
             self.network = QueuedNetwork(self.sim, self.config, obs=self.obs)

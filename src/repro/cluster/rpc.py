@@ -106,34 +106,6 @@ class RpcTransport:
         return result
 
 
-    def call_batch(self, caller: "Node", calls, *, _trace_parent: Any = None):
-        """Issue several independent RPCs concurrently; return their results.
-
-        ``calls`` is a sequence of ``(service, method, request_bytes,
-        response_bytes, args, kwargs)`` tuples (``args`` and ``kwargs``
-        optional).  All calls start at the current instant and the batch
-        completes when the slowest response lands — one
-        :class:`~repro.simengine.Fanout` transaction instead of one
-        bootstrap/termination event pair per shard.  Results come back in
-        call order.
-
-        ``_trace_parent`` (keyword-only, like :meth:`call`'s) is threaded
-        into every member call, so all of a batch's request/response link
-        transfers attach to the one span the caller opened for the fan-out.
-        """
-        generators = []
-        for spec in calls:
-            service, method, request_bytes, response_bytes, *rest = spec
-            args = rest[0] if rest else ()
-            kwargs = rest[1] if len(rest) > 1 else {}
-            generators.append(self.call(caller, service, method,
-                                        request_bytes, response_bytes, *args,
-                                        _trace_parent=_trace_parent,
-                                        **kwargs))
-        results = yield self.cluster.sim.fanout(generators)
-        return results
-
-
 def remote_call(cluster: "Cluster", caller: "Node", service: Service, method: str,
                 request_bytes: int, response_bytes: int, *args: Any, **kwargs: Any):
     """Convenience wrapper around :meth:`RpcTransport.call`."""

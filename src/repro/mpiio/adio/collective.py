@@ -26,12 +26,15 @@ separately costs one version ticket plus one copy-on-write metadata build
    into stripe units, ``put_chunks``) as a background process while the
    group exchanges round ``k + 1``: the disks work from the first round on
    instead of idling through the whole shuffle.  Where the units go is
-   settled when the first sub-stripe goes ahead: the descriptions say what
-   every sub-stripe will hold, so one ``allocate`` places the whole stripe.
-   The last round's runs go straight to the aggregator's
+   settled before any byte moves: the descriptions say what every
+   sub-stripe will hold, so one ``allocate`` places the whole stripe, issued
+   in the background as soon as the plan is known and running beside round
+   0's exchange; the first sub-stripe to go ahead joins it.  The last
+   round's runs go straight to the aggregator's
    :class:`~repro.blobseer.writepath.engine.PipelinedCommitEngine` together
    with the stagings still in flight, and one commit uploads them (its
-   ticket request riding along), joins the rest and publishes the whole
+   ticket request riding along), stores the stripe's metadata while the
+   last rounds are still uploading, joins them and publishes the whole
    stripe: the group's collective is ``num_aggregators`` snapshots
    (one ``allocate``, one ticket, one metadata build, one ``complete``
    each) instead of ``N``, each of one chunk per stripe unit however small
@@ -657,6 +660,16 @@ class CollectiveAggregator(_CollectiveParticipant):
         ahead: Optional[AheadWrite] = None
         runs: Optional[IOVector] = None
         parent = ctx.current if ctx is not None else None
+        # a stripe with bytes in any round but the last sends them ahead of
+        # its commit: have the whole stripe placed while round 0 is
+        # exchanged, so that no round — nor the commit — waits on it
+        placement = None
+        if failure is None and stripe is not None:
+            units = self._stripe_units(plan, rank)
+            if any(units[:-1]):
+                placement = client.cluster.sim.process(
+                    self._place(units, ctx, parent, rank),
+                    name=f"{client.name}:place")
         for index in range(rounds):
             # each send list is priced once, here, for the stats, the cost
             # model and the receiver; pieces addressed to this rank itself
@@ -675,18 +688,20 @@ class CollectiveAggregator(_CollectiveParticipant):
                     runs = self._assemble(received, rank)
                     if runs is not None and index + 1 < rounds:
                         if ahead is None:
-                            # the first bytes to go ahead of the commit:
-                            # have the whole stripe placed, so that no
-                            # later round — nor the commit — asks again
-                            ahead = yield from _phase(
-                                ctx, client.writepath.place_ahead(
-                                    self._stripe_units(plan, rank)),
-                                "collective.write.place", rank=rank)
+                            placed = yield placement
+                            if isinstance(placed, Exception):
+                                raise placed
+                            ahead = placed
                         client.writepath.stage_ahead(
                             blob_id, runs, ahead, index, trace_parent=parent)
                         runs = None
                 except Exception as exc:
                     failure = exc
+        if placement is not None and ahead is None:
+            # nothing went ahead after all (this rank failed first, or a
+            # failed peer left the early rounds empty): the placement is
+            # joined, not left running past the collective, and unused
+            yield placement
 
         # phase 3 (aggregators): publish the whole stripe — every round's
         # uploads — as one snapshot
@@ -738,6 +753,25 @@ class CollectiveAggregator(_CollectiveParticipant):
         return vector.total_bytes()
 
     # ------------------------------------------------------------------
+    def _place(self, units: List[List[int]], ctx, parent, rank: int):
+        """The stripe's ``place_ahead``, as the body of a background process
+        that never fails: its value is the placed write or the exception,
+        which the first round to go ahead raises in its own turn."""
+        span = None
+        if ctx is not None:
+            span = ctx.begin_detached("collective.write.place",
+                                      cat="collective", parent=parent,
+                                      rank=rank)
+        try:
+            ahead = yield from self.client.writepath.place_ahead(
+                units, trace_parent=span)
+        except Exception as exc:
+            return exc
+        finally:
+            if span is not None:
+                ctx.end(span)
+        return ahead
+
     @staticmethod
     def _stripe_units(plan: _WritePlan, rank: int) -> List[List[int]]:
         """Per round, the stripe units of aggregator ``rank``'s sub-stripe

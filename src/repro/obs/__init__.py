@@ -69,14 +69,16 @@ class Observability:
     """
 
     def __init__(self, sim, tracing: bool = False,
-                 link_telemetry: bool = None,
+                 network_model: str = "bottleneck",
                  latency_digests: bool = False):
         self.sim = sim
         self.registry = MetricsRegistry(clock=lambda: sim.now)
         self.tracer = Tracer(clock=lambda: sim.now) if tracing \
             else NULL_TRACER
-        sample_links = tracing if link_telemetry is None else link_telemetry
-        self.link_telemetry = LinkTelemetry(sim) if sample_links else None
+        # only the queued model has links whose queues a sample can show,
+        # and only a traced run asks for them
+        self.link_telemetry = LinkTelemetry(sim) \
+            if tracing and network_model == "queued" else None
         self.digests = DigestTaps(self.registry) if latency_digests else None
 
     @property

@@ -199,6 +199,112 @@ class TestStagedAhead:
                 receipts[None].bytes_written, receipts[None].chunks,
                 receipts[None].metadata_nodes)
 
+    def commit_two_ahead(self, engine):
+        """``PARTS`` placed together: two staged ahead, the third committed."""
+        ahead = yield from self.place(engine)
+        for index, part in enumerate(self.PARTS[:2]):
+            engine.stage_ahead(BLOB, IOVector.for_write(part), ahead, index)
+        receipt = yield from engine.commit(
+            BLOB, IOVector.for_write(self.PARTS[2]), ahead=ahead)
+        return receipt
+
+    @staticmethod
+    def record_uploads(cluster, deployment):
+        """The instants every ``put_chunks`` handler finished storing."""
+        stored_at = []
+        for provider in deployment.data_providers.values():
+            def recording(items, _real=provider.put_chunks):
+                stored = yield from _real(items)
+                stored_at.append(cluster.sim.now)
+                return stored
+            provider.put_chunks = recording
+        return stored_at
+
+    @staticmethod
+    def assert_aborted_without_a_trace(deployment):
+        manager = deployment.version_manager.manager
+        assert (manager.tickets_assigned, manager.tickets_aborted) == (1, 1)
+        assert manager.pending_versions(BLOB) == []
+        assert deployment.metadata_store.node_count() == 0
+
+    def test_the_metadata_goes_down_while_the_parts_upload(self):
+        """A commit placed ahead stores its nodes as soon as it holds the
+        ticket and every part's placed pieces: its ``put_nodes`` have all
+        returned before the last upload is stored — and it still costs the
+        single commit's control RPCs and stores the single commit's bytes."""
+        cluster, deployment, client = make_client()
+        uploads = self.record_uploads(cluster, deployment)
+        engine = client.writepath
+        real_store_nodes = engine._store_nodes
+        nodes_stored_at = []
+
+        def timed_store_nodes(blob, nodes, trace_parent=None):
+            yield from real_store_nodes(blob, nodes, trace_parent=trace_parent)
+            nodes_stored_at.append(cluster.sim.now)
+
+        engine._store_nodes = timed_store_nodes
+        run(cluster, self.commit_two_ahead(engine))
+        assert len(nodes_stored_at) == 1
+        assert nodes_stored_at[0] < max(uploads)
+        assert client.write_control_rpcs == 3
+        assert deployment.version_manager.manager.latest_published(BLOB) == 1
+
+        single_cluster, _, single = make_client()
+        run(single_cluster, single.writepath.commit(BLOB, IOVector.for_write(
+            [pair for part in self.PARTS for pair in part])))
+        assert run(cluster, client.vread(BLOB, [(0, BLOB_SIZE)])) == run(
+            single_cluster, single.vread(BLOB, [(0, BLOB_SIZE)]))
+
+    def test_a_metadata_failure_joins_the_uploads_then_rolls_back(self):
+        """A shard failing ``put_nodes`` while the parts still upload: the
+        commit waits for every upload, removes the nodes, then releases the
+        ticket — nothing reachable, nothing pending."""
+        from repro.errors import ProviderUnavailable
+        cluster, deployment, client = make_client()
+        uploads = self.record_uploads(cluster, deployment)
+        broken = deployment.metadata_providers[1]
+        manager = deployment.version_manager
+        aborted_at = []
+
+        def down(nodes):
+            raise ProviderUnavailable("metadata shard down")
+            yield  # pragma: no cover - generator handler shape
+
+        def timed_abort(blob_id, version, _real=manager.abort):
+            aborted_at.append(cluster.sim.now)
+            latest = yield from _real(blob_id, version)
+            return latest
+
+        broken.put_nodes = down
+        manager.abort = timed_abort
+        with pytest.raises(ProviderUnavailable, match="shard down"):
+            run(cluster, self.commit_two_ahead(client.writepath))
+        self.assert_aborted_without_a_trace(deployment)
+        assert uploads and max(uploads) < aborted_at[0]
+        assert client.chunk_cache.resident_bytes == 0
+
+    def test_an_upload_failing_after_the_nodes_are_stored_rolls_back(self):
+        """The nodes are stored; then the last part's upload fails at a
+        provider: the stored nodes are removed and the ticket released."""
+        cluster, deployment, client = make_client()
+        nodes_when_failed = []
+        for provider in deployment.data_providers.values():
+            def failing(items, _real=provider.put_chunks):
+                stored = yield from _real(items)
+                if any(len(data) == 232 for _key, data in items):
+                    # the last piece of the commit's own part (1000 bytes
+                    # from offset 2048)
+                    nodes_when_failed.append(
+                        deployment.metadata_store.node_count())
+                    raise StorageError("provider lost the last part")
+                return stored
+            provider.put_chunks = failing
+        with pytest.raises(StorageError, match="last part"):
+            run(cluster, self.commit_two_ahead(client.writepath))
+        assert nodes_when_failed and nodes_when_failed[0] > 0
+        self.assert_aborted_without_a_trace(deployment)
+        assert client.chunk_cache.resident_bytes == 0
+
     def test_a_part_that_is_not_what_was_declared_places_itself(self):
         """A peer that failed to deliver leaves a part short of its
         description: the slice reserved for it no longer fits, so the staging
@@ -258,10 +364,16 @@ class TestStagedAhead:
             stored = deployment.data_provider(piece.provider_id).store
             assert len(stored.get_chunk(piece.chunk)) == piece.length
 
-    def test_a_staging_that_dies_fails_the_commit_not_the_simulator(self):
-        """Nobody waits on a staging while it runs; its failure is a value
-        until the commit joins it — which then releases the ticket it had
-        taken alongside its own upload."""
+    @pytest.mark.parametrize("idle", [1.0, 0.0],
+                             ids=["commit-later", "commit-at-once"])
+    def test_a_staging_that_dies_fails_the_commit_not_the_simulator(self,
+                                                                     idle):
+        """Nobody waits on a staging while it runs; its failure — before
+        its part is placed — is a value until the commit joins it, which
+        then releases the ticket it had taken alongside its own upload.
+        The commit does not hang on the placement that never comes, whether
+        the failure sat unobserved (``idle``) or the commit is already
+        waiting for the parts."""
         cluster, deployment, client = make_client()
         engine = client.writepath
         real_stage = engine.stage
@@ -281,17 +393,16 @@ class TestStagedAhead:
             for index, part in enumerate(self.PARTS[:2]):
                 engine.stage_ahead(BLOB, IOVector.for_write(part), ahead,
                                    index)
-            # far longer than any upload: the failure sits unobserved
-            yield cluster.sim.timeout(1.0)
-            assert isinstance(ahead.stagings[1].value, StorageError)
+            if idle:
+                # far longer than any upload: the failure sits unobserved
+                yield cluster.sim.timeout(idle)
+                assert isinstance(ahead.stagings[1].value, StorageError)
             yield from engine.commit(
                 BLOB, IOVector.for_write(self.PARTS[2]), ahead=ahead)
 
         with pytest.raises(StorageError, match="second part"):
             run(cluster, write())
-        manager = deployment.version_manager.manager
-        assert (manager.tickets_assigned, manager.tickets_aborted) == (1, 1)
-        assert manager.pending_versions(BLOB) == []
+        self.assert_aborted_without_a_trace(deployment)
         # the part staged ahead (2 chunks) and the commit's own (4) were
         # uploaded and kept; the abort dropped both from the chunk cache
         assert sum(provider.store.chunk_count()

@@ -272,65 +272,3 @@ class TestRpc:
         assert stats["nodes"] == 2
         assert stats["rpc_calls"] == 1
         assert stats["disk_bytes"] == 100
-
-
-class ComboService(Service):
-    """Handler with positional, defaulted and keyword parameters, to pin
-    the batch spec's optional args/kwargs members."""
-
-    def __init__(self, node):
-        super().__init__(node, "combo")
-
-    def combine(self, value=0, scale=1, tag=""):
-        yield self.node.sim.timeout(0.1)
-        return (value * scale, tag)
-
-
-class TestRpcBatch:
-    def _cluster(self, **overrides):
-        cluster = make_cluster(**overrides)
-        client = cluster.add_node("client")
-        service = ComboService(cluster.add_node("server"))
-        return cluster, client, service
-
-    def test_batch_specs_of_every_arity_in_call_order(self):
-        """REGRESSION: a 6-member spec's kwargs dict used to be splatted
-        into ``call`` as a second positional tuple instead of keyword
-        arguments, so any batched call relying on keywords broke."""
-        cluster, client, service = self._cluster()
-        result = []
-
-        def proc():
-            replies = yield from cluster.rpc.call_batch(client, [
-                (service, "combine", 10, 10),
-                (service, "combine", 10, 10, (2,)),
-                (service, "combine", 10, 10, (3,), {"scale": 10}),
-                (service, "combine", 10, 10, (), {"value": 4, "tag": "kw"}),
-            ])
-            result.append(replies)
-
-        cluster.sim.process(proc())
-        cluster.run()
-        assert result[0] == [(0, ""), (2, ""), (30, ""), (4, "kw")]
-        assert service.calls["combine"] == 4
-
-    def test_batch_threads_the_trace_parent_into_every_member(self):
-        """REGRESSION: every member call's request/response link transfers
-        must attach to the one span the caller opened for the fan-out, not
-        float parentless."""
-        cluster, client, service = self._cluster(tracing=True)
-
-        def proc():
-            yield from cluster.rpc.call_batch(client, [
-                (service, "combine", 10, 10, (1,)),
-                (service, "combine", 10, 10, (2,)),
-            ], _trace_parent=777)
-
-        cluster.sim.process(proc())
-        cluster.run()
-        link_spans = [span for span in cluster.obs.tracer.spans
-                      if span.cat == "net"]
-        assert link_spans
-        assert all(span.parent_id == 777 for span in link_spans)
-        # 2 member calls x (request + response) x (tx + rx NIC spans)
-        assert len(link_spans) == 8

@@ -466,6 +466,50 @@ class TestFailureInOneRound:
         # stripe row is three chunks) and dropped its chunks as it landed
         assert landed_after_giving_up == [3] * failing_round
 
+    def test_a_placement_nothing_used_is_joined_before_the_rank_leaves(self):
+        """The stripe's ``allocate`` runs in the background beside round 0.
+        The doomed aggregator dies assembling round 0, so no sub-stripe
+        ever joins that placement — a slow one here — and it is still
+        joined before the rank leaves the collective."""
+        placed_at, left_at = [], []
+
+        def sabotage(rank, driver):
+            if rank != DOOMED_RANK:
+                return
+            sim = driver.client.cluster.sim
+            manager = driver.client.deployment.provider_manager
+            real_allocate, real_write = manager.allocate, driver.write_vector_all
+
+            def slow_allocate(sizes, writer=None):
+                if writer == driver.client.name:
+                    yield sim.timeout(1.0)
+                chosen = yield from real_allocate(sizes, writer)
+                if writer == driver.client.name:
+                    placed_at.append(sim.now)
+                return chosen
+
+            def dying_assemble(received, self_rank):
+                raise StorageError("assembly died")
+
+            def timed_write(*args, **kwargs):
+                try:
+                    yield from real_write(*args, **kwargs)
+                finally:
+                    left_at.append(sim.now)
+
+            manager.allocate = slow_allocate
+            driver.aggregator._assemble = dying_assemble
+            driver.write_vector_all = timed_write
+
+        cluster, deployment, drivers, result = \
+            run_collective_with_sabotage(sabotage)
+        assert result.results[DOOMED_RANK] == "StorageError"
+        assert placed_at and placed_at[0] >= 1.0
+        assert placed_at[0] < left_at[0]
+        manager = deployment.version_manager.manager
+        assert manager.tickets_aborted == 0
+        assert manager.pending_versions(PATH) == []
+
     @pytest.mark.parametrize("doomed", [1, DOOMED_RANK],
                              ids=["plain-rank", "aggregator"])
     def test_cut_failure_enters_every_round_empty_handed(self, doomed):

@@ -24,7 +24,7 @@ from repro.mpi.launcher import run_mpi_job
 from repro.mpiio.adio.collective import _round_bytes
 from repro.mpiio.adio.versioning import VersioningDriver
 from repro.mpiio.file import File
-from repro.obs.critpath import operation_report
+from repro.obs.critpath import SpanDag, critical_path, operation_report
 from repro.vstore.client import VectoredClient
 from tests._oracle import serial_oracle_vectors
 from tests.mpiio._collective_testlib import read_back_latest
@@ -184,6 +184,52 @@ def test_round_uploads_hang_off_the_write_op_and_the_layers_still_tile():
     for entry in ops.values():
         assert math.isclose(entry["attributed_s"], entry["end_to_end_s"],
                             rel_tol=1e-9, abs_tol=1e-12)
+
+
+@pytest.mark.parametrize("network_model", ["bottleneck", "queued"])
+def test_the_stripe_control_plane_is_off_every_write_critical_path(
+        network_model):
+    """A checkpoint-shaped dump (16 KiB chunks on the default 1 ms disks,
+    four rounds): each aggregator's ``allocate`` runs beside round 0's
+    exchange and its ``put_nodes`` beside its last rounds' uploads, so no
+    rank's ``file.write_at_all`` critical path passes through either."""
+    num_ranks, blocks, block = 16, 16, 16 * 1024
+    file_size = num_ranks * blocks * block
+    cluster = Cluster(config=ClusterConfig(network_model=network_model,
+                                           tracing=True), seed=5)
+    deployment = BlobSeerDeployment(cluster, num_providers=8,
+                                    num_metadata_providers=2,
+                                    chunk_size=block)
+
+    def rank_main(ctx):
+        driver = VersioningDriver(deployment, ctx.node,
+                                  rank_name=f"rank{ctx.rank}",
+                                  write_coalescing=True,
+                                  collective_buffering=True,
+                                  collective_aggregators=4)
+        handle = yield from File.open(driver, PATH, rank=ctx.rank,
+                                      comm=ctx.comm, size_hint=file_size)
+        handle.set_view(ctx.rank * block, BYTE,
+                        Vector(blocks, block, num_ranks * block, BYTE))
+        yield from handle.write_at_all(0, bytes([ctx.rank + 1])
+                                       * (blocks * block))
+        yield from handle.close()
+
+    run_mpi_job(cluster, num_ranks, rank_main)
+    tracer = cluster.obs.tracer
+    names = [span.name for span in tracer.spans]
+    assert max(span.args["round"] for span in tracer.spans
+               if span.name == "collective.write.exchange_data") == 3
+    control = {"commit.put_nodes", "rpc.put_nodes", "rpc.allocate"}
+    assert control <= set(names)
+    ops = operation_report(tracer)["operations"]
+    assert ops["file.write_at_all"]["count"] == num_ranks
+    dag = SpanDag(tracer.spans)
+    on_paths = {segment.name
+                for root in dag.roots(["file.write_at_all"])
+                for segment in critical_path(dag, root)}
+    assert "rpc.put_chunks" in on_paths
+    assert not on_paths & control
 
 
 def test_a_round_is_sized_to_be_worth_a_disks_positioning_time():
