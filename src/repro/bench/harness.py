@@ -238,9 +238,8 @@ def verify_job_atomicity(environment: ExperimentEnvironment,
                          result: RunResult) -> bool:
     """Check that the file left behind by a run satisfies MPI atomicity.
 
-    Exact but factorial (:mod:`repro.core.atomicity`): once 11 or more ranks
-    form one conflict group — a chain of overlapping neighbours is one — it
-    raises :class:`~repro.errors.CheckerBudgetExceeded` instead of answering.
+    Exact at any rank count (:mod:`repro.core.atomicity` decides without
+    search, however many ranks overlap one another).
     """
     observed = read_back_file(environment, result.path, result.file_size)
     writes = [VectoredWrite(rank, IOVector.for_write(list(pairs_for_rank(rank))))

@@ -12,33 +12,31 @@ This module turns that definition into a checker used throughout the test
 suite:
 
 * :func:`apply_writes` — replay a list of vectored writes in a given order;
-* :func:`find_serialization` — search for an order of the concurrent writes
-  that reproduces an observed final state;
+* :func:`find_serialization` — build an order of the concurrent writes that
+  reproduces an observed final state, or show that none exists;
 * :func:`check_mpi_atomicity` — the boolean/raising wrapper used by tests and
   by the property-based atomicity suite.
 
-The search is exact and exhaustive: the writes are split into conflict
-groups (connected components of the overlap graph — groups commute, so only
-orders within a group matter) and every permutation of a group is replayed
-until one matches the observed bytes the group touches.  That is factorial in
-the group size: up to 10 mutually conflicting writes are always enumerated
-(10! = 3.6 M replays at worst); a larger group whose permutation count exceeds
-``max_group_permutations`` (every group of 11 or more under the default
-budget) raises :class:`~repro.errors.CheckerBudgetExceeded` — "cannot
-decide", never :class:`~repro.errors.AtomicityViolation`.
-``perfbench/atomicity.py`` is the polynomial checker for larger jobs.
+The checker cuts ``[0, len(observed))`` at every request boundary.  On each
+segment, a write holds the bytes of its *last* request covering it (as in
+:meth:`~repro.core.listio.IOVector.apply_to`); a segment no write covers must
+keep ``initial``'s bytes, zero past its end.  The order is built from its
+end: a write may go last among the unplaced ones when it holds the file's
+bytes on every segment no placed write covers, and placing it settles the
+segments it covers.  When writes remain and none may go last, no order
+exists.  Any write that may go last is a safe pick, so nothing is searched:
+moving it to the end of a valid order of the unplaced writes keeps that
+order valid, since on every segment where it is now last it holds the
+observed bytes — equal payloads on an overlap included.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.listio import IOVector
-from repro.core.regions import RegionList
-from repro.errors import AtomicityViolation, CheckerBudgetExceeded
+from repro.errors import AtomicityViolation
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -51,10 +49,6 @@ class VectoredWrite:
 
     writer_id: int
     vector: IOVector
-
-    def region_list(self) -> RegionList:
-        """Byte ranges touched by the write."""
-        return self.vector.region_list()
 
 
 def apply_writes(initial: bytes, writes: Sequence[VectoredWrite],
@@ -82,154 +76,100 @@ def apply_writes(initial: bytes, writes: Sequence[VectoredWrite],
     return bytes(content)
 
 
-def _conflict_groups(writes: Sequence[VectoredWrite]) -> List[List[int]]:
-    """Partition write indices into connected components of the conflict graph.
+def _serialize(initial: bytes, writes: Sequence[VectoredWrite],
+               observed: bytes) -> Tuple[Optional[List[int]], str]:
+    """The order :func:`find_serialization` returns, with ``""``; or
+    ``None`` with the reason no order exists."""
+    length = len(observed)
+    cuts = {0, length}
+    for write in writes:
+        for request in write.vector:
+            cuts.add(min(request.offset, length))
+            cuts.add(min(request.offset + request.size, length))
+    bounds = sorted(cuts)
+    segment_at = {start: index for index, start in enumerate(bounds)}
 
-    Two writes conflict when their byte ranges overlap.  Only the relative
-    order *within* a component can influence the final content, so the
-    serialization search may treat components independently — this is what
-    keeps the exact search tractable for realistic workloads.
-    """
-    count = len(writes)
-    region_lists = [write.region_list().normalized() for write in writes]
-    parent = list(range(count))
+    # segment index -> {write index: the bytes that write leaves there}
+    holds: List[Dict[int, bytes]] = [{} for _ in bounds[:-1]]
+    for index, write in enumerate(writes):
+        for request in write.vector:
+            offset, data = request.offset, request.data
+            start, end = offset, min(offset + request.size, length)
+            segment = segment_at.get(start)
+            while start < end:
+                stop = bounds[segment + 1]
+                holds[segment][index] = data[start - offset:stop - offset]
+                start, segment = stop, segment + 1
 
-    def find(node: int) -> int:
-        while parent[node] != node:
-            parent[node] = parent[parent[node]]
-            node = parent[node]
-        return node
+    # differing[w]: unsettled segments where write w's bytes are not the
+    # file's; waiting[s]: the writes counted on segment s
+    differing = [0] * len(writes)
+    waiting: List[List[int]] = [[] for _ in holds]
+    covers: List[List[int]] = [[] for _ in writes]
+    for segment, held in enumerate(holds):
+        start, end = bounds[segment], bounds[segment + 1]
+        actual = observed[start:end]
+        if not held:
+            expected = initial[start:end]
+            if actual != expected + bytes(end - start - len(expected)):
+                return None, (f"bytes [{start}, {end}) were modified but no "
+                              "write touches them")
+        for index, data in held.items():
+            covers[index].append(segment)
+            if data != actual:
+                differing[index] += 1
+                waiting[segment].append(index)
 
-    def union(a: int, b: int) -> None:
-        root_a, root_b = find(a), find(b)
-        if root_a != root_b:
-            parent[root_b] = root_a
-
-    for i in range(count):
-        for j in range(i + 1, count):
-            if region_lists[i].overlaps(region_lists[j]):
-                union(i, j)
-
-    groups: Dict[int, List[int]] = {}
-    for index in range(count):
-        groups.setdefault(find(index), []).append(index)
-    return list(groups.values())
+    ready = [index for index, count in enumerate(differing) if count == 0]
+    settled = [False] * len(holds)
+    placed: List[int] = []
+    while ready:
+        index = ready.pop()
+        placed.append(index)
+        for segment in covers[index]:
+            if not settled[segment]:
+                settled[segment] = True
+                for other in waiting[segment]:
+                    differing[other] -= 1
+                    if differing[other] == 0:
+                        ready.append(other)
+    if len(placed) < len(writes):
+        stuck = [writes[i].writer_id for i, n in enumerate(differing) if n]
+        return None, ("no serialization of the concurrent writes reproduces "
+                      f"the observed content (stuck writers: {stuck})")
+    placed.reverse()
+    return placed, ""
 
 
 def find_serialization(initial: bytes, writes: Sequence[VectoredWrite],
-                       observed: bytes,
-                       max_group_permutations: int = 2_000_000,
-                       ) -> Optional[List[int]]:
-    """Find an order of ``writes`` whose replay over ``initial`` equals ``observed``.
+                       observed: bytes) -> Optional[List[int]]:
+    """Find an order of ``writes`` whose replay over ``initial``, zero-padded
+    or cut to ``len(observed)``, equals ``observed``.
 
-    Returns the order (list of indices into ``writes``) or ``None`` when no
-    serialization produces the observed content — i.e. atomicity was violated.
-
-    The search decomposes the writes into conflict groups (connected
-    components of the overlap graph); non-conflicting groups commute, so only
-    intra-group orders are enumerated.  A group of more than 10 writes with
-    more than ``max_group_permutations`` orders raises
-    :class:`~repro.errors.CheckerBudgetExceeded` rather than silently
-    truncating the search or reporting a violation it has not shown.
+    Returns the order (indices into ``writes``), or ``None`` when no
+    serialization produces the observed content: atomicity was violated.
     """
-    if not writes:
-        return [] if bytes(observed) == bytes(initial) else None
-
-    final_length = len(observed)
-    groups = _conflict_groups(writes)
-
-    chosen_orders: List[List[int]] = []
-    for group in groups:
-        if len(group) > 10 \
-                and math.factorial(len(group)) > max_group_permutations:
-            raise CheckerBudgetExceeded(
-                f"conflict group of {len(group)} writes exceeds the "
-                f"permutation budget ({max_group_permutations}); "
-                "reduce the workload used with the exact checker")
-
-        solution: Optional[Tuple[int, ...]] = None
-        for permutation in itertools.permutations(group):
-            candidate = apply_writes(initial, writes, permutation)
-            if _matches_on_touched_bytes(candidate, observed, writes, group,
-                                         initial, final_length):
-                solution = permutation
-                break
-        if solution is None:
-            return None
-        chosen_orders.append(list(solution))
-
-    # Interleave groups in any fixed order (they commute); verify globally.
-    flat_order = [index for group_order in chosen_orders for index in group_order]
-    if apply_writes(initial, writes, flat_order)[:final_length] != bytes(observed):
-        return None
-    return flat_order
-
-
-def _matches_on_touched_bytes(candidate: bytes, observed: bytes,
-                              writes: Sequence[VectoredWrite],
-                              group: Iterable[int], initial: bytes,
-                              final_length: int) -> bool:
-    """Compare candidate and observed content on the bytes touched by ``group``."""
-    touched = RegionList()
-    for index in group:
-        touched = touched.union(writes[index].region_list())
-    for region in touched:
-        start = region.offset
-        end = min(region.end, final_length)
-        if start >= final_length:
-            continue
-        if candidate[start:end] != observed[start:end]:
-            return False
-    return True
+    return _serialize(bytes(initial), writes, bytes(observed))[0]
 
 
 def check_mpi_atomicity(initial: bytes, writes: Sequence[VectoredWrite],
                         observed: bytes, raise_on_violation: bool = False) -> bool:
     """Decide whether ``observed`` satisfies MPI atomicity for ``writes``.
 
-    Also verifies that bytes never touched by any write kept their initial
-    value (zero-fill beyond the initial length), which catches backends that
-    corrupt unrelated data.
+    Bytes that no write touches must keep their initial value (zero-fill
+    beyond the initial length), which catches backends that corrupt
+    unrelated data.
 
     Parameters
     ----------
     raise_on_violation:
         When True, raise :class:`~repro.errors.AtomicityViolation` with a
         diagnostic message instead of returning False.
-
-    Whatever the flag, an undecidable input (see :func:`find_serialization`)
-    raises :class:`~repro.errors.CheckerBudgetExceeded`.
     """
-    observed = bytes(observed)
-    initial = bytes(initial)
-
-    # 1. untouched bytes must be preserved
-    all_touched = RegionList()
-    for write in writes:
-        all_touched = all_touched.union(write.region_list())
-    length = len(observed)
-    untouched = RegionList.single(0, length).subtract(all_touched)
-    for region in untouched:
-        expected = initial[region.offset:region.end]
-        if len(expected) < region.size:
-            expected = expected + b"\x00" * (region.size - len(expected))
-        actual = observed[region.offset:region.end]
-        if actual != expected:
-            if raise_on_violation:
-                raise AtomicityViolation(
-                    f"bytes [{region.offset}, {region.end}) were modified but "
-                    "no write touches them")
-            return False
-
-    # 2. there must exist a serialization reproducing the touched bytes
-    order = find_serialization(initial, writes, observed)
-    if order is None:
-        if raise_on_violation:
-            raise AtomicityViolation(
-                "no serialization of the concurrent writes reproduces the "
-                f"observed content (writers: {[w.writer_id for w in writes]})")
-        return False
-    return True
+    order, reason = _serialize(bytes(initial), writes, bytes(observed))
+    if order is None and raise_on_violation:
+        raise AtomicityViolation(reason)
+    return order is not None
 
 
 def interleaving_example(initial: bytes, writes: Sequence[VectoredWrite]) -> bytes:

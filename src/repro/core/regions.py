@@ -2,9 +2,9 @@
 
 Every layer of the stack talks about *non-contiguous sets of byte ranges in a
 flat file*: the MPI-I/O layer produces them by flattening derived datatypes,
-the versioning backend stores them as chunk descriptors, the lock manager
-locks them, and the atomicity checker reasons about their overlaps.  This
-module provides the two value types used everywhere:
+the versioning backend stores them as chunk descriptors, and the lock
+manager locks them.  This module provides the two value types used
+everywhere:
 
 * :class:`Region` — a half-open byte interval ``[offset, offset + size)``;
 * :class:`RegionList` — an ordered collection of regions with the usual set

@@ -88,10 +88,5 @@ class AtomicityViolation(ReproError):
     """The atomicity checker proved that a final state is not MPI-atomic."""
 
 
-class CheckerBudgetExceeded(ReproError):
-    """The exact atomicity checker cannot decide: a conflict group has more
-    orders than its permutation budget.  Says nothing about the backend."""
-
-
 class BenchmarkError(ReproError):
     """An experiment definition or run is inconsistent."""

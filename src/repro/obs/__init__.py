@@ -8,10 +8,9 @@ every artifact is byte-stable across runs and usable as replay evidence):
   commit-engine stages → per-shard RPC → network link transfer),
   exportable as Chrome trace-event JSON (:mod:`repro.obs.export`).
 * :mod:`repro.obs.registry` — a central :class:`MetricsRegistry`
-  (counters, gauges, sim-time-weighted series, latency digests) behind
-  stable dotted names; :mod:`repro.obs.views` absorbs the stack's
-  scattered stats surfaces into it and re-asserts their partition
-  identities.
+  (counters, gauges, latency digests) behind stable dotted names;
+  :mod:`repro.obs.views` absorbs the stack's scattered stats surfaces
+  into it and re-asserts their partition identities.
 * :mod:`repro.obs.linktel` — per-link utilization / queueing timelines
   sampled on the ``"queued"`` network model's link events.
 * :mod:`repro.obs.digest` — deterministic fixed-log-bucket latency
@@ -72,7 +71,7 @@ class Observability:
                  network_model: str = "bottleneck",
                  latency_digests: bool = False):
         self.sim = sim
-        self.registry = MetricsRegistry(clock=lambda: sim.now)
+        self.registry = MetricsRegistry()
         self.tracer = Tracer(clock=lambda: sim.now) if tracing \
             else NULL_TRACER
         # only the queued model has links whose queues a sample can show,

@@ -1,4 +1,4 @@
-"""Central metrics registry: counters, gauges, sim-time-weighted series.
+"""Central metrics registry: counters, gauges, latency digests.
 
 One flat namespace of dotted metric names (``metadata.rpcs.read``,
 ``cache.shared.hits``, ``net.link.bytes``) replacing the stack's scattered
@@ -20,12 +20,12 @@ suites collect no registry.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.obs.digest import LatencyDigest
 
-__all__ = ["Counter", "Gauge", "TimeWeightedSeries", "LatencyDigest",
-           "MetricsRegistry", "IdentityViolation"]
+__all__ = ["Counter", "Gauge", "LatencyDigest", "MetricsRegistry",
+           "IdentityViolation"]
 
 
 class Counter:
@@ -54,55 +54,6 @@ class Gauge:
         self.value = value
 
 
-class TimeWeightedSeries:
-    """A value tracked over simulation time.
-
-    Each :meth:`record` holds the previous value over the elapsed interval,
-    so :meth:`mean` is the *sim-time-weighted* average — the right notion
-    for queue depths and utilization, where a depth held for 1 s matters
-    1000x more than the same depth held for 1 ms.
-    """
-
-    __slots__ = ("name", "_clock", "_value", "_since", "_started",
-                 "_integral", "samples", "max", "min")
-
-    def __init__(self, name: str, clock: Callable[[], float]):
-        self.name = name
-        self._clock = clock
-        self._value = 0.0
-        self._since: Optional[float] = None
-        self._started: Optional[float] = None
-        self._integral = 0.0
-        self.samples = 0
-        self.max: Optional[float] = None
-        self.min: Optional[float] = None
-
-    def record(self, value: float) -> None:
-        now = self._clock()
-        if self._since is None:
-            self._started = now
-        else:
-            self._integral += self._value * (now - self._since)
-        self._since = now
-        self._value = value
-        self.samples += 1
-        self.max = value if self.max is None else max(self.max, value)
-        self.min = value if self.min is None else min(self.min, value)
-
-    @property
-    def value(self) -> float:
-        return self._value
-
-    def mean(self) -> float:
-        """Sim-time-weighted mean since the first sample."""
-        if self._since is None:
-            return 0.0
-        now = self._clock()
-        integral = self._integral + self._value * (now - self._since)
-        elapsed = now - self._started
-        return integral / elapsed if elapsed > 0 else self._value
-
-
 class IdentityViolation(AssertionError):
     """A reported consistency check does not hold on collected values."""
 
@@ -110,8 +61,7 @@ class IdentityViolation(AssertionError):
 class MetricsRegistry:
     """Flat registry of named instruments plus reported check outcomes."""
 
-    def __init__(self, clock: Optional[Callable[[], float]] = None):
-        self._clock = clock or (lambda: 0.0)
+    def __init__(self):
         self._metrics: Dict[str, object] = {}
         #: check label -> the problems it found (see :meth:`report`)
         self._reported: Dict[str, List[str]] = {}
@@ -138,14 +88,6 @@ class MetricsRegistry:
                             "not a Gauge")
         return metric
 
-    def series(self, name: str) -> TimeWeightedSeries:
-        metric = self._get(
-            name, lambda n: TimeWeightedSeries(n, self._clock))
-        if not isinstance(metric, TimeWeightedSeries):
-            raise TypeError(f"{name!r} is a {type(metric).__name__}, "
-                            "not a TimeWeightedSeries")
-        return metric
-
     def digest(self, name: str) -> LatencyDigest:
         metric = self._get(name, LatencyDigest)
         if not isinstance(metric, LatencyDigest):
@@ -159,9 +101,6 @@ class MetricsRegistry:
 
     def set(self, name: str, value: float) -> None:
         self.gauge(name).set(value)
-
-    def record(self, name: str, value: float) -> None:
-        self.series(name).record(value)
 
     def __contains__(self, name: str) -> bool:
         return name in self._metrics
@@ -198,18 +137,12 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     def snapshot(self) -> Dict[str, object]:
         """All collected values as one flat, deterministically ordered
-        dict — counters and gauges under their name, series expanded to
-        ``.last`` / ``.mean`` / ``.max`` / ``.samples``, latency digests
-        to ``.count`` / ``.p50`` / ``.p95`` / ``.p99`` / ``.max``."""
+        dict — counters and gauges under their name, latency digests
+        expanded to ``.count`` / ``.p50`` / ``.p95`` / ``.p99`` / ``.max``."""
         out: Dict[str, object] = {}
         for name in sorted(self._metrics):
             metric = self._metrics[name]
-            if isinstance(metric, TimeWeightedSeries):
-                out[f"{name}.last"] = metric.value
-                out[f"{name}.mean"] = round(metric.mean(), 9)
-                out[f"{name}.max"] = metric.max
-                out[f"{name}.samples"] = metric.samples
-            elif isinstance(metric, LatencyDigest):
+            if isinstance(metric, LatencyDigest):
                 for key, value in metric.quantiles().items():
                     out[f"{name}.{key}"] = value
             else:

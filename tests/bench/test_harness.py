@@ -7,7 +7,7 @@ from repro.bench.harness import run_atomic_write_job, verify_job_atomicity
 from repro.bench.metrics import ThroughputSample, scaling_efficiency, speedup
 from repro.bench.reporting import format_series, format_table
 from repro.cluster import ClusterConfig
-from repro.errors import BenchmarkError, CheckerBudgetExceeded
+from repro.errors import BenchmarkError
 from repro.workloads.overlap_stress import OverlapStressWorkload
 
 QUICK = ClusterConfig(network_latency=1e-5, disk_overhead=1e-4)
@@ -120,16 +120,20 @@ class TestHarness:
                                       workload.file_size)
         assert verify_job_atomicity(environment, 3, workload.client_pairs, result)
 
-    def test_verification_limit_is_a_typed_cannot_decide(self):
-        """A chain of 11 overlapping ranks is one conflict group: beyond the
-        exact checker, which says so instead of blaming the backend."""
-        workload = self._workload(11)
-        environment = build_environment("versioning", num_storage_nodes=3,
+    @pytest.mark.parametrize("clients", [11, 64])
+    @pytest.mark.parametrize("backend", ["versioning", "posix-locking"])
+    def test_verification_decides_a_chain_of_any_length(self, backend,
+                                                        clients):
+        """A chain of overlapping ranks is one conflict group, however long:
+        the checker decides it without search."""
+        workload = self._workload(clients)
+        environment = build_environment(backend, num_storage_nodes=3,
                                         stripe_unit=4096, config=QUICK)
-        result = run_atomic_write_job(environment, 11, workload.client_pairs,
+        result = run_atomic_write_job(environment, clients,
+                                      workload.client_pairs,
                                       workload.file_size)
-        with pytest.raises(CheckerBudgetExceeded):
-            verify_job_atomicity(environment, 11, workload.client_pairs, result)
+        assert verify_job_atomicity(environment, clients,
+                                    workload.client_pairs, result) is True
 
     def test_locking_backend_reports_lock_wait(self):
         workload = self._workload(4)

@@ -1,5 +1,8 @@
 """Unit tests for the MPI-atomicity checker."""
 
+import itertools
+import random
+
 import pytest
 
 from repro.core.atomicity import (
@@ -10,11 +13,33 @@ from repro.core.atomicity import (
     interleaving_example,
 )
 from repro.core.listio import IOVector
-from repro.errors import AtomicityViolation, CheckerBudgetExceeded
+from repro.errors import AtomicityViolation
 
 
 def write(writer_id, pairs):
     return VectoredWrite(writer_id, IOVector.for_write(pairs))
+
+
+def padded(content, length):
+    """``content`` zero-padded or cut to ``length`` bytes."""
+    return content[:length] + bytes(max(0, length - len(content)))
+
+
+def reference_serialization(initial, writes, observed):
+    """The plain exhaustive search: replay every order, compare."""
+    requests = [[(r.offset, r.offset + r.size, r.data) for r in w.vector]
+                for w in writes]
+    extent = max([len(observed)] + [end for pieces in requests
+                                     for _, end, _ in pieces])
+    start = padded(initial, extent)
+    for order in itertools.permutations(range(len(writes))):
+        content = bytearray(start)
+        for index in order:
+            for offset, end, data in requests[index]:
+                content[offset:end] = data
+        if content[:len(observed)] == observed:
+            return list(order)
+    return None
 
 
 class TestApplyWrites:
@@ -123,21 +148,31 @@ class TestCheckMpiAtomicity:
             check_mpi_atomicity(b"\x00" * 4, writes, b"ABAB",
                                 raise_on_violation=True)
 
-    @pytest.mark.parametrize("raise_on_violation", [False, True])
-    def test_undecidable_is_not_reported_as_a_violation(self, raise_on_violation):
-        """11 identical-extent writers leave a perfectly serial outcome; 11!
-        orders is over the budget, and "cannot decide" is its own error."""
+    def test_eleven_identical_extent_writers_are_decided(self):
+        """11! orders of one conflict group: no search, no budget."""
         writes = [write(writer, [(0, bytes([65 + writer]) * 4)])
                   for writer in range(11)]
         observed = apply_writes(b"\x00" * 4, writes)
-        with pytest.raises(CheckerBudgetExceeded, match="group of 11") as caught:
-            check_mpi_atomicity(b"\x00" * 4, writes, observed,
-                                raise_on_violation=raise_on_violation)
-        assert not isinstance(caught.value, AtomicityViolation)
-        # ten writers are inside the limit, and a larger budget decides eleven
-        assert check_mpi_atomicity(b"\x00" * 4, writes[1:], observed)
-        assert find_serialization(b"\x00" * 4, writes, observed,
-                                  max_group_permutations=40_000_000) is not None
+        assert check_mpi_atomicity(b"\x00" * 4, writes, observed)
+        assert find_serialization(b"\x00" * 4, writes, observed)[-1] == 10
+
+    def test_a_64_writer_single_group_is_decided_both_ways(self):
+        """Two chains of overlapping neighbours, each writer in both: one
+        conflict group of 64.  The serial file is atomic; a file where
+        writers 0 and 1 overlap in both chains, and the two overlaps
+        resolve in opposite orders, is not."""
+        writes = [write(w, [(8 * w, bytes([w + 1]) * 16),
+                            (1024 + 8 * w, bytes([w + 1]) * 16)])
+                  for w in range(64)]
+        initial = bytes(2048)
+        serial = apply_writes(initial, writes)
+        assert check_mpi_atomicity(initial, writes, serial, True)
+        assert find_serialization(initial, writes, serial) == list(range(64))
+        crossed = bytearray(serial)
+        crossed[1032:1040] = bytes([1]) * 8  # writer 0 above 1, second chain
+        assert not check_mpi_atomicity(initial, writes, bytes(crossed))
+        with pytest.raises(AtomicityViolation, match=r"\[0, 1\]"):
+            check_mpi_atomicity(initial, writes, bytes(crossed), True)
 
     def test_three_writers_some_order(self):
         writes = [
@@ -154,6 +189,14 @@ class TestCheckMpiAtomicity:
         observed = b"\x00" * 10 + b"XX"
         assert check_mpi_atomicity(b"", writes, observed)
 
+    def test_zero_fill_past_every_write_is_preserved(self):
+        """The file ends past every write and past ``initial``: that byte
+        is zero-fill, not a byte the replay failed to produce."""
+        writes = [write(0, [(0, b"A")])]
+        assert check_mpi_atomicity(b"", writes, b"A\x00")
+        assert find_serialization(b"", writes, b"A\x00") == [0]
+        assert not check_mpi_atomicity(b"", writes, b"A\x01")
+
 
 class TestInterleavingExample:
     def test_interleaving_example_touches_all_requests(self):
@@ -163,3 +206,56 @@ class TestInterleavingExample:
         ]
         result = interleaving_example(b"\x00" * 8, writes)
         assert result == b"AABBAABB"
+
+
+def _random_case(rng):
+    """1-6 writers of 1-3 requests each over a file under 20 bytes, which
+    ``initial`` may fall short of or cover in full.  Requests of one write
+    may overlap each other; half the cases draw every payload from two
+    fill values, so equal bytes on an overlap are common."""
+    ambiguous = rng.random() < 0.5
+    writes = []
+    for writer in range(rng.randint(1, 6)):
+        palette = (1, 2) if ambiguous else (2 * writer + 3, 2 * writer + 4)
+        pairs = [(rng.randrange(0, 12),
+                  bytes([rng.choice(palette)]) * rng.randint(1, 6))
+                 for _ in range(rng.randint(1, 3))]
+        writes.append(write(writer, pairs))
+    length = max(request.offset + request.size
+                 for w in writes for request in w.vector)
+    length += rng.choice((0, 0, 2))
+    initial = bytes([rng.choice((0, 1, 9))]) * \
+        rng.choice((length, rng.randrange(0, length)))
+    order = rng.sample(range(len(writes)), len(writes))
+    serial = padded(apply_writes(initial, writes, order), length)
+    kind = rng.randrange(4)
+    if kind == 0:
+        observed = serial
+    elif kind == 1:
+        observed = padded(interleaving_example(initial, writes), length)
+    else:
+        mutated = bytearray(serial)
+        for _ in range(kind - 1):
+            mutated[rng.randrange(length)] = rng.choice((0, 1, 2, 3, 9))
+        observed = bytes(mutated)
+    return initial, writes, observed
+
+
+def test_agrees_with_the_exhaustive_search_on_random_cases():
+    rng = random.Random(20110516)
+    decided = {True: 0, False: 0}
+    for _ in range(2000):
+        initial, writes, observed = _random_case(rng)
+        order = find_serialization(initial, writes, observed)
+        expected = reference_serialization(initial, writes, observed)
+        assert (order is not None) == (expected is not None), \
+            (initial, writes, observed)
+        assert check_mpi_atomicity(initial, writes, observed) \
+            == (order is not None)
+        if order is not None:
+            assert sorted(order) == list(range(len(writes)))
+            assert padded(apply_writes(initial, writes, order),
+                          len(observed)) == observed
+        decided[order is not None] += 1
+    # both answers are common, so neither side of the rule goes unchecked
+    assert min(decided.values()) > 500, decided

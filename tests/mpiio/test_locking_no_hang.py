@@ -5,7 +5,7 @@ even in (OST, offset) order: it holds its first range, a wider request queues
 behind that, and the no-barging rule then queues the client's own second
 range behind the waiter it is blocking.  One all-or-nothing request per
 server has no hold-and-wait inside a server; ascending OST order covers the
-rest.  The first test is that two-client script, the second a seeded sweep
+rest.  The first test is that two-client script, the others seeded sweeps
 over every locking driver.
 """
 
@@ -65,12 +65,12 @@ def test_listlock_wide_writer_behind_a_two_range_writer_terminates(lag_ms):
     assert check_mpi_atomicity(b"\x00" * FILE_SIZE, writes, observed)
 
 
-def random_script(rng):
-    """3-6 clients, one write each (the exact checker tries every order of a
-    conflict group): 2-5 pieces placed on a 2 KiB grid, so the pieces of one
-    write never overlap each other but collide with other clients' all the
-    time — or, now and then, one wide contiguous write across the lot."""
-    clients = rng.randint(3, 6)
+def random_script(rng, fewest=3, most=6):
+    """``fewest``-``most`` clients, one write each: 2-5 pieces placed on a
+    2 KiB grid, so the pieces of one write never overlap each other but
+    collide with other clients' all the time — or, now and then, one wide
+    contiguous write across the lot."""
+    clients = rng.randint(fewest, most)
     script = []
     for fill in rng.sample(range(1, 256), clients):
         fill = bytes([fill])
@@ -87,11 +87,11 @@ def random_script(rng):
     return script
 
 
-@pytest.mark.parametrize("backend", LOCKING_BACKENDS)
-def test_random_overlapping_atomic_writes_terminate_and_serialize(backend):
-    rng = random.Random(f"no-hang:{backend}")
-    for index in range(40):
-        script = random_script(rng)
+def assert_scripts_serialize(backend, rng, scripts, **clients):
+    """Run ``scripts`` random scripts on ``backend``; each file must be
+    atomic."""
+    for index in range(scripts):
+        script = random_script(rng, **clients)
         # a collective write lets conflict-detect run its exchange and skip
         # locks where it can; the others treat it as independent writes
         observed, writes = run_script(
@@ -101,3 +101,16 @@ def test_random_overlapping_atomic_writes_terminate_and_serialize(backend):
             seed=index)
         assert check_mpi_atomicity(b"\x00" * FILE_SIZE, writes, observed), \
             f"{backend}, script {index}"
+
+
+@pytest.mark.parametrize("backend", LOCKING_BACKENDS)
+def test_random_overlapping_atomic_writes_terminate_and_serialize(backend):
+    assert_scripts_serialize(backend, random.Random(f"no-hang:{backend}"), 40)
+
+
+@pytest.mark.parametrize("backend", LOCKING_BACKENDS)
+def test_crowded_atomic_writes_serialize(backend):
+    """12-24 clients a script: most of them fall into one conflict group,
+    which the checker decides as readily as a group of three."""
+    assert_scripts_serialize(backend, random.Random(f"crowded:{backend}"), 10,
+                             fewest=12, most=24)

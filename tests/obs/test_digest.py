@@ -15,11 +15,6 @@ from repro.obs.registry import MetricsRegistry
 NS = 1_000_000_000
 
 
-def make_registry():
-    clock = [0.0]
-    return MetricsRegistry(clock=lambda: clock[0])
-
-
 def test_bucket_index_is_monotone_and_bound_is_inclusive():
     previous = -1
     for ns in list(range(0, 4096)) + [10 ** k for k in range(4, 13)]:
@@ -104,7 +99,7 @@ def test_negative_inputs_clamp_to_zero():
 
 
 def test_taps_fan_out_rpc_and_link_and_op_names():
-    registry = make_registry()
+    registry = MetricsRegistry()
     taps = DigestTaps(registry)
     taps.rpc("put_chunks", 1e-3)
     taps.rpc("put_chunks", 2e-3)
@@ -130,7 +125,7 @@ def test_taps_fan_out_rpc_and_link_and_op_names():
 
 
 def test_digest_columns_zero_filled_when_absent():
-    registry = make_registry()
+    registry = MetricsRegistry()
     columns = digest_columns(registry)
     assert columns == {"rpc_latency_count": 0, "rpc_latency_p50": 0.0,
                        "rpc_latency_p95": 0.0, "rpc_latency_p99": 0.0,

@@ -13,6 +13,7 @@ from repro.blobseer.deployment import BlobSeerDeployment
 from repro.blobseer.provider import SimDataProvider
 from repro.blobseer.provider_manager import ProviderManager
 from repro.cluster import Cluster, ClusterConfig
+from repro.core.atomicity import find_serialization
 from repro.mpiio.adio.versioning import VersioningDriver
 from repro.vstore.backend import VersioningBackend
 
@@ -62,6 +63,9 @@ CALLS = {
     "run_atomic_write_job(collective=)":
         lambda: run_atomic_write_job(None, 1, lambda rank: [], 1,
                                      collective=True),
+    "find_serialization(max_group_permutations=)":
+        lambda: find_serialization(b"", [], b"",
+                                   max_group_permutations=40_000_000),
 }
 
 
