@@ -20,10 +20,11 @@ invocations (``deployment.stats()``), the check on the clients' own
 ``metadata_rpcs``.
 
 Every point checks its clients' metadata tier chains — each lookup
-answered by exactly one tier, every shared service's count matched by its
-clients' (:mod:`repro.blobseer.metadata.tiers`) — and returns the scans'
-bytes, which the perf suites compare across every mode, node count and
-network model.
+answered by exactly one of the private cache, the node pool and the shards,
+every pool's count matched by its clients'
+(:mod:`repro.blobseer.metadata.tiers`) — and returns the scans' bytes,
+which the perf suites compare across every mode, node count and network
+model.
 """
 
 from __future__ import annotations
@@ -123,9 +124,8 @@ def run_scan_point(settings, config, *, prefix: str, mode: str,
         name=f"{prefix}-driver")
 
     chains = [client.tiers for client in clients]
-
-    def total(tier: str, counter: str) -> int:
-        return sum(chain.count(tier, counter) for chain in chains)
+    private = [chain.private.stats for chain in chains
+               if chain.private is not None]
 
     shared_stats = deployment.shared_cache_stats()
     logical_reads = num_clients * workload.rounds
@@ -137,12 +137,13 @@ def run_scan_point(settings, config, *, prefix: str, mode: str,
         "clients": num_clients,
         "rounds": workload.rounds,
         "logical_reads": logical_reads,
-        "metadata_rpcs": total("shards", "read_rpcs"),
+        "metadata_rpcs": sum(chain.shard_stats.read_rpcs
+                             for chain in chains),
         "latest_rpcs": sum(client.latest_rpcs for client in clients),
         "server_read_rpcs": (deployment.stats()["metadata_read_rpcs"]
                              - server_rpcs_seeded),
-        "private_hits": total("private", "hits"),
-        "shared_hits": total("node", "hits"),
+        "private_hits": sum(stats.hits for stats in private),
+        "shared_hits": sum(chain.pool_stats.hits for chain in chains),
         "fetched_lookups": sum(chain.fetched_lookups for chain in chains),
         "shared_evictions": shared_stats["evictions"],
         "shared_rejections": shared_stats["unpublished_rejections"],
@@ -159,9 +160,9 @@ def run_scan_point(settings, config, *, prefix: str, mode: str,
     # not artifact columns: the bytes and the independently counted totals
     extras = {
         "read_digest": b"".join(b"".join(scans[key]) for key in sorted(scans)),
-        "per_client_rpcs": {index: chain.count("shards", "read_rpcs")
+        "per_client_rpcs": {index: chain.shard_stats.read_rpcs
                             for index, chain in enumerate(chains)},
-        "private_tier_lookups": total("private", "lookups"),
+        "private_tier_lookups": sum(stats.lookups for stats in private),
         "shared_tier_lookups": shared_stats["hits"] + shared_stats["misses"],
     }
     # the scan clients are the shared tier's only participants (the seeder

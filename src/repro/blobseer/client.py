@@ -55,8 +55,9 @@ from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING, Union
 from repro.blobseer.blob import BlobDescriptor
 from repro.blobseer.chunk import ChunkKeyFactory
 from repro.blobseer.chunk_cache import ChunkCache
+from repro.blobseer.metadata.cache import MetadataNodeCache
 from repro.blobseer.metadata.segment_tree import ReadPlanner
-from repro.blobseer.metadata.tiers import UNSET, build_chain
+from repro.blobseer.metadata.tiers import MetadataTierChain
 from repro.blobseer.writepath.batch import WriteReceipt
 from repro.blobseer.writepath.coalescer import WriteCoalescer
 from repro.blobseer.writepath.engine import PipelinedCommitEngine
@@ -72,24 +73,28 @@ __all__ = ["BlobClient", "WriteReceipt"]
 WritePairs = Sequence[Tuple[int, bytes]]
 ReadPairs = Sequence[Tuple[int, int]]
 
+#: "not given": follow the cluster config (``None`` is a real capacity —
+#: it forces an unbounded cache against a bounded cluster default)
+UNSET = object()
+
 
 class BlobClient:
     """Client-side access to a :class:`~repro.blobseer.deployment.BlobSeerDeployment`.
 
-    Metadata lookups fold over the client's tier chain (``tiers``, a
+    Metadata lookups go through the client's tier chain (``tiers``, a
     :class:`~repro.blobseer.metadata.tiers.MetadataTierChain`): a private
-    cache of immutable nodes, optionally the compute node's shared pool,
-    then the shards, one batched ``get_nodes`` RPC per shard and walk
-    round.  A read looks every leaf it touches up at the read version, each
-    lookup carrying the runs the walk wants of that leaf, and the shard
-    answers the leaf's base-version chain in the same round trip, so a cold
-    read costs one round trip and the walk's later rounds hit the private
-    tier.  The keyword arguments only shape that list
-    (:func:`~repro.blobseer.metadata.tiers.build_chain`):
-    ``shared_metadata_cache`` and ``metadata_cache_capacity`` default to
-    the cluster config (an explicit ``metadata_cache_capacity=None`` forces
-    an unbounded private cache even against a bounded cluster default),
-    while ``enable_metadata_cache=False`` drops the private tier.
+    cache of immutable nodes (``metadata_cache``), optionally the compute
+    node's shared pool, then the shards, one batched ``get_nodes`` RPC per
+    shard and walk round.  A read looks every leaf it touches up at the
+    read version, each lookup carrying the runs the walk wants of that
+    leaf, and the shard answers the leaf's base-version chain in the same
+    round trip, so a cold read costs one round trip and the walk's later
+    rounds hit the private cache.  The keyword arguments only pick the
+    caches: ``shared_metadata_cache`` and ``metadata_cache_capacity``
+    default to the cluster config (an explicit
+    ``metadata_cache_capacity=None`` forces an unbounded private cache even
+    against a bounded cluster default), while
+    ``enable_metadata_cache=False`` keeps no private cache.
 
     The write path is symmetric: commits route through a
     :class:`~repro.blobseer.writepath.engine.PipelinedCommitEngine` that
@@ -111,13 +116,19 @@ class BlobClient:
         self.name = name or f"client:{node.name}"
         self._chunk_keys = ChunkKeyFactory(self.name)
         self._descriptors: Dict[str, BlobDescriptor] = {}
-        #: the metadata tier chain every lookup of this client folds over
-        self.tiers = build_chain(
-            self, private=enable_metadata_cache,
-            capacity=metadata_cache_capacity,
-            node_shared=shared_metadata_cache)
-        #: the private tier's node cache (``None`` without one)
-        self.metadata_cache = self.tiers.find("private")
+        config = self.cluster.config
+        if metadata_cache_capacity is UNSET:
+            metadata_cache_capacity = config.metadata_cache_capacity
+        if shared_metadata_cache is UNSET:
+            shared_metadata_cache = config.shared_metadata_cache
+        #: the private node cache (``None`` without one)
+        self.metadata_cache = (MetadataNodeCache(metadata_cache_capacity)
+                               if enable_metadata_cache else None)
+        #: the metadata tier chain every lookup of this client goes through
+        self.tiers = MetadataTierChain(
+            self, self.name, private=self.metadata_cache,
+            pool=(deployment.node_cache(node) if shared_metadata_cache
+                  else None))
         #: payloads of the chunks this client uploaded, for its own reads
         self.chunk_cache = ChunkCache()
         self.write_through_cache = write_through_cache
@@ -253,7 +264,7 @@ class BlobClient:
     def note_published(self, blob_id: str, version: int) -> None:
         """Record that ``version`` is known to be published (hint table).
 
-        The observation is forwarded to the tier chain: a gated tier's
+        The observation is forwarded to the tier chain: the node pool's
         admission opens for a version only once *some* client it serves
         saw it published.
         """
@@ -263,13 +274,13 @@ class BlobClient:
 
     def detach(self) -> None:
         """Detach from the node-local shared cache (process teardown);
-        later reads fold over what is left of the chain."""
+        later lookups skip the pool."""
         self.tiers.detach()
 
     @property
     def metadata_read_rpcs(self) -> int:
         """Metadata read round-trips this client issued to the shards."""
-        return self.tiers.count("shards", "read_rpcs")
+        return self.tiers.shard_stats.read_rpcs
 
     def note_collective_commit(self, blob_id: str, version: int) -> None:
         """Absorb a collective write's published watermark.
@@ -561,7 +572,7 @@ class BlobClient:
         """Resolve a read's leaves at ``version`` through the tier chain.
 
         Each round of the :class:`~repro.blobseer.metadata.segment_tree.
-        ReadPlanner` walk folds over ``self.tiers``, which decides who
+        ReadPlanner` walk goes through ``self.tiers``, which decides who
         answers, who keeps the answer and which counter moves.  The runs
         wanted of each leaf go along, so a shard answers the leaf's base
         chain in the same round trip: a cold read costs one round trip.

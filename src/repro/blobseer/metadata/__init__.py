@@ -18,16 +18,14 @@ versioning principle the paper relies on to eliminate locking.
   at-or-before version resolution, plus hash partitioning over several
   metadata providers;
 * :mod:`repro.blobseer.metadata.provider` — the metadata provider service;
-* :mod:`repro.blobseer.metadata.tiers` — the metadata tier chain: the one
-  protocol every place that can answer a lookup implements, the ordered
-  list a client folds its reads over (built in
-  :func:`~repro.blobseer.metadata.tiers.build_chain`), and the N-tier
-  lookup partition identity;
-* :mod:`repro.blobseer.metadata.cache` — the private cache of immutable
+* :mod:`repro.blobseer.metadata.tiers` — the metadata tier chain a client
+  resolves its reads through (its private cache, its node's pool, then the
+  shards), and the lookup partition identity over those three;
+* :mod:`repro.blobseer.metadata.cache` — the private LRU cache of immutable
   nodes and resolved version hints (the chain's first tier);
 * :mod:`repro.blobseer.metadata.sharedcache` — the node-local *shared* pool
-  co-located clients attach to (admission gated on the published
-  watermark; a bounded pool is plain LRU).
+  co-located clients attach to: the same cache, admission gated on the
+  published watermark.
 """
 
 from repro.blobseer.metadata.cache import CacheStats, MetadataNodeCache

@@ -21,7 +21,9 @@ cache each occupies one slot and is evicted on its own LRU schedule.
 Eviction is LRU over that map (entries refresh their position on every hit
 and overwrite) and is off by default: a metadata node costs a few hundred
 bytes and the simulated workloads touch bounded trees.  ``capacity`` bounds
-the number of entries when set.
+the number of entries when set.  A compute node's shared pool
+(:class:`~repro.blobseer.metadata.sharedcache.NodeCacheService`) is this
+same cache behind a publication gate.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from repro.blobseer.metadata.nodes import MetadataNode
+from repro.errors import StorageError
 
 #: cache key of one at-or-before lookup
 HintKey = Tuple[str, int, int, int]
@@ -42,7 +45,7 @@ class CacheStats:
 
     Every tier counts the ``lookups`` it was asked and the ``hits`` it
     answered; ``extra`` names the counters only some tiers keep
-    (insertions, gate rejections, probe RPCs, ...), all starting at zero.
+    (insertions, gate rejections, RPCs, ...), all starting at zero.
     """
 
     def __init__(self, **extra: int):
@@ -77,7 +80,7 @@ class MetadataNodeCache:
 
     def __init__(self, capacity: Optional[int] = None):
         if capacity is not None and capacity <= 0:
-            raise ValueError(f"capacity must be positive or None, got {capacity}")
+            raise StorageError(f"capacity must be positive or None, got {capacity}")
         self.capacity = capacity
         self.stats = CacheStats(insertions=0, evictions=0)
         # hint map: insertion order doubles as LRU order (move-to-end on hit)
@@ -139,5 +142,5 @@ class MetadataNodeCache:
         self._resolved.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<MetadataNodeCache entries={len(self._resolved)} "
+        return (f"<{type(self).__name__} entries={len(self._resolved)} "
                 f"hits={self.stats.hits} misses={self.stats.misses}>")

@@ -281,9 +281,9 @@ class ReadPlan:
     ``nodes_fetched`` counts every leaf node the walk *used*, whoever
     supplied it, and ``levels`` its rounds (the leaves, then one per link
     of the longest base chain); ``metadata_rpcs`` is filled by
-    :func:`plan_read` from its callbacks.  Which cache tier answered which
-    lookup is the business of whoever resolves the rounds
-    (:mod:`repro.blobseer.metadata.tiers`).
+    :func:`plan_read` from its callbacks.  Which of the private cache, the
+    node pool and the shards answered which lookup is the business of
+    whoever resolves the rounds (:mod:`repro.blobseer.metadata.tiers`).
     """
 
     extents: List[ReadExtent]
@@ -332,8 +332,8 @@ class ReadPlanner:
 
     The planner is a pure walk: it names each round's deduplicated lookups
     and consumes their results, and the caller decides *how* they are
-    satisfied — the simulated client folds them over its metadata tier
-    chain (caches first, then one batched RPC per shard, which answers each
+    satisfied — the simulated client resolves them through its metadata
+    tier chain (caches first, then one batched RPC per shard, which answers each
     leaf's base chain along, :meth:`wanted`), while unit tests and
     :func:`plan_read` drive it with plain callbacks.
 
@@ -351,7 +351,7 @@ class ReadPlanner:
             planner.advance(results)
         plan = planner.plan()
 
-    What a walk resolved is remembered by the tiers that answered it, not
+    What a walk resolved is remembered by the caches that kept it, not
     by the planner: a collective-read resolver walks its stripe through its
     own chain and ships the resulting bytes, never the walk.
     """

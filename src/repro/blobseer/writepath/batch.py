@@ -40,7 +40,7 @@ class WriteReceipt:
         self.started_at = started_at
         self.finished_at = finished_at
         #: the write-through entries ``((offset, size, version), leaf)`` the
-        #: commit primed its tiers with (empty without write-through)
+        #: commit primed its caches with (empty without write-through)
         self.leaves = leaves
 
     @property

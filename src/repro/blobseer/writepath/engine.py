@@ -59,11 +59,11 @@ chain costs no RPC, and its read-after-write of that snapshot finds every
 leaf on its exact-version key.  The receipt hands the entries back
 (``WriteReceipt.leaves``), so a collective aggregator can re-key them under
 the group's watermark.
-The tiers that die with the client are primed before ``complete`` — cached
-entries only become observable once the snapshot is published, and published
-nodes are immutable — the gated ones only once ``complete`` reports the
-version published.  The data rides along the same way: ``stage`` hands every
-payload it uploaded to the client's
+The private cache, which dies with the client, is primed before
+``complete`` — cached entries only become observable once the snapshot is
+published, and published nodes are immutable — the node pool only once
+``complete`` reports the version published.  The data rides along the same
+way: ``stage`` hands every payload it uploaded to the client's
 :class:`~repro.blobseer.chunk_cache.ChunkCache`, and a commit that fails
 takes them out again (:meth:`~PipelinedCommitEngine.forget`).
 """
@@ -567,9 +567,9 @@ class PipelinedCommitEngine:
 
         When the returned watermark already covers this commit's version,
         the write-through entries (``primed``) are additionally offered to
-        the chain's gated tiers — co-located readers then start warm
+        the chain's node pool — co-located readers then start warm
         without any of them fetching.  A watermark still below ``version``
-        (an earlier ticket in flight) skips the offer: a tier that outlives
+        (an earlier ticket in flight) skips the offer: a pool that outlives
         this client must never hold a version nobody has seen published,
         and the nodes will be admitted the first time any co-tenant fetches
         them after publication.

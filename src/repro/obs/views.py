@@ -15,17 +15,17 @@ Here the two live apart as ``metadata.server.read_rpcs`` and
 ``metadata.client.read_rpcs``.
 
 Lookup accounting re-asserted against the registry (see
-:meth:`~repro.obs.registry.MetricsRegistry.assert_identities`), for
-whatever metadata tier chains the collected clients run
+:meth:`~repro.obs.registry.MetricsRegistry.assert_identities`), over the
+collected clients' metadata tier chains — private cache, node pool, shards
 (:mod:`repro.blobseer.metadata.tiers`):
 
 * ``metadata.lookup_partition`` — per client, every lookup handed to its
   chain was answered by exactly one tier, and each tier saw exactly what
   fell through the tiers above it
   (:func:`~repro.blobseer.metadata.tiers.partition_problems`);
-* ``metadata.tier_services`` — the *cross-surface* check: what each
-  service shared between clients counted equals what the tiers fronting
-  it say they asked of it — the node pools' lookups.  Reported by
+* ``metadata.tier_services`` — the *cross-surface* check: what each node
+  pool counted equals what the chains attached to it say they asked of
+  it.  Reported by
   :func:`collect_all` only when the caller attests that every client
   attached to the deployment was collected
   (:func:`~repro.blobseer.metadata.tiers.wire_problems`);
@@ -83,18 +83,11 @@ _DEPLOYMENT_STAT_NAMES: Dict[str, str] = {
 # per-surface collectors
 # ----------------------------------------------------------------------
 #: ``metadata.cache.<counter>``: present only when a collected client
-#: has a private tier
+#: has a private cache
 _PRIVATE_COUNTERS = ("lookups", "hits", "misses", "insertions", "evictions")
 
 #: ``cache.chunk.<counter>``: the client's cache of its own uploads
 _CHUNK_COUNTERS = ("lookups", "hits", "bytes_served", "evictions")
-
-#: where the other tiers' per-client counters land, 0 for a tier the
-#: client's list lacks: (name, tier, counter)
-_TIER_COUNTERS = (
-    ("cache.shared.client_hits", "node", "hits"),
-    ("metadata.client.read_rpcs", "shards", "read_rpcs"),
-)
 
 
 def collect_clients(registry: "MetricsRegistry",
@@ -122,12 +115,13 @@ def collect_clients(registry: "MetricsRegistry",
         registry.add("metadata.client.write_control_rpcs",
                      client.write_control_rpcs)
         chain = client.tiers
-        if chain.find("private") is not None:
+        if chain.private is not None:
             for counter in _PRIVATE_COUNTERS:
                 registry.add(f"metadata.cache.{counter}",
-                             chain.count("private", counter))
-        for name, tier, counter in _TIER_COUNTERS:
-            registry.add(name, chain.count(tier, counter))
+                             getattr(chain.private.stats, counter))
+        registry.add("cache.shared.client_hits", chain.pool_stats.hits)
+        registry.add("metadata.client.read_rpcs",
+                     chain.shard_stats.read_rpcs)
         registry.add("metadata.client.fetched_lookups", chain.fetched_lookups)
         chunks = client.chunk_cache
         for counter in _CHUNK_COUNTERS:
@@ -246,8 +240,8 @@ def collect_all(registry: "MetricsRegistry", *,
     """Collect every surface handed in; returns the registry for chaining.
 
     ``complete_clients=True`` attests that ``clients`` holds *every*
-    client that attached to ``deployment`` — only then can the shared
-    services' own counts be reconciled with the tiers fronting them, since
+    client that attached to ``deployment`` — only then can the node
+    pools' own counts be reconciled with the chains attached to them, since
     a missing client would have been served with no matching client-side
     counters.
     """

@@ -5,6 +5,7 @@ import pytest
 from repro.blobseer.chunk import ChunkKey
 from repro.blobseer.metadata.cache import MetadataNodeCache
 from repro.blobseer.metadata.nodes import LeafSegment, MetadataNode, NodeKey
+from repro.errors import StorageError
 
 
 def leaf(version, offset=0, size=64):
@@ -70,7 +71,7 @@ class TestMetadataNodeCache:
         assert cache.stats.evictions == 0
 
     def test_invalid_capacity_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(StorageError):
             MetadataNodeCache(capacity=0)
 
     def test_clear_keeps_counters(self):

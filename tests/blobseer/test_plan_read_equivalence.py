@@ -19,10 +19,10 @@ contiguous ones) on
   collective stripe among them — read whole at every published version.
 
 Among themselves, the ways of driving the planner — the scalar
-``get_node`` callback, the batched ``get_nodes`` callback, the metadata
-tier chain ``[private, store]`` with and without the leaf runs shipped
-along — must give identical extent lists; the cache and the base-chain
-links may only remove round trips.
+``get_node`` callback, the batched ``get_nodes`` callback, a metadata
+tier chain with a private cache in front of the store, with and without
+the leaf runs shipped along — must give identical extent lists; the
+cache and the base-chain links may only remove round trips.
 """
 
 import pytest
@@ -31,7 +31,7 @@ from hypothesis import given, settings, strategies as st
 from repro.blobseer.blob import BlobDescriptor
 from repro.blobseer.chunk import ChunkKey
 from repro.blobseer.deployment import BlobSeerDeployment
-from repro.blobseer.metadata.cache import CacheStats
+from repro.blobseer.metadata.cache import MetadataNodeCache
 from repro.blobseer.metadata.segment_tree import (
     ReadPlanner,
     build_leaf_segments,
@@ -42,8 +42,6 @@ from repro.blobseer.metadata.segment_tree import (
 from repro.blobseer.metadata.store import MetadataStore
 from repro.blobseer.metadata.tiers import (
     MetadataTierChain,
-    PrivateTier,
-    Tier,
     partition_problems,
 )
 from repro.core.listio import IOVector
@@ -167,32 +165,28 @@ def populate(history):
     return store
 
 
-class StoreTier(Tier):
-    """The terminal tier of a simulator-free chain: one round's lookups
-    answered straight from ``store``, one round trip per batch, with the
-    base chains of the leaves ``wanted`` names runs for."""
-
-    name = "store"
-    terminal = True
+class StoreChain(MetadataTierChain):
+    """A simulator-free chain: a private cache in front of ``store``, which
+    answers one round's misses straight away, one round trip per batch,
+    with the base chains of the leaves ``wanted`` names runs for."""
 
     def __init__(self, store):
+        super().__init__(None, "store", private=MetadataNodeCache())
         self.store = store
-        self.stats = CacheStats(read_rpcs=0)
 
-    def lookup(self, blob_id, requests, wanted=None):
-        self.stats.lookups += len(requests)
-        self.stats.hits += len(requests)
-        self.stats.read_rpcs += 1
+    def fetch(self, blob_id, requests, wanted=None):
+        self.shard_stats.read_rpcs += 1
         nodes, links = self.store.get_nodes(
             blob_id, requests,
             None if wanted is None else [wanted.get(r) for r in requests])
         return {**dict(zip(requests, nodes)), **dict(links)}
-        yield  # a generator like every non-resident tier; it never waits
+        yield  # a generator like the shards' fetch; it never waits
 
 
 def plan_through(chain, version, regions, blob=BLOB, chained=False):
-    """Plan a read by folding each round over ``chain`` (no simulator: no
-    tier of it ever yields); ``chained`` ships the leaf runs along."""
+    """Plan a read by resolving each round through ``chain`` (no
+    simulator: its store never waits); ``chained`` ships the leaf runs
+    along."""
     planner = ReadPlanner(blob, version, regions)
     while not planner.done:
         level = chain.resolve(blob.blob_id, planner.pending(),
@@ -217,19 +211,17 @@ def test_every_way_of_driving_the_walk_matches_the_descent(history, data):
     def get_nodes(requests):
         return store.get_nodes(BLOB.blob_id, requests)[0]
 
-    shards = StoreTier(store)
-    chain = MetadataTierChain([PrivateTier(), shards])
-    chain_shards = StoreTier(store)
-    prefixed = MetadataTierChain([PrivateTier(), chain_shards])
+    chain = StoreChain(store)
+    prefixed = StoreChain(store)
     for _ in range(data.draw(st.integers(1, 3))):
         version = data.draw(st.integers(0, len(history)))
         regions = data.draw(read_accesses())
 
         baseline = plan_read(BLOB, version, regions, get_node)
         batched = plan_read(BLOB, version, regions, get_nodes=get_nodes)
-        rpcs = shards.stats.read_rpcs
+        rpcs = chain.shard_stats.read_rpcs
         cached = plan_through(chain, version, regions)
-        chain_rpcs = chain_shards.stats.read_rpcs
+        chain_rpcs = prefixed.shard_stats.read_rpcs
         chained = plan_through(prefixed, version, regions, chained=True)
 
         expected = extent_tuples(baseline)
@@ -248,8 +240,8 @@ def test_every_way_of_driving_the_walk_matches_the_descent(history, data):
         # the private tier and the base-chain links only ever remove
         # round trips (a read costs one only while its cache is cold: a
         # cached leaf's base chain was never asked of a shard)
-        assert shards.stats.read_rpcs - rpcs <= batched.metadata_rpcs
-        assert chain_shards.stats.read_rpcs - chain_rpcs \
+        assert chain.shard_stats.read_rpcs - rpcs <= batched.metadata_rpcs
+        assert prefixed.shard_stats.read_rpcs - chain_rpcs \
             <= batched.metadata_rpcs
     assert partition_problems([chain, prefixed]) == []
 
@@ -273,17 +265,16 @@ def test_the_walk_matches_the_descent_on_chain_heavy_histories(seed):
             plain = plan_read(blob, version, regions, get_node)
             assert merged(extent_tuples(plain)) == merged(
                 descent(blob, version, regions, get_node))
-            shards = StoreTier(store)
-            chain = MetadataTierChain([PrivateTier(), shards])
+            chain = StoreChain(store)
             chained = plan_through(chain, version, regions, blob,
                                    chained=True)
             assert extent_tuples(chained) == extent_tuples(plain)
             assert (chained.levels, chained.nodes_fetched) \
                 == (plain.levels, plain.nodes_fetched)
-            assert shards.stats.read_rpcs <= 1
+            assert chain.shard_stats.read_rpcs <= 1
             assert partition_problems([chain]) == []
             levels += plain.levels
-            rounds += shards.stats.read_rpcs
+            rounds += chain.shard_stats.read_rpcs
     # the histories' chains are real: shipping them saves round trips
     assert rounds < levels
 
@@ -333,16 +324,16 @@ def test_warm_cache_answers_repeat_reads_without_lookups(history, access):
     store = populate(history)
     version = len(history)
 
-    cache, shards = PrivateTier(), StoreTier(store)
-    chain = MetadataTierChain([cache, shards])
+    chain = StoreChain(store)
+    cache = chain.private
     cold = plan_through(chain, version, access)
     hits, misses = cache.stats.hits, cache.stats.misses
-    rpcs = shards.stats.read_rpcs
+    rpcs = chain.shard_stats.read_rpcs
     warm = plan_through(chain, version, access)
 
     assert extent_tuples(warm) == extent_tuples(cold)
     # the repeat read resolves every leaf from the cache: zero RPCs
-    assert shards.stats.read_rpcs == rpcs
+    assert chain.shard_stats.read_rpcs == rpcs
     assert cache.stats.misses == misses
     assert cache.stats.hits > hits
     assert partition_problems([chain]) == []

@@ -8,12 +8,14 @@ later reader on the node (aborted tickets publish empty, so a stale entry
 under that version would serve rolled-back nodes).
 
 A bounded pool is plain LRU, pinned case by case and against a reference
-model.
+model — the same model the private cache's LRU, which the pool is, must
+match.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.blobseer.metadata.cache import MetadataNodeCache
 from repro.blobseer.metadata.nodes import MetadataNode, NodeKey
 from repro.blobseer.metadata.sharedcache import NodeCacheService
 from repro.errors import StorageError
@@ -120,7 +122,7 @@ def bounded(capacity, *spans, blob="b"):
 
 
 def resident(service, offset, size, blob="b"):
-    return (blob, offset, size, 1) in service._entries
+    return (blob, offset, size, 1) in service._resolved
 
 
 class TestEviction:
@@ -152,7 +154,7 @@ class TestEviction:
         service = NodeCacheService("n0", capacity=1)
         service.note_published("b", 9)
         assert service.publish("b", 0, 64, 9, make_node(version=4))
-        assert list(service._entries) == [("b", 0, 64, 4)]
+        assert list(service._resolved) == [("b", 0, 64, 4)]
         assert (service.stats.insertions, service.stats.evictions) == (2, 1)
 
     def test_eviction_crosses_blobs(self):
@@ -164,18 +166,18 @@ class TestEviction:
         service.publish("a", 0, 64, 1, make_node(blob="a"))
         service.publish("b", 0, 64, 1, make_node(blob="b"))
         service.publish("b", 64, 64, 1, make_node(offset=64, blob="b"))
-        assert sorted(service._entries) == [("b", 0, 64, 1), ("b", 64, 64, 1)]
+        assert sorted(service._resolved) == [("b", 0, 64, 1), ("b", 64, 64, 1)]
 
     def test_an_overwrite_is_no_insertion(self):
         service = bounded(2, (0, 64), (64, 64))
         service.publish("b", 0, 64, 1, make_node())
         assert (service.stats.insertions, service.stats.evictions) == (2, 0)
-        assert list(service._entries) == [("b", 64, 64, 1), ("b", 0, 64, 1)]
+        assert list(service._resolved) == [("b", 64, 64, 1), ("b", 0, 64, 1)]
 
     def test_a_rejected_entry_leaves_the_pool_as_it_was(self):
         service = bounded(2, (0, 64), (64, 64))
         assert not service.publish("b", 128, 64, 5, make_node(offset=128))
-        assert list(service._entries) == [("b", 0, 64, 1), ("b", 64, 64, 1)]
+        assert list(service._resolved) == [("b", 0, 64, 1), ("b", 64, 64, 1)]
         assert service.stats.evictions == 0
 
     def test_bad_capacity_rejected(self):
@@ -212,7 +214,7 @@ class TestRecency:
         service.publish("b", 128, 64, 1, make_node(offset=128))
         service.publish("b", 192, 64, 1, make_node(offset=192))
         assert service.stats.evictions == 2
-        assert sorted(service._entries) == [
+        assert sorted(service._resolved) == [
             ("b", 128, 64, 1), ("b", 192, 64, 1)]
 
     def test_reinsert_refreshes_recency(self):
@@ -229,7 +231,7 @@ class TestRecency:
             service.publish("b", offset, size, 1,
                             make_node(offset=offset, size=size))
         service.get("b", 0, 64, 1)
-        assert list(service._entries) == [("b", offset, size, 1)
+        assert list(service._resolved) == [("b", offset, size, 1)
                                           for offset, size in self.LEAVES]
         assert service.stats.evictions == 0
 
@@ -254,20 +256,38 @@ TREE_KEYS = [(blob, offset, size, 1) for blob in ("a", "b")
              for offset in range(0, 1024, size)]
 
 
+def private_cache(capacity):
+    """The client's private cache, filled through ``put``."""
+    cache = MetadataNodeCache(capacity=capacity)
+
+    def insert(*entry):
+        cache.put(*entry)
+        return True
+    return cache, insert
+
+
+def node_pool(capacity):
+    """A node pool past its gate, filled through ``publish``."""
+    service = NodeCacheService("n0", capacity=capacity)
+    for blob in ("a", "b"):
+        service.note_published(blob, 1)
+    return service, service.publish
+
+
+@pytest.mark.parametrize("make_cache", [private_cache, node_pool])
 @settings(max_examples=200, deadline=None)
 @given(capacity=st.integers(1, 16),
        operations=st.lists(st.tuples(st.sampled_from(["insert", "get"]),
                                      st.sampled_from(TREE_KEYS)),
                            min_size=20, max_size=120))
-def test_bounded_pool_matches_the_reference_model(capacity, operations):
-    service = NodeCacheService("n0", capacity=capacity)
-    for blob in ("a", "b"):
-        service.note_published(blob, 1)
+def test_bounded_pool_matches_the_reference_model(make_cache, capacity,
+                                                  operations):
+    service, insert = make_cache(capacity)
     model = ([], {"insertions": 0, "evictions": 0, "hits": 0, "lookups": 0})
     order, stats = model
     for operation, key in operations:
         if operation == "insert":
-            assert service.publish(*key, make_node(
+            assert insert(*key, make_node(
                 offset=key[1], size=key[2], blob=key[0]))
             model_publish(model, key, capacity)
         else:
@@ -278,7 +298,7 @@ def test_bounded_pool_matches_the_reference_model(capacity, operations):
             stats["lookups"] += 1
             stats["hits"] += found
             assert service.get(*key)[0] == found
-        assert list(service._entries) == order
+        assert list(service._resolved) == order
     for name, value in stats.items():
         assert getattr(service.stats, name) == value, name
 

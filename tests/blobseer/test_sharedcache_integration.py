@@ -39,7 +39,7 @@ def run(cluster, generator):
 def assert_gate_invariant(deployment):
     """No shared tier ever holds an entry above its node's watermark."""
     for service in deployment.node_caches.values():
-        for (blob_id, _offset, _size, hint) in service._entries:
+        for (blob_id, _offset, _size, hint) in service._resolved:
             assert hint <= service.watermark(blob_id), (
                 f"{service.node_name} holds unpublished hint {hint} "
                 f"(watermark {service.watermark(blob_id)})")
@@ -63,7 +63,7 @@ class TestCoLocatedSharing:
         assert pieces == [b"x" * 64 * 1024]
         assert second.metadata_read_rpcs == 0
         assert second.tiers.fetched_lookups == 0
-        assert second.tiers.count("node", "hits") > 0
+        assert second.tiers.pool_stats.hits > 0
         assert_gate_invariant(deployment)
 
     def test_clients_on_different_nodes_do_not_share(self):
@@ -78,7 +78,7 @@ class TestCoLocatedSharing:
             yield from other.vread(BLOB, [(0, CHUNK)], 1)
 
         run(cluster, main())
-        assert other.tiers.count("node", "hits") == 0
+        assert other.tiers.pool_stats.hits == 0
         assert other.tiers.fetched_lookups > 0
         assert len(deployment.node_caches) == 2
 
@@ -99,7 +99,7 @@ class TestCoLocatedSharing:
         pieces = run(cluster, main())
         assert pieces == [b"z" * 32 * 1024]
         assert reader.metadata_read_rpcs == 0
-        assert reader.tiers.count("node", "hits") > 0
+        assert reader.tiers.pool_stats.hits > 0
         assert_gate_invariant(deployment)
 
     def test_detach_keeps_published_entries_for_the_next_tenant(self):
@@ -193,7 +193,7 @@ class TestDeathBeforePublication:
         service = deployment.node_caches[node.name]
         assert service.watermark(BLOB) == 0
         assert_gate_invariant(deployment)
-        assert all(hint == 0 for (_b, _o, _s, hint) in service._entries)
+        assert all(hint == 0 for (_b, _o, _s, hint) in service._resolved)
 
         # recovery: the fault handler scrubs the dead writer's stored nodes
         # (exactly what the engine's own failure paths do before aborting),
@@ -360,6 +360,6 @@ class TestBoundedPool:
         run(cluster, main())
         pool = deployment.node_caches["cn0"]
         assert pool.stats.evictions > 0
-        assert sorted(pool._entries) == [(BLOB, leaf * CHUNK, CHUNK, 1)
+        assert sorted(pool._resolved) == [(BLOB, leaf * CHUNK, CHUNK, 1)
                                          for leaf in range(56, 64)]
         assert_gate_invariant(deployment)

@@ -1,28 +1,20 @@
-"""The metadata tier chain: one fold, one identity, any configured list.
+"""The metadata tier chain: private cache, node pool, shards.
 
-* every list shape the stack configures today resolves the same bytes and
-  satisfies the one N-tier lookup partition
+* every cache combination the stack configures resolves the same bytes and
+  satisfies the lookup partition
   (:func:`~repro.blobseer.metadata.tiers.partition_problems`) plus the
-  shared services' conservation
+  node pools' conservation
   (:func:`~repro.blobseer.metadata.tiers.wire_problems`);
-* the payoff: a tier the stack has never heard of, defined here, is
-  consulted, admitted to and covered by the same identity once it sits in
-  the list — and the chain is indifferent to what a key names, so caching
-  immutable *chunk* ranges is a list too.
+* a leaf lookup ships its wanted runs and gets its base chain back in the
+  same round trip, and the links pass the node pool's gate;
+* a pool hit is promoted into the private cache.
 """
 
 import pytest
 
 from repro.blobseer.deployment import BlobSeerDeployment
-from repro.blobseer.metadata.cache import CacheStats
 from repro.blobseer.metadata.segment_tree import EXTENT_DESCRIPTION_BYTES
-from repro.blobseer.metadata.tiers import (
-    MetadataTierChain,
-    Tier,
-    build_chain,
-    partition_problems,
-    wire_problems,
-)
+from repro.blobseer.metadata.tiers import partition_problems, wire_problems
 from repro.cluster import Cluster, ClusterConfig
 from repro.obs.registry import MetricsRegistry
 from repro.obs.views import collect_all
@@ -32,29 +24,6 @@ BLOB = "tier-blob"
 CHUNK = 4096
 FILE_SIZE = 64 * CHUNK
 PAYLOAD = bytes(range(256)) * (16 * CHUNK // 256)
-
-
-class MemoryTier(Tier):
-    """A resident tier the stack does not ship: a plain dict."""
-
-    name = "memory"
-    resident = True
-
-    def __init__(self):
-        self.stats = CacheStats()
-        self.entries = {}
-
-    def get(self, blob_id, offset, size, hint):
-        self.stats.lookups += 1
-        key = (blob_id, offset, size, hint)
-        if key not in self.entries:
-            return False, None
-        self.stats.hits += 1
-        return True, self.entries[key]
-
-    def admit(self, blob_id, entries):
-        for request, value in entries:
-            self.entries[(blob_id, *request)] = value
 
 
 def run(cluster, generator):
@@ -79,18 +48,20 @@ def deploy(**config):
     return cluster, deployment, seeder
 
 
+#: cluster config, client options, and which of (private cache, node
+#: pool) the client's chain keeps
 SHAPES = {
     "shards-only": (dict(), dict(enable_metadata_cache=False),
-                    ["shards"]),
-    "private": (dict(), dict(), ["private", "shards"]),
+                    (False, False)),
+    "private": (dict(), dict(), (True, False)),
     "node-only": (dict(shared_metadata_cache=True),
-                  dict(enable_metadata_cache=False), ["node", "shards"]),
+                  dict(enable_metadata_cache=False), (False, True)),
     "private+node": (dict(shared_metadata_cache=True), dict(),
-                     ["private", "node", "shards"]),
-    # the field is accepted and ignored: no peer tier joins the list
+                     (True, True)),
+    # the field is accepted and ignored: no peer tier joins the chain
     "cooperative-inert": (dict(shared_metadata_cache=True,
                                cooperative_cache=True), dict(),
-                          ["private", "node", "shards"]),
+                          (True, True)),
 }
 
 
@@ -104,7 +75,9 @@ def test_every_configured_shape_reads_right_and_partitions(shape):
                               name=f"c{index}", **client_options)
                for index in range(6)]
     for client in clients:
-        assert [tier.name for tier in client.tiers.order] == expected
+        chain = client.tiers
+        assert (chain.private is not None, chain.pool is not None) \
+            == expected
     reads = {}
 
     def reader(index):
@@ -176,7 +149,7 @@ def test_a_broken_count_is_named_by_tier():
     client = VectoredClient(deployment, cluster.add_node("cn0"), name="c")
     run(cluster, client.vread(BLOB, [(0, 4 * CHUNK)], 1))
     assert partition_problems([client.tiers]) == []
-    client.tiers.find("node").stats.hits += 1
+    client.tiers.pool_stats.hits += 1
     problems = partition_problems([client.tiers])
     assert problems and all(problem.startswith("c:") for problem in problems)
     assert any("'shards'" in problem for problem in problems)
@@ -184,15 +157,12 @@ def test_a_broken_count_is_named_by_tier():
 
 def test_prefetch_is_gone_not_ignored():
     """The shards answer what a walk asks for and what it will ask next for
-    the runs it named, nothing speculative: a client or a chain told to
-    prefetch fails loudly instead of reading without it."""
+    the runs it named, nothing speculative: a client told to prefetch fails
+    loudly instead of reading without it."""
     cluster, deployment, _seeder = deploy()
     node = cluster.add_node("cn0")
     with pytest.raises(TypeError):
         VectoredClient(deployment, node, name="c", metadata_prefetch=True)
-    client = VectoredClient(deployment, node, name="c")
-    with pytest.raises(TypeError):
-        build_chain(client, prefetch=True)
 
 
 def test_a_shard_answers_a_list_aligned_with_its_requests():
@@ -290,7 +260,7 @@ def test_a_leaf_lookup_ships_its_runs_and_gets_its_base_chain_back():
     # RPC per shard holding one), and the five chain levels after it are
     # private-tier hits
     assert client.metadata_read_rpcs == len(calls) <= 2
-    assert client.tiers.count("private", "hits") == version - 1
+    assert client.tiers.private.stats.hits == version - 1
     assert partition_problems([client.tiers]) == []
 
 
@@ -306,7 +276,7 @@ def test_links_pass_the_node_pool_gate_and_spare_a_co_tenant_the_shards():
     assert run(cluster, second.vread(BLOB, [(0, CHUNK)], version)) == [
         expected_leaf(version)]
     assert second.metadata_read_rpcs == 0
-    assert second.tiers.count("node", "hits") > version - 1
+    assert second.tiers.pool_stats.hits > version - 1
 
     # a pool that has seen only version 3 published: of a version-6 leaf
     # and its chain (hints 5..1), only the links at or below 3 get in
@@ -324,75 +294,29 @@ def test_links_pass_the_node_pool_gate_and_spare_a_co_tenant_the_shards():
     assert pool.stats.unpublished_rejections == 3
 
 
-def test_an_unknown_tier_dropped_into_the_list_just_works():
-    """The payoff: nothing outside this file knows ``MemoryTier``, yet in
-    the list it is consulted, offered every resolved lookup, answers the
-    repeat read, and the partition identity covers it."""
-    cluster, deployment, _seeder = deploy()
-    client = VectoredClient(deployment, cluster.add_node("cn0"), name="c",
-                            enable_metadata_cache=False)
-    memory = MemoryTier()
-    client.tiers.order.insert(0, memory)
-    assert [tier.name for tier in client.tiers.order] == ["memory", "shards"]
-
-    cold = run(cluster, client.vread(BLOB, [(0, 8 * CHUNK)], 1))
-    assert memory.stats.lookups > 0 and memory.stats.hits == 0
-    assert len(memory.entries) == memory.stats.lookups
-    rpcs = client.metadata_read_rpcs
-    warm = run(cluster, client.vread(BLOB, [(0, 8 * CHUNK)], 1))
-    assert warm == cold == [PAYLOAD[:8 * CHUNK]]
-    assert client.metadata_read_rpcs == rpcs
-    assert memory.stats.hits == memory.stats.lookups // 2
-    assert partition_problems([client.tiers]) == []
-    memory.stats.lookups += 1
-    assert partition_problems([client.tiers]) != []
-
-
-def test_chunk_ranges_are_a_list_too():
-    """Not built, only shown: a chain does not care what its keys name.
-    Immutable chunk ranges ``(chunk, offset, length)`` resolved through
-    ``[memory, data providers]`` are cached by the same fold and counted
-    by the same identity."""
-    cluster, deployment, seeder = deploy()
+def test_a_pool_hit_is_promoted_into_the_private_cache():
+    """A co-tenant's first read is answered by the node pool, and each hit
+    is copied into its private cache: its repeat read never asks the pool
+    again, and the partition still holds."""
+    cluster, deployment, _seeder = deploy(shared_metadata_cache=True)
     node = cluster.add_node("cn0")
+    first = VectoredClient(deployment, node, name="first")
+    second = VectoredClient(deployment, node, name="second")
+    extent = [(0, 8 * CHUNK)]
+    assert run(cluster, first.vread(BLOB, extent, 1)) == [PAYLOAD[:8 * CHUNK]]
 
-    class ChunkSource(Tier):
-        name = "providers"
-        terminal = True
+    assert run(cluster, second.vread(BLOB, extent, 1)) == [
+        PAYLOAD[:8 * CHUNK]]
+    chain = second.tiers
+    assert second.metadata_read_rpcs == 0
+    assert chain.private.stats.hits == 0
+    assert chain.pool_stats.hits == chain.lookups > 0
+    pool_lookups = chain.pool_stats.lookups
 
-        def __init__(self):
-            self.stats = CacheStats()
-
-        def lookup(self, provider_id, requests, wanted=None):
-            pieces = yield from cluster.rpc.call(
-                node, deployment.data_provider(provider_id),
-                "get_chunk_ranges", 64,
-                sum(length for _chunk, _offset, length in requests),
-                list(requests))
-            self.stats.lookups += len(requests)
-            self.stats.hits += len(requests)
-            return dict(zip(requests, pieces))
-
-    # which chunk ranges hold the first leaves: resolved once, by the seeder
-    blob = run(cluster, seeder.open_blob(BLOB))
-    plan = run(cluster, seeder._resolve_metadata(
-        blob, 1, seeder._as_read_vector([(0, 4 * CHUNK)]).region_list()))
-    wanted = {}
-    for extent in plan.extents:
-        if not extent.is_zero:
-            wanted.setdefault(extent.provider_id, []).append(
-                (extent.offset,
-                 (extent.chunk, extent.chunk_offset, extent.length)))
-    assert wanted
-
-    source = ChunkSource()
-    chain = MetadataTierChain([MemoryTier(), source], name="chunks")
-    for _round in range(2):
-        for provider_id, ranges in sorted(wanted.items()):
-            resolved = run(cluster, chain.resolve(
-                provider_id, [key for _offset, key in ranges]))
-            for offset, key in ranges:
-                assert resolved[key] == PAYLOAD[offset:offset + key[2]]
-    assert source.stats.lookups == chain.fetched_lookups == chain.lookups // 2
-    assert chain.count("memory", "hits") == chain.lookups // 2
-    assert partition_problems([chain]) == []
+    assert run(cluster, second.vread(BLOB, extent, 1)) == [
+        PAYLOAD[:8 * CHUNK]]
+    assert second.metadata_read_rpcs == 0
+    assert chain.pool_stats.lookups == pool_lookups
+    assert chain.private.stats.hits == chain.lookups - pool_lookups
+    assert partition_problems([first.tiers, chain]) == []
+    assert wire_problems([first.tiers, chain]) == []

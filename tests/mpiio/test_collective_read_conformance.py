@@ -699,8 +699,8 @@ def test_the_watermark_keys_reach_a_co_tenant_through_the_node_pool():
         data = yield from handle.read_at(0, FILE_SIZE)
         yield from handle.close()
         tiers = driver.client.tiers
-        return (ctx.node.name, data, tiers.count("node", "hits"),
-                tiers.count("shards", "hits"))
+        return (ctx.node.name, data, tiers.pool_stats.hits,
+                tiers.shard_stats.hits)
 
     result = run_mpi_job(cluster, num_ranks, rank_main)
     assert content == b"\x01" * FILE_SIZE

@@ -78,7 +78,7 @@ def test_service_check_catches_an_unaccounted_pool_lookup():
     collected client accounts for is flagged — but only when the caller
     attests the client set is complete."""
     cluster, deployment, clients = run_workload(shared_cache=True)
-    clients[0].tiers.find("node").pool.get("/vw", 0, 4096, 1)
+    clients[0].tiers.pool.get("/vw", 0, 4096, 1)
     partial = collect_all(MetricsRegistry(), deployment=deployment,
                           clients=clients)
     assert partial.check_identities() == []
@@ -148,7 +148,7 @@ def test_lookup_partition_holds_without_a_private_cache():
     assert "metadata.cache.lookups" not in registry
     assert registry.get("metadata.client.fetched_lookups") \
         == client.tiers.lookups > 0
-    client.tiers.find("shards").stats.lookups += 1
+    client.tiers.shard_stats.lookups += 1
     collect_clients(registry, [client])
     assert any("metadata.lookup_partition" in problem
                for problem in registry.check_identities())
