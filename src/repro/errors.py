@@ -16,14 +16,6 @@ class SimulationError(ReproError):
     """Generic error inside the discrete-event simulation engine."""
 
 
-class ProcessInterrupted(SimulationError):
-    """Raised inside a simulated process that was interrupted by another."""
-
-    def __init__(self, cause: object = None):
-        super().__init__(cause)
-        self.cause = cause
-
-
 class StorageError(ReproError):
     """Base class of storage-backend errors (BlobSeer, vstore, posixfs)."""
 

@@ -21,12 +21,11 @@ Public surface
 :class:`Timeout`        event that fires after a fixed simulated delay
 :class:`Process`        a running generator; itself an event (fires on return)
 :class:`AllOf`          condition event: fires when all children fired
-:class:`AnyOf`          condition event: fires when any child fired
 :class:`DeterministicRNG`  seeded random streams derived from a root seed
 =====================  ======================================================
 """
 
-from repro.simengine.events import Event, Timeout, AllOf, AnyOf, Condition
+from repro.simengine.events import Event, Timeout, AllOf
 from repro.simengine.simulator import Simulator
 from repro.simengine.process import Fanout, Process
 from repro.simengine.rand import DeterministicRNG
@@ -37,8 +36,6 @@ __all__ = [
     "Fanout",
     "Timeout",
     "AllOf",
-    "AnyOf",
-    "Condition",
     "Process",
     "DeterministicRNG",
 ]

@@ -168,54 +168,31 @@ class _Sleep(Event):
         self._defused = False
 
 
-class Condition(Event):
-    """An event that fires when a boolean condition over child events holds.
+class AllOf(Event):
+    """An event that fires once every child event has fired successfully.
 
-    Parameters
-    ----------
-    sim:
-        The owning simulator.
-    evaluate:
-        Callable ``(events, triggered_count) -> bool`` deciding whether the
-        condition is satisfied.
-    events:
-        The child events observed by the condition.
-
-    The condition *fails* as soon as any child fails, mirroring SimPy.
-    Its success value is a dict mapping each already-triggered child event to
-    its value, so callers can recover individual results.
+    It *fails* as soon as any child fails, mirroring SimPy.  Its success
+    value is a dict mapping each child event to its value, so callers can
+    recover individual results.
     """
 
-    def __init__(
-        self,
-        sim: "Simulator",
-        evaluate: Callable[[List[Event], int], bool],
-        events: Iterable[Event],
-    ):
+    def __init__(self, sim: "Simulator", events: Iterable[Event]):
         super().__init__(sim)
-        self._evaluate = evaluate
         self._events = list(events)
         self._count = 0
 
         for event in self._events:
             if event.sim is not sim:
                 raise SimulationError(
-                    "all events of a Condition must belong to the same simulator")
+                    "all events of an AllOf must belong to the same simulator")
 
         if not self._events:
             # An empty condition is trivially satisfied.
-            self.succeed(self._collect())
+            self.succeed({})
             return
 
         for event in self._events:
             event.add_callback(self._check)
-
-    def _collect(self) -> dict:
-        return {
-            event: event._value
-            for event in self._events
-            if event.triggered and event._ok
-        }
 
     def _check(self, event: Event) -> None:
         if self.triggered:
@@ -231,19 +208,5 @@ class Condition(Event):
             self.fail(event._value)
             return
         self._count += 1
-        if self._evaluate(self._events, self._count):
-            self.succeed(self._collect())
-
-
-class AllOf(Condition):
-    """Condition satisfied when *all* child events have fired successfully."""
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]):
-        super().__init__(sim, lambda evts, count: count >= len(evts), events)
-
-
-class AnyOf(Condition):
-    """Condition satisfied when *any* child event has fired successfully."""
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]):
-        super().__init__(sim, lambda evts, count: count >= 1, events)
+        if self._count >= len(self._events):
+            self.succeed({event: event._value for event in self._events})

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Any, Generator, Optional, TYPE_CHECKING
 
-from repro.errors import ProcessInterrupted, SimulationError
+from repro.errors import SimulationError
 from repro.simengine.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -32,7 +32,7 @@ class Process(Event):
         Optional human-readable name used in error messages and tracing.
     """
 
-    __slots__ = ("_generator", "name", "_target")
+    __slots__ = ("_generator", "name")
 
     def __init__(self, sim: "Simulator", generator: Generator,
                  name: Optional[str] = None):
@@ -43,9 +43,6 @@ class Process(Event):
         super().__init__(sim)
         self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        #: the event this process is currently waiting on (None if not started
-        #: or already terminated)
-        self._target: Optional[Event] = None
 
         # Kick-start the process via an immediately-triggered bootstrap event.
         bootstrap = Event(sim)
@@ -60,30 +57,9 @@ class Process(Event):
         """True while the underlying generator has not finished."""
         return not self.triggered
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`ProcessInterrupted` into the process at its next step.
-
-        The interrupt is delivered asynchronously (as an urgent event) so that
-        the caller's own execution is not re-entered.
-        """
-        if self.triggered:
-            raise SimulationError(f"cannot interrupt terminated process {self.name!r}")
-
-        interrupt_event = Event(self.sim)
-        interrupt_event._ok = False
-        interrupt_event._value = ProcessInterrupted(cause)
-        interrupt_event._defused = True
-        interrupt_event.callbacks.append(self._resume)
-        self.sim.schedule(interrupt_event, priority=self.sim.PRIORITY_URGENT)
-
     # ------------------------------------------------------------------
     def _resume(self, event: Event) -> None:
         """Drive the generator one step with the outcome of ``event``."""
-        if self.triggered:
-            # A stale wake-up (e.g. an interrupt racing with termination).
-            return
-
-        self._target = None
         try:
             if event._ok:
                 yielded = self._generator.send(event._value)
@@ -116,7 +92,6 @@ class Process(Event):
                 f"process {self.name!r} yielded an event from another simulator"))
             return
 
-        self._target = yielded
         yielded.add_callback(self._resume)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -163,7 +138,7 @@ class Fanout(Event):
 
     def _failed(self, exc: BaseException) -> None:
         # first failure propagates to the waiter; siblings' failures after
-        # that are absorbed, mirroring Condition._check
+        # that are absorbed, mirroring AllOf._check
         if not self.triggered:
             self.fail(exc)
 

@@ -6,7 +6,7 @@ from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Optional
 
 from repro.errors import SimulationError
-from repro.simengine.events import AllOf, AnyOf, Event, Timeout, _Sleep
+from repro.simengine.events import AllOf, Event, Timeout, _Sleep
 from repro.simengine.process import Fanout, Process
 from repro.simengine.rand import DeterministicRNG
 
@@ -101,10 +101,6 @@ class Simulator:
         one scheduler transaction (a single bootstrap event) — the cheap way
         to hit K shards in parallel."""
         return Fanout(self, generators)
-
-    def any_of(self, events) -> AnyOf:
-        """Event that fires when any of ``events`` has fired successfully."""
-        return AnyOf(self, events)
 
     # ------------------------------------------------------------------
     # scheduling and stepping

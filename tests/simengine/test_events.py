@@ -112,19 +112,6 @@ def test_all_of_waits_for_every_child():
     assert order == [3]
 
 
-def test_any_of_fires_on_first_child():
-    sim = Simulator()
-    order = []
-
-    def waiter():
-        yield sim.any_of([sim.timeout(5), sim.timeout(1)])
-        order.append(sim.now)
-
-    sim.process(waiter())
-    sim.run_all()
-    assert order == [1]
-
-
 def test_all_of_empty_is_immediately_satisfied():
     sim = Simulator()
     done = []

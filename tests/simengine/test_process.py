@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ProcessInterrupted, SimulationError
+from repro.errors import SimulationError
 from repro.simengine import Simulator
 
 
@@ -59,39 +59,6 @@ def test_exception_in_waited_process_propagates_to_waiter():
     sim.process(parent())
     sim.run_all()
     assert caught == ["child failed"]
-
-
-def test_interrupt_delivers_exception():
-    sim = Simulator()
-    outcomes = []
-
-    def sleeper():
-        try:
-            yield sim.timeout(100)
-            outcomes.append("finished")
-        except ProcessInterrupted as interruption:
-            outcomes.append(("interrupted", interruption.cause, sim.now))
-
-    def interrupter(target):
-        yield sim.timeout(3)
-        target.interrupt(cause="stop now")
-
-    target = sim.process(sleeper())
-    sim.process(interrupter(target))
-    sim.run_all()
-    assert outcomes == [("interrupted", "stop now", 3)]
-
-
-def test_interrupt_terminated_process_rejected():
-    sim = Simulator()
-
-    def quick():
-        yield sim.timeout(1)
-
-    p = sim.process(quick())
-    sim.run_all()
-    with pytest.raises(SimulationError):
-        p.interrupt()
 
 
 def test_yielding_non_event_is_an_error():
