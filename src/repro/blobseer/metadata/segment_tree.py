@@ -28,7 +28,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.blobseer.blob import BlobDescriptor
 from repro.blobseer.chunk import ChunkKey
 from repro.blobseer.metadata.nodes import ChildRef, LeafSegment, MetadataNode, NodeKey
-from repro.core.listio import IOVector
+from repro.core.listio import IORequest, IOVector
 from repro.core.regions import RegionList
 from repro.errors import InvalidRegion
 
@@ -141,6 +141,55 @@ def stripe_unit_sizes(extents: Sequence[Tuple[int, int]],
                 unit_sizes.append(length)
             offset += length
     return unit_sizes
+
+
+def cut_into_rounds(blob: BlobDescriptor, vector: IOVector,
+                    units_per_round: int) -> List[IOVector]:
+    """Cut a write vector, in order, into rounds of ``units_per_round``
+    consecutive stripe units (the last round may hold fewer).
+
+    Every cut falls where :func:`stripe_unit_sizes` opens a unit, so packing
+    round ``k`` on its own yields exactly that slice of the whole vector's
+    units.  A request crossing a cut is split there; zero-size requests,
+    which carry no piece, are dropped.  Requests are validated as
+    :func:`split_vector_into_pieces` validates them.
+    """
+    chunk_size = blob.chunk_size
+    rounds: List[IOVector] = []
+    requests: List[IORequest] = []
+    fill = chunk_size   # bytes in the open unit (none open yet)
+    units = 0           # units opened in the current round
+    for request in vector:
+        if not request.is_write:
+            raise InvalidRegion("cut_into_rounds() needs a write vector")
+        if request.size == 0:
+            continue
+        offset = start = request.offset
+        end = offset + request.size
+        blob.validate_access(offset, request.size)
+        while offset < end:
+            length = min(offset - offset % chunk_size + chunk_size, end) - offset
+            if fill + length <= chunk_size:
+                fill += length
+            else:
+                if units == units_per_round:
+                    if offset > start:
+                        requests.append(_slice(request, start, offset))
+                    rounds.append(IOVector(requests))
+                    requests, units, start = [], 0, offset
+                units += 1
+                fill = length
+            offset += length
+        requests.append(request if start == request.offset
+                        else _slice(request, start, end))
+    rounds.append(IOVector(requests))
+    return rounds
+
+
+def _slice(request: IORequest, start: int, end: int) -> IORequest:
+    """The part ``[start, end)`` of a write request."""
+    skip = start - request.offset
+    return IORequest(start, end - start, request.data[skip:skip + end - start])
 
 
 def overlay_segments(existing: Sequence[LeafSegment],

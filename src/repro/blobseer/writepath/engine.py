@@ -7,9 +7,10 @@ bytes down — split into chunk-aligned pieces, pack into stripe units,
 dropped; :meth:`~PipelinedCommitEngine.publish` turns placed pieces into a
 snapshot — ticket, copy-on-write metadata, ``complete``.
 :meth:`~PipelinedCommitEngine.commit` is the two composed, and what every
-independent write runs.  A writer whose data arrives over time but whose
-shape is known — a collective aggregator, one exchange round after another
-— has the whole write placed first (:meth:`~PipelinedCommitEngine.
+independent write runs (one too big for one round in rounds, below).  A
+writer whose data arrives over time but whose shape is known — a
+collective aggregator, one exchange round after another — has the whole
+write placed first (:meth:`~PipelinedCommitEngine.
 place_ahead`, the write's one ``allocate``), starts
 :meth:`~PipelinedCommitEngine.stage_ahead` on each part as it has it and
 names that :class:`~repro.blobseer.writepath.batch.AheadWrite` in the one
@@ -47,11 +48,19 @@ which an update-in-place striped file cannot do.
 Correctness does not move: metadata nodes and chunks are always stored
 *before* ``complete`` is issued, and the version manager still publishes
 strictly in ticket order, so deferring a completion can delay publication
-but never reorder it.  An independent commit stores its nodes only once its
-uploads are in, although the protocol would let it overlap them as a write
-placed ahead does: its commit returning earlier lets the writer's next write
-draw its ticket earlier, which reorders tickets among concurrent writers
-(``benchmarks/README.md`` has what that cost the EXP1 and EXP2 reads).
+but never reorder it.  An independent write too big for one round goes
+ahead in rounds, as a collective stripe does: the commit cuts it into
+k = ⌊bytes ÷ (providers spanned × ``disk_overhead`` × ``disk_bandwidth``)⌋
+rounds of consecutive stripe units (never less than a stripe row), so that
+each provider's share of a round is worth at least one disk positioning,
+and with k > 1 has the whole write placed, stages every round but the last
+ahead and commits the last with them — the rounds stream to the disks one
+behind the other, and the nodes are stored as soon as the ticket is held.
+A write of one round keeps storing its nodes once its uploads are in: a
+commit returning earlier lets the writer's next write draw its ticket
+earlier, which reorders tickets among concurrent writers, and for EXP1's
+and EXP2's one-round writes that cost the reads more than it saved the
+writes (``benchmarks/README.md``).
 
 Write-through cache population rides on the commit: the writer just built
 every leaf of the new snapshot, so offering them to its own metadata tier
@@ -75,8 +84,10 @@ from typing import Dict, List, Optional, TYPE_CHECKING
 from repro.blobseer.metadata.segment_tree import (
     build_leaf_segments,
     build_write_metadata,
+    cut_into_rounds,
     pack_pieces_into_stripe_units,
     split_vector_into_pieces,
+    stripe_unit_sizes,
 )
 from repro.blobseer.metadata.store import PartitionedMetadataStore
 from repro.blobseer.writepath.batch import (
@@ -128,7 +139,10 @@ class PipelinedCommitEngine:
         while the rest was still arriving belong to the same snapshot, and
         ``vector`` — its last part — may be empty when there are any; when
         there are, ``vector`` is staged ahead too, and the snapshot's
-        metadata is stored while the parts upload.
+        metadata is stored while the parts upload.  Without ``ahead`` a
+        vector too big for one round becomes such a write, cut into rounds
+        by :meth:`_in_rounds` (the module docstring has the rule); one of a
+        single round stores its metadata once its uploads are in.
         ``logical_writes`` records how many application writes the vector
         carries (a coalesced batch, a collective stripe); ``defer_complete``
         launches the ``complete`` RPC as a background process so the caller
@@ -153,6 +167,9 @@ class PipelinedCommitEngine:
                 blob=blob_id, logical_writes=logical_writes)
         pieces, ticket = [], None
         try:
+            if ahead is None and len(vector):
+                ahead, vector = yield from self._in_rounds(blob_id, vector,
+                                                           span)
             if len(vector) and ahead is not None and ahead.stagings:
                 # the write's last part goes ahead like the others did
                 self.stage_ahead(blob_id, vector, ahead,
@@ -172,6 +189,40 @@ class PipelinedCommitEngine:
             if span is not None:
                 ctx.end(span)
         return receipt
+
+    def _in_rounds(self, blob_id: str, vector: IOVector, trace_parent):
+        """Send a write too big for one round ahead of its commit, in rounds.
+
+        A round gives each provider the write spans at least a disk
+        positioning's worth of bytes: k = ⌊bytes ÷ (providers spanned ×
+        ``disk_overhead`` × ``disk_bandwidth``)⌋ rounds of ⌈units ÷ k⌉
+        consecutive stripe units — never fewer units than providers
+        spanned, one stripe row, as a collective round is whole rows.  With
+        more than one round the whole write is placed at once, every round
+        but the last is staged ahead and ``(ahead, last round)`` is
+        returned; otherwise ``(None, vector)``.
+        """
+        client = self.client
+        blob = yield from client._descriptor(blob_id)
+        units = stripe_unit_sizes(
+            [(request.offset, request.size) for request in vector],
+            blob.chunk_size)
+        config = client.cluster.config
+        spanned = min(len(units), len(client.deployment.data_providers))
+        positioning = spanned * config.disk_overhead * config.disk_bandwidth
+        rounds = (int(sum(units) // positioning) if positioning
+                  else len(units))
+        per_round = max(spanned, -(-len(units) // max(rounds, 1)))
+        if per_round >= len(units):
+            return None, vector
+        parts = cut_into_rounds(blob, vector, per_round)
+        ahead = yield from self.place_ahead(
+            [units[start:start + per_round]
+             for start in range(0, len(units), per_round)], trace_parent)
+        for index, part in enumerate(parts[:-1]):
+            self.stage_ahead(blob_id, part, ahead, index,
+                             trace_parent=trace_parent)
+        return ahead, parts[-1]
 
     def forget(self, pieces=(), ahead: Optional[AheadWrite] = None) -> None:
         """Drop the chunk-cache entries of uploads no snapshot will reference.
