@@ -42,14 +42,12 @@ from repro._version import __version__
 __all__ = [
     "__version__",
     "VersioningBackend",
-    "PosixParallelFS",
     "Region",
     "RegionList",
 ]
 
 _LAZY_EXPORTS = {
     "VersioningBackend": ("repro.vstore.backend", "VersioningBackend"),
-    "PosixParallelFS": ("repro.posixfs.filesystem", "PosixParallelFS"),
     "Region": ("repro.core.regions", "Region"),
     "RegionList": ("repro.core.regions", "RegionList"),
 }

@@ -107,7 +107,7 @@ def run_scan_point(settings, config, *, prefix: str, mode: str,
         sim = cluster.sim
         # independent processes never start in lockstep; the stagger gives
         # a node's first toucher time to publish into the shared tier
-        yield sim.timeout(index * stagger_s)
+        yield sim.sleep(index * stagger_s)
         for round_index in range(workload.rounds):
             pairs = workload.read_pairs(index, round_index)
             started = sim.now

@@ -179,7 +179,7 @@ class BlobClient:
         tracer = self.cluster.obs.tracer
         self.trace_ctx = (tracer.context(("rank", self.name),
                                          node=node.name)
-                          if tracer.enabled else None)
+                          if tracer is not None else None)
 
     # ------------------------------------------------------------------
     # small helpers

@@ -211,7 +211,7 @@ class SimVersionManager(Service):
         """Record completion; publish in order; wake waiting readers."""
         latest, newly_published = self.manager.complete(blob_id, version)
         if self.publish_cost and newly_published:
-            yield self.node.sim.timeout(self.publish_cost * len(newly_published))
+            yield self.node.sim.sleep(self.publish_cost * len(newly_published))
         self._wake_waiters(blob_id, latest)
         return latest
 
@@ -219,7 +219,7 @@ class SimVersionManager(Service):
         """Release a failed writer's ticket; publication may advance past it."""
         latest, newly_published = self.manager.abort(blob_id, version)
         if self.publish_cost and newly_published:
-            yield self.node.sim.timeout(self.publish_cost * len(newly_published))
+            yield self.node.sim.sleep(self.publish_cost * len(newly_published))
         self._wake_waiters(blob_id, latest)
         return latest
 

@@ -23,7 +23,7 @@ from repro.cluster.disk import Disk
 from repro.cluster.network import Network
 from repro.cluster.node import Node
 from repro.cluster.cluster import Cluster, placement_map
-from repro.cluster.rpc import RpcTransport, Service, remote_call
+from repro.cluster.rpc import RpcTransport, Service
 
 __all__ = [
     "ClusterConfig",
@@ -34,5 +34,4 @@ __all__ = [
     "Node",
     "RpcTransport",
     "Service",
-    "remote_call",
 ]

@@ -97,8 +97,7 @@ class Network:
         self._nics: Dict[str, NIC] = {}
         #: span recorder when the cluster traces (None when disabled, the
         #: zero-cost guard every transfer checks once)
-        self.tracer = (obs.tracer if obs is not None and obs.tracer.enabled
-                       else None)
+        self.tracer = obs.tracer if obs is not None else None
         #: latency-digest taps (None when disabled)
         self.digests = obs.digests if obs is not None else None
         self._observed = self.tracer is not None or self.digests is not None
@@ -198,8 +197,7 @@ class QueuedNetwork:
         #: span recorder / per-link sampler when the cluster observes its
         #: links; ``_observed`` is the single boolean every reservation
         #: site checks, so disabled runs pay one attribute test per hop
-        self.tracer = (obs.tracer if obs is not None and obs.tracer.enabled
-                       else None)
+        self.tracer = obs.tracer if obs is not None else None
         self.telemetry = obs.link_telemetry if obs is not None else None
         self.digests = obs.digests if obs is not None else None
         self._observed = (self.tracer is not None

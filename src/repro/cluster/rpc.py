@@ -3,8 +3,8 @@
 A :class:`Service` is an object bound to a :class:`~repro.cluster.node.Node`
 whose public methods are *generator methods*: they may yield simulation
 events (disk I/O, lock waits) and finally ``return`` their result.
-:func:`remote_call` wraps an invocation with the network cost of shipping the
-request and the response and a small per-RPC handling overhead.
+:meth:`RpcTransport.call` wraps an invocation with the network cost of
+shipping the request and the response and a small per-RPC handling overhead.
 
 The payload sizes are explicit arguments rather than being derived from
 serializing real Python objects — the simulation transfers *sizes*, the
@@ -50,7 +50,7 @@ class RpcTransport:
         # observability hooks, resolved once: each is None when disabled,
         # so the per-call cost of a disabled channel is one attribute test
         obs = cluster.obs
-        self._tracer = obs.tracer if obs.tracer.enabled else None
+        self._tracer = obs.tracer
         self._digests = obs.digests
 
     def call(self, caller: "Node", service: Service, method: str,
@@ -105,10 +105,3 @@ class RpcTransport:
             self._digests.rpc(method, sim.now - started)
         return result
 
-
-def remote_call(cluster: "Cluster", caller: "Node", service: Service, method: str,
-                request_bytes: int, response_bytes: int, *args: Any, **kwargs: Any):
-    """Convenience wrapper around :meth:`RpcTransport.call`."""
-    result = yield from cluster.rpc.call(caller, service, method, request_bytes,
-                                         response_bytes, *args, **kwargs)
-    return result

@@ -1,5 +1,9 @@
 """Simulated MPI communicator: the collective operations the stack needs.
 
+The stack runs three collectives: ``barrier``, ``allgather`` (ROMIO's
+exchange of access descriptions in two-phase I/O) and the personalized
+all-to-all ``alltoallv_sparse`` that carries the data.
+
 The communicator is shared by the rank processes of one job.  Every
 collective is implemented as a synchronization point: ranks arriving early
 wait on a per-operation event; the last arrival completes the operation,
@@ -98,8 +102,8 @@ class Communicator:
 
         ``payload_bytes`` is either a byte count or a callable evaluated on
         the collected contributions by the last arrival — the hook operations
-        whose traffic depends on what every rank brought (alltoallv) use to
-        charge their true cost.
+        whose traffic depends on what every rank brought (the all-to-all)
+        use to charge their true cost.
         """
         self._check_rank(rank)
         counts = self._rank_counts.setdefault(op, {})
@@ -125,7 +129,7 @@ class Communicator:
             collective.contributions = None
             if self.size > 1:
                 self.bytes_moved += payload_bytes
-                yield self.cluster.sim.timeout(self._cost(payload_bytes))
+                yield self.cluster.sim.sleep(self._cost(payload_bytes))
             self.collectives_completed += 1
             if collective.event is not None:
                 collective.event.succeed(collective.result)
@@ -142,23 +146,6 @@ class Communicator:
         result = yield from self._enter("barrier", rank, None, 0, lambda _: None)
         return result
 
-    def bcast(self, rank: int, value: Any = None, root: int = 0):
-        """Broadcast ``value`` from ``root`` to every rank."""
-        self._check_rank(root)
-        size_estimate = len(value) if isinstance(value, (bytes, bytearray)) else 64
-        result = yield from self._enter(
-            "bcast", rank, value if rank == root else None, size_estimate,
-            lambda contributions: contributions[root])
-        return result
-
-    def gather(self, rank: int, value: Any, root: int = 0):
-        """Gather one value per rank at ``root`` (others receive ``None``)."""
-        self._check_rank(root)
-        gathered = yield from self._enter(
-            "gather", rank, value, 64 * self.size,
-            lambda contributions: [contributions[index] for index in range(self.size)])
-        return gathered if rank == root else None
-
     def allgather(self, rank: int, value: Any, payload_bytes=None):
         """Gather one value per rank at every rank.
 
@@ -174,71 +161,23 @@ class Communicator:
                 contributions[index] for index in range(self.size)))
         return gathered
 
-    def allreduce(self, rank: int, value: Any, op: Callable[[Any, Any], Any] = None):
-        """Reduce one value per rank with ``op`` (default: sum) at every rank."""
-        def finalize(contributions: Dict[int, Any]) -> Any:
-            values = [contributions[index] for index in range(self.size)]
-            if op is None:
-                return sum(values)
-            result = values[0]
-            for item in values[1:]:
-                result = op(result, item)
-            return result
-
-        reduced = yield from self._enter("allreduce", rank, value, 64, finalize)
-        return reduced
-
-    def alltoallv(self, rank: int, send_items: List[Any],
-                  sizeof: Optional[Callable[[Any], int]] = None):
-        """Personalized all-to-all: element ``j`` of ``send_items`` goes to rank ``j``.
-
-        Every rank supplies one item per destination (lists of pieces, for
-        the two-phase collective-buffering exchange) and receives the list
-        ``[item from rank 0, item from rank 1, ...]`` addressed to it.
-
-        ``sizeof`` prices one item (bytes on the wire); the charged cost uses
-        the *bottleneck* rank — the largest sent-plus-received volume over
-        any single NIC — rather than the total volume, since the pairwise
-        transfers proceed in parallel.  A rank's item addressed to itself is
-        a local copy and moves over no NIC, so it costs nothing.
-        """
-        if len(send_items) != self.size:
-            raise MPIError(
-                f"alltoallv needs one item per rank ({self.size}), "
-                f"got {len(send_items)}")
-        measure = sizeof or (lambda item: 64)
-
-        def finalize(contributions: Dict[int, Any]) -> List[List[Any]]:
-            return [[contributions[src][dst] for src in range(self.size)]
-                    for dst in range(self.size)]
-
-        def bottleneck_bytes(contributions: Dict[int, Any]) -> int:
-            sent = [sum(measure(item)
-                        for dst, item in enumerate(contributions[src])
-                        if dst != src)
-                    for src in range(self.size)]
-            received = [sum(measure(contributions[src][dst])
-                            for src in range(self.size) if src != dst)
-                        for dst in range(self.size)]
-            return max(s + r for s, r in zip(sent, received))
-
-        matrix = yield from self._enter(
-            "alltoallv", rank, send_items, bottleneck_bytes, finalize)
-        return matrix[rank]
-
     def alltoallv_sparse(self, rank: int, send_map: Dict[int, Any],
                          sizeof: Optional[Callable[[Any], int]] = None):
         """Sparse personalized all-to-all: ``send_map[dst]`` goes to rank ``dst``.
 
-        Semantically :meth:`alltoallv` where absent destinations send
-        nothing, but both the exchange and the cost model only touch the
-        non-empty entries — on a collective write/read most ranks talk to a
-        handful of file-domain owners, so the dense one-item-per-rank lists
-        (and their O(size²) bottleneck scan) waste nearly all their work.
-        Returns ``{src: item}`` for the items addressed to this rank.
+        MPI's ``alltoallv`` where absent destinations send nothing: both the
+        exchange and the cost model only touch the non-empty entries — on a
+        collective write/read most ranks talk to a handful of file-domain
+        owners.  Returns ``{src: item}`` for the items addressed to this
+        rank.
 
-        All ranks of a call site must use the same variant (dense or sparse),
-        exactly as MPI requires matching collective calls.
+        ``sizeof`` prices one item (bytes on the wire, default 64); the
+        charged cost uses the *bottleneck* rank — the largest sent-plus-
+        received volume over any single NIC — rather than the total volume,
+        since the pairwise transfers proceed in parallel.  An item a rank
+        addresses to itself is a local copy and moves over no NIC, so it
+        costs nothing.  A destination outside the communicator raises
+        :class:`~repro.errors.MPIError`.
         """
         for dst in send_map:
             self._check_rank(dst)
@@ -265,18 +204,3 @@ class Communicator:
         inboxes = yield from self._enter(
             "alltoallv", rank, send_map, bottleneck_bytes, finalize)
         return inboxes[rank]
-
-    def scatter(self, rank: int, values: Optional[List[Any]] = None, root: int = 0):
-        """Scatter one element of ``values`` (given at ``root``) to each rank."""
-        self._check_rank(root)
-
-        def finalize(contributions: Dict[int, Any]) -> List[Any]:
-            items = contributions[root]
-            if items is None or len(items) != self.size:
-                raise MPIError("scatter root must supply one value per rank")
-            return list(items)
-
-        scattered = yield from self._enter(
-            "scatter", rank, values if rank == root else None, 64 * self.size,
-            finalize)
-        return scattered[rank]

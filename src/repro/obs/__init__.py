@@ -34,7 +34,7 @@ from repro.obs.critpath import (LAYERS, SpanDag, critical_path,
 from repro.obs.digest import DigestTaps, LatencyDigest, digest_columns
 from repro.obs.linktel import LinkTelemetry
 from repro.obs.registry import MetricsRegistry
-from repro.obs.trace import NULL_TRACER, Span, TraceContext, Tracer
+from repro.obs.trace import Span, TraceContext, Tracer
 
 __all__ = [
     "DigestTaps",
@@ -42,7 +42,6 @@ __all__ = [
     "LatencyDigest",
     "LinkTelemetry",
     "MetricsRegistry",
-    "NULL_TRACER",
     "Observability",
     "Span",
     "SpanDag",
@@ -62,9 +61,8 @@ class Observability:
     observability knobs on :class:`~repro.cluster.config.ClusterConfig`;
     the registry always exists (metrics views are pull-based and cost
     nothing until collected), while the tracer, link telemetry and digest
-    taps only materialize when enabled — disabled runs hold the shared
-    :data:`NULL_TRACER` / ``None``, which is what every instrumented call
-    site guards on.
+    taps only materialize when enabled — disabled runs hold ``None``,
+    which is what every instrumented call site guards on.
     """
 
     def __init__(self, sim, tracing: bool = False,
@@ -72,8 +70,7 @@ class Observability:
                  latency_digests: bool = False):
         self.sim = sim
         self.registry = MetricsRegistry()
-        self.tracer = Tracer(clock=lambda: sim.now) if tracing \
-            else NULL_TRACER
+        self.tracer = Tracer(clock=lambda: sim.now) if tracing else None
         # only the queued model has links whose queues a sample can show,
         # and only a traced run asks for them
         self.link_telemetry = LinkTelemetry(sim) \
@@ -82,4 +79,4 @@ class Observability:
 
     @property
     def tracing(self) -> bool:
-        return self.tracer.enabled
+        return self.tracer is not None

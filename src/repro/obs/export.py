@@ -58,8 +58,6 @@ def to_chrome_trace(tracer, telemetry=None) -> Dict:
     """
     spans = tracer.finished_spans()
     lanes = [span.lane for span in spans]
-    counter_samples = list(getattr(tracer, "counter_samples", ()))
-    lanes += [lane for _ts, lane, _series, _values in counter_samples]
     if telemetry is not None:
         lanes += [("link", name) for name in telemetry.samples]
     mapping = _lane_map(lanes)
@@ -87,12 +85,6 @@ def to_chrome_trace(tracer, telemetry=None) -> Dict:
             "pid": pid, "tid": tid, "args": args,
         })
 
-    for ts, lane, series, values in counter_samples:
-        pid, tid = mapping[lane]
-        events.append({
-            "ph": "C", "name": f"{series} {lane[1]}", "ts": _us(ts),
-            "pid": pid, "tid": 0, "args": dict(values),
-        })
     if telemetry is not None:
         for name in sorted(telemetry.samples):
             pid, tid = mapping[("link", name)]

@@ -15,21 +15,20 @@ a per-actor :class:`TraceContext` keeps a *stack* of open spans and parents
 new ones under the top by default.  Anything that executes concurrently
 within a rank (upload fanouts, the pipelined ticket process, deferred
 completes) must **not** touch the stack: those sites use
-:meth:`TraceContext.begin_detached` / :meth:`TraceContext.wrap` with an
-explicit parent.  A detached span whose interval may outlive its parent
+:meth:`TraceContext.begin_detached` with an explicit parent.  A detached span whose interval may outlive its parent
 (a deferred complete) is marked ``flow=True`` — causally linked, but
 exempt from interval nesting.
 
-Disabled tracing is the :data:`NULL_TRACER` singleton with
-``enabled=False``; call sites hold ``trace_ctx = None`` and guard with a
-single attribute test, so the disabled path allocates nothing.
+Disabled tracing has no tracer at all: ``Observability.tracer`` is
+``None``, call sites hold ``trace_ctx = None`` and guard with a single
+attribute test, so the disabled path allocates nothing.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
-__all__ = ["Span", "Tracer", "NullTracer", "NULL_TRACER", "TraceContext"]
+__all__ = ["Span", "Tracer", "TraceContext"]
 
 Lane = Tuple[str, str]
 
@@ -63,16 +62,12 @@ class Span:
 
 
 class Tracer:
-    """Collects spans and counter samples on the simulation clock."""
-
-    enabled = True
+    """Collects spans on the simulation clock."""
 
     def __init__(self, clock: Callable[[], float]):
         self.clock = clock
         #: every span ever begun, in span-id order (open spans included)
         self.spans: List[Span] = []
-        #: counter timeline samples: ``(ts, lane, series, values)``
-        self.counter_samples: List[Tuple[float, Lane, str, Dict]] = []
         self._next_id = 1
 
     # ------------------------------------------------------------------
@@ -101,10 +96,6 @@ class Tracer:
         self.spans.append(span)
         return span
 
-    def counter(self, lane: Lane, series: str, values: Dict) -> None:
-        """Record one counter-timeline sample (a Chrome ``"C"`` event)."""
-        self.counter_samples.append((self.clock(), lane, series, values))
-
     # ------------------------------------------------------------------
     def context(self, lane: Lane, **attrs) -> "TraceContext":
         """A per-actor context whose spans all land on ``lane``."""
@@ -114,46 +105,12 @@ class Tracer:
         return [span for span in self.spans if span.end is not None]
 
 
-class NullTracer:
-    """The disabled recorder: every operation is a no-op.
-
-    Call sites normally never reach it (they guard on ``ctx is None``);
-    it exists so code holding a tracer reference unconditionally — the
-    ``Observability`` holder, diagnostic dumps — needs no branches.
-    """
-
-    enabled = False
-    spans: List[Span] = []
-    counter_samples: list = []
-
-    def begin_span(self, *args, **kwargs) -> None:
-        return None
-
-    def end_span(self, *args, **kwargs) -> None:
-        return None
-
-    def complete_span(self, *args, **kwargs) -> None:
-        return None
-
-    def counter(self, *args, **kwargs) -> None:
-        return None
-
-    def context(self, lane: Lane, **attrs) -> None:
-        return None
-
-    def finished_spans(self) -> List[Span]:
-        return []
-
-
-NULL_TRACER = NullTracer()
-
-
 class TraceContext:
     """Span stack of one sequential actor (one rank process).
 
     ``begin``/``finish`` maintain the stack for the actor's *mainline*
-    flow; concurrent work inside the same rank uses ``begin_detached`` or
-    ``wrap`` with an explicit parent and never touches the stack.
+    flow; concurrent work inside the same rank uses ``begin_detached``
+    with an explicit parent and never touches the stack.
     """
 
     __slots__ = ("tracer", "lane", "attrs", "stack")
@@ -209,25 +166,3 @@ class TraceContext:
     def end(self, span: Span, **args) -> None:
         """Close a detached span (no stack interaction)."""
         self.tracer.end_span(span, args or None)
-
-    def wrap(self, gen, name: str, cat: str = "op",
-             parent: Optional[Span] = None, flow: bool = False, **args):
-        """Run generator ``gen`` under a detached span.
-
-        The span opens immediately (the caller is about to schedule the
-        generator at the current instant) and closes exactly when the
-        generator completes — however the surrounding join is shaped.
-        The wrapper adds no simulation events, so wrapped and unwrapped
-        timings are identical.
-        """
-        span = self.begin_detached(name, cat, parent=parent, flow=flow,
-                                   **args)
-
-        def runner():
-            try:
-                result = yield from gen
-            finally:
-                self.tracer.end_span(span)
-            return result
-
-        return runner()

@@ -24,7 +24,6 @@ from repro.posixfs.mds import FileAttributes, MetadataServer, SimMetadataServer
 from repro.posixfs.ost import ObjectStore, SimOST
 from repro.posixfs.client import PosixClient
 from repro.posixfs.deployment import PosixFsDeployment
-from repro.posixfs.filesystem import PosixParallelFS
 
 __all__ = [
     "StripeLayout",
@@ -39,5 +38,4 @@ __all__ = [
     "SimOST",
     "PosixClient",
     "PosixFsDeployment",
-    "PosixParallelFS",
 ]

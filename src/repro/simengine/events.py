@@ -99,16 +99,6 @@ class Event:
         self.sim.schedule(self)
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Mirror the outcome of another (already triggered) event.
-
-        Used as a callback so that chained events propagate success/failure.
-        """
-        if event._ok:
-            self.succeed(event._value)
-        else:
-            self.fail(event._value)
-
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
         """Register ``callback(event)`` to run when the event is processed.
 

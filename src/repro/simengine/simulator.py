@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Any, Callable, Generator, Optional
+from typing import Any, Generator, Optional
 
 from repro.errors import SimulationError
 from repro.simengine.events import AllOf, Event, Timeout, _Sleep
@@ -197,21 +197,3 @@ class Simulator:
                 raise SimulationError(
                     f"run_all() exceeded {max_events} events; "
                     "likely a livelocked process")
-
-    # ------------------------------------------------------------------
-    # convenience
-    # ------------------------------------------------------------------
-    def defer(self, fn: Callable[[], Any], delay: float = 0.0) -> Event:
-        """Schedule plain callable ``fn`` to run ``delay`` time units from now.
-
-        Returns an event that succeeds with ``fn()``'s return value.
-        """
-        done = self.event()
-
-        def runner():
-            yield self.timeout(delay)
-            return fn()
-
-        proc = self.process(runner(), name=f"defer:{getattr(fn, '__name__', 'fn')}")
-        proc.add_callback(done.trigger)
-        return done

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.blobseer.blob import BlobDescriptor
-from repro.blobseer.version_manager import VersionManager
+from repro.blobseer.version_manager import SimVersionManager, VersionManager
+from repro.cluster import Cluster, ClusterConfig
 from repro.errors import BlobNotFound, StorageError, VersionNotFound
 
 
@@ -103,3 +104,47 @@ class TestPublication:
         assert manager.pending_versions("b") == [1, 2]
         manager.complete("b", 1)
         assert manager.pending_versions("b") == []
+
+
+class TestPublishCost:
+    """The deployed service charges ``publish_cost`` per snapshot it
+    publishes, inside the call that publishes it."""
+
+    def make_service(self, publish_cost):
+        cluster = Cluster(config=ClusterConfig())
+        service = SimVersionManager(cluster.add_node("vm"),
+                                    publish_cost=publish_cost)
+        service.manager.create_blob(BlobDescriptor.create("b", 1024, 64))
+        for _ in range(3):
+            service.manager.assign_ticket("b")
+        return cluster, service
+
+    def timed(self, cluster, call):
+        """``(value, simulated seconds)`` of one handler call."""
+        started = cluster.sim.now
+        value = cluster.sim.run(stop_event=cluster.sim.process(call))
+        return value, cluster.sim.now - started
+
+    def test_complete_waits_the_cost_of_every_snapshot_it_publishes(self):
+        cluster, service = self.make_service(publish_cost=0.25)
+        # version 2 waits for version 1: nothing published, nothing charged
+        assert self.timed(cluster, service.complete("b", 2)) == (0, 0.0)
+        # version 1 publishes itself and version 2
+        latest, elapsed = self.timed(cluster, service.complete("b", 1))
+        assert latest == 2
+        assert elapsed == pytest.approx(2 * 0.25)
+
+    def test_abort_waits_the_cost_of_every_snapshot_it_publishes(self):
+        cluster, service = self.make_service(publish_cost=0.25)
+        assert self.timed(cluster, service.complete("b", 3)) == (0, 0.0)
+        assert self.timed(cluster, service.complete("b", 2)) == (0, 0.0)
+        # releasing version 1 publishes versions 1 to 3
+        latest, elapsed = self.timed(cluster, service.abort("b", 1))
+        assert latest == 3
+        assert elapsed == pytest.approx(3 * 0.25)
+        assert service.manager.snapshots_published == 2
+
+    def test_a_zero_cost_publishes_at_once(self):
+        cluster, service = self.make_service(publish_cost=0.0)
+        assert self.timed(cluster, service.complete("b", 1)) == (1, 0.0)
+        assert self.timed(cluster, service.abort("b", 2)) == (2, 0.0)

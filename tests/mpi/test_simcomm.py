@@ -27,52 +27,37 @@ class TestCollectives:
         assert max(arrival.values()) == pytest.approx(1.5)
         assert min(departure.values()) >= max(arrival.values())
 
-    def test_bcast(self):
+    def test_allgather(self):
         cluster = make_cluster()
 
         def rank_main(ctx):
-            value = "payload" if ctx.rank == 0 else None
-            received = yield from ctx.comm.bcast(ctx.rank, value, root=0)
-            return received
-
-        result = run_mpi_job(cluster, 3, rank_main)
-        assert result.results == ["payload"] * 3
-
-    def test_gather_and_allgather(self):
-        cluster = make_cluster()
-
-        def rank_main(ctx):
-            gathered = yield from ctx.comm.gather(ctx.rank, ctx.rank * 10, root=1)
             everyone = yield from ctx.comm.allgather(ctx.rank, ctx.rank)
-            return gathered, everyone
+            return everyone
 
         result = run_mpi_job(cluster, 3, rank_main)
-        gathered_values = [entry[0] for entry in result.results]
-        assert gathered_values[1] == [0, 10, 20]
-        assert gathered_values[0] is None and gathered_values[2] is None
-        assert all(entry[1] == [0, 1, 2] for entry in result.results)
+        assert all(everyone == [0, 1, 2] for everyone in result.results)
 
-    def test_allreduce_default_sum_and_custom_op(self):
+    @pytest.mark.parametrize("size,rounds", [(3, 2), (5, 3), (6, 3), (7, 3)])
+    def test_latency_term_is_the_ceiling_of_log2_size(self, size, rounds):
+        """A collective's latency term is a binomial tree's depth: ranks
+        that are not a power of two pay the next power's rounds."""
         cluster = make_cluster()
+        config = cluster.config
+        payload = 4096
 
         def rank_main(ctx):
-            total = yield from ctx.comm.allreduce(ctx.rank, ctx.rank + 1)
-            biggest = yield from ctx.comm.allreduce(ctx.rank, ctx.rank, op=max)
-            return total, biggest
+            yield from ctx.comm.barrier(ctx.rank)
+            after_barrier = ctx.sim.now
+            yield from ctx.comm.allgather(ctx.rank, ctx.rank,
+                                          payload_bytes=payload)
+            return after_barrier, ctx.sim.now - after_barrier
 
-        result = run_mpi_job(cluster, 4, rank_main)
-        assert all(entry == (10, 3) for entry in result.results)
-
-    def test_scatter(self):
-        cluster = make_cluster()
-
-        def rank_main(ctx):
-            values = [f"item{i}" for i in range(ctx.size)] if ctx.rank == 0 else None
-            mine = yield from ctx.comm.scatter(ctx.rank, values, root=0)
-            return mine
-
-        result = run_mpi_job(cluster, 3, rank_main)
-        assert result.results == ["item0", "item1", "item2"]
+        result = run_mpi_job(cluster, size, rank_main)
+        latency = rounds * config.network_latency
+        for barrier_s, allgather_s in result.results:
+            assert barrier_s == pytest.approx(latency, rel=1e-9)
+            assert allgather_s == pytest.approx(
+                latency + payload / config.network_bandwidth, rel=1e-9)
 
     def test_multiple_barriers_match_by_generation(self):
         cluster = make_cluster()
@@ -127,25 +112,23 @@ class TestCollectives:
         cluster = make_cluster()
 
         def rank_main(ctx):
-            send = [f"{ctx.rank}->{dst}" for dst in range(ctx.size)]
-            received = yield from ctx.comm.alltoallv(ctx.rank, send)
+            send = {dst: f"{ctx.rank}->{dst}" for dst in range(ctx.size)}
+            received = yield from ctx.comm.alltoallv_sparse(ctx.rank, send)
             return received
 
         result = run_mpi_job(cluster, 3, rank_main)
         for dst, received in enumerate(result.results):
-            assert received == [f"{src}->{dst}" for src in range(3)]
+            assert received == {src: f"{src}->{dst}" for src in range(3)}
 
     def test_alltoallv_charges_the_bottleneck_rank(self):
         cluster = make_cluster()
         config = cluster.config
 
         def rank_main(ctx):
-            # rank 0 sends one big payload to rank 1; everything else is empty
-            send = [b"" for _ in range(ctx.size)]
-            if ctx.rank == 0:
-                send[1] = b"x" * (1024 * 1024)
+            # rank 0 sends one big payload to rank 1; nobody else sends
+            send = {1: b"x" * (1024 * 1024)} if ctx.rank == 0 else {}
             started = ctx.sim.now
-            yield from ctx.comm.alltoallv(ctx.rank, send, sizeof=len)
+            yield from ctx.comm.alltoallv_sparse(ctx.rank, send, sizeof=len)
             return ctx.sim.now - started
 
         result = run_mpi_job(cluster, 2, rank_main)
@@ -153,12 +136,12 @@ class TestCollectives:
         expected = config.network_latency + (1024 * 1024) / config.network_bandwidth
         assert max(result.results) == pytest.approx(expected, rel=1e-6)
 
-    def test_alltoallv_rejects_wrong_item_count(self):
+    def test_alltoallv_rejects_a_destination_outside_the_communicator(self):
         cluster = make_cluster()
         comm = Communicator(cluster, 2)
 
         def proc():
-            yield from comm.alltoallv(0, [1, 2, 3])
+            yield from comm.alltoallv_sparse(0, {2: b"x"})
 
         cluster.sim.process(proc())
         with pytest.raises(MPIError):
@@ -169,11 +152,11 @@ class TestCollectives:
 
         def rank_main(ctx):
             yield from ctx.comm.barrier(ctx.rank)
-            value = yield from ctx.comm.bcast(ctx.rank, "x", root=0)
-            return value
+            value = yield from ctx.comm.allgather(ctx.rank, "x")
+            return value, ctx.sim.now
 
         result = run_mpi_job(cluster, 1, rank_main)
-        assert result.results == ["x"]
+        assert result.results == [(["x"], 0.0)]
 
     def test_invalid_rank_rejected(self):
         cluster = make_cluster()
@@ -243,11 +226,11 @@ class TestAlltoallvSelfTraffic:
 
         def rank_main(ctx):
             # everything stays local: rank r only "sends" to itself
-            send = [b"" for _ in range(ctx.size)]
-            send[ctx.rank] = b"x" * (1024 * 1024)
+            send = {ctx.rank: b"x" * (1024 * 1024)}
             started = ctx.sim.now
-            received = yield from ctx.comm.alltoallv(ctx.rank, send, sizeof=len)
-            assert received[ctx.rank] == send[ctx.rank]
+            received = yield from ctx.comm.alltoallv_sparse(ctx.rank, send,
+                                                            sizeof=len)
+            assert received == send
             return ctx.sim.now - started
 
         result = run_mpi_job(cluster, 2, rank_main)
@@ -284,9 +267,8 @@ class TestBytesMovedAccounting:
             yield from ctx.comm.barrier(ctx.rank)          # 0 bytes
             yield from ctx.comm.allgather(ctx.rank, ctx.rank,
                                           payload_bytes=1000)
-            send = [b"" for _ in range(ctx.size)]
-            send[(ctx.rank + 1) % ctx.size] = b"y" * 300   # 300 per NIC pair
-            yield from ctx.comm.alltoallv(ctx.rank, send, sizeof=len)
+            send = {(ctx.rank + 1) % ctx.size: b"y" * 300}   # 300 per NIC pair
+            yield from ctx.comm.alltoallv_sparse(ctx.rank, send, sizeof=len)
 
         run_mpi_job(cluster, 2, rank_main)
         comm = comms[0]

@@ -99,7 +99,7 @@ def run_collective_job(tracing: bool):
 def test_traced_collective_exports_valid_deep_trace(tmp_path):
     run = run_collective_job(tracing=True)
     tracer = run["cluster"].obs.tracer
-    assert tracer.enabled
+    assert tracer is not None
     assert tracer.spans, "tracing on but no spans recorded"
     open_spans = [span for span in tracer.spans if span.end is None]
     assert open_spans == []
@@ -196,7 +196,7 @@ def test_disabled_tracing_is_invisible_and_identical():
     untraced = run_collective_job(tracing=False)
     # zero-cost path: no tracer contexts, no spans
     assert not untraced["cluster"].obs.tracing
-    assert untraced["cluster"].obs.tracer.finished_spans() == []
+    assert untraced["cluster"].obs.tracer is None
     assert all(driver.client.trace_ctx is None
                for driver in untraced["drivers"])
     # ...and no digest taps anywhere on the hot paths (digests are an

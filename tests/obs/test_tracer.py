@@ -1,13 +1,19 @@
 """Unit tests of the span tracer, context stack and Chrome export."""
 
 import json
+from types import SimpleNamespace
 
+import pytest
+
+from repro.blobseer.deployment import BlobSeerDeployment
+from repro.cluster import Cluster, ClusterConfig
 from repro.obs.export import (
     span_chains,
     to_chrome_trace,
     validate_chrome_trace,
 )
-from repro.obs.trace import NULL_TRACER, Tracer
+from repro.obs.linktel import LinkTelemetry
+from repro.obs.trace import Tracer
 
 
 class FakeClock:
@@ -88,31 +94,16 @@ def test_detached_spans_never_touch_the_stack():
     ctx.finish(mainline)
 
 
-def test_wrap_is_a_pure_passthrough_closing_on_completion():
-    tracer, clock = make_tracer()
-    ctx = tracer.context(("rank", "r0"))
-
-    def work():
-        yield "tick"
-        return 42
-
-    wrapped = ctx.wrap(work(), "stage")
-    span = tracer.spans[-1]
-    assert span.end is None
-    assert next(wrapped) == "tick"
-    clock.now = 3.0
-    try:
-        next(wrapped)
-    except StopIteration as stop:
-        assert stop.value == 42
-    assert span.end == 3.0
-
-
-def test_null_tracer_is_inert():
-    assert NULL_TRACER.enabled is False
-    assert NULL_TRACER.begin_span("a", "op", ("rank", "r0")) is None
-    assert NULL_TRACER.context(("rank", "r0")) is None
-    assert NULL_TRACER.finished_spans() == []
+@pytest.mark.parametrize("network_model", ["bottleneck", "queued"])
+def test_an_untraced_cluster_has_no_tracer_anywhere(network_model):
+    cluster = Cluster(config=ClusterConfig(network_model=network_model))
+    deployment = BlobSeerDeployment(cluster, num_providers=2)
+    client = deployment.client(cluster.add_node("c0"))
+    assert cluster.obs.tracer is None
+    assert not cluster.obs.tracing
+    assert client.trace_ctx is None
+    assert cluster.rpc._tracer is None
+    assert cluster.network.tracer is None
 
 
 def test_chrome_export_schema_and_chains():
@@ -125,9 +116,11 @@ def test_chrome_export_schema_and_chains():
     clock.now = 2e-3
     ctx.end(child)
     ctx.finish(root)
-    tracer.counter(("link", "l0"), "queue", {"depth": 2})
+    telemetry = LinkTelemetry(sim=None)
+    telemetry.record(SimpleNamespace(name="l0", bytes_transferred=64,
+                                     busy_time=1e-3), 1e-3, 0.0, 64)
 
-    trace = to_chrome_trace(tracer)
+    trace = to_chrome_trace(tracer, telemetry)
     assert validate_chrome_trace(trace) == []
     assert validate_chrome_trace(json.dumps(trace)) == []
     events = trace["traceEvents"]

@@ -11,7 +11,7 @@ from repro.core.listio import IOVector
 from repro.core.regions import RegionList
 from repro.errors import FileNotFound
 from repro.mpiio.adio.posix_locking import PosixLockingDriver
-from repro.posixfs import PosixFsDeployment, PosixParallelFS
+from repro.posixfs import PosixFsDeployment
 from repro.posixfs.lock_manager import LockMode
 
 
@@ -286,30 +286,3 @@ class TestPerServerBudget:
             operations[backend] = (
                 written, env.cluster.stats()["disk_operations"] - written)
         assert operations["posix-locking"] == operations["versioning"] == (4, 4)
-
-
-class TestPosixFacade:
-    def test_facade_roundtrip(self):
-        fs = PosixParallelFS(num_osts=2, stripe_size=64,
-                             config=ClusterConfig(network_latency=1e-5))
-        fs.create("/f")
-        fs.write("/f", 5, b"abc")
-        assert fs.read("/f", 5, 3) == b"abc"
-        assert fs.stat("/f").size == 8
-
-    def test_facade_vector_helpers(self):
-        fs = PosixParallelFS(num_osts=2, stripe_size=64,
-                             config=ClusterConfig(network_latency=1e-5))
-        fs.create("/f")
-        fs.write_vector("/f", [(0, b"xx"), (70, b"yy")])
-        assert fs.read_vector("/f", [(0, 2), (70, 2)]) == [b"xx", b"yy"]
-
-    def test_facade_lock_unlock(self):
-        fs = PosixParallelFS(num_osts=2, stripe_size=64,
-                             config=ClusterConfig(network_latency=1e-5))
-        fs.create("/f")
-        handle = fs.lock("/f", 0, 100)
-        assert handle.entries
-        fs.unlock(handle)
-        stats = fs.stats()
-        assert stats["locks_granted"] >= 1

@@ -91,14 +91,6 @@ def test_determinism_across_runs():
     assert build_and_run(7) != build_and_run(8)
 
 
-def test_defer_runs_callable_later():
-    sim = Simulator()
-    event = sim.defer(lambda: 99, delay=5)
-    sim.run_all()
-    assert event.value == 99
-    assert sim.now == 5
-
-
 def test_unhandled_process_failure_propagates():
     sim = Simulator()
 
