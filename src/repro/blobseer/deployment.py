@@ -7,15 +7,14 @@ A deployment creates the nodes and services of one BlobSeer instance:
 * ``num_metadata_providers`` metadata provider nodes (hash-partitioned),
 * ``num_providers`` data provider nodes (each with a disk).
 
-Clients (MPI ranks) live on *separate* compute nodes and are created with
-:meth:`BlobSeerDeployment.client`.
+Clients (MPI ranks) live on *separate* compute nodes and are created as
+``BlobClient(deployment, node, name)``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, TYPE_CHECKING
+from typing import Dict, List, TYPE_CHECKING
 
-from repro.blobseer.client import BlobClient
 from repro.blobseer.metadata.provider import SimMetadataProvider
 from repro.blobseer.metadata.sharedcache import NodeCacheService
 from repro.blobseer.metadata.store import MetadataStore, PartitionedMetadataStore
@@ -75,8 +74,6 @@ class BlobSeerDeployment:
             self.data_providers[service.provider_id] = service
             self.provider_manager.manager.register(service.provider_id)
 
-        self._client_counter = 0
-
     # ------------------------------------------------------------------
     def node_cache(self, node: "Node") -> "NodeCacheService":
         """The shared metadata cache service of one compute node.
@@ -118,18 +115,6 @@ class BlobSeerDeployment:
             return self.data_providers[provider_id]
         except KeyError:
             raise ProviderUnavailable(f"unknown data provider {provider_id!r}") from None
-
-    def client(self, node: "Node", name: Optional[str] = None,
-               **client_options) -> BlobClient:
-        """Create a client bound to ``node`` (typically an MPI rank's node).
-
-        ``client_options`` forward to :class:`BlobClient` (e.g.
-        ``enable_metadata_cache`` for the metadata read-path benchmarks,
-        ``write_through_cache`` for the write-path ones).
-        """
-        self._client_counter += 1
-        return BlobClient(self, node, name or f"blobclient{self._client_counter}",
-                          **client_options)
 
     # ------------------------------------------------------------------
     def fail_provider(self, provider_id: str) -> None:

@@ -203,4 +203,8 @@ class Communicator:
 
         inboxes = yield from self._enter(
             "alltoallv", rank, send_map, bottleneck_bytes, finalize)
-        return inboxes[rank]
+        # every rank resumes from one shared result; each takes its inbox
+        # out of it, so the items a rank is done with are freed while the
+        # later ranks still run, rather than all held until the last leaves
+        inbox, inboxes[rank] = inboxes[rank], None
+        return inbox

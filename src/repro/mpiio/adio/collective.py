@@ -104,14 +104,18 @@ against the segment tree independently — ``N`` ``latest`` round-trips and
    fetches its stripe's chunks — non-resolver ranks spend *zero* metadata
    control RPCs;
 3. scatters bytes and nothing else over ``alltoallv``: each rank receives
-   the pieces of its wanted ranges, and never-written ranges travel as
-   compact *hole descriptors* — 16 bytes each instead of their literal zero
-   payload — materialized locally by the receiving rank (zero-extent
-   elision).  A resolver's traversal stays in its own cache: shipping it to
-   every rank is O(ranks x resolvers x nodes) of traffic that only spared a
-   later *independent* re-read one cold walk;
-4. shares outcomes in a closing ``allgather``: failures anywhere raise on
-   every rank (nobody hangs in a half-entered collective), and on success
+   the written parts of its wanted ranges in run order, without offsets —
+   it derives each one from its own canonical runs, clipped to the sending
+   resolver's stripe and split at the shipped holes — and never-written
+   ranges travel as compact *hole descriptors*, 16 bytes each instead of
+   their literal zero payload, materialized locally by the receiving rank
+   (zero-extent elision).  A resolver's traversal stays in its own cache:
+   shipping it to every rank is O(ranks x resolvers x nodes) of traffic
+   that only spared a later *independent* re-read one cold walk;
+4. raises on every rank when any rank failed: every failure is known before
+   the scatter, so a rank whose resolution failed enters it carrying one
+   error item for every rank instead of data (nobody hangs in a
+   half-entered collective, and no closing exchange follows).  On success
    every rank refreshes its one-shot read hint at the pinned version.
 """
 
@@ -995,11 +999,11 @@ class CollectiveReader(_CollectiveParticipant):
             return [b"" for _request in vector]
 
         # phase 2 (resolvers): resolve + fetch this rank's stripe of the
-        # union extent.  A rank failing here still enters the data exchange
-        # empty-handed and reports through the closing phase, so its peers
-        # never hang mid-collective.  Non-resolver ranks ship nothing at
-        # all — the exchange is sparse on their side.
-        send: Dict[int, Tuple[int, List[Tuple[int, bytes]], list]] = {}
+        # union extent.  A rank failing here still enters the data exchange,
+        # carrying only its error report, so its peers never hang
+        # mid-collective.  Non-resolver ranks ship nothing at all — the
+        # exchange is sparse on their side.
+        send: Dict[int, Tuple] = {}
         if failure is None:
             try:
                 blob = yield from client._descriptor(blob_id)
@@ -1007,14 +1011,15 @@ class CollectiveReader(_CollectiveParticipant):
                     gathered, ("read_domains", len(owners), blob.chunk_size),
                     lambda: partition_file_domain(lo, hi, len(owners),
                                                   blob.chunk_size))
+                # the per-rank wanted runs are identical for every rank —
+                # derive them once per collective: each resolver clips them
+                # to its own stripe, each receiver places its pieces on its
+                # own
+                wanted_full = _shared_memo(
+                    gathered, "read_wanted",
+                    lambda: [canonical_runs(extents)
+                             for extents in extents_by_rank])
                 if rank in owners:
-                    # the per-rank wanted runs are identical for every
-                    # resolver — derive them once per collective, then each
-                    # resolver clips them to its own stripe
-                    wanted_full = _shared_memo(
-                        gathered, "read_wanted",
-                        lambda: [canonical_runs(extents)
-                                 for extents in extents_by_rank])
                     send = yield from _phase(
                         ctx, self._resolve_stripe(
                             blob_id, pinned, domains[owners.index(rank)],
@@ -1023,29 +1028,26 @@ class CollectiveReader(_CollectiveParticipant):
                         version=pinned)
             except Exception as exc:
                 failure = exc
-                send = {}
+        if failure is not None:
+            # every failure is known by now: it rides the scatter as one
+            # error item to every rank, priced as one extent description
+            send = dict.fromkeys(range(comm.size), (
+                EXTENT_DESCRIPTION_BYTES, None, f"rank {rank}: {failure!r}"))
 
         # phase 3: scatter the fetched pieces to the ranks that want them.
         # Never-written ranges travel as (offset, length) hole descriptors —
-        # 16 bytes each — instead of their literal zero payload; each item
-        # was priced once by its resolver, for the stats, the cost model and
-        # the receiver
+        # 16 bytes each — instead of their literal zero payload, and the
+        # payloads travel without offsets: the receiver derives them from
+        # its own runs.  Each item was priced once by its sender, for the
+        # stats, the cost model and the receiver
         self.stats.bytes_sent += sum(item[0]
                                      for destination, item in send.items()
                                      if destination != rank)
         received = yield from _phase(
             ctx, comm.alltoallv_sparse(rank, send, sizeof=_priced_bytes),
             "collective.read.scatter", rank=rank)
-
-        # phase 4: share outcomes
-        closing = ("ok", pinned)
-        if failure is not None:
-            closing = ("err", f"rank {rank}: {failure!r}")
-        outcomes = yield from _phase(
-            ctx, comm.allgather(rank, closing),
-            "collective.read.closing", rank=rank)
-        errors = [entry[1] for entry in outcomes if entry[0] == "err"]
-        if errors:
+        errors = [item[2] for item in received.values() if item[1] is None]
+        if failure is not None or errors:
             # the hint consumed in phase 0 is gone and no fresh one is
             # planted: after a failed collective the next default read must
             # ask the version manager (peer state is undefined)
@@ -1060,37 +1062,66 @@ class CollectiveReader(_CollectiveParticipant):
         # recording it re-plants the one-shot hint
         client.note_collective_read(blob_id, pinned)
 
-        results = self._scatter(vector, received)
+        results = self._scatter(vector, received, wanted_full[rank],
+                                domains, owners)
         self.stats.collectives += 1
         return results
 
     def _scatter(self, vector: IOVector,
-                 received: Dict[int, Tuple[int, list, list]]) -> List[bytes]:
+                 received: Dict[int, Tuple[int, List[bytes], list]],
+                 wanted: List[Tuple[int, int]],
+                 domains: List[Tuple[int, int]],
+                 owners: List[int]) -> List[bytes]:
         """One ``bytes`` per request of ``vector`` out of the received
-        pieces and hole descriptors.
+        payloads and hole descriptors.
 
-        The resolvers cut the pieces on this rank's canonical runs, so a
-        request that is a run of its own (inside one stripe, no holes — every
-        block of an interleaved access) arrives as exactly one piece starting
-        at its offset, and is that piece.  Any other shape goes through the
-        client's general scatter, the hole descriptors materialized locally —
-        the zeros never crossed the interconnect.
+        Each resolver cut this rank's canonical runs (``wanted``), clipped
+        to its stripe, at the holes it ships, and sent the written parts in
+        run order without their offsets.  When nothing was a hole and the
+        requests are the canonical runs themselves (ascending, apart, each
+        inside one stripe — every block of an interleaved access), the
+        payloads in stripe order are the requests' bytes in order: a run
+        across a stripe edge arrives as two payloads, so the counts tell.
+        Any other shape places each payload by the same sweep the resolver
+        cut it with and goes through the client's general scatter, the hole
+        descriptors materialized locally — the zeros never crossed the
+        interconnect.
         """
-        by_offset = {offset: data
-                     for _price, pieces, _holes in received.values()
-                     for offset, data in pieces}
-        results: List[bytes] = []
-        for request in vector:
-            data = by_offset.get(request.offset)
-            if data is None or len(data) != request.size:
-                break
-            results.append(data)
-        else:
-            return results
+        items = [received[owner] for owner in owners if owner in received]
+        if not any([holes for _price, _payloads, holes in items]):
+            ordered = [data for _price, payloads, _holes in items
+                       for data in payloads]
+            if len(ordered) == len(vector):
+                end = -1
+                for request in vector:
+                    if request.offset <= end or not request.size:
+                        break
+                    end = request.offset + request.size
+                else:
+                    return ordered
+        by_offset: Dict[int, bytes] = {}
+        for owner, domain in zip(owners, domains):
+            if owner not in received:
+                continue
+            _price, payloads, holes = received[owner]
+            index = hole_index = 0
+            for run_start, run_end in clip_runs(wanted, *domain):
+                cursor = run_start
+                while hole_index < len(holes) \
+                        and holes[hole_index][0] < run_end:
+                    hole_start, length = holes[hole_index]
+                    if hole_start > cursor:
+                        by_offset[cursor] = payloads[index]
+                        index += 1
+                    cursor = hole_start + length
+                    hole_index += 1
+                if cursor < run_end:
+                    by_offset[cursor] = payloads[index]
+                    index += 1
         fetched = [(offset, len(data), data)
                    for offset, data in by_offset.items()]
         fetched.extend((offset, length, b"\x00" * length)
-                       for _price, _pieces, holes in received.values()
+                       for _price, _payloads, holes in items
                        for offset, length in holes)
         return self.client._assemble(vector, fetched)
 
@@ -1105,15 +1136,19 @@ class CollectiveReader(_CollectiveParticipant):
         the stripe (each metadata node resolved once however many ranks want
         it), one parallel chunk fetch, then per-rank extraction — all of it
         on canonical ``(start, end)`` runs.  Returns the ``send`` map for the
-        sparse data exchange: ``(price, pieces, holes)`` for each destination
-        that wants bytes of this stripe — ``holes`` are the never-written
-        ranges within that rank's wanted bytes, shipped as ``(offset,
-        length)`` descriptors instead of literal zero payloads (zero-extent
-        elision), and ``price`` is the item's wire size, computed once here.
-        The walk warms this resolver's own cache and goes nowhere else.
+        sparse data exchange: ``(price, payloads, holes)`` for each
+        destination that wants bytes of this stripe — ``holes`` are the
+        never-written ranges within that rank's wanted bytes, shipped as
+        ``(offset, length)`` descriptors instead of literal zero payloads
+        (zero-extent elision), ``payloads`` the written parts between them
+        in run order, with no offset (the receiver derives each from its own
+        runs), and ``price`` the item's wire size, computed once here:
+        payload plus one descriptor per hole, plus one header when there is
+        payload at all.  The walk warms this resolver's own cache and goes
+        nowhere else.
         """
         start, end = domain
-        send: Dict[int, Tuple[int, List[Tuple[int, bytes]], list]] = {}
+        send: Dict[int, Tuple[int, List[bytes], list]] = {}
         wanted_by_rank = [clip_runs(full, start, end) for full in wanted_full]
         union = coalesce_runs([run for wanted in wanted_by_rank
                                for run in wanted])
@@ -1131,7 +1166,7 @@ class CollectiveReader(_CollectiveParticipant):
         for destination, wanted in enumerate(wanted_by_rank):
             if not wanted:
                 continue
-            cut: List[Tuple[int, bytes]] = []
+            payloads: List[bytes] = []
             cut_holes: List[Tuple[int, int]] = []
             index = 0
             for run_start, run_end in wanted:
@@ -1145,8 +1180,7 @@ class CollectiveReader(_CollectiveParticipant):
                 if not holes:
                     # common case (fully written range): the whole run
                     # cuts straight out of its union buffer
-                    cut.append((run_start, data[run_start - base:
-                                                run_end - base]))
+                    payloads.append(data[run_start - base:run_end - base])
                     continue
                 # holes within the run travel as descriptors, the written
                 # parts between them as payload
@@ -1154,16 +1188,17 @@ class CollectiveReader(_CollectiveParticipant):
                 for hole_start, hole_end in clip_runs(holes, run_start,
                                                       run_end):
                     if hole_start > cursor:
-                        cut.append((cursor, data[cursor - base:
-                                                 hole_start - base]))
+                        payloads.append(data[cursor - base:hole_start - base])
                     cut_holes.append((hole_start, hole_end - hole_start))
                     cursor = hole_end
                 if cursor < run_end:
-                    cut.append((cursor, data[cursor - base:run_end - base]))
+                    payloads.append(data[cursor - base:run_end - base])
             if destination != rank:
                 self.stats.hole_bytes_elided += sum(length for _offset, length
                                                     in cut_holes)
+            payload = sum([len(data) for data in payloads])
             send[destination] = (
-                _pieces_bytes(cut)
-                + len(cut_holes) * EXTENT_DESCRIPTION_BYTES, cut, cut_holes)
+                payload + len(cut_holes) * EXTENT_DESCRIPTION_BYTES
+                + (EXTENT_DESCRIPTION_BYTES if payload else 0),
+                payloads, cut_holes)
         return send

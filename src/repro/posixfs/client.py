@@ -134,13 +134,6 @@ class PosixClient:
         self.lock_wait_time += handle.wait_time
         return handle
 
-    def lock_extent(self, path: str, offset: int, size: int, mode: LockMode,
-                    namespace: str = "fcntl"):
-        """Lock one contiguous extent (convenience wrapper)."""
-        handle = yield from self.lock_regions(
-            path, RegionList.single(offset, size), mode, namespace)
-        return handle
-
     def unlock(self, handle: LockHandle):
         """Release every lock of a handle (one release per OST)."""
         if handle is None:

@@ -6,13 +6,11 @@ import math
 from typing import List, Optional, TYPE_CHECKING
 
 from repro.errors import FileSystemError
-from repro.posixfs.client import PosixClient
 from repro.posixfs.mds import MetadataServer, SimMetadataServer
 from repro.posixfs.ost import SimOST
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.cluster import Cluster
-    from repro.cluster.node import Node
 
 
 class PosixFsDeployment:
@@ -38,14 +36,7 @@ class PosixFsDeployment:
                                     with_disk=True)
             self.osts.append(SimOST(node))
 
-        self._client_counter = 0
-
     # ------------------------------------------------------------------
-    def client(self, node: "Node", name: Optional[str] = None) -> PosixClient:
-        """Create a client bound to ``node``."""
-        self._client_counter += 1
-        return PosixClient(self, node, name or f"posixclient{self._client_counter}")
-
     def stats(self) -> dict:
         """Aggregate storage-side statistics for benchmark reports."""
         return {

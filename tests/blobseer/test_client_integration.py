@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.blobseer import BlobSeerDeployment
+from repro.blobseer import BlobClient, BlobSeerDeployment
 from repro.cluster import Cluster, ClusterConfig
 from repro.errors import VersionNotFound
 
@@ -30,7 +30,7 @@ class TestContiguousReadWrite:
     def test_write_then_read_roundtrip(self):
         cluster, deployment = make_deployment()
         node = cluster.add_node("c0")
-        client = deployment.client(node)
+        client = BlobClient(deployment, node)
 
         def scenario():
             yield from client.create_blob("data", size=1024)
@@ -46,7 +46,7 @@ class TestContiguousReadWrite:
 
     def test_unwritten_bytes_read_as_zero(self):
         cluster, deployment = make_deployment()
-        client = deployment.client(cluster.add_node("c0"))
+        client = BlobClient(deployment, cluster.add_node("c0"))
 
         def scenario():
             yield from client.create_blob("data", size=256)
@@ -58,7 +58,7 @@ class TestContiguousReadWrite:
 
     def test_write_spanning_multiple_chunks(self):
         cluster, deployment = make_deployment(chunk_size=64)
-        client = deployment.client(cluster.add_node("c0"))
+        client = BlobClient(deployment, cluster.add_node("c0"))
         payload = bytes(range(256)) * 2  # 512 bytes over 8+ chunks
 
         def scenario():
@@ -73,7 +73,7 @@ class TestContiguousReadWrite:
 
     def test_chunks_distributed_round_robin(self):
         cluster, deployment = make_deployment(num_providers=4, chunk_size=64)
-        client = deployment.client(cluster.add_node("c0"))
+        client = BlobClient(deployment, cluster.add_node("c0"))
 
         def scenario():
             yield from client.create_blob("data", size=4096)
@@ -87,7 +87,7 @@ class TestContiguousReadWrite:
 
     def test_versioned_reads_see_old_snapshots(self):
         cluster, deployment = make_deployment()
-        client = deployment.client(cluster.add_node("c0"))
+        client = BlobClient(deployment, cluster.add_node("c0"))
 
         def scenario():
             yield from client.create_blob("data", size=256)
@@ -106,7 +106,7 @@ class TestContiguousReadWrite:
 
     def test_reading_unpublished_version_rejected(self):
         cluster, deployment = make_deployment()
-        client = deployment.client(cluster.add_node("c0"))
+        client = BlobClient(deployment, cluster.add_node("c0"))
 
         def scenario():
             yield from client.create_blob("data", size=256)
@@ -121,7 +121,7 @@ class TestConcurrentWriters:
     def test_concurrent_disjoint_writers_all_published(self):
         cluster, deployment = make_deployment(num_providers=4)
         nodes = cluster.add_nodes("client", 4)
-        clients = [deployment.client(node) for node in nodes]
+        clients = [BlobClient(deployment, node) for node in nodes]
 
         def writer(client, rank):
             receipt = yield from client.write("data", rank * 128, bytes([rank]) * 128)
@@ -143,7 +143,7 @@ class TestConcurrentWriters:
     def test_concurrent_overlapping_writers_serialize_by_version(self):
         cluster, deployment = make_deployment(num_providers=4)
         nodes = cluster.add_nodes("client", 3)
-        clients = [deployment.client(node) for node in nodes]
+        clients = [BlobClient(deployment, node) for node in nodes]
 
         def writer(client, rank):
             receipt = yield from client.write("data", 0, bytes([65 + rank]) * 64)
@@ -174,7 +174,7 @@ class TestConcurrentWriters:
 
     def test_deployment_stats(self):
         cluster, deployment = make_deployment()
-        client = deployment.client(cluster.add_node("c0"))
+        client = BlobClient(deployment, cluster.add_node("c0"))
 
         def scenario():
             yield from client.create_blob("data", size=1024)
@@ -196,7 +196,8 @@ class TestMetadataReadPathModes:
 
     def _read_all(self, **client_options):
         cluster, deployment = make_deployment(chunk_size=64)
-        client = deployment.client(cluster.add_node("c0"), **client_options)
+        client = BlobClient(deployment, cluster.add_node("c0"),
+                            **client_options)
 
         def scenario():
             yield from client.create_blob("data", size=1024)
@@ -224,7 +225,7 @@ class TestMetadataReadPathModes:
         reader pays at most one ``get_nodes`` per shard per read, however
         deep the tree or the chains, and reads the writer's bytes."""
         cluster, deployment = make_deployment(chunk_size=64)
-        writer = deployment.client(cluster.add_node("w"))
+        writer = BlobClient(deployment, cluster.add_node("w"))
 
         def write():
             yield from writer.create_blob("data", size=1024)
@@ -236,7 +237,7 @@ class TestMetadataReadPathModes:
         version = run(cluster, write())
         shards = len(deployment.metadata_providers)
         for offset, size in self.READS:
-            reader = deployment.client(cluster.add_node(f"r{offset}"))
+            reader = BlobClient(deployment, cluster.add_node(f"r{offset}"))
             content = run(cluster, reader.read("data", offset, size,
                                                version=version))
             expected = bytearray(size)
@@ -268,7 +269,6 @@ def test_assemble_scatters_disjoint_extents_into_each_request(seed):
     take the slice fast path, requests spanning extents or reaching into
     gaps the buffer path, and both must agree with the image."""
     import random
-    from repro.blobseer.client import BlobClient
     from repro.core.listio import IOVector
 
     rng = random.Random(seed)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.blobseer import BlobSeerDeployment
+from repro.blobseer import BlobClient, BlobSeerDeployment
 from repro.blobseer.chunk import ChunkKey
 from repro.cluster import Cluster, ClusterConfig
 from repro.core.atomicity import VectoredWrite, check_mpi_atomicity
@@ -26,7 +26,7 @@ def run(cluster, generator):
 class TestProviderFailure:
     def test_writes_avoid_failed_provider(self):
         cluster, deployment = make_deployment(num_providers=3)
-        client = deployment.client(cluster.add_node("c0"))
+        client = BlobClient(deployment, cluster.add_node("c0"))
         deployment.fail_provider("bs-data1")
 
         def scenario():
@@ -46,8 +46,8 @@ class TestProviderFailure:
         """Read through a second client — what a restarted job is: the
         writer's own copy of its chunks died with it."""
         cluster, deployment = make_deployment(num_providers=2)
-        writer = deployment.client(cluster.add_node("c0"))
-        restarted = deployment.client(cluster.add_node("c1"))
+        writer = BlobClient(deployment, cluster.add_node("c0"))
+        restarted = BlobClient(deployment, cluster.add_node("c1"))
 
         def write_phase():
             yield from writer.create_blob("b", size=256)
@@ -67,8 +67,8 @@ class TestProviderFailure:
         """An uploaded chunk is immutable, so the writer's copy is the
         chunk: it serves the writer, and nobody else, without the provider."""
         cluster, deployment = make_deployment(num_providers=2)
-        writer = deployment.client(cluster.add_node("c0"))
-        other = deployment.client(cluster.add_node("c1"))
+        writer = BlobClient(deployment, cluster.add_node("c0"))
+        other = BlobClient(deployment, cluster.add_node("c1"))
 
         def write_phase():
             yield from writer.create_blob("b", size=256)
@@ -92,7 +92,7 @@ class TestProviderFailure:
 
     def test_recovered_provider_serves_its_chunks_again(self):
         cluster, deployment = make_deployment(num_providers=2)
-        client = deployment.client(cluster.add_node("c0"))
+        client = BlobClient(deployment, cluster.add_node("c0"))
 
         def write_phase():
             yield from client.create_blob("b", size=256)
@@ -110,7 +110,7 @@ class TestProviderFailure:
 
     def test_all_providers_failed_rejects_writes(self):
         cluster, deployment = make_deployment(num_providers=1)
-        client = deployment.client(cluster.add_node("c0"))
+        client = BlobClient(deployment, cluster.add_node("c0"))
         deployment.fail_provider("bs-data0")
 
         def scenario():
@@ -125,8 +125,8 @@ class TestProviderFailure:
         publication of later tickets — the documented trade-off of in-order
         publication — but already-published snapshots stay readable."""
         cluster, deployment = make_deployment(num_providers=2)
-        client_a = deployment.client(cluster.add_node("c0"))
-        client_b = deployment.client(cluster.add_node("c1"))
+        client_a = BlobClient(deployment, cluster.add_node("c0"))
+        client_b = BlobClient(deployment, cluster.add_node("c1"))
 
         def scenario():
             yield from client_a.create_blob("b", size=256)

@@ -66,13 +66,14 @@ def charge_log(monkeypatch):
 
 
 def _item_wire_bytes(item):
-    """Reference price of one scatter item ``(price, pieces, holes)``,
+    """Reference price of one scatter item ``(price, payloads, holes)``,
     recomputed from what it ships and ignoring the sender's ``price``:
-    payload pieces with a 16-byte header each, 16 bytes per hole
-    descriptor — and nothing else (the scatter carries no metadata plan)."""
-    _price, pieces, piece_holes = item
-    return (sum(len(data) + EXTENT_DESCRIPTION_BYTES
-                for _offset, data in pieces)
+    the payload bytes, one 16-byte header if there are any, 16 bytes per
+    hole descriptor — and nothing else (the payloads carry no offsets, the
+    scatter no metadata plan)."""
+    _price, payloads, piece_holes = item
+    payload = sum(len(data) for data in payloads)
+    return (payload + (EXTENT_DESCRIPTION_BYTES if payload else 0)
             + len(piece_holes) * EXTENT_DESCRIPTION_BYTES)
 
 
@@ -91,9 +92,8 @@ def _reference_bottleneck(contributions, pricer=_item_wire_bytes):
 
 def _item_literal_bytes(item):
     """Counterfactual price with holes shipped as literal zeros."""
-    _price, pieces, piece_holes = item
-    return (sum(len(data) + EXTENT_DESCRIPTION_BYTES
-                for _offset, data in pieces)
+    _price, payloads, piece_holes = item
+    return (sum(len(data) + EXTENT_DESCRIPTION_BYTES for data in payloads)
             + sum(length for _offset, length in piece_holes))
 
 
@@ -131,13 +131,12 @@ def test_collective_read_bytes_moved_exact(charge_log):
     window = charge_log[start_idx:end_idx]
     charged = [entry for entry in window if entry[0] != "barrier"]
 
-    # the read is exactly describe → scatter → closing (version pinning
-    # rides the describe allgather; the hint elides the latest RPC)
-    assert [op for op, _, _ in charged] == \
-        ["allgather", "alltoallv", "allgather"]
+    # the read is exactly describe → scatter (version pinning rides the
+    # describe allgather; the hint elides the latest RPC; failures would
+    # ride the scatter)
+    assert [op for op, _, _ in charged] == ["allgather", "alltoallv"]
     (_, describe_bytes, describe_contribs) = charged[0]
     (_, scatter_bytes, scatter_contribs) = charged[1]
-    (_, closing_bytes, _) = charged[2]
 
     # phase 1: one 16-byte extent description + 8-byte watermark per rank
     assert all(entry[0] == "ok" and len(entry[1]) == 1
@@ -172,12 +171,8 @@ def test_collective_read_bytes_moved_exact(charge_log):
     assert scatter_bytes < _reference_bottleneck(
         scatter_contribs, pricer=_item_literal_bytes)
 
-    # phase 4: the closing allgather uses the default 64-byte estimate
-    assert closing_bytes == 64 * NUM_RANKS
-
     # and nothing else was charged into bytes_moved inside the window
-    assert end_bytes - start_bytes == \
-        describe_bytes + scatter_bytes + closing_bytes
+    assert end_bytes - start_bytes == describe_bytes + scatter_bytes
 
 
 # ----------------------------------------------------------------------

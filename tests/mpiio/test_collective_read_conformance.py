@@ -26,12 +26,15 @@ import random
 
 import pytest
 
+from repro.blobseer.client import BlobClient
 from repro.mpi.datatypes import BYTE, Indexed
 from repro.mpi.launcher import run_mpi_job
-from repro.core.regions import Region, RegionList
+from repro.core.listio import IOVector
+from repro.core.regions import Region, RegionList, canonical_runs
 from repro.errors import StorageError
 from repro.mpiio.adio.collective import (
     EXTENT_DESCRIPTION_BYTES,
+    CollectiveReader,
     _scan_outcomes,
     aggregator_ranks,
     partition_file_domain,
@@ -382,9 +385,9 @@ def test_collective_read_skips_the_redundant_closing_barrier():
 
     result = run_mpi_job(cluster, num_ranks, rank_main)
     assert all(data == content[:4096] for data in result.results)
-    # open barrier (1) + describe allgather + data alltoallv + closing
-    # allgather (3) — and nothing else
-    assert comms[0].collectives_completed == 4
+    # open barrier (1) + describe allgather + data alltoallv (2) — and
+    # nothing else: failures ride the scatter, no closing phase follows
+    assert comms[0].collectives_completed == 3
     assert comms[0].bytes_moved > 0
 
 
@@ -426,9 +429,10 @@ def control_rpcs(driver):
 def test_exchange_bytes_are_descriptions_pieces_and_holes_exactly(
         num_ranks, num_resolvers):
     """``bytes_sent`` over the group is the encoded descriptions plus, for
-    every (resolver, other rank) pair, payload + 16 B per piece and 16 B per
-    hole descriptor — recomputed here from the region algebra alone.  A
-    shipped plan (or any other stowaway) breaks the equality."""
+    every (resolver, other rank) pair, payload + 16 B per hole descriptor +
+    one 16 B header when there is payload — recomputed here from the region
+    algebra alone.  A shipped plan, a per-piece offset (or any other
+    stowaway) breaks the equality."""
     block = 32
     blocks_per_rank = (FILE_SIZE // 2) // (num_ranks * block)
     assert blocks_per_rank >= 3, "the strided part must encode as one run"
@@ -469,15 +473,15 @@ def test_exchange_bytes_are_descriptions_pieces_and_holes_exactly(
         for rank, regions in enumerate(read_pattern):
             if rank == owner:
                 continue
+            payload = 0
             for wanted in RegionList(regions).normalized().intersection(
                     RegionList((stripe,))):
                 wanted = RegionList((wanted,))
-                pieces = wanted.intersection(written)
                 holes = wanted.subtract(written)
-                expected += (pieces.total_bytes()
-                             + EXTENT_DESCRIPTION_BYTES
-                             * (len(pieces) + len(holes)))
+                payload += wanted.intersection(written).total_bytes()
+                expected += EXTENT_DESCRIPTION_BYTES * len(holes)
                 hole_bytes += holes.total_bytes()
+            expected += payload + (EXTENT_DESCRIPTION_BYTES if payload else 0)
     stats = [driver.reader.stats for driver in drivers.values()]
     assert sum(entry.bytes_sent for entry in stats) == expected
     assert sum(entry.hole_bytes_elided for entry in stats) == hole_bytes > 0
@@ -485,6 +489,102 @@ def test_exchange_bytes_are_descriptions_pieces_and_holes_exactly(
     descriptions = num_ranks * (3 * EXTENT_DESCRIPTION_BYTES + 8)
     assert sum(entry.bytes_received for entry in stats) \
         == expected - descriptions
+
+
+class _ImageClient:
+    """Stand-in resolver client over an in-memory file image: it serves
+    the image and reports the never-written runs as holes; the scatter is
+    the real client's."""
+
+    _assemble = staticmethod(BlobClient._assemble)
+
+    def __init__(self, image, written):
+        self.image, self.written = image, written
+
+    def _vectored_read(self, blob_id, vector, version, holes):
+        for request in vector:
+            wanted = RegionList([(request.offset, request.size)])
+            holes.extend((region.offset, region.end)
+                         for region in wanted.subtract(self.written))
+        return [self.image[request.offset:request.offset + request.size]
+                for request in vector]
+        yield  # pragma: no cover - generator shape
+
+
+def random_request_shape(rng, size, rank, num_ranks):
+    """One rank's read requests in any shape a vector may take: the
+    interleaved blocks of a strided access, lone blocks, blocks across
+    chunk edges, adjacent and overlapping requests, descending order and
+    zero-size requests."""
+    if rng.random() < 0.4:
+        block = rng.choice([CHUNK // 4, 100])
+        blocks = [(offset, block) for offset in range(
+            rank * block, size - block, num_ranks * block)]
+        # a zero-size request can trail the blocks, as a view's last
+        # element may
+        return blocks[::rng.choice([1, 1, -1])] + rng.choice(
+            [[], [(size - 1, 0)]])
+    requests = []
+    for _ in range(rng.randint(0, 6)):
+        offset = rng.randrange(size - 1)
+        length = rng.choice([0, rng.randint(1, 64), rng.randint(1, 3 * CHUNK)])
+        length = min(length, size - offset)
+        requests.append((offset, length))
+        if rng.random() < 0.3:
+            # the next request starts where this one ends
+            requests.append((offset + length,
+                             min(rng.randint(1, 64), size - offset - length)))
+    if rng.random() < 0.5:
+        requests.sort()
+    elif rng.random() < 0.5:
+        requests.sort(reverse=True)
+    return requests
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_each_rank_places_the_offsetless_payloads_exactly(seed):
+    """The scatter ships payloads without offsets; every rank derives them
+    from its own runs.  Whatever the request shape, fully written or holed,
+    each rank gets exactly its bytes of the image back."""
+    rng = random.Random(seed)
+    size = 8 * CHUNK
+    if rng.random() < 0.5:
+        written = RegionList([(0, size)])
+    else:
+        written = RegionList([(rng.randrange(size), rng.randint(1, 2 * CHUNK))
+                              for _ in range(rng.randint(0, 5))]
+                             ).intersection(RegionList([(0, size)]))
+    image = bytearray(size)
+    for region in written:
+        image[region.offset:region.end] = bytes(
+            rng.randrange(1, 256) for _ in range(region.size))
+    image = bytes(image)
+    num_ranks = rng.randint(1, 6)
+    requests = [random_request_shape(rng, size, rank, num_ranks)
+                for rank in range(num_ranks)]
+    wanted = [canonical_runs(pairs) for pairs in requests]
+    runs = [run for rank_runs in wanted for run in rank_runs]
+    if not runs:
+        return
+    owners = aggregator_ranks(num_ranks, rng.randint(1, num_ranks))
+    domains = partition_file_domain(min(start for start, _end in runs),
+                                    max(end for _start, end in runs),
+                                    len(owners), CHUNK)
+    readers = [CollectiveReader(_ImageClient(image, written))
+               for _rank in range(num_ranks)]
+    inboxes = [{} for _rank in range(num_ranks)]
+    for owner, domain in zip(owners, domains):
+        resolve = readers[owner]._resolve_stripe(PATH, 1, domain, wanted,
+                                                 owner)
+        with pytest.raises(StopIteration) as stop:
+            next(resolve)
+        for destination, item in stop.value.value.items():
+            inboxes[destination][owner] = item
+    for rank, pairs in enumerate(requests):
+        assert readers[rank]._scatter(
+            IOVector.for_read(pairs), inboxes[rank], wanted[rank], domains,
+            owners) == [image[offset:offset + length]
+                        for offset, length in pairs], f"rank {rank}"
 
 
 def test_a_resolver_walks_a_snapshot_cold_once():
@@ -784,8 +884,9 @@ def test_an_outside_ticket_inside_the_group_run_re_indexes_nothing():
         if ctx.rank == owners[1]:
             # the second aggregator commits only once the first aggregator
             # published and an outsider wrote after it
-            outsider = client.deployment.client(
-                client.cluster.add_node("outsider"), name="outsider")
+            outsider = BlobClient(client.deployment,
+                                  client.cluster.add_node("outsider"),
+                                  name="outsider")
             commit = client.writepath.commit
 
             def late_commit(*args, **kwargs):

@@ -5,10 +5,10 @@ back-end, so its death is the interesting failure.  Windows:
 
 * *mid-fetch* — the resolver dies resolving/fetching its stripe (a dead
   metadata shard or data provider under it).  It must enter the data
-  exchange empty-handed and report through the closing phase: every rank
-  raises instead of hanging, no rank's cache holds anything but its own
-  traversal, and the version-manager state is untouched (reads own no
-  tickets).
+  exchange carrying only its error report, addressed to every rank: every
+  rank raises after the scatter instead of hanging, no rank's cache holds
+  anything but its own traversal, and the version-manager state is
+  untouched (reads own no tickets).
 
 * *mid-broadcast* — the resolver dies between the opening exchange and the
   scatter (partition/stripe-cutting work).  Same containment contract.
@@ -157,6 +157,47 @@ class TestResolverDiesMidFetch:
                                                         self._heal)
         assert_contained_failure(deployment, content, outcomes, cache_states,
                                  retries)
+
+
+def test_a_failed_resolver_reaches_a_rank_that_wanted_none_of_its_stripe():
+    """The failure rides the scatter to *every* rank: rank 1 reads only
+    the first stripe, which the healthy resolver serves, and still raises —
+    after the same three collectives as a successful read (the open
+    barrier, the describe allgather and the scatter), with no closing
+    phase behind them."""
+    from repro.errors import MPIIOError
+    cluster, deployment = make_deployment()
+    seed_content(cluster, deployment)
+    fault = TestResolverDiesMidFetch()
+
+    def rank_main(ctx):
+        driver = VersioningDriver(deployment, ctx.node,
+                                  rank_name=f"rank{ctx.rank}",
+                                  write_coalescing=True,
+                                  collective_buffering=True,
+                                  collective_aggregators=NUM_RESOLVERS)
+        handle = yield from File.open(driver, PATH, rank=ctx.rank,
+                                      comm=ctx.comm, size_hint=FILE_SIZE)
+        fault._sabotage(ctx.rank, driver)
+        size = 1024 if ctx.rank == BYSTANDER_RANK else FILE_SIZE
+        outcome = None
+        try:
+            yield from handle.read_at_all(0, size)
+        except Exception as exc:
+            outcome = exc
+        return outcome, ctx.comm.collectives_completed
+
+    result = run_mpi_job(cluster, NUM_RANKS, rank_main)
+    outcomes = [entry[0] for entry in result.results]
+    # the stripes split the file in halves; the doomed resolver owns the
+    # second, the bystander wants bytes of the first only
+    assert DOOMED_RANK == aggregator_ranks(NUM_RANKS, NUM_RESOLVERS)[1]
+    assert isinstance(outcomes[DOOMED_RANK], StorageError)
+    assert isinstance(outcomes[BYSTANDER_RANK], MPIIOError)
+    assert f"rank {DOOMED_RANK}:" in str(outcomes[BYSTANDER_RANK])
+    assert all(isinstance(outcome, MPIIOError)
+               for rank, outcome in enumerate(outcomes) if rank != DOOMED_RANK)
+    assert [entry[1] for entry in result.results] == [3] * NUM_RANKS
 
 
 class TestResolverDiesMidBroadcast:

@@ -252,12 +252,13 @@ class TestConcurrentAtomicity:
         order of the two vectored writes can produce.
         """
         from repro.cluster import Cluster
-        from repro.posixfs import PosixFsDeployment
+        from repro.posixfs import PosixClient, PosixFsDeployment
 
         cluster = Cluster(config=QUICK)
         deployment = PosixFsDeployment(cluster, num_osts=2,
                                        default_stripe_size=4096)
-        clients = [deployment.client(node) for node in cluster.add_nodes("c", 2)]
+        clients = [PosixClient(deployment, node)
+                   for node in cluster.add_nodes("c", 2)]
         region_a, region_b = (0, 512), (8192, 512)
         pairs = {
             0: [(region_a[0], b"A" * 512), (region_b[0], b"A" * 512)],

@@ -11,6 +11,7 @@ uncoalesced ones.
 
 import pytest
 
+from repro.blobseer.client import BlobClient
 from repro.blobseer.deployment import BlobSeerDeployment
 from repro.cluster import Cluster, ClusterConfig
 from repro.errors import StorageError
@@ -138,7 +139,8 @@ def test_read_fences_when_publication_lags_behind_own_commit():
     snapshot older than the client's own flushed write."""
     cluster, deployment, driver_factory = make_environment(
         write_coalescing=True)
-    blocker = deployment.client(cluster.add_node("blocker"), name="blocker")
+    blocker = BlobClient(deployment, cluster.add_node("blocker"),
+                         name="blocker")
 
     def staller():
         # grab the next ticket and sit on it for a while before completing

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.blobseer.client import BlobClient
 from repro.blobseer.deployment import BlobSeerDeployment
 from repro.cluster import Cluster, ClusterConfig
 from repro.obs.export import (
@@ -98,7 +99,7 @@ def test_detached_spans_never_touch_the_stack():
 def test_an_untraced_cluster_has_no_tracer_anywhere(network_model):
     cluster = Cluster(config=ClusterConfig(network_model=network_model))
     deployment = BlobSeerDeployment(cluster, num_providers=2)
-    client = deployment.client(cluster.add_node("c0"))
+    client = BlobClient(deployment, cluster.add_node("c0"))
     assert cluster.obs.tracer is None
     assert not cluster.obs.tracing
     assert client.trace_ctx is None

@@ -11,7 +11,7 @@ from repro.core.listio import IOVector
 from repro.core.regions import RegionList
 from repro.errors import FileNotFound
 from repro.mpiio.adio.posix_locking import PosixLockingDriver
-from repro.posixfs import PosixFsDeployment
+from repro.posixfs import PosixClient, PosixFsDeployment
 from repro.posixfs.lock_manager import LockMode
 
 
@@ -30,7 +30,7 @@ def run(cluster, generator):
 class TestPosixClient:
     def test_write_read_roundtrip(self):
         cluster, deployment = make_deployment()
-        client = deployment.client(cluster.add_node("c0"))
+        client = PosixClient(deployment, cluster.add_node("c0"))
 
         def scenario():
             yield from client.create("/shared", stripe_size=64)
@@ -45,7 +45,7 @@ class TestPosixClient:
 
     def test_write_striped_across_osts(self):
         cluster, deployment = make_deployment(num_osts=3, stripe_size=64)
-        client = deployment.client(cluster.add_node("c0"))
+        client = PosixClient(deployment, cluster.add_node("c0"))
 
         def scenario():
             yield from client.create("/f", stripe_size=64, stripe_count=3)
@@ -57,7 +57,7 @@ class TestPosixClient:
 
     def test_read_missing_file_raises(self):
         cluster, deployment = make_deployment()
-        client = deployment.client(cluster.add_node("c0"))
+        client = PosixClient(deployment, cluster.add_node("c0"))
 
         def scenario():
             yield from client.read("/missing", 0, 4)
@@ -67,7 +67,7 @@ class TestPosixClient:
 
     def test_unwritten_bytes_read_as_zero(self):
         cluster, deployment = make_deployment()
-        client = deployment.client(cluster.add_node("c0"))
+        client = PosixClient(deployment, cluster.add_node("c0"))
 
         def scenario():
             yield from client.create("/f")
@@ -79,7 +79,7 @@ class TestPosixClient:
 
     def test_vector_write_and_read(self):
         cluster, deployment = make_deployment()
-        client = deployment.client(cluster.add_node("c0"))
+        client = PosixClient(deployment, cluster.add_node("c0"))
 
         def scenario():
             yield from client.create("/f", stripe_size=64)
@@ -93,13 +93,13 @@ class TestPosixClient:
 
     def test_advisory_lock_serializes_writers(self):
         cluster, deployment = make_deployment()
-        clients = [deployment.client(node)
+        clients = [PosixClient(deployment, node)
                    for node in cluster.add_nodes("c", 2)]
         order = []
 
         def locker(client, name, hold_time):
-            handle = yield from client.lock_extent("/f", 0, 128,
-                                                   LockMode.EXCLUSIVE)
+            handle = yield from client.lock_regions(
+                "/f", RegionList.single(0, 128), LockMode.EXCLUSIVE)
             order.append((name, "acquired", cluster.sim.now))
             yield cluster.sim.timeout(hold_time)
             yield from client.unlock(handle)
@@ -119,10 +119,12 @@ class TestPosixClient:
 
     def test_lock_wait_time_accounted(self):
         cluster, deployment = make_deployment()
-        clients = [deployment.client(node) for node in cluster.add_nodes("c", 2)]
+        clients = [PosixClient(deployment, node)
+                   for node in cluster.add_nodes("c", 2)]
 
         def locker(client, hold):
-            handle = yield from client.lock_extent("/f", 0, 64, LockMode.EXCLUSIVE)
+            handle = yield from client.lock_regions(
+                "/f", RegionList.single(0, 64), LockMode.EXCLUSIVE)
             yield cluster.sim.timeout(hold)
             yield from client.unlock(handle)
 
@@ -137,11 +139,13 @@ class TestPosixClient:
 
     def test_shared_locks_allow_concurrent_readers(self):
         cluster, deployment = make_deployment()
-        clients = [deployment.client(node) for node in cluster.add_nodes("c", 3)]
+        clients = [PosixClient(deployment, node)
+                   for node in cluster.add_nodes("c", 3)]
         acquired_times = []
 
         def reader(client):
-            handle = yield from client.lock_extent("/f", 0, 64, LockMode.SHARED)
+            handle = yield from client.lock_regions(
+                "/f", RegionList.single(0, 64), LockMode.SHARED)
             acquired_times.append(cluster.sim.now)
             yield cluster.sim.timeout(1.0)
             yield from client.unlock(handle)
@@ -156,7 +160,7 @@ class TestPosixClient:
 
     def test_noncontiguous_lock_spans_multiple_osts(self):
         cluster, deployment = make_deployment(num_osts=3, stripe_size=64)
-        client = deployment.client(cluster.add_node("c0"))
+        client = PosixClient(deployment, cluster.add_node("c0"))
 
         def scenario():
             yield from client.create("/f", stripe_size=64, stripe_count=3)
@@ -214,7 +218,7 @@ class TestPerServerBudget:
 
     def test_contiguous_access_over_several_stripes_of_an_ost_is_one_rpc(self):
         cluster, deployment = make_deployment(num_osts=2, stripe_size=64)
-        client = deployment.client(cluster.add_node("c0"))
+        client = PosixClient(deployment, cluster.add_node("c0"))
         payload = bytes(range(256)) * 3  # 12 stripes, 6 per OST
 
         def scenario():
@@ -233,7 +237,7 @@ class TestPerServerBudget:
 
     def test_read_under_a_held_lock_matches_the_per_request_path(self):
         cluster, deployment = make_deployment(num_osts=3, stripe_size=64)
-        client = deployment.client(cluster.add_node("c0"))
+        client = PosixClient(deployment, cluster.add_node("c0"))
         content = bytes((7 * index) % 251 for index in range(1500))
         vector = IOVector.for_read([(1000, 300), (5, 70), (64, 64), (1490, 40),
                                     (200, 0)])

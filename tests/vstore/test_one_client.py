@@ -43,7 +43,7 @@ def test_removed_coalescer_options_are_rejected(option):
 
 def test_deployment_client_queues_and_answers_the_vectored_calls():
     cluster, deployment = make_deployment()
-    client = deployment.client(cluster.add_node("compute"))
+    client = BlobClient(deployment, cluster.add_node("compute"))
     assert isinstance(client.coalescer, WriteCoalescer)
 
     def scenario():
