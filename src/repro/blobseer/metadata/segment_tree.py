@@ -28,7 +28,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.blobseer.blob import BlobDescriptor
 from repro.blobseer.chunk import ChunkKey
 from repro.blobseer.metadata.nodes import ChildRef, LeafSegment, MetadataNode, NodeKey
-from repro.core.listio import IORequest, IOVector
+from repro.core.listio import IOVector
 from repro.core.regions import RegionList
 from repro.errors import InvalidRegion
 
@@ -106,19 +106,19 @@ def pack_pieces_into_stripe_units(pieces: Sequence[WritePiece], chunk_size: int,
     unit while its total stays ≤ ``chunk_size``, otherwise a new unit opens,
     so a chunk-sized piece is its own unit and a noncontiguous write of many
     small pieces reaches few providers with one large I/O each instead of
-    every provider with a small one.  Returns ``(unit_of_piece, unit_sizes)``:
-    the unit index of every piece and the byte total of every unit.  Pieces
-    stay separate chunks — a unit is a placement group, nothing else.
+    every provider with a small one.  Returns ``(unit_starts, unit_sizes)``:
+    the index of every unit's first piece and every unit's byte total.
+    Pieces stay separate chunks — a unit is a placement group, nothing else.
     """
-    unit_of_piece: List[int] = []
+    unit_starts: List[int] = []
     unit_sizes: List[int] = []
-    for piece in pieces:
+    for index, piece in enumerate(pieces):
         if unit_sizes and unit_sizes[-1] + piece.length <= chunk_size:
             unit_sizes[-1] += piece.length
         else:
+            unit_starts.append(index)
             unit_sizes.append(piece.length)
-        unit_of_piece.append(len(unit_sizes) - 1)
-    return unit_of_piece, unit_sizes
+    return unit_starts, unit_sizes
 
 
 def stripe_unit_sizes(extents: Sequence[Tuple[int, int]],
@@ -141,55 +141,6 @@ def stripe_unit_sizes(extents: Sequence[Tuple[int, int]],
                 unit_sizes.append(length)
             offset += length
     return unit_sizes
-
-
-def cut_into_rounds(blob: BlobDescriptor, vector: IOVector,
-                    units_per_round: int) -> List[IOVector]:
-    """Cut a write vector, in order, into rounds of ``units_per_round``
-    consecutive stripe units (the last round may hold fewer).
-
-    Every cut falls where :func:`stripe_unit_sizes` opens a unit, so packing
-    round ``k`` on its own yields exactly that slice of the whole vector's
-    units.  A request crossing a cut is split there; zero-size requests,
-    which carry no piece, are dropped.  Requests are validated as
-    :func:`split_vector_into_pieces` validates them.
-    """
-    chunk_size = blob.chunk_size
-    rounds: List[IOVector] = []
-    requests: List[IORequest] = []
-    fill = chunk_size   # bytes in the open unit (none open yet)
-    units = 0           # units opened in the current round
-    for request in vector:
-        if not request.is_write:
-            raise InvalidRegion("cut_into_rounds() needs a write vector")
-        if request.size == 0:
-            continue
-        offset = start = request.offset
-        end = offset + request.size
-        blob.validate_access(offset, request.size)
-        while offset < end:
-            length = min(offset - offset % chunk_size + chunk_size, end) - offset
-            if fill + length <= chunk_size:
-                fill += length
-            else:
-                if units == units_per_round:
-                    if offset > start:
-                        requests.append(_slice(request, start, offset))
-                    rounds.append(IOVector(requests))
-                    requests, units, start = [], 0, offset
-                units += 1
-                fill = length
-            offset += length
-        requests.append(request if start == request.offset
-                        else _slice(request, start, end))
-    rounds.append(IOVector(requests))
-    return rounds
-
-
-def _slice(request: IORequest, start: int, end: int) -> IORequest:
-    """The part ``[start, end)`` of a write request."""
-    skip = start - request.offset
-    return IORequest(start, end - start, request.data[skip:skip + end - start])
 
 
 def overlay_segments(existing: Sequence[LeafSegment],

@@ -1,23 +1,23 @@
 """The pipelined commit engine: one write batch → one published snapshot.
 
 The engine owns the commit protocol of a :class:`~repro.blobseer.client.
-BlobClient`, in two halves.  :meth:`~PipelinedCommitEngine.stage` puts the
-bytes down — split into chunk-aligned pieces, pack into stripe units,
-``allocate``, ``put_chunks`` — and hands back the placed pieces, payloads
-dropped; :meth:`~PipelinedCommitEngine.publish` turns placed pieces into a
-snapshot — ticket, copy-on-write metadata, ``complete``.
-:meth:`~PipelinedCommitEngine.commit` is the two composed, and what every
-independent write runs (one too big for one round in rounds, below).  A
-writer whose data arrives over time but whose shape is known — a
-collective aggregator, one exchange round after another — has the whole
-write placed first (:meth:`~PipelinedCommitEngine.
-place_ahead`, the write's one ``allocate``), starts
-:meth:`~PipelinedCommitEngine.stage_ahead` on each part as it has it and
-names that :class:`~repro.blobseer.writepath.batch.AheadWrite` in the one
-``commit`` that ends the write: staging costs no ticket and no further
-placement, so however many parts were uploaded ahead there is one
-``allocate``, one ticket, one metadata build over all their pieces, one
-``complete``, one snapshot.
+BlobClient`, in two halves.  :meth:`~PipelinedCommitEngine.stage` puts a
+write's chunk-aligned pieces down — pack into stripe units, ``allocate``,
+``put_chunks`` — and hands them back placed, payloads dropped;
+:meth:`~PipelinedCommitEngine.publish` turns placed pieces into a snapshot
+— ticket, copy-on-write metadata, ``complete``.
+:meth:`~PipelinedCommitEngine.commit` splits a write vector into its pieces
+once and composes the two; every independent write runs it (one too big
+for one round in rounds, below).  A writer whose data arrives over time
+but whose shape is known — a collective aggregator, one exchange round
+after another — has the whole write placed first
+(:meth:`~PipelinedCommitEngine.place_ahead`, the write's one ``allocate``),
+starts :meth:`~PipelinedCommitEngine.stage_ahead` on each part's pieces as
+it has them and names that :class:`~repro.blobseer.writepath.batch.
+AheadWrite` in the one ``commit`` that ends the write: staging costs no
+ticket and no further placement, so however many parts were uploaded ahead
+there is one ``allocate``, one ticket, one metadata build over all their
+pieces, one ``complete``, one snapshot.
 
 The engine overlaps everything the protocol allows:
 
@@ -49,13 +49,15 @@ Correctness does not move: metadata nodes and chunks are always stored
 *before* ``complete`` is issued, and the version manager still publishes
 strictly in ticket order, so deferring a completion can delay publication
 but never reorder it.  An independent write too big for one round goes
-ahead in rounds, as a collective stripe does: the commit cuts it into
-k = ⌊bytes ÷ (providers spanned × ``disk_overhead`` × ``disk_bandwidth``)⌋
-rounds of consecutive stripe units (never less than a stripe row), so that
-each provider's share of a round is worth at least one disk positioning,
-and with k > 1 has the whole write placed, stages every round but the last
-ahead and commits the last with them — the rounds stream to the disks one
-behind the other, and the nodes are stored as soon as the ticket is held.
+ahead in rounds, as a collective stripe does: the commit packs its pieces
+into stripe units and cuts them into k = ⌊bytes ÷ (providers spanned ×
+``disk_overhead`` × ``disk_bandwidth``)⌋ rounds of consecutive units (never
+less than a stripe row), so that each provider's share of a round is worth
+at least one disk positioning.  A round is the slice of the write's pieces
+from its first unit on, so it packs to exactly its units.  With k > 1 the
+commit has the whole write placed, stages every round but the last ahead
+and commits the last with them — the rounds stream to the disks one behind
+the other, and the nodes are stored as soon as the ticket is held.
 A write of one round keeps storing its nodes once its uploads are in: a
 commit returning earlier lets the writer's next write draw its ticket
 earlier, which reorders tickets among concurrent writers, and for EXP1's
@@ -82,12 +84,11 @@ from __future__ import annotations
 from typing import Dict, List, Optional, TYPE_CHECKING
 
 from repro.blobseer.metadata.segment_tree import (
+    WritePiece,
     build_leaf_segments,
     build_write_metadata,
-    cut_into_rounds,
     pack_pieces_into_stripe_units,
     split_vector_into_pieces,
-    stripe_unit_sizes,
 )
 from repro.blobseer.metadata.store import PartitionedMetadataStore
 from repro.blobseer.writepath.batch import (
@@ -134,14 +135,15 @@ class PipelinedCommitEngine:
                trace_parent=None):
         """Commit one write vector (possibly a merged batch) as one snapshot.
 
-        :meth:`stage` and :meth:`publish` composed.  ``ahead`` is a write
-        :meth:`place_ahead` placed: the parts :meth:`stage_ahead` uploaded
-        while the rest was still arriving belong to the same snapshot, and
-        ``vector`` — its last part — may be empty when there are any; when
-        there are, ``vector`` is staged ahead too, and the snapshot's
-        metadata is stored while the parts upload.  Without ``ahead`` a
-        vector too big for one round becomes such a write, cut into rounds
-        by :meth:`_in_rounds` (the module docstring has the rule); one of a
+        ``vector`` split into pieces once, then :meth:`stage` and
+        :meth:`publish` composed.  ``ahead`` is a write :meth:`place_ahead`
+        placed: the parts :meth:`stage_ahead` uploaded while the rest was
+        still arriving belong to the same snapshot, and ``vector`` — its
+        last part — may be empty when there are any; when there are,
+        ``vector`` is staged ahead too, and the snapshot's metadata is
+        stored while the parts upload.  Without ``ahead`` a vector too big
+        for one round becomes such a write, its pieces cut into rounds by
+        :meth:`_in_rounds` (the module docstring has the rule); one of a
         single round stores its metadata once its uploads are in.
         ``logical_writes`` records how many application writes the vector
         carries (a coalesced batch, a collective stripe); ``defer_complete``
@@ -167,17 +169,18 @@ class PipelinedCommitEngine:
                 blob=blob_id, logical_writes=logical_writes)
         pieces, ticket = [], None
         try:
-            if ahead is None and len(vector):
-                ahead, vector = yield from self._in_rounds(blob_id, vector,
-                                                           span)
-            if len(vector) and ahead is not None and ahead.stagings:
-                # the write's last part goes ahead like the others did
-                self.stage_ahead(blob_id, vector, ahead,
-                                 len(ahead.placed) - 1, trace_parent=span)
-            elif len(vector):
-                pieces, ticket = yield from self.stage(
-                    blob_id, vector, placed=ahead and ahead.placed[-1],
-                    take_ticket=True, trace_parent=span)
+            if len(vector):
+                blob = yield from client._descriptor(blob_id)
+                split = split_vector_into_pieces(blob, vector)
+                if ahead is None:
+                    ahead, split = yield from self._in_rounds(blob, split, span)
+                if ahead is not None:
+                    # the write's last part goes ahead like the others did
+                    self.stage_ahead(blob_id, split, ahead,
+                                     len(ahead.placed) - 1, trace_parent=span)
+                else:
+                    pieces, ticket = yield from self.stage(
+                        blob_id, split, take_ticket=True, trace_parent=span)
             receipt = yield from self.publish(
                 blob_id, pieces, ticket, logical_writes, defer_complete,
                 started_at, span, ahead)
@@ -190,23 +193,23 @@ class PipelinedCommitEngine:
                 ctx.end(span)
         return receipt
 
-    def _in_rounds(self, blob_id: str, vector: IOVector, trace_parent):
+    def _in_rounds(self, blob: "BlobDescriptor", pieces: List[WritePiece],
+                   trace_parent):
         """Send a write too big for one round ahead of its commit, in rounds.
 
         A round gives each provider the write spans at least a disk
         positioning's worth of bytes: k = ⌊bytes ÷ (providers spanned ×
         ``disk_overhead`` × ``disk_bandwidth``)⌋ rounds of ⌈units ÷ k⌉
-        consecutive stripe units — never fewer units than providers
-        spanned, one stripe row, as a collective round is whole rows.  With
+        consecutive stripe units of ``pieces`` — never fewer units than
+        providers spanned, one stripe row, as a collective round is whole
+        rows; a round's pieces start at its first unit's first piece.  With
         more than one round the whole write is placed at once, every round
-        but the last is staged ahead and ``(ahead, last round)`` is
-        returned; otherwise ``(None, vector)``.
+        but the last is staged ahead and ``(ahead, last round's pieces)``
+        is returned; otherwise ``(None, pieces)``.
         """
         client = self.client
-        blob = yield from client._descriptor(blob_id)
-        units = stripe_unit_sizes(
-            [(request.offset, request.size) for request in vector],
-            blob.chunk_size)
+        unit_starts, units = pack_pieces_into_stripe_units(
+            pieces, blob.chunk_size)
         config = client.cluster.config
         spanned = min(len(units), len(client.deployment.data_providers))
         positioning = spanned * config.disk_overhead * config.disk_bandwidth
@@ -214,15 +217,16 @@ class PipelinedCommitEngine:
                   else len(units))
         per_round = max(spanned, -(-len(units) // max(rounds, 1)))
         if per_round >= len(units):
-            return None, vector
-        parts = cut_into_rounds(blob, vector, per_round)
+            return None, pieces
+        firsts = range(0, len(units), per_round)
         ahead = yield from self.place_ahead(
-            [units[start:start + per_round]
-             for start in range(0, len(units), per_round)], trace_parent)
-        for index, part in enumerate(parts[:-1]):
-            self.stage_ahead(blob_id, part, ahead, index,
+            [units[first:first + per_round] for first in firsts],
+            trace_parent)
+        cuts = unit_starts[::per_round]
+        for index, (start, stop) in enumerate(zip(cuts, cuts[1:])):
+            self.stage_ahead(blob.blob_id, pieces[start:stop], ahead, index,
                              trace_parent=trace_parent)
-        return ahead, parts[-1]
+        return ahead, pieces[cuts[-1]:]
 
     def forget(self, pieces=(), ahead: Optional[AheadWrite] = None) -> None:
         """Drop the chunk-cache entries of uploads no snapshot will reference.
@@ -249,15 +253,15 @@ class PipelinedCommitEngine:
             self.client.name, trace_parent=trace_parent)
         return providers
 
-    def stage(self, blob_id: str, vector: IOVector, *, placed=None,
+    def stage(self, blob_id: str, pieces: List[WritePiece], *, placed=None,
               take_ticket: bool = False, trace_parent=None, placing=None):
-        """Steps 1-3 of a commit: split, place and upload ``vector``.
+        """Steps 2-3 of a commit: place and upload a write's ``pieces``.
 
         ``placed`` is the ``(unit_sizes, providers)`` :meth:`place_ahead`
-        obtained for this part of a write; a vector that is not the part
+        obtained for this part of a write; pieces that are not the part
         declared (a peer of the collective failed to deliver its bytes), or
-        that was never declared, is placed here.  Returns ``(pieces,
-        ticket)``: the placed pieces, their payloads handed over to the
+        that were never declared, are placed here.  Returns ``(pieces,
+        ticket)``: the pieces placed, their payloads handed over to the
         client's chunk cache now that the providers hold the bytes (a stage
         that fails keeps nothing), and — with ``take_ticket`` — the
         ``(version, base_version)`` of a ticket requested *concurrently*
@@ -271,12 +275,9 @@ class PipelinedCommitEngine:
         ctx = client.trace_ctx
         blob = yield from client._descriptor(blob_id)
 
-        # 1. chunk-aligned decomposition
-        pieces = split_vector_into_pieces(blob, vector)
-
         # 2. placement: what is placed is the stripe unit, and every piece
         #    follows its unit
-        unit_of_piece, unit_sizes = pack_pieces_into_stripe_units(
+        unit_starts, unit_sizes = pack_pieces_into_stripe_units(
             pieces, blob.chunk_size)
         if placed is not None and placed[0] == unit_sizes:
             providers = placed[1]
@@ -286,10 +287,12 @@ class PipelinedCommitEngine:
         # 3. fully parallel, uncoordinated chunk uploads — one batched RPC
         #    per destination provider
         per_provider: Dict[str, list] = {}
-        for piece, unit in zip(pieces, unit_of_piece):
-            piece.chunk = client._chunk_keys.next_key()
-            piece.provider_id = providers[unit]
-            per_provider.setdefault(piece.provider_id, []).append(piece)
+        bounds = zip(unit_starts, unit_starts[1:] + [len(pieces)])
+        for provider_id, (start, stop) in zip(providers, bounds, strict=True):
+            for piece in pieces[start:stop]:
+                piece.chunk = client._chunk_keys.next_key()
+                piece.provider_id = provider_id
+                per_provider.setdefault(provider_id, []).append(piece)
         if placing is not None:
             placing.succeed(pieces)
         upload_span = None
@@ -360,7 +363,7 @@ class PipelinedCommitEngine:
             start += len(part)
         return AheadWrite(placed)
 
-    def stage_ahead(self, blob_id: str, vector: IOVector, ahead: AheadWrite,
+    def stage_ahead(self, blob_id: str, pieces, ahead: AheadWrite,
                     part: int, *, trace_parent=None) -> None:
         """Start :meth:`stage` on part ``part`` of ``ahead`` in the background.
 
@@ -376,8 +379,8 @@ class PipelinedCommitEngine:
 
         def contained():
             try:
-                pieces, _ticket = yield from self.stage(
-                    blob_id, vector, placed=ahead.placed[part],
+                yield from self.stage(
+                    blob_id, pieces, placed=ahead.placed[part],
                     trace_parent=trace_parent, placing=placing)
             except Exception as exc:
                 if not placing.triggered:
@@ -436,9 +439,9 @@ class PipelinedCommitEngine:
             version, base_version = ticket
             if stagings:
                 pieces = yield from self._pieces_of(ahead.parts)
-                # every staging numbered its own requests from 0: overlaps
-                # resolve in the order the parts were staged, the commit's
-                # own vector last
+                # parts split on their own number their requests from 0
+                # (a collective's sub-stripes): overlaps resolve in the
+                # order the parts were staged, the commit's own vector last
                 for order, piece in enumerate(pieces):
                     piece.request_index = order
 

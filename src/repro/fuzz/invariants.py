@@ -83,12 +83,19 @@ class RunContext:
 # ----------------------------------------------------------------------
 # the oracle reconstruction (shared by byte_identity)
 # ----------------------------------------------------------------------
-def replay_oracle(ctx: RunContext) -> MaskedOracle:
-    """The serial expectation after every phase, fault windows masked."""
+def replay_oracle(ctx: RunContext, check_read=None) -> MaskedOracle:
+    """The serial expectation after every phase, fault windows masked.
+
+    One pass over the phases: ``check_read(index, oracle)``, if given, is
+    called at each read phase with the expectation as it stands there.
+    """
     scenario = ctx.scenario
     oracle = MaskedOracle(scenario.file_size)
-    for index, phase in enumerate(scenario.phases):
-        if not phase.is_write or index >= len(ctx.phase_outcomes):
+    for index, phase in enumerate(
+            scenario.phases[:len(ctx.phase_outcomes)]):
+        if not phase.is_write:
+            if check_read is not None:
+                check_read(index, oracle)
             continue
         outcomes = ctx.phase_outcomes[index]
         death = death_injector_for_phase(ctx.injectors, index)
@@ -186,23 +193,14 @@ def check_byte_identity(ctx: RunContext) -> List[str]:
     if not ctx.finished:
         return []
     scenario = ctx.scenario
-    oracle = MaskedOracle(scenario.file_size)
     anomalies: List[str] = []
-    for index, phase in enumerate(scenario.phases):
-        if index >= len(ctx.phase_outcomes):
-            break
-        outcomes = ctx.phase_outcomes[index]
+
+    def check_read(index, oracle):
+        phase = scenario.phases[index]
         death = death_injector_for_phase(ctx.injectors, index)
-        died = death is not None and death.fired
-        if phase.is_write:
-            sub = RunContext(scenario=scenario, path=ctx.path,
-                             injectors=ctx.injectors,
-                             phase_outcomes=ctx.phase_outcomes[:index + 1],
-                             phase_versions=ctx.phase_versions[:index + 1])
-            oracle = replay_oracle(sub)
-            continue
-        if died:
-            continue  # every rank raised; nothing to compare
+        if death is not None and death.fired:
+            return  # every rank raised; nothing to compare
+        outcomes = ctx.phase_outcomes[index]
         for rank in range(scenario.num_ranks):
             if outcomes[rank] != "ok":
                 continue  # clean_fault reports the failure itself
@@ -221,6 +219,8 @@ def check_byte_identity(ctx: RunContext) -> List[str]:
                     f"byte_identity: phase {index} ({phase.kind}) rank "
                     f"{rank} diverges from the serial oracle at offset "
                     f"{offset} ({length} bytes)")
+
+    oracle = replay_oracle(ctx, check_read)
     if ctx.final_reads:
         for offset, length in oracle.mismatches(ctx.final_reads[0]):
             anomalies.append(

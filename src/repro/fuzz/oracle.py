@@ -138,6 +138,8 @@ class MaskedOracle:
         len(actual))``; returns up to ``limit`` ``(file_offset, run_length)``
         entries (empty means the observation is consistent).
         """
+        if actual == self.content[base_offset:base_offset + len(actual)]:
+            return []  # the common case: no byte to judge one by one
         runs: List[Tuple[int, int]] = []
         run_start = None
         for index, byte in enumerate(actual):

@@ -123,11 +123,13 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
+from itertools import islice
 from operator import itemgetter
 from typing import Dict, List, NamedTuple, Optional, Tuple, TYPE_CHECKING
 
 from repro.blobseer.metadata.segment_tree import (
     EXTENT_DESCRIPTION_BYTES,
+    split_vector_into_pieces,
     stripe_unit_sizes,
 )
 from repro.blobseer.writepath.batch import AheadWrite
@@ -339,17 +341,42 @@ def join_pieces(pairs: List[Tuple[int, bytes]]) -> List[Tuple[int, bytes]]:
     return runs
 
 
-def _description_bytes(contributions: Dict[int, Tuple],
-                       per_entry_extra: int = 0) -> int:
-    """Wire size of one opening allgather's access descriptions.
-
-    Healthy entries cost their encoded description (plus
-    ``per_entry_extra`` fixed bytes per rank — the read side's watermark),
-    failure reports a flat 64.
+def _written_spans(runs: List[Tuple[int, int]],
+                   holes: List[Tuple[int, int]]) -> Tuple[list, list]:
+    """Canonical ``(start, end)`` ``runs`` cut at sorted, disjoint ``(start,
+    end)`` ``holes``: the written ``(start, end)`` spans and the ``(offset,
+    length)`` parts of the holes inside the runs, in order — together they
+    tile every run.  A read's resolver cuts its payloads at the spans; the
+    receiver, cutting its runs at the holes shipped, finds where each goes.
     """
-    return sum(_encoded_bytes(entry[1]) + per_entry_extra
-               if entry[0] == "ok" else 64
-               for entry in contributions.values())
+    spans: List[Tuple[int, int]] = []
+    cut: List[Tuple[int, int]] = []
+    index, total = 0, len(holes)
+    for start, end in runs:
+        while index < total and holes[index][1] <= start:
+            index += 1
+        cursor = start
+        # a hole may reach into the next run: ``index`` stays on it
+        for hole_start, hole_end in islice(holes, index, None):
+            if hole_start >= end:
+                break
+            hole_start = max(hole_start, start)
+            if hole_start > cursor:
+                spans.append((cursor, hole_start))
+            cursor = min(hole_end, end)
+            cut.append((hole_start, cursor - hole_start))
+        if cursor < end:
+            spans.append((cursor, end))
+    return spans, cut
+
+
+def _opening_bytes(entry: Tuple) -> int:
+    """Wire size of one rank's opening contribution: its encoded access
+    description plus 8 B for the watermark a read carries; a failure
+    report is a flat 64."""
+    if entry[0] != "ok":
+        return 64
+    return _encoded_bytes(entry[1]) + 8 * (len(entry) - 2)
 
 
 def _phase(ctx, gen, name: str, **args):
@@ -497,13 +524,8 @@ def _plan_write_partition(size: int, count: int, lo: int, hi: int,
             attributed[_domain_index(first, domains, domain_ends)] += 1
     # the written bytes as maximal runs: what the aggregators' assembled
     # sub-stripes will consist of
-    written: List[List[int]] = []
-    for offset, length in sorted(extent for extents in extents_by_rank
-                                 for extent in extents if extent[1]):
-        if written and offset <= written[-1][1]:
-            written[-1][1] = max(written[-1][1], offset + length)
-        else:
-            written.append([offset, offset + length])
+    written = canonical_runs(extent for extents in extents_by_rank
+                             for extent in extents)
     edges: List[int] = []
     edge_owner: List[int] = []
     edge_round: List[int] = []
@@ -560,6 +582,40 @@ class _CollectiveParticipant:
         """Owner (aggregator/resolver) count for a ``size``-rank job."""
         return resolve_aggregator_count(size, self.num_aggregators)
 
+    def _describe(self, side: str, blob_id: str, vector: IOVector, rank: int,
+                  comm: Communicator, failure: Optional[BaseException],
+                  *watermark: int):
+        """Phase 1 of either side: allgather this rank's encoded extents
+        (a read adds its ``watermark``), or its own ``failure``, priced by
+        the actual entries and counted into the stats.  Returns the gathered
+        list and ``(extents_by_rank, pinned, lo, hi)`` (:func:`_scan_gather`);
+        raises on every rank when any rank reported an error.
+        """
+        client = self.client
+        if failure is None:
+            opening = ("ok", encode_extents(
+                [(request.offset, request.size) for request in vector]),
+                *watermark)
+            self.stats.bytes_sent += _opening_bytes(opening)
+        else:
+            opening = ("err", f"rank {rank}: {failure!r}")
+        gathered = yield from _phase(
+            client.trace_ctx, comm.allgather(rank, opening, payload_bytes=(
+                lambda entries: sum(map(_opening_bytes, entries.values())))),
+            f"collective.{side}.describe", rank=rank)
+        early_errors, *scan = _shared_memo(
+            gathered, "scan", lambda: _scan_gather(gathered))
+        if early_errors:
+            # a peer's phase-0 flush or barrier may have published while
+            # this collective died: a hint planted (or kept) before it is
+            # not trustworthy, so the next default read must round-trip
+            client.drop_read_hint(blob_id)
+            if failure is not None:
+                raise failure
+            raise MPIIOError(f"collective {side} aborted before the "
+                             "exchange: " + "; ".join(early_errors))
+        return gathered, scan
+
 
 class CollectiveAggregator(_CollectiveParticipant):
     """One rank's side of the two-phase collective write protocol.
@@ -599,35 +655,14 @@ class CollectiveAggregator(_CollectiveParticipant):
                 yield from client.coalescer.flush(blob_id)
             blob = yield from client._descriptor(blob_id)
             count = self.resolved_count(comm.size)
-            opening = ("ok", encode_extents(
-                [(request.offset, request.size) for request in vector]))
         except Exception as exc:
             failure = exc
-            opening = ("err", f"rank {rank}: {exc!r}")
 
         # phase 1: exchange access descriptions; everyone derives the same
-        # file-domain partition (or learns that the collective already died).
-        # The descriptions are real exchange traffic too — priced by their
-        # actual entry count, not a flat guess, and counted into the stats
+        # file-domain partition (or learns that the collective already died)
+        gathered, (extents_by_rank, _pinned, lo, hi) = yield from \
+            self._describe("write", blob_id, vector, rank, comm, failure)
         ctx = client.trace_ctx
-        if opening[0] == "ok":
-            self.stats.bytes_sent += _encoded_bytes(opening[1])
-        gathered = yield from _phase(
-            ctx, comm.allgather(rank, opening,
-                                payload_bytes=_description_bytes),
-            "collective.write.describe", rank=rank)
-        early_errors, extents_by_rank, _pinned, lo, hi = _shared_memo(
-            gathered, "scan", lambda: _scan_gather(gathered))
-        if early_errors:
-            # another rank's phase-0 flush may have published while ours
-            # failed; a pre-collective hint is not trustworthy after a
-            # failed collective, so the next default read must round-trip
-            client.drop_read_hint(blob_id)
-            if failure is not None:
-                raise failure
-            raise MPIIOError(
-                "collective write aborted before the exchange: "
-                + "; ".join(early_errors))
         if not hi:
             # collectively zero bytes (empty vectors, or only zero-size
             # requests): nothing to exchange or commit anywhere
@@ -697,7 +732,8 @@ class CollectiveAggregator(_CollectiveParticipant):
                                 raise placed
                             ahead = placed
                         client.writepath.stage_ahead(
-                            blob_id, runs, ahead, index, trace_parent=parent)
+                            blob_id, split_vector_into_pieces(blob, runs),
+                            ahead, index, trace_parent=parent)
                         runs = None
                 except Exception as exc:
                     failure = exc
@@ -956,40 +992,16 @@ class CollectiveReader(_CollectiveParticipant):
                 else:
                     client.latest_rpcs_elided += 1
                     self.stats.version_rpcs_elided += 1
-            opening = ("ok", encode_extents(
-                [(request.offset, request.size) for request in vector]),
-                floor)
         except Exception as exc:
             failure = exc
-            opening = ("err", f"rank {rank}: {exc!r}")
 
-        # phase 1: exchange access descriptions and watermarks; everyone
-        # derives the same pinned version and file-domain partition (or
-        # learns that the collective already died)
+        # phase 1: exchange access descriptions and watermarks.  The pin is
+        # their maximum: every contribution is a *published* version, so it
+        # is too — and at least as new as every rank's own commits
+        gathered, (extents_by_rank, pinned, lo, hi) = yield from \
+            self._describe("read", blob_id, vector, rank, comm, failure,
+                           floor)
         ctx = client.trace_ctx
-        if opening[0] == "ok":
-            self.stats.bytes_sent += _encoded_bytes(opening[1]) + 8
-        gathered = yield from _phase(
-            ctx, comm.allgather(
-                rank, opening,
-                payload_bytes=lambda contributions:
-                    _description_bytes(contributions, per_entry_extra=8)),
-            "collective.read.describe", rank=rank)
-        # the group's pinned snapshot: every contribution is a *published*
-        # version (watermarks and hints only ever record published ones),
-        # so the maximum is published too — and at least as new as every
-        # rank's own commits
-        early_errors, extents_by_rank, pinned, lo, hi = _shared_memo(
-            gathered, "scan", lambda: _scan_gather(gathered))
-        if early_errors:
-            # a rank that failed before consuming its hint must not keep it:
-            # a peer's phase-0 barrier may have published in the meantime
-            client.drop_read_hint(blob_id)
-            if failure is not None:
-                raise failure
-            raise MPIIOError(
-                "collective read aborted before the exchange: "
-                + "; ".join(early_errors))
         if not hi:
             # collectively zero bytes: nothing to resolve or ship anywhere,
             # but the group still synchronized on the pinned version
@@ -1082,10 +1094,10 @@ class CollectiveReader(_CollectiveParticipant):
         inside one stripe — every block of an interleaved access), the
         payloads in stripe order are the requests' bytes in order: a run
         across a stripe edge arrives as two payloads, so the counts tell.
-        Any other shape places each payload by the same sweep the resolver
-        cut it with and goes through the client's general scatter, the hole
-        descriptors materialized locally — the zeros never crossed the
-        interconnect.
+        Any other shape places each payload at the span
+        :func:`_written_spans` gives, as it gave the resolver, and goes
+        through the client's general scatter, the hole descriptors
+        materialized locally — the zeros never crossed the interconnect.
         """
         items = [received[owner] for owner in owners if owner in received]
         if not any([holes for _price, _payloads, holes in items]):
@@ -1099,27 +1111,16 @@ class CollectiveReader(_CollectiveParticipant):
                     end = request.offset + request.size
                 else:
                     return ordered
-        by_offset: Dict[int, bytes] = {}
+        fetched = []
         for owner, domain in zip(owners, domains):
             if owner not in received:
                 continue
             _price, payloads, holes = received[owner]
-            index = hole_index = 0
-            for run_start, run_end in clip_runs(wanted, *domain):
-                cursor = run_start
-                while hole_index < len(holes) \
-                        and holes[hole_index][0] < run_end:
-                    hole_start, length = holes[hole_index]
-                    if hole_start > cursor:
-                        by_offset[cursor] = payloads[index]
-                        index += 1
-                    cursor = hole_start + length
-                    hole_index += 1
-                if cursor < run_end:
-                    by_offset[cursor] = payloads[index]
-                    index += 1
-        fetched = [(offset, len(data), data)
-                   for offset, data in by_offset.items()]
+            spans, _cut = _written_spans(
+                clip_runs(wanted, *domain),
+                [(offset, offset + length) for offset, length in holes])
+            fetched.extend((start, len(data), data)
+                           for (start, _end), data in zip(spans, payloads))
         fetched.extend((offset, length, b"\x00" * length)
                        for _price, _payloads, holes in items
                        for offset, length in holes)
@@ -1166,33 +1167,20 @@ class CollectiveReader(_CollectiveParticipant):
         for destination, wanted in enumerate(wanted_by_rank):
             if not wanted:
                 continue
+            # holes travel as descriptors, the written spans as payload
+            spans, cut_holes = (_written_spans(wanted, holes) if holes
+                                else (wanted, []))
             payloads: List[bytes] = []
-            cut_holes: List[Tuple[int, int]] = []
             index = 0
-            for run_start, run_end in wanted:
-                # a wanted run is contained in exactly one union run (the
-                # union covers it and both lists are canonical), and both
+            for span_start, span_end in spans:
+                # a span lies inside exactly one union run (the union covers
+                # its wanted run and both lists are canonical), and both
                 # lists are sorted — one monotonic sweep finds it
-                while union[index][1] < run_end:
+                while union[index][1] < span_end:
                     index += 1
                 base = union[index][0]
-                data = pieces[index]
-                if not holes:
-                    # common case (fully written range): the whole run
-                    # cuts straight out of its union buffer
-                    payloads.append(data[run_start - base:run_end - base])
-                    continue
-                # holes within the run travel as descriptors, the written
-                # parts between them as payload
-                cursor = run_start
-                for hole_start, hole_end in clip_runs(holes, run_start,
-                                                      run_end):
-                    if hole_start > cursor:
-                        payloads.append(data[cursor - base:hole_start - base])
-                    cut_holes.append((hole_start, hole_end - hole_start))
-                    cursor = hole_end
-                if cursor < run_end:
-                    payloads.append(data[cursor - base:run_end - base])
+                payloads.append(pieces[index][span_start - base:
+                                              span_end - base])
             if destination != rank:
                 self.stats.hole_bytes_elided += sum(length for _offset, length
                                                     in cut_holes)

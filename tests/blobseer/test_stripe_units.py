@@ -12,15 +12,12 @@ from hypothesis import given, strategies as st
 from repro.blobseer.blob import BlobDescriptor
 from repro.blobseer.deployment import BlobSeerDeployment
 from repro.blobseer.metadata.segment_tree import (
-    cut_into_rounds,
     pack_pieces_into_stripe_units,
     split_vector_into_pieces,
-    stripe_unit_sizes,
 )
 from repro.blobseer.provider_manager import ProviderManager
 from repro.cluster import Cluster, ClusterConfig
 from repro.core.listio import IOVector
-from repro.errors import OutOfBounds
 from repro.vstore.client import VectoredClient
 
 KiB = 1024
@@ -34,12 +31,12 @@ def pieces_of(pairs, chunk_size=CHUNK, size=64 * CHUNK):
 
 def units_of(pieces, chunk_size=CHUNK):
     """The packing as lists of piece lengths, one list per unit."""
-    unit_of_piece, unit_sizes = pack_pieces_into_stripe_units(pieces,
-                                                              chunk_size)
-    assert len(unit_of_piece) == len(pieces)
-    units = [[] for _ in unit_sizes]
-    for piece, unit in zip(pieces, unit_of_piece):
-        units[unit].append(piece.length)
+    unit_starts, unit_sizes = pack_pieces_into_stripe_units(pieces,
+                                                            chunk_size)
+    assert len(unit_starts) == len(unit_sizes)
+    units = [[piece.length for piece in pieces[start:stop]]
+             for start, stop in zip(unit_starts,
+                                    unit_starts[1:] + [len(pieces)])]
     assert [sum(unit) for unit in units] == unit_sizes
     return units
 
@@ -82,13 +79,15 @@ class TestPacking:
         pieces = pieces_of([(offset, b"x" * length)
                             for offset, length in regions],
                            chunk_size=chunk_size, size=size)
-        unit_of_piece, unit_sizes = pack_pieces_into_stripe_units(pieces,
-                                                                  chunk_size)
+        unit_starts, unit_sizes = pack_pieces_into_stripe_units(pieces,
+                                                                chunk_size)
         units = units_of(pieces, chunk_size)
-        # a partition in vector order: unit indices never decrease, start at
-        # 0 and skip none, so concatenating the units gives the pieces back
-        assert unit_of_piece == sorted(unit_of_piece)
-        assert sorted(set(unit_of_piece)) == list(range(len(unit_sizes)))
+        # a partition in vector order: the first unit starts at the first
+        # piece and every unit after it later, none empty, so concatenating
+        # the units gives the pieces back
+        assert unit_starts[:1] == [0] * bool(pieces)
+        assert all(earlier < later for earlier, later
+                   in zip(unit_starts, unit_starts[1:]))
         assert [length for unit in units for length in unit] \
             == [piece.length for piece in pieces]
         assert sum(unit_sizes) == sum(length for _offset, length in regions)
@@ -96,50 +95,6 @@ class TestPacking:
         # greedy: a unit closed only because the next piece would overflow it
         for unit, following in zip(units, units[1:]):
             assert sum(unit) + following[0] > chunk_size
-
-    @given(st.lists(st.tuples(st.integers(0, 16 * 64 - 1), st.integers(0, 200)),
-                    min_size=1, max_size=40),
-           st.sampled_from([16, 64, 100]), st.integers(1, 6))
-    def test_rounds_cut_the_units_in_order(self, regions, chunk_size,
-                                           per_round):
-        """Each round packs to its slice of the whole write's units, and the
-        rounds carry the write's bytes in vector order."""
-        blob = BlobDescriptor.create("units", size=16 * 64 + 200,
-                                     chunk_size=chunk_size)
-        vector = IOVector.for_write(
-            [(offset, bytes([index % 251]) * length)
-             for index, (offset, length) in enumerate(regions)])
-        units = stripe_unit_sizes([(offset, length)
-                                   for offset, length in regions], chunk_size)
-        rounds = cut_into_rounds(blob, vector, per_round)
-        assert [stripe_unit_sizes([(request.offset, request.size)
-                                   for request in part], chunk_size)
-                for part in rounds] == [units[start:start + per_round]
-                                        for start in range(0, len(units),
-                                                           per_round)] \
-            or rounds == [IOVector()]
-        assert bytes_in_order(request for part in rounds for request in part) \
-            == bytes_in_order(vector)
-
-    def test_a_round_cut_falls_inside_a_request(self):
-        blob = BlobDescriptor.create("units", size=1600, chunk_size=100)
-        vector = IOVector.for_write([(0, b"a" * 40), (50, b"b" * 130)])
-        rounds = cut_into_rounds(blob, vector, 1)
-        assert [[(request.offset, request.data) for request in part]
-                for part in rounds] == [[(0, b"a" * 40), (50, b"b" * 50)],
-                                        [(100, b"b" * 80)]]
-
-    def test_a_round_cut_validates_every_request(self):
-        blob = BlobDescriptor.create("units", size=64, chunk_size=16)
-        with pytest.raises(OutOfBounds):
-            cut_into_rounds(blob, IOVector.for_write([(0, b"x" * 16),
-                                                      (60, b"y" * 10)]), 1)
-
-
-def bytes_in_order(requests):
-    """Every ``(file offset, byte)`` the requests write, in order."""
-    return [(request.offset + index, value) for request in requests
-            for index, value in enumerate(request.data)]
 
 
 # ----------------------------------------------------------------------

@@ -9,14 +9,22 @@ stored while the rounds upload.  With k = 1 nothing changes.  These tests
 pin the control plane of both paths, the overlap, and failure containment.
 """
 
+import copy
 import itertools
 from collections import Counter, defaultdict
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.blobseer.deployment import BlobSeerDeployment
+from repro.blobseer.metadata.segment_tree import (
+    pack_pieces_into_stripe_units,
+    split_vector_into_pieces,
+    stripe_unit_sizes,
+)
 from repro.cluster import Cluster, ClusterConfig
-from repro.errors import ProviderUnavailable
+from repro.core.listio import IOVector
+from repro.errors import OutOfBounds, ProviderUnavailable
 from repro.vstore.client import VectoredClient
 
 BLOB = "rounds"
@@ -25,11 +33,12 @@ PROVIDERS = 8
 SHARDS = 2
 
 
-def make_writer(chunk_size, blob_size=8 * MiB):
-    """A traced deployment of 8 providers with the default disks, and a
-    writer that created the BLOB."""
-    cluster = Cluster(config=ClusterConfig(tracing=True), seed=3)
-    deployment = BlobSeerDeployment(cluster, num_providers=PROVIDERS,
+def make_writer(chunk_size, blob_size=8 * MiB, providers=PROVIDERS,
+                **config):
+    """A traced deployment of 8 providers with the default disks (unless
+    ``config`` says otherwise), and a writer that created the BLOB."""
+    cluster = Cluster(config=ClusterConfig(tracing=True, **config), seed=3)
+    deployment = BlobSeerDeployment(cluster, num_providers=providers,
                                     num_metadata_providers=SHARDS,
                                     chunk_size=chunk_size)
     writer = VectoredClient(deployment, cluster.add_node("writer"),
@@ -43,16 +52,21 @@ def run(cluster, generator):
     return cluster.sim.run(stop_event=process)
 
 
-def watch_stagings(writer):
-    """Record every write :meth:`stage_ahead` sends ahead."""
+def watch_stagings(writer, rounds=None):
+    """Record every write :meth:`stage_ahead` sends ahead, and, into
+    ``rounds``, each part it stages as ``(declared units, pieces)``."""
     engine = writer.writepath
     real = engine.stage_ahead
     aheads = []
 
-    def watched(blob_id, vector, ahead, part, **kwargs):
+    def watched(blob_id, pieces, ahead, part, **kwargs):
         if not any(seen is ahead for seen in aheads):
             aheads.append(ahead)
-        real(blob_id, vector, ahead, part, **kwargs)
+        if rounds is not None:
+            # copies: the commit renumbers the pieces it publishes
+            rounds.append((ahead.placed[part][0],
+                           [copy.copy(piece) for piece in pieces]))
+        real(blob_id, pieces, ahead, part, **kwargs)
 
     engine.stage_ahead = watched
     return aheads
@@ -203,3 +217,86 @@ def test_a_queued_batch_across_a_round_cut_publishes_the_serial_result():
                             name="reader")
     assert run(cluster, reader.vread(BLOB, [(0, 4 * MiB)], 1)) \
         == [bytes(expected)]
+
+
+# ----------------------------------------------------------------------
+# a round is a slice of the write's one split
+# ----------------------------------------------------------------------
+def placed(pieces):
+    """Where and what each piece is, and which request it came from."""
+    return [(piece.leaf_offset + piece.rel_offset, piece.length,
+             piece.request_index) for piece in pieces]
+
+
+def allocates(cluster):
+    return sum(1 for span in cluster.obs.tracer.spans
+               if span.cat == "rpc" and span.name == "rpc.allocate")
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 16 * 64 - 1), st.integers(0, 200)),
+                min_size=1, max_size=40),
+       st.sampled_from([16, 64, 100]))
+def test_rounds_are_slices_of_the_write_units_in_order(regions, chunk_size):
+    """Under near-free disk positioning any write of more than a stripe row
+    goes in rounds: the rounds' pieces, in order, are the whole write's
+    pieces; each round packs to the units declared for it, and those are
+    its slice of the write's units, so the write costs one ``allocate``;
+    the snapshot is the write applied."""
+    assume(any(length for _offset, length in regions))
+    cluster, deployment, writer = make_writer(
+        chunk_size, blob_size=16 * 64 + 200, disk_overhead=1e-6)
+    rounds = []
+    watch_stagings(writer, rounds)
+    pairs = [(offset, bytes([index % 251 + 1]) * length)
+             for index, (offset, length) in enumerate(regions)]
+    blob = run(cluster, writer.open_blob(BLOB))
+    whole = split_vector_into_pieces(blob, IOVector.for_write(pairs))
+    run(cluster, writer.writepath.commit(BLOB, IOVector.for_write(pairs)))
+
+    if rounds:
+        assert placed(piece for _units, part in rounds for piece in part) \
+            == placed(whole)
+        for units, part in rounds:
+            assert pack_pieces_into_stripe_units(part, chunk_size)[1] == units
+        assert [size for units, _part in rounds for size in units] \
+            == stripe_unit_sizes(regions, chunk_size)
+    assert allocates(cluster) == 1
+    assert deployment.version_manager.manager.latest_published(BLOB) == 1
+    expected = bytearray(blob.capacity)
+    for offset, data in pairs:
+        expected[offset:offset + len(data)] = data
+    assert run(cluster, writer.vread(BLOB, [(0, blob.capacity)], 1)) \
+        == [bytes(expected)]
+
+
+def test_a_request_straddling_a_round_cut_lands_in_both_rounds():
+    """One provider, so a round is one unit: the second request's first
+    piece fills unit 0 behind the first request, its second opens unit 1 —
+    the next round."""
+    cluster, _deployment, writer = make_writer(100, blob_size=1600,
+                                               providers=1,
+                                               disk_overhead=1e-6)
+    rounds = []
+    watch_stagings(writer, rounds)
+    run(cluster, writer.writepath.commit(
+        BLOB, IOVector.for_write([(0, b"a" * 40), (50, b"b" * 130)])))
+    assert [(units, placed(part)) for units, part in rounds] == [
+        ([90], [(0, 40, 0), (50, 50, 1)]), ([80], [(100, 80, 1)])]
+    assert allocates(cluster) == 1
+    assert run(cluster, writer.vread(BLOB, [(0, 180)], 1)) \
+        == [b"a" * 40 + bytes(10) + b"b" * 130]
+
+
+def test_an_out_of_bounds_request_fails_the_write_before_any_rpc():
+    """The write's one split validates every request, the last included,
+    before anything is placed or uploaded."""
+    cluster, _deployment, writer = make_writer(16, blob_size=64,
+                                               disk_overhead=1e-6)
+    before = len(cluster.obs.tracer.spans)
+    with pytest.raises(OutOfBounds):
+        run(cluster, writer.writepath.commit(BLOB, IOVector.for_write(
+            [(0, b"x" * 48), (60, b"y" * 10)])))
+    assert [span.name for span in cluster.obs.tracer.spans[before:]
+            if span.cat == "rpc"] == []
+    assert writer.write_control_rpcs == 0

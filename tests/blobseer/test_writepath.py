@@ -82,6 +82,14 @@ def run(cluster, generator):
     return cluster.sim.run(stop_event=process)
 
 
+def split(pairs):
+    """The chunk-aligned pieces ``stage`` and ``stage_ahead`` take, of a
+    write of ``(offset, data)`` pairs to the test BLOB."""
+    return split_vector_into_pieces(BlobDescriptor.create(BLOB, BLOB_SIZE,
+                                                          CHUNK),
+                                    IOVector.for_write(pairs))
+
+
 class TestPipelinedCommit:
     def test_pipelined_write_roundtrips(self):
         cluster, _, client = make_client()
@@ -177,8 +185,7 @@ class TestStagedAhead:
                 if ahead_parts is not None:
                     ahead = yield from self.place(engine)
                     for index, part in enumerate(self.PARTS[:ahead_parts]):
-                        engine.stage_ahead(BLOB, IOVector.for_write(part),
-                                           ahead, index)
+                        engine.stage_ahead(BLOB, split(part), ahead, index)
                 rest = [pair for part in self.PARTS[ahead_parts or 0:]
                         for pair in part]
                 receipt = yield from engine.commit(
@@ -203,7 +210,7 @@ class TestStagedAhead:
         """``PARTS`` placed together: two staged ahead, the third committed."""
         ahead = yield from self.place(engine)
         for index, part in enumerate(self.PARTS[:2]):
-            engine.stage_ahead(BLOB, IOVector.for_write(part), ahead, index)
+            engine.stage_ahead(BLOB, split(part), ahead, index)
         receipt = yield from engine.commit(
             BLOB, IOVector.for_write(self.PARTS[2]), ahead=ahead)
         return receipt
@@ -314,10 +321,8 @@ class TestStagedAhead:
 
         def write():
             ahead = yield from self.place(engine)
-            engine.stage_ahead(BLOB, IOVector.for_write(self.PARTS[0]),
-                               ahead, 0)
-            engine.stage_ahead(BLOB, IOVector.for_write(self.PARTS[1][:1]),
-                               ahead, 1)
+            engine.stage_ahead(BLOB, split(self.PARTS[0]), ahead, 0)
+            engine.stage_ahead(BLOB, split(self.PARTS[1][:1]), ahead, 1)
             receipt = yield from engine.commit(
                 BLOB, IOVector.for_write(self.PARTS[2]), ahead=ahead)
             return receipt
@@ -342,8 +347,7 @@ class TestStagedAhead:
                                     for offset, data in part], CHUNK)
                  for part in parts])
             for index, part in enumerate(parts[:2]):
-                engine.stage_ahead(BLOB, IOVector.for_write(part), ahead,
-                                   index)
+                engine.stage_ahead(BLOB, split(part), ahead, index)
             yield from engine.commit(
                 BLOB, IOVector.for_write(parts[2]), ahead=ahead)
 
@@ -355,7 +359,7 @@ class TestStagedAhead:
     def test_stage_returns_placed_pieces_without_their_payload(self):
         cluster, deployment, client = make_client()
         pieces, ticket = run(cluster, client.writepath.stage(
-            BLOB, IOVector.for_write(self.PARTS[1])))
+            BLOB, split(self.PARTS[1])))
         assert ticket is None
         assert deployment.version_manager.manager.tickets_assigned == 0
         assert [piece.length for piece in pieces] == [68, 256, 176, 20]
@@ -379,11 +383,11 @@ class TestStagedAhead:
         real_stage = engine.stage
         calls = []
 
-        def dying_stage(blob_id, vector, **kwargs):
+        def dying_stage(blob_id, pieces, **kwargs):
             calls.append(len(calls))
             if len(calls) == 2:
                 raise StorageError("provider lost under the second part")
-            staged = yield from real_stage(blob_id, vector, **kwargs)
+            staged = yield from real_stage(blob_id, pieces, **kwargs)
             return staged
 
         engine.stage = dying_stage
@@ -391,8 +395,7 @@ class TestStagedAhead:
         def write():
             ahead = yield from self.place(engine)
             for index, part in enumerate(self.PARTS[:2]):
-                engine.stage_ahead(BLOB, IOVector.for_write(part), ahead,
-                                   index)
+                engine.stage_ahead(BLOB, split(part), ahead, index)
             if idle:
                 # far longer than any upload: the failure sits unobserved
                 yield cluster.sim.timeout(idle)

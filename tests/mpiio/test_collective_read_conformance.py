@@ -36,6 +36,7 @@ from repro.mpiio.adio.collective import (
     EXTENT_DESCRIPTION_BYTES,
     CollectiveReader,
     _scan_outcomes,
+    _written_spans,
     aggregator_ranks,
     partition_file_domain,
 )
@@ -585,6 +586,38 @@ def test_each_rank_places_the_offsetless_payloads_exactly(seed):
             IOVector.for_read(pairs), inboxes[rank], wanted[rank], domains,
             owners) == [image[offset:offset + length]
                         for offset, length in pairs], f"rank {rank}"
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_written_spans_and_holes_tile_every_run_in_order(seed):
+    """The one sweep both sides of the scatter cut with: the written spans
+    and the holes inside the runs, merged in order, are the runs exactly —
+    the spans are what the holes leave of each run, the cut holes what the
+    runs keep of the holes (one may reach across several runs).  Cutting
+    the runs again at the cut holes gives the receiver the same spans."""
+    rng = random.Random(seed)
+    size = rng.choice([64, 512, 4096])
+    runs = canonical_runs((rng.randrange(size), rng.randint(0, size // 4))
+                          for _ in range(rng.randint(0, 8)))
+    holes = canonical_runs((rng.randrange(size), rng.randint(0, size // 3))
+                           for _ in range(rng.randint(0, 6)))
+    spans, cut = _written_spans(runs, holes)
+    pieces = sorted(spans + [(offset, offset + length)
+                             for offset, length in cut])
+    assert canonical_runs((start, end - start) for start, end in pieces) \
+        == runs
+    assert all(end > start for start, end in pieces)
+    assert all(previous[1] <= following[0]
+               for previous, following in zip(pieces, pieces[1:]))
+    assert spans == sorted(spans) and cut == sorted(cut)
+    def regions(pairs):
+        return RegionList([(start, end - start) for start, end in pairs])
+
+    wanted, gaps = regions(runs), regions(holes)
+    assert regions(spans) == wanted.subtract(gaps)
+    assert RegionList(cut) == wanted.intersection(gaps)
+    assert _written_spans(runs, [(offset, offset + length)
+                                 for offset, length in cut])[0] == spans
 
 
 def test_a_resolver_walks_a_snapshot_cold_once():
