@@ -555,7 +555,7 @@ def _plan_write_partition(size: int, count: int, lo: int, hi: int,
 
 
 class _CollectiveParticipant:
-    """Shared owner-count plumbing of both collective protocol sides.
+    """Both collective protocol sides: their owner count and describe phase.
 
     The write aggregators and the read resolvers of one job must pick the
     *same* owner ranks from the same hint/fallback chain (the driver's
