@@ -6,9 +6,12 @@ for as long as any snapshot references it: the writer's copy cannot go
 stale, needs no invalidation and no lease — the property a ROMIO-on-locks
 client lacks, whose cached page dies with its byte-range lock.  The commit
 engine's ``stage`` keeps each uploaded payload here — a reference to the
-very ``bytes`` object the provider stores, never a copy — and the client's
-read path slices the extents of held chunks out of it instead of asking the
-providers (a checkpoint's restart read by the ranks that wrote it).
+very object the provider stores (the writer's ``bytes`` or a read-only view
+of them), never a copy — and the client's read path takes the extents of
+held chunks out of it instead of asking the providers (a checkpoint's
+restart read by the ranks that wrote it).  An extent is the held object
+when it is the whole chunk, else a view of it: the reader copies each byte
+once, into the ``bytes`` it returns.
 
 Entries come only from the owning client's *successful* uploads and leave
 in two ways: least recently used first once the payload bytes held pass
@@ -26,6 +29,7 @@ from typing import Dict, Optional
 
 from repro.blobseer.chunk import ChunkKey
 from repro.blobseer.metadata.cache import CacheStats
+from repro.core.listio import Payload
 
 #: payload bytes one client keeps: ROMIO's default ``cb_buffer_size``
 CHUNK_CACHE_BYTES = 16 * 1024 * 1024
@@ -45,12 +49,12 @@ class ChunkCache:
         #: payload bytes held right now
         self.resident_bytes = 0
         # insertion order doubles as LRU order (move-to-end on hit)
-        self._chunks: Dict[ChunkKey, bytes] = {}
+        self._chunks: Dict[ChunkKey, Payload] = {}
 
     def __len__(self) -> int:
         return len(self._chunks)
 
-    def put(self, key: ChunkKey, data: bytes) -> None:
+    def put(self, key: ChunkKey, data: Payload) -> None:
         """Keep a newly uploaded chunk (a writer never reuses a key),
         evicting the least recently used ones the bound no longer has room
         for — the new one included, if it alone exceeds the bound."""
@@ -61,9 +65,11 @@ class ChunkCache:
             self.resident_bytes -= len(chunks.pop(next(iter(chunks))))
             self.stats.evictions += 1
 
-    def read(self, key: ChunkKey, offset: int, length: int) -> Optional[bytes]:
-        """``length`` bytes at ``offset`` of a held chunk, else ``None``;
-        counts one lookup."""
+    def read(self, key: ChunkKey, offset: int,
+             length: int) -> Optional[Payload]:
+        """``length`` bytes at ``offset`` of a held chunk — the held object
+        for the whole chunk, a read-only view of it otherwise — else
+        ``None``; counts one lookup."""
         self.stats.lookups += 1
         chunks = self._chunks
         data = chunks.get(key)
@@ -74,7 +80,9 @@ class ChunkCache:
         # refresh LRU position
         del chunks[key]
         chunks[key] = data
-        return data[offset:offset + length]
+        if length == len(data):
+            return data
+        return memoryview(data)[offset:offset + length]
 
     def discard(self, key: ChunkKey) -> None:
         """Drop a chunk if it is held (not an eviction)."""

@@ -30,8 +30,12 @@ each touched leaf looked up at the read version, a partially covered one
 followed down its base chain, all in one round trip — slice the extents
 of chunks this client itself uploaded out of its
 :class:`~repro.blobseer.chunk_cache.ChunkCache` — an uploaded chunk is
-immutable, so the writer's copy is the chunk — and fetch the rest from the
+immutable, so the writer's buffer is the chunk — and fetch the rest from the
 data providers in parallel; a read with nothing left issues no data RPC.
+A payload byte is stored once: the chunk a provider keeps, and the writer's
+cache holds, is the object the writer handed over (its ``bytes`` or a
+read-only view of them), and a read copies each byte once, into the
+``bytes`` it returns.
 It follows that a writer still reads its own bytes back while their provider
 is down (as long as the cache holds them), whereas any other client — a
 restarted job included — gets ``ProviderUnavailable`` for the same range.
@@ -588,7 +592,7 @@ class BlobClient:
 
     @staticmethod
     def _assemble(vector: IOVector, fetched: List[Tuple[int, int, bytes]]) -> List[bytes]:
-        """Scatter fetched extents back into one buffer per vector request.
+        """Scatter fetched extents back into one ``bytes`` per vector request.
 
         Fetched extents never overlap each other (the read plan partitions
         the wanted ranges), so after sorting them by offset each request only
@@ -596,34 +600,45 @@ class BlobClient:
         instead of scanning the full extent list per request, which turned a
         whole-file verify read into an O(requests x extents) quadratic walk.
         A request one extent covers whole (every block of a collective read)
-        is that extent's slice.
+        is that extent's slice; any other is the join of the views of the
+        extents it meets, zeros in any gap between them.  Either way each
+        byte is copied once, and no view leaves: an extent may be a view of
+        a stored chunk.
         """
         extents = sorted(fetched, key=itemgetter(0))
         ends = [offset + length for offset, length, _data in extents]
+        count = len(extents)
         results: List[bytes] = []
         for request in vector:
             req_start = request.offset
             req_end = req_start + request.size
             index = bisect_right(ends, req_start)
-            if index < len(extents) and ends[index] >= req_end \
+            if index < count and ends[index] >= req_end \
                     and extents[index][0] <= req_start:
                 # one extent covers the whole request: its slice is the
-                # answer, no scratch buffer to fill and copy out of
+                # answer (a slice of ``bytes`` is the copy, ``bytes()`` of
+                # a view's slice is)
                 offset, _length, data = extents[index]
                 results.append(bytes(data[req_start - offset:
                                           req_end - offset]))
                 continue
-            buffer = bytearray(request.size)
-            while index < len(extents):
+            parts = []
+            cursor = req_start
+            while index < count:
                 offset, length, data = extents[index]
                 if offset >= req_end:
                     break
-                lo = max(req_start, offset)
-                hi = min(req_end, offset + length)
-                if hi > lo:
-                    src_start = lo - offset
-                    buffer[lo - req_start:hi - req_start] = \
-                        data[src_start:src_start + (hi - lo)]
+                lo = offset if offset > req_start else req_start
+                hi = offset + length
+                if hi > req_end:
+                    hi = req_end
+                if lo > cursor:
+                    parts.append(bytes(lo - cursor))
+                parts.append(data if hi - lo == length else
+                             memoryview(data)[lo - offset:hi - offset])
+                cursor = hi
                 index += 1
-            results.append(bytes(buffer))
+            if cursor < req_end:
+                parts.append(bytes(req_end - cursor))
+            results.append(b"".join(parts))
         return results

@@ -90,6 +90,11 @@ class MetadataNodeCache:
     def __len__(self) -> int:
         return len(self._resolved)
 
+    def __contains__(self, key: HintKey) -> bool:
+        """Whether ``(blob_id, offset, size, hint)`` is held; counts
+        nothing and refreshes nothing."""
+        return key in self._resolved
+
     def get(self, blob_id: str, offset: int, size: int,
             hint: int) -> Tuple[bool, Optional[MetadataNode]]:
         """Cached result of ``get_at_or_before(blob_id, offset, size, hint)``.

@@ -28,7 +28,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.blobseer.blob import BlobDescriptor
 from repro.blobseer.chunk import ChunkKey
 from repro.blobseer.metadata.nodes import ChildRef, LeafSegment, MetadataNode, NodeKey
-from repro.core.listio import IOVector
+from repro.core.listio import IOVector, Payload
 from repro.core.regions import RegionList
 from repro.errors import InvalidRegion
 
@@ -47,14 +47,15 @@ class WritePiece:
     share a provider without sharing a chunk.  ``request_index`` preserves
     the order of the originating :class:`~repro.core.listio.IORequest`\\ s so
     that intra-vector overlaps are resolved "last request wins".  ``data`` is
-    the payload until the piece is uploaded; the commit engine drops it then
-    (metadata needs the placement, not the bytes).
+    the payload — the request's buffer or a read-only view of it — until the
+    piece is uploaded; the commit engine drops it then (metadata needs the
+    placement, not the bytes).
     """
 
     leaf_offset: int
     rel_offset: int
     length: int
-    data: Optional[bytes]
+    data: Optional[Payload]
     request_index: int
     chunk: Optional[ChunkKey] = None
     provider_id: Optional[str] = None
@@ -63,9 +64,12 @@ class WritePiece:
 def split_vector_into_pieces(blob: BlobDescriptor, vector: IOVector) -> List[WritePiece]:
     """Split a write vector into chunk-aligned pieces (one future chunk each).
 
-    The chunk walk is inlined arithmetic (no intermediate ``Region`` objects)
-    — fine-grained collective stripes split into tens of thousands of pieces,
-    making this one of the hottest loops of the whole write path.
+    A piece's ``data`` is its request's buffer when the request fits in one
+    chunk, else a read-only view of that buffer: a payload byte is never
+    copied on its way to the data provider.  The chunk walk is inlined
+    arithmetic (no intermediate ``Region`` objects) — fine-grained
+    collective stripes split into tens of thousands of pieces, making this
+    one of the hottest loops of the whole write path.
     """
     pieces: List[WritePiece] = []
     append = pieces.append
@@ -79,6 +83,13 @@ def split_vector_into_pieces(blob: BlobDescriptor, vector: IOVector) -> List[Wri
         offset = request.offset
         blob.validate_access(offset, size)
         data = request.data
+        rel = offset % chunk_size
+        if rel + size <= chunk_size:
+            # the whole request is one piece: its buffer, not a view of it
+            append(WritePiece(offset - rel, rel, size, data, request_index))
+            continue
+        if type(data) is not memoryview:
+            data = memoryview(data)
         consumed = 0
         cursor = offset
         end = offset + size

@@ -99,9 +99,21 @@ class MetadataTierChain:
         private, pool, pool_stats = self.private, self.pool, self.pool_stats
         results: Resolved = {}
         pending: List[NodeRequest] = []
+        # pool hits are promoted into the private cache (this client's
+        # repeats stay private) one run at a time, in order.  A round's
+        # lookups name distinct leaves, so a run's promotions never insert
+        # a later lookup's key; only in a bounded cache may they evict or
+        # reorder one it holds, so such a lookup promotes the run first —
+        # the cache ends as if each hit had been promoted at once.
+        promoted: list = []
+        bounded = private is not None and private.capacity is not None
         for request in requests:
             offset, size, hint = request
             if private is not None:
+                if promoted and bounded \
+                        and (blob_id, offset, size, hint) in private:
+                    private.put_many(blob_id, promoted)
+                    promoted = []
                 found, node = private.get(blob_id, offset, size, hint)
                 if found:
                     results[request] = node
@@ -112,11 +124,12 @@ class MetadataTierChain:
                 if found:
                     pool_stats.hits += 1
                     if private is not None:
-                        # promote: this client's repeats stay private
-                        private.put_many(blob_id, ((request, node),))
+                        promoted.append((request, node))
                     results[request] = node
                     continue
             pending.append(request)
+        if promoted:
+            private.put_many(blob_id, promoted)
         if pending:
             cached = private is not None or pool is not None
             fetched = yield from self.fetch(blob_id, pending,

@@ -3,6 +3,13 @@
 :class:`DataProviderStore` is the pure (simulation-independent) chunk store;
 :class:`SimDataProvider` wraps one store as a cluster service, charging disk
 and network time for every chunk transferred.
+
+A stored chunk is the payload object its writer uploaded — ``bytes``, or a
+read-only view of the writer's ``bytes`` — never a copy: a chunk is never
+rewritten, so a written byte exists once however many snapshots share it.
+A range read hands out the stored object when it covers the whole chunk
+and a view of it otherwise; the client copies each byte once, into the
+``bytes`` its caller receives.
 """
 
 from __future__ import annotations
@@ -11,6 +18,7 @@ from typing import Dict, Optional, TYPE_CHECKING
 
 from repro.blobseer.chunk import ChunkKey
 from repro.cluster.rpc import Service
+from repro.core.listio import Payload
 from repro.errors import ChunkNotFound, ProviderUnavailable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -22,7 +30,7 @@ class DataProviderStore:
 
     def __init__(self, provider_id: str):
         self.provider_id = provider_id
-        self._chunks: Dict[ChunkKey, bytes] = {}
+        self._chunks: Dict[ChunkKey, Payload] = {}
         #: cumulative number of bytes ever stored (for load-balancing stats)
         self.bytes_written: int = 0
         self.bytes_read: int = 0
@@ -30,19 +38,20 @@ class DataProviderStore:
         self.failed: bool = False
 
     # ------------------------------------------------------------------
-    def put_chunk(self, key: ChunkKey, data: bytes) -> None:
-        """Store an immutable chunk.  Re-putting the same key is idempotent."""
+    def put_chunk(self, key: ChunkKey, data: Payload) -> None:
+        """Store an immutable chunk: ``data`` itself, not a copy of it.
+        Re-putting the same key is idempotent."""
         self.ensure_alive()
         existing = self._chunks.get(key)
         if existing is not None and existing != data:
             raise ProviderUnavailable(
                 f"chunk {key} re-uploaded with different content on "
                 f"{self.provider_id}; chunks are immutable")
-        self._chunks[key] = bytes(data)
+        self._chunks[key] = data
         self.bytes_written += len(data)
 
-    def get_chunk(self, key: ChunkKey) -> bytes:
-        """Fetch a chunk payload."""
+    def get_chunk(self, key: ChunkKey) -> Payload:
+        """Fetch a chunk payload (the stored object)."""
         self.ensure_alive()
         try:
             data = self._chunks[key]
@@ -126,20 +135,23 @@ class SimDataProvider(Service):
     def get_chunk_ranges(self, requests):
         """Serve a batch of ``(key, offset, length)`` range reads in one request.
 
-        Liveness is checked like ``put_chunks``: on arrival (``get_chunk``),
-        before any disk time is reserved, and again after the wait.
+        A range is the stored object when it is the whole chunk, else a
+        read-only view of it: the reader copies its bytes once.  Liveness
+        is checked like ``put_chunks``: on arrival (``get_chunk``), before
+        any disk time is reserved, and again after the wait.
         """
         requests = list(requests)
         pieces = []
         total = 0
         for key, offset, length in requests:
             data = self.store.get_chunk(key)
-            piece = data[offset:offset + length]
-            if len(piece) != length:
+            size = len(data)
+            if offset < 0 or offset + length > size:
                 raise ChunkNotFound(
                     f"range [{offset}, {offset + length}) outside chunk {key} "
-                    f"of size {len(data)}")
-            pieces.append(piece)
+                    f"of size {size}")
+            pieces.append(data if length == size
+                          else memoryview(data)[offset:offset + length])
             total += length
         if total:
             yield from self.node.disk_io(total)

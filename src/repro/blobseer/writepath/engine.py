@@ -97,6 +97,7 @@ from repro.blobseer.writepath.batch import (
     require_payload,
 )
 from repro.core.listio import IOVector
+from repro.errors import InvalidRegion
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.blobseer.blob import BlobDescriptor
@@ -149,7 +150,8 @@ class PipelinedCommitEngine:
         carries (a coalesced batch, a collective stripe); ``defer_complete``
         launches the ``complete`` RPC as a background process so the caller
         can start its next batch immediately — callers must eventually
-        :meth:`drain`.
+        :meth:`drain`.  A write that would touch no byte, with no part
+        staged ahead, raises ``InvalidRegion`` before any RPC.
 
         ``trace_parent`` is the caller's span (a coalescer batch, say; the
         rank's current mainline span when ``None``).
@@ -159,6 +161,10 @@ class PipelinedCommitEngine:
         """
         client = self.client
         require_payload(vector, ahead)
+        if not (ahead and ahead.stagings) \
+                and not any(request.size for request in vector):
+            # nothing would reach a leaf: fail before any RPC is paid for
+            raise InvalidRegion("a write must touch at least one byte")
         started_at = client.cluster.sim.now
         ctx = client.trace_ctx
         span = None
@@ -336,11 +342,12 @@ class PipelinedCommitEngine:
         if upload_span is not None:
             ctx.end(upload_span)
         # the providers hold the bytes and will never change them: the
-        # client keeps its reference (what ``put_chunk`` stored, not a copy)
-        # for its own reads
+        # client keeps its reference — the payload object ``put_chunk``
+        # stored, the writer's buffer or a view of it, not a copy — for its
+        # own reads
         keep = client.chunk_cache.put
         for piece in pieces:
-            keep(piece.chunk, bytes(piece.data))
+            keep(piece.chunk, piece.data)
             piece.data = None
         return pieces, ticket
 

@@ -11,10 +11,28 @@ buffers.  Both storage backends and every ADIO driver consume them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.core.regions import Region, RegionList
 from repro.errors import InvalidRegion
+
+
+#: an immutable payload: ``bytes``, or a read-only byte view of ``bytes``
+Payload = Union[bytes, memoryview]
+
+
+def frozen(data) -> Payload:
+    """``data`` as a payload nobody can change under its holder.
+
+    ``bytes`` and contiguous byte views of ``bytes`` pass as they are, so a
+    payload's slices share its memory; any other buffer (a ``bytearray``, a
+    view of one) is copied once with ``bytes()``.
+    """
+    if type(data) is bytes or (
+            type(data) is memoryview and isinstance(data.obj, bytes)
+            and data.format == "B" and data.contiguous):
+        return data
+    return bytes(data)
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -22,7 +40,10 @@ class IORequest:
     """A single element of a vectored access: one byte range, one buffer.
 
     ``data`` is ``None`` for read requests (the buffer is produced by the
-    backend) and a ``bytes`` payload of exactly ``size`` bytes for writes.
+    backend) and, for writes, a bytes-like payload of exactly ``size``
+    bytes, kept as :func:`frozen` makes it: ``bytes`` or a read-only view
+    of ``bytes`` is the request's buffer itself, a mutable buffer is copied
+    once, so a stored chunk never aliases memory its writer may change.
     Immutable by convention; slotted rather than frozen, like
     :class:`~repro.core.regions.Region`, because frozen construction
     measured about 2.5x slower on the per-piece paths.
@@ -30,16 +51,20 @@ class IORequest:
 
     offset: int
     size: int
-    data: Optional[bytes] = None
+    data: Optional[Payload] = None
 
     def __post_init__(self) -> None:
         if self.offset < 0:
             raise InvalidRegion(f"negative offset: {self.offset}")
         if self.size < 0:
             raise InvalidRegion(f"negative size: {self.size}")
-        if self.data is not None and len(self.data) != self.size:
-            raise InvalidRegion(
-                f"payload length {len(self.data)} does not match size {self.size}")
+        data = self.data
+        if data is not None:
+            if type(data) is not bytes:
+                data = self.data = frozen(data)
+            if len(data) != self.size:
+                raise InvalidRegion(
+                    f"payload length {len(data)} does not match size {self.size}")
 
     @property
     def region(self) -> Region:
@@ -75,8 +100,13 @@ class IOVector:
     # ------------------------------------------------------------------
     @classmethod
     def for_write(cls, pairs: Sequence[Tuple[int, bytes]]) -> "IOVector":
-        """Build a write vector from ``[(offset, payload), ...]``."""
-        return cls(IORequest(offset, len(data), bytes(data)) for offset, data in pairs)
+        """Build a write vector from ``[(offset, payload), ...]``.
+
+        A payload may be any bytes-like object: ``bytes`` and read-only
+        views of ``bytes`` become the requests' buffers as they are, a
+        mutable one is frozen with one ``bytes()`` copy (:func:`frozen`).
+        """
+        return cls(IORequest(offset, len(data), data) for offset, data in pairs)
 
     @classmethod
     def for_read(cls, pairs: Sequence[Tuple[int, int]]) -> "IOVector":
@@ -85,8 +115,9 @@ class IOVector:
 
     @classmethod
     def contiguous_write(cls, offset: int, data: bytes) -> "IOVector":
-        """A single-range write vector."""
-        return cls([IORequest(offset, len(data), bytes(data))])
+        """A single-range write vector (``data`` kept as :meth:`for_write`
+        keeps a payload)."""
+        return cls([IORequest(offset, len(data), data)])
 
     @classmethod
     def contiguous_read(cls, offset: int, size: int) -> "IOVector":

@@ -7,9 +7,9 @@ manager locks them.  This module provides the two value types used
 everywhere:
 
 * :class:`Region` — a half-open byte interval ``[offset, offset + size)``;
-* :class:`RegionList` — an ordered collection of regions with the usual set
-  operations (normalization, union, intersection, subtraction, covering
-  extent).
+* :class:`RegionList` — an ordered collection of regions with the set
+  operations the stack uses (normalization, intersection, overlap, gaps,
+  covering extent).
 
 Both types are immutable by convention, so they can be hashed, shared
 between simulated processes, and used as dictionary keys without defensive
@@ -44,7 +44,7 @@ def coalesce_runs(pairs: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
     """Coalesce non-empty ``(start, end)`` pairs into canonical runs.
 
     The pairs are sorted in place; overlapping *and* adjacent intervals
-    merge, matching the linear-merge semantics of :meth:`RegionList.union`.
+    merge, as :meth:`RegionList.normalized` merges regions.
     The result is sorted, disjoint and non-adjacent — the plain-integer form
     of a normalized :class:`RegionList`, which the collective paths carry
     instead of one :class:`Region` per block.
@@ -150,17 +150,6 @@ class Region:
         if end <= start:
             return Region(start if start >= 0 else 0, 0)
         return Region(start, end - start)
-
-    def subtract(self, other: "Region") -> Tuple["Region", ...]:
-        """The parts of this region not covered by ``other`` (0, 1 or 2 pieces)."""
-        if not self.overlaps(other):
-            return (self,) if not self.empty else ()
-        pieces: List[Region] = []
-        if self.offset < other.offset:
-            pieces.append(Region(self.offset, other.offset - self.offset))
-        if other.end < self.end:
-            pieces.append(Region(other.end, self.end - other.end))
-        return tuple(pieces)
 
     def shift(self, delta: int) -> "Region":
         """A copy of the region moved by ``delta`` bytes."""
@@ -318,31 +307,6 @@ class RegionList:
         self._normalized = result
         return result
 
-    def union(self, other: "RegionList") -> "RegionList":
-        """Normalized union of both region sets (linear merge)."""
-        a = self.normalized()._regions
-        b = other.normalized()._regions
-        if not a:
-            return other.normalized()
-        if not b:
-            return self.normalized()
-        merged: List[Region] = []
-        i = j = 0
-        while i < len(a) or j < len(b):
-            if j >= len(b) or (i < len(a) and a[i].offset <= b[j].offset):
-                region = a[i]
-                i += 1
-            else:
-                region = b[j]
-                j += 1
-            if merged and region.offset <= merged[-1].end:
-                last = merged[-1]
-                if region.end > last.end:
-                    merged[-1] = Region(last.offset, region.end - last.offset)
-            else:
-                merged.append(region)
-        return RegionList._from_normalized(merged)
-
     def intersection(self, other: "RegionList") -> "RegionList":
         """Normalized set of bytes present in both region sets (linear merge)."""
         a = self.normalized()._regions
@@ -358,45 +322,6 @@ class RegionList:
                 i += 1
             else:
                 j += 1
-        return RegionList._from_normalized(result)
-
-    def subtract(self, other: "RegionList") -> "RegionList":
-        """Normalized set of bytes in ``self`` but not in ``other``.
-
-        Single-pass sweep over the two normalized run lists: for each kept
-        region the cut list is consumed monotonically, so the whole operation
-        is O(len(self) + len(other)) instead of the former O(n·m) per-piece
-        re-subtraction.
-        """
-        a = self.normalized()._regions
-        b = other.normalized()._regions
-        if not a or not b:
-            return self.normalized()
-        result: List[Region] = []
-        j = 0
-        for region in a:
-            cursor = region.offset
-            end = region.end
-            # skip cuts entirely before this region
-            while j < len(b) and b[j].end <= cursor:
-                j += 1
-            k = j
-            while cursor < end and k < len(b):
-                cut = b[k]
-                if cut.offset >= end:
-                    break
-                if cut.offset > cursor:
-                    result.append(Region(cursor, cut.offset - cursor))
-                cursor = max(cursor, cut.end)
-                if cut.end <= end:
-                    k += 1
-                else:
-                    break
-            if cursor < end:
-                result.append(Region(cursor, end - cursor))
-            # a cut can span the gap between two kept regions, so only the
-            # cuts that end at or before this region's start are consumed
-            j = k
         return RegionList._from_normalized(result)
 
     def overlaps(self, other: "RegionList") -> bool:

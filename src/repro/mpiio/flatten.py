@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from repro.core.listio import IOVector
+from repro.core.listio import IOVector, frozen
 from repro.core.regions import RegionList
 from repro.errors import MPIIOError
 from repro.mpi.datatypes import BYTE, Datatype
@@ -150,14 +150,23 @@ def _flatten(view: FileView, offset_etypes: int,
 
 def build_write_vector(view: FileView, offset_etypes: int,
                        data: bytes) -> IOVector:
-    """Scatter ``data`` over the view's accessible bytes as a write vector."""
+    """Scatter ``data`` over the view's accessible bytes as a write vector.
+
+    The requests carry ``data`` itself (one run) or read-only views of it,
+    never copies of its bytes; a mutable ``data`` is frozen first, once
+    (:func:`~repro.core.listio.frozen`).
+    """
     access = _access(view, offset_etypes, len(data))
     if access is None:
         return IOVector()
-    pairs: List[Tuple[int, bytes]] = []
+    runs = access.runs
+    if len(runs) == 1:
+        return IOVector.for_write([(runs[0][0], data)])
+    payload = memoryview(frozen(data))
+    pairs: List[Tuple[int, memoryview]] = []
     cursor = 0
-    for offset, size in access.runs:
-        pairs.append((offset, data[cursor:cursor + size]))
+    for offset, size in runs:
+        pairs.append((offset, payload[cursor:cursor + size]))
         cursor += size
     return IOVector.for_write(pairs)
 

@@ -23,6 +23,7 @@ barging, behind a waiter that its own lock blocks.)
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.core.listio import IOVector
@@ -152,23 +153,30 @@ class PosixClient:
         """Move the bytes of every request of ``vector``: the stripe pieces
         are grouped by OST and each OST serves its group as one bulk RPC and
         one disk I/O, all OSTs concurrently.  No locking and no size update
-        — the caller owns both.  Returns one ``bytes`` per read request.
+        — the caller owns both.  Returns one ``bytes`` per read request:
+        the OST's answer when one piece covers the request, else the join
+        of its pieces.  A written piece is a view of its request's payload.
         """
         control = self.cluster.config.control_message_size
         #: ost -> (the ``(object offset, data | size)`` ranges it serves,
         #:         where each sits: ``(request index, start in the request)``)
         per_ost: Dict[int, Tuple[list, list]] = {}
         for index, request in enumerate(vector):
-            for piece in attributes.layout.map_region(request.region):
+            pieces = attributes.layout.map_region(request.region)
+            data = request.data
+            if writing and len(pieces) > 1:
+                data = memoryview(data)
+            for piece in pieces:
                 start = piece.file_offset - request.offset
                 ranges, places = per_ost.setdefault(piece.ost_index, ([], []))
                 ranges.append((piece.object_offset,
-                               request.data[start:start + piece.length]
+                               (data if piece.length == request.size
+                                else data[start:start + piece.length])
                                if writing else piece.length))
                 places.append((index, start))
 
-        buffers = [] if writing else [bytearray(request.size)
-                                      for request in vector]
+        #: per read request, its ``(start in the request, bytes)`` pieces
+        parts: List[list] = [] if writing else [[] for _request in vector]
 
         def serve(ost_index, ranges, places):
             ost = self.deployment.osts[ost_index]
@@ -182,13 +190,16 @@ class PosixClient:
                 ost, "read_ranges", control, sum(size for _, size in ranges),
                 object_id, ranges)
             for (index, start), data in zip(places, pieces):
-                buffers[index][start:start + len(data)] = data
+                parts[index].append((start, data))
 
         if per_ost:
             yield self.cluster.sim.fanout(
                 [serve(ost_index, ranges, places)
                  for ost_index, (ranges, places) in sorted(per_ost.items())])
-        return [bytes(buffer) for buffer in buffers]
+        return [request_parts[0][1] if len(request_parts) == 1 else
+                b"".join([data for _start, data in
+                          sorted(request_parts, key=itemgetter(0))])
+                for request_parts in parts]
 
     def _access(self, path: str, vector: IOVector, locked: bool = False):
         """One POSIX-atomic access: lock what ``vector`` touches in the

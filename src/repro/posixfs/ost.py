@@ -39,7 +39,8 @@ class ObjectStore:
         if offset < 0 or size < 0:
             raise FileSystemError(f"invalid object read ({offset}, {size})")
         obj = self._objects.get(object_id, bytearray())
-        piece = bytes(obj[offset:offset + size])
+        with memoryview(obj) as view:  # one copy, out of the live object
+            piece = bytes(view[offset:offset + size])
         if len(piece) < size:
             piece += b"\x00" * (size - len(piece))
         self.bytes_read += size

@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 from repro.blobseer.metadata.cache import MetadataNodeCache
 from repro.blobseer.metadata.nodes import MetadataNode, NodeKey
 from repro.blobseer.metadata.sharedcache import NodeCacheService
+from repro.blobseer.metadata.tiers import MetadataTierChain
 from repro.errors import StorageError
 
 
@@ -349,3 +350,92 @@ class TestAttachment:
         service.attached.append("ghost")
         with pytest.raises(StorageError):
             deployment.shared_cache_stats()
+
+
+# ----------------------------------------------------------------------
+# promotion of pool hits into the private cache
+# ----------------------------------------------------------------------
+class ShardlessChain(MetadataTierChain):
+    """A chain whose shards answer every lookup "never written" at once."""
+
+    def fetch(self, blob_id, requests, wanted=None):
+        return {request: None for request in requests}
+        yield  # a generator like the shards' fetch; it never waits
+
+
+class PromoteEachHit(ShardlessChain):
+    """The reference: every pool hit promoted on its own, at once."""
+
+    def resolve(self, blob_id, requests, wanted=None):
+        private, pool = self.private, self.pool
+        results, pending = {}, []
+        for request in requests:
+            found, node = private.get(blob_id, *request)
+            if found:
+                results[request] = node
+                continue
+            self.pool_stats.lookups += 1
+            found, node = pool.get(blob_id, *request)
+            if found:
+                self.pool_stats.hits += 1
+                private.put_many(blob_id, ((request, node),))
+                results[request] = node
+                continue
+            pending.append(request)
+        if pending:
+            fetched = yield from self.fetch(blob_id, pending)
+            self.admit(blob_id, [(request, fetched[request])
+                                 for request in pending])
+            results.update(fetched)
+        return results
+
+
+def resolved(chain, requests):
+    level = chain.resolve("b", requests)
+    try:
+        next(level)
+    except StopIteration as done:
+        return done.value
+    raise AssertionError("a shardless chain never waits")
+
+
+#: a round's lookups: distinct leaves, as a read walk asks them
+rounds = st.lists(
+    st.lists(st.tuples(st.integers(0, 11), st.integers(1, 3)),
+             min_size=1, max_size=8, unique_by=lambda pair: pair[0]),
+    min_size=1, max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(capacity=st.one_of(st.none(), st.integers(1, 8)),
+       pooled=st.lists(st.tuples(st.integers(0, 11), st.integers(1, 3),
+                                 st.integers(1, 3)), max_size=30),
+       held=st.lists(st.tuples(st.integers(0, 11), st.integers(1, 3)),
+                     max_size=8),
+       walk=rounds)
+def test_pool_hits_promoted_per_run_leave_the_private_cache_as_one_by_one(
+        capacity, pooled, held, walk):
+    """Whatever the pool and the private cache hold, a walk resolved with
+    one ``put_many`` per run of pool hits leaves the private cache — its
+    entries in LRU order and its counters — and every answer as promoting
+    each hit on its own would."""
+    chains = []
+    for chain_class in (ShardlessChain, PromoteEachHit):
+        pool = NodeCacheService("n0")
+        pool.note_published("b", 3)
+        for leaf, hint, version in pooled:
+            pool.publish("b", leaf * 64, 64, hint, make_node(
+                version=min(version, hint), offset=leaf * 64))
+        private = MetadataNodeCache(capacity=capacity)
+        for leaf, hint in held:
+            private.put("b", leaf * 64, 64, hint,
+                        make_node(version=hint, offset=leaf * 64))
+        chains.append(chain_class(None, "c", private=private, pool=pool))
+    batched, one_by_one = chains
+    for leaves in walk:
+        requests = [(leaf * 64, 64, hint) for leaf, hint in leaves]
+        assert resolved(batched, requests) == resolved(one_by_one, requests)
+        assert list(batched.private._resolved) \
+            == list(one_by_one.private._resolved)
+        assert vars(batched.private.stats) == vars(one_by_one.private.stats)
+        assert vars(batched.pool_stats) == vars(one_by_one.pool_stats)

@@ -18,7 +18,7 @@ from repro.blobseer.writepath import (
 )
 from repro.cluster import Cluster, ClusterConfig
 from repro.core.listio import IOVector
-from repro.errors import StorageError
+from repro.errors import InvalidRegion, StorageError
 from repro.vstore.client import VectoredClient
 
 BLOB = "wp-test"
@@ -425,6 +425,37 @@ class TestStagedAhead:
 
         with pytest.raises(StorageError):
             run(cluster, nothing_arrived())
+
+    def test_a_write_of_zero_size_requests_fails_before_any_rpc(self):
+        cluster, deployment, client = make_client(
+            config=ClusterConfig(tracing=True))
+        before = len(cluster.obs.tracer.spans)
+        with pytest.raises(InvalidRegion):
+            run(cluster, client.writepath.commit(
+                BLOB, IOVector.for_write([(0, b""), (5, b"")])))
+        assert [span.name for span in cluster.obs.tracer.spans[before:]
+                if span.cat == "rpc"] == []
+        assert client.write_control_rpcs == 0
+        manager = deployment.version_manager.manager
+        assert (manager.tickets_assigned, manager.tickets_aborted) == (0, 0)
+
+    def test_a_zero_size_last_part_of_a_write_placed_ahead_commits(self):
+        cluster, deployment, client = make_client()
+        engine = client.writepath
+
+        def write():
+            ahead = yield from self.place(engine)
+            for index, part in enumerate(self.PARTS):
+                engine.stage_ahead(BLOB, split(part), ahead, index)
+            receipt = yield from engine.commit(
+                BLOB, IOVector.for_write([(0, b""), (5, b"")]), ahead=ahead)
+            return receipt
+
+        receipt = run(cluster, write())
+        assert receipt.version == 1
+        assert receipt.bytes_written == sum(
+            len(data) for part in self.PARTS for _offset, data in part)
+        assert deployment.version_manager.manager.latest_published(BLOB) == 1
 
 
 class TestWriteThroughCache:

@@ -44,6 +44,7 @@ from repro.mpiio.adio.versioning import VersioningDriver
 from repro.mpiio.file import File
 from repro.vstore.client import VectoredClient
 from tests._oracle import random_pattern, rank_view, serial_oracle
+from tests._regions import regions_minus
 from tests.mpiio._collective_testlib import make_quick_deployment
 
 FILE_SIZE = 16 * 1024
@@ -478,7 +479,7 @@ def test_exchange_bytes_are_descriptions_pieces_and_holes_exactly(
             for wanted in RegionList(regions).normalized().intersection(
                     RegionList((stripe,))):
                 wanted = RegionList((wanted,))
-                holes = wanted.subtract(written)
+                holes = regions_minus(wanted, written)
                 payload += wanted.intersection(written).total_bytes()
                 expected += EXTENT_DESCRIPTION_BYTES * len(holes)
                 hole_bytes += holes.total_bytes()
@@ -506,7 +507,7 @@ class _ImageClient:
         for request in vector:
             wanted = RegionList([(request.offset, request.size)])
             holes.extend((region.offset, region.end)
-                         for region in wanted.subtract(self.written))
+                         for region in regions_minus(wanted, self.written))
         return [self.image[request.offset:request.offset + request.size]
                 for request in vector]
         yield  # pragma: no cover - generator shape
@@ -614,7 +615,7 @@ def test_written_spans_and_holes_tile_every_run_in_order(seed):
         return RegionList([(start, end - start) for start, end in pairs])
 
     wanted, gaps = regions(runs), regions(holes)
-    assert regions(spans) == wanted.subtract(gaps)
+    assert regions(spans) == regions_minus(wanted, gaps)
     assert RegionList(cut) == wanted.intersection(gaps)
     assert _written_spans(runs, [(offset, offset + length)
                                  for offset, length in cut])[0] == spans

@@ -5,6 +5,7 @@ import pytest
 from repro.core.regions import RegionList
 from repro.errors import BenchmarkError
 from repro.workloads.domain import DomainDecomposition, process_grid
+from tests._regions import regions_union
 
 
 class TestProcessGrid:
@@ -38,7 +39,8 @@ class TestDomainDecomposition:
                                             element_size=1)
         union = RegionList()
         for rank in range(4):
-            union = union.union(decomposition.rank_regions(rank, with_ghosts=False))
+            union = regions_union(
+                union, decomposition.rank_regions(rank, with_ghosts=False))
         assert union.as_tuples() == [(0, 256)]
 
     def test_ghost_blocks_overlap_neighbours(self):

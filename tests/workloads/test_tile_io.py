@@ -5,6 +5,7 @@ import pytest
 from repro.core.regions import RegionList
 from repro.errors import BenchmarkError
 from repro.workloads.tile_io import TileIOWorkload
+from tests._regions import regions_union
 
 
 class TestTileIOWorkload:
@@ -61,7 +62,7 @@ class TestTileIOWorkload:
         assert not workload.has_overlaps()
         union = RegionList()
         for rank in range(workload.num_processes):
-            union = union.union(workload.rank_regions(rank))
+            union = regions_union(union, workload.rank_regions(rank))
         assert union.total_bytes() == workload.file_size
 
     def test_full_coverage_with_overlap(self):
@@ -70,7 +71,7 @@ class TestTileIOWorkload:
                                   overlap_y=2)
         union = RegionList()
         for rank in range(workload.num_processes):
-            union = union.union(workload.rank_regions(rank))
+            union = regions_union(union, workload.rank_regions(rank))
         assert union.total_bytes() == workload.file_size
 
     def test_pairs_are_writer_tagged(self):
