@@ -48,6 +48,26 @@ snapshot, so concurrent overlapping accesses never interleave (MPI
 atomicity) with no locking anywhere; :meth:`BlobClient.vwrite_queued` /
 :meth:`BlobClient.vflush` / :meth:`BlobClient.vbarrier` are the coalescer's
 queued interface.
+
+Collective I/O: :mod:`repro.mpiio.adio.collective` runs the two-phase
+exchange above any backend and calls its rank's client through the
+``collective_*`` hooks here.  An aggregator's stripe is one write placed
+ahead (:class:`~repro.blobseer.writepath.engine.PipelinedCommitEngine`): the
+access descriptions say what every sub-stripe will hold, so one ``allocate``
+places the whole stripe beside round 0's exchange, each round's runs upload
+while the group exchanges the next, and one commit of the last round's runs
+publishes the whole stripe — one ticket, one metadata build, one
+``complete`` per aggregator, one chunk per stripe unit.  A sub-stripe a
+failed peer left short is placed on its own; a failed stripe never enters
+the write queue, so it is gone for good, its chunks out of the chunk cache
+and its ticket released.  The group's highest published version becomes
+every rank's watermark and one-shot read hint; when the aggregators'
+versions are exactly the consecutive run ending there, each aggregator keys
+its stripe's leaves under it too, so a read pinned there finds every leaf
+in the resolver's cache.  A collective read's pin fences this rank's
+unpublished writes and offers the larger of its hint and its watermark;
+only the lead resolver asks for ``latest``, and only without a hint.  A
+resolver's walk warms its own node cache, so it walks a snapshot cold once.
 """
 
 from __future__ import annotations
@@ -60,7 +80,11 @@ from repro.blobseer.blob import BlobDescriptor
 from repro.blobseer.chunk import ChunkKeyFactory
 from repro.blobseer.chunk_cache import ChunkCache
 from repro.blobseer.metadata.cache import MetadataNodeCache
-from repro.blobseer.metadata.segment_tree import ReadPlanner
+from repro.blobseer.metadata.segment_tree import (
+    ReadPlanner,
+    split_vector_into_pieces,
+    stripe_unit_sizes,
+)
 from repro.blobseer.metadata.tiers import MetadataTierChain
 from repro.blobseer.writepath.batch import WriteReceipt
 from repro.blobseer.writepath.coalescer import WriteCoalescer
@@ -642,3 +666,105 @@ class BlobClient:
                 parts.append(bytes(req_end - cursor))
             results.append(b"".join(parts))
         return results
+
+    # ------------------------------------------------------------------
+    # the collective hooks (module docstring)
+    def collective_flush(self, blob_id: str):
+        """Write phase 0: writes this rank queued earlier in program order
+        take their tickets before the group's stripe commits do."""
+        if self.coalescer.pending_writes(blob_id):
+            yield from self.coalescer.flush(blob_id)
+
+    def collective_geometry(self, blob_id: str):
+        """``(chunk_size, providers)``: the stripe grid a collective's
+        partition aligns to, and the disks a round row spans."""
+        blob = yield from self._descriptor(blob_id)
+        return blob.chunk_size, len(self.deployment.data_providers)
+
+    def collective_place(self, blob_id: str, parts, rank: int):
+        """Place an aggregator's whole stripe, ``parts[k]`` the written
+        ``(offset, size)`` extents of its ``k``-th sub-stripe, in a
+        background process that never fails: its value is the
+        :class:`~repro.blobseer.writepath.batch.AheadWrite` or the
+        exception."""
+        # the write's ``collective_geometry`` fetched the descriptor
+        chunk_size = self._descriptors[blob_id].chunk_size
+        units = [stripe_unit_sizes(extents, chunk_size) for extents in parts]
+        ctx = self.trace_ctx
+        parent = ctx.current if ctx is not None else None
+
+        def place():
+            span = None
+            if ctx is not None:
+                span = ctx.begin_detached("collective.write.place",
+                                          cat="collective", parent=parent,
+                                          rank=rank)
+            try:
+                ahead = yield from self.writepath.place_ahead(
+                    units, trace_parent=span)
+            except Exception as exc:
+                return exc
+            finally:
+                if span is not None:
+                    ctx.end(span)
+            return ahead
+
+        return self.cluster.sim.process(place(), name=f"{self.name}:place")
+
+    def collective_stage(self, blob_id: str, runs: IOVector, ahead,
+                         index: int) -> None:
+        """Upload round ``index``'s assembled ``runs`` as part ``index`` of
+        the placed stripe ``ahead``, in the background."""
+        ctx = self.trace_ctx
+        pieces = split_vector_into_pieces(self._descriptors[blob_id], runs)
+        self.writepath.stage_ahead(
+            blob_id, pieces, ahead, index,
+            trace_parent=ctx.current if ctx is not None else None)
+
+    def collective_publish(self, blob_id: str, runs: IOVector, ahead,
+                           logical_writes: int):
+        """Publish the stripe — ``runs`` plus the parts uploading ``ahead``,
+        if any went — as one snapshot; returns its receipt once it is
+        published."""
+        receipt = yield from self.writepath.commit(
+            blob_id, runs, ahead=ahead, logical_writes=logical_writes,
+            defer_complete=True)
+        yield from self.writepath.drain(blob_id)
+        # the deferred complete usually reported the stripe published
+        # already; only an earlier ticket still in flight costs a wait
+        if receipt.version > self.version_hints.get(blob_id, 0):
+            yield from self.wait_published(blob_id, receipt.version)
+        return receipt
+
+    def collective_forget(self, ahead) -> None:
+        """No snapshot will reference what went ``ahead`` of a publish."""
+        self.writepath.forget(ahead=ahead)
+
+    def collective_settle(self, blob_id: str, watermark: int, gapless: bool,
+                          receipt: Optional[WriteReceipt]) -> None:
+        """Absorb a collective write's published ``watermark`` and, on an
+        aggregator, its stripe's ``receipt``.  With ``gapless`` versions
+        the stripes are chunk-aligned and disjoint and no other writer's
+        ticket fits between them: the newest node of each of this stripe's
+        leaves at or before the watermark is this aggregator's own."""
+        if watermark:
+            self.note_collective_commit(blob_id, watermark)
+        if receipt is not None and receipt.leaves and gapless:
+            self.tiers.admit(blob_id, [((offset, size, watermark), node)
+                                       for (offset, size, _version), node
+                                       in receipt.leaves])
+
+    def collective_pin(self, blob_id: str, lead: bool):
+        """Read phase 0: ``(floor, elided)``, this rank's floor for the
+        group's version pin (its own writes readable, its hint consumed)
+        and whether the ``lead`` rank's ``latest`` was elided."""
+        if self.has_unpublished_state(blob_id):
+            yield from self.coalescer.barrier(blob_id)
+        hint = self.take_read_hint(blob_id)
+        floor = max(hint or 0, self.version_hints.get(blob_id, 0))
+        if lead and hint is None:
+            latest = yield from self.latest_version(blob_id)
+            return max(floor, latest), False
+        if lead:
+            self.latest_rpcs_elided += 1
+        return floor, lead

@@ -321,11 +321,6 @@ GetNodes = Callable[[Sequence[NodeRequest]], Sequence[Optional[MetadataNode]]]
 #: a frontier entry's wanted bytes as ``(start, end)`` runs (:class:`ReadPlanner`)
 Runs = Tuple[Tuple[int, int], ...]
 
-#: wire size of one serialized ``(offset, size)`` extent description: a run
-#: a reader ships with a leaf lookup, or an entry of a collective access
-#: description (a strided run ``(offset, size, stride, count)`` costs two)
-EXTENT_DESCRIPTION_BYTES = 16
-
 
 class ReadPlanner:
     """The read walk of a snapshot: its leaves, then their base chains.

@@ -41,8 +41,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.blobseer.metadata.cache import CacheStats, MetadataNodeCache
 from repro.blobseer.metadata.nodes import MetadataNode
-from repro.blobseer.metadata.segment_tree import EXTENT_DESCRIPTION_BYTES, Runs
+from repro.blobseer.metadata.segment_tree import Runs
 from repro.blobseer.metadata.sharedcache import NodeCacheService
+from repro.core.listio import EXTENT_DESCRIPTION_BYTES
 
 #: one at-or-before lookup: (offset, size, version)
 NodeRequest = Tuple[int, int, int]

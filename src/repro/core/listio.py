@@ -20,6 +20,11 @@ from repro.errors import InvalidRegion
 #: an immutable payload: ``bytes``, or a read-only byte view of ``bytes``
 Payload = Union[bytes, memoryview]
 
+#: wire size of one serialized ``(offset, size)`` extent description: a run
+#: a reader ships with a leaf lookup, or an entry of a collective access
+#: description (a strided run ``(offset, size, stride, count)`` costs two)
+EXTENT_DESCRIPTION_BYTES = 16
+
 
 def frozen(data) -> Payload:
     """``data`` as a payload nobody can change under its holder.

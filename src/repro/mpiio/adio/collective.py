@@ -1,10 +1,9 @@
-"""Two-phase collective buffering on the versioning backend.
+"""Two-phase collective I/O: the exchange, above any storage backend.
 
-Thakur, Gropp & Lusk's classic optimization, transplanted onto the paper's
-versioning backend: on a collective write every rank holds a (possibly
-non-contiguous) piece of a shared access, and committing each piece
-separately costs one version ticket plus one copy-on-write metadata build
-*per rank*.  Two-phase collective buffering instead
+Thakur, Gropp & Lusk's classic optimization, as ROMIO runs it above ADIO:
+on a collective write every rank holds a (possibly non-contiguous) piece of
+a shared access, and committing each piece separately costs one commit per
+rank.  Two-phase collective buffering instead
 
 1. exchanges the ranks' access *descriptions* (one ``allgather`` of region
    lists) so everyone can compute the same partition of the file domain into
@@ -22,101 +21,82 @@ separately costs one version ticket plus one copy-on-write metadata build
    applied in source-rank order, so overlaps resolve exactly as a serial
    application of the ranks' writes in rank order (rounds partition the
    file, so no overlap crosses one), onto one buffer per contiguous run of
-   written bytes (holes stay holes) — and *stage* those runs (split, pack
-   into stripe units, ``put_chunks``) as a background process while the
+   written bytes (holes stay holes) — and *stage* those runs while the
    group exchanges round ``k + 1``: the disks work from the first round on
-   instead of idling through the whole shuffle.  Where the units go is
-   settled before any byte moves: the descriptions say what every
-   sub-stripe will hold, so one ``allocate`` places the whole stripe, issued
-   in the background as soon as the plan is known and running beside round
-   0's exchange; the first sub-stripe to go ahead joins it.  The last
-   round's runs go straight to the aggregator's
-   :class:`~repro.blobseer.writepath.engine.PipelinedCommitEngine` together
-   with the stagings still in flight, and one commit uploads them (its
-   ticket request riding along), stores the stripe's metadata while the
-   last rounds are still uploading, joins them and publishes the whole
-   stripe: the group's collective is ``num_aggregators`` snapshots
-   (one ``allocate``, one ticket, one metadata build, one ``complete``
-   each) instead of ``N``, each of one chunk per stripe unit however small
-   the ranks' blocks were.  A stripe of one round is the same loop run
-   once: a single shuffle;
-4. shares the published watermark back with every rank in the closing
-   ``allgather``, so each participant's client learns — at zero RPC cost —
-   a published version containing its own data (read-your-writes without a
-   ``latest`` round-trip, and write-through warmth on the aggregators).
-   When the aggregators' versions are exactly the consecutive run ending at
-   that watermark, each aggregator also keys its stripe's leaves under it:
-   a read pinned there then finds every leaf in the resolver's cache.
+   instead of idling through the whole shuffle.  What every sub-stripe will
+   hold is known from the descriptions before any byte moves, so the whole
+   stripe is *placed* as soon as the plan is known, beside round 0's
+   exchange.  The last round's runs and the stagings go to one *publish*:
+   the group's collective is ``num_aggregators`` commits instead of ``N``.
+   A stripe of one round is the same loop run once: a single shuffle;
+4. shares the outcomes and the published watermark back with every rank in
+   the closing ``allgather``, so each participant's client learns — at zero
+   RPC cost — a published version containing its own data.
 
-The aggregators talk to the version manager; the other ranks spend *zero*
-control-plane round-trips on the collective — the traffic that remains is
-MPI-internal exchange, which moves over the compute interconnect instead of
-hammering the storage control plane.
+The aggregators talk to the storage control plane; the other ranks spend
+*zero* control-plane round-trips on the collective — the traffic that
+remains is MPI-internal exchange, which moves over the compute interconnect
+instead of hammering the storage servers.
+
+The storage side is a few duck-typed hook methods on the client each side
+holds; :class:`~repro.blobseer.client.BlobClient` implements them for the
+versioning backend and documents each.  A write calls ``collective_flush``
+and ``collective_geometry`` in phase 0, ``collective_place`` once the plan
+is known, ``collective_stage`` on every round's runs but the last,
+``collective_publish`` on the last, ``collective_forget`` when it fails
+after placing and ``collective_settle`` after the closing exchange.  A read
+calls ``collective_pin`` in phase 0, ``collective_geometry``,
+``_vectored_read`` (with ``holes=``) and ``_assemble`` to resolve a stripe
+and scatter its bytes, and ``note_collective_read`` on success.  Either
+calls ``drop_read_hint`` when the collective failed.
 
 Failure containment: what one rank alone contributes to the partition (its
-descriptor, its aggregator setting) is resolved before the opening exchange
-and a failure there stops the collective in it; past it every rank knows the
-round count, and anything that fails on one rank in round ``k`` (a dead
-provider under a staging upload, a validation error, a bad cut) is reported
-through the closing exchange instead of being raised mid-protocol — the rank
-enters the remaining rounds empty-handed, so the surviving ranks never hang
-in a half-entered collective.  A staging that ran ahead holds no ticket and
-never fails in the background: its error surfaces when the commit joins it.
-An aggregator a failed peer left short of bytes still publishes what did
-arrive: a sub-stripe that is not the one described is placed on its own.
-A stripe never enters the client's write queue, so a failed one is gone for
-good (the group already observed the failure; a later flush point must not
-resurrect a write the application saw fail): chunks already uploaded stay
-unreferenced and leave the client's chunk cache, the ticket is released
-through the commit engine's abort/rollback path, and every rank raises —
-with no torn snapshot left behind and publication never stalled for
-bystanders.  Like MPI itself,
+phase-0 flush, its geometry, its aggregator setting) is resolved before the
+opening exchange and a failure there stops the collective in it; past it
+every rank knows the round count, and anything that fails on one rank in
+round ``k`` (a dead provider under a staging upload, a validation error, a
+bad cut) is reported through the closing exchange instead of being raised
+mid-protocol — the rank enters the remaining rounds empty-handed, so the
+surviving ranks never hang in a half-entered collective.  A failed
+aggregator forgets what it staged, and every rank raises.  Like MPI itself,
 a *failed* collective leaves the file state undefined within the access
-range: stripes whose aggregators succeeded are durably published (each one a
-complete, internally consistent snapshot), only the failed parts are absent
-— the guarantees are snapshot integrity and group progress, not
-all-or-nothing application of the collective.
+range: stripes whose aggregators succeeded are durably published, only the
+failed parts are absent — the guarantees are stripe integrity and group
+progress, not all-or-nothing application of the collective.
 
 In MPI *atomic* mode the collective path is bypassed: splitting one rank's
-access across several stripe snapshots could let a concurrent reader observe
-half of that rank's write, so atomic collectives keep the native
-one-rank-one-snapshot guarantee of the versioning backend.
+access across several stripe commits could let a concurrent reader observe
+half of that rank's write, so atomic collectives keep the backend's native
+one-rank-one-commit guarantee.
 
 The read side (:class:`CollectiveReader`) is the mirror image: on a
 ``read_at_all`` every rank would otherwise resolve the *same* shared extent
-against the segment tree independently — ``N`` ``latest`` round-trips and
-``N`` tree walks for one logical access.  The collective read instead
+independently — ``N`` version round-trips and ``N`` metadata walks for one
+logical access.  The collective read instead
 
 1. allgathers the ranks' access descriptions (strided runs run-length
-   encoded, as on the write side) plus their publication
-   watermarks, pinning ONE snapshot version for the whole group: the maximum
-   of every rank's watermark and consumed one-shot read hint, topped by a
-   single ``latest`` RPC issued by the lead resolver only when it held no
-   hint — so no rank can ever be served a version older than its own
-   published commits, and the group observes one consistent snapshot;
+   encoded, as on the write side) plus each rank's pin floor, pinning ONE
+   snapshot version for the whole group: their maximum — so no rank can
+   ever be served a version older than its own published commits, and the
+   group observes one consistent snapshot;
 2. partitions the union extent into chunk-aligned stripes owned by
    ``num_aggregators`` *resolver* ranks (same config/heuristic as the write
-   side); each resolver runs one batched
-   :class:`~repro.blobseer.metadata.segment_tree.ReadPlanner` walk through
-   its :class:`~repro.blobseer.metadata.cache.MetadataNodeCache` (warm
-   from its own walk on every later round of the same snapshot, and from
-   its own stripe commit when the pin is that write's group watermark) and
-   fetches its stripe's chunks — non-resolver ranks spend *zero* metadata
-   control RPCs;
+   side); each resolver resolves its stripe at the pin in one vectored read
+   — non-resolver ranks spend *zero* metadata control RPCs;
 3. scatters bytes and nothing else over ``alltoallv``: each rank receives
    the written parts of its wanted ranges in run order, without offsets —
    it derives each one from its own canonical runs, clipped to the sending
    resolver's stripe and split at the shipped holes — and never-written
    ranges travel as compact *hole descriptors*, 16 bytes each instead of
    their literal zero payload, materialized locally by the receiving rank
-   (zero-extent elision).  A resolver's traversal stays in its own cache:
+   (zero-extent elision).  A resolver's traversal stays in its own client:
    shipping it to every rank is O(ranks x resolvers x nodes) of traffic
    that only spared a later *independent* re-read one cold walk;
 4. raises on every rank when any rank failed: every failure is known before
    the scatter, so a rank whose resolution failed enters it carrying one
    error item for every rank instead of data (nobody hangs in a
    half-entered collective, and no closing exchange follows).  On success
-   every rank refreshes its one-shot read hint at the pinned version.
+   every rank records the pinned version.
 """
 
 from __future__ import annotations
@@ -125,21 +105,12 @@ from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from itertools import islice
 from operator import itemgetter
-from typing import Dict, List, NamedTuple, Optional, Tuple, TYPE_CHECKING
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from repro.blobseer.metadata.segment_tree import (
-    EXTENT_DESCRIPTION_BYTES,
-    split_vector_into_pieces,
-    stripe_unit_sizes,
-)
-from repro.blobseer.writepath.batch import AheadWrite
-from repro.core.listio import IOVector
+from repro.core.listio import EXTENT_DESCRIPTION_BYTES, IOVector
 from repro.core.regions import canonical_runs, clip_runs, coalesce_runs
 from repro.errors import MPIIOError
 from repro.mpi.simcomm import Communicator
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.blobseer.client import BlobClient
 
 #: heuristic used when neither the driver nor the cluster config names an
 #: aggregator count: one aggregator per this many ranks (ROMIO defaults its
@@ -491,11 +462,11 @@ class _WritePlan(NamedTuple):
     rounds: int
     #: the sub-stripes' end offsets in file order — one ``bisect`` places a
     #: request — and, of each, the aggregator rank, the round it is exchanged
-    #: in and the stripe units its written bytes will be staged as
+    #: in and the ``(offset, size)`` extents its written bytes will fill
     edges: List[int]
     edge_owner: List[int]
     edge_round: List[int]
-    edge_units: List[List[int]]
+    edge_extents: List[List[Tuple[int, int]]]
 
 
 def _plan_write_partition(size: int, count: int, lo: int, hi: int,
@@ -510,9 +481,8 @@ def _plan_write_partition(size: int, count: int, lo: int, hi: int,
     Every stripe is cut, at absolute chunk multiples, into sub-stripes of
     ``row`` bytes; an aggregator's ``k``-th sub-stripe is exchanged in round
     ``k``.  What a sub-stripe will hold is known before any byte moves — the
-    union of the described extents inside it — and with it the stripe units
-    the aggregator will stage it as, which is what lets one ``allocate``
-    place a whole stripe ahead of its data.
+    union of the described extents inside it — which is what lets the
+    aggregator's client place a whole stripe ahead of its data.
     """
     owners = aggregator_ranks(size, count)
     domains = partition_file_domain(lo, hi, count, chunk_size)
@@ -529,7 +499,7 @@ def _plan_write_partition(size: int, count: int, lo: int, hi: int,
     edges: List[int] = []
     edge_owner: List[int] = []
     edge_round: List[int] = []
-    edge_units: List[List[int]] = []
+    edge_extents: List[List[Tuple[int, int]]] = []
     run = 0
     for owner, (start, end) in zip(owners, domains):
         cursor = start - start % chunk_size
@@ -547,11 +517,11 @@ def _plan_write_partition(size: int, count: int, lo: int, hi: int,
             edges.append(stop)
             edge_owner.append(owner)
             edge_round.append(round_index)
-            edge_units.append(stripe_unit_sizes(inside, chunk_size))
+            edge_extents.append(inside)
             start = stop
             round_index += 1
     return _WritePlan(owners, attributed, max(edge_round) + 1, edges,
-                      edge_owner, edge_round, edge_units)
+                      edge_owner, edge_round, edge_extents)
 
 
 class _CollectiveParticipant:
@@ -563,8 +533,7 @@ class _CollectiveParticipant:
     math assumes it — so the chain lives here exactly once.
     """
 
-    def __init__(self, client: "BlobClient",
-                 num_aggregators: Optional[int] = None):
+    def __init__(self, client, num_aggregators: Optional[int] = None):
         if num_aggregators is not None and num_aggregators <= 0:
             # fail at construction, not mid-collective: a bad setting that
             # only surfaced inside the protocol would fail one rank's call
@@ -626,8 +595,7 @@ class CollectiveAggregator(_CollectiveParticipant):
     exactly like real MPI ranks in separate address spaces.
     """
 
-    def __init__(self, client: "BlobClient",
-                 num_aggregators: Optional[int] = None):
+    def __init__(self, client, num_aggregators: Optional[int] = None):
         super().__init__(client, num_aggregators)
         self.stats = CollectiveStats()
 
@@ -645,15 +613,14 @@ class CollectiveAggregator(_CollectiveParticipant):
         failure: Optional[BaseException] = None
 
         # phase 0 (local): writes this rank queued earlier in program order
-        # must take their tickets before the group's stripe commits do.  What
-        # the partition needs from this rank alone is fetched here too, so a
-        # rank that cannot get it stops the collective before any exchange
-        # round is entered: past the opening allgather every rank can derive
-        # the round count
+        # go before the group's stripes do.  What the partition needs from
+        # this rank alone is fetched here too, so a rank that cannot get it
+        # stops the collective before any exchange round is entered: past
+        # the opening allgather every rank can derive the round count
         try:
-            if client.coalescer.pending_writes(blob_id):
-                yield from client.coalescer.flush(blob_id)
-            blob = yield from client._descriptor(blob_id)
+            yield from client.collective_flush(blob_id)
+            chunk_size, providers = yield from client.collective_geometry(
+                blob_id)
             count = self.resolved_count(comm.size)
         except Exception as exc:
             failure = exc
@@ -671,13 +638,12 @@ class CollectiveAggregator(_CollectiveParticipant):
 
         # pure arithmetic over what every rank received identically: it
         # cannot fail on one rank alone
-        row = _round_bytes(len(client.deployment.data_providers),
-                           blob.chunk_size, count, client.cluster.config)
+        row = _round_bytes(providers, chunk_size, count,
+                           client.cluster.config)
         plan = _shared_memo(
-            gathered, ("write_plan", count, blob.chunk_size, row),
+            gathered, ("write_plan", count, chunk_size, row),
             lambda: _plan_write_partition(comm.size, count, lo, hi,
-                                          blob.chunk_size, row,
-                                          extents_by_rank))
+                                          chunk_size, row, extents_by_rank))
         rounds = plan.rounds
 
         # cutting must not raise mid-protocol: a rank failing here (or in
@@ -692,23 +658,20 @@ class CollectiveAggregator(_CollectiveParticipant):
         # phases 2-3, one sub-stripe per round: ship every piece of the
         # round to the aggregator owning its sub-stripe (a sparse exchange —
         # most ranks only touch a few stripes); the aggregator assembles the
-        # sub-stripe and, while the group exchanges the next round, uploads
-        # it.  The last round's runs stay in hand: they are what the commit
-        # uploads itself, its ticket request riding along
+        # sub-stripe and, while the group exchanges the next round, stages
+        # it.  The last round's runs stay in hand: they are what the publish
+        # carries itself
         stripe = plan.owners.index(rank) if rank in plan.owners else None
-        ahead: Optional[AheadWrite] = None
+        ahead = None
         runs: Optional[IOVector] = None
-        parent = ctx.current if ctx is not None else None
         # a stripe with bytes in any round but the last sends them ahead of
-        # its commit: have the whole stripe placed while round 0 is
-        # exchanged, so that no round — nor the commit — waits on it
+        # its publish: have the whole stripe placed while round 0 is
+        # exchanged, so that no round — nor the publish — waits on it
         placement = None
         if failure is None and stripe is not None:
-            units = self._stripe_units(plan, rank)
-            if any(units[:-1]):
-                placement = client.cluster.sim.process(
-                    self._place(units, ctx, parent, rank),
-                    name=f"{client.name}:place")
+            parts = self._stripe_extents(plan, rank)
+            if any(parts[:-1]):
+                placement = client.collective_place(blob_id, parts, rank)
         for index in range(rounds):
             # each send list is priced once, here, for the stats, the cost
             # model and the receiver; pieces addressed to this rank itself
@@ -731,9 +694,7 @@ class CollectiveAggregator(_CollectiveParticipant):
                             if isinstance(placed, Exception):
                                 raise placed
                             ahead = placed
-                        client.writepath.stage_ahead(
-                            blob_id, split_vector_into_pieces(blob, runs),
-                            ahead, index, trace_parent=parent)
+                        client.collective_stage(blob_id, runs, ahead, index)
                         runs = None
                 except Exception as exc:
                     failure = exc
@@ -744,25 +705,27 @@ class CollectiveAggregator(_CollectiveParticipant):
             yield placement
 
         # phase 3 (aggregators): publish the whole stripe — every round's
-        # uploads — as one snapshot
+        # stagings — as one commit
         closing = ("ok", 0)
-        leaves = ()
+        receipt = None
         if failure is not None:
             closing = ("err", f"rank {rank}: {failure!r}")
         elif runs is not None or ahead is not None:
+            attributed = plan.attributed[stripe]
             try:
                 receipt = yield from _phase(
-                    ctx, self._commit_stripe(blob_id, runs or IOVector(),
-                                             ahead, plan.attributed[stripe]),
+                    ctx, client.collective_publish(
+                        blob_id, runs or IOVector(), ahead, attributed),
                     "collective.write.commit_stripe", rank=rank)
                 closing = ("ok", receipt.version)
-                leaves = receipt.leaves
+                self.stats.stripes_committed += 1
+                self.stats.attributed_writes += attributed
             except Exception as exc:
                 failure = exc
                 closing = ("err", f"aggregator rank {rank}: {exc!r}")
         if failure is not None and ahead is not None:
-            # nor will any snapshot reference what went ahead of the commit
-            client.writepath.forget(ahead=ahead)
+            # nor will any commit reference what went ahead of it
+            client.collective_forget(ahead)
 
         # phase 4: share outcomes and the published watermark
         outcomes = yield from _phase(
@@ -773,55 +736,28 @@ class CollectiveAggregator(_CollectiveParticipant):
         if errors:
             # surviving aggregators' stripes are durably published, so any
             # hint planted before this collective now names a version that
-            # may hide them — drop it on every rank (the aborting
-            # aggregator's engine already dropped its own in the abort path)
+            # may hide them — drop it on every rank
             client.drop_read_hint(blob_id)
             if failure is not None:
                 raise failure
             raise MPIIOError("collective write failed: " + "; ".join(errors))
-        if watermark:
-            client.note_collective_commit(blob_id, watermark)
-        if leaves and gapless:
-            # the stripes are chunk-aligned and disjoint, and no other
-            # writer's ticket fits between the group's versions: the newest
-            # node of this stripe's leaves at or before the watermark is
-            # this aggregator's own, which is what a read pinned there asks
-            client.tiers.admit(blob_id, [((offset, size, watermark), node)
-                                         for (offset, size, _version), node
-                                         in leaves])
+        client.collective_settle(blob_id, watermark, gapless, receipt)
         self.stats.collectives += 1
         return vector.total_bytes()
 
     # ------------------------------------------------------------------
-    def _place(self, units: List[List[int]], ctx, parent, rank: int):
-        """The stripe's ``place_ahead``, as the body of a background process
-        that never fails: its value is the placed write or the exception,
-        which the first round to go ahead raises in its own turn."""
-        span = None
-        if ctx is not None:
-            span = ctx.begin_detached("collective.write.place",
-                                      cat="collective", parent=parent,
-                                      rank=rank)
-        try:
-            ahead = yield from self.client.writepath.place_ahead(
-                units, trace_parent=span)
-        except Exception as exc:
-            return exc
-        finally:
-            if span is not None:
-                ctx.end(span)
-        return ahead
-
     @staticmethod
-    def _stripe_units(plan: _WritePlan, rank: int) -> List[List[int]]:
-        """Per round, the stripe units of aggregator ``rank``'s sub-stripe
-        (none for a round its stripe is too short for)."""
-        units: List[List[int]] = [[] for _round in range(plan.rounds)]
-        for owner, round_index, edge_units in zip(
-                plan.edge_owner, plan.edge_round, plan.edge_units):
+    def _stripe_extents(plan: _WritePlan, rank: int
+                        ) -> List[List[Tuple[int, int]]]:
+        """Per round, the written extents of aggregator ``rank``'s
+        sub-stripe (none for a round its stripe is too short for)."""
+        parts: List[List[Tuple[int, int]]] = [[] for _round in
+                                               range(plan.rounds)]
+        for owner, round_index, extents in zip(
+                plan.edge_owner, plan.edge_round, plan.edge_extents):
             if owner == rank:
-                units[round_index] = edge_units
-        return units
+                parts[round_index] = extents
+        return parts
 
     @staticmethod
     def _cut_rounds(vector: IOVector, plan: _WritePlan
@@ -886,24 +822,6 @@ class CollectiveAggregator(_CollectiveParticipant):
             pieces.clear()
         return runs
 
-    def _commit_stripe(self, blob_id: str, runs: IOVector,
-                       ahead: Optional[AheadWrite], attributed_writes: int):
-        """Publish the stripe — ``runs`` plus the sub-stripes uploading
-        ``ahead``, if any were — as one snapshot; returns its receipt once
-        it is published."""
-        writepath = self.client.writepath
-        receipt = yield from writepath.commit(
-            blob_id, runs, ahead=ahead, logical_writes=attributed_writes,
-            defer_complete=True)
-        yield from writepath.drain(blob_id)
-        # the deferred complete usually reported the stripe published
-        # already; only an earlier ticket still in flight costs a wait
-        if receipt.version > self.client.version_hints.get(blob_id, 0):
-            yield from self.client.wait_published(blob_id, receipt.version)
-        self.stats.stripes_committed += 1
-        self.stats.attributed_writes += attributed_writes
-        return receipt
-
 
 # ----------------------------------------------------------------------
 # the read side: aggregated metadata resolution for read_at_all
@@ -945,14 +863,13 @@ class CollectiveReader(_CollectiveParticipant):
     the aggregator set (same count chain, same spread): placement wants the
     same properties on both sides, and one knob keeps the two in agreement.
 
-    The exchange moves bytes only: a resolver's metadata traversal warms its
-    own cache (so it walks a snapshot cold once, whatever the round count)
-    and is never shipped — the other ranks do not touch the control plane
+    The exchange moves bytes only: what a resolver's client learns resolving
+    its stripe (a versioning client's metadata walk, which warms its own
+    cache) is never shipped — the other ranks do not touch the control plane
     inside a collective and have no use for it there.
     """
 
-    def __init__(self, client: "BlobClient",
-                 num_resolvers: Optional[int] = None):
+    def __init__(self, client, num_resolvers: Optional[int] = None):
         super().__init__(client, num_resolvers)
         self.stats = CollectiveReadStats()
 
@@ -972,30 +889,21 @@ class CollectiveReader(_CollectiveParticipant):
         owners: List[int] = []
         floor = 0
 
-        # phase 0 (local): this rank's own unpublished writes must be
-        # readable (read-your-writes), and its one-shot hint is consumed
-        # here so the group's version pin can absorb it.  The lead resolver
-        # is the only rank that may round-trip for ``latest`` — and only
-        # when it held no hint.
+        # phase 0 (local): this rank's floor for the group's version pin —
+        # the lead resolver's the only one that may cost a round-trip
         try:
             count = self.resolved_count(comm.size)
             owners = aggregator_ranks(comm.size, count)
-            if client.has_unpublished_state(blob_id):
-                yield from client.coalescer.barrier(blob_id)
-            hint = client.take_read_hint(blob_id)
-            floor = max(hint or 0, client.version_hints.get(blob_id, 0))
-            if rank == owners[0]:
-                if hint is None:
-                    latest = yield from client.latest_version(blob_id)
-                    floor = max(floor, latest)
-                    self.stats.version_rpcs += 1
-                else:
-                    client.latest_rpcs_elided += 1
-                    self.stats.version_rpcs_elided += 1
+            lead = rank == owners[0]
+            floor, elided = yield from client.collective_pin(blob_id, lead)
+            if elided:
+                self.stats.version_rpcs_elided += 1
+            elif lead:
+                self.stats.version_rpcs += 1
         except Exception as exc:
             failure = exc
 
-        # phase 1: exchange access descriptions and watermarks.  The pin is
+        # phase 1: exchange access descriptions and floors.  The pin is
         # their maximum: every contribution is a *published* version, so it
         # is too — and at least as new as every rank's own commits
         gathered, (extents_by_rank, pinned, lo, hi) = yield from \
@@ -1018,11 +926,12 @@ class CollectiveReader(_CollectiveParticipant):
         send: Dict[int, Tuple] = {}
         if failure is None:
             try:
-                blob = yield from client._descriptor(blob_id)
+                chunk_size, _providers = yield from \
+                    client.collective_geometry(blob_id)
                 domains = _shared_memo(
-                    gathered, ("read_domains", len(owners), blob.chunk_size),
+                    gathered, ("read_domains", len(owners), chunk_size),
                     lambda: partition_file_domain(lo, hi, len(owners),
-                                                  blob.chunk_size))
+                                                  chunk_size))
                 # the per-rank wanted runs are identical for every rank —
                 # derive them once per collective: each resolver clips them
                 # to its own stripe, each receiver places its pieces on its
@@ -1132,11 +1041,10 @@ class CollectiveReader(_CollectiveParticipant):
                         wanted_full: List[List[Tuple[int, int]]], rank: int):
         """Resolve and fetch one stripe; cut the bytes per destination rank.
 
-        One batched :class:`~repro.blobseer.metadata.segment_tree.
-        ReadPlanner` walk over the union of every rank's wanted bytes within
-        the stripe (each metadata node resolved once however many ranks want
-        it), one parallel chunk fetch, then per-rank extraction — all of it
-        on canonical ``(start, end)`` runs.  Returns the ``send`` map for the
+        One vectored read of the client at ``version`` over the union of
+        every rank's wanted bytes within the stripe (each byte resolved once
+        however many ranks want it), then per-rank extraction — all of it on
+        canonical ``(start, end)`` runs.  Returns the ``send`` map for the
         sparse data exchange: ``(price, payloads, holes)`` for each
         destination that wants bytes of this stripe — ``holes`` are the
         never-written ranges within that rank's wanted bytes, shipped as
@@ -1145,8 +1053,8 @@ class CollectiveReader(_CollectiveParticipant):
         in run order, with no offset (the receiver derives each from its own
         runs), and ``price`` the item's wire size, computed once here:
         payload plus one descriptor per hole, plus one header when there is
-        payload at all.  The walk warms this resolver's own cache and goes
-        nowhere else.
+        payload at all.  What the read learned on the way stays in this
+        resolver's client.
         """
         start, end = domain
         send: Dict[int, Tuple[int, List[bytes], list]] = {}

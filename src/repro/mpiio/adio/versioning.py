@@ -31,7 +31,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class VersioningDriver(ADIODriver):
-    """ROMIO-style ADIO module backed by :mod:`repro.vstore`.
+    """ROMIO-style ADIO module backed by a
+    :class:`~repro.blobseer.client.BlobClient` (the client whose
+    ``vwrite``/``vread`` :mod:`repro.vstore` puts behind a blocking facade).
 
     ``write_coalescing`` queues non-atomic writes in the client's
     :class:`~repro.blobseer.writepath.coalescer.WriteCoalescer`; they are

@@ -1,8 +1,5 @@
 """Workload generators reproducing the paper's access patterns.
 
-* :mod:`repro.workloads.domain` — n-dimensional domain decomposition with
-  overlapping (ghost-cell) subdomains, the access pattern the paper's
-  introduction motivates;
 * :mod:`repro.workloads.overlap_stress` — Experiment 1: every client writes a
   large set of non-contiguous regions deliberately chosen to overlap with its
   neighbours' regions;
@@ -26,7 +23,6 @@
   hot-spot window), the scenario fuzzer's workhorse family.
 """
 
-from repro.workloads.domain import DomainDecomposition, process_grid
 from repro.workloads.overlap_stress import OverlapStressWorkload
 from repro.workloads.queued_writes import QueuedWritesWorkload
 from repro.workloads.collective_checkpoint import CollectiveCheckpointWorkload
@@ -36,8 +32,6 @@ from repro.workloads.tile_io import TileIOWorkload
 from repro.workloads.random_vectored import RandomVectoredWorkload
 
 __all__ = [
-    "DomainDecomposition",
-    "process_grid",
     "OverlapStressWorkload",
     "QueuedWritesWorkload",
     "CollectiveCheckpointWorkload",

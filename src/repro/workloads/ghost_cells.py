@@ -4,7 +4,10 @@ This is the application the paper's introduction describes: an iterative
 simulation over a 2-D spatial domain (here: explicit heat diffusion) where
 
 * the domain is split into per-rank subdomains that overlap at their borders
-  (ghost cells), so ranks do not have to exchange borders every iteration;
+  (ghost cells), so ranks do not have to exchange borders every iteration —
+  laid out as an MPI-tile-IO tile grid
+  (:class:`~repro.workloads.tile_io.TileIOWorkload`) whose neighbouring
+  tiles overlap by twice the ghost width;
 * at the end of each iteration every rank dumps its whole ghost-extended
   subdomain into a globally shared snapshot file, which requires MPI atomic
   mode because the overlapped borders are written by several ranks.
@@ -26,12 +29,19 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.errors import BenchmarkError
-from repro.workloads.domain import DomainDecomposition
+from repro.workloads.tile_io import TileIOWorkload, tile_grid
 
 
 @dataclass
 class GhostCellSimulation:
-    """2-D heat diffusion over a decomposed domain with ghost-cell dumps."""
+    """2-D heat diffusion over a decomposed domain with ghost-cell dumps.
+
+    Each rank owns a core block of an even split of the domain plus
+    ``ghost`` cells on every side, clipped at the domain's edge; those
+    blocks are the tiles of ``tiles``.  The tile layout holds while every
+    block touches the edge — at most two ranks along a dimension that has
+    ghosts — and the cores split evenly; any other shape is rejected.
+    """
 
     domain_x: int = 64
     domain_y: int = 64
@@ -45,12 +55,23 @@ class GhostCellSimulation:
             raise BenchmarkError("domain dimensions must be positive")
         if not (0.0 < self.alpha <= 0.25):
             raise BenchmarkError("alpha must be in (0, 0.25] for stability")
-        self.decomposition = DomainDecomposition(
-            sizes=(self.domain_y, self.domain_x),
-            num_processes=self.num_ranks,
-            ghost=self.ghost,
-            element_size=self.element_dtype.itemsize,
-        )
+        if self.ghost < 0:
+            raise BenchmarkError(f"negative ghost width {self.ghost}")
+        overlap = 2 * self.ghost
+        grid = tile_grid(self.num_ranks)
+        sizes = []
+        for cells, count in zip((self.domain_x, self.domain_y), grid):
+            core, rest = divmod(cells - overlap, count)
+            if core <= 0 or rest or (count > 2 and overlap):
+                raise BenchmarkError(
+                    f"{cells} cells with ghost width {self.ghost} do not lay "
+                    f"out as {count} ghost-extended tiles")
+            sizes.append(core + overlap)
+        self.tiles = TileIOWorkload(
+            nr_tiles_x=grid[0], nr_tiles_y=grid[1],
+            sz_tile_x=sizes[0], sz_tile_y=sizes[1],
+            sz_element=self.element_dtype.itemsize,
+            overlap_x=overlap, overlap_y=overlap)
         # global field initialized with a hot square in the centre
         self.field = np.zeros((self.domain_y, self.domain_x),
                               dtype=self.element_dtype)
@@ -63,13 +84,13 @@ class GhostCellSimulation:
     @property
     def file_size(self) -> int:
         """Bytes of one shared snapshot file."""
-        return self.decomposition.file_size
+        return self.tiles.file_size
 
     def rank_block(self, rank: int) -> Tuple[slice, slice]:
         """NumPy slices of the rank's ghost-extended block in the global field."""
-        block = self.decomposition.subdomain(rank, with_ghosts=True)
-        (start_y, start_x), (size_y, size_x) = block.starts, block.sizes
-        return (slice(start_y, start_y + size_y), slice(start_x, start_x + size_x))
+        start_y, start_x = self.tiles.tile_start(rank)
+        return (slice(start_y, start_y + self.tiles.sz_tile_y),
+                slice(start_x, start_x + self.tiles.sz_tile_x))
 
     def step(self) -> None:
         """Advance the global field by one explicit diffusion step."""
@@ -88,7 +109,7 @@ class GhostCellSimulation:
         """``(offset, payload)`` pairs for the rank's subdomain dump."""
         rows, cols = self.rank_block(rank)
         block = np.ascontiguousarray(self.field[rows, cols])
-        regions = self.decomposition.rank_regions(rank, with_ghosts=True)
+        regions = self.tiles.rank_regions(rank)
         row_bytes = block.shape[1] * self.element_dtype.itemsize
         pairs: List[Tuple[int, bytes]] = []
         raw = block.tobytes()

@@ -22,6 +22,20 @@ from repro.errors import BenchmarkError
 from repro.mpi.datatypes import BasicType, Datatype, Subarray
 
 
+def tile_grid(num_processes: int) -> Tuple[int, int]:
+    """``(tiles_x, tiles_y)``: ``num_processes`` tiles in a grid as square
+    as possible (like ``MPI_Dims_create``), the larger count along y."""
+    if num_processes <= 0:
+        raise BenchmarkError("num_processes must be positive")
+    best = (1, num_processes)
+    for tiles_x in range(1, num_processes + 1):
+        if num_processes % tiles_x == 0:
+            tiles_y = num_processes // tiles_x
+            if abs(tiles_x - tiles_y) < abs(best[0] - best[1]):
+                best = (tiles_x, tiles_y)
+    return best
+
+
 @dataclass(frozen=True)
 class TileIOWorkload:
     """Parameters of one MPI-tile-IO run (defaults follow the benchmark)."""
@@ -117,17 +131,10 @@ class TileIOWorkload:
     def scaled_to(self, num_processes: int) -> "TileIOWorkload":
         """A copy with the tile grid resized to roughly ``num_processes`` tiles.
 
-        Used by the client-count sweeps: the grid is kept as square as
-        possible (like ``MPI_Dims_create``), every other parameter unchanged.
+        Used by the client-count sweeps: the grid is :func:`tile_grid`'s,
+        every other parameter unchanged.
         """
-        if num_processes <= 0:
-            raise BenchmarkError("num_processes must be positive")
-        best = (1, num_processes)
-        for tiles_x in range(1, num_processes + 1):
-            if num_processes % tiles_x == 0:
-                tiles_y = num_processes // tiles_x
-                if abs(tiles_x - tiles_y) < abs(best[0] - best[1]):
-                    best = (tiles_x, tiles_y)
+        best = tile_grid(num_processes)
         return TileIOWorkload(
             nr_tiles_x=best[0], nr_tiles_y=best[1],
             sz_tile_x=self.sz_tile_x, sz_tile_y=self.sz_tile_y,

@@ -13,9 +13,9 @@
 import pytest
 
 from repro.blobseer.deployment import BlobSeerDeployment
-from repro.blobseer.metadata.segment_tree import EXTENT_DESCRIPTION_BYTES
 from repro.blobseer.metadata.tiers import partition_problems, wire_problems
 from repro.cluster import Cluster, ClusterConfig
+from repro.core.listio import EXTENT_DESCRIPTION_BYTES
 from repro.obs.registry import MetricsRegistry
 from repro.obs.views import collect_all
 from repro.vstore.client import VectoredClient

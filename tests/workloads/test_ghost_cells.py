@@ -3,8 +3,31 @@
 import numpy as np
 import pytest
 
+from repro.core.regions import RegionList
 from repro.errors import BenchmarkError
 from repro.workloads.ghost_cells import GhostCellSimulation
+from repro.workloads.tile_io import tile_grid
+from tests._regions import regions_union
+
+
+class TestTileGrid:
+    def test_balanced_factorizations(self):
+        assert tile_grid(4) == (2, 2)
+        assert tile_grid(8) == (2, 4)
+        assert tile_grid(12) == (3, 4)
+
+    def test_prime_and_single_counts(self):
+        assert tile_grid(7) == (1, 7)
+        assert tile_grid(1) == (1, 1)
+
+    def test_product_equals_process_count(self):
+        for count in range(1, 33):
+            tiles_x, tiles_y = tile_grid(count)
+            assert tiles_x * tiles_y == count and tiles_x <= tiles_y
+
+    def test_invalid_count(self):
+        with pytest.raises(BenchmarkError):
+            tile_grid(0)
 
 
 class TestGhostCellSimulation:
@@ -13,6 +36,57 @@ class TestGhostCellSimulation:
             GhostCellSimulation(domain_x=0)
         with pytest.raises(BenchmarkError):
             GhostCellSimulation(alpha=0.5)
+        with pytest.raises(BenchmarkError):
+            GhostCellSimulation(ghost=-1)
+        with pytest.raises(BenchmarkError):
+            GhostCellSimulation(domain_x=2, domain_y=2, num_ranks=64)
+
+    @pytest.mark.parametrize("shape", [
+        dict(domain_x=48, domain_y=48, num_ranks=9, ghost=2),  # 3 a side
+        dict(domain_x=17, domain_y=16, num_ranks=4, ghost=1),  # uneven x
+        dict(domain_x=4, domain_y=4, num_ranks=1, ghost=2),  # ghosts > core
+    ])
+    def test_shapes_the_tile_layout_cannot_express_are_rejected(self, shape):
+        with pytest.raises(BenchmarkError):
+            GhostCellSimulation(**shape)
+
+    def test_ghostless_ranks_may_split_a_dimension_in_more_than_two(self):
+        simulation = GhostCellSimulation(domain_x=9, domain_y=9, num_ranks=9,
+                                         ghost=0)
+        assert (simulation.tiles.nr_tiles_x, simulation.tiles.nr_tiles_y,
+                simulation.tiles.sz_tile_x) == (3, 3, 3)
+
+    @pytest.mark.parametrize("domain,ranks,ghost", [
+        (48, 4, 2), (32, 4, 2), (16, 4, 1), (16, 4, 2), (8, 2, 2), (16, 4, 0)])
+    def test_blocks_are_cores_plus_clipped_ghosts_covering_the_domain(
+            self, domain, ranks, ghost):
+        simulation = GhostCellSimulation(domain_x=domain, domain_y=domain,
+                                         num_ranks=ranks, ghost=ghost)
+        tiles_x, tiles_y = tile_grid(ranks)
+        itemsize = simulation.element_dtype.itemsize
+        assert simulation.file_size == domain * domain * itemsize
+        union = RegionList()
+        for rank in range(ranks):
+            rows, cols = simulation.rank_block(rank)
+            tile_y, tile_x = divmod(rank, tiles_x)
+            for block, coord, count in ((rows, tile_y, tiles_y),
+                                        (cols, tile_x, tiles_x)):
+                core = domain // count
+                assert block.start == max(0, coord * core - ghost)
+                assert block.stop == min(domain, (coord + 1) * core + ghost)
+            union = regions_union(union, simulation.tiles.rank_regions(rank))
+        assert union.as_tuples() == [(0, simulation.file_size)]
+
+    def test_neighbours_overlap_by_twice_the_ghost_width(self):
+        for ghost in (0, 1, 2):
+            simulation = GhostCellSimulation(domain_x=16, domain_y=16,
+                                             num_ranks=4, ghost=ghost)
+            left, right = (simulation.rank_block(rank)[1] for rank in (0, 1))
+            assert left.stop - right.start == 2 * ghost
+            regions = [simulation.tiles.rank_regions(rank)
+                       for rank in range(4)]
+            assert regions[0].overlaps(regions[1]) == (ghost > 0)
+            assert regions[0].overlaps(regions[3]) == (ghost > 0)
 
     def test_initial_field_has_hot_region(self):
         simulation = GhostCellSimulation(domain_x=32, domain_y=32, num_ranks=4)
@@ -36,7 +110,7 @@ class TestGhostCellSimulation:
                                          ghost=2)
         for rank in range(4):
             pairs = simulation.rank_dump_pairs(rank)
-            regions = simulation.decomposition.rank_regions(rank)
+            regions = simulation.tiles.rank_regions(rank)
             assert len(pairs) == len(regions)
             assert sum(len(data) for _, data in pairs) == \
                 regions.total_bytes()
