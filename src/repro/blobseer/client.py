@@ -35,7 +35,7 @@ data providers in parallel; a read with nothing left issues no data RPC.
 A payload byte is stored once: the chunk a provider keeps, and the writer's
 cache holds, is the object the writer handed over (its ``bytes`` or a
 read-only view of them), and a read copies each byte once, into the
-``bytes`` it returns.
+``bytes`` it returns (one per range, or one for the whole read).
 It follows that a writer still reads its own bytes back while their provider
 is down (as long as the cache holds them), whereas any other client — a
 restarted job included — gets ``ProviderUnavailable`` for the same range.
@@ -67,12 +67,16 @@ its stripe's leaves under it too, so a read pinned there finds every leaf
 in the resolver's cache.  A collective read's pin fences this rank's
 unpublished writes and offers the larger of its hint and its watermark;
 only the lead resolver asks for ``latest``, and only without a hint.  A
-resolver's walk warms its own node cache, so it walks a snapshot cold once.
+resolver resolves its stripe with :meth:`BlobClient.fetch_extents`, the
+same fetch every read of this client makes: the stripe's extents, each a
+stored chunk or a read-only view of one, a hole none at all, so the
+exchange cuts each rank's parts as views and the receiving rank's join is
+the only copy.  A resolver's walk warms its own node cache, so it walks a
+snapshot cold once.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING, Union
 
@@ -89,7 +93,7 @@ from repro.blobseer.metadata.tiers import MetadataTierChain
 from repro.blobseer.writepath.batch import WriteReceipt
 from repro.blobseer.writepath.coalescer import WriteCoalescer
 from repro.blobseer.writepath.engine import PipelinedCommitEngine
-from repro.core.listio import IOVector
+from repro.core.listio import FetchedExtent, IOVector, assemble
 from repro.errors import StorageError, VersionNotFound
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -403,9 +407,10 @@ class BlobClient:
     def read(self, blob_id: str, offset: int, size: int,
              version: Optional[int] = None):
         """Contiguous read of a published snapshot (default: latest)."""
-        pieces = yield from self._vectored_read(
-            blob_id, IOVector.contiguous_read(offset, size), version)
-        return pieces[0]
+        data = yield from self.vread(
+            blob_id, IOVector.contiguous_read(offset, size), version,
+            joined=True)
+        return data
 
     # ------------------------------------------------------------------
     # the paper's non-contiguous (vectored) interface
@@ -439,11 +444,14 @@ class BlobClient:
         return receipt
 
     def vread(self, blob_id: str, access: Union[IOVector, ReadPairs],
-              version: Optional[int] = None):
+              version: Optional[int] = None, *, joined: bool = False):
         """Read a set of non-contiguous regions from one published snapshot.
 
         Returns one ``bytes`` object per requested range, all taken from the
-        same consistent snapshot (the latest published one by default).
+        same consistent snapshot (the latest published one by default) —
+        or, ``joined``, the ranges' bytes back to back as one ``bytes``, the
+        buffer an MPI-I/O read fills.  Either way each byte is copied once,
+        out of the stored chunk (:func:`~repro.core.listio.assemble`).
 
         A default read may consume a one-shot hint planted at this client's
         own last barrier or collective commit instead of asking the version
@@ -453,9 +461,9 @@ class BlobClient:
         matters, pass an explicit version (e.g. from :meth:`latest_version`
         or ``wait_published``) — those paths always round-trip.
         """
-        pieces = yield from self._vectored_read(
-            blob_id, self._as_read_vector(access), version)
-        return pieces
+        vector = self._as_read_vector(access)
+        extents = yield from self.fetch_extents(blob_id, vector, version)
+        return assemble(vector, extents, joined)
 
     def vwrite_and_wait(self, blob_id: str, access: Union[IOVector, WritePairs]):
         """Like :meth:`vwrite`, then block until the snapshot is published.
@@ -521,14 +529,14 @@ class BlobClient:
         receipt = yield from self.writepath.commit(blob_id, vector)
         return receipt
 
-    def _vectored_read(self, blob_id: str, vector: IOVector,
-                       version: Optional[int] = None, *,
-                       holes: Optional[List[Tuple[int, int]]] = None):
-        """Read the vector's ranges from one published snapshot.
-
-        ``holes`` (optional) collects the never-written ranges the plan
-        zero-filled, as ``(start, end)`` runs, so a collective resolver can
-        ship them as compact descriptors instead of literal zero bytes.
+    def fetch_extents(self, blob_id: str, vector: IOVector,
+                      version: Optional[int] = None):
+        """The vector's ranges at one published snapshot, as the sorted,
+        disjoint ``(offset, length, data)`` extents that tile them: ``data``
+        the stored chunk's bytes or a read-only view of them, ``None`` for a
+        never-written range — a hole carries no bytes, whoever assembles the
+        answer writes its zeros (:func:`~repro.core.listio.assemble`), and
+        a collective resolver ships it as a descriptor.
         """
         blob = yield from self._descriptor(blob_id)
         if version is None:
@@ -557,14 +565,12 @@ class BlobClient:
         # extents of chunks this client uploaded come out of its cache; the
         # rest are parallel chunk-range fetches — one batched RPC per data
         # provider
-        fetched: List[Tuple[int, int, bytes]] = []
+        fetched: List[FetchedExtent] = []
         per_provider: Dict[str, list] = {}
         own_chunk = self.chunk_cache.read
         for extent in plan.extents:
             if extent.is_zero:
-                if holes is not None:
-                    holes.append((extent.offset, extent.offset + extent.length))
-                fetched.append((extent.offset, extent.length, b"\x00" * extent.length))
+                fetched.append((extent.offset, extent.length, None))
                 continue
             data = own_chunk(extent.chunk, extent.chunk_offset, extent.length)
             if data is not None:
@@ -589,11 +595,10 @@ class BlobClient:
                 [fetch_from(provider_id, extents)
                  for provider_id, extents in sorted(per_provider.items())])
 
-        results = self._assemble(vector, fetched)
-        total = vector.total_bytes()
-        self.bytes_read += total
+        fetched.sort(key=itemgetter(0))
+        self.bytes_read += vector.total_bytes()
         self.reads += 1
-        return results
+        return fetched
 
     # ------------------------------------------------------------------
     def _resolve_metadata(self, blob: BlobDescriptor, version: int, regions):
@@ -613,59 +618,6 @@ class BlobClient:
         plan = planner.plan()
         self.metadata_nodes_fetched += plan.nodes_fetched
         return plan
-
-    @staticmethod
-    def _assemble(vector: IOVector, fetched: List[Tuple[int, int, bytes]]) -> List[bytes]:
-        """Scatter fetched extents back into one ``bytes`` per vector request.
-
-        Fetched extents never overlap each other (the read plan partitions
-        the wanted ranges), so after sorting them by offset each request only
-        needs the slice of extents its range intersects — found with a bisect
-        instead of scanning the full extent list per request, which turned a
-        whole-file verify read into an O(requests x extents) quadratic walk.
-        A request one extent covers whole (every block of a collective read)
-        is that extent's slice; any other is the join of the views of the
-        extents it meets, zeros in any gap between them.  Either way each
-        byte is copied once, and no view leaves: an extent may be a view of
-        a stored chunk.
-        """
-        extents = sorted(fetched, key=itemgetter(0))
-        ends = [offset + length for offset, length, _data in extents]
-        count = len(extents)
-        results: List[bytes] = []
-        for request in vector:
-            req_start = request.offset
-            req_end = req_start + request.size
-            index = bisect_right(ends, req_start)
-            if index < count and ends[index] >= req_end \
-                    and extents[index][0] <= req_start:
-                # one extent covers the whole request: its slice is the
-                # answer (a slice of ``bytes`` is the copy, ``bytes()`` of
-                # a view's slice is)
-                offset, _length, data = extents[index]
-                results.append(bytes(data[req_start - offset:
-                                          req_end - offset]))
-                continue
-            parts = []
-            cursor = req_start
-            while index < count:
-                offset, length, data = extents[index]
-                if offset >= req_end:
-                    break
-                lo = offset if offset > req_start else req_start
-                hi = offset + length
-                if hi > req_end:
-                    hi = req_end
-                if lo > cursor:
-                    parts.append(bytes(lo - cursor))
-                parts.append(data if hi - lo == length else
-                             memoryview(data)[lo - offset:hi - offset])
-                cursor = hi
-                index += 1
-            if cursor < req_end:
-                parts.append(bytes(req_end - cursor))
-            results.append(b"".join(parts))
-        return results
 
     # ------------------------------------------------------------------
     # the collective hooks (module docstring)
@@ -725,7 +677,7 @@ class BlobClient:
                            logical_writes: int):
         """Publish the stripe — ``runs`` plus the parts uploading ``ahead``,
         if any went — as one snapshot; returns its receipt once it is
-        published."""
+        published.  A commit that fails forgets ``ahead`` itself."""
         receipt = yield from self.writepath.commit(
             blob_id, runs, ahead=ahead, logical_writes=logical_writes,
             defer_complete=True)

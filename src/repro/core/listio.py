@@ -10,6 +10,7 @@ buffers.  Both storage backends and every ADIO driver consume them.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -19,6 +20,10 @@ from repro.errors import InvalidRegion
 
 #: an immutable payload: ``bytes``, or a read-only byte view of ``bytes``
 Payload = Union[bytes, memoryview]
+
+#: one piece of a read's answer: ``(offset, length, data)``, ``data`` the
+#: payload, or ``None`` for a never-written range (a hole carries no bytes)
+FetchedExtent = Tuple[int, int, Optional[Payload]]
 
 #: wire size of one serialized ``(offset, size)`` extent description: a run
 #: a reader ships with a leaf lookup, or an entry of a collective access
@@ -222,3 +227,60 @@ class IOVector:
                 piece = piece + b"\x00" * (req.size - len(piece))
             results.append(bytes(piece))
         return results
+
+
+#: what holes are joined from: views of one zero block, never a new buffer
+_ZEROS = memoryview(bytes(1 << 20))
+
+
+def _zeros(parts: list, length: int) -> None:
+    """Append ``length`` zero bytes to ``parts`` as views of :data:`_ZEROS`."""
+    while length > len(_ZEROS):
+        parts.append(_ZEROS)
+        length -= len(_ZEROS)
+    parts.append(_ZEROS[:length])
+
+
+def assemble(vector: IOVector, extents: Sequence[FetchedExtent],
+             joined: bool = False):
+    """A read's answer out of its sorted, disjoint ``extents``, in one sweep.
+
+    One ``bytes`` per request of ``vector`` — or, ``joined``, the requests'
+    bytes back to back as one ``bytes``, what an MPI-I/O read fills its one
+    buffer with.  Each request finds its first extent with a bisect and
+    takes read-only views of the extents it meets; a hole, or a gap no
+    extent covers, reads as zeros.  Either shape is one ``b"".join`` over
+    those views, so each byte is copied once and no view of a stored chunk
+    leaves (a request that is one whole ``bytes`` extent is that object).
+    """
+    ends = [offset + length for offset, length, _data in extents]
+    count = len(extents)
+    results: list = []
+    for request in vector:
+        parts = results if joined else []
+        cursor = request.offset
+        req_end = cursor + request.size
+        index = bisect_right(ends, cursor)
+        while index < count and cursor < req_end:
+            offset, length, data = extents[index]
+            if offset >= req_end:
+                break
+            if offset > cursor:
+                _zeros(parts, offset - cursor)
+                cursor = offset
+            hi = offset + length
+            if hi > req_end:
+                hi = req_end
+            if data is None:
+                _zeros(parts, hi - cursor)
+            elif cursor == offset and hi - cursor == length:
+                parts.append(data)
+            else:
+                parts.append(memoryview(data)[cursor - offset:hi - offset])
+            cursor = hi
+            index += 1
+        if cursor < req_end:
+            _zeros(parts, req_end - cursor)
+        if not joined:
+            results.append(b"".join(parts))
+    return b"".join(results) if joined else results

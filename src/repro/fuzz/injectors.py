@@ -8,7 +8,7 @@ Each injector mirrors a sabotage idiom from the fault-injection suites:
   snapshot window).  The collective must fail on every rank, the ticket
   must abort, and the phase's union extent becomes oracle-uncertain
   (surviving aggregators' stripes may have published).
-* :class:`ResolverDeath` — one-shot ``_vectored_read`` failure on the
+* :class:`ResolverDeath` — one-shot ``fetch_extents`` failure on the
   doomed rank during a collective read: every rank must raise instead of
   hanging, and no version-manager state may change (reads own no tickets).
 * :class:`CacheThrash` — a background adversary client with a tiny
@@ -95,20 +95,20 @@ class ResolverDeath(Injector):
         client = driver.client
         injector = self
 
-        def dying_read(blob_id, vector, version=None, holes=None):
-            del client._vectored_read
+        def dying_fetch(blob_id, vector, version=None):
+            del client.fetch_extents
             injector.fired = True
             raise StorageError("fuzz: resolver died mid-fetch")
             yield  # pragma: no cover - generator shape
 
-        client._vectored_read = dying_read
+        client.fetch_extents = dying_fetch
 
     def disarm(self, rank: int, driver) -> None:
         if rank != self.spec.params["rank"]:
             return
         client = driver.client
-        if "_vectored_read" in client.__dict__:  # dormant: stripe was empty
-            del client.__dict__["_vectored_read"]
+        if "fetch_extents" in client.__dict__:  # dormant: stripe was empty
+            del client.__dict__["fetch_extents"]
 
 
 class CacheThrash(Injector):

@@ -86,7 +86,15 @@ class ADIODriver:
 
     def read_vector(self, path: str, vector: IOVector, atomic: bool,
                     rank: int = 0, comm: Optional["Communicator"] = None):
-        """Read a flattened access; returns one ``bytes`` per request."""
+        """Read a flattened access into one buffer.
+
+        Returns one ``bytes``: the requests' bytes back to back, in request
+        order — what an MPI-I/O read fills the caller's buffer with.  A
+        driver builds it with a single ``b"".join`` over read-only views of
+        the bytes its backend holds, so each byte is copied once, into the
+        buffer.  (A POSIX object is mutable, so its server answers with a
+        copy of the range; the join is then the only other copy.)
+        """
         raise NotImplementedError
         yield  # pragma: no cover
 
@@ -98,13 +106,14 @@ class ADIODriver:
         (what every driver did before collective reads existed); drivers
         that coordinate ranks — aggregated metadata resolution, data
         scatter — override it.  All ranks of ``comm`` call it, including
-        ranks with empty vectors.
+        ranks with empty vectors.  Returns one buffer, as
+        :meth:`read_vector` does.
         """
         if len(vector) == 0:
-            return []
-        pieces = yield from self.read_vector(path, vector, atomic,
-                                             rank=rank, comm=comm)
-        return pieces
+            return b""
+        data = yield from self.read_vector(path, vector, atomic,
+                                           rank=rank, comm=comm)
+        return data
 
     def read_all_synchronizes(self, atomic: bool,
                               comm: Optional["Communicator"]) -> bool:

@@ -44,11 +44,13 @@ versioning backend and documents each.  A write calls ``collective_flush``
 and ``collective_geometry`` in phase 0, ``collective_place`` once the plan
 is known, ``collective_stage`` on every round's runs but the last,
 ``collective_publish`` on the last, ``collective_forget`` when it fails
-after placing and ``collective_settle`` after the closing exchange.  A read
-calls ``collective_pin`` in phase 0, ``collective_geometry``,
-``_vectored_read`` (with ``holes=``) and ``_assemble`` to resolve a stripe
-and scatter its bytes, and ``note_collective_read`` on success.  Either
-calls ``drop_read_hint`` when the collective failed.
+after placing but before publishing (a publish that fails has forgotten
+what went ahead itself) and ``collective_settle`` after the closing
+exchange.  A read calls ``collective_pin`` in phase 0,
+``collective_geometry``, ``fetch_extents`` to resolve a stripe — the
+sorted ``(offset, length, data)`` extents tiling it, a hole's ``data``
+``None`` — and ``note_collective_read`` on success.  Either calls
+``drop_read_hint`` when the collective failed.
 
 Failure containment: what one rank alone contributes to the partition (its
 phase-0 flush, its geometry, its aggregator setting) is resolved before the
@@ -89,9 +91,12 @@ logical access.  The collective read instead
    resolver's stripe and split at the shipped holes — and never-written
    ranges travel as compact *hole descriptors*, 16 bytes each instead of
    their literal zero payload, materialized locally by the receiving rank
-   (zero-extent elision).  A resolver's traversal stays in its own client:
-   shipping it to every rank is O(ranks x resolvers x nodes) of traffic
-   that only spared a later *independent* re-read one cold walk;
+   (zero-extent elision).  The parts are read-only views of the stored
+   chunks (a versioning backend never rewrites one): the receiver's one
+   join into its buffer is the only copy of a byte.  A resolver's
+   traversal stays in its own client: shipping it to every rank is
+   O(ranks x resolvers x nodes) of traffic that only spared a later
+   *independent* re-read one cold walk;
 4. raises on every rank when any rank failed: every failure is known before
    the scatter, so a rank whose resolution failed enters it carrying one
    error item for every rank instead of data (nobody hangs in a
@@ -107,7 +112,7 @@ from itertools import islice
 from operator import itemgetter
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from repro.core.listio import EXTENT_DESCRIPTION_BYTES, IOVector
+from repro.core.listio import EXTENT_DESCRIPTION_BYTES, IOVector, assemble
 from repro.core.regions import canonical_runs, clip_runs, coalesce_runs
 from repro.errors import MPIIOError
 from repro.mpi.simcomm import Communicator
@@ -313,15 +318,13 @@ def join_pieces(pairs: List[Tuple[int, bytes]]) -> List[Tuple[int, bytes]]:
 
 
 def _written_spans(runs: List[Tuple[int, int]],
-                   holes: List[Tuple[int, int]]) -> Tuple[list, list]:
+                   holes: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
     """Canonical ``(start, end)`` ``runs`` cut at sorted, disjoint ``(start,
-    end)`` ``holes``: the written ``(start, end)`` spans and the ``(offset,
-    length)`` parts of the holes inside the runs, in order — together they
-    tile every run.  A read's resolver cuts its payloads at the spans; the
-    receiver, cutting its runs at the holes shipped, finds where each goes.
+    end)`` ``holes``: the written ``(start, end)`` spans, in order — what
+    the holes leave of the runs.  A read's receiver, cutting its runs at
+    the holes shipped, finds where the resolver's parts go.
     """
     spans: List[Tuple[int, int]] = []
-    cut: List[Tuple[int, int]] = []
     index, total = 0, len(holes)
     for start, end in runs:
         while index < total and holes[index][1] <= start:
@@ -331,14 +334,24 @@ def _written_spans(runs: List[Tuple[int, int]],
         for hole_start, hole_end in islice(holes, index, None):
             if hole_start >= end:
                 break
-            hole_start = max(hole_start, start)
             if hole_start > cursor:
                 spans.append((cursor, hole_start))
             cursor = min(hole_end, end)
-            cut.append((hole_start, cursor - hole_start))
         if cursor < end:
             spans.append((cursor, end))
-    return spans, cut
+    return spans
+
+
+def _cut_views(cuts: list) -> list:
+    """The parts a read resolver cut for one rank: ``cuts`` lays ``(view,
+    start, stop)`` triples flat, ``view`` a read-only view of a stored
+    extent.  The resolver ships the triples, so no per-part object outlives
+    the exchange (a view per part would be one more object for the
+    collector to trace); the receiver slices them right before its join.
+    """
+    triples = iter(cuts)
+    return [view[start:stop] for view, start, stop in
+            zip(triples, triples, triples)]
 
 
 def _opening_bytes(entry: Tuple) -> int:
@@ -710,6 +723,9 @@ class CollectiveAggregator(_CollectiveParticipant):
         receipt = None
         if failure is not None:
             closing = ("err", f"rank {rank}: {failure!r}")
+            if ahead is not None:
+                # no commit will reference what went ahead of it
+                client.collective_forget(ahead)
         elif runs is not None or ahead is not None:
             attributed = plan.attributed[stripe]
             try:
@@ -721,11 +737,9 @@ class CollectiveAggregator(_CollectiveParticipant):
                 self.stats.stripes_committed += 1
                 self.stats.attributed_writes += attributed
             except Exception as exc:
+                # a failed publish has forgotten what went ahead itself
                 failure = exc
                 closing = ("err", f"aggregator rank {rank}: {exc!r}")
-        if failure is not None and ahead is not None:
-            # nor will any commit reference what went ahead of it
-            client.collective_forget(ahead)
 
         # phase 4: share outcomes and the published watermark
         outcomes = yield from _phase(
@@ -879,8 +893,9 @@ class CollectiveReader(_CollectiveParticipant):
         """Execute one collective read; every rank of ``comm`` must call it.
 
         ``vector`` may be empty (a rank with nothing to read still
-        participates, as MPI requires).  Returns one ``bytes`` per request,
-        all taken from the one snapshot version the group pinned.  Raises
+        participates, as MPI requires).  Returns the requests' bytes back to
+        back as one ``bytes``, all taken from the one snapshot version the
+        group pinned.  Raises
         :class:`~repro.errors.MPIIOError` on every rank when any rank's part
         of the protocol failed.
         """
@@ -916,7 +931,7 @@ class CollectiveReader(_CollectiveParticipant):
             self.stats.collectives += 1
             if pinned:
                 client.note_collective_read(blob_id, pinned)
-            return [b"" for _request in vector]
+            return b""
 
         # phase 2 (resolvers): resolve + fetch this rank's stripe of the
         # union extent.  A rank failing here still enters the data exchange,
@@ -983,57 +998,59 @@ class CollectiveReader(_CollectiveParticipant):
         # recording it re-plants the one-shot hint
         client.note_collective_read(blob_id, pinned)
 
-        results = self._scatter(vector, received, wanted_full[rank],
-                                domains, owners)
+        data = self._scatter(vector, received, wanted_full[rank], domains,
+                             owners)
         self.stats.collectives += 1
-        return results
+        return data
 
     def _scatter(self, vector: IOVector,
-                 received: Dict[int, Tuple[int, List[bytes], list]],
+                 received: Dict[int, Tuple[int, list, list]],
                  wanted: List[Tuple[int, int]],
                  domains: List[Tuple[int, int]],
-                 owners: List[int]) -> List[bytes]:
-        """One ``bytes`` per request of ``vector`` out of the received
-        payloads and hole descriptors.
+                 owners: List[int]) -> bytes:
+        """This rank's one buffer — the requests of ``vector`` back to back
+        — out of the received parts and hole descriptors, in one join.
 
         Each resolver cut this rank's canonical runs (``wanted``), clipped
         to its stripe, at the holes it ships, and sent the written parts in
-        run order without their offsets.  When nothing was a hole and the
-        requests are the canonical runs themselves (ascending, apart, each
-        inside one stripe — every block of an interleaved access), the
-        payloads in stripe order are the requests' bytes in order: a run
-        across a stripe edge arrives as two payloads, so the counts tell.
-        Any other shape places each payload at the span
-        :func:`_written_spans` gives, as it gave the resolver, and goes
-        through the client's general scatter, the hole descriptors
-        materialized locally — the zeros never crossed the interconnect.
+        run order without their file offsets, as cuts of its stored extents
+        (:func:`_cut_views`) — a part may stop short where an extent ends.
+        When nothing was a hole and the requests ascend without overlapping
+        (every block of an interleaved access), the parts in stripe order
+        are the requests' bytes in order: the buffer is their join.  Any
+        other shape places the parts along the spans :func:`_written_spans`
+        gives — the resolver's cuts refine them — and assembles the
+        requests from them and the holes
+        (:func:`~repro.core.listio.assemble`): the zeros never crossed the
+        interconnect.
         """
         items = [received[owner] for owner in owners if owner in received]
-        if not any([holes for _price, _payloads, holes in items]):
-            ordered = [data for _price, payloads, _holes in items
-                       for data in payloads]
-            if len(ordered) == len(vector):
-                end = -1
-                for request in vector:
-                    if request.offset <= end or not request.size:
-                        break
-                    end = request.offset + request.size
-                else:
-                    return ordered
-        fetched = []
+        if not any([holes for _price, _cuts, holes in items]):
+            end = 0
+            for request in vector:
+                if request.offset < end:
+                    break
+                end = request.offset + request.size
+            else:
+                return b"".join([part for _price, cuts, _holes in items
+                                 for part in _cut_views(cuts)])
+        extents = []
         for owner, domain in zip(owners, domains):
             if owner not in received:
                 continue
-            _price, payloads, holes = received[owner]
-            spans, _cut = _written_spans(
+            _price, cuts, holes = received[owner]
+            spans = _written_spans(
                 clip_runs(wanted, *domain),
                 [(offset, offset + length) for offset, length in holes])
-            fetched.extend((start, len(data), data)
-                           for (start, _end), data in zip(spans, payloads))
-        fetched.extend((offset, length, b"\x00" * length)
-                       for _price, _payloads, holes in items
-                       for offset, length in holes)
-        return self.client._assemble(vector, fetched)
+            parts = iter(_cut_views(cuts))
+            for start, end in spans:
+                while start < end:
+                    part = next(parts)
+                    extents.append((start, len(part), part))
+                    start += len(part)
+            extents.extend((offset, length, None) for offset, length in holes)
+        extents.sort(key=itemgetter(0))
+        return assemble(vector, extents, joined=True)
 
     # ------------------------------------------------------------------
     def _resolve_stripe(self, blob_id: str, version: int,
@@ -1041,60 +1058,75 @@ class CollectiveReader(_CollectiveParticipant):
                         wanted_full: List[List[Tuple[int, int]]], rank: int):
         """Resolve and fetch one stripe; cut the bytes per destination rank.
 
-        One vectored read of the client at ``version`` over the union of
-        every rank's wanted bytes within the stripe (each byte resolved once
-        however many ranks want it), then per-rank extraction — all of it on
-        canonical ``(start, end)`` runs.  Returns the ``send`` map for the
-        sparse data exchange: ``(price, payloads, holes)`` for each
-        destination that wants bytes of this stripe — ``holes`` are the
-        never-written ranges within that rank's wanted bytes, shipped as
-        ``(offset, length)`` descriptors instead of literal zero payloads
-        (zero-extent elision), ``payloads`` the written parts between them
-        in run order, with no offset (the receiver derives each from its own
-        runs), and ``price`` the item's wire size, computed once here:
-        payload plus one descriptor per hole, plus one header when there is
-        payload at all.  What the read learned on the way stays in this
-        resolver's client.
+        One fetch of the client at ``version`` over the union of every
+        rank's wanted bytes within the stripe (each byte resolved once
+        however many ranks want it) gives the sorted extents that tile the
+        union; then per-rank extraction — all of it on canonical ``(start,
+        end)`` runs.  Returns the ``send`` map for the sparse data exchange:
+        ``(price, cuts, holes)`` for each destination that wants bytes of
+        this stripe — ``holes`` are the never-written ranges within that
+        rank's wanted bytes, shipped as ``(offset, length)`` descriptors
+        instead of literal zero payloads (zero-extent elision), ``cuts`` the
+        written parts between them in run order, as flat ``(view, start,
+        stop)`` triples into the extents (:func:`_cut_views`) with no file
+        offset (the receiver derives each from its own runs), and ``price``
+        the item's wire size, computed once here: payload plus one
+        descriptor per hole, plus one header when there is payload at all.
+        No byte is copied here: the receiver's join is the only copy.  What
+        the read learned on the way stays in this resolver's client.
         """
         start, end = domain
-        send: Dict[int, Tuple[int, List[bytes], list]] = {}
+        send: Dict[int, Tuple[int, list, list]] = {}
         wanted_by_rank = [clip_runs(full, start, end) for full in wanted_full]
         union = coalesce_runs([run for wanted in wanted_by_rank
                                for run in wanted])
         if not union:
             return send
 
-        zero_extents: List[Tuple[int, int]] = []
-        pieces = yield from self.client._vectored_read(
+        extents = yield from self.client.fetch_extents(
             blob_id, IOVector.for_read([(run_start, run_end - run_start)
                                         for run_start, run_end in union]),
-            version, holes=zero_extents)
+            version)
         self.stats.stripes_resolved += 1
-        holes = coalesce_runs(zero_extents)
+        starts = [offset for offset, _length, _data in extents]
+        ends = [offset + length for offset, length, _data in extents]
+        views = [None if data is None else memoryview(data)
+                 for _offset, _length, data in extents]
 
         for destination, wanted in enumerate(wanted_by_rank):
             if not wanted:
                 continue
-            # holes travel as descriptors, the written spans as payload
-            spans, cut_holes = (_written_spans(wanted, holes) if holes
-                                else (wanted, []))
-            payloads: List[bytes] = []
-            index = 0
-            for span_start, span_end in spans:
-                # a span lies inside exactly one union run (the union covers
-                # its wanted run and both lists are canonical), and both
-                # lists are sorted — one monotonic sweep finds it
-                while union[index][1] < span_end:
-                    index += 1
-                base = union[index][0]
-                payloads.append(pieces[index][span_start - base:
-                                              span_end - base])
+            cuts: list = []
+            holes: List[Tuple[int, int]] = []
+            payload = 0
+            # the extents tile the union, which covers every wanted run, and
+            # both lists ascend: one bisect finds the first extent, one
+            # monotonic sweep cuts the rest
+            index = bisect_right(ends, wanted[0][0])
+            for run_start, run_end in wanted:
+                cursor = run_start
+                while cursor < run_end:
+                    while ends[index] <= cursor:
+                        index += 1
+                    hi = ends[index]
+                    if hi > run_end:
+                        hi = run_end
+                    view = views[index]
+                    if view is not None:
+                        base = starts[index]
+                        cuts += view, cursor - base, hi - base
+                        payload += hi - cursor
+                    elif holes and sum(holes[-1]) == cursor:
+                        # adjacent never-written extents: one descriptor
+                        holes[-1] = (holes[-1][0], hi - holes[-1][0])
+                    else:
+                        holes.append((cursor, hi - cursor))
+                    cursor = hi
             if destination != rank:
                 self.stats.hole_bytes_elided += sum(length for _offset, length
-                                                    in cut_holes)
-            payload = sum([len(data) for data in payloads])
+                                                    in holes)
             send[destination] = (
-                payload + len(cut_holes) * EXTENT_DESCRIPTION_BYTES
+                payload + len(holes) * EXTENT_DESCRIPTION_BYTES
                 + (EXTENT_DESCRIPTION_BYTES if payload else 0),
-                payloads, cut_holes)
+                cuts, holes)
         return send

@@ -100,11 +100,11 @@ class PosixLockingDriver(ADIODriver):
         """Lock (shared covering extent) in atomic mode, read, unlock."""
         self._account_read(vector)
         handle = yield from self._lock(path, vector, LockMode.SHARED, atomic)
-        pieces = yield from self.client.read_vector(path, vector,
-                                                    _locked=handle is not None)
+        data = yield from self.client.read_vector(
+            path, vector, _locked=handle is not None, joined=True)
         if handle is not None:
             yield from self.client.unlock(handle)
-        return pieces
+        return data
 
     def file_size(self, path: str):
         """Size recorded by the MDS."""

@@ -174,14 +174,14 @@ class VersioningDriver(ADIODriver):
         independent read path.
         """
         if not self.read_all_synchronizes(atomic, comm):
-            pieces = yield from super().read_vector_all(
+            data = yield from super().read_vector_all(
                 path, vector, atomic, rank=rank, comm=comm)
-            return pieces
+            return data
         if len(vector) > 0:
             self._account_read(vector)
-        pieces = yield from self.reader.collective_read(
+        data = yield from self.reader.collective_read(
             path, vector, rank, comm)
-        return pieces
+        return data
 
     def read_vector(self, path: str, vector: IOVector, atomic: bool,
                     rank: int = 0, comm: Optional["Communicator"] = None):
@@ -196,8 +196,8 @@ class VersioningDriver(ADIODriver):
             # for the true latest, never serve from a hint — dropped *after*
             # the fence, because the barrier re-plants one when it flushes
             self.client.drop_read_hint(path)
-        pieces = yield from self.client.vread(path, vector)
-        return pieces
+        data = yield from self.client.vread(path, vector, joined=True)
+        return data
 
     def _needs_flush_barrier(self, path: str) -> bool:
         """Whether a read must fence the write pipeline first.

@@ -167,12 +167,12 @@ class File:
         token = self._begin_op("file.read_at", offset,
                                vector.total_bytes())
         try:
-            pieces = yield from self.driver.read_vector(
+            data = yield from self.driver.read_vector(
                 self.path, vector, atomic=self._atomic, rank=self.rank,
                 comm=None)
         finally:
             self._end_op(token)
-        return b"".join(pieces)
+        return data
 
     def read_at_all(self, offset: int, size: int):
         """Collective explicit-offset read (all ranks must call it).
@@ -189,7 +189,7 @@ class File:
         token = self._begin_op("file.read_at_all", offset,
                                vector.total_bytes())
         try:
-            pieces = yield from self.driver.read_vector_all(
+            data = yield from self.driver.read_vector_all(
                 self.path, vector, atomic=self._atomic, rank=self.rank,
                 comm=self.comm)
             if self.comm is not None \
@@ -198,7 +198,7 @@ class File:
                 yield from self.comm.barrier(self.rank)
         finally:
             self._end_op(token)
-        return b"".join(pieces)
+        return data
 
     def _begin_op(self, name: str, offset: int, nbytes: int):
         """Open the observation bracket of one file operation.

@@ -153,9 +153,10 @@ class PosixClient:
         """Move the bytes of every request of ``vector``: the stripe pieces
         are grouped by OST and each OST serves its group as one bulk RPC and
         one disk I/O, all OSTs concurrently.  No locking and no size update
-        — the caller owns both.  Returns one ``bytes`` per read request:
-        the OST's answer when one piece covers the request, else the join
-        of its pieces.  A written piece is a view of its request's payload.
+        — the caller owns both.  Returns, per read request, the OSTs'
+        answers for its pieces in file order (each a snapshot of the object
+        range: objects are mutable); the caller joins them.  A written piece
+        is a view of its request's payload.
         """
         control = self.cluster.config.control_message_size
         #: ost -> (the ``(object offset, data | size)`` ranges it serves,
@@ -196,9 +197,8 @@ class PosixClient:
             yield self.cluster.sim.fanout(
                 [serve(ost_index, ranges, places)
                  for ost_index, (ranges, places) in sorted(per_ost.items())])
-        return [request_parts[0][1] if len(request_parts) == 1 else
-                b"".join([data for _start, data in
-                          sorted(request_parts, key=itemgetter(0))])
+        return [[data for _start, data in sorted(request_parts,
+                                                 key=itemgetter(0))]
                 for request_parts in parts]
 
     def _access(self, path: str, vector: IOVector, locked: bool = False):
@@ -246,7 +246,7 @@ class PosixClient:
             return b""
         pieces = yield from self._access(
             path, IOVector.contiguous_read(offset, size))
-        return pieces[0]
+        return b"".join(pieces[0])
 
     # ------------------------------------------------------------------
     # vectored helpers used by the ADIO drivers
@@ -270,14 +270,25 @@ class PosixClient:
             total += yield from self.write(path, request.offset, request.data)
         return total
 
-    def read_vector(self, path: str, vector: IOVector, _locked: bool = False):
+    def read_vector(self, path: str, vector: IOVector, _locked: bool = False,
+                    joined: bool = False):
         """Read the vector's requests: one contiguous POSIX read at a time,
-        or as one access under the caller's lock (``_locked=True``)."""
-        if _locked:
-            pieces = yield from self._access(path, vector, locked=True)
-            return pieces
-        results: List[bytes] = []
-        for request in vector:
-            data = yield from self.read(path, request.offset, request.size)
-            results.append(data)
-        return results
+        or as one access under the caller's lock (``_locked=True``).
+
+        Returns one ``bytes`` per request or, ``joined``, the requests'
+        bytes back to back as one ``bytes``.  Under the lock that is one
+        join of the OSTs' answers; without it each request is a POSIX read
+        of its own, whose answer is joined once more only when the request
+        spans several stripes.
+        """
+        if not _locked:
+            results: List[bytes] = []
+            for request in vector:
+                data = yield from self.read(path, request.offset, request.size)
+                results.append(data)
+            return b"".join(results) if joined else results
+        pieces = yield from self._access(path, vector, locked=True)
+        if joined:
+            return b"".join([data for request_pieces in pieces
+                             for data in request_pieces])
+        return [b"".join(request_pieces) for request_pieces in pieces]

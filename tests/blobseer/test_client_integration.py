@@ -264,12 +264,13 @@ class TestMetadataReadPathModes:
 
 @pytest.mark.parametrize("seed", range(20))
 def test_assemble_scatters_disjoint_extents_into_each_request(seed):
-    """``_assemble`` against the obvious reference (paint every extent onto
-    a file image, slice the requests out): requests one extent covers whole
-    take the slice fast path, requests spanning extents or reaching into
-    gaps the buffer path, and both must agree with the image."""
+    """``assemble`` against the obvious reference (paint every extent onto
+    a file image, slice the requests out): requests inside one extent,
+    requests spanning extents, reaching into gaps or into holes (extents
+    with no bytes) must agree with the image, in both shapes — one
+    ``bytes`` per request, and the requests back to back as one."""
     import random
-    from repro.core.listio import IOVector
+    from repro.core.listio import IOVector, assemble
 
     rng = random.Random(seed)
     size = 4096
@@ -280,9 +281,13 @@ def test_assemble_scatters_disjoint_extents_into_each_request(seed):
         length = rng.randint(1, 300)
         if cursor + length > size:
             break
-        data = bytes(rng.randrange(1, 256) for _ in range(length))
-        image[cursor:cursor + length] = data
-        fetched.append((cursor, length, data))
+        if rng.random() < 0.2:
+            fetched.append((cursor, length, None))     # a hole
+        else:
+            data = bytes(rng.randrange(1, 256) for _ in range(length))
+            image[cursor:cursor + length] = data
+            fetched.append((cursor, length, rng.choice(
+                [data, memoryview(b"?" + data)[1:]])))
         cursor += length
     rng.shuffle(fetched)
     pairs = [(rng.randrange(size - 400), rng.randint(0, 400))
@@ -291,7 +296,11 @@ def test_assemble_scatters_disjoint_extents_into_each_request(seed):
     for offset, length, _data in fetched[:10]:
         start = offset + rng.randint(0, length - 1)
         pairs.append((start, rng.randint(0, offset + length - start)))
-    results = BlobClient._assemble(IOVector.for_read(pairs), fetched)
+    fetched.sort(key=lambda extent: extent[0])
+    vector = IOVector.for_read(pairs)
+    results = assemble(vector, fetched)
     assert results == [bytes(image[offset:offset + length])
                        for offset, length in pairs]
     assert all(type(result) is bytes for result in results)
+    joined = assemble(vector, fetched, joined=True)
+    assert type(joined) is bytes and joined == b"".join(results)

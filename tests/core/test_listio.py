@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.listio import IORequest, IOVector
+from repro.core.listio import IORequest, IOVector, assemble
 from repro.core.regions import Region
 from repro.errors import InvalidRegion
 
@@ -93,3 +93,23 @@ class TestIOVector:
         IOVector.for_write(pairs).apply_to(content)
         read_back = IOVector.for_read([(off, len(data)) for off, data in pairs])
         assert read_back.extract_from(bytes(content)) == [d for _, d in pairs]
+
+
+class TestAssemble:
+    def test_holes_and_gaps_of_any_length_read_as_zeros(self):
+        """A hole carries no bytes and a gap has no extent; both read as
+        zeros, past the shared zero block's length too."""
+        big = 5 * 1024 * 1024 + 3
+        extents = [(0, 4, b"head"), (4, big, None),
+                   (big + 10, 4, memoryview(b"xtail")[1:])]
+        vector = IOVector.for_read([(2, big + 12), (big + 9, 3), (1, 2)])
+        image = b"head" + bytes(big + 6) + b"tail"
+        expected = [image[2:big + 14], image[big + 9:big + 12], image[1:3]]
+        assert assemble(vector, extents) == expected
+        assert assemble(vector, extents, joined=True) == b"".join(expected)
+
+    def test_a_whole_bytes_extent_is_returned_as_it_is(self):
+        data = b"stored"
+        vector = IOVector.for_read([(10, 6)])
+        assert assemble(vector, [(10, 6, data)])[0] is data
+        assert assemble(IOVector(), [(10, 6, data)], joined=True) == b""

@@ -24,6 +24,7 @@ from repro.mpi.launcher import run_mpi_job
 from repro.mpi.simcomm import Communicator
 from repro.mpiio.adio.collective import (
     EXTENT_DESCRIPTION_BYTES,
+    _cut_views,
     _encoded_bytes,
     encode_extents,
     expand_extents,
@@ -66,13 +67,13 @@ def charge_log(monkeypatch):
 
 
 def _item_wire_bytes(item):
-    """Reference price of one scatter item ``(price, payloads, holes)``,
+    """Reference price of one scatter item ``(price, cuts, holes)``,
     recomputed from what it ships and ignoring the sender's ``price``:
     the payload bytes, one 16-byte header if there are any, 16 bytes per
     hole descriptor — and nothing else (the payloads carry no offsets, the
     scatter no metadata plan)."""
-    _price, payloads, piece_holes = item
-    payload = sum(len(data) for data in payloads)
+    _price, cuts, piece_holes = item
+    payload = sum(len(data) for data in _cut_views(cuts))
     return (payload + (EXTENT_DESCRIPTION_BYTES if payload else 0)
             + len(piece_holes) * EXTENT_DESCRIPTION_BYTES)
 
@@ -92,8 +93,9 @@ def _reference_bottleneck(contributions, pricer=_item_wire_bytes):
 
 def _item_literal_bytes(item):
     """Counterfactual price with holes shipped as literal zeros."""
-    _price, payloads, piece_holes = item
-    return (sum(len(data) + EXTENT_DESCRIPTION_BYTES for data in payloads)
+    _price, cuts, piece_holes = item
+    return (sum(len(data) + EXTENT_DESCRIPTION_BYTES
+                for data in _cut_views(cuts))
             + sum(length for _offset, length in piece_holes))
 
 

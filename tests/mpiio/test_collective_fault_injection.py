@@ -626,3 +626,70 @@ def test_aggregator_runs_on_a_plain_blob_client():
     assert sum(aggregator.stats.stripes_committed
                for aggregator in aggregators.values()) \
         == deployment.version_manager.manager.latest_published(PATH) > 0
+
+
+def _die_storing_metadata(driver, _failing_round):
+    engine = driver.client.writepath
+
+    def broken_store_nodes(blob, nodes, trace_parent=None):
+        del engine._store_nodes  # one-shot
+        raise StorageError("aggregator node lost mid-commit")
+        yield  # pragma: no cover - generator shape
+
+    engine._store_nodes = broken_store_nodes
+
+
+def _die_staging(driver, failing_round):
+    engine = driver.client.writepath
+    real_stage, calls = engine.stage, itertools.count()
+
+    def dying_stage(blob_id, vector, **kwargs):
+        if next(calls) == failing_round:
+            raise ProviderUnavailable("provider lost under upload")
+        staged = yield from real_stage(blob_id, vector, **kwargs)
+        return staged
+
+    engine.stage = dying_stage
+
+
+def _die_assembling(driver, failing_round):
+    aggregator = driver.aggregator
+    real_assemble, calls = aggregator._assemble, itertools.count()
+
+    def dying_assemble(received, self_rank):
+        if next(calls) == failing_round:
+            raise StorageError("assembly died")
+        return real_assemble(received, self_rank)
+
+    aggregator._assemble = dying_assemble
+
+
+@pytest.mark.parametrize("fault,failing_round", [
+    (_die_storing_metadata, None),
+    *((_die_staging, index) for index in range(ROUNDS)),
+    *((_die_assembling, index) for index in range(1, ROUNDS)),
+])
+def test_a_stripe_given_up_is_forgotten_once(fault, failing_round):
+    """Whether the doomed aggregator fails before its publish (a round it
+    cannot stage or assemble) or inside it (its own upload, its metadata),
+    what went ahead of the publish is forgotten exactly once: by the
+    exchange in the first case, by the failed commit in the second."""
+    forgotten = []
+
+    def sabotage(rank, driver):
+        engine = driver.client.writepath
+        real_forget = engine.forget
+
+        def counted_forget(pieces=(), ahead=None):
+            if ahead is not None:
+                forgotten.append(ahead)
+            real_forget(pieces, ahead)
+
+        engine.forget = counted_forget
+        if rank == DOOMED_RANK:
+            fault(driver, failing_round)
+
+    _cluster, _deployment, _drivers, result = \
+        run_collective_with_sabotage(sabotage)
+    assert result.results[DOOMED_RANK] != "ok"
+    assert len(forgotten) == 1

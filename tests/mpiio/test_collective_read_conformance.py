@@ -495,21 +495,28 @@ def test_exchange_bytes_are_descriptions_pieces_and_holes_exactly(
 
 class _ImageClient:
     """Stand-in resolver client over an in-memory file image: it serves
-    the image and reports the never-written runs as holes; the scatter is
-    the real client's."""
-
-    _assemble = staticmethod(BlobClient._assemble)
+    the written runs as views of the image and the never-written runs as
+    holes, both cut at chunk edges as a store's extents are; the cutting
+    and the scatter are the real exchange's."""
 
     def __init__(self, image, written):
         self.image, self.written = image, written
 
-    def _vectored_read(self, blob_id, vector, version, holes):
-        for request in vector:
-            wanted = RegionList([(request.offset, request.size)])
-            holes.extend((region.offset, region.end)
-                         for region in regions_minus(wanted, self.written))
-        return [self.image[request.offset:request.offset + request.size]
-                for request in vector]
+    def fetch_extents(self, blob_id, vector, version):
+        wanted = RegionList([(request.offset, request.size)
+                             for request in vector])
+        view = memoryview(self.image)
+        extents = []
+        for regions, stored in ((wanted.intersection(self.written), True),
+                                (regions_minus(wanted, self.written), False)):
+            for region in regions:
+                start = region.offset
+                while start < region.end:
+                    end = min(region.end, (start // CHUNK + 1) * CHUNK)
+                    extents.append((start, end - start,
+                                    view[start:end] if stored else None))
+                    start = end
+        return sorted(extents, key=lambda extent: extent[0])
         yield  # pragma: no cover - generator shape
 
 
@@ -585,40 +592,39 @@ def test_each_rank_places_the_offsetless_payloads_exactly(seed):
     for rank, pairs in enumerate(requests):
         assert readers[rank]._scatter(
             IOVector.for_read(pairs), inboxes[rank], wanted[rank], domains,
-            owners) == [image[offset:offset + length]
-                        for offset, length in pairs], f"rank {rank}"
+            owners) == b"".join([image[offset:offset + length]
+                                 for offset, length in pairs]), f"rank {rank}"
 
 
 @pytest.mark.parametrize("seed", range(60))
 def test_written_spans_and_holes_tile_every_run_in_order(seed):
-    """The one sweep both sides of the scatter cut with: the written spans
-    and the holes inside the runs, merged in order, are the runs exactly —
-    the spans are what the holes leave of each run, the cut holes what the
-    runs keep of the holes (one may reach across several runs).  Cutting
-    the runs again at the cut holes gives the receiver the same spans."""
+    """The sweep a scatter's receiver cuts with: the written spans and the
+    holes inside the runs, merged in order, are the runs exactly — the
+    spans are what the holes leave of each run (one hole may reach across
+    several runs).  Cutting the runs at only the holes inside them, which
+    is what a resolver ships, gives the receiver the same spans."""
     rng = random.Random(seed)
     size = rng.choice([64, 512, 4096])
     runs = canonical_runs((rng.randrange(size), rng.randint(0, size // 4))
                           for _ in range(rng.randint(0, 8)))
     holes = canonical_runs((rng.randrange(size), rng.randint(0, size // 3))
                            for _ in range(rng.randint(0, 6)))
-    spans, cut = _written_spans(runs, holes)
-    pieces = sorted(spans + [(offset, offset + length)
-                             for offset, length in cut])
+    def regions(pairs):
+        return RegionList([(start, end - start) for start, end in pairs])
+
+    wanted, gaps = regions(runs), regions(holes)
+    spans = _written_spans(runs, holes)
+    cut = [(region.offset, region.end)
+           for region in wanted.intersection(gaps)]
+    pieces = sorted(spans + cut)
     assert canonical_runs((start, end - start) for start, end in pieces) \
         == runs
     assert all(end > start for start, end in pieces)
     assert all(previous[1] <= following[0]
                for previous, following in zip(pieces, pieces[1:]))
-    assert spans == sorted(spans) and cut == sorted(cut)
-    def regions(pairs):
-        return RegionList([(start, end - start) for start, end in pairs])
-
-    wanted, gaps = regions(runs), regions(holes)
+    assert spans == sorted(spans)
     assert regions(spans) == regions_minus(wanted, gaps)
-    assert RegionList(cut) == wanted.intersection(gaps)
-    assert _written_spans(runs, [(offset, offset + length)
-                                 for offset, length in cut])[0] == spans
+    assert _written_spans(runs, cut) == spans
 
 
 def test_a_resolver_walks_a_snapshot_cold_once():

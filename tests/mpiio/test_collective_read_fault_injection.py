@@ -141,15 +141,15 @@ class TestResolverDiesMidFetch:
         if rank != DOOMED_RANK:
             return
 
-        def dying_read(blob_id, vector, version=None, holes=None):
+        def dying_read(blob_id, vector, version=None):
             raise StorageError("resolver died mid-fetch")
             yield  # pragma: no cover - generator shape
 
-        driver.client._vectored_read = dying_read
+        driver.client.fetch_extents = dying_read
 
     def _heal(self, rank, driver):
         if rank == DOOMED_RANK:
-            del driver.client._vectored_read
+            del driver.client.fetch_extents
 
     def test_no_peer_hangs_and_caches_stay_clean(self):
         _cluster, deployment, content, _drivers, outcomes, cache_states, \
@@ -303,16 +303,16 @@ def test_failed_collective_read_drops_a_planted_hint():
         yield from handle.read_at_all(0, 1024)
         assert PATH in driver.client._read_hints
         if ctx.rank == DOOMED_RANK:
-            def dying_read(blob_id, vector, version=None, holes=None):
+            def dying_read(blob_id, vector, version=None):
                 raise StorageError("resolver died")
                 yield  # pragma: no cover - generator shape
-            driver.client._vectored_read = dying_read
+            driver.client.fetch_extents = dying_read
         with pytest.raises(Exception):
             yield from handle.read_at_all(0, FILE_SIZE)
         assert PATH not in driver.client._read_hints
         yield from ctx.comm.barrier(ctx.rank)
         if ctx.rank == DOOMED_RANK:
-            del driver.client._vectored_read
+            del driver.client.fetch_extents
         # the next default read round-trips for ``latest`` and still works
         before = driver.client.latest_rpcs
         data = yield from handle.read_at(0, 2048)

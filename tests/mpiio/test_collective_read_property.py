@@ -102,7 +102,7 @@ def test_random_overlapping_read_vectors_match_the_content_oracle(seed):
 
     cluster, deployment = make_deployment(seed)
     content = seed_content(cluster, deployment, seed)
-    expected = [vector.extract_from(content) for vector in vectors]
+    expected = [b"".join(vector.extract_from(content)) for vector in vectors]
 
     def rank_main(ctx):
         driver = make_driver(deployment, ctx, num_resolvers)
@@ -110,11 +110,11 @@ def test_random_overlapping_read_vectors_match_the_content_oracle(seed):
                                       comm=ctx.comm, size_hint=FILE_SIZE)
         # below the File layer: hand the raw overlapping vector to the
         # driver's collective entry point
-        pieces = yield from driver.read_vector_all(
+        data = yield from driver.read_vector_all(
             PATH, vectors[ctx.rank], atomic=False, rank=ctx.rank,
             comm=ctx.comm)
         yield from handle.close()
-        return pieces
+        return data
 
     result = run_mpi_job(cluster, num_ranks, rank_main)
     assert result.results == expected, (

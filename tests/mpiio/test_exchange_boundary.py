@@ -22,12 +22,11 @@ INTERNALS = {"writepath", "coalescer", "tiers", "deployment", "version_hints",
              "_descriptor"}
 
 #: what the exchange may ask of a rank's client: the hook methods, the
-#: read-side resolve pair, its span context and its cluster (the cost model)
+#: read-side fetch, its span context and its cluster (the cost model)
 SURFACE = {"collective_flush", "collective_geometry", "collective_place",
            "collective_stage", "collective_publish", "collective_forget",
            "collective_settle", "collective_pin", "note_collective_read",
-           "drop_read_hint", "_vectored_read", "_assemble", "trace_ctx",
-           "cluster"}
+           "drop_read_hint", "fetch_extents", "trace_ctx", "cluster"}
 
 
 def parsed():

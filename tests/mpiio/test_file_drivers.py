@@ -206,9 +206,9 @@ class TestConcurrentAtomicity:
             yield from driver.write_vector(
                 "/shared", IOVector.for_write(pairs_for(ctx.rank)), atomic=True)
             yield from ctx.comm.barrier(ctx.rank)
-            pieces = yield from driver.read_vector(
+            data = yield from driver.read_vector(
                 "/shared", IOVector.for_read([(0, FILE_SIZE)]), atomic=True)
-            return pieces[0]
+            return data
 
         observed = run_mpi_job(environment.cluster, 2, rank_main).results[0]
         writes = [VectoredWrite(rank, IOVector.for_write(pairs_for(rank)))

@@ -42,9 +42,9 @@ def run_script(backend, script, collective, **environment):
                          rank=ctx.rank, comm=ctx.comm)
         yield from ctx.comm.barrier(ctx.rank)
         if ctx.rank == 0:
-            pieces = yield from driver.read_vector(
+            data = yield from driver.read_vector(
                 PATH, IOVector.for_read([(0, FILE_SIZE)]), atomic=True)
-            return pieces[0]
+            return data
 
     result = run_mpi_job(env.cluster, len(script), rank_main)
     writes = [VectoredWrite(rank, IOVector.for_write(pairs))

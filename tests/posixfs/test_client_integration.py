@@ -200,9 +200,9 @@ class TestPerServerBudget:
             before = rpc_counts(deployment), cluster.rpc.total_calls
             yield from driver.write_vector("/f", vector, atomic=True)
             after = rpc_counts(deployment), cluster.rpc.total_calls
-            pieces = yield from driver.read_vector(
+            content = yield from driver.read_vector(
                 "/f", IOVector.for_read([(0, 1280)]), atomic=True)
-            return before, after, pieces[0]
+            return before, after, content
 
         (before, calls_before), (after, calls_after), content = \
             run(cluster, scenario())

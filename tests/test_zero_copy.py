@@ -5,18 +5,24 @@ and the writer's chunk cache holds — is the payload object the writer
 handed over, or a read-only view of it: never a copy.  A mutable payload
 is frozen once, where it enters a write vector, so changing the caller's
 buffer afterwards changes nothing stored.  A read copies each byte once,
-into ``bytes``: no view of a stored chunk leaves a public read.
+into ``bytes``: no view of a stored chunk leaves a public read, and an
+MPI-I/O read — independent or collective, on any driver — fills one buffer
+with one join.
 """
+
+import tracemalloc
 
 import pytest
 
-from repro.bench.environment import build_environment
+from repro.bench.environment import BACKENDS, build_environment
 from repro.blobseer.deployment import BlobSeerDeployment
 from repro.cluster import Cluster, ClusterConfig
 from repro.core.listio import IOVector
 from repro.mpi.datatypes import BYTE, Indexed
 from repro.mpi.launcher import run_mpi_job
+from repro.mpiio.adio.versioning import VersioningDriver
 from repro.mpiio.file import File
+from repro.mpiio.flatten import build_read_vector
 from repro.posixfs import PosixClient, PosixFsDeployment
 from repro.vstore.client import VectoredClient
 
@@ -215,3 +221,89 @@ def test_every_file_read_returns_bytes(backend):
         start = rank * 3 * CHUNK + 7
         assert own == image[start:start + CHUNK]
         assert everything == image
+
+
+# ----------------------------------------------------------------------
+# an MPI-I/O read fills one buffer
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+def test_a_multi_request_read_is_one_buffer_on_every_driver(backend):
+    """Two tiles of a three-block view, blocks across stripe edges: the
+    driver's read of the flattened view, the independent read, atomic or
+    not, and the collective one each return one ``bytes``, the requests'
+    bytes back to back — what joining one ``bytes`` per request gave."""
+    environment = build_environment(backend, num_storage_nodes=3,
+                                    stripe_unit=CHUNK, config=QUICK)
+    filetype = Indexed([300, 100, 500], [0, 1000, 1400], base=BYTE)
+    data = payload(2 * filetype.size, 8)
+
+    def rank_main(ctx):
+        driver = environment.driver_factory(ctx)
+        handle = yield from File.open(driver, "/f", rank=ctx.rank,
+                                      comm=ctx.comm, size_hint=FILE_SIZE)
+        handle.set_view(displacement=10, filetype=filetype)
+        yield from handle.write_at(0, data)
+        vector = build_read_vector(handle.view, 0, len(data))
+        assert len(vector) > 1
+        reads = [(yield from driver.read_vector("/f", vector, atomic=False)),
+                 (yield from handle.read_at(0, len(data))),
+                 (yield from handle.read_at_all(0, len(data)))]
+        handle.set_atomicity(True)
+        reads.append((yield from handle.read_at(0, len(data))))
+        yield from handle.close()
+        return reads
+
+    reads, = run_mpi_job(environment.cluster, 1, rank_main).results
+    assert [type(read) for read in reads] == [bytes] * 4
+    assert reads == [data] * 4
+
+
+def test_a_collective_read_holds_no_copy_beside_its_buffers():
+    """16 ranks read back their interleaved 8 KiB blocks with
+    ``read_at_all``: the two resolvers ship views of the stored chunks and
+    each rank's one join is the only copy, so what the read allocates
+    beyond the 4 MiB of buffers it returns stays under 1 MiB — a resolver's
+    stripe joined, or the blocks cut out of it as copies, would be 2 MiB
+    each."""
+    ranks, blocks, block = 16, 32, 8192
+    cluster = Cluster(config=QUICK, seed=1)
+    deployment = BlobSeerDeployment(cluster, num_providers=4,
+                                    num_metadata_providers=2,
+                                    chunk_size=16 * 1024)
+    filetype = Indexed([block] * blocks,
+                       [index * ranks * block for index in range(blocks)],
+                       base=BYTE)
+    traced = {}
+
+    def rank_main(ctx):
+        driver = VersioningDriver(deployment, ctx.node,
+                                  rank_name=f"rank{ctx.rank}",
+                                  write_coalescing=True,
+                                  collective_buffering=True,
+                                  collective_aggregators=2)
+        handle = yield from File.open(driver, "/ckpt", rank=ctx.rank,
+                                      comm=ctx.comm,
+                                      size_hint=ranks * blocks * block)
+        handle.set_view(ctx.rank * block, BYTE, filetype)
+        data = payload(blocks * block, ctx.rank)
+        yield from handle.write_at_all(0, data)
+        yield from handle.sync()
+        yield from ctx.comm.barrier(ctx.rank)
+        if ctx.rank == 0:
+            tracemalloc.start()  # traces what the read allocates
+        read = yield from handle.read_at_all(0, len(data))
+        yield from ctx.comm.barrier(ctx.rank)
+        if ctx.rank == 0:
+            traced["peak"] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        yield from handle.close()
+        return read == data, len(read)
+
+    try:
+        results = run_mpi_job(cluster, ranks, rank_main).results
+    finally:
+        tracemalloc.stop()
+    assert all(equal for equal, _size in results)
+    returned = sum(size for _equal, size in results)
+    assert returned == ranks * blocks * block
+    assert traced["peak"] - returned < 1024 * 1024
