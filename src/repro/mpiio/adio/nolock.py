@@ -35,5 +35,5 @@ class NoLockDriver(PosixLockingDriver):
     def read_vector(self, path: str, vector: IOVector, atomic: bool,
                     rank: int = 0, comm: Optional["Communicator"] = None):
         self._account_read(vector)
-        data = yield from self.client.read_vector(path, vector, joined=True)
+        data = yield from self.client.read_vector(path, vector)
         return data

@@ -101,7 +101,7 @@ class PosixLockingDriver(ADIODriver):
         self._account_read(vector)
         handle = yield from self._lock(path, vector, LockMode.SHARED, atomic)
         data = yield from self.client.read_vector(
-            path, vector, _locked=handle is not None, joined=True)
+            path, vector, _locked=handle is not None)
         if handle is not None:
             yield from self.client.unlock(handle)
         return data

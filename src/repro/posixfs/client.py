@@ -270,25 +270,21 @@ class PosixClient:
             total += yield from self.write(path, request.offset, request.data)
         return total
 
-    def read_vector(self, path: str, vector: IOVector, _locked: bool = False,
-                    joined: bool = False):
+    def read_vector(self, path: str, vector: IOVector, _locked: bool = False):
         """Read the vector's requests: one contiguous POSIX read at a time,
         or as one access under the caller's lock (``_locked=True``).
 
-        Returns one ``bytes`` per request or, ``joined``, the requests'
-        bytes back to back as one ``bytes``.  Under the lock that is one
-        join of the OSTs' answers; without it each request is a POSIX read
-        of its own, whose answer is joined once more only when the request
-        spans several stripes.
+        Returns the requests' bytes back to back as one ``bytes``.  Under
+        the lock that is one join of the OSTs' answers; without it, one join
+        of the POSIX reads' answers (a read spanning several stripes has
+        joined its own answer already).
         """
         if not _locked:
             results: List[bytes] = []
             for request in vector:
                 data = yield from self.read(path, request.offset, request.size)
                 results.append(data)
-            return b"".join(results) if joined else results
+            return b"".join(results)
         pieces = yield from self._access(path, vector, locked=True)
-        if joined:
-            return b"".join([data for request_pieces in pieces
-                             for data in request_pieces])
-        return [b"".join(request_pieces) for request_pieces in pieces]
+        return b"".join([data for request_pieces in pieces
+                         for data in request_pieces])

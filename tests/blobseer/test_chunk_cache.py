@@ -92,7 +92,7 @@ class TestChunkCache:
 
 
 # ----------------------------------------------------------------------
-# fill (stage) and lookup (_vectored_read)
+# fill (stage) and lookup (fetch_extents)
 # ----------------------------------------------------------------------
 class TestWriterReadsItsOwnChunks:
     def test_the_cache_holds_the_object_the_provider_stores(self):
