@@ -13,6 +13,8 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Dict, Iterable
 
+from tests._workloads import pieces
+
 #: where the suites write their ``BENCH_*.json``
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -20,7 +22,8 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 def expected_scan_bytes(workload) -> bytes:
     """What a shared-scan point's ``read_digest`` must equal, whatever the
     cache configuration (``repro.bench.scan``)."""
-    return b"".join(workload.expected_pieces(client, round_index)
+    content = workload.expected_contents()
+    return b"".join(pieces(content, workload.read_pairs(client, round_index))
                     for client in range(workload.num_clients)
                     for round_index in range(workload.rounds))
 

@@ -13,9 +13,15 @@ counted inside it.
 
 A deletion that cites the census runs it on the parent commit and on the
 change: the change must list the parent's functions minus the deleted
-ones, so no code a runner executed became unreached::
+ones, so no code a runner executed became unreached.  ``--against FILE``
+(the parent's output) makes that one command: after the report it prints
+every function unreached here that FILE does not list, compared by file
+and qualified name (line numbers move with any edit), and exits 1 if
+there is one::
 
-    python benchmarks/runner_census.py            # about 30 s on 2 cores
+    python benchmarks/runner_census.py > parent.txt      # on the parent
+    python benchmarks/runner_census.py --against parent.txt
+    # about 30 s each on 2 cores
 
 Outputs of the runners go to a temporary directory that is removed at the
 end; the script writes nothing else.  perfbench's host pass runs under
@@ -185,11 +191,16 @@ def run_census(defs: Set[Key]) -> Set[Key]:
     return started
 
 
+def unreached(every: List[Function], started: Set[Key]) -> List[Function]:
+    """The unreached functions the report lists: a nested function counts
+    inside its unreached enclosing function."""
+    return [function for function in every
+            if function.key not in started
+            and (function.parent is None or function.parent.key in started)]
+
+
 def report(every: List[Function], started: Set[Key]) -> None:
-    # a nested function counts inside its unreached enclosing function
-    outermost = [function for function in every
-                 if function.key not in started
-                 and (function.parent is None or function.parent.key in started)]
+    outermost = unreached(every, started)
     by_file: Dict[str, List[Function]] = {}
     for function in outermost:
         by_file.setdefault(function.key[0], []).append(function)
@@ -205,14 +216,47 @@ def report(every: List[Function], started: Set[Key]) -> None:
           f"no runner reaches ({len(every)} functions under src/)")
 
 
+def listed_in(text: str) -> Set[Tuple[str, str]]:
+    """``(file, qualified name)`` of every function a report lists."""
+    listed: Set[Tuple[str, str]] = set()
+    relpath = None
+    for line in text.splitlines():
+        if line.startswith("src/"):
+            relpath = line.split()[0]
+        elif line.startswith(" ") and relpath is not None:
+            listed.add((relpath, line.split()[2]))
+    return listed
+
+
+def newly_unreached(every: List[Function], started: Set[Key],
+                    baseline: str) -> List[Key]:
+    """The functions unreached here that the ``baseline`` report does not
+    list."""
+    known = listed_in(baseline)
+    return [function.key for function in unreached(every, started)
+            if (function.key[0], function.key[2]) not in known]
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if argv[:1] == ["--child"]:
         return _child(argv[1], argv[3:])
-    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args(argv)
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--against", metavar="FILE",
+                        help="a census report (of the parent commit): exit 1 "
+                             "if a function unreached here is not listed in it")
+    args = parser.parse_args(argv)
+    baseline = Path(args.against).read_text() if args.against else None
     every = functions()
-    report(every, run_census({function.key for function in every}))
-    return 0
+    started = run_census({function.key for function in every})
+    report(every, started)
+    if baseline is None:
+        return 0
+    new = newly_unreached(every, started, baseline)
+    print(f"unreached here, not listed in {args.against}: {len(new)}")
+    for relpath, first, qualname in new:
+        print(f"  {relpath}:{first}  {qualname}")
+    return 1 if new else 0
 
 
 if __name__ == "__main__":

@@ -24,6 +24,7 @@ from repro.bench.collective import scan_workload
 from repro.bench.metrics import reduction
 from repro.bench.suites import run_suite
 from repro.mpiio.adio.collective import aggregator_ranks
+from tests._workloads import pieces, sparse_scan_contents
 
 #: acceptance slack: measured reduction vs the ideal resolver factor N/R
 #: (the union walk can beat the ideal — resolver stripes dedup shared
@@ -47,12 +48,12 @@ def test_all_modes_read_identical_bytes(suite):
                    if key.startswith(f"N{num_ranks}:")}
         reference = digests[f"N{num_ranks}:independent"]
         workload = scan_workload(suite.settings, num_ranks)
-        content = workload.expected_contents()
+        content = sparse_scan_contents(workload)
         expected_parts = []
         for rank in range(num_ranks):
             for round_index in range(workload.rounds):
-                expected_parts.append(
-                    workload.expected_pieces(rank, round_index))
+                expected_parts.append(pieces(
+                    content, workload.read_pairs(rank, round_index)))
             # the post-phase probe re-reads the rank's first round-0 range
             first_offset, first_size = workload.read_pairs(rank, 0)[0]
             expected_parts.append(

@@ -16,6 +16,8 @@ Run it with::
 """
 
 from repro import VersioningBackend
+from repro.obs.registry import MetricsRegistry
+from repro.obs.views import collect_all
 
 
 def main() -> None:
@@ -59,12 +61,16 @@ def main() -> None:
     # ------------------------------------------------------------------
     # 3. striping and versioning statistics
     # ------------------------------------------------------------------
-    stats = backend.stats()
+    # every counter is read through a metrics registry, under dotted names
+    metrics = collect_all(MetricsRegistry(), cluster=backend.cluster,
+                          deployment=backend.deployment,
+                          clients=[backend.client])
     print("\nbackend statistics")
-    for key in ("providers", "chunks", "stored_bytes", "metadata_nodes",
-                "snapshots_published", "load_imbalance"):
-        print(f"  {key:20s} {stats[key]}")
-    print(f"  simulated time       {backend.cluster.now * 1000:.3f} ms")
+    for name in ("storage.providers", "storage.chunks", "storage.stored_bytes",
+                 "metadata.server.nodes", "version.snapshots_published",
+                 "storage.load_imbalance", "net.bytes"):
+        print(f"  {name:28s} {metrics.get(name)}")
+    print(f"  {'simulated time':28s} {backend.cluster.now * 1000:.3f} ms")
 
 
 if __name__ == "__main__":

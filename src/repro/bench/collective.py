@@ -39,7 +39,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.bench.harness import deploy, seed_blob
-from repro.bench.metrics import per
+from repro.bench.metrics import per, write_columns
 from repro.blobseer.client import BlobClient
 from repro.errors import BenchmarkError
 from repro.mpi.datatypes import BYTE, Indexed
@@ -47,6 +47,8 @@ from repro.mpi.launcher import run_mpi_job
 from repro.mpiio.adio.versioning import VersioningDriver
 from repro.mpiio.file import File
 from repro.obs.digest import digest_columns
+from repro.obs.registry import MetricsRegistry
+from repro.obs.views import collect_all
 from repro.workloads.collective_checkpoint import CollectiveCheckpointWorkload
 from repro.workloads.collective_read import CollectiveReadWorkload
 
@@ -160,29 +162,19 @@ def run_collective_point(settings, config, *, num_ranks: int,
 
     digest = cluster.sim.run(stop_event=cluster.sim.process(verify()))
 
-    clients = [driver.client for driver in drivers.values()]
-    logical_writes = sum(client.logical_writes for client in clients)
-    snapshots = sum(client.writes for client in clients)
-    control_rpcs = sum(client.write_control_rpcs for client in clients)
-    metadata_put_rpcs = sum(client.metadata_put_rpcs for client in clients)
+    metrics = collect_all(MetricsRegistry(), drivers=drivers.values(),
+                          comms=[comm])
     row = {
         "mode": ("independent" if num_aggregators is None
                  else f"collective-a{num_aggregators}"),
         "ranks": num_ranks,
         "aggregators": num_aggregators or 0,
         "rounds": workload.rounds,
-        "logical_writes": logical_writes,
-        "snapshots": snapshots,
-        "coalescing_factor": per(logical_writes, snapshots),
-        "control_rpcs": control_rpcs,
-        "metadata_put_rpcs": metadata_put_rpcs,
-        "control_rpcs_per_write": per(control_rpcs + metadata_put_rpcs,
-                                      logical_writes),
-        "exchange_bytes": sum(driver.aggregator.stats.bytes_sent
-                              for driver in drivers.values()),
-        "collectives_completed": comm.collectives_completed,
-        "latest_rpcs_elided": sum(client.latest_rpcs_elided
-                                  for client in clients),
+        **write_columns(metrics),
+        "exchange_bytes": metrics.get("collective.write.bytes_sent"),
+        "collectives_completed": metrics.get("mpi.collectives_completed"),
+        "latest_rpcs_elided": metrics.get(
+            "metadata.client.latest_rpcs_elided"),
         "sim_write_s": elapsed,
         "network_model": config.network_model,
         **digest_columns(cluster.obs.registry),
@@ -215,9 +207,9 @@ def run_collective_read_point(settings, config, *, num_ranks: int,
             scans.append(data)
         stop_clock()
         # the post-collective probe: one independent re-read per rank
-        client = driver.client
-        post_marks[ctx.rank] = (client.metadata_read_rpcs,
-                                client.latest_rpcs)
+        marks = collect_all(MetricsRegistry(), clients=[driver.client])
+        post_marks[ctx.rank] = (marks.get("metadata.client.read_rpcs"),
+                                marks.get("metadata.client.latest_rpcs"))
         handle.set_view(0, BYTE, BYTE)
         first = workload.read_pairs(ctx.rank, 0)[0]
         probe = yield from handle.read_at(first[0], first[1])
@@ -228,8 +220,8 @@ def run_collective_read_point(settings, config, *, num_ranks: int,
         cluster, deployment, "cr", "/scan", num_ranks, num_resolvers,
         workload.file_size, body)
 
-    clients = [driver.client for driver in drivers.values()]
-    readers = [driver.reader.stats for driver in drivers.values()]
+    metrics = collect_all(MetricsRegistry(), drivers=drivers.values(),
+                          comms=[comm])
     logical_reads = num_ranks * workload.rounds
     metadata_rpcs = sum(marks[0] for marks in post_marks.values())
     latest_rpcs = sum(marks[1] for marks in post_marks.values())
@@ -244,16 +236,14 @@ def run_collective_read_point(settings, config, *, num_ranks: int,
         "latest_rpcs": latest_rpcs,
         "metadata_rpcs_per_read": per(metadata_rpcs + latest_rpcs,
                                       logical_reads),
-        "nodes_fetched": sum(client.metadata_nodes_fetched
-                             for client in clients),
-        "exchange_bytes": sum(stats.bytes_sent for stats in readers),
-        "hole_bytes_elided": sum(stats.hole_bytes_elided
-                                 for stats in readers),
-        "collectives_completed": comm.collectives_completed,
-        "post_metadata_rpcs": sum(client.metadata_read_rpcs
-                                  for client in clients) - metadata_rpcs,
-        "post_latest_rpcs": sum(client.latest_rpcs
-                                for client in clients) - latest_rpcs,
+        "nodes_fetched": metrics.get("metadata.client.nodes_fetched"),
+        "exchange_bytes": metrics.get("collective.read.bytes_sent"),
+        "hole_bytes_elided": metrics.get("collective.read.hole_bytes_elided"),
+        "collectives_completed": metrics.get("mpi.collectives_completed"),
+        "post_metadata_rpcs": (metrics.get("metadata.client.read_rpcs")
+                               - metadata_rpcs),
+        "post_latest_rpcs": (metrics.get("metadata.client.latest_rpcs")
+                             - latest_rpcs),
         "sim_read_s": elapsed,
         "network_model": config.network_model,
         **digest_columns(cluster.obs.registry),

@@ -55,10 +55,6 @@ class ExperimentEnvironment:
     stripe_unit: int
     num_storage_nodes: int
 
-    def storage_stats(self) -> dict:
-        """Backend statistics (chunks/objects, locks, publication counters)."""
-        return self.deployment.stats()
-
 
 def build_environment(backend: str,
                       num_storage_nodes: int = 8,

@@ -66,15 +66,15 @@ def _run_point(settings, config: ClusterConfig, backend: str, num_clients: int,
 def _disk_ios_per_write(result: RunResult) -> float:
     """Disk I/Os the storage nodes paid per rank-write (a job is one write
     per rank) — the mechanism behind a small-piece workload's throughput."""
-    return per(result.cluster_stats["disk_operations"], result.num_clients)
+    return per(result.metrics["disk.operations"], result.num_clients)
 
 
 def _disk_overhead_share(result: RunResult, config: ClusterConfig) -> float:
     """Share of the storage nodes' disk time that was per-I/O overhead, not
     bytes moving: how far a backend sits from the disks' bandwidth bound."""
-    stats = result.cluster_stats
-    overhead = stats["disk_operations"] * config.disk_overhead
-    return overhead / stats["disk_busy_s"] if overhead else 0.0
+    metrics = result.metrics
+    overhead = metrics["disk.operations"] * config.disk_overhead
+    return overhead / metrics["disk.busy_s"] if overhead else 0.0
 
 
 def run_overlap_point(settings, config: ClusterConfig, *, experiment: str,
@@ -105,7 +105,7 @@ def run_overlap_point(settings, config: ClusterConfig, *, experiment: str,
     result = _run_point(settings, config, backend, clients,
                         workload.client_pairs, workload.file_size,
                         providers, publish_cost=publish_cost)
-    stats = result.storage_stats
+    metrics = result.metrics
     measured = {
         "experiment": experiment,
         "backend": backend,
@@ -121,8 +121,8 @@ def run_overlap_point(settings, config: ClusterConfig, *, experiment: str,
         "lock_wait_s": result.lock_wait_time,
         "disk_ios_per_write": _disk_ios_per_write(result),
         "disk_overhead_share": _disk_overhead_share(result, config),
-        "load_imbalance": stats.get("load_imbalance", 1.0),
-        "metadata_nodes": stats.get("metadata_nodes", 0),
+        "load_imbalance": metrics.get("storage.load_imbalance", 1.0),
+        "metadata_nodes": metrics.get("metadata.server.nodes", 0),
     }
     return {column: measured[column]
             for column in OVERLAP_COLUMNS[experiment]}, {}

@@ -29,6 +29,8 @@ from repro.errors import BenchmarkError
 from repro.mpi.datatypes import Indexed
 from repro.mpi.launcher import MPIContext, run_mpi_job
 from repro.mpiio.file import AccessMode, File
+from repro.obs.registry import MetricsRegistry
+from repro.obs.views import collect_all
 
 #: a per-rank workload: rank index -> list of (file offset, payload) pairs
 PairsForRank = Callable[[int], Sequence[Tuple[int, bytes]]]
@@ -108,16 +110,6 @@ def start_clients(settings, config, prefix: str, file_size: int,
     return cluster, clients, blob_id, drive
 
 
-def cache_totals(clients) -> Tuple[int, int]:
-    """Aggregate (hits, misses) over the clients' metadata node caches."""
-    hits = misses = 0
-    for client in clients:
-        if client.metadata_cache is not None:
-            hits += client.metadata_cache.stats.hits
-            misses += client.metadata_cache.stats.misses
-    return hits, misses
-
-
 @dataclass
 class RunResult:
     """Outcome of one measured MPI-I/O write job."""
@@ -129,8 +121,9 @@ class RunResult:
     job_elapsed: float
     per_rank_elapsed: List[float]
     lock_wait_time: float
-    storage_stats: Dict[str, object]
-    cluster_stats: Dict[str, object]
+    #: the job's cluster (and, on the versioning backend, deployment)
+    #: counters under their registry names (:mod:`repro.obs.views`)
+    metrics: Dict[str, object]
     path: str
     file_size: int
     environment: ExperimentEnvironment = field(repr=False, default=None)
@@ -205,8 +198,11 @@ def run_atomic_write_job(environment: ExperimentEnvironment,
         per_rank_elapsed=[write_spans[rank][1] - write_spans[rank][0]
                           for rank in sorted(write_spans)],
         lock_wait_time=lock_wait,
-        storage_stats=environment.storage_stats(),
-        cluster_stats=cluster.stats(),
+        metrics=collect_all(
+            MetricsRegistry(), cluster=cluster,
+            deployment=(environment.deployment
+                        if environment.backend == "versioning" else None),
+        ).snapshot(),
         path=path,
         file_size=file_size,
         environment=environment,

@@ -20,9 +20,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.bench.harness import cache_totals, start_clients
-from repro.bench.metrics import per
+from repro.bench.harness import start_clients
+from repro.bench.metrics import metadata_lookups, per
 from repro.errors import BenchmarkError
+from repro.obs.registry import MetricsRegistry
+from repro.obs.views import collect_all
 from repro.workloads.overlap_stress import OverlapStressWorkload
 
 #: client options of every benchmarked metadata read-path configuration.
@@ -71,17 +73,20 @@ def run_metadata_path_point(settings, config, *, mode: str):
     drive("read", read_rank)
     sim_elapsed = cluster.sim.now - read_sim_started
 
-    cache_hits, cache_misses = cache_totals(clients)
+    metrics = collect_all(MetricsRegistry(), clients=clients)
+    metrics.assert_identities()
+    cache_hits = metrics.get("metadata.cache.hits", 0)
+    cache_misses = metrics.get("metadata.cache.misses", 0)
     reads = settings.num_clients * settings.read_repeats
-    metadata_rpcs = sum(client.metadata_read_rpcs for client in clients)
+    metadata_rpcs = metrics.get("metadata.client.read_rpcs")
     row = {
         "mode": mode,
         "clients": settings.num_clients,
         "reads": reads,
-        "lookups": sum(client.tiers.lookups for client in clients),
+        "lookups": metadata_lookups(metrics),
         "metadata_rpcs": metadata_rpcs,
         "rpcs_per_read": per(metadata_rpcs, reads),
-        "nodes_fetched": sum(client.metadata_nodes_fetched for client in clients),
+        "nodes_fetched": metrics.get("metadata.client.nodes_fetched"),
         "cache_hits": cache_hits,
         "cache_misses": cache_misses,
         "cache_hit_rate": per(cache_hits, cache_hits + cache_misses),

@@ -16,15 +16,15 @@ real shared cache without request coalescing.
 the per-read columns isolate the leaf walk.  The seeder publishes with
 ``shared_metadata_cache=False``, so the scan clients are the shared tier's
 only participants.  ``server_read_rpcs`` counts **server-side** handler
-invocations (``deployment.stats()``), the check on the clients' own
-``metadata_rpcs``.
+invocations (``metadata.server.read_rpcs``), the check on the clients' own
+``metadata_rpcs`` (``metadata.client.read_rpcs``).
 
-Every point checks its clients' metadata tier chains — each lookup
-answered by exactly one of the private cache, the node pool and the shards,
-every pool's count matched by its clients'
-(:mod:`repro.blobseer.metadata.tiers`) — and returns the scans' bytes,
-which the perf suites compare across every mode, node count and network
-model.
+Every point reads its columns from a metrics registry
+(:mod:`repro.obs.views`) and asserts the identities reported there — each
+lookup answered by exactly one of the private cache, the node pool and the
+shards, every pool's count matched by its clients' — and returns the
+scans' bytes, which the perf suites compare across every mode, node count
+and network model.
 """
 
 from __future__ import annotations
@@ -32,10 +32,10 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.bench.harness import deploy, drive_processes, seed_blob
-from repro.bench.metrics import per
+from repro.bench.metrics import metadata_lookups, per
 from repro.blobseer.client import BlobClient
-from repro.blobseer.metadata.tiers import partition_problems, wire_problems
-from repro.errors import BenchmarkError
+from repro.obs.registry import MetricsRegistry
+from repro.obs.views import collect_all
 from repro.workloads.shared_scan import SharedScanWorkload
 
 PATH = "/dump"
@@ -88,7 +88,9 @@ def run_scan_point(settings, config, *, prefix: str, mode: str,
                        workload.file_size, [(0, workload.expected_contents())],
                        shared_metadata_cache=False)
     # shard reads spent publishing don't belong to the scan being measured
-    server_rpcs_seeded = deployment.stats()["metadata_read_rpcs"]
+    server_rpcs_seeded = collect_all(
+        MetricsRegistry(), deployment=deployment).get(
+            "metadata.server.read_rpcs")
 
     # rank->node placement: ranks_per_node clients share each compute node
     nodes = cluster.place_ranks(f"{prefix}-rank", num_clients)
@@ -123,11 +125,11 @@ def run_scan_point(settings, config, *, prefix: str, mode: str,
          for index in range(num_clients)],
         name=f"{prefix}-driver")
 
-    chains = [client.tiers for client in clients]
-    private = [chain.private.stats for chain in chains
-               if chain.private is not None]
-
-    shared_stats = deployment.shared_cache_stats()
+    # the scan clients are the shared tier's only participants (the seeder
+    # stays outside it), so the shared services' counts must reconcile too
+    metrics = collect_all(MetricsRegistry(), deployment=deployment,
+                          clients=clients, complete_clients=True)
+    metrics.assert_identities()
     logical_reads = num_clients * workload.rounds
     values = {
         "mode": mode,
@@ -137,21 +139,21 @@ def run_scan_point(settings, config, *, prefix: str, mode: str,
         "clients": num_clients,
         "rounds": workload.rounds,
         "logical_reads": logical_reads,
-        "metadata_rpcs": sum(chain.shard_stats.read_rpcs
-                             for chain in chains),
-        "latest_rpcs": sum(client.latest_rpcs for client in clients),
-        "server_read_rpcs": (deployment.stats()["metadata_read_rpcs"]
+        "metadata_rpcs": metrics.get("metadata.client.read_rpcs"),
+        "latest_rpcs": metrics.get("metadata.client.latest_rpcs"),
+        "server_read_rpcs": (metrics.get("metadata.server.read_rpcs")
                              - server_rpcs_seeded),
-        "private_hits": sum(stats.hits for stats in private),
-        "shared_hits": sum(chain.pool_stats.hits for chain in chains),
-        "fetched_lookups": sum(chain.fetched_lookups for chain in chains),
-        "shared_evictions": shared_stats["evictions"],
-        "shared_rejections": shared_stats["unpublished_rejections"],
+        "private_hits": metrics.get("metadata.cache.hits", 0),
+        "shared_hits": metrics.get("cache.shared.client_hits"),
+        "fetched_lookups": metrics.get("metadata.client.fetched_lookups"),
+        "shared_evictions": metrics.get("cache.shared.evictions"),
+        "shared_rejections": metrics.get(
+            "cache.shared.unpublished_rejections"),
         "sim_read_s": max(finished) - read_started,
         "sim_read_mean_ms": 1e3 * sum(latencies) / len(latencies),
         "network_model": config.network_model,
     }
-    lookups = sum(chain.lookups for chain in chains)
+    lookups = metadata_lookups(metrics)
     values.update(
         lookups=lookups,
         rpcs_per_read=per(values["metadata_rpcs"], logical_reads),
@@ -160,15 +162,11 @@ def run_scan_point(settings, config, *, prefix: str, mode: str,
     # not artifact columns: the bytes and the independently counted totals
     extras = {
         "read_digest": b"".join(b"".join(scans[key]) for key in sorted(scans)),
-        "per_client_rpcs": {index: chain.shard_stats.read_rpcs
-                            for index, chain in enumerate(chains)},
-        "private_tier_lookups": sum(stats.lookups for stats in private),
-        "shared_tier_lookups": shared_stats["hits"] + shared_stats["misses"],
+        "per_client_rpcs": {
+            index: collect_all(MetricsRegistry(), clients=[client]).get(
+                "metadata.client.read_rpcs")
+            for index, client in enumerate(clients)},
+        "private_tier_lookups": metrics.get("metadata.cache.lookups", 0),
+        "shared_tier_lookups": metrics.get("cache.shared.lookups"),
     }
-    # the scan clients are the shared tier's only participants (the seeder
-    # stays outside it), so the shared services' counts must reconcile too
-    problems = partition_problems(chains) + wire_problems(chains)
-    if problems:
-        raise BenchmarkError("metadata tier accounting broken: "
-                             + "; ".join(problems))
     return values, extras

@@ -25,9 +25,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.bench.harness import cache_totals, start_clients
-from repro.bench.metrics import per
+from repro.bench.harness import start_clients
+from repro.bench.metrics import per, write_columns
 from repro.errors import BenchmarkError
+from repro.obs.registry import MetricsRegistry
+from repro.obs.views import collect_all
 from repro.workloads.queued_writes import QueuedWritesWorkload
 
 #: how every benchmarked write-path mode commits a client's train of writes,
@@ -107,38 +109,32 @@ def run_write_path_point(settings, config, *, mode: str, **client_options):
             read_results[(rank, repeat)] = pieces
         drive(f"read{repeat}.", read_rank)
 
+    def cache_counts(metrics: MetricsRegistry) -> Tuple[int, int]:
+        return (metrics.get("metadata.cache.hits", 0),
+                metrics.get("metadata.cache.misses", 0))
+
     read_sim_started = cluster.sim.now
-    hits_before, misses_before = cache_totals(clients)
+    hits_before, misses_before = cache_counts(
+        collect_all(MetricsRegistry(), clients=clients))
     read_round(0)
-    hits_after, misses_after = cache_totals(clients)
+    hits_after, misses_after = cache_counts(
+        collect_all(MetricsRegistry(), clients=clients))
     first_hits = hits_after - hits_before
     first_lookups = first_hits + (misses_after - misses_before)
     for repeat in range(1, settings.read_repeats):
         read_round(repeat)
     sim_read_elapsed = cluster.sim.now - read_sim_started
 
-    hits, misses = cache_totals(clients)
-    logical_writes = sum(client.logical_writes for client in clients)
-    snapshots = sum(client.writes for client in clients)
-    control_rpcs = sum(client.write_control_rpcs for client in clients)
-    metadata_put_rpcs = sum(client.metadata_put_rpcs for client in clients)
+    final = collect_all(MetricsRegistry(), clients=clients)
+    hits, misses = cache_counts(final)
     row = {
         "mode": mode,
         "clients": settings.num_clients,
-        "logical_writes": logical_writes,
-        "snapshots": snapshots,
-        "coalescing_factor": per(logical_writes, snapshots),
-        "control_rpcs": control_rpcs,
-        "metadata_put_rpcs": metadata_put_rpcs,
-        "control_rpcs_per_write": per(control_rpcs + metadata_put_rpcs,
-                                      logical_writes),
-        "cache_primed_nodes": sum(client.cache_primed_nodes
-                                  for client in clients),
+        **write_columns(final),
+        "cache_primed_nodes": final.get("metadata.client.cache_primed_nodes"),
         "first_read_cache_hit_rate": per(first_hits, first_lookups),
         "read_cache_hit_rate": per(hits, hits + misses),
-        "cache_evictions": sum(client.metadata_cache.stats.evictions
-                               for client in clients
-                               if client.metadata_cache is not None),
+        "cache_evictions": final.get("metadata.cache.evictions", 0),
         "sim_write_s": sim_write_elapsed,
         "sim_read_s": sim_read_elapsed,
         "network_model": config.network_model,

@@ -309,11 +309,6 @@ class BlobClient:
         later lookups skip the pool."""
         self.tiers.detach()
 
-    @property
-    def metadata_read_rpcs(self) -> int:
-        """Metadata read round-trips this client issued to the shards."""
-        return self.tiers.shard_stats.read_rpcs
-
     def note_collective_commit(self, blob_id: str, version: int) -> None:
         """Absorb a collective write's published watermark.
 

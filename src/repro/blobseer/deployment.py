@@ -21,7 +21,7 @@ from repro.blobseer.metadata.store import MetadataStore, PartitionedMetadataStor
 from repro.blobseer.provider import DataProviderStore, SimDataProvider
 from repro.blobseer.provider_manager import SimProviderManager
 from repro.blobseer.version_manager import SimVersionManager, VersionManager
-from repro.errors import ProviderUnavailable, StorageError
+from repro.errors import ProviderUnavailable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.cluster import Cluster
@@ -88,27 +88,6 @@ class BlobSeerDeployment:
                 node.name, capacity=self.cluster.config.shared_cache_capacity)
         return self.node_caches[node.name]
 
-    def shared_cache_stats(self) -> dict:
-        """Aggregate shared-tier counters over every node's service."""
-        totals = {"hits": 0, "misses": 0, "insertions": 0, "evictions": 0,
-                  "unpublished_rejections": 0}
-        for service in self.node_caches.values():
-            attached = service.attached
-            if len(set(attached)) != len(attached):
-                raise StorageError(
-                    f"shared cache on {service.node_name} holds duplicate "
-                    f"attachments {attached} — attach() is idempotent, so a "
-                    "duplicate means bookkeeping corrupted")
-            snapshot = service.stats.snapshot()
-            for key in totals:
-                totals[key] += snapshot[key]
-        totals["services"] = len(self.node_caches)
-        totals["entries"] = sum(len(service)
-                                for service in self.node_caches.values())
-        totals["attached_clients"] = sum(len(service.attached)
-                                         for service in self.node_caches.values())
-        return totals
-
     def data_provider(self, provider_id: str) -> SimDataProvider:
         """Look up a data provider service by id."""
         try:
@@ -128,28 +107,28 @@ class BlobSeerDeployment:
         self.provider_manager.manager.mark_recovered(provider_id)
 
     def stats(self) -> dict:
-        """Aggregate storage-side statistics for benchmark reports.
-
-        The ``metadata_read_rpcs`` / ``metadata_put_rpcs`` keys count
-        **server-side** handler invocations, although clients expose
-        same-named fields counting client-side issue events;
-        :func:`repro.obs.views.collect_deployment` files them in a metrics
-        registry under unambiguous ``metadata.server.*`` names.
+        """Storage-side statistics under their historical keys: a view of
+        :func:`repro.obs.views.collect_deployment`, which files them under
+        registry names (``metadata_read_rpcs`` / ``metadata_put_rpcs``
+        count **server-side** handler invocations, ``metadata.server.*``
+        there, not the clients' same-named fields).  Raises
+        :class:`~repro.obs.registry.IdentityViolation` when a node cache
+        service lists a client twice.
         """
-        stores = [service.store for service in self.data_providers.values()]
-        get_nodes_rpcs = sum(provider.calls.get("get_nodes", 0)
-                             for provider in self.metadata_providers)
-        put_nodes_rpcs = sum(provider.calls.get("put_nodes", 0)
-                             for provider in self.metadata_providers)
-        return {
-            "providers": len(stores),
-            "chunks": sum(store.chunk_count() for store in stores),
-            "stored_bytes": sum(store.stored_bytes() for store in stores),
-            "metadata_nodes": self.metadata_store.node_count(),
-            "metadata_read_rpcs": get_nodes_rpcs,
-            "metadata_put_rpcs": put_nodes_rpcs,
-            "snapshots_published": self.version_manager.manager.snapshots_published,
-            "tickets_assigned": self.version_manager.manager.tickets_assigned,
-            "load_imbalance": self.provider_manager.manager.load_imbalance(),
-            "shared_cache": self.shared_cache_stats(),
-        }
+        # imported here: repro.obs.views imports the blobseer package
+        from repro.obs.registry import MetricsRegistry
+        from repro.obs.views import (DEPLOYMENT_STAT_NAMES,
+                                     SHARED_CACHE_COUNTERS, collect_deployment)
+
+        registry = MetricsRegistry()
+        collect_deployment(registry, self)
+        registry.assert_identities()
+        stats = {key: registry.get(name)
+                 for key, name in DEPLOYMENT_STAT_NAMES.items()}
+        shared = {counter: registry.get(f"cache.shared.{counter}")
+                  for counter in (*SHARED_CACHE_COUNTERS, "services",
+                                  "entries")}
+        shared["attached_clients"] = sum(
+            len(service.attached) for service in self.node_caches.values())
+        stats["shared_cache"] = shared
+        return stats

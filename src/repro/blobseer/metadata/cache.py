@@ -58,18 +58,6 @@ class CacheStats:
         """Lookups the tier could not answer."""
         return self.lookups - self.hits
 
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups answered by the tier (0.0 when unused)."""
-        if not self.lookups:
-            return 0.0
-        return self.hits / self.lookups
-
-    def snapshot(self) -> Dict[str, float]:
-        """Plain-dict form for JSON benchmark artifacts."""
-        return {**vars(self), "misses": self.misses,
-                "hit_rate": self.hit_rate}
-
 
 class MetadataNodeCache:
     """LRU cache of resolved metadata lookups (see module docstring).

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Optional, Sequence
 
 from repro.cluster.config import ClusterConfig
@@ -133,16 +132,3 @@ class Cluster:
     def run(self, **kwargs):
         """Forward to :meth:`repro.simengine.Simulator.run`."""
         return self.sim.run(**kwargs)
-
-    def stats(self) -> dict:
-        """Aggregate transport statistics (for benchmark reports)."""
-        disks = [node.disk for node in self.nodes.values() if node.disk]
-        return {
-            "nodes": len(self.nodes),
-            "network_bytes": self.network.bytes_transferred,
-            "network_messages": self.network.messages,
-            "rpc_calls": self.rpc.total_calls,
-            "disk_bytes": sum(disk.bytes_transferred for disk in disks),
-            "disk_operations": sum(disk.operations for disk in disks),
-            "disk_busy_s": math.fsum(disk.busy_time for disk in disks),
-        }

@@ -1,21 +1,19 @@
 """Central metrics registry: counters, gauges, latency digests.
 
-One flat namespace of dotted metric names (``metadata.rpcs.read``,
-``cache.shared.hits``, ``net.link.bytes``) replacing the stack's scattered
-per-object stats dicts.  The registry is *pull-based*: the hot paths keep
-their plain integer counters, and :mod:`repro.obs.views` materializes them
-into a registry at collection time — so the registry costs nothing while
-the simulation runs.
+One flat namespace of dotted metric names (``metadata.client.read_rpcs``,
+``cache.shared.hits``, ``net.link.bytes``): the one surface every counter
+of the stack is read through.  The registry is *pull-based*: the hot
+paths keep their plain integer counters, and :mod:`repro.obs.views`
+materializes them into a registry at collection time — so the registry
+costs nothing while the simulation runs.
 
 The collectors' consistency checks (the metadata lookup partition and
 friends) are reported on the same object and raised by
 :meth:`MetricsRegistry.assert_identities`.  Who asks: the ``simcore``
-suite's collective-I/O rows and ``perfbench`` call it on every run; the
-fuzzer's ``stats_partition`` checker reads the same list through
-:meth:`MetricsRegistry.check_identities`; the scan suites
-(``repro.bench.scan``) call the two underlying functions,
-``tiers.partition_problems`` / ``wire_problems``, directly; the other
-suites collect no registry.
+suite's collective-I/O rows, the scan and metadata read-path suites,
+``BlobSeerDeployment.stats()`` and ``perfbench`` call it on every run;
+the fuzzer's ``stats_partition`` checker reads the same list through
+:meth:`MetricsRegistry.check_identities`.
 """
 
 from __future__ import annotations

@@ -1,23 +1,28 @@
-"""Pull-based collectors: scattered stats surfaces → one metrics registry.
+"""Pull-based collectors: the one read side of the stack's counters.
 
 The hot paths keep their plain integer counters (``BlobClient``'s fields,
-``CacheStats``, ``CoalescerStats``, ``CollectiveStats``, per-link counters
-of the queued network); these collectors materialize them into a
-:class:`~repro.obs.registry.MetricsRegistry` under stable dotted names at
+``CacheStats``, ``CoalescerStats``, ``CollectiveStats``, the stores, disks,
+network and RPC transport, per-link counters of the queued network); these
+collectors read those counting objects directly and materialize them into
+a :class:`~repro.obs.registry.MetricsRegistry` under stable dotted names at
 *collection time* — typically once, after a run — so instrumentation costs
-nothing while the simulation executes.
+nothing while the simulation executes.  Every bench suite, the
+quickstart example and perfbench read their columns from a registry
+collected here; ``BlobSeerDeployment.stats()`` is a view of
+:func:`collect_deployment` under its historical keys.  ``add`` accumulates,
+so a reading takes a fresh registry.
 
-Naming fixes a long-standing drift: ``BlobSeerDeployment.stats()`` reports
-``metadata_read_rpcs`` counted **server-side** (``get_nodes`` handler
-invocations) while ``BlobClient.metadata_read_rpcs``
-counts **client-side** issue events — same key, different quantities.
-Here the two live apart as ``metadata.server.read_rpcs`` and
-``metadata.client.read_rpcs``.
+The shards and the clients both count metadata read round-trips, and the
+two counts differ: a shard counts the ``get_nodes`` requests it served to
+every client, seeders included (``metadata_read_rpcs`` in
+``BlobSeerDeployment.stats()``), a collected client the ones it issued
+(its tier chain's ``shard_stats.read_rpcs``).  The registry keeps them
+apart as ``metadata.server.read_rpcs`` and ``metadata.client.read_rpcs``.
 
-Lookup accounting re-asserted against the registry (see
+Consistency checks reported on the registry (see
 :meth:`~repro.obs.registry.MetricsRegistry.assert_identities`), over the
 collected clients' metadata tier chains — private cache, node pool, shards
-(:mod:`repro.blobseer.metadata.tiers`):
+(:mod:`repro.blobseer.metadata.tiers`) — and the node pools themselves:
 
 * ``metadata.lookup_partition`` — per client, every lookup handed to its
   chain was answered by exactly one tier, and each tier saw exactly what
@@ -32,11 +37,14 @@ collected clients' metadata tier chains — private cache, node pool, shards
 * ``cache.chunk.lookup_partition`` — per client, every non-zero read extent
   was looked up in the client's chunk cache exactly once and either served
   from it or requested from a data provider:
-  ``lookups = hits + extents_fetched``.
+  ``lookups = hits + extents_fetched``;
+* ``cache.shared.attachments`` — no node pool lists a client twice
+  (``attach`` is idempotent, so a duplicate means corrupted bookkeeping).
 """
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Iterable, TYPE_CHECKING
 
 from repro.blobseer.metadata.tiers import partition_problems, wire_problems
@@ -51,6 +59,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.registry import MetricsRegistry
 
 __all__ = [
+    "DEPLOYMENT_STAT_NAMES",
+    "SHARED_CACHE_COUNTERS",
     "collect_all",
     "collect_clients",
     "collect_cluster",
@@ -61,18 +71,17 @@ __all__ = [
     "collect_shared_cache",
 ]
 
-#: ``BlobSeerDeployment.stats()`` keys → the registry names
+#: ``BlobSeerDeployment.stats()`` keys, in its order → the registry names
 #: :func:`collect_deployment` files them under.  ``metadata_read_rpcs``
-#: (and friends) are *server-side* handler counts despite sharing their
-#: name with the client-side fields of
-#: :class:`~repro.blobseer.client.BlobClient`.
-_DEPLOYMENT_STAT_NAMES: Dict[str, str] = {
-    "metadata_read_rpcs": "metadata.server.read_rpcs",
-    "metadata_put_rpcs": "metadata.server.put_rpcs",
-    "metadata_nodes": "metadata.server.nodes",
+#: and ``metadata_put_rpcs`` are *server-side* handler counts, not what
+#: the clients issued (``metadata.client.*``).
+DEPLOYMENT_STAT_NAMES: Dict[str, str] = {
     "providers": "storage.providers",
     "chunks": "storage.chunks",
     "stored_bytes": "storage.stored_bytes",
+    "metadata_nodes": "metadata.server.nodes",
+    "metadata_read_rpcs": "metadata.server.read_rpcs",
+    "metadata_put_rpcs": "metadata.server.put_rpcs",
     "snapshots_published": "version.snapshots_published",
     "tickets_assigned": "version.tickets_assigned",
     "load_imbalance": "storage.load_imbalance",
@@ -88,6 +97,10 @@ _PRIVATE_COUNTERS = ("lookups", "hits", "misses", "insertions", "evictions")
 
 #: ``cache.chunk.<counter>``: the client's cache of its own uploads
 _CHUNK_COUNTERS = ("lookups", "hits", "bytes_served", "evictions")
+
+#: ``cache.shared.<counter>``: summed over the node cache services
+SHARED_CACHE_COUNTERS = ("hits", "misses", "insertions", "evictions",
+                         "unpublished_rejections")
 
 
 def collect_clients(registry: "MetricsRegistry",
@@ -146,32 +159,55 @@ def collect_clients(registry: "MetricsRegistry",
 
 def collect_shared_cache(registry: "MetricsRegistry",
                          deployment: "BlobSeerDeployment") -> None:
-    """Shared-tier totals across every node cache service."""
-    totals = deployment.shared_cache_stats()
-    registry.add("cache.shared.hits", totals["hits"])
-    registry.add("cache.shared.misses", totals["misses"])
+    """Shared-tier totals across every node cache service; reports the
+    ``cache.shared.attachments`` check."""
+    services = list(deployment.node_caches.values())
+    totals = {counter: sum(getattr(service.stats, counter)
+                           for service in services)
+              for counter in SHARED_CACHE_COUNTERS}
+    for counter, total in totals.items():
+        registry.add(f"cache.shared.{counter}", total)
     registry.add("cache.shared.lookups", totals["hits"] + totals["misses"])
-    registry.add("cache.shared.insertions", totals["insertions"])
-    registry.add("cache.shared.evictions", totals["evictions"])
-    registry.add("cache.shared.unpublished_rejections",
-                 totals["unpublished_rejections"])
-    registry.set("cache.shared.services", totals["services"])
-    registry.set("cache.shared.entries", totals["entries"])
+    registry.set("cache.shared.services", len(services))
+    registry.set("cache.shared.entries",
+                 sum(len(service) for service in services))
+    # attach() is idempotent, so a duplicate means corrupted bookkeeping
+    registry.report("cache.shared.attachments", [
+        f"shared cache on {service.node_name} holds duplicate attachments "
+        f"{service.attached}"
+        for service in services
+        if len(set(service.attached)) != len(service.attached)])
 
 
 def collect_deployment(registry: "MetricsRegistry",
                        deployment: "BlobSeerDeployment") -> None:
     """Server-side storage counters under their canonical (drift-free)
     names; includes the shared-cache totals."""
-    stats = deployment.stats()
+    stores = [service.store for service in deployment.data_providers.values()]
+    shards = deployment.metadata_providers
+    versions = deployment.version_manager.manager
+    values = {
+        "providers": len(stores),
+        "chunks": sum(store.chunk_count() for store in stores),
+        "stored_bytes": sum(store.stored_bytes() for store in stores),
+        "metadata_nodes": deployment.metadata_store.node_count(),
+        "metadata_read_rpcs": sum(shard.calls.get("get_nodes", 0)
+                                  for shard in shards),
+        "metadata_put_rpcs": sum(shard.calls.get("put_nodes", 0)
+                                 for shard in shards),
+        "snapshots_published": versions.snapshots_published,
+        "tickets_assigned": versions.tickets_assigned,
+        "load_imbalance":
+            deployment.provider_manager.manager.load_imbalance(),
+    }
     # point-in-time quantities are gauges; everything else accumulates
     gauges = {"metadata_nodes", "providers", "chunks", "stored_bytes",
               "load_imbalance"}
-    for key, name in _DEPLOYMENT_STAT_NAMES.items():
+    for key, name in DEPLOYMENT_STAT_NAMES.items():
         if key in gauges:
-            registry.set(name, stats[key])
+            registry.set(name, values[key])
         else:
-            registry.add(name, stats[key])
+            registry.add(name, values[key])
     collect_shared_cache(registry, deployment)
 
 
@@ -203,13 +239,14 @@ def collect_comms(registry: "MetricsRegistry",
 def collect_cluster(registry: "MetricsRegistry",
                     cluster: "Cluster") -> None:
     """Transport-level totals: network, RPC, disks."""
-    stats = cluster.stats()
-    registry.set("cluster.nodes", stats["nodes"])
-    registry.add("net.bytes", stats["network_bytes"])
-    registry.add("net.messages", stats["network_messages"])
-    registry.add("rpc.calls", stats["rpc_calls"])
-    registry.add("disk.bytes", stats["disk_bytes"])
-    registry.add("disk.operations", stats["disk_operations"])
+    disks = [node.disk for node in cluster.nodes.values() if node.disk]
+    registry.set("cluster.nodes", len(cluster.nodes))
+    registry.add("net.bytes", cluster.network.bytes_transferred)
+    registry.add("net.messages", cluster.network.messages)
+    registry.add("rpc.calls", cluster.rpc.total_calls)
+    registry.add("disk.bytes", sum(disk.bytes_transferred for disk in disks))
+    registry.add("disk.operations", sum(disk.operations for disk in disks))
+    registry.set("disk.busy_s", math.fsum(disk.busy_time for disk in disks))
     if cluster.obs.link_telemetry is not None:
         collect_link_telemetry(registry, cluster.obs.link_telemetry)
 

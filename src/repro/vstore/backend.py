@@ -93,10 +93,3 @@ class VersioningBackend:
              version: Optional[int] = None) -> bytes:
         """Contiguous read from one snapshot."""
         return self.vread(blob_id, [(offset, size)], version)[0]
-
-    # ------------------------------------------------------------------
-    def stats(self) -> dict:
-        """Cluster + storage statistics (bytes moved, chunks, snapshots, ...)."""
-        combined = dict(self.cluster.stats())
-        combined.update(self.deployment.stats())
-        return combined

@@ -76,14 +76,6 @@ class CollectiveCheckpointWorkload:
             pairs.append((base + slot * self.block_size, payload))
         return pairs
 
-    def rank_bytes_per_round(self) -> int:
-        """Payload bytes one rank contributes to one round."""
-        return self.blocks_per_rank * self.block_size
-
-    def total_write_bytes(self) -> int:
-        """Payload bytes over all ranks and rounds (== file size: dense)."""
-        return self.file_size
-
     def expected_contents(self) -> bytes:
         """Reference contents of the whole file after every round."""
         content = bytearray(self.file_size)

@@ -21,9 +21,8 @@ closed form and every read mode must return byte-identical data.
 is never written and reads back as zeros — the shape that exercises
 zero-extent elision in the collective read scatter (resolvers ship hole
 descriptors instead of literal zero bytes).  :meth:`seed_pairs` yields the
-write vector that produces exactly this sparse dump, and
-:meth:`expected_contents` zero-fills the hole slots so the byte-identity
-oracle stays exact.
+write vector that produces exactly this sparse dump, and :meth:`is_hole`
+names the slots a byte-identity oracle must expect zeros in.
 """
 
 from __future__ import annotations
@@ -112,24 +111,10 @@ class CollectiveReadWorkload:
                 pairs.append((offset, self.block_size))
         return pairs
 
-    def rank_bytes_per_round(self, rank: int) -> int:
-        """Bytes one rank fetches in one round (halo included)."""
-        return sum(size for _offset, size in self.read_pairs(rank, 0))
-
-    def total_read_bytes(self) -> int:
-        """Bytes fetched over all ranks and rounds (overlaps counted twice)."""
-        return self.rounds * sum(self.rank_bytes_per_round(rank)
-                                 for rank in range(self.num_ranks))
-
     def is_hole(self, slot: int) -> bool:
         """Whether a section-relative block slot is never written."""
         return (self.hole_every > 0
                 and slot % self.hole_every == self.hole_every - 1)
-
-    def hole_bytes_per_section(self) -> int:
-        """Never-written bytes of one section."""
-        return self.block_size * sum(1 for slot in range(self.blocks_per_section)
-                                     if self.is_hole(slot))
 
     def seed_pairs(self) -> List[Tuple[int, bytes]]:
         """The ``(offset, payload)`` write vector producing the (sparse) dump.
@@ -153,28 +138,6 @@ class CollectiveReadWorkload:
                 else:
                     pairs.append((offset, payload))
         return pairs
-
-    def expected_contents(self) -> bytes:
-        """Reference contents of the whole file (hole slots zero-filled)."""
-        content = self.content_workload().expected_contents()
-        if self.hole_every <= 0:
-            return content
-        sparse = bytearray(content)
-        for round_index in range(self.rounds):
-            base = round_index * self.section_size
-            for slot in range(self.blocks_per_section):
-                if self.is_hole(slot):
-                    offset = base + slot * self.block_size
-                    sparse[offset:offset + self.block_size] = \
-                        b"\x00" * self.block_size
-        return bytes(sparse)
-
-    def expected_pieces(self, rank: int, round_index: int) -> bytes:
-        """The bytes one rank's scan must return, concatenated."""
-        content = self.expected_contents()
-        return b"".join(content[offset:offset + size]
-                        for offset, size in self.read_pairs(rank,
-                                                            round_index))
 
     def _validate(self, rank: int, round_index: int) -> None:
         if not 0 <= rank < self.num_ranks:

@@ -120,15 +120,6 @@ class GhostCellSimulation:
             pairs.append((region.offset, raw[index * row_bytes:(index + 1) * row_bytes]))
         return pairs
 
-    def expected_file_content(self) -> bytes:
-        """The bytes the shared snapshot file must contain after all dumps.
-
-        Because every rank writes the *same global values* in its ghost
-        region, any serialization of the dumps produces the full field —
-        which is exactly why a correct atomic dump must equal this array.
-        """
-        return self.field.tobytes()
-
     def decode_file(self, content: bytes) -> np.ndarray:
         """Interpret a snapshot file as the 2-D field array."""
         expected = self.domain_y * self.domain_x * self.element_dtype.itemsize
@@ -136,7 +127,3 @@ class GhostCellSimulation:
             content = content + b"\x00" * (expected - len(content))
         array = np.frombuffer(content[:expected], dtype=self.element_dtype)
         return array.reshape(self.domain_y, self.domain_x)
-
-    def total_heat(self) -> float:
-        """Sum of the field (a conserved quantity up to boundary losses)."""
-        return float(self.field.sum())

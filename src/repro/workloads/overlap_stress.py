@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from repro.core.listio import IOVector
 from repro.core.regions import RegionList
 from repro.errors import BenchmarkError
 
@@ -69,11 +68,6 @@ class OverlapStressWorkload:
         """Bytes written by each client."""
         return self.regions_per_client * self.region_size
 
-    @property
-    def total_bytes(self) -> int:
-        """Bytes written by all clients together (overlaps counted per writer)."""
-        return self.bytes_per_client * self.num_clients
-
     # ------------------------------------------------------------------
     def client_regions(self, client: int) -> RegionList:
         """Byte regions written by ``client``."""
@@ -90,23 +84,3 @@ class OverlapStressWorkload:
         value = (client + 1) % 256
         return [(region.offset, bytes([value]) * region.size)
                 for region in self.client_regions(client)]
-
-    def client_vector(self, client: int) -> IOVector:
-        """The write vector of one client (one MPI-I/O call's worth of data)."""
-        return IOVector.for_write(self.client_pairs(client))
-
-    def has_overlaps(self) -> bool:
-        """True if at least two clients' regions overlap."""
-        if self.num_clients < 2 or self.overlap_fraction == 0.0:
-            return False
-        return self.client_regions(0).overlaps(self.client_regions(1))
-
-    def overlapping_client_pairs(self) -> List[Tuple[int, int]]:
-        """All pairs of clients whose regions overlap."""
-        regions = [self.client_regions(client) for client in range(self.num_clients)]
-        pairs: List[Tuple[int, int]] = []
-        for a in range(self.num_clients):
-            for b in range(a + 1, self.num_clients):
-                if regions[a].overlaps(regions[b]):
-                    pairs.append((a, b))
-        return pairs

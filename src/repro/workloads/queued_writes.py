@@ -108,10 +108,6 @@ class QueuedWritesWorkload:
             raise BenchmarkError(f"rank {rank} out of range")
         return [(rank * self.client_span, self.client_span)]
 
-    def total_write_bytes(self) -> int:
-        """Payload bytes issued by all clients together."""
-        return self.num_clients * self.slots_per_client * self.region_size
-
     def _validate(self, rank: int, write_index: int) -> None:
         if not 0 <= rank < self.num_clients:
             raise BenchmarkError(f"rank {rank} out of range")

@@ -136,41 +136,6 @@ class RandomVectoredWorkload:
         return merged
 
     # ------------------------------------------------------------------
-    def expected_contents(self, base: Optional[bytes] = None) -> bytes:
-        """The pattern applied in rank order over ``base`` (zeros default)."""
-        content = bytearray(base) if base is not None \
-            else bytearray(self.file_size)
-        if len(content) != self.file_size:
-            raise BenchmarkError("base must match file_size")
-        for rank in range(self.num_ranks):
-            for offset, size, fill in self._specs[rank]:
-                content[offset:offset + size] = bytes([fill]) * size
-        return bytes(content)
-
-    def union_extent(self) -> Optional[Tuple[int, int]]:
-        """``(lo, hi)`` over every rank's regions, or ``None`` if all empty."""
-        offsets = [(offset, offset + size)
-                   for specs in self._specs for offset, size, _ in specs]
-        if not offsets:
-            return None
-        return min(lo for lo, _ in offsets), max(hi for _, hi in offsets)
-
-    def has_cross_rank_overlap(self) -> bool:
-        """True when at least two ranks' regions intersect."""
-        intervals = sorted(
-            (offset, offset + size, rank)
-            for rank, specs in enumerate(self._specs)
-            for offset, size, _ in specs)
-        for (lo_a, hi_a, rank_a), (lo_b, _hi_b, rank_b) in zip(
-                intervals, intervals[1:]):
-            if rank_a != rank_b and lo_b < hi_a:
-                return True
-        return False
-
-    def total_write_bytes(self) -> int:
-        """Payload bytes over all ranks (overlaps counted per writer)."""
-        return sum(size for specs in self._specs for _o, size, _f in specs)
-
     def _validate(self, rank: int) -> None:
         if not 0 <= rank < self.num_ranks:
             raise BenchmarkError(f"rank {rank} out of range")

@@ -92,17 +92,6 @@ class SharedScanWorkload:
                         for index in range(self.num_sections
                                            * self.blocks_per_round))
 
-    def expected_pieces(self, client: int, round_index: int) -> bytes:
-        """The bytes one client's scan must return, concatenated."""
-        content = self.expected_contents()
-        return b"".join(content[offset:offset + size]
-                        for offset, size in self.read_pairs(client,
-                                                            round_index))
-
-    def total_read_bytes(self) -> int:
-        """Bytes fetched over all clients and rounds."""
-        return self.num_clients * self.rounds * self.section_size
-
     def _validate(self, client: int, round_index: int) -> None:
         if not 0 <= client < self.num_clients:
             raise BenchmarkError(f"client {client} out of range")

@@ -81,16 +81,6 @@ class TileIOWorkload:
         """Bytes of the shared dataset file."""
         return self.array_size_x * self.array_size_y * self.sz_element
 
-    @property
-    def bytes_per_process(self) -> int:
-        """Bytes each process writes (its whole tile, overlaps included)."""
-        return self.sz_tile_x * self.sz_tile_y * self.sz_element
-
-    @property
-    def total_bytes(self) -> int:
-        """Bytes written by the whole job (overlaps counted per writer)."""
-        return self.bytes_per_process * self.num_processes
-
     # ------------------------------------------------------------------
     def tile_coords(self, rank: int) -> Tuple[int, int]:
         """(tile_y, tile_x) position of ``rank`` (row-major tile numbering)."""
@@ -122,11 +112,6 @@ class TileIOWorkload:
         value = (rank + 1) % 256
         return [(region.offset, bytes([value]) * region.size)
                 for region in self.rank_regions(rank)]
-
-    def has_overlaps(self) -> bool:
-        """True when adjacent tiles share border elements."""
-        return (self.overlap_x > 0 and self.nr_tiles_x > 1) or \
-            (self.overlap_y > 0 and self.nr_tiles_y > 1)
 
     def scaled_to(self, num_processes: int) -> "TileIOWorkload":
         """A copy with the tile grid resized to roughly ``num_processes`` tiles.

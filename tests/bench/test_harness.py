@@ -8,6 +8,8 @@ from repro.bench.metrics import ThroughputSample, scaling_efficiency, speedup
 from repro.bench.reporting import format_series, format_table
 from repro.cluster import ClusterConfig
 from repro.errors import BenchmarkError
+from repro.obs.registry import MetricsRegistry
+from repro.obs.views import collect_all
 from repro.workloads.overlap_stress import OverlapStressWorkload
 
 QUICK = ClusterConfig(network_latency=1e-5, disk_overhead=1e-4)
@@ -78,7 +80,14 @@ class TestEnvironment:
                                         config=QUICK)
         assert environment.backend == backend
         assert environment.num_storage_nodes == 2
-        assert environment.storage_stats()
+        metrics = collect_all(MetricsRegistry(), cluster=environment.cluster)
+        assert metrics.get("cluster.nodes") > 2
+        if backend == "versioning":
+            metrics = collect_all(MetricsRegistry(),
+                                  deployment=environment.deployment)
+            assert metrics.get("storage.providers") == 2
+        else:
+            assert environment.deployment.stats()["osts"] == 2
 
     def test_equal_storage_resources(self):
         versioning = build_environment("versioning", num_storage_nodes=4,
@@ -105,7 +114,12 @@ class TestHarness:
                                       workload.file_size)
         assert result.backend == backend
         assert result.num_clients == 3
-        assert result.total_bytes == workload.total_bytes
+        assert result.total_bytes == 3 * workload.bytes_per_client
+        # every rank's bytes reached a disk; the versioning side's counters
+        # ride along under their registry names
+        assert result.metrics["disk.bytes"] >= result.total_bytes
+        assert result.metrics["disk.busy_s"] > 0
+        assert ("storage.chunks" in result.metrics) == (backend == "versioning")
         assert result.write_elapsed > 0
         assert result.throughput_mib > 0
         assert len(result.per_rank_elapsed) == 3

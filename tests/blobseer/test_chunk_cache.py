@@ -14,6 +14,8 @@ from repro.blobseer.chunk_cache import CHUNK_CACHE_BYTES, ChunkCache
 from repro.blobseer.deployment import BlobSeerDeployment
 from repro.cluster import Cluster, ClusterConfig
 from repro.errors import ProviderUnavailable
+from repro.obs.registry import MetricsRegistry
+from repro.obs.views import collect_cluster
 from repro.vstore.client import VectoredClient
 from repro.workloads.overlap_stress import OverlapStressWorkload
 
@@ -23,6 +25,13 @@ CHUNK = 256
 
 def key(sequence):
     return ChunkKey("w", sequence)
+
+
+def transport(cluster):
+    """The cluster's network, RPC and disk totals, by registry name."""
+    registry = MetricsRegistry()
+    collect_cluster(registry, cluster)
+    return registry.snapshot()
 
 
 def run(cluster, generator):
@@ -111,12 +120,12 @@ class TestWriterReadsItsOwnChunks:
         cluster, deployment, (client, other) = make_clients(2)
         run(cluster, client.vwrite_and_wait(
             BLOB, [(0, b"p" * 300), (900, b"q" * 50)]))
-        before = cluster.stats()
+        before = transport(cluster)
         pieces = run(cluster, client.vread(BLOB, [(100, 150), (910, 20),
                                                   (2000, 8)]))
         assert pieces == [b"p" * 150, b"q" * 20, b"\x00" * 8]
-        after = cluster.stats()
-        assert after["disk_operations"] == before["disk_operations"]
+        after = transport(cluster)
+        assert after["disk.operations"] == before["disk.operations"]
         assert all("get_chunk_ranges" not in provider.calls
                    for provider in deployment.data_providers.values())
         assert client.extents_fetched == 0
@@ -181,10 +190,10 @@ def test_restart_read_moves_only_the_bytes_the_reader_did_not_write():
             return pieces
 
         run(cluster, write_phase())
-        before = cluster.stats()
+        before = transport(cluster)
         reads = [run(cluster, restart_read(rank)) for rank in range(4)]
         moved = {name: value - before[name]
-                 for name, value in cluster.stats().items()}
+                 for name, value in transport(cluster).items()}
         moved["get_chunk_ranges"] = sum(
             provider.calls.get("get_chunk_ranges", 0)
             for provider in deployment.data_providers.values())
@@ -200,8 +209,8 @@ def test_restart_read_moves_only_the_bytes_the_reader_did_not_write():
     # ranks 0-2: the upper half of each of two regions is somebody else's
     foreign = 3 * 2 * chunk
     own = 4 * 2 * 2 * chunk - foreign
-    assert moved["disk_bytes"] == foreign
-    assert cold["disk_bytes"] == foreign + own
+    assert moved["disk.bytes"] == foreign
+    assert cold["disk.bytes"] == foreign + own
     assert sum(client.extents_fetched for client in clients) == 3 * 2
     assert [client.chunk_cache.stats.bytes_served for client in clients] \
         == [2 * chunk] * 3 + [4 * chunk]
@@ -210,11 +219,11 @@ def test_restart_read_moves_only_the_bytes_the_reader_did_not_write():
     spared = cold["get_chunk_ranges"] - moved["get_chunk_ranges"]
     assert spared > 0
     assert 3 <= moved["get_chunk_ranges"] <= 3 * 2
-    assert cold["rpc_calls"] - moved["rpc_calls"] == spared
-    assert cold["disk_operations"] - moved["disk_operations"] == spared
+    assert cold["rpc.calls"] - moved["rpc.calls"] == spared
+    assert cold["disk.operations"] - moved["disk.operations"] == spared
     # and the network carried exactly the own bytes, and the spared
     # requests, less
-    assert cold["network_bytes"] - moved["network_bytes"] \
+    assert cold["net.bytes"] - moved["net.bytes"] \
         == own + spared * ClusterConfig().control_message_size
 
 

@@ -217,7 +217,7 @@ class TestMetadataReadPathModes:
         uncached, base_client, _ = self._read_all(enable_metadata_cache=False)
         content, client, _ = self._read_all()
         assert content == uncached
-        assert client.metadata_read_rpcs < base_client.metadata_read_rpcs
+        assert client.tiers.shard_stats.read_rpcs < base_client.tiers.shard_stats.read_rpcs
 
     def test_a_cold_read_costs_one_round_per_shard_at_most(self):
         """Every leaf a read touches is looked up at the read version in
@@ -246,20 +246,21 @@ class TestMetadataReadPathModes:
                     if offset <= start + index < offset + size:
                         expected[start + index - offset] = byte
             assert content == bytes(expected)
-            assert 0 < reader.metadata_read_rpcs <= shards
+            assert 0 < reader.tiers.shard_stats.read_rpcs <= shards
 
     def test_batching_and_cache_cut_round_trips(self):
         _, base_client, base_deployment = self._read_all(
             enable_metadata_cache=False)
         _, fast_client, fast_deployment = self._read_all()
-        assert base_client.metadata_read_rpcs > fast_client.metadata_read_rpcs
+        assert base_client.tiers.shard_stats.read_rpcs > fast_client.tiers.shard_stats.read_rpcs
         # the client-side counter agrees with the service-side accounting
         assert (base_deployment.stats()["metadata_read_rpcs"]
-                == base_client.metadata_read_rpcs)
+                == base_client.tiers.shard_stats.read_rpcs)
         assert (fast_deployment.stats()["metadata_read_rpcs"]
-                == fast_client.metadata_read_rpcs)
+                == fast_client.tiers.shard_stats.read_rpcs)
         # warm second pass means a real hit rate
-        assert fast_client.metadata_cache.stats.hit_rate > 0.4
+        stats = fast_client.metadata_cache.stats
+        assert stats.hits > 0.4 * stats.lookups
 
 
 @pytest.mark.parametrize("seed", range(20))

@@ -8,7 +8,15 @@ from repro.cluster import Cluster, ClusterConfig
 from repro.core.atomicity import VectoredWrite, check_mpi_atomicity
 from repro.core.listio import IOVector
 from repro.errors import ProviderUnavailable
+from repro.obs.registry import MetricsRegistry
+from repro.obs.views import collect_cluster
 from repro.vstore.client import VectoredClient
+
+
+def rpc_calls(cluster):
+    registry = MetricsRegistry()
+    collect_cluster(registry, cluster)
+    return registry.get("rpc.calls")
 
 
 def make_deployment(num_providers=3):
@@ -77,7 +85,7 @@ class TestProviderFailure:
         run(cluster, write_phase())
         deployment.fail_provider("bs-data0")
         deployment.fail_provider("bs-data1")
-        calls = cluster.stats()["rpc_calls"]
+        calls = rpc_calls(cluster)
 
         def read_through(client):
             data = yield from client.read("b", 0, 256)
@@ -85,7 +93,7 @@ class TestProviderFailure:
 
         assert run(cluster, read_through(writer)) == b"y" * 256
         # version lookup only: the tree is primed, the bytes are held
-        assert cluster.stats()["rpc_calls"] == calls + 1
+        assert rpc_calls(cluster) == calls + 1
         assert writer.extents_fetched == 0
         with pytest.raises(ProviderUnavailable):
             run(cluster, read_through(other))

@@ -86,7 +86,7 @@ class TestLookupSemantics:
         assert found
         assert service.stats.hits == 1
         assert service.stats.misses == 1
-        assert service.stats.hit_rate == 0.5
+        assert 2 * service.stats.hits == service.stats.lookups > 0
 
     def test_alias_under_exact_version(self):
         """A node fetched under a newer hint is also visible under its own
@@ -335,21 +335,32 @@ class TestAttachment:
         assert service.attached == []
 
     def test_deployment_stats_assert_no_duplicate_attachments(self):
-        """The aggregate stats walk doubles as the invariant's tripwire:
-        a duplicate smuggled past attach() must raise, not be summed."""
+        """The shared-tier collector doubles as the invariant's tripwire:
+        a duplicate smuggled past attach() is a reported problem, so every
+        ``assert_identities`` (and ``deployment.stats()``) raises."""
         from repro.blobseer.deployment import BlobSeerDeployment
         from repro.cluster import Cluster, ClusterConfig
+        from repro.obs.registry import IdentityViolation, MetricsRegistry
+        from repro.obs.views import collect_shared_cache
 
         cluster = Cluster(config=ClusterConfig(shared_metadata_cache=True))
         deployment = BlobSeerDeployment(cluster, num_providers=1,
                                         num_metadata_providers=1,
                                         chunk_size=4096)
         service = deployment.node_cache(cluster.add_node("cn0"))
-        assert deployment.shared_cache_stats()["attached_clients"] == 0
+        assert deployment.stats()["shared_cache"]["attached_clients"] == 0
         service.attached.append("ghost")  # forced corruption
         service.attached.append("ghost")
-        with pytest.raises(StorageError):
-            deployment.shared_cache_stats()
+        registry = MetricsRegistry()
+        collect_shared_cache(registry, deployment)
+        problems = registry.check_identities()
+        assert len(problems) == 1
+        assert problems[0].startswith("cache.shared.attachments: ")
+        assert "cn0" in problems[0] and "ghost" in problems[0]
+        with pytest.raises(IdentityViolation, match="duplicate attachments"):
+            registry.assert_identities()
+        with pytest.raises(IdentityViolation):
+            deployment.stats()
 
 
 # ----------------------------------------------------------------------

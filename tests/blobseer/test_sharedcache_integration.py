@@ -61,7 +61,7 @@ class TestCoLocatedSharing:
 
         pieces = run(cluster, main())
         assert pieces == [b"x" * 64 * 1024]
-        assert second.metadata_read_rpcs == 0
+        assert second.tiers.shard_stats.read_rpcs == 0
         assert second.tiers.fetched_lookups == 0
         assert second.tiers.pool_stats.hits > 0
         assert_gate_invariant(deployment)
@@ -98,7 +98,7 @@ class TestCoLocatedSharing:
 
         pieces = run(cluster, main())
         assert pieces == [b"z" * 32 * 1024]
-        assert reader.metadata_read_rpcs == 0
+        assert reader.tiers.shard_stats.read_rpcs == 0
         assert reader.tiers.pool_stats.hits > 0
         assert_gate_invariant(deployment)
 
@@ -121,7 +121,7 @@ class TestCoLocatedSharing:
             return pieces
 
         assert run(cluster, phase2()) == [b"k" * CHUNK]
-        assert successor.metadata_read_rpcs == 0
+        assert successor.tiers.shard_stats.read_rpcs == 0
 
     def test_detached_client_reads_cold_from_the_shards(self):
         """RED-FIRST: detaching used to clear the shared cache but leave
@@ -146,7 +146,7 @@ class TestCoLocatedSharing:
             return pieces
 
         assert run(cluster, cold_read()) == [b"d" * 4 * CHUNK]
-        assert reader.metadata_read_rpcs > 0
+        assert reader.tiers.shard_stats.read_rpcs > 0
         assert deployment.node_caches["cn1"].stats.lookups == 0
 
 

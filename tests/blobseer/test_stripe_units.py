@@ -18,6 +18,8 @@ from repro.blobseer.metadata.segment_tree import (
 from repro.blobseer.provider_manager import ProviderManager
 from repro.cluster import Cluster, ClusterConfig
 from repro.core.listio import IOVector
+from repro.obs.registry import MetricsRegistry
+from repro.obs.views import collect_cluster
 from repro.vstore.client import VectoredClient
 
 KiB = 1024
@@ -142,7 +144,9 @@ class TestEnginePlacesUnits:
 
         # 128 KiB in 64 pieces = 2 stripe units = 2 RPCs = 2 disk I/Os ...
         assert put_chunks_calls(deployment) == {"bs-data0": 1, "bs-data1": 1}
-        assert cluster.stats()["disk_operations"] == 2
+        registry = MetricsRegistry()
+        collect_cluster(registry, cluster)
+        assert registry.get("disk.operations") == 2
         # ... of 32 chunks each: a unit is a placement group, not a chunk
         assert receipt.chunks == ROWS
         assert [deployment.data_providers[name].store.chunk_count()

@@ -259,7 +259,7 @@ def test_a_leaf_lookup_ships_its_runs_and_gets_its_base_chain_back():
     # the two leaves are looked up at the read version in one round (one
     # RPC per shard holding one), and the five chain levels after it are
     # private-tier hits
-    assert client.metadata_read_rpcs == len(calls) <= 2
+    assert client.tiers.shard_stats.read_rpcs == len(calls) <= 2
     assert client.tiers.private.stats.hits == version - 1
     assert partition_problems([client.tiers]) == []
 
@@ -271,11 +271,11 @@ def test_links_pass_the_node_pool_gate_and_spare_a_co_tenant_the_shards():
     second = VectoredClient(deployment, node, name="second")
     assert run(cluster, first.vread(BLOB, [(0, CHUNK)], version)) == [
         expected_leaf(version)]
-    assert first.metadata_read_rpcs > 0
+    assert first.tiers.shard_stats.read_rpcs > 0
     # the co-tenant finds the leaf and its chain in the pool
     assert run(cluster, second.vread(BLOB, [(0, CHUNK)], version)) == [
         expected_leaf(version)]
-    assert second.metadata_read_rpcs == 0
+    assert second.tiers.shard_stats.read_rpcs == 0
     assert second.tiers.pool_stats.hits > version - 1
 
     # a pool that has seen only version 3 published: of a version-6 leaf
@@ -308,14 +308,14 @@ def test_a_pool_hit_is_promoted_into_the_private_cache():
     assert run(cluster, second.vread(BLOB, extent, 1)) == [
         PAYLOAD[:8 * CHUNK]]
     chain = second.tiers
-    assert second.metadata_read_rpcs == 0
+    assert second.tiers.shard_stats.read_rpcs == 0
     assert chain.private.stats.hits == 0
     assert chain.pool_stats.hits == chain.lookups > 0
     pool_lookups = chain.pool_stats.lookups
 
     assert run(cluster, second.vread(BLOB, extent, 1)) == [
         PAYLOAD[:8 * CHUNK]]
-    assert second.metadata_read_rpcs == 0
+    assert second.tiers.shard_stats.read_rpcs == 0
     assert chain.pool_stats.lookups == pool_lookups
     assert chain.private.stats.hits == chain.lookups - pool_lookups
     assert partition_problems([first.tiers, chain]) == []

@@ -494,7 +494,7 @@ class TestWriteThroughCache:
         run(cluster, client.vread(BLOB, [(0, 600)], version=receipt.version))
         assert client.metadata_cache.stats.hits > before
         # the whole snapshot was self-published: zero node fetches needed
-        assert client.metadata_read_rpcs == 0
+        assert client.tiers.shard_stats.read_rpcs == 0
 
     def test_write_through_can_be_disabled(self):
         cluster, _, client = make_client(write_through_cache=False)

@@ -4,6 +4,8 @@ import pytest
 
 from repro.cluster import Cluster, ClusterConfig, Service
 from repro.errors import SimulationError
+from repro.obs.registry import MetricsRegistry
+from repro.obs.views import collect_cluster
 
 
 def make_cluster(**overrides):
@@ -268,7 +270,10 @@ class TestRpc:
 
         cluster.sim.process(proc())
         cluster.run()
-        stats = cluster.stats()
-        assert stats["nodes"] == 2
-        assert stats["rpc_calls"] == 1
-        assert stats["disk_bytes"] == 100
+        registry = MetricsRegistry()
+        collect_cluster(registry, cluster)
+        assert registry.get("cluster.nodes") == 2
+        assert registry.get("rpc.calls") == 1
+        assert registry.get("disk.bytes") == 100
+        assert registry.get("disk.operations") == 1
+        assert registry.get("net.messages") == cluster.network.messages > 0

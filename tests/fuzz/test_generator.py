@@ -24,6 +24,7 @@ from repro.fuzz.scenario import (
     build_workload,
     workload_file_size,
 )
+from tests._workloads import union_extent
 
 SEEDS = range(120)
 
@@ -118,7 +119,7 @@ def test_injector_constraints_over_a_seed_range():
                 lo, span = window
                 assert 0 <= lo and lo + span <= phase.workload["file_size"]
                 workload = build_workload(phase.workload, scenario.num_ranks)
-                extent = workload.union_extent()
+                extent = union_extent(workload)
                 if extent is not None:
                     assert lo <= extent[0] and extent[1] <= lo + span
             elif injector.kind == "cache_thrash":

@@ -20,6 +20,7 @@ from repro.fuzz.injectors import (
 from repro.fuzz.runner import execute_scenario
 from repro.fuzz.scenario import InjectorSpec, PhaseSpec, build_workload
 from repro.mpiio.adio.collective import aggregator_ranks
+from tests._workloads import union_extent
 from tests.fuzz._scenlib import CHECKPOINT, checkpoint_phase, \
     make_scenario, random_workload
 
@@ -104,7 +105,7 @@ def test_hot_spot_window_confines_the_workload():
         injectors=[InjectorSpec(kind="hot_spot", phase=0,
                                 params={"window": [2048, 2048]})])
     built = build_workload(workload, NUM_RANKS)
-    lo, hi = built.union_extent()
+    lo, hi = union_extent(built)
     assert 2048 <= lo and hi <= 4096
     result = run_clean(scenario)
     assert result.fired == ["hot_spot"]

@@ -295,7 +295,7 @@ def test_collectively_empty_read_is_a_no_op():
     # the group still participated collectively — nobody read independently
     for driver in drivers.values():
         assert driver.reader.stats.collectives == 1
-        assert driver.client.metadata_read_rpcs == 0
+        assert driver.client.tiers.shard_stats.read_rpcs == 0
 
 
 def test_empty_vector_ranks_participate_alongside_readers():
@@ -355,7 +355,7 @@ def test_non_resolver_ranks_spend_zero_metadata_control_rpcs():
     for rank, driver in drivers.items():
         client = driver.client
         if rank not in owners:
-            assert client.metadata_read_rpcs == 0
+            assert client.tiers.shard_stats.read_rpcs == 0
             assert client.latest_rpcs == 0
         # no rank but the lead resolver ever asks for ``latest``
         if rank != min(owners):
@@ -424,7 +424,7 @@ def run_rounds_job(steps, *, num_ranks=4, num_resolvers=2, seed_regions=None):
 
 
 def control_rpcs(driver):
-    return driver.client.metadata_read_rpcs, driver.client.latest_rpcs
+    return driver.client.tiers.shard_stats.read_rpcs, driver.client.latest_rpcs
 
 
 @pytest.mark.parametrize("num_ranks,num_resolvers", [(4, 2), (64, 16)])

@@ -350,9 +350,9 @@ def test_healed_retry_and_a_following_independent_read_return_the_bytes():
         yield from ctx.comm.barrier(ctx.rank)
         fault._heal(ctx.rank, driver)
         retry = yield from handle.read_at_all(0, FILE_SIZE)
-        before = (client.metadata_read_rpcs, client.latest_rpcs)
+        before = (client.tiers.shard_stats.read_rpcs, client.latest_rpcs)
         again = yield from handle.read_at(0, FILE_SIZE)
-        spent = (client.metadata_read_rpcs - before[0],
+        spent = (client.tiers.shard_stats.read_rpcs - before[0],
                  client.latest_rpcs - before[1])
         yield from handle.close()
         return retry, again, before[0], spent

@@ -173,7 +173,7 @@ class TestConcurrentAtomicity:
         observed, writes = concurrent_overlapping_job(environment, 4, atomic=True,
                                                       stagger=True)
         # no fcntl (MPI-I/O layer) locks were ever requested
-        stats = environment.storage_stats()
+        stats = environment.deployment.stats()
         fcntl_locks = sum(
             1
             for ost in environment.deployment.osts

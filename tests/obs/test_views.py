@@ -1,13 +1,18 @@
-"""Registry-backed views over the stack's scattered stats surfaces."""
+"""The registry is the one read side of the stack's counters."""
+
+import math
+
+import pytest
 
 from repro.blobseer.deployment import BlobSeerDeployment
 from repro.cluster.cluster import Cluster
 from repro.cluster.config import ClusterConfig
 from repro.obs.registry import MetricsRegistry
 from repro.obs.views import (
-    _DEPLOYMENT_STAT_NAMES,
+    DEPLOYMENT_STAT_NAMES,
     collect_all,
     collect_clients,
+    collect_cluster,
     collect_deployment,
 )
 from repro.vstore.client import VectoredClient
@@ -58,7 +63,8 @@ def test_collect_all_holds_identities_and_totals():
     # the checks of the module docstring were all run
     assert set(registry._reported) == {"metadata.lookup_partition",
                                        "metadata.tier_services",
-                                       "cache.chunk.lookup_partition"}
+                                       "cache.chunk.lookup_partition",
+                                       "cache.shared.attachments"}
 
 
 def test_chunk_partition_catches_an_extent_nobody_served():
@@ -98,8 +104,9 @@ def test_service_check_is_vacuous_without_shared_tier():
 
 
 def test_server_and_client_metadata_counters_live_apart():
-    """The naming-drift fix: the legacy dicts used one key for two
-    different quantities; the registry keeps them distinguishable."""
+    """The server and the clients count metadata round-trips under one
+    ``stats()`` key and one client field name; the registry keeps the two
+    quantities apart."""
     cluster, deployment, clients = run_workload()
     registry = collect_all(MetricsRegistry(), cluster=cluster,
                            deployment=deployment, clients=clients)
@@ -107,23 +114,60 @@ def test_server_and_client_metadata_counters_live_apart():
     assert registry.get("metadata.server.read_rpcs") == \
         stats["metadata_read_rpcs"]
     assert registry.get("metadata.client.read_rpcs") == \
-        sum(client.metadata_read_rpcs for client in clients)
+        sum(client.tiers.shard_stats.read_rpcs for client in clients)
     assert "metadata.server.read_rpcs" in registry
     assert "metadata.client.read_rpcs" in registry
 
 
-def test_collect_deployment_files_every_storage_side_stat():
-    _cluster, deployment, _clients = run_workload()
+@pytest.mark.parametrize("shared_cache", [True, False])
+def test_collect_deployment_files_every_storage_side_stat(shared_cache):
+    """``BlobSeerDeployment.stats()`` is a view of the collector: every key
+    equals its registry name's value, with the shared tier on and off."""
+    _cluster, deployment, clients = run_workload(shared_cache=shared_cache)
     registry = MetricsRegistry()
     collect_deployment(registry, deployment)
     stats = deployment.stats()
     scalars = {key for key, value in stats.items()
                if not isinstance(value, dict)}
-    assert scalars == set(_DEPLOYMENT_STAT_NAMES)
-    for key, name in _DEPLOYMENT_STAT_NAMES.items():
+    assert scalars == set(DEPLOYMENT_STAT_NAMES)
+    for key, name in DEPLOYMENT_STAT_NAMES.items():
         assert registry.get(name) == stats[key], key
+    shared = stats["shared_cache"]
+    assert list(shared) == ["hits", "misses", "insertions", "evictions",
+                            "unpublished_rejections", "services", "entries",
+                            "attached_clients"]
+    for key in list(shared)[:-1]:
+        assert registry.get(f"cache.shared.{key}") == shared[key], key
     assert registry.get("cache.shared.lookups") \
-        == stats["shared_cache"]["hits"] + stats["shared_cache"]["misses"]
+        == shared["hits"] + shared["misses"]
+    # read off the stores and services directly, not through the collector
+    stores = [service.store for service in deployment.data_providers.values()]
+    assert stats["stored_bytes"] == sum(store.stored_bytes()
+                                        for store in stores) == 2 * 4096
+    assert stats["snapshots_published"] == 2
+    assert shared["services"] == (1 if shared_cache else 0)
+    assert shared["attached_clients"] == (len(clients) if shared_cache else 0)
+    if shared_cache:
+        assert shared["insertions"] > 0 and shared["entries"] > 0
+    else:
+        assert shared["insertions"] == shared["entries"] == 0
+
+
+def test_collect_cluster_sums_the_disks_busy_time():
+    """``disk.busy_s`` is the exact (``math.fsum``) total of the disks'
+    ``busy_time``, the denominator of the paper suite's overhead share."""
+    cluster, _deployment, _clients = run_workload()
+    registry = MetricsRegistry()
+    collect_cluster(registry, cluster)
+    disks = [node.disk for node in cluster.nodes.values() if node.disk]
+    assert len(disks) == 2
+    busy = registry.get("disk.busy_s")
+    assert busy == math.fsum(disk.busy_time for disk in disks) > 0
+    assert registry.get("disk.operations") \
+        == sum(disk.operations for disk in disks)
+    assert registry.get("net.bytes") == cluster.network.bytes_transferred
+    assert registry.get("rpc.calls") == cluster.rpc.total_calls
+    assert registry.get("cluster.nodes") == len(cluster.nodes)
 
 
 def test_lookup_partition_holds_without_a_private_cache():

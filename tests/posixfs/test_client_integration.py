@@ -13,6 +13,14 @@ from repro.errors import FileNotFound
 from repro.mpiio.adio.posix_locking import PosixLockingDriver
 from repro.posixfs import PosixClient, PosixFsDeployment
 from repro.posixfs.lock_manager import LockMode
+from repro.obs.registry import MetricsRegistry
+from repro.obs.views import collect_cluster
+
+
+def disk_operations(cluster):
+    registry = MetricsRegistry()
+    collect_cluster(registry, cluster)
+    return registry.get("disk.operations")
 
 
 def make_deployment(num_osts=3, stripe_size=64):
@@ -280,7 +288,7 @@ class TestPerServerBudget:
                     "/f", IOVector.for_write(
                         [(offset, b"x" * size) for offset, size in pairs]),
                     atomic=True)
-                written = env.cluster.stats()["disk_operations"]
+                written = disk_operations(env.cluster)
                 yield from reader.open("/f", 1024 * 1024, create=False)
                 yield from reader.read_vector(
                     "/f", IOVector.for_read(pairs), atomic=True)
@@ -288,5 +296,5 @@ class TestPerServerBudget:
 
             written = run(env.cluster, scenario())
             operations[backend] = (
-                written, env.cluster.stats()["disk_operations"] - written)
+                written, disk_operations(env.cluster) - written)
         assert operations["posix-locking"] == operations["versioning"] == (4, 4)

@@ -54,3 +54,20 @@ def test_a_nested_function_counts_inside_its_unreached_parent(capsys):
     assert [line.split() for line in lines[1:3]] == [
         ["10", "10", "outer"], ["32", "2", "kept.<locals>.closure"]]
     assert lines[-1].startswith("total: 2 functions, 12 lines")
+
+
+def test_against_compares_by_file_and_name_not_line(capsys):
+    """``--against``: a function the parent's report lists stays known when
+    an edit moved its line; one it does not list is flagged."""
+    moved = census.Function(("src/m.py", 40, "moved"), 44, None)
+    fresh = census.Function(("src/m.py", 50, "fresh"), 51, None)
+    reached = census.Function(("src/n.py", 5, "reached"), 9, None)
+    every = [moved, fresh, reached]
+    census.report([census.Function(("src/m.py", 10, "moved"), 14, None)],
+                  started=set())
+    parent = capsys.readouterr().out
+    assert census.listed_in(parent) == {("src/m.py", "moved")}
+    assert census.newly_unreached(every, {reached.key}, parent) \
+        == [fresh.key]
+    assert census.newly_unreached([moved, reached], {reached.key},
+                                  parent) == []

@@ -5,6 +5,8 @@ import pytest
 from repro import VersioningBackend
 from repro.cluster import ClusterConfig
 from repro.errors import OutOfBounds, StorageError
+from repro.obs.registry import MetricsRegistry
+from repro.obs.views import collect_all
 
 
 @pytest.fixture
@@ -74,10 +76,13 @@ class TestFacadeBasics:
     def test_stats_reflect_activity(self, backend):
         backend.create_blob("blob", size=1024)
         backend.vwrite("blob", [(0, b"x" * 300)])
-        stats = backend.stats()
-        assert stats["stored_bytes"] == 300
-        assert stats["snapshots_published"] == 1
-        assert stats["network_bytes"] > 0
+        metrics = collect_all(MetricsRegistry(), cluster=backend.cluster,
+                              deployment=backend.deployment,
+                              clients=[backend.client])
+        assert metrics.get("storage.stored_bytes") == 300
+        assert metrics.get("version.snapshots_published") == 1
+        assert metrics.get("client.bytes_written") == 300
+        assert metrics.get("net.bytes") > 0
 
     def test_many_small_noncontiguous_regions(self, backend):
         blob = backend.create_blob("blob", size=4096)

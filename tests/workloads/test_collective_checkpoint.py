@@ -12,8 +12,14 @@ def test_geometry():
     assert workload.blocks_per_section == 8
     assert workload.section_size == 8 * 512
     assert workload.file_size == 3 * 8 * 512
-    assert workload.rank_bytes_per_round() == 2 * 512
-    assert workload.total_write_bytes() == workload.file_size
+    for rank in range(workload.num_ranks):
+        assert sum(len(payload) for _offset, payload
+                   in workload.write_pairs(rank, 0)) == 2 * 512
+    assert sum(len(payload)
+               for rank in range(workload.num_ranks)
+               for round_index in range(workload.rounds)
+               for _offset, payload in workload.write_pairs(rank, round_index)
+               ) == workload.file_size
 
 
 def test_round_sections_are_dense_and_rank_blocks_disjoint():

@@ -4,6 +4,14 @@ import pytest
 
 from repro.errors import BenchmarkError
 from repro.workloads.collective_read import CollectiveReadWorkload
+from tests._workloads import pieces, sparse_scan_contents
+
+
+def read_bytes(workload):
+    """Bytes fetched over all ranks and rounds (overlaps counted twice)."""
+    return sum(size for rank in range(workload.num_ranks)
+               for round_index in range(workload.rounds)
+               for _offset, size in workload.read_pairs(rank, round_index))
 
 
 def test_read_pairs_cover_each_section_exactly_once_without_halo():
@@ -42,25 +50,28 @@ def test_expected_pieces_match_the_checkpoint_contents():
     workload = CollectiveReadWorkload(num_ranks=3, rounds=2,
                                       blocks_per_rank=2, block_size=64,
                                       halo_blocks=1)
-    content = workload.expected_contents()
-    assert len(content) == workload.file_size
+    content = sparse_scan_contents(workload)
+    # a dense dump is its checkpoint's contents, not a zero byte left
+    assert content == workload.content_workload().expected_contents()
+    assert len(content) == workload.file_size and 0 not in content
     for rank in range(workload.num_ranks):
         for round_index in range(workload.rounds):
-            expected = b"".join(
-                content[offset:offset + size]
-                for offset, size in workload.read_pairs(rank, round_index))
-            assert workload.expected_pieces(rank, round_index) == expected
+            pairs = workload.read_pairs(rank, round_index)
+            scanned = pieces(content, pairs)
+            assert len(scanned) == sum(size for _offset, size in pairs)
+            assert 0 not in scanned
 
 
 def test_byte_accounting():
     workload = CollectiveReadWorkload(num_ranks=4, rounds=3,
                                       blocks_per_rank=2, block_size=512)
-    assert workload.rank_bytes_per_round(0) == 2 * 512
-    assert workload.total_read_bytes() == workload.file_size  # dense scan
+    assert sum(size for _offset, size in workload.read_pairs(0, 0)) \
+        == 2 * 512
+    assert read_bytes(workload) == workload.file_size  # dense scan
     with_halo = CollectiveReadWorkload(num_ranks=4, rounds=3,
                                        blocks_per_rank=2, block_size=512,
                                        halo_blocks=1)
-    assert with_halo.total_read_bytes() > with_halo.file_size
+    assert read_bytes(with_halo) > with_halo.file_size
 
 
 def test_parameter_validation():
@@ -79,7 +90,7 @@ def test_sparse_dumps_zero_the_hole_slots():
     workload = CollectiveReadWorkload(num_ranks=2, rounds=2,
                                       blocks_per_rank=2, block_size=64,
                                       hole_every=2)
-    content = workload.expected_contents()
+    content = sparse_scan_contents(workload)
     assert len(content) == workload.file_size
     for round_index in range(workload.rounds):
         base = round_index * workload.section_size
@@ -89,7 +100,9 @@ def test_sparse_dumps_zero_the_hole_slots():
                 assert block == b"\x00" * 64
             else:
                 assert block != b"\x00" * 64
-    assert workload.hole_bytes_per_section() == 2 * 64
+    holes = [slot for slot in range(workload.blocks_per_section)
+             if workload.is_hole(slot)]
+    assert holes == [1, 3]
 
 
 def test_seed_pairs_reproduce_the_sparse_contents():
@@ -99,7 +112,7 @@ def test_seed_pairs_reproduce_the_sparse_contents():
     rebuilt = bytearray(workload.file_size)
     for offset, payload in workload.seed_pairs():
         rebuilt[offset:offset + len(payload)] = payload
-    assert bytes(rebuilt) == workload.expected_contents()
+    assert bytes(rebuilt) == sparse_scan_contents(workload)
     # written runs never touch a hole slot
     for offset, payload in workload.seed_pairs():
         assert len(payload) % 32 == 0
@@ -107,7 +120,7 @@ def test_seed_pairs_reproduce_the_sparse_contents():
 
 def test_dense_seed_is_one_run_and_hole_every_validates():
     workload = CollectiveReadWorkload(num_ranks=2)
-    assert workload.seed_pairs() == [(0, workload.expected_contents())]
+    assert workload.seed_pairs() == [(0, sparse_scan_contents(workload))]
     with pytest.raises(BenchmarkError):
         CollectiveReadWorkload(num_ranks=2, hole_every=1)
     with pytest.raises(BenchmarkError):

@@ -96,14 +96,15 @@ class TestGhostCellSimulation:
     def test_step_diffuses_heat(self):
         simulation = GhostCellSimulation(domain_x=32, domain_y=32, num_ranks=4)
         initial_max = simulation.field.max()
-        initial_heat = simulation.total_heat()
+        initial_heat = float(simulation.field.sum())
         for _ in range(5):
             simulation.step()
         assert simulation.iteration == 5
         assert simulation.field.max() < initial_max
         # interior diffusion conserves heat (no flux leaves in 5 tiny steps
         # because the hot square sits far from the boundary)
-        assert simulation.total_heat() == pytest.approx(initial_heat, rel=1e-9)
+        assert float(simulation.field.sum()) \
+            == pytest.approx(initial_heat, rel=1e-9)
 
     def test_dump_pairs_cover_each_rank_block(self):
         simulation = GhostCellSimulation(domain_x=32, domain_y=32, num_ranks=4,
@@ -130,7 +131,9 @@ class TestGhostCellSimulation:
         simulation = GhostCellSimulation(domain_x=16, domain_y=16, num_ranks=4,
                                          ghost=2)
         simulation.step()
-        expected = simulation.expected_file_content()
+        # every rank writes the same global values in its ghost region,
+        # so any serialization of the dumps produces the full field
+        expected = simulation.field.tobytes()
         # applying ranks in *any* order must give the same file: the ghost
         # bytes written by several ranks carry identical values
         import itertools

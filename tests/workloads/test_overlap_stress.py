@@ -6,6 +6,15 @@ from repro.errors import BenchmarkError
 from repro.workloads.overlap_stress import OverlapStressWorkload
 
 
+def overlapping_client_pairs(workload):
+    """All pairs of clients whose regions overlap."""
+    regions = [workload.client_regions(client)
+               for client in range(workload.num_clients)]
+    return [(a, b) for a in range(workload.num_clients)
+            for b in range(a + 1, workload.num_clients)
+            if regions[a].overlaps(regions[b])]
+
+
 class TestOverlapStressWorkload:
     def test_invalid_parameters(self):
         with pytest.raises(BenchmarkError):
@@ -25,20 +34,19 @@ class TestOverlapStressWorkload:
             assert len(regions) == 8
             assert all(region.size == 1024 for region in regions)
         assert workload.bytes_per_client == 8 * 1024
-        assert workload.total_bytes == 4 * 8 * 1024
+        assert sum(workload.client_regions(client).total_bytes()
+                   for client in range(4)) == 4 * 8 * 1024
 
     def test_neighbouring_clients_overlap(self):
         workload = OverlapStressWorkload(num_clients=4, regions_per_client=4,
                                          region_size=1024, overlap_fraction=0.5)
-        assert workload.has_overlaps()
-        pairs = workload.overlapping_client_pairs()
+        pairs = overlapping_client_pairs(workload)
         assert (0, 1) in pairs and (1, 2) in pairs and (2, 3) in pairs
 
     def test_zero_overlap_fraction_gives_disjoint_accesses(self):
         workload = OverlapStressWorkload(num_clients=4, regions_per_client=4,
                                          region_size=1024, overlap_fraction=0.0)
-        assert not workload.has_overlaps()
-        assert workload.overlapping_client_pairs() == []
+        assert overlapping_client_pairs(workload) == []
 
     def test_higher_overlap_fraction_increases_overlap(self):
         small = OverlapStressWorkload(num_clients=2, regions_per_client=1,
@@ -67,12 +75,14 @@ class TestOverlapStressWorkload:
             for _offset, data in workload.client_pairs(client):
                 assert set(data) == {client + 1}
 
-    def test_client_vector(self):
+    def test_client_pairs_carry_bytes_per_client(self):
         workload = OverlapStressWorkload(num_clients=2, regions_per_client=3,
                                          region_size=256)
-        vector = workload.client_vector(1)
-        assert vector.is_write
-        assert vector.total_bytes() == workload.bytes_per_client
+        pairs = workload.client_pairs(1)
+        assert [offset for offset, _data in pairs] \
+            == [region.offset for region in workload.client_regions(1)]
+        assert sum(len(data) for _offset, data in pairs) \
+            == workload.bytes_per_client
 
     def test_invalid_client_index(self):
         workload = OverlapStressWorkload(num_clients=2)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import BenchmarkError
 from repro.workloads import RandomVectoredWorkload
+from tests._workloads import union_extent
 
 FILE_SIZE = 8 * 1024
 
@@ -41,17 +42,21 @@ def test_regions_are_disjoint_within_a_rank_and_in_bounds():
 def test_window_confines_every_region():
     workload = make(window=(1024, 2048), max_region_size=400,
                     empty_rank_chance=0.0)
-    lo, hi = workload.union_extent()
+    lo, hi = union_extent(workload)
     assert 1024 <= lo and hi <= 3072
 
 
-def test_expected_contents_match_serial_application():
+def test_every_region_is_one_nonzero_fill_byte():
+    """A region's payload is its spec's fill byte, never zero, so a read
+    tells which rank's region (or a hole) it sees."""
     workload = make(empty_rank_chance=0.0)
-    manual = bytearray(FILE_SIZE)
     for rank in range(3):
-        for offset, payload in workload.write_pairs(rank):
-            manual[offset:offset + len(payload)] = payload
-    assert workload.expected_contents() == bytes(manual)
+        pairs = workload.write_pairs(rank)
+        specs = workload.rank_specs(rank)
+        assert [(offset, len(payload)) for offset, payload in pairs] \
+            == [(offset, size) for offset, size, _fill in specs]
+        for (_offset, payload), (_o, _s, fill) in zip(pairs, specs):
+            assert set(payload) == {fill} and fill != 0
 
 
 def test_read_regions_mirror_write_regions():
@@ -80,12 +85,19 @@ def test_halo_read_regions_grow_merge_and_stay_in_bounds():
                        for h_off, h_size in halo)
 
 
-def test_total_write_bytes_and_overlap_probe():
-    workload = make(empty_rank_chance=0.0)
-    assert workload.total_write_bytes() == sum(
-        len(payload) for rank in range(3)
-        for _offset, payload in workload.write_pairs(rank))
-    assert isinstance(workload.has_cross_rank_overlap(), bool)
+def test_some_seeds_overlap_across_ranks():
+    """The pattern is meant to make ranks collide (atomicity only matters
+    where they do): over a handful of seeds some two ranks' regions
+    intersect."""
+    def overlaps(workload):
+        spans = sorted((offset, offset + size, rank) for rank in range(3)
+                       for offset, size, _fill in workload.rank_specs(rank))
+        return any(rank_a != rank_b and lo_b < hi_a
+                   for (_lo_a, hi_a, rank_a), (lo_b, _hi_b, rank_b)
+                   in zip(spans, spans[1:]))
+
+    assert any(overlaps(make(seed=seed, empty_rank_chance=0.0))
+               for seed in range(10))
 
 
 @pytest.mark.parametrize("params", [

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import BenchmarkError
 from repro.workloads.shared_scan import SharedScanWorkload
+from tests._workloads import pieces
 
 
 class TestIdenticalPattern:
@@ -46,9 +47,11 @@ class TestContents:
         assert len(content) == workload.file_size
         for client in range(2):
             for round_index in range(2):
-                (offset, size), = workload.read_pairs(client, round_index)
-                assert workload.expected_pieces(client, round_index) \
-                    == content[offset:offset + size]
+                base = (workload.section_index(client, round_index)
+                        * workload.section_size)
+                assert pieces(content, workload.read_pairs(
+                    client, round_index)) \
+                    == content[base:base + workload.section_size]
 
     def test_contents_are_nonzero_and_deterministic(self):
         workload = SharedScanWorkload(num_clients=2)
@@ -74,4 +77,8 @@ class TestValidation:
     def test_total_read_bytes(self):
         workload = SharedScanWorkload(num_clients=2, rounds=3,
                                       blocks_per_round=2, block_size=64)
-        assert workload.total_read_bytes() == 2 * 3 * 2 * 64
+        assert sum(size for client in range(workload.num_clients)
+                   for round_index in range(workload.rounds)
+                   for _offset, size in workload.read_pairs(client,
+                                                            round_index)) \
+            == 2 * 3 * 2 * 64

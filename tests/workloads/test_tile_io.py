@@ -46,20 +46,22 @@ class TestTileIOWorkload:
         regions = workload.rank_regions(0)
         assert len(regions) == 8
         assert all(region.size == 8 * 4 for region in regions)
-        assert workload.bytes_per_process == 8 * 8 * 4
+        assert regions.total_bytes() == 8 * 8 * 4
 
     def test_adjacent_tiles_overlap(self):
         workload = TileIOWorkload(nr_tiles_x=2, nr_tiles_y=1, sz_tile_x=10,
                                   sz_tile_y=4, sz_element=1, overlap_x=2,
                                   overlap_y=0)
-        assert workload.has_overlaps()
         assert workload.rank_regions(0).overlaps(workload.rank_regions(1))
 
     def test_no_overlap_configuration(self):
         workload = TileIOWorkload(nr_tiles_x=2, nr_tiles_y=2, sz_tile_x=8,
                                   sz_tile_y=8, sz_element=1, overlap_x=0,
                                   overlap_y=0)
-        assert not workload.has_overlaps()
+        assert not any(
+            workload.rank_regions(a).overlaps(workload.rank_regions(b))
+            for a in range(workload.num_processes)
+            for b in range(a + 1, workload.num_processes))
         union = RegionList()
         for rank in range(workload.num_processes):
             union = regions_union(union, workload.rank_regions(rank))
