@@ -37,10 +37,11 @@ def main() -> None:
             curves[backend][clients] = result.throughput_mib
             atomic_ok = verify_job_atomicity(environment, workload.num_processes,
                                              workload.rank_pairs, result)
+            lock_wait = result.metrics.get("lock.fcntl_wait_s", 0.0)
             print(f"{backend:15s} {clients:2d} tiles "
                   f"({workload.nr_tiles_x}x{workload.nr_tiles_y}): "
                   f"{result.throughput_mib:8.1f} MiB/s, "
-                  f"lock wait {result.lock_wait_time:6.3f} s, "
+                  f"lock wait {lock_wait:6.3f} s, "
                   f"MPI atomicity {'OK' if atomic_ok else 'VIOLATED'}")
 
     print()

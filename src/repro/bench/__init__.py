@@ -19,7 +19,7 @@ section and ablations as well as the repo's own perf suites
 
 from repro.bench.environment import ExperimentEnvironment, build_environment
 from repro.bench.harness import RunResult, run_atomic_write_job, verify_job_atomicity
-from repro.bench.metrics import ThroughputSample, speedup
+from repro.bench.metrics import ThroughputSample
 from repro.bench.reporting import format_table
 
 __all__ = [
@@ -29,6 +29,5 @@ __all__ = [
     "run_atomic_write_job",
     "verify_job_atomicity",
     "ThroughputSample",
-    "speedup",
     "format_table",
 ]

@@ -118,7 +118,7 @@ def run_overlap_point(settings, config: ClusterConfig, *, experiment: str,
         "total_mib": result.total_bytes / MiB,
         "elapsed_s": result.write_elapsed,
         "throughput_mib_s": result.throughput_mib,
-        "lock_wait_s": result.lock_wait_time,
+        "lock_wait_s": metrics.get("lock.fcntl_wait_s", 0.0),
         "disk_ios_per_write": _disk_ios_per_write(result),
         "disk_overhead_share": _disk_overhead_share(result, config),
         "load_imbalance": metrics.get("storage.load_imbalance", 1.0),
@@ -152,7 +152,7 @@ def run_tile_point(settings, config: ClusterConfig, *, backend: str,
         "total_mib": result.total_bytes / MiB,
         "elapsed_s": result.write_elapsed,
         "throughput_mib_s": result.throughput_mib,
-        "lock_wait_s": result.lock_wait_time,
+        "lock_wait_s": result.metrics.get("lock.fcntl_wait_s", 0.0),
         "disk_ios_per_write": _disk_ios_per_write(result),
         "disk_overhead_share": _disk_overhead_share(result, config),
     }, {}

@@ -14,7 +14,6 @@ between the two barriers), the metric the paper plots.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Sequence, Tuple
 
@@ -120,9 +119,8 @@ class RunResult:
     write_elapsed: float
     job_elapsed: float
     per_rank_elapsed: List[float]
-    lock_wait_time: float
-    #: the job's cluster (and, on the versioning backend, deployment)
-    #: counters under their registry names (:mod:`repro.obs.views`)
+    #: the job's cluster, deployment and drivers' counters under their
+    #: registry names (:mod:`repro.obs.views`)
     metrics: Dict[str, object]
     path: str
     file_size: int
@@ -186,9 +184,6 @@ def run_atomic_write_job(environment: ExperimentEnvironment,
     write_elapsed = max(ends) - min(starts) if starts else 0.0
     total_bytes = sum(job.results)
 
-    lock_wait = math.fsum(getattr(driver, "lock_wait_time", 0.0)
-                          for driver in drivers)
-
     return RunResult(
         backend=environment.backend,
         num_clients=num_clients,
@@ -197,11 +192,9 @@ def run_atomic_write_job(environment: ExperimentEnvironment,
         job_elapsed=job.elapsed,
         per_rank_elapsed=[write_spans[rank][1] - write_spans[rank][0]
                           for rank in sorted(write_spans)],
-        lock_wait_time=lock_wait,
         metrics=collect_all(
             MetricsRegistry(), cluster=cluster,
-            deployment=(environment.deployment
-                        if environment.backend == "versioning" else None),
+            deployment=environment.deployment, drivers=drivers,
         ).snapshot(),
         path=path,
         file_size=file_size,

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping
+from typing import Dict, Mapping
 
 from repro.obs.registry import MetricsRegistry
 
@@ -30,11 +30,6 @@ class ThroughputSample:
     def throughput_mib(self) -> float:
         """Aggregated throughput in MiB/s (the unit the paper plots)."""
         return self.throughput / MiB
-
-    @property
-    def per_client_mib(self) -> float:
-        """Per-client share of the aggregated throughput (MiB/s)."""
-        return self.throughput_mib / max(1, self.num_clients)
 
 
 def per(count: float, operations: int) -> float:
@@ -82,20 +77,3 @@ def reduction(baseline: Mapping[str, object], row: Mapping[str, object],
     if row[column] <= 0:
         return float("inf")
     return baseline[column] / row[column]
-
-
-def speedup(ours: ThroughputSample, baseline: ThroughputSample) -> float:
-    """Throughput ratio of our approach over the baseline (paper's headline)."""
-    base = baseline.throughput
-    if base <= 0:
-        return float("inf")
-    return ours.throughput / base
-
-
-def scaling_efficiency(samples: List[ThroughputSample]) -> Dict[int, float]:
-    """Throughput relative to the single-client point, per client count."""
-    if not samples:
-        return {}
-    reference = min(samples, key=lambda sample: sample.num_clients)
-    return {sample.num_clients: sample.throughput / reference.throughput
-            for sample in samples}

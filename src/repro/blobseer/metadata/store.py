@@ -46,8 +46,6 @@ class MetadataStore:
         # range key -> parallel lists (sorted versions, nodes)
         self._versions: Dict[RangeKey, List[int]] = {}
         self._nodes: Dict[RangeKey, List[MetadataNode]] = {}
-        self.nodes_written: int = 0
-        self.nodes_read: int = 0
 
     # ------------------------------------------------------------------
     def put_node(self, node: MetadataNode) -> None:
@@ -61,7 +59,6 @@ class MetadataStore:
             return
         versions.insert(index, node.key.version)
         nodes.insert(index, node)
-        self.nodes_written += 1
 
     def remove_node(self, key: NodeKey) -> bool:
         """Remove the node with exactly this key (rollback of failed writes).
@@ -98,7 +95,6 @@ class MetadataStore:
         index = bisect.bisect_right(versions, version)
         if index == 0:
             return None
-        self.nodes_read += 1
         return self._nodes[range_key][index - 1]
 
     def get_nodes(self, blob_id: str, requests: Sequence[NodeRequest],

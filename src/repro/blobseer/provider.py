@@ -26,14 +26,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class DataProviderStore:
-    """In-memory map of chunk key -> immutable payload, with usage counters."""
+    """In-memory map of chunk key -> immutable payload."""
 
     def __init__(self, provider_id: str):
         self.provider_id = provider_id
         self._chunks: Dict[ChunkKey, Payload] = {}
-        #: cumulative number of bytes ever stored (for load-balancing stats)
-        self.bytes_written: int = 0
-        self.bytes_read: int = 0
         #: set True by failure-injection tests to simulate a crashed provider
         self.failed: bool = False
 
@@ -48,7 +45,6 @@ class DataProviderStore:
                 f"chunk {key} re-uploaded with different content on "
                 f"{self.provider_id}; chunks are immutable")
         self._chunks[key] = data
-        self.bytes_written += len(data)
 
     def get_chunk(self, key: ChunkKey) -> Payload:
         """Fetch a chunk payload (the stored object)."""
@@ -57,7 +53,6 @@ class DataProviderStore:
             data = self._chunks[key]
         except KeyError:
             raise ChunkNotFound(f"{key} not stored on {self.provider_id}") from None
-        self.bytes_read += len(data)
         return data
 
     def has_chunk(self, key: ChunkKey) -> bool:

@@ -45,8 +45,6 @@ class RpcTransport:
     def __init__(self, cluster: "Cluster"):
         self.cluster = cluster
         self.total_calls: int = 0
-        self.total_request_bytes: int = 0
-        self.total_response_bytes: int = 0
         # observability hooks, resolved once: each is None when disabled,
         # so the per-call cost of a disabled channel is one attribute test
         obs = cluster.obs
@@ -77,7 +75,6 @@ class RpcTransport:
             raise SimulationError(f"service {service.name} has no method {method!r}")
 
         self.total_calls += 1
-        self.total_request_bytes += request_bytes
         service._account(method)
         started = sim.now
 
@@ -97,7 +94,6 @@ class RpcTransport:
         # response (sized from the result when the caller passed a callable)
         if callable(response_bytes):
             response_bytes = response_bytes(result)
-        self.total_response_bytes += response_bytes
         yield from self.cluster.network.transfer(
             service.node, caller, max(response_bytes, config.control_message_size),
             trace_parent=_trace_parent)

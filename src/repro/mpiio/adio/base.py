@@ -35,14 +35,6 @@ class ADIODriver:
     #: their client's handle instead
     observability = None
 
-    def __init__(self) -> None:
-        #: bytes moved through this driver (benchmark metric)
-        self.bytes_written: int = 0
-        self.bytes_read: int = 0
-        #: number of write/read calls
-        self.write_calls: int = 0
-        self.read_calls: int = 0
-
     # ------------------------------------------------------------------
     # interface (generator methods)
     # ------------------------------------------------------------------
@@ -141,13 +133,5 @@ class ADIODriver:
         yield  # pragma: no cover
 
     # ------------------------------------------------------------------
-    def _account_write(self, vector: IOVector) -> None:
-        self.bytes_written += vector.total_bytes()
-        self.write_calls += 1
-
-    def _account_read(self, vector: IOVector) -> None:
-        self.bytes_read += vector.total_bytes()
-        self.read_calls += 1
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} ({self.name})>"

@@ -53,7 +53,6 @@ class ConflictDetectDriver(PosixLockingDriver):
 
         if not conflict:
             self.locks_skipped += 1
-            self._account_write(vector)
             written = yield from self.client.write_vector(path, vector)
             return written
 

@@ -28,12 +28,10 @@ class NoLockDriver(PosixLockingDriver):
 
     def write_vector(self, path: str, vector: IOVector, atomic: bool,
                      rank: int = 0, comm: Optional["Communicator"] = None):
-        self._account_write(vector)
         written = yield from self.client.write_vector(path, vector)
         return written
 
     def read_vector(self, path: str, vector: IOVector, atomic: bool,
                     rank: int = 0, comm: Optional["Communicator"] = None):
-        self._account_read(vector)
         data = yield from self.client.read_vector(path, vector)
         return data

@@ -35,7 +35,6 @@ class PosixLockingDriver(ADIODriver):
                  rank_name: Optional[str] = None,
                  stripe_size: Optional[int] = None,
                  stripe_count: Optional[int] = None):
-        super().__init__()
         self.deployment = deployment
         self.client = PosixClient(deployment, node,
                                   name=rank_name or f"adio:{node.name}")
@@ -87,7 +86,6 @@ class PosixLockingDriver(ADIODriver):
     def write_vector(self, path: str, vector: IOVector, atomic: bool,
                      rank: int = 0, comm: Optional["Communicator"] = None):
         """Lock (covering extent), write the regions, unlock."""
-        self._account_write(vector)
         handle = yield from self._lock(path, vector, LockMode.EXCLUSIVE, atomic)
         written = yield from self.client.write_vector(path, vector,
                                                       _locked=handle is not None)
@@ -98,7 +96,6 @@ class PosixLockingDriver(ADIODriver):
     def read_vector(self, path: str, vector: IOVector, atomic: bool,
                     rank: int = 0, comm: Optional["Communicator"] = None):
         """Lock (shared covering extent) in atomic mode, read, unlock."""
-        self._account_read(vector)
         handle = yield from self._lock(path, vector, LockMode.SHARED, atomic)
         data = yield from self.client.read_vector(
             path, vector, _locked=handle is not None)

@@ -71,7 +71,6 @@ class VersioningDriver(ADIODriver):
                  collective_buffering: bool = False,
                  collective_aggregators: Optional[int] = None,
                  **client_options):
-        super().__init__()
         self.deployment = deployment
         self.write_coalescing = write_coalescing
         self.collective_buffering = collective_buffering
@@ -115,7 +114,6 @@ class VersioningDriver(ADIODriver):
     def write_vector(self, path: str, vector: IOVector, atomic: bool,
                      rank: int = 0, comm: Optional["Communicator"] = None):
         """One vectored write = one atomic snapshot (locking-free)."""
-        self._account_write(vector)
         if self.write_coalescing and not atomic:
             yield from self.client.vwrite_queued(path, vector)
             return vector.total_bytes()
@@ -141,8 +139,6 @@ class VersioningDriver(ADIODriver):
             written = yield from super().write_vector_all(
                 path, vector, atomic, rank=rank, comm=comm)
             return written
-        if len(vector) > 0:
-            self._account_write(vector)
         written = yield from self.aggregator.collective_write(
             path, vector, rank, comm)
         return written
@@ -177,8 +173,6 @@ class VersioningDriver(ADIODriver):
             data = yield from super().read_vector_all(
                 path, vector, atomic, rank=rank, comm=comm)
             return data
-        if len(vector) > 0:
-            self._account_read(vector)
         data = yield from self.reader.collective_read(
             path, vector, rank, comm)
         return data
@@ -186,7 +180,6 @@ class VersioningDriver(ADIODriver):
     def read_vector(self, path: str, vector: IOVector, atomic: bool,
                     rank: int = 0, comm: Optional["Communicator"] = None):
         """Reads always come from one published snapshot, so they are atomic."""
-        self._account_read(vector)
         if self._needs_flush_barrier(path):
             # read-your-writes: queued writes must be published first
             yield from self.client.vbarrier(path)

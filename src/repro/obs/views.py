@@ -1,16 +1,20 @@
 """Pull-based collectors: the one read side of the stack's counters.
 
 The hot paths keep their plain integer counters (``BlobClient``'s fields,
-``CacheStats``, ``CoalescerStats``, ``CollectiveStats``, the stores, disks,
-network and RPC transport, per-link counters of the queued network); these
-collectors read those counting objects directly and materialize them into
-a :class:`~repro.obs.registry.MetricsRegistry` under stable dotted names at
-*collection time* — typically once, after a run — so instrumentation costs
-nothing while the simulation executes.  Every bench suite, the
-quickstart example and perfbench read their columns from a registry
-collected here; ``BlobSeerDeployment.stats()`` is a view of
-:func:`collect_deployment` under its historical keys.  ``add`` accumulates,
-so a reading takes a fresh registry.
+``CacheStats``, ``CoalescerStats``, ``CollectiveStats``, the stores, lock
+managers, disks, network and RPC transport, per-link counters of the
+queued network); these collectors read those counting objects directly
+and materialize them into a :class:`~repro.obs.registry.MetricsRegistry`
+under stable dotted names at *collection time* — typically once, after a
+run — so instrumentation costs nothing while the simulation executes.
+Both backends are read here: :func:`collect_deployment` reads the
+versioning store, :func:`collect_locking` the Lustre-like baseline, and
+:func:`collect_all` picks between them from the deployment it is handed.
+Every bench suite, the quickstart example and perfbench read their
+columns from a registry collected here; ``BlobSeerDeployment.stats()``
+and ``PosixFsDeployment.stats()`` are views of their backend's collector
+under their historical keys.  ``add`` accumulates, so a reading takes a
+fresh registry.
 
 The shards and the clients both count metadata read round-trips, and the
 two counts differ: a shard counts the ``get_nodes`` requests it served to
@@ -18,6 +22,18 @@ every client, seeders included (``metadata_read_rpcs`` in
 ``BlobSeerDeployment.stats()``), a collected client the ones it issued
 (its tier chain's ``shard_stats.read_rpcs``).  The registry keeps them
 apart as ``metadata.server.read_rpcs`` and ``metadata.client.read_rpcs``.
+
+The locking side has the same split for lock waits.  ``lock.wait_s`` is
+the server side: the time lock requests sat queued on every OST's lock
+service, summed over both lock namespaces — the MPI-I/O layer's
+``fcntl`` locks and the file system's own ``data`` extent locks, which a
+POSIX access takes when no ``fcntl`` lock covers it (conflict
+detection's lock-free path does).  ``lock.fcntl_wait_s`` is the client
+side: each rank's locking driver times its ``fcntl`` acquisitions from
+the first request to the last grant, round trips to every OST included
+(``PosixLockingDriver.lock_wait_time``), and the collector sums the
+ranks' times with :func:`math.fsum` in rank order.  It is the
+``lock_wait_s`` column of the paper's experiments.
 
 Consistency checks reported on the registry (see
 :meth:`~repro.obs.registry.MetricsRegistry.assert_identities`), over the
@@ -48,18 +64,21 @@ import math
 from typing import Dict, Iterable, TYPE_CHECKING
 
 from repro.blobseer.metadata.tiers import partition_problems, wire_problems
+from repro.posixfs.deployment import PosixFsDeployment
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.blobseer.client import BlobClient
     from repro.blobseer.deployment import BlobSeerDeployment
     from repro.cluster.cluster import Cluster
     from repro.mpi.simcomm import Communicator
+    from repro.mpiio.adio.posix_locking import PosixLockingDriver
     from repro.mpiio.adio.versioning import VersioningDriver
     from repro.obs.linktel import LinkTelemetry
     from repro.obs.registry import MetricsRegistry
 
 __all__ = [
     "DEPLOYMENT_STAT_NAMES",
+    "LOCKING_STAT_NAMES",
     "SHARED_CACHE_COUNTERS",
     "collect_all",
     "collect_clients",
@@ -68,6 +87,7 @@ __all__ = [
     "collect_comms",
     "collect_deployment",
     "collect_link_telemetry",
+    "collect_locking",
     "collect_shared_cache",
 ]
 
@@ -85,6 +105,20 @@ DEPLOYMENT_STAT_NAMES: Dict[str, str] = {
     "snapshots_published": "version.snapshots_published",
     "tickets_assigned": "version.tickets_assigned",
     "load_imbalance": "storage.load_imbalance",
+}
+
+#: ``PosixFsDeployment.stats()`` keys, in its order → the registry names
+#: :func:`collect_locking` files them under.  ``lock_wait_time`` is the
+#: *server-side* queueing time (``lock.wait_s``), not the drivers'
+#: ``fcntl`` wait (``lock.fcntl_wait_s``).
+LOCKING_STAT_NAMES: Dict[str, str] = {
+    "osts": "storage.osts",
+    "stored_bytes": "storage.stored_bytes",
+    "objects": "storage.objects",
+    "files": "storage.files",
+    "locks_granted": "lock.granted",
+    "locks_queued": "lock.queued",
+    "lock_wait_time": "lock.wait_s",
 }
 
 
@@ -211,6 +245,32 @@ def collect_deployment(registry: "MetricsRegistry",
     collect_shared_cache(registry, deployment)
 
 
+def collect_locking(registry: "MetricsRegistry",
+                    deployment: PosixFsDeployment,
+                    drivers: Iterable["PosixLockingDriver"] = ()) -> None:
+    """The Lustre-like baseline's storage and lock counters, plus, when the
+    ranks' locking ``drivers`` are handed in (in rank order), their summed
+    ``fcntl`` wait as ``lock.fcntl_wait_s``."""
+    osts = deployment.osts
+    managers = [ost.locks.manager for ost in osts]
+    registry.set("storage.osts", len(osts))
+    registry.set("storage.stored_bytes",
+                 sum(ost.store.stored_bytes() for ost in osts))
+    registry.set("storage.objects",
+                 sum(ost.store.object_count() for ost in osts))
+    registry.set("storage.files", deployment.mds.server.file_count())
+    registry.add("lock.granted",
+                 sum(manager.locks_granted for manager in managers))
+    registry.add("lock.queued",
+                 sum(manager.locks_queued for manager in managers))
+    registry.set("lock.wait_s",
+                 math.fsum(ost.locks.total_wait_time for ost in osts))
+    drivers = list(drivers)
+    if drivers:
+        registry.set("lock.fcntl_wait_s",
+                     math.fsum(driver.lock_wait_time for driver in drivers))
+
+
 def collect_collective(registry: "MetricsRegistry",
                        drivers: Iterable["VersioningDriver"]) -> None:
     """Collective-buffering and collective-read counters across ranks.
@@ -269,12 +329,18 @@ def collect_link_telemetry(registry: "MetricsRegistry",
 # ----------------------------------------------------------------------
 def collect_all(registry: "MetricsRegistry", *,
                 cluster: "Cluster" = None,
-                deployment: "BlobSeerDeployment" = None,
+                deployment: "BlobSeerDeployment | PosixFsDeployment" = None,
                 clients: Iterable["BlobClient"] = (),
-                drivers: Iterable["VersioningDriver"] = (),
+                drivers: Iterable["VersioningDriver | PosixLockingDriver"] = (),
                 comms: Iterable["Communicator"] = (),
                 complete_clients: bool = False) -> "MetricsRegistry":
     """Collect every surface handed in; returns the registry for chaining.
+
+    The ``deployment`` picks the backend.  A :class:`PosixFsDeployment`
+    goes to :func:`collect_locking` with ``drivers`` as the ranks' locking
+    drivers.  Otherwise ``deployment`` is a ``BlobSeerDeployment`` (or
+    ``None``) and ``drivers`` are versioning drivers, whose clients stand
+    in for ``clients`` when none are given.
 
     ``complete_clients=True`` attests that ``clients`` holds *every*
     client that attached to ``deployment`` — only then can the node
@@ -284,19 +350,22 @@ def collect_all(registry: "MetricsRegistry", *,
     """
     clients = list(clients)
     drivers = list(drivers)
-    if drivers and not clients:
-        clients = [driver.client for driver in drivers]
-    if clients:
-        collect_clients(registry, clients)
-    if drivers:
-        collect_collective(registry, drivers)
+    if isinstance(deployment, PosixFsDeployment):
+        collect_locking(registry, deployment, drivers)
+    else:
+        if drivers and not clients:
+            clients = [driver.client for driver in drivers]
+        if clients:
+            collect_clients(registry, clients)
+        if drivers:
+            collect_collective(registry, drivers)
+        if deployment is not None:
+            collect_deployment(registry, deployment)
+            if complete_clients:
+                registry.report("metadata.tier_services", wire_problems(
+                    [client.tiers for client in clients]))
     if comms:
         collect_comms(registry, comms)
-    if deployment is not None:
-        collect_deployment(registry, deployment)
     if cluster is not None:
         collect_cluster(registry, cluster)
-    if complete_clients and deployment is not None:
-        registry.report("metadata.tier_services", wire_problems(
-            [client.tiers for client in clients]))
     return registry

@@ -60,10 +60,6 @@ class PosixClient:
         self.node = node
         self.name = name or f"posix:{node.name}"
         self._attributes: Dict[str, FileAttributes] = {}
-        #: client-side counters (aggregated by the benchmark harness)
-        self.bytes_written: int = 0
-        self.bytes_read: int = 0
-        self.lock_wait_time: float = 0.0
 
     # ------------------------------------------------------------------
     # helpers
@@ -132,7 +128,6 @@ class PosixClient:
 
         handle = LockHandle(entries, self.cluster.sim.now,
                             self.cluster.sim.now - started)
-        self.lock_wait_time += handle.wait_time
         return handle
 
     def unlock(self, handle: LockHandle):
@@ -221,9 +216,6 @@ class PosixClient:
         if writing:
             yield from self._control(self.deployment.mds, "update_size",
                                      path, vector.covering_extent().end)
-            self.bytes_written += vector.total_bytes()
-        else:
-            self.bytes_read += vector.total_bytes()
         if handle is not None:
             yield from self.unlock(handle)
         return pieces

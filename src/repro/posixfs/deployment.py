@@ -1,8 +1,13 @@
-"""Deployment of the Lustre-like file system on a simulated cluster."""
+"""Deployment of the Lustre-like file system on a simulated cluster.
+
+Its counters — the OSTs' stored bytes and objects, the MDS's files, the
+lock services' grants, queued requests and queueing time — are read by
+:func:`repro.obs.views.collect_locking` into the metrics registry;
+:meth:`PosixFsDeployment.stats` is a view of that collector.
+"""
 
 from __future__ import annotations
 
-import math
 from typing import List, Optional, TYPE_CHECKING
 
 from repro.errors import FileSystemError
@@ -38,14 +43,16 @@ class PosixFsDeployment:
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:
-        """Aggregate storage-side statistics for benchmark reports."""
-        return {
-            "osts": len(self.osts),
-            "stored_bytes": sum(ost.store.stored_bytes() for ost in self.osts),
-            "objects": sum(ost.store.object_count() for ost in self.osts),
-            "files": self.mds.server.file_count(),
-            "locks_granted": sum(ost.locks.manager.locks_granted for ost in self.osts),
-            "locks_queued": sum(ost.locks.manager.locks_queued for ost in self.osts),
-            "lock_wait_time": math.fsum(ost.locks.total_wait_time
-                                        for ost in self.osts),
-        }
+        """Storage-side statistics under their historical keys: a view of
+        :func:`repro.obs.views.collect_locking`, which files them under
+        registry names (``lock_wait_time`` is the lock services' queueing
+        time, ``lock.wait_s`` there, not the drivers' ``fcntl`` wait).
+        """
+        # imported here: repro.obs.views imports this module
+        from repro.obs.registry import MetricsRegistry
+        from repro.obs.views import LOCKING_STAT_NAMES, collect_locking
+
+        registry = MetricsRegistry()
+        collect_locking(registry, self)
+        return {key: registry.get(name)
+                for key, name in LOCKING_STAT_NAMES.items()}

@@ -18,8 +18,6 @@ class ObjectStore:
     def __init__(self, ost_id: str):
         self.ost_id = ost_id
         self._objects: Dict[str, bytearray] = {}
-        self.bytes_written: int = 0
-        self.bytes_read: int = 0
 
     # ------------------------------------------------------------------
     def write_range(self, object_id: str, offset: int, data: bytes) -> int:
@@ -31,7 +29,6 @@ class ObjectStore:
         if end > len(obj):
             obj.extend(b"\x00" * (end - len(obj)))
         obj[offset:end] = data
-        self.bytes_written += len(data)
         return len(data)
 
     def read_range(self, object_id: str, offset: int, size: int) -> bytes:
@@ -43,7 +40,6 @@ class ObjectStore:
             piece = bytes(view[offset:offset + size])
         if len(piece) < size:
             piece += b"\x00" * (size - len(piece))
-        self.bytes_read += size
         return piece
 
     def object_size(self, object_id: str) -> int:

@@ -50,18 +50,6 @@ class RNGScope:
     def stream(self, name: str) -> np.random.Generator:
         return self._rng.stream(f"{self._prefix}:{name}")
 
-    def uniform(self, name: str, low: float = 0.0, high: float = 1.0) -> float:
-        return self._rng.uniform(f"{self._prefix}:{name}", low, high)
-
-    def exponential(self, name: str, mean: float) -> float:
-        return self._rng.exponential(f"{self._prefix}:{name}", mean)
-
-    def integers(self, name: str, low: int, high: int) -> int:
-        return self._rng.integers(f"{self._prefix}:{name}", low, high)
-
-    def shuffled(self, name: str, items):
-        return self._rng.shuffled(f"{self._prefix}:{name}", items)
-
 
 class DeterministicRNG:
     """Factory of named, independent, reproducible random streams."""
@@ -87,21 +75,3 @@ class DeterministicRNG:
             child_seed = int.from_bytes(digest[:8], "little")
             self._streams[name] = np.random.default_rng(child_seed)
         return self._streams[name]
-
-    def uniform(self, name: str, low: float = 0.0, high: float = 1.0) -> float:
-        """Draw one uniform sample from the named stream."""
-        return float(self.stream(name).uniform(low, high))
-
-    def exponential(self, name: str, mean: float) -> float:
-        """Draw one exponential sample with the given mean."""
-        return float(self.stream(name).exponential(mean))
-
-    def integers(self, name: str, low: int, high: int) -> int:
-        """Draw one integer in ``[low, high)`` from the named stream."""
-        return int(self.stream(name).integers(low, high))
-
-    def shuffled(self, name: str, items):
-        """Return a new list with ``items`` shuffled by the named stream."""
-        result = list(items)
-        self.stream(name).shuffle(result)
-        return result

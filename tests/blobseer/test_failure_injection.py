@@ -220,7 +220,7 @@ class TestProviderLog:
                            if version is not None)
         assert len(published) == writers and len(survivors) == 2
         store = deployment.data_provider("bs-data0").store
-        assert store.bytes_written == 2 * chunk
+        assert store.stored_bytes() == 2 * chunk
         manager = deployment.version_manager.manager
         assert manager.tickets_aborted == writers - 2
 

@@ -62,9 +62,9 @@ class TestDataProviderStore:
         store = DataProviderStore("p0")
         key = ChunkKey("w", 0)
         store.put_chunk(key, b"1234")
-        store.get_chunk(key)
-        assert store.bytes_written == 4
-        assert store.bytes_read == 4
+        assert store.get_chunk(key) == b"1234"
+        assert store.stored_bytes() == 4
+        assert store.chunk_count() == 1
 
 
 def manager_of(*providers):

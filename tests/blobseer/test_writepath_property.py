@@ -121,7 +121,8 @@ def test_interleaved_coalescing_writers_publish_in_ticket_order(data):
         current = []
         for index, pairs in enumerate(writes):
             # per-writer jitter interleaves enqueues and flushes across ranks
-            delay = cluster.sim.rng.uniform(f"w{rank}.{index}", 0, 1e-3)
+            delay = float(cluster.sim.rng.stream(f"w{rank}.{index}").uniform(
+                0, 1e-3))
             yield cluster.sim.timeout(delay)
             yield from client.vwrite_queued(BLOB, pairs)
             current.append(pairs)

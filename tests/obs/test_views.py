@@ -7,14 +7,22 @@ import pytest
 from repro.blobseer.deployment import BlobSeerDeployment
 from repro.cluster.cluster import Cluster
 from repro.cluster.config import ClusterConfig
+from repro.core.listio import IOVector
+from repro.mpi.launcher import run_mpi_job
+from repro.mpiio.adio.nolock import NoLockDriver
+from repro.mpiio.adio.posix_listlock import PosixListLockDriver
+from repro.mpiio.adio.posix_locking import PosixLockingDriver
 from repro.obs.registry import MetricsRegistry
 from repro.obs.views import (
     DEPLOYMENT_STAT_NAMES,
+    LOCKING_STAT_NAMES,
     collect_all,
     collect_clients,
     collect_cluster,
     collect_deployment,
+    collect_locking,
 )
+from repro.posixfs.deployment import PosixFsDeployment
 from repro.vstore.client import VectoredClient
 
 
@@ -216,3 +224,75 @@ def test_stats_snapshots_keep_their_keys_and_order():
     assert list(CollectiveReadStats().snapshot()) == [
         "collectives", "bytes_sent", "bytes_received", "stripes_resolved",
         "version_rpcs", "version_rpcs_elided", "hole_bytes_elided"]
+
+
+def run_locking_job(driver_class, ranks=3):
+    """Every rank writes one atomic two-region vector overlapping its
+    neighbours' through its locking driver; returns the deployment and the
+    drivers in rank order."""
+    cluster = Cluster(config=ClusterConfig(), seed=2)
+    deployment = PosixFsDeployment(cluster, num_osts=2,
+                                   default_stripe_size=4096, node_prefix="lw")
+    drivers = [None] * ranks
+
+    def rank_main(ctx):
+        driver = drivers[ctx.rank] = driver_class(
+            deployment, ctx.node, rank_name=f"lw{ctx.rank}")
+        yield from driver.open("/lw", 0, create=True, rank=ctx.rank,
+                               comm=ctx.comm)
+        fill = bytes([ctx.rank + 1]) * 4096
+        vector = IOVector.for_write([(ctx.rank * 2048, fill),
+                                     (16384 + ctx.rank * 2048, fill)])
+        yield from driver.write_vector("/lw", vector, atomic=True,
+                                       rank=ctx.rank, comm=ctx.comm)
+
+    run_mpi_job(cluster, ranks, rank_main, node_prefix="lw-rank")
+    return deployment, drivers
+
+
+def test_collect_locking_files_every_storage_side_stat():
+    """``PosixFsDeployment.stats()`` is a view of the collector: its keys,
+    in their order, each equal to its registry name's value."""
+    deployment, _drivers = run_locking_job(PosixLockingDriver)
+    registry = MetricsRegistry()
+    collect_locking(registry, deployment)
+    stats = deployment.stats()
+    assert list(stats) == list(LOCKING_STAT_NAMES) == [
+        "osts", "stored_bytes", "objects", "files", "locks_granted",
+        "locks_queued", "lock_wait_time"]
+    for key, name in LOCKING_STAT_NAMES.items():
+        assert registry.get(name) == stats[key], key
+    assert "lock.fcntl_wait_s" not in registry
+    # read off the OSTs, lock services and MDS directly
+    osts = deployment.osts
+    assert stats["osts"] == 2 and stats["files"] == 1
+    assert stats["stored_bytes"] == sum(ost.store.stored_bytes()
+                                        for ost in osts) == 16384 + 8192
+    assert stats["locks_granted"] == sum(ost.locks.manager.locks_granted
+                                         for ost in osts) > 0
+    assert stats["locks_queued"] > 0
+    assert stats["lock_wait_time"] == math.fsum(
+        ost.locks.total_wait_time for ost in osts) > 0
+
+
+@pytest.mark.parametrize("driver_class", [PosixLockingDriver,
+                                          PosixListLockDriver, NoLockDriver])
+def test_fcntl_wait_is_the_drivers_exact_sum(driver_class):
+    """``lock.fcntl_wait_s`` is ``math.fsum`` of the drivers' own waits.  It
+    is not ``lock.wait_s``: the driver without MPI-I/O-layer locks waits
+    on no ``fcntl`` lock, while its POSIX accesses still queue on the
+    OSTs' ``data`` locks."""
+    deployment, drivers = run_locking_job(driver_class)
+    registry = collect_all(MetricsRegistry(), deployment=deployment,
+                           drivers=drivers)
+    fcntl_wait = registry.get("lock.fcntl_wait_s")
+    assert fcntl_wait == math.fsum(driver.lock_wait_time
+                                   for driver in drivers)
+    assert registry.get("lock.wait_s") > 0
+    if driver_class is NoLockDriver:
+        assert fcntl_wait == 0.0
+    else:
+        assert fcntl_wait > 0
+    # the drivers went to the locking collector only
+    assert not any(name.startswith(("client.", "collective."))
+                   for name in registry.snapshot())

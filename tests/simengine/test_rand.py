@@ -26,18 +26,3 @@ def test_stream_is_cached():
     rng = DeterministicRNG(0)
     assert rng.stream("s") is rng.stream("s")
 
-
-def test_helper_draws():
-    rng = DeterministicRNG(7)
-    value = rng.uniform("u", 1.0, 2.0)
-    assert 1.0 <= value <= 2.0
-    assert rng.exponential("e", 5.0) >= 0.0
-    assert 0 <= rng.integers("i", 0, 10) < 10
-
-
-def test_shuffled_returns_permutation():
-    rng = DeterministicRNG(3)
-    items = list(range(20))
-    shuffled = rng.shuffled("order", items)
-    assert sorted(shuffled) == items
-    assert shuffled != items  # overwhelmingly likely for 20 items

@@ -78,7 +78,7 @@ def test_determinism_across_runs():
 
         def worker(name):
             for _ in range(3):
-                delay = sim.rng.uniform(f"delay:{name}", 0.1, 1.0)
+                delay = float(sim.rng.stream(f"delay:{name}").uniform(0.1, 1.0))
                 yield sim.timeout(delay)
                 trace.append((name, round(sim.now, 9)))
 

@@ -1,17 +1,30 @@
 """Guard: every counter is read through the metrics registry.
 
-:mod:`repro.obs.views` reads the counting objects and files them in a
-:class:`~repro.obs.registry.MetricsRegistry`; the bench suites, the
-``vstore`` facade and the examples read their columns from such a
-registry.  Two ``stats()`` methods stay, because perfbench calls both:
-``BlobSeerDeployment.stats()``, a view of the collector under its
-historical keys, and ``PosixFsDeployment.stats()``, the locking baseline's
-counters.  A new ``stats()`` dict, or a reader going back to one, would
-split the one stats surface again.  The sources are checked with ``ast``.
+:mod:`repro.obs.views` reads the counting objects of both backends and
+files them in a :class:`~repro.obs.registry.MetricsRegistry`; the bench
+suites, the ``vstore`` facade and the examples read their columns from
+such a registry.  Two ``stats()`` methods stay, because perfbench calls
+both: ``BlobSeerDeployment.stats()`` and ``PosixFsDeployment.stats()``,
+each a view of its backend's collector under its historical keys.  A new
+``stats()`` dict, a ``stats()`` that counts on its own, a reader going
+back to one or a bench module summing an object's counter through
+``getattr(obj, "name", default)`` would split the one stats surface
+again.  The sources are checked with ``ast``.  The counters no reader
+read are gone, and stay gone.
 """
 
 import ast
 import pathlib
+
+from repro.blobseer.deployment import BlobSeerDeployment
+from repro.blobseer.metadata.store import MetadataStore
+from repro.blobseer.provider import DataProviderStore
+from repro.bench.harness import RunResult
+from repro.cluster.cluster import Cluster
+from repro.mpiio.adio.posix_locking import PosixLockingDriver
+from repro.mpiio.adio.versioning import VersioningDriver
+from repro.posixfs.deployment import PosixFsDeployment
+from repro.posixfs.ost import ObjectStore
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 SRC = REPO / "src"
@@ -19,6 +32,9 @@ SRC = REPO / "src"
 #: the ``def stats`` that may exist under ``src/``: (file, class)
 KEPT = {("src/repro/blobseer/deployment.py", "BlobSeerDeployment"),
         ("src/repro/posixfs/deployment.py", "PosixFsDeployment")}
+
+#: the bench modules, which read no counter off an object themselves
+BENCH = sorted((SRC / "repro" / "bench").rglob("*.py"))
 
 #: what must read its counters from a registry
 READERS = (sorted((SRC / "repro" / "bench").rglob("*.py"))
@@ -59,11 +75,74 @@ def legacy_reads(path):
             yield node.lineno
 
 
+def stats_defs(tree):
+    """Every ``def stats`` of a parsed module."""
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == "stats"]
+
+
+def collector_calls(function):
+    """Names of the ``collect_*`` functions a function body calls."""
+    return [node.func.id for node in ast.walk(function)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id.startswith("collect_")]
+
+
+def counter_getattrs(path):
+    """Line of every ``getattr(obj, "<literal name>", default)`` call."""
+    for node in ast.walk(parsed(path)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "getattr" and len(node.args) == 3
+                and isinstance(node.args[1], ast.Constant)
+                and isinstance(node.args[1].value, str)):
+            yield node.lineno
+
+
 def test_only_the_two_deployment_views_define_stats():
     found = {(str(path.relative_to(REPO)), owner)
              for path in sorted(SRC.rglob("*.py"))
              for owner in stats_owners(parsed(path))}
     assert found == KEPT
+
+
+def test_both_deployment_stats_are_views_of_a_collector():
+    for file, _owner in sorted(KEPT):
+        [function] = stats_defs(parsed(REPO / file))
+        assert collector_calls(function), file
+
+
+def test_bench_reads_no_counter_through_a_getattr_default():
+    assert any(path.name == "harness.py" for path in BENCH)
+    offenders = [f"{path.relative_to(REPO)}:{line}" for path in BENCH
+                 for line in counter_getattrs(path)]
+    assert offenders == []
+
+
+def test_counters_nobody_read_are_gone():
+    cluster = Cluster()
+    locking = PosixFsDeployment(cluster, num_osts=1)
+    versioning = BlobSeerDeployment(cluster, num_providers=1,
+                                    num_metadata_providers=1)
+    node = cluster.add_node("fresh")
+    locking_driver = PosixLockingDriver(locking, node)
+    gone = [
+        (locking_driver, ("bytes_written", "bytes_read", "write_calls",
+                          "read_calls", "_account_write", "_account_read")),
+        (VersioningDriver(versioning, node),
+         ("bytes_written", "bytes_read", "write_calls", "read_calls")),
+        (locking_driver.client, ("bytes_written", "bytes_read",
+                                 "lock_wait_time")),
+        (MetadataStore(), ("nodes_read", "nodes_written")),
+        (cluster.rpc, ("total_request_bytes", "total_response_bytes")),
+        (DataProviderStore("p0"), ("bytes_written", "bytes_read")),
+        (ObjectStore("ost0"), ("bytes_written", "bytes_read")),
+    ]
+    present = [f"{type(owner).__name__}.{name}" for owner, names in gone
+               for name in names if hasattr(owner, name)]
+    assert present == []
+    assert "lock_wait_time" not in RunResult.__dataclass_fields__
+    # the drivers' own fcntl wait is the one driver counter with a reader
+    assert locking_driver.lock_wait_time == 0.0
 
 
 def test_suites_facade_and_examples_read_no_stats_dict():
@@ -84,6 +163,15 @@ def test_the_walk_sees_a_stats_call_and_def(tmp_path):
         "        return {}\n"
         "def read(thing, deployment):\n"
         "    thing.stats()\n"
-        "    return deployment.shared_cache_stats\n")
+        "    return deployment.shared_cache_stats\n"
+        "class View:\n"
+        "    def stats(self):\n"
+        "        return collect_view(self)\n"
+        "def wait(driver):\n"
+        "    return getattr(driver, 'lock_wait_time', 0.0)\n")
     assert list(legacy_reads(sample)) == [5, 6]
-    assert list(stats_owners(parsed(sample))) == ["Thing"]
+    assert list(stats_owners(parsed(sample))) == ["Thing", "View"]
+    counting, view = stats_defs(parsed(sample))
+    assert collector_calls(counting) == []
+    assert collector_calls(view) == ["collect_view"]
+    assert list(counter_getattrs(sample)) == [11]

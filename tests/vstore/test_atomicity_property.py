@@ -58,7 +58,7 @@ def run_concurrent_vwrites(vectors, jitter_seed=0):
                                           chunk_size=CHUNK_SIZE)
         processes = []
         for index, (client, pairs) in enumerate(zip(clients, vectors)):
-            delay = cluster.sim.rng.uniform(f"start:{index}", 0, 1e-3)
+            delay = float(cluster.sim.rng.stream(f"start:{index}").uniform(0, 1e-3))
             processes.append(cluster.sim.process(writer(client, pairs, delay)))
         yield cluster.sim.all_of(processes)
         versions = [process.value for process in processes]
