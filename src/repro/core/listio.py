@@ -31,6 +31,32 @@ FetchedExtent = Tuple[int, int, Optional[Payload]]
 EXTENT_DESCRIPTION_BYTES = 16
 
 
+def encode_extents(extents: Sequence[Tuple[int, int]]) -> List[Tuple[int, ...]]:
+    """Run-length encode ``(offset, size)`` extents: an access description.
+
+    Three or more consecutive extents of equal size at a constant stride —
+    what a vector or subarray filetype flattens to — become one ``(offset,
+    size, stride, count)`` entry; any other extent stays ``(offset, size)``,
+    so an irregular list is exchanged, and priced, exactly as it is.
+    """
+    encoded: List[Tuple[int, ...]] = []
+    index, total = 0, len(extents)
+    while index < total:
+        offset, size = extents[index]
+        stop = index + 1
+        stride = extents[stop][0] - offset if stop < total else 0
+        while stop < total and extents[stop] == (
+                offset + (stop - index) * stride, size):
+            stop += 1
+        if stop - index >= 3:
+            encoded.append((offset, size, stride, stop - index))
+            index = stop
+        else:
+            encoded.append((offset, size))
+            index += 1
+    return encoded
+
+
 def frozen(data) -> Payload:
     """``data`` as a payload nobody can change under its holder.
 
@@ -100,10 +126,16 @@ class IOVector:
     convention of MPI datatypes is *not* required).
     """
 
-    __slots__ = ("_requests",)
+    __slots__ = ("_requests", "_runs", "_payload", "_description", "_total")
 
     def __init__(self, requests: Iterable[IORequest] = ()):
-        self._requests: Tuple[IORequest, ...] = tuple(requests)
+        #: ``None`` until asked for on a vector built :meth:`from_runs`
+        self._requests: Optional[Tuple[IORequest, ...]] = tuple(requests)
+        self._runs: Optional[Sequence[Tuple[int, int]]] = None
+        self._payload: Optional[Payload] = None
+        #: :meth:`description` and :meth:`total_bytes`, once known
+        self._description: Optional[List[Tuple[int, ...]]] = None
+        self._total: Optional[int] = None
 
     # ------------------------------------------------------------------
     # constructors
@@ -124,6 +156,36 @@ class IOVector:
         return cls(IORequest(offset, size) for offset, size in pairs)
 
     @classmethod
+    def from_runs(cls, runs: Sequence[Tuple[int, int]],
+                  payload: Optional[bytes] = None,
+                  description: Optional[List[Tuple[int, ...]]] = None
+                  ) -> "IOVector":
+        """The read vector of ``(offset, size)`` ``runs`` or, given a
+        ``payload``, the write vector laying it over them in order.
+
+        The runs were validated once by their maker (a flattened access:
+        non-negative offsets, positive sizes); the payload is frozen
+        (:func:`frozen`) and checked against their total once.  Requests
+        (the payload itself, or read-only slices of it) are made only when
+        asked for: :meth:`extents`, :meth:`payloads`, :meth:`description`
+        (``description`` when the caller memoized it) and
+        :meth:`total_bytes` answer without them.
+        """
+        total = sum([size for _offset, size in runs])
+        if payload is not None:
+            payload = frozen(payload)
+            if len(payload) != total:
+                raise InvalidRegion(f"payload length {len(payload)} does not "
+                                    f"match the runs' {total} bytes")
+        vector = cls()
+        vector._requests = None
+        vector._runs = runs
+        vector._payload = payload
+        vector._description = description
+        vector._total = total
+        return vector
+
+    @classmethod
     def contiguous_write(cls, offset: int, data: bytes) -> "IOVector":
         """A single-range write vector (``data`` kept as :meth:`for_write`
         keeps a payload)."""
@@ -138,21 +200,22 @@ class IOVector:
     # container protocol
     # ------------------------------------------------------------------
     def __iter__(self) -> Iterator[IORequest]:
-        return iter(self._requests)
+        return iter(self.requests)
 
     def __len__(self) -> int:
-        return len(self._requests)
+        requests = self._requests
+        return len(self._runs if requests is None else requests)
 
     def __getitem__(self, index: int) -> IORequest:
-        return self._requests[index]
+        return self.requests[index]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IOVector):
             return NotImplemented
-        return self._requests == other._requests
+        return self.requests == other.requests
 
     def __hash__(self) -> int:
-        return hash(self._requests)
+        return hash(self.requests)
 
     def __repr__(self) -> str:
         kind = "write" if self.is_write else "read"
@@ -164,25 +227,69 @@ class IOVector:
     @property
     def requests(self) -> Tuple[IORequest, ...]:
         """The underlying requests, in call order."""
-        return self._requests
+        requests = self._requests
+        if requests is None:
+            made = []
+            new = object.__new__
+            for (offset, size), data in zip(self._runs, self.payloads()):
+                request = new(IORequest)
+                request.offset = offset
+                request.size = size
+                request.data = data
+                made.append(request)
+            requests = self._requests = tuple(made)
+        return requests
+
+    def extents(self) -> Sequence[Tuple[int, int]]:
+        """The requests' ``(offset, size)`` pairs, in call order."""
+        if self._requests is None:
+            return self._runs
+        return [(req.offset, req.size) for req in self._requests]
+
+    def payloads(self) -> list:
+        """The requests' payloads, in call order (``None`` for a read
+        request); a vector built from runs cuts them from its one payload."""
+        if self._requests is not None:
+            return [req.data for req in self._requests]
+        payload, runs = self._payload, self._runs
+        if payload is None or len(runs) == 1:
+            return [payload] * len(runs)
+        view = memoryview(payload)
+        payloads = []
+        cursor = 0
+        for _offset, size in runs:
+            payloads.append(view[cursor:cursor + size])
+            cursor += size
+        return payloads
 
     @property
     def is_write(self) -> bool:
         """True if every request carries a payload (a pure write vector)."""
-        return bool(self._requests) and all(req.is_write for req in self._requests)
+        return bool(self.requests) and all(req.is_write for req in self.requests)
 
     @property
     def is_read(self) -> bool:
         """True if no request carries a payload (a pure read vector)."""
-        return all(not req.is_write for req in self._requests)
+        return all(not req.is_write for req in self.requests)
 
     def total_bytes(self) -> int:
-        """Sum of request sizes."""
-        return sum(req.size for req in self._requests)
+        """Sum of request sizes (memoized: a vector is immutable)."""
+        total = self._total
+        if total is None:
+            total = self._total = sum([req.size for req in self._requests])
+        return total
+
+    def description(self) -> List[Tuple[int, ...]]:
+        """The requests' ``(offset, size)`` pairs run-length encoded
+        (:func:`encode_extents`): what a collective exchanges (memoized)."""
+        description = self._description
+        if description is None:
+            description = self._description = encode_extents(self.extents())
+        return description
 
     def region_list(self) -> RegionList:
         """The touched byte ranges (construction order, not normalized)."""
-        return RegionList(req.region for req in self._requests)
+        return RegionList(req.region for req in self.requests)
 
     def covering_extent(self) -> Region:
         """Smallest contiguous range covering the whole vector."""
@@ -201,7 +308,7 @@ class IOVector:
     # ------------------------------------------------------------------
     def sorted_by_offset(self) -> "IOVector":
         """Requests re-ordered by offset (stable)."""
-        return IOVector(sorted(self._requests, key=lambda req: (req.offset, req.size)))
+        return IOVector(sorted(self.requests, key=lambda req: (req.offset, req.size)))
 
     def apply_to(self, content: bytearray) -> None:
         """Apply the write vector in request order onto ``content`` in place.
@@ -209,7 +316,7 @@ class IOVector:
         The target is grown with zero bytes if a request extends past its end,
         mirroring how a file grows on writes past EOF.
         """
-        for req in self._requests:
+        for req in self.requests:
             if not req.is_write:
                 raise InvalidRegion("apply_to() called on a read vector")
             end = req.offset + req.size
@@ -220,7 +327,7 @@ class IOVector:
     def extract_from(self, content: bytes) -> List[bytes]:
         """Read the vector's ranges out of ``content`` (zero-filled past EOF)."""
         results: List[bytes] = []
-        for req in self._requests:
+        for req in self.requests:
             end = req.offset + req.size
             piece = content[req.offset:min(end, len(content))]
             if len(piece) < req.size:

@@ -21,7 +21,7 @@ about 2.5x slower.  Nothing assigns to a region's fields after construction.
 Where one object per block is too many — the collective exchange handles
 one 1 KiB block per rank per stripe — the same algebra runs on canonical
 *runs*, sorted disjoint non-adjacent ``(start, end)`` integer pairs
-(:func:`canonical_runs`, :func:`clip_runs`, :func:`coalesce_runs`).
+(:func:`clip_runs`, :func:`coalesce_runs`).
 """
 
 from __future__ import annotations
@@ -62,13 +62,6 @@ def coalesce_runs(pairs: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
             run_end = end
     merged.append((run_start, run_end))
     return merged
-
-
-def canonical_runs(extents: Iterable[Tuple[int, int]]) -> List[Tuple[int, int]]:
-    """The canonical ``(start, end)`` runs of ``(offset, size)`` extents
-    given in any order (empty extents dropped)."""
-    return coalesce_runs([(offset, offset + size)
-                          for offset, size in extents if size])
 
 
 def clip_runs(runs: Sequence[Tuple[int, int]], start: int,
@@ -150,10 +143,6 @@ class Region:
         if end <= start:
             return Region(start if start >= 0 else 0, 0)
         return Region(start, end - start)
-
-    def shift(self, delta: int) -> "Region":
-        """A copy of the region moved by ``delta`` bytes."""
-        return Region(self.offset + delta, self.size)
 
     def chunk_aligned_pieces(self, chunk_size: int) -> Tuple["Region", ...]:
         """Split the region at every multiple of ``chunk_size``.
@@ -348,7 +337,8 @@ class RegionList:
 
     def shift(self, delta: int) -> "RegionList":
         """Every region moved by ``delta`` bytes (order preserved)."""
-        return RegionList(region.shift(delta) for region in self._regions)
+        return RegionList(Region(region.offset + delta, region.size)
+                          for region in self._regions)
 
     def chunk_aligned(self, chunk_size: int) -> "RegionList":
         """Every region split on ``chunk_size`` boundaries (order preserved)."""

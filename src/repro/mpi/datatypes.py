@@ -14,19 +14,35 @@ constructors the paper's workloads need:
   (the datatype MPI-tile-IO and ghost-cell dumps build their file views
   from).
 
-``flatten()`` returns the byte regions of *one* instance of the datatype
-relative to its own origin, with adjacent regions coalesced.  ``size`` is the
-number of actual data bytes; ``extent`` is the span the next instance starts
-after (lower bound 0, as produced by these constructors).
+``runs()`` returns the type map of *one* instance of the datatype relative
+to its own origin, as canonical ``(offset, size)`` integer runs — no object
+per block — and ``flatten()`` the same as a
+:class:`~repro.core.regions.RegionList`.  ``size`` is the number of actual
+data bytes; ``extent`` is the span the next instance starts after (lower
+bound 0, as produced by these constructors).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 from typing import Iterable, List, Sequence, Tuple
 
-from repro.core.regions import Region, RegionList
+from repro.core.regions import Region, RegionList, coalesce_runs
 from repro.errors import DatatypeError
+
+
+#: a datatype's type map in integer form: canonical ``(offset, size)`` runs
+Runs = Tuple[Tuple[int, int], ...]
+
+
+def _canonical(pieces: Iterable[Tuple[int, int]]) -> Runs:
+    """Canonical runs of ``(offset, size)`` pieces in any order: sorted,
+    overlapping and adjacent pieces merged, empty ones dropped
+    (:func:`~repro.core.regions.coalesce_runs` in ``(offset, size)`` form).
+    """
+    return tuple([(start, end - start) for start, end in coalesce_runs(
+        [(offset, offset + size) for offset, size in pieces if size])])
 
 
 class Datatype:
@@ -42,42 +58,49 @@ class Datatype:
         """Span of one instance (where the next tiled instance begins)."""
         raise NotImplementedError
 
-    def flatten(self) -> RegionList:
-        """Byte regions of one instance, relative to its origin, coalesced.
+    def runs(self) -> Runs:
+        """The type map of one instance as canonical ``(offset, size)``
+        integer runs, relative to its origin.
 
-        The result is memoized on the instance: datatypes are immutable, and
-        file views flatten the same filetype on every access, so recomputing
-        the type map per access would dominate collective planning.
+        Memoized on the instance: datatypes are immutable, and file views
+        flatten the same filetype on every access.
         """
-        cached = self.__dict__.get("_flat")
+        cached = self.__dict__.get("_run_form")
         if cached is None:
             cached = self._flatten()
+            object.__setattr__(self, "_run_form", cached)
+        return cached
+
+    def _flatten(self) -> Runs:
+        """Compute the type map's runs (subclass hook behind :meth:`runs`)."""
+        raise NotImplementedError
+
+    def flatten(self) -> RegionList:
+        """:meth:`runs` as a canonical :class:`RegionList` (memoized)."""
+        cached = self.__dict__.get("_flat")
+        if cached is None:
+            cached = RegionList._from_normalized(
+                [Region(offset, size) for offset, size in self.runs()])
             object.__setattr__(self, "_flat", cached)
         return cached
 
-    def _flatten(self) -> RegionList:
-        """Compute the type map (subclass hook behind the memoized API)."""
-        raise NotImplementedError
-
     # ------------------------------------------------------------------
-    def tiled(self, count: int, origin: int = 0) -> RegionList:
-        """Regions of ``count`` instances tiled back to back from ``origin``."""
+    def tiled_runs(self, count: int, origin: int = 0) -> Runs:
+        """Runs of ``count`` instances tiled back to back from ``origin``."""
         if count < 0:
             raise DatatypeError(f"negative count {count}")
-        if count == 0:
-            return RegionList()
-        base = self.flatten()
-        # fast path: a fully dense datatype (size == extent, one region) tiles
-        # to one big contiguous region — this keeps flattening large
-        # contiguous accesses O(1) instead of O(bytes)
-        if (len(base) == 1 and base[0].offset == 0
-                and base[0].size == self.extent == self.size):
-            return RegionList([Region(origin, count * self.extent)])
-        regions: List[Region] = []
-        for index in range(count):
-            shift = origin + index * self.extent
-            regions.extend(region.shift(shift) for region in base)
-        return RegionList(regions).normalized()
+        base = self.runs()
+        if not count or not base:
+            return ()
+        extent = self.extent
+        # fast path: a fully dense datatype (size == extent, one run) tiles
+        # to one contiguous run — flattening a large contiguous access stays
+        # O(1) instead of O(bytes)
+        if len(base) == 1 and base[0] == (0, extent) and extent == self.size:
+            return ((origin, count * extent),)
+        return _canonical([(origin + index * extent + offset, size)
+                           for index in range(count)
+                           for offset, size in base])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<{type(self).__name__} size={self.size} "
@@ -99,8 +122,8 @@ class BasicType(Datatype):
     def extent(self) -> int:
         return self.width
 
-    def _flatten(self) -> RegionList:
-        return RegionList([(0, self.width)])
+    def _flatten(self) -> Runs:
+        return ((0, self.width),) if self.width else ()
 
 
 BYTE = BasicType("MPI_BYTE", 1)
@@ -128,8 +151,8 @@ class Contiguous(Datatype):
     def extent(self) -> int:
         return self.count * self.base.extent
 
-    def _flatten(self) -> RegionList:
-        return self.base.tiled(self.count)
+    def _flatten(self) -> Runs:
+        return self.base.tiled_runs(self.count)
 
 
 @dataclass(frozen=True)
@@ -159,14 +182,12 @@ class Vector(Datatype):
             return 0
         return ((self.count - 1) * self.stride + self.blocklength) * self.base.extent
 
-    def _flatten(self) -> RegionList:
-        unit = self.base.extent
-        block = self.base.tiled(self.blocklength)
-        regions: List[Region] = []
-        for index in range(self.count):
-            shift = index * self.stride * unit
-            regions.extend(region.shift(shift) for region in block)
-        return RegionList(regions).normalized()
+    def _flatten(self) -> Runs:
+        step = self.stride * self.base.extent
+        block = self.base.tiled_runs(self.blocklength)
+        return _canonical([(index * step + offset, size)
+                           for index in range(self.count)
+                           for offset, size in block])
 
 
 @dataclass(frozen=True)
@@ -179,14 +200,14 @@ class Indexed(Datatype):
 
     def __init__(self, blocklengths: Sequence[int], displacements: Sequence[int],
                  base: Datatype = BYTE):
-        object.__setattr__(self, "blocklengths", tuple(int(b) for b in blocklengths))
-        object.__setattr__(self, "displacements", tuple(int(d) for d in displacements))
+        object.__setattr__(self, "blocklengths", tuple(map(int, blocklengths)))
+        object.__setattr__(self, "displacements", tuple(map(int, displacements)))
         object.__setattr__(self, "base", base)
         if len(self.blocklengths) != len(self.displacements):
             raise DatatypeError("blocklengths and displacements must have equal length")
-        if any(length < 0 for length in self.blocklengths):
+        if min(self.blocklengths, default=0) < 0:
             raise DatatypeError("negative block length")
-        if any(disp < 0 for disp in self.displacements):
+        if min(self.displacements, default=0) < 0:
             raise DatatypeError("negative displacement")
 
     @classmethod
@@ -205,20 +226,16 @@ class Indexed(Datatype):
     def extent(self) -> int:
         if not self.blocklengths:
             return 0
-        end = max(disp + length for disp, length
-                  in zip(self.displacements, self.blocklengths))
-        return end * self.base.extent
+        return max(map(add, self.displacements, self.blocklengths)) \
+            * self.base.extent
 
-    def _flatten(self) -> RegionList:
+    def _flatten(self) -> Runs:
         unit = self.base.extent
-        block_cache = {}
-        regions: List[Region] = []
-        for length, disp in zip(self.blocklengths, self.displacements):
-            if length not in block_cache:
-                block_cache[length] = self.base.tiled(length)
-            regions.extend(region.shift(disp * unit)
-                           for region in block_cache[length])
-        return RegionList(regions).normalized()
+        blocks = {length: self.base.tiled_runs(length)
+                  for length in set(self.blocklengths)}
+        return _canonical([(disp * unit + offset, size) for length, disp
+                           in zip(self.blocklengths, self.displacements)
+                           for offset, size in blocks[length]])
 
 
 @dataclass(frozen=True)
@@ -269,28 +286,28 @@ class Subarray(Datatype):
             total *= size
         return total
 
-    def _flatten(self) -> RegionList:
+    def _flatten(self) -> Runs:
         unit = self.base.extent
         ndims = len(self.sizes)
 
-        # the last dimension is contiguous: one region per "row" of the subarray
+        # the last dimension is contiguous: one run per "row" of the subarray
         row_elements = self.subsizes[-1]
         if row_elements == 0 or any(s == 0 for s in self.subsizes):
-            return RegionList()
+            return ()
 
         # strides (in elements) of each dimension in the full array
         strides = [1] * ndims
         for dim in range(ndims - 2, -1, -1):
             strides[dim] = strides[dim + 1] * self.sizes[dim + 1]
 
-        regions: List[Region] = []
+        rows: List[Tuple[int, int]] = []
         # iterate over every index combination of all but the last dimension
         counters = [0] * (ndims - 1)
         while True:
             element_offset = self.starts[-1]
             for dim in range(ndims - 1):
                 element_offset += (self.starts[dim] + counters[dim]) * strides[dim]
-            regions.append(Region(element_offset * unit, row_elements * unit))
+            rows.append((element_offset * unit, row_elements * unit))
             # odometer increment
             dim = ndims - 2
             while dim >= 0:
@@ -303,4 +320,4 @@ class Subarray(Datatype):
                 break
             if ndims == 1:
                 break
-        return RegionList(regions).normalized()
+        return _canonical(rows)

@@ -5,9 +5,10 @@ on a collective write every rank holds a (possibly non-contiguous) piece of
 a shared access, and committing each piece separately costs one commit per
 rank.  Two-phase collective buffering instead
 
-1. exchanges the ranks' access *descriptions* (one ``allgather`` of region
-   lists) so everyone can compute the same partition of the file domain into
-   ``num_aggregators`` contiguous, chunk-aligned stripes;
+1. exchanges the ranks' access *descriptions* (one ``allgather`` of each
+   rank's run-length encoded ``(offset, size)`` runs) so everyone can
+   compute the same partition of the file domain into ``num_aggregators``
+   contiguous, chunk-aligned stripes;
 2. exchanges the *data* in rounds, as ROMIO does with its collective
    buffer: every stripe is cut at absolute chunk multiples into sub-stripes
    of whole *stripe rows* (data providers x chunk size — one unit per disk)
@@ -32,6 +33,12 @@ rank.  Two-phase collective buffering instead
 4. shares the outcomes and the published watermark back with every rank in
    the closing ``allgather``, so each participant's client learns — at zero
    RPC cost — a published version containing its own data.
+
+An access is described once: every vector of a view's access carries the
+description its flattening encoded (:meth:`~repro.core.listio.IOVector.
+description`).  What every rank derives alike from the gathered
+descriptions — hull, canonical runs, write plan, read buckets — is derived
+on integers once per collective (:func:`_shared_memo`).
 
 The aggregators talk to the storage control plane; the other ranks spend
 *zero* control-plane round-trips on the collective — the traffic that
@@ -84,7 +91,9 @@ logical access.  The collective read instead
 2. partitions the union extent into chunk-aligned stripes owned by
    ``num_aggregators`` *resolver* ranks (same config/heuristic as the write
    side); each resolver resolves its stripe at the pin in one vectored read
-   — non-resolver ranks spend *zero* metadata control RPCs;
+   — non-resolver ranks spend *zero* metadata control RPCs — and walks
+   only the ranks whose description reaches into its stripe
+   (:func:`_stripe_ranks`), not the whole job;
 3. scatters bytes and nothing else over ``alltoallv``: each rank receives
    the written parts of its wanted ranges in run order, without offsets —
    it derives each one from its own canonical runs, clipped to the sending
@@ -108,12 +117,13 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 from itertools import islice
 from operator import itemgetter
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.core.listio import EXTENT_DESCRIPTION_BYTES, IOVector, assemble
-from repro.core.regions import canonical_runs, clip_runs, coalesce_runs
+from repro.core.regions import clip_runs, coalesce_runs
 from repro.errors import MPIIOError
 from repro.mpi.simcomm import Communicator
 
@@ -122,45 +132,6 @@ from repro.mpi.simcomm import Communicator
 #: ``cb_nodes`` to the node count; with one rank per node this is a stand-in
 #: that still demonstrates the aggregation win)
 DEFAULT_RANKS_PER_AGGREGATOR = 4
-
-
-def encode_extents(extents: List[Tuple[int, int]]) -> List[Tuple[int, ...]]:
-    """Run-length encode one rank's access description for the allgather.
-
-    Three or more consecutive extents of equal size at a constant stride —
-    what a vector or subarray filetype flattens to — become one ``(offset,
-    size, stride, count)`` entry; any other extent stays ``(offset, size)``,
-    so an irregular list is exchanged, and priced, exactly as it is.
-    """
-    encoded: List[Tuple[int, ...]] = []
-    index, total = 0, len(extents)
-    while index < total:
-        offset, size = extents[index]
-        stop = index + 1
-        stride = extents[stop][0] - offset if stop < total else 0
-        while stop < total and extents[stop] == (
-                offset + (stop - index) * stride, size):
-            stop += 1
-        if stop - index >= 3:
-            encoded.append((offset, size, stride, stop - index))
-            index = stop
-        else:
-            encoded.append((offset, size))
-            index += 1
-    return encoded
-
-
-def expand_extents(encoded) -> List[Tuple[int, int]]:
-    """The ``(offset, size)`` extents :func:`encode_extents` was given."""
-    extents: List[Tuple[int, int]] = []
-    for entry in encoded:
-        if len(entry) == 2:
-            extents.append(entry)
-        else:
-            offset, size, stride, count = entry
-            extents.extend((offset + index * stride, size)
-                           for index in range(count))
-    return extents
 
 
 def _encoded_bytes(encoded) -> int:
@@ -190,6 +161,15 @@ def aggregator_ranks(size: int, count: int) -> List[int]:
     if not 1 <= count <= size:
         raise MPIIOError(f"need 1..{size} aggregators, got {count}")
     return [(index * size) // count for index in range(count)]
+
+
+@lru_cache(maxsize=128)
+def _stripe_of(size: int, count: int) -> Dict[int, int]:
+    """Aggregator rank -> the stripe it owns, in :func:`aggregator_ranks`
+    order: built once per job shape, so a rank finds its stripe in one
+    lookup.  Shared by every caller: never mutated."""
+    return {owner: stripe
+            for stripe, owner in enumerate(aggregator_ranks(size, count))}
 
 
 def partition_file_domain(lo: int, hi: int, count: int,
@@ -354,6 +334,40 @@ def _cut_views(cuts: list) -> list:
             zip(triples, triples, triples)]
 
 
+def _cut_wanted(wanted: List[Tuple[int, int]], starts: List[int],
+                ends: List[int], views: list) -> Tuple[int, list, list]:
+    """One destination's ``(payload bytes, cuts, holes)``: its canonical
+    ``wanted`` runs cut along the fetched extents that tile them (their
+    ``starts``, ``ends`` and ``views``, ``None`` for a hole) into
+    :func:`_cut_views` triples and merged hole descriptors."""
+    cuts: list = []
+    holes: List[Tuple[int, int]] = []
+    payload = 0
+    # both lists ascend: one bisect finds the first extent, one monotonic
+    # sweep cuts the rest
+    index = bisect_right(ends, wanted[0][0])
+    for run_start, run_end in wanted:
+        cursor = run_start
+        while cursor < run_end:
+            while ends[index] <= cursor:
+                index += 1
+            hi = ends[index]
+            if hi > run_end:
+                hi = run_end
+            view = views[index]
+            if view is not None:
+                base = starts[index]
+                cuts += view, cursor - base, hi - base
+                payload += hi - cursor
+            elif holes and sum(holes[-1]) == cursor:
+                # adjacent never-written extents: one descriptor
+                holes[-1] = (holes[-1][0], hi - holes[-1][0])
+            else:
+                holes.append((cursor, hi - cursor))
+            cursor = hi
+    return payload, cuts, holes
+
+
 def _opening_bytes(entry: Tuple) -> int:
     """Wire size of one rank's opening contribution: its encoded access
     description plus 8 B for the watermark a read carries; a failure
@@ -402,37 +416,116 @@ def _shared_memo(gathered, key, compute):
 
 
 def _scan_gather(gathered) -> Tuple[list, list, int, int, int]:
-    """One pass over an opening gather: errors, extents, version pin, hull.
+    """One pass over an opening gather: errors, descriptions, pin, hull.
 
-    Returns ``(early_errors, extents_by_rank, pinned, lo, hi)``.  ``hi`` is
+    Returns ``(early_errors, descriptions, pinned, lo, hi)``:
+    ``descriptions`` holds each rank's encoded description (``()`` for an
+    error); ``lo`` / ``hi`` bound their data bytes; ``hi`` is
     0 exactly when no rank brought data bytes; ``pinned`` is the maximum
     watermark the healthy ranks of a *read* brought (0 on the write side,
     whose entries carry none; meaningless, but safe, when any rank reported
     an error).
     """
     early_errors: list = []
-    extents_by_rank: list = []
+    descriptions: list = []
     pinned = 0
     lo = None
     hi = 0
     for entry in gathered:
         if entry[0] == "err":
             early_errors.append(entry[1])
-            extents_by_rank.append(())
+            descriptions.append(())
             continue
-        extents = expand_extents(entry[1])
-        extents_by_rank.append(extents)
+        descriptions.append(entry[1])
         for floor in entry[2:]:
             if floor > pinned:
                 pinned = floor
-        for offset, size in extents:
-            if size:
-                if lo is None or offset < lo:
-                    lo = offset
-                end = offset + size
-                if end > hi:
-                    hi = end
-    return early_errors, extents_by_rank, pinned, lo or 0, hi
+        for run in entry[1]:
+            first, size = run[0], run[1]
+            if not size:
+                continue
+            last = first if len(run) == 2 else first + (run[3] - 1) * run[2]
+            if last < first:
+                first, last = last, first
+            if lo is None or first < lo:
+                lo = first
+            if last + size > hi:
+                hi = last + size
+    return early_errors, descriptions, pinned, lo or 0, hi
+
+
+def _description_runs(encoded) -> List[Tuple[int, int]]:
+    """One rank's wanted bytes as canonical ``(start, end)`` runs: a
+    description whose entries ascend without touching (every view's) is
+    canonical as it expands; only any other is sorted and merged."""
+    runs: List[Tuple[int, int]] = []
+    ordered = True
+    end = -1
+    for entry in encoded:
+        offset, size = entry[0], entry[1]
+        if not size:
+            continue
+        if len(entry) == 2:
+            ordered = ordered and offset > end
+            end = offset + size
+            runs.append((offset, end))
+            continue
+        stride, count = entry[2], entry[3]
+        ordered = ordered and offset > end and stride > size
+        if stride:
+            stop = offset + count * stride
+            runs.extend(zip(range(offset, stop, stride),
+                            range(offset + size, stop + size, stride)))
+        else:
+            runs.extend([(offset, offset + size)] * count)
+        end = runs[-1][1]
+    return runs if ordered else coalesce_runs(runs)
+
+
+def _described_runs(gathered, descriptions) -> List[List[Tuple[int, int]]]:
+    """Every rank's :func:`_description_runs`, derived once per collective."""
+    return _shared_memo(gathered, "runs", lambda: [
+        _description_runs(description) for description in descriptions])
+
+
+def _stripe_ranks(descriptions, domains: List[Tuple[int, int]]
+                  ) -> List[List[int]]:
+    """Per stripe, the ranks (ascending) whose description reaches into
+    it — a superset of those wanting its bytes, never missing one.
+
+    An entry reaches every stripe from its first byte's to its last's
+    when no stripe fits in its gaps (the first and last stripes bound the
+    hull, so only interior ones could); only an entry with gaps as wide as
+    a stripe is walked block by block.
+    """
+    ends = [end for _start, end in domains]
+    narrowest = min([end - start for start, end in domains[1:-1]
+                     if end > start], default=float("inf"))
+    buckets: List[List[int]] = [[] for _domain in domains]
+
+    def reach(rank: int, first: int, last: int) -> None:
+        for stripe in range(bisect_right(ends, first),
+                            bisect_right(ends, last) + 1):
+            bucket = buckets[stripe]
+            if not bucket or bucket[-1] != rank:
+                bucket.append(rank)
+
+    for rank, description in enumerate(descriptions):
+        for entry in description:
+            offset, size = entry[0], entry[1]
+            if not size:
+                continue
+            if len(entry) == 2:
+                reach(rank, offset, offset + size - 1)
+                continue
+            stride, count = entry[2], entry[3]
+            last = offset + (count - 1) * stride
+            if abs(stride) - size < narrowest:
+                reach(rank, min(offset, last), max(offset, last) + size - 1)
+            else:
+                for block in range(offset, last + stride, stride):
+                    reach(rank, block, block + size - 1)
+    return buckets
 
 
 def _scan_outcomes(outcomes) -> Tuple[list, int, bool]:
@@ -480,11 +573,14 @@ class _WritePlan(NamedTuple):
     edge_owner: List[int]
     edge_round: List[int]
     edge_extents: List[List[Tuple[int, int]]]
+    #: stripe ``k``'s sub-stripes are ``edges[stripe_edges[k]:
+    #: stripe_edges[k + 1]]``
+    stripe_edges: List[int]
 
 
 def _plan_write_partition(size: int, count: int, lo: int, hi: int,
-                          chunk_size: int, row: int,
-                          extents_by_rank) -> _WritePlan:
+                          chunk_size: int, row: int, descriptions,
+                          runs_by_rank) -> _WritePlan:
     """Aggregator owners, write attribution and exchange rounds of one job.
 
     Each rank's one logical write is attributed to the aggregator owning its
@@ -494,27 +590,29 @@ def _plan_write_partition(size: int, count: int, lo: int, hi: int,
     Every stripe is cut, at absolute chunk multiples, into sub-stripes of
     ``row`` bytes; an aggregator's ``k``-th sub-stripe is exchanged in round
     ``k``.  What a sub-stripe will hold is known before any byte moves — the
-    union of the described extents inside it — which is what lets the
-    aggregator's client place a whole stripe ahead of its data.
+    union of the described runs inside it (``runs_by_rank``) — which is
+    what lets the aggregator's client place a whole stripe ahead of its
+    data.
     """
     owners = aggregator_ranks(size, count)
     domains = partition_file_domain(lo, hi, count, chunk_size)
     domain_ends = [end for _start, end in domains]
     attributed = [0] * count
-    for extents in extents_by_rank:
-        first = next((offset for offset, size in extents if size), None)
+    for description in descriptions:
+        first = next((entry[0] for entry in description if entry[1]), None)
         if first is not None:
             attributed[_domain_index(first, domains, domain_ends)] += 1
     # the written bytes as maximal runs: what the aggregators' assembled
     # sub-stripes will consist of
-    written = canonical_runs(extent for extents in extents_by_rank
-                             for extent in extents)
+    written = coalesce_runs([run for runs in runs_by_rank for run in runs])
     edges: List[int] = []
     edge_owner: List[int] = []
     edge_round: List[int] = []
     edge_extents: List[List[Tuple[int, int]]] = []
+    stripe_edges: List[int] = []
     run = 0
     for owner, (start, end) in zip(owners, domains):
+        stripe_edges.append(len(edges))
         cursor = start - start % chunk_size
         round_index = 0
         while start < end:
@@ -533,8 +631,9 @@ def _plan_write_partition(size: int, count: int, lo: int, hi: int,
             edge_extents.append(inside)
             start = stop
             round_index += 1
+    stripe_edges.append(len(edges))
     return _WritePlan(owners, attributed, max(edge_round) + 1, edges,
-                      edge_owner, edge_round, edge_extents)
+                      edge_owner, edge_round, edge_extents, stripe_edges)
 
 
 class _CollectiveParticipant:
@@ -570,14 +669,12 @@ class _CollectiveParticipant:
         """Phase 1 of either side: allgather this rank's encoded extents
         (a read adds its ``watermark``), or its own ``failure``, priced by
         the actual entries and counted into the stats.  Returns the gathered
-        list and ``(extents_by_rank, pinned, lo, hi)`` (:func:`_scan_gather`);
+        list and ``(descriptions, pinned, lo, hi)`` (:func:`_scan_gather`);
         raises on every rank when any rank reported an error.
         """
         client = self.client
         if failure is None:
-            opening = ("ok", encode_extents(
-                [(request.offset, request.size) for request in vector]),
-                *watermark)
+            opening = ("ok", vector.description(), *watermark)
             self.stats.bytes_sent += _opening_bytes(opening)
         else:
             opening = ("err", f"rank {rank}: {failure!r}")
@@ -640,7 +737,7 @@ class CollectiveAggregator(_CollectiveParticipant):
 
         # phase 1: exchange access descriptions; everyone derives the same
         # file-domain partition (or learns that the collective already died)
-        gathered, (extents_by_rank, _pinned, lo, hi) = yield from \
+        gathered, (descriptions, _pinned, lo, hi) = yield from \
             self._describe("write", blob_id, vector, rank, comm, failure)
         ctx = client.trace_ctx
         if not hi:
@@ -655,8 +752,9 @@ class CollectiveAggregator(_CollectiveParticipant):
                            client.cluster.config)
         plan = _shared_memo(
             gathered, ("write_plan", count, chunk_size, row),
-            lambda: _plan_write_partition(comm.size, count, lo, hi,
-                                          chunk_size, row, extents_by_rank))
+            lambda: _plan_write_partition(
+                comm.size, count, lo, hi, chunk_size, row, descriptions,
+                _described_runs(gathered, descriptions)))
         rounds = plan.rounds
 
         # cutting must not raise mid-protocol: a rank failing here (or in
@@ -674,7 +772,7 @@ class CollectiveAggregator(_CollectiveParticipant):
         # sub-stripe and, while the group exchanges the next round, stages
         # it.  The last round's runs stay in hand: they are what the publish
         # carries itself
-        stripe = plan.owners.index(rank) if rank in plan.owners else None
+        stripe = _stripe_of(comm.size, count).get(rank)
         ahead = None
         runs: Optional[IOVector] = None
         # a stripe with bytes in any round but the last sends them ahead of
@@ -682,7 +780,7 @@ class CollectiveAggregator(_CollectiveParticipant):
         # exchanged, so that no round — nor the publish — waits on it
         placement = None
         if failure is None and stripe is not None:
-            parts = self._stripe_extents(plan, rank)
+            parts = self._stripe_extents(plan, stripe)
             if any(parts[:-1]):
                 placement = client.collective_place(blob_id, parts, rank)
         for index in range(rounds):
@@ -761,17 +859,13 @@ class CollectiveAggregator(_CollectiveParticipant):
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _stripe_extents(plan: _WritePlan, rank: int
+    def _stripe_extents(plan: _WritePlan, stripe: int
                         ) -> List[List[Tuple[int, int]]]:
-        """Per round, the written extents of aggregator ``rank``'s
-        sub-stripe (none for a round its stripe is too short for)."""
-        parts: List[List[Tuple[int, int]]] = [[] for _round in
-                                               range(plan.rounds)]
-        for owner, round_index, extents in zip(
-                plan.edge_owner, plan.edge_round, plan.edge_extents):
-            if owner == rank:
-                parts[round_index] = extents
-        return parts
+        """Per round, the written extents of ``stripe``'s sub-stripe (none
+        for a round the stripe is too short for)."""
+        parts = plan.edge_extents[plan.stripe_edges[stripe]:
+                                  plan.stripe_edges[stripe + 1]]
+        return parts + [[] for _round in range(plan.rounds - len(parts))]
 
     @staticmethod
     def _cut_rounds(vector: IOVector, plan: _WritePlan
@@ -785,23 +879,23 @@ class CollectiveAggregator(_CollectiveParticipant):
         edges, edge_owner, edge_round = \
             plan.edges, plan.edge_owner, plan.edge_round
         sends: List[Dict[int, list]] = [{} for _round in range(plan.rounds)]
-        for sequence, request in enumerate(vector):
-            if request.size == 0:
+        for sequence, ((start, size), data) in enumerate(
+                zip(vector.extents(), vector.payloads())):
+            if size == 0:
                 continue
-            start, end = request.offset, request.offset + request.size
+            end = start + size
             index = bisect_right(edges, start)
             if end <= edges[index]:
                 # the common case: the request crosses no edge
                 sends[edge_round[index]].setdefault(
-                    edge_owner[index], []).append(
-                        (sequence, start, request.data))
+                    edge_owner[index], []).append((sequence, start, data))
                 continue
+            offset = start
             while start < end:
                 cut = min(end, edges[index])
-                data = request.data[start - request.offset:
-                                    cut - request.offset]
                 sends[edge_round[index]].setdefault(
-                    edge_owner[index], []).append((sequence, start, data))
+                    edge_owner[index], []).append(
+                        (sequence, start, data[start - offset:cut - offset]))
                 start = cut
                 index += 1
         return sends
@@ -901,15 +995,14 @@ class CollectiveReader(_CollectiveParticipant):
         """
         client = self.client
         failure: Optional[BaseException] = None
-        owners: List[int] = []
+        stripe_of: Dict[int, int] = {}
         floor = 0
 
         # phase 0 (local): this rank's floor for the group's version pin —
         # the lead resolver's the only one that may cost a round-trip
         try:
-            count = self.resolved_count(comm.size)
-            owners = aggregator_ranks(comm.size, count)
-            lead = rank == owners[0]
+            stripe_of = _stripe_of(comm.size, self.resolved_count(comm.size))
+            lead = stripe_of.get(rank) == 0
             floor, elided = yield from client.collective_pin(blob_id, lead)
             if elided:
                 self.stats.version_rpcs_elided += 1
@@ -921,7 +1014,7 @@ class CollectiveReader(_CollectiveParticipant):
         # phase 1: exchange access descriptions and floors.  The pin is
         # their maximum: every contribution is a *published* version, so it
         # is too — and at least as new as every rank's own commits
-        gathered, (extents_by_rank, pinned, lo, hi) = yield from \
+        gathered, (descriptions, pinned, lo, hi) = yield from \
             self._describe("read", blob_id, vector, rank, comm, failure,
                            floor)
         ctx = client.trace_ctx
@@ -943,23 +1036,20 @@ class CollectiveReader(_CollectiveParticipant):
             try:
                 chunk_size, _providers = yield from \
                     client.collective_geometry(blob_id)
+                count = len(stripe_of)
                 domains = _shared_memo(
-                    gathered, ("read_domains", len(owners), chunk_size),
-                    lambda: partition_file_domain(lo, hi, len(owners),
-                                                  chunk_size))
-                # the per-rank wanted runs are identical for every rank —
-                # derive them once per collective: each resolver clips them
-                # to its own stripe, each receiver places its pieces on its
-                # own
-                wanted_full = _shared_memo(
-                    gathered, "read_wanted",
-                    lambda: [canonical_runs(extents)
-                             for extents in extents_by_rank])
-                if rank in owners:
+                    gathered, ("read_domains", count, chunk_size),
+                    lambda: partition_file_domain(lo, hi, count, chunk_size))
+                wanted_full = _described_runs(gathered, descriptions)
+                stripe = stripe_of.get(rank)
+                if stripe is not None:
+                    buckets = _shared_memo(
+                        gathered, ("read_buckets", count, chunk_size),
+                        lambda: _stripe_ranks(descriptions, domains))
                     send = yield from _phase(
                         ctx, self._resolve_stripe(
-                            blob_id, pinned, domains[owners.index(rank)],
-                            wanted_full, rank),
+                            blob_id, pinned, domains[stripe], wanted_full,
+                            buckets[stripe], rank),
                         "collective.read.resolve", rank=rank,
                         version=pinned)
             except Exception as exc:
@@ -999,7 +1089,7 @@ class CollectiveReader(_CollectiveParticipant):
         client.note_collective_read(blob_id, pinned)
 
         data = self._scatter(vector, received, wanted_full[rank], domains,
-                             owners)
+                             stripe_of)
         self.stats.collectives += 1
         return data
 
@@ -1007,7 +1097,7 @@ class CollectiveReader(_CollectiveParticipant):
                  received: Dict[int, Tuple[int, list, list]],
                  wanted: List[Tuple[int, int]],
                  domains: List[Tuple[int, int]],
-                 owners: List[int]) -> bytes:
+                 stripe_of: Dict[int, int]) -> bytes:
         """This rank's one buffer — the requests of ``vector`` back to back
         — out of the received parts and hole descriptors, in one join.
 
@@ -1024,23 +1114,22 @@ class CollectiveReader(_CollectiveParticipant):
         (:func:`~repro.core.listio.assemble`): the zeros never crossed the
         interconnect.
         """
-        items = [received[owner] for owner in owners if owner in received]
+        # only resolvers send, and their ranks ascend with their stripes
+        sources = sorted(received)
+        items = [received[source] for source in sources]
         if not any([holes for _price, _cuts, holes in items]):
             end = 0
-            for request in vector:
-                if request.offset < end:
+            for offset, size in vector.extents():
+                if offset < end:
                     break
-                end = request.offset + request.size
+                end = offset + size
             else:
                 return b"".join([part for _price, cuts, _holes in items
                                  for part in _cut_views(cuts)])
         extents = []
-        for owner, domain in zip(owners, domains):
-            if owner not in received:
-                continue
-            _price, cuts, holes = received[owner]
+        for source, (_price, cuts, holes) in zip(sources, items):
             spans = _written_spans(
-                clip_runs(wanted, *domain),
+                clip_runs(wanted, *domains[stripe_of[source]]),
                 [(offset, offset + length) for offset, length in holes])
             parts = iter(_cut_views(cuts))
             for start, end in spans:
@@ -1055,14 +1144,17 @@ class CollectiveReader(_CollectiveParticipant):
     # ------------------------------------------------------------------
     def _resolve_stripe(self, blob_id: str, version: int,
                         domain: Tuple[int, int],
-                        wanted_full: List[List[Tuple[int, int]]], rank: int):
+                        wanted_full: List[List[Tuple[int, int]]],
+                        ranks: List[int], rank: int):
         """Resolve and fetch one stripe; cut the bytes per destination rank.
 
-        One fetch of the client at ``version`` over the union of every
-        rank's wanted bytes within the stripe (each byte resolved once
+        Only the stripe's bucket ``ranks`` (:func:`_stripe_ranks`) are
+        walked.  One fetch of the client at ``version`` over the union of
+        their wanted bytes within the stripe (each byte resolved once
         however many ranks want it) gives the sorted extents that tile the
-        union; then per-rank extraction — all of it on canonical ``(start,
-        end)`` runs.  Returns the ``send`` map for the sparse data exchange:
+        union; then per-rank extraction (:func:`_cut_wanted`) — all of it
+        on canonical ``(start, end)`` runs.  Returns the ``send`` map for
+        the sparse data exchange:
         ``(price, cuts, holes)`` for each destination that wants bytes of
         this stripe — ``holes`` are the never-written ranges within that
         rank's wanted bytes, shipped as ``(offset, length)`` descriptors
@@ -1077,8 +1169,10 @@ class CollectiveReader(_CollectiveParticipant):
         """
         start, end = domain
         send: Dict[int, Tuple[int, list, list]] = {}
-        wanted_by_rank = [clip_runs(full, start, end) for full in wanted_full]
-        union = coalesce_runs([run for wanted in wanted_by_rank
+        wanted_by_rank = [(destination,
+                           clip_runs(wanted_full[destination], start, end))
+                          for destination in ranks]
+        union = coalesce_runs([run for _destination, wanted in wanted_by_rank
                                for run in wanted])
         if not union:
             return send
@@ -1093,35 +1187,10 @@ class CollectiveReader(_CollectiveParticipant):
         views = [None if data is None else memoryview(data)
                  for _offset, _length, data in extents]
 
-        for destination, wanted in enumerate(wanted_by_rank):
+        for destination, wanted in wanted_by_rank:
             if not wanted:
                 continue
-            cuts: list = []
-            holes: List[Tuple[int, int]] = []
-            payload = 0
-            # the extents tile the union, which covers every wanted run, and
-            # both lists ascend: one bisect finds the first extent, one
-            # monotonic sweep cuts the rest
-            index = bisect_right(ends, wanted[0][0])
-            for run_start, run_end in wanted:
-                cursor = run_start
-                while cursor < run_end:
-                    while ends[index] <= cursor:
-                        index += 1
-                    hi = ends[index]
-                    if hi > run_end:
-                        hi = run_end
-                    view = views[index]
-                    if view is not None:
-                        base = starts[index]
-                        cuts += view, cursor - base, hi - base
-                        payload += hi - cursor
-                    elif holes and sum(holes[-1]) == cursor:
-                        # adjacent never-written extents: one descriptor
-                        holes[-1] = (holes[-1][0], hi - holes[-1][0])
-                    else:
-                        holes.append((cursor, hi - cursor))
-                    cursor = hi
+            payload, cuts, holes = _cut_wanted(wanted, starts, ends, views)
             if destination != rank:
                 self.stats.hole_bytes_elided += sum(length for _offset, length
                                                     in holes)

@@ -7,11 +7,15 @@ passed to ``write_at`` / ``read_at`` count in ``etype`` units *within the
 accessible bytes*.  Data read or written fills accessible bytes in order.
 
 An access — "``nbytes`` at etype-offset ``offset`` under this view" — is
-flattened once into the absolute byte ranges it touches, as canonical
-``(offset, size)`` runs (ROMIO keeps flattened accesses as plain offset /
-length lists too, one entry per contiguous piece).  The write and read
-vectors every ADIO driver consumes are built straight from those runs;
-:func:`flatten_view_access` offers them as a :class:`RegionList`.
+flattened once, from the filetype's integer runs, into the absolute byte
+ranges it touches, as canonical ``(offset, size)`` runs (ROMIO keeps
+flattened accesses as plain offset / length lists too, one entry per
+contiguous piece), and encoded once into the description a collective
+exchanges.  Both are remembered on the view, so a dump and its restart
+reads flatten and encode their access once.  The write and read vectors
+every ADIO driver consumes are built straight from those runs
+(:meth:`~repro.core.listio.IOVector.from_runs`) and carry the description;
+:func:`flatten_view_access` offers the runs as a :class:`RegionList`.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from repro.core.listio import IOVector, frozen
+from repro.core.listio import IOVector, encode_extents
 from repro.core.regions import RegionList
 from repro.errors import MPIIOError
 from repro.mpi.datatypes import BYTE, Datatype
@@ -27,15 +31,17 @@ from repro.mpi.datatypes import BYTE, Datatype
 
 class _Access:
     """One flattened access: its ``(offset, nbytes)``, its canonical
-    ``(offset, size)`` runs in file order (the order the data fills them)
-    and, once asked for, the same runs as a :class:`RegionList` and as a
-    read vector."""
+    ``(offset, size)`` runs in file order (the order the data fills them),
+    their encoded description (shared by every vector of the access) and,
+    once asked for, the same runs as a :class:`RegionList` and as a read
+    vector."""
 
-    __slots__ = ("key", "runs", "regions", "read_vector")
+    __slots__ = ("key", "runs", "description", "regions", "read_vector")
 
     def __init__(self, key: Tuple[int, int], runs: List[Tuple[int, int]]):
         self.key = key
         self.runs = runs
+        self.description = encode_extents(runs)
         self.regions: Optional[RegionList] = None
         self.read_vector: Optional[IOVector] = None
 
@@ -102,49 +108,52 @@ def _flatten(view: FileView, offset_etypes: int,
              nbytes: int) -> List[Tuple[int, int]]:
     """The runs of a valid, non-empty access (uncached)."""
     skip_bytes = offset_etypes * view.etype.size
-    tile_regions = view.filetype.flatten()
+    tile = view.filetype.runs()
     tile_data_bytes = view.filetype.size
     tile_extent = view.filetype.extent
 
     # fast path: a dense filetype (every byte of its extent is accessible)
     # makes the whole view contiguous, so the access is a single run —
     # avoids iterating tile by tile for plain byte-stream views
-    if (len(tile_regions) == 1 and tile_regions[0].offset == 0
-            and tile_regions[0].size == tile_data_bytes == tile_extent):
+    if (len(tile) == 1 and tile[0] == (0, tile_data_bytes)
+            and tile_data_bytes == tile_extent):
         return [(view.displacement + skip_bytes, nbytes)]
 
-    tile = [(region.offset, region.size) for region in tile_regions]
     # skip whole tiles first
     tile_index = skip_bytes // tile_data_bytes
     skip_in_tile = skip_bytes % tile_data_bytes
 
-    # a tile's regions are canonical and tiles follow each other, so the
-    # pieces come out in file order; only a piece touching the previous
-    # one (across a tile seam) merges into it
+    # a tile's runs are canonical and tiles follow each other, so the
+    # pieces come out in file order; only a tile's first piece can touch
+    # the previous tile's last (across the seam) and merge into it.  A
+    # whole tile is its runs shifted when they hold exactly its data bytes
+    # (a subarray's over a gappy base hold more)
+    whole = sum([size for _offset, size in tile]) == tile_data_bytes
     runs: List[Tuple[int, int]] = []
-    run_start = run_end = -1
     remaining = nbytes
     while remaining > 0:
         tile_origin = view.displacement + tile_index * tile_extent
-        for offset, size in tile:
-            if skip_in_tile >= size:
-                skip_in_tile -= size
-                continue
-            start = tile_origin + offset + skip_in_tile
-            take = min(size - skip_in_tile, remaining)
-            skip_in_tile = 0
-            if start == run_end:
-                run_end += take
-            else:
-                if run_end > run_start:
-                    runs.append((run_start, run_end - run_start))
-                run_start, run_end = start, start + take
-            remaining -= take
-            if remaining <= 0:
-                break
+        if whole and not skip_in_tile and remaining >= tile_data_bytes:
+            pieces = [(tile_origin + offset, size) for offset, size in tile]
+            remaining -= tile_data_bytes
+        else:
+            pieces = []
+            for offset, size in tile:
+                if skip_in_tile >= size:
+                    skip_in_tile -= size
+                    continue
+                take = min(size - skip_in_tile, remaining)
+                pieces.append((tile_origin + offset + skip_in_tile, take))
+                skip_in_tile = 0
+                remaining -= take
+                if not remaining:
+                    break
+        if runs and pieces and sum(runs[-1]) == pieces[0][0]:
+            runs[-1] = (runs[-1][0], runs[-1][1] + pieces[0][1])
+            del pieces[0]
+        runs += pieces
         tile_index += 1
         skip_in_tile = 0
-    runs.append((run_start, run_end - run_start))
     return runs
 
 
@@ -154,21 +163,12 @@ def build_write_vector(view: FileView, offset_etypes: int,
 
     The requests carry ``data`` itself (one run) or read-only views of it,
     never copies of its bytes; a mutable ``data`` is frozen first, once
-    (:func:`~repro.core.listio.frozen`).
+    (:meth:`~repro.core.listio.IOVector.from_runs`).
     """
     access = _access(view, offset_etypes, len(data))
     if access is None:
         return IOVector()
-    runs = access.runs
-    if len(runs) == 1:
-        return IOVector.for_write([(runs[0][0], data)])
-    payload = memoryview(frozen(data))
-    pairs: List[Tuple[int, memoryview]] = []
-    cursor = 0
-    for offset, size in runs:
-        pairs.append((offset, payload[cursor:cursor + size]))
-        cursor += size
-    return IOVector.for_write(pairs)
+    return IOVector.from_runs(access.runs, data, access.description)
 
 
 def build_read_vector(view: FileView, offset_etypes: int,
@@ -179,5 +179,6 @@ def build_read_vector(view: FileView, offset_etypes: int,
     if access is None:
         return IOVector()
     if access.read_vector is None:
-        access.read_vector = IOVector.for_read(access.runs)
+        access.read_vector = IOVector.from_runs(
+            access.runs, description=access.description)
     return access.read_vector

@@ -1,14 +1,22 @@
 """Set algebra over byte regions that only the tests need.
 
 The suites check coverage and holes with a union and a difference of
-region sets; no code under ``src/`` computes either, so they live here,
-over the public :class:`~repro.core.regions.RegionList` API.  Import from
-here in tests.
+region sets, and build canonical runs from ``(offset, size)`` extents; no
+code under ``src/`` computes any of them, so they live here, over the
+public :class:`~repro.core.regions.RegionList` API and
+:func:`~repro.core.regions.coalesce_runs`.  Import from here in tests.
 """
 
-from typing import List, Tuple
+from typing import Iterable, List, Tuple
 
-from repro.core.regions import Region, RegionList
+from repro.core.regions import Region, RegionList, coalesce_runs
+
+
+def canonical_runs(extents: Iterable[Tuple[int, int]]) -> List[Tuple[int, int]]:
+    """The canonical ``(start, end)`` runs of ``(offset, size)`` extents
+    given in any order (empty extents dropped)."""
+    return coalesce_runs([(offset, offset + size)
+                          for offset, size in extents if size])
 
 
 def region_minus(region: Region, cut: Region) -> Tuple[Region, ...]:

@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.core.regions import (Region, RegionList, canonical_runs, clip_runs,
-                                coalesce_runs)
+from repro.core.regions import Region, RegionList, clip_runs, coalesce_runs
 from repro.errors import InvalidRegion
-from tests._regions import region_minus, regions_minus, regions_union
+from tests._regions import (canonical_runs, region_minus, regions_minus,
+                            regions_union)
 
 
 class TestRegion:
@@ -62,9 +62,6 @@ class TestRegion:
 
     def test_subtract_fully_covered(self):
         assert region_minus(Region(10, 5), Region(0, 100)) == ()
-
-    def test_shift(self):
-        assert Region(5, 10).shift(100) == Region(105, 10)
 
     def test_chunk_aligned_pieces(self):
         pieces = Region(5, 20).chunk_aligned_pieces(8)

@@ -9,9 +9,9 @@ and against a byte-set model that is obviously correct.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.regions import (Region, RegionList, canonical_runs, clip_runs,
-                                coalesce_runs)
-from tests._regions import region_minus, regions_minus, regions_union
+from repro.core.regions import Region, RegionList, clip_runs, coalesce_runs
+from tests._regions import (canonical_runs, region_minus, regions_minus,
+                            regions_union)
 
 UNIVERSE = 512  # keep the byte-set model small and fast
 

@@ -2,8 +2,8 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.regions import Region, RegionList, canonical_runs, clip_runs
-from tests._regions import regions_minus, regions_union
+from repro.core.regions import Region, RegionList, clip_runs
+from tests._regions import canonical_runs, regions_minus, regions_union
 
 
 regions = st.builds(Region,

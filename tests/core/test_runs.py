@@ -9,8 +9,8 @@ helpers replaced, kept here as references.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.regions import (Region, RegionList, canonical_runs, clip_runs,
-                                coalesce_runs)
+from repro.core.regions import Region, RegionList, clip_runs, coalesce_runs
+from tests._regions import canonical_runs
 
 extents = st.lists(st.tuples(st.integers(0, 200), st.integers(0, 40)),
                    max_size=30)

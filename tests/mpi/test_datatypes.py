@@ -16,8 +16,8 @@ class TestBasicTypes:
         assert INT.flatten().as_tuples() == [(0, 4)]
 
     def test_tiled(self):
-        assert INT.tiled(3).as_tuples() == [(0, 12)]
-        assert INT.tiled(2, origin=100).as_tuples() == [(100, 8)]
+        assert INT.tiled_runs(3) == ((0, 12),)
+        assert INT.tiled_runs(2, origin=100) == ((100, 8),)
 
 
 class TestContiguous:

@@ -19,16 +19,11 @@ import random
 
 import pytest
 
+from repro.core.listio import EXTENT_DESCRIPTION_BYTES, encode_extents
 from repro.mpi.datatypes import BYTE, Vector
 from repro.mpi.launcher import run_mpi_job
 from repro.mpi.simcomm import Communicator
-from repro.mpiio.adio.collective import (
-    EXTENT_DESCRIPTION_BYTES,
-    _cut_views,
-    _encoded_bytes,
-    encode_extents,
-    expand_extents,
-)
+from repro.mpiio.adio.collective import _cut_views, _encoded_bytes
 from repro.mpiio.adio.versioning import VersioningDriver
 from repro.mpiio.file import File
 
@@ -41,6 +36,20 @@ WRITE = CHUNK
 #: bytes each rank reads back — everything past WRITE is a hole
 BLOCK = 4 * CHUNK
 FILE_SIZE = NUM_RANKS * BLOCK
+
+
+def expand_extents(encoded):
+    """The ``(offset, size)`` extents :func:`encode_extents` was given (the
+    description's wire format, decoded one extent at a time)."""
+    extents = []
+    for entry in encoded:
+        if len(entry) == 2:
+            extents.append(entry)
+        else:
+            offset, size, stride, count = entry
+            extents.extend((offset + index * stride, size)
+                           for index in range(count))
+    return extents
 
 
 @pytest.fixture

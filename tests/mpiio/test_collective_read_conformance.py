@@ -29,13 +29,14 @@ import pytest
 from repro.blobseer.client import BlobClient
 from repro.mpi.datatypes import BYTE, Indexed
 from repro.mpi.launcher import run_mpi_job
-from repro.core.listio import IOVector
-from repro.core.regions import Region, RegionList, canonical_runs
+from repro.core.listio import IOVector, encode_extents
+from repro.core.regions import Region, RegionList
 from repro.errors import StorageError
 from repro.mpiio.adio.collective import (
     EXTENT_DESCRIPTION_BYTES,
     CollectiveReader,
     _scan_outcomes,
+    _stripe_ranks,
     _written_spans,
     aggregator_ranks,
     partition_file_domain,
@@ -44,7 +45,7 @@ from repro.mpiio.adio.versioning import VersioningDriver
 from repro.mpiio.file import File
 from repro.vstore.client import VectoredClient
 from tests._oracle import random_pattern, rank_view, serial_oracle
-from tests._regions import regions_minus
+from tests._regions import canonical_runs, regions_minus
 from tests.mpiio._collective_testlib import make_quick_deployment
 
 FILE_SIZE = 16 * 1024
@@ -579,21 +580,27 @@ def test_each_rank_places_the_offsetless_payloads_exactly(seed):
     domains = partition_file_domain(min(start for start, _end in runs),
                                     max(end for _start, end in runs),
                                     len(owners), CHUNK)
+    # each resolver walks only its stripe's bucket: a bucket missing a rank
+    # that wants bytes of the stripe would leave that rank short
+    buckets = _stripe_ranks([encode_extents(pairs) for pairs in requests],
+                            domains)
     readers = [CollectiveReader(_ImageClient(image, written))
                for _rank in range(num_ranks)]
     inboxes = [{} for _rank in range(num_ranks)]
-    for owner, domain in zip(owners, domains):
+    for stripe, (owner, domain) in enumerate(zip(owners, domains)):
         resolve = readers[owner]._resolve_stripe(PATH, 1, domain, wanted,
-                                                 owner)
+                                                 buckets[stripe], owner)
         with pytest.raises(StopIteration) as stop:
             next(resolve)
         for destination, item in stop.value.value.items():
             inboxes[destination][owner] = item
+    stripe_of = {owner: stripe for stripe, owner in enumerate(owners)}
     for rank, pairs in enumerate(requests):
         assert readers[rank]._scatter(
             IOVector.for_read(pairs), inboxes[rank], wanted[rank], domains,
-            owners) == b"".join([image[offset:offset + length]
-                                 for offset, length in pairs]), f"rank {rank}"
+            stripe_of) == b"".join([image[offset:offset + length]
+                                    for offset, length in pairs]), \
+            f"rank {rank}"
 
 
 @pytest.mark.parametrize("seed", range(60))
