@@ -120,7 +120,8 @@ from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import islice
 from operator import itemgetter
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from repro.core.listio import EXTENT_DESCRIPTION_BYTES, IOVector, assemble
 from repro.core.regions import clip_runs, coalesce_runs
@@ -164,12 +165,12 @@ def aggregator_ranks(size: int, count: int) -> List[int]:
 
 
 @lru_cache(maxsize=128)
-def _stripe_of(size: int, count: int) -> Dict[int, int]:
+def _stripe_of(size: int, count: int) -> Mapping[int, int]:
     """Aggregator rank -> the stripe it owns, in :func:`aggregator_ranks`
     order: built once per job shape, so a rank finds its stripe in one
-    lookup.  Shared by every caller: never mutated."""
-    return {owner: stripe
-            for stripe, owner in enumerate(aggregator_ranks(size, count))}
+    lookup.  Every caller shares it, so it is read-only."""
+    return MappingProxyType({owner: stripe for stripe, owner
+                             in enumerate(aggregator_ranks(size, count))})
 
 
 def partition_file_domain(lo: int, hi: int, count: int,
@@ -560,8 +561,6 @@ def _round_bytes(providers: int, chunk_size: int, count: int, config) -> int:
 class _WritePlan(NamedTuple):
     """What every rank derives alike from one collective write's descriptions."""
 
-    #: the aggregator ranks, one per stripe
-    owners: List[int]
     #: logical writes attributed to each stripe's commit
     attributed: List[int]
     #: exchange rounds: the most sub-stripes any one stripe is cut into
@@ -632,8 +631,8 @@ def _plan_write_partition(size: int, count: int, lo: int, hi: int,
             start = stop
             round_index += 1
     stripe_edges.append(len(edges))
-    return _WritePlan(owners, attributed, max(edge_round) + 1, edges,
-                      edge_owner, edge_round, edge_extents, stripe_edges)
+    return _WritePlan(attributed, max(edge_round) + 1, edges, edge_owner,
+                      edge_round, edge_extents, stripe_edges)
 
 
 class _CollectiveParticipant:
@@ -995,7 +994,7 @@ class CollectiveReader(_CollectiveParticipant):
         """
         client = self.client
         failure: Optional[BaseException] = None
-        stripe_of: Dict[int, int] = {}
+        stripe_of: Mapping[int, int] = {}
         floor = 0
 
         # phase 0 (local): this rank's floor for the group's version pin —
@@ -1097,7 +1096,7 @@ class CollectiveReader(_CollectiveParticipant):
                  received: Dict[int, Tuple[int, list, list]],
                  wanted: List[Tuple[int, int]],
                  domains: List[Tuple[int, int]],
-                 stripe_of: Dict[int, int]) -> bytes:
+                 stripe_of: Mapping[int, int]) -> bytes:
         """This rank's one buffer — the requests of ``vector`` back to back
         — out of the received parts and hole descriptors, in one join.
 
