@@ -20,6 +20,7 @@ Run it with::
 import numpy as np
 
 from repro.bench.environment import build_environment
+from repro.core.regions import canonical_runs, runs_overlap
 from repro.mpi.datatypes import BYTE, Indexed
 from repro.mpi.launcher import run_mpi_job
 from repro.mpiio.file import AccessMode, File
@@ -89,9 +90,9 @@ def main() -> None:
     for backend in ("versioning", "posix-locking"):
         simulation = GhostCellSimulation(domain_x=DOMAIN, domain_y=DOMAIN,
                                          num_ranks=NUM_RANKS, ghost=GHOST)
-        regions = [simulation.tiles.rank_regions(rank)
-                   for rank in range(NUM_RANKS)]
-        overlaps = sum(regions[a].overlaps(regions[b])
+        runs = [canonical_runs(simulation.tiles.rank_extents(rank))
+                for rank in range(NUM_RANKS)]
+        overlaps = sum(runs_overlap(runs[a], runs[b])
                        for a in range(NUM_RANKS)
                        for b in range(a + 1, NUM_RANKS))
         elapsed = run_dumps(backend, simulation)

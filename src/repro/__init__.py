@@ -43,13 +43,11 @@ __all__ = [
     "__version__",
     "VersioningBackend",
     "Region",
-    "RegionList",
 ]
 
 _LAZY_EXPORTS = {
     "VersioningBackend": ("repro.vstore.backend", "VersioningBackend"),
     "Region": ("repro.core.regions", "Region"),
-    "RegionList": ("repro.core.regions", "RegionList"),
 }
 
 

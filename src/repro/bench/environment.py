@@ -17,7 +17,7 @@ from the concurrency-control design, not from the resources handed to them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.blobseer.deployment import BlobSeerDeployment

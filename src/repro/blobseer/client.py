@@ -94,6 +94,7 @@ from repro.blobseer.writepath.batch import WriteReceipt
 from repro.blobseer.writepath.coalescer import WriteCoalescer
 from repro.blobseer.writepath.engine import PipelinedCommitEngine
 from repro.core.listio import FetchedExtent, IOVector, assemble
+from repro.core.regions import Extents
 from repro.errors import StorageError, VersionNotFound
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -103,7 +104,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["BlobClient", "WriteReceipt"]
 
 WritePairs = Sequence[Tuple[int, bytes]]
-ReadPairs = Sequence[Tuple[int, int]]
 
 #: "not given": follow the cluster config (``None`` is a real capacity —
 #: it forces an unbounded cache against a bounded cluster default)
@@ -419,7 +419,7 @@ class BlobClient:
         return IOVector.for_write(access)
 
     @staticmethod
-    def _as_read_vector(access: Union[IOVector, ReadPairs]) -> IOVector:
+    def _as_read_vector(access: Union[IOVector, Extents]) -> IOVector:
         if isinstance(access, IOVector):
             if not access.is_read:
                 raise StorageError("vread() needs a read vector")
@@ -438,7 +438,7 @@ class BlobClient:
             blob_id, self._as_write_vector(access))
         return receipt
 
-    def vread(self, blob_id: str, access: Union[IOVector, ReadPairs],
+    def vread(self, blob_id: str, access: Union[IOVector, Extents],
               version: Optional[int] = None, *, joined: bool = False):
         """Read a set of non-contiguous regions from one published snapshot.
 
@@ -554,8 +554,8 @@ class BlobClient:
             # nodes this traversal is about to resolve
             self.note_published(blob_id, version)
 
-        regions = vector.region_list()
-        plan = yield from self._resolve_metadata(blob, version, regions)
+        plan = yield from self._resolve_metadata(blob, version,
+                                                 vector.extents())
 
         # extents of chunks this client uploaded come out of its cache; the
         # rest are parallel chunk-range fetches — one batched RPC per data
@@ -596,7 +596,8 @@ class BlobClient:
         return fetched
 
     # ------------------------------------------------------------------
-    def _resolve_metadata(self, blob: BlobDescriptor, version: int, regions):
+    def _resolve_metadata(self, blob: BlobDescriptor, version: int,
+                          extents: Extents):
         """Resolve a read's leaves at ``version`` through the tier chain.
 
         Each round of the :class:`~repro.blobseer.metadata.segment_tree.
@@ -605,7 +606,7 @@ class BlobClient:
         wanted of each leaf go along, so a shard answers the leaf's base
         chain in the same round trip: a cold read costs one round trip.
         """
-        planner = ReadPlanner(blob, version, regions)
+        planner = ReadPlanner(blob, version, extents)
         while not planner.done:
             results = yield from self.tiers.resolve(
                 blob.blob_id, planner.pending(), planner.wanted())

@@ -29,7 +29,7 @@ from repro.blobseer.blob import BlobDescriptor
 from repro.blobseer.chunk import ChunkKey
 from repro.blobseer.metadata.nodes import ChildRef, LeafSegment, MetadataNode, NodeKey
 from repro.core.listio import IOVector, Payload
-from repro.core.regions import RegionList
+from repro.core.regions import Extents, Runs, canonical_runs
 from repro.errors import InvalidRegion
 
 
@@ -67,7 +67,7 @@ def split_vector_into_pieces(blob: BlobDescriptor, vector: IOVector) -> List[Wri
     A piece's ``data`` is its request's buffer when the request fits in one
     chunk, else a read-only view of that buffer: a payload byte is never
     copied on its way to the data provider.  The chunk walk is inlined
-    arithmetic (no intermediate ``Region`` objects) — fine-grained
+    arithmetic (no intermediate object per range) — fine-grained
     collective stripes split into tens of thousands of pieces, making this
     one of the hottest loops of the whole write path.
     """
@@ -318,9 +318,6 @@ NodeRequest = Tuple[int, int, int]
 
 GetNodes = Callable[[Sequence[NodeRequest]], Sequence[Optional[MetadataNode]]]
 
-#: a frontier entry's wanted bytes as ``(start, end)`` runs (:class:`ReadPlanner`)
-Runs = Tuple[Tuple[int, int], ...]
-
 
 class ReadPlanner:
     """The read walk of a snapshot: its leaves, then their base chains.
@@ -344,13 +341,14 @@ class ReadPlanner:
     :func:`plan_read` drive it with plain callbacks.
 
     The walk runs on plain integers, as it is a read's hottest domain code:
-    a frontier entry's wanted bytes are :data:`Runs` — sorted, disjoint,
-    non-adjacent (a normalized :class:`RegionList`) and inside the entry's
-    leaf — and one round's entries partition the bytes still unresolved.
+    the read's ``(offset, size)`` extents (any order, overlaps allowed)
+    become canonical :data:`~repro.core.regions.Runs` once, a frontier
+    entry's wanted bytes are canonical runs inside the entry's leaf, and
+    one round's entries partition the bytes still unresolved.
 
     Protocol::
 
-        planner = ReadPlanner(blob, version, regions)
+        planner = ReadPlanner(blob, version, extents)
         while not planner.done:
             requests = planner.pending()          # this round's lookups
             results = ... resolve them somehow ...  # {request: node-or-None}
@@ -362,8 +360,8 @@ class ReadPlanner:
     own chain and ships the resulting bytes, never the walk.
     """
 
-    def __init__(self, blob: BlobDescriptor, version: int, regions: RegionList):
-        runs = tuple((region.offset, region.end) for region in regions.normalized())
+    def __init__(self, blob: BlobDescriptor, version: int, extents: Extents):
+        runs = canonical_runs(extents)
         for start, end in runs:
             blob.validate_access(start, end - start)
         self.blob = blob
@@ -439,10 +437,11 @@ class ReadPlanner:
                         levels=self.levels)
 
 
-def plan_read(blob: BlobDescriptor, version: int, regions: RegionList,
+def plan_read(blob: BlobDescriptor, version: int, extents: Extents,
               get_node: Optional[GetNode] = None, *,
               get_nodes: Optional[GetNodes] = None) -> ReadPlan:
-    """Resolve which chunks supply every byte of ``regions`` at ``version``.
+    """Resolve which chunks supply every byte of the ``(offset, size)``
+    ``extents`` at ``version``.
 
     Parameters
     ----------
@@ -464,7 +463,7 @@ def plan_read(blob: BlobDescriptor, version: int, regions: RegionList,
     """
     if (get_node is None) == (get_nodes is None):
         raise InvalidRegion("plan_read() needs exactly one of get_node/get_nodes")
-    planner = ReadPlanner(blob, version, regions)
+    planner = ReadPlanner(blob, version, extents)
     metadata_rpcs = 0
     while not planner.done:
         requests = planner.pending()

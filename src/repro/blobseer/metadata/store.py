@@ -26,7 +26,8 @@ from functools import lru_cache, partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.blobseer.metadata.nodes import MetadataNode, NodeKey
-from repro.blobseer.metadata.segment_tree import NodeRequest, Runs, base_chain
+from repro.blobseer.metadata.segment_tree import NodeRequest, base_chain
+from repro.core.regions import Runs
 from repro.errors import VersionNotFound
 
 

@@ -1,7 +1,8 @@
 """Core abstractions shared by every storage backend.
 
-* :mod:`repro.core.regions` — byte-region algebra (the vocabulary for
-  non-contiguous accesses);
+* :mod:`repro.core.regions` — byte ranges as integer pairs: ``(offset,
+  size)`` extents and canonical ``(start, end)`` runs, with the few set
+  operations the stack runs on them;
 * :mod:`repro.core.listio` — List-I/O style vectored access descriptors,
   closely following the interface proposal of Ching et al. (CLUSTER'02) that
   the paper's storage API mirrors;
@@ -10,7 +11,7 @@
   by *some* serialization of a set of concurrent vectored writes.
 """
 
-from repro.core.regions import Region, RegionList
+from repro.core.regions import Region
 from repro.core.listio import IORequest, IOVector
 from repro.core.atomicity import (
     VectoredWrite,
@@ -21,7 +22,6 @@ from repro.core.atomicity import (
 
 __all__ = [
     "Region",
-    "RegionList",
     "IORequest",
     "IOVector",
     "VectoredWrite",

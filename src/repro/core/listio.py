@@ -11,10 +11,10 @@ buffers.  Both storage backends and every ADIO driver consume them.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.core.regions import Region, RegionList
+from repro.core.regions import Extents
 from repro.errors import InvalidRegion
 
 
@@ -31,7 +31,7 @@ FetchedExtent = Tuple[int, int, Optional[Payload]]
 EXTENT_DESCRIPTION_BYTES = 16
 
 
-def encode_extents(extents: Sequence[Tuple[int, int]]) -> List[Tuple[int, ...]]:
+def encode_extents(extents: Extents) -> List[Tuple[int, ...]]:
     """Run-length encode ``(offset, size)`` extents: an access description.
 
     Three or more consecutive extents of equal size at a constant stride —
@@ -80,9 +80,8 @@ class IORequest:
     bytes, kept as :func:`frozen` makes it: ``bytes`` or a read-only view
     of ``bytes`` is the request's buffer itself, a mutable buffer is copied
     once, so a stored chunk never aliases memory its writer may change.
-    Immutable by convention; slotted rather than frozen, like
-    :class:`~repro.core.regions.Region`, because frozen construction
-    measured about 2.5x slower on the per-piece paths.
+    Immutable by convention; slotted rather than frozen, because frozen
+    construction measured about 2.5x slower on the per-piece paths.
     """
 
     offset: int
@@ -101,11 +100,6 @@ class IORequest:
             if len(data) != self.size:
                 raise InvalidRegion(
                     f"payload length {len(data)} does not match size {self.size}")
-
-    @property
-    def region(self) -> Region:
-        """The byte range touched by this request."""
-        return Region(self.offset, self.size)
 
     @property
     def is_write(self) -> bool:
@@ -131,7 +125,7 @@ class IOVector:
     def __init__(self, requests: Iterable[IORequest] = ()):
         #: ``None`` until asked for on a vector built :meth:`from_runs`
         self._requests: Optional[Tuple[IORequest, ...]] = tuple(requests)
-        self._runs: Optional[Sequence[Tuple[int, int]]] = None
+        self._runs: Optional[Extents] = None
         self._payload: Optional[Payload] = None
         #: :meth:`description` and :meth:`total_bytes`, once known
         self._description: Optional[List[Tuple[int, ...]]] = None
@@ -151,12 +145,12 @@ class IOVector:
         return cls(IORequest(offset, len(data), data) for offset, data in pairs)
 
     @classmethod
-    def for_read(cls, pairs: Sequence[Tuple[int, int]]) -> "IOVector":
+    def for_read(cls, pairs: Extents) -> "IOVector":
         """Build a read vector from ``[(offset, size), ...]``."""
         return cls(IORequest(offset, size) for offset, size in pairs)
 
     @classmethod
-    def from_runs(cls, runs: Sequence[Tuple[int, int]],
+    def from_runs(cls, runs: Extents,
                   payload: Optional[bytes] = None,
                   description: Optional[List[Tuple[int, ...]]] = None
                   ) -> "IOVector":
@@ -240,7 +234,7 @@ class IOVector:
             requests = self._requests = tuple(made)
         return requests
 
-    def extents(self) -> Sequence[Tuple[int, int]]:
+    def extents(self) -> Extents:
         """The requests' ``(offset, size)`` pairs, in call order."""
         if self._requests is None:
             return self._runs
@@ -287,21 +281,17 @@ class IOVector:
             description = self._description = encode_extents(self.extents())
         return description
 
-    def region_list(self) -> RegionList:
-        """The touched byte ranges (construction order, not normalized)."""
-        return RegionList(req.region for req in self.requests)
-
-    def covering_extent(self) -> Region:
-        """Smallest contiguous range covering the whole vector."""
-        return self.region_list().covering_extent()
-
-    def is_contiguous(self) -> bool:
-        """True when the access touches one contiguous range."""
-        return self.region_list().is_contiguous()
-
-    def overlaps(self, other: "IOVector") -> bool:
-        """True if the two vectors touch at least one common byte."""
-        return self.region_list().overlaps(other.region_list())
+    def covering_extent(self) -> Tuple[int, int]:
+        """``(offset, size)`` of the smallest contiguous range covering
+        every non-empty request; ``(0, 0)`` when there is none.  This is
+        what a POSIX-locking MPI-I/O driver locks for a non-contiguous
+        access (the paper's Section III observation)."""
+        touched = [(offset, offset + size)
+                   for offset, size in self.extents() if size]
+        if not touched:
+            return (0, 0)
+        start = min(touched)[0]
+        return (start, max([end for _start, end in touched]) - start)
 
     # ------------------------------------------------------------------
     # transformations

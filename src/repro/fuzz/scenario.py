@@ -204,8 +204,7 @@ def phase_read_regions(phase: PhaseSpec, rank: int,
     if isinstance(obj, CollectiveCheckpointWorkload):
         return [(offset, len(payload))
                 for offset, payload in obj.write_pairs(rank, 0)]
-    return [(region.offset, region.size)
-            for region in obj.client_regions(rank)]
+    return obj.client_extents(rank)
 
 
 def phase_extent(phase: PhaseSpec, num_ranks: int):

@@ -7,7 +7,7 @@ simulated cluster, and the communicator provides the collective operations
 (barrier, allgather, and a sparse personalized all-to-all) the MPI-I/O layer
 and the workloads need.  Derived datatypes (vector, subarray, indexed) describe the
 non-contiguous file views exactly as MPI datatypes do, and flatten to the
-byte-region lists consumed by the storage back-ends.
+``(offset, size)`` lists consumed by the storage back-ends.
 """
 
 from repro.mpi.datatypes import (

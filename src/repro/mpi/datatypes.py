@@ -1,4 +1,4 @@
-"""MPI-like derived datatypes and their flattening to byte regions.
+"""MPI-like derived datatypes and their flattening to ``(offset, size)`` pairs.
 
 MPI applications describe non-contiguous file accesses with derived
 datatypes; the MPI-I/O layer flattens them into ``(offset, length)`` lists
@@ -15,11 +15,11 @@ constructors the paper's workloads need:
   from).
 
 ``runs()`` returns the type map of *one* instance of the datatype relative
-to its own origin, as canonical ``(offset, size)`` integer runs — no object
-per block — and ``flatten()`` the same as a
-:class:`~repro.core.regions.RegionList`.  ``size`` is the number of actual
-data bytes; ``extent`` is the span the next instance starts after (lower
-bound 0, as produced by these constructors).
+to its own origin as :data:`~repro.core.regions.Extents`: sorted ``(offset,
+size)`` pairs, overlapping and adjacent bytes merged — no object per block.
+``size`` is the number of actual data bytes (an overlapping type map counts
+its shared bytes once per block); ``extent`` is the span the next instance
+starts after (lower bound 0, as produced by these constructors).
 """
 
 from __future__ import annotations
@@ -28,21 +28,17 @@ from dataclasses import dataclass
 from operator import add
 from typing import Iterable, List, Sequence, Tuple
 
-from repro.core.regions import Region, RegionList, coalesce_runs
+from repro.core.regions import Extents, Region, canonical_runs
 from repro.errors import DatatypeError
 
 
-#: a datatype's type map in integer form: canonical ``(offset, size)`` runs
-Runs = Tuple[Tuple[int, int], ...]
-
-
-def _canonical(pieces: Iterable[Tuple[int, int]]) -> Runs:
-    """Canonical runs of ``(offset, size)`` pieces in any order: sorted,
-    overlapping and adjacent pieces merged, empty ones dropped
-    (:func:`~repro.core.regions.coalesce_runs` in ``(offset, size)`` form).
+def _canonical(pieces: Iterable[Tuple[int, int]]) -> Extents:
+    """``(offset, size)`` pieces in any order as a sorted tuple, overlapping
+    and adjacent pieces merged, empty ones dropped
+    (:func:`~repro.core.regions.canonical_runs` in ``(offset, size)`` form).
     """
-    return tuple([(start, end - start) for start, end in coalesce_runs(
-        [(offset, offset + size) for offset, size in pieces if size])])
+    return tuple([(start, end - start)
+                  for start, end in canonical_runs(pieces)])
 
 
 class Datatype:
@@ -58,9 +54,9 @@ class Datatype:
         """Span of one instance (where the next tiled instance begins)."""
         raise NotImplementedError
 
-    def runs(self) -> Runs:
-        """The type map of one instance as canonical ``(offset, size)``
-        integer runs, relative to its origin.
+    def runs(self) -> Extents:
+        """The type map of one instance as sorted, merged ``(offset, size)``
+        pairs, relative to its origin.
 
         Memoized on the instance: datatypes are immutable, and file views
         flatten the same filetype on every access.
@@ -71,22 +67,23 @@ class Datatype:
             object.__setattr__(self, "_run_form", cached)
         return cached
 
-    def _flatten(self) -> Runs:
-        """Compute the type map's runs (subclass hook behind :meth:`runs`)."""
+    def _flatten(self) -> Extents:
+        """Compute the type map's pairs (subclass hook behind :meth:`runs`)."""
         raise NotImplementedError
 
-    def flatten(self) -> RegionList:
-        """:meth:`runs` as a canonical :class:`RegionList` (memoized)."""
+    def flatten(self) -> Tuple[Region, ...]:
+        """:meth:`runs` as :class:`~repro.core.regions.Region` records
+        (memoized), for callers that read the fields by name."""
         cached = self.__dict__.get("_flat")
         if cached is None:
-            cached = RegionList._from_normalized(
-                [Region(offset, size) for offset, size in self.runs()])
+            cached = tuple([Region(offset, size)
+                            for offset, size in self.runs()])
             object.__setattr__(self, "_flat", cached)
         return cached
 
     # ------------------------------------------------------------------
-    def tiled_runs(self, count: int, origin: int = 0) -> Runs:
-        """Runs of ``count`` instances tiled back to back from ``origin``."""
+    def tiled_runs(self, count: int, origin: int = 0) -> Extents:
+        """Pairs of ``count`` instances tiled back to back from ``origin``."""
         if count < 0:
             raise DatatypeError(f"negative count {count}")
         base = self.runs()
@@ -122,7 +119,7 @@ class BasicType(Datatype):
     def extent(self) -> int:
         return self.width
 
-    def _flatten(self) -> Runs:
+    def _flatten(self) -> Extents:
         return ((0, self.width),) if self.width else ()
 
 
@@ -151,7 +148,7 @@ class Contiguous(Datatype):
     def extent(self) -> int:
         return self.count * self.base.extent
 
-    def _flatten(self) -> Runs:
+    def _flatten(self) -> Extents:
         return self.base.tiled_runs(self.count)
 
 
@@ -182,7 +179,7 @@ class Vector(Datatype):
             return 0
         return ((self.count - 1) * self.stride + self.blocklength) * self.base.extent
 
-    def _flatten(self) -> Runs:
+    def _flatten(self) -> Extents:
         step = self.stride * self.base.extent
         block = self.base.tiled_runs(self.blocklength)
         return _canonical([(index * step + offset, size)
@@ -229,7 +226,7 @@ class Indexed(Datatype):
         return max(map(add, self.displacements, self.blocklengths)) \
             * self.base.extent
 
-    def _flatten(self) -> Runs:
+    def _flatten(self) -> Extents:
         unit = self.base.extent
         blocks = {length: self.base.tiled_runs(length)
                   for length in set(self.blocklengths)}
@@ -286,28 +283,32 @@ class Subarray(Datatype):
             total *= size
         return total
 
-    def _flatten(self) -> Runs:
+    def _flatten(self) -> Extents:
         unit = self.base.extent
         ndims = len(self.sizes)
 
-        # the last dimension is contiguous: one run per "row" of the subarray
+        # a "row" is the subarray's run of consecutive elements along the
+        # last dimension: its type map is the base tiled row_elements
+        # times (one run when the base is dense), placed at each row start
         row_elements = self.subsizes[-1]
         if row_elements == 0 or any(s == 0 for s in self.subsizes):
             return ()
+        row = self.base.tiled_runs(row_elements)
 
         # strides (in elements) of each dimension in the full array
         strides = [1] * ndims
         for dim in range(ndims - 2, -1, -1):
             strides[dim] = strides[dim + 1] * self.sizes[dim + 1]
 
-        rows: List[Tuple[int, int]] = []
+        pieces: List[Tuple[int, int]] = []
         # iterate over every index combination of all but the last dimension
         counters = [0] * (ndims - 1)
         while True:
             element_offset = self.starts[-1]
             for dim in range(ndims - 1):
                 element_offset += (self.starts[dim] + counters[dim]) * strides[dim]
-            rows.append((element_offset * unit, row_elements * unit))
+            origin = element_offset * unit
+            pieces += [(origin + offset, size) for offset, size in row]
             # odometer increment
             dim = ndims - 2
             while dim >= 0:
@@ -320,4 +321,4 @@ class Subarray(Datatype):
                 break
             if ndims == 1:
                 break
-        return _canonical(rows)
+        return _canonical(pieces)

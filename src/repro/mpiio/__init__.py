@@ -3,7 +3,7 @@
 This package plays the role ROMIO plays in the paper: it exposes the MPI-I/O
 ``File`` interface (open / set_view / write_at[_all] / read_at[_all] /
 set_atomicity) to the application, flattens derived-datatype file views into
-byte-region lists, and delegates the actual data movement to an *ADIO
+``(offset, size)`` lists, and delegates the actual data movement to an *ADIO
 driver*.  Four drivers reproduce the approaches discussed in the paper:
 
 =====================  =======================================================

@@ -9,7 +9,7 @@ process.
 
 from __future__ import annotations
 
-from typing import List, Optional, TYPE_CHECKING
+from typing import Optional, TYPE_CHECKING
 
 from repro.core.listio import IOVector
 

@@ -260,7 +260,7 @@ def join_pieces(pairs: List[Tuple[int, bytes]]) -> List[Tuple[int, bytes]]:
     """``(offset, data)`` pieces, in application order, as one ``(offset,
     bytes)`` buffer per maximal contiguous run of written bytes.
 
-    The runs are the normalized regions of the pieces — overlapping and
+    The runs are the canonical runs of the pieces — overlapping and
     adjacent pieces merge, empty ones vanish, gaps stay gaps — and later
     pieces win on overlapping bytes, as in serial application
     (:meth:`IOVector.apply_to <repro.core.listio.IOVector.apply_to>`).  No

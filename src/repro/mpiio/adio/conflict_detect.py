@@ -4,8 +4,9 @@ The related-work optimization the paper discusses: before a *collective*
 atomic write, the ranks exchange their flattened access patterns; ranks whose
 regions overlap nobody else's skip locking entirely, while conflicting ranks
 fall back to covering-extent locks.  The exchange itself (an allgather of the
-region lists) is the "unnecessary overhead … introduced for non-overlapping
-concurrent I/O" acknowledged by its authors — visible in the EXP1b benchmark.
+ranks' canonical runs) is the "unnecessary overhead … introduced for
+non-overlapping concurrent I/O" acknowledged by its authors — visible in the
+EXP1b benchmark.
 
 For independent (non-collective) writes there is nothing to compare against,
 so the driver behaves exactly like the covering-extent driver.
@@ -16,9 +17,8 @@ from __future__ import annotations
 from typing import Optional, TYPE_CHECKING
 
 from repro.core.listio import IOVector
-from repro.core.regions import RegionList
+from repro.core.regions import canonical_runs, runs_overlap
 from repro.mpiio.adio.posix_locking import PosixLockingDriver
-from repro.posixfs.lock_manager import LockMode
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.mpi.simcomm import Communicator
@@ -45,11 +45,11 @@ class ConflictDetectDriver(PosixLockingDriver):
             return written
 
         # exchange access patterns (the detection overhead)
-        my_regions = vector.region_list().normalized()
-        all_regions = yield from comm.allgather(rank, my_regions)
+        my_runs = canonical_runs(vector.extents())
+        all_runs = yield from comm.allgather(rank, my_runs)
 
-        conflict = any(index != rank and my_regions.overlaps(other)
-                       for index, other in enumerate(all_regions))
+        conflict = any(index != rank and runs_overlap(my_runs, other)
+                       for index, other in enumerate(all_runs))
 
         if not conflict:
             self.locks_skipped += 1

@@ -12,9 +12,7 @@ from __future__ import annotations
 from typing import Optional, TYPE_CHECKING
 
 from repro.core.listio import IOVector
-from repro.core.regions import RegionList
 from repro.mpiio.adio.posix_locking import PosixLockingDriver
-from repro.posixfs.lock_manager import LockMode
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.mpi.simcomm import Communicator

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Optional, TYPE_CHECKING
 
 from repro.core.listio import IOVector
-from repro.core.regions import RegionList
+from repro.core.regions import Extents
 from repro.mpiio.adio.base import ADIODriver
 from repro.posixfs.client import PosixClient
 from repro.posixfs.lock_manager import LockMode
@@ -50,10 +50,10 @@ class PosixLockingDriver(ADIODriver):
         return self.client.cluster.obs
 
     # ------------------------------------------------------------------
-    def _lock_regions(self, path: str, vector: IOVector, mode: LockMode):
+    def _lock_regions(self, path: str, vector: IOVector,
+                      mode: LockMode) -> Extents:
         """What to lock for an atomic access: the covering extent."""
-        extent = vector.covering_extent()
-        return RegionList([extent]) if not extent.empty else RegionList()
+        return [vector.covering_extent()]
 
     # ------------------------------------------------------------------
     def open(self, path: str, size_hint: int, create: bool, rank: int = 0,
@@ -112,5 +112,6 @@ class PosixLockingDriver(ADIODriver):
 class _ListLockMixin:
     """Shared helper turning the lock target into the exact accessed ranges."""
 
-    def _lock_regions(self, path: str, vector: IOVector, mode: LockMode):
-        return vector.region_list().normalized()
+    def _lock_regions(self, path: str, vector: IOVector,
+                      mode: LockMode) -> Extents:
+        return vector.extents()

@@ -17,9 +17,8 @@ against the rank's view and hands the resulting vector to its ADIO driver.
 from __future__ import annotations
 
 import enum
-from typing import List, Optional, TYPE_CHECKING
+from typing import Optional, TYPE_CHECKING
 
-from repro.core.listio import IOVector
 from repro.errors import MPIIOError
 from repro.mpi.datatypes import BYTE, Datatype
 from repro.mpiio.flatten import FileView, build_read_vector, build_write_vector

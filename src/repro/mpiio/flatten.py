@@ -1,4 +1,4 @@
-"""Flattening MPI file views into byte regions.
+"""Flattening MPI file views into ``(offset, size)`` pairs.
 
 An MPI file view is ``(displacement, etype, filetype)``: starting at
 ``displacement``, the file is tiled with repetitions of ``filetype``; only
@@ -7,15 +7,15 @@ passed to ``write_at`` / ``read_at`` count in ``etype`` units *within the
 accessible bytes*.  Data read or written fills accessible bytes in order.
 
 An access — "``nbytes`` at etype-offset ``offset`` under this view" — is
-flattened once, from the filetype's integer runs, into the absolute byte
-ranges it touches, as canonical ``(offset, size)`` runs (ROMIO keeps
+flattened once, from the filetype's type map, into the absolute byte
+ranges it touches, as ``(offset, size)`` pairs in file order (ROMIO keeps
 flattened accesses as plain offset / length lists too, one entry per
 contiguous piece), and encoded once into the description a collective
 exchanges.  Both are remembered on the view, so a dump and its restart
 reads flatten and encode their access once.  The write and read vectors
-every ADIO driver consumes are built straight from those runs
+every ADIO driver consumes are built straight from those pairs
 (:meth:`~repro.core.listio.IOVector.from_runs`) and carry the description;
-:func:`flatten_view_access` offers the runs as a :class:`RegionList`.
+:func:`flatten_view_access` returns the pairs themselves.
 """
 
 from __future__ import annotations
@@ -24,25 +24,23 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from repro.core.listio import IOVector, encode_extents
-from repro.core.regions import RegionList
+from repro.core.regions import Extents
 from repro.errors import MPIIOError
 from repro.mpi.datatypes import BYTE, Datatype
 
 
 class _Access:
-    """One flattened access: its ``(offset, nbytes)``, its canonical
-    ``(offset, size)`` runs in file order (the order the data fills them),
-    their encoded description (shared by every vector of the access) and,
-    once asked for, the same runs as a :class:`RegionList` and as a read
-    vector."""
+    """One flattened access: its ``(offset, nbytes)``, its ``(offset,
+    size)`` pairs in file order (the order the data fills them), their
+    encoded description (shared by every vector of the access) and, once
+    asked for, its read vector."""
 
-    __slots__ = ("key", "runs", "description", "regions", "read_vector")
+    __slots__ = ("key", "runs", "description", "read_vector")
 
-    def __init__(self, key: Tuple[int, int], runs: List[Tuple[int, int]]):
+    def __init__(self, key: Tuple[int, int], runs: Extents):
         self.key = key
         self.runs = runs
         self.description = encode_extents(runs)
-        self.regions: Optional[RegionList] = None
         self.read_vector: Optional[IOVector] = None
 
 
@@ -73,18 +71,15 @@ class FileView:
 
 
 def flatten_view_access(view: FileView, offset_etypes: int,
-                        nbytes: int) -> RegionList:
-    """Absolute byte regions of an ``nbytes`` access at ``offset_etypes``.
+                        nbytes: int) -> Extents:
+    """Absolute ``(offset, size)`` pairs of an ``nbytes`` access at
+    ``offset_etypes``, in file order (remembered on the view).
 
     ``offset_etypes`` is the offset in etype units into the *accessible*
     bytes of the view (MPI's explicit-offset addressing).
     """
     access = _access(view, offset_etypes, nbytes)
-    if access is None:
-        return RegionList()
-    if access.regions is None:
-        access.regions = RegionList(access.runs)
-    return access.regions
+    return () if access is None else access.runs
 
 
 def _access(view: FileView, offset_etypes: int,
@@ -100,7 +95,7 @@ def _access(view: FileView, offset_etypes: int,
     last = view._last_access
     if last is None or last.key != key:
         last = view._last_access = _Access(
-            key, _flatten(view, offset_etypes, nbytes))
+            key, tuple(_flatten(view, offset_etypes, nbytes)))
     return last
 
 
@@ -127,7 +122,7 @@ def _flatten(view: FileView, offset_etypes: int,
     # pieces come out in file order; only a tile's first piece can touch
     # the previous tile's last (across the seam) and merge into it.  A
     # whole tile is its runs shifted when they hold exactly its data bytes
-    # (a subarray's over a gappy base hold more)
+    # (an overlapping type map's hold fewer)
     whole = sum([size for _offset, size in tile]) == tile_data_bytes
     runs: List[Tuple[int, int]] = []
     remaining = nbytes

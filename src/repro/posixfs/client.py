@@ -27,7 +27,7 @@ from operator import itemgetter
 from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.core.listio import IOVector
-from repro.core.regions import RegionList
+from repro.core.regions import Extents
 from repro.errors import FileSystemError, LockNotHeld
 from repro.posixfs.lock_manager import LockMode
 from repro.posixfs.mds import FileAttributes
@@ -105,12 +105,13 @@ class PosixClient:
     # ------------------------------------------------------------------
     # locking
     # ------------------------------------------------------------------
-    def lock_regions(self, path: str, regions: RegionList, mode: LockMode,
+    def lock_regions(self, path: str, extents: Extents, mode: LockMode,
                      namespace: str = "fcntl"):
-        """Acquire byte-range locks covering ``regions`` on every involved OST.
+        """Acquire byte-range locks covering the ``(offset, size)`` file
+        ``extents`` on every involved OST.
 
-        The regions are mapped into each OST's object-offset space and every
-        OST gets one request carrying all of its extents, in ascending OST
+        The extents are mapped into each OST's object-offset space and every
+        OST gets one request carrying all of its runs, in ascending OST
         order; the returned :class:`LockHandle` releases them all.
         ``namespace`` separates the advisory (``fcntl``) space used by the
         MPI-I/O drivers from the file system's internal ``data`` space.
@@ -119,11 +120,11 @@ class PosixClient:
         started = self.cluster.sim.now
         file_id = f"{namespace}:{path}"
         entries: List[Tuple[int, int]] = []
-        for ost_index, extents in sorted(
-                attributes.layout.object_extents(regions).items()):
+        for ost_index, runs in sorted(
+                attributes.layout.object_extents(extents).items()):
             token = yield from self._control(
                 self.deployment.osts[ost_index].locks, "acquire", file_id,
-                extents, mode, self.name)
+                runs, mode, self.name)
             entries.append((ost_index, token))
 
         handle = LockHandle(entries, self.cluster.sim.now,
@@ -154,25 +155,26 @@ class PosixClient:
         is a view of its request's payload.
         """
         control = self.cluster.config.control_message_size
+        map_extent = attributes.layout.map_extent
         #: ost -> (the ``(object offset, data | size)`` ranges it serves,
         #:         where each sits: ``(request index, start in the request)``)
         per_ost: Dict[int, Tuple[list, list]] = {}
-        for index, request in enumerate(vector):
-            pieces = attributes.layout.map_region(request.region)
-            data = request.data
+        for index, ((offset, size), data) in enumerate(
+                zip(vector.extents(), vector.payloads())):
+            pieces = map_extent(offset, size)
             if writing and len(pieces) > 1:
                 data = memoryview(data)
             for piece in pieces:
-                start = piece.file_offset - request.offset
+                start = piece.file_offset - offset
                 ranges, places = per_ost.setdefault(piece.ost_index, ([], []))
                 ranges.append((piece.object_offset,
-                               (data if piece.length == request.size
+                               (data if piece.length == size
                                 else data[start:start + piece.length])
                                if writing else piece.length))
                 places.append((index, start))
 
         #: per read request, its ``(start in the request, bytes)`` pieces
-        parts: List[list] = [] if writing else [[] for _request in vector]
+        parts: List[list] = [] if writing else [[] for _ in range(len(vector))]
 
         def serve(ost_index, ranges, places):
             ost = self.deployment.osts[ost_index]
@@ -209,13 +211,13 @@ class PosixClient:
         handle = None
         if not locked:
             handle = yield from self.lock_regions(
-                path, vector.region_list(),
+                path, vector.extents(),
                 LockMode.EXCLUSIVE if writing else LockMode.SHARED,
                 namespace="data")
         pieces = yield from self._transfer(attributes, vector, writing)
         if writing:
             yield from self._control(self.deployment.mds, "update_size",
-                                     path, vector.covering_extent().end)
+                                     path, sum(vector.covering_extent()))
         if handle is not None:
             yield from self.unlock(handle)
         return pieces

@@ -12,9 +12,9 @@ extent per OST.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List
+from typing import Dict, List, Tuple
 
-from repro.core.regions import Region, RegionList
+from repro.core.regions import Extents, Runs, coalesce_runs
 from repro.errors import InvalidRegion
 
 
@@ -42,59 +42,44 @@ class StripeLayout:
             raise InvalidRegion(f"ost_count must be positive, got {self.ost_count}")
 
     # ------------------------------------------------------------------
-    def map_region(self, region: Region) -> List[StripePiece]:
-        """Split a file byte range into per-OST object pieces."""
+    def map_extent(self, offset: int, size: int) -> List[StripePiece]:
+        """Split the file bytes ``[offset, offset + size)`` into per-OST
+        object pieces, one per stripe touched, in file order."""
+        stripe_size, count = self.stripe_size, self.ost_count
         pieces: List[StripePiece] = []
-        for part in region.chunk_aligned_pieces(self.stripe_size):
-            stripe_index = part.offset // self.stripe_size
-            ost_index = stripe_index % self.ost_count
-            object_offset = ((stripe_index // self.ost_count) * self.stripe_size
-                             + part.offset % self.stripe_size)
+        cursor, end = offset, offset + size
+        while cursor < end:
+            stripe = cursor // stripe_size
+            piece_end = min((stripe + 1) * stripe_size, end)
             pieces.append(StripePiece(
-                ost_index=ost_index,
-                object_offset=object_offset,
-                length=part.size,
-                file_offset=part.offset,
+                ost_index=stripe % count,
+                object_offset=(stripe // count) * stripe_size
+                + cursor % stripe_size,
+                length=piece_end - cursor,
+                file_offset=cursor,
             ))
+            cursor = piece_end
         return pieces
 
-    def map_regions(self, regions: RegionList) -> List[StripePiece]:
-        """Map every region of a list (construction order preserved)."""
-        pieces: List[StripePiece] = []
-        for region in regions:
-            pieces.extend(self.map_region(region))
-        return pieces
-
-    def object_extents(self, regions: Iterable[Region]) -> Dict[int, RegionList]:
-        """Per touched OST, the object byte ranges ``regions`` cover
-        (normalized).  Two sets of file ranges overlap exactly when their
-        object extents overlap on some OST."""
+    def object_extents(self, extents: Extents) -> Dict[int, Runs]:
+        """Per touched OST, the canonical object runs the ``(offset, size)``
+        file ``extents`` (any order) cover.  Two sets of file ranges overlap
+        exactly when their object runs overlap on some OST."""
         size, count = self.stripe_size, self.ost_count
-        per_ost: Dict[int, List[Region]] = {}
-        for region in regions:
-            if region.empty:
+        per_ost: Dict[int, List[Tuple[int, int]]] = {}
+        for offset, length in extents:
+            if not length:
                 continue
-            first, last = region.offset // size, (region.end - 1) // size
-            # the region's first stripe on each OST it touches
+            last_byte = offset + length - 1
+            first, last = offset // size, last_byte // size
+            # the extent's first stripe on each OST it touches
             for stripe in range(first, min(last, first + count - 1) + 1):
                 final = last - (last - stripe) % count  # ... and its last
                 start = (stripe // count) * size
                 if stripe == first:
-                    start += region.offset % size
+                    start += offset % size
                 end = (final // count) * size \
-                    + ((region.end - 1) % size + 1 if final == last else size)
-                per_ost.setdefault(stripe % count, []).append(
-                    Region(start, end - start))
-        return {ost_index: RegionList(extents).normalized()
-                for ost_index, extents in per_ost.items()}
-
-    def osts_for_region(self, region: Region) -> List[int]:
-        """Sorted list of distinct OST indices a byte range touches."""
-        return sorted({piece.ost_index for piece in self.map_region(region)})
-
-    def osts_for_regions(self, regions: RegionList) -> List[int]:
-        """Sorted list of distinct OST indices a set of byte ranges touches."""
-        indices = set()
-        for region in regions:
-            indices.update(self.osts_for_region(region))
-        return sorted(indices)
+                    + (last_byte % size + 1 if final == last else size)
+                per_ost.setdefault(stripe % count, []).append((start, end))
+        return {ost_index: coalesce_runs(runs)
+                for ost_index, runs in per_ost.items()}

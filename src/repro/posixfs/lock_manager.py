@@ -30,9 +30,9 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Union, TYPE_CHECKING
+from typing import Callable, Dict, Iterable, List, Optional, TYPE_CHECKING
 
-from repro.core.regions import Region, RegionList
+from repro.core.regions import Runs, coalesce_runs, runs_overlap
 from repro.cluster.rpc import Service
 from repro.errors import LockError, LockNotHeld
 
@@ -59,8 +59,9 @@ class LockRequest:
 
     token: int
     file_id: str
-    #: the locked byte ranges, normalized (sorted, disjoint, non-empty)
-    extents: RegionList
+    #: the locked byte ranges as canonical ``(start, end)`` runs (sorted,
+    #: disjoint, non-adjacent, non-empty)
+    extents: Runs
     mode: LockMode
     owner: str
     granted: bool = False
@@ -80,15 +81,10 @@ class LockRequest:
     exclusive: bool = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.start = self.extents[0].offset
-        self.end = self.extents[-1].end
+        self.start = self.extents[0][0]
+        self.end = self.extents[-1][1]
         self.contiguous = len(self.extents) == 1
         self.exclusive = self.mode is LockMode.EXCLUSIVE
-
-    @property
-    def region(self) -> Region:
-        """Smallest contiguous range covering every extent."""
-        return Region(self.start, self.end - self.start)
 
     @property
     def wait_time(self) -> float:
@@ -106,7 +102,7 @@ def _conflicts(locks: Iterable[LockRequest], request: LockRequest) -> bool:
         if (lock.start < end and start < lock.end
                 and (exclusive or lock.exclusive)
                 and (lock.contiguous and request.contiguous
-                     or lock.extents.overlaps(request.extents))):
+                     or runs_overlap(lock.extents, request.extents))):
             return True
     return False
 
@@ -134,21 +130,19 @@ class LockManager:
         self.locks_queued: int = 0
 
     # ------------------------------------------------------------------
-    def request(self, file_id: str, extents: Union[Region, Iterable[Region]],
-                mode: LockMode, owner: str,
+    def request(self, file_id: str, extents: Runs, mode: LockMode, owner: str,
                 on_grant: Optional[Callable[[LockRequest], None]] = None,
                 ) -> LockRequest:
-        """Ask for one lock over ``extents`` (a region or several); it is
-        granted immediately when every extent is compatible with the holders
-        and (no barging) with the queued requests.
+        """Ask for one lock over the ``(start, end)`` runs ``extents`` (any
+        order; overlapping, touching and empty runs allowed); it is granted
+        immediately when every extent is compatible with the holders and
+        (no barging) with the queued requests.
 
         Otherwise the whole request is queued — no extent is held meanwhile —
         and ``on_grant`` will be invoked at grant time.
         """
-        if isinstance(extents, Region):
-            extents = (extents,)
-        extents = RegionList(extents).normalized()
-        if len(extents) == 0:
+        extents = coalesce_runs([run for run in extents if run[1] > run[0]])
+        if not extents:
             raise LockError("cannot lock an empty byte range")
         request = LockRequest(token=next(self._tokens), file_id=file_id,
                               extents=extents, mode=mode, owner=owner,
@@ -238,7 +232,7 @@ class SimLockService(Service):
     # ------------------------------------------------------------------
     # RPC handlers (generator methods)
     # ------------------------------------------------------------------
-    def acquire(self, file_id: str, extents: Iterable[Region], mode: LockMode,
+    def acquire(self, file_id: str, extents: Runs, mode: LockMode,
                 owner: str):
         """Acquire one lock over all of ``extents``, waiting while any of
         them conflicts."""

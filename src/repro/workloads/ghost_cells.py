@@ -24,7 +24,7 @@ stays off the import path of a simulation run; import it by its full name.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -109,15 +109,14 @@ class GhostCellSimulation:
         """``(offset, payload)`` pairs for the rank's subdomain dump."""
         rows, cols = self.rank_block(rank)
         block = np.ascontiguousarray(self.field[rows, cols])
-        regions = self.tiles.rank_regions(rank)
         row_bytes = block.shape[1] * self.element_dtype.itemsize
         pairs: List[Tuple[int, bytes]] = []
         raw = block.tobytes()
-        for index, region in enumerate(regions):
-            if region.size != row_bytes:
+        for index, (offset, size) in enumerate(self.tiles.rank_extents(rank)):
+            if size != row_bytes:
                 raise BenchmarkError(
                     "region/row mismatch: the dump regions must be one row each")
-            pairs.append((region.offset, raw[index * row_bytes:(index + 1) * row_bytes]))
+            pairs.append((offset, raw[index * row_bytes:(index + 1) * row_bytes]))
         return pairs
 
     def decode_file(self, content: bytes) -> np.ndarray:

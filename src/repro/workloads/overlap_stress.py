@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from repro.core.regions import RegionList
+from repro.core.regions import Extents, Region
 from repro.errors import BenchmarkError
 
 
@@ -69,18 +69,22 @@ class OverlapStressWorkload:
         return self.regions_per_client * self.region_size
 
     # ------------------------------------------------------------------
-    def client_regions(self, client: int) -> RegionList:
-        """Byte regions written by ``client``."""
+    def client_extents(self, client: int) -> Extents:
+        """``(offset, size)`` pairs written by ``client``, in file order."""
         if not (0 <= client < self.num_clients):
             raise BenchmarkError(f"client {client} outside 0..{self.num_clients - 1}")
-        regions: List[Tuple[int, int]] = []
-        for slot in range(self.regions_per_client):
-            offset = slot * self.slot_stride + client * self.client_shift
-            regions.append((offset, self.region_size))
-        return RegionList.from_tuples(regions)
+        return [(slot * self.slot_stride + client * self.client_shift,
+                 self.region_size)
+                for slot in range(self.regions_per_client)]
+
+    def client_regions(self, client: int) -> Tuple[Region, ...]:
+        """:meth:`client_extents` as :class:`~repro.core.regions.Region`
+        records, for callers that read the fields by name."""
+        return tuple([Region(offset, size)
+                      for offset, size in self.client_extents(client)])
 
     def client_pairs(self, client: int) -> List[Tuple[int, bytes]]:
         """``(offset, payload)`` pairs; the payload byte identifies the writer."""
         value = (client + 1) % 256
-        return [(region.offset, bytes([value]) * region.size)
-                for region in self.client_regions(client)]
+        return [(offset, bytes([value]) * size)
+                for offset, size in self.client_extents(client)]

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from repro.core.regions import RegionList
+from repro.core.regions import Extents
 from repro.errors import BenchmarkError
 from repro.mpi.datatypes import BasicType, Datatype, Subarray
 
@@ -103,15 +103,16 @@ class TileIOWorkload:
                         starts=[start_y, start_x],
                         base=element)
 
-    def rank_regions(self, rank: int) -> RegionList:
-        """Byte regions of ``rank``'s tile in the shared file."""
-        return self.rank_datatype(rank).flatten()
+    def rank_extents(self, rank: int) -> Extents:
+        """``(offset, size)`` pairs of ``rank``'s tile in the shared file,
+        in file order: one per row of the tile, rows that touch merged."""
+        return self.rank_datatype(rank).runs()
 
     def rank_pairs(self, rank: int) -> List[Tuple[int, bytes]]:
         """``(offset, payload)`` pairs of one tile dump (writer-tagged payload)."""
         value = (rank + 1) % 256
-        return [(region.offset, bytes([value]) * region.size)
-                for region in self.rank_regions(rank)]
+        return [(offset, bytes([value]) * size)
+                for offset, size in self.rank_extents(rank)]
 
     def scaled_to(self, num_processes: int) -> "TileIOWorkload":
         """A copy with the tile grid resized to roughly ``num_processes`` tiles.

@@ -15,7 +15,6 @@ from repro.blobseer.metadata.segment_tree import (
 )
 from repro.blobseer.metadata.store import MetadataStore, PartitionedMetadataStore
 from repro.core.listio import IOVector
-from repro.core.regions import RegionList
 from repro.errors import InvalidRegion, OutOfBounds, VersionNotFound
 
 
@@ -257,14 +256,14 @@ class _StoreReader:
 class TestPlanRead:
     def test_unwritten_blob_reads_zero(self):
         reader = _StoreReader(BLOB)
-        plan = plan_read(BLOB, 0, RegionList([(0, 100)]), reader.get_node)
+        plan = plan_read(BLOB, 0, [(0, 100)], reader.get_node)
         assert plan.chunk_bytes() == 0
         assert plan.zero_bytes() == 100
 
     def test_read_resolves_written_chunks(self):
         reader = _StoreReader(BLOB)
         reader.write(1, 0, IOVector.for_write([(10, b"a" * 20)]))
-        plan = plan_read(BLOB, 1, RegionList([(0, 64)]), reader.get_node)
+        plan = plan_read(BLOB, 1, [(0, 64)], reader.get_node)
         assert plan.chunk_bytes() == 20
         assert plan.zero_bytes() == 44
         covered = sorted((e.offset, e.length) for e in plan.extents)
@@ -274,8 +273,8 @@ class TestPlanRead:
         reader = _StoreReader(BLOB)
         reader.write(1, 0, IOVector.for_write([(0, b"a" * 64)]))
         reader.write(2, 1, IOVector.for_write([(0, b"b" * 64)]))
-        plan_v1 = plan_read(BLOB, 1, RegionList([(0, 64)]), reader.get_node)
-        plan_v2 = plan_read(BLOB, 2, RegionList([(0, 64)]), reader.get_node)
+        plan_v1 = plan_read(BLOB, 1, [(0, 64)], reader.get_node)
+        plan_v2 = plan_read(BLOB, 2, [(0, 64)], reader.get_node)
         assert plan_v1.extents[0].chunk.writer == "wv1"
         assert plan_v2.extents[0].chunk.writer == "wv2"
 
@@ -283,7 +282,7 @@ class TestPlanRead:
         reader = _StoreReader(BLOB)
         reader.write(1, 0, IOVector.for_write([(0, b"a" * 64)]))
         reader.write(2, 1, IOVector.for_write([(16, b"b" * 16)]))
-        plan = plan_read(BLOB, 2, RegionList([(0, 64)]), reader.get_node)
+        plan = plan_read(BLOB, 2, [(0, 64)], reader.get_node)
         by_writer = {}
         for extent in plan.extents:
             by_writer.setdefault(extent.chunk.writer, 0)
@@ -294,23 +293,23 @@ class TestPlanRead:
         reader = _StoreReader(BLOB)
         reader.write(1, 0, IOVector.for_write([(7 * 64, b"x" * 64)]))
         reader.write(2, 1, IOVector.for_write([(0, b"y" * 64)]))
-        plan = plan_read(BLOB, 2, RegionList([(7 * 64, 64)]), reader.get_node)
+        plan = plan_read(BLOB, 2, [(7 * 64, 64)], reader.get_node)
         assert plan.extents[0].chunk.writer == "wv1"
 
     def test_read_out_of_bounds_rejected(self):
         reader = _StoreReader(BLOB)
         with pytest.raises(OutOfBounds):
-            plan_read(BLOB, 0, RegionList([(BLOB.capacity - 1, 2)]), reader.get_node)
+            plan_read(BLOB, 0, [(BLOB.capacity - 1, 2)], reader.get_node)
 
     def test_empty_read_plan(self):
         reader = _StoreReader(BLOB)
-        plan = plan_read(BLOB, 0, RegionList(), reader.get_node)
+        plan = plan_read(BLOB, 0, [], reader.get_node)
         assert plan.extents == []
 
     def test_noncontiguous_read_plan(self):
         reader = _StoreReader(BLOB)
         reader.write(1, 0, IOVector.for_write([(0, b"a" * 8), (128, b"c" * 8)]))
-        plan = plan_read(BLOB, 1, RegionList([(0, 8), (128, 8)]), reader.get_node)
+        plan = plan_read(BLOB, 1, [(0, 8), (128, 8)], reader.get_node)
         assert plan.chunk_bytes() == 16
         assert plan.zero_bytes() == 0
 
@@ -319,11 +318,11 @@ class TestPlanRead:
         version, one more per base version a partial leaf falls back to."""
         reader = _StoreReader(BLOB)
         reader.write(1, 0, IOVector.for_write([(0, b"a" * 8)]))
-        plan = plan_read(BLOB, 1, RegionList([(0, 8)]), reader.get_node)
+        plan = plan_read(BLOB, 1, [(0, 8)], reader.get_node)
         assert (plan.nodes_fetched, plan.levels, plan.metadata_rpcs) \
             == (1, 1, 1)
         reader.write(2, 1, IOVector.for_write([(4, b"b" * 2)]))
-        plan = plan_read(BLOB, 2, RegionList([(0, 8)]), reader.get_node)
+        plan = plan_read(BLOB, 2, [(0, 8)], reader.get_node)
         assert (plan.nodes_fetched, plan.levels, plan.metadata_rpcs) \
             == (2, 2, 2)
         assert plan.chunk_bytes() == 8
@@ -349,12 +348,12 @@ class TestReadPlanner:
     ])
     def test_the_first_round_is_the_touched_leaves_at_the_read_version(
             self, regions, expected):
-        planner = ReadPlanner(BLOB, 3, RegionList(regions))
+        planner = ReadPlanner(BLOB, 3, regions)
         assert planner.pending() == sorted(expected)
         assert planner.wanted() == expected
 
     def test_an_empty_read_asks_nothing(self):
-        planner = ReadPlanner(BLOB, 3, RegionList([(5, 0)]))
+        planner = ReadPlanner(BLOB, 3, [(5, 0)])
         assert planner.done and planner.pending() == []
         assert planner.plan().extents == []
 
@@ -362,7 +361,7 @@ class TestReadPlanner:
         reader = _StoreReader(BLOB)
         reader.write(1, 0, IOVector.for_write([(0, b"a" * 64)]))
         reader.write(2, 1, IOVector.for_write([(8, b"b" * 8)]))
-        planner = ReadPlanner(BLOB, 2, RegionList([(0, 32)]))
+        planner = ReadPlanner(BLOB, 2, [(0, 32)])
         planner.advance({(0, 64, 2): reader.get_node(0, 64, 2)})
         assert planner.wanted() == {(0, 64, 1): ((0, 8), (16, 32))}
         planner.advance({(0, 64, 1): reader.get_node(0, 64, 1)})
@@ -375,12 +374,12 @@ class TestReadPlanner:
         reader = _StoreReader(BLOB)
         reader.write(1, 0, IOVector.for_write([(0, b"a" * 64)]))
         reader.write(2, 1, IOVector.for_write([(0, b"b" * 16)]))
-        planner = ReadPlanner(BLOB, 2, RegionList([(4, 8)]))
+        planner = ReadPlanner(BLOB, 2, [(4, 8)])
         planner.advance({(0, 64, 2): reader.get_node(0, 64, 2)})
         assert planner.done and planner.nodes_fetched == 1
 
     def test_a_never_written_leaf_reads_as_zeros(self):
-        planner = ReadPlanner(BLOB, 2, RegionList([(70, 10), (100, 4)]))
+        planner = ReadPlanner(BLOB, 2, [(70, 10), (100, 4)])
         planner.advance({(64, 64, 2): None})
         assert planner.done and planner.nodes_fetched == 0
         assert [(e.offset, e.length, e.is_zero)
@@ -391,7 +390,7 @@ class TestReadPlanner:
         key = NodeKey(BLOB.blob_id, 1, 0, 64)
         node = MetadataNode(key, True, segments=(seg(0, 8),),
                             base_version=None)
-        planner = ReadPlanner(BLOB, 1, RegionList([(0, 16)]))
+        planner = ReadPlanner(BLOB, 1, [(0, 16)])
         planner.advance({(0, 64, 1): node})
         assert planner.done
         assert [(e.offset, e.length, e.is_zero)
@@ -403,23 +402,23 @@ class TestReadPlanner:
         reader = _StoreReader(blob)
         reader.write(1, 0, IOVector.for_write([(0, b"a" * 64)]))
         reader.write(2, 1, IOVector.for_write([(32, b"b" * 8)]))
-        plan = plan_read(blob, 2, RegionList([(0, 64)]), reader.get_node)
+        plan = plan_read(blob, 2, [(0, 64)], reader.get_node)
         assert [(e.offset, e.length, e.chunk.writer) for e in plan.extents] \
             == [(0, 32, "wv1"), (32, 8, "wv2"), (40, 24, "wv1")]
         assert (plan.nodes_fetched, plan.levels) == (2, 2)
 
     def test_advance_needs_every_result_of_the_round(self):
-        planner = ReadPlanner(BLOB, 1, RegionList([(0, 128)]))
+        planner = ReadPlanner(BLOB, 1, [(0, 128)])
         with pytest.raises(InvalidRegion):
             planner.advance({(0, 64, 1): None})
 
     def test_a_finished_walk_takes_no_more_rounds(self):
-        planner = ReadPlanner(BLOB, 1, RegionList([(0, 8)]))
+        planner = ReadPlanner(BLOB, 1, [(0, 8)])
         planner.advance({(0, 64, 1): None})
         with pytest.raises(InvalidRegion):
             planner.advance({})
 
     def test_plan_before_the_walk_finished_is_refused(self):
-        planner = ReadPlanner(BLOB, 1, RegionList([(0, 8)]))
+        planner = ReadPlanner(BLOB, 1, [(0, 8)])
         with pytest.raises(InvalidRegion):
             planner.plan()

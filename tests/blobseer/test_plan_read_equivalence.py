@@ -45,9 +45,9 @@ from repro.blobseer.metadata.tiers import (
     partition_problems,
 )
 from repro.core.listio import IOVector
-from repro.core.regions import RegionList
 from repro.fuzz import runner
 from repro.fuzz.generator import generate_scenario
+from tests._regions import RegionList
 from tests.blobseer.test_read_walk_transcript import (
     SEEDS,
     build_history,
@@ -63,7 +63,8 @@ def descent(blob, version, regions, get_node):
     reference's version hint, then each leaf's base chain.  Returns its
     extents as ``(offset, length, chunk, chunk_offset, provider)``."""
     extents = []
-    runs = [(region.offset, region.end) for region in regions.normalized()]
+    runs = RegionList(regions).normalized()
+    runs = [(region.offset, region.end) for region in runs]
     frontier = [((0, blob.capacity, version), runs)] if runs else []
     while frontier:
         request, runs = frontier.pop()
@@ -149,7 +150,7 @@ def read_accesses(draw):
         offset = draw(st.integers(0, BLOB.capacity - 1))
         size = draw(st.integers(1, BLOB.capacity - offset))
         regions.append((offset, size))
-    return RegionList(regions)
+    return regions
 
 
 def populate(history):
@@ -261,7 +262,7 @@ def test_the_walk_matches_the_descent_on_chain_heavy_histories(seed):
     levels = rounds = 0
     for version in range(versions + 1):
         for runs in wanted_lists(seed * 100 + version, blob):
-            regions = RegionList(runs)
+            regions = runs
             plain = plan_read(blob, version, regions, get_node)
             assert merged(extent_tuples(plain)) == merged(
                 descent(blob, version, regions, get_node))
@@ -309,7 +310,7 @@ def test_the_walk_matches_the_descent_on_fuzzed_stores(seed, monkeypatch):
     def get_node(offset, size, version):
         return store.get_at_or_before(blob.blob_id, offset, size, version)
 
-    whole = RegionList([(0, blob.capacity)])
+    whole = [(0, blob.capacity)]
     latest = manager.latest_published(runner.PATH)
     assert latest >= 2
     for version in range(latest + 1):

@@ -39,7 +39,6 @@ from repro.blobseer.metadata.segment_tree import (
 )
 from repro.blobseer.metadata.store import MetadataStore
 from repro.core.listio import IOVector
-from repro.core.regions import RegionList
 
 FIXTURE = Path(__file__).with_name("read_walk_transcript.ndjson")
 SEEDS = range(20)
@@ -105,7 +104,7 @@ def wanted_lists(seed, blob):
 
 def transcript(blob, store, version, runs):
     """What one read's walk asked for, level by level, and what it found."""
-    planner = ReadPlanner(blob, version, RegionList(runs))
+    planner = ReadPlanner(blob, version, runs)
     levels = []
     while not planner.done:
         requests = planner.pending()

@@ -18,7 +18,7 @@ from repro.blobseer.metadata.segment_tree import (
 )
 from repro.blobseer.metadata.store import MetadataStore
 from repro.core.listio import IOVector
-from repro.core.regions import RegionList
+from tests._regions import RegionList
 
 CHUNK = 32
 BLOB = BlobDescriptor.create("prop", size=16 * CHUNK, chunk_size=CHUNK)
@@ -81,7 +81,7 @@ class TreeModel:
     def reference_read(self, version, regions):
         content = self.reference[version]
         return b"".join(content[region.offset:region.end]
-                        for region in regions.normalized())
+                        for region in RegionList(regions).normalized())
 
 
 @settings(max_examples=60, deadline=None)
@@ -95,8 +95,8 @@ def test_every_snapshot_reads_like_the_reference(sequence, data):
         # a random read range plus the full-blob read
         offset = data.draw(st.integers(0, BLOB.capacity - 1))
         size = data.draw(st.integers(1, BLOB.capacity - offset))
-        for regions in (RegionList([(offset, size)]),
-                        RegionList([(0, BLOB.capacity)])):
+        for regions in ([(offset, size)],
+                        [(0, BLOB.capacity)]):
             assert model.read(version, regions) == \
                 model.reference_read(version, regions)
 
@@ -106,7 +106,7 @@ def test_every_snapshot_reads_like_the_reference(sequence, data):
 def test_old_snapshots_are_immutable(sequence):
     """Writing new versions never changes what older versions read."""
     model = TreeModel()
-    full = RegionList([(0, BLOB.capacity)])
+    full = [(0, BLOB.capacity)]
     snapshots = {0: model.read(0, full)}
     for index, pairs in enumerate(sequence, start=1):
         model.write(index, pairs)

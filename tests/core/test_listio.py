@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.listio import IORequest, IOVector, assemble
-from repro.core.regions import Region
+from repro.core.regions import canonical_runs, runs_overlap
 from repro.errors import InvalidRegion
 
 
@@ -11,7 +11,7 @@ class TestIORequest:
     def test_write_request(self):
         req = IORequest(10, 4, b"abcd")
         assert req.is_write
-        assert req.region == Region(10, 4)
+        assert (req.offset, req.size, req.data) == (10, 4, b"abcd")
 
     def test_read_request(self):
         req = IORequest(10, 4)
@@ -39,24 +39,31 @@ class TestIOVector:
         assert not vec.is_write
 
     def test_contiguous_constructors(self):
-        assert IOVector.contiguous_write(5, b"xyz").is_contiguous()
-        assert IOVector.contiguous_read(5, 3).is_contiguous()
+        assert IOVector.contiguous_write(5, b"xyz").extents() == [(5, 3)]
+        assert IOVector.contiguous_read(5, 3).covering_extent() == (5, 3)
 
-    def test_region_list_and_extent(self):
+    def test_extents_and_covering_extent(self):
         vec = IOVector.for_write([(10, b"aa"), (0, b"bb")])
-        assert vec.covering_extent() == Region(0, 12)
-        assert vec.region_list().as_tuples() == [(10, 2), (0, 2)]
+        assert vec.covering_extent() == (0, 12)
+        assert vec.extents() == [(10, 2), (0, 2)]
+        # empty requests cover nothing
+        assert IOVector.for_read([(40, 0), (8, 2)]).covering_extent() == (8, 2)
+        assert IOVector.for_read([(40, 0)]).covering_extent() == (0, 0)
+        assert IOVector().covering_extent() == (0, 0)
 
-    def test_is_contiguous_detection(self):
-        assert IOVector.for_write([(0, b"ab"), (2, b"cd")]).is_contiguous()
-        assert not IOVector.for_write([(0, b"ab"), (3, b"cd")]).is_contiguous()
+    def test_touching_requests_make_one_run(self):
+        assert canonical_runs(IOVector.for_write(
+            [(2, b"cd"), (0, b"ab")]).extents()) == [(0, 4)]
+        assert canonical_runs(IOVector.for_write(
+            [(0, b"ab"), (3, b"cd")]).extents()) == [(0, 2), (3, 5)]
 
     def test_overlaps(self):
-        a = IOVector.for_write([(0, b"aaaa")])
-        b = IOVector.for_write([(2, b"bb")])
-        c = IOVector.for_write([(10, b"cc")])
-        assert a.overlaps(b)
-        assert not a.overlaps(c)
+        def runs(pairs):
+            return canonical_runs(IOVector.for_write(pairs).extents())
+        a, b, c = runs([(0, b"aaaa")]), runs([(2, b"bb")]), runs([(4, b"cc")])
+        assert runs_overlap(a, b) and runs_overlap(b, a)
+        assert not runs_overlap(a, c)  # adjacent is not overlapping
+        assert not runs_overlap(a, [])
 
     def test_apply_to_in_order(self):
         content = bytearray(b"........")

@@ -1,22 +1,21 @@
-"""Unit tests for the byte-region algebra."""
+"""Unit tests for the byte-region record and the tests' region algebra."""
 
 import pytest
 
-from repro.core.regions import Region, RegionList, clip_runs, coalesce_runs
+from repro.core.regions import Region, clip_runs, coalesce_runs
 from repro.errors import InvalidRegion
-from tests._regions import (canonical_runs, region_minus, regions_minus,
-                            regions_union)
+from tests._regions import (RegionList, canonical_runs, region_intersect,
+                            region_minus, region_overlaps, region_pieces,
+                            regions_minus, regions_union)
 
 
 class TestRegion:
     def test_basic_properties(self):
         region = Region(10, 5)
-        assert region.end == 15
-        assert not region.empty
-        assert region.as_tuple() == (10, 5)
+        assert (region.offset, region.size, region.end) == (10, 5, 15)
 
     def test_empty_region(self):
-        assert Region(3, 0).empty
+        assert Region(3, 0).end == 3
 
     def test_invalid_regions_rejected(self):
         with pytest.raises(InvalidRegion):
@@ -24,34 +23,16 @@ class TestRegion:
         with pytest.raises(InvalidRegion):
             Region(0, -2)
 
-    def test_contains(self):
-        region = Region(10, 5)
-        assert region.contains(10)
-        assert region.contains(14)
-        assert not region.contains(15)
-        assert not region.contains(9)
-
-    def test_contains_region(self):
-        outer = Region(0, 100)
-        assert outer.contains_region(Region(10, 20))
-        assert outer.contains_region(Region(0, 100))
-        assert not outer.contains_region(Region(90, 20))
-
     def test_overlaps(self):
-        assert Region(0, 10).overlaps(Region(5, 10))
-        assert Region(5, 10).overlaps(Region(0, 10))
-        assert not Region(0, 10).overlaps(Region(10, 5))   # adjacent
-        assert not Region(0, 10).overlaps(Region(20, 5))
-        assert not Region(0, 0).overlaps(Region(0, 10))    # empty never overlaps
-
-    def test_adjacent(self):
-        assert Region(0, 10).adjacent(Region(10, 5))
-        assert Region(10, 5).adjacent(Region(0, 10))
-        assert not Region(0, 10).adjacent(Region(11, 5))
+        assert region_overlaps(Region(0, 10), Region(5, 10))
+        assert region_overlaps(Region(5, 10), Region(0, 10))
+        assert not region_overlaps(Region(0, 10), Region(10, 5))   # adjacent
+        assert not region_overlaps(Region(0, 10), Region(20, 5))
+        assert not region_overlaps(Region(0, 0), Region(0, 10))    # empty never overlaps
 
     def test_intersect(self):
-        assert Region(0, 10).intersect(Region(5, 10)) == Region(5, 5)
-        assert Region(0, 10).intersect(Region(20, 5)).empty
+        assert region_intersect(Region(0, 10), Region(5, 10)) == Region(5, 5)
+        assert region_intersect(Region(0, 10), Region(20, 5)).size == 0
 
     def test_subtract_middle_hole(self):
         pieces = region_minus(Region(0, 100), Region(40, 20))
@@ -64,16 +45,16 @@ class TestRegion:
         assert region_minus(Region(10, 5), Region(0, 100)) == ()
 
     def test_chunk_aligned_pieces(self):
-        pieces = Region(5, 20).chunk_aligned_pieces(8)
+        pieces = region_pieces(Region(5, 20), 8)
         assert pieces == (Region(5, 3), Region(8, 8), Region(16, 8), Region(24, 1))
         assert sum(piece.size for piece in pieces) == 20
 
     def test_chunk_aligned_pieces_already_aligned(self):
-        assert Region(8, 8).chunk_aligned_pieces(8) == (Region(8, 8),)
+        assert region_pieces(Region(8, 8), 8) == (Region(8, 8),)
 
     def test_chunk_aligned_invalid_chunk_size(self):
         with pytest.raises(InvalidRegion):
-            Region(0, 10).chunk_aligned_pieces(0)
+            region_pieces(Region(0, 10), 0)
 
     def test_ordering_and_hash(self):
         assert Region(0, 5) < Region(1, 5)
@@ -104,18 +85,6 @@ class TestRegionList:
         assert rl.total_bytes() == 20
         assert rl.covered_bytes() == 15
 
-    def test_covering_extent(self):
-        rl = RegionList([(100, 10), (10, 5), (50, 1)])
-        assert rl.covering_extent() == Region(10, 100)
-
-    def test_covering_extent_empty(self):
-        assert RegionList().covering_extent() == Region(0, 0)
-
-    def test_is_contiguous(self):
-        assert RegionList([(0, 10), (10, 5)]).is_contiguous()
-        assert not RegionList([(0, 10), (11, 5)]).is_contiguous()
-        assert RegionList().is_contiguous()
-
     def test_union(self):
         a = RegionList([(0, 10)])
         b = RegionList([(5, 10), (30, 5)])
@@ -141,29 +110,14 @@ class TestRegionList:
         a = RegionList([(0, 10)])
         assert len(regions_minus(a, RegionList([(0, 100)]))) == 0
 
-    def test_gaps(self):
-        rl = RegionList([(0, 10), (20, 10), (50, 5)])
-        assert rl.gaps().as_tuples() == [(10, 10), (30, 20)]
-
-    def test_shift(self):
-        assert RegionList([(0, 5), (10, 5)]).shift(100).as_tuples() == \
-            [(100, 5), (110, 5)]
-
     def test_clip_runs(self):
         runs = canonical_runs([(0, 10), (20, 10), (40, 10)])
         assert clip_runs(runs, 5, 35) == [(5, 10), (20, 30)]
-
-    def test_chunk_aligned(self):
-        rl = RegionList([(5, 10)]).chunk_aligned(8)
-        assert rl.as_tuples() == [(5, 3), (8, 7)]
 
     def test_equality_and_hash(self):
         assert RegionList([(0, 5)]) == RegionList([(0, 5)])
         assert hash(RegionList([(0, 5)])) == hash(RegionList([(0, 5)]))
         assert RegionList([(0, 5)]) != RegionList([(0, 6)])
-
-    def test_single_constructor(self):
-        assert RegionList.single(5, 10).as_tuples() == [(5, 10)]
 
 
 def _byte_runs(covered):

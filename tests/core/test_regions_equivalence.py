@@ -1,4 +1,4 @@
-"""Equivalence tests for the rewritten (linear-merge) RegionList algebra.
+"""Equivalence tests for the linear-merge region and run algebra.
 
 The old implementation subtracted every cut from every kept piece (O(n·m))
 and re-normalized after every operation; the rewrite produces canonical
@@ -9,9 +9,9 @@ and against a byte-set model that is obviously correct.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.regions import Region, RegionList, clip_runs, coalesce_runs
-from tests._regions import (canonical_runs, region_minus, regions_minus,
-                            regions_union)
+from repro.core.regions import Region, clip_runs, coalesce_runs, runs_overlap
+from tests._regions import (RegionList, canonical_runs, region_minus,
+                            regions_minus, regions_union)
 
 UNIVERSE = 512  # keep the byte-set model small and fast
 
@@ -20,7 +20,7 @@ UNIVERSE = 512  # keep the byte-set model small and fast
 # reference implementations (the pre-rewrite semantics, verbatim)
 # ----------------------------------------------------------------------
 def reference_normalized(regions):
-    non_empty = sorted((r for r in regions if not r.empty),
+    non_empty = sorted((r for r in regions if r.size),
                        key=lambda r: (r.offset, r.end))
     if not non_empty:
         return []
@@ -112,6 +112,8 @@ def test_intersection_matches_byte_model(a, b):
 @given(a=regions_strategy, b=regions_strategy)
 def test_overlaps_matches_byte_model(a, b):
     assert a.overlaps(b) == bool(byte_set_of(a) & byte_set_of(b))
+    assert runs_overlap(canonical_runs(a.as_tuples()),
+                        canonical_runs(b.as_tuples())) == a.overlaps(b)
 
 
 @settings(max_examples=100, deadline=None)
@@ -131,7 +133,7 @@ def test_normalized_matches_old_reference_and_is_memoized(a):
 @given(lists=st.lists(many_regions_strategy, min_size=1, max_size=8))
 def test_coalesce_runs_matches_old_reference_and_byte_model(lists):
     every_region = [region for lst in lists for region in lst]
-    new = RegionList.from_tuples(
+    new = RegionList(
         (start, end - start) for start, end in coalesce_runs(
             [(r.offset, r.end) for r in every_region if r.size]))
     assert list(new) == reference_normalized(every_region)
@@ -144,7 +146,7 @@ def test_coalesce_runs_matches_old_reference_and_byte_model(lists):
                                             st.integers(0, 128)))
 def test_clip_runs_matches_byte_model(a, bounds):
     region = Region(*bounds)
-    clipped = RegionList.from_tuples(
+    clipped = RegionList(
         (start, end - start) for start, end in clip_runs(
             canonical_runs(a.as_tuples()), region.offset, region.end))
     assert byte_set_of(clipped) == byte_set_of(a) & as_byte_set([region])

@@ -2,8 +2,9 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.regions import Region, RegionList, clip_runs
-from tests._regions import canonical_runs, regions_minus, regions_union
+from repro.core.regions import Region, clip_runs, runs_overlap
+from tests._regions import (RegionList, canonical_runs, region_pieces,
+                            regions_minus, regions_union)
 
 
 regions = st.builds(Region,
@@ -11,7 +12,7 @@ regions = st.builds(Region,
                     size=st.integers(0, 500))
 
 region_lists = st.lists(st.tuples(st.integers(0, 2000), st.integers(0, 300)),
-                        min_size=0, max_size=12).map(RegionList.from_tuples)
+                        min_size=0, max_size=12).map(RegionList)
 
 
 @given(region_lists)
@@ -39,6 +40,8 @@ def test_intersection_is_symmetric_and_contained(a, b):
     assert regions_minus(left, a).covered_bytes() == 0
     assert regions_minus(left, b).covered_bytes() == 0
     assert a.overlaps(b) == (left.covered_bytes() > 0)
+    assert runs_overlap(canonical_runs(a.as_tuples()),
+                        canonical_runs(b.as_tuples())) == a.overlaps(b)
 
 
 @given(region_lists, region_lists)
@@ -52,18 +55,9 @@ def test_subtract_union_partition(a, b):
         a.covered_bytes()
 
 
-@given(region_lists)
-def test_gaps_complement_inside_extent(rl):
-    norm = rl.normalized()
-    extent = norm.covering_extent()
-    gaps = norm.gaps()
-    assert not gaps.overlaps(norm)
-    assert gaps.covered_bytes() + norm.covered_bytes() == extent.size
-
-
 @given(regions, st.integers(1, 64))
 def test_chunk_aligned_pieces_partition_region(region, chunk_size):
-    pieces = region.chunk_aligned_pieces(chunk_size)
+    pieces = region_pieces(region, chunk_size)
     assert sum(piece.size for piece in pieces) == region.size
     # pieces are in order, contiguous, and never cross a chunk boundary
     cursor = region.offset
@@ -73,21 +67,12 @@ def test_chunk_aligned_pieces_partition_region(region, chunk_size):
         cursor = piece.end
 
 
-@given(region_lists, st.integers(-500, 500))
-def test_shift_preserves_structure(rl, delta):
-    if any(region.offset + delta < 0 for region in rl):
-        return
-    shifted = rl.shift(delta)
-    assert shifted.total_bytes() == rl.total_bytes()
-    assert [r.size for r in shifted] == [r.size for r in rl]
-
-
 @given(region_lists, regions)
 def test_clip_runs_stay_inside_bounds(rl, bounds):
-    clipped = RegionList.from_tuples(
+    clipped = RegionList(
         (start, end - start) for start, end in clip_runs(
             canonical_runs(rl.as_tuples()), bounds.offset, bounds.end))
     for region in clipped:
-        assert bounds.contains_region(region)
+        assert bounds.offset <= region.offset and region.end <= bounds.end
     assert clipped.covered_bytes() == rl.normalized().intersection(
         RegionList([bounds])).covered_bytes()

@@ -1,16 +1,18 @@
 """The run helpers against the RegionList algebra they stand in for.
 
-:func:`canonical_runs`, :func:`clip_runs` and :func:`coalesce_runs` carry
-the collective exchange on plain ``(start, end)`` integer pairs; each must
-give exactly the regions :meth:`RegionList.normalized`, :func:`clip` and
-:func:`union_all` give.  The last two are the Region-based forms the run
+:func:`canonical_runs`, :func:`clip_runs`, :func:`coalesce_runs` and
+:func:`runs_overlap` carry the collective exchange, the lock manager and the
+read walk on plain ``(start, end)`` integer pairs; each must give exactly
+what :meth:`RegionList.normalized`, :func:`clip`, :func:`union_all` and
+:meth:`RegionList.overlaps` give.  The last two are the Region-based forms the run
 helpers replaced, kept here as references.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.regions import Region, RegionList, clip_runs, coalesce_runs
-from tests._regions import canonical_runs
+from repro.core.regions import (Region, canonical_runs, clip_runs,
+                                coalesce_runs, runs_overlap)
+from tests._regions import RegionList, region_intersect
 
 extents = st.lists(st.tuples(st.integers(0, 200), st.integers(0, 40)),
                    max_size=30)
@@ -22,9 +24,9 @@ def as_runs(regions: RegionList):
 
 def clip(regions: RegionList, bounds: Region) -> RegionList:
     """Regions clipped to ``bounds`` (pieces outside are dropped)."""
-    return RegionList(piece for piece in (region.intersect(bounds)
+    return RegionList(piece for piece in (region_intersect(region, bounds)
                                           for region in regions)
-                      if not piece.empty)
+                      if piece.size)
 
 
 def union_all(lists) -> RegionList:
@@ -36,17 +38,24 @@ def union_all(lists) -> RegionList:
 @given(extents)
 def test_canonical_runs_are_the_normalized_list(pairs):
     assert canonical_runs(pairs) == as_runs(
-        RegionList.from_tuples(pairs).normalized())
+        RegionList(pairs).normalized())
 
 
 @settings(max_examples=200, deadline=None)
 @given(extents, st.integers(0, 260), st.integers(0, 80))
 def test_clip_runs_is_region_list_clip(pairs, start, size):
-    canonical = RegionList.from_tuples(pairs).normalized()
+    canonical = RegionList(pairs).normalized()
     clipped = clip_runs(canonical_runs(pairs), start, start + size)
     assert clipped == as_runs(clip(canonical, Region(start, size)))
     # clipping keeps the runs canonical
     assert clipped == coalesce_runs(list(clipped))
+
+
+@settings(max_examples=200, deadline=None)
+@given(extents, extents)
+def test_runs_overlap_is_region_list_overlaps(a, b):
+    assert runs_overlap(canonical_runs(a), canonical_runs(b)) == \
+        RegionList(a).overlaps(RegionList(b))
 
 
 @settings(max_examples=200, deadline=None)
@@ -55,7 +64,7 @@ def test_coalesced_runs_are_the_union_of_all_lists(lists):
     union = coalesce_runs([run for pairs in lists
                            for run in canonical_runs(pairs)])
     assert union == as_runs(union_all(
-        [RegionList.from_tuples(pairs).normalized() for pairs in lists]))
+        [RegionList(pairs).normalized() for pairs in lists]))
 
 
 def test_clip_runs_edges():

@@ -133,7 +133,7 @@ small = st.integers(min_value=0, max_value=64)
 @given(st.lists(st.tuples(small, small), max_size=30))
 def test_regions_sort_as_their_field_tuples(pairs):
     regions = [Region(offset, size) for offset, size in pairs]
-    assert [r.as_tuple() for r in sorted(regions)] == sorted(pairs)
+    assert [(r.offset, r.size) for r in sorted(regions)] == sorted(pairs)
 
 
 @settings(max_examples=100, deadline=None)

@@ -13,7 +13,7 @@ class TestBasicTypes:
         assert DOUBLE.size == 8
 
     def test_flatten(self):
-        assert INT.flatten().as_tuples() == [(0, 4)]
+        assert list(INT.runs()) == [(0, 4)]
 
     def test_tiled(self):
         assert INT.tiled_runs(3) == ((0, 12),)
@@ -25,7 +25,7 @@ class TestContiguous:
         datatype = Contiguous(5, INT)
         assert datatype.size == 20
         assert datatype.extent == 20
-        assert datatype.flatten().as_tuples() == [(0, 20)]
+        assert list(datatype.runs()) == [(0, 20)]
 
     def test_negative_count_rejected(self):
         with pytest.raises(DatatypeError):
@@ -35,17 +35,17 @@ class TestContiguous:
 class TestVector:
     def test_strided_blocks(self):
         datatype = Vector(count=3, blocklength=2, stride=4, base=BYTE)
-        assert datatype.flatten().as_tuples() == [(0, 2), (4, 2), (8, 2)]
+        assert list(datatype.runs()) == [(0, 2), (4, 2), (8, 2)]
         assert datatype.size == 6
         assert datatype.extent == 10
 
     def test_vector_of_ints(self):
         datatype = Vector(count=2, blocklength=1, stride=3, base=INT)
-        assert datatype.flatten().as_tuples() == [(0, 4), (12, 4)]
+        assert list(datatype.runs()) == [(0, 4), (12, 4)]
 
     def test_contiguous_when_stride_equals_blocklength(self):
         datatype = Vector(count=4, blocklength=2, stride=2, base=BYTE)
-        assert datatype.flatten().as_tuples() == [(0, 8)]
+        assert list(datatype.runs()) == [(0, 8)]
 
     def test_invalid_stride_rejected(self):
         with pytest.raises(DatatypeError):
@@ -60,7 +60,7 @@ class TestVector:
 class TestIndexed:
     def test_blocks_at_displacements(self):
         datatype = Indexed([2, 3], [0, 10], base=BYTE)
-        assert datatype.flatten().as_tuples() == [(0, 2), (10, 3)]
+        assert list(datatype.runs()) == [(0, 2), (10, 3)]
         assert datatype.size == 5
         assert datatype.extent == 13
 
@@ -79,25 +79,26 @@ class TestSubarray:
     def test_2d_subarray(self):
         # 4x4 array of bytes, 2x2 subarray at (1, 1)
         datatype = Subarray(sizes=[4, 4], subsizes=[2, 2], starts=[1, 1])
-        assert datatype.flatten().as_tuples() == [(5, 2), (9, 2)]
+        assert list(datatype.runs()) == [(5, 2), (9, 2)]
         assert datatype.size == 4
         assert datatype.extent == 16
 
     def test_2d_subarray_with_element_type(self):
         datatype = Subarray(sizes=[4, 4], subsizes=[2, 2], starts=[0, 2], base=INT)
-        assert datatype.flatten().as_tuples() == [(8, 8), (24, 8)]
+        assert list(datatype.runs()) == [(8, 8), (24, 8)]
 
     def test_full_array_is_contiguous(self):
         datatype = Subarray(sizes=[4, 4], subsizes=[4, 4], starts=[0, 0])
-        assert datatype.flatten().as_tuples() == [(0, 16)]
+        assert list(datatype.runs()) == [(0, 16)]
 
     def test_1d_subarray(self):
         datatype = Subarray(sizes=[10], subsizes=[3], starts=[4])
-        assert datatype.flatten().as_tuples() == [(4, 3)]
+        assert list(datatype.runs()) == [(4, 3)]
 
     def test_3d_subarray_row_count(self):
         datatype = Subarray(sizes=[3, 4, 5], subsizes=[2, 2, 3], starts=[1, 1, 1])
         regions = datatype.flatten()
+        assert [(r.offset, r.size) for r in regions] == list(datatype.runs())
         # 2*2 rows of 3 contiguous bytes each
         assert len(regions) == 4
         assert all(region.size == 3 for region in regions)
@@ -118,6 +119,20 @@ class TestSubarray:
         assert len(datatype.flatten()) == 0
         assert datatype.size == 0
 
+    def test_subarray_over_a_gappy_base_is_the_type_map(self):
+        # MPI's type map: each selected element is a copy of the base's
+        # map (bytes 0 and 2 of a Vector(2, 1, 2)) at the element's
+        # displacement, so the base's gap stays a gap
+        gappy = Vector(2, 1, 2, BYTE)
+        single = Subarray((1,), (1,), (0,), gappy)
+        assert single.runs() == ((0, 1), (2, 1))
+        assert single.size == 2
+        pair = Subarray((4,), (2,), (1,), gappy)
+        assert pair.runs() == ((3, 1), (5, 2), (8, 1))
+        assert pair.size == 4
+        rows = Subarray((2, 3), (2, 1), (0, 1), gappy)
+        assert rows.runs() == ((3, 1), (5, 1), (12, 1), (14, 1))
+
     def test_subarray_total_bytes_match_size(self):
         datatype = Subarray(sizes=[8, 8], subsizes=[3, 5], starts=[2, 1], base=DOUBLE)
-        assert datatype.flatten().total_bytes() == datatype.size == 3 * 5 * 8
+        assert sum(size for _offset, size in datatype.runs()) == datatype.size == 3 * 5 * 8

@@ -21,7 +21,6 @@ semantics :mod:`repro.mpiio.adio.collective` promises.
 
 import pytest
 
-from repro.core.regions import RegionList
 from repro.errors import MPIIOError
 from repro.mpi.datatypes import BYTE
 from repro.mpi.launcher import run_mpi_job
@@ -33,6 +32,7 @@ from repro.mpiio.adio.collective import (
 from repro.mpiio.adio.versioning import VersioningDriver
 from repro.mpiio.file import File
 from repro.vstore.client import VectoredClient
+from tests._regions import RegionList, region_pieces
 from tests._oracle import random_pattern, rank_view, serial_oracle
 from tests.mpiio._collective_testlib import make_quick_deployment, read_back_latest
 
@@ -229,7 +229,7 @@ def test_an_aggregator_commits_the_runs_of_its_stripe_not_the_pieces():
     stats = deployment.stats()
     assert stats["stored_bytes"] == union.total_bytes() \
         < sum(size for _offset, size in shipped)
-    assert stats["chunks"] == sum(len(run.chunk_aligned_pieces(CHUNK))
+    assert stats["chunks"] == sum(len(region_pieces(run, CHUNK))
                                   for run in union) == 11 < len(shipped)
 
 

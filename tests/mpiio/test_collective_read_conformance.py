@@ -30,7 +30,7 @@ from repro.blobseer.client import BlobClient
 from repro.mpi.datatypes import BYTE, Indexed
 from repro.mpi.launcher import run_mpi_job
 from repro.core.listio import IOVector, encode_extents
-from repro.core.regions import Region, RegionList
+from repro.core.regions import Region
 from repro.errors import StorageError
 from repro.mpiio.adio.collective import (
     EXTENT_DESCRIPTION_BYTES,
@@ -45,7 +45,7 @@ from repro.mpiio.adio.versioning import VersioningDriver
 from repro.mpiio.file import File
 from repro.vstore.client import VectoredClient
 from tests._oracle import random_pattern, rank_view, serial_oracle
-from tests._regions import canonical_runs, regions_minus
+from tests._regions import RegionList, canonical_runs, regions_minus
 from tests.mpiio._collective_testlib import make_quick_deployment
 
 FILE_SIZE = 16 * 1024

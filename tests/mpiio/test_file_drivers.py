@@ -7,7 +7,7 @@ from repro.cluster import ClusterConfig
 from repro.core.atomicity import VectoredWrite, check_mpi_atomicity
 from repro.core.listio import IOVector
 from repro.errors import MPIIOError
-from repro.mpi.datatypes import BYTE, Indexed, Subarray
+from repro.mpi.datatypes import BYTE, Indexed, Subarray, Vector
 from repro.mpi.launcher import run_mpi_job
 from repro.mpiio.file import AccessMode, File
 
@@ -63,6 +63,39 @@ class TestSingleRankRoundtrip:
 
         result = run_mpi_job(environment.cluster, 1, rank_main)
         assert result.results[0] == b"AAAABBBBCCCC"
+
+    @pytest.mark.parametrize("backend", ["versioning", "posix-locking"])
+    @pytest.mark.parametrize("filetype, data_bytes", [
+        (Subarray((1,), (1,), (0,), Vector(2, 1, 2, BYTE)), [0, 2]),
+        (Subarray((4,), (2,), (1,), Vector(2, 1, 2, BYTE)), [3, 5, 6, 8]),
+    ])
+    def test_subarray_over_a_gappy_base_writes_its_type_map(
+            self, backend, filetype, data_bytes):
+        """A subarray of a base with gaps moves the base's data bytes of
+        each selected element and leaves the gaps alone."""
+        environment = make_environment(backend)
+        payload = bytes(range(65, 65 + len(data_bytes)))
+
+        def rank_main(ctx):
+            driver = environment.driver_factory(ctx)
+            handle = yield from File.open(driver, "/f", rank=ctx.rank,
+                                          comm=ctx.comm, size_hint=FILE_SIZE)
+            yield from handle.write_at(0, b"." * 16)
+            handle.set_view(displacement=0, filetype=filetype)
+            yield from handle.write_at(0, payload)
+            through_view = yield from handle.read_at(0, len(payload))
+            handle.set_view(displacement=0, filetype=BYTE)
+            whole = yield from handle.read_at(0, 16)
+            yield from handle.close()
+            return through_view, whole
+
+        result = run_mpi_job(environment.cluster, 1, rank_main)
+        through_view, whole = result.results[0]
+        expected = bytearray(b"." * 16)
+        for byte, value in zip(data_bytes, payload):
+            expected[byte] = value
+        assert through_view == payload
+        assert whole == bytes(expected)
 
     def test_write_on_readonly_file_rejected(self):
         environment = make_environment("versioning")

@@ -15,15 +15,15 @@ from repro.mpiio.flatten import (
 class TestFileView:
     def test_default_view_is_byte_stream(self):
         view = FileView()
-        assert flatten_view_access(view, 0, 10).as_tuples() == [(0, 10)]
+        assert list(flatten_view_access(view, 0, 10)) == [(0, 10)]
 
     def test_displacement_shifts_access(self):
         view = FileView(displacement=100)
-        assert flatten_view_access(view, 0, 10).as_tuples() == [(100, 10)]
+        assert list(flatten_view_access(view, 0, 10)) == [(100, 10)]
 
     def test_etype_offset_units(self):
         view = FileView(etype=INT, filetype=Contiguous(4, INT))
-        assert flatten_view_access(view, 3, 8).as_tuples() == [(12, 8)]
+        assert list(flatten_view_access(view, 3, 8)) == [(12, 8)]
 
     def test_invalid_views_rejected(self):
         with pytest.raises(MPIIOError):
@@ -38,17 +38,17 @@ class TestStridedView:
         # next tiled instance starts at byte 6 (standard MPI extent semantics)
         view = FileView(filetype=Vector(count=2, blocklength=2, stride=4, base=BYTE))
         regions = flatten_view_access(view, 0, 8)
-        assert regions.as_tuples() == [(0, 2), (4, 4), (10, 2)]
+        assert list(regions) == [(0, 2), (4, 4), (10, 2)]
 
     def test_access_starting_inside_a_tile(self):
         view = FileView(filetype=Vector(count=2, blocklength=2, stride=4, base=BYTE))
         regions = flatten_view_access(view, 1, 4)
-        assert regions.as_tuples() == [(1, 1), (4, 3)]
+        assert list(regions) == [(1, 1), (4, 3)]
 
     def test_access_skipping_whole_tiles(self):
         view = FileView(filetype=Vector(count=2, blocklength=2, stride=4, base=BYTE))
         regions = flatten_view_access(view, 4, 4)
-        assert regions.as_tuples() == [(6, 2), (10, 2)]
+        assert list(regions) == [(6, 2), (10, 2)]
 
     def test_zero_byte_access(self):
         view = FileView()
@@ -68,13 +68,13 @@ class TestSubarrayView:
         tile = Subarray(sizes=[8, 8], subsizes=[4, 4], starts=[0, 4])
         view = FileView(filetype=tile)
         regions = flatten_view_access(view, 0, 16)
-        assert regions.as_tuples() == [(4, 4), (12, 4), (20, 4), (28, 4)]
+        assert list(regions) == [(4, 4), (12, 4), (20, 4), (28, 4)]
 
     def test_write_vector_scatters_payload(self):
         tile = Subarray(sizes=[4, 4], subsizes=[2, 2], starts=[1, 1])
         view = FileView(filetype=tile)
         vector = build_write_vector(view, 0, b"abcd")
-        assert vector.region_list().as_tuples() == [(5, 2), (9, 2)]
+        assert list(vector.extents()) == [(5, 2), (9, 2)]
         assert [request.data for request in vector] == [b"ab", b"cd"]
 
     def test_read_vector_matches_write_vector_regions(self):
@@ -82,13 +82,13 @@ class TestSubarrayView:
         view = FileView(filetype=tile)
         write_vec = build_write_vector(view, 0, b"abcd")
         read_vec = build_read_vector(view, 0, 4)
-        assert read_vec.region_list() == write_vec.region_list()
+        assert list(read_vec.extents()) == list(write_vec.extents())
 
     def test_partial_payload(self):
         tile = Subarray(sizes=[4, 4], subsizes=[2, 2], starts=[0, 0])
         view = FileView(filetype=tile)
         vector = build_write_vector(view, 1, b"xyz")
-        assert vector.region_list().as_tuples() == [(1, 1), (4, 2)]
+        assert list(vector.extents()) == [(1, 1), (4, 2)]
         assert [request.data for request in vector] == [b"x", b"yz"]
 
 

@@ -1,10 +1,13 @@
-"""The integer run forms of an access against the forms they replace.
+"""The integer run forms of an access against independent references.
 
-* :meth:`Datatype.runs` must equal the Region-based flattening it replaced
-  (kept here as :func:`region_flatten`) for every constructor — an
-  ``Indexed`` with unsorted, touching and overlapping displacements and a
-  non-BYTE base included — and :meth:`Datatype.flatten` must be the same
-  runs as a :class:`RegionList`;
+* :meth:`Datatype.runs` must be MPI's type map (:func:`type_map`, built
+  from the constructors' definitions and sharing no rule with the code
+  under test) for every constructor — an ``Indexed`` with unsorted,
+  touching and overlapping displacements, a ``Subarray`` over a base with
+  gaps and a non-BYTE base included — its run total must be the
+  datatype's ``size`` unless blocks overlap, and :meth:`Datatype.flatten`
+  must be the same pairs as :class:`~repro.core.regions.Region` records;
+* a view's access over whole tiles must be the type map tiled;
 * :meth:`IOVector.from_runs` must build exactly the vector
   :meth:`IOVector.for_write` (or ``for_read``) builds from the same pairs;
 * a view's memoized description must be :func:`encode_extents` of its
@@ -14,70 +17,84 @@
   the expanded extents they stand for.
 """
 
+from itertools import product
+
 from hypothesis import given, settings, strategies as st
 
 import pytest
 
 from repro.core.listio import IOVector, encode_extents
-from repro.core.regions import Region, RegionList, clip_runs
+from repro.core.regions import canonical_runs, clip_runs
 from repro.errors import InvalidRegion
 from repro.mpi.datatypes import (BYTE, DOUBLE, INT, BasicType, Contiguous,
                                  Indexed, Subarray, Vector)
 from repro.mpiio.adio.collective import (_description_runs, _opening_bytes,
                                          _scan_gather, _stripe_ranks,
                                          partition_file_domain)
-from repro.mpiio.flatten import FileView, build_read_vector, build_write_vector
-from tests._regions import canonical_runs
+from repro.mpiio.flatten import (FileView, build_read_vector,
+                                 build_write_vector, flatten_view_access)
 
 
 # ----------------------------------------------------------------------
 # datatypes
 # ----------------------------------------------------------------------
-def shifted(region: Region, delta: int) -> Region:
-    return Region(region.offset + delta, region.size)
+def type_map(datatype):
+    """MPI's type map of one instance: a ``(displacement, width)`` entry per
+    basic element, in type-map order, duplicates kept.
 
-
-def region_tiled(datatype, count: int) -> RegionList:
-    """``count`` instances of ``datatype`` back to back, Region by Region."""
-    base = region_flatten(datatype)
-    return RegionList([shifted(region, index * datatype.extent)
-                       for index in range(count) for region in base]
-                      ).normalized()
-
-
-def region_flatten(datatype) -> RegionList:
-    """The Region-based type map :meth:`Datatype.runs` replaced (reference)."""
+    Each constructor's map is its elements' displacements (in units of the
+    base's extent, as the MPI standard defines them) times a copy of the
+    base's own map; a subarray's elements are every index tuple of its
+    box, at their row-major position in the full array.  Extents are the
+    datatypes' own (lower bound 0).
+    """
     if isinstance(datatype, BasicType):
-        return RegionList([(0, datatype.width)]).normalized()
+        return [(0, datatype.width)]
     if isinstance(datatype, Contiguous):
-        return region_tiled(datatype.base, datatype.count)
+        elements = range(datatype.count)
+    elif isinstance(datatype, Vector):
+        elements = [block * datatype.stride + index
+                    for block in range(datatype.count)
+                    for index in range(datatype.blocklength)]
+    elif isinstance(datatype, Indexed):
+        elements = [displacement + index for length, displacement
+                    in zip(datatype.blocklengths, datatype.displacements)
+                    for index in range(length)]
+    else:
+        assert isinstance(datatype, Subarray)
+        elements = []
+        for box_index in product(*[range(start, start + subsize)
+                                   for start, subsize in
+                                   zip(datatype.starts, datatype.subsizes)]):
+            element = 0
+            for index, size in zip(box_index, datatype.sizes):
+                element = element * size + index
+            elements.append(element)
     unit = datatype.base.extent
-    if isinstance(datatype, Vector):
-        block = region_tiled(datatype.base, datatype.blocklength)
-        return RegionList([shifted(region, index * datatype.stride * unit)
-                           for index in range(datatype.count)
-                           for region in block]).normalized()
-    if isinstance(datatype, Indexed):
-        return RegionList([shifted(region, disp * unit)
-                           for length, disp in zip(datatype.blocklengths,
-                                                   datatype.displacements)
-                           for region in region_tiled(datatype.base, length)]
-                          ).normalized()
-    assert isinstance(datatype, Subarray)
-    rows = [[]]
-    for start, subsize, size in zip(datatype.starts[:-1],
-                                    datatype.subsizes[:-1],
-                                    datatype.sizes[:-1]):
-        rows = [row + [index] for row in rows
-                for index in range(start, start + subsize)]
-    regions = []
-    for row in rows:
-        element = 0
-        for index, size in zip(row, datatype.sizes[1:]):
-            element = (element + index) * size
-        element += datatype.starts[-1]
-        regions.append(Region(element * unit, datatype.subsizes[-1] * unit))
-    return RegionList(regions).normalized()
+    base = type_map(datatype.base)
+    return [(element * unit + displacement, width)
+            for element in elements for displacement, width in base]
+
+
+def byte_runs(entries):
+    """The bytes a type map's entries cover, as maximal ``(offset, size)``
+    runs, from a byte set."""
+    covered = sorted({byte for displacement, width in entries
+                      for byte in range(displacement, displacement + width)})
+    runs = []
+    for byte in covered:
+        if runs and sum(runs[-1]) == byte:
+            runs[-1] = (runs[-1][0], runs[-1][1] + 1)
+        else:
+            runs.append((byte, 1))
+    return runs
+
+
+def tiled_map(datatype, count, origin=0):
+    """``count`` instances' type maps back to back from ``origin``."""
+    return [(origin + index * datatype.extent + displacement, width)
+            for index in range(count)
+            for displacement, width in type_map(datatype)]
 
 
 basic = st.sampled_from([BYTE, INT, DOUBLE])
@@ -140,19 +157,56 @@ datatypes = st.one_of(
 
 @settings(max_examples=400, deadline=None)
 @given(datatypes)
-def test_runs_are_the_region_flattening(datatype):
+def test_runs_are_the_type_map(datatype):
     runs = datatype.runs()
-    assert list(runs) == region_flatten(datatype).as_tuples()
-    assert datatype.flatten().as_tuples() == list(runs)
-    assert datatype.flatten().is_normalized()
+    assert list(runs) == byte_runs(type_map(datatype))
+    assert [(region.offset, region.size) for region in datatype.flatten()] \
+        == list(runs)
     assert datatype.runs() is runs
+
+
+@settings(max_examples=400, deadline=None)
+@given(datatypes)
+def test_run_total_is_the_size_unless_blocks_overlap(datatype):
+    entries = type_map(datatype)
+    assert datatype.size == sum(width for _displacement, width in entries)
+    distinct = sum(size for _offset, size in byte_runs(entries))
+    total = sum(size for _offset, size in datatype.runs())
+    if distinct == datatype.size:  # no two blocks share a byte
+        assert total == datatype.size
+    else:
+        assert total <= datatype.size
 
 
 @settings(max_examples=200, deadline=None)
 @given(datatypes, st.integers(0, 4), st.integers(0, 50))
-def test_tiled_runs_are_the_region_tiling(datatype, count, origin):
+def test_tiled_runs_are_the_type_map_tiled(datatype, count, origin):
     assert list(datatype.tiled_runs(count, origin)) == \
-        region_tiled(datatype, count).shift(origin).as_tuples()
+        byte_runs(tiled_map(datatype, count, origin))
+
+
+@settings(max_examples=200, deadline=None)
+@given(datatypes.filter(lambda datatype: datatype.size > 0),
+       st.integers(1, 3), st.integers(0, 40))
+def test_whole_tiles_of_a_view_are_the_type_map_tiled(filetype, count,
+                                                      displacement):
+    if sum(size for _offset, size in byte_runs(type_map(filetype))) \
+            != filetype.size:
+        return  # blocks share bytes: the data fills no one type map
+    view = FileView(displacement=displacement, etype=BYTE, filetype=filetype)
+    assert list(flatten_view_access(view, 0, count * filetype.size)) == \
+        byte_runs(tiled_map(filetype, count, displacement))
+
+
+def test_subarray_over_a_gappy_base_cases():
+    # the base's gap byte stays a gap: MPI's type map, not whole rows
+    gappy = Vector(2, 1, 2, BYTE)
+    assert Subarray((1,), (1,), (0,), gappy).runs() == ((0, 1), (2, 1))
+    assert Subarray((4,), (2,), (1,), gappy).runs() == \
+        ((3, 1), (5, 2), (8, 1))
+    view = FileView(filetype=Subarray((4,), (2,), (1,), gappy))
+    assert list(flatten_view_access(view, 0, 8)) == \
+        [(3, 1), (5, 2), (8, 1), (15, 1), (17, 2), (20, 1)]
 
 
 def test_indexed_run_form_cases():

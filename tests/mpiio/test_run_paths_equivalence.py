@@ -19,11 +19,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.listio import IOVector
-from repro.core.regions import Region, RegionList
+from repro.core.regions import Region
 from repro.mpi.datatypes import BYTE, INT, Indexed, Subarray, Vector
 from repro.mpiio.adio.collective import join_pieces
 from repro.mpiio.flatten import (FileView, build_read_vector,
                                  build_write_vector, flatten_view_access)
+from tests._regions import RegionList
 
 # ----------------------------------------------------------------------
 # the write-side piece join
@@ -31,9 +32,9 @@ from repro.mpiio.flatten import (FileView, build_read_vector,
 def coalesced(vector: IOVector) -> IOVector:
     """The Region-based piece join :func:`join_pieces` replaced (reference):
     one write request per maximal contiguous run of touched bytes — the
-    runs are ``region_list().normalized()``, gaps stay gaps — with later
+    runs are the requests' normalized regions, gaps stay gaps — with later
     requests winning on overlapping bytes, as :meth:`IOVector.apply_to`."""
-    runs = vector.region_list().normalized()
+    runs = RegionList(vector.extents()).normalized()
     starts = [run.offset for run in runs]
     buffers = [bytearray(run.size) for run in runs]
     for req in vector:
@@ -96,9 +97,9 @@ def test_join_pieces_equals_serial_application(seed):
     vector = IOVector.for_write(pairs)
     merged = IOVector.for_write(join_pieces(pairs))
 
-    regions = vector.region_list().normalized()
-    assert merged.region_list() == regions
-    assert merged.region_list().is_normalized()
+    regions = RegionList(vector.extents()).normalized()
+    assert RegionList(merged.extents()) == regions
+    assert RegionList(merged.extents()).is_normalized()
 
     expected = bytearray(span)
     vector.apply_to(expected)
@@ -185,7 +186,8 @@ def test_view_runs_are_the_region_flattening(filetype, displacement, etype,
     view = FileView(displacement=displacement, etype=etype, filetype=filetype)
     expected = region_flatten(view, offset, nbytes)
 
-    assert flatten_view_access(view, offset, nbytes) == expected
+    assert list(flatten_view_access(view, offset, nbytes)) == \
+        expected.as_tuples()
     assert [(request.offset, request.size)
             for request in build_read_vector(view, offset, nbytes)] \
         == expected.as_tuples()

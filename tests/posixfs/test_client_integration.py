@@ -8,7 +8,6 @@ import pytest
 from repro.bench.environment import build_environment
 from repro.cluster import Cluster, ClusterConfig
 from repro.core.listio import IOVector
-from repro.core.regions import RegionList
 from repro.errors import FileNotFound
 from repro.mpiio.adio.posix_locking import PosixLockingDriver
 from repro.posixfs import PosixClient, PosixFsDeployment
@@ -107,7 +106,7 @@ class TestPosixClient:
 
         def locker(client, name, hold_time):
             handle = yield from client.lock_regions(
-                "/f", RegionList.single(0, 128), LockMode.EXCLUSIVE)
+                "/f", [(0, 128)], LockMode.EXCLUSIVE)
             order.append((name, "acquired", cluster.sim.now))
             yield cluster.sim.timeout(hold_time)
             yield from client.unlock(handle)
@@ -132,7 +131,7 @@ class TestPosixClient:
 
         def locker(client, hold):
             handle = yield from client.lock_regions(
-                "/f", RegionList.single(0, 64), LockMode.EXCLUSIVE)
+                "/f", [(0, 64)], LockMode.EXCLUSIVE)
             yield cluster.sim.timeout(hold)
             yield from client.unlock(handle)
 
@@ -153,7 +152,7 @@ class TestPosixClient:
 
         def reader(client):
             handle = yield from client.lock_regions(
-                "/f", RegionList.single(0, 64), LockMode.SHARED)
+                "/f", [(0, 64)], LockMode.SHARED)
             acquired_times.append(cluster.sim.now)
             yield cluster.sim.timeout(1.0)
             yield from client.unlock(handle)
@@ -173,7 +172,7 @@ class TestPosixClient:
         def scenario():
             yield from client.create("/f", stripe_size=64, stripe_count=3)
             handle = yield from client.lock_regions(
-                "/f", RegionList([(0, 10), (64, 10), (128, 10)]),
+                "/f", [(0, 10), (64, 10), (128, 10)],
                 LockMode.EXCLUSIVE)
             count = len(handle.entries)
             yield from client.unlock(handle)
@@ -255,7 +254,7 @@ class TestPerServerBudget:
             yield from client.write("/f", 0, content)
             one_by_one = yield from client.read_vector("/f", vector)
             handle = yield from client.lock_regions(
-                "/f", RegionList([vector.covering_extent()]), LockMode.SHARED)
+                "/f", [vector.covering_extent()], LockMode.SHARED)
             before = rpc_counts(deployment)
             in_bulk = yield from client.read_vector("/f", vector, _locked=True)
             spent = rpc_counts(deployment) - before

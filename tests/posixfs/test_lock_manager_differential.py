@@ -20,11 +20,10 @@ which waiters a release re-examines must not show through.
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import pytest
 
-from repro.core.regions import Region
 from repro.errors import LockNotHeld
 from repro.posixfs.lock_manager import LockManager, LockMode
 
@@ -33,11 +32,17 @@ def _modes_conflict(a: LockMode, b: LockMode) -> bool:
     return not (a is LockMode.SHARED and b is LockMode.SHARED)
 
 
+def _overlap(a: Tuple[int, int], b: Tuple[int, int]) -> bool:
+    """Two non-empty ``(start, end)`` ranges share a byte."""
+    return a[0] < b[1] and b[0] < a[1]
+
+
 @dataclass
 class OracleRequest:
     token: int
     file_id: str
-    region: Region
+    #: one ``(start, end)`` range
+    region: Tuple[int, int]
     mode: LockMode
     owner: str
     granted: bool = False
@@ -47,7 +52,7 @@ class OracleRequest:
 
     def conflicts_with(self, other: "OracleRequest") -> bool:
         return (self.file_id == other.file_id
-                and self.region.overlaps(other.region)
+                and _overlap(self.region, other.region)
                 and _modes_conflict(self.mode, other.mode))
 
 
@@ -62,7 +67,8 @@ class OracleLockManager:
         self.locks_granted = 0
         self.locks_queued = 0
 
-    def request(self, file_id, region, mode, owner, on_grant=None):
+    def request(self, file_id, extents, mode, owner, on_grant=None):
+        (region,) = extents
         request = OracleRequest(token=next(self._tokens), file_id=file_id,
                                 region=region, mode=mode, owner=owner,
                                 on_grant=on_grant)
@@ -113,12 +119,13 @@ class OracleLockManager:
 
 
 class MultiExtentRequest(OracleRequest):
-    """``region`` holds a tuple of regions, in the order the script drew them."""
+    """``region`` holds a tuple of ``(start, end)`` ranges, in the order the
+    script drew them."""
 
     def conflicts_with(self, other):
         return (self.file_id == other.file_id
                 and _modes_conflict(self.mode, other.mode)
-                and any(mine.overlaps(theirs) for mine in self.region
+                and any(_overlap(mine, theirs) for mine in self.region
                         for theirs in other.region))
 
 
@@ -142,14 +149,18 @@ OPS_PER_SCRIPT = 200
 
 
 def one_region(rng):
-    return Region(rng.randrange(100), rng.randrange(1, 30))
+    start = rng.randrange(100)
+    return [(start, start + rng.randrange(1, 30))]
 
 
 def several_extents(rng):
     """1-4 short extents scattered over the same span, unsorted, free to
     touch or overlap each other: hulls overlap far more often than locks."""
-    return [Region(rng.randrange(120), rng.randrange(1, 8))
-            for _ in range(rng.randint(1, 4))]
+    extents = []
+    for _ in range(rng.randint(1, 4)):
+        start = rng.randrange(120)
+        extents.append((start, start + rng.randrange(1, 8)))
+    return extents
 
 
 def check_script(seed, oracle, draw_extents):
@@ -220,16 +231,16 @@ def test_hulls_may_overlap_where_extents_do_not():
     and a request is queued as a whole — none of its extents is held while
     another one waits."""
     manager = LockManager()
-    even = manager.request("f", [Region(0, 10), Region(20, 10), Region(40, 10)],
+    even = manager.request("f", [(0, 10), (20, 30), (40, 50)],
                            LockMode.EXCLUSIVE, "even")
-    odd = manager.request("f", [Region(10, 10), Region(30, 10)],
+    odd = manager.request("f", [(10, 20), (30, 40)],
                           LockMode.EXCLUSIVE, "odd")
     assert even.granted and odd.granted
-    assert (even.region, odd.region) == (Region(0, 50), Region(10, 30))
+    assert ((even.start, even.end), (odd.start, odd.end)) == ((0, 50), (10, 40))
 
-    both = manager.request("f", [Region(45, 10), Region(60, 5)],
+    both = manager.request("f", [(45, 55), (60, 65)],
                            LockMode.EXCLUSIVE, "both")
-    free_part = manager.request("f", Region(60, 5), LockMode.EXCLUSIVE, "late")
+    free_part = manager.request("f", [(60, 65)], LockMode.EXCLUSIVE, "late")
     assert not both.granted          # [45, 50) is held by ``even``
     assert not free_part.granted     # no barging past ``both``
     assert manager.locks_queued == 2

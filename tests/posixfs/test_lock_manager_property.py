@@ -2,7 +2,7 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.regions import Region
+from repro.core.regions import runs_overlap
 from repro.posixfs.lock_manager import LockManager, LockMode
 
 
@@ -27,7 +27,7 @@ def check_safety(manager: LockManager, file_id: str) -> None:
     held = manager.held_locks(file_id)
     for i, a in enumerate(held):
         for b in held[i + 1:]:
-            assert not (a.region.overlaps(b.region)
+            assert not (runs_overlap(a.extents, b.extents)
                         and LockMode.EXCLUSIVE in (a.mode, b.mode)), \
                 f"conflicting grants {a} / {b}"
 
@@ -39,7 +39,7 @@ def test_no_conflicting_locks_ever_granted(script):
     manager = LockManager()
     handles = []
     for offset, size, mode in requests:
-        handles.append(manager.request("f", Region(offset, size), mode,
+        handles.append(manager.request("f", [(offset, offset + size)], mode,
                                        owner=f"o{len(handles)}"))
         check_safety(manager, "f")
     for index in releases:
@@ -53,7 +53,7 @@ def test_releasing_everything_grants_everything(script):
     """Liveness: once every earlier lock is released, a waiter is granted."""
     requests, _releases = script
     manager = LockManager()
-    handles = [manager.request("f", Region(offset, size), mode, owner=f"o{i}")
+    handles = [manager.request("f", [(offset, offset + size)], mode, owner=f"o{i}")
                for i, (offset, size, mode) in enumerate(requests)]
     # release in FIFO order; every handle must be granted by the time it is
     # released (it either was granted immediately or all conflicting earlier
@@ -69,7 +69,7 @@ def test_releasing_everything_grants_everything(script):
 def test_accounting_is_consistent(script):
     requests, releases = script
     manager = LockManager()
-    handles = [manager.request("f", Region(offset, size), mode, owner=f"o{i}")
+    handles = [manager.request("f", [(offset, offset + size)], mode, owner=f"o{i}")
                for i, (offset, size, mode) in enumerate(requests)]
     for index in releases:
         manager.release(handles[index].token)

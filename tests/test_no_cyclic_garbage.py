@@ -3,9 +3,8 @@
 Objects that only the cyclic garbage collector can free make every
 collection pass longer and keep memory around until one runs.  The hot
 paths are written so that nothing a run creates forms an unreachable
-cycle: a canonical :class:`~repro.core.regions.RegionList` marks itself
-canonical instead of pointing at itself, and a granted lock request drops
-its grant callback (which closes over the grant event that holds the
+cycle: byte ranges are plain integer pairs, and a granted lock request
+drops its grant callback (which closes over the grant event that holds the
 request).  Each test runs one small job with the collector off, keeps the
 job alive (cluster, deployment, drivers, results), and asks the collector
 what became unreachable meanwhile.

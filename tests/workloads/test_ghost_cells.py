@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core.regions import RegionList
 from repro.errors import BenchmarkError
 from repro.workloads.ghost_cells import GhostCellSimulation
 from repro.workloads.tile_io import tile_grid
-from tests._regions import regions_union
+from tests._regions import RegionList, regions_union
 
 
 class TestTileGrid:
@@ -74,7 +73,7 @@ class TestGhostCellSimulation:
                 core = domain // count
                 assert block.start == max(0, coord * core - ghost)
                 assert block.stop == min(domain, (coord + 1) * core + ghost)
-            union = regions_union(union, simulation.tiles.rank_regions(rank))
+            union = regions_union(union, RegionList(simulation.tiles.rank_extents(rank)))
         assert union.as_tuples() == [(0, simulation.file_size)]
 
     def test_neighbours_overlap_by_twice_the_ghost_width(self):
@@ -83,7 +82,7 @@ class TestGhostCellSimulation:
                                              num_ranks=4, ghost=ghost)
             left, right = (simulation.rank_block(rank)[1] for rank in (0, 1))
             assert left.stop - right.start == 2 * ghost
-            regions = [simulation.tiles.rank_regions(rank)
+            regions = [RegionList(simulation.tiles.rank_extents(rank))
                        for rank in range(4)]
             assert regions[0].overlaps(regions[1]) == (ghost > 0)
             assert regions[0].overlaps(regions[3]) == (ghost > 0)
@@ -111,7 +110,7 @@ class TestGhostCellSimulation:
                                          ghost=2)
         for rank in range(4):
             pairs = simulation.rank_dump_pairs(rank)
-            regions = simulation.tiles.rank_regions(rank)
+            regions = RegionList(simulation.tiles.rank_extents(rank))
             assert len(pairs) == len(regions)
             assert sum(len(data) for _, data in pairs) == \
                 regions.total_bytes()

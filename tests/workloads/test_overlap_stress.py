@@ -4,11 +4,16 @@ import pytest
 
 from repro.errors import BenchmarkError
 from repro.workloads.overlap_stress import OverlapStressWorkload
+from tests._regions import Region, RegionList
+
+
+def client_regions(workload, client):
+    return RegionList(workload.client_extents(client))
 
 
 def overlapping_client_pairs(workload):
     """All pairs of clients whose regions overlap."""
-    regions = [workload.client_regions(client)
+    regions = [client_regions(workload, client)
                for client in range(workload.num_clients)]
     return [(a, b) for a in range(workload.num_clients)
             for b in range(a + 1, workload.num_clients)
@@ -30,11 +35,11 @@ class TestOverlapStressWorkload:
         workload = OverlapStressWorkload(num_clients=4, regions_per_client=8,
                                          region_size=1024)
         for client in range(4):
-            regions = workload.client_regions(client)
+            regions = client_regions(workload, client)
             assert len(regions) == 8
             assert all(region.size == 1024 for region in regions)
         assert workload.bytes_per_client == 8 * 1024
-        assert sum(workload.client_regions(client).total_bytes()
+        assert sum(client_regions(workload, client).total_bytes()
                    for client in range(4)) == 4 * 8 * 1024
 
     def test_neighbouring_clients_overlap(self):
@@ -55,8 +60,8 @@ class TestOverlapStressWorkload:
                                       region_size=1000, overlap_fraction=0.75)
 
         def overlap_bytes(workload):
-            return workload.client_regions(0).intersection(
-                workload.client_regions(1)).total_bytes()
+            return client_regions(workload, 0).intersection(
+                client_regions(workload, 1)).total_bytes()
 
         assert overlap_bytes(large) > overlap_bytes(small) > 0
 
@@ -65,7 +70,7 @@ class TestOverlapStressWorkload:
                                          region_size=512, overlap_fraction=0.5)
         last_end = max(region.end
                        for client in range(3)
-                       for region in workload.client_regions(client))
+                       for region in client_regions(workload, client))
         assert workload.file_size >= last_end
 
     def test_pairs_are_writer_tagged(self):
@@ -80,11 +85,19 @@ class TestOverlapStressWorkload:
                                          region_size=256)
         pairs = workload.client_pairs(1)
         assert [offset for offset, _data in pairs] \
-            == [region.offset for region in workload.client_regions(1)]
+            == [region.offset for region in client_regions(workload, 1)]
         assert sum(len(data) for _offset, data in pairs) \
             == workload.bytes_per_client
+
+    def test_client_regions_are_the_extents_as_records(self):
+        workload = OverlapStressWorkload(num_clients=3, regions_per_client=4,
+                                         region_size=64)
+        assert workload.client_regions(2) == tuple(
+            Region(offset, size) for offset, size in workload.client_extents(2))
 
     def test_invalid_client_index(self):
         workload = OverlapStressWorkload(num_clients=2)
         with pytest.raises(BenchmarkError):
-            workload.client_regions(5)
+            client_regions(workload, 5)
+        with pytest.raises(BenchmarkError):
+            workload.client_regions(-1)

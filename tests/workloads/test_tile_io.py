@@ -2,10 +2,13 @@
 
 import pytest
 
-from repro.core.regions import RegionList
 from repro.errors import BenchmarkError
 from repro.workloads.tile_io import TileIOWorkload
-from tests._regions import regions_union
+from tests._regions import RegionList, regions_union
+
+
+def rank_regions(workload, rank):
+    return RegionList(workload.rank_extents(rank))
 
 
 class TestTileIOWorkload:
@@ -43,7 +46,7 @@ class TestTileIOWorkload:
         workload = TileIOWorkload(nr_tiles_x=2, nr_tiles_y=2, sz_tile_x=8,
                                   sz_tile_y=8, sz_element=4, overlap_x=0,
                                   overlap_y=0)
-        regions = workload.rank_regions(0)
+        regions = rank_regions(workload, 0)
         assert len(regions) == 8
         assert all(region.size == 8 * 4 for region in regions)
         assert regions.total_bytes() == 8 * 8 * 4
@@ -52,19 +55,19 @@ class TestTileIOWorkload:
         workload = TileIOWorkload(nr_tiles_x=2, nr_tiles_y=1, sz_tile_x=10,
                                   sz_tile_y=4, sz_element=1, overlap_x=2,
                                   overlap_y=0)
-        assert workload.rank_regions(0).overlaps(workload.rank_regions(1))
+        assert rank_regions(workload, 0).overlaps(rank_regions(workload, 1))
 
     def test_no_overlap_configuration(self):
         workload = TileIOWorkload(nr_tiles_x=2, nr_tiles_y=2, sz_tile_x=8,
                                   sz_tile_y=8, sz_element=1, overlap_x=0,
                                   overlap_y=0)
         assert not any(
-            workload.rank_regions(a).overlaps(workload.rank_regions(b))
+            rank_regions(workload, a).overlaps(rank_regions(workload, b))
             for a in range(workload.num_processes)
             for b in range(a + 1, workload.num_processes))
         union = RegionList()
         for rank in range(workload.num_processes):
-            union = regions_union(union, workload.rank_regions(rank))
+            union = regions_union(union, rank_regions(workload, rank))
         assert union.total_bytes() == workload.file_size
 
     def test_full_coverage_with_overlap(self):
@@ -73,7 +76,7 @@ class TestTileIOWorkload:
                                   overlap_y=2)
         union = RegionList()
         for rank in range(workload.num_processes):
-            union = regions_union(union, workload.rank_regions(rank))
+            union = regions_union(union, rank_regions(workload, rank))
         assert union.total_bytes() == workload.file_size
 
     def test_pairs_are_writer_tagged(self):
